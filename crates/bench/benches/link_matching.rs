@@ -1,17 +1,23 @@
 //! Criterion bench of one link-matching hop: the §3.3 mask-refinement
 //! search at a single broker, compared against a full centralized match of
-//! the same event — the per-hop cost Chart 2 accumulates.
+//! the same event — the per-hop cost Chart 2 accumulates — plus what it
+//! costs to keep the annotated tree current as subscriptions come and go.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use linkcast::{ContentRouter, EventRouter};
+use linkcast::{
+    ContentRouter, EventRouter, LinkMatchEngine, LinkSpace, NetworkBuilder, RoutingFabric,
+};
 use linkcast_bench::options_for;
-use linkcast_matching::MatchStats;
+use linkcast_matching::{MatchStats, PstOptions};
 use linkcast_sim::topology39;
+use linkcast_types::{
+    AttrTest, EventSchema, Predicate, SubscriberId, Subscription, SubscriptionId, Value, ValueKind,
+};
 use linkcast_workload::{EventGenerator, SubscriptionGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn bench_link_matching(c: &mut Criterion) {
     let wconfig = WorkloadConfig::chart2();
@@ -88,5 +94,84 @@ fn bench_link_matching(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_link_matching);
+/// Subscription maintenance against fan-out: `n` chains, each hanging off
+/// its own range edge of one `volume` node (the shape of the `match` and
+/// `churn` tables of `benchmark/`), then steady churn — retire the oldest
+/// chain, install a fresh one — so the fan-out stays `n` while every
+/// operation prunes or grows a whole chain. The criterion line is the
+/// pair; the two halves are timed inside it and printed after. A flat
+/// subscribe curve across `n` is the point: the cost follows the path, not
+/// the siblings. Unsubscribe is at its worst here — the oldest chain's edge
+/// is the first of its span, so every other edge shifts down by one — and
+/// shows what the order-preserving shift costs per sibling.
+fn bench_subscribe_scaling(c: &mut Criterion) {
+    let mut b = EventSchema::builder("chains").attribute("volume", ValueKind::Int);
+    for k in 1..=6 {
+        b = b.attribute(format!("a{k}").as_str(), ValueKind::Int);
+    }
+    let schema = b.build().expect("well-formed schema");
+    let chain = |j: i64| {
+        let mut tests = vec![AttrTest::Ge(Value::Int(-j))];
+        tests.extend((1..=5).map(|k| AttrTest::Ge(Value::Int(-(7 * j + k)))));
+        tests.push(AttrTest::Ge(Value::Int(100_000 + j)));
+        Predicate::from_tests(&schema, tests).expect("one test per attribute")
+    };
+
+    let mut net = NetworkBuilder::new();
+    let brokers = net.add_brokers(3);
+    net.connect(brokers[0], brokers[1], 5.0)
+        .expect("fresh link");
+    net.connect(brokers[1], brokers[2], 5.0)
+        .expect("fresh link");
+    let clients: Vec<_> = (0..96)
+        .map(|i| net.add_client(brokers[i % 3]).expect("known broker"))
+        .collect();
+    let fabric = RoutingFabric::new_all_roots(net.build().expect("connected")).expect("trees");
+    let home = brokers[1];
+
+    let mut group = c.benchmark_group("subscribe_scaling");
+    group.sample_size(12);
+    group.warm_up_time(Duration::from_millis(300));
+    group.measurement_time(Duration::from_secs(1));
+    for fanout in [256i64, 1024, 4096] {
+        let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
+        let mut engine = LinkMatchEngine::new(home, schema.clone(), PstOptions::default(), space)
+            .expect("default options");
+        let subscription = |j: i64| {
+            let client = clients[j as usize % clients.len()];
+            let broker = fabric.network().home_broker(client).expect("homed");
+            Subscription::new(
+                SubscriptionId::new(j as u32),
+                SubscriberId::new(broker, client),
+                chain(j),
+            )
+        };
+        for j in 0..fanout {
+            engine.subscribe(subscription(j)).expect("fresh id");
+        }
+        let mut next = fanout;
+        let (mut subscribe, mut unsubscribe, mut pairs) = (Duration::ZERO, Duration::ZERO, 0u32);
+        group.bench_function(BenchmarkId::new("churn_pair", fanout), |b| {
+            b.iter(|| {
+                let fresh = subscription(next);
+                let start = Instant::now();
+                engine.unsubscribe(SubscriptionId::new((next - fanout) as u32));
+                let middle = Instant::now();
+                engine.subscribe(fresh).expect("fresh id");
+                unsubscribe += middle - start;
+                subscribe += middle.elapsed();
+                pairs += 1;
+                next += 1;
+            })
+        });
+        for (name, total) in [("subscribe", subscribe), ("unsubscribe", unsubscribe)] {
+            let label = format!("subscribe_scaling/{name}/{fanout}");
+            println!("{label:<50} mean: [{:.0} ns]", (total / pairs).as_nanos());
+        }
+        black_box(engine.arena().node_count());
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_link_matching, bench_subscribe_scaling);
 criterion_main!(benches);

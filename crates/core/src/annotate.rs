@@ -1,0 +1,302 @@
+//! Counted trit annotations: the §3.1 bottom-up propagation kept
+//! incrementally.
+//!
+//! A node's annotation is *Alternative Combine* over its value-branch
+//! children (plus one implicit all-`No` alternative unless the branches
+//! exhaust the attribute's finite domain), *Parallel Combine*d with its `*`
+//! child; a leaf's is *Parallel Combine* over its subscribers' leaf
+//! vectors. Folding that from scratch costs a node's whole fan-out. Instead
+//! every node keeps a [`TritTally`] of what its value-branch children (its
+//! subscribers, for a leaf) currently say, so a mutation that changes one
+//! child is "take the old vector out, count the new one in, read the
+//! annotation off the tallies" — word ops, independent of how many
+//! siblings the child has. Domain exhaustion is counted the same way: per
+//! domain value, how many branches accept it.
+
+use std::collections::HashMap;
+
+use linkcast_matching::{EdgeSlot, Matcher, NodeId, NodeRef, PathReport, Pst};
+use linkcast_types::{ClientId, TritTally, TritVec, Value};
+
+use crate::LinkSpace;
+
+/// Per-PST-node annotation state, indexed by [`NodeId::index`].
+#[derive(Debug, Clone)]
+pub(crate) struct Annotations {
+    /// The annotation of every live node.
+    trits: Vec<Option<TritVec>>,
+    /// What each node's value-branch children (leaf: subscribers) say.
+    tallies: Vec<TritTally>,
+    /// For nodes testing an attribute with a finite domain: per domain
+    /// value, the number of value branches accepting it.
+    cover: HashMap<usize, Vec<u32>>,
+    /// Memoized leaf vectors per subscriber client.
+    leaves: HashMap<ClientId, TritVec>,
+    /// The annotation the most recently derived node had before.
+    previous: TritVec,
+    /// Work buffer for the annotation being derived.
+    next: TritVec,
+}
+
+impl Annotations {
+    /// Empty state for masks of `width` trits.
+    pub(crate) fn new(width: usize) -> Self {
+        Annotations {
+            trits: Vec::new(),
+            tallies: Vec::new(),
+            cover: HashMap::new(),
+            leaves: HashMap::new(),
+            previous: TritVec::no(width),
+            next: TritVec::no(width),
+        }
+    }
+
+    /// The annotation of a node, if computed.
+    pub(crate) fn get(&self, id: NodeId) -> Option<&TritVec> {
+        self.trits.get(id.index()).and_then(|a| a.as_ref())
+    }
+
+    /// Every node's annotation, indexed by [`NodeId::index`].
+    pub(crate) fn as_slice(&self) -> &[Option<TritVec>] {
+        &self.trits
+    }
+
+    /// The memoized leaf vector of `client`, if any leaf has needed it.
+    pub(crate) fn leaf(&self, client: ClientId) -> Option<&TritVec> {
+        self.leaves.get(&client)
+    }
+
+    /// Recomputes everything from `pst` over `space` (post-order, children
+    /// first), forgetting leaf vectors minted under an older link space.
+    pub(crate) fn rebuild(&mut self, pst: &Pst, space: &LinkSpace) {
+        *self = Annotations::new(space.width());
+        self.grow(pst.arena_size());
+        for id in pst.postorder() {
+            let node = pst.node(id);
+            for sub in node.subscription_ids() {
+                let client = pst
+                    .subscription(*sub)
+                    .expect("leaf subscriptions are registered")
+                    .subscriber()
+                    .client;
+                self.count_subscriber(space, id, client, true);
+            }
+            for (at, (_, child)) in node.eq_edges().iter().enumerate() {
+                self.count_branch(pst, &node, id, EdgeSlot::Eq(at), *child);
+            }
+            for (at, (_, child)) in node.range_edges().iter().enumerate() {
+                self.count_branch(pst, &node, id, EdgeSlot::Range(at), *child);
+            }
+            self.derive(pst, &node, id);
+        }
+    }
+
+    /// Re-annotates one reported path after `client`'s subscription was
+    /// added to (`subscribed`) or removed from its leaf. Nodes off the path
+    /// are unaffected (a node's annotation depends only on its
+    /// descendants), and the climb stops at the first node whose annotation
+    /// comes out unchanged.
+    pub(crate) fn apply(
+        &mut self,
+        pst: &Pst,
+        space: &LinkSpace,
+        path: &PathReport,
+        client: ClientId,
+        subscribed: bool,
+    ) {
+        self.grow(pst.arena_size());
+        // Drop the pruned chain's state, leaf first, keeping the last
+        // annotation taken: the top's, which its parent still counts.
+        let mut had_previous = false;
+        for freed in &path.freed {
+            if let Some(old) = self.take(*freed) {
+                self.previous = old;
+                had_previous = true;
+            }
+        }
+
+        // The child just below the node being visited, if it survives.
+        let mut below: Option<NodeId> = None;
+        for (i, &id) in path.nodes.iter().enumerate().rev() {
+            let node = pst.node(id);
+            let created = i >= path.created;
+            debug_assert!(
+                !created || self.trits[id.index()].is_none(),
+                "a recycled slot was cleared when its previous owner was pruned"
+            );
+            match below {
+                None if node.is_leaf() => self.count_subscriber(space, id, client, subscribed),
+                // The last survivor of a remove: its branch into the
+                // pruned chain is gone.
+                None => {
+                    if let Some((slot, test)) = &path.removed {
+                        if !matches!(slot, EdgeSlot::Star | EdgeSlot::Root) {
+                            self.tallies[id.index()].remove(&self.previous);
+                            self.cover_adjust(pst, &node, id, |v| test.matches(v), false);
+                        }
+                    }
+                }
+                Some(child) if node.star() == Some(child) => {}
+                Some(child) => {
+                    if had_previous {
+                        self.tallies[id.index()].remove(&self.previous);
+                        let now = self.trits[child.index()]
+                            .as_ref()
+                            .expect("children are annotated before parents");
+                        self.tallies[id.index()].add(now);
+                    } else {
+                        // A fresh branch: the boundary edge the report
+                        // names, or a created node's only edge.
+                        let slot = match path.added {
+                            Some(slot) if i + 1 == path.created => slot,
+                            _ if node.eq_edges().is_empty() => EdgeSlot::Range(0),
+                            _ => EdgeSlot::Eq(0),
+                        };
+                        self.count_branch(pst, &node, id, slot, child);
+                    }
+                }
+            }
+            let changed = self.derive(pst, &node, id);
+            if !created && !changed {
+                return;
+            }
+            had_previous = !created;
+            below = Some(id);
+        }
+    }
+
+    /// Sizes the side tables for `slots` PST node slots.
+    fn grow(&mut self, slots: usize) {
+        if self.trits.len() < slots {
+            self.trits.resize(slots, None);
+            self.tallies.resize(slots, TritTally::default());
+        }
+    }
+
+    /// Drops a node's state, returning the annotation it had.
+    fn take(&mut self, id: NodeId) -> Option<TritVec> {
+        self.tallies[id.index()] = TritTally::default();
+        self.cover.remove(&id.index());
+        self.trits[id.index()].take()
+    }
+
+    /// Counts `client`'s leaf vector (memoized on first use) into or out
+    /// of leaf `id`.
+    fn count_subscriber(&mut self, space: &LinkSpace, id: NodeId, client: ClientId, add: bool) {
+        let leaf = self
+            .leaves
+            .entry(client)
+            .or_insert_with(|| space.leaf_vector(client));
+        if add {
+            self.tallies[id.index()].add(leaf);
+        } else {
+            self.tallies[id.index()].remove(leaf);
+        }
+    }
+
+    /// Counts the (annotated) `child` behind the value branch at `slot` of
+    /// `id` in.
+    fn count_branch(
+        &mut self,
+        pst: &Pst,
+        node: &NodeRef<'_>,
+        id: NodeId,
+        slot: EdgeSlot,
+        child: NodeId,
+    ) {
+        let says = self.trits[child.index()]
+            .as_ref()
+            .expect("children are annotated before parents");
+        self.tallies[id.index()].add(says);
+        match slot {
+            EdgeSlot::Eq(at) => {
+                if let Some((label, _)) = node.eq_edges().get(at) {
+                    self.cover_adjust(pst, node, id, |v| v == label, true);
+                }
+            }
+            EdgeSlot::Range(at) => {
+                if let Some((test, _)) = node.range_edges().get(at) {
+                    self.cover_adjust(pst, node, id, |v| test.matches(v), true);
+                }
+            }
+            EdgeSlot::Star | EdgeSlot::Root => {}
+        }
+    }
+
+    /// Counts a value branch accepting exactly the domain values `accepts`
+    /// holds for into or out of `id`'s domain cover. Attributes without a
+    /// declared domain keep no cover.
+    fn cover_adjust(
+        &mut self,
+        pst: &Pst,
+        node: &NodeRef<'_>,
+        id: NodeId,
+        accepts: impl Fn(&Value) -> bool,
+        add: bool,
+    ) {
+        let Some(domain) = domain_of(pst, node) else {
+            return;
+        };
+        let counts = self
+            .cover
+            .entry(id.index())
+            .or_insert_with(|| vec![0; domain.len()]);
+        for (count, value) in counts.iter_mut().zip(domain) {
+            if accepts(value) {
+                *count = if add { *count + 1 } else { *count - 1 };
+            }
+        }
+    }
+
+    /// Whether a node's value branches cover every value of the tested
+    /// attribute's (finite) domain. Attributes without declared domains are
+    /// never exhaustive.
+    fn branches_exhaust_domain(&self, pst: &Pst, node: &NodeRef<'_>, id: NodeId) -> bool {
+        match (domain_of(pst, node), self.cover.get(&id.index())) {
+            (None, _) => false,
+            (Some(domain), None) => domain.is_empty(),
+            (Some(_), Some(counts)) => counts.iter().all(|&n| n > 0),
+        }
+    }
+
+    /// §3.1: reads `id`'s annotation off its tallies — leaves get `Yes` per
+    /// link reaching one of their subscribers; interior nodes combine
+    /// children with *Alternative Combine* (value branches, plus an
+    /// implicit all-`No` alternative when the branches do not exhaust the
+    /// attribute's domain) and *Parallel Combine* (the `*` branch). Leaves
+    /// the node's former annotation in `previous` and returns whether the
+    /// new one differs.
+    fn derive(&mut self, pst: &Pst, node: &NodeRef<'_>, id: NodeId) -> bool {
+        let tally = &self.tallies[id.index()];
+        if node.is_leaf() {
+            tally.parallel_into(&mut self.next);
+        } else {
+            let branches = node.eq_edges().len() + node.range_edges().len();
+            let implicit = usize::from(!self.branches_exhaust_domain(pst, node, id));
+            tally.alternative_into(branches + implicit, &mut self.next);
+            if let Some(star) = node.star() {
+                let says = self.trits[star.index()]
+                    .as_ref()
+                    .expect("children are annotated before parents");
+                self.next.parallel_in_place(says);
+            }
+        }
+        match &mut self.trits[id.index()] {
+            Some(current) => {
+                let changed = *current != self.next;
+                std::mem::swap(current, &mut self.next);
+                std::mem::swap(&mut self.previous, &mut self.next);
+                changed
+            }
+            slot => {
+                *slot = Some(self.next.clone());
+                true
+            }
+        }
+    }
+}
+
+/// The finite domain of the attribute `node` tests, if it declares one.
+fn domain_of<'a>(pst: &'a Pst, node: &NodeRef<'_>) -> Option<&'a [Value]> {
+    pst.schema().attribute(node.attribute()?)?.domain()
+}

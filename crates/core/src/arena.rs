@@ -19,18 +19,175 @@
 //! branches contributes all-`No`, the identity of *Parallel Combine*), and
 //! refinement is idempotent over equal annotations.
 //!
-//! The arena is rebuilt from the PST on structural mutations and patched in
-//! place (annotation slots only) when a mutation touches existing nodes
-//! without allocating or freeing any — the common case for churn against a
-//! populated tree.
+//! The arena is compiled from the PST once and then patched in place: a
+//! [`MutationReport`] names the one edge each touched path gained or lost,
+//! so a subscribe or unsubscribe rewrites that edge, the annotation slots
+//! on the path, and the nodes it created or pruned — nothing proportional
+//! to a node's fan-out except the order-preserving shift inside its span.
+//! Edge spans grow by doubling and pruned nodes go on a free list; a fresh
+//! compile happens only as compaction, once dead slots dominate.
 
-use linkcast_matching::{MatchStats, MutationReport, NodeId, Pst};
+use linkcast_matching::{EdgeSlot, MatchStats, MutationReport, NodeId, PathReport, Pst};
 use linkcast_types::{AttrTest, Event, TritVec, Value};
 
 use crate::LinkSpace;
 
 /// Sentinel for "no node" in `u32` index fields.
 const NONE: u32 = u32::MAX;
+
+/// Dead slots tolerated before they are weighed against live ones, so tiny
+/// arenas never compact.
+const COMPACT_FLOOR: usize = 64;
+
+/// One node's window `[start, start + cap)` into an [`EdgeTable`]'s arrays;
+/// the first `len` entries are its live edges, the rest is slack to grow
+/// into. Slack sits at the end, never between live edges.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Span {
+    fn live(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// The out-edges of one kind (equality or range) of every node: labels and
+/// skip-resolved targets in parallel arrays, one contiguous span per node.
+/// The order of a span's live edges is the match-time visiting order and
+/// mirrors the PST's edge list position for position.
+#[derive(Debug, Clone)]
+struct EdgeTable<L> {
+    labels: Vec<L>,
+    children: Vec<u32>,
+    /// Per-node span.
+    spans: Vec<Span>,
+    /// Σ `len` over all spans.
+    live: usize,
+}
+
+impl<L> Default for EdgeTable<L> {
+    fn default() -> Self {
+        EdgeTable {
+            labels: Vec::new(),
+            children: Vec::new(),
+            spans: Vec::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<L: Clone> EdgeTable<L> {
+    /// The live labels and targets of `node`.
+    fn edges(&self, node: usize) -> (&[L], &[u32]) {
+        let live = self.spans.get(node).copied().unwrap_or_default().live();
+        (
+            self.labels.get(live.clone()).unwrap_or(&[]),
+            self.children.get(live).unwrap_or(&[]),
+        )
+    }
+
+    /// Makes `edges` the whole of `node`'s (empty) span, in a fresh window
+    /// of exactly their number when the current one is too small.
+    fn fill(&mut self, node: usize, edges: impl ExactSizeIterator<Item = (L, u32)>) {
+        let Some(span) = self.spans.get_mut(node) else {
+            return;
+        };
+        debug_assert_eq!(span.len, 0, "fill() is for freshly appended nodes");
+        if (span.cap as usize) < edges.len() {
+            span.start = self.labels.len() as u32;
+            span.cap = edges.len() as u32;
+            span.len = span.cap;
+            self.live += edges.len();
+            for (label, child) in edges {
+                self.labels.push(label);
+                self.children.push(child);
+            }
+            return;
+        }
+        for (at, (label, child)) in edges.enumerate() {
+            self.insert(node, at, label, child);
+        }
+    }
+
+    /// Inserts an edge at position `at` of `node`'s span, shifting the
+    /// later ones up. A full span first moves to a fresh one of twice the
+    /// capacity at the end of the arrays (amortised O(1); the old window
+    /// is dead until the next compaction).
+    fn insert(&mut self, node: usize, at: usize, label: L, child: u32) {
+        let Some(mut span) = self.spans.get(node).copied() else {
+            return;
+        };
+        if span.len == span.cap {
+            let start = self.labels.len();
+            let cap = (span.cap as usize * 2).max(1);
+            self.labels.extend_from_within(span.live());
+            self.children.extend_from_within(span.live());
+            self.labels.resize(start + cap, label.clone());
+            self.children.resize(start + cap, NONE);
+            span.start = start as u32;
+            span.cap = cap as u32;
+        }
+        let at = span.start as usize + at.min(span.len as usize);
+        let end = span.start as usize + span.len as usize;
+        if let Some(window) = self.labels.get_mut(at..=end) {
+            window.rotate_right(1);
+            if let Some(first) = window.first_mut() {
+                *first = label;
+            }
+        }
+        if let Some(window) = self.children.get_mut(at..=end) {
+            window.rotate_right(1);
+            if let Some(first) = window.first_mut() {
+                *first = child;
+            }
+        }
+        span.len += 1;
+        self.live += 1;
+        if let Some(slot) = self.spans.get_mut(node) {
+            *slot = span;
+        }
+    }
+
+    /// Removes the edge at position `at` of `node`'s span, shifting the
+    /// later ones down (their order is kept).
+    fn remove(&mut self, node: usize, at: usize) {
+        let Some(span) = self.spans.get_mut(node) else {
+            return;
+        };
+        if at >= span.len as usize {
+            return;
+        }
+        let window = span.start as usize + at..(span.start + span.len) as usize;
+        span.len -= 1;
+        self.live -= 1;
+        if let Some(window) = self.labels.get_mut(window.clone()) {
+            window.rotate_left(1);
+        }
+        if let Some(window) = self.children.get_mut(window) {
+            window.rotate_left(1);
+        }
+    }
+
+    /// Points the edge at position `at` of `node`'s span at `child`.
+    fn retarget(&mut self, node: usize, at: usize, child: u32) {
+        let live = self.spans.get(node).copied().unwrap_or_default().live();
+        if let Some(slot) = self.children.get_mut(live).and_then(|s| s.get_mut(at)) {
+            *slot = child;
+        }
+    }
+
+    /// Empties `node`'s span, keeping its window for the slot's next owner.
+    fn clear(&mut self, node: usize) {
+        if let Some(span) = self.spans.get_mut(node) {
+            self.live -= span.len as usize;
+            span.len = 0;
+        }
+    }
+}
 
 /// The flattened, annotated match-time form of one engine's PST.
 #[derive(Debug, Clone, Default)]
@@ -41,20 +198,12 @@ pub struct MatchArena {
     words_per_mask: usize,
     /// Per-node attribute index tested at the node; `NONE` for leaves.
     attr: Vec<u32>,
-    /// Per-node span `[start, end)` into `eq_values` / `eq_children`.
-    eq_span: Vec<(u32, u32)>,
-    /// Per-node span `[start, end)` into `range_tests` / `range_children`.
-    range_span: Vec<(u32, u32)>,
-    /// Per-node `*` child; `NONE` if absent.
+    /// Equality edges, sorted by label within each node's span.
+    eq: EdgeTable<Value>,
+    /// Range edges, in insertion order within each node's span.
+    ranges: EdgeTable<AttrTest>,
+    /// Per-node `*` child (skip-resolved); `NONE` if absent.
     star: Vec<u32>,
-    /// Equality edge labels, sorted within each node's span.
-    eq_values: Vec<Value>,
-    /// Equality edge targets (skip-resolved), parallel to `eq_values`.
-    eq_children: Vec<u32>,
-    /// Range edge labels.
-    range_tests: Vec<AttrTest>,
-    /// Range edge targets (skip-resolved), parallel to `range_tests`.
-    range_children: Vec<u32>,
     /// Annotation slab: node `i`'s trits at
     /// `[i * words_per_mask, (i + 1) * words_per_mask)`.
     ann_words: Vec<u64>,
@@ -65,11 +214,15 @@ pub struct MatchArena {
     factored: Vec<usize>,
     /// PST `NodeId::index()` → arena index; `NONE` for dead/unknown slots.
     map: Vec<u32>,
+    /// Node slots whose PST node was pruned, reused by later appends.
+    free: Vec<u32>,
     /// Attribute indices that can influence the walk's branching: the
     /// factored attributes plus every `order` attribute whose level has at
     /// least one equality or range edge somewhere in the tree. Sorted.
     /// Attributes outside this set cannot change the match result, which is
-    /// exactly why the match-result cache keys on these and only these.
+    /// exactly why the match-result cache keys on these and only these. An
+    /// unsubscribe never shrinks the set (a superset only splits cache
+    /// entries that could have been shared); compaction recomputes it.
     tested: Vec<usize>,
     /// Upper bound on the walk's stack depth (root-to-leaf node count).
     max_depth: usize,
@@ -79,285 +232,267 @@ impl MatchArena {
     /// Flattens `pst` and its annotations (indexed by [`NodeId::index`],
     /// masks of `space.width()` trits) into a fresh arena.
     pub fn build(pst: &Pst, annotations: &[Option<TritVec>], space: &LinkSpace) -> Self {
-        let width = space.width();
-        let words_per_mask = TritVec::no(width).words().len();
-        let skipping = pst.options().eliminate_trivial_tests;
-        let order = pst.order();
+        Self::compile(pst, annotations, space.width())
+    }
 
-        let postorder = pst.postorder();
+    /// [`build`](Self::build) for masks of `width` trits: every live node
+    /// appended children-first, so each span is exactly as long as its edge
+    /// list and nothing is dead.
+    fn compile(pst: &Pst, annotations: &[Option<TritVec>], width: usize) -> Self {
         let mut arena = MatchArena {
             width,
-            words_per_mask,
+            words_per_mask: TritVec::no(width).words().len(),
             factored: pst.factored().to_vec(),
-            max_depth: order.len() + 1,
+            tested: pst.factored().to_vec(),
+            max_depth: pst.order().len() + 1,
+            map: vec![NONE; pst.arena_size()],
             ..MatchArena::default()
         };
-        arena.map = vec![NONE; pst.arena_size()];
-
-        // The effective (skip-resolved) node a search entering `id` lands on.
-        let effective = |id: NodeId| -> NodeId {
-            if skipping {
-                pst.node(id).skip().unwrap_or(id)
-            } else {
-                id
-            }
-        };
-
-        let mut level_branches = vec![false; order.len()];
-        let no_ann = TritVec::no(width);
-        for id in &postorder {
-            let node = pst.node(*id);
-            let arena_idx = arena.attr.len() as u32;
-            if let Some(slot) = arena.map.get_mut(id.index()) {
-                *slot = arena_idx;
-            }
-
-            let eq_start = arena.eq_values.len() as u32;
-            for (value, child) in node.eq_edges() {
-                arena.eq_values.push(value.clone());
-                arena.eq_children.push(arena.translate(effective(*child)));
-            }
-            let range_start = arena.range_tests.len() as u32;
-            for (test, child) in node.range_edges() {
-                arena.range_tests.push(test.clone());
-                arena
-                    .range_children
-                    .push(arena.translate(effective(*child)));
-            }
-            arena.eq_span.push((eq_start, arena.eq_values.len() as u32));
-            arena
-                .range_span
-                .push((range_start, arena.range_tests.len() as u32));
-            arena.star.push(match node.star() {
-                Some(star) => arena.translate(effective(star)),
-                None => NONE,
-            });
-            arena.attr.push(match node.attribute() {
-                Some(attr) => attr as u32,
-                None => NONE,
-            });
-            if !node.is_leaf() && (!node.eq_edges().is_empty() || !node.range_edges().is_empty()) {
-                if let Some(flag) = level_branches.get_mut(node.level()) {
-                    *flag = true;
-                }
-            }
-
-            let ann = annotations
-                .get(id.index())
-                .and_then(|a| a.as_ref())
-                .unwrap_or(&no_ann);
-            debug_assert_eq!(ann.words().len(), words_per_mask);
-            arena.ann_words.extend_from_slice(ann.words());
+        for id in pst.postorder() {
+            arena.append(pst, id, annotations);
         }
-
         arena.roots = pst
             .roots()
-            .map(|(key, root)| (key.to_vec().into(), arena.translate(effective(root))))
+            .map(|(key, root)| (key.to_vec().into(), arena.resolve(pst, root)))
             .collect();
         arena.roots.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-
-        arena.tested = arena.factored.clone();
-        for (level, branched) in level_branches.iter().enumerate() {
-            if *branched {
-                if let Some(&attr) = order.get(level) {
-                    arena.tested.push(attr);
-                }
-            }
-        }
         arena.tested.sort_unstable();
         arena.tested.dedup();
         arena
     }
 
-    /// Applies one PST mutation incrementally: path nodes get their
-    /// annotation slots patched and their edge sets re-resolved (in place
-    /// when the arity is unchanged, as a fresh span otherwise), and nodes
-    /// the mutation created are appended. Everything an insert can change
+    /// Applies one PST mutation in place. Everything a mutation can change
     /// lives on the reported paths — a node's only incoming edge comes from
     /// its parent, which is on the path too, and a trivial node's skip
     /// chain is star-only, so it is walked (and therefore reported) by the
-    /// insert that altered it. Returns `false` — full rebuild required —
-    /// only when the mutation freed nodes, which would leave stale `map`
-    /// entries and garbage spans behind.
+    /// mutation that altered it. Recompiles only to compact, when dead
+    /// slots (abandoned and slack edge slots, free node slots) outnumber
+    /// live ones three to one: a span's first relocation after a compile
+    /// can strand twice its length for a single insert, so any lower bar
+    /// could be hit again and again by a handful of mutations.
     pub fn apply_mutation(
         &mut self,
         pst: &Pst,
         report: &MutationReport,
         annotations: &[Option<TritVec>],
-    ) -> bool {
-        if !report.freed.is_empty() {
-            return false;
-        }
-        let skipping = pst.options().eliminate_trivial_tests;
+    ) {
         if self.map.len() < pst.arena_size() {
             self.map.resize(pst.arena_size(), NONE);
         }
         for path in &report.paths {
-            // Leaf first, so a parent's re-resolved edges can translate its
-            // freshly appended children.
-            for id in path.iter().rev() {
-                self.sync_node(pst, *id, annotations, skipping);
-            }
-            if let Some(&root_id) = path.first() {
-                self.sync_root(pst, root_id, skipping);
-            }
+            self.apply_path(pst, path, annotations);
         }
-        true
+        let live = self.node_count() + self.eq.live + self.ranges.live;
+        let dead = self.free.len() + self.edge_slots() - self.eq.live - self.ranges.live;
+        if dead > 3 * live + COMPACT_FLOOR {
+            *self = Self::compile(pst, annotations, self.width);
+        }
     }
 
-    /// Brings one node's arena image (annotation, edges, star, `tested`
-    /// bookkeeping) in line with the PST, appending the node if it is new.
-    fn sync_node(
-        &mut self,
-        pst: &Pst,
-        id: NodeId,
-        annotations: &[Option<TritVec>],
-        skipping: bool,
-    ) {
-        let node = pst.node(id);
-        let effective = |child: NodeId| -> NodeId {
-            if skipping {
-                pst.node(child).skip().unwrap_or(child)
-            } else {
-                child
-            }
-        };
-        // Resolve children before touching the arena arrays (translate
-        // borrows `map`; the path below this node is already synced).
-        let eq: Vec<(Value, u32)> = node
-            .eq_edges()
-            .iter()
-            .map(|(v, c)| (v.clone(), self.translate(effective(*c))))
-            .collect();
-        let ranges: Vec<(AttrTest, u32)> = node
-            .range_edges()
-            .iter()
-            .map(|(t, c)| (t.clone(), self.translate(effective(*c))))
-            .collect();
-        let star = match node.star() {
-            Some(s) => self.translate(effective(s)),
-            None => NONE,
-        };
-        let no_ann = TritVec::no(self.width);
-        let ann = annotations
-            .get(id.index())
-            .and_then(|a| a.as_ref())
-            .unwrap_or(&no_ann);
-        debug_assert_eq!(ann.words().len(), self.words_per_mask);
-
-        let mapped = self.map.get(id.index()).copied().unwrap_or(NONE);
-        let arena_idx = if mapped == NONE {
-            let idx = self.attr.len() as u32;
-            if let Some(slot) = self.map.get_mut(id.index()) {
-                *slot = idx;
-            }
-            self.attr.push(match node.attribute() {
-                Some(attr) => attr as u32,
-                None => NONE,
-            });
-            self.eq_span.push((0, 0));
-            self.range_span.push((0, 0));
-            self.star.push(NONE);
-            self.ann_words.extend_from_slice(ann.words());
-            idx
-        } else {
-            let start = mapped as usize * self.words_per_mask;
-            if let Some(slot) = self.ann_words.get_mut(start..start + self.words_per_mask) {
-                slot.copy_from_slice(ann.words());
-            }
-            mapped
-        };
-        let i = arena_idx as usize;
-
-        // Edge spans: overwrite in place when the arity is unchanged (the
-        // common case — only targets or labels were re-resolved); otherwise
-        // append a fresh span, abandoning the old one until the next full
-        // rebuild compacts the arrays.
-        let eq_span = self.eq_span.get(i).copied().unwrap_or((0, 0));
-        if (eq_span.1 - eq_span.0) as usize == eq.len() {
-            for (k, (v, c)) in eq.into_iter().enumerate() {
-                let at = eq_span.0 as usize + k;
-                if let Some(slot) = self.eq_values.get_mut(at) {
-                    *slot = v;
-                }
-                if let Some(slot) = self.eq_children.get_mut(at) {
-                    *slot = c;
-                }
-            }
-        } else {
-            let start = self.eq_values.len() as u32;
-            for (v, c) in eq {
-                self.eq_values.push(v);
-                self.eq_children.push(c);
-            }
-            if let Some(span) = self.eq_span.get_mut(i) {
-                *span = (start, self.eq_values.len() as u32);
+    fn apply_path(&mut self, pst: &Pst, path: &PathReport, annotations: &[Option<TritVec>]) {
+        // Top of the pruned chain first: the free list is a stack and
+        // appends go leaf first, so the next chain of the same shape gets
+        // each slot back in its old role, edge windows fitting.
+        for id in path.freed.iter().rev() {
+            self.release(*id);
+        }
+        // Leaf first, so a parent's edges can translate its children.
+        for id in path.nodes.iter().skip(path.created).rev() {
+            self.append(pst, *id, annotations);
+        }
+        // The node an edge into `nodes[i]` leaves from (none for a root).
+        let above = |i: usize| i.checked_sub(1).and_then(|p| path.nodes.get(p)).copied();
+        if let (Some(slot), Some(child)) = (path.added, path.nodes.get(path.created)) {
+            self.add_edge(pst, &path.key, above(path.created), slot, *child);
+        }
+        if let Some((slot, _)) = &path.removed {
+            self.remove_edge(&path.key, path.nodes.last().copied(), *slot);
+        }
+        for (i, slot) in &path.retargets {
+            if let Some(id) = path.nodes.get(*i) {
+                self.retarget(pst, &path.key, above(*i), *slot, *id);
             }
         }
-        let range_span = self.range_span.get(i).copied().unwrap_or((0, 0));
-        if (range_span.1 - range_span.0) as usize == ranges.len() {
-            for (k, (t, c)) in ranges.into_iter().enumerate() {
-                let at = range_span.0 as usize + k;
-                if let Some(slot) = self.range_tests.get_mut(at) {
-                    *slot = t;
-                }
-                if let Some(slot) = self.range_children.get_mut(at) {
-                    *slot = c;
-                }
+        for id in path.nodes.iter().take(path.created) {
+            self.set_annotation(self.translate(*id), annotations.get(id.index()));
+        }
+    }
+
+    /// Appends the arena image of PST node `id` — attribute, annotation,
+    /// and its edges resolved against the already-mapped children — into a
+    /// free slot if there is one.
+    fn append(&mut self, pst: &Pst, id: NodeId, annotations: &[Option<TritVec>]) {
+        let node = pst.node(id);
+        let attr = node.attribute().map_or(NONE, |a| a as u32);
+        let star = node.star().map_or(NONE, |s| self.resolve(pst, s));
+        let idx = match self.free.pop() {
+            Some(idx) => idx,
+            None => {
+                self.attr.push(NONE);
+                self.star.push(NONE);
+                self.eq.spans.push(Span::default());
+                self.ranges.spans.push(Span::default());
+                self.ann_words
+                    .resize(self.ann_words.len() + self.words_per_mask, 0);
+                (self.attr.len() - 1) as u32
             }
-        } else {
-            let start = self.range_tests.len() as u32;
-            for (t, c) in ranges {
-                self.range_tests.push(t);
-                self.range_children.push(c);
-            }
-            if let Some(span) = self.range_span.get_mut(i) {
-                *span = (start, self.range_tests.len() as u32);
-            }
+        };
+        let i = idx as usize;
+        if let Some(slot) = self.map.get_mut(id.index()) {
+            *slot = idx;
+        }
+        if let Some(slot) = self.attr.get_mut(i) {
+            *slot = attr;
         }
         if let Some(slot) = self.star.get_mut(i) {
             *slot = star;
         }
+        let map = &self.map;
+        let eq = node.eq_edges().iter();
+        self.eq
+            .fill(i, eq.map(|(v, c)| (v.clone(), resolve(map, pst, *c))));
+        let ranges = node.range_edges().iter();
+        self.ranges
+            .fill(i, ranges.map(|(t, c)| (t.clone(), resolve(map, pst, *c))));
+        if !node.eq_edges().is_empty() || !node.range_edges().is_empty() {
+            self.mark_tested(attr);
+        }
+        self.set_annotation(idx, annotations.get(id.index()));
+    }
 
+    /// Retires the arena image of the pruned PST node `id`: its `map` entry
+    /// clears and its slot — edge windows included — waits on the free list
+    /// for the next append.
+    fn release(&mut self, id: NodeId) {
+        let Some(slot) = self.map.get_mut(id.index()) else {
+            return;
+        };
+        let idx = std::mem::replace(slot, NONE);
+        if idx != NONE {
+            self.eq.clear(idx as usize);
+            self.ranges.clear(idx as usize);
+            self.free.push(idx);
+        }
+    }
+
+    /// Mirrors the edge the PST gained at `slot` of `parent`, leading to
+    /// `child`.
+    fn add_edge(
+        &mut self,
+        pst: &Pst,
+        key: &[Value],
+        parent: Option<NodeId>,
+        slot: EdgeSlot,
+        child: NodeId,
+    ) {
+        let target = self.resolve(pst, child);
+        let Some(parent) = parent else {
+            if let Err(at) = self.roots.binary_search_by(|(k, _)| (**k).cmp(key)) {
+                self.roots.insert(at, (key.into(), target));
+            }
+            return;
+        };
+        let p = self.translate(parent) as usize;
+        let node = pst.node(parent);
+        match slot {
+            EdgeSlot::Eq(at) => {
+                if let Some((value, _)) = node.eq_edges().get(at) {
+                    self.eq.insert(p, at, value.clone(), target);
+                }
+            }
+            EdgeSlot::Range(at) => {
+                if let Some((test, _)) = node.range_edges().get(at) {
+                    self.ranges.insert(p, at, test.clone(), target);
+                }
+            }
+            EdgeSlot::Star | EdgeSlot::Root => {
+                return self.retarget(pst, key, Some(parent), slot, child);
+            }
+        }
         // A level that branches for the first time makes its attribute
         // observable — future cache keys must include it.
-        let eq_span = self.eq_span.get(i).copied().unwrap_or((0, 0));
-        if !node.is_leaf()
-            && (eq_span.1 > eq_span.0 || {
-                let r = self.range_span.get(i).copied().unwrap_or((0, 0));
-                r.1 > r.0
-            })
-        {
-            if let Some(&attr) = pst.order().get(node.level()) {
-                if let Err(pos) = self.tested.binary_search(&attr) {
-                    self.tested.insert(pos, attr);
+        self.mark_tested(node.attribute().map_or(NONE, |a| a as u32));
+    }
+
+    /// Mirrors the loss of the edge at `slot` of `parent`.
+    fn remove_edge(&mut self, key: &[Value], parent: Option<NodeId>, slot: EdgeSlot) {
+        let Some(parent) = parent else {
+            if let Ok(at) = self.roots.binary_search_by(|(k, _)| (**k).cmp(key)) {
+                self.roots.remove(at);
+            }
+            return;
+        };
+        let p = self.translate(parent) as usize;
+        match slot {
+            EdgeSlot::Eq(at) => self.eq.remove(p, at),
+            EdgeSlot::Range(at) => self.ranges.remove(p, at),
+            EdgeSlot::Star | EdgeSlot::Root => {
+                if let Some(star) = self.star.get_mut(p) {
+                    *star = NONE;
                 }
             }
         }
     }
 
-    /// Re-resolves the factored-root entry whose subtree root is `root_id`
-    /// (its effective target can move when skip chains change), inserting
-    /// the entry if the key is new.
-    fn sync_root(&mut self, pst: &Pst, root_id: NodeId, skipping: bool) {
-        let resolved = if skipping {
-            self.translate(pst.node(root_id).skip().unwrap_or(root_id))
-        } else {
-            self.translate(root_id)
-        };
-        for (key, id) in pst.roots() {
-            if id == root_id {
-                match self.roots.binary_search_by(|(k, _)| (**k).cmp(key)) {
-                    Ok(i) => {
-                        if let Some(entry) = self.roots.get_mut(i) {
-                            entry.1 = resolved;
-                        }
-                    }
-                    Err(i) => self.roots.insert(i, (key.to_vec().into(), resolved)),
+    /// Re-resolves the edge at `slot` of `parent` (the roots entry under
+    /// `key` when there is none) after `child`'s skip pointer moved.
+    fn retarget(
+        &mut self,
+        pst: &Pst,
+        key: &[Value],
+        parent: Option<NodeId>,
+        slot: EdgeSlot,
+        child: NodeId,
+    ) {
+        let target = self.resolve(pst, child);
+        let Some(parent) = parent else {
+            if let Ok(at) = self.roots.binary_search_by(|(k, _)| (**k).cmp(key)) {
+                if let Some(entry) = self.roots.get_mut(at) {
+                    entry.1 = target;
                 }
-                return;
+            }
+            return;
+        };
+        let p = self.translate(parent) as usize;
+        match slot {
+            EdgeSlot::Eq(at) => self.eq.retarget(p, at, target),
+            EdgeSlot::Range(at) => self.ranges.retarget(p, at, target),
+            EdgeSlot::Star | EdgeSlot::Root => {
+                if let Some(star) = self.star.get_mut(p) {
+                    *star = target;
+                }
             }
         }
+    }
+
+    /// Copies `annotation` (all-`No` when absent) into `node`'s slab slot.
+    fn set_annotation(&mut self, node: u32, annotation: Option<&Option<TritVec>>) {
+        let start = node as usize * self.words_per_mask;
+        let Some(slot) = self.ann_words.get_mut(start..start + self.words_per_mask) else {
+            return;
+        };
+        match annotation.and_then(|a| a.as_ref()) {
+            Some(ann) => {
+                debug_assert_eq!(ann.words().len(), self.words_per_mask);
+                slot.copy_from_slice(ann.words());
+            }
+            None => slot.fill(0),
+        }
+    }
+
+    /// Records that the level testing `attr` branches on values.
+    fn mark_tested(&mut self, attr: u32) {
+        if attr == NONE {
+            return;
+        }
+        if let Err(at) = self.tested.binary_search(&(attr as usize)) {
+            self.tested.insert(at, attr as usize);
+        }
+    }
+
+    /// The arena index a search entering PST node `id` lands on.
+    fn resolve(&self, pst: &Pst, id: NodeId) -> u32 {
+        resolve(&self.map, pst, id)
     }
 
     /// The attribute indices that can influence a match result (sorted).
@@ -365,9 +500,15 @@ impl MatchArena {
         &self.tested
     }
 
-    /// Number of flattened nodes.
+    /// Number of live flattened nodes (free-listed slots excluded).
     pub fn node_count(&self) -> usize {
-        self.attr.len()
+        self.attr.len() - self.free.len()
+    }
+
+    /// Total length of the edge arrays: live edges plus span slack plus
+    /// windows abandoned by relocations.
+    pub fn edge_slots(&self) -> usize {
+        self.eq.labels.len() + self.ranges.labels.len()
     }
 
     /// The arena root for `event`'s factor key, found by binary search
@@ -399,7 +540,7 @@ impl MatchArena {
     }
 
     fn translate(&self, id: NodeId) -> u32 {
-        self.map.get(id.index()).copied().unwrap_or(NONE)
+        translate(&self.map, id)
     }
 
     /// The §3.3 refinement search as an explicit work-stack walk over the
@@ -453,11 +594,8 @@ impl MatchArena {
                     }
                     // Range edges come after the equality branch either
                     // way; prime the resume point before descending.
-                    let (range_start, _) = self
-                        .range_span
-                        .get(node as usize)
-                        .copied()
-                        .unwrap_or((0, 0));
+                    let ranges = self.ranges.spans.get(node as usize);
+                    let range_start = ranges.map_or(0, |span| span.start);
                     set_top(scratch, FrameState::Ranges, range_start);
                     stats.comparisons += 1;
                     if let Some(child) = self.eq_lookup(node, values) {
@@ -465,11 +603,8 @@ impl MatchArena {
                     }
                 }
                 FrameState::Ranges => {
-                    let (_, range_end) = self
-                        .range_span
-                        .get(node as usize)
-                        .copied()
-                        .unwrap_or((0, 0));
+                    let ranges = self.ranges.spans.get(node as usize);
+                    let range_end = ranges.map_or(0, |span| span.start + span.len);
                     let value = self
                         .attr
                         .get(node as usize)
@@ -480,12 +615,12 @@ impl MatchArena {
                         let i = cur as usize;
                         cur += 1;
                         stats.comparisons += 1;
-                        let matched = match (self.range_tests.get(i), value) {
+                        let matched = match (self.ranges.labels.get(i), value) {
                             (Some(test), Some(v)) => test.matches(v),
                             _ => false,
                         };
                         if matched {
-                            child = self.range_children.get(i).copied();
+                            child = self.ranges.children.get(i).copied();
                             break;
                         }
                     }
@@ -521,10 +656,26 @@ impl MatchArena {
     fn eq_lookup(&self, node: u32, values: &[Value]) -> Option<u32> {
         let attr = self.attr.get(node as usize).copied()?;
         let value = values.get(attr as usize)?;
-        let (start, end) = self.eq_span.get(node as usize).copied()?;
-        let span = self.eq_values.get(start as usize..end as usize)?;
-        let i = span.binary_search_by(|v| v.cmp(value)).ok()?;
-        self.eq_children.get(start as usize + i).copied()
+        let (labels, children) = self.eq.edges(node as usize);
+        let i = labels.binary_search_by(|v| v.cmp(value)).ok()?;
+        children.get(i).copied()
+    }
+}
+
+/// `map`'s arena index for PST node `id`; `NONE` for dead/unknown slots.
+fn translate(map: &[u32], id: NodeId) -> u32 {
+    map.get(id.index()).copied().unwrap_or(NONE)
+}
+
+/// The arena index a search entering PST node `id` lands on: that of its
+/// trivial-test skip target when elimination is on, else its own. A
+/// function of `map` alone so edges can be resolved while an edge table is
+/// being written.
+fn resolve(map: &[u32], pst: &Pst, id: NodeId) -> u32 {
+    if pst.options().eliminate_trivial_tests {
+        translate(map, pst.node(id).skip().unwrap_or(id))
+    } else {
+        translate(map, id)
     }
 }
 

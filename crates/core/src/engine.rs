@@ -1,10 +1,9 @@
 //! The per-broker link-matching engine: an annotated parallel search tree.
 
-use std::collections::HashMap;
-
 use linkcast_matching::{MatchStats, Matcher, NodeId, ParallelScratch, Pst, PstOptions};
-use linkcast_types::{ClientId, Event, EventSchema, LinkId, Subscription, SubscriptionId, TritVec};
+use linkcast_types::{Event, EventSchema, LinkId, Subscription, SubscriptionId, TritVec};
 
+use crate::annotate::Annotations;
 use crate::{LinkSpace, MatchArena, MatchScratch, Result, TreeId};
 
 /// Reusable buffers for the engine's allocation-free match paths: the
@@ -91,10 +90,8 @@ pub struct LinkMatchEngine {
     broker: linkcast_types::BrokerId,
     space: LinkSpace,
     pst: Pst,
-    /// Annotation per PST node, indexed by [`NodeId::index`].
-    annotations: Vec<Option<TritVec>>,
-    /// Memoized leaf vectors per subscriber client.
-    leaf_cache: HashMap<ClientId, TritVec>,
+    /// Annotation (and the tallies it is read off) per PST node.
+    annotations: Annotations,
     /// The flattened match-time view of `pst` + `annotations`, kept in
     /// lock-step with them on every mutation.
     arena: MatchArena,
@@ -120,10 +117,9 @@ impl LinkMatchEngine {
         let arena = MatchArena::build(&pst, &[], &space);
         Ok(LinkMatchEngine {
             broker,
+            annotations: Annotations::new(space.width()),
             space,
             pst,
-            annotations: Vec::new(),
-            leaf_cache: HashMap::new(),
             arena,
             generation: 0,
         })
@@ -145,14 +141,13 @@ impl LinkMatchEngine {
         let pst = Pst::build(schema, subscriptions, options)?;
         let mut engine = LinkMatchEngine {
             broker,
+            annotations: Annotations::new(space.width()),
             space,
             pst,
-            annotations: Vec::new(),
-            leaf_cache: HashMap::new(),
             arena: MatchArena::default(),
             generation: 0,
         };
-        engine.annotate_all();
+        engine.annotations.rebuild(&engine.pst, &engine.space);
         engine.rebuild_arena();
         Ok(engine)
     }
@@ -178,53 +173,47 @@ impl LinkMatchEngine {
     }
 
     /// Registers a subscription and incrementally re-annotates the paths it
-    /// touched.
+    /// touched: the cost follows the tree's depth and the mask width, not
+    /// the fan-out of the nodes on the way.
     ///
     /// # Errors
     ///
     /// Duplicate ids or schema mismatches, from the PST.
     pub fn subscribe(&mut self, subscription: Subscription) -> Result<()> {
+        let client = subscription.subscriber().client;
         let report = self.pst.insert_reported(subscription)?;
         for path in &report.paths {
-            self.annotate_path(path);
+            self.annotations
+                .apply(&self.pst, &self.space, path, client, true);
         }
         self.generation += 1;
-        if !self
-            .arena
-            .apply_mutation(&self.pst, &report, &self.annotations)
-        {
-            self.rebuild_arena();
-        }
+        self.arena
+            .apply_mutation(&self.pst, &report, self.annotations.as_slice());
         Ok(())
     }
 
-    /// Removes a subscription, pruning and re-annotating. Returns whether
-    /// the id was registered.
+    /// Removes a subscription, pruning and re-annotating in place. Returns
+    /// whether the id was registered.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
+        let Some(client) = self.pst.subscription(id).map(|s| s.subscriber().client) else {
+            return false;
+        };
         let Some(report) = self.pst.remove_reported(id) else {
             return false;
         };
-        for freed in &report.freed {
-            if let Some(slot) = self.annotations.get_mut(freed.index()) {
-                *slot = None;
-            }
-        }
         for path in &report.paths {
-            self.annotate_path(path);
+            self.annotations
+                .apply(&self.pst, &self.space, path, client, false);
         }
         self.generation += 1;
-        if !self
-            .arena
-            .apply_mutation(&self.pst, &report, &self.annotations)
-        {
-            self.rebuild_arena();
-        }
+        self.arena
+            .apply_mutation(&self.pst, &report, self.annotations.as_slice());
         true
     }
 
     /// The annotation of a PST node, if computed.
     pub fn annotation(&self, id: NodeId) -> Option<&TritVec> {
-        self.annotations.get(id.index()).and_then(|a| a.as_ref())
+        self.annotations.get(id)
     }
 
     /// Link matching (§3.3): refines `tree`'s initialization mask through
@@ -365,7 +354,7 @@ impl LinkMatchEngine {
                 .expect("matched subscriptions are registered")
                 .subscriber()
                 .client;
-            match self.leaf_cache.get(&client) {
+            match self.annotations.leaf(client) {
                 Some(leaf) => scratch.yes.parallel_in_place(leaf),
                 None => scratch
                     .yes
@@ -407,14 +396,17 @@ impl LinkMatchEngine {
     }
 
     /// The attribute indices that can influence this engine's match results
-    /// (sorted) — the correct and minimal match-cache key schema.
+    /// (sorted) — the match-cache key schema. Always sufficient; minimal
+    /// except that a level an unsubscribe stopped from branching stays
+    /// listed until the arena next compacts, which costs hit rate, never
+    /// correctness.
     pub fn tested_attributes(&self) -> &[usize] {
         self.arena.tested_attributes()
     }
 
     /// Recompiles the arena from the current PST and annotations.
     fn rebuild_arena(&mut self) {
-        self.arena = MatchArena::build(&self.pst, &self.annotations, &self.space);
+        self.arena = MatchArena::build(&self.pst, self.annotations.as_slice(), &self.space);
     }
 
     fn subsearch(
@@ -425,9 +417,7 @@ impl LinkMatchEngine {
         stats: &mut MatchStats,
     ) -> TritVec {
         stats.steps += 1;
-        let annotation = self.annotations[id.index()]
-            .as_ref()
-            .expect("live nodes are annotated");
+        let annotation = self.annotations.get(id).expect("live nodes are annotated");
         // §3.3 step 2: replace every Maybe by the node's annotation trit.
         let mut mask = mask.refine(annotation);
         if !mask.has_maybe() {
@@ -469,98 +459,6 @@ impl LinkMatchEngine {
         mask.maybes_to_no()
     }
 
-    /// Recomputes every node's annotation (post-order, children first).
-    fn annotate_all(&mut self) {
-        self.annotations = vec![None; self.pst.arena_size()];
-        for id in self.pst.postorder() {
-            let v = self.compute_annotation(id);
-            self.set_annotation(id, v);
-        }
-    }
-
-    /// Re-annotates the nodes of one root-to-leaf path, bottom-up. Nodes off
-    /// the path are unaffected by the mutation (a node's annotation depends
-    /// only on its descendants).
-    fn annotate_path(&mut self, path: &[NodeId]) {
-        for &id in path.iter().rev() {
-            let v = self.compute_annotation(id);
-            self.set_annotation(id, v);
-        }
-    }
-
-    fn set_annotation(&mut self, id: NodeId, v: TritVec) {
-        if self.annotations.len() <= id.index() {
-            self.annotations.resize(id.index() + 1, None);
-        }
-        self.annotations[id.index()] = Some(v);
-    }
-
-    /// §3.1: leaves get `Yes` per link reaching one of their subscribers;
-    /// interior nodes combine children with *Alternative Combine* (value
-    /// branches, plus an implicit all-`No` alternative when the branches do
-    /// not exhaust the attribute's domain) and *Parallel Combine* (the `*`
-    /// branch).
-    fn compute_annotation(&self, id: NodeId) -> TritVec {
-        let width = self.space.width();
-        let node = self.pst.node(id);
-        if node.is_leaf() {
-            let mut v = TritVec::no(width);
-            for sub_id in node.subscription_ids() {
-                let sub = self
-                    .pst
-                    .subscription(*sub_id)
-                    .expect("leaf subscriptions are registered");
-                let client = sub.subscriber().client;
-                let leaf = match self.leaf_cache.get(&client) {
-                    Some(cached) => cached.clone(),
-                    None => self.space.leaf_vector(client),
-                };
-                v = v.parallel(&leaf);
-            }
-            return v;
-        }
-
-        let child_ann = |child: NodeId| -> &TritVec {
-            self.annotations[child.index()]
-                .as_ref()
-                .expect("children are annotated before parents")
-        };
-        let mut alt: Option<TritVec> = None;
-        let fold = |v: &TritVec, alt: &mut Option<TritVec>| match alt {
-            None => *alt = Some(v.clone()),
-            Some(a) => *a = a.alternative(v),
-        };
-        for (_, child) in node.eq_edges() {
-            fold(child_ann(*child), &mut alt);
-        }
-        for (_, child) in node.range_edges() {
-            fold(child_ann(*child), &mut alt);
-        }
-        if !self.branches_exhaust_domain(&node) {
-            fold(&TritVec::no(width), &mut alt);
-        }
-        let alt = alt.unwrap_or_else(|| TritVec::no(width));
-        match node.star() {
-            Some(star) => alt.parallel(child_ann(star)),
-            None => alt,
-        }
-    }
-
-    /// Whether a node's value branches cover every value of the tested
-    /// attribute's (finite) domain. Attributes without declared domains are
-    /// never exhaustive.
-    fn branches_exhaust_domain(&self, node: &linkcast_matching::NodeRef<'_>) -> bool {
-        let Some(attr) = node.attribute() else {
-            return false;
-        };
-        let Some(domain) = self.pst.schema().attribute(attr).and_then(|a| a.domain()) else {
-            return false;
-        };
-        domain.iter().all(|v| {
-            node.eq_child(v).is_some() || node.range_edges().iter().any(|(t, _)| t.matches(v))
-        })
-    }
-
     /// Swaps in a new link space (topology repair) and rebuilds every
     /// derived structure: leaf vectors, annotations, and the flattened
     /// arena. The engine's generation counter keeps counting up from its
@@ -571,27 +469,12 @@ impl LinkMatchEngine {
         self.rebuild_annotations();
     }
 
-    /// Refreshes the leaf-vector cache (call after the link space changes;
-    /// topology is otherwise static in this reproduction).
+    /// Recomputes leaf vectors, tallies and annotations from scratch (call
+    /// after the link space changes; topology is otherwise static in this
+    /// reproduction) and recompiles the arena.
     pub fn rebuild_annotations(&mut self) {
-        self.leaf_cache.clear();
-        for client in self.collect_clients() {
-            let v = self.space.leaf_vector(client);
-            self.leaf_cache.insert(client, v);
-        }
-        self.annotate_all();
+        self.annotations.rebuild(&self.pst, &self.space);
         self.generation += 1;
         self.rebuild_arena();
-    }
-
-    fn collect_clients(&self) -> Vec<ClientId> {
-        let mut clients: Vec<ClientId> = self
-            .pst
-            .subscriptions()
-            .map(|s| s.subscriber().client)
-            .collect();
-        clients.sort_unstable();
-        clients.dedup();
-        clients
     }
 }

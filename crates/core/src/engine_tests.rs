@@ -765,6 +765,220 @@ fn arena_tracks_subscription_churn() {
     }
 }
 
+/// `x`, `y` with small finite domains (so value branches can exhaust them
+/// and `x` can be factored), `z` open-ended (so one node can grow a long
+/// range-edge list).
+fn churn_schema() -> EventSchema {
+    EventSchema::builder("churn")
+        .attribute_with_domain("x", ValueKind::Int, (0..3).map(Value::Int))
+        .attribute_with_domain("y", ValueKind::Int, (0..4).map(Value::Int))
+        .attribute("z", ValueKind::Int)
+        .build()
+        .unwrap()
+}
+
+fn churn_test(rng: &mut StdRng, domain: i64) -> AttrTest {
+    let v = rng.random_range(0..domain);
+    match rng.random_range(0..10) {
+        0..=2 => AttrTest::Any,
+        3..=5 => AttrTest::Eq(Value::Int(v)),
+        6 => AttrTest::Ge(Value::Int(v)),
+        7 => AttrTest::Lt(Value::Int(v)),
+        8 => AttrTest::Le(Value::Int(v)),
+        _ => AttrTest::Between(Value::Int(v / 2), Value::Int(v)),
+    }
+}
+
+/// The live subscriptions in the order a depth-first walk of `engine`'s
+/// tree meets them. Range edges are visited in insertion order, so
+/// inserting the subscriptions into an empty tree in this order grows every
+/// node's range edges in the order `engine` holds them.
+fn in_tree_order(engine: &LinkMatchEngine) -> Vec<linkcast_types::Subscription> {
+    let pst = engine.pst();
+    let mut roots: Vec<_> = pst.roots().collect();
+    roots.sort();
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::new();
+    let mut stack: Vec<_> = roots.into_iter().rev().map(|(_, root)| root).collect();
+    while let Some(id) = stack.pop() {
+        let node = pst.node(id);
+        for sub in node.subscription_ids() {
+            if seen.insert(*sub) {
+                out.push(engine.subscription(*sub).unwrap().clone());
+            }
+        }
+        let children: Vec<_> = node.children().collect();
+        stack.extend(children.into_iter().rev());
+    }
+    out
+}
+
+/// Walks two engines' trees in step, pairing children by edge label, and
+/// requires the same shape and the same annotation on every node.
+fn assert_same_annotated_tree(a: &LinkMatchEngine, b: &LinkMatchEngine, context: &str) {
+    let roots = |e: &LinkMatchEngine| {
+        let mut roots: Vec<_> = e.pst().roots().map(|(k, r)| (k.to_vec(), r)).collect();
+        roots.sort();
+        roots
+    };
+    let (ra, rb) = (roots(a), roots(b));
+    assert_eq!(
+        ra.iter().map(|(k, _)| k).collect::<Vec<_>>(),
+        rb.iter().map(|(k, _)| k).collect::<Vec<_>>(),
+        "{context}: factored roots"
+    );
+    let mut stack: Vec<_> = ra.iter().zip(&rb).map(|(x, y)| (x.1, y.1)).collect();
+    while let Some((ia, ib)) = stack.pop() {
+        assert_eq!(
+            a.annotation(ia),
+            b.annotation(ib),
+            "{context}: annotation of {ia} / {ib}"
+        );
+        let (na, nb) = (a.pst().node(ia), b.pst().node(ib));
+        assert_eq!(na.subscription_ids(), nb.subscription_ids(), "{context}");
+        assert_eq!(na.eq_edges().len(), nb.eq_edges().len(), "{context}");
+        for ((va, ca), (vb, cb)) in na.eq_edges().iter().zip(nb.eq_edges()) {
+            assert_eq!(va, vb, "{context}: equality labels under {ia}");
+            stack.push((*ca, *cb));
+        }
+        assert_eq!(na.range_edges().len(), nb.range_edges().len(), "{context}");
+        for (test, ca) in na.range_edges() {
+            let cb = nb.range_edges().iter().find(|(t, _)| t == test);
+            let cb = cb.unwrap_or_else(|| panic!("{context}: {ib} lacks range edge {test:?}"));
+            stack.push((*ca, cb.1));
+        }
+        assert_eq!(na.star().is_some(), nb.star().is_some(), "{context}");
+        stack.extend(na.star().zip(nb.star()));
+    }
+}
+
+/// The tentpole property: after **every** step of a long random
+/// subscribe/unsubscribe sequence — equality, range and `*` edges, shared
+/// prefixes, duplicate predicates, factoring on and off — the
+/// incrementally maintained engine (counted annotations, in-place arena
+/// patches, free-listed nodes) is indistinguishable from one built from
+/// scratch over the surviving subscriptions: the same annotation on every
+/// node, and for a batch of events on every tree the same link set and the
+/// same number of match steps.
+#[test]
+fn incremental_engine_equals_scratch_after_every_step() {
+    const STEPS: usize = 2000;
+    let schema = churn_schema();
+    let configs = [
+        PstOptions::default(),
+        PstOptions::default()
+            .with_factoring(1)
+            .with_trivial_test_elimination(true),
+        PstOptions::default()
+            .with_order(OrderPolicy::Explicit(vec![2, 0, 1]))
+            .with_trivial_test_elimination(true),
+    ];
+    for (ci, options) in configs.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(0x1ca5_7000 + ci as u64);
+        let (fabric, clients) = random_tree_network(&mut rng, 4);
+        let broker = fabric.network().brokers().nth(1).unwrap();
+        let space = LinkSpace::build(fabric.network(), fabric.forest(), broker);
+        let trees: Vec<_> = fabric
+            .network()
+            .brokers()
+            .map(|b| fabric.tree_for(b).unwrap())
+            .collect();
+        let mut engine =
+            LinkMatchEngine::new(broker, schema.clone(), options.clone(), space.clone()).unwrap();
+        let mut live: Vec<linkcast_types::Subscription> = Vec::new();
+        let mut next_id = 0u32;
+        let mut peak = 0;
+        let mut scratch = crate::RouteScratch::new();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+
+        for step in 0..STEPS {
+            // Alternate growth and decay so spans grow past the range-index
+            // threshold, relocate, drain to empty and are reused.
+            let grow = if (step / 250) % 2 == 0 { 0.7 } else { 0.3 };
+            if live.is_empty() || rng.random_bool(grow) {
+                let client = clients[rng.random_range(0..clients.len())];
+                let predicate = if !live.is_empty() && rng.random_bool(0.15) {
+                    live[rng.random_range(0..live.len())].predicate().clone()
+                } else {
+                    let tests = [
+                        churn_test(&mut rng, 3),
+                        churn_test(&mut rng, 4),
+                        churn_test(&mut rng, 40),
+                    ];
+                    Predicate::from_tests(&schema, tests).unwrap()
+                };
+                let home = fabric.network().home_broker(client).unwrap();
+                let sub = linkcast_types::Subscription::new(
+                    linkcast_types::SubscriptionId::new(next_id),
+                    linkcast_types::SubscriberId::new(home, client),
+                    predicate,
+                );
+                next_id += 1;
+                live.push(sub.clone());
+                engine.subscribe(sub).unwrap();
+            } else {
+                let gone = live.swap_remove(rng.random_range(0..live.len()));
+                assert!(engine.unsubscribe(gone.id()));
+            }
+            peak = peak.max(live.len());
+            let context = format!("config {ci}, step {step}");
+            engine.pst().check_invariants().unwrap();
+            assert_eq!(engine.subscription_count(), live.len(), "{context}");
+            assert_eq!(
+                engine.arena().node_count(),
+                engine.pst().node_count(),
+                "{context}"
+            );
+
+            let fresh = LinkMatchEngine::with_subscriptions(
+                broker,
+                schema.clone(),
+                options.clone(),
+                space.clone(),
+                in_tree_order(&engine),
+            )
+            .unwrap();
+            assert_same_annotated_tree(&engine, &fresh, &context);
+            // The same tree, re-annotated and re-flattened from scratch:
+            // identical edge order by construction, so identical steps.
+            let mut recompiled = engine.clone();
+            recompiled.rebuild_annotations();
+
+            for _ in 0..6 {
+                let values = [
+                    rng.random_range(0..3),
+                    rng.random_range(0..4),
+                    rng.random_range(0..40),
+                ];
+                let event = int_event(&schema, &values);
+                for &tree in &trees {
+                    let mut stats = MatchStats::new();
+                    engine.match_links_into(&event, tree, &mut scratch, &mut stats, &mut got);
+                    let mut fresh_stats = MatchStats::new();
+                    fresh.match_links_into(&event, tree, &mut scratch, &mut fresh_stats, &mut want);
+                    assert_eq!(got, want, "{context}, event {values:?}: links");
+                    if options.factoring == 0 {
+                        // Without replication the depth-first order fixes
+                        // every range-edge list, so the walks coincide.
+                        assert_eq!(stats, fresh_stats, "{context}, event {values:?}");
+                    }
+                    let mut recompiled_stats = MatchStats::new();
+                    recompiled.match_links_into(
+                        &event,
+                        tree,
+                        &mut scratch,
+                        &mut recompiled_stats,
+                        &mut want,
+                    );
+                    assert_eq!(got, want, "{context}, event {values:?}: links");
+                    assert_eq!(stats, recompiled_stats, "{context}, event {values:?}");
+                }
+            }
+        }
+        assert!(peak >= 60, "config {ci}: population peaked at {peak}");
+    }
+}
+
 /// The scratch-reusing parallel path agrees with the sequential search and
 /// with its own allocating wrapper across thread counts.
 #[test]

@@ -67,6 +67,7 @@
 //! # }
 //! ```
 
+mod annotate;
 mod arena;
 mod baselines;
 mod cache;

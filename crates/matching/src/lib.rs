@@ -67,5 +67,7 @@ pub use matcher::{Matcher, MatcherError};
 pub use naive::NaiveMatcher;
 pub use parallel::ParallelScratch;
 pub use psg::Psg;
-pub use pst::{MutationReport, NodeId, NodeRef, OrderPolicy, Pst, PstOptions, PstSummary};
+pub use pst::{
+    EdgeSlot, MutationReport, NodeId, NodeRef, OrderPolicy, PathReport, Pst, PstOptions, PstSummary,
+};
 pub use stats::MatchStats;

@@ -67,6 +67,13 @@ pub(crate) struct Node {
     pub(crate) eq_edges: Vec<(Value, NodeId)>,
     /// Non-equality (range) branches, scanned linearly.
     pub(crate) range_edges: Vec<(AttrTest, NodeId)>,
+    /// Label → child index over `range_edges`, kept exactly while the list
+    /// holds at least [`RANGE_INDEX_MIN`] edges, so finding an existing
+    /// range branch does not scan every sibling. The list alone fixes the
+    /// match-time visiting order; the index never reorders it. Boxed so
+    /// the many nodes without one pay a pointer, not an empty map's 48 bytes.
+    #[allow(clippy::box_collection)]
+    pub(crate) range_index: Option<Box<HashMap<AttrTest, NodeId>>>,
     /// The `*` (don't-care) branch.
     pub(crate) star: Option<NodeId>,
     /// Subscriptions parked at this leaf (empty on interior nodes).
@@ -83,10 +90,100 @@ impl Node {
             level,
             eq_edges: Vec::new(),
             range_edges: Vec::new(),
+            range_index: None,
             star: None,
             subs: Vec::new(),
             skip: None,
         }
+    }
+
+    /// Where `value` is, or would go, among the sorted equality edges.
+    fn eq_position(&self, value: &Value) -> Result<usize, usize> {
+        self.eq_edges.binary_search_by(|(v, _)| v.cmp(value))
+    }
+
+    /// The child the branch labeled `test` leads to, if that branch exists.
+    pub(crate) fn child_for(&self, test: &AttrTest) -> Option<NodeId> {
+        match test {
+            AttrTest::Any => self.star,
+            AttrTest::Eq(value) => self.eq_position(value).ok().map(|i| self.eq_edges[i].1),
+            test => match &self.range_index {
+                Some(index) => index.get(test).copied(),
+                None => self
+                    .range_edges
+                    .iter()
+                    .find(|(label, _)| label == test)
+                    .map(|(_, child)| *child),
+            },
+        }
+    }
+
+    /// Where the branch labeled `test` that leads to `child` sits.
+    pub(crate) fn slot_of(&self, test: &AttrTest, child: NodeId) -> Option<EdgeSlot> {
+        match test {
+            AttrTest::Any => (self.star == Some(child)).then_some(EdgeSlot::Star),
+            AttrTest::Eq(value) => self.eq_position(value).ok().map(EdgeSlot::Eq),
+            // Child ids are cheaper to compare than labels, and the
+            // position is needed either way.
+            _ => self
+                .range_edges
+                .iter()
+                .position(|(_, c)| *c == child)
+                .map(EdgeSlot::Range),
+        }
+    }
+
+    /// Adds a branch labeled `test` (which must not exist yet) to `child`.
+    pub(crate) fn attach(&mut self, test: AttrTest, child: NodeId) -> EdgeSlot {
+        match test {
+            AttrTest::Any => {
+                self.star = Some(child);
+                EdgeSlot::Star
+            }
+            AttrTest::Eq(value) => {
+                let at = self.eq_position(&value).unwrap_or_else(|at| at);
+                self.eq_edges.insert(at, (value, child));
+                EdgeSlot::Eq(at)
+            }
+            test => {
+                match &mut self.range_index {
+                    Some(index) => {
+                        index.insert(test.clone(), child);
+                    }
+                    None if self.range_edges.len() + 1 >= RANGE_INDEX_MIN => {
+                        let mut index: HashMap<AttrTest, NodeId> =
+                            self.range_edges.iter().cloned().collect();
+                        index.insert(test.clone(), child);
+                        self.range_index = Some(Box::new(index));
+                    }
+                    None => {}
+                }
+                self.range_edges.push((test, child));
+                EdgeSlot::Range(self.range_edges.len() - 1)
+            }
+        }
+    }
+
+    /// Removes the branch labeled `test` leading to `child`, keeping the
+    /// order of the remaining ones.
+    pub(crate) fn detach(&mut self, test: &AttrTest, child: NodeId) -> Option<EdgeSlot> {
+        let slot = self.slot_of(test, child)?;
+        match slot {
+            EdgeSlot::Root => {}
+            EdgeSlot::Star => self.star = None,
+            EdgeSlot::Eq(at) => {
+                self.eq_edges.remove(at);
+            }
+            EdgeSlot::Range(at) => {
+                self.range_edges.remove(at);
+                if self.range_edges.len() < RANGE_INDEX_MIN {
+                    self.range_index = None;
+                } else if let Some(index) = &mut self.range_index {
+                    index.remove(test);
+                }
+            }
+        }
+        Some(slot)
     }
 
     pub(crate) fn is_trivial(&self) -> bool {
@@ -129,16 +226,63 @@ pub struct Pst {
     subscriptions: HashMap<SubscriptionId, Subscription>,
 }
 
+/// Range-edge lists at least this long carry a label index; shorter ones
+/// are scanned (a handful of label compares beats hashing).
+pub(crate) const RANGE_INDEX_MIN: usize = 16;
+
+/// Where an edge sits in its parent: the position a mirror of the tree (the
+/// link-matching arena) can patch without searching for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeSlot {
+    /// The factored-roots table entry under the path's key (no parent node).
+    Root,
+    /// Position in the parent's value-sorted equality edges.
+    Eq(usize),
+    /// Position in the parent's insertion-ordered range edges.
+    Range(usize),
+    /// The parent's `*` branch.
+    Star,
+}
+
+/// What one insert or remove did along one root-to-leaf path.
+///
+/// A mutation changes the tree's shape in at most one place per path: an
+/// insert hangs a chain of fresh single-edge nodes below the deepest node
+/// that already existed, a remove prunes such a chain. Everything else it
+/// can change — annotations, skip pointers — lives on the path above.
+#[derive(Debug, Clone)]
+pub struct PathReport {
+    /// Key of the factored subtree the path is in.
+    pub key: Box<[Value]>,
+    /// Insert: the full root-to-leaf path. Remove: the prefix that
+    /// survived. Re-annotating exactly these nodes, bottom-up, restores
+    /// annotation consistency.
+    pub nodes: Vec<NodeId>,
+    /// Index into `nodes` of the first node the insert created; every node
+    /// after it is new too. `nodes.len()` when nothing was created.
+    pub created: usize,
+    /// Nodes the remove pruned, leaf first; side tables should drop their
+    /// entries.
+    pub freed: Vec<NodeId>,
+    /// Insert: the edge now leading to `nodes[created]`, in
+    /// `nodes[created - 1]` ([`EdgeSlot::Root`] when the root is new).
+    pub added: Option<EdgeSlot>,
+    /// Remove: the edge (and its label) that led from the last surviving
+    /// node to the pruned chain ([`EdgeSlot::Root`] when nothing survived).
+    pub removed: Option<(EdgeSlot, AttrTest)>,
+    /// `(i, slot)`: `nodes[i]` existed before and its skip pointer changed,
+    /// so whatever resolved the edge into it — `slot` of `nodes[i - 1]`,
+    /// [`EdgeSlot::Root`] for `i = 0` — through the old pointer is stale.
+    pub retargets: Vec<(usize, EdgeSlot)>,
+}
+
 /// Side effects of an insert or remove, for callers (the link-matching
-/// annotator) that maintain per-node state.
+/// annotator and arena) that maintain per-node state: one [`PathReport`]
+/// per factored subtree the subscription touches.
 #[derive(Debug, Clone, Default)]
 pub struct MutationReport {
-    /// Root-to-leaf paths whose nodes' subtrees changed — one per factored
-    /// subtree the subscription touches. Re-annotating exactly these nodes,
-    /// bottom-up, restores annotation consistency.
-    pub paths: Vec<Vec<NodeId>>,
-    /// Nodes freed by the mutation; side tables should drop their entries.
-    pub freed: Vec<NodeId>,
+    /// The touched paths.
+    pub paths: Vec<PathReport>,
 }
 
 impl Pst {
@@ -456,7 +600,9 @@ impl Pst {
     /// 5. skip pointers are set exactly on trivial nodes and point to the
     ///    end of their `*`-chain;
     /// 6. every live arena slot is reachable from exactly one parent (the
-    ///    structure is a forest of trees, not a DAG).
+    ///    structure is a forest of trees, not a DAG);
+    /// 7. a range-edge label index exists exactly on nodes with at least
+    ///    `RANGE_INDEX_MIN` range edges and maps every label to its child.
     ///
     /// # Errors
     ///
@@ -519,6 +665,26 @@ impl Pst {
                     }
                 }
                 (false, None) => {}
+            }
+            // (7) range index ↔ edge list.
+            match &node.range_index {
+                None if node.range_edges.len() >= RANGE_INDEX_MIN => {
+                    return Err(format!("{id}: long range-edge list lacks its index"));
+                }
+                Some(_) if node.range_edges.len() < RANGE_INDEX_MIN => {
+                    return Err(format!("{id}: short range-edge list kept its index"));
+                }
+                Some(index) => {
+                    let agree = index.len() == node.range_edges.len()
+                        && node
+                            .range_edges
+                            .iter()
+                            .all(|(test, child)| index.get(test) == Some(child));
+                    if !agree {
+                        return Err(format!("{id}: range index disagrees with edge list"));
+                    }
+                }
+                None => {}
             }
         }
         // (6) single-parent reachability over live slots.

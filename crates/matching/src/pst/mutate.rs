@@ -2,7 +2,7 @@
 
 use linkcast_types::{AttrTest, Subscription, SubscriptionId, Value};
 
-use super::{FactorKey, MutationReport, NodeId, Pst};
+use super::{EdgeSlot, FactorKey, MutationReport, NodeId, PathReport, Pst};
 use crate::MatcherError;
 
 impl Pst {
@@ -30,8 +30,8 @@ impl Pst {
 
         let mut report = MutationReport::default();
         for key in self.factor_keys(&subscription) {
-            let path = self.insert_path(key, &subscription);
-            self.recompute_skips(&path);
+            let mut path = self.insert_path(key, &subscription);
+            path.retargets = self.recompute_skips(&path.nodes, path.created, &subscription);
             report.paths.push(path);
         }
         self.subscriptions.insert(id, subscription);
@@ -45,10 +45,9 @@ impl Pst {
         let subscription = self.subscriptions.remove(&id)?;
         let mut report = MutationReport::default();
         for key in self.factor_keys(&subscription) {
-            let (path, freed) = self.remove_path(key, &subscription, id);
-            self.recompute_skips(&path);
+            let mut path = self.remove_path(key, &subscription);
+            path.retargets = self.recompute_skips(&path.nodes, path.created, &subscription);
             report.paths.push(path);
-            report.freed.extend(freed);
         }
         Some(report)
     }
@@ -87,66 +86,40 @@ impl Pst {
         keys.into_iter().map(Into::into).collect()
     }
 
+    /// The label `subscription` puts on the edge leaving a node at `level`.
+    fn test_at<'a>(&self, subscription: &'a Subscription, level: usize) -> &'a AttrTest {
+        &subscription.predicate().tests()[self.order[level]]
+    }
+
     /// Creates/extends the root-to-leaf path for `subscription` in the
-    /// subtree `key`, returning the full path.
-    fn insert_path(&mut self, key: FactorKey, subscription: &Subscription) -> Vec<NodeId> {
+    /// subtree `key`.
+    fn insert_path(&mut self, key: FactorKey, subscription: &Subscription) -> PathReport {
         let depth = self.depth();
+        let mut nodes = Vec::with_capacity(depth + 1);
+        let mut added = None;
         let root = match self.roots.get(&key) {
             Some(&r) => r,
             None => {
                 let r = self.alloc(0);
-                self.roots.insert(key, r);
+                self.roots.insert(key.clone(), r);
+                added = Some((0, EdgeSlot::Root));
                 r
             }
         };
-        let mut path = Vec::with_capacity(depth + 1);
-        path.push(root);
+        nodes.push(root);
         let mut current = root;
         for level in 0..depth {
-            let attr = self.order[level];
-            let test = subscription.predicate().tests()[attr].clone();
-            let next_level = (level + 1) as u16;
-            let next = match test {
-                AttrTest::Any => match self.node_inner(current).star {
-                    Some(c) => c,
-                    None => {
-                        let c = self.alloc(next_level);
-                        self.node_mut(current).star = Some(c);
-                        c
-                    }
-                },
-                AttrTest::Eq(value) => {
-                    match self
-                        .node_inner(current)
-                        .eq_edges
-                        .binary_search_by(|(v, _)| v.cmp(&value))
-                    {
-                        Ok(i) => self.node_inner(current).eq_edges[i].1,
-                        Err(i) => {
-                            let c = self.alloc(next_level);
-                            self.node_mut(current).eq_edges.insert(i, (value, c));
-                            c
-                        }
-                    }
-                }
-                test => {
-                    let existing = self
-                        .node_inner(current)
-                        .range_edges
-                        .iter()
-                        .find(|(t, _)| *t == test)
-                        .map(|(_, c)| *c);
-                    match existing {
-                        Some(c) => c,
-                        None => {
-                            let c = self.alloc(next_level);
-                            self.node_mut(current).range_edges.push((test, c));
-                            c
-                        }
-                    }
+            let test = self.test_at(subscription, level);
+            let next = match self.node_inner(current).child_for(test) {
+                Some(c) => c,
+                None => {
+                    let c = self.alloc((level + 1) as u16);
+                    let slot = self.node_mut(current).attach(test.clone(), c);
+                    added.get_or_insert((nodes.len(), slot));
+                    c
                 }
             };
-            path.push(next);
+            nodes.push(next);
             current = next;
         }
         let leaf = self.node_mut(current);
@@ -154,95 +127,91 @@ impl Pst {
         if let Err(i) = leaf.subs.binary_search(&subscription.id()) {
             leaf.subs.insert(i, subscription.id());
         }
-        path
+        PathReport {
+            key,
+            created: added.map_or(nodes.len(), |(at, _)| at),
+            nodes,
+            freed: Vec::new(),
+            added: added.map(|(_, slot)| slot),
+            removed: None,
+            retargets: Vec::new(),
+        }
     }
 
-    /// Removes `id` from the leaf its predicate leads to in subtree `key`,
-    /// pruning nodes left with no children and no subscriptions. Returns the
-    /// surviving path prefix and the freed nodes.
-    fn remove_path(
-        &mut self,
-        key: FactorKey,
-        subscription: &Subscription,
-        id: SubscriptionId,
-    ) -> (Vec<NodeId>, Vec<NodeId>) {
-        let Some(&root) = self.roots.get(&key) else {
-            return (Vec::new(), Vec::new());
+    /// Removes `subscription` from the leaf its predicate leads to in
+    /// subtree `key`, pruning nodes left with no children and no
+    /// subscriptions.
+    fn remove_path(&mut self, key: FactorKey, subscription: &Subscription) -> PathReport {
+        let mut report = PathReport {
+            key,
+            nodes: Vec::new(),
+            created: 0,
+            freed: Vec::new(),
+            added: None,
+            removed: None,
+            retargets: Vec::new(),
         };
-        let depth = self.depth();
-        // Descend, remembering which edge was taken at each step.
-        let mut path = vec![root];
-        let mut tests: Vec<AttrTest> = Vec::with_capacity(depth);
+        let Some(&root) = self.roots.get(&report.key) else {
+            return report;
+        };
+        let mut nodes = vec![root];
         let mut current = root;
-        for level in 0..depth {
-            let attr = self.order[level];
-            let test = subscription.predicate().tests()[attr].clone();
-            let node = self.node_inner(current);
-            let next = match &test {
-                AttrTest::Any => node.star,
-                AttrTest::Eq(value) => node
-                    .eq_edges
-                    .binary_search_by(|(v, _)| v.cmp(value))
-                    .ok()
-                    .map(|i| node.eq_edges[i].1),
-                t => node
-                    .range_edges
-                    .iter()
-                    .find(|(label, _)| label == t)
-                    .map(|(_, c)| *c),
-            };
-            let Some(next) = next else {
+        for level in 0..self.depth() {
+            let test = self.test_at(subscription, level);
+            let Some(next) = self.node_inner(current).child_for(test) else {
                 // The subscription was never materialized under this key
                 // (defensive; insert and remove use the same key derivation).
-                return (Vec::new(), Vec::new());
+                return report;
             };
-            tests.push(test);
-            path.push(next);
+            nodes.push(next);
             current = next;
         }
         let leaf = self.node_mut(current);
-        if let Ok(i) = leaf.subs.binary_search(&id) {
+        if let Ok(i) = leaf.subs.binary_search(&subscription.id()) {
             leaf.subs.remove(i);
         }
 
-        // Prune dead nodes bottom-up.
-        let mut freed = Vec::new();
-        let mut cut = path.len();
-        for i in (0..path.len()).rev() {
-            let node_id = path[i];
-            if !self.node_inner(node_id).is_dead() {
+        // Prune dead nodes bottom-up; the last edge cut is the one the
+        // surviving prefix lost.
+        while let Some(&last) = nodes.last() {
+            if !self.node_inner(last).is_dead() {
                 break;
             }
-            if i == 0 {
-                self.roots.remove(&key);
-            } else {
-                let parent = path[i - 1];
-                let test = &tests[i - 1];
-                let p = self.node_mut(parent);
-                match test {
-                    AttrTest::Any => p.star = None,
-                    AttrTest::Eq(value) => {
-                        if let Ok(j) = p.eq_edges.binary_search_by(|(v, _)| v.cmp(value)) {
-                            p.eq_edges.remove(j);
-                        }
-                    }
-                    t => p.range_edges.retain(|(label, _)| label != t),
+            nodes.pop();
+            report.removed = match nodes.last() {
+                None => {
+                    self.roots.remove(&report.key);
+                    Some((EdgeSlot::Root, AttrTest::Any))
                 }
-            }
-            self.dealloc(node_id);
-            freed.push(node_id);
-            cut = i;
+                Some(&parent) => {
+                    let test = self.test_at(subscription, nodes.len() - 1);
+                    self.node_mut(parent)
+                        .detach(test, last)
+                        .map(|slot| (slot, test.clone()))
+                }
+            };
+            self.dealloc(last);
+            report.freed.push(last);
         }
-        path.truncate(cut);
-        (path, freed)
+        report.created = nodes.len();
+        report.nodes = nodes;
+        report
     }
 
     /// Recomputes trivial-test-elimination skip pointers for the (live)
     /// nodes of `path`, bottom-up. A node whose only outgoing edge is `*`
     /// (and which parks no subscriptions) skips to the deepest node its
-    /// `*`-chain reaches.
-    fn recompute_skips(&mut self, path: &[NodeId]) {
-        for &id in path.iter().rev() {
+    /// `*`-chain reaches. Returns, for every node among the first
+    /// `existing` whose pointer changed, its path index and the slot of the
+    /// edge leading into it.
+    fn recompute_skips(
+        &mut self,
+        path: &[NodeId],
+        existing: usize,
+        subscription: &Subscription,
+    ) -> Vec<(usize, EdgeSlot)> {
+        let mut retargets = Vec::new();
+        for (i, &id) in path.iter().enumerate().rev() {
             let node = self.node_inner(id);
             let skip = if node.is_trivial() {
                 let star = node.star.expect("trivial nodes have a star child");
@@ -250,7 +219,20 @@ impl Pst {
             } else {
                 None
             };
+            if skip == node.skip {
+                continue;
+            }
+            if i < existing {
+                let slot = match i.checked_sub(1) {
+                    None => Some(EdgeSlot::Root),
+                    Some(above) => self
+                        .node_inner(path[above])
+                        .slot_of(self.test_at(subscription, above), id),
+                };
+                retargets.extend(slot.map(|slot| (i, slot)));
+            }
             self.node_mut(id).skip = skip;
         }
+        retargets
     }
 }

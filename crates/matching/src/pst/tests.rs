@@ -5,7 +5,9 @@ use linkcast_types::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{MatchStats, Matcher, MatcherError, NaiveMatcher, OrderPolicy, Pst, PstOptions};
+use crate::{
+    EdgeSlot, MatchStats, Matcher, MatcherError, NaiveMatcher, OrderPolicy, Pst, PstOptions,
+};
 
 /// Five integer attributes a1..a5, like paper Figure 2.
 fn figure2_schema() -> EventSchema {
@@ -126,8 +128,15 @@ fn removal_prunes_nodes_and_reports_freed() {
         .unwrap();
     let before = pst.node_count();
     let report = pst.remove_reported(SubscriptionId::new(1)).unwrap();
-    // The paths diverge after the a1=1 node: the a2=3 suffix (4 nodes) dies.
-    assert_eq!(report.freed.len(), 4);
+    // The paths diverge after the a1=1 node: the a2=3 suffix (4 nodes) dies,
+    // cut off the second equality edge of the two-node surviving prefix.
+    let path = &report.paths[0];
+    assert_eq!(path.freed.len(), 4);
+    assert_eq!(path.nodes.len(), 2);
+    assert_eq!(
+        path.removed,
+        Some((EdgeSlot::Eq(1), AttrTest::Eq(Value::Int(3))))
+    );
     assert_eq!(pst.node_count(), before - 4);
     assert!(!pst.remove(SubscriptionId::new(1)));
     let event = int_event(&schema, &[1, 2, 0, 0, 0]);
@@ -224,6 +233,67 @@ fn identical_range_labels_share_an_edge() {
         ids(&[1])
     );
     assert_eq!(pst.matches(&int_event(&schema, &[2, 0, 0, 0, 1])), ids(&[]));
+}
+
+/// A long range-edge list is found through its label index, a short one
+/// by scanning; either way duplicates share the edge, removal keeps the
+/// insertion order of the rest, and the index follows the list across the
+/// threshold in both directions (invariant 7).
+#[test]
+fn range_label_index_tracks_the_edge_list() {
+    let schema = figure2_schema();
+    let mut pst = Pst::new(schema.clone(), PstOptions::default()).unwrap();
+    let range_sub = |id: u32, bound: i64| {
+        let mut tests = vec![AttrTest::Gt(Value::Int(bound))];
+        tests.resize(5, AttrTest::Any);
+        Subscription::new(
+            SubscriptionId::new(id),
+            subscriber(id),
+            Predicate::from_tests(&schema, tests).unwrap(),
+        )
+    };
+    let root_labels = |pst: &Pst| -> Vec<AttrTest> {
+        let (_, root) = pst.roots().next().unwrap();
+        let edges = pst.node(root).range_edges();
+        edges.iter().map(|(test, _)| test.clone()).collect()
+    };
+
+    let bounds: Vec<i64> = (0..40).map(|i| (i * 17) % 40 - 20).collect();
+    for (id, &bound) in bounds.iter().enumerate() {
+        pst.insert(range_sub(id as u32, bound)).unwrap();
+        pst.check_invariants().unwrap();
+    }
+    let expected: Vec<AttrTest> = bounds
+        .iter()
+        .map(|b| AttrTest::Gt(Value::Int(*b)))
+        .collect();
+    assert_eq!(root_labels(&pst), expected, "insertion order");
+
+    // A duplicate label reuses its edge through the index.
+    let before = pst.node_count();
+    pst.insert(range_sub(100, bounds[7])).unwrap();
+    assert_eq!(pst.node_count(), before);
+    assert!(pst.remove(SubscriptionId::new(100)));
+
+    // Remove every third, then everything, checking order each time.
+    let mut live: Vec<usize> = (0..bounds.len()).collect();
+    let thirds = (0..bounds.len()).filter(|i| i % 3 == 1);
+    let rest = (0..bounds.len()).filter(|i| i % 3 != 1);
+    for gone in thirds.chain(rest) {
+        let report = pst
+            .remove_reported(SubscriptionId::new(gone as u32))
+            .unwrap();
+        let at = live.iter().position(|&i| i == gone).unwrap();
+        live.remove(at);
+        if !live.is_empty() {
+            let removed = report.paths[0].removed.clone();
+            assert_eq!(removed, Some((EdgeSlot::Range(at), expected[gone].clone())));
+            let survivors: Vec<AttrTest> = live.iter().map(|&i| expected[i].clone()).collect();
+            assert_eq!(root_labels(&pst), survivors);
+        }
+        pst.check_invariants().unwrap();
+    }
+    assert!(pst.is_empty());
 }
 
 #[test]

@@ -524,6 +524,145 @@ impl TritVec {
     }
 }
 
+/// Per-lane tallies over a multiset of equal-length [`TritVec`]s: how many
+/// members hold `Yes` and how many hold a non-`No` at each position.
+///
+/// The tallies are enough to read off both combine operators over the whole
+/// multiset ([`alternative_into`](Self::alternative_into),
+/// [`parallel_into`](Self::parallel_into)), so a search-tree node that keeps
+/// one can absorb a changed child as "remove the old vector, add the new
+/// one" instead of re-folding every sibling.
+///
+/// Counters are bit-sliced: plane `k` holds bit `k` of every lane's two
+/// counters (the `Yes` count in the lane's low bit, the non-`No` count in
+/// its high bit), in the same 32-lanes-per-word packing as [`TritVec`].
+/// Adding a vector is a ripple-carry over the planes with word ops, and the
+/// plane count grows with the logarithm of the largest tally — a node with
+/// one child spends one plane.
+///
+/// ```
+/// use linkcast_types::{TritTally, TritVec};
+///
+/// let a: TritVec = "MYY".parse().unwrap();
+/// let b: TritVec = "NYN".parse().unwrap();
+/// let mut tally = TritTally::default();
+/// tally.add(&a);
+/// tally.add(&b);
+/// let mut out = TritVec::no(3);
+/// tally.alternative_into(2, &mut out);
+/// assert_eq!(out, a.alternative(&b));
+/// tally.remove(&b);
+/// tally.alternative_into(1, &mut out);
+/// assert_eq!(out, a);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TritTally {
+    /// `planes[k * words + j]`: bit `k` of the counters of word `j`'s lanes.
+    planes: Vec<u64>,
+}
+
+impl TritTally {
+    /// Counter increments for one packed trit word: the lane's low bit set
+    /// for a `Yes`, its high bit set for a `Yes` or a `Maybe`.
+    fn increments(word: u64) -> u64 {
+        let yes = (word >> 1) & LO;
+        let non_no = (word | (word >> 1)) & LO;
+        yes | (non_no << 1)
+    }
+
+    /// A packed trit word from counter predicates in [`increments`]
+    /// layout: `Yes` in lanes whose low (`Yes`-count) bit is set in `yes`,
+    /// else `Maybe` in lanes whose high (non-`No`-count) bit is set in
+    /// `non_no`, else `No`.
+    ///
+    /// [`increments`]: Self::increments
+    fn trits(yes: u64, non_no: u64) -> u64 {
+        let yes = yes & LO;
+        (yes << 1) | ((non_no >> 1) & LO & !yes)
+    }
+
+    /// Counts `v` into the tallies.
+    pub fn add(&mut self, v: &TritVec) {
+        let words = v.words.len();
+        for (j, &word) in v.words.iter().enumerate() {
+            let mut carry = Self::increments(word);
+            let mut k = 0;
+            while carry != 0 {
+                if (k + 1) * words > self.planes.len() {
+                    self.planes.resize((k + 1) * words, 0);
+                }
+                let plane = &mut self.planes[k * words + j];
+                let sum = *plane ^ carry;
+                carry &= *plane;
+                *plane = sum;
+                k += 1;
+            }
+        }
+    }
+
+    /// Takes a previously [`add`](Self::add)ed `v` back out.
+    pub fn remove(&mut self, v: &TritVec) {
+        let words = v.words.len();
+        for (j, &word) in v.words.iter().enumerate() {
+            let mut borrow = Self::increments(word);
+            let mut k = 0;
+            while borrow != 0 && (k + 1) * words <= self.planes.len() {
+                let plane = &mut self.planes[k * words + j];
+                let diff = *plane ^ borrow;
+                borrow &= !*plane;
+                *plane = diff;
+                k += 1;
+            }
+            debug_assert_eq!(borrow, 0, "removed a vector that was never added");
+        }
+        while words > 0
+            && self.planes.len() >= words
+            && self.planes[self.planes.len() - words..]
+                .iter()
+                .all(|&p| p == 0)
+        {
+            self.planes.truncate(self.planes.len() - words);
+        }
+    }
+
+    /// Forgets every counted vector, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.planes.clear();
+    }
+
+    /// *Alternative Combine* over `total` alternatives — the counted
+    /// vectors plus `total - counted` implicit all-`No` ones — written into
+    /// `out`: `Yes` where every alternative says `Yes`, `No` where every
+    /// one says `No`, `Maybe` elsewhere. Zero alternatives give all-`No`.
+    pub fn alternative_into(&self, total: usize, out: &mut TritVec) {
+        let words = out.words.len();
+        let planes = self.planes.len().checked_div(words).unwrap_or(0);
+        // A total the planes cannot represent is a count no lane reaches.
+        let reachable = total > 0 && (total as u64) >> planes.min(63) == 0;
+        for (j, slot) in out.words.iter_mut().enumerate() {
+            let mut all = if reachable { !0u64 } else { 0 };
+            let mut any = 0u64;
+            for k in 0..planes {
+                let plane = self.planes[k * words + j];
+                all &= if (total >> k) & 1 == 1 { plane } else { !plane };
+                any |= plane;
+            }
+            *slot = Self::trits(all, any);
+        }
+    }
+
+    /// *Parallel Combine* over the counted vectors, written into `out`:
+    /// `Yes` where any says `Yes`, else `Maybe` where any says `Maybe`.
+    pub fn parallel_into(&self, out: &mut TritVec) {
+        let words = out.words.len();
+        let planes = self.planes.len().checked_div(words).unwrap_or(0);
+        for (j, slot) in out.words.iter_mut().enumerate() {
+            let any = (0..planes).fold(0u64, |acc, k| acc | self.planes[k * words + j]);
+            *slot = Self::trits(any, any);
+        }
+    }
+}
+
 /// Expands per-word lane bitmasks (one marker bit per selected 2-bit lane,
 /// in either bit of the lane) into ascending trit indices.
 fn lane_indices(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
@@ -868,5 +1007,67 @@ mod tests {
             v.iter().collect::<Vec<_>>(),
             vec![Trit::Yes, Trit::No, Trit::Maybe]
         );
+    }
+
+    /// The tallies must reproduce the folded operators over every multiset
+    /// they have counted, through growth past a plane boundary, removals
+    /// back down, and a width that spills into a second word.
+    #[test]
+    fn tally_matches_folded_operators() {
+        let width = 37;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut random_vec = |bias: u64| -> TritVec {
+            (0..width)
+                .map(|_| match next() % bias {
+                    0 => Trit::No,
+                    1 => Trit::Maybe,
+                    _ => Trit::Yes,
+                })
+                .collect()
+        };
+        let check = |tally: &TritTally, members: &[TritVec]| {
+            let mut out = TritVec::maybe(width);
+            for implicit in 0..2 {
+                let mut expected = members.iter().skip(1).fold(
+                    members
+                        .first()
+                        .cloned()
+                        .unwrap_or_else(|| TritVec::no(width)),
+                    |acc, v| acc.alternative(v),
+                );
+                if implicit == 1 {
+                    expected = expected.alternative(&TritVec::no(width));
+                }
+                tally.alternative_into(members.len() + implicit, &mut out);
+                assert_eq!(out, expected, "{} members + {implicit}", members.len());
+            }
+            let expected = members
+                .iter()
+                .fold(TritVec::no(width), |acc, v| acc.parallel(v));
+            tally.parallel_into(&mut out);
+            assert_eq!(out, expected, "{} members", members.len());
+        };
+
+        let mut tally = TritTally::default();
+        let mut members: Vec<TritVec> = Vec::new();
+        check(&tally, &members);
+        for _ in 0..70 {
+            // Mostly-Yes vectors keep some lanes unanimous at high counts.
+            let v = random_vec(12);
+            tally.add(&v);
+            members.push(v);
+            check(&tally, &members);
+        }
+        while let Some(v) = members.pop() {
+            tally.remove(&v);
+            check(&tally, &members);
+        }
+        assert_eq!(tally, TritTally::default(), "empty tallies hold no planes");
     }
 }

@@ -17,7 +17,12 @@
 //! The event domain is deliberately tiny (three int attributes over 0..3)
 //! so the cache sees genuine repeats between churn steps, and the final
 //! assertions require all three cache counters — hits, misses, and
-//! generation invalidations — to have fired.
+//! generation invalidations — to have fired. Predicates mix equality,
+//! range and `*` tests, so value branches come to exhaust (and stop
+//! exhausting) the declared domains as subscriptions come and go.
+//!
+//! A second, deterministic test bounds the garbage the arena's in-place
+//! maintenance may leave behind under sustained churn.
 
 mod fault;
 
@@ -25,7 +30,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fault::Lcg;
-use linkcast::{LinkSpace, MatchCache, NetworkBuilder, RouteScratch, RoutingFabric, TreeId};
+use linkcast::{
+    LinkMatchEngine, LinkSpace, MatchCache, NetworkBuilder, RouteScratch, RoutingFabric, TreeId,
+};
 use linkcast_broker::MatchingEngine;
 use linkcast_matching::{MatchStats, PstOptions};
 use linkcast_types::{
@@ -73,10 +80,12 @@ fn random_predicate(schema: &EventSchema, rng: &mut Lcg) -> Predicate {
     loop {
         let tests: Vec<AttrTest> = (0..ATTRS)
             .map(|_| {
-                if rng.below(2) == 0 {
-                    AttrTest::Eq(Value::Int(rng.below(DOMAIN as u64) as i64))
-                } else {
-                    AttrTest::Any
+                let v = Value::Int(rng.below(DOMAIN as u64) as i64);
+                match rng.below(8) {
+                    0..=2 => AttrTest::Eq(v),
+                    3 => AttrTest::Ge(v),
+                    4 => AttrTest::Lt(v),
+                    _ => AttrTest::Any,
                 }
             })
             .collect();
@@ -226,4 +235,72 @@ fn churn_equivalence_factored_with_trivial_elimination() {
             .with_trivial_test_elimination(true),
         0x5eed_0002,
     );
+}
+
+/// Garbage bound for the arena's in-place maintenance: 2048 chains that
+/// each hang off their own range edge of one `volume` node are installed
+/// one at a time (the node's span relocates eleven times on the way), then
+/// 10 000 unsubscribe/subscribe pairs retire the oldest chain for a fresh
+/// one. Throughout, the edge arrays may hold at most twice the live edges
+/// plus a constant, and once the table is full the node count must not
+/// move: pruned slots are reused, not leaked. (Re-appending whole spans,
+/// as the arena used to, overshoots the first bound a thousandfold.)
+#[test]
+fn churn_leaves_bounded_garbage() {
+    const CHAINS: u64 = 2048;
+    const PAIRS: u64 = 10_000;
+    let mut b = EventSchema::builder("chains").attribute("volume", ValueKind::Int);
+    for k in 1..=3 {
+        b = b.attribute(format!("a{k}").as_str(), ValueKind::Int);
+    }
+    let schema = b.build().unwrap();
+    let chain = |j: u64| {
+        let j = j as i64;
+        let tests = [
+            AttrTest::Ge(Value::Int(-j)),
+            AttrTest::Ge(Value::Int(-(7 * j + 1))),
+            AttrTest::Ge(Value::Int(-(7 * j + 2))),
+            AttrTest::Ge(Value::Int(100_000 + j)),
+        ];
+        Predicate::from_tests(&schema, tests).unwrap()
+    };
+
+    let (fabric, brokers, clients) = star_fabric();
+    let home = brokers[1];
+    let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
+    let mut engine =
+        LinkMatchEngine::new(home, schema.clone(), PstOptions::default(), space).unwrap();
+    let subscribe = |engine: &mut LinkMatchEngine, j: u64| {
+        let client = clients[(j % clients.len() as u64) as usize];
+        let broker = fabric.network().home_broker(client).unwrap();
+        engine
+            .subscribe(Subscription::new(
+                SubscriptionId::new(j as u32),
+                SubscriberId::new(broker, client),
+                chain(j),
+            ))
+            .unwrap();
+    };
+    let assert_bounded = |engine: &LinkMatchEngine, when: &str| {
+        let summary = engine.pst().summary();
+        let live = summary.eq_edges + summary.range_edges;
+        let slots = engine.arena().edge_slots();
+        assert!(
+            slots <= 2 * live + 64,
+            "{when}: {slots} edge slots for {live} live edges"
+        );
+        assert_eq!(engine.arena().node_count(), summary.nodes, "{when}");
+    };
+
+    for j in 0..CHAINS {
+        subscribe(&mut engine, j);
+        assert_bounded(&engine, &format!("install {j}"));
+    }
+    let nodes = engine.arena().node_count();
+    for pair in 0..PAIRS {
+        assert!(engine.unsubscribe(SubscriptionId::new(pair as u32)));
+        subscribe(&mut engine, CHAINS + pair);
+        assert_bounded(&engine, &format!("pair {pair}"));
+        assert_eq!(engine.arena().node_count(), nodes, "pair {pair}");
+    }
 }
