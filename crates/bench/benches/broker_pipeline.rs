@@ -38,6 +38,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use linkcast::{NetworkBuilder, RoutingFabric};
 use linkcast_broker::{BrokerConfig, BrokerNode, Client, FsStorage, Storage};
 use linkcast_types::{ClientId, Event, EventSchema, SchemaId, SchemaRegistry, Value, ValueKind};
+use linkcast_workload::decoy_chain;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,19 +80,6 @@ fn registry() -> Arc<SchemaRegistry> {
         r.register(b.build().unwrap()).unwrap();
     }
     Arc::new(r)
-}
-
-/// The `j`-th decoy predicate: six satisfied range tests (distinct
-/// constants, so factoring cannot merge the chains) and a final test no
-/// published event satisfies. The schema-order PST tests `volume` before
-/// `a1..a6`, so the failing test sits at the deepest level.
-fn decoy_chain(j: usize) -> String {
-    let mut p = format!("volume >= -{j} & ");
-    for k in 1..=5u64 {
-        p.push_str(&format!("a{k} >= -{} & ", 7 * j as u64 + k));
-    }
-    p.push_str(&format!("a6 >= {}", 100_000 + j));
-    p
 }
 
 /// Which volume sequence a cluster publishes.
@@ -283,7 +271,7 @@ impl Cluster {
             for j in 1..=spec.decoy_chains {
                 let slot = j % decoy_client_count.max(1);
                 decoy_clients[slot]
-                    .subscribe(schema, &decoy_chain(j))
+                    .subscribe(schema, &decoy_chain(j as u64))
                     .unwrap();
                 total_subs += 1;
             }

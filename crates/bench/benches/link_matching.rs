@@ -1,17 +1,20 @@
 //! Criterion bench of one link-matching hop: the §3.3 mask-refinement
 //! search at a single broker, compared against a full centralized match of
 //! the same event — the per-hop cost Chart 2 accumulates — plus what it
-//! costs to keep the annotated tree current as subscriptions come and go.
+//! costs to keep the annotated tree current as subscriptions come and go,
+//! and what a route costs against the depth of single-choice chains.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use linkcast::{
-    ContentRouter, EventRouter, LinkMatchEngine, LinkSpace, NetworkBuilder, RoutingFabric,
+    ContentRouter, EventRouter, LinkMatchEngine, LinkSpace, NetworkBuilder, RouteScratch,
+    RoutingFabric,
 };
 use linkcast_bench::options_for;
 use linkcast_matching::{MatchStats, PstOptions};
 use linkcast_sim::topology39;
 use linkcast_types::{
-    AttrTest, EventSchema, Predicate, SubscriberId, Subscription, SubscriptionId, Value, ValueKind,
+    AttrTest, Event, EventSchema, Predicate, SubscriberId, Subscription, SubscriptionId, Value,
+    ValueKind,
 };
 use linkcast_workload::{EventGenerator, SubscriptionGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
@@ -173,5 +176,101 @@ fn bench_subscribe_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_link_matching, bench_subscribe_scaling);
+/// One route against the depth of single-choice chains: 1024 chains under
+/// one `volume` node, each `depth` unary nodes long — `depth - 1` range
+/// tests every event passes, then one none does, `*` below — spread over
+/// 96 subscribers so no chain's link is decided before the walk reaches it.
+/// The arena folds each chain into one node, so steps per event stay at
+/// one (the `volume` node) plus one per chain whatever the depth, where
+/// the recursive search over the boxed tree (printed beside it) pays
+/// `depth` per chain; what is left of the slope in time is one comparison
+/// per folded test.
+fn bench_chain_depth(c: &mut Criterion) {
+    const CHAINS: i64 = 1024;
+    let mut b = EventSchema::builder("chains").attribute("volume", ValueKind::Int);
+    for k in 1..=6 {
+        b = b.attribute(format!("a{k}").as_str(), ValueKind::Int);
+    }
+    let schema = b.build().expect("well-formed schema");
+    let chain = |j: i64, depth: i64| {
+        let mut tests = vec![AttrTest::Ge(Value::Int(-j))];
+        tests.extend((1..depth).map(|k| AttrTest::Ge(Value::Int(-(7 * j + k)))));
+        tests.push(AttrTest::Ge(Value::Int(100_000 + j)));
+        tests.resize(7, AttrTest::Any);
+        Predicate::from_tests(&schema, tests).expect("one test per attribute")
+    };
+
+    let mut net = NetworkBuilder::new();
+    let brokers = net.add_brokers(2);
+    net.connect(brokers[0], brokers[1], 5.0)
+        .expect("fresh link");
+    let home = brokers[1];
+    let clients: Vec<_> = (0..96)
+        .map(|_| net.add_client(home).expect("known broker"))
+        .collect();
+    let fabric = RoutingFabric::new_all_roots(net.build().expect("connected")).expect("trees");
+    let tree = fabric.tree_for(brokers[0]).expect("rooted everywhere");
+    let events: Vec<Event> = (0..64)
+        .map(|volume| {
+            let values = std::iter::once(volume).chain(1..=6).map(Value::Int);
+            Event::from_values(&schema, values).expect("values match the schema")
+        })
+        .collect();
+
+    let mut group = c.benchmark_group("chain_depth");
+    group.sample_size(12);
+    group.warm_up_time(Duration::from_millis(300));
+    group.measurement_time(Duration::from_secs(1));
+    for depth in [1i64, 3, 6] {
+        let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
+        let mut engine = LinkMatchEngine::new(home, schema.clone(), PstOptions::default(), space)
+            .expect("default options");
+        for j in 0..CHAINS {
+            let client = clients[j as usize % clients.len()];
+            engine
+                .subscribe(Subscription::new(
+                    SubscriptionId::new(j as u32),
+                    SubscriberId::new(home, client),
+                    chain(j, depth),
+                ))
+                .expect("fresh id");
+        }
+        let mut scratch = RouteScratch::new();
+        let mut links = Vec::new();
+        let mut stats = MatchStats::new();
+        group.bench_function(BenchmarkId::new("route", depth), |b| {
+            b.iter(|| {
+                for event in &events {
+                    engine.match_links_into(
+                        black_box(event),
+                        tree,
+                        &mut scratch,
+                        &mut stats,
+                        &mut links,
+                    );
+                    assert!(links.is_empty(), "no chain matches");
+                }
+            })
+        });
+        let mut recursive = MatchStats::new();
+        for event in &events {
+            black_box(engine.match_links(event, tree, &mut recursive));
+        }
+        println!(
+            "chain_depth/steps_per_event/{depth:<27} arena: {:.0}  recursive: {:.0}  ({} arena nodes for {} PST nodes)",
+            stats.steps_per_event(),
+            recursive.steps_per_event(),
+            engine.arena().node_count(),
+            engine.pst().node_count(),
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_link_matching,
+    bench_subscribe_scaling,
+    bench_chain_depth
+);
 criterion_main!(benches);

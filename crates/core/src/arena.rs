@@ -19,11 +19,26 @@
 //! branches contributes all-`No`, the identity of *Parallel Combine*), and
 //! refinement is idempotent over equal annotations.
 //!
+//! The same idempotence compresses single-choice *runs*. A PST node is
+//! **absorbed** into its child when it has exactly one equality-or-range
+//! edge, no `*` edge, and the same annotation as that child, word for word
+//! (subscriptions sit on leaves only, which have no edges). A maximal
+//! absorbed sequence `n1..nk` is one arena node: `nk`'s ordinary content
+//! plus a *prefix* of the `k - 1` absorbed tests. A search entering it
+//! refines once, checks the prefix, and carries on at `nk`'s edges — the
+//! result the node-per-test walk reaches, because refining by an equal
+//! annotation changes nothing, and a `*`-less single-edge parent returns
+//! exactly what its child returns (a `Maybe`-free mask) or, when its test
+//! fails, its own mask with every `Maybe` turned `No`. Which nodes are
+//! absorbed is a function of the PST and its annotations alone, so the
+//! arena a mutation history leaves walks exactly like a fresh compile.
+//!
 //! The arena is compiled from the PST once and then patched in place: a
 //! [`MutationReport`] names the one edge each touched path gained or lost,
 //! so a subscribe or unsubscribe rewrites that edge, the annotation slots
-//! on the path, and the nodes it created or pruned — nothing proportional
-//! to a node's fan-out except the order-preserving shift inside its span.
+//! on the path, the nodes it created or pruned, and the run boundaries the
+//! path crosses — nothing proportional to a node's fan-out except the
+//! order-preserving shift inside its span.
 //! Edge spans grow by doubling and pruned nodes go on a free list; a fresh
 //! compile happens only as compaction, once dead slots dominate.
 
@@ -59,6 +74,9 @@ impl Span {
 /// skip-resolved targets in parallel arrays, one contiguous span per node.
 /// The order of a span's live edges is the match-time visiting order and
 /// mirrors the PST's edge list position for position.
+///
+/// The run prefixes share the layout: there a span holds the tests a run
+/// absorbed, `children` the attribute index each test reads.
 #[derive(Debug, Clone)]
 struct EdgeTable<L> {
     labels: Vec<L>,
@@ -152,6 +170,36 @@ impl<L: Clone> EdgeTable<L> {
         }
     }
 
+    /// Appends an edge to `node`'s span.
+    fn push(&mut self, node: usize, label: L, child: u32) {
+        self.insert(node, self.len(node), label, child);
+    }
+
+    /// Number of live edges of `node`.
+    fn len(&self, node: usize) -> usize {
+        self.spans.get(node).map_or(0, |span| span.len as usize)
+    }
+
+    /// Appends copies of `from`'s edges, from position `start` on, to
+    /// `to`'s span.
+    fn extend_from(&mut self, to: usize, from: usize, start: usize) {
+        for at in start..self.len(from) {
+            let (labels, children) = self.edges(from);
+            if let (Some(label), Some(child)) = (labels.get(at).cloned(), children.get(at)) {
+                self.push(to, label, *child);
+            }
+        }
+    }
+
+    /// Drops every edge of `node`'s span from position `len` on.
+    fn truncate(&mut self, node: usize, len: usize) {
+        if let Some(span) = self.spans.get_mut(node) {
+            let cut = (span.len as usize).saturating_sub(len);
+            span.len -= cut as u32;
+            self.live -= cut;
+        }
+    }
+
     /// Removes the edge at position `at` of `node`'s span, shifting the
     /// later ones down (their order is kept).
     fn remove(&mut self, node: usize, at: usize) {
@@ -182,10 +230,7 @@ impl<L: Clone> EdgeTable<L> {
 
     /// Empties `node`'s span, keeping its window for the slot's next owner.
     fn clear(&mut self, node: usize) {
-        if let Some(span) = self.spans.get_mut(node) {
-            self.live -= span.len as usize;
-            span.len = 0;
-        }
+        self.truncate(node, 0);
     }
 }
 
@@ -196,12 +241,18 @@ pub struct MatchArena {
     width: usize,
     /// Words per annotation slot in [`ann_words`](Self::ann_words).
     words_per_mask: usize,
-    /// Per-node attribute index tested at the node; `NONE` for leaves.
+    /// Per-node attribute index tested at the node (a run's last PST
+    /// node, its *tail*); `NONE` for leaves.
     attr: Vec<u32>,
     /// Equality edges, sorted by label within each node's span.
     eq: EdgeTable<Value>,
     /// Range edges, in insertion order within each node's span.
     ranges: EdgeTable<AttrTest>,
+    /// The tests a node's run absorbed, with the attribute each one reads,
+    /// tail end first: the test of the tail's parent at position 0, the
+    /// run's topmost test last, so a run grows upward by appending and is
+    /// cut by truncating.
+    prefix: EdgeTable<AttrTest>,
     /// Per-node `*` child (skip-resolved); `NONE` if absent.
     star: Vec<u32>,
     /// Annotation slab: node `i`'s trits at
@@ -212,13 +263,15 @@ pub struct MatchArena {
     roots: Vec<(Box<[Value]>, u32)>,
     /// Factored attribute indices (the root-key schema).
     factored: Vec<usize>,
-    /// PST `NodeId::index()` → arena index; `NONE` for dead/unknown slots.
+    /// PST `NodeId::index()` → arena index, the same for every node of a
+    /// run; `NONE` for dead/unknown slots.
     map: Vec<u32>,
     /// Node slots whose PST node was pruned, reused by later appends.
     free: Vec<u32>,
     /// Attribute indices that can influence the walk's branching: the
     /// factored attributes plus every `order` attribute whose level has at
-    /// least one equality or range edge somewhere in the tree. Sorted.
+    /// least one equality or range edge (absorbed into a prefix or not)
+    /// somewhere in the tree. Sorted.
     /// Attributes outside this set cannot change the match result, which is
     /// exactly why the match-result cache keys on these and only these. An
     /// unsubscribe never shrinks the set (a superset only splits cache
@@ -226,6 +279,9 @@ pub struct MatchArena {
     tested: Vec<usize>,
     /// Upper bound on the walk's stack depth (root-to-leaf node count).
     max_depth: usize,
+    /// Work buffer for the prefix a run is being built with (empty between
+    /// calls; kept for its capacity, so a subscribe allocates nothing here).
+    run_tests: Vec<(AttrTest, u32)>,
 }
 
 impl MatchArena {
@@ -237,7 +293,7 @@ impl MatchArena {
 
     /// [`build`](Self::build) for masks of `width` trits: every live node
     /// appended children-first, so each span is exactly as long as its edge
-    /// list and nothing is dead.
+    /// list (or its run's prefix) and nothing is dead.
     fn compile(pst: &Pst, annotations: &[Option<TritVec>], width: usize) -> Self {
         let mut arena = MatchArena {
             width,
@@ -248,9 +304,7 @@ impl MatchArena {
             map: vec![NONE; pst.arena_size()],
             ..MatchArena::default()
         };
-        for id in pst.postorder() {
-            arena.append(pst, id, annotations);
-        }
+        arena.append_runs(pst, pst.postorder().into_iter(), annotations);
         arena.roots = pst
             .roots()
             .map(|(key, root)| (key.to_vec().into(), arena.resolve(pst, root)))
@@ -265,8 +319,11 @@ impl MatchArena {
     /// lives on the reported paths — a node's only incoming edge comes from
     /// its parent, which is on the path too, and a trivial node's skip
     /// chain is star-only, so it is walked (and therefore reported) by the
-    /// mutation that altered it. Recompiles only to compact, when dead
-    /// slots (abandoned and slack edge slots, free node slots) outnumber
+    /// mutation that altered it. Run boundaries move only where the rule's
+    /// inputs did: at path nodes, and below the node whose edge count
+    /// changed, in the run of the one child it has left (remove) or had to
+    /// itself before (insert). Recompiles only to compact, when dead slots
+    /// (abandoned and slack edge and prefix slots, free node slots) outnumber
     /// live ones three to one: a span's first relocation after a compile
     /// can strand twice its length for a single insert, so any lower bar
     /// could be hit again and again by a handful of mutations.
@@ -282,8 +339,9 @@ impl MatchArena {
         for path in &report.paths {
             self.apply_path(pst, path, annotations);
         }
-        let live = self.node_count() + self.eq.live + self.ranges.live;
-        let dead = self.free.len() + self.edge_slots() - self.eq.live - self.ranges.live;
+        let edges = self.eq.live + self.ranges.live + self.prefix.live;
+        let live = self.node_count() + edges;
+        let dead = self.free.len() + self.edge_slots() - edges;
         if dead > 3 * live + COMPACT_FLOOR {
             *self = Self::compile(pst, annotations, self.width);
         }
@@ -292,51 +350,132 @@ impl MatchArena {
     fn apply_path(&mut self, pst: &Pst, path: &PathReport, annotations: &[Option<TritVec>]) {
         // Top of the pruned chain first: the free list is a stack and
         // appends go leaf first, so the next chain of the same shape gets
-        // each slot back in its old role, edge windows fitting.
+        // each slot back in its old role, edge windows fitting. A pruned
+        // run's nodes are consecutive and share one slot.
+        let mut released = NONE;
         for id in path.freed.iter().rev() {
-            self.release(*id);
+            let Some(slot) = self.map.get_mut(id.index()) else {
+                continue;
+            };
+            let idx = std::mem::replace(slot, NONE);
+            if idx != NONE && idx != released {
+                self.release(idx);
+                released = idx;
+            }
         }
         // Leaf first, so a parent's edges can translate its children.
-        for id in path.nodes.iter().skip(path.created).rev() {
-            self.append(pst, *id, annotations);
+        let created = path.nodes.iter().skip(path.created).rev();
+        self.append_runs(pst, created.copied(), annotations);
+
+        // The nodes that were there before, `nodes[i]` at tree level `i`.
+        // Runs are re-cut in three passes around the edge patch: first
+        // every node the rule no longer absorbs gets its own arena node
+        // back (so the patch finds the edges it rewrites), last every node
+        // the rule newly absorbs gives its arena node up.
+        let existing = path.nodes.get(..path.created).unwrap_or(&path.nodes);
+        let mut boundary_rewritten = false;
+        for (i, id) in existing.iter().enumerate().rev() {
+            if !self.is_tail(pst, i, *id) && absorbed_into(pst, annotations, *id).is_none() {
+                self.split(pst, existing, i, annotations);
+                boundary_rewritten |= i + 1 == path.created;
+            }
         }
+
         // The node an edge into `nodes[i]` leaves from (none for a root).
         let above = |i: usize| i.checked_sub(1).and_then(|p| path.nodes.get(p)).copied();
         if let (Some(slot), Some(child)) = (path.added, path.nodes.get(path.created)) {
-            self.add_edge(pst, &path.key, above(path.created), slot, *child);
+            // A split wrote the parent's image from the PST, new edge and all.
+            if !boundary_rewritten {
+                self.add_edge(pst, &path.key, above(path.created), slot, *child);
+            }
         }
         if let Some((slot, _)) = &path.removed {
             self.remove_edge(&path.key, path.nodes.last().copied(), *slot);
         }
         for (i, slot) in &path.retargets {
+            let parent = above(*i);
+            // An absorbed parent has no edge to re-resolve: its test sits
+            // in a prefix, and a run's nodes share one slot.
+            if parent.is_some_and(|p| !self.is_tail(pst, *i - 1, p)) {
+                continue;
+            }
             if let Some(id) = path.nodes.get(*i) {
-                self.retarget(pst, &path.key, above(*i), *slot, *id);
+                self.retarget(pst, &path.key, parent, *slot, *id);
             }
         }
-        for id in path.nodes.iter().take(path.created) {
-            self.set_annotation(self.translate(*id), annotations.get(id.index()));
+        for (i, id) in existing.iter().enumerate() {
+            if self.is_tail(pst, i, *id) {
+                self.set_annotation(self.translate(*id), annotations.get(id.index()));
+            }
+        }
+        for (i, id) in existing.iter().enumerate().rev() {
+            if !self.is_tail(pst, i, *id) {
+                continue;
+            }
+            if let Some((child, test, attr)) = absorbed_into(pst, annotations, *id) {
+                self.merge(pst, *id, child, (test, attr));
+            }
         }
     }
 
-    /// Appends the arena image of PST node `id` — attribute, annotation,
-    /// and its edges resolved against the already-mapped children — into a
-    /// free slot if there is one.
-    fn append(&mut self, pst: &Pst, id: NodeId, annotations: &[Option<TritVec>]) {
+    /// Appends the arena images of the PST nodes `ids`, which must come
+    /// children first: every node the run rule does not absorb gets an
+    /// arena node (a free slot if there is one), and the absorbed parents
+    /// that follow it — an only child's parent is next in any
+    /// children-first order — become that node's prefix.
+    fn append_runs(
+        &mut self,
+        pst: &Pst,
+        ids: impl Iterator<Item = NodeId>,
+        annotations: &[Option<TritVec>],
+    ) {
+        let mut ids = ids.peekable();
+        let mut tests = std::mem::take(&mut self.run_tests);
+        while let Some(tail) = ids.next() {
+            let idx = self.alloc();
+            self.write(idx, pst, tail, annotations);
+            let mut below = tail;
+            while let Some(id) = ids.peek().copied() {
+                match absorbed_into(pst, annotations, id) {
+                    Some((child, test, attr)) if child == below => {
+                        self.mark_tested(attr);
+                        tests.push((test, attr));
+                    }
+                    _ => break,
+                }
+                if let Some(slot) = self.map.get_mut(id.index()) {
+                    *slot = idx;
+                }
+                below = id;
+                ids.next();
+            }
+            self.prefix.fill(idx as usize, tests.drain(..));
+        }
+        self.run_tests = tests;
+    }
+
+    /// A blank node slot: the most recently freed one, else a new one.
+    fn alloc(&mut self) -> u32 {
+        if let Some(idx) = self.free.pop() {
+            return idx;
+        }
+        self.attr.push(NONE);
+        self.star.push(NONE);
+        self.eq.spans.push(Span::default());
+        self.ranges.spans.push(Span::default());
+        self.prefix.spans.push(Span::default());
+        self.ann_words
+            .resize(self.ann_words.len() + self.words_per_mask, 0);
+        (self.attr.len() - 1) as u32
+    }
+
+    /// Writes the arena image of PST node `id` — attribute, annotation,
+    /// and its edges resolved against the already-mapped children — into
+    /// the blank slot `idx`, as the tail of a run with no prefix yet.
+    fn write(&mut self, idx: u32, pst: &Pst, id: NodeId, annotations: &[Option<TritVec>]) {
         let node = pst.node(id);
         let attr = node.attribute().map_or(NONE, |a| a as u32);
         let star = node.star().map_or(NONE, |s| self.resolve(pst, s));
-        let idx = match self.free.pop() {
-            Some(idx) => idx,
-            None => {
-                self.attr.push(NONE);
-                self.star.push(NONE);
-                self.eq.spans.push(Span::default());
-                self.ranges.spans.push(Span::default());
-                self.ann_words
-                    .resize(self.ann_words.len() + self.words_per_mask, 0);
-                (self.attr.len() - 1) as u32
-            }
-        };
         let i = idx as usize;
         if let Some(slot) = self.map.get_mut(id.index()) {
             *slot = idx;
@@ -360,18 +499,99 @@ impl MatchArena {
         self.set_annotation(idx, annotations.get(id.index()));
     }
 
-    /// Retires the arena image of the pruned PST node `id`: its `map` entry
-    /// clears and its slot — edge windows included — waits on the free list
-    /// for the next append.
-    fn release(&mut self, id: NodeId) {
-        let Some(slot) = self.map.get_mut(id.index()) else {
+    /// Retires node slot `idx`: emptied, edge windows kept, it waits on the
+    /// free list for the next [`alloc`](Self::alloc).
+    fn release(&mut self, idx: u32) {
+        self.eq.clear(idx as usize);
+        self.ranges.clear(idx as usize);
+        self.prefix.clear(idx as usize);
+        self.free.push(idx);
+    }
+
+    /// Whether `id`, at tree level `level`, is the tail of its run — the
+    /// node whose edges the arena node holds — rather than absorbed: a
+    /// run's nodes sit on consecutive levels, so only the tail tests the
+    /// arena node's attribute.
+    fn is_tail(&self, pst: &Pst, level: usize, id: NodeId) -> bool {
+        let attr = pst.order().get(level).map_or(NONE, |a| *a as u32);
+        self.attr.get(self.translate(id) as usize) == Some(&attr)
+    }
+
+    /// Cuts the run of `nodes[i]` (absorbed so far) below it. The arena
+    /// node keeps the upper part — `nodes[i]` as its new tail, the prefix
+    /// tests above it — so whatever leads into the run still does; the
+    /// lower part moves to a fresh node with the rest of the prefix.
+    fn split(&mut self, pst: &Pst, nodes: &[NodeId], i: usize, annotations: &[Option<TritVec>]) {
+        let Some(&id) = nodes.get(i) else {
             return;
         };
-        let idx = std::mem::replace(slot, NONE);
-        if idx != NONE {
-            self.eq.clear(idx as usize);
-            self.ranges.clear(idx as usize);
-            self.free.push(idx);
+        let run = self.translate(id);
+        let members_above = nodes.iter().take(i).rev();
+        let above = members_above
+            .take_while(|n| self.translate(**n) == run)
+            .count();
+        // Tail end first: the lower part's tests, `id`'s own, then those of
+        // the nodes above it.
+        let len = self.prefix.len(run as usize);
+        let Some(kept) = len.checked_sub(above + 1) else {
+            return;
+        };
+        let lower = self.alloc();
+        self.swap_slots(run, lower);
+        self.prefix
+            .extend_from(run as usize, lower as usize, kept + 1);
+        self.prefix.truncate(lower as usize, kept);
+        self.remap(pst, id, run, kept + 1, lower);
+        self.write(run, pst, id, annotations);
+    }
+
+    /// Joins `id` — the tail of its own arena node, now absorbed, with
+    /// `test` on its one edge — and the prefix above it onto the run of
+    /// `child`. The arena node of `id` takes the child's run over, so
+    /// whatever leads into it still does; the child's node is freed.
+    fn merge(&mut self, pst: &Pst, id: NodeId, child: NodeId, test: (AttrTest, u32)) {
+        let (upper, lower) = (self.translate(id), self.translate(child));
+        let members = self.prefix.len(lower as usize) + 1;
+        self.swap_slots(upper, lower);
+        self.prefix.push(upper as usize, test.0, test.1);
+        self.prefix.extend_from(upper as usize, lower as usize, 0);
+        self.remap(pst, id, lower, members, upper);
+        self.release(lower);
+    }
+
+    /// Exchanges everything node slots `a` and `b` hold.
+    fn swap_slots(&mut self, a: u32, b: u32) {
+        let (a, b) = (a as usize, b as usize);
+        if a.max(b) >= self.attr.len() {
+            return;
+        }
+        self.attr.swap(a, b);
+        self.star.swap(a, b);
+        self.eq.spans.swap(a, b);
+        self.ranges.spans.swap(a, b);
+        self.prefix.spans.swap(a, b);
+        for word in 0..self.words_per_mask {
+            self.ann_words.swap(
+                a * self.words_per_mask + word,
+                b * self.words_per_mask + word,
+            );
+        }
+    }
+
+    /// Re-maps the `count` run nodes below `from` — each the child, mapped
+    /// to `run`, of the one before — to arena node `to`.
+    fn remap(&mut self, pst: &Pst, from: NodeId, run: u32, count: usize, to: u32) {
+        let mut at = from;
+        for _ in 0..count {
+            let mut children = pst.node(at).children();
+            let Some(next) = children.find(|c| self.translate(*c) == run) else {
+                debug_assert!(false, "a run is a chain of value edges");
+                return;
+            };
+            if let Some(slot) = self.map.get_mut(next.index()) {
+                *slot = to;
+            }
+            at = next;
         }
     }
 
@@ -500,15 +720,35 @@ impl MatchArena {
         &self.tested
     }
 
-    /// Number of live flattened nodes (free-listed slots excluded).
+    /// Number of live flattened nodes (free-listed slots excluded): one per
+    /// run, so at most the PST's node count.
     pub fn node_count(&self) -> usize {
         self.attr.len() - self.free.len()
     }
 
-    /// Total length of the edge arrays: live edges plus span slack plus
-    /// windows abandoned by relocations.
+    /// Number of PST nodes the live arena nodes stand for (Σ run lengths).
+    pub fn covered_nodes(&self) -> usize {
+        self.node_count() + self.prefix.live
+    }
+
+    /// Total length of the edge and prefix arrays: live entries plus span
+    /// slack plus windows abandoned by relocations.
     pub fn edge_slots(&self) -> usize {
-        self.eq.labels.len() + self.ranges.labels.len()
+        self.eq.labels.len() + self.ranges.labels.len() + self.prefix.labels.len()
+    }
+
+    /// How much of the tree the run compression folded away, and what the
+    /// in-place maintenance has left lying around.
+    pub fn summary(&self) -> ArenaSummary {
+        let runs = self.prefix.spans.iter().filter(|span| span.len > 0);
+        ArenaSummary {
+            nodes: self.node_count(),
+            covered_nodes: self.covered_nodes(),
+            runs: runs.count(),
+            prefix_tests: self.prefix.live,
+            edge_slots: self.edge_slots(),
+            free_nodes: self.free.len(),
+        }
     }
 
     /// The arena root for `event`'s factor key, found by binary search
@@ -546,9 +786,11 @@ impl MatchArena {
     /// The §3.3 refinement search as an explicit work-stack walk over the
     /// flattened tree. `scratch.slot(0)` must hold the tree's
     /// initialization mask on entry (with at least one `Maybe`); on return
-    /// it holds the fully refined mask. Mirrors the recursive `subsearch`
-    /// exactly: same refinement order, same early exits, same step and
-    /// comparison counts (modulo skipped trivial chains).
+    /// it holds the fully refined mask. Refines in the recursive
+    /// `subsearch`'s order, with its early exits, to its result; it counts
+    /// a step per *arena* node entered, so a run of `k` PST nodes (like a
+    /// skipped trivial chain) costs one step where `subsearch` counts `k`,
+    /// and one comparison per prefix test.
     pub fn search(
         &self,
         event: &Event,
@@ -591,6 +833,19 @@ impl MatchArena {
                         }
                         unwind(scratch);
                         continue 'walk;
+                    }
+                    // The run's absorbed tests, top first. Each was its
+                    // node's only way on, under this same annotation: a
+                    // failure ends the node like an exhausted edge list.
+                    let (tests, attrs) = self.prefix.edges(node as usize);
+                    for (test, attr) in tests.iter().zip(attrs).rev() {
+                        stats.comparisons += 1;
+                        let value = values.get(*attr as usize);
+                        if !value.is_some_and(|v| test.matches(v)) {
+                            scratch.slot_mut(depth).maybes_to_no_in_place();
+                            unwind(scratch);
+                            continue 'walk;
+                        }
                     }
                     // Range edges come after the equality branch either
                     // way; prime the resume point before descending.
@@ -662,6 +917,51 @@ impl MatchArena {
     }
 }
 
+/// What [`MatchArena::summary`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ArenaSummary {
+    /// Live arena nodes (what a search can enter and count a step for).
+    pub nodes: usize,
+    /// PST nodes they stand for.
+    pub covered_nodes: usize,
+    /// Arena nodes that absorbed at least one PST node.
+    pub runs: usize,
+    /// Absorbed tests, Σ over runs (`covered_nodes - nodes`).
+    pub prefix_tests: usize,
+    /// Length of the edge and prefix arrays, dead slots included.
+    pub edge_slots: usize,
+    /// Node slots waiting for reuse.
+    pub free_nodes: usize,
+}
+
+/// The run rule: if PST node `id` is absorbed, the child it is absorbed
+/// into — its only child, behind an equality or range edge, annotated
+/// exactly like it — with the test on that edge and the attribute it reads.
+fn absorbed_into(
+    pst: &Pst,
+    annotations: &[Option<TritVec>],
+    id: NodeId,
+) -> Option<(NodeId, AttrTest, u32)> {
+    let node = pst.node(id);
+    if node.star().is_some() {
+        return None;
+    }
+    let child = match (node.eq_edges(), node.range_edges()) {
+        ([(_, child)], []) | ([], [(_, child)]) => *child,
+        _ => return None,
+    };
+    let annotation = |n: NodeId| annotations.get(n.index()).and_then(|a| a.as_ref());
+    if annotation(id) != annotation(child) {
+        return None;
+    }
+    // Cloned only now: most nodes asked about are not absorbed.
+    let test = match node.eq_edges().first() {
+        Some((value, _)) => AttrTest::Eq(value.clone()),
+        None => node.range_edges().first()?.0.clone(),
+    };
+    Some((child, test, node.attribute()? as u32))
+}
+
 /// `map`'s arena index for PST node `id`; `NONE` for dead/unknown slots.
 fn translate(map: &[u32], id: NodeId) -> u32 {
     map.get(id.index()).copied().unwrap_or(NONE)
@@ -712,7 +1012,8 @@ fn unwind(scratch: &mut MatchScratch) {
 struct Frame {
     /// Arena node index.
     node: u32,
-    /// Next range edge to test (absolute index into `range_tests`).
+    /// Next range edge to test (absolute index into the range table's
+    /// `labels`/`children`).
     cursor: u32,
     state: FrameState,
 }

@@ -654,10 +654,11 @@ fn rebuild_annotations_is_idempotent() {
     }
 }
 
-/// The arena walk must reproduce the recursive §3.3 search bit-for-bit:
-/// same links from every publisher/tree/event across option configs, and —
-/// when trivial-test elimination is off, so no skip chains are collapsed —
-/// the same step and comparison counts.
+/// The arena walk must reproduce the recursive §3.3 search's result: same
+/// links from every publisher/tree/event across option configs. It enters
+/// one node per run (and none for a skipped trivial chain) where the
+/// recursion enters every PST node, so it never counts more steps or
+/// comparisons.
 #[test]
 fn arena_walk_agrees_with_recursive_search() {
     let mut rng = StdRng::seed_from_u64(4242);
@@ -703,9 +704,11 @@ fn arena_walk_agrees_with_recursive_search() {
             let mut arena_stats = MatchStats::new();
             engine.match_links_into(&event, tree, &mut scratch, &mut arena_stats, &mut out);
             assert_eq!(out, expected, "config {ci}, event {values:?}");
-            if !options.eliminate_trivial_tests {
-                assert_eq!(arena_stats, rec_stats, "config {ci}, event {values:?}");
-            }
+            assert!(
+                arena_stats.steps <= rec_stats.steps
+                    && arena_stats.comparisons <= rec_stats.comparisons,
+                "config {ci}, event {values:?}: {arena_stats:?} vs {rec_stats:?}"
+            );
         }
     }
 }
@@ -777,11 +780,26 @@ fn churn_schema() -> EventSchema {
         .unwrap()
 }
 
-fn churn_test(rng: &mut StdRng, domain: i64) -> AttrTest {
+/// Six attributes over tiny value ranges, the first two with declared
+/// domains: predicates that mostly test every attribute then share long
+/// prefixes and part ways mid-chain, so single-choice runs of three and
+/// more nodes form, get cut and grow back.
+fn deep_schema() -> EventSchema {
+    let mut b = EventSchema::builder("deep")
+        .attribute_with_domain("a", ValueKind::Int, (0..2).map(Value::Int))
+        .attribute_with_domain("b", ValueKind::Int, (0..3).map(Value::Int));
+    for name in ["c", "d", "e", "f"] {
+        b = b.attribute(name, ValueKind::Int);
+    }
+    b.build().unwrap()
+}
+
+/// A random test over `0..domain`; `stars` in ten come out `*`.
+fn churn_test(rng: &mut StdRng, domain: i64, stars: u32) -> AttrTest {
     let v = rng.random_range(0..domain);
     match rng.random_range(0..10) {
-        0..=2 => AttrTest::Any,
-        3..=5 => AttrTest::Eq(Value::Int(v)),
+        k if k < stars => AttrTest::Any,
+        0..=5 => AttrTest::Eq(Value::Int(v)),
         6 => AttrTest::Ge(Value::Int(v)),
         7 => AttrTest::Lt(Value::Int(v)),
         8 => AttrTest::Le(Value::Int(v)),
@@ -852,28 +870,71 @@ fn assert_same_annotated_tree(a: &LinkMatchEngine, b: &LinkMatchEngine, context:
     }
 }
 
+/// The run rule restated over the public tree, as the arena's independent
+/// witness: per live node, the child it is absorbed into (if it is) and
+/// how many children it has.
+fn run_shape(
+    engine: &LinkMatchEngine,
+) -> std::collections::HashMap<linkcast_matching::NodeId, (Option<linkcast_matching::NodeId>, usize)>
+{
+    let pst = engine.pst();
+    let shape = |id| {
+        let node = pst.node(id);
+        let value_children = node.eq_edges().iter().map(|(_, c)| *c);
+        let mut value_children = value_children.chain(node.range_edges().iter().map(|(_, c)| *c));
+        let absorbed = match (value_children.next(), value_children.next(), node.star()) {
+            (Some(only), None, None) if engine.annotation(id) == engine.annotation(only) => {
+                Some(only)
+            }
+            _ => None,
+        };
+        (id, (absorbed, node.children().count()))
+    };
+    pst.postorder().into_iter().map(shape).collect()
+}
+
 /// The tentpole property: after **every** step of a long random
 /// subscribe/unsubscribe sequence — equality, range and `*` edges, shared
 /// prefixes, duplicate predicates, factoring on and off — the
 /// incrementally maintained engine (counted annotations, in-place arena
-/// patches, free-listed nodes) is indistinguishable from one built from
-/// scratch over the surviving subscriptions: the same annotation on every
-/// node, and for a batch of events on every tree the same link set and the
-/// same number of match steps.
+/// patches, free-listed nodes, runs cut and rejoined on the reported path)
+/// is indistinguishable from one built from scratch over the surviving
+/// subscriptions: the same annotation on every node, and for a batch of
+/// events on every tree the same link set and the same number of match
+/// steps and comparisons. The recursive search over the boxed tree vouches
+/// for the link sets and bounds the steps from above.
+///
+/// The three-attribute configs grow wide nodes; the six-attribute ones grow
+/// long single-choice chains, and must be seen to form runs of three and
+/// more nodes, cut them (a newcomer parting ways mid-run; an annotation
+/// that stops equalling the child's) and rejoin them after an unsubscribe.
 #[test]
 fn incremental_engine_equals_scratch_after_every_step() {
     const STEPS: usize = 2000;
-    let schema = churn_schema();
+    let wide = (churn_schema(), vec![3, 4, 40], 3);
+    let deep = (deep_schema(), vec![2, 3, 3, 3, 3, 3], 1);
     let configs = [
-        PstOptions::default(),
-        PstOptions::default()
-            .with_factoring(1)
-            .with_trivial_test_elimination(true),
-        PstOptions::default()
-            .with_order(OrderPolicy::Explicit(vec![2, 0, 1]))
-            .with_trivial_test_elimination(true),
+        (&wide, PstOptions::default()),
+        (
+            &wide,
+            PstOptions::default()
+                .with_factoring(1)
+                .with_trivial_test_elimination(true),
+        ),
+        (
+            &wide,
+            PstOptions::default()
+                .with_order(OrderPolicy::Explicit(vec![2, 0, 1]))
+                .with_trivial_test_elimination(true),
+        ),
+        (&deep, PstOptions::default()),
+        (
+            &deep,
+            PstOptions::default().with_trivial_test_elimination(true),
+        ),
     ];
-    for (ci, options) in configs.iter().enumerate() {
+    for (ci, ((schema, domains, stars), options)) in configs.iter().enumerate() {
+        let deep = domains.len() >= 6;
         let mut rng = StdRng::seed_from_u64(0x1ca5_7000 + ci as u64);
         let (fabric, clients) = random_tree_network(&mut rng, 4);
         let broker = fabric.network().brokers().nth(1).unwrap();
@@ -890,22 +951,39 @@ fn incremental_engine_equals_scratch_after_every_step() {
         let mut peak = 0;
         let mut scratch = crate::RouteScratch::new();
         let (mut got, mut want) = (Vec::new(), Vec::new());
+        // Steps at which some run held three or more nodes; nodes that
+        // left a run because their edges changed, or only an annotation
+        // did; nodes an unsubscribe put (back) into one.
+        let (mut long_runs, mut mid_run_splits, mut flip_splits, mut merges) = (0, 0, 0, 0);
 
         for step in 0..STEPS {
+            let before = run_shape(&engine);
             // Alternate growth and decay so spans grow past the range-index
             // threshold, relocate, drain to empty and are reused.
             let grow = if (step / 250) % 2 == 0 { 0.7 } else { 0.3 };
-            if live.is_empty() || rng.random_bool(grow) {
+            let subscribing = live.is_empty() || rng.random_bool(grow);
+            if subscribing {
                 let client = clients[rng.random_range(0..clients.len())];
                 let predicate = if !live.is_empty() && rng.random_bool(0.15) {
-                    live[rng.random_range(0..live.len())].predicate().clone()
+                    let twin = live[rng.random_range(0..live.len())].predicate();
+                    if deep && rng.random_bool(0.5) {
+                        // Same prefix, `*` from some level on: the `*` edge
+                        // it hangs under a shared node puts a Yes into that
+                        // node's annotation and takes it out of its
+                        // parent's run without touching the parent's edges.
+                        let keep = rng.random_range(1..domains.len());
+                        let mut tests = twin.tests().to_vec();
+                        tests.iter_mut().skip(keep).for_each(|t| *t = AttrTest::Any);
+                        Predicate::from_tests(schema, tests).unwrap()
+                    } else {
+                        twin.clone()
+                    }
                 } else {
-                    let tests = [
-                        churn_test(&mut rng, 3),
-                        churn_test(&mut rng, 4),
-                        churn_test(&mut rng, 40),
-                    ];
-                    Predicate::from_tests(&schema, tests).unwrap()
+                    let tests: Vec<_> = domains
+                        .iter()
+                        .map(|domain| churn_test(&mut rng, *domain, *stars))
+                        .collect();
+                    Predicate::from_tests(schema, tests).unwrap()
                 };
                 let home = fabric.network().home_broker(client).unwrap();
                 let sub = linkcast_types::Subscription::new(
@@ -924,11 +1002,29 @@ fn incremental_engine_equals_scratch_after_every_step() {
             let context = format!("config {ci}, step {step}");
             engine.pst().check_invariants().unwrap();
             assert_eq!(engine.subscription_count(), live.len(), "{context}");
+            let arena = engine.arena();
             assert_eq!(
-                engine.arena().node_count(),
+                arena.covered_nodes(),
                 engine.pst().node_count(),
                 "{context}"
             );
+            assert!(arena.node_count() <= arena.covered_nodes(), "{context}");
+            let after = run_shape(&engine);
+            let absorbed = after.values().filter_map(|(child, _)| *child);
+            assert_eq!(arena.summary().prefix_tests, absorbed.count(), "{context}");
+            let absorbs_twice = |(child, _): &(Option<_>, usize)| {
+                child.is_some_and(|c| after.get(&c).is_some_and(|(next, _)| next.is_some()))
+            };
+            long_runs += usize::from(after.values().any(absorbs_twice));
+            for (id, (now, children)) in &after {
+                let Some((was, children_before)) = before.get(id) else {
+                    continue;
+                };
+                let same_edges = children == children_before;
+                mid_run_splits += usize::from(was.is_some() && now.is_none() && !same_edges);
+                flip_splits += usize::from(was.is_some() && now.is_none() && same_edges);
+                merges += usize::from(!subscribing && was.is_none() && now.is_some());
+            }
 
             let fresh = LinkMatchEngine::with_subscriptions(
                 broker,
@@ -943,17 +1039,34 @@ fn incremental_engine_equals_scratch_after_every_step() {
             // identical edge order by construction, so identical steps.
             let mut recompiled = engine.clone();
             recompiled.rebuild_annotations();
+            // Same runs; only the garbage (slack, free slots) may differ.
+            let runs = |e: &LinkMatchEngine| {
+                let s = e.arena().summary();
+                (s.nodes, s.covered_nodes, s.runs, s.prefix_tests)
+            };
+            assert_eq!(runs(&engine), runs(&recompiled), "{context}");
+            // The cache key: every attribute some node branches on, be the
+            // test an arena edge or absorbed into a prefix. Stale entries
+            // may linger until a compaction; none may be missing.
+            let tested = engine.tested_attributes();
+            for id in engine.pst().postorder() {
+                let node = engine.pst().node(id);
+                if !node.eq_edges().is_empty() || !node.range_edges().is_empty() {
+                    let attr = node.attribute().unwrap();
+                    assert!(tested.contains(&attr), "{context}: attribute {attr}");
+                }
+            }
 
             for _ in 0..6 {
-                let values = [
-                    rng.random_range(0..3),
-                    rng.random_range(0..4),
-                    rng.random_range(0..40),
-                ];
-                let event = int_event(&schema, &values);
+                let values: Vec<i64> = domains.iter().map(|d| rng.random_range(0..*d)).collect();
+                let event = int_event(schema, &values);
                 for &tree in &trees {
                     let mut stats = MatchStats::new();
                     engine.match_links_into(&event, tree, &mut scratch, &mut stats, &mut got);
+                    let mut oracle_stats = MatchStats::new();
+                    let oracle = engine.match_links(&event, tree, &mut oracle_stats);
+                    assert_eq!(got, oracle, "{context}, event {values:?}: recursive search");
+                    assert!(stats.steps <= oracle_stats.steps, "{context}: {values:?}");
                     let mut fresh_stats = MatchStats::new();
                     fresh.match_links_into(&event, tree, &mut scratch, &mut fresh_stats, &mut want);
                     assert_eq!(got, want, "{context}, event {values:?}: links");
@@ -976,6 +1089,10 @@ fn incremental_engine_equals_scratch_after_every_step() {
             }
         }
         assert!(peak >= 60, "config {ci}: population peaked at {peak}");
+        if deep {
+            let seen = [long_runs, mid_run_splits, flip_splits, merges];
+            assert!(seen.iter().all(|n| *n >= 10), "config {ci}: {seen:?}");
+        }
     }
 }
 

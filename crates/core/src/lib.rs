@@ -77,7 +77,7 @@ mod router;
 mod spanning;
 mod topology;
 
-pub use arena::{MatchArena, MatchScratch};
+pub use arena::{ArenaSummary, MatchArena, MatchScratch};
 pub use baselines::{FloodingRouter, MatchFirstRouter};
 pub use cache::MatchCache;
 pub use engine::{LinkMatchEngine, RouteScratch};

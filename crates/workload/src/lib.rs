@@ -19,6 +19,7 @@
 
 mod arrivals;
 mod config;
+mod decoys;
 mod events;
 mod locality;
 mod subscriptions;
@@ -26,6 +27,7 @@ mod zipf;
 
 pub use arrivals::{ArrivalProcess, BurstyProcess, PoissonProcess};
 pub use config::WorkloadConfig;
+pub use decoys::decoy_chain;
 pub use events::EventGenerator;
 pub use locality::RegionValueMap;
 pub use subscriptions::SubscriptionGenerator;

@@ -1,6 +1,7 @@
 //! Subscription audit: use the covering relation (SIENA-style, from the
 //! paper's related work) to find and compact redundant subscriptions
-//! before installing them into a matcher.
+//! before installing them into a matcher — then look at what the broker's
+//! match-time arena makes of the survivors.
 //!
 //! Run with: `cargo run --example subscription_audit`
 
@@ -9,6 +10,7 @@ use linkcast::types::{
     parse_predicate, BrokerId, ClientId, EventSchema, SubscriberId, Subscription, SubscriptionId,
     ValueKind,
 };
+use linkcast::{LinkMatchEngine, LinkSpace, NetworkBuilder, SpanningForest};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schema = EventSchema::builder("trades")
@@ -27,6 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         r#"volume > 500000"#,                                // independent
         r#"issue = "GE" & volume > 1000"#,                   // independent
         r#"issue = "GE" & volume > 5000"#,                   // covered by the previous line
+        r#"issue = "HP" & price < 40.00 & volume > 2000"#,   // independent, alone under "HP"
     ];
     let subscriptions: Vec<Subscription> = expressions
         .iter()
@@ -69,5 +72,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         compacted.len()
     );
     assert!(compacted.len() < full.len());
+
+    // A broker's engine flattens the annotated tree into an arena and folds
+    // every single-choice run — nodes with one way on and nothing new to
+    // say about any link — into one node with a prefix of tests. Here the
+    // "HP" subscription's `price` node is one: its `volume` node decides.
+    let mut net = NetworkBuilder::new();
+    let (edge, core) = (net.add_broker(), net.add_broker());
+    net.connect(edge, core, 5.0)?;
+    net.add_client(edge)?; // the desk
+    let network = net.build()?;
+    let forest = SpanningForest::compute(&network, &[core])?;
+    for (name, pst) in [("full", &full), ("compacted", &compacted)] {
+        let engine = LinkMatchEngine::with_subscriptions(
+            core,
+            schema.clone(),
+            PstOptions::default(),
+            LinkSpace::build(&network, &forest, core),
+            pst.subscriptions().cloned(),
+        )?;
+        let arena = engine.arena().summary();
+        println!("match arena ({name}): {arena:?}");
+        assert_eq!(arena.covered_nodes, pst.node_count());
+        assert_eq!((arena.runs, arena.prefix_tests), (1, 1));
+    }
     Ok(())
 }

@@ -1,0 +1,119 @@
+//! The `match` workload's table of `benchmark/`, built in-process and
+//! walked both ways, with the per-broker step counts pinned.
+//!
+//! Three brokers in a chain A–B–C, spanning trees rooted everywhere, the
+//! publisher at A, the subscriber (`volume >= 0`) at C, and 2048 decoy
+//! chains — six range tests every event passes, a seventh none does — over
+//! 96 decoy clients, client `slot` homed at broker `slot % 3`. Every broker
+//! installs the real subscription first and then the chains phase by phase
+//! (the chains of A's clients, then B's, then C's, ascending), as the
+//! benchmark's rig does; the constants the benchmark offsets by a
+//! seed-derived base are taken at base 0, which changes no shape.
+//!
+//! The recursive search over the boxed PST enters a node per test: root,
+//! `volume`, the subscriber's first `*` node, then six nodes down every
+//! chain whose link is still undecided (those of the broker's own decoy
+//! clients) and one for each of the rest. The arena folds `a1..a5` of every
+//! chain into the prefix of its `a6` node — one step per chain.
+
+use linkcast::{LinkMatchEngine, LinkSpace, NetworkBuilder, RouteScratch, RoutingFabric};
+use linkcast_matching::{MatchStats, PstOptions};
+use linkcast_types::{
+    parse_predicate, Event, EventSchema, SubscriberId, Subscription, SubscriptionId, Value,
+    ValueKind,
+};
+use linkcast_workload::decoy_chain;
+
+const BROKERS: usize = 3;
+const DECOYS: u64 = 2048;
+const DECOY_CLIENTS: u64 = 96;
+
+#[test]
+fn match_table_steps_are_pinned_for_both_walks() {
+    let mut schema = EventSchema::builder("bench")
+        .attribute("issue", ValueKind::Str)
+        .attribute("volume", ValueKind::Int);
+    for k in 1..=6 {
+        schema = schema.attribute(format!("a{k}").as_str(), ValueKind::Int);
+    }
+    let schema = schema.attribute("ts", ValueKind::Int).build().unwrap();
+
+    let mut net = NetworkBuilder::new();
+    let brokers = net.add_brokers(BROKERS);
+    for pair in brokers.windows(2) {
+        net.connect(pair[0], pair[1], 5.0).unwrap();
+    }
+    let _publisher = net.add_client(brokers[0]).unwrap();
+    let subscriber = net.add_client(brokers[BROKERS - 1]).unwrap();
+    let _churn = net.add_client(brokers[BROKERS - 1]).unwrap();
+    let decoy_clients: Vec<_> = (0..DECOY_CLIENTS as usize)
+        .map(|slot| net.add_client(brokers[slot % BROKERS]).unwrap())
+        .collect();
+    let fabric = RoutingFabric::new_all_roots(net.build().unwrap()).unwrap();
+
+    // (client, predicate) in install order, the same at every broker.
+    let mut table = vec![(subscriber, "volume >= 0".to_string())];
+    for phase in 0..BROKERS as u64 {
+        let chains = (1..=DECOYS).filter(|j| (j % DECOY_CLIENTS) % BROKERS as u64 == phase);
+        table.extend(chains.map(|j| {
+            let client = decoy_clients[(j % DECOY_CLIENTS) as usize];
+            (client, decoy_chain(j))
+        }));
+    }
+
+    let engines: Vec<LinkMatchEngine> = brokers
+        .iter()
+        .map(|&broker| {
+            let space = LinkSpace::build(fabric.network(), fabric.forest(), broker);
+            let mut engine =
+                LinkMatchEngine::new(broker, schema.clone(), PstOptions::default(), space).unwrap();
+            for (id, (client, predicate)) in table.iter().enumerate() {
+                let home = fabric.network().home_broker(*client).unwrap();
+                engine
+                    .subscribe(Subscription::new(
+                        SubscriptionId::new(id as u32),
+                        SubscriberId::new(home, *client),
+                        parse_predicate(&schema, predicate).unwrap(),
+                    ))
+                    .unwrap();
+            }
+            engine
+        })
+        .collect();
+
+    // Per chain: the run [a1..a5 | a6], the `ts` node, the leaf; plus the
+    // root, the `volume` node and the subscriber's eight.
+    for engine in &engines {
+        let summary = engine.arena().summary();
+        assert_eq!(summary.covered_nodes, engine.pst().node_count());
+        assert_eq!(summary.covered_nodes, 2 + 8 + 8 * DECOYS as usize);
+        assert_eq!(summary.nodes, 2 + 8 + 3 * DECOYS as usize);
+        assert_eq!(summary.runs, DECOYS as usize);
+        assert_eq!(summary.prefix_tests, 5 * DECOYS as usize);
+    }
+
+    let tree = fabric.tree_for(brokers[0]).unwrap();
+    let mut scratch = RouteScratch::new();
+    let mut links = Vec::new();
+    for volume in [0, 17, 255] {
+        let mut values = vec![Value::str("IBM"), Value::Int(volume)];
+        values.extend((1..=6).map(Value::Int));
+        values.push(Value::Int(1_000 + volume));
+        let event = Event::from_values(&schema, values).unwrap();
+
+        let mut arena_steps = Vec::new();
+        let mut recursive_steps = Vec::new();
+        for engine in &engines {
+            let mut arena = MatchStats::new();
+            engine.match_links_into(&event, tree, &mut scratch, &mut arena, &mut links);
+            let mut recursive = MatchStats::new();
+            let expected = engine.match_links(&event, tree, &mut recursive);
+            assert_eq!(links, expected, "volume {volume} at {}", engine.broker());
+            assert_eq!(links.len(), 1, "towards the subscriber, nowhere else");
+            arena_steps.push(arena.steps);
+            recursive_steps.push(recursive.steps);
+        }
+        assert_eq!(arena_steps, [2051, 2051, 2051], "volume {volume}");
+        assert_eq!(recursive_steps, [5461, 5466, 5466], "volume {volume}");
+    }
+}

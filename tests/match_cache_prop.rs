@@ -21,8 +21,9 @@
 //! range and `*` tests, so value branches come to exhaust (and stop
 //! exhausting) the declared domains as subscriptions come and go.
 //!
-//! A second, deterministic test bounds the garbage the arena's in-place
-//! maintenance may leave behind under sustained churn.
+//! Two deterministic tests follow: one bounds the garbage the arena's
+//! in-place maintenance may leave behind under sustained churn, one pins
+//! that a test absorbed into a run's prefix still keys the cache.
 
 mod fault;
 
@@ -237,6 +238,16 @@ fn churn_equivalence_factored_with_trivial_elimination() {
     );
 }
 
+/// `volume, a1, a2, a3`, all open-ended integers: room for one chain of
+/// range tests per subscription.
+fn chains_schema() -> EventSchema {
+    let mut b = EventSchema::builder("chains").attribute("volume", ValueKind::Int);
+    for k in 1..=3 {
+        b = b.attribute(format!("a{k}").as_str(), ValueKind::Int);
+    }
+    b.build().unwrap()
+}
+
 /// Garbage bound for the arena's in-place maintenance: 2048 chains that
 /// each hang off their own range edge of one `volume` node are installed
 /// one at a time (the node's span relocates eleven times on the way), then
@@ -244,16 +255,14 @@ fn churn_equivalence_factored_with_trivial_elimination() {
 /// one. Throughout, the edge arrays may hold at most twice the live edges
 /// plus a constant, and once the table is full the node count must not
 /// move: pruned slots are reused, not leaked. (Re-appending whole spans,
-/// as the arena used to, overshoots the first bound a thousandfold.)
+/// as the arena used to, overshoots the first bound a thousandfold.) The
+/// tests a chain's run absorbed live in prefix slots, counted on both
+/// sides of the bound.
 #[test]
 fn churn_leaves_bounded_garbage() {
     const CHAINS: u64 = 2048;
     const PAIRS: u64 = 10_000;
-    let mut b = EventSchema::builder("chains").attribute("volume", ValueKind::Int);
-    for k in 1..=3 {
-        b = b.attribute(format!("a{k}").as_str(), ValueKind::Int);
-    }
-    let schema = b.build().unwrap();
+    let schema = chains_schema();
     let chain = |j: u64| {
         let j = j as i64;
         let tests = [
@@ -283,13 +292,20 @@ fn churn_leaves_bounded_garbage() {
     };
     let assert_bounded = |engine: &LinkMatchEngine, when: &str| {
         let summary = engine.pst().summary();
+        let arena = engine.arena().summary();
+        // Every PST edge is an arena edge or a prefix test.
         let live = summary.eq_edges + summary.range_edges;
-        let slots = engine.arena().edge_slots();
         assert!(
-            slots <= 2 * live + 64,
-            "{when}: {slots} edge slots for {live} live edges"
+            arena.edge_slots <= 2 * live + 64,
+            "{when}: {} edge and prefix slots for {live} live edges",
+            arena.edge_slots
         );
-        assert_eq!(engine.arena().node_count(), summary.nodes, "{when}");
+        assert_eq!(arena.covered_nodes, summary.nodes, "{when}");
+        // The volume node, and per chain the run [a1 a2 | a3] and a leaf
+        // (a lone chain takes the volume node into its run).
+        let chains = engine.subscription_count();
+        let volume = usize::from(chains > 1);
+        assert_eq!(arena.nodes, volume + 2 * chains, "{when}");
     };
 
     for j in 0..CHAINS {
@@ -303,4 +319,65 @@ fn churn_leaves_bounded_garbage() {
         assert_bounded(&engine, &format!("pair {pair}"));
         assert_eq!(engine.arena().node_count(), nodes, "pair {pair}");
     }
+}
+
+/// The cache keys on every attribute a walk can branch on, and a test
+/// absorbed into a run's prefix is one: a single chain subscription
+/// compiles to the run `[volume a1 a2 | a3]`, whose only arena node tests
+/// `a3`. Two events that differ only in `a1` — one passing the chain, one
+/// failing it in the prefix — must not share an entry.
+#[test]
+fn prefix_attributes_key_the_cache() {
+    let mut registry = SchemaRegistry::new();
+    registry.register(chains_schema()).unwrap();
+    let registry = Arc::new(registry);
+    let schema = registry.get(SchemaId::new(0)).unwrap().clone();
+
+    let (fabric, brokers, clients) = star_fabric();
+    let home = brokers[1];
+    let mut engine =
+        MatchingEngine::new(home, &fabric, Arc::clone(&registry), PstOptions::default()).unwrap();
+    let subscriber = clients[0];
+    let tests = (0..4).map(|_| AttrTest::Ge(Value::Int(0)));
+    let chain = Subscription::new(
+        SubscriptionId::new(1),
+        SubscriberId::new(
+            fabric.network().home_broker(subscriber).unwrap(),
+            subscriber,
+        ),
+        Predicate::from_tests(&schema, tests).unwrap(),
+    );
+    engine.subscribe(SchemaId::new(0), chain).unwrap();
+
+    let tree = fabric.tree_for(home).unwrap();
+    let event = |a1: i64| {
+        let values = [5, a1, 5, 5].map(Value::Int);
+        Event::from_values(&schema, values).unwrap()
+    };
+    let mut cache = MatchCache::new(64);
+    let mut scratch = RouteScratch::new();
+    let mut stats = MatchStats::new();
+    let mut route = |event: &Event, stats: &mut MatchStats| {
+        let mut links = Vec::new();
+        engine.route_cached(event, tree, 1, &mut cache, &mut scratch, stats, &mut links);
+        links
+    };
+
+    let delivered = route(&event(5), &mut stats);
+    assert_eq!(
+        delivered.len(),
+        1,
+        "the chain's subscriber is one link away"
+    );
+    assert_eq!((stats.cache_misses, stats.cache_hits), (1, 0));
+    assert_eq!(stats.steps, 2, "the run's node, then the leaf");
+
+    assert!(
+        route(&event(-1), &mut stats).is_empty(),
+        "a1 fails the chain"
+    );
+    assert_eq!((stats.cache_misses, stats.cache_hits), (2, 0));
+
+    assert_eq!(route(&event(5), &mut stats), delivered);
+    assert_eq!((stats.cache_misses, stats.cache_hits), (2, 1));
 }
