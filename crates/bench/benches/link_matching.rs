@@ -2,7 +2,9 @@
 //! search at a single broker, compared against a full centralized match of
 //! the same event — the per-hop cost Chart 2 accumulates — plus what it
 //! costs to keep the annotated tree current as subscriptions come and go,
-//! and what a route costs against the depth of single-choice chains.
+//! what a route costs against the depth of single-choice chains, and what
+//! the engine's own choice of attribute order does to the benchmark's
+//! `match` table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use linkcast::{
@@ -13,10 +15,10 @@ use linkcast_bench::options_for;
 use linkcast_matching::{MatchStats, PstOptions};
 use linkcast_sim::topology39;
 use linkcast_types::{
-    AttrTest, Event, EventSchema, Predicate, SubscriberId, Subscription, SubscriptionId, Value,
-    ValueKind,
+    parse_predicate, AttrTest, Event, EventSchema, Predicate, SubscriberId, Subscription,
+    SubscriptionId, Value, ValueKind,
 };
-use linkcast_workload::{EventGenerator, SubscriptionGenerator, WorkloadConfig};
+use linkcast_workload::{decoy_chain, EventGenerator, SubscriptionGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -267,10 +269,113 @@ fn bench_chain_depth(c: &mut Criterion) {
     group.finish();
 }
 
+/// The benchmark's `match` table — one `volume >= 0` subscriber behind the
+/// far broker, `chains` never-matching decoy chains whose one failing test
+/// sits on `a6`, the deepest level of the schema order — routed before and
+/// after the engine reorders itself on what its walks observed
+/// (DESIGN.md §11.2). Before, a route enters every chain (one step each);
+/// after, the root scans its `a6` range edges, none holds, and three steps
+/// reach the subscriber whatever the number of chains. The rebuild in
+/// between is timed once per size and printed, not sampled: it happens once.
+fn bench_order_adaptation(c: &mut Criterion) {
+    let mut b = EventSchema::builder("bench")
+        .attribute("issue", ValueKind::Str)
+        .attribute("volume", ValueKind::Int);
+    for k in 1..=6 {
+        b = b.attribute(format!("a{k}").as_str(), ValueKind::Int);
+    }
+    let schema = (b.attribute("ts", ValueKind::Int).build()).expect("well-formed schema");
+
+    let mut net = NetworkBuilder::new();
+    let brokers = net.add_brokers(3);
+    for pair in brokers.windows(2) {
+        net.connect(pair[0], pair[1], 5.0).expect("fresh link");
+    }
+    let home = brokers[1];
+    let subscriber = net.add_client(brokers[2]).expect("known broker");
+    let decoy_clients: Vec<_> = (0..96)
+        .map(|_| net.add_client(home).expect("known broker"))
+        .collect();
+    let fabric = RoutingFabric::new_all_roots(net.build().expect("connected")).expect("trees");
+    let tree = fabric.tree_for(brokers[0]).expect("rooted everywhere");
+    let events: Vec<Event> = (0..256)
+        .map(|volume| {
+            let mut values = vec![Value::str("IBM"), Value::Int(volume)];
+            values.extend((1..=6).map(Value::Int));
+            values.push(Value::Int(1_000 + volume));
+            Event::from_values(&schema, values).expect("values match the schema")
+        })
+        .collect();
+
+    let mut group = c.benchmark_group("order_adaptation");
+    group.sample_size(12);
+    group.warm_up_time(Duration::from_millis(300));
+    group.measurement_time(Duration::from_secs(1));
+    for chains in [256u64, 1024, 4096] {
+        let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
+        let mut engine = LinkMatchEngine::new(home, schema.clone(), PstOptions::default(), space)
+            .expect("default options");
+        let table =
+            std::iter::once((subscriber, "volume >= 0".to_string())).chain((1..=chains).map(|j| {
+                (
+                    decoy_clients[j as usize % decoy_clients.len()],
+                    decoy_chain(j),
+                )
+            }));
+        for (id, (client, predicate)) in table.enumerate() {
+            let broker = fabric.network().home_broker(client).expect("provisioned");
+            engine
+                .subscribe(Subscription::new(
+                    SubscriptionId::new(id as u32),
+                    SubscriberId::new(broker, client),
+                    parse_predicate(&schema, &predicate).expect("well-formed predicate"),
+                ))
+                .expect("fresh id");
+        }
+
+        let mut links = Vec::new();
+        let mut route = |engine: &LinkMatchEngine, scratch: &mut RouteScratch| {
+            let mut stats = MatchStats::new();
+            for event in &events {
+                engine.match_links_into(black_box(event), tree, scratch, &mut stats, &mut links);
+                assert_eq!(links.len(), 1, "towards the subscriber, nowhere else");
+            }
+            stats.steps_per_event()
+        };
+        // The samples walk through a scratch of their own, so the engine's
+        // evidence is exactly the 256 events that make its first check due.
+        let mut bench_scratch = RouteScratch::new();
+        group.bench_function(BenchmarkId::new("route_before", chains), |b| {
+            b.iter(|| route(&engine, &mut bench_scratch))
+        });
+        let mut scratch = RouteScratch::new();
+        let steps_before = route(&engine, &mut scratch);
+        let nodes_before = engine.arena().node_count();
+        let start = Instant::now();
+        assert!(
+            engine.adapt_order(&mut scratch),
+            "256 walked events: a check"
+        );
+        let rebuild = start.elapsed();
+        group.bench_function(BenchmarkId::new("route_after", chains), |b| {
+            b.iter(|| route(&engine, &mut bench_scratch))
+        });
+        let steps_after = route(&engine, &mut scratch);
+        println!(
+            "order_adaptation/steps_per_event/{chains:<22} before: {steps_before:.0}  after: {steps_after:.0}  \
+             rebuild: {:.2} ms  ({nodes_before} -> {} arena nodes)",
+            rebuild.as_secs_f64() * 1e3,
+            engine.arena().node_count(),
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_link_matching,
     bench_subscribe_scaling,
-    bench_chain_depth
+    bench_chain_depth,
+    bench_order_adaptation
 );
 criterion_main!(benches);

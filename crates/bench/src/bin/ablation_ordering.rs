@@ -11,8 +11,18 @@
 //! trivial test elimination — as in the paper's implementation — it is the
 //! clear winner.
 //!
+//! The "observed" rows let a broker's engine choose: a `LinkMatchEngine`
+//! holding the same subscriptions (32 clients behind one broker, the
+//! publisher behind another) is fed the events until its order adaptation
+//! (DESIGN.md §11.2) has left the order alone for four checks running, and
+//! the order it settled in is then measured like every other row. The lines
+//! under the table say how it got there — rebuilds, and rebuilds taken back
+//! because the walk did not get cheaper — and what the link-matching walk
+//! itself cost before and after.
+//!
 //! Run with: `cargo run --release -p linkcast-bench --bin ablation_ordering`
 
+use linkcast::{LinkMatchEngine, LinkSpace, NetworkBuilder, RouteScratch, RoutingFabric};
 use linkcast_bench::print_table;
 use linkcast_matching::{MatchStats, Matcher, OrderPolicy, Pst, PstOptions};
 use linkcast_types::{
@@ -79,6 +89,10 @@ fn main() {
     fewest.sort_by_key(|&a| stars[a]);
     let most: Vec<usize> = fewest.iter().rev().copied().collect();
 
+    let (observed, observed_tte) = (
+        observe(&schema, &subs, &events, false),
+        observe(&schema, &subs, &events, true),
+    );
     let configs: Vec<(&str, OrderPolicy, bool)> = vec![
         ("schema order", OrderPolicy::Schema, false),
         ("schema order + TTE", OrderPolicy::Schema, true),
@@ -98,6 +112,16 @@ fn main() {
             false,
         ),
         ("most-stars-first + TTE", OrderPolicy::Explicit(most), true),
+        (
+            "observed",
+            OrderPolicy::Explicit(observed.order.clone()),
+            false,
+        ),
+        (
+            "observed + TTE",
+            OrderPolicy::Explicit(observed_tte.order.clone()),
+            true,
+        ),
     ];
     let mut rows = Vec::new();
     let mut reference: Option<Vec<Vec<SubscriptionId>>> = None;
@@ -133,10 +157,126 @@ fn main() {
         &["steps/event", "tree nodes"],
         &rows,
     );
+    for (name, seen) in [("observed", &observed), ("observed + TTE", &observed_tte)] {
+        println!(
+            "{name}: settled in {:?} after {} walked events, {} rebuilds of which {} \
+             taken back; link-matching walk {:.1} -> {:.1} steps/event; modelled cost \
+             {:.2} against {:.2} for {:?}, which would walk {:.1}",
+            seen.order,
+            seen.walked,
+            seen.rebuilds,
+            seen.reverts,
+            seen.steps_before,
+            seen.steps_after,
+            seen.cost,
+            seen.proposed_cost,
+            seen.proposed,
+            seen.steps_proposed
+        );
+    }
     println!(
         "\nPaper heuristic (fewest `*` near the root) + trivial test elimination is\n\
          the winning configuration. Note the interaction: early partitioning by\n\
          selective attributes duplicates `*`-chains across subtrees, so the\n\
          heuristic *needs* chain skipping to pay off."
     );
+}
+
+/// Where a broker's engine ends up when it orders the attributes itself.
+#[derive(Default)]
+struct Observed {
+    /// The order it settled in.
+    order: Vec<usize>,
+    walked: usize,
+    rebuilds: usize,
+    /// Rebuilds that went back to the order before, the first interval
+    /// under the new one having walked no fewer steps.
+    reverts: usize,
+    /// Arena steps per event over the first and over the last pass.
+    steps_before: f64,
+    steps_after: f64,
+    /// What the last evidence made of the settled order, and of the order
+    /// it would have liked better.
+    cost: f64,
+    proposed_cost: f64,
+    proposed: Vec<usize>,
+    /// Arena steps per event of an engine built in `proposed`.
+    steps_proposed: f64,
+}
+
+fn observe(schema: &EventSchema, subs: &[Subscription], events: &[Event], tte: bool) -> Observed {
+    let mut net = NetworkBuilder::new();
+    let brokers = net.add_brokers(2);
+    net.connect(brokers[0], brokers[1], 5.0).unwrap();
+    let home = brokers[1];
+    let clients: Vec<_> = (0..32).map(|_| net.add_client(home).unwrap()).collect();
+    let fabric = RoutingFabric::new_all_roots(net.build().unwrap()).unwrap();
+    let tree = fabric.tree_for(brokers[0]).unwrap();
+    let local = subs.iter().enumerate().map(|(i, sub)| {
+        let subscriber = SubscriberId::new(home, clients[i % clients.len()]);
+        Subscription::new(sub.id(), subscriber, sub.predicate().clone())
+    });
+    let mut engine = LinkMatchEngine::with_subscriptions(
+        home,
+        schema.clone(),
+        PstOptions::default().with_trivial_test_elimination(tte),
+        LinkSpace::build(fabric.network(), fabric.forest(), home),
+        local,
+    )
+    .unwrap();
+
+    let mut scratch = RouteScratch::new();
+    let mut links = Vec::new();
+    let mut seen = Observed::default();
+    let mut replaced: Option<Vec<usize>> = None;
+    let mut quiet_checks = 0;
+    while quiet_checks < 4 {
+        let mut pass = MatchStats::new();
+        for event in events {
+            engine.match_links_into(event, tree, &mut scratch, &mut pass, &mut links);
+            seen.walked += 1;
+            let due = scratch.order_check_due();
+            if due {
+                let report = engine.order_report(&scratch);
+                (seen.cost, seen.proposed_cost) = (report.current_cost, report.proposed_cost);
+                seen.proposed = report.proposed;
+            }
+            let before = engine.pst().order().to_vec();
+            if engine.adapt_order(&mut scratch) {
+                seen.rebuilds += 1;
+                quiet_checks = 0;
+                let went_back = replaced.as_deref() == Some(engine.pst().order());
+                seen.reverts += usize::from(went_back);
+                replaced = (!went_back).then_some(before);
+            } else if due {
+                quiet_checks += 1;
+                replaced = None;
+            }
+        }
+        if seen.walked == events.len() {
+            seen.steps_before = pass.steps_per_event();
+        }
+        seen.steps_after = pass.steps_per_event();
+    }
+    seen.order = engine.pst().order().to_vec();
+
+    // What the walk would cost in the order the evidence liked better —
+    // what the factor-of-two rule passed up, or was right to.
+    let subscriptions: Vec<_> = engine.pst().subscriptions().cloned().collect();
+    let liked = LinkMatchEngine::with_subscriptions(
+        home,
+        schema.clone(),
+        PstOptions::default()
+            .with_order(OrderPolicy::Explicit(seen.proposed.clone()))
+            .with_trivial_test_elimination(tte),
+        LinkSpace::build(fabric.network(), fabric.forest(), home),
+        subscriptions,
+    )
+    .unwrap();
+    let mut pass = MatchStats::new();
+    for event in events {
+        liked.match_links_into(event, tree, &mut scratch, &mut pass, &mut links);
+    }
+    seen.steps_proposed = pass.steps_per_event();
+    seen
 }

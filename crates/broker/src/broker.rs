@@ -2138,6 +2138,16 @@ impl EngineLoop {
         if let Some(shard_stats) = self.match_stats.first() {
             *shard_stats.lock() += stats;
         }
+        // Between events, and only once enough of them have walked the
+        // tree: the per-event path above takes the read lock alone.
+        if self.route_scratch.order_check_due() {
+            let rebuilt = self.engine.write().adapt_orders(&mut self.route_scratch);
+            if rebuilt > 0 {
+                self.stats
+                    .order_rebuilds
+                    .fetch_add(rebuilt, Ordering::Relaxed);
+            }
+        }
         links
     }
 

@@ -217,6 +217,17 @@ impl MatchingEngine {
         );
     }
 
+    /// Lets every information space whose walks through `scratch` have
+    /// made an order check due reconsider its attribute order
+    /// ([`LinkMatchEngine::adapt_order`]); returns how many rebuilt. The
+    /// caller holds the write lock, so it asks
+    /// [`RouteScratch::order_check_due`] first and comes here between
+    /// events only.
+    pub fn adapt_orders(&mut self, scratch: &mut RouteScratch) -> u64 {
+        let rebuilt = self.engines.iter_mut().map(|e| e.adapt_order(scratch));
+        rebuilt.map(u64::from).sum()
+    }
+
     /// Looks up a registered subscription.
     pub fn subscription(&self, id: SubscriptionId) -> Option<&Subscription> {
         let schema = self.subscription_schema.get(&id)?;

@@ -834,6 +834,7 @@ mod tests {
                 epoch_flips: 23,
                 stale_epoch_drops: 24,
                 rerouted_frames: 25,
+                order_rebuilds: 26,
             }),
         ];
         for m in messages {
@@ -1043,8 +1044,8 @@ mod tests {
     #[test]
     fn stats_ignores_longer_newer_payloads() {
         let reg = registry();
-        // A 29-counter payload from a future build: the 25 counters this
-        // build knows decode in wire order, the 4 extra are ignored.
+        // A 29-counter payload from a future build: the 26 counters this
+        // build knows decode in wire order, the 3 extra are ignored.
         let counters: Vec<u64> = (1..=29).collect();
         match BrokerToClient::decode(stats_payload(&counters), &reg).unwrap() {
             BrokerToClient::Stats(c) => {
@@ -1052,6 +1053,7 @@ mod tests {
                 assert_eq!(c.match_cache_invalidations, 16);
                 assert_eq!(c.recoveries, 21);
                 assert_eq!(c.rerouted_frames, 25);
+                assert_eq!(c.order_rebuilds, 26);
             }
             other => panic!("expected stats, got {other:?}"),
         }

@@ -279,6 +279,8 @@ pub struct MatchArena {
     tested: Vec<usize>,
     /// Upper bound on the walk's stack depth (root-to-leaf node count).
     max_depth: usize,
+    /// Attributes of the schema: what a [`WalkEvidence`] is sized for.
+    arity: usize,
     /// Work buffer for the prefix a run is being built with (empty between
     /// calls; kept for its capacity, so a subscribe allocates nothing here).
     run_tests: Vec<(AttrTest, u32)>,
@@ -301,6 +303,7 @@ impl MatchArena {
             factored: pst.factored().to_vec(),
             tested: pst.factored().to_vec(),
             max_depth: pst.order().len() + 1,
+            arity: pst.schema().arity(),
             map: vec![NONE; pst.arena_size()],
             ..MatchArena::default()
         };
@@ -790,16 +793,21 @@ impl MatchArena {
     /// `subsearch`'s order, with its early exits, to its result; it counts
     /// a step per *arena* node entered, so a run of `k` PST nodes (like a
     /// skipped trivial chain) costs one step where `subsearch` counts `k`,
-    /// and one comparison per prefix test.
+    /// and one comparison per prefix test. What the edge tests it evaluates
+    /// come to, attribute by attribute, goes into `evidence` along with the
+    /// walk's steps.
     pub fn search(
         &self,
         event: &Event,
         scratch: &mut MatchScratch,
+        evidence: &mut WalkEvidence,
         stats: &mut MatchStats,
     ) -> bool {
         let Some(root) = self.root_for_event(event) else {
             return false;
         };
+        evidence.size_for(self.arity);
+        let entered = stats.steps;
         scratch.ensure(self.max_depth + 2, self.width);
         scratch.frames.clear();
         scratch.frames.push(Frame {
@@ -841,7 +849,9 @@ impl MatchArena {
                     for (test, attr) in tests.iter().zip(attrs).rev() {
                         stats.comparisons += 1;
                         let value = values.get(*attr as usize);
-                        if !value.is_some_and(|v| test.matches(v)) {
+                        let holds = value.is_some_and(|v| test.matches(v));
+                        evidence.record(*attr, 1, holds);
+                        if !holds {
                             scratch.slot_mut(depth).maybes_to_no_in_place();
                             unwind(scratch);
                             continue 'walk;
@@ -853,17 +863,17 @@ impl MatchArena {
                     let range_start = ranges.map_or(0, |span| span.start);
                     set_top(scratch, FrameState::Ranges, range_start);
                     stats.comparisons += 1;
-                    if let Some(child) = self.eq_lookup(node, values) {
+                    let child = self.eq_lookup(node, values);
+                    evidence.record(attr, self.eq.len(node as usize) as u64, child.is_some());
+                    if let Some(child) = child {
                         scratch.descend(depth, child);
                     }
                 }
                 FrameState::Ranges => {
                     let ranges = self.ranges.spans.get(node as usize);
                     let range_end = ranges.map_or(0, |span| span.start + span.len);
-                    let value = self
-                        .attr
-                        .get(node as usize)
-                        .and_then(|&a| values.get(a as usize));
+                    let attr = self.attr.get(node as usize).copied().unwrap_or(NONE);
+                    let value = values.get(attr as usize);
                     let mut cur = cursor;
                     let mut child = None;
                     while cur < range_end {
@@ -879,6 +889,7 @@ impl MatchArena {
                             break;
                         }
                     }
+                    evidence.record(attr, u64::from(cur - cursor), child.is_some());
                     let next = if child.is_some() {
                         FrameState::Ranges
                     } else {
@@ -903,6 +914,7 @@ impl MatchArena {
                 }
             }
         }
+        evidence.count_walk(stats.steps - entered);
         true
     }
 
@@ -1028,6 +1040,64 @@ enum FrameState {
     Star,
     /// All children absorbed; terminate the node.
     Done,
+}
+
+/// What [`MatchArena::search`] has observed since it was last cleared: per
+/// attribute, how many edge tests the walks evaluated and how many of them
+/// held, plus the walks themselves and the steps they took. A prefix test
+/// and a range edge count one test each; an equality lookup over `k`
+/// labels counts `k` evaluated and at most one satisfied, which is what it
+/// decides. Caller-owned like the scratch pool, and only ever added to on
+/// the match path: the engine reads and clears it between events, when it
+/// reconsiders its attribute order.
+#[derive(Debug, Clone, Default)]
+pub struct WalkEvidence {
+    /// `(evaluated, satisfied)` per attribute index.
+    tests: Vec<(u64, u64)>,
+    walks: u64,
+    steps: u64,
+}
+
+impl WalkEvidence {
+    /// Edge tests on `attr` evaluated and satisfied.
+    pub(crate) fn tests(&self, attr: usize) -> (u64, u64) {
+        self.tests.get(attr).copied().unwrap_or_default()
+    }
+
+    /// Searches that walked the tree.
+    pub(crate) fn walks(&self) -> u64 {
+        self.walks
+    }
+
+    /// Steps those walks took.
+    pub(crate) fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Forgets everything observed so far.
+    pub(crate) fn clear(&mut self) {
+        self.tests.iter_mut().for_each(|t| *t = (0, 0));
+        self.walks = 0;
+        self.steps = 0;
+    }
+
+    fn size_for(&mut self, arity: usize) {
+        if self.tests.len() < arity {
+            self.tests.resize(arity, (0, 0));
+        }
+    }
+
+    fn record(&mut self, attr: u32, evaluated: u64, satisfied: bool) {
+        if let Some((tested, passed)) = self.tests.get_mut(attr as usize) {
+            *tested += evaluated;
+            *passed += u64::from(satisfied);
+        }
+    }
+
+    fn count_walk(&mut self, steps: u64) {
+        self.walks += 1;
+        self.steps += steps;
+    }
 }
 
 /// Reusable mask pool and frame stack for [`MatchArena::search`]: one

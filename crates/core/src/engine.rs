@@ -1,14 +1,20 @@
 //! The per-broker link-matching engine: an annotated parallel search tree.
 
-use linkcast_matching::{MatchStats, Matcher, NodeId, ParallelScratch, Pst, PstOptions};
+use linkcast_matching::{
+    MatchStats, Matcher, NodeId, OrderPolicy, ParallelScratch, Pst, PstOptions,
+};
 use linkcast_types::{Event, EventSchema, LinkId, Subscription, SubscriptionId, TritVec};
 
 use crate::annotate::Annotations;
+use crate::arena::WalkEvidence;
+use crate::order::{self, OrderReport, FIRST_CHECK_WALKS};
 use crate::{LinkSpace, MatchArena, MatchScratch, Result, TreeId};
 
 /// Reusable buffers for the engine's allocation-free match paths: the
 /// arena walk's mask pool, the parallel walk's frontier/worker buffers,
-/// and the parallel path's matched-set and `Yes`-accumulator vectors.
+/// and the parallel path's matched-set and `Yes`-accumulator vectors —
+/// plus what the arena walks have observed of each information space's
+/// tests since its engine last reconsidered its attribute order.
 /// Owned per matching shard (or per bench thread) and handed down by
 /// `&mut` — shard-private plain data, no lock.
 #[derive(Debug)]
@@ -18,6 +24,8 @@ pub struct RouteScratch {
     matched: Vec<SubscriptionId>,
     yes: TritVec,
     absorbed: TritVec,
+    /// Indexed by schema id: one scratch serves every space of a broker.
+    orders: Vec<OrderEvidence>,
 }
 
 impl RouteScratch {
@@ -25,6 +33,44 @@ impl RouteScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Whether some engine fed through this scratch has walked enough
+    /// events since its last order check for
+    /// [`LinkMatchEngine::adapt_order`] to have something to decide.
+    pub fn order_check_due(&self) -> bool {
+        self.orders.iter().any(OrderEvidence::due)
+    }
+}
+
+/// One information space's walk evidence and the pacing of its checks.
+#[derive(Debug, Default)]
+struct OrderEvidence {
+    walk: WalkEvidence,
+    /// Checks since the last rebuild that left the order alone: each one
+    /// doubles the walks the next waits for, so a table that has settled
+    /// is looked at O(log events) times.
+    quiet_checks: u32,
+}
+
+impl OrderEvidence {
+    fn due(&self) -> bool {
+        self.walk.walks() >= FIRST_CHECK_WALKS << self.quiet_checks.min(32)
+    }
+
+    /// Starts the next interval on fresh counters.
+    fn settle(&mut self, rebuilt: bool) {
+        self.walk.clear();
+        self.quiet_checks = if rebuilt { 0 } else { self.quiet_checks + 1 };
+    }
+}
+
+/// A rebuild awaiting its verdict: the order it replaced and the walk cost
+/// of the interval that justified it.
+#[derive(Debug, Clone)]
+struct Trial {
+    previous: Vec<usize>,
+    walks: u64,
+    steps: u64,
 }
 
 impl Default for RouteScratch {
@@ -35,6 +81,7 @@ impl Default for RouteScratch {
             matched: Vec::new(),
             yes: TritVec::no(0),
             absorbed: TritVec::no(0),
+            orders: Vec::new(),
         }
     }
 }
@@ -99,6 +146,18 @@ pub struct LinkMatchEngine {
     /// [`MatchCache`](crate::MatchCache) keyed under an old generation
     /// flushes itself on its next lookup.
     generation: u64,
+    /// Per attribute, the live subscriptions that constrain it (hold a
+    /// test other than `*`).
+    constrained: Vec<u64>,
+    /// Whether the attribute order is the engine's to choose: not when the
+    /// operator pinned an [`OrderPolicy::Explicit`] one.
+    adaptive: bool,
+    /// Subscribes and unsubscribes so far.
+    mutations: u64,
+    /// The latest order rebuild, until its first interval has been judged.
+    trial: Option<Trial>,
+    /// The order a trial was reverted from, with `mutations` at that time.
+    rejected: Option<(Vec<usize>, u64)>,
 }
 
 impl LinkMatchEngine {
@@ -113,16 +172,7 @@ impl LinkMatchEngine {
         options: PstOptions,
         space: LinkSpace,
     ) -> Result<Self> {
-        let pst = Pst::new(schema, options)?;
-        let arena = MatchArena::build(&pst, &[], &space);
-        Ok(LinkMatchEngine {
-            broker,
-            annotations: Annotations::new(space.width()),
-            space,
-            pst,
-            arena,
-            generation: 0,
-        })
+        Self::with_subscriptions(broker, schema, options, space, [])
     }
 
     /// Creates an engine pre-loaded with a subscription set (the attribute
@@ -138,6 +188,8 @@ impl LinkMatchEngine {
         space: LinkSpace,
         subscriptions: impl IntoIterator<Item = Subscription>,
     ) -> Result<Self> {
+        let adaptive = !matches!(options.order, OrderPolicy::Explicit(_));
+        let arity = schema.arity();
         let pst = Pst::build(schema, subscriptions, options)?;
         let mut engine = LinkMatchEngine {
             broker,
@@ -146,9 +198,17 @@ impl LinkMatchEngine {
             pst,
             arena: MatchArena::default(),
             generation: 0,
+            constrained: vec![0; arity],
+            adaptive,
+            mutations: 0,
+            trial: None,
+            rejected: None,
         };
         engine.annotations.rebuild(&engine.pst, &engine.space);
         engine.rebuild_arena();
+        for subscription in engine.pst.subscriptions() {
+            count_constraints(&mut engine.constrained, subscription, true);
+        }
         Ok(engine)
     }
 
@@ -181,12 +241,17 @@ impl LinkMatchEngine {
     /// Duplicate ids or schema mismatches, from the PST.
     pub fn subscribe(&mut self, subscription: Subscription) -> Result<()> {
         let client = subscription.subscriber().client;
+        let id = subscription.id();
         let report = self.pst.insert_reported(subscription)?;
+        if let Some(subscription) = self.pst.subscription(id) {
+            count_constraints(&mut self.constrained, subscription, true);
+        }
         for path in &report.paths {
             self.annotations
                 .apply(&self.pst, &self.space, path, client, true);
         }
         self.generation += 1;
+        self.mutations += 1;
         self.arena
             .apply_mutation(&self.pst, &report, self.annotations.as_slice());
         Ok(())
@@ -195,9 +260,11 @@ impl LinkMatchEngine {
     /// Removes a subscription, pruning and re-annotating in place. Returns
     /// whether the id was registered.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        let Some(client) = self.pst.subscription(id).map(|s| s.subscriber().client) else {
+        let Some(subscription) = self.pst.subscription(id) else {
             return false;
         };
+        let client = subscription.subscriber().client;
+        count_constraints(&mut self.constrained, subscription, false);
         let Some(report) = self.pst.remove_reported(id) else {
             return false;
         };
@@ -206,6 +273,7 @@ impl LinkMatchEngine {
                 .apply(&self.pst, &self.space, path, client, false);
         }
         self.generation += 1;
+        self.mutations += 1;
         self.arena
             .apply_mutation(&self.pst, &report, self.annotations.as_slice());
         true
@@ -262,7 +330,17 @@ impl LinkMatchEngine {
             return;
         }
         scratch.walk.seed(init);
-        if !self.arena.search(event, &mut scratch.walk, stats) {
+        let space = self.space_index();
+        if scratch.orders.len() <= space {
+            scratch
+                .orders
+                .resize_with(space + 1, OrderEvidence::default);
+        }
+        let Some(evidence) = scratch.orders.get_mut(space) else {
+            return;
+        };
+        let walk = &mut scratch.walk;
+        if !self.arena.search(event, walk, &mut evidence.walk, stats) {
             // No subscription exists under the event's factor key.
             return;
         }
@@ -404,6 +482,116 @@ impl LinkMatchEngine {
         self.arena.tested_attributes()
     }
 
+    /// Reconsiders the attribute order in the light of what the arena
+    /// walks fed through `scratch` have observed, and rebuilds the engine in
+    /// a better one if there is one. Returns whether it rebuilt.
+    ///
+    /// Does nothing until 256 events have walked the tree since the last
+    /// check or rebuild, twice as many after every check that
+    /// left the order alone — so it may be called after every event, or
+    /// only when [`RouteScratch::order_check_due`] says so. A check prices
+    /// the current order and the one ascending by observed survival
+    /// ([`order_report`](Self::order_report)) and rebuilds when the current
+    /// one costs at least twice the proposal: the live subscriptions
+    /// inserted in id order into a fresh tree, re-annotated and
+    /// re-flattened — what [`with_subscriptions`](Self::with_subscriptions)
+    /// builds for that explicit order — under a new
+    /// [`generation`](Self::generation). The model is not trusted: if the
+    /// first interval under a new order does not walk fewer steps per event
+    /// than the interval that asked for it, the engine rebuilds back and
+    /// leaves that order alone until as many subscribes and unsubscribes as
+    /// it holds subscriptions have passed. Everything here is a function of
+    /// counts; no clock is read.
+    ///
+    /// An order the operator pinned ([`OrderPolicy::Explicit`]) is never
+    /// changed, and factored attributes keep their place.
+    pub fn adapt_order(&mut self, scratch: &mut RouteScratch) -> bool {
+        let due = scratch.orders.get_mut(self.space_index());
+        let Some(evidence) = due.filter(|e| e.due()) else {
+            return false;
+        };
+        let rebuilt = self.adaptive && self.check_order(&evidence.walk);
+        evidence.settle(rebuilt);
+        rebuilt
+    }
+
+    /// One due order check over `evidence`: the verdict on a pending trial
+    /// first, then the proposal.
+    fn check_order(&mut self, evidence: &WalkEvidence) -> bool {
+        let (walks, steps) = (evidence.walks(), evidence.steps());
+        if let Some(trial) = self.trial.take() {
+            // steps/walks now >= steps/walks then: no gain, go back.
+            let no_lower = u128::from(steps) * u128::from(trial.walks)
+                >= u128::from(trial.steps) * u128::from(walks);
+            let tried = self.pst.order().to_vec();
+            if no_lower && self.rebuild_in_order(&trial.previous) {
+                self.rejected = Some((tried, self.mutations));
+                return true;
+            }
+        }
+        let report = self.assess(evidence);
+        let barred = self.rejected.as_ref().is_some_and(|(order, since)| {
+            *order == report.proposed && self.mutations - since < self.pst.len() as u64
+        });
+        if barred || !report.worth_rebuilding() {
+            return false;
+        }
+        let previous = self.pst.order().to_vec();
+        if !self.rebuild_in_order(&report.proposed) {
+            return false;
+        }
+        self.trial = Some(Trial {
+            previous,
+            walks,
+            steps,
+        });
+        true
+    }
+
+    /// Why the attribute order is what it is, on the evidence `scratch` has
+    /// gathered since this engine's last check: per level the subscriptions
+    /// constraining it, the edge tests evaluated and satisfied, and the
+    /// survival estimated from them; the modelled cost of the current order
+    /// and of the one [`adapt_order`](Self::adapt_order) would propose.
+    pub fn order_report(&self, scratch: &RouteScratch) -> OrderReport {
+        let none = WalkEvidence::default();
+        let evidence = scratch.orders.get(self.space_index());
+        self.assess(evidence.map_or(&none, |e| &e.walk))
+    }
+
+    /// Which of a [`RouteScratch`]'s evidence slots is this engine's: its
+    /// information space's schema id.
+    fn space_index(&self) -> usize {
+        self.pst.schema().id().index()
+    }
+
+    fn assess(&self, evidence: &WalkEvidence) -> OrderReport {
+        order::assess(
+            self.pst.order(),
+            &self.constrained,
+            self.pst.len(),
+            evidence,
+        )
+    }
+
+    /// Rebuilds tree, annotations and arena with the non-factored
+    /// attributes tested in `order`, from the live subscriptions in id
+    /// order: a function of the subscription set and the order alone,
+    /// whatever history led here. `false` (and no change) if the tree
+    /// cannot be built.
+    fn rebuild_in_order(&mut self, order: &[usize]) -> bool {
+        let mut subscriptions: Vec<Subscription> = self.pst.subscriptions().cloned().collect();
+        subscriptions.sort_unstable_by_key(Subscription::id);
+        let full = self.pst.factored().iter().chain(order).copied().collect();
+        let options = (self.pst.options().clone()).with_order(OrderPolicy::Explicit(full));
+        let Ok(pst) = Pst::build(self.pst.schema().clone(), subscriptions, options) else {
+            return false;
+        };
+        self.pst = pst;
+        self.rebuild_annotations();
+        true
+    }
+
     /// Recompiles the arena from the current PST and annotations.
     fn rebuild_arena(&mut self) {
         self.arena = MatchArena::build(&self.pst, self.annotations.as_slice(), &self.space);
@@ -476,5 +664,16 @@ impl LinkMatchEngine {
         self.annotations.rebuild(&self.pst, &self.space);
         self.generation += 1;
         self.rebuild_arena();
+    }
+}
+
+/// Counts `subscription` into (or out of) the per-attribute tallies of
+/// subscriptions that constrain the attribute.
+fn count_constraints(constrained: &mut [u64], subscription: &Subscription, add: bool) {
+    let tests = subscription.predicate().tests();
+    for (count, test) in constrained.iter_mut().zip(tests) {
+        if !test.is_wildcard() {
+            *count = if add { *count + 1 } else { *count - 1 };
+        }
     }
 }

@@ -893,6 +893,53 @@ fn run_shape(
     pst.postorder().into_iter().map(shape).collect()
 }
 
+/// How a config of the property test below draws predicates and events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Traffic {
+    /// Every attribute alike, events inside the domains: the evidence is
+    /// flat and the order has no reason to move.
+    Uniform,
+    /// The population grows for [`SHIFT_PHASE`] steps and shrinks for as
+    /// many, and every time it has shrunk the attribute the engine
+    /// currently tests *last* turns hot: predicates born from then on all
+    /// put an equality test on it and mostly `*` elsewhere, and most events
+    /// carry the one value those tests never name. As the older
+    /// subscriptions go (oldest first), the evidence comes to ask for the
+    /// hot attribute at the root.
+    Shifting,
+    /// Predicates test the last attribute only, by narrow ranges, and an
+    /// event satisfies one or two of those that are live: the model sees a
+    /// selective attribute under levels nobody constrains and promotes it;
+    /// with trivial-test elimination off the `*` chain replicated under
+    /// every range edge costs the steps the shared one did and more, and
+    /// the engine must notice and go back.
+    Reverting,
+}
+
+/// Steps a [`Traffic::Shifting`] population grows, and then shrinks, for.
+const SHIFT_PHASE: usize = 170;
+/// Distinct range tests a [`Traffic::Reverting`] config draws from.
+const REVERT_RANGES: i64 = 24;
+
+/// What the order adaptation did over one config of the property test.
+#[derive(Debug, Default, Clone, Copy)]
+struct Adaptations {
+    /// Engine rebuilds in another order, either way.
+    rebuilds: usize,
+    /// Rebuilds whose first interval walked fewer steps: the trial stood.
+    confirmed: usize,
+    /// Rebuilds back to the order a trial had replaced.
+    reverts: usize,
+}
+
+impl std::ops::AddAssign for Adaptations {
+    fn add_assign(&mut self, rhs: Self) {
+        self.rebuilds += rhs.rebuilds;
+        self.confirmed += rhs.confirmed;
+        self.reverts += rhs.reverts;
+    }
+}
+
 /// The tentpole property: after **every** step of a long random
 /// subscribe/unsubscribe sequence — equality, range and `*` edges, shared
 /// prefixes, duplicate predicates, factoring on and off — the
@@ -908,192 +955,400 @@ fn run_shape(
 /// long single-choice chains, and must be seen to form runs of three and
 /// more nodes, cut them (a newcomer parting ways mid-run; an annotation
 /// that stops equalling the child's) and rejoin them after an unsubscribe.
+///
+/// Every step also feeds its events through the engine's own scratch and
+/// lets it reconsider its attribute order ([`LinkMatchEngine::adapt_order`]),
+/// so all of the above holds across order rebuilds too, and right after
+/// one the engine *is* — annotated tree, arena summary, steps and
+/// comparisons on a probe set — what `with_subscriptions` builds from the
+/// live subscriptions in id order for that explicit order. The
+/// [`Traffic::Uniform`] configs have no reason to rebuild (the pinned one
+/// must not); the shifting and reverting ones make each family rebuild at
+/// least ten times, keep at least one trial and revert at least one.
 #[test]
 fn incremental_engine_equals_scratch_after_every_step() {
-    const STEPS: usize = 2000;
     let wide = (churn_schema(), vec![3, 4, 40], 3);
     let deep = (deep_schema(), vec![2, 3, 3, 3, 3, 3], 1);
+    let tte = || PstOptions::default().with_trivial_test_elimination(true);
+    let pinned = OrderPolicy::Explicit(vec![2, 0, 1]);
     let configs = [
-        (&wide, PstOptions::default()),
-        (
-            &wide,
-            PstOptions::default()
-                .with_factoring(1)
-                .with_trivial_test_elimination(true),
-        ),
-        (
-            &wide,
-            PstOptions::default()
-                .with_order(OrderPolicy::Explicit(vec![2, 0, 1]))
-                .with_trivial_test_elimination(true),
-        ),
-        (&deep, PstOptions::default()),
-        (
-            &deep,
-            PstOptions::default().with_trivial_test_elimination(true),
-        ),
+        (&wide, PstOptions::default(), Traffic::Uniform),
+        (&wide, tte().with_factoring(1), Traffic::Uniform),
+        (&wide, tte().with_order(pinned), Traffic::Uniform),
+        (&deep, PstOptions::default(), Traffic::Uniform),
+        (&deep, tte(), Traffic::Uniform),
+        (&wide, PstOptions::default(), Traffic::Shifting),
+        (&deep, tte().with_factoring(1), Traffic::Shifting),
+        (&wide, tte(), Traffic::Reverting),
+        (&deep, tte(), Traffic::Reverting),
     ];
-    for (ci, ((schema, domains, stars), options)) in configs.iter().enumerate() {
-        let deep = domains.len() >= 6;
-        let mut rng = StdRng::seed_from_u64(0x1ca5_7000 + ci as u64);
-        let (fabric, clients) = random_tree_network(&mut rng, 4);
-        let broker = fabric.network().brokers().nth(1).unwrap();
-        let space = LinkSpace::build(fabric.network(), fabric.forest(), broker);
-        let trees: Vec<_> = fabric
-            .network()
-            .brokers()
-            .map(|b| fabric.tree_for(b).unwrap())
-            .collect();
-        let mut engine =
-            LinkMatchEngine::new(broker, schema.clone(), options.clone(), space.clone()).unwrap();
-        let mut live: Vec<linkcast_types::Subscription> = Vec::new();
-        let mut next_id = 0u32;
-        let mut peak = 0;
-        let mut scratch = crate::RouteScratch::new();
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        // Steps at which some run held three or more nodes; nodes that
-        // left a run because their edges changed, or only an annotation
-        // did; nodes an unsubscribe put (back) into one.
-        let (mut long_runs, mut mid_run_splits, mut flip_splits, mut merges) = (0, 0, 0, 0);
-
-        for step in 0..STEPS {
-            let before = run_shape(&engine);
-            // Alternate growth and decay so spans grow past the range-index
-            // threshold, relocate, drain to empty and are reused.
-            let grow = if (step / 250) % 2 == 0 { 0.7 } else { 0.3 };
-            let subscribing = live.is_empty() || rng.random_bool(grow);
-            if subscribing {
-                let client = clients[rng.random_range(0..clients.len())];
-                let predicate = if !live.is_empty() && rng.random_bool(0.15) {
-                    let twin = live[rng.random_range(0..live.len())].predicate();
-                    if deep && rng.random_bool(0.5) {
-                        // Same prefix, `*` from some level on: the `*` edge
-                        // it hangs under a shared node puts a Yes into that
-                        // node's annotation and takes it out of its
-                        // parent's run without touching the parent's edges.
-                        let keep = rng.random_range(1..domains.len());
-                        let mut tests = twin.tests().to_vec();
-                        tests.iter_mut().skip(keep).for_each(|t| *t = AttrTest::Any);
-                        Predicate::from_tests(schema, tests).unwrap()
-                    } else {
-                        twin.clone()
-                    }
-                } else {
-                    let tests: Vec<_> = domains
-                        .iter()
-                        .map(|domain| churn_test(&mut rng, *domain, *stars))
-                        .collect();
-                    Predicate::from_tests(schema, tests).unwrap()
-                };
-                let home = fabric.network().home_broker(client).unwrap();
-                let sub = linkcast_types::Subscription::new(
-                    linkcast_types::SubscriptionId::new(next_id),
-                    linkcast_types::SubscriberId::new(home, client),
-                    predicate,
-                );
-                next_id += 1;
-                live.push(sub.clone());
-                engine.subscribe(sub).unwrap();
-            } else {
-                let gone = live.swap_remove(rng.random_range(0..live.len()));
-                assert!(engine.unsubscribe(gone.id()));
-            }
-            peak = peak.max(live.len());
-            let context = format!("config {ci}, step {step}");
-            engine.pst().check_invariants().unwrap();
-            assert_eq!(engine.subscription_count(), live.len(), "{context}");
-            let arena = engine.arena();
-            assert_eq!(
-                arena.covered_nodes(),
-                engine.pst().node_count(),
-                "{context}"
-            );
-            assert!(arena.node_count() <= arena.covered_nodes(), "{context}");
-            let after = run_shape(&engine);
-            let absorbed = after.values().filter_map(|(child, _)| *child);
-            assert_eq!(arena.summary().prefix_tests, absorbed.count(), "{context}");
-            let absorbs_twice = |(child, _): &(Option<_>, usize)| {
-                child.is_some_and(|c| after.get(&c).is_some_and(|(next, _)| next.is_some()))
-            };
-            long_runs += usize::from(after.values().any(absorbs_twice));
-            for (id, (now, children)) in &after {
-                let Some((was, children_before)) = before.get(id) else {
-                    continue;
-                };
-                let same_edges = children == children_before;
-                mid_run_splits += usize::from(was.is_some() && now.is_none() && !same_edges);
-                flip_splits += usize::from(was.is_some() && now.is_none() && same_edges);
-                merges += usize::from(!subscribing && was.is_none() && now.is_some());
-            }
-
-            let fresh = LinkMatchEngine::with_subscriptions(
-                broker,
-                schema.clone(),
-                options.clone(),
-                space.clone(),
-                in_tree_order(&engine),
-            )
-            .unwrap();
-            assert_same_annotated_tree(&engine, &fresh, &context);
-            // The same tree, re-annotated and re-flattened from scratch:
-            // identical edge order by construction, so identical steps.
-            let mut recompiled = engine.clone();
-            recompiled.rebuild_annotations();
-            // Same runs; only the garbage (slack, free slots) may differ.
-            let runs = |e: &LinkMatchEngine| {
-                let s = e.arena().summary();
-                (s.nodes, s.covered_nodes, s.runs, s.prefix_tests)
-            };
-            assert_eq!(runs(&engine), runs(&recompiled), "{context}");
-            // The cache key: every attribute some node branches on, be the
-            // test an arena edge or absorbed into a prefix. Stale entries
-            // may linger until a compaction; none may be missing.
-            let tested = engine.tested_attributes();
-            for id in engine.pst().postorder() {
-                let node = engine.pst().node(id);
-                if !node.eq_edges().is_empty() || !node.range_edges().is_empty() {
-                    let attr = node.attribute().unwrap();
-                    assert!(tested.contains(&attr), "{context}: attribute {attr}");
-                }
-            }
-
-            for _ in 0..6 {
-                let values: Vec<i64> = domains.iter().map(|d| rng.random_range(0..*d)).collect();
-                let event = int_event(schema, &values);
-                for &tree in &trees {
-                    let mut stats = MatchStats::new();
-                    engine.match_links_into(&event, tree, &mut scratch, &mut stats, &mut got);
-                    let mut oracle_stats = MatchStats::new();
-                    let oracle = engine.match_links(&event, tree, &mut oracle_stats);
-                    assert_eq!(got, oracle, "{context}, event {values:?}: recursive search");
-                    assert!(stats.steps <= oracle_stats.steps, "{context}: {values:?}");
-                    let mut fresh_stats = MatchStats::new();
-                    fresh.match_links_into(&event, tree, &mut scratch, &mut fresh_stats, &mut want);
-                    assert_eq!(got, want, "{context}, event {values:?}: links");
-                    if options.factoring == 0 {
-                        // Without replication the depth-first order fixes
-                        // every range-edge list, so the walks coincide.
-                        assert_eq!(stats, fresh_stats, "{context}, event {values:?}");
-                    }
-                    let mut recompiled_stats = MatchStats::new();
-                    recompiled.match_links_into(
-                        &event,
-                        tree,
-                        &mut scratch,
-                        &mut recompiled_stats,
-                        &mut want,
-                    );
-                    assert_eq!(got, want, "{context}, event {values:?}: links");
-                    assert_eq!(stats, recompiled_stats, "{context}, event {values:?}");
-                }
-            }
+    let (mut wide_seen, mut deep_seen) = (Adaptations::default(), Adaptations::default());
+    for (ci, ((schema, domains, stars), options, traffic)) in configs.iter().enumerate() {
+        let seen = churn_against_scratch(ci, schema, domains, *stars, options, *traffic);
+        if matches!(options.order, OrderPolicy::Explicit(_)) {
+            assert_eq!(seen.rebuilds, 0, "config {ci}: a pinned order moved");
         }
-        assert!(peak >= 60, "config {ci}: population peaked at {peak}");
-        if deep {
-            let seen = [long_runs, mid_run_splits, flip_splits, merges];
-            assert!(seen.iter().all(|n| *n >= 10), "config {ci}: {seen:?}");
+        if *traffic != Traffic::Uniform {
+            assert!(seen.rebuilds >= 3, "config {ci}: {seen:?}");
+        }
+        if domains.len() >= 6 {
+            deep_seen += seen;
+        } else {
+            wide_seen += seen;
         }
     }
+    for (family, seen) in [("wide", wide_seen), ("deep", deep_seen)] {
+        assert!(
+            seen.rebuilds >= 10 && seen.confirmed >= 1 && seen.reverts >= 1,
+            "{family}: {seen:?}"
+        );
+    }
+}
+
+/// One config of [`incremental_engine_equals_scratch_after_every_step`].
+fn churn_against_scratch(
+    ci: usize,
+    schema: &EventSchema,
+    domains: &[i64],
+    stars: u32,
+    options: &PstOptions,
+    traffic: Traffic,
+) -> Adaptations {
+    const STEPS: usize = 2000;
+    let deep = domains.len() >= 6;
+    let mut rng = StdRng::seed_from_u64(0x1ca5_7000 + ci as u64);
+    let (fabric, clients) = random_tree_network(&mut rng, 4);
+    let broker = fabric.network().brokers().nth(1).unwrap();
+    let space = LinkSpace::build(fabric.network(), fabric.forest(), broker);
+    let trees: Vec<_> = fabric
+        .network()
+        .brokers()
+        .map(|b| fabric.tree_for(b).unwrap())
+        .collect();
+    let mut engine =
+        LinkMatchEngine::new(broker, schema.clone(), options.clone(), space.clone()).unwrap();
+    let factored = engine.pst().factored().to_vec();
+    let mut levels = engine.pst().order().to_vec();
+    levels.sort_unstable();
+    let last = domains.len() - 1;
+    // Values the reverting traffic's equality tests (on the attribute
+    // before the last) name: few enough that the three-level tree's
+    // current order still prices at twice the proposal.
+    let revert_values = if deep { 3 } else { 2 };
+    let mut live: Vec<linkcast_types::Subscription> = Vec::new();
+    let mut next_id = 0u32;
+    let mut peak = 0;
+    // The engine's own scratch holds its order evidence; the engines it
+    // is compared against walk through another.
+    let mut own_scratch = crate::RouteScratch::new();
+    let mut scratch = crate::RouteScratch::new();
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    // Steps at which some run held three or more nodes; nodes that
+    // left a run because their edges changed, or only an annotation
+    // did; nodes an unsubscribe put (back) into one.
+    let (mut long_runs, mut mid_run_splits, mut flip_splits, mut merges) = (0, 0, 0, 0);
+    let mut seen = Adaptations::default();
+    // The order a rebuild replaced, while its trial is out; events walked
+    // through `own_scratch` since the last rebuild.
+    let mut on_trial: Option<Vec<usize>> = None;
+    let mut walked_since_rebuild = 0u64;
+    let mut matched_somewhere = 0usize;
+    let mut hot = 0;
+
+    for step in 0..STEPS {
+        let before = run_shape(&engine);
+        if step % (2 * SHIFT_PHASE) == 0 {
+            hot = engine.pst().order().last().copied().unwrap_or(0);
+        }
+        // Alternate growth and decay so spans grow past the range-index
+        // threshold, relocate, drain to empty and are reused.
+        let half_cycle = if traffic == Traffic::Shifting {
+            SHIFT_PHASE
+        } else {
+            250
+        };
+        let grow = if (step / half_cycle) % 2 == 0 {
+            0.7
+        } else {
+            0.3
+        };
+        let subscribing = live.is_empty() || rng.random_bool(grow);
+        if subscribing {
+            let client = clients[rng.random_range(0..clients.len())];
+            let predicate = if !live.is_empty() && rng.random_bool(0.15) {
+                let twin = live[rng.random_range(0..live.len())].predicate();
+                if deep && rng.random_bool(0.5) {
+                    // Same prefix, `*` from some level on: the `*` edge
+                    // it hangs under a shared node puts a Yes into that
+                    // node's annotation and takes it out of its
+                    // parent's run without touching the parent's edges.
+                    let keep = rng.random_range(1..domains.len());
+                    let mut tests = twin.tests().to_vec();
+                    tests.iter_mut().skip(keep).for_each(|t| *t = AttrTest::Any);
+                    Predicate::from_tests(schema, tests).unwrap()
+                } else {
+                    twin.clone()
+                }
+            } else {
+                let tests: Vec<_> = domains
+                    .iter()
+                    .enumerate()
+                    .map(|(attr, domain)| match traffic {
+                        Traffic::Uniform => churn_test(&mut rng, *domain, stars),
+                        Traffic::Shifting if attr == hot => {
+                            AttrTest::Eq(Value::Int(rng.random_range(0..*domain - 1)))
+                        }
+                        Traffic::Shifting if rng.random_bool(0.75) => AttrTest::Any,
+                        Traffic::Shifting => churn_test(&mut rng, *domain, stars),
+                        Traffic::Reverting if attr == last => {
+                            let low = rng.random_range(0..REVERT_RANGES);
+                            AttrTest::Between(Value::Int(low), Value::Int(low + 1))
+                        }
+                        Traffic::Reverting if attr + 1 == last => {
+                            AttrTest::Eq(Value::Int(rng.random_range(0..revert_values)))
+                        }
+                        Traffic::Reverting => AttrTest::Any,
+                    })
+                    .collect();
+                Predicate::from_tests(schema, tests).unwrap()
+            };
+            let home = fabric.network().home_broker(client).unwrap();
+            let sub = linkcast_types::Subscription::new(
+                linkcast_types::SubscriptionId::new(next_id),
+                linkcast_types::SubscriberId::new(home, client),
+                predicate,
+            );
+            next_id += 1;
+            live.push(sub.clone());
+            engine.subscribe(sub).unwrap();
+        } else {
+            let gone = if traffic == Traffic::Shifting {
+                live.remove(rng.random_range(0..live.len().div_ceil(4)))
+            } else {
+                live.swap_remove(rng.random_range(0..live.len()))
+            };
+            assert!(engine.unsubscribe(gone.id()));
+        }
+        peak = peak.max(live.len());
+        let context = format!("config {ci}, step {step}");
+        engine.pst().check_invariants().unwrap();
+        assert_eq!(engine.subscription_count(), live.len(), "{context}");
+        let arena = engine.arena();
+        assert_eq!(
+            arena.covered_nodes(),
+            engine.pst().node_count(),
+            "{context}"
+        );
+        assert!(arena.node_count() <= arena.covered_nodes(), "{context}");
+        let after = run_shape(&engine);
+        let absorbed = after.values().filter_map(|(child, _)| *child);
+        assert_eq!(arena.summary().prefix_tests, absorbed.count(), "{context}");
+        let absorbs_twice = |(child, _): &(Option<_>, usize)| {
+            child.is_some_and(|c| after.get(&c).is_some_and(|(next, _)| next.is_some()))
+        };
+        long_runs += usize::from(after.values().any(absorbs_twice));
+        for (id, (now, children)) in &after {
+            let Some((was, children_before)) = before.get(id) else {
+                continue;
+            };
+            let same_edges = children == children_before;
+            mid_run_splits += usize::from(was.is_some() && now.is_none() && !same_edges);
+            flip_splits += usize::from(was.is_some() && now.is_none() && same_edges);
+            merges += usize::from(!subscribing && was.is_none() && now.is_some());
+        }
+
+        // Whatever order the engine is in by now, spelled out.
+        let in_its_order = |e: &LinkMatchEngine| {
+            let full = e.pst().factored().iter().chain(e.pst().order());
+            (options.clone()).with_order(OrderPolicy::Explicit(full.copied().collect()))
+        };
+        let fresh = LinkMatchEngine::with_subscriptions(
+            broker,
+            schema.clone(),
+            in_its_order(&engine),
+            space.clone(),
+            in_tree_order(&engine),
+        )
+        .unwrap();
+        assert_same_annotated_tree(&engine, &fresh, &context);
+        // The same tree, re-annotated and re-flattened from scratch:
+        // identical edge order by construction, so identical steps.
+        let mut recompiled = engine.clone();
+        recompiled.rebuild_annotations();
+        // Same runs; only the garbage (slack, free slots) may differ.
+        let runs = |e: &LinkMatchEngine| {
+            let s = e.arena().summary();
+            (s.nodes, s.covered_nodes, s.runs, s.prefix_tests)
+        };
+        assert_eq!(runs(&engine), runs(&recompiled), "{context}");
+        // The cache key: every attribute some node branches on, be the
+        // test an arena edge or absorbed into a prefix. Stale entries
+        // may linger until a compaction; none may be missing.
+        let tested = engine.tested_attributes();
+        for id in engine.pst().postorder() {
+            let node = engine.pst().node(id);
+            if !node.eq_edges().is_empty() || !node.range_edges().is_empty() {
+                let attr = node.attribute().unwrap();
+                assert!(tested.contains(&attr), "{context}: attribute {attr}");
+            }
+        }
+
+        let draw_event = |rng: &mut StdRng| -> Vec<i64> {
+            let skewed = rng.random_bool(0.875);
+            // The lower bound of some live range test.
+            let in_range = live.get(rng.random_range(0..live.len().max(1)));
+            let in_range = in_range.and_then(|sub| sub.predicate().test(last)?.operand());
+            let values = domains
+                .iter()
+                .enumerate()
+                .map(|(attr, domain)| match traffic {
+                    Traffic::Shifting if attr == hot && skewed => domain - 1,
+                    Traffic::Reverting if attr == last => match in_range {
+                        Some(Value::Int(low)) => *low + rng.random_range(0..2),
+                        _ => 0,
+                    },
+                    Traffic::Reverting if attr + 1 == last => rng.random_range(0..revert_values),
+                    _ => rng.random_range(0..*domain),
+                });
+            values.collect()
+        };
+        for _ in 0..6 {
+            let values = draw_event(&mut rng);
+            let event = int_event(schema, &values);
+            for &tree in &trees {
+                let mut stats = MatchStats::new();
+                engine.match_links_into(&event, tree, &mut own_scratch, &mut stats, &mut got);
+                walked_since_rebuild += stats.steps.min(1);
+                matched_somewhere += usize::from(!got.is_empty());
+                let mut oracle_stats = MatchStats::new();
+                let oracle = engine.match_links(&event, tree, &mut oracle_stats);
+                assert_eq!(got, oracle, "{context}, event {values:?}: recursive search");
+                assert!(stats.steps <= oracle_stats.steps, "{context}: {values:?}");
+                let mut fresh_stats = MatchStats::new();
+                fresh.match_links_into(&event, tree, &mut scratch, &mut fresh_stats, &mut want);
+                assert_eq!(got, want, "{context}, event {values:?}: links");
+                if options.factoring == 0 {
+                    // Without replication the depth-first order fixes
+                    // every range-edge list, so the walks coincide.
+                    assert_eq!(stats, fresh_stats, "{context}, event {values:?}");
+                }
+                let mut recompiled_stats = MatchStats::new();
+                recompiled.match_links_into(
+                    &event,
+                    tree,
+                    &mut scratch,
+                    &mut recompiled_stats,
+                    &mut want,
+                );
+                assert_eq!(got, want, "{context}, event {values:?}: links");
+                assert_eq!(stats, recompiled_stats, "{context}, event {values:?}");
+            }
+        }
+        // More of the same traffic, walked only: evidence for the order.
+        for _ in 0..40 {
+            let event = int_event(schema, &draw_event(&mut rng));
+            let mut stats = MatchStats::new();
+            engine.match_links_into(&event, trees[0], &mut own_scratch, &mut stats, &mut got);
+            walked_since_rebuild += stats.steps.min(1);
+        }
+
+        let due = own_scratch.order_check_due();
+        let order_before = engine.pst().order().to_vec();
+        let generation = engine.generation();
+        if !engine.adapt_order(&mut own_scratch) {
+            assert_eq!(engine.generation(), generation, "{context}");
+            assert_eq!(engine.pst().order(), order_before, "{context}");
+            if due && on_trial.take().is_some() {
+                seen.confirmed += 1;
+            }
+            continue;
+        }
+        assert!(due, "{context}: rebuilt with no check due");
+        // A rebuild is judged on a full interval under the new order, and
+        // the evidence that asked for it is spent.
+        assert!(
+            seen.rebuilds == 0 || walked_since_rebuild >= 256,
+            "{context}: second rebuild after {walked_since_rebuild} walked events"
+        );
+        assert!(!own_scratch.order_check_due(), "{context}");
+        walked_since_rebuild = 0;
+        seen.rebuilds += 1;
+        assert!(
+            engine.generation() > generation,
+            "{context}: caches must flush"
+        );
+        assert_eq!(engine.pst().factored(), factored, "{context}");
+        let mut order_now = engine.pst().order().to_vec();
+        assert_ne!(order_now, order_before, "{context}");
+        match on_trial.take() {
+            Some(previous) if previous == order_now => seen.reverts += 1,
+            Some(_) => {
+                seen.confirmed += 1;
+                on_trial = Some(order_before);
+            }
+            None => on_trial = Some(order_before),
+        }
+        order_now.sort_unstable();
+        assert_eq!(order_now, levels, "{context}: a permutation of the levels");
+
+        // What the rebuild left is what anyone would build from the
+        // subscriptions and the order alone.
+        engine.pst().check_invariants().unwrap();
+        let mut by_id = live.clone();
+        by_id.sort_unstable_by_key(linkcast_types::Subscription::id);
+        let scratch_built = LinkMatchEngine::with_subscriptions(
+            broker,
+            schema.clone(),
+            in_its_order(&engine),
+            space.clone(),
+            by_id,
+        )
+        .unwrap();
+        assert_same_annotated_tree(&engine, &scratch_built, &context);
+        assert_eq!(
+            engine.arena().summary(),
+            scratch_built.arena().summary(),
+            "{context}"
+        );
+        assert_eq!(
+            engine.tested_attributes(),
+            scratch_built.tested_attributes(),
+            "{context}"
+        );
+        for _ in 0..12 {
+            let values = draw_event(&mut rng);
+            let event = int_event(schema, &values);
+            for &tree in &trees {
+                let mut stats = MatchStats::new();
+                engine.match_links_into(&event, tree, &mut scratch, &mut stats, &mut got);
+                let mut built_stats = MatchStats::new();
+                scratch_built.match_links_into(
+                    &event,
+                    tree,
+                    &mut scratch,
+                    &mut built_stats,
+                    &mut want,
+                );
+                assert_eq!(got, want, "{context}, event {values:?}: rebuilt links");
+                assert_eq!(stats, built_stats, "{context}, event {values:?}: rebuilt");
+                let oracle = engine.match_links(&event, tree, &mut MatchStats::new());
+                assert_eq!(
+                    got, oracle,
+                    "{context}, event {values:?}: rebuilt vs recursive"
+                );
+            }
+        }
+    }
+    assert!(peak >= 60, "config {ci}: population peaked at {peak}");
+    assert!(
+        matched_somewhere >= STEPS,
+        "config {ci}: only {matched_somewhere} events were routed anywhere"
+    );
+    if deep && traffic == Traffic::Uniform {
+        let runs = [long_runs, mid_run_splits, flip_splits, merges];
+        assert!(runs.iter().all(|n| *n >= 10), "config {ci}: {runs:?}");
+    }
+    seen
 }
 
 /// The scratch-reusing parallel path agrees with the sequential search and

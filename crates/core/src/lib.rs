@@ -73,15 +73,17 @@ mod baselines;
 mod cache;
 mod engine;
 mod error;
+mod order;
 mod router;
 mod spanning;
 mod topology;
 
-pub use arena::{ArenaSummary, MatchArena, MatchScratch};
+pub use arena::{ArenaSummary, MatchArena, MatchScratch, WalkEvidence};
 pub use baselines::{FloodingRouter, MatchFirstRouter};
 pub use cache::MatchCache;
 pub use engine::{LinkMatchEngine, RouteScratch};
 pub use error::{CoreError, Result};
+pub use order::{LevelReport, OrderReport};
 pub use router::{ContentRouter, Delivery, EventRouter, HopRecord, RoutingFabric};
 pub use spanning::{LinkSpace, SpanningForest, SpanningTree, TreeId};
 pub use topology::{BrokerNetwork, LinkTarget, NetworkBuilder};

@@ -1,16 +1,18 @@
 //! Subscription audit: use the covering relation (SIENA-style, from the
 //! paper's related work) to find and compact redundant subscriptions
 //! before installing them into a matcher — then look at what the broker's
-//! match-time arena makes of the survivors.
+//! match-time arena makes of the survivors, and at the reasons it gives for
+//! the order it tests attributes in.
 //!
 //! Run with: `cargo run --example subscription_audit`
 
+use linkcast::matching::MatchStats;
 use linkcast::matching::{compact_subscriptions, Matcher, Pst, PstOptions};
 use linkcast::types::{
-    parse_predicate, BrokerId, ClientId, EventSchema, SubscriberId, Subscription, SubscriptionId,
-    ValueKind,
+    parse_predicate, BrokerId, ClientId, Event, EventSchema, SubscriberId, Subscription,
+    SubscriptionId, Value, ValueKind,
 };
-use linkcast::{LinkMatchEngine, LinkSpace, NetworkBuilder, SpanningForest};
+use linkcast::{LinkMatchEngine, LinkSpace, NetworkBuilder, RouteScratch, SpanningForest};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schema = EventSchema::builder("trades")
@@ -96,5 +98,56 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(arena.covered_nodes, pst.node_count());
         assert_eq!((arena.runs, arena.prefix_tests), (1, 1));
     }
+
+    // The engine counts what its walks test, and between events asks
+    // whether another attribute order would have cost less. A day of
+    // small-lot trades in four issues: every `volume` test fails, so the
+    // evidence asks for `volume` first — but six of the seven
+    // subscriptions hang off one `issue` lookup already, and the modelled
+    // gain stays under the factor of two a rebuild has to promise.
+    let mut engine = LinkMatchEngine::with_subscriptions(
+        core,
+        schema.clone(),
+        PstOptions::default(),
+        LinkSpace::build(&network, &forest, core),
+        full.subscriptions().cloned(),
+    )?;
+    let tree = forest.tree_for_root(core).expect("rooted at core");
+    let mut scratch = RouteScratch::new();
+    let (mut stats, mut links) = (MatchStats::new(), Vec::new());
+    for i in 0..255i64 {
+        let issue = ["IBM", "GE", "HP", "MSFT"][i as usize % 4];
+        let values = [
+            Value::str(issue),
+            Value::dollar(100 + i % 60, 0),
+            Value::Int(100 + i),
+        ];
+        let event = Event::from_values(&schema, values)?;
+        engine.match_links_into(&event, tree, &mut scratch, &mut stats, &mut links);
+        assert!(
+            !engine.adapt_order(&mut scratch),
+            "no check before 256 walks"
+        );
+    }
+    let report = engine.order_report(&scratch);
+    println!("\nattribute order after {} walked events:", report.walks);
+    for level in &report.levels {
+        let name = schema.attribute(level.attribute).map_or("?", |a| a.name());
+        println!(
+            "  level {}: {name:<6} constrained by {}, {}/{} tests held, survival {:.2}",
+            level.position, level.constrained, level.passed, level.tested, level.survival
+        );
+    }
+    println!(
+        "  modelled cost {:.2}; {:.2} in the order {:?}: {}",
+        report.current_cost,
+        report.proposed_cost,
+        report.proposed,
+        if report.worth_rebuilding() {
+            "rebuild"
+        } else {
+            "stay"
+        }
+    );
     Ok(())
 }

@@ -28,16 +28,31 @@ const BROKERS: usize = 3;
 const DECOYS: u64 = 2048;
 const DECOY_CLIENTS: u64 = 96;
 
-#[test]
-fn match_table_steps_are_pinned_for_both_walks() {
+/// The benchmark's schema: `issue, volume, a1..a6, ts`.
+fn bench_schema() -> EventSchema {
     let mut schema = EventSchema::builder("bench")
         .attribute("issue", ValueKind::Str)
         .attribute("volume", ValueKind::Int);
     for k in 1..=6 {
         schema = schema.attribute(format!("a{k}").as_str(), ValueKind::Int);
     }
-    let schema = schema.attribute("ts", ValueKind::Int).build().unwrap();
+    schema.attribute("ts", ValueKind::Int).build().unwrap()
+}
 
+/// The event the benchmark publishes with this `volume`.
+fn bench_event(schema: &EventSchema, volume: i64) -> Event {
+    let mut values = vec![Value::str("IBM"), Value::Int(volume)];
+    values.extend((1..=6).map(Value::Int));
+    values.push(Value::Int(1_000 + volume));
+    Event::from_values(schema, values).unwrap()
+}
+
+/// The chain's fabric and one engine per broker, each holding the real
+/// subscription and `decoys` chains installed as the module doc describes.
+fn chain_engines(
+    schema: &EventSchema,
+    decoys: u64,
+) -> (std::sync::Arc<RoutingFabric>, Vec<LinkMatchEngine>) {
     let mut net = NetworkBuilder::new();
     let brokers = net.add_brokers(BROKERS);
     for pair in brokers.windows(2) {
@@ -54,14 +69,14 @@ fn match_table_steps_are_pinned_for_both_walks() {
     // (client, predicate) in install order, the same at every broker.
     let mut table = vec![(subscriber, "volume >= 0".to_string())];
     for phase in 0..BROKERS as u64 {
-        let chains = (1..=DECOYS).filter(|j| (j % DECOY_CLIENTS) % BROKERS as u64 == phase);
+        let chains = (1..=decoys).filter(|j| (j % DECOY_CLIENTS) % BROKERS as u64 == phase);
         table.extend(chains.map(|j| {
             let client = decoy_clients[(j % DECOY_CLIENTS) as usize];
             (client, decoy_chain(j))
         }));
     }
 
-    let engines: Vec<LinkMatchEngine> = brokers
+    let engines = brokers
         .iter()
         .map(|&broker| {
             let space = LinkSpace::build(fabric.network(), fabric.forest(), broker);
@@ -73,13 +88,21 @@ fn match_table_steps_are_pinned_for_both_walks() {
                     .subscribe(Subscription::new(
                         SubscriptionId::new(id as u32),
                         SubscriberId::new(home, *client),
-                        parse_predicate(&schema, predicate).unwrap(),
+                        parse_predicate(schema, predicate).unwrap(),
                     ))
                     .unwrap();
             }
             engine
         })
         .collect();
+    (fabric, engines)
+}
+
+#[test]
+fn match_table_steps_are_pinned_for_both_walks() {
+    let schema = bench_schema();
+    let (fabric, engines) = chain_engines(&schema, DECOYS);
+    let brokers: Vec<_> = fabric.network().brokers().collect();
 
     // Per chain: the run [a1..a5 | a6], the `ts` node, the leaf; plus the
     // root, the `volume` node and the subscriber's eight.
@@ -96,10 +119,7 @@ fn match_table_steps_are_pinned_for_both_walks() {
     let mut scratch = RouteScratch::new();
     let mut links = Vec::new();
     for volume in [0, 17, 255] {
-        let mut values = vec![Value::str("IBM"), Value::Int(volume)];
-        values.extend((1..=6).map(Value::Int));
-        values.push(Value::Int(1_000 + volume));
-        let event = Event::from_values(&schema, values).unwrap();
+        let event = bench_event(&schema, volume);
 
         let mut arena_steps = Vec::new();
         let mut recursive_steps = Vec::new();
@@ -115,5 +135,88 @@ fn match_table_steps_are_pinned_for_both_walks() {
         }
         assert_eq!(arena_steps, [2051, 2051, 2051], "volume {volume}");
         assert_eq!(recursive_steps, [5461, 5466, 5466], "volume {volume}");
+    }
+}
+
+/// The same table, fed through `match_links_into` + `adapt_order` as a
+/// broker's inline route does. The walk counts what its edge tests come to;
+/// at the first check — walked event 256, not before — every engine finds
+/// that `a6` fails for all but the one subscription that does not test it,
+/// prices the schema order at 8.0 against 1.0, and rebuilds once with `a6`
+/// at the root: the 2048 range edges there are scanned, none holds, no
+/// chain is entered. Nothing after that is worth another rebuild. A table
+/// with one subscription (`relay`'s) has nothing to choose between.
+#[test]
+fn observed_selectivity_reorders_the_match_table_once() {
+    let schema = bench_schema();
+    let (fabric, mut engines) = chain_engines(&schema, DECOYS);
+    let tree = fabric.tree_for(engines[0].broker()).unwrap();
+    let attr = |name: &str| schema.attribute_index(name).unwrap();
+    let adapted: Vec<usize> = ["a6", "volume", "a1", "a2", "a3", "a4", "a5", "issue", "ts"]
+        .map(attr)
+        .to_vec();
+
+    let mut links = Vec::new();
+    for engine in &mut engines {
+        let mut scratch = RouteScratch::new();
+        let generation = engine.generation();
+        let tested = engine.tested_attributes().to_vec();
+        let nodes = engine.arena().node_count();
+        let mut rebuilds = Vec::new();
+        for walked in 1..=300u64 {
+            let event = bench_event(&schema, walked as i64 % 256);
+            let mut stats = MatchStats::new();
+            engine.match_links_into(&event, tree, &mut scratch, &mut stats, &mut links);
+            let expected = engine.match_links(&event, tree, &mut MatchStats::new());
+            assert_eq!(links, expected, "event {walked} at {}", engine.broker());
+            assert_eq!(links.len(), 1, "towards the subscriber, nowhere else");
+            let (steps, comparisons) = if rebuilds.is_empty() {
+                (2051, 6825..=6832)
+            } else {
+                (3, 2051..=2051)
+            };
+            assert_eq!(stats.steps, steps, "event {walked}");
+            assert!(
+                comparisons.contains(&stats.comparisons),
+                "event {walked}: {stats}"
+            );
+            if walked == 256 {
+                let report = engine.order_report(&scratch);
+                assert!((report.current_cost - 8.0).abs() < 0.01, "{report:?}");
+                assert!((report.proposed_cost - 1.0).abs() < 0.01, "{report:?}");
+            }
+            if engine.adapt_order(&mut scratch) {
+                rebuilds.push(walked);
+            }
+        }
+        assert_eq!(rebuilds, [256], "{}", engine.broker());
+        assert_eq!(engine.pst().order(), adapted);
+        assert_eq!(engine.generation(), generation + 1);
+        assert_eq!(engine.tested_attributes(), tested);
+        // Each chain now ends in two `*`-only nodes, `issue` and `ts`.
+        assert_eq!(engine.arena().node_count(), nodes + DECOYS as usize);
+
+        for walked in 0..5_000 {
+            let event = bench_event(&schema, walked % 256);
+            let mut stats = MatchStats::new();
+            engine.match_links_into(&event, tree, &mut scratch, &mut stats, &mut links);
+            assert_eq!((stats.steps, links.len()), (3, 1));
+            assert!(!engine.adapt_order(&mut scratch), "event {walked}");
+        }
+        assert_eq!(engine.generation(), generation + 1);
+    }
+
+    let (fabric, mut relay) = chain_engines(&schema, 0);
+    let tree = fabric.tree_for(relay[0].broker()).unwrap();
+    for engine in &mut relay {
+        let mut scratch = RouteScratch::new();
+        for walked in 0..2_000 {
+            let event = bench_event(&schema, walked % 256);
+            let mut stats = MatchStats::new();
+            engine.match_links_into(&event, tree, &mut scratch, &mut stats, &mut links);
+            assert_eq!((stats.steps, links.len()), (3, 1));
+            assert!(!engine.adapt_order(&mut scratch));
+        }
+        assert_eq!(engine.pst().order(), (0..9).collect::<Vec<_>>());
     }
 }

@@ -33,6 +33,11 @@ struct Cluster {
 /// Starts B0 - B1 - B2 with two provisioned clients per broker and wires
 /// the broker links.
 fn start_cluster() -> Cluster {
+    start_cluster_over(registry())
+}
+
+/// [`start_cluster`] serving the information spaces of `registry`.
+fn start_cluster_over(registry: Arc<SchemaRegistry>) -> Cluster {
     let mut b = NetworkBuilder::new();
     let brokers = b.add_brokers(3);
     b.connect(brokers[0], brokers[1], 10.0).unwrap();
@@ -42,7 +47,6 @@ fn start_cluster() -> Cluster {
         clients.extend(b.add_clients(broker, 2).unwrap());
     }
     let fabric = RoutingFabric::new_all_roots(b.build().unwrap()).unwrap();
-    let registry = registry();
 
     let nodes: Vec<BrokerNode> = brokers
         .iter()
@@ -258,5 +262,124 @@ fn local_connections_bypass_tcp() {
     match local.recv(Duration::from_secs(2)).unwrap() {
         linkcast_broker::BrokerToClient::Deliver { seq, .. } => assert_eq!(seq, 1),
         other => panic!("expected delivery, got {other:?}"),
+    }
+}
+
+/// Greets the broker as `client` over an in-process connection.
+fn open_local_as(node: &BrokerNode, client: ClientId) -> linkcast_broker::LocalConn {
+    let local = node.open_local();
+    local.send(&linkcast_broker::ClientToBroker::Hello {
+        client,
+        resume_from: 0,
+    });
+    match local.recv(Duration::from_secs(2)).unwrap() {
+        linkcast_broker::BrokerToClient::Welcome { .. } => local,
+        other => panic!("expected welcome, got {other:?}"),
+    }
+}
+
+/// Subscribes over an in-process connection and waits for the ack.
+fn subscribe_local(local: &linkcast_broker::LocalConn, expression: String) {
+    local.send(&linkcast_broker::ClientToBroker::Subscribe {
+        schema: SchemaId::new(0),
+        expression,
+    });
+    match local.recv(Duration::from_secs(2)).unwrap() {
+        linkcast_broker::BrokerToClient::SubAck { .. } => {}
+        other => panic!("expected suback, got {other:?}"),
+    }
+}
+
+/// The order adaptation seen from outside a running chain. The table is
+/// the benchmark's `match` table with 64 decoy chains: in schema order a
+/// broker walks into every chain before `a6` fails it. Each broker counts
+/// what its walks test, rebuilds its tree once — at its 256th walked event,
+/// between two events — with `a6` at the root, and says so in
+/// `order_rebuilds`; from then on an event costs it three steps. The
+/// subscriber at the far end sees 1000 events, each once, in order, across
+/// the three rebuilds; the decoy subscribers see nothing.
+#[test]
+fn order_rebuild_is_invisible_to_subscribers() {
+    const DECOYS: u64 = 64;
+    const EVENTS: i64 = 1000;
+    const BURST: i64 = 50;
+    let mut schema = EventSchema::builder("bench")
+        .attribute("issue", ValueKind::Str)
+        .attribute("volume", ValueKind::Int);
+    for k in 1..=6 {
+        schema = schema.attribute(format!("a{k}").as_str(), ValueKind::Int);
+    }
+    let mut registry = SchemaRegistry::new();
+    registry
+        .register(schema.attribute("ts", ValueKind::Int).build().unwrap())
+        .unwrap();
+    let cluster = start_cluster_over(Arc::new(registry));
+    let schema = cluster.registry.get(SchemaId::new(0)).unwrap();
+
+    // Clients 0 and 1 live at B0, 2 and 3 at B1, 4 and 5 at B2.
+    let publisher = open_local_as(&cluster.nodes[0], cluster.clients[0]);
+    let subscriber = open_local_as(&cluster.nodes[2], cluster.clients[4]);
+    subscribe_local(&subscriber, "volume >= 0".into());
+    let decoys: Vec<_> = [(0, 1), (1, 2), (2, 5)]
+        .map(|(node, client)| open_local_as(&cluster.nodes[node], cluster.clients[client]))
+        .into();
+    for j in 1..=DECOYS {
+        let decoy = &decoys[j as usize % decoys.len()];
+        subscribe_local(decoy, linkcast_workload::decoy_chain(j));
+    }
+    await_subscriptions(&cluster, 1 + DECOYS as usize);
+
+    let mut next = 0;
+    let mut settled = None;
+    while next < EVENTS {
+        for ts in next..next + BURST {
+            let mut values = vec![Value::str("IBM"), Value::Int(ts % 256)];
+            values.extend((1..=6).map(Value::Int));
+            values.push(Value::Int(ts));
+            let event = Event::from_values(schema, values).unwrap();
+            publisher.send(&linkcast_broker::ClientToBroker::Publish { event });
+        }
+        for ts in next..next + BURST {
+            match subscriber.recv(Duration::from_secs(10)).unwrap() {
+                linkcast_broker::BrokerToClient::Deliver { seq, event } => {
+                    assert_eq!(seq, ts as u64 + 1, "exactly once, in order");
+                    assert_eq!(event.values().last(), Some(&Value::Int(ts)));
+                }
+                other => panic!("expected delivery {ts}, got {other:?}"),
+            }
+        }
+        next += BURST;
+        subscriber.send(&linkcast_broker::ClientToBroker::Ack { seq: next as u64 });
+        // Every broker has routed exactly `next` events by now, and 300 is
+        // past every broker's one rebuild.
+        if next == 300 {
+            settled = Some(
+                cluster
+                    .nodes
+                    .iter()
+                    .map(BrokerNode::match_stats)
+                    .collect::<Vec<_>>(),
+            );
+        }
+    }
+
+    let settled = settled.unwrap();
+    for (node, before) in cluster.nodes.iter().zip(&settled) {
+        assert_eq!(node.stats().order_rebuilds, 1, "{}", node.broker());
+        let after = node.match_stats();
+        assert_eq!(before.events, 300, "{}", node.broker());
+        assert_eq!(after.events, EVENTS as u64, "{}", node.broker());
+        assert_eq!(
+            after.steps - before.steps,
+            3 * (after.events - before.events),
+            "{}: three steps an event once the order has settled",
+            node.broker()
+        );
+    }
+    for decoy in &decoys {
+        assert!(
+            decoy.recv(Duration::from_millis(50)).is_err(),
+            "a decoy saw an event"
+        );
     }
 }

@@ -381,3 +381,193 @@ fn prefix_attributes_key_the_cache() {
     assert_eq!(route(&event(5), &mut stats), delivered);
     assert_eq!((stats.cache_misses, stats.cache_hits), (2, 1));
 }
+
+/// The real subscriber of the order tests below (`volume >= 0`, id 0, a
+/// client of B2) and decoy chain `j` (id `j`): three range tests every
+/// event passes, a fourth none does — the benchmark's `match` table in
+/// small.
+fn order_table_entry(
+    schema: &EventSchema,
+    fabric: &RoutingFabric,
+    clients: &[ClientId],
+    j: u32,
+) -> Subscription {
+    let k = i64::from(j);
+    let tests = match j {
+        0 => vec![
+            AttrTest::Ge(Value::Int(0)),
+            AttrTest::Any,
+            AttrTest::Any,
+            AttrTest::Any,
+        ],
+        _ => vec![
+            AttrTest::Ge(Value::Int(-k)),
+            AttrTest::Ge(Value::Int(-(7 * k + 1))),
+            AttrTest::Ge(Value::Int(-(7 * k + 2))),
+            AttrTest::Ge(Value::Int(100_000 + k)),
+        ],
+    };
+    let client = clients[(j as usize + 4) % clients.len()];
+    Subscription::new(
+        SubscriptionId::new(j),
+        SubscriberId::new(fabric.network().home_broker(client).unwrap(), client),
+        Predicate::from_tests(schema, tests).unwrap(),
+    )
+}
+
+/// An order rebuild is a function of the subscription set, not of how it
+/// came about. Two engines reach the same 65 subscriptions by different
+/// routes — one installs them in id order; the other backwards, among
+/// extras it drops again, with a third of them dropped and re-added — so
+/// their range-edge lists are ordered differently. Fed the same events they
+/// agree on every link set, rebuild at the same event (the 256th walked),
+/// and from there on are the same engine: same arena summary, same steps
+/// and comparisons.
+#[test]
+fn order_rebuild_is_history_independent() {
+    const CHAINS: u32 = 64;
+    let schema = chains_schema();
+    let (fabric, brokers, clients) = star_fabric();
+    let home = brokers[1];
+    let entry = |j: u32| order_table_entry(&schema, &fabric, &clients, j);
+    let new_engine = || {
+        let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
+        LinkMatchEngine::new(home, schema.clone(), PstOptions::default(), space).unwrap()
+    };
+
+    let mut straight = new_engine();
+    for j in 0..=CHAINS {
+        straight.subscribe(entry(j)).unwrap();
+    }
+    let mut winding = new_engine();
+    for j in (0..=CHAINS).rev() {
+        winding.subscribe(entry(1_000 + j)).unwrap();
+        winding.subscribe(entry(j)).unwrap();
+    }
+    for j in 0..=CHAINS {
+        assert!(winding.unsubscribe(SubscriptionId::new(1_000 + j)));
+        if j % 3 == 1 {
+            assert!(winding.unsubscribe(SubscriptionId::new(j)));
+            winding.subscribe(entry(j)).unwrap();
+        }
+    }
+    assert_eq!(straight.subscription_count(), winding.subscription_count());
+
+    let tree = fabric.tree_for(brokers[0]).unwrap();
+    let mut engines = [
+        (straight, RouteScratch::new(), Vec::new()),
+        (winding, RouteScratch::new(), Vec::new()),
+    ];
+    for walked in 1..=600i64 {
+        let values = [walked % 97, 1, 2, 3].map(Value::Int);
+        let event = Event::from_values(&schema, values).unwrap();
+        let mut outcomes = Vec::new();
+        for (engine, scratch, rebuilds) in &mut engines {
+            let mut stats = MatchStats::new();
+            let mut links = Vec::new();
+            engine.match_links_into(&event, tree, scratch, &mut stats, &mut links);
+            assert_eq!(
+                links,
+                engine.match_links(&event, tree, &mut MatchStats::new()),
+                "event {walked}"
+            );
+            if engine.adapt_order(scratch) {
+                rebuilds.push(walked);
+            }
+            outcomes.push((links, stats, rebuilds.clone()));
+        }
+        let (straight, winding) = (&outcomes[0], &outcomes[1]);
+        assert_eq!(straight.0, winding.0, "event {walked}: links");
+        assert_eq!(straight.2, winding.2, "event {walked}: rebuilds");
+        if walked > 256 {
+            assert_eq!(straight.1, winding.1, "event {walked}: walk cost");
+            assert_eq!(straight.1.steps, 3, "event {walked}");
+        }
+    }
+    let [(straight, ..), (winding, ..)] = &engines;
+    assert_eq!(engines[0].2, [256]);
+    assert_eq!(straight.pst().order(), [3, 0, 1, 2]);
+    assert_eq!(straight.pst().order(), winding.pst().order());
+    assert_eq!(straight.arena().summary(), winding.arena().summary());
+    assert_eq!(straight.tested_attributes(), winding.tested_attributes());
+}
+
+/// A rebuild changes no link set, but it changes the tree the cache's key
+/// schema is read off, so it must flush like any other generation change:
+/// an event answered from the cache right before the rebuild misses right
+/// after it — and walks to the same links.
+#[test]
+fn order_rebuild_flushes_the_match_cache() {
+    let mut registry = SchemaRegistry::new();
+    registry.register(chains_schema()).unwrap();
+    let registry = Arc::new(registry);
+    let schema = registry.get(SchemaId::new(0)).unwrap().clone();
+    let (fabric, brokers, clients) = star_fabric();
+    let home = brokers[1];
+    let mut engine =
+        MatchingEngine::new(home, &fabric, Arc::clone(&registry), PstOptions::default()).unwrap();
+    for j in 0..=64 {
+        let entry = order_table_entry(&schema, &fabric, &clients, j);
+        engine.subscribe(SchemaId::new(0), entry).unwrap();
+    }
+
+    let tree = fabric.tree_for(brokers[0]).unwrap();
+    let mut cache = MatchCache::new(1024);
+    let mut scratch = RouteScratch::new();
+    let mut stats = MatchStats::new();
+    let mut links = Vec::new();
+    let event =
+        |volume: i64| Event::from_values(&schema, [volume, 1, 2, 3].map(Value::Int)).unwrap();
+    // Distinct volumes: every one misses and walks.
+    for volume in 1..=256 {
+        assert_eq!(
+            engine.adapt_orders(&mut scratch),
+            0,
+            "before event {volume}"
+        );
+        engine.route_cached(
+            &event(volume),
+            tree,
+            1,
+            &mut cache,
+            &mut scratch,
+            &mut stats,
+            &mut links,
+        );
+    }
+    assert_eq!((stats.cache_misses, stats.cache_hits), (256, 0));
+    assert!(scratch.order_check_due());
+
+    let generation = engine.generation();
+    engine.route_cached(
+        &event(256),
+        tree,
+        1,
+        &mut cache,
+        &mut scratch,
+        &mut stats,
+        &mut links,
+    );
+    assert_eq!((stats.cache_misses, stats.cache_hits), (256, 1));
+    let before = links.clone();
+    assert_eq!(before.len(), 1);
+
+    assert_eq!(engine.adapt_orders(&mut scratch), 1);
+    assert_eq!(engine.generation(), generation + 1);
+    assert!(!scratch.order_check_due());
+
+    let steps = stats.steps;
+    engine.route_cached(
+        &event(256),
+        tree,
+        1,
+        &mut cache,
+        &mut scratch,
+        &mut stats,
+        &mut links,
+    );
+    assert_eq!((stats.cache_misses, stats.cache_hits), (257, 1));
+    assert_eq!(stats.cache_invalidations, 1);
+    assert_eq!(stats.steps - steps, 3, "walked, in the new order");
+    assert_eq!(links, before);
+}
