@@ -259,10 +259,11 @@ fn bench_chain_depth(c: &mut Criterion) {
             black_box(engine.match_links(event, tree, &mut recursive));
         }
         println!(
-            "chain_depth/steps_per_event/{depth:<27} arena: {:.0}  recursive: {:.0}  ({} arena nodes for {} PST nodes)",
+            "chain_depth/steps_per_event/{depth:<27} arena: {:.0}  recursive: {:.0}  ({} arena nodes for the {} nodes {} PST nodes stand for)",
             stats.steps_per_event(),
             recursive.steps_per_event(),
             engine.arena().node_count(),
+            engine.pst().expanded_node_count(),
             engine.pst().node_count(),
         );
     }
@@ -371,11 +372,116 @@ fn bench_order_adaptation(c: &mut Criterion) {
     group.finish();
 }
 
+/// Installing the benchmark's `match` table into an engine that holds
+/// nothing: one `volume >= 0` subscriber, then `chains` decoy chains that
+/// share no node below `volume`, in id order — what a broker pays per
+/// subscription when a neighbour's table floods in, when it recovers its
+/// snapshot, and when it rebuilds in another attribute order. *Cold* starts
+/// from a new engine every time (every vector grows from nothing); *warm*
+/// empties one engine and fills it again, so node slots, edge windows and
+/// annotation buffers are there to be reused — the case `subscribe_scaling`
+/// measures, 64 subscriptions at a time. Both are timed around the
+/// subscribes alone and printed per subscribe, beside the nodes the tree
+/// keeps per subscription: one tail each, where the spelled-out chains
+/// would take eight.
+fn bench_install_from_empty(c: &mut Criterion) {
+    let mut b = EventSchema::builder("bench")
+        .attribute("issue", ValueKind::Str)
+        .attribute("volume", ValueKind::Int);
+    for k in 1..=6 {
+        b = b.attribute(format!("a{k}").as_str(), ValueKind::Int);
+    }
+    let schema = (b.attribute("ts", ValueKind::Int).build()).expect("well-formed schema");
+
+    let mut net = NetworkBuilder::new();
+    let brokers = net.add_brokers(3);
+    for pair in brokers.windows(2) {
+        net.connect(pair[0], pair[1], 5.0).expect("fresh link");
+    }
+    let home = brokers[1];
+    let subscriber = net.add_client(brokers[2]).expect("known broker");
+    let decoy_clients: Vec<_> = (0..96)
+        .map(|slot| net.add_client(brokers[slot % 3]).expect("known broker"))
+        .collect();
+    let fabric = RoutingFabric::new_all_roots(net.build().expect("connected")).expect("trees");
+    let new_engine = || {
+        let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
+        LinkMatchEngine::new(home, schema.clone(), PstOptions::default(), space)
+            .expect("default options")
+    };
+
+    let mut group = c.benchmark_group("install_from_empty");
+    group.sample_size(12);
+    group.warm_up_time(Duration::from_millis(300));
+    group.measurement_time(Duration::from_secs(1));
+    for chains in [256u64, 2048, 16384] {
+        let decoys = (1..=chains).map(|j| {
+            let client = decoy_clients[j as usize % decoy_clients.len()];
+            (client, decoy_chain(j))
+        });
+        let table: Vec<Subscription> = std::iter::once((subscriber, "volume >= 0".to_string()))
+            .chain(decoys)
+            .enumerate()
+            .map(|(id, (client, predicate))| {
+                let broker = fabric.network().home_broker(client).expect("provisioned");
+                Subscription::new(
+                    SubscriptionId::new(id as u32),
+                    SubscriberId::new(broker, client),
+                    parse_predicate(&schema, &predicate).expect("well-formed predicate"),
+                )
+            })
+            .collect();
+        let install = |engine: &mut LinkMatchEngine| {
+            let subscriptions = table.clone();
+            let start = Instant::now();
+            for subscription in subscriptions {
+                engine.subscribe(subscription).expect("fresh id");
+            }
+            start.elapsed()
+        };
+
+        let (mut cold, mut warm, mut colds, mut warms) = (Duration::ZERO, Duration::ZERO, 0, 0);
+        group.bench_function(BenchmarkId::new("cold", chains), |b| {
+            b.iter(|| {
+                let mut engine = new_engine();
+                cold += install(&mut engine);
+                colds += 1;
+                engine
+            })
+        });
+        let mut engine = new_engine();
+        install(&mut engine);
+        group.bench_function(BenchmarkId::new("warm", chains), |b| {
+            b.iter(|| {
+                for subscription in &table {
+                    engine.unsubscribe(subscription.id());
+                }
+                warm += install(&mut engine);
+                warms += 1;
+            })
+        });
+        let per_subscribe = |total: Duration, installs: u32| {
+            total.as_nanos() as f64 / f64::from(installs) / table.len() as f64
+        };
+        println!(
+            "install_from_empty/ns_per_subscribe/{chains:<19} cold: {:.0}  warm: {:.0}  \
+             PST nodes per subscription: {:.3} ({} nodes for the {} of the spelled-out tree)",
+            per_subscribe(cold, colds),
+            per_subscribe(warm, warms),
+            engine.pst().node_count() as f64 / table.len() as f64,
+            engine.pst().node_count(),
+            engine.pst().expanded_node_count(),
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_link_matching,
     bench_subscribe_scaling,
     bench_chain_depth,
-    bench_order_adaptation
+    bench_order_adaptation,
+    bench_install_from_empty
 );
 criterion_main!(benches);

@@ -51,6 +51,7 @@ fn main() {
             factoring.to_string(),
             vec![
                 format!("{:.1}", stats.steps as f64 / stats.events as f64),
+                format!("{}", pst.expanded_node_count()),
                 format!("{}", pst.node_count()),
                 format!("{}", pst.roots().count()),
                 format!("{:.1}", psg_stats.steps as f64 / psg_stats.events as f64),
@@ -64,6 +65,7 @@ fn main() {
         &[
             "steps/event",
             "tree nodes",
+            "kept as",
             "subtrees",
             "PSG steps",
             "PSG nodes",

@@ -147,6 +147,7 @@ fn main() {
             name.to_string(),
             vec![
                 format!("{:.1}", stats.steps as f64 / stats.events as f64),
+                format!("{}", pst.expanded_node_count()),
                 format!("{}", pst.node_count()),
             ],
         ));
@@ -154,7 +155,7 @@ fn main() {
     print_table(
         "Ablation A1: attribute ordering x trivial test elimination (5,000 subscriptions)",
         "configuration",
-        &["steps/event", "tree nodes"],
+        &["steps/event", "tree nodes", "kept as"],
         &rows,
     );
     for (name, seen) in [("observed", &observed), ("observed + TTE", &observed_tte)] {

@@ -942,16 +942,28 @@ impl BrokerNode {
             // so they are in the outbox queues when the drain starts.
             let _ = t.join();
         }
-        if let Some(t) = self.acceptor_thread.take() {
-            // Bounded by one accept quantum: joining proves the listener is
-            // dropped, so the address is free the moment shutdown returns.
-            let _ = t.join();
-        }
+        self.stop_acceptor();
         // Drain phase: flush every queue with a deadline and FIN each peer
         // as its queue empties, so neighbors trim their spools and restarts
         // don't open on avoidable retransmit storms. Stragglers past the
         // deadline are cut off; the sender pool winds down either way.
         self.outbox.drain_all(self.drain_timeout);
+    }
+
+    /// Wakes the acceptor out of `accept` — the shutdown flag is set, so it
+    /// drops the connection that does it and exits — and joins it: that
+    /// proves the listener is dropped, so the address is free the moment
+    /// the caller returns. A dial that fails (the listener's backlog is
+    /// full of connections the acceptor is still working through) is
+    /// retried until the thread is seen to have finished.
+    fn stop_acceptor(&mut self) {
+        let Some(acceptor) = self.acceptor_thread.take() else {
+            return;
+        };
+        while !acceptor.is_finished() && self.transport.dial(self.addr).is_err() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let _ = acceptor.join();
     }
 
     /// Crash-stops the node (fault injection): no final ack flush, no
@@ -966,9 +978,7 @@ impl BrokerNode {
         if let Some(t) = self.engine_thread.take() {
             let _ = t.join();
         }
-        if let Some(t) = self.acceptor_thread.take() {
-            let _ = t.join();
-        }
+        self.stop_acceptor();
         // Instant transport teardown: queued frames (including any acks a
         // graceful drain would have delivered) are discarded, sockets FIN.
         self.outbox.close();
@@ -1514,7 +1524,9 @@ impl EngineLoop {
                     let body = payload.slice(protocol::FORWARD_BODY_OFFSET..);
                     self.handle_forward(conn, tree, seq, epoch, event, body);
                 }
-                Ok(msg) => self.handle_broker(conn, msg),
+                // The control-plane arms flood the payload onward as it
+                // came: it decoded, so it is a well-formed message.
+                Ok(msg) => self.handle_broker(conn, msg, &payload),
                 Err(e) => self.protocol_error_disconnect(conn, e.to_string()),
             }
         } else {
@@ -1645,9 +1657,12 @@ impl EngineLoop {
                 self.tombstones.remove(id);
                 let subscription =
                     Subscription::new(id, SubscriberId::new(self.config.broker, client), predicate);
+                // The one encoding of this subscription's flood: every
+                // broker it reaches passes these bytes on as received.
+                let flood = protocol::sub_add_frame(schema, &subscription, false);
                 let result = {
                     let mut engine = self.engine.write();
-                    let r = engine.subscribe(schema, subscription.clone());
+                    let r = engine.subscribe(schema, subscription);
                     (r, engine.subscription_count())
                 };
                 match result.0 {
@@ -1658,14 +1673,7 @@ impl EngineLoop {
                         self.outbox
                             .send(conn, BrokerToClient::SubAck { id }.encode());
                         // Control plane: flood to every neighbor.
-                        self.flood_broker_message(
-                            &BrokerToBroker::SubAdd {
-                                schema,
-                                subscription,
-                                resync: false,
-                            },
-                            None,
-                        );
+                        self.flood_frame(&flood, None);
                         self.checkpoint_subscriptions();
                     }
                     Err(e) => self.client_error(conn, e.to_string()),
@@ -1735,7 +1743,7 @@ impl EngineLoop {
         }
     }
 
-    fn handle_broker(&mut self, conn: ConnId, message: BrokerToBroker) {
+    fn handle_broker(&mut self, conn: ConnId, message: BrokerToBroker, payload: &[u8]) {
         match message {
             BrokerToBroker::Hello {
                 broker,
@@ -1876,21 +1884,15 @@ impl EngineLoop {
                 }
                 let (installed, count) = {
                     let mut engine = self.engine.write();
-                    let ok = engine.subscribe(schema, subscription.clone()).is_ok();
+                    let ok = engine.subscribe(schema, subscription).is_ok();
                     (ok, engine.subscription_count())
                 };
                 if installed {
                     self.stats
                         .subscriptions
                         .store(count as u64, Ordering::Relaxed);
-                    self.flood_broker_message(
-                        &BrokerToBroker::SubAdd {
-                            schema,
-                            subscription,
-                            resync,
-                        },
-                        Some(conn),
-                    );
+                    // `resync` travels unchanged, with the rest.
+                    self.flood_frame(&protocol::frame(payload), Some(conn));
                     self.checkpoint_subscriptions();
                 } else {
                     debug_assert!(false, "replicated subscription {id} failed to install");
@@ -1926,7 +1928,7 @@ impl EngineLoop {
                         .store(count as u64, Ordering::Relaxed);
                 }
                 if removed || newly_tombstoned {
-                    self.flood_broker_message(&BrokerToBroker::SubRemove { id }, Some(conn));
+                    self.flood_frame(&protocol::frame(payload), Some(conn));
                     self.checkpoint_subscriptions();
                 }
             }
@@ -2451,17 +2453,23 @@ impl EngineLoop {
     }
 
     fn flood_broker_message(&self, message: &BrokerToBroker, except: Option<ConnId>) {
-        let targets: Vec<ConnId> = self
-            .neighbors
-            .values()
-            .copied()
-            .filter(|&conn| Some(conn) != except)
-            .collect();
-        if targets.is_empty() {
-            return;
+        let targets = self.flood_targets(except);
+        if !targets.is_empty() {
+            self.outbox.send_many(&targets, &message.encode());
         }
-        let frame = message.encode();
-        self.outbox.send_many(&targets, &frame);
+    }
+
+    /// Queues one already-encoded frame for every neighbor but `except`.
+    fn flood_frame(&self, frame: &Bytes, except: Option<ConnId>) {
+        let targets = self.flood_targets(except);
+        if !targets.is_empty() {
+            self.outbox.send_many(&targets, frame);
+        }
+    }
+
+    fn flood_targets(&self, except: Option<ConnId>) -> Vec<ConnId> {
+        let neighbors = self.neighbors.values().copied();
+        neighbors.filter(|&conn| Some(conn) != except).collect()
     }
 
     /// A link supervisor crossed [`BrokerConfig::repair_after`]

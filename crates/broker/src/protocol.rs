@@ -296,10 +296,13 @@ const B2B_PONG: u8 = FrameTag::Pong as u8;
 const B2B_LINKDOWN: u8 = FrameTag::LinkDown as u8;
 const B2B_LINKUP: u8 = FrameTag::LinkUp as u8;
 
-fn frame(payload: BytesMut) -> Bytes {
+/// Prefixes a payload with its length. Also how a control-plane message
+/// that decoded (so it is well-formed) floods onward exactly as received,
+/// without being re-encoded.
+pub(crate) fn frame(payload: &[u8]) -> Bytes {
     let mut out = BytesMut::with_capacity(payload.len() + 4);
     out.put_u32_le(payload.len() as u32);
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(payload);
     out.freeze()
 }
 
@@ -356,6 +359,22 @@ pub(crate) fn deliver_frame(seq: u64, body: &[u8]) -> Bytes {
     out.freeze()
 }
 
+/// A complete `SubAdd` frame for a subscription its caller keeps: the home
+/// broker encodes the flood from a reference and then moves the
+/// subscription into its engine.
+pub(crate) fn sub_add_frame(schema: SchemaId, subscription: &Subscription, resync: bool) -> Bytes {
+    let mut b = BytesMut::new();
+    put_sub_add(&mut b, schema, subscription, resync);
+    frame(&b)
+}
+
+fn put_sub_add(b: &mut BytesMut, schema: SchemaId, subscription: &Subscription, resync: bool) {
+    b.put_u8(B2B_SUBADD);
+    b.put_u32_le(schema.raw());
+    b.put_u8(u8::from(resync));
+    wire::put_subscription(b, subscription);
+}
+
 impl ClientToBroker {
     /// Encodes into a length-prefixed frame.
     pub fn encode(&self) -> Bytes {
@@ -390,7 +409,7 @@ impl ClientToBroker {
                 b.put_u8(C2B_STATS);
             }
         }
-        frame(b)
+        frame(&b)
     }
 
     /// Decodes a frame payload (without the length prefix).
@@ -484,7 +503,7 @@ impl BrokerToClient {
                 counters.encode_wire(&mut b);
             }
         }
-        frame(b)
+        frame(&b)
     }
 
     /// Decodes a frame payload (without the length prefix).
@@ -596,12 +615,7 @@ impl BrokerToBroker {
                 schema,
                 subscription,
                 resync,
-            } => {
-                b.put_u8(B2B_SUBADD);
-                b.put_u32_le(schema.raw());
-                b.put_u8(u8::from(*resync));
-                wire::put_subscription(&mut b, subscription);
-            }
+            } => put_sub_add(&mut b, *schema, subscription, *resync),
             BrokerToBroker::SubRemove { id } => {
                 b.put_u8(B2B_SUBREMOVE);
                 b.put_u32_le(id.raw());
@@ -625,7 +639,7 @@ impl BrokerToBroker {
                 b.put_u64_le(*ver);
             }
         }
-        frame(b)
+        frame(&b)
     }
 
     /// Decodes a frame payload (without the length prefix).

@@ -22,10 +22,7 @@ pub struct TcpTransport;
 
 impl Transport for TcpTransport {
     fn bind(&self, addr: SocketAddr) -> io::Result<Box<dyn Listener>> {
-        let listener = TcpListener::bind(addr)?;
-        // Non-blocking accepts let the accept loop poll the shutdown flag.
-        listener.set_nonblocking(true)?;
-        Ok(Box::new(TcpAcceptor(listener)))
+        Ok(Box::new(TcpAcceptor(TcpListener::bind(addr)?)))
     }
 
     fn dial(&self, addr: SocketAddr) -> io::Result<Connection> {

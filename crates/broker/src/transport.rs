@@ -8,6 +8,10 @@
 //! - A connection is a reliable, ordered duplex byte stream. Frames are
 //!   `[u32 LE length][payload]`; ordering per direction is what the
 //!   per-link cumulative sequence dedup assumes.
+//! - A listener's `accept` may block for as long as nothing dials it: the
+//!   accept loop is woken for shutdown by a dial to its own address, never
+//!   by a timer. A listener may instead return `WouldBlock` when idle and
+//!   be polled.
 //! - Readers block in short quanta: a read that has nothing to deliver
 //!   returns `WouldBlock`/`TimedOut` within ~200 ms so reader threads can
 //!   observe shutdown flags and handshake deadlines. `Ok(0)` means the
@@ -72,13 +76,15 @@ pub struct Connection {
 
 /// A bound accept socket.
 pub trait Listener: Send {
-    /// Accepts one pending connection. Returns `ErrorKind::WouldBlock`
-    /// when none is pending (the accept loop polls).
+    /// Accepts one connection: blocks until one is pending (TCP), or
+    /// returns `ErrorKind::WouldBlock` when none is (SimNet) — the accept
+    /// loop copes with either, re-checking its shutdown flag after every
+    /// return.
     ///
     /// # Errors
     ///
     /// `WouldBlock` when nothing is pending; any other error is treated
-    /// as transient and retried after a pause.
+    /// as transient too. Both are retried after a pause.
     fn accept(&self) -> io::Result<Connection>;
     /// The bound address (with the OS- or net-assigned port resolved).
     ///
@@ -106,8 +112,12 @@ pub trait Transport: Send + Sync + fmt::Debug {
     fn dial(&self, addr: SocketAddr) -> io::Result<Connection>;
 }
 
-/// Spawns the accept loop. The listener must return `WouldBlock` when idle
-/// so the loop can observe the shutdown flag between accepts.
+/// Spawns the accept loop. It makes no timed wake-ups while the listener
+/// blocks in `accept`: whoever sets `shutdown` must then dial the listener's
+/// address, and the loop — which looks at the flag after every `accept`
+/// returns, before anything is registered — drops that connection and
+/// exits. A listener that polls instead (`WouldBlock` when idle) is
+/// re-asked after a pause and needs no waking.
 ///
 /// Returns the acceptor's join handle: shutdown must join it so the
 /// listener is provably unbound (not merely doomed) before `shutdown`
@@ -124,7 +134,11 @@ pub(crate) fn spawn_acceptor(
         .name("acceptor".into())
         .spawn(move || {
             while !shutdown.load(Ordering::Acquire) {
-                match listener.accept() {
+                let accepted = listener.accept();
+                if shutdown.load(Ordering::Acquire) {
+                    break;
+                }
+                match accepted {
                     Ok(connection) => {
                         let conn = next_conn.fetch_add(1, Ordering::Relaxed);
                         outbox.register(conn, Sink::Link(connection.writer));
@@ -135,9 +149,8 @@ pub(crate) fn spawn_acceptor(
                             Arc::clone(&shutdown),
                         );
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
+                    // Nothing pending on a polling listener, or a
+                    // transient failure: ask again shortly.
                     Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
             }

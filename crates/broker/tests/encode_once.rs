@@ -4,10 +4,16 @@
 //! client. Every broker hop slices the body out of the incoming frame and
 //! stitches outgoing Forward/Deliver frames around the same bytes.
 //!
-//! This test must stay alone in its own integration-test binary: the
-//! serialization counter ([`linkcast_types::wire::event_encode_count`]) is
-//! process-global, and any concurrently running test that encodes an event
-//! would pollute the delta.
+//! The control plane keeps the same invariant: a subscription is encoded
+//! once, at its home broker, and floods down the chain as the bytes each
+//! broker received.
+//!
+//! These tests must stay alone in their own integration-test binary, and
+//! take turns in it ([`ONE_AT_A_TIME`]): the serialization counters
+//! ([`linkcast_types::wire::event_encode_count`],
+//! [`linkcast_types::wire::subscription_encode_count`]) are process-global,
+//! and any concurrently running test that encodes an event or a
+//! subscription would pollute the delta.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,8 +22,12 @@ use linkcast::{NetworkBuilder, RoutingFabric};
 use linkcast_broker::{BrokerConfig, BrokerNode, Client};
 use linkcast_types::{wire, Event, EventSchema, SchemaId, SchemaRegistry, Value, ValueKind};
 
+/// Held by each test for as long as it samples a counter.
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn chain_fan_out_serializes_each_event_exactly_once() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let mut r = SchemaRegistry::new();
     r.register(
         EventSchema::builder("trades")
@@ -109,4 +119,65 @@ fn chain_fan_out_serializes_each_event_exactly_once() {
     assert_eq!(node_a.stats().forwarded, publishes, "A forwards to B");
     assert_eq!(node_b.stats().forwarded, publishes, "B forwards to C");
     assert_eq!(node_c.stats().forwarded, 0);
+}
+
+/// A - B - C - D; a client at A subscribes and unsubscribes. Every broker
+/// installs the subscription, so it crossed three links — in one encoding,
+/// A's: B and C pass on the payload they decoded. (They used to decode,
+/// clone for the engine, and encode again: one serialization per hop.)
+#[test]
+fn a_flooded_subscription_is_serialized_at_its_home_broker_only() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut r = SchemaRegistry::new();
+    r.register(
+        EventSchema::builder("trades")
+            .attribute("issue", ValueKind::Str)
+            .attribute("volume", ValueKind::Int)
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let registry = Arc::new(r);
+    let trades = SchemaId::new(0);
+
+    let mut net = NetworkBuilder::new();
+    let brokers = net.add_brokers(4);
+    for pair in brokers.windows(2) {
+        net.connect(pair[0], pair[1], 5.0).unwrap();
+    }
+    let subscriber = net.add_client(brokers[0]).unwrap();
+    let fabric = RoutingFabric::new_all_roots(net.build().unwrap()).unwrap();
+    let nodes: Vec<BrokerNode> = brokers
+        .iter()
+        .map(|&id| {
+            let config = BrokerConfig::localhost(id, fabric.clone(), Arc::clone(&registry));
+            BrokerNode::start(config).unwrap()
+        })
+        .collect();
+    // Links first, over which nothing is resynced yet: no broker knows a
+    // subscription.
+    for (node, (next, id)) in nodes.iter().zip(nodes.iter().zip(&brokers).skip(1)) {
+        node.connect_to(*id, next.addr()).unwrap();
+    }
+    let converged = |count: u64| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while nodes.iter().any(|n| n.stats().subscriptions != count) {
+            assert!(Instant::now() < deadline, "subscription flood stalled");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+
+    let mut client =
+        Client::connect(nodes[0].addr(), subscriber, 0, Arc::clone(&registry)).unwrap();
+    let before = wire::subscription_encode_count();
+    let id = client.subscribe(trades, "volume >= 0").unwrap();
+    converged(1);
+    assert_eq!(
+        wire::subscription_encode_count() - before,
+        1,
+        "one flood frame, encoded at the home broker"
+    );
+    client.unsubscribe(id).unwrap();
+    converged(0);
+    assert_eq!(wire::subscription_encode_count() - before, 1);
 }

@@ -5,7 +5,11 @@
 //! children (plus one implicit all-`No` alternative unless the branches
 //! exhaust the attribute's finite domain), *Parallel Combine*d with its `*`
 //! child; a leaf's is *Parallel Combine* over its subscribers' leaf
-//! vectors. Folding that from scratch costs a node's whole fan-out. Instead
+//! vectors. A tail's is what the chain it stands for would carry at its
+//! top: its subscribers' *Parallel Combine*, every `Yes` turned `Maybe` if
+//! some test of the chain can fail ([`can_fail`]) — what the implicit
+//! alternative does at that test's node and every node above it repeats.
+//! Folding that from scratch costs a node's whole fan-out. Instead
 //! every node keeps a [`TritTally`] of what its value-branch children (its
 //! subscribers, for a leaf) currently say, so a mutation that changes one
 //! child is "take the old vector out, count the new one in, read the
@@ -16,7 +20,7 @@
 use std::collections::HashMap;
 
 use linkcast_matching::{EdgeSlot, Matcher, NodeId, NodeRef, PathReport, Pst};
-use linkcast_types::{ClientId, TritTally, TritVec, Value};
+use linkcast_types::{AttrTest, ClientId, TritTally, TritVec, Value};
 
 use crate::LinkSpace;
 
@@ -59,6 +63,16 @@ impl Annotations {
     /// Every node's annotation, indexed by [`NodeId::index`].
     pub(crate) fn as_slice(&self) -> &[Option<TritVec>] {
         &self.trits
+    }
+
+    /// What the leaf at the end of tail (or leaf) `id`'s chain is
+    /// annotated with: its subscribers' *Parallel Combine*, undemoted.
+    pub(crate) fn at_leaf(&self, id: NodeId) -> TritVec {
+        let mut out = TritVec::no(self.next.len());
+        if let Some(tally) = self.tallies.get(id.index()) {
+            tally.parallel_into(&mut out);
+        }
+        out
     }
 
     /// The memoized leaf vector of `client`, if any leaf has needed it.
@@ -105,6 +119,25 @@ impl Annotations {
         subscribed: bool,
     ) {
         self.grow(pst.arena_size());
+        if let (Some(burst), [.., fork, _]) = (&path.burst, path.nodes.as_slice()) {
+            // The burst tail's subscribers moved to `parked`, behind the
+            // older edge of the fork; everything else about the nodes the
+            // burst made real is the newcomer's path, annotated below.
+            if let Some(tail) = path.created.checked_sub(1).and_then(|i| path.nodes.get(i)) {
+                self.tallies[burst.parked.index()] =
+                    std::mem::take(&mut self.tallies[tail.index()]);
+            }
+            self.derive(pst, &pst.node(burst.parked), burst.parked);
+            let node = pst.node(*fork);
+            let eq = node.eq_edges().iter().position(|(_, c)| *c == burst.parked);
+            let range = node
+                .range_edges()
+                .iter()
+                .position(|(_, c)| *c == burst.parked);
+            if let Some(slot) = eq.map(EdgeSlot::Eq).or(range.map(EdgeSlot::Range)) {
+                self.count_branch(pst, &node, *fork, slot, burst.parked);
+            }
+        }
         // Drop the pruned chain's state, leaf first, keeping the last
         // annotation taken: the top's, which its parent still counts.
         let mut had_previous = false;
@@ -145,10 +178,12 @@ impl Annotations {
                             .expect("children are annotated before parents");
                         self.tallies[id.index()].add(now);
                     } else {
-                        // A fresh branch: the boundary edge the report
-                        // names, or a created node's only edge.
-                        let slot = match path.added {
-                            Some(slot) if i + 1 == path.created => slot,
+                        // A fresh branch: the newer edge of a burst's
+                        // fork, the boundary edge the report names, or a
+                        // created node's only edge.
+                        let slot = match (&path.burst, path.added) {
+                            (Some(burst), _) if i + 2 == path.nodes.len() => burst.forked,
+                            (_, Some(slot)) if i + 1 == path.created => slot,
                             _ if node.eq_edges().is_empty() => EdgeSlot::Range(0),
                             _ => EdgeSlot::Eq(0),
                         };
@@ -260,7 +295,8 @@ impl Annotations {
     }
 
     /// §3.1: reads `id`'s annotation off its tallies — leaves get `Yes` per
-    /// link reaching one of their subscribers; interior nodes combine
+    /// link reaching one of their subscribers, tails `Maybe` instead if a
+    /// test of their chain can fail; interior nodes combine
     /// children with *Alternative Combine* (value branches, plus an
     /// implicit all-`No` alternative when the branches do not exhaust the
     /// attribute's domain) and *Parallel Combine* (the `*` branch). Leaves
@@ -270,6 +306,12 @@ impl Annotations {
         let tally = &self.tallies[id.index()];
         if node.is_leaf() {
             tally.parallel_into(&mut self.next);
+            if node
+                .residual()
+                .any(|(attr, test)| can_fail(pst, attr, test))
+            {
+                self.next.yes_to_maybe_in_place();
+            }
         } else {
             let branches = node.eq_edges().len() + node.range_edges().len();
             let implicit = usize::from(!self.branches_exhaust_domain(pst, node, id));
@@ -299,4 +341,28 @@ impl Annotations {
 /// The finite domain of the attribute `node` tests, if it declares one.
 fn domain_of<'a>(pst: &'a Pst, node: &NodeRef<'_>) -> Option<&'a [Value]> {
     pst.schema().attribute(node.attribute()?)?.domain()
+}
+
+/// The deepest test of a tail's `chain` ([`NodeRef::residual`]) that
+/// [`can_fail`]: its level counted from the tail's, and the attribute it
+/// reads. The chain's nodes down to that one carry the tail's annotation,
+/// those below it the leaf's.
+pub(crate) fn last_failing<'a>(
+    pst: &Pst,
+    chain: impl DoubleEndedIterator<Item = (usize, &'a AttrTest)> + ExactSizeIterator,
+) -> Option<(usize, usize)> {
+    let last = (chain.enumerate()).rfind(|(_, (attr, test))| can_fail(pst, *attr, test));
+    last.map(|(level, (attr, _))| (level, attr))
+}
+
+/// Whether a node whose one edge tests `attr` by `test` turns some events
+/// away — so that its annotation is its child's with every `Yes` demoted to
+/// `Maybe`, by the implicit all-`No` alternative: neither `*` nor a test
+/// every value of the attribute's declared finite domain passes.
+pub(crate) fn can_fail(pst: &Pst, attr: usize, test: &AttrTest) -> bool {
+    if test.is_wildcard() {
+        return false;
+    }
+    let domain = pst.schema().attribute(attr).and_then(|a| a.domain());
+    !domain.is_some_and(|values| values.iter().all(|v| test.matches(v)))
 }

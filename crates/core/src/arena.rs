@@ -33,6 +33,17 @@
 //! absorbed is a function of the PST and its annotations alone, so the
 //! arena a mutation history leaves walks exactly like a fresh compile.
 //!
+//! The tree mirrored is the *logical* one. A PST tail — one node parking
+//! subscriptions above leaf level, in place of the unshared chain of
+//! single-edge nodes down to their leaf — gets the arena nodes that chain
+//! would get, run for run, with the annotations the chain's nodes would
+//! carry: the tail's own down to the last test that can fail, the leaf's
+//! (the same with every `Maybe` a `Yes`) below it. These *image* nodes are
+//! linked top to bottom ([`MatchArena::chain`]), since nothing else names
+//! them. When an insert makes part of a tail's chain real, the logical
+//! tree has not changed and neither does the arena: the new PST nodes are
+//! mapped onto the image nodes that stood for them.
+//!
 //! The arena is compiled from the PST once and then patched in place: a
 //! [`MutationReport`] names the one edge each touched path gained or lost,
 //! so a subscribe or unsubscribe rewrites that edge, the annotation slots
@@ -45,6 +56,7 @@
 use linkcast_matching::{EdgeSlot, MatchStats, MutationReport, NodeId, PathReport, Pst};
 use linkcast_types::{AttrTest, Event, TritVec, Value};
 
+use crate::annotate::last_failing;
 use crate::LinkSpace;
 
 /// Sentinel for "no node" in `u32` index fields.
@@ -255,6 +267,10 @@ pub struct MatchArena {
     prefix: EdgeTable<AttrTest>,
     /// Per-node `*` child (skip-resolved); `NONE` if absent.
     star: Vec<u32>,
+    /// Per node, the next node down the image of a PST tail's chain: set
+    /// on a node whose run ends inside such a chain, above its leaf; `NONE`
+    /// everywhere else. Edges cannot serve — they skip trivial nodes.
+    chain: Vec<u32>,
     /// Annotation slab: node `i`'s trits at
     /// `[i * words_per_mask, (i + 1) * words_per_mask)`.
     ann_words: Vec<u64>,
@@ -263,8 +279,9 @@ pub struct MatchArena {
     roots: Vec<(Box<[Value]>, u32)>,
     /// Factored attribute indices (the root-key schema).
     factored: Vec<usize>,
-    /// PST `NodeId::index()` → arena index, the same for every node of a
-    /// run; `NONE` for dead/unknown slots.
+    /// PST `NodeId::index()` → arena index (of the node a tail's chain
+    /// opens with), the same for every node of a run; `NONE` for
+    /// dead/unknown slots.
     map: Vec<u32>,
     /// Node slots whose PST node was pruned, reused by later appends.
     free: Vec<u32>,
@@ -340,7 +357,10 @@ impl MatchArena {
             self.map.resize(pst.arena_size(), NONE);
         }
         for path in &report.paths {
-            self.apply_path(pst, path, annotations);
+            if !self.apply_path(pst, path, annotations) {
+                *self = Self::compile(pst, annotations, self.width);
+                return;
+            }
         }
         let edges = self.eq.live + self.ranges.live + self.prefix.live;
         let live = self.node_count() + edges;
@@ -350,7 +370,14 @@ impl MatchArena {
         }
     }
 
-    fn apply_path(&mut self, pst: &Pst, path: &PathReport, annotations: &[Option<TritVec>]) {
+    /// Mirrors one reported path; `false` if the arena must be recompiled
+    /// instead (it may have been left half patched).
+    fn apply_path(
+        &mut self,
+        pst: &Pst,
+        path: &PathReport,
+        annotations: &[Option<TritVec>],
+    ) -> bool {
         // Top of the pruned chain first: the free list is a stack and
         // appends go leaf first, so the next chain of the same shape gets
         // each slot back in its old role, edge windows fitting. A pruned
@@ -366,30 +393,50 @@ impl MatchArena {
                 released = idx;
             }
         }
+        // What is new to the logical tree. A burst made nodes of a chain
+        // the arena holds already: only the newcomer's tail is, hanging
+        // off the fork.
+        let (created, added) = match &path.burst {
+            Some(burst) => {
+                self.realize(pst, path, burst.parked);
+                (path.nodes.len().saturating_sub(1), Some(burst.forked))
+            }
+            None => (path.created, path.added),
+        };
         // Leaf first, so a parent's edges can translate its children.
-        let created = path.nodes.iter().skip(path.created).rev();
-        self.append_runs(pst, created.copied(), annotations);
+        let fresh = path.nodes.iter().skip(created).rev();
+        self.append_runs(pst, fresh.copied(), annotations);
 
         // The nodes that were there before, `nodes[i]` at tree level `i`.
+        let mut existing = path.nodes.get(..created).unwrap_or(&path.nodes);
+        // A leaf or tail among them gained or lost a subscriber: its whole
+        // image carries what the subscribers come to.
+        if let Some((last, above)) = existing.split_last() {
+            if pst.node(*last).is_leaf() {
+                if !self.reannotate_chain(pst, *last, annotations) {
+                    return false;
+                }
+                existing = above;
+            }
+        }
         // Runs are re-cut in three passes around the edge patch: first
         // every node the rule no longer absorbs gets its own arena node
         // back (so the patch finds the edges it rewrites), last every node
         // the rule newly absorbs gives its arena node up.
-        let existing = path.nodes.get(..path.created).unwrap_or(&path.nodes);
         let mut boundary_rewritten = false;
         for (i, id) in existing.iter().enumerate().rev() {
-            if !self.is_tail(pst, i, *id) && absorbed_into(pst, annotations, *id).is_none() {
+            if !self.ends_run(pst, i, *id) && absorbed_into(pst, annotations, *id).is_none() {
                 self.split(pst, existing, i, annotations);
-                boundary_rewritten |= i + 1 == path.created;
+                boundary_rewritten |= i + 1 == created;
             }
         }
 
         // The node an edge into `nodes[i]` leaves from (none for a root).
         let above = |i: usize| i.checked_sub(1).and_then(|p| path.nodes.get(p)).copied();
-        if let (Some(slot), Some(child)) = (path.added, path.nodes.get(path.created)) {
+        if let (Some(slot), Some(child)) = (added, path.nodes.get(created)) {
             // A split wrote the parent's image from the PST, new edge and all.
             if !boundary_rewritten {
-                self.add_edge(pst, &path.key, above(path.created), slot, *child);
+                self.add_edge(pst, &path.key, above(created), slot, *child);
             }
         }
         if let Some((slot, _)) = &path.removed {
@@ -399,7 +446,7 @@ impl MatchArena {
             let parent = above(*i);
             // An absorbed parent has no edge to re-resolve: its test sits
             // in a prefix, and a run's nodes share one slot.
-            if parent.is_some_and(|p| !self.is_tail(pst, *i - 1, p)) {
+            if parent.is_some_and(|p| !self.ends_run(pst, *i - 1, p)) {
                 continue;
             }
             if let Some(id) = path.nodes.get(*i) {
@@ -407,25 +454,103 @@ impl MatchArena {
             }
         }
         for (i, id) in existing.iter().enumerate() {
-            if self.is_tail(pst, i, *id) {
-                self.set_annotation(self.translate(*id), annotations.get(id.index()));
+            if self.ends_run(pst, i, *id) {
+                self.set_annotation(self.translate(*id), annotations.get(id.index()), false);
             }
         }
         for (i, id) in existing.iter().enumerate().rev() {
-            if !self.is_tail(pst, i, *id) {
+            if !self.ends_run(pst, i, *id) {
                 continue;
             }
             if let Some((child, test, attr)) = absorbed_into(pst, annotations, *id) {
                 self.merge(pst, *id, child, (test, attr));
             }
         }
+        true
+    }
+
+    /// Maps the PST nodes a burst made of a tail's chain — the rest of
+    /// `path` from the burst tail `nodes[created - 1]` on, bar the
+    /// newcomer's, and `parked` below the last of them — onto the image
+    /// nodes that stood for the same levels. Where a node ends its run the
+    /// next level opens the next image node, which is from then on reached
+    /// through the PST like any other.
+    fn realize(&mut self, pst: &Pst, path: &PathReport, parked: NodeId) {
+        let Some(from) = path.created.checked_sub(1) else {
+            return;
+        };
+        let fork = path.nodes.len().saturating_sub(2);
+        let mut idx = path.nodes.get(from).map_or(NONE, |id| self.translate(*id));
+        for level in from..=fork {
+            let attr = pst.order().get(level).map_or(NONE, |a| *a as u32);
+            if self.attr.get(idx as usize) == Some(&attr) {
+                let link = self.chain.get_mut(idx as usize);
+                idx = link.map_or(NONE, |next| std::mem::replace(next, NONE));
+            }
+            let below = if level < fork {
+                path.nodes.get(level + 1).copied()
+            } else {
+                Some(parked)
+            };
+            if let Some(slot) = below.and_then(|id| self.map.get_mut(id.index())) {
+                *slot = idx;
+            }
+        }
+        // The image resolved its edges past every `*`-only level below
+        // them; the fork is not one any more.
+        for level in from..fork {
+            let (Some(id), Some(below)) = (path.nodes.get(level), path.nodes.get(level + 1)) else {
+                break;
+            };
+            if !self.ends_run(pst, level, *id) {
+                continue;
+            }
+            let node = pst.node(*id);
+            let slot = match (node.eq_edges(), node.range_edges()) {
+                ([_], _) => EdgeSlot::Eq(0),
+                (_, [_]) => EdgeSlot::Range(0),
+                _ => EdgeSlot::Star,
+            };
+            self.retarget(pst, &path.key, Some(*id), slot, *below);
+        }
+    }
+
+    /// Rewrites the annotations of the image of leaf or tail `id` after
+    /// its subscribers changed: the tail's own on every node down to the
+    /// one whose test is the chain's last that can fail, the leaf's below.
+    /// `false` if the image's runs are no longer cut where they should be:
+    /// an all-`No` annotation equals the leaf's, one with a `Maybe` does
+    /// not, so turning from one to the other merges or splits the run at
+    /// that test.
+    fn reannotate_chain(&mut self, pst: &Pst, id: NodeId, annotations: &[Option<TritVec>]) -> bool {
+        let boundary = last_failing(pst, pst.node(id).residual()).map(|(_, attr)| attr as u32);
+        let annotation = annotations.get(id.index());
+        let mut idx = self.translate(id);
+        if boundary.is_some() {
+            let flat = annotation
+                .and_then(|a| a.as_ref())
+                .is_none_or(TritVec::is_all_no);
+            if flat != self.ann(idx).iter().all(|word| *word == 0) {
+                return false;
+            }
+        }
+        let mut below_boundary = false;
+        while idx != NONE {
+            self.set_annotation(idx, annotation, below_boundary);
+            below_boundary |=
+                boundary.is_some() && self.attr.get(idx as usize) == boundary.as_ref();
+            idx = self.chain.get(idx as usize).copied().unwrap_or(NONE);
+        }
+        true
     }
 
     /// Appends the arena images of the PST nodes `ids`, which must come
     /// children first: every node the run rule does not absorb gets an
     /// arena node (a free slot if there is one), and the absorbed parents
     /// that follow it — an only child's parent is next in any
-    /// children-first order — become that node's prefix.
+    /// children-first order — become that node's prefix. A tail gets the
+    /// image of its whole chain, and its parents may be absorbed into the
+    /// run that chain opens with.
     fn append_runs(
         &mut self,
         pst: &Pst,
@@ -434,10 +559,15 @@ impl MatchArena {
     ) {
         let mut ids = ids.peekable();
         let mut tests = std::mem::take(&mut self.run_tests);
-        while let Some(tail) = ids.next() {
-            let idx = self.alloc();
-            self.write(idx, pst, tail, annotations);
-            let mut below = tail;
+        while let Some(end) = ids.next() {
+            let idx = if pst.node(end).is_leaf() {
+                self.append_chain(pst, end, annotations, &mut tests)
+            } else {
+                let idx = self.alloc();
+                self.write(idx, pst, end, annotations);
+                idx
+            };
+            let mut below = end;
             while let Some(id) = ids.peek().copied() {
                 match absorbed_into(pst, annotations, id) {
                     Some((child, test, attr)) if child == below => {
@@ -457,6 +587,77 @@ impl MatchArena {
         self.run_tests = tests;
     }
 
+    /// Appends the image of leaf or tail `id`: what [`append_runs`] would
+    /// append for the chain of single-edge nodes it stands for, bottom up —
+    /// the leaf, then per level a node of its own for a `*` test and for
+    /// the last test that can fail (where the annotation changes from the
+    /// leaf's to the tail's, unless both are all-`No`), and a place in the
+    /// prefix of the node below for every other test. Returns the topmost
+    /// node, with the tests its run has absorbed so far left in `tests`
+    /// for the caller to add to and fill in.
+    ///
+    /// [`append_runs`]: Self::append_runs
+    fn append_chain(
+        &mut self,
+        pst: &Pst,
+        id: NodeId,
+        annotations: &[Option<TritVec>],
+        tests: &mut Vec<(AttrTest, u32)>,
+    ) -> u32 {
+        let chain = pst.node(id).residual();
+        let annotation = annotations.get(id.index());
+        let flat = annotation
+            .and_then(|a| a.as_ref())
+            .is_none_or(TritVec::is_all_no);
+        let last_failing = last_failing(pst, chain.clone()).map(|(level, _)| level);
+        let skipping = pst.options().eliminate_trivial_tests;
+
+        let mut idx = self.alloc();
+        self.set_annotation(idx, annotation, last_failing.is_some());
+        // Where an edge into the level below lands.
+        let mut entry = idx;
+        for (level, (attr, test)) in chain.enumerate().rev() {
+            let attr = attr as u32;
+            if !test.is_wildcard() {
+                self.mark_tested(attr);
+                if Some(level) != last_failing || flat {
+                    tests.push((test.clone(), attr));
+                    entry = idx;
+                    continue;
+                }
+            }
+            self.prefix.fill(idx as usize, tests.drain(..));
+            let above = self.alloc();
+            let at = above as usize;
+            if let Some(slot) = self.chain.get_mut(at) {
+                *slot = idx;
+            }
+            if let Some(slot) = self.attr.get_mut(at) {
+                *slot = attr;
+            }
+            self.set_annotation(above, annotation, last_failing.is_some_and(|f| level > f));
+            match test {
+                AttrTest::Any => {
+                    if let Some(slot) = self.star.get_mut(at) {
+                        *slot = entry;
+                    }
+                }
+                AttrTest::Eq(value) => self.eq.fill(at, std::iter::once((value.clone(), entry))),
+                range => self
+                    .ranges
+                    .fill(at, std::iter::once((range.clone(), entry))),
+            }
+            idx = above;
+            if !(skipping && test.is_wildcard()) {
+                entry = above;
+            }
+        }
+        if let Some(slot) = self.map.get_mut(id.index()) {
+            *slot = idx;
+        }
+        idx
+    }
+
     /// A blank node slot: the most recently freed one, else a new one.
     fn alloc(&mut self) -> u32 {
         if let Some(idx) = self.free.pop() {
@@ -464,6 +665,7 @@ impl MatchArena {
         }
         self.attr.push(NONE);
         self.star.push(NONE);
+        self.chain.push(NONE);
         self.eq.spans.push(Span::default());
         self.ranges.spans.push(Span::default());
         self.prefix.spans.push(Span::default());
@@ -472,9 +674,10 @@ impl MatchArena {
         (self.attr.len() - 1) as u32
     }
 
-    /// Writes the arena image of PST node `id` — attribute, annotation,
-    /// and its edges resolved against the already-mapped children — into
-    /// the blank slot `idx`, as the tail of a run with no prefix yet.
+    /// Writes the arena image of interior PST node `id` — attribute,
+    /// annotation, and its edges resolved against the already-mapped
+    /// children — into the blank slot `idx`, as the end of a run with no
+    /// prefix yet.
     fn write(&mut self, idx: u32, pst: &Pst, id: NodeId, annotations: &[Option<TritVec>]) {
         let node = pst.node(id);
         let attr = node.attribute().map_or(NONE, |a| a as u32);
@@ -489,41 +692,60 @@ impl MatchArena {
         if let Some(slot) = self.star.get_mut(i) {
             *slot = star;
         }
-        let map = &self.map;
+        let (map, stars) = (&self.map, &self.star);
         let eq = node.eq_edges().iter();
-        self.eq
-            .fill(i, eq.map(|(v, c)| (v.clone(), resolve(map, pst, *c))));
+        self.eq.fill(
+            i,
+            eq.map(|(v, c)| (v.clone(), resolve(map, stars, pst, *c))),
+        );
         let ranges = node.range_edges().iter();
-        self.ranges
-            .fill(i, ranges.map(|(t, c)| (t.clone(), resolve(map, pst, *c))));
+        self.ranges.fill(
+            i,
+            ranges.map(|(t, c)| (t.clone(), resolve(map, stars, pst, *c))),
+        );
         if !node.eq_edges().is_empty() || !node.range_edges().is_empty() {
             self.mark_tested(attr);
         }
-        self.set_annotation(idx, annotations.get(id.index()));
+        self.set_annotation(idx, annotations.get(id.index()), false);
     }
 
-    /// Retires node slot `idx`: emptied, edge windows kept, it waits on the
-    /// free list for the next [`alloc`](Self::alloc).
+    /// Retires node slot `idx` and, if a tail's image hangs below it, the
+    /// rest of that image: emptied, edge windows kept, blank again, they
+    /// wait on the free list — topmost first, the leaf last — for the next
+    /// [`alloc`](Self::alloc)s.
     fn release(&mut self, idx: u32) {
-        self.eq.clear(idx as usize);
-        self.ranges.clear(idx as usize);
-        self.prefix.clear(idx as usize);
-        self.free.push(idx);
+        let mut next = idx;
+        while next != NONE {
+            let at = next as usize;
+            self.eq.clear(at);
+            self.ranges.clear(at);
+            self.prefix.clear(at);
+            if let Some(slot) = self.attr.get_mut(at) {
+                *slot = NONE;
+            }
+            if let Some(slot) = self.star.get_mut(at) {
+                *slot = NONE;
+            }
+            self.free.push(next);
+            let link = self.chain.get_mut(at);
+            next = link.map_or(NONE, |below| std::mem::replace(below, NONE));
+        }
     }
 
-    /// Whether `id`, at tree level `level`, is the tail of its run — the
-    /// node whose edges the arena node holds — rather than absorbed: a
-    /// run's nodes sit on consecutive levels, so only the tail tests the
-    /// arena node's attribute.
-    fn is_tail(&self, pst: &Pst, level: usize, id: NodeId) -> bool {
+    /// Whether `id` — for a tail, the node its chain opens with — at tree
+    /// level `level` ends its run: it is the node whose edges the arena
+    /// node holds, rather than absorbed. A run's nodes sit on consecutive
+    /// levels, so only the last tests the arena node's attribute.
+    fn ends_run(&self, pst: &Pst, level: usize, id: NodeId) -> bool {
         let attr = pst.order().get(level).map_or(NONE, |a| *a as u32);
         self.attr.get(self.translate(id) as usize) == Some(&attr)
     }
 
     /// Cuts the run of `nodes[i]` (absorbed so far) below it. The arena
-    /// node keeps the upper part — `nodes[i]` as its new tail, the prefix
+    /// node keeps the upper part — `nodes[i]` as its new end, the prefix
     /// tests above it — so whatever leads into the run still does; the
-    /// lower part moves to a fresh node with the rest of the prefix.
+    /// lower part moves to a fresh node with the rest of the prefix (and
+    /// the link down a tail's image, if it ends inside one).
     fn split(&mut self, pst: &Pst, nodes: &[NodeId], i: usize, annotations: &[Option<TritVec>]) {
         let Some(&id) = nodes.get(i) else {
             return;
@@ -548,10 +770,10 @@ impl MatchArena {
         self.write(run, pst, id, annotations);
     }
 
-    /// Joins `id` — the tail of its own arena node, now absorbed, with
-    /// `test` on its one edge — and the prefix above it onto the run of
-    /// `child`. The arena node of `id` takes the child's run over, so
-    /// whatever leads into it still does; the child's node is freed.
+    /// Joins `id` — the end of its own run, now absorbed, with `test` on
+    /// its one edge — and the prefix above it onto the run of `child`. The
+    /// arena node of `id` takes the child's run over, so whatever leads
+    /// into it still does; the child's node is freed.
     fn merge(&mut self, pst: &Pst, id: NodeId, child: NodeId, test: (AttrTest, u32)) {
         let (upper, lower) = (self.translate(id), self.translate(child));
         let members = self.prefix.len(lower as usize) + 1;
@@ -570,6 +792,7 @@ impl MatchArena {
         }
         self.attr.swap(a, b);
         self.star.swap(a, b);
+        self.chain.swap(a, b);
         self.eq.spans.swap(a, b);
         self.ranges.spans.swap(a, b);
         self.prefix.spans.swap(a, b);
@@ -582,13 +805,14 @@ impl MatchArena {
     }
 
     /// Re-maps the `count` run nodes below `from` — each the child, mapped
-    /// to `run`, of the one before — to arena node `to`.
+    /// to `run`, of the one before — to arena node `to`; fewer, if the
+    /// run goes on inside a tail's chain, whose levels have no nodes.
     fn remap(&mut self, pst: &Pst, from: NodeId, run: u32, count: usize, to: u32) {
         let mut at = from;
         for _ in 0..count {
             let mut children = pst.node(at).children();
             let Some(next) = children.find(|c| self.translate(*c) == run) else {
-                debug_assert!(false, "a run is a chain of value edges");
+                debug_assert!(pst.node(at).is_leaf(), "a run is a chain of value edges");
                 return;
             };
             if let Some(slot) = self.map.get_mut(next.index()) {
@@ -688,8 +912,12 @@ impl MatchArena {
         }
     }
 
-    /// Copies `annotation` (all-`No` when absent) into `node`'s slab slot.
-    fn set_annotation(&mut self, node: u32, annotation: Option<&Option<TritVec>>) {
+    /// Copies `annotation` (all-`No` when absent) into `node`'s slab slot
+    /// — `promoted`, with every `Maybe` a `Yes`: the leaf's annotation
+    /// read off that of a tail whose chain has a test that can fail.
+    fn set_annotation(&mut self, node: u32, annotation: Option<&Option<TritVec>>, promoted: bool) {
+        /// The low bit of every two-bit trit lane: set alone, a `Maybe`.
+        const LO: u64 = 0x5555_5555_5555_5555;
         let start = node as usize * self.words_per_mask;
         let Some(slot) = self.ann_words.get_mut(start..start + self.words_per_mask) else {
             return;
@@ -700,6 +928,12 @@ impl MatchArena {
                 slot.copy_from_slice(ann.words());
             }
             None => slot.fill(0),
+        }
+        if promoted {
+            for word in slot {
+                let maybe = *word & LO & !(*word >> 1);
+                *word = (*word & !maybe) | (maybe << 1);
+            }
         }
     }
 
@@ -715,7 +949,7 @@ impl MatchArena {
 
     /// The arena index a search entering PST node `id` lands on.
     fn resolve(&self, pst: &Pst, id: NodeId) -> u32 {
-        resolve(&self.map, pst, id)
+        resolve(&self.map, &self.star, pst, id)
     }
 
     /// The attribute indices that can influence a match result (sorted).
@@ -752,6 +986,46 @@ impl MatchArena {
             edge_slots: self.edge_slots(),
             free_nodes: self.free.len(),
         }
+    }
+
+    /// Everything a search can reach, node by node in the order a
+    /// depth-first walk from the roots (ascending by key) first meets them
+    /// and named by that order: two arenas with equal outlines walk every
+    /// event alike, wherever they keep their nodes.
+    #[cfg(test)]
+    pub(crate) fn outline(&self) -> Vec<String> {
+        let mut names = std::collections::HashMap::new();
+        let mut pending = Vec::new();
+        let mut name = |node: u32, pending: &mut Vec<u32>| {
+            let next = names.len();
+            *names.entry(node).or_insert_with(|| {
+                pending.push(node);
+                next
+            })
+        };
+        let mut out = Vec::new();
+        for (key, root) in &self.roots {
+            out.push(format!("{key:?} -> #{}", name(*root, &mut pending)));
+            while let Some(node) = pending.pop() {
+                let (i, mut fresh) = (node as usize, Vec::new());
+                let (tests, attrs) = self.prefix.edges(i);
+                let (values, eq) = self.eq.edges(i);
+                let (ranges, range) = self.ranges.edges(i);
+                let eq: Vec<_> = eq.iter().map(|c| name(*c, &mut fresh)).collect();
+                let range: Vec<_> = range.iter().map(|c| name(*c, &mut fresh)).collect();
+                let star = (self.star[i] != NONE).then(|| name(self.star[i], &mut fresh));
+                let own = name(node, &mut fresh);
+                out.push(format!(
+                    "#{} attr {} ann {:x?} prefix {tests:?} on {attrs:?} eq {values:?} -> {eq:?} \
+                     ranges {ranges:?} -> {range:?} star {star:?}",
+                    own,
+                    self.attr[i] as i32,
+                    self.ann(node),
+                ));
+                pending.extend(fresh.into_iter().rev());
+            }
+        }
+        out
     }
 
     /// The arena root for `event`'s factor key, found by binary search
@@ -980,14 +1254,21 @@ fn translate(map: &[u32], id: NodeId) -> u32 {
 }
 
 /// The arena index a search entering PST node `id` lands on: that of its
-/// trivial-test skip target when elimination is on, else its own. A
-/// function of `map` alone so edges can be resolved while an edge table is
-/// being written.
-fn resolve(map: &[u32], pst: &Pst, id: NodeId) -> u32 {
-    if pst.options().eliminate_trivial_tests {
-        translate(map, pst.node(id).skip().unwrap_or(id))
+/// trivial-test skip target when elimination is on, else its own. A tail
+/// whose chain opens with a `*` test is a trivial node to skip too, and
+/// the image of that node says where to. A function of `map` and `star`
+/// alone so edges can be resolved while an edge table is being written.
+fn resolve(map: &[u32], star: &[u32], pst: &Pst, id: NodeId) -> u32 {
+    if !pst.options().eliminate_trivial_tests {
+        return translate(map, id);
+    }
+    let target = pst.node(id).skip().unwrap_or(id);
+    let idx = translate(map, target);
+    let opens_with = pst.node(target).residual().next();
+    if opens_with.is_some_and(|(_, test)| test.is_wildcard()) {
+        star.get(idx as usize).copied().unwrap_or(NONE)
     } else {
-        translate(map, id)
+        idx
     }
 }
 

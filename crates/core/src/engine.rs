@@ -5,7 +5,7 @@ use linkcast_matching::{
 };
 use linkcast_types::{Event, EventSchema, LinkId, Subscription, SubscriptionId, TritVec};
 
-use crate::annotate::Annotations;
+use crate::annotate::{last_failing, Annotations};
 use crate::arena::WalkEvidence;
 use crate::order::{self, OrderReport, FIRST_CHECK_WALKS};
 use crate::{LinkSpace, MatchArena, MatchScratch, Result, TreeId};
@@ -612,10 +612,11 @@ impl LinkMatchEngine {
             return mask;
         }
         let node = self.pst.node(id);
-        debug_assert!(
-            !node.is_leaf(),
-            "leaf annotations are Yes/No-only, so refinement terminates there"
-        );
+        if node.is_leaf() {
+            // A leaf proper's annotation is Yes/No-only, so refinement
+            // terminates there; a `Maybe` was left by a tail.
+            return self.subsearch_chain(id, mask, event, stats);
+        }
         let attr = node.attribute().expect("interior node tests an attribute");
         let value = &event.values()[attr];
 
@@ -644,6 +645,36 @@ impl LinkMatchEngine {
             mask = mask.absorb_yes(&sub);
         }
         // End of step 3: remaining Maybes become No.
+        mask.maybes_to_no()
+    }
+
+    /// [`subsearch`](Self::subsearch) down the chain tail `id` stands for,
+    /// its first node entered and `mask` refined by it already. Every node
+    /// down to the last whose test can fail carries the tail's annotation —
+    /// refining by it again changes nothing — and the one below that the
+    /// leaf's, which leaves no `Maybe`: so the walk evaluates tests, charged
+    /// as the single-edge nodes would be, until one fails (every `Maybe`
+    /// becomes `No`) or that node is reached.
+    fn subsearch_chain(
+        &self,
+        id: NodeId,
+        mask: TritVec,
+        event: &Event,
+        stats: &mut MatchStats,
+    ) -> TritVec {
+        let chain = self.pst.node(id).residual();
+        let last = last_failing(&self.pst, chain.clone()).map(|(level, _)| level);
+        for (level, (attr, test)) in chain.enumerate() {
+            let value = &event.values()[attr];
+            stats.comparisons += 1 + u64::from(!test.is_wildcard() && !test.is_equality());
+            if !test.matches(value) {
+                break;
+            }
+            stats.steps += 1;
+            if Some(level) == last {
+                return mask.refine(&self.annotations.at_leaf(id));
+            }
+        }
         mask.maybes_to_no()
     }
 

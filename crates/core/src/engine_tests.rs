@@ -108,8 +108,20 @@ fn engine_annotations_distinguish_links() {
         .unwrap();
 
     // B0's links: [broker B1, client c0]. The root annotation must be
-    // Maybe/Maybe: whether either link gets the event depends on x.
+    // Maybe/Maybe: whether either link gets the event depends on x. The
+    // two share one tail there, which says what its chain's top would.
     let (_, root) = engine.pst().roots().next().unwrap();
+    assert!(engine.pst().node(root).is_tail());
+    let ann = engine.annotation(root).unwrap();
+    assert_eq!(ann.get(0), Trit::Maybe);
+    assert_eq!(ann.get(1), Trit::Maybe);
+
+    // A third that differs at x makes the root real, and leaves it saying
+    // the same.
+    engine
+        .subscribe(sub(2, clients[2], &[Some(2), None, None]))
+        .unwrap();
+    assert!(!engine.pst().node(root).is_leaf());
     let ann = engine.annotation(root).unwrap();
     assert_eq!(ann.get(0), Trit::Maybe);
     assert_eq!(ann.get(1), Trit::Maybe);
@@ -831,66 +843,170 @@ fn in_tree_order(engine: &LinkMatchEngine) -> Vec<linkcast_types::Subscription> 
     out
 }
 
-/// Walks two engines' trees in step, pairing children by edge label, and
-/// requires the same shape and the same annotation on every node.
-fn assert_same_annotated_tree(a: &LinkMatchEngine, b: &LinkMatchEngine, context: &str) {
-    let roots = |e: &LinkMatchEngine| {
-        let mut roots: Vec<_> = e.pst().roots().map(|(k, r)| (k.to_vec(), r)).collect();
-        roots.sort();
+/// A node of the *logical* tree — the one every tail stands for a chain
+/// of — named by the PST node that holds it and its level: a tail at level
+/// `l` of a tree `d` deep holds the logical nodes `l..=d`. Restated here
+/// over the public tree, as the independent witness of what the engine
+/// keeps per tail: which edges the chain has, what each of its nodes is
+/// annotated with, where it ends in a leaf.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Logical {
+    id: linkcast_matching::NodeId,
+    level: usize,
+}
+
+impl Logical {
+    fn roots(engine: &LinkMatchEngine) -> Vec<(Vec<Value>, Logical)> {
+        let roots = engine.pst().roots();
+        let mut roots: Vec<_> = roots
+            .map(|(k, id)| (k.to_vec(), Logical { id, level: 0 }))
+            .collect();
+        roots.sort_by(|a, b| a.0.cmp(&b.0));
         roots
-    };
-    let (ra, rb) = (roots(a), roots(b));
+    }
+
+    /// Every logical node of `engine`'s tree.
+    fn all(engine: &LinkMatchEngine) -> Vec<Logical> {
+        let pst = engine.pst();
+        let levels = |id| {
+            let node = pst.node(id);
+            let last = node.level() + node.residual().len();
+            (node.level()..=last).map(move |level| Logical { id, level })
+        };
+        pst.postorder().into_iter().flat_map(levels).collect()
+    }
+
+    /// The chain below this level, if a tail holds it.
+    fn chain(self, engine: &LinkMatchEngine) -> Vec<(usize, &AttrTest)> {
+        let node = engine.pst().node(self.id);
+        node.residual().skip(self.level - node.level()).collect()
+    }
+
+    /// Out-edges as `(label, child)`, `*` spelled `AttrTest::Any`:
+    /// equality, range, then `*`, like [`NodeRef::children`].
+    ///
+    /// [`NodeRef::children`]: linkcast_matching::NodeRef::children
+    fn edges(self, engine: &LinkMatchEngine) -> Vec<(AttrTest, Logical)> {
+        let node = engine.pst().node(self.id);
+        let child = |id| {
+            let level = self.level + 1;
+            Logical { id, level }
+        };
+        if node.is_leaf() {
+            let next = self.chain(engine).first().map(|(_, test)| (*test).clone());
+            return next
+                .map(|test| (test, child(self.id)))
+                .into_iter()
+                .collect();
+        }
+        let eq = node.eq_edges().iter();
+        let eq = eq.map(|(v, c)| (AttrTest::Eq(v.clone()), child(*c)));
+        let ranges = node.range_edges().iter();
+        let ranges = ranges.map(|(t, c)| (t.clone(), child(*c)));
+        let star = node.star().map(|c| (AttrTest::Any, child(c)));
+        eq.chain(ranges).chain(star).collect()
+    }
+
+    /// The subscriptions at this node, if it is a leaf.
+    fn subscriptions(self, engine: &LinkMatchEngine) -> &[linkcast_types::SubscriptionId] {
+        let node = engine.pst().node(self.id);
+        if self.level == engine.pst().depth() {
+            node.subscription_ids()
+        } else {
+            &[]
+        }
+    }
+
+    /// §3.1 for this node. An interior node's annotation is the engine's
+    /// own; a chain's are derived from its leaf here — the subscribers'
+    /// leaf vectors under *Parallel Combine*, then per test that can fail
+    /// on the way up one *Alternative Combine* with the implicit all-`No`
+    /// — and must agree with the engine's where it keeps one, at the top.
+    fn annotation(self, engine: &LinkMatchEngine) -> linkcast_types::TritVec {
+        let pst = engine.pst();
+        let node = pst.node(self.id);
+        let kept = engine
+            .annotation(self.id)
+            .expect("live nodes are annotated");
+        if !node.is_leaf() {
+            return kept.clone();
+        }
+        let no = linkcast_types::TritVec::no(engine.space().width());
+        let mut at_leaf = no.clone();
+        for sub in node.subscription_ids() {
+            let client = engine.subscription(*sub).unwrap().subscriber().client;
+            at_leaf = at_leaf.parallel(&engine.space().leaf_vector(client));
+        }
+        let can_fail = |(attr, test): &(usize, &AttrTest)| {
+            let domain = pst.schema().attribute(*attr).unwrap().domain();
+            !test.is_wildcard() && !domain.is_some_and(|d| d.iter().all(|v| test.matches(v)))
+        };
+        let demoted = |from: usize| {
+            let below = node.residual().skip(from - node.level());
+            if below.into_iter().any(|t| can_fail(&t)) {
+                at_leaf.alternative(&no)
+            } else {
+                at_leaf.clone()
+            }
+        };
+        assert_eq!(
+            *kept,
+            demoted(node.level()),
+            "{}: a tail's annotation",
+            self.id
+        );
+        demoted(self.level)
+    }
+}
+
+/// Walks two engines' logical trees in step, pairing children by edge
+/// label, and requires the same shape, the same subscriptions on every
+/// leaf and the same annotation on every node — whichever of the two keeps
+/// a chain as real nodes and whichever as a tail.
+fn assert_same_annotated_tree(a: &LinkMatchEngine, b: &LinkMatchEngine, context: &str) {
+    let (ra, rb) = (Logical::roots(a), Logical::roots(b));
     assert_eq!(
         ra.iter().map(|(k, _)| k).collect::<Vec<_>>(),
         rb.iter().map(|(k, _)| k).collect::<Vec<_>>(),
         "{context}: factored roots"
     );
     let mut stack: Vec<_> = ra.iter().zip(&rb).map(|(x, y)| (x.1, y.1)).collect();
-    while let Some((ia, ib)) = stack.pop() {
+    while let Some((na, nb)) = stack.pop() {
         assert_eq!(
-            a.annotation(ia),
-            b.annotation(ib),
-            "{context}: annotation of {ia} / {ib}"
+            na.annotation(a),
+            nb.annotation(b),
+            "{context}: annotation of {na:?} / {nb:?}"
         );
-        let (na, nb) = (a.pst().node(ia), b.pst().node(ib));
-        assert_eq!(na.subscription_ids(), nb.subscription_ids(), "{context}");
-        assert_eq!(na.eq_edges().len(), nb.eq_edges().len(), "{context}");
-        for ((va, ca), (vb, cb)) in na.eq_edges().iter().zip(nb.eq_edges()) {
-            assert_eq!(va, vb, "{context}: equality labels under {ia}");
-            stack.push((*ca, *cb));
+        assert_eq!(na.subscriptions(a), nb.subscriptions(b), "{context}");
+        let (ea, mut eb) = (na.edges(a), nb.edges(b));
+        assert_eq!(ea.len(), eb.len(), "{context}: edges under {na:?} / {nb:?}");
+        for (label, ca) in ea {
+            // Equality edges are sorted and `*` comes last in both; range
+            // edges pair by label wherever they sit.
+            let at = eb.iter().position(|(other, _)| *other == label);
+            let at = at.unwrap_or_else(|| panic!("{context}: {nb:?} lacks edge {label:?}"));
+            stack.push((ca, eb.remove(at).1));
         }
-        assert_eq!(na.range_edges().len(), nb.range_edges().len(), "{context}");
-        for (test, ca) in na.range_edges() {
-            let cb = nb.range_edges().iter().find(|(t, _)| t == test);
-            let cb = cb.unwrap_or_else(|| panic!("{context}: {ib} lacks range edge {test:?}"));
-            stack.push((*ca, cb.1));
-        }
-        assert_eq!(na.star().is_some(), nb.star().is_some(), "{context}");
-        stack.extend(na.star().zip(nb.star()));
     }
 }
 
-/// The run rule restated over the public tree, as the arena's independent
-/// witness: per live node, the child it is absorbed into (if it is) and
-/// how many children it has.
+/// The run rule restated over the logical tree, as the arena's independent
+/// witness: per node, the child it is absorbed into (if it is) and how
+/// many children it has.
 fn run_shape(
     engine: &LinkMatchEngine,
-) -> std::collections::HashMap<linkcast_matching::NodeId, (Option<linkcast_matching::NodeId>, usize)>
-{
-    let pst = engine.pst();
-    let shape = |id| {
-        let node = pst.node(id);
-        let value_children = node.eq_edges().iter().map(|(_, c)| *c);
-        let mut value_children = value_children.chain(node.range_edges().iter().map(|(_, c)| *c));
-        let absorbed = match (value_children.next(), value_children.next(), node.star()) {
-            (Some(only), None, None) if engine.annotation(id) == engine.annotation(only) => {
-                Some(only)
+) -> std::collections::HashMap<Logical, (Option<Logical>, usize)> {
+    let shape = |node: Logical| {
+        let edges = node.edges(engine);
+        let absorbed = match edges.as_slice() {
+            [(label, only)] if !label.is_wildcard() => {
+                (node.annotation(engine) == only.annotation(engine)).then_some(*only)
             }
             _ => None,
         };
-        (id, (absorbed, node.children().count()))
+        (node, (absorbed, edges.len()))
     };
-    pst.postorder().into_iter().map(shape).collect()
+    Logical::all(engine).into_iter().map(shape).collect()
 }
 
 /// How a config of the property test below draws predicates and events.
@@ -944,12 +1060,15 @@ impl std::ops::AddAssign for Adaptations {
 /// subscribe/unsubscribe sequence — equality, range and `*` edges, shared
 /// prefixes, duplicate predicates, factoring on and off — the
 /// incrementally maintained engine (counted annotations, in-place arena
-/// patches, free-listed nodes, runs cut and rejoined on the reported path)
-/// is indistinguishable from one built from scratch over the surviving
-/// subscriptions: the same annotation on every node, and for a batch of
-/// events on every tree the same link set and the same number of match
-/// steps and comparisons. The recursive search over the boxed tree vouches
-/// for the link sets and bounds the steps from above.
+/// patches, free-listed nodes, runs cut and rejoined on the reported path,
+/// tails burst where a newcomer parts ways with them and the chains that
+/// leaves behind never collapsed again) is indistinguishable from one built
+/// from scratch over the surviving subscriptions: the same annotation on
+/// every node of the logical tree, the same runs in the arena, and for a
+/// batch of events on every tree the same link set and the same number of
+/// match steps and comparisons. The recursive search over the boxed tree
+/// vouches for the link sets and bounds the steps from above. Every config
+/// must burst at least fifty tails on the way.
 ///
 /// The three-attribute configs grow wide nodes; the six-attribute ones grow
 /// long single-choice chains, and must be seen to form runs of three and
@@ -1054,6 +1173,7 @@ fn churn_against_scratch(
     let mut walked_since_rebuild = 0u64;
     let mut matched_somewhere = 0usize;
     let mut hot = 0;
+    let mut bursts = 0usize;
 
     for step in 0..STEPS {
         let before = run_shape(&engine);
@@ -1120,7 +1240,14 @@ fn churn_against_scratch(
             );
             next_id += 1;
             live.push(sub.clone());
+            let tails = |e: &LinkMatchEngine| -> Vec<_> {
+                let nodes = e.pst().postorder().into_iter();
+                nodes.filter(|id| e.pst().node(*id).is_leaf()).collect()
+            };
+            let parked_on = tails(&engine);
             engine.subscribe(sub).unwrap();
+            let burst = |id: &&linkcast_matching::NodeId| !engine.pst().node(**id).is_leaf();
+            bursts += parked_on.iter().filter(burst).count();
         } else {
             let gone = if traffic == Traffic::Shifting {
                 live.remove(rng.random_range(0..live.len().div_ceil(4)))
@@ -1134,13 +1261,11 @@ fn churn_against_scratch(
         engine.pst().check_invariants().unwrap();
         assert_eq!(engine.subscription_count(), live.len(), "{context}");
         let arena = engine.arena();
-        assert_eq!(
-            arena.covered_nodes(),
-            engine.pst().node_count(),
-            "{context}"
-        );
-        assert!(arena.node_count() <= arena.covered_nodes(), "{context}");
         let after = run_shape(&engine);
+        assert_eq!(arena.covered_nodes(), after.len(), "{context}");
+        assert_eq!(engine.pst().expanded_node_count(), after.len(), "{context}");
+        assert!(engine.pst().node_count() <= after.len(), "{context}");
+        assert!(arena.node_count() <= arena.covered_nodes(), "{context}");
         let absorbed = after.values().filter_map(|(child, _)| *child);
         assert_eq!(arena.summary().prefix_tests, absorbed.count(), "{context}");
         let absorbs_twice = |(child, _): &(Option<_>, usize)| {
@@ -1181,14 +1306,30 @@ fn churn_against_scratch(
             (s.nodes, s.covered_nodes, s.runs, s.prefix_tests)
         };
         assert_eq!(runs(&engine), runs(&recompiled), "{context}");
+        // Not `assert_eq`: the outlines run to hundreds of lines.
+        assert!(
+            engine.arena().outline() == recompiled.arena().outline(),
+            "{context}: the patched arena walks unlike a fresh compile"
+        );
+        // And the same as over the tree built from nothing, which keeps as
+        // tails what this one may keep as the chains bursts left behind —
+        // node for node where no replication reorders range edges.
+        assert_eq!(runs(&engine), runs(&fresh), "{context}");
+        assert!(
+            options.factoring > 0 || engine.arena().outline() == fresh.arena().outline(),
+            "{context}: the arena depends on which chains are tails"
+        );
         // The cache key: every attribute some node branches on, be the
         // test an arena edge or absorbed into a prefix. Stale entries
         // may linger until a compaction; none may be missing.
         let tested = engine.tested_attributes();
-        for id in engine.pst().postorder() {
-            let node = engine.pst().node(id);
-            if !node.eq_edges().is_empty() || !node.range_edges().is_empty() {
-                let attr = node.attribute().unwrap();
+        for node in after.keys() {
+            if node
+                .edges(&engine)
+                .iter()
+                .any(|(label, _)| !label.is_wildcard())
+            {
+                let attr = engine.pst().order()[node.level];
                 assert!(tested.contains(&attr), "{context}: attribute {attr}");
             }
         }
@@ -1340,6 +1481,7 @@ fn churn_against_scratch(
         }
     }
     assert!(peak >= 60, "config {ci}: population peaked at {peak}");
+    assert!(bursts >= 50, "config {ci}: only {bursts} tails burst");
     assert!(
         matched_somewhere >= STEPS,
         "config {ci}: only {matched_somewhere} events were routed anywhere"
@@ -1490,4 +1632,88 @@ fn link_space_structure_is_sound_on_random_networks() {
             }
         }
     }
+}
+
+/// The one mutation the arena does not patch in place. A subscriber the
+/// surviving graph cannot reach (topology repair has cut its broker off)
+/// has an all-`No` leaf vector; a tail that parks only such subscribers is
+/// all-`No` down its whole chain, so the run rule folds the chain across
+/// the test that can fail — the annotation does not change there. The
+/// first subscriber that *is* reachable puts a `Maybe` above that test and
+/// a `Yes` below it: the run must be cut, and is, by a recompile; likewise
+/// back when it leaves. Either way the engine is what a fresh one would be.
+#[test]
+fn a_tail_turning_reachable_recuts_its_runs() {
+    let mut b = NetworkBuilder::new();
+    let (b0, b1, b2) = (b.add_broker(), b.add_broker(), b.add_broker());
+    b.connect(b0, b1, 10.0).unwrap();
+    b.connect(b1, b2, 10.0).unwrap();
+    let upstream = b.add_client(b2).unwrap();
+    let local = b.add_client(b1).unwrap();
+    let network = b.build().unwrap();
+    // One tree, rooted at B0, over what is left with B1 - B2 down: seen
+    // from B1, B2's client has no next hop.
+    let forest = crate::SpanningForest::compute_excluding(&network, &[b0], &[(b1, b2)]).unwrap();
+    let tree = forest.tree_for_root(b0).unwrap();
+    let space = LinkSpace::build(&network, &forest, b1);
+    let schema = small_schema();
+    let sub = |id: u32, client: ClientId, tests: &[Option<i64>]| {
+        linkcast_types::Subscription::new(
+            linkcast_types::SubscriptionId::new(id),
+            linkcast_types::SubscriberId::new(network.home_broker(client).unwrap(), client),
+            int_predicate(&schema, tests),
+        )
+    };
+    let chain = [Some(1), None, Some(2)];
+    let fresh = |subs: &[linkcast_types::Subscription]| {
+        let options = PstOptions::default().with_trivial_test_elimination(true);
+        LinkMatchEngine::with_subscriptions(
+            b1,
+            schema.clone(),
+            options,
+            space.clone(),
+            subs.to_vec(),
+        )
+        .unwrap()
+    };
+    let same = |engine: &LinkMatchEngine, subs: &[linkcast_types::Subscription], when: &str| {
+        let expected = fresh(subs);
+        assert_same_annotated_tree(engine, &expected, when);
+        assert_eq!(
+            engine.arena().summary().runs,
+            expected.arena().summary().runs,
+            "{when}"
+        );
+        assert!(
+            engine.arena().outline() == expected.arena().outline(),
+            "{when}"
+        );
+        let mut scratch = crate::RouteScratch::new();
+        let mut got = Vec::new();
+        for z in 0..3 {
+            let event = int_event(&schema, &[1, 0, z]);
+            let mut stats = MatchStats::new();
+            engine.match_links_into(&event, tree, &mut scratch, &mut stats, &mut got);
+            assert_eq!(
+                got,
+                engine.match_links_simple(&event, tree),
+                "{when}: z={z}"
+            );
+            assert_eq!(got.is_empty(), subs.len() < 2 || z != 2, "{when}: z={z}");
+        }
+    };
+
+    let (first, second) = (sub(0, upstream, &chain), sub(1, local, &chain));
+    let mut engine = fresh(&[]);
+    engine.subscribe(first.clone()).unwrap();
+    same(&engine, std::slice::from_ref(&first), "unreachable alone");
+    // x=1 and z=2 can both fail; with nothing to say about any link,
+    // neither gets a node of its own: [z=2 | leaf] under [x=1 | y=*].
+    assert_eq!(engine.arena().summary().prefix_tests, 2);
+    engine.subscribe(second.clone()).unwrap();
+    same(&engine, &[first.clone(), second], "a reachable twin");
+    assert_eq!(engine.arena().summary().prefix_tests, 1, "cut at z=2");
+    assert!(engine.unsubscribe(linkcast_types::SubscriptionId::new(1)));
+    same(&engine, &[first], "unreachable alone again");
+    assert_eq!(engine.arena().summary().prefix_tests, 2);
 }

@@ -3,13 +3,16 @@
 
 use std::fmt::Write as _;
 
+use linkcast_types::{AttrTest, EventSchema, SubscriptionId};
+
 use crate::pst::Pst;
 use crate::Psg;
 
 impl Pst {
     /// Renders the tree in Graphviz `dot` syntax. Interior nodes show the
-    /// attribute they test; leaves list their subscription ids; edges are
-    /// labeled with the branch test (`*` for don't-care).
+    /// attribute they test; leaves list their subscription ids, tails the
+    /// tests of the chain they stand for first; edges are labeled with the
+    /// branch test (`*` for don't-care).
     ///
     /// ```
     /// # use linkcast_matching::{Matcher, Pst, PstOptions};
@@ -47,15 +50,14 @@ impl Pst {
         for id in self.postorder() {
             let node = self.node(id);
             if node.is_leaf() {
-                let subs: Vec<String> = node
-                    .subscription_ids()
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect();
                 let _ = writeln!(
                     out,
                     "  \"{id}\" [shape=box, label=\"{}\"];",
-                    subs.join(", ")
+                    escape(&leaf_label(
+                        self.schema(),
+                        node.residual(),
+                        node.subscription_ids()
+                    ))
                 );
                 continue;
             }
@@ -101,7 +103,26 @@ impl Psg {
     }
 }
 
-fn escape(s: &str) -> String {
+/// What a leaf or tail box shows: the non-`*` tests of the tail's chain,
+/// if any, then the parked subscriptions.
+pub(crate) fn leaf_label<'a>(
+    schema: &EventSchema,
+    chain: impl Iterator<Item = (usize, &'a AttrTest)>,
+    subs: &[SubscriptionId],
+) -> String {
+    let tests: Vec<String> = chain
+        .filter(|(_, test)| !test.is_wildcard())
+        .map(|(attr, test)| test.display_with(schema.attribute(attr).map_or("?", |a| a.name())))
+        .collect();
+    let subs: Vec<String> = subs.iter().map(ToString::to_string).collect();
+    if tests.is_empty() {
+        subs.join(", ")
+    } else {
+        format!("{}: {}", tests.join(" & "), subs.join(", "))
+    }
+}
+
+pub(crate) fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 

@@ -68,6 +68,7 @@ pub use naive::NaiveMatcher;
 pub use parallel::ParallelScratch;
 pub use psg::Psg;
 pub use pst::{
-    EdgeSlot, MutationReport, NodeId, NodeRef, OrderPolicy, PathReport, Pst, PstOptions, PstSummary,
+    Burst, EdgeSlot, MutationReport, NodeId, NodeRef, OrderPolicy, PathReport, Pst, PstOptions,
+    PstSummary,
 };
 pub use stats::MatchStats;

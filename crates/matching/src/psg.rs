@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use linkcast_types::{AttrTest, Event, EventSchema, SubscriptionId, Value};
 
-use crate::pst::Pst;
+use crate::pst::{walk_chain, Pst};
 use crate::MatchStats;
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -38,6 +38,11 @@ struct PsgNode {
     range_edges: Vec<(AttrTest, u32)>,
     star: Option<u32>,
     subs: Vec<SubscriptionId>,
+    /// The chain a tail stands for (see [`NodeRef::residual`]); its level
+    /// and subscriptions determine it, so it is not part of the key.
+    ///
+    /// [`NodeRef::residual`]: crate::NodeRef::residual
+    chain: Vec<(usize, AttrTest)>,
 }
 
 /// A compiled, immutable, maximally shared form of a [`Pst`].
@@ -74,7 +79,6 @@ pub struct Psg {
     schema: EventSchema,
     order: Vec<usize>,
     factored: Vec<usize>,
-    depth: usize,
     /// Factored-subtree roots, sorted by key so the per-event lookup can
     /// binary-search against the event's *borrowed* factored values —
     /// building an owned `Box<[Value]>` key per match was a measurable
@@ -127,6 +131,7 @@ impl Psg {
                     range_edges: key.range_edges.clone(),
                     star: key.star,
                     subs: key.subs.clone(),
+                    chain: node.residual().map(|(a, t)| (a, t.clone())).collect(),
                 });
                 (nodes.len() - 1) as u32
             });
@@ -142,7 +147,6 @@ impl Psg {
             schema: pst.schema().clone(),
             order: pst.order().to_vec(),
             factored: pst.factored().to_vec(),
-            depth: pst.depth(),
             roots,
             nodes,
         }
@@ -182,13 +186,15 @@ impl Psg {
             if std::mem::replace(&mut visited[idx], true) {
                 continue;
             }
-            stats.steps += 1;
             let node = &self.nodes[idx];
-            if node.level as usize == self.depth {
-                stats.leaf_hits += 1;
-                out.extend_from_slice(&node.subs);
+            if !node.subs.is_empty() {
+                let chain = node.chain.iter().map(|(attr, test)| (*attr, test));
+                if walk_chain(chain, event, false, stats) {
+                    out.extend_from_slice(&node.subs);
+                }
                 continue;
             }
+            stats.steps += 1;
             let attr = self.order[node.level as usize];
             let value = &event.values()[attr];
             stats.comparisons += 1;
@@ -232,12 +238,13 @@ impl Psg {
             }
         }
         for (id, node) in self.nodes.iter().enumerate() {
-            if node.level as usize == self.depth {
-                let subs: Vec<String> = node.subs.iter().map(ToString::to_string).collect();
+            if !node.subs.is_empty() {
+                let chain = node.chain.iter().map(|(attr, test)| (*attr, test));
+                let label = crate::dot::leaf_label(&self.schema, chain, &node.subs);
                 let _ = writeln!(
                     out,
                     "  \"n{id}\" [shape=box, label=\"{}\"];",
-                    subs.join(", ")
+                    crate::dot::escape(&label)
                 );
                 continue;
             }

@@ -7,6 +7,16 @@
 //! satisfied branches in parallel, sharing the cost of common predicate
 //! prefixes across subscriptions.
 //!
+//! The tree is *lazily expanded*: an inner node exists only where two
+//! subscriptions must be told apart. The part of a path no other
+//! subscription shares is one **tail** node, parked on which the
+//! subscription stands for the whole chain of single-edge nodes down to
+//! its leaf; the tests of that chain are read off the parked
+//! subscription's own predicate ([`NodeRef::residual`]). A tail is
+//! observationally the chain it abbreviates — every search charges it the
+//! steps and comparisons the chain would cost — and an insert that parts
+//! ways with one mid-chain makes the shared levels real first.
+//!
 //! The module also implements the paper's §2.1 optimizations:
 //!
 //! 1. **Factoring** — the leading attributes of the test order can be
@@ -36,6 +46,7 @@ use linkcast_types::{AttrTest, Event, EventSchema, Subscription, SubscriptionId,
 use crate::{MatchStats, Matcher, MatcherError};
 
 pub use options::{OrderPolicy, PstOptions};
+pub(crate) use traverse::walk_chain;
 
 /// Identifies a node within a [`Pst`]'s arena.
 ///
@@ -76,7 +87,10 @@ pub(crate) struct Node {
     pub(crate) range_index: Option<Box<HashMap<AttrTest, NodeId>>>,
     /// The `*` (don't-care) branch.
     pub(crate) star: Option<NodeId>,
-    /// Subscriptions parked at this leaf (empty on interior nodes).
+    /// Subscriptions parked here, sorted (empty on interior nodes). A node
+    /// that parks subscriptions has no edges: it is a leaf, or above leaf
+    /// level a tail, and the subscriptions on one tail agree on every test
+    /// from its level down.
     pub(crate) subs: Vec<SubscriptionId>,
     /// Trivial-test-elimination shortcut: set on nodes whose only outgoing
     /// edge is `*` (and which hold no subscriptions) to the deepest node
@@ -186,6 +200,11 @@ impl Node {
         Some(slot)
     }
 
+    /// Whether subscriptions are parked here (a leaf or a tail).
+    pub(crate) fn is_terminal(&self) -> bool {
+        !self.subs.is_empty()
+    }
+
     pub(crate) fn is_trivial(&self) -> bool {
         self.eq_edges.is_empty()
             && self.range_edges.is_empty()
@@ -246,21 +265,28 @@ pub enum EdgeSlot {
 
 /// What one insert or remove did along one root-to-leaf path.
 ///
-/// A mutation changes the tree's shape in at most one place per path: an
-/// insert hangs a chain of fresh single-edge nodes below the deepest node
-/// that already existed, a remove prunes such a chain. Everything else it
-/// can change — annotations, skip pointers — lives on the path above.
+/// A mutation changes the *logical* tree — the one with every tail spelled
+/// out as its chain — in at most one place per path: an insert hangs one
+/// fresh tail below the deepest node that already existed, a remove prunes
+/// one (and the single-edge nodes left childless above it). Everything
+/// else it can change — annotations, skip pointers — lives on the path
+/// above. An insert that parts ways with an existing tail mid-chain first
+/// makes the shared levels of that chain real nodes ([`Burst`]), which
+/// changes which nodes exist but not the logical tree.
 #[derive(Debug, Clone)]
 pub struct PathReport {
     /// Key of the factored subtree the path is in.
     pub key: Box<[Value]>,
-    /// Insert: the full root-to-leaf path. Remove: the prefix that
-    /// survived. Re-annotating exactly these nodes, bottom-up, restores
-    /// annotation consistency.
+    /// Insert: the path from the root to the node the subscription is
+    /// parked on. Remove: the prefix that survived. Re-annotating exactly
+    /// these nodes, bottom-up, restores annotation consistency.
     pub nodes: Vec<NodeId>,
     /// Index into `nodes` of the first node the insert created; every node
     /// after it is new too. `nodes.len()` when nothing was created.
     pub created: usize,
+    /// Insert: set when `nodes[created - 1]` was a tail the newcomer
+    /// parted ways with.
+    pub burst: Option<Burst>,
     /// Nodes the remove pruned, leaf first; side tables should drop their
     /// entries.
     pub freed: Vec<NodeId>,
@@ -274,6 +300,22 @@ pub struct PathReport {
     /// so whatever resolved the edge into it — `slot` of `nodes[i - 1]`,
     /// [`EdgeSlot::Root`] for `i = 0` — through the old pointer is stale.
     pub retargets: Vec<(usize, EdgeSlot)>,
+}
+
+/// How an insert burst the tail `nodes[created - 1]` of its [`PathReport`].
+///
+/// The levels of the tail's chain the newcomer shares are now the real
+/// nodes `nodes[created - 1..nodes.len() - 1]`; the last of them forks:
+/// its older edge leads to `parked`, where the tail's subscriptions went
+/// (a shorter tail, or a leaf), its newer one to the newcomer's own tail
+/// `nodes[nodes.len() - 1]`. Only that last node is new to the logical
+/// tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Burst {
+    /// The node now holding the burst tail's subscriptions.
+    pub parked: NodeId,
+    /// Where, in the forking node, the newcomer's edge sits.
+    pub forked: EdgeSlot,
 }
 
 /// Side effects of an insert or remove, for callers (the link-matching
@@ -372,7 +414,7 @@ impl Pst {
     }
 
     /// Tree depth: number of levels below each factored root (equal to
-    /// `order().len()`; leaves live at this level).
+    /// `order().len()`; leaves proper live at this level, tails above it).
     pub fn depth(&self) -> usize {
         self.order.len()
     }
@@ -383,9 +425,26 @@ impl Pst {
         self.nodes.len()
     }
 
-    /// Number of live nodes.
+    /// Number of live nodes. Not a function of the subscription set
+    /// alone: a chain an insert made real stays real when the subscription
+    /// it parted ways with is removed, so two histories leading to the
+    /// same set may hold the same unshared suffix as one tail or as the
+    /// nodes it abbreviates. [`expanded_node_count`] is history
+    /// independent.
+    ///
+    /// [`expanded_node_count`]: Self::expanded_node_count
     pub fn node_count(&self) -> usize {
         self.nodes.iter().filter(|n| n.is_some()).count()
+    }
+
+    /// Number of nodes of the logical tree: every live node, plus the
+    /// chain below every tail.
+    pub fn expanded_node_count(&self) -> usize {
+        let chain = |n: &Node| 1 + self.depth().saturating_sub(n.level as usize);
+        let nodes = self.nodes.iter().flatten();
+        nodes
+            .map(|n| if n.subs.is_empty() { 1 } else { chain(n) })
+            .sum()
     }
 
     /// Iterates over the factored subtree roots and their keys. With
@@ -410,6 +469,26 @@ impl Pst {
         self.nodes[id.index()]
             .as_ref()
             .unwrap_or_else(|| panic!("node {id} is not live"))
+    }
+
+    /// The chain `node` abbreviates, as `(attribute, test)` per level from
+    /// its own down to the last; nothing for interior nodes and leaves
+    /// proper. Read off the first parked subscription: all of them agree.
+    pub(crate) fn residual<'a>(
+        &'a self,
+        node: &Node,
+    ) -> impl DoubleEndedIterator<Item = (usize, &'a AttrTest)> + ExactSizeIterator + Clone + 'a
+    {
+        let parked = node.subs.first().and_then(|id| self.subscriptions.get(id));
+        let tests = parked.map_or(&[] as &[AttrTest], |s| s.predicate().tests());
+        let from = if tests.is_empty() {
+            self.order.len()
+        } else {
+            (node.level as usize).min(self.order.len())
+        };
+        self.order[from..]
+            .iter()
+            .map(move |&attr| (attr, &tests[attr]))
     }
 
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
@@ -510,18 +589,38 @@ pub struct NodeRef<'a> {
 }
 
 impl<'a> NodeRef<'a> {
-    /// The tree level of this node (see [`Pst::order`]); leaves are at
-    /// [`Pst::depth`].
+    /// The tree level of this node (see [`Pst::order`]); leaves proper are
+    /// at [`Pst::depth`].
     pub fn level(&self) -> usize {
         self.node.level as usize
     }
 
-    /// Whether this node is a leaf.
+    /// Whether subscriptions are parked on this node: it is a leaf proper,
+    /// or a tail standing for the chain down to one. Such a node has no
+    /// edges.
     pub fn is_leaf(&self) -> bool {
-        self.level() == self.pst.depth()
+        self.node.is_terminal()
     }
 
-    /// The schema attribute tested at this node, if not a leaf.
+    /// Whether this node is a tail: it parks subscriptions above leaf
+    /// level, in place of the chain of single-edge nodes
+    /// [`residual`](Self::residual) spells out.
+    pub fn is_tail(&self) -> bool {
+        self.node.is_terminal() && self.level() < self.pst.depth()
+    }
+
+    /// The chain a tail abbreviates: per level from this node's own down
+    /// to the last, the schema attribute tested there and the test on the
+    /// chain's one edge. Empty for interior nodes and leaves proper.
+    pub fn residual(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (usize, &'a AttrTest)> + ExactSizeIterator + Clone + 'a
+    {
+        self.pst.residual(self.node)
+    }
+
+    /// The schema attribute tested at this node — for a tail, by the first
+    /// node of its chain; `None` for a leaf proper.
     pub fn attribute(&self) -> Option<usize> {
         self.pst.order.get(self.level()).copied()
     }
@@ -550,7 +649,8 @@ impl<'a> NodeRef<'a> {
             .map(|i| self.node.eq_edges[i].1)
     }
 
-    /// Subscriptions parked at this leaf (empty for interior nodes).
+    /// Subscriptions parked on this leaf or tail (empty for interior
+    /// nodes).
     pub fn subscription_ids(&self) -> &'a [SubscriptionId] {
         &self.node.subs
     }
@@ -593,8 +693,10 @@ impl Pst {
     /// Checked invariants:
     /// 1. equality edges are sorted by value and duplicate-free;
     /// 2. every child's level is its parent's level + 1;
-    /// 3. subscriptions appear only at leaves, sorted and duplicate-free,
-    ///    and every listed id is registered;
+    /// 3. subscriptions appear only on nodes without edges (leaves and
+    ///    tails), sorted and duplicate-free, every listed id is registered,
+    ///    and those sharing a tail agree on every test from its level
+    ///    down;
     /// 4. no node is dead (childless, subscription-less) — mutation prunes
     ///    them;
     /// 5. skip pointers are set exactly on trivial nodes and point to the
@@ -632,19 +734,25 @@ impl Pst {
                 }
                 seen[child.index()] += 1;
             }
-            // (3) subscriptions only at leaves.
-            let is_leaf = node.level as usize == self.depth();
-            if !is_leaf && !node.subs.is_empty() {
+            // (3) subscriptions only where the tree ends.
+            if node.is_terminal() && self.node(id).children().next().is_some() {
                 return Err(format!("interior node {id} holds subscriptions"));
+            }
+            if node.level as usize == self.depth() && !node.is_terminal() {
+                return Err(format!("leaf {id} holds no subscription"));
             }
             for pair in node.subs.windows(2) {
                 if pair[0] >= pair[1] {
-                    return Err(format!("{id}: leaf subscriptions out of order"));
+                    return Err(format!("{id}: parked subscriptions out of order"));
                 }
             }
             for sub in &node.subs {
-                if !self.subscriptions.contains_key(sub) {
+                let Some(parked) = self.subscriptions.get(sub) else {
                     return Err(format!("{id} lists unregistered subscription {sub}"));
+                };
+                let tests = parked.predicate().tests();
+                if self.residual(node).any(|(attr, test)| tests[attr] != *test) {
+                    return Err(format!("{id}: {sub} disagrees with the tail's chain"));
                 }
             }
             // (4) no dead nodes.
@@ -706,7 +814,7 @@ impl Pst {
 pub struct PstSummary {
     /// Live nodes.
     pub nodes: usize,
-    /// Leaf nodes.
+    /// Nodes that park subscriptions: leaves proper and tails.
     pub leaves: usize,
     /// Registered subscriptions.
     pub subscriptions: usize,
@@ -719,7 +827,8 @@ pub struct PstSummary {
     pub range_edges: usize,
     /// `*` branches.
     pub star_edges: usize,
-    /// Nodes a trivial-test-elimination skip bypasses.
+    /// Live nodes a trivial-test-elimination skip bypasses (the `*`
+    /// levels inside a tail's chain are not nodes).
     pub trivial_nodes: usize,
     /// Factored subtrees (1 when factoring is off and the tree is
     /// non-empty).
@@ -736,7 +845,7 @@ impl Pst {
         };
         for slot in self.nodes.iter().flatten() {
             s.nodes += 1;
-            if slot.level as usize == self.depth() {
+            if slot.is_terminal() {
                 s.leaves += 1;
                 s.leaf_entries += slot.subs.len();
             }

@@ -2,7 +2,7 @@
 
 use linkcast_types::{AttrTest, Subscription, SubscriptionId, Value};
 
-use super::{EdgeSlot, FactorKey, MutationReport, NodeId, PathReport, Pst};
+use super::{Burst, EdgeSlot, FactorKey, MutationReport, NodeId, PathReport, Pst};
 use crate::MatcherError;
 
 impl Pst {
@@ -31,7 +31,20 @@ impl Pst {
         let mut report = MutationReport::default();
         for key in self.factor_keys(&subscription) {
             let mut path = self.insert_path(key, &subscription);
-            path.retargets = self.recompute_skips(&path.nodes, path.created, &subscription);
+            // A search entered a tail whose chain opened with `*` levels
+            // below them, as if through a skip pointer. Burst with those
+            // levels still `*`-only it has a real pointer now, which
+            // differs from the none it had as a tail; forking at its own
+            // level it has none, like before, but is entered itself from
+            // now on.
+            let forks_off_star = |b: &Burst| {
+                let tail = path.created.checked_sub(1)?;
+                let forked = self.node_inner(*path.nodes.get(tail)?).star == Some(b.parked);
+                (forked && self.options.eliminate_trivial_tests).then_some(tail)
+            };
+            let reentered = path.burst.as_ref().and_then(forks_off_star);
+            path.retargets =
+                self.recompute_skips(&path.nodes, path.created, &subscription, reentered);
             report.paths.push(path);
         }
         self.subscriptions.insert(id, subscription);
@@ -46,7 +59,7 @@ impl Pst {
         let mut report = MutationReport::default();
         for key in self.factor_keys(&subscription) {
             let mut path = self.remove_path(key, &subscription);
-            path.retargets = self.recompute_skips(&path.nodes, path.created, &subscription);
+            path.retargets = self.recompute_skips(&path.nodes, path.created, &subscription, None);
             report.paths.push(path);
         }
         Some(report)
@@ -91,13 +104,17 @@ impl Pst {
         &subscription.predicate().tests()[self.order[level]]
     }
 
-    /// Creates/extends the root-to-leaf path for `subscription` in the
-    /// subtree `key`.
+    /// Routes `subscription` into the subtree `key`: down the edges that
+    /// exist, and where the next one is missing onto one fresh tail hung
+    /// there. Reaching a tail (or leaf) whose chain spells the same tests
+    /// parks it beside the subscriptions already there; reaching one that
+    /// differs bursts it first.
     fn insert_path(&mut self, key: FactorKey, subscription: &Subscription) -> PathReport {
         let depth = self.depth();
         let mut nodes = Vec::with_capacity(depth + 1);
         let mut added = None;
-        let root = match self.roots.get(&key) {
+        let mut burst = None;
+        let mut current = match self.roots.get(&key) {
             Some(&r) => r,
             None => {
                 let r = self.alloc(0);
@@ -106,31 +123,46 @@ impl Pst {
                 r
             }
         };
-        nodes.push(root);
-        let mut current = root;
-        for level in 0..depth {
+        nodes.push(current);
+        while added.is_none() {
+            let level = nodes.len() - 1;
+            let node = self.node_inner(current);
+            if node.is_terminal() {
+                let tests = subscription.predicate().tests();
+                let mut chain = self.residual(node).enumerate();
+                let parts_ways = chain.find(|(_, (attr, test))| tests[*attr] != **test);
+                let Some((shared, older)) = parts_ways.map(|(at, (_, test))| (at, test.clone()))
+                else {
+                    break;
+                };
+                drop(chain);
+                let (tail, forked) =
+                    self.burst(current, shared, older, subscription, &mut nodes, &mut added);
+                burst = Some(forked);
+                current = tail;
+                break;
+            }
             let test = self.test_at(subscription, level);
-            let next = match self.node_inner(current).child_for(test) {
+            current = match node.child_for(test) {
                 Some(c) => c,
                 None => {
                     let c = self.alloc((level + 1) as u16);
                     let slot = self.node_mut(current).attach(test.clone(), c);
-                    added.get_or_insert((nodes.len(), slot));
+                    added = Some((nodes.len(), slot));
                     c
                 }
             };
-            nodes.push(next);
-            current = next;
+            nodes.push(current);
         }
-        let leaf = self.node_mut(current);
-        debug_assert_eq!(leaf.level as usize, depth);
-        if let Err(i) = leaf.subs.binary_search(&subscription.id()) {
-            leaf.subs.insert(i, subscription.id());
+        let parked = &mut self.node_mut(current).subs;
+        if let Err(i) = parked.binary_search(&subscription.id()) {
+            parked.insert(i, subscription.id());
         }
         PathReport {
             key,
             created: added.map_or(nodes.len(), |(at, _)| at),
             nodes,
+            burst,
             freed: Vec::new(),
             added: added.map(|(_, slot)| slot),
             removed: None,
@@ -138,14 +170,55 @@ impl Pst {
         }
     }
 
-    /// Removes `subscription` from the leaf its predicate leads to in
-    /// subtree `key`, pruning nodes left with no children and no
-    /// subscriptions.
+    /// Bursts `tail`, the last of `nodes`, whose chain `subscription`
+    /// follows for `shared` levels and then leaves: those levels become
+    /// real single-edge nodes (appended to `nodes`), and the last of them
+    /// forks — first the chain's own edge `older`, to a node that takes
+    /// the tail's subscriptions over, then the newcomer's, to a fresh tail
+    /// (appended too, and returned). Every edge the tail's chain stood for
+    /// keeps its place before the newcomer's, as if the chain had been
+    /// real all along.
+    fn burst(
+        &mut self,
+        tail: NodeId,
+        shared: usize,
+        older: AttrTest,
+        subscription: &Subscription,
+        nodes: &mut Vec<NodeId>,
+        added: &mut Option<(usize, EdgeSlot)>,
+    ) -> (NodeId, Burst) {
+        let parked_subs = std::mem::take(&mut self.node_mut(tail).subs);
+        let mut fork = tail;
+        for _ in 0..shared {
+            let level = nodes.len() - 1;
+            let below = self.alloc((level + 1) as u16);
+            let test = self.test_at(subscription, level).clone();
+            let slot = self.node_mut(fork).attach(test, below);
+            added.get_or_insert((nodes.len(), slot));
+            nodes.push(below);
+            fork = below;
+        }
+        let level = nodes.len() - 1;
+        let parked = self.alloc((level + 1) as u16);
+        self.node_mut(parked).subs = parked_subs;
+        self.node_mut(fork).attach(older, parked);
+        let newcomer = self.alloc((level + 1) as u16);
+        let test = self.test_at(subscription, level).clone();
+        let forked = self.node_mut(fork).attach(test, newcomer);
+        added.get_or_insert((nodes.len(), forked));
+        nodes.push(newcomer);
+        (newcomer, Burst { parked, forked })
+    }
+
+    /// Removes `subscription` from the leaf or tail its predicate leads to
+    /// in subtree `key`, pruning nodes left with no children and no
+    /// subscriptions. A chain an insert made real is left real.
     fn remove_path(&mut self, key: FactorKey, subscription: &Subscription) -> PathReport {
         let mut report = PathReport {
             key,
             nodes: Vec::new(),
             created: 0,
+            burst: None,
             freed: Vec::new(),
             added: None,
             removed: None,
@@ -156,8 +229,8 @@ impl Pst {
         };
         let mut nodes = vec![root];
         let mut current = root;
-        for level in 0..self.depth() {
-            let test = self.test_at(subscription, level);
+        while !self.node_inner(current).is_terminal() {
+            let test = self.test_at(subscription, nodes.len() - 1);
             let Some(next) = self.node_inner(current).child_for(test) else {
                 // The subscription was never materialized under this key
                 // (defensive; insert and remove use the same key derivation).
@@ -166,9 +239,9 @@ impl Pst {
             nodes.push(next);
             current = next;
         }
-        let leaf = self.node_mut(current);
-        if let Ok(i) = leaf.subs.binary_search(&subscription.id()) {
-            leaf.subs.remove(i);
+        let parked = &mut self.node_mut(current).subs;
+        if let Ok(i) = parked.binary_search(&subscription.id()) {
+            parked.remove(i);
         }
 
         // Prune dead nodes bottom-up; the last edge cut is the one the
@@ -202,15 +275,18 @@ impl Pst {
     /// nodes of `path`, bottom-up. A node whose only outgoing edge is `*`
     /// (and which parks no subscriptions) skips to the deepest node its
     /// `*`-chain reaches. Returns, for every node among the first
-    /// `existing` whose pointer changed, its path index and the slot of the
-    /// edge leading into it.
+    /// `existing` that searches now enter elsewhere — its pointer changed,
+    /// it is `path[reentered]`, or it skips to such a node — its path index
+    /// and the slot of the edge leading into it.
     fn recompute_skips(
         &mut self,
         path: &[NodeId],
         existing: usize,
         subscription: &Subscription,
+        reentered: Option<usize>,
     ) -> Vec<(usize, EdgeSlot)> {
         let mut retargets = Vec::new();
+        let mut moved = false;
         for (i, &id) in path.iter().enumerate().rev() {
             let node = self.node_inner(id);
             let skip = if node.is_trivial() {
@@ -219,7 +295,8 @@ impl Pst {
             } else {
                 None
             };
-            if skip == node.skip {
+            moved = skip != node.skip || reentered == Some(i) || (moved && skip.is_some());
+            if !moved {
                 continue;
             }
             if i < existing {

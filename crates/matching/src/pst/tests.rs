@@ -127,17 +127,20 @@ fn removal_prunes_nodes_and_reports_freed() {
     pst.insert(int_sub(&schema, 1, &[Some(1), Some(3), None, None, None]))
         .unwrap();
     let before = pst.node_count();
+    assert_eq!(before, 4, "root, the a1=1 node, one tail per a2 value");
     let report = pst.remove_reported(SubscriptionId::new(1)).unwrap();
-    // The paths diverge after the a1=1 node: the a2=3 suffix (4 nodes) dies,
-    // cut off the second equality edge of the two-node surviving prefix.
+    // The paths diverge after the a1=1 node: the a2=3 suffix (one tail,
+    // standing for four nodes) dies, cut off the second equality edge of
+    // the two-node surviving prefix.
     let path = &report.paths[0];
-    assert_eq!(path.freed.len(), 4);
+    assert_eq!(path.freed.len(), 1);
     assert_eq!(path.nodes.len(), 2);
     assert_eq!(
         path.removed,
         Some((EdgeSlot::Eq(1), AttrTest::Eq(Value::Int(3))))
     );
-    assert_eq!(pst.node_count(), before - 4);
+    assert_eq!(pst.node_count(), before - 1);
+    assert_eq!(pst.expanded_node_count(), 2 + 4);
     assert!(!pst.remove(SubscriptionId::new(1)));
     let event = int_event(&schema, &[1, 2, 0, 0, 0]);
     assert_eq!(pst.matches(&event), ids(&[0]));
@@ -219,11 +222,16 @@ fn identical_range_labels_share_an_edge() {
         )
     };
     pst.insert(range_sub(0, Some(1))).unwrap();
-    let before = pst.node_count();
+    assert_eq!(pst.node_count(), 1, "alone, a subscription is one tail");
+    let logical = pst.expanded_node_count();
     pst.insert(range_sub(1, Some(2))).unwrap();
     // Shares the `a1 > 2` edge, the three `*` levels, and the a5 test
-    // node; only the new a5=2 leaf is added.
-    assert_eq!(pst.node_count(), before + 1);
+    // node, all of which the burst made real; only the new a5=2 leaf is
+    // added to the tree the tails stand for.
+    assert_eq!(pst.expanded_node_count(), logical + 1);
+    assert_eq!(pst.node_count(), logical + 1, "nothing left to abbreviate");
+    pst.insert(range_sub(2, Some(3))).unwrap();
+    assert_eq!(pst.node_count(), logical + 2);
     assert_eq!(
         pst.matches(&int_event(&schema, &[3, 0, 0, 0, 1])),
         ids(&[0])
@@ -564,31 +572,60 @@ fn node_refs_expose_structure() {
     let mut pst = Pst::new(schema.clone(), PstOptions::default()).unwrap();
     pst.insert(int_sub(&schema, 0, &[Some(1), None, None, None, None]))
         .unwrap();
+    // Alone in the tree, the subscription is one tail at the root.
     let (key, root) = pst.roots().next().unwrap();
     assert!(key.is_empty());
+    let tail = pst.node(root);
+    assert!(tail.is_leaf() && tail.is_tail());
+    assert_eq!((tail.level(), tail.attribute()), (0, Some(0)));
+    assert_eq!(tail.children().count(), 0);
+    let chain: Vec<_> = tail.residual().collect();
+    assert_eq!(chain.len(), 5);
+    assert_eq!(chain[0], (0, &AttrTest::Eq(Value::Int(1))));
+    assert!(chain[1..].iter().all(|(_, test)| test.is_wildcard()));
+
+    // A second one that differs at a1 makes the root real.
+    pst.insert(int_sub(&schema, 1, &[Some(2), None, None, None, Some(3)]))
+        .unwrap();
     let root_ref = pst.node(root);
     assert_eq!(root_ref.level(), 0);
     assert_eq!(root_ref.attribute(), Some(0));
-    assert!(!root_ref.is_leaf());
-    assert_eq!(root_ref.eq_edges().len(), 1);
+    assert!(!root_ref.is_leaf() && !root_ref.is_tail());
+    assert_eq!(root_ref.residual().count(), 0);
+    assert_eq!(root_ref.eq_edges().len(), 2);
     assert!(root_ref.range_edges().is_empty());
     assert!(root_ref.star().is_none());
     assert_eq!(
         root_ref.eq_child(&Value::Int(1)),
         Some(root_ref.eq_edges()[0].1)
     );
-    assert_eq!(root_ref.eq_child(&Value::Int(2)), None);
+    assert_eq!(root_ref.eq_child(&Value::Int(3)), None);
 
-    // Walk to the leaf.
-    let mut id = root;
+    let below = pst.node(root_ref.eq_child(&Value::Int(2)).unwrap());
+    assert!(below.is_tail());
+    assert_eq!((below.level(), below.attribute()), (1, Some(1)));
+    assert_eq!(below.residual().len(), 4);
+    assert_eq!(
+        below.residual().next_back(),
+        Some((4, &AttrTest::Eq(Value::Int(3))))
+    );
+    assert_eq!(below.subscription_ids(), &[SubscriptionId::new(1)]);
+    assert!(format!("{:?}", below).contains("level"));
+
+    // A twin that differs at the last level only makes the chain real down
+    // to a leaf proper on either side.
+    pst.insert(int_sub(&schema, 2, &[Some(2), None, None, None, Some(4)]))
+        .unwrap();
+    let mut id = pst.node(root).eq_child(&Value::Int(2)).unwrap();
     while !pst.node(id).is_leaf() {
         id = pst.node(id).children().next().unwrap();
     }
     let leaf = pst.node(id);
+    assert!(!leaf.is_tail());
     assert_eq!(leaf.level(), 5);
     assert_eq!(leaf.attribute(), None);
-    assert_eq!(leaf.subscription_ids(), &[SubscriptionId::new(0)]);
-    assert!(format!("{:?}", leaf).contains("level"));
+    assert_eq!(leaf.residual().count(), 0);
+    assert_eq!(leaf.subscription_ids(), &[SubscriptionId::new(1)]);
 }
 
 #[test]
@@ -691,4 +728,183 @@ fn summary_reports_structure() {
     assert_eq!(s.subscriptions, 1);
     assert_eq!(s.subtrees, 5);
     assert_eq!(s.leaf_entries, 5, "one replica per a1 value");
+}
+
+/// The tree with every chain spelled out, built the obvious way: the
+/// witness for what a search over tails must find and be charged.
+#[derive(Default)]
+struct Spelled {
+    children: Vec<(AttrTest, Spelled)>,
+    subs: Vec<SubscriptionId>,
+}
+
+impl Spelled {
+    fn insert(&mut self, tests: &[&AttrTest], id: SubscriptionId) {
+        let Some((first, rest)) = tests.split_first() else {
+            self.subs.push(id);
+            return;
+        };
+        let at = self.children.iter().position(|(label, _)| label == *first);
+        let at = at.unwrap_or_else(|| {
+            self.children.push(((*first).clone(), Spelled::default()));
+            self.children.len() - 1
+        });
+        self.children[at].1.insert(rest, id);
+    }
+
+    /// `Pst::visit`, node for node.
+    fn visit(
+        &self,
+        values: &[&Value],
+        skipping: bool,
+        stats: &mut MatchStats,
+        out: &mut Vec<SubscriptionId>,
+    ) {
+        if let ([(AttrTest::Any, only)], true) = (self.children.as_slice(), skipping) {
+            return only.visit(&values[1..], skipping, stats, out);
+        }
+        stats.steps += 1;
+        let Some((value, rest)) = values.split_first() else {
+            stats.leaf_hits += 1;
+            out.extend_from_slice(&self.subs);
+            return;
+        };
+        stats.comparisons += 1;
+        for (label, child) in &self.children {
+            let is_range = !label.is_wildcard() && !label.is_equality();
+            stats.comparisons += u64::from(is_range);
+            if label.matches(value) {
+                child.visit(rest, skipping, stats, out);
+            }
+        }
+    }
+}
+
+/// A tail is the chain it abbreviates. Two predicates that part ways at
+/// level `k` — for every `k`, with an equality, a range or `*` on either
+/// side of the fork — and a twin of the first go into the tree in every
+/// order and out again in every order, under factoring 0/1/2 with trivial
+/// test elimination off and on. `a3` declares the domain its one range
+/// test exhausts. After every step the matches are the naive matcher's for
+/// every event, and the steps, comparisons and leaf hits those of a search
+/// over the spelled-out tree; and whatever the order, two subscriptions
+/// that differ at level `k` leave exactly the levels down to `k` real.
+#[test]
+fn bursts_at_every_depth_in_every_order_match_the_spelled_out_tree() {
+    const ORDERS: [[usize; 3]; 6] = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+    let mut b = EventSchema::builder("matrix");
+    for name in ["a1", "a2", "a3", "a4", "a5"] {
+        b = b.attribute_with_domain(name, ValueKind::Int, (0..3).map(Value::Int));
+    }
+    let schema = b.build().unwrap();
+    let int = Value::Int;
+    let base = [
+        AttrTest::Eq(int(1)),
+        AttrTest::Any,
+        AttrTest::Ge(int(0)),
+        AttrTest::Eq(int(1)),
+        AttrTest::Lt(int(2)),
+    ];
+    let forks = [
+        AttrTest::Eq(int(2)),
+        AttrTest::Eq(int(0)),
+        AttrTest::Eq(int(1)),
+        AttrTest::Any,
+        AttrTest::Ge(int(1)),
+    ];
+    // Interpreted execution is ~100x slower: fewer events, the same shapes.
+    let span = if cfg!(miri) { 1..3 } else { 0..3 };
+    let mut events = vec![Vec::new()];
+    for _ in 0..5 {
+        let longer = |e: &Vec<i64>| {
+            span.clone()
+                .map(|v| [e.as_slice(), &[v]].concat())
+                .collect::<Vec<_>>()
+        };
+        events = events.iter().flat_map(longer).collect();
+    }
+    let events: Vec<Event> = events.iter().map(|v| int_event(&schema, v)).collect();
+
+    for (k, fork) in forks.iter().enumerate() {
+        let mut other = base.clone();
+        other[k] = fork.clone();
+        let predicates = [&base, &other, &base];
+        let sub = |i: usize| {
+            let tests = predicates[i].to_vec();
+            let predicate = Predicate::from_tests(&schema, tests).unwrap();
+            Subscription::new(
+                SubscriptionId::new(i as u32),
+                subscriber(i as u32),
+                predicate,
+            )
+        };
+        for (factoring, skipping) in [(0, false), (0, true), (1, false), (1, true), (2, true)] {
+            let options = PstOptions::default()
+                .with_factoring(factoring)
+                .with_trivial_test_elimination(skipping);
+            for (inserts, removes) in ORDERS
+                .iter()
+                .flat_map(|i| ORDERS.iter().map(move |r| (i, r)))
+            {
+                let context =
+                    format!("k={k} factoring={factoring} tte={skipping} {inserts:?} {removes:?}");
+                let mut pst = Pst::new(schema.clone(), options.clone()).unwrap();
+                let mut naive = NaiveMatcher::new(schema.clone());
+                let mut live: Vec<usize> = Vec::new();
+                let steps = inserts.iter().map(|i| (true, *i));
+                for (insert, i) in steps.chain(removes.iter().map(|i| (false, *i))) {
+                    if insert {
+                        pst.insert(sub(i)).unwrap();
+                        naive.insert(sub(i)).unwrap();
+                        live.push(i);
+                    } else {
+                        assert!(pst.remove(SubscriptionId::new(i as u32)), "{context}");
+                        naive.remove(SubscriptionId::new(i as u32));
+                        live.retain(|l| *l != i);
+                    }
+                    pst.check_invariants()
+                        .unwrap_or_else(|e| panic!("{context}: {e}"));
+                    if factoring == 0 && insert && live.contains(&1) && live.len() > 1 {
+                        // Root to fork, then a tail (or leaf) either side.
+                        assert_eq!(pst.node_count(), k + 3, "{context}");
+                        assert_eq!(pst.expanded_node_count(), 6 + 5 - k, "{context}");
+                    }
+                    for event in &events {
+                        let mut stats = MatchStats::new();
+                        let got = pst.matches_with_stats(event, &mut stats);
+                        assert_eq!(got, naive.matches(event), "{context}: {event}");
+
+                        let (keyed, walked) = event.values().split_at(factoring);
+                        let mut spelled = Spelled::default();
+                        for i in &live {
+                            let (key, tests) = predicates[*i].split_at(factoring);
+                            if key
+                                .iter()
+                                .zip(keyed)
+                                .all(|(test, value)| test.matches(value))
+                            {
+                                let tests: Vec<&AttrTest> = tests.iter().collect();
+                                spelled.insert(&tests, SubscriptionId::new(*i as u32));
+                            }
+                        }
+                        let mut expected = MatchStats::new();
+                        expected.events = 1;
+                        if !spelled.children.is_empty() || !spelled.subs.is_empty() {
+                            let walked: Vec<&Value> = walked.iter().collect();
+                            spelled.visit(&walked, skipping, &mut expected, &mut Vec::new());
+                        }
+                        assert_eq!(stats, expected, "{context}: {event}");
+                    }
+                }
+                assert_eq!(pst.node_count(), 0, "{context}");
+            }
+        }
+    }
 }

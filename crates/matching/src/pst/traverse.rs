@@ -1,6 +1,6 @@
 //! PST match-time traversal.
 
-use linkcast_types::{Event, SubscriptionId};
+use linkcast_types::{AttrTest, Event, SubscriptionId};
 
 use super::{NodeId, Pst};
 use crate::MatchStats;
@@ -64,7 +64,7 @@ impl Pst {
             // Expand the first interior node, if any.
             let Some(pos) = frontier
                 .iter()
-                .position(|&id| (self.node_inner(id).level as usize) < self.depth())
+                .position(|&id| !self.node_inner(id).is_terminal())
             else {
                 return;
             };
@@ -92,8 +92,9 @@ impl Pst {
         }
     }
 
-    /// Visits one node: a leaf contributes its subscriptions; an interior
-    /// node pushes the children its test selects.
+    /// Visits one node: a leaf contributes its subscriptions, a tail
+    /// does if the event passes its chain; an interior node pushes the
+    /// children its test selects.
     fn visit(
         &self,
         id: NodeId,
@@ -103,13 +104,14 @@ impl Pst {
         out: &mut Vec<SubscriptionId>,
     ) {
         let skipping = self.options.eliminate_trivial_tests;
-        stats.steps += 1;
         let node = self.node_inner(id);
-        if node.level as usize == self.depth() {
-            stats.leaf_hits += 1;
-            out.extend_from_slice(&node.subs);
+        if node.is_terminal() {
+            if walk_chain(self.residual(node), event, skipping, stats) {
+                out.extend_from_slice(&node.subs);
+            }
             return;
         }
+        stats.steps += 1;
         let attr = self.order[node.level as usize];
         let value = &event.values()[attr];
         stats.comparisons += 1;
@@ -135,6 +137,35 @@ impl Pst {
             self.node_inner(id).skip.unwrap_or(id)
         } else {
             id
+        }
+    }
+}
+
+/// Walks the single-edge chain `chain` spells out, level by level, from
+/// its first node (which the search is entering) to its leaf, charging
+/// `stats` what a search over the real nodes would be charged: a step per
+/// node entered — a run of `*`-only nodes collapsing into the node it
+/// leads to when `skipping` — a comparison per equality lookup and one
+/// more per range edge, a leaf hit at the end. Returns whether the event
+/// passed every test, that is, whether the leaf was reached.
+pub(crate) fn walk_chain<'a>(
+    chain: impl Iterator<Item = (usize, &'a AttrTest)>,
+    event: &Event,
+    skipping: bool,
+    stats: &mut MatchStats,
+) -> bool {
+    let mut chain = chain.peekable();
+    loop {
+        while skipping && chain.next_if(|(_, test)| test.is_wildcard()).is_some() {}
+        stats.steps += 1;
+        let Some((attr, test)) = chain.next() else {
+            stats.leaf_hits += 1;
+            return true;
+        };
+        // The equality lookup every node makes, and the one range edge.
+        stats.comparisons += 1 + u64::from(!test.is_wildcard() && !test.is_equality());
+        if !test.matches(&event.values()[attr]) {
+            return false;
         }
     }
 }

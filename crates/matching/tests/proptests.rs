@@ -2,7 +2,8 @@
 //! oracle under arbitrary subscription sets, mutations, and events.
 
 use linkcast_matching::{
-    GatingMatcher, MatchStats, Matcher, NaiveMatcher, OrderPolicy, Psg, Pst, PstOptions,
+    compact_subscriptions, GatingMatcher, MatchStats, Matcher, NaiveMatcher, OrderPolicy, Psg, Pst,
+    PstOptions,
 };
 use linkcast_types::{
     AttrTest, BrokerId, ClientId, Event, EventSchema, Predicate, SubscriberId, Subscription,
@@ -121,6 +122,62 @@ proptest! {
                 "parallel"
             );
             prop_assert_eq!(gating.matches(&event), expected, "gating");
+        }
+    }
+
+    /// A random table published through the tree, the graph compiled from
+    /// it and the tree over the compacted table reaches the subscribers the
+    /// naive matcher does. Three subscribers share the table, so predicates
+    /// cover one another and compaction has something to drop; the tree it
+    /// leaves parks on tails what the full one had to burst, and the other
+    /// way round.
+    #[test]
+    fn tree_graph_and_compacted_tree_reach_the_same_subscribers(
+        shapes in subscription_strategy(),
+        events in events_strategy(),
+        factoring in 0usize..3,
+        tte in any::<bool>(),
+    ) {
+        let schema = schema();
+        let options = PstOptions::default()
+            .with_factoring(factoring)
+            .with_trivial_test_elimination(tte);
+        let subs: Vec<Subscription> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let sub = build_subscription(&schema, i as u32, s);
+                let shared = SubscriberId::new(BrokerId::new(0), ClientId::new(i as u32 % 3));
+                Subscription::new(sub.id(), shared, sub.into_predicate())
+            })
+            .collect();
+        let (kept, dropped) = compact_subscriptions(subs.clone());
+        prop_assert_eq!(kept.len() + dropped.len(), subs.len());
+        let pst = Pst::build(schema.clone(), subs.iter().cloned(), options.clone()).unwrap();
+        let compacted = Pst::build(schema.clone(), kept, options).unwrap();
+        pst.check_invariants().map_err(TestCaseError::fail)?;
+        compacted.check_invariants().map_err(TestCaseError::fail)?;
+        prop_assert!(compacted.node_count() <= pst.expanded_node_count());
+        let psg = Psg::compile(&pst);
+        let mut naive = NaiveMatcher::new(schema.clone());
+        for s in &subs {
+            naive.insert(s.clone()).unwrap();
+        }
+        let reached = |m: &dyn Matcher, ids: Vec<SubscriptionId>| {
+            let clients = ids.iter().map(|id| m.subscription(*id).unwrap().subscriber().client);
+            clients.collect::<std::collections::BTreeSet<_>>()
+        };
+        for values in &events {
+            let event =
+                Event::from_values(&schema, values.iter().map(|v| Value::Int(*v))).unwrap();
+            let expected = naive.matches(&event);
+            prop_assert_eq!(pst.matches(&event), expected.clone(), "pst");
+            prop_assert_eq!(psg.matches(&event), expected.clone(), "psg");
+            prop_assert_eq!(
+                reached(&compacted, compacted.matches(&event)),
+                reached(&naive, expected),
+                "compacted"
+            );
         }
     }
 

@@ -433,6 +433,15 @@ impl TritVec {
         }
     }
 
+    /// Turns every `Yes` into `Maybe` in place: *Alternative Combine* with
+    /// an all-`No` vector, which is what a test that can fail does to the
+    /// annotation of the subtree behind it.
+    pub fn yes_to_maybe_in_place(&mut self) {
+        for a in &mut self.words {
+            *a = (*a | (*a >> 1)) & LO;
+        }
+    }
+
     /// In-place [`parallel`](Self::parallel).
     ///
     /// # Panics
@@ -887,6 +896,10 @@ mod tests {
                 let mut par = a.clone();
                 par.parallel_in_place(&b);
                 assert_eq!(par, a.parallel(&b));
+
+                let mut demoted = a.clone();
+                demoted.yes_to_maybe_in_place();
+                assert_eq!(demoted, a.alternative(&TritVec::no(len)));
 
                 let mut fill = a.clone();
                 fill.fill_no();

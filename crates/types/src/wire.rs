@@ -351,8 +351,21 @@ pub fn get_predicate(buf: &mut impl Buf, schema: &EventSchema) -> Result<Predica
     Predicate::from_tests(schema, tests)
 }
 
+/// Process-wide count of subscription serializations, the control plane's
+/// twin of [`event_encode_count`]: a subscription is encoded where it is
+/// made and floods onward as the bytes received.
+static SUBSCRIPTION_ENCODES: AtomicU64 = AtomicU64::new(0);
+
+/// Returns the number of times [`put_subscription`] has run in this
+/// process.
+#[must_use]
+pub fn subscription_encode_count() -> u64 {
+    SUBSCRIPTION_ENCODES.load(Ordering::Relaxed)
+}
+
 /// Encodes a [`Subscription`] (id, subscriber, predicate).
 pub fn put_subscription(buf: &mut impl BufMut, sub: &Subscription) {
+    SUBSCRIPTION_ENCODES.fetch_add(1, Ordering::Relaxed);
     buf.put_u32_le(sub.id().raw());
     buf.put_u32_le(sub.subscriber().broker.raw());
     buf.put_u32_le(sub.subscriber().client.raw());

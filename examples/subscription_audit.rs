@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
         let arena = engine.arena().summary();
         println!("match arena ({name}): {arena:?}");
-        assert_eq!(arena.covered_nodes, pst.node_count());
+        assert_eq!(arena.covered_nodes, pst.expanded_node_count());
         assert_eq!((arena.runs, arena.prefix_tests), (1, 1));
     }
 

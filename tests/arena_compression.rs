@@ -10,11 +10,18 @@
 //! benchmark's rig does; the constants the benchmark offsets by a
 //! seed-derived base are taken at base 0, which changes no shape.
 //!
-//! The recursive search over the boxed PST enters a node per test: root,
-//! `volume`, the subscriber's first `*` node, then six nodes down every
-//! chain whose link is still undecided (those of the broker's own decoy
-//! clients) and one for each of the rest. The arena folds `a1..a5` of every
-//! chain into the prefix of its `a6` node — one step per chain.
+//! The PST keeps what no two subscriptions share as one tail node each:
+//! the root and the `volume` node (which the first chain parting ways with
+//! the real subscription, alone in the tree until then, made real), the
+//! real subscription's tail below `volume`, and one tail per chain —
+//! `3 + DECOYS` nodes standing for the `2 + 8 + 8·DECOYS` of the tree with
+//! every chain spelled out, which is the tree both searches walk.
+//!
+//! The recursive search enters a node per test: root, `volume`, the
+//! subscriber's first `*` node, then six nodes down every chain whose link
+//! is still undecided (those of the broker's own decoy clients) and one
+//! for each of the rest. The arena folds `a1..a5` of every chain into the
+//! prefix of its `a6` node — one step per chain.
 
 use linkcast::{LinkMatchEngine, LinkSpace, NetworkBuilder, RouteScratch, RoutingFabric};
 use linkcast_matching::{MatchStats, PstOptions};
@@ -108,7 +115,8 @@ fn match_table_steps_are_pinned_for_both_walks() {
     // root, the `volume` node and the subscriber's eight.
     for engine in &engines {
         let summary = engine.arena().summary();
-        assert_eq!(summary.covered_nodes, engine.pst().node_count());
+        assert_eq!(engine.pst().node_count(), 3 + DECOYS as usize);
+        assert_eq!(summary.covered_nodes, engine.pst().expanded_node_count());
         assert_eq!(summary.covered_nodes, 2 + 8 + 8 * DECOYS as usize);
         assert_eq!(summary.nodes, 2 + 8 + 3 * DECOYS as usize);
         assert_eq!(summary.runs, DECOYS as usize);
@@ -193,8 +201,10 @@ fn observed_selectivity_reorders_the_match_table_once() {
         assert_eq!(engine.pst().order(), adapted);
         assert_eq!(engine.generation(), generation + 1);
         assert_eq!(engine.tested_attributes(), tested);
-        // Each chain now ends in two `*`-only nodes, `issue` and `ts`.
+        // Each chain now ends in two `*`-only nodes, `issue` and `ts`; and
+        // hangs off the root, which alone is shared.
         assert_eq!(engine.arena().node_count(), nodes + DECOYS as usize);
+        assert_eq!(engine.pst().node_count(), 2 + DECOYS as usize);
 
         for walked in 0..5_000 {
             let event = bench_event(&schema, walked % 256);

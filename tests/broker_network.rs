@@ -383,3 +383,63 @@ fn order_rebuild_is_invisible_to_subscribers() {
         );
     }
 }
+
+/// One broker, one provisioned client, listening on `listen`.
+fn lone_broker(listen: std::net::SocketAddr) -> (BrokerNode, ClientId, Arc<SchemaRegistry>) {
+    let mut b = NetworkBuilder::new();
+    let broker = b.add_broker();
+    let client = b.add_client(broker).unwrap();
+    let fabric = RoutingFabric::new_all_roots(b.build().unwrap()).unwrap();
+    let registry = registry();
+    let mut config = BrokerConfig::localhost(broker, fabric, Arc::clone(&registry));
+    config.listen = listen;
+    (BrokerNode::start(config).unwrap(), client, registry)
+}
+
+/// The acceptor blocks in `accept`; it does not poll. When it napped 10 ms
+/// between looks at a non-blocking listener, every inbound connection —
+/// client connect, link dial, link *re*dial after a flap — waited out what
+/// was left of the nap: twenty sequential connects (each through to the
+/// broker's `Welcome`) took about 100 ms. Loopback needs a few hundred
+/// microseconds apiece; the best of three rounds, so that a neighbour test
+/// hogging both cores for one of them proves nothing.
+#[test]
+fn connects_do_not_wait_out_an_accept_poll() {
+    let (node, client, registry) = lone_broker("127.0.0.1:0".parse().unwrap());
+    let round = || {
+        let started = Instant::now();
+        for _ in 0..20 {
+            let connected = Client::connect(node.addr(), client, 0, Arc::clone(&registry));
+            drop(connected.unwrap());
+        }
+        started.elapsed()
+    };
+    let best = (0..3).map(|_| round()).min().unwrap();
+    assert!(
+        best < Duration::from_millis(40),
+        "20 connects + welcomes took {best:?}"
+    );
+    node.shutdown();
+}
+
+/// `shutdown()` — and the crash path — return with the listener unbound:
+/// the acceptor, woken out of `accept` by a dial to its own address, has
+/// been joined. Fifty restarts on one fixed port, each bound the moment its
+/// predecessor returned, each serving a client before it goes.
+#[test]
+fn restarts_rebind_the_same_port_at_once() {
+    let (first, client, registry) = lone_broker("127.0.0.1:0".parse().unwrap());
+    let addr = first.addr();
+    first.shutdown();
+    for restart in 0..50 {
+        let (node, _, _) = lone_broker(addr);
+        assert_eq!(node.addr(), addr, "restart {restart}");
+        let connected = Client::connect(addr, client, 0, Arc::clone(&registry));
+        drop(connected.unwrap_or_else(|e| panic!("restart {restart}: {e}")));
+        if restart % 2 == 0 {
+            node.shutdown();
+        } else {
+            node.crash();
+        }
+    }
+}

@@ -291,16 +291,20 @@ fn churn_leaves_bounded_garbage() {
             .unwrap();
     };
     let assert_bounded = |engine: &LinkMatchEngine, when: &str| {
-        let summary = engine.pst().summary();
+        let pst = engine.pst();
         let arena = engine.arena().summary();
-        // Every PST edge is an arena edge or a prefix test.
-        let live = summary.eq_edges + summary.range_edges;
+        // Every value edge of the tree — a real one, or a test of the
+        // chain a tail stands for — is an arena edge or a prefix test.
+        let summary = pst.summary();
+        let nodes = pst.postorder().into_iter().map(|id| pst.node(id));
+        let in_tails = nodes.map(|n| n.residual().filter(|(_, t)| !t.is_wildcard()).count());
+        let live = summary.eq_edges + summary.range_edges + in_tails.sum::<usize>();
         assert!(
             arena.edge_slots <= 2 * live + 64,
             "{when}: {} edge and prefix slots for {live} live edges",
             arena.edge_slots
         );
-        assert_eq!(arena.covered_nodes, summary.nodes, "{when}");
+        assert_eq!(arena.covered_nodes, pst.expanded_node_count(), "{when}");
         // The volume node, and per chain the run [a1 a2 | a3] and a leaf
         // (a lone chain takes the volume node into its run).
         let chains = engine.subscription_count();
