@@ -1,0 +1,75 @@
+//! A global allocator that counts, per thread, how often the thread asked
+//! for memory — so a test can pin the number of allocations a code path
+//! makes (a count repeats exactly where a timing does not).
+//!
+//! A test binary installs it once and measures with [`allocations_in`]:
+//!
+//! ```
+//! use linkcast_alloc_count::{allocations_in, CountingAllocator};
+//!
+//! #[global_allocator]
+//! static ALLOC: CountingAllocator = CountingAllocator;
+//!
+//! let (count, v) = allocations_in(|| Vec::<u8>::with_capacity(16));
+//! assert_eq!(count, 1);
+//! drop(v);
+//! ```
+//!
+//! Counting is per thread, so tests of one binary may run in parallel.
+//! Frees are not counted; a `realloc` counts as one allocation.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread that is tearing down its locals still allocates.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// The system allocator, counting the calling thread's requests.
+pub struct CountingAllocator;
+
+// SAFETY: every operation is the system allocator's, called with the
+// arguments this one was given; the bookkeeping in between touches only a
+// `const`-initialised thread-local `Cell<u64>`, which neither allocates nor
+// has a destructor.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's contract for `alloc`, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's contract for `alloc_zeroed`, passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's contract for `realloc`, passed through; `ptr`
+        // came from this allocator, which is to say from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract for `dealloc`, passed through; `ptr`
+        // came from this allocator, which is to say from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Runs `f` and returns how many allocations the calling thread made
+/// meanwhile (zero unless [`CountingAllocator`] is the global allocator),
+/// with `f`'s result — returned, not dropped, so that freeing it is the
+/// caller's to place.
+pub fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (ALLOCATIONS.with(Cell::get) - before, result)
+}

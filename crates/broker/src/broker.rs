@@ -25,7 +25,7 @@ use crate::outbox::{ConnId, Outbox, Sink};
 use crate::protocol::{self, BrokerToBroker, BrokerToClient, ClientToBroker};
 use crate::storage::{self, Storage, WalOp};
 use crate::tcp::TcpTransport;
-use crate::transport::{self, Transport};
+use crate::transport::{self, FrameBatch, FrameReader, Polled, Transport};
 
 /// How many received `Forward` frames a broker lets accumulate before it
 /// pushes a cumulative `FwdAck` back over the link (the GC tick flushes
@@ -254,8 +254,9 @@ impl BrokerConfig {
 }
 
 pub(crate) enum Command {
-    /// A frame payload (length prefix stripped) from a connection.
-    Frame(ConnId, Bytes),
+    /// The frames one read of a connection completed, in arrival order
+    /// (length prefixes kept).
+    Frames(ConnId, FrameBatch),
     /// The dialing side knows which neighbor it reached.
     DialedNeighbor(ConnId, BrokerId),
     /// A connection died (reader EOF/error or writer failure).
@@ -792,7 +793,7 @@ impl BrokerNode {
                         backoff = (backoff * 2).min(LINK_REDIAL_MAX);
                         continue;
                     };
-                    let mut reader = connection.reader;
+                    let mut frames = FrameReader::new(connection.reader);
                     let conn = next_conn.fetch_add(1, Ordering::Relaxed);
                     outbox.register(conn, crate::outbox::Sink::Link(connection.writer));
                     // The engine answers `DialedNeighbor` with the `Hello`
@@ -814,8 +815,8 @@ impl BrokerNode {
                         if shutdown.load(Ordering::Acquire) {
                             return;
                         }
-                        match transport::read_frame(&mut reader) {
-                            Ok(Some(payload)) => {
+                        match frames.poll() {
+                            Ok(Polled::Frames(batch)) => {
                                 if !greeted {
                                     greeted = true;
                                     // The peer answered: the down episode
@@ -823,11 +824,14 @@ impl BrokerNode {
                                     failures = 0;
                                     escalated = false;
                                 }
-                                if cmd_tx.send(Command::Frame(conn, payload)).is_err() {
+                                if cmd_tx.send(Command::Frames(conn, batch)).is_err() {
                                     return;
                                 }
                             }
-                            Ok(None) => {
+                            // Nothing whole yet — a silent peer and one
+                            // that stalled part-way through its `Hello`
+                            // look the same from here.
+                            Ok(Polled::Idle) => {
                                 if !greeted && std::time::Instant::now() >= handshake_deadline {
                                     // Handshake never completed: tear the
                                     // conn down (the engine unregisters it,
@@ -838,7 +842,7 @@ impl BrokerNode {
                                 }
                                 continue;
                             }
-                            Err(_) => {
+                            Ok(Polled::Closed) | Err(_) => {
                                 let _ = cmd_tx.send(Command::Disconnected(conn));
                                 break;
                             }
@@ -1014,10 +1018,8 @@ pub struct LocalConn {
 impl LocalConn {
     /// Sends a client-protocol message to the broker.
     pub fn send(&self, message: &ClientToBroker) {
-        let frame = message.encode();
-        // The engine expects the payload without the length prefix.
-        let payload = frame.slice(4..);
-        let _ = self.cmd_tx.send(Command::Frame(self.conn, payload));
+        let batch = FrameBatch::single(message.encode());
+        let _ = self.cmd_tx.send(Command::Frames(self.conn, batch));
     }
 
     /// Receives the next broker-protocol message, waiting up to `timeout`.
@@ -1030,7 +1032,7 @@ impl LocalConn {
             .rx
             .recv_timeout(timeout)
             .map_err(|_| crate::ClientError::Timeout)?;
-        let payload = frame.slice(4..);
+        let payload = frame.slice(protocol::FRAME_PREFIX..);
         BrokerToClient::decode(payload, &self.registry)
             .map_err(|e| crate::ClientError::Protocol(e.to_string()))
     }
@@ -1432,7 +1434,16 @@ impl EngineLoop {
     fn run(mut self, cmd_rx: Receiver<Command>) {
         for command in cmd_rx.iter() {
             match command {
-                Command::Frame(conn, payload) => self.handle_frame(conn, payload),
+                Command::Frames(conn, batch) => {
+                    // Any frame, decodable or not, proves the peer's send
+                    // path is alive; the heartbeat tick consumes this for
+                    // broker links. One stamp covers the batch: its frames
+                    // came out of the same read.
+                    self.last_heard.insert(conn, std::time::Instant::now());
+                    for frame in batch {
+                        self.handle_frame(conn, frame);
+                    }
+                }
                 Command::DialedNeighbor(conn, neighbor) => {
                     self.conns.insert(conn, Peer::Broker(neighbor));
                     self.install_neighbor_conn(neighbor, conn);
@@ -1494,39 +1505,40 @@ impl EngineLoop {
         // Dropping self drops the shard senders; workers drain and exit.
     }
 
-    fn handle_frame(&mut self, conn: ConnId, payload: Bytes) {
-        let Some(&tag) = payload.first() else {
+    /// One frame, length prefix included.
+    fn handle_frame(&mut self, conn: ConnId, frame: Bytes) {
+        let Some(&tag) = frame.get(protocol::FRAME_PREFIX) else {
             return;
         };
-        // Any decodable-or-not frame proves the peer's send path is alive;
-        // the heartbeat tick consumes this for broker links.
-        self.last_heard.insert(conn, std::time::Instant::now());
+        // The decoders consume a slice of the frame (a refcount bump), so
+        // the data-plane arms can slice the already-encoded event body out
+        // of it instead of re-serializing the decoded event.
+        let payload = || frame.slice(protocol::FRAME_PREFIX..);
         if tag < 0x10 {
-            // `payload` is cloned (a refcount bump) so the data-plane arms
-            // can slice the already-encoded event body out of it instead of
-            // re-serializing the decoded event.
-            match ClientToBroker::decode(payload.clone(), &self.config.registry) {
+            match ClientToBroker::decode(payload(), &self.config.registry) {
                 Ok(ClientToBroker::Publish { event }) => {
-                    let body = payload.slice(protocol::PUBLISH_BODY_OFFSET..);
+                    let body =
+                        frame.slice(protocol::FRAME_PREFIX + protocol::PUBLISH_BODY_OFFSET..);
                     self.handle_publish(conn, event, body);
                 }
                 Ok(msg) => self.handle_client(conn, msg),
                 Err(e) => self.protocol_error_disconnect(conn, e.to_string()),
             }
         } else if (0x21..=0x2f).contains(&tag) {
-            match BrokerToBroker::decode(payload.clone(), &self.config.registry) {
+            match BrokerToBroker::decode(payload(), &self.config.registry) {
                 Ok(BrokerToBroker::Forward {
                     tree,
                     seq,
                     epoch,
                     event,
                 }) => {
-                    let body = payload.slice(protocol::FORWARD_BODY_OFFSET..);
+                    let body =
+                        frame.slice(protocol::FRAME_PREFIX + protocol::FORWARD_BODY_OFFSET..);
                     self.handle_forward(conn, tree, seq, epoch, event, body);
                 }
-                // The control-plane arms flood the payload onward as it
+                // The control-plane arms flood the frame onward as it
                 // came: it decoded, so it is a well-formed message.
-                Ok(msg) => self.handle_broker(conn, msg, &payload),
+                Ok(msg) => self.handle_broker(conn, msg, &frame),
                 Err(e) => self.protocol_error_disconnect(conn, e.to_string()),
             }
         } else {
@@ -1743,7 +1755,8 @@ impl EngineLoop {
         }
     }
 
-    fn handle_broker(&mut self, conn: ConnId, message: BrokerToBroker, payload: &[u8]) {
+    /// `frame` is `message` as it arrived, length prefix included.
+    fn handle_broker(&mut self, conn: ConnId, message: BrokerToBroker, frame: &Bytes) {
         match message {
             BrokerToBroker::Hello {
                 broker,
@@ -1892,7 +1905,7 @@ impl EngineLoop {
                         .subscriptions
                         .store(count as u64, Ordering::Relaxed);
                     // `resync` travels unchanged, with the rest.
-                    self.flood_frame(&protocol::frame(payload), Some(conn));
+                    self.flood_frame(frame, Some(conn));
                     self.checkpoint_subscriptions();
                 } else {
                     debug_assert!(false, "replicated subscription {id} failed to install");
@@ -1904,8 +1917,8 @@ impl EngineLoop {
                 self.outbox.send(conn, BrokerToBroker::Pong.encode());
             }
             BrokerToBroker::Pong => {
-                // Its arrival already refreshed `last_heard` in
-                // `handle_frame`; there is nothing else to do.
+                // Its arrival already refreshed `last_heard`; there is
+                // nothing else to do.
             }
             BrokerToBroker::LinkDown { a, b, ver } => {
                 self.handle_link_statement(conn, a, b, ver, true);
@@ -1928,7 +1941,7 @@ impl EngineLoop {
                         .store(count as u64, Ordering::Relaxed);
                 }
                 if removed || newly_tombstoned {
-                    self.flood_frame(&protocol::frame(payload), Some(conn));
+                    self.flood_frame(frame, Some(conn));
                     self.checkpoint_subscriptions();
                 }
             }

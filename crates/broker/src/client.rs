@@ -9,9 +9,9 @@ use std::time::{Duration, Instant};
 use linkcast_types::{ClientId, Event, SchemaId, SchemaRegistry, SubscriptionId};
 
 use crate::counters::NodeCounters;
-use crate::protocol::{BrokerToClient, ClientToBroker, ProtocolError};
+use crate::protocol::{BrokerToClient, ClientToBroker, ProtocolError, FRAME_PREFIX};
 use crate::tcp::TcpTransport;
-use crate::transport::{read_frame, LinkReader, LinkWriter, Transport};
+use crate::transport::{FrameBatch, FrameReader, LinkWriter, Polled, Transport};
 
 /// Errors from the client library.
 #[derive(Debug)]
@@ -61,9 +61,11 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     /// Write half of the connection.
     writer: Arc<dyn LinkWriter>,
-    /// Buffered read half (a handle on the same stream): bursts of
-    /// deliveries arrive in one underlying read instead of one per frame.
-    reader: std::io::BufReader<LinkReader>,
+    /// Read half (a handle on the same stream): a burst of deliveries
+    /// arrives in one underlying read.
+    reader: FrameReader,
+    /// Frames of the last read that `read_message` has yet to return.
+    unread: FrameBatch,
     registry: Arc<SchemaRegistry>,
     client: ClientId,
     /// Delivered-but-unreturned events (e.g. received while waiting for a
@@ -107,10 +109,10 @@ impl Client {
         registry: Arc<SchemaRegistry>,
     ) -> Result<Client, ClientError> {
         let connection = transport.dial(addr)?;
-        let reader = std::io::BufReader::with_capacity(32 * 1024, connection.reader);
         let mut c = Client {
             writer: connection.writer,
-            reader,
+            reader: FrameReader::new(connection.reader),
+            unread: FrameBatch::default(),
             registry,
             client,
             inbox: VecDeque::new(),
@@ -309,9 +311,9 @@ impl Client {
         // `encode` writes `payload.len() as u32` — past `MAX_FRAME_LEN` the
         // header would silently truncate (frame.len() counts the real
         // payload, so the check works even after the header wrapped).
-        if frame.len().saturating_sub(4) > crate::protocol::MAX_FRAME_LEN {
+        if frame.len().saturating_sub(FRAME_PREFIX) > crate::protocol::MAX_FRAME_LEN {
             return Err(ClientError::Protocol(
-                ProtocolError::Oversized(frame.len() - 4).to_string(),
+                ProtocolError::Oversized(frame.len() - FRAME_PREFIX).to_string(),
             ));
         }
         self.writer.write_batch(&[frame])?;
@@ -322,17 +324,23 @@ impl Client {
     fn read_message(&mut self, timeout: Duration) -> Result<BrokerToClient, ClientError> {
         let deadline = Instant::now() + timeout;
         loop {
-            match read_frame(&mut self.reader) {
-                Ok(Some(payload)) => {
-                    return BrokerToClient::decode(payload, &self.registry)
-                        .map_err(|e| ClientError::Protocol(e.to_string()));
-                }
-                Ok(None) => {
+            if let Some(frame) = self.unread.next() {
+                return BrokerToClient::decode(frame.slice(FRAME_PREFIX..), &self.registry)
+                    .map_err(|e| ClientError::Protocol(e.to_string()));
+            }
+            match self.reader.poll()? {
+                Polled::Frames(batch) => self.unread = batch,
+                Polled::Idle => {
                     if Instant::now() >= deadline {
                         return Err(ClientError::Timeout);
                     }
                 }
-                Err(e) => return Err(ClientError::Io(e)),
+                Polled::Closed => {
+                    return Err(ClientError::Io(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "peer closed the connection",
+                    )))
+                }
             }
         }
     }

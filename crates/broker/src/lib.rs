@@ -53,4 +53,6 @@ pub use protocol::{
 pub use simnet::{SimHost, SimNet};
 pub use storage::{FsStorage, PowerCut, SimStorage, Storage};
 pub use tcp::TcpTransport;
-pub use transport::{Connection, LinkReader, LinkWriter, Listener, Transport};
+pub use transport::{
+    Connection, FrameBatch, FrameReader, LinkReader, LinkWriter, Listener, Polled, Transport,
+};

@@ -296,13 +296,25 @@ const B2B_PONG: u8 = FrameTag::Pong as u8;
 const B2B_LINKDOWN: u8 = FrameTag::LinkDown as u8;
 const B2B_LINKUP: u8 = FrameTag::LinkUp as u8;
 
-/// Prefixes a payload with its length. Also how a control-plane message
-/// that decoded (so it is well-formed) floods onward exactly as received,
-/// without being re-encoded.
-pub(crate) fn frame(payload: &[u8]) -> Bytes {
-    let mut out = BytesMut::with_capacity(payload.len() + 4);
-    out.put_u32_le(payload.len() as u32);
-    out.extend_from_slice(payload);
+/// Bytes of the `u32` LE length prefix in front of every frame's payload.
+pub(crate) const FRAME_PREFIX: usize = 4;
+
+/// Starts a frame whose payload will take `payload_len` bytes: the one
+/// buffer the frame is built and sent in, its length prefix a placeholder
+/// until [`finish_frame`] knows what was written.
+fn begin_frame(payload_len: usize) -> BytesMut {
+    let mut out = BytesMut::with_capacity(FRAME_PREFIX + payload_len);
+    out.put_u32_le(0);
+    out
+}
+
+/// Patches the length prefix of a frame started by [`begin_frame`] and
+/// freezes the buffer as it stands.
+fn finish_frame(mut out: BytesMut) -> Bytes {
+    let payload_len = out.len().saturating_sub(FRAME_PREFIX) as u32;
+    if let Some(prefix) = out.get_mut(..FRAME_PREFIX) {
+        prefix.copy_from_slice(&payload_len.to_le_bytes());
+    }
     out.freeze()
 }
 
@@ -311,6 +323,9 @@ pub(crate) const PUBLISH_BODY_OFFSET: usize = 1;
 /// Byte offset of the encoded event inside a `Forward` payload (tag byte +
 /// tree id + per-link sequence number + topology epoch).
 pub(crate) const FORWARD_BODY_OFFSET: usize = 21;
+/// Byte offset of the encoded event inside a `Deliver` payload (tag byte +
+/// per-client sequence number).
+const DELIVER_BODY_OFFSET: usize = 9;
 
 /// Serializes an event body exactly once, for fan-out through the frame
 /// stitchers below. The broker calls this only for events that did not
@@ -318,18 +333,17 @@ pub(crate) const FORWARD_BODY_OFFSET: usize = 21;
 /// incoming payload (see the `*_BODY_OFFSET` constants) and never
 /// re-serialized.
 pub(crate) fn encode_event_body(event: &Event) -> Bytes {
-    let mut b = BytesMut::new();
+    let mut b = BytesMut::with_capacity(wire::event_len(event));
     wire::put_event(&mut b, event);
     b.freeze()
 }
 
 /// Stitches a complete `Publish` frame around an already-encoded event body.
 pub(crate) fn publish_frame(body: &[u8]) -> Bytes {
-    let mut out = BytesMut::with_capacity(4 + PUBLISH_BODY_OFFSET + body.len());
-    out.put_u32_le((PUBLISH_BODY_OFFSET + body.len()) as u32);
+    let mut out = begin_frame(PUBLISH_BODY_OFFSET + body.len());
     out.put_u8(C2B_PUBLISH);
     out.extend_from_slice(body);
-    out.freeze()
+    finish_frame(out)
 }
 
 /// Stitches a complete `Forward` frame around an already-encoded event
@@ -337,79 +351,85 @@ pub(crate) fn publish_frame(body: &[u8]) -> Bytes {
 /// its own), so every link gets its own header, but the body bytes are
 /// never re-serialized.
 pub(crate) fn forward_frame(tree: TreeId, seq: u64, epoch: u64, body: &[u8]) -> Bytes {
-    let mut out = BytesMut::with_capacity(4 + FORWARD_BODY_OFFSET + body.len());
-    out.put_u32_le((FORWARD_BODY_OFFSET + body.len()) as u32);
+    let mut out = begin_frame(FORWARD_BODY_OFFSET + body.len());
     out.put_u8(B2B_FORWARD);
     out.put_u32_le(tree.index() as u32);
     out.put_u64_le(seq);
     out.put_u64_le(epoch);
     out.extend_from_slice(body);
-    out.freeze()
+    finish_frame(out)
 }
 
 /// Stitches a complete `Deliver` frame around an already-encoded event body.
 /// The sequence number is per-client, so each client gets its own header,
 /// but the body bytes are never re-serialized.
 pub(crate) fn deliver_frame(seq: u64, body: &[u8]) -> Bytes {
-    let mut out = BytesMut::with_capacity(4 + 9 + body.len());
-    out.put_u32_le((9 + body.len()) as u32);
+    let mut out = begin_frame(DELIVER_BODY_OFFSET + body.len());
     out.put_u8(B2C_DELIVER);
     out.put_u64_le(seq);
     out.extend_from_slice(body);
-    out.freeze()
+    finish_frame(out)
 }
 
 /// A complete `SubAdd` frame for a subscription its caller keeps: the home
 /// broker encodes the flood from a reference and then moves the
-/// subscription into its engine.
+/// subscription into its engine. [`BrokerToBroker::SubAdd`] encodes through
+/// here too.
 pub(crate) fn sub_add_frame(schema: SchemaId, subscription: &Subscription, resync: bool) -> Bytes {
-    let mut b = BytesMut::new();
-    put_sub_add(&mut b, schema, subscription, resync);
-    frame(&b)
-}
-
-fn put_sub_add(b: &mut BytesMut, schema: SchemaId, subscription: &Subscription, resync: bool) {
+    let mut b = begin_frame(6 + wire::subscription_len(subscription));
     b.put_u8(B2B_SUBADD);
     b.put_u32_le(schema.raw());
     b.put_u8(u8::from(resync));
-    wire::put_subscription(b, subscription);
+    wire::put_subscription(&mut b, subscription);
+    finish_frame(b)
 }
 
 impl ClientToBroker {
     /// Encodes into a length-prefixed frame.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::new();
-        match self {
+        let b = match self {
             ClientToBroker::Hello {
                 client,
                 resume_from,
             } => {
+                let mut b = begin_frame(13);
                 b.put_u8(C2B_HELLO);
                 b.put_u32_le(client.raw());
                 b.put_u64_le(*resume_from);
+                b
             }
             ClientToBroker::Subscribe { schema, expression } => {
+                let mut b = begin_frame(9 + expression.len());
                 b.put_u8(C2B_SUBSCRIBE);
                 b.put_u32_le(schema.raw());
                 wire::put_str(&mut b, expression);
+                b
             }
             ClientToBroker::Unsubscribe { id } => {
+                let mut b = begin_frame(5);
                 b.put_u8(C2B_UNSUBSCRIBE);
                 b.put_u32_le(id.raw());
+                b
             }
             ClientToBroker::Publish { event } => {
+                let mut b = begin_frame(PUBLISH_BODY_OFFSET + wire::event_len(event));
                 b.put_u8(C2B_PUBLISH);
                 wire::put_event(&mut b, event);
+                b
             }
             ClientToBroker::Ack { seq } => {
+                let mut b = begin_frame(9);
                 b.put_u8(C2B_ACK);
                 b.put_u64_le(*seq);
+                b
             }
             ClientToBroker::StatsRequest => {
+                let mut b = begin_frame(1);
                 b.put_u8(C2B_STATS);
+                b
             }
-        }
-        frame(&b)
+        };
+        finish_frame(b)
     }
 
     /// Decodes a frame payload (without the length prefix).
@@ -471,39 +491,50 @@ impl ClientToBroker {
 impl BrokerToClient {
     /// Encodes into a length-prefixed frame.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::new();
-        match self {
+        let b = match self {
             BrokerToClient::Welcome {
                 client,
                 resume_from,
             } => {
+                let mut b = begin_frame(13);
                 b.put_u8(B2C_WELCOME);
                 b.put_u32_le(client.raw());
                 b.put_u64_le(*resume_from);
+                b
             }
             BrokerToClient::Deliver { seq, event } => {
+                let mut b = begin_frame(DELIVER_BODY_OFFSET + wire::event_len(event));
                 b.put_u8(B2C_DELIVER);
                 b.put_u64_le(*seq);
                 wire::put_event(&mut b, event);
+                b
             }
             BrokerToClient::SubAck { id } => {
+                let mut b = begin_frame(5);
                 b.put_u8(B2C_SUBACK);
                 b.put_u32_le(id.raw());
+                b
             }
             BrokerToClient::UnsubAck { id } => {
+                let mut b = begin_frame(5);
                 b.put_u8(B2C_UNSUBACK);
                 b.put_u32_le(id.raw());
+                b
             }
             BrokerToClient::Error { message } => {
+                let mut b = begin_frame(5 + message.len());
                 b.put_u8(B2C_ERROR);
                 wire::put_str(&mut b, message);
+                b
             }
             BrokerToClient::Stats(counters) => {
+                let mut b = begin_frame(1 + 8 * NodeCounters::COUNT);
                 b.put_u8(B2C_STATS);
                 counters.encode_wire(&mut b);
+                b
             }
-        }
-        frame(&b)
+        };
+        finish_frame(b)
     }
 
     /// Decodes a frame payload (without the length prefix).
@@ -579,8 +610,7 @@ impl BrokerToClient {
 impl BrokerToBroker {
     /// Encodes into a length-prefixed frame.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::new();
-        match self {
+        let b = match self {
             BrokerToBroker::Hello {
                 broker,
                 incarnation,
@@ -588,12 +618,14 @@ impl BrokerToBroker {
                 last_recv_incarnation,
                 send_seq,
             } => {
+                let mut b = begin_frame(37);
                 b.put_u8(B2B_HELLO);
                 b.put_u32_le(broker.raw());
                 b.put_u64_le(*incarnation);
                 b.put_u64_le(*last_recv);
                 b.put_u64_le(*last_recv_incarnation);
                 b.put_u64_le(*send_seq);
+                b
             }
             BrokerToBroker::Forward {
                 tree,
@@ -601,45 +633,59 @@ impl BrokerToBroker {
                 epoch,
                 event,
             } => {
+                let mut b = begin_frame(FORWARD_BODY_OFFSET + wire::event_len(event));
                 b.put_u8(B2B_FORWARD);
                 b.put_u32_le(tree.index() as u32);
                 b.put_u64_le(*seq);
                 b.put_u64_le(*epoch);
                 wire::put_event(&mut b, event);
+                b
             }
             BrokerToBroker::FwdAck { seq } => {
+                let mut b = begin_frame(9);
                 b.put_u8(B2B_FWDACK);
                 b.put_u64_le(*seq);
+                b
             }
             BrokerToBroker::SubAdd {
                 schema,
                 subscription,
                 resync,
-            } => put_sub_add(&mut b, *schema, subscription, *resync),
+            } => return sub_add_frame(*schema, subscription, *resync),
             BrokerToBroker::SubRemove { id } => {
+                let mut b = begin_frame(5);
                 b.put_u8(B2B_SUBREMOVE);
                 b.put_u32_le(id.raw());
+                b
             }
             BrokerToBroker::Ping => {
+                let mut b = begin_frame(1);
                 b.put_u8(B2B_PING);
+                b
             }
             BrokerToBroker::Pong => {
+                let mut b = begin_frame(1);
                 b.put_u8(B2B_PONG);
+                b
             }
             BrokerToBroker::LinkDown { a, b: bb, ver } => {
+                let mut b = begin_frame(17);
                 b.put_u8(B2B_LINKDOWN);
                 b.put_u32_le(a.raw());
                 b.put_u32_le(bb.raw());
                 b.put_u64_le(*ver);
+                b
             }
             BrokerToBroker::LinkUp { a, b: bb, ver } => {
+                let mut b = begin_frame(17);
                 b.put_u8(B2B_LINKUP);
                 b.put_u32_le(a.raw());
                 b.put_u32_le(bb.raw());
                 b.put_u64_le(*ver);
+                b
             }
-        }
-        frame(&b)
+        };
+        finish_frame(b)
     }
 
     /// Decodes a frame payload (without the length prefix).

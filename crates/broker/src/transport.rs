@@ -15,7 +15,10 @@
 //! - Readers block in short quanta: a read that has nothing to deliver
 //!   returns `WouldBlock`/`TimedOut` within ~200 ms so reader threads can
 //!   observe shutdown flags and handshake deadlines. `Ok(0)` means the
-//!   peer really closed (EOF), never a timeout.
+//!   peer really closed (EOF), never a timeout. A timeout may fall
+//!   anywhere, inside a frame as well as between two: [`FrameReader`] keeps
+//!   the bytes it has and gives control back either way, so a peer that
+//!   stalls half-way through a frame holds nobody past a flag or deadline.
 //! - [`LinkWriter::shutdown`] closes *both* directions, so the peer's
 //!   reader and any local reader clone observe EOF — the teardown paths
 //!   (`unregister`, `close_after_flush`) depend on that to unwedge reader
@@ -31,12 +34,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{Buf, Bytes};
 use crossbeam::channel::Sender;
 
 use crate::broker::Command;
 use crate::outbox::{ConnId, Outbox, Sink};
-use crate::protocol::MAX_FRAME;
+use crate::protocol::{FRAME_PREFIX, MAX_FRAME};
 
 /// The read half of one connection. Reads must time out in short quanta
 /// (returning `WouldBlock` or `TimedOut`) rather than blocking forever,
@@ -157,8 +160,8 @@ pub(crate) fn spawn_acceptor(
         })
 }
 
-/// Spawns a framed reader for one connection: reads `[u32 LE length]`
-/// frames and forwards payloads to the engine. EOF or error reports a
+/// Spawns a framed reader for one connection: every read's complete
+/// frames go to the engine as one command. EOF or error reports a
 /// disconnect.
 pub(crate) fn spawn_reader(
     reader: LinkReader,
@@ -169,22 +172,16 @@ pub(crate) fn spawn_reader(
     let _ = std::thread::Builder::new()
         .name(format!("reader-{conn}"))
         .spawn(move || {
-            // Buffered reads pull bursts of small frames out of the stream
-            // in one underlying read; timeouts still surface when the
-            // buffer runs dry between frames.
-            let mut reader = std::io::BufReader::with_capacity(32 * 1024, reader);
-            loop {
-                if shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                match read_frame(&mut reader) {
-                    Ok(Some(payload)) => {
-                        if cmd_tx.send(Command::Frame(conn, payload)).is_err() {
+            let mut frames = FrameReader::new(reader);
+            while !shutdown.load(Ordering::Acquire) {
+                match frames.poll() {
+                    Ok(Polled::Frames(batch)) => {
+                        if cmd_tx.send(Command::Frames(conn, batch)).is_err() {
                             return;
                         }
                     }
-                    Ok(None) => continue, // timeout between frames
-                    Err(_) => {
+                    Ok(Polled::Idle) => {}
+                    Ok(Polled::Closed) | Err(_) => {
                         let _ = cmd_tx.send(Command::Disconnected(conn));
                         return;
                     }
@@ -193,69 +190,232 @@ pub(crate) fn spawn_reader(
         });
 }
 
-/// Reads one `[u32 LE length][payload]` frame. `Ok(None)` means the read
-/// timed out *between* frames (safe to retry); timeouts mid-frame keep
-/// blocking until the frame completes or the peer dies.
+/// Complete `[u32 LE length][payload]` frames laid end to end in one shared
+/// buffer: what one read of a connection produced. Iterating yields each
+/// frame *with* its length prefix, as a slice of that buffer — so a frame
+/// that is passed on unchanged (a control-plane flood) is sent as the bytes
+/// that arrived, and nothing is copied per frame.
+#[derive(Debug, Clone, Default)]
+pub struct FrameBatch {
+    /// Whole frames only, every length at most [`MAX_FRAME`].
+    frames: Bytes,
+}
+
+impl FrameBatch {
+    /// A batch of the one `frame` (length prefix included), as an encoder
+    /// returns it.
+    pub(crate) fn single(frame: Bytes) -> Self {
+        debug_assert!(matches!(frame_len(&frame), Ok(Some(n)) if n == frame.len()));
+        FrameBatch { frames: frame }
+    }
+}
+
+impl Iterator for FrameBatch {
+    type Item = Bytes;
+
+    fn next(&mut self) -> Option<Bytes> {
+        match frame_len(&self.frames) {
+            Ok(Some(len)) if len <= self.frames.len() => Some(self.frames.split_to(len)),
+            _ => None,
+        }
+    }
+}
+
+/// Length of the frame `bytes` starts with, its prefix included, as soon as
+/// the prefix is all there (`None` until then). The frame itself may still
+/// be incomplete: compare against `bytes.len()`.
 ///
 /// # Errors
 ///
-/// EOF (clean or mid-frame), oversized length prefixes, and transport
-/// errors; all of them mean the connection is done.
-pub(crate) fn read_frame(stream: &mut impl Read) -> io::Result<Option<Bytes>> {
-    let mut header = [0u8; 4];
-    match read_exact_or_eof(stream, &mut header, true)? {
-        ReadOutcome::TimedOutClean => return Ok(None),
-        ReadOutcome::Done => {}
-    }
-    let len = u32::from_le_bytes(header) as usize;
+/// A length prefix above [`MAX_FRAME`]: the stream is corrupt or hostile,
+/// and nothing may be sized by it.
+fn frame_len(bytes: &[u8]) -> io::Result<Option<usize>> {
+    let Some(mut prefix) = bytes.get(..FRAME_PREFIX) else {
+        return Ok(None);
+    };
+    let len = prefix.get_u32_le() as usize;
     if len > MAX_FRAME {
         return Err(io::Error::other(format!(
             "frame of {len} bytes exceeds limit"
         )));
     }
-    let mut payload = vec![0u8; len];
-    match read_exact_or_eof(stream, &mut payload, false)? {
-        ReadOutcome::Done => Ok(Some(Bytes::from(payload))),
-        // `read_exact_or_eof` reports a clean timeout only when allowed
-        // (`clean_timeout = true`); mid-frame it retries internally, so
-        // this arm is unreachable — fail the stream rather than panic on
-        // a hot path if that invariant ever breaks.
-        ReadOutcome::TimedOutClean => Err(io::Error::other("mid-frame timeout escaped retry")),
+    Ok(Some(FRAME_PREFIX + len))
+}
+
+/// What one [`FrameReader::poll`] came back with.
+#[derive(Debug)]
+pub enum Polled {
+    /// At least one frame completed.
+    Frames(FrameBatch),
+    /// The read timed out, or what arrived completes no frame yet. Partial
+    /// bytes are kept; the caller looks at its flags and deadlines and
+    /// polls again.
+    Idle,
+    /// The peer closed the stream on a frame boundary.
+    Closed,
+}
+
+/// Size a connection's read buffer starts at. It doubles while reads fill
+/// it, so a quiet connection stays at one page and a busy one batches up
+/// to [`READ_BUF_MAX`] per read.
+const READ_BUF_MIN: usize = 4 * 1024;
+/// Size past which the read buffer grows only for the one frame that needs
+/// it, and to which it shrinks back afterwards.
+const READ_BUF_MAX: usize = 64 * 1024;
+
+/// Cuts a connection's byte stream into frames, a read at a time: each
+/// [`poll`](Self::poll) makes one `read` into a reusable buffer and hands
+/// back every frame that is complete by then as one [`FrameBatch`] (one
+/// buffer per read, however many frames it holds). Bytes of a frame still
+/// in flight stay in the buffer for the next poll.
+pub struct FrameReader {
+    reader: LinkReader,
+    /// `buf[..filled]` is what has been read and not handed on; it starts
+    /// on a frame boundary, and `buf` always has room past it.
+    buf: Vec<u8>,
+    filled: usize,
+}
+
+impl FrameReader {
+    /// Wraps the read half of a connection.
+    pub fn new(reader: LinkReader) -> Self {
+        FrameReader {
+            reader,
+            buf: vec![0; READ_BUF_MIN],
+            filled: 0,
+        }
     }
-}
 
-enum ReadOutcome {
-    Done,
-    /// Timed out before the first byte (only when `clean_timeout` allowed).
-    TimedOutClean,
-}
+    /// Current size of the read buffer.
+    pub fn buffer_len(&self) -> usize {
+        self.buf.len()
+    }
 
-fn read_exact_or_eof(
-    stream: &mut impl Read,
-    buf: &mut [u8],
-    clean_timeout: bool,
-) -> io::Result<ReadOutcome> {
-    let mut read = 0;
-    while read < buf.len() {
-        // analyzer:allow(index): read < buf.len() is the loop condition, so the slice start is in range
-        match stream.read(&mut buf[read..]) {
+    /// Reads once and returns the frames completed by it.
+    ///
+    /// # Errors
+    ///
+    /// EOF inside a frame, a length prefix above [`MAX_FRAME`], and
+    /// transport errors; all of them mean the connection is done.
+    pub fn poll(&mut self) -> io::Result<Polled> {
+        // An oversized prefix the last poll found behind whole frames: those
+        // went out first, now it heads the buffer.
+        frame_len(self.buf.get(..self.filled).unwrap_or_default())?;
+        let room = self.buf.get_mut(self.filled..).unwrap_or_default();
+        let was_full = match self.reader.read(room) {
+            Ok(0) if self.filled == 0 => return Ok(Polled::Closed),
             Ok(0) => {
                 return Err(io::Error::new(
                     ErrorKind::UnexpectedEof,
-                    "peer closed the connection",
+                    "peer closed the connection inside a frame",
                 ))
             }
-            Ok(n) => read += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if read == 0 && clean_timeout {
-                    return Ok(ReadOutcome::TimedOutClean);
-                }
-                // Mid-frame: keep waiting for the rest.
-                continue;
+            Ok(n) => {
+                self.filled += n;
+                self.filled >= self.buf.len()
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                return Ok(Polled::Idle)
+            }
             Err(e) => return Err(e),
+        };
+
+        // `end`: where the last complete frame stops. `pending`: length of
+        // the incomplete one behind it, once its prefix says.
+        let (mut end, mut pending) = (0, 0);
+        loop {
+            let rest = self.buf.get(end..self.filled).unwrap_or_default();
+            match frame_len(rest) {
+                Ok(Some(len)) if len <= rest.len() => end += len,
+                Ok(Some(len)) => {
+                    pending = len;
+                    break;
+                }
+                Ok(None) => break,
+                Err(e) if end == 0 => return Err(e),
+                Err(_) => break,
+            }
+        }
+        let batch = self
+            .buf
+            .get(..end)
+            .filter(|b| !b.is_empty())
+            .map(|b| FrameBatch {
+                frames: Bytes::copy_from_slice(b),
+            });
+        if end > 0 {
+            self.buf.copy_within(end..self.filled, 0);
+            self.filled -= end;
+        }
+
+        let len = self.buf.len();
+        let target = if pending > len {
+            pending
+        } else if len > READ_BUF_MAX {
+            pending.max(READ_BUF_MAX)
+        } else if was_full {
+            (len * 2).min(READ_BUF_MAX)
+        } else {
+            len
+        };
+        if target != len {
+            self.buf.resize(target, 0);
+            if target < len {
+                self.buf.shrink_to_fit();
+            }
+        }
+        Ok(batch.map_or(Polled::Idle, Polled::Frames))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::{unbounded, RecvTimeoutError};
+
+    /// A peer that sent half a length prefix and went quiet.
+    struct Stalled {
+        sent: bool,
+    }
+
+    impl Read for Stalled {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if self.sent {
+                std::thread::sleep(Duration::from_millis(1));
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            self.sent = true;
+            out[..2].copy_from_slice(&[9, 0]);
+            Ok(2)
         }
     }
-    Ok(ReadOutcome::Done)
+
+    #[test]
+    fn reader_holding_half_a_frame_still_sees_the_shutdown_flag() {
+        let (cmd_tx, cmd_rx) = unbounded();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        spawn_reader(
+            Box::new(Stalled { sent: false }),
+            1,
+            cmd_tx,
+            Arc::clone(&shutdown),
+        );
+        // Half a frame is no frame, and no reason to hang up either.
+        assert!(matches!(
+            cmd_rx.recv_timeout(Duration::from_millis(50)),
+            Err(RecvTimeoutError::Timeout)
+        ));
+        shutdown.store(true, Ordering::Release);
+        // The thread owns the only sender: the channel disconnects when —
+        // and only when — the thread has returned.
+        assert!(matches!(
+            cmd_rx.recv_timeout(Duration::from_secs(5)),
+            Err(RecvTimeoutError::Disconnected)
+        ));
+    }
 }

@@ -18,6 +18,7 @@
 //! `integer` attribute takes whole numbers, a `dollar` attribute takes
 //! `120`, `119.5`, or `119.50` (at most two decimal places).
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::{AttrTest, Error, EventSchema, Predicate, Result, Value, ValueKind};
@@ -100,11 +101,13 @@ pub fn parse_predicate(schema: &EventSchema, input: &str) -> Result<Predicate> {
     Predicate::from_tests(schema, parser.tests)
 }
 
+/// Tokens borrow from the input; only a string literal with escapes owns
+/// its (unescaped) text.
 #[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
-    Str(String),
-    Number(String),
+enum Token<'a> {
+    Ident(&'a str),
+    Str(Cow<'a, str>),
+    Number(&'a str),
     Op(&'static str),
     LParen,
     RParen,
@@ -113,7 +116,7 @@ enum Token {
     Eof,
 }
 
-impl Token {
+impl Token<'_> {
     fn describe(&self) -> String {
         match self {
             Token::Ident(s) => format!("identifier `{s}`"),
@@ -135,7 +138,7 @@ struct Lexer<'a> {
     pos: usize,
 }
 
-impl Lexer<'_> {
+impl<'a> Lexer<'a> {
     fn skip_ws(&mut self) {
         while self
             .bytes
@@ -146,7 +149,13 @@ impl Lexer<'_> {
         }
     }
 
-    fn next(&mut self) -> Result<(usize, Token), ParsePredicateError> {
+    /// The input from `start` up to the scan position.
+    fn text(&self, start: usize) -> &'a str {
+        // analyzer:allow(index): ASCII byte-scan bounds — start and pos are always char-aligned and <= len
+        &self.input[start..self.pos]
+    }
+
+    fn next(&mut self) -> Result<(usize, Token<'a>), ParsePredicateError> {
         self.skip_ws();
         let start = self.pos;
         let c = match self.bytes.get(self.pos) {
@@ -201,8 +210,11 @@ impl Lexer<'_> {
             }
             b'"' => {
                 self.pos += 1;
-                let mut out = String::new();
-                loop {
+                let text_start = self.pos;
+                // The unescaped text, from the first escape on; until then
+                // the literal is the input between the quotes.
+                let mut unescaped: Option<String> = None;
+                let text = loop {
                     match self.bytes.get(self.pos) {
                         None => {
                             return Err(ParsePredicateError::new(
@@ -211,10 +223,16 @@ impl Lexer<'_> {
                             ))
                         }
                         Some(b'"') => {
+                            let text = match unescaped {
+                                Some(out) => Cow::Owned(out),
+                                None => Cow::Borrowed(self.text(text_start)),
+                            };
                             self.pos += 1;
-                            break;
+                            break text;
                         }
                         Some(b'\\') => {
+                            let out =
+                                unescaped.get_or_insert_with(|| self.text(text_start).to_string());
                             self.pos += 1;
                             match self.bytes.get(self.pos) {
                                 Some(b'"') => out.push('"'),
@@ -241,12 +259,14 @@ impl Lexer<'_> {
                                     "malformed UTF-8 in string literal",
                                 ));
                             };
-                            out.push(ch);
+                            if let Some(out) = &mut unescaped {
+                                out.push(ch);
+                            }
                             self.pos += ch.len_utf8();
                         }
                     }
-                }
-                Ok((start, Token::Str(out)))
+                };
+                Ok((start, Token::Str(text)))
             }
             b'0'..=b'9' | b'-' => {
                 self.pos += 1;
@@ -257,11 +277,7 @@ impl Lexer<'_> {
                 {
                     self.pos += 1;
                 }
-                Ok((
-                    start,
-                    // analyzer:allow(index): ASCII byte-scan bounds — start and pos are always char-aligned and <= len
-                    Token::Number(self.input[start..self.pos].to_string()),
-                ))
+                Ok((start, Token::Number(self.text(start))))
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 self.pos += 1;
@@ -272,8 +288,7 @@ impl Lexer<'_> {
                 {
                     self.pos += 1;
                 }
-                // analyzer:allow(index): ASCII byte-scan bounds — start and pos are always char-aligned and <= len
-                Ok((start, Token::Ident(self.input[start..self.pos].to_string())))
+                Ok((start, Token::Ident(self.text(start))))
             }
             other => Err(ParsePredicateError::new(
                 start,
@@ -289,7 +304,7 @@ struct Parser<'a> {
     tests: Vec<AttrTest>,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn parse(&mut self) -> Result<()> {
         let (pos, tok) = self.lexer.next().map_err(Error::ParsePredicate)?;
         let (outer_paren, first) = if tok == Token::LParen {
@@ -326,7 +341,7 @@ impl Parser<'_> {
         }
     }
 
-    fn term(&mut self, first: (usize, Token)) -> Result<()> {
+    fn term(&mut self, first: (usize, Token<'a>)) -> Result<()> {
         let (pos, tok) = first;
         let name = match tok {
             Token::Ident(name) => name,
@@ -339,12 +354,12 @@ impl Parser<'_> {
         };
         let index = self
             .schema
-            .attribute_index(&name)
-            .ok_or_else(|| Error::UnknownAttribute(name.clone()))?;
+            .attribute_index(name)
+            .ok_or_else(|| Error::UnknownAttribute(name.to_string()))?;
         let kind = self
             .schema
             .attribute(index)
-            .ok_or_else(|| Error::UnknownAttribute(name.clone()))?
+            .ok_or_else(|| Error::UnknownAttribute(name.to_string()))?
             .kind();
 
         let (op_pos, op_tok) = self.lexer.next().map_err(Error::ParsePredicate)?;
@@ -372,12 +387,12 @@ impl Parser<'_> {
                     }
                 }
             }
-            Token::Ident(word) if word == "between" => {
+            Token::Ident("between") => {
                 let (p1, t1) = self.lexer.next().map_err(Error::ParsePredicate)?;
                 let lo = self.literal(kind, p1, t1)?;
                 let (p2, t2) = self.lexer.next().map_err(Error::ParsePredicate)?;
                 match t2 {
-                    Token::Ident(w) if w == "and" => {}
+                    Token::Ident("and") => {}
                     other => {
                         return Err(Error::ParsePredicate(ParsePredicateError::new(
                             p2,
@@ -399,16 +414,16 @@ impl Parser<'_> {
         let attr = self
             .schema
             .attribute(index)
-            .ok_or_else(|| Error::UnknownAttribute(name.clone()))?;
+            .ok_or_else(|| Error::UnknownAttribute(name.to_string()))?;
         test.check_kind(attr.name(), attr.kind())?;
         match self.tests.get_mut(index) {
             Some(slot) => *slot = test,
-            None => return Err(Error::UnknownAttribute(name)),
+            None => return Err(Error::UnknownAttribute(name.to_string())),
         }
         Ok(())
     }
 
-    fn literal(&mut self, kind: ValueKind, pos: usize, tok: Token) -> Result<Value> {
+    fn literal(&mut self, kind: ValueKind, pos: usize, tok: Token<'a>) -> Result<Value> {
         match (kind, tok) {
             (ValueKind::Str, Token::Str(s)) => Ok(Value::str(s)),
             (ValueKind::Int, Token::Number(n)) => n.parse::<i64>().map(Value::Int).map_err(|_| {
@@ -417,10 +432,10 @@ impl Parser<'_> {
                     format!("`{n}` is not a valid integer"),
                 ))
             }),
-            (ValueKind::Dollar, Token::Number(n)) => parse_dollar(&n)
+            (ValueKind::Dollar, Token::Number(n)) => parse_dollar(n)
                 .map_err(|msg| Error::ParsePredicate(ParsePredicateError::new(pos, msg))),
-            (ValueKind::Bool, Token::Ident(w)) if w == "true" => Ok(Value::Bool(true)),
-            (ValueKind::Bool, Token::Ident(w)) if w == "false" => Ok(Value::Bool(false)),
+            (ValueKind::Bool, Token::Ident("true")) => Ok(Value::Bool(true)),
+            (ValueKind::Bool, Token::Ident("false")) => Ok(Value::Bool(false)),
             (kind, other) => Err(Error::ParsePredicate(ParsePredicateError::new(
                 pos,
                 format!("expected a {kind} literal, found {}", other.describe()),

@@ -191,6 +191,15 @@ pub fn put_value(buf: &mut impl BufMut, value: &Value) {
     }
 }
 
+/// Bytes [`put_value`] writes for `value`.
+fn value_len(value: &Value) -> usize {
+    match value {
+        Value::Str(s) => 5 + s.len(),
+        Value::Int(_) | Value::Dollar(_) => 9,
+        Value::Bool(_) => 2,
+    }
+}
+
 /// Decodes a [`Value`] written by [`put_value`].
 ///
 /// # Errors
@@ -242,6 +251,13 @@ pub fn put_event(buf: &mut impl BufMut, event: &Event) {
     for v in event.values() {
         put_value(buf, v);
     }
+}
+
+/// Bytes [`put_event`] writes for `event`, so an encoder can size its buffer
+/// once instead of growing it.
+#[must_use]
+pub fn event_len(event: &Event) -> usize {
+    6 + event.values().iter().map(value_len).sum::<usize>()
 }
 
 /// Decodes an [`Event`] written by [`put_event`], resolving its schema in
@@ -372,6 +388,19 @@ pub fn put_subscription(buf: &mut impl BufMut, sub: &Subscription) {
     put_predicate(buf, sub.predicate());
 }
 
+/// Bytes [`put_subscription`] writes for `sub`; see [`event_len`].
+#[must_use]
+pub fn subscription_len(sub: &Subscription) -> usize {
+    let tests = sub.predicate().tests().iter().map(|test| match test {
+        AttrTest::Any => 1,
+        AttrTest::Eq(v) | AttrTest::Lt(v) | AttrTest::Le(v) | AttrTest::Gt(v) | AttrTest::Ge(v) => {
+            1 + value_len(v)
+        }
+        AttrTest::Between(lo, hi) => 1 + value_len(lo) + value_len(hi),
+    });
+    14 + tests.sum::<usize>()
+}
+
 /// Decodes a [`Subscription`] written by [`put_subscription`].
 ///
 /// # Errors
@@ -448,6 +477,7 @@ mod tests {
         .unwrap();
         let mut buf = BytesMut::new();
         put_event(&mut buf, &ev);
+        assert_eq!(buf.len(), event_len(&ev));
         let mut rd = buf.freeze();
         let back = get_event(&mut rd, &reg).unwrap();
         assert_eq!(back, ev);
@@ -498,9 +528,26 @@ mod tests {
         );
         let mut buf = BytesMut::new();
         put_subscription(&mut buf, &sub);
+        assert_eq!(buf.len(), subscription_len(&sub));
         let back = get_subscription(&mut buf.freeze(), &schema).unwrap();
         assert_eq!(back, sub);
         assert_eq!(back.predicate(), &pred);
+
+        // One of every test shape, so the length helper cannot drift from
+        // the encoder.
+        let every_shape = Subscription::new(
+            SubscriptionId::new(8),
+            SubscriberId::new(BrokerId::new(3), ClientId::new(1)),
+            Predicate::builder(&schema)
+                .between("price", Value::dollar(1, 0), Value::dollar(2, 0))
+                .unwrap()
+                .eq("urgent", Value::Bool(true))
+                .unwrap()
+                .build(),
+        );
+        let mut buf = BytesMut::new();
+        put_subscription(&mut buf, &every_shape);
+        assert_eq!(buf.len(), subscription_len(&every_shape));
     }
 
     #[test]

@@ -90,6 +90,20 @@ fn sanitized_epoch_reserve(buf: &mut Bytes, current: u64) -> Option<u64> {
     Some(epoch)
 }
 
+fn tainted_frame_len(prefix: &mut &[u8], read_buf: &mut Vec<u8>) {
+    let frame_len = prefix.get_u32_le() as usize;
+    read_buf.resize(4 + frame_len, 0); // seeded: read buffer sized by a raw length prefix
+}
+
+fn sanitized_frame_len(prefix: &mut &[u8], read_buf: &mut Vec<u8>) -> Option<()> {
+    let frame_len = prefix.get_u32_le() as usize;
+    if frame_len > MAX_FRAME {
+        return None;
+    }
+    read_buf.resize(4 + frame_len, 0);
+    Some(())
+}
+
 fn allowed_without_reason(buf: &mut Bytes) -> Vec<u8> {
     let len = buf.get_u32_le() as usize;
     // analyzer:allow(wire-taint)

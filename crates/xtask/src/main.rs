@@ -72,6 +72,10 @@ const HOT_CORE_MODULES: &[&str] = &["arena.rs", "cache.rs"];
 /// wire-taint pass.
 const HOT_TYPES_MODULES: &[&str] = &["crates/types/src/wire.rs", "crates/types/src/parser.rs"];
 
+/// Broker modules, besides the codec in `protocol.rs`, that size or index by
+/// bytes they did not write: held to the wire-taint rule.
+const TAINT_MODULES: &[&str] = &["transport.rs", "storage.rs", "repair.rs"];
+
 /// Simulation-substrate modules held to the sim-determinism rule.
 const SIM_MODULES: &[&str] = &["transport.rs", "simnet.rs"];
 
@@ -315,16 +319,15 @@ fn run_check(root: &Path) -> Result<Vec<Finding>, String> {
 
     // Pass 4: wire-taint over every file that decodes untrusted bytes —
     // the broker codec (including the LinkDown/LinkUp repair arms, whose
-    // epoch and version fields arrive from peers), the WAL record
-    // decoder (a torn write leaves arbitrary garbage in the length
-    // headers `recover()` reads back), the link-state table the decoded
-    // statements flow into, and the types decode surface.
+    // epoch and version fields arrive from peers), the frame reader (the
+    // length prefix it carves by is the first thing a peer controls), the
+    // WAL record decoder (a torn write leaves arbitrary garbage in the
+    // length headers `recover()` reads back), the link-state table the
+    // decoded statements flow into, and the types decode surface.
     findings.extend(taint::check(&ws.protocol));
     for file in &lock_files {
         let name = file.path.rsplit('/').next().unwrap_or(&file.path);
-        if file.path.starts_with("crates/broker/src")
-            && (name == "storage.rs" || name == "repair.rs")
-        {
+        if file.path.starts_with("crates/broker/src") && TAINT_MODULES.contains(&name) {
             findings.extend(taint::check(file));
         }
     }
@@ -449,6 +452,7 @@ fn run_selftest(root: &Path) -> Result<(), String> {
         "slice index derived from untrusted wire value `slot`",
         "`.split_to()` driven by untrusted wire value `wal_len`",
         "allocation sized by untrusted wire value `epoch`",
+        "`.resize()` driven by untrusted wire value `frame_len`",
     ] {
         if !found.iter().any(|f| f.message.contains(needle)) {
             return Err(format!(
@@ -456,9 +460,9 @@ fn run_selftest(root: &Path) -> Result<(), String> {
             ));
         }
     }
-    if found.len() != 7 {
+    if found.len() != 8 {
         return Err(format!(
-            "taint fixture: expected exactly 7 findings (sanitized twins and the \
+            "taint fixture: expected exactly 8 findings (sanitized twins and the \
              allow-annotated sink must stay quiet), got {found:?}"
         ));
     }
@@ -472,6 +476,20 @@ fn run_selftest(root: &Path) -> Result<(), String> {
     // peer-supplied versions from the LinkDown/LinkUp decode arms.
     if !HOT_MODULES.contains(&"repair.rs") {
         return Err("HOT_MODULES must cover repair.rs (link-state statements)".into());
+    }
+    // And for the frame reader: it carves every connection's stream by a
+    // length prefix the peer wrote, on SimNet as on TCP, so it stays under
+    // the panic lint, the taint pass and the determinism rule at once.
+    for (set, rule) in [
+        (HOT_MODULES, "panic lint"),
+        (TAINT_MODULES, "wire-taint"),
+        (SIM_MODULES, "sim-determinism"),
+    ] {
+        if !set.contains(&"transport.rs") {
+            return Err(format!(
+                "the {rule} file set must cover transport.rs (FrameReader)"
+            ));
+        }
     }
     // The deliberately bare allow comment must trip the hygiene rule.
     expect_rule(&allow_hygiene(&file), "allow-without-reason", "taint")?;

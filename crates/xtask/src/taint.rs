@@ -12,7 +12,7 @@
 //! - a comparison against a named `MAX_*`/`*_LIMIT` constant.
 //!
 //! A tainted value reaching a sink is a finding: `with_capacity`,
-//! `reserve`, `split_to`/`advance`/`take`, `vec![..; n]`, slice indexing,
+//! `reserve`/`resize`, `split_to`/`advance`/`take`, `vec![..; n]`, slice indexing,
 //! or a loop bound driving per-iteration allocation. The analysis is
 //! intraprocedural and flow-insensitive past statement order (see
 //! DESIGN.md §13 for the known limitations); the escape hatch is
@@ -353,7 +353,7 @@ fn scan_sink_at(
     }
 
     // Buffer-cursor methods driven by a tainted value.
-    if matches!(name, "reserve" | "split_to" | "advance" | "take")
+    if matches!(name, "reserve" | "resize" | "split_to" | "advance" | "take")
         && i > 0
         && toks[i - 1].is_punct('.')
         && toks.get(i + 1).is_some_and(|n| n.is_punct('('))

@@ -217,3 +217,81 @@ fn stalled_accept_falls_back_to_backoff_and_recovers() {
         assert_eq!(event.value(0).unwrap().as_int().unwrap(), expected);
     }
 }
+
+/// The deadline covers a handshake that *started*: a neighbor that accepts
+/// and sends the first two bytes of a frame, then nothing, owes its `Hello`
+/// like one that sends nothing at all. The supervisor must give up on each
+/// such connection (the peer sees it close) and dial again.
+#[test]
+fn half_sent_hello_is_abandoned_at_the_deadline() {
+    use std::io::{Read, Write};
+
+    let mut net = NetworkBuilder::new();
+    let a = net.add_broker();
+    let b = net.add_broker();
+    net.connect(a, b, 5.0).unwrap();
+    let fabric = RoutingFabric::new_all_roots(net.build().unwrap()).unwrap();
+    let mut config = BrokerConfig::localhost(b, fabric, registry());
+    config.link_handshake_timeout = Duration::from_millis(300);
+    config.liveness_timeout = Duration::from_secs(30);
+    let node_b = BrokerNode::start(config).unwrap();
+
+    // Stands in for broker A: accepts, dribbles half a length prefix, and
+    // waits to be hung up on.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    node_b.connect_to_persistent(a, listener.local_addr().unwrap());
+    for dial in 1..=2 {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.write_all(&[41, 0]).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // B's own `Hello` and resync arrive first; what matters is that the
+        // stream *ends* — within the deadline plus slack, not never.
+        let started = Instant::now();
+        let mut sink = [0u8; 4096];
+        loop {
+            match stream.read(&mut sink) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) => panic!("dial {dial}: supervisor still holds the half-greeted link: {e}"),
+            }
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "dial {dial} was abandoned only after {:?}",
+            started.elapsed()
+        );
+    }
+    node_b.shutdown();
+}
+
+/// A client that sends half a frame and stalls holds nothing up: shutdown
+/// returns in its usual time and the client is hung up on.
+#[test]
+fn half_sent_frame_does_not_hold_shutdown() {
+    use std::io::{Read, Write};
+
+    let mut net = NetworkBuilder::new();
+    let broker = net.add_broker();
+    let fabric = RoutingFabric::new_all_roots(net.build().unwrap()).unwrap();
+    let node = BrokerNode::start(BrokerConfig::localhost(broker, fabric, registry())).unwrap();
+
+    let mut stream = std::net::TcpStream::connect(node.addr()).unwrap();
+    // A 13-byte `Hello` announced, six bytes of it sent.
+    stream.write_all(&[13, 0, 0, 0, 0x01, 7]).unwrap();
+    // Let the reader thread take the bytes and go back to waiting.
+    std::thread::sleep(Duration::from_millis(300));
+
+    let started = Instant::now();
+    node.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(3),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    assert_eq!(stream.read(&mut [0u8; 16]).unwrap(), 0, "expected the FIN");
+}
