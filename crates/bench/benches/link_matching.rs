@@ -11,6 +11,7 @@ use linkcast::{
     ContentRouter, EventRouter, LinkMatchEngine, LinkSpace, NetworkBuilder, RouteScratch,
     RoutingFabric,
 };
+use linkcast_alloc_count::{allocations_in, live_bytes_in, CountingAllocator};
 use linkcast_bench::options_for;
 use linkcast_matching::{MatchStats, PstOptions};
 use linkcast_sim::topology39;
@@ -23,6 +24,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
+
+/// For `install_from_empty`'s allocation and live-byte columns; elsewhere it
+/// costs a thread-local increment per allocation, and the match paths make
+/// none.
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
 
 fn bench_link_matching(c: &mut Criterion) {
     let wconfig = WorkloadConfig::chart2();
@@ -312,7 +319,7 @@ fn bench_order_adaptation(c: &mut Criterion) {
     group.sample_size(12);
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(1));
-    for chains in [256u64, 1024, 4096] {
+    for chains in [256u64, 1024, 2048, 4096] {
         let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
         let mut engine = LinkMatchEngine::new(home, schema.clone(), PstOptions::default(), space)
             .expect("default options");
@@ -381,8 +388,10 @@ fn bench_order_adaptation(c: &mut Criterion) {
 /// empties one engine and fills it again, so node slots, edge windows and
 /// annotation buffers are there to be reused — the case `subscribe_scaling`
 /// measures, 64 subscriptions at a time. Both are timed around the
-/// subscribes alone and printed per subscribe, beside the nodes the tree
-/// keeps per subscription: one tail each, where the spelled-out chains
+/// subscribes alone and printed per subscribe, beside what one cold install
+/// allocates and keeps per subscription (heap requests and live bytes,
+/// capacity slack included, the predicates not: they are parsed before) and
+/// the nodes tree and arena keep: one each, where the spelled-out chains
 /// would take eight.
 fn bench_install_from_empty(c: &mut Criterion) {
     let mut b = EventSchema::builder("bench")
@@ -463,12 +472,26 @@ fn bench_install_from_empty(c: &mut Criterion) {
         let per_subscribe = |total: Duration, installs: u32| {
             total.as_nanos() as f64 / f64::from(installs) / table.len() as f64
         };
+        // Counted once, untimed: counts repeat exactly.
+        let subscriptions = table.clone();
+        let mut counted = new_engine();
+        let (allocations, (bytes, ())) = allocations_in(|| {
+            live_bytes_in(|| {
+                for subscription in subscriptions {
+                    counted.subscribe(subscription).expect("fresh id");
+                }
+            })
+        });
         println!(
             "install_from_empty/ns_per_subscribe/{chains:<19} cold: {:.0}  warm: {:.0}  \
-             PST nodes per subscription: {:.3} ({} nodes for the {} of the spelled-out tree)",
+             allocations: {:.2}  live bytes: {:.0}  \
+             nodes per subscription: {:.3} PST, {:.3} arena ({} nodes for the {} of the spelled-out tree)",
             per_subscribe(cold, colds),
             per_subscribe(warm, warms),
+            allocations as f64 / table.len() as f64,
+            bytes as f64 / table.len() as f64,
             engine.pst().node_count() as f64 / table.len() as f64,
+            engine.arena().node_count() as f64 / table.len() as f64,
             engine.pst().node_count(),
             engine.pst().expanded_node_count(),
         );

@@ -1688,7 +1688,10 @@ impl EngineLoop {
                         self.flood_frame(&flood, None);
                         self.checkpoint_subscriptions();
                     }
-                    Err(e) => self.client_error(conn, e.to_string()),
+                    Err(e) => {
+                        self.sub_ids.free(raw);
+                        self.client_error(conn, e.to_string());
+                    }
                 }
             }
             ClientToBroker::Unsubscribe { id } => {
@@ -1901,6 +1904,11 @@ impl EngineLoop {
                     (ok, engine.subscription_count())
                 };
                 if installed {
+                    // One this broker minted in an earlier life, handed
+                    // back by a neighbor: not to be minted again.
+                    if id.raw() >> SUB_COUNTER_BITS == self.config.broker.raw() {
+                        self.sub_ids.reserve(id.raw() & (SUB_ID_SPACE - 1));
+                    }
                     self.stats
                         .subscriptions
                         .store(count as u64, Ordering::Relaxed);
@@ -2466,23 +2474,17 @@ impl EngineLoop {
     }
 
     fn flood_broker_message(&self, message: &BrokerToBroker, except: Option<ConnId>) {
-        let targets = self.flood_targets(except);
-        if !targets.is_empty() {
-            self.outbox.send_many(&targets, &message.encode());
+        // Not encoded for nobody.
+        if self.neighbors.values().any(|&conn| Some(conn) != except) {
+            self.flood_frame(&message.encode(), except);
         }
     }
 
     /// Queues one already-encoded frame for every neighbor but `except`.
     fn flood_frame(&self, frame: &Bytes, except: Option<ConnId>) {
-        let targets = self.flood_targets(except);
-        if !targets.is_empty() {
-            self.outbox.send_many(&targets, frame);
-        }
-    }
-
-    fn flood_targets(&self, except: Option<ConnId>) -> Vec<ConnId> {
         let neighbors = self.neighbors.values().copied();
-        neighbors.filter(|&conn| Some(conn) != except).collect()
+        let targets = neighbors.filter(|&conn| Some(conn) != except);
+        self.outbox.send_many(targets, frame);
     }
 
     /// A link supervisor crossed [`BrokerConfig::repair_after`]

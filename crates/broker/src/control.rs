@@ -57,6 +57,20 @@ impl SubIdAllocator {
         self.free.push_back(raw);
     }
 
+    /// Marks `raw` as handed out — by this broker in an earlier life, whose
+    /// subscription a neighbor's resync has just brought back — so that
+    /// [`allocate`](Self::allocate) cannot mint it a second time: the
+    /// counter moves past it, and it leaves the free list. The values the
+    /// counter skips are neither live nor free; any that were live before
+    /// the restart arrive the same way.
+    pub(crate) fn reserve(&mut self, raw: u32) {
+        if raw >= self.counter {
+            self.counter = raw + 1;
+        } else if self.freed.remove(&raw) {
+            self.free.retain(|freed| *freed != raw);
+        }
+    }
+
     /// Checkpoint view for the durable-state snapshot: the never-used
     /// counter and the freed values in recycling (FIFO) order.
     pub(crate) fn checkpoint(&self) -> (u32, Vec<u32>) {
@@ -233,6 +247,34 @@ mod tests {
         // Exactly one recycled id remains, not three.
         assert_eq!(alloc.allocate(), Some(a));
         assert_eq!(alloc.allocate(), None);
+    }
+
+    #[test]
+    fn reserved_ids_are_never_minted_again() {
+        let mut alloc = SubIdAllocator::new();
+        // Above the counter: the counter moves past it.
+        alloc.reserve(5);
+        assert_eq!(alloc.allocate(), Some(6));
+        // Below it, live: nothing changes.
+        alloc.reserve(5);
+        alloc.reserve(6);
+        assert_eq!(alloc.checkpoint(), (7, vec![]));
+        // A freed value: off the free list, and freeable again later.
+        alloc.free(5);
+        alloc.free(6);
+        alloc.reserve(5);
+        assert_eq!(alloc.checkpoint(), (7, vec![6]));
+        alloc.free(5);
+        assert_eq!(alloc.checkpoint(), (7, vec![6, 5]));
+        // The snapshot round-trip is what it was.
+        let (counter, free) = alloc.checkpoint();
+        let mut restored = SubIdAllocator::restore(counter, free);
+        restored.reserve(6);
+        alloc.reserve(6);
+        assert_eq!(restored.checkpoint(), alloc.checkpoint());
+        for _ in 0..4 {
+            assert_eq!(restored.allocate(), alloc.allocate());
+        }
     }
 
     #[test]

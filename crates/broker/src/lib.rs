@@ -27,6 +27,12 @@
 //! See [`BrokerNode`] and [`Client`] for a runnable two-broker setup, and
 //! the `tcp_cluster` example for a full network.
 
+/// Unit tests pin allocation counts where the subject is not public (the
+/// outbox's fan-out); counting is per thread and costs an increment.
+#[cfg(all(test, not(miri)))]
+#[global_allocator]
+static ALLOC: linkcast_alloc_count::CountingAllocator = linkcast_alloc_count::CountingAllocator;
+
 mod broker;
 mod client;
 mod control;

@@ -279,14 +279,13 @@ impl Outbox {
 
     /// Enqueues one frame on many connections, sharing the underlying
     /// buffer: fan-out to N links costs N reference-count bumps, not N
-    /// copies (the transport half of the encode-once invariant).
-    pub(crate) fn send_many(&self, ids: &[ConnId], frame: &Bytes) {
-        let conns: Vec<Arc<Conn>> = {
-            let map = self.conns.read();
-            ids.iter().filter_map(|id| map.get(id).cloned()).collect()
-        };
-        for conn in conns {
-            self.enqueue(conn, frame.clone());
+    /// copies (the transport half of the encode-once invariant) — and no
+    /// allocation: the connections are looked up and enqueued on under the
+    /// one read lock (`conns` precedes `queue` and `work_tx`).
+    pub(crate) fn send_many(&self, ids: impl IntoIterator<Item = ConnId>, frame: &Bytes) {
+        let conns = self.conns.read();
+        for conn in ids.into_iter().filter_map(|id| conns.get(&id)) {
+            self.enqueue(Arc::clone(conn), frame.clone());
         }
     }
 
@@ -510,12 +509,47 @@ mod tests {
             receivers.push(rx);
         }
         let frame = Bytes::from(vec![7u8; 512]);
-        let ids: Vec<ConnId> = (0..8).collect();
-        outbox.send_many(&ids, &frame);
+        outbox.send_many(0..8, &frame);
         for rx in &receivers {
             let got = rx.recv_timeout(Duration::from_secs(2)).unwrap();
             // Same backing allocation, not a copy.
             assert_eq!(got.as_ptr(), frame.as_ptr());
+        }
+    }
+
+    /// Flooding a received frame onward — to every neighbor but the one it
+    /// came from — allocates nothing on the flooding thread: no list of
+    /// targets, no list of connections, and the frame itself is shared. (It
+    /// was two vectors per flooded frame.) The first flood grows the queues
+    /// to what this traffic needs; the second is the steady state.
+    #[cfg(not(miri))]
+    #[test]
+    fn a_flood_to_two_neighbors_allocates_nothing() {
+        let (dead_tx, _dead_rx) = unbounded();
+        let outbox = test_outbox(1, dead_tx);
+        let mut neighbors = HashMap::new();
+        let mut receivers = Vec::new();
+        for (broker, conn) in [(10u32, 1 as ConnId), (11, 2), (12, 3)] {
+            let (tx, rx) = unbounded::<Bytes>();
+            outbox.register(conn, Sink::Chan(tx));
+            neighbors.insert(broker, conn);
+            receivers.push((conn, rx));
+        }
+        let flood = |frame: &Bytes, except: ConnId| {
+            let targets = neighbors.values().copied().filter(|conn| *conn != except);
+            outbox.send_many(targets, frame);
+        };
+        let received = Bytes::from(vec![7u8; 96]);
+        flood(&received, 1);
+        let (allocations, ()) = linkcast_alloc_count::allocations_in(|| flood(&received, 1));
+        assert_eq!(allocations, 0);
+        for (conn, rx) in &receivers {
+            for _ in 0..2 {
+                match rx.recv_timeout(Duration::from_millis(if *conn == 1 { 50 } else { 2000 })) {
+                    Ok(got) => assert!(*conn != 1 && got.as_ptr() == received.as_ptr()),
+                    Err(_) => assert_eq!(*conn, 1, "a neighbor went without"),
+                }
+            }
         }
     }
 

@@ -5,7 +5,10 @@
 //! The subject is the `match` benchmark's decoy chain (seven integer tests),
 //! taken through every stage a subscription passes on its way into three
 //! brokers: the client's `Subscribe` encode, the home broker's parse and
-//! `SubAdd` encode, a neighbor's read, decode and onward flood.
+//! `SubAdd` encode, a neighbor's read, decode and onward flood. (The flood's
+//! last hop — the outbox handing the one frame to every neighbor's queue —
+//! is not public API; `outbox::tests::a_flood_to_two_neighbors_allocates_nothing`
+//! pins it at zero from inside the crate, under the same allocator.)
 //!
 //! Alone in its test binary because of the `#[global_allocator]`; the count
 //! is per thread, so the tests need not take turns.

@@ -10,27 +10,38 @@
 //! some test of the chain can fail ([`can_fail`]) — what the implicit
 //! alternative does at that test's node and every node above it repeats.
 //! Folding that from scratch costs a node's whole fan-out. Instead
-//! every node keeps a [`TritTally`] of what its value-branch children (its
-//! subscribers, for a leaf) currently say, so a mutation that changes one
-//! child is "take the old vector out, count the new one in, read the
-//! annotation off the tallies" — word ops, independent of how many
+//! every node keeps a row of [`TritTallies`] over what its value-branch
+//! children (its subscribers, for a leaf) currently say, so a mutation that
+//! changes one child is "take the old vector out, count the new one in,
+//! read the annotation off the tallies" — word ops, independent of how many
 //! siblings the child has. Domain exhaustion is counted the same way: per
 //! domain value, how many branches accept it.
+//!
+//! Nothing here is a heap object per node: annotations are fixed-width rows
+//! of one word slab and tallies windows into another, both addressed by
+//! [`NodeId::index`], so annotating a fresh node allocates nothing beyond
+//! the slabs' amortised growth and a pruned node's rows wait, emptied, for
+//! the slot's next owner.
 
 use std::collections::HashMap;
 
 use linkcast_matching::{EdgeSlot, Matcher, NodeId, NodeRef, PathReport, Pst};
-use linkcast_types::{AttrTest, ClientId, TritTally, TritVec, Value};
+use linkcast_types::{AttrTest, ClientId, TritTallies, TritVec, Value};
 
 use crate::LinkSpace;
 
 /// Per-PST-node annotation state, indexed by [`NodeId::index`].
 #[derive(Debug, Clone)]
 pub(crate) struct Annotations {
-    /// The annotation of every live node.
-    trits: Vec<Option<TritVec>>,
-    /// What each node's value-branch children (leaf: subscribers) say.
-    tallies: Vec<TritTally>,
+    /// Words per annotation row.
+    words: usize,
+    /// The annotation of node `i` at `[i * words, (i + 1) * words)`.
+    trits: Vec<u64>,
+    /// Whether node `i`'s row holds a computed annotation.
+    live: Vec<bool>,
+    /// Row `i`: what node `i`'s value-branch children (leaf: subscribers)
+    /// say.
+    tallies: TritTallies,
     /// For nodes testing an attribute with a finite domain: per domain
     /// value, the number of value branches accepting it.
     cover: HashMap<usize, Vec<u32>>,
@@ -42,36 +53,43 @@ pub(crate) struct Annotations {
     next: TritVec,
 }
 
+/// Row `index` of an annotation slab of `words`-word rows.
+fn row(trits: &[u64], words: usize, index: usize) -> &[u64] {
+    &trits[index * words..(index + 1) * words]
+}
+
 impl Annotations {
     /// Empty state for masks of `width` trits.
     pub(crate) fn new(width: usize) -> Self {
+        let next = TritVec::no(width);
         Annotations {
+            words: next.words().len(),
             trits: Vec::new(),
-            tallies: Vec::new(),
+            live: Vec::new(),
+            tallies: TritTallies::new(width),
             cover: HashMap::new(),
             leaves: HashMap::new(),
-            previous: TritVec::no(width),
-            next: TritVec::no(width),
+            previous: next.clone(),
+            next,
         }
     }
 
-    /// The annotation of a node, if computed.
-    pub(crate) fn get(&self, id: NodeId) -> Option<&TritVec> {
-        self.trits.get(id.index()).and_then(|a| a.as_ref())
+    /// The annotation of a node, packed ([`TritVec::words`]), if computed.
+    pub(crate) fn get(&self, id: NodeId) -> Option<&[u64]> {
+        let live = self.live.get(id.index()).copied().unwrap_or(false);
+        live.then(|| row(&self.trits, self.words, id.index()))
     }
 
-    /// Every node's annotation, indexed by [`NodeId::index`].
-    pub(crate) fn as_slice(&self) -> &[Option<TritVec>] {
-        &self.trits
+    /// Trits per annotation.
+    pub(crate) fn width(&self) -> usize {
+        self.next.len()
     }
 
     /// What the leaf at the end of tail (or leaf) `id`'s chain is
     /// annotated with: its subscribers' *Parallel Combine*, undemoted.
     pub(crate) fn at_leaf(&self, id: NodeId) -> TritVec {
-        let mut out = TritVec::no(self.next.len());
-        if let Some(tally) = self.tallies.get(id.index()) {
-            tally.parallel_into(&mut out);
-        }
+        let mut out = TritVec::no(self.width());
+        self.tallies.parallel_into(id.index(), &mut out);
         out
     }
 
@@ -119,13 +137,12 @@ impl Annotations {
         subscribed: bool,
     ) {
         self.grow(pst.arena_size());
-        if let (Some(burst), [.., fork, _]) = (&path.burst, path.nodes.as_slice()) {
+        if let (Some(burst), [.., fork, _]) = (&path.burst, &path.nodes[..]) {
             // The burst tail's subscribers moved to `parked`, behind the
             // older edge of the fork; everything else about the nodes the
             // burst made real is the newcomer's path, annotated below.
             if let Some(tail) = path.created.checked_sub(1).and_then(|i| path.nodes.get(i)) {
-                self.tallies[burst.parked.index()] =
-                    std::mem::take(&mut self.tallies[tail.index()]);
+                self.tallies.swap(burst.parked.index(), tail.index());
             }
             self.derive(pst, &pst.node(burst.parked), burst.parked);
             let node = pst.node(*fork);
@@ -142,10 +159,7 @@ impl Annotations {
         // annotation taken: the top's, which its parent still counts.
         let mut had_previous = false;
         for freed in &path.freed {
-            if let Some(old) = self.take(*freed) {
-                self.previous = old;
-                had_previous = true;
-            }
+            had_previous |= self.take(*freed);
         }
 
         // The child just below the node being visited, if it survives.
@@ -154,7 +168,7 @@ impl Annotations {
             let node = pst.node(id);
             let created = i >= path.created;
             debug_assert!(
-                !created || self.trits[id.index()].is_none(),
+                !created || !self.live[id.index()],
                 "a recycled slot was cleared when its previous owner was pruned"
             );
             match below {
@@ -164,7 +178,7 @@ impl Annotations {
                 None => {
                     if let Some((slot, test)) = &path.removed {
                         if !matches!(slot, EdgeSlot::Star | EdgeSlot::Root) {
-                            self.tallies[id.index()].remove(&self.previous);
+                            self.tallies.remove(id.index(), self.previous.words());
                             self.cover_adjust(pst, &node, id, |v| test.matches(v), false);
                         }
                     }
@@ -172,11 +186,10 @@ impl Annotations {
                 Some(child) if node.star() == Some(child) => {}
                 Some(child) => {
                     if had_previous {
-                        self.tallies[id.index()].remove(&self.previous);
-                        let now = self.trits[child.index()]
-                            .as_ref()
-                            .expect("children are annotated before parents");
-                        self.tallies[id.index()].add(now);
+                        self.tallies.remove(id.index(), self.previous.words());
+                        debug_assert!(self.live[child.index()], "children are annotated first");
+                        let now = row(&self.trits, self.words, child.index());
+                        self.tallies.add(id.index(), now);
                     } else {
                         // A fresh branch: the newer edge of a burst's
                         // fork, the boundary edge the report names, or a
@@ -202,17 +215,24 @@ impl Annotations {
 
     /// Sizes the side tables for `slots` PST node slots.
     fn grow(&mut self, slots: usize) {
-        if self.trits.len() < slots {
-            self.trits.resize(slots, None);
-            self.tallies.resize(slots, TritTally::default());
+        if self.live.len() < slots {
+            self.trits.resize(slots * self.words, 0);
+            self.live.resize(slots, false);
+            self.tallies.resize(slots);
         }
     }
 
-    /// Drops a node's state, returning the annotation it had.
-    fn take(&mut self, id: NodeId) -> Option<TritVec> {
-        self.tallies[id.index()] = TritTally::default();
+    /// Drops a node's state — its rows stay the slot's, emptied — leaving
+    /// the annotation it had in `previous`; whether it had one.
+    fn take(&mut self, id: NodeId) -> bool {
+        self.tallies.clear(id.index());
         self.cover.remove(&id.index());
-        self.trits[id.index()].take()
+        let had = std::mem::replace(&mut self.live[id.index()], false);
+        if had {
+            let old = row(&self.trits, self.words, id.index());
+            self.previous.copy_from_words(old);
+        }
+        had
     }
 
     /// Counts `client`'s leaf vector (memoized on first use) into or out
@@ -223,9 +243,9 @@ impl Annotations {
             .entry(client)
             .or_insert_with(|| space.leaf_vector(client));
         if add {
-            self.tallies[id.index()].add(leaf);
+            self.tallies.add(id.index(), leaf.words());
         } else {
-            self.tallies[id.index()].remove(leaf);
+            self.tallies.remove(id.index(), leaf.words());
         }
     }
 
@@ -239,10 +259,9 @@ impl Annotations {
         slot: EdgeSlot,
         child: NodeId,
     ) {
-        let says = self.trits[child.index()]
-            .as_ref()
-            .expect("children are annotated before parents");
-        self.tallies[id.index()].add(says);
+        debug_assert!(self.live[child.index()], "children are annotated first");
+        let says = row(&self.trits, self.words, child.index());
+        self.tallies.add(id.index(), says);
         match slot {
             EdgeSlot::Eq(at) => {
                 if let Some((label, _)) = node.eq_edges().get(at) {
@@ -303,9 +322,8 @@ impl Annotations {
     /// the node's former annotation in `previous` and returns whether the
     /// new one differs.
     fn derive(&mut self, pst: &Pst, node: &NodeRef<'_>, id: NodeId) -> bool {
-        let tally = &self.tallies[id.index()];
         if node.is_leaf() {
-            tally.parallel_into(&mut self.next);
+            self.tallies.parallel_into(id.index(), &mut self.next);
             if node
                 .residual()
                 .any(|(attr, test)| can_fail(pst, attr, test))
@@ -315,26 +333,24 @@ impl Annotations {
         } else {
             let branches = node.eq_edges().len() + node.range_edges().len();
             let implicit = usize::from(!self.branches_exhaust_domain(pst, node, id));
-            tally.alternative_into(branches + implicit, &mut self.next);
+            let total = branches + implicit;
+            self.tallies
+                .alternative_into(id.index(), total, &mut self.next);
             if let Some(star) = node.star() {
-                let says = self.trits[star.index()]
-                    .as_ref()
-                    .expect("children are annotated before parents");
-                self.next.parallel_in_place(says);
+                debug_assert!(self.live[star.index()], "children are annotated first");
+                let says = row(&self.trits, self.words, star.index());
+                self.next.parallel_words_in_place(says);
             }
         }
-        match &mut self.trits[id.index()] {
-            Some(current) => {
-                let changed = *current != self.next;
-                std::mem::swap(current, &mut self.next);
-                std::mem::swap(&mut self.previous, &mut self.next);
-                changed
-            }
-            slot => {
-                *slot = Some(self.next.clone());
-                true
-            }
+        let words = self.words;
+        let current = &mut self.trits[id.index() * words..(id.index() + 1) * words];
+        let was_live = std::mem::replace(&mut self.live[id.index()], true);
+        let changed = !was_live || *current != *self.next.words();
+        if was_live {
+            self.previous.copy_from_words(current);
         }
+        current.copy_from_slice(self.next.words());
+        changed
     }
 }
 
@@ -344,15 +360,14 @@ fn domain_of<'a>(pst: &'a Pst, node: &NodeRef<'_>) -> Option<&'a [Value]> {
 }
 
 /// The deepest test of a tail's `chain` ([`NodeRef::residual`]) that
-/// [`can_fail`]: its level counted from the tail's, and the attribute it
-/// reads. The chain's nodes down to that one carry the tail's annotation,
-/// those below it the leaf's.
+/// [`can_fail`], as its level counted from the tail's. The chain's nodes
+/// down to that one carry the tail's annotation, those below it the leaf's.
 pub(crate) fn last_failing<'a>(
     pst: &Pst,
     chain: impl DoubleEndedIterator<Item = (usize, &'a AttrTest)> + ExactSizeIterator,
-) -> Option<(usize, usize)> {
+) -> Option<usize> {
     let last = (chain.enumerate()).rfind(|(_, (attr, test))| can_fail(pst, *attr, test));
-    last.map(|(level, (attr, _))| (level, attr))
+    last.map(|(level, _)| level)
 }
 
 /// Whether a node whose one edge tests `attr` by `test` turns some events

@@ -35,14 +35,17 @@
 //!
 //! The tree mirrored is the *logical* one. A PST tail — one node parking
 //! subscriptions above leaf level, in place of the unshared chain of
-//! single-edge nodes down to their leaf — gets the arena nodes that chain
-//! would get, run for run, with the annotations the chain's nodes would
-//! carry: the tail's own down to the last test that can fail, the leaf's
-//! (the same with every `Maybe` a `Yes`) below it. These *image* nodes are
-//! linked top to bottom ([`MatchArena::chain`]), since nothing else names
-//! them. When an insert makes part of a tail's chain real, the logical
-//! tree has not changed and neither does the arena: the new PST nodes are
-//! mapped onto the image nodes that stood for them.
+//! single-edge nodes down to their leaf — is one arena node too, and a
+//! search that enters it is charged, right there, what the chain's nodes
+//! would charge: a step per node the run rule and trivial-test elimination
+//! leave standing, a comparison and a [`WalkEvidence`] record per test,
+//! under the annotations those nodes would carry — the tail's own down to
+//! the last test that can fail, the leaf's (the same with every `Maybe` a
+//! `Yes`) below it. The tests stay where they are, in the predicate of a
+//! subscription parked there, read through its slab slot
+//! ([`Pst::slot_tests`]). When an insert makes part of a tail's chain real
+//! the logical tree has not changed: the node is re-cut into the runs the
+//! new PST nodes form, by the rule that cuts any other.
 //!
 //! The arena is compiled from the PST once and then patched in place: a
 //! [`MutationReport`] names the one edge each touched path gained or lost,
@@ -53,11 +56,10 @@
 //! Edge spans grow by doubling and pruned nodes go on a free list; a fresh
 //! compile happens only as compaction, once dead slots dominate.
 
-use linkcast_matching::{EdgeSlot, MatchStats, MutationReport, NodeId, PathReport, Pst};
+use linkcast_matching::{Burst, EdgeSlot, MatchStats, MutationReport, NodeId, PathReport, Pst};
 use linkcast_types::{AttrTest, Event, TritVec, Value};
 
-use crate::annotate::last_failing;
-use crate::LinkSpace;
+use crate::annotate::{can_fail, Annotations};
 
 /// Sentinel for "no node" in `u32` index fields.
 const NONE: u32 = u32::MAX;
@@ -79,6 +81,46 @@ struct Span {
 impl Span {
     fn live(self) -> std::ops::Range<usize> {
         self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// What an arena node that mirrors a PST leaf or tail keeps of the chain of
+/// single-edge nodes it stands for: where the chain's tests are, where its
+/// annotation changes, and the shape the run rule would give it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Tail {
+    /// Slab slot of a subscription parked on the PST node: the chain's
+    /// tests are `pst.slot_tests(slot)[order[order.len() - len..]]`.
+    slot: u32,
+    /// Levels of the chain (0 for a leaf proper).
+    len: u16,
+    /// Levels down to and including the last test that can fail, 0 if none
+    /// can: the nodes from this level on carry the leaf's annotation.
+    cut: u16,
+    /// Tests the run rule folds into prefixes: all but the `*` levels and
+    /// (unless the annotation is all-`No`, above it as below) the last
+    /// that can fail, which get nodes of their own.
+    tests: u16,
+    /// Of those, the ones in the prefix of the chain's topmost node, which
+    /// continues the prefix (of real parents) this arena node holds.
+    top_tests: u16,
+    /// Nodes of the chain below the topmost with a prefix of their own.
+    lower_runs: u16,
+}
+
+impl Tail {
+    /// What an interior node holds.
+    const NONE: Tail = Tail {
+        slot: NONE,
+        len: 0,
+        cut: 0,
+        tests: 0,
+        top_tests: 0,
+        lower_runs: 0,
+    };
+
+    fn is_some(self) -> bool {
+        self.slot != NONE
     }
 }
 
@@ -254,7 +296,8 @@ pub struct MatchArena {
     /// Words per annotation slot in [`ann_words`](Self::ann_words).
     words_per_mask: usize,
     /// Per-node attribute index tested at the node (a run's last PST
-    /// node, its *tail*); `NONE` for leaves.
+    /// node, its *tail*; where that is a PST tail, by the first node of its
+    /// chain); `NONE` for leaves.
     attr: Vec<u32>,
     /// Equality edges, sorted by label within each node's span.
     eq: EdgeTable<Value>,
@@ -267,10 +310,12 @@ pub struct MatchArena {
     prefix: EdgeTable<AttrTest>,
     /// Per-node `*` child (skip-resolved); `NONE` if absent.
     star: Vec<u32>,
-    /// Per node, the next node down the image of a PST tail's chain: set
-    /// on a node whose run ends inside such a chain, above its leaf; `NONE`
-    /// everywhere else. Edges cannot serve — they skip trivial nodes.
-    chain: Vec<u32>,
+    /// Per node, the chain it stands for below its own level, if it mirrors
+    /// a PST leaf or tail; [`Tail::NONE`] on interior nodes.
+    tail: Vec<Tail>,
+    /// Whether edges skip `*`-only nodes (trivial-test elimination), which
+    /// goes for the `*` levels of a tail's chain as well.
+    skipping: bool,
     /// Annotation slab: node `i`'s trits at
     /// `[i * words_per_mask, (i + 1) * words_per_mask)`.
     ann_words: Vec<u64>,
@@ -279,9 +324,8 @@ pub struct MatchArena {
     roots: Vec<(Box<[Value]>, u32)>,
     /// Factored attribute indices (the root-key schema).
     factored: Vec<usize>,
-    /// PST `NodeId::index()` → arena index (of the node a tail's chain
-    /// opens with), the same for every node of a run; `NONE` for
-    /// dead/unknown slots.
+    /// PST `NodeId::index()` → arena index, the same for every node of a
+    /// run; `NONE` for dead/unknown slots.
     map: Vec<u32>,
     /// Node slots whose PST node was pruned, reused by later appends.
     free: Vec<u32>,
@@ -304,19 +348,15 @@ pub struct MatchArena {
 }
 
 impl MatchArena {
-    /// Flattens `pst` and its annotations (indexed by [`NodeId::index`],
-    /// masks of `space.width()` trits) into a fresh arena.
-    pub fn build(pst: &Pst, annotations: &[Option<TritVec>], space: &LinkSpace) -> Self {
-        Self::compile(pst, annotations, space.width())
-    }
-
-    /// [`build`](Self::build) for masks of `width` trits: every live node
-    /// appended children-first, so each span is exactly as long as its edge
-    /// list (or its run's prefix) and nothing is dead.
-    fn compile(pst: &Pst, annotations: &[Option<TritVec>], width: usize) -> Self {
+    /// Flattens `pst` and its `annotations` into a fresh arena: every live
+    /// node appended children-first, so each span is exactly as long as its
+    /// edge list (or its run's prefix) and nothing is dead.
+    pub(crate) fn build(pst: &Pst, annotations: &Annotations) -> Self {
+        let width = annotations.width();
         let mut arena = MatchArena {
             width,
             words_per_mask: TritVec::no(width).words().len(),
+            skipping: pst.options().eliminate_trivial_tests,
             factored: pst.factored().to_vec(),
             tested: pst.factored().to_vec(),
             max_depth: pst.order().len() + 1,
@@ -347,37 +387,28 @@ impl MatchArena {
     /// live ones three to one: a span's first relocation after a compile
     /// can strand twice its length for a single insert, so any lower bar
     /// could be hit again and again by a handful of mutations.
-    pub fn apply_mutation(
+    pub(crate) fn apply_mutation(
         &mut self,
         pst: &Pst,
         report: &MutationReport,
-        annotations: &[Option<TritVec>],
+        annotations: &Annotations,
     ) {
         if self.map.len() < pst.arena_size() {
             self.map.resize(pst.arena_size(), NONE);
         }
-        for path in &report.paths {
-            if !self.apply_path(pst, path, annotations) {
-                *self = Self::compile(pst, annotations, self.width);
-                return;
-            }
+        for path in report.paths() {
+            self.apply_path(pst, path, annotations);
         }
         let edges = self.eq.live + self.ranges.live + self.prefix.live;
         let live = self.node_count() + edges;
         let dead = self.free.len() + self.edge_slots() - edges;
         if dead > 3 * live + COMPACT_FLOOR {
-            *self = Self::compile(pst, annotations, self.width);
+            *self = Self::build(pst, annotations);
         }
     }
 
-    /// Mirrors one reported path; `false` if the arena must be recompiled
-    /// instead (it may have been left half patched).
-    fn apply_path(
-        &mut self,
-        pst: &Pst,
-        path: &PathReport,
-        annotations: &[Option<TritVec>],
-    ) -> bool {
+    /// Mirrors one reported path.
+    fn apply_path(&mut self, pst: &Pst, path: &PathReport, annotations: &Annotations) {
         // Top of the pruned chain first: the free list is a stack and
         // appends go leaf first, so the next chain of the same shape gets
         // each slot back in its old role, edge windows fitting. A pruned
@@ -394,11 +425,11 @@ impl MatchArena {
             }
         }
         // What is new to the logical tree. A burst made nodes of a chain
-        // the arena holds already: only the newcomer's tail is, hanging
-        // off the fork.
+        // the arena holds already, as one node: only the newcomer's tail
+        // is, hanging off the fork.
         let (created, added) = match &path.burst {
             Some(burst) => {
-                self.realize(pst, path, burst.parked);
+                self.spell_out(pst, path, burst, annotations);
                 (path.nodes.len().saturating_sub(1), Some(burst.forked))
             }
             None => (path.created, path.added),
@@ -409,13 +440,12 @@ impl MatchArena {
 
         // The nodes that were there before, `nodes[i]` at tree level `i`.
         let mut existing = path.nodes.get(..created).unwrap_or(&path.nodes);
-        // A leaf or tail among them gained or lost a subscriber: its whole
-        // image carries what the subscribers come to.
+        // A leaf or tail among them gained or lost a subscriber: what its
+        // chain says about any link, and where its tests are read, may
+        // have changed.
         if let Some((last, above)) = existing.split_last() {
             if pst.node(*last).is_leaf() {
-                if !self.reannotate_chain(pst, *last, annotations) {
-                    return false;
-                }
+                self.write_tail(self.translate(*last), pst, *last, annotations);
                 existing = above;
             }
         }
@@ -455,7 +485,7 @@ impl MatchArena {
         }
         for (i, id) in existing.iter().enumerate() {
             if self.ends_run(pst, i, *id) {
-                self.set_annotation(self.translate(*id), annotations.get(id.index()), false);
+                self.set_annotation(self.translate(*id), annotations.get(*id));
             }
         }
         for (i, id) in existing.iter().enumerate().rev() {
@@ -466,107 +496,70 @@ impl MatchArena {
                 self.merge(pst, *id, child, (test, attr));
             }
         }
-        true
     }
 
-    /// Maps the PST nodes a burst made of a tail's chain — the rest of
-    /// `path` from the burst tail `nodes[created - 1]` on, bar the
-    /// newcomer's, and `parked` below the last of them — onto the image
-    /// nodes that stood for the same levels. Where a node ends its run the
-    /// next level opens the next image node, which is from then on reached
-    /// through the PST like any other.
-    fn realize(&mut self, pst: &Pst, path: &PathReport, parked: NodeId) {
+    /// Re-states, ahead of the passes that re-cut runs, what a burst did to
+    /// the tail `nodes[created - 1]`: the levels of its chain down to the
+    /// fork `nodes[len - 2]` are real single-edge nodes now, and its
+    /// subscriptions sit on `burst.parked` below the fork. The arena node
+    /// becomes the run of all of them — the chain's tests at those levels
+    /// join its prefix, what is left of the chain is `parked`'s — which is
+    /// what the rule makes of them only where they are value-edged and
+    /// annotated alike; the split pass cuts it wherever they are not (at
+    /// the fork, always), like any run the mutation invalidated.
+    fn spell_out(
+        &mut self,
+        pst: &Pst,
+        path: &PathReport,
+        burst: &Burst,
+        annotations: &Annotations,
+    ) {
         let Some(from) = path.created.checked_sub(1) else {
             return;
         };
         let fork = path.nodes.len().saturating_sub(2);
-        let mut idx = path.nodes.get(from).map_or(NONE, |id| self.translate(*id));
+        let idx = path.nodes.get(from).map_or(NONE, |id| self.translate(*id));
+        let parked = pst.node(burst.parked);
+        let tests = pst.slot_tests(parked.residual_slot().unwrap_or(NONE));
         for level in from..=fork {
-            let attr = pst.order().get(level).map_or(NONE, |a| *a as u32);
-            if self.attr.get(idx as usize) == Some(&attr) {
-                let link = self.chain.get_mut(idx as usize);
-                idx = link.map_or(NONE, |next| std::mem::replace(next, NONE));
-            }
-            let below = if level < fork {
-                path.nodes.get(level + 1).copied()
-            } else {
-                Some(parked)
-            };
+            // The node this level's edge leads to: the next one down the
+            // path, or below the fork `parked`, which `write_tail` maps.
+            let below = path.nodes.get(level + 1).filter(|_| level < fork);
             if let Some(slot) = below.and_then(|id| self.map.get_mut(id.index())) {
                 *slot = idx;
             }
-        }
-        // The image resolved its edges past every `*`-only level below
-        // them; the fork is not one any more.
-        for level in from..fork {
-            let (Some(id), Some(below)) = (path.nodes.get(level), path.nodes.get(level + 1)) else {
-                break;
-            };
-            if !self.ends_run(pst, level, *id) {
-                continue;
-            }
-            let node = pst.node(*id);
-            let slot = match (node.eq_edges(), node.range_edges()) {
-                ([_], _) => EdgeSlot::Eq(0),
-                (_, [_]) => EdgeSlot::Range(0),
-                _ => EdgeSlot::Star,
-            };
-            self.retarget(pst, &path.key, Some(*id), slot, *below);
-        }
-    }
-
-    /// Rewrites the annotations of the image of leaf or tail `id` after
-    /// its subscribers changed: the tail's own on every node down to the
-    /// one whose test is the chain's last that can fail, the leaf's below.
-    /// `false` if the image's runs are no longer cut where they should be:
-    /// an all-`No` annotation equals the leaf's, one with a `Maybe` does
-    /// not, so turning from one to the other merges or splits the run at
-    /// that test.
-    fn reannotate_chain(&mut self, pst: &Pst, id: NodeId, annotations: &[Option<TritVec>]) -> bool {
-        let boundary = last_failing(pst, pst.node(id).residual()).map(|(_, attr)| attr as u32);
-        let annotation = annotations.get(id.index());
-        let mut idx = self.translate(id);
-        if boundary.is_some() {
-            let flat = annotation
-                .and_then(|a| a.as_ref())
-                .is_none_or(TritVec::is_all_no);
-            if flat != self.ann(idx).iter().all(|word| *word == 0) {
-                return false;
+            let attr = pst.order().get(level).copied();
+            if let Some((attr, test)) = attr.and_then(|a| Some((a, tests.get(a)?))) {
+                // Tail end first: the deeper level's test goes in front.
+                let test = test.clone();
+                self.prefix.insert(idx as usize, 0, test, attr as u32);
             }
         }
-        let mut below_boundary = false;
-        while idx != NONE {
-            self.set_annotation(idx, annotation, below_boundary);
-            below_boundary |=
-                boundary.is_some() && self.attr.get(idx as usize) == boundary.as_ref();
-            idx = self.chain.get(idx as usize).copied().unwrap_or(NONE);
-        }
-        true
+        self.write_tail(idx, pst, burst.parked, annotations);
     }
 
     /// Appends the arena images of the PST nodes `ids`, which must come
     /// children first: every node the run rule does not absorb gets an
     /// arena node (a free slot if there is one), and the absorbed parents
     /// that follow it — an only child's parent is next in any
-    /// children-first order — become that node's prefix. A tail gets the
-    /// image of its whole chain, and its parents may be absorbed into the
-    /// run that chain opens with.
+    /// children-first order — become that node's prefix. A tail is one
+    /// node, whatever its chain, and its parents may be absorbed into it:
+    /// into the run its chain opens with.
     fn append_runs(
         &mut self,
         pst: &Pst,
         ids: impl Iterator<Item = NodeId>,
-        annotations: &[Option<TritVec>],
+        annotations: &Annotations,
     ) {
         let mut ids = ids.peekable();
         let mut tests = std::mem::take(&mut self.run_tests);
         while let Some(end) = ids.next() {
-            let idx = if pst.node(end).is_leaf() {
-                self.append_chain(pst, end, annotations, &mut tests)
+            let idx = self.alloc();
+            if pst.node(end).is_leaf() {
+                self.write_tail(idx, pst, end, annotations);
             } else {
-                let idx = self.alloc();
                 self.write(idx, pst, end, annotations);
-                idx
-            };
+            }
             let mut below = end;
             while let Some(id) = ids.peek().copied() {
                 match absorbed_into(pst, annotations, id) {
@@ -587,75 +580,61 @@ impl MatchArena {
         self.run_tests = tests;
     }
 
-    /// Appends the image of leaf or tail `id`: what [`append_runs`] would
-    /// append for the chain of single-edge nodes it stands for, bottom up —
-    /// the leaf, then per level a node of its own for a `*` test and for
-    /// the last test that can fail (where the annotation changes from the
-    /// leaf's to the tail's, unless both are all-`No`), and a place in the
-    /// prefix of the node below for every other test. Returns the topmost
-    /// node, with the tests its run has absorbed so far left in `tests`
-    /// for the caller to add to and fill in.
-    ///
-    /// [`append_runs`]: Self::append_runs
-    fn append_chain(
-        &mut self,
-        pst: &Pst,
-        id: NodeId,
-        annotations: &[Option<TritVec>],
-        tests: &mut Vec<(AttrTest, u32)>,
-    ) -> u32 {
-        let chain = pst.node(id).residual();
-        let annotation = annotations.get(id.index());
-        let flat = annotation
-            .and_then(|a| a.as_ref())
-            .is_none_or(TritVec::is_all_no);
-        let last_failing = last_failing(pst, chain.clone()).map(|(level, _)| level);
-        let skipping = pst.options().eliminate_trivial_tests;
-
-        let mut idx = self.alloc();
-        self.set_annotation(idx, annotation, last_failing.is_some());
-        // Where an edge into the level below lands.
-        let mut entry = idx;
+    /// Makes node slot `idx` (blank, or this tail's already) the image of
+    /// leaf or tail `id`: its annotation, where its chain's tests are read,
+    /// and the shape the run rule gives the single-edge nodes it stands
+    /// for, bottom up — the leaf, then per level a node of its own for a
+    /// `*` test and for the last test that can fail (where the annotation
+    /// changes from the leaf's to the tail's, unless both are all-`No`),
+    /// and a place in the prefix of the node below for every other test.
+    /// [`search`](Self::search) walks that shape without its being stored;
+    /// [`summary`](Self::summary) reports it.
+    fn write_tail(&mut self, idx: u32, pst: &Pst, id: NodeId, annotations: &Annotations) {
+        let node = pst.node(id);
+        let chain = node.residual();
+        self.set_annotation(idx, annotations.get(id));
+        let flat = self.ann(idx).iter().all(|word| *word == 0);
+        let mut tail = Tail {
+            slot: node.residual_slot().unwrap_or(NONE),
+            len: chain.len() as u16,
+            ..Tail::NONE
+        };
+        // Tests in the prefix of the lowest node so far.
+        let mut run = 0;
         for (level, (attr, test)) in chain.enumerate().rev() {
-            let attr = attr as u32;
             if !test.is_wildcard() {
-                self.mark_tested(attr);
-                if Some(level) != last_failing || flat {
-                    tests.push((test.clone(), attr));
-                    entry = idx;
+                self.mark_tested(attr as u32);
+                // The first test from the bottom that can fail is the last.
+                let last_failing = tail.cut == 0 && can_fail(pst, attr, test);
+                if last_failing {
+                    tail.cut = level as u16 + 1;
+                }
+                if !last_failing || flat {
+                    run += 1;
                     continue;
                 }
             }
-            self.prefix.fill(idx as usize, tests.drain(..));
-            let above = self.alloc();
-            let at = above as usize;
-            if let Some(slot) = self.chain.get_mut(at) {
-                *slot = idx;
-            }
-            if let Some(slot) = self.attr.get_mut(at) {
-                *slot = attr;
-            }
-            self.set_annotation(above, annotation, last_failing.is_some_and(|f| level > f));
-            match test {
-                AttrTest::Any => {
-                    if let Some(slot) = self.star.get_mut(at) {
-                        *slot = entry;
-                    }
-                }
-                AttrTest::Eq(value) => self.eq.fill(at, std::iter::once((value.clone(), entry))),
-                range => self
-                    .ranges
-                    .fill(at, std::iter::once((range.clone(), entry))),
-            }
-            idx = above;
-            if !(skipping && test.is_wildcard()) {
-                entry = above;
-            }
+            tail.tests += run;
+            tail.lower_runs += u16::from(run > 0);
+            run = 0;
         }
+        tail.tests += run;
+        tail.top_tests = run;
+        if let Some(slot) = self.tail.get_mut(idx as usize) {
+            *slot = tail;
+        }
+        self.name(idx, id, node.attribute());
+    }
+
+    /// Maps PST node `id` to node slot `idx`, the end of whose run it is:
+    /// the slot tests what `id` does.
+    fn name(&mut self, idx: u32, id: NodeId, attribute: Option<usize>) {
         if let Some(slot) = self.map.get_mut(id.index()) {
             *slot = idx;
         }
-        idx
+        if let Some(slot) = self.attr.get_mut(idx as usize) {
+            *slot = attribute.map_or(NONE, |a| a as u32);
+        }
     }
 
     /// A blank node slot: the most recently freed one, else a new one.
@@ -665,7 +644,7 @@ impl MatchArena {
         }
         self.attr.push(NONE);
         self.star.push(NONE);
-        self.chain.push(NONE);
+        self.tail.push(Tail::NONE);
         self.eq.spans.push(Span::default());
         self.ranges.spans.push(Span::default());
         self.prefix.spans.push(Span::default());
@@ -678,64 +657,51 @@ impl MatchArena {
     /// annotation, and its edges resolved against the already-mapped
     /// children — into the blank slot `idx`, as the end of a run with no
     /// prefix yet.
-    fn write(&mut self, idx: u32, pst: &Pst, id: NodeId, annotations: &[Option<TritVec>]) {
+    fn write(&mut self, idx: u32, pst: &Pst, id: NodeId, annotations: &Annotations) {
         let node = pst.node(id);
         let attr = node.attribute().map_or(NONE, |a| a as u32);
         let star = node.star().map_or(NONE, |s| self.resolve(pst, s));
         let i = idx as usize;
-        if let Some(slot) = self.map.get_mut(id.index()) {
-            *slot = idx;
-        }
-        if let Some(slot) = self.attr.get_mut(i) {
-            *slot = attr;
-        }
+        self.name(idx, id, node.attribute());
         if let Some(slot) = self.star.get_mut(i) {
             *slot = star;
         }
-        let (map, stars) = (&self.map, &self.star);
+        let map = &self.map;
         let eq = node.eq_edges().iter();
-        self.eq.fill(
-            i,
-            eq.map(|(v, c)| (v.clone(), resolve(map, stars, pst, *c))),
-        );
+        self.eq
+            .fill(i, eq.map(|(v, c)| (v.clone(), resolve(map, pst, *c))));
         let ranges = node.range_edges().iter();
-        self.ranges.fill(
-            i,
-            ranges.map(|(t, c)| (t.clone(), resolve(map, stars, pst, *c))),
-        );
+        self.ranges
+            .fill(i, ranges.map(|(t, c)| (t.clone(), resolve(map, pst, *c))));
         if !node.eq_edges().is_empty() || !node.range_edges().is_empty() {
             self.mark_tested(attr);
         }
-        self.set_annotation(idx, annotations.get(id.index()), false);
+        self.set_annotation(idx, annotations.get(id));
     }
 
-    /// Retires node slot `idx` and, if a tail's image hangs below it, the
-    /// rest of that image: emptied, edge windows kept, blank again, they
-    /// wait on the free list — topmost first, the leaf last — for the next
-    /// [`alloc`](Self::alloc)s.
+    /// Retires node slot `idx`: emptied, edge windows kept, blank again, it
+    /// waits on the free list for the next [`alloc`](Self::alloc).
     fn release(&mut self, idx: u32) {
-        let mut next = idx;
-        while next != NONE {
-            let at = next as usize;
-            self.eq.clear(at);
-            self.ranges.clear(at);
-            self.prefix.clear(at);
-            if let Some(slot) = self.attr.get_mut(at) {
-                *slot = NONE;
-            }
-            if let Some(slot) = self.star.get_mut(at) {
-                *slot = NONE;
-            }
-            self.free.push(next);
-            let link = self.chain.get_mut(at);
-            next = link.map_or(NONE, |below| std::mem::replace(below, NONE));
+        let at = idx as usize;
+        self.eq.clear(at);
+        self.ranges.clear(at);
+        self.prefix.clear(at);
+        if let Some(slot) = self.attr.get_mut(at) {
+            *slot = NONE;
         }
+        if let Some(slot) = self.star.get_mut(at) {
+            *slot = NONE;
+        }
+        if let Some(slot) = self.tail.get_mut(at) {
+            *slot = Tail::NONE;
+        }
+        self.free.push(idx);
     }
 
-    /// Whether `id` — for a tail, the node its chain opens with — at tree
-    /// level `level` ends its run: it is the node whose edges the arena
-    /// node holds, rather than absorbed. A run's nodes sit on consecutive
-    /// levels, so only the last tests the arena node's attribute.
+    /// Whether `id` at tree level `level` ends its run: it is the node
+    /// whose edges (or chain) the arena node holds, rather than absorbed. A
+    /// run's nodes sit on consecutive levels, so only the last tests the
+    /// arena node's attribute.
     fn ends_run(&self, pst: &Pst, level: usize, id: NodeId) -> bool {
         let attr = pst.order().get(level).map_or(NONE, |a| *a as u32);
         self.attr.get(self.translate(id) as usize) == Some(&attr)
@@ -745,8 +711,8 @@ impl MatchArena {
     /// node keeps the upper part — `nodes[i]` as its new end, the prefix
     /// tests above it — so whatever leads into the run still does; the
     /// lower part moves to a fresh node with the rest of the prefix (and
-    /// the link down a tail's image, if it ends inside one).
-    fn split(&mut self, pst: &Pst, nodes: &[NodeId], i: usize, annotations: &[Option<TritVec>]) {
+    /// the chain, if it ends in a tail).
+    fn split(&mut self, pst: &Pst, nodes: &[NodeId], i: usize, annotations: &Annotations) {
         let Some(&id) = nodes.get(i) else {
             return;
         };
@@ -792,7 +758,7 @@ impl MatchArena {
         }
         self.attr.swap(a, b);
         self.star.swap(a, b);
-        self.chain.swap(a, b);
+        self.tail.swap(a, b);
         self.eq.spans.swap(a, b);
         self.ranges.spans.swap(a, b);
         self.prefix.spans.swap(a, b);
@@ -805,14 +771,13 @@ impl MatchArena {
     }
 
     /// Re-maps the `count` run nodes below `from` — each the child, mapped
-    /// to `run`, of the one before — to arena node `to`; fewer, if the
-    /// run goes on inside a tail's chain, whose levels have no nodes.
+    /// to `run`, of the one before — to arena node `to`.
     fn remap(&mut self, pst: &Pst, from: NodeId, run: u32, count: usize, to: u32) {
         let mut at = from;
         for _ in 0..count {
             let mut children = pst.node(at).children();
             let Some(next) = children.find(|c| self.translate(*c) == run) else {
-                debug_assert!(pst.node(at).is_leaf(), "a run is a chain of value edges");
+                debug_assert!(false, "a run is a chain of single edges");
                 return;
             };
             if let Some(slot) = self.map.get_mut(next.index()) {
@@ -912,28 +877,15 @@ impl MatchArena {
         }
     }
 
-    /// Copies `annotation` (all-`No` when absent) into `node`'s slab slot
-    /// — `promoted`, with every `Maybe` a `Yes`: the leaf's annotation
-    /// read off that of a tail whose chain has a test that can fail.
-    fn set_annotation(&mut self, node: u32, annotation: Option<&Option<TritVec>>, promoted: bool) {
-        /// The low bit of every two-bit trit lane: set alone, a `Maybe`.
-        const LO: u64 = 0x5555_5555_5555_5555;
+    /// Copies `annotation` (all-`No` when absent) into `node`'s slab slot.
+    fn set_annotation(&mut self, node: u32, annotation: Option<&[u64]>) {
         let start = node as usize * self.words_per_mask;
         let Some(slot) = self.ann_words.get_mut(start..start + self.words_per_mask) else {
             return;
         };
-        match annotation.and_then(|a| a.as_ref()) {
-            Some(ann) => {
-                debug_assert_eq!(ann.words().len(), self.words_per_mask);
-                slot.copy_from_slice(ann.words());
-            }
+        match annotation {
+            Some(words) => slot.copy_from_slice(words),
             None => slot.fill(0),
-        }
-        if promoted {
-            for word in slot {
-                let maybe = *word & LO & !(*word >> 1);
-                *word = (*word & !maybe) | (maybe << 1);
-            }
         }
     }
 
@@ -949,7 +901,7 @@ impl MatchArena {
 
     /// The arena index a search entering PST node `id` lands on.
     fn resolve(&self, pst: &Pst, id: NodeId) -> u32 {
-        resolve(&self.map, &self.star, pst, id)
+        resolve(&self.map, pst, id)
     }
 
     /// The attribute indices that can influence a match result (sorted).
@@ -958,14 +910,9 @@ impl MatchArena {
     }
 
     /// Number of live flattened nodes (free-listed slots excluded): one per
-    /// run, so at most the PST's node count.
+    /// run and one per tail, so at most the PST's node count.
     pub fn node_count(&self) -> usize {
         self.attr.len() - self.free.len()
-    }
-
-    /// Number of PST nodes the live arena nodes stand for (Σ run lengths).
-    pub fn covered_nodes(&self) -> usize {
-        self.node_count() + self.prefix.live
     }
 
     /// Total length of the edge and prefix arrays: live entries plus span
@@ -974,18 +921,26 @@ impl MatchArena {
         self.eq.labels.len() + self.ranges.labels.len() + self.prefix.labels.len()
     }
 
-    /// How much of the tree the run compression folded away, and what the
-    /// in-place maintenance has left lying around.
+    /// How much of the logical tree the run compression folds away —
+    /// counted as if every tail's chain were spelled out, so a function of
+    /// the subscription set and the order alone — and what is kept for it.
     pub fn summary(&self) -> ArenaSummary {
-        let runs = self.prefix.spans.iter().filter(|span| span.len > 0);
-        ArenaSummary {
+        let mut summary = ArenaSummary {
             nodes: self.node_count(),
-            covered_nodes: self.covered_nodes(),
-            runs: runs.count(),
+            covered_nodes: self.node_count() + self.prefix.live,
             prefix_tests: self.prefix.live,
             edge_slots: self.edge_slots(),
             free_nodes: self.free.len(),
+            ..ArenaSummary::default()
+        };
+        for (tail, prefix) in self.tail.iter().zip(&self.prefix.spans) {
+            // The chain's topmost node continues this node's prefix.
+            summary.runs += usize::from(prefix.len > 0 || tail.top_tests > 0);
+            summary.runs += usize::from(tail.lower_runs);
+            summary.prefix_tests += usize::from(tail.tests);
+            summary.covered_nodes += usize::from(tail.len);
         }
+        summary
     }
 
     /// Everything a search can reach, node by node in the order a
@@ -993,7 +948,7 @@ impl MatchArena {
     /// and named by that order: two arenas with equal outlines walk every
     /// event alike, wherever they keep their nodes.
     #[cfg(test)]
-    pub(crate) fn outline(&self) -> Vec<String> {
+    pub(crate) fn outline(&self, pst: &Pst) -> Vec<String> {
         let mut names = std::collections::HashMap::new();
         let mut pending = Vec::new();
         let mut name = |node: u32, pending: &mut Vec<u32>| {
@@ -1015,9 +970,13 @@ impl MatchArena {
                 let range: Vec<_> = range.iter().map(|c| name(*c, &mut fresh)).collect();
                 let star = (self.star[i] != NONE).then(|| name(self.star[i], &mut fresh));
                 let own = name(node, &mut fresh);
+                // A tail by what it stands for, wherever its tests live.
+                let tail = self.tail[i];
+                let chain: Vec<_> = self.chain(pst, tail).collect();
+                let tail = tail.is_some().then_some(Tail { slot: 0, ..tail });
                 out.push(format!(
                     "#{} attr {} ann {:x?} prefix {tests:?} on {attrs:?} eq {values:?} -> {eq:?} \
-                     ranges {ranges:?} -> {range:?} star {star:?}",
+                     ranges {ranges:?} -> {range:?} star {star:?} chain {chain:?} {tail:?}",
                     own,
                     self.attr[i] as i32,
                     self.ann(node),
@@ -1061,17 +1020,19 @@ impl MatchArena {
     }
 
     /// The §3.3 refinement search as an explicit work-stack walk over the
-    /// flattened tree. `scratch.slot(0)` must hold the tree's
-    /// initialization mask on entry (with at least one `Maybe`); on return
-    /// it holds the fully refined mask. Refines in the recursive
-    /// `subsearch`'s order, with its early exits, to its result; it counts
-    /// a step per *arena* node entered, so a run of `k` PST nodes (like a
-    /// skipped trivial chain) costs one step where `subsearch` counts `k`,
-    /// and one comparison per prefix test. What the edge tests it evaluates
-    /// come to, attribute by attribute, goes into `evidence` along with the
-    /// walk's steps.
+    /// flattened tree of `pst` (the one this arena mirrors).
+    /// `scratch.slot(0)` must hold the tree's initialization mask on entry
+    /// (with at least one `Maybe`); on return it holds the fully refined
+    /// mask. Refines in the recursive `subsearch`'s order, with its early
+    /// exits, to its result; it counts a step per run of the logical tree
+    /// entered, so a run of `k` PST nodes (like a skipped trivial chain)
+    /// costs one step where `subsearch` counts `k`, and one comparison per
+    /// prefix test — a tail charged on entry what the runs of its chain come
+    /// to. What the edge tests it evaluates come to, attribute by attribute,
+    /// goes into `evidence` along with the walk's steps.
     pub fn search(
         &self,
+        pst: &Pst,
         event: &Event,
         scratch: &mut MatchScratch,
         evidence: &mut WalkEvidence,
@@ -1130,6 +1091,21 @@ impl MatchArena {
                             unwind(scratch);
                             continue 'walk;
                         }
+                    }
+                    let tail = self.tail.get(node as usize).copied().unwrap_or(Tail::NONE);
+                    if tail.is_some() {
+                        let opens_run = !tests.is_empty();
+                        let chain = self.chain(pst, tail);
+                        let passed =
+                            self.walk_chain(chain, tail, opens_run, values, evidence, stats);
+                        let mask = scratch.slot_mut(depth);
+                        if passed {
+                            mask.maybes_to_yes_in_place();
+                        } else {
+                            mask.maybes_to_no_in_place();
+                        }
+                        unwind(scratch);
+                        continue 'walk;
                     }
                     // Range edges come after the equality branch either
                     // way; prime the resume point before descending.
@@ -1192,6 +1168,86 @@ impl MatchArena {
         true
     }
 
+    /// The chain `tail` stands for: per level, the attribute tested and
+    /// the test, read off the subscription parked in its slot.
+    fn chain<'a>(
+        &self,
+        pst: &'a Pst,
+        tail: Tail,
+    ) -> impl Iterator<Item = (usize, &'a AttrTest)> + Clone + 'a {
+        let tests = pst.slot_tests(tail.slot);
+        let order = pst.order();
+        let from = order.len().saturating_sub(usize::from(tail.len));
+        let levels = order.get(from..).unwrap_or(&[]);
+        (levels.iter()).filter_map(move |&attr| Some((attr, tests.get(attr)?)))
+    }
+
+    /// Charges `stats` and `evidence` what a search that has just entered
+    /// the topmost node of `chain` — refined by its annotation, some
+    /// `Maybe` left, any prefix of real parents passed — is charged down
+    /// the single-edge nodes the chain stands for, and returns whether the
+    /// event passed every test down to the last that can fail.
+    ///
+    /// The run rule cuts such a chain into nodes at its `*` tests (no value
+    /// edge to absorb) and at the last test that can fail (the annotation
+    /// below it is the leaf's, which leaves no `Maybe`); every other test
+    /// sits in the prefix of the node below it. A prefix test costs a
+    /// comparison; a node's own test the equality lookup every node makes
+    /// and one more for a range edge; the node behind it a step — under
+    /// trivial-test elimination the one the `*` nodes it heads lead to. An
+    /// edge that lands on the chain's top skips such `*` nodes too, unless
+    /// the top `opens_run`: is entered through a parent it absorbed.
+    fn walk_chain<'a>(
+        &self,
+        chain: impl Iterator<Item = (usize, &'a AttrTest)>,
+        tail: Tail,
+        opens_run: bool,
+        values: &[Value],
+        evidence: &mut WalkEvidence,
+        stats: &mut MatchStats,
+    ) -> bool {
+        let mut chain = chain.enumerate().peekable();
+        let skip_trivial = |chain: &mut std::iter::Peekable<_>| {
+            let trivial = |(_, (_, test)): &(usize, (usize, &AttrTest))| test.is_wildcard();
+            while self.skipping && chain.next_if(trivial).is_some() {}
+        };
+        if !opens_run {
+            skip_trivial(&mut chain);
+        }
+        while let Some((level, (attr, test))) = chain.next() {
+            let holds = values.get(attr).is_some_and(|v| test.matches(v));
+            stats.comparisons += 1;
+            let cut = level + 1 == usize::from(tail.cut);
+            if test.is_wildcard() || cut {
+                // A node of its own: the lookup among its (at most one)
+                // equality edges, then its range edge if it has that.
+                if !test.is_wildcard() && !test.is_equality() {
+                    stats.comparisons += 1;
+                }
+                if !test.is_wildcard() {
+                    evidence.record(attr as u32, 1, holds);
+                }
+                if !holds {
+                    return false;
+                }
+                skip_trivial(&mut chain);
+                stats.steps += 1;
+                if cut {
+                    return true;
+                }
+            } else {
+                evidence.record(attr as u32, 1, holds);
+                if !holds {
+                    return false;
+                }
+            }
+        }
+        // Only a chain no test of which can fail gets here, and the
+        // annotation of such a chain leaves no `Maybe` to walk it for.
+        debug_assert!(false, "walked a chain past its last test that can fail");
+        false
+    }
+
     /// Binary search of the node's equality span for the event's value at
     /// the node's attribute.
     fn eq_lookup(&self, node: u32, values: &[Value]) -> Option<u32> {
@@ -1206,13 +1262,16 @@ impl MatchArena {
 /// What [`MatchArena::summary`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArenaSummary {
-    /// Live arena nodes (what a search can enter and count a step for).
+    /// Live arena nodes: what is kept. A tail is one, whatever its chain.
     pub nodes: usize,
-    /// PST nodes they stand for.
+    /// Nodes of the logical tree they stand for, every tail's chain
+    /// spelled out.
     pub covered_nodes: usize,
-    /// Arena nodes that absorbed at least one PST node.
+    /// Nodes the run rule leaves standing in that tree that absorbed at
+    /// least one other.
     pub runs: usize,
-    /// Absorbed tests, Σ over runs (`covered_nodes - nodes`).
+    /// Absorbed tests, Σ over runs: `covered_nodes` less the nodes the run
+    /// rule leaves standing, which are what a search can count a step for.
     pub prefix_tests: usize,
     /// Length of the edge and prefix arrays, dead slots included.
     pub edge_slots: usize,
@@ -1225,7 +1284,7 @@ pub struct ArenaSummary {
 /// exactly like it — with the test on that edge and the attribute it reads.
 fn absorbed_into(
     pst: &Pst,
-    annotations: &[Option<TritVec>],
+    annotations: &Annotations,
     id: NodeId,
 ) -> Option<(NodeId, AttrTest, u32)> {
     let node = pst.node(id);
@@ -1236,8 +1295,7 @@ fn absorbed_into(
         ([(_, child)], []) | ([], [(_, child)]) => *child,
         _ => return None,
     };
-    let annotation = |n: NodeId| annotations.get(n.index()).and_then(|a| a.as_ref());
-    if annotation(id) != annotation(child) {
+    if annotations.get(id) != annotations.get(child) {
         return None;
     }
     // Cloned only now: most nodes asked about are not absorbed.
@@ -1254,22 +1312,15 @@ fn translate(map: &[u32], id: NodeId) -> u32 {
 }
 
 /// The arena index a search entering PST node `id` lands on: that of its
-/// trivial-test skip target when elimination is on, else its own. A tail
-/// whose chain opens with a `*` test is a trivial node to skip too, and
-/// the image of that node says where to. A function of `map` and `star`
-/// alone so edges can be resolved while an edge table is being written.
-fn resolve(map: &[u32], star: &[u32], pst: &Pst, id: NodeId) -> u32 {
+/// trivial-test skip target when elimination is on, else its own. (A tail
+/// whose chain opens with `*` tests is skipped into at walk time.) A
+/// function of `map` alone so edges can be resolved while an edge table is
+/// being written.
+fn resolve(map: &[u32], pst: &Pst, id: NodeId) -> u32 {
     if !pst.options().eliminate_trivial_tests {
         return translate(map, id);
     }
-    let target = pst.node(id).skip().unwrap_or(id);
-    let idx = translate(map, target);
-    let opens_with = pst.node(target).residual().next();
-    if opens_with.is_some_and(|(_, test)| test.is_wildcard()) {
-        star.get(idx as usize).copied().unwrap_or(NONE)
-    } else {
-        idx
-    }
+    translate(map, pst.node(id).skip().unwrap_or(id))
 }
 
 /// Rewrites the top frame's resume point.

@@ -246,14 +246,14 @@ impl LinkMatchEngine {
         if let Some(subscription) = self.pst.subscription(id) {
             count_constraints(&mut self.constrained, subscription, true);
         }
-        for path in &report.paths {
+        for path in report.paths() {
             self.annotations
                 .apply(&self.pst, &self.space, path, client, true);
         }
         self.generation += 1;
         self.mutations += 1;
         self.arena
-            .apply_mutation(&self.pst, &report, self.annotations.as_slice());
+            .apply_mutation(&self.pst, &report, &self.annotations);
         Ok(())
     }
 
@@ -268,20 +268,21 @@ impl LinkMatchEngine {
         let Some(report) = self.pst.remove_reported(id) else {
             return false;
         };
-        for path in &report.paths {
+        for path in report.paths() {
             self.annotations
                 .apply(&self.pst, &self.space, path, client, false);
         }
         self.generation += 1;
         self.mutations += 1;
         self.arena
-            .apply_mutation(&self.pst, &report, self.annotations.as_slice());
+            .apply_mutation(&self.pst, &report, &self.annotations);
         true
     }
 
     /// The annotation of a PST node, if computed.
-    pub fn annotation(&self, id: NodeId) -> Option<&TritVec> {
-        self.annotations.get(id)
+    pub fn annotation(&self, id: NodeId) -> Option<TritVec> {
+        let words = self.annotations.get(id)?;
+        Some(TritVec::from_words(self.space.width(), words))
     }
 
     /// Link matching (§3.3): refines `tree`'s initialization mask through
@@ -340,7 +341,10 @@ impl LinkMatchEngine {
             return;
         };
         let walk = &mut scratch.walk;
-        if !self.arena.search(event, walk, &mut evidence.walk, stats) {
+        let walked = self
+            .arena
+            .search(&self.pst, event, walk, &mut evidence.walk, stats);
+        if !walked {
             // No subscription exists under the event's factor key.
             return;
         }
@@ -594,20 +598,20 @@ impl LinkMatchEngine {
 
     /// Recompiles the arena from the current PST and annotations.
     fn rebuild_arena(&mut self) {
-        self.arena = MatchArena::build(&self.pst, self.annotations.as_slice(), &self.space);
+        self.arena = MatchArena::build(&self.pst, &self.annotations);
     }
 
     fn subsearch(
         &self,
         id: NodeId,
-        mask: TritVec,
+        mut mask: TritVec,
         event: &Event,
         stats: &mut MatchStats,
     ) -> TritVec {
         stats.steps += 1;
         let annotation = self.annotations.get(id).expect("live nodes are annotated");
         // §3.3 step 2: replace every Maybe by the node's annotation trit.
-        let mut mask = mask.refine(annotation);
+        mask.refine_in_place(annotation);
         if !mask.has_maybe() {
             return mask;
         }
@@ -663,7 +667,7 @@ impl LinkMatchEngine {
         stats: &mut MatchStats,
     ) -> TritVec {
         let chain = self.pst.node(id).residual();
-        let last = last_failing(&self.pst, chain.clone()).map(|(level, _)| level);
+        let last = last_failing(&self.pst, chain.clone());
         for (level, (attr, test)) in chain.enumerate() {
             let value = &event.values()[attr];
             stats.comparisons += 1 + u64::from(!test.is_wildcard() && !test.is_equality());

@@ -929,7 +929,7 @@ impl Logical {
             .annotation(self.id)
             .expect("live nodes are annotated");
         if !node.is_leaf() {
-            return kept.clone();
+            return kept;
         }
         let no = linkcast_types::TritVec::no(engine.space().width());
         let mut at_leaf = no.clone();
@@ -950,7 +950,7 @@ impl Logical {
             }
         };
         assert_eq!(
-            *kept,
+            kept,
             demoted(node.level()),
             "{}: a tail's annotation",
             self.id
@@ -1007,6 +1007,140 @@ fn run_shape(
         (node, (absorbed, edges.len()))
     };
     Logical::all(engine).into_iter().map(shape).collect()
+}
+
+/// Which kinds of tail the predicted walks of one config entered with a
+/// `Maybe` still to settle — or, for the last two, entered at all.
+#[derive(Debug, Default, Clone, Copy)]
+struct TailsEntered {
+    /// Tails entered through a real parent absorbed into their first run.
+    through_absorbed_parents: usize,
+    /// Tails a second subscriber is parked on.
+    shared: usize,
+    /// Tails every test of which is `*`.
+    all_wildcard: usize,
+    /// Tails no test of which can fail.
+    never_failing: usize,
+}
+
+/// The arena's walk restated over the logical tree alone, by §11.1's run
+/// rule — `shape` is [`run_shape`] — and §2.1.2's trivial-test elimination:
+/// what `MatchArena::search` must charge for `event`, whichever chains the
+/// PST happens to keep as tails, and the mask it must return.
+struct PredictedWalk<'a> {
+    engine: &'a LinkMatchEngine,
+    shape: &'a std::collections::HashMap<Logical, (Option<Logical>, usize)>,
+    event: &'a Event,
+    steps: u64,
+    comparisons: u64,
+    tails: TailsEntered,
+}
+
+impl PredictedWalk<'_> {
+    /// `(steps, comparisons, links)` of the walk for `event` on `tree`.
+    fn of(
+        engine: &LinkMatchEngine,
+        shape: &std::collections::HashMap<Logical, (Option<Logical>, usize)>,
+        event: &Event,
+        tree: crate::TreeId,
+        tails: &mut TailsEntered,
+    ) -> (u64, u64, Vec<linkcast_types::LinkId>) {
+        let mut walk = PredictedWalk {
+            engine,
+            shape,
+            event,
+            steps: 0,
+            comparisons: 0,
+            tails: *tails,
+        };
+        let init = engine.space().init_mask(tree).clone();
+        let key: Vec<Value> = (engine.pst().factored().iter())
+            .map(|attr| event.values()[*attr].clone())
+            .collect();
+        let root = Logical::roots(engine).into_iter().find(|(k, _)| *k == key);
+        let (Some((_, root)), true) = (root, init.has_maybe()) else {
+            return (0, 0, Vec::new());
+        };
+        let refined = walk.enter(walk.landing(root), init);
+        *tails = walk.tails;
+        let links = engine.space().links_to_send(&refined);
+        (walk.steps, walk.comparisons, links)
+    }
+
+    /// Where an edge into `node` lands: past every node whose only edge is
+    /// `*`, under trivial-test elimination.
+    fn landing(&self, mut node: Logical) -> Logical {
+        while self.engine.pst().options().eliminate_trivial_tests {
+            match node.edges(self.engine).as_slice() {
+                [(AttrTest::Any, below)] => node = *below,
+                _ => break,
+            }
+        }
+        node
+    }
+
+    fn value(&self, node: Logical) -> &Value {
+        &self.event.values()[self.engine.pst().order()[node.level]]
+    }
+
+    /// Enters the run `top` opens: one step and one refinement for the lot,
+    /// a comparison per absorbed test, then the edges of the node the run
+    /// ends in — the equality lookup, range edges in order until the mask
+    /// is settled, `*` last.
+    fn enter(&mut self, top: Logical, mask: linkcast_types::TritVec) -> linkcast_types::TritVec {
+        self.steps += 1;
+        let mut mask = mask.refine(&top.annotation(self.engine));
+        let pst = self.engine.pst();
+        let holder = pst.node(top.id);
+        if holder.is_leaf() {
+            let chain: Vec<_> = holder.residual().collect();
+            let domain = |attr: usize| pst.schema().attribute(attr).unwrap().domain();
+            let fails = |(attr, test): &(usize, &AttrTest)| {
+                !test.is_wildcard()
+                    && !domain(*attr).is_some_and(|d| d.iter().all(|v| test.matches(v)))
+            };
+            self.tails.shared += usize::from(holder.subscription_ids().len() > 1);
+            self.tails.all_wildcard +=
+                usize::from(!chain.is_empty() && chain.iter().all(|(_, t)| t.is_wildcard()));
+            self.tails.never_failing += usize::from(!chain.is_empty() && !chain.iter().any(fails));
+        }
+        if !mask.has_maybe() {
+            return mask;
+        }
+        let mut node = top;
+        while let Some((Some(child), _)) = self.shape.get(&node) {
+            self.comparisons += 1;
+            let edges = node.edges(self.engine);
+            if !edges[0].0.matches(self.value(node)) {
+                return mask.maybes_to_no();
+            }
+            self.tails.through_absorbed_parents += usize::from(node.id != child.id);
+            node = *child;
+        }
+        if node.level == pst.depth() {
+            return mask.maybes_to_no();
+        }
+        let value = self.value(node).clone();
+        self.comparisons += 1;
+        for (label, child) in node.edges(self.engine) {
+            let taken = match &label {
+                AttrTest::Eq(v) => *v == value,
+                AttrTest::Any => true,
+                range => {
+                    self.comparisons += 1;
+                    range.matches(&value)
+                }
+            };
+            if taken {
+                let sub = self.enter(self.landing(child), mask.clone());
+                mask = mask.absorb_yes(&sub);
+                if !mask.has_maybe() {
+                    return mask;
+                }
+            }
+        }
+        mask.maybes_to_no()
+    }
 }
 
 /// How a config of the property test below draws predicates and events.
@@ -1069,6 +1203,15 @@ impl std::ops::AddAssign for Adaptations {
 /// match steps and comparisons. The recursive search over the boxed tree
 /// vouches for the link sets and bounds the steps from above. Every config
 /// must burst at least fifty tails on the way.
+///
+/// Those steps and comparisons are also *predicted*, for every one of the
+/// probe events, from the logical tree alone ([`PredictedWalk`]: the run
+/// rule and trivial-test elimination over [`Logical`] nodes, knowing
+/// nothing of tails), and must come out equal: a tail is one arena node,
+/// charged on entry what its chain's runs would be, and every config must
+/// have entered tails through absorbed parents, tails with a second
+/// subscriber, tails whose every test is `*` and tails no test of which
+/// can fail.
 ///
 /// The three-attribute configs grow wide nodes; the six-attribute ones grow
 /// long single-choice chains, and must be seen to form runs of three and
@@ -1174,6 +1317,7 @@ fn churn_against_scratch(
     let mut matched_somewhere = 0usize;
     let mut hot = 0;
     let mut bursts = 0usize;
+    let mut tails = TailsEntered::default();
 
     for step in 0..STEPS {
         let before = run_shape(&engine);
@@ -1262,10 +1406,10 @@ fn churn_against_scratch(
         assert_eq!(engine.subscription_count(), live.len(), "{context}");
         let arena = engine.arena();
         let after = run_shape(&engine);
-        assert_eq!(arena.covered_nodes(), after.len(), "{context}");
+        assert_eq!(arena.summary().covered_nodes, after.len(), "{context}");
         assert_eq!(engine.pst().expanded_node_count(), after.len(), "{context}");
         assert!(engine.pst().node_count() <= after.len(), "{context}");
-        assert!(arena.node_count() <= arena.covered_nodes(), "{context}");
+        assert!(arena.node_count() <= after.len(), "{context}");
         let absorbed = after.values().filter_map(|(child, _)| *child);
         assert_eq!(arena.summary().prefix_tests, absorbed.count(), "{context}");
         let absorbs_twice = |(child, _): &(Option<_>, usize)| {
@@ -1303,21 +1447,27 @@ fn churn_against_scratch(
         // Same runs; only the garbage (slack, free slots) may differ.
         let runs = |e: &LinkMatchEngine| {
             let s = e.arena().summary();
-            (s.nodes, s.covered_nodes, s.runs, s.prefix_tests)
+            (s.covered_nodes, s.runs, s.prefix_tests)
         };
         assert_eq!(runs(&engine), runs(&recompiled), "{context}");
+        assert_eq!(
+            engine.arena().node_count(),
+            recompiled.arena().node_count(),
+            "{context}"
+        );
         // Not `assert_eq`: the outlines run to hundreds of lines.
         assert!(
-            engine.arena().outline() == recompiled.arena().outline(),
+            engine.arena().outline(engine.pst()) == recompiled.arena().outline(recompiled.pst()),
             "{context}: the patched arena walks unlike a fresh compile"
         );
         // And the same as over the tree built from nothing, which keeps as
-        // tails what this one may keep as the chains bursts left behind —
-        // node for node where no replication reorders range edges.
+        // tails — one arena node each — what this one may keep as the
+        // chains bursts left behind: fewer nodes kept, the same logical
+        // tree cut into the same runs, and (below) the same walk.
         assert_eq!(runs(&engine), runs(&fresh), "{context}");
         assert!(
-            options.factoring > 0 || engine.arena().outline() == fresh.arena().outline(),
-            "{context}: the arena depends on which chains are tails"
+            fresh.arena().node_count() <= engine.arena().node_count(),
+            "{context}"
         );
         // The cache key: every attribute some node branches on, be the
         // test an arena edge or absorbed into a prefix. Stale entries
@@ -1353,14 +1503,27 @@ fn churn_against_scratch(
                 });
             values.collect()
         };
+        // What these walks observe of the tests, through the chains bursts
+        // left real here and through the tails that stand for them there.
+        let (mut seen_here, mut seen_fresh) =
+            (crate::RouteScratch::new(), crate::RouteScratch::new());
         for _ in 0..6 {
             let values = draw_event(&mut rng);
             let event = int_event(schema, &values);
             for &tree in &trees {
                 let mut stats = MatchStats::new();
+                engine.match_links_into(&event, tree, &mut seen_here, &mut stats, &mut got);
+                fresh.match_links_into(&event, tree, &mut seen_fresh, &mut stats, &mut want);
+                let mut stats = MatchStats::new();
                 engine.match_links_into(&event, tree, &mut own_scratch, &mut stats, &mut got);
                 walked_since_rebuild += stats.steps.min(1);
                 matched_somewhere += usize::from(!got.is_empty());
+                let predicted = PredictedWalk::of(&engine, &after, &event, tree, &mut tails);
+                assert_eq!(
+                    (stats.steps, stats.comparisons, &got),
+                    (predicted.0, predicted.1, &predicted.2),
+                    "{context}, event {values:?}: the walk the run rule predicts"
+                );
                 let mut oracle_stats = MatchStats::new();
                 let oracle = engine.match_links(&event, tree, &mut oracle_stats);
                 assert_eq!(got, oracle, "{context}, event {values:?}: recursive search");
@@ -1384,6 +1547,13 @@ fn churn_against_scratch(
                 assert_eq!(got, want, "{context}, event {values:?}: links");
                 assert_eq!(stats, recompiled_stats, "{context}, event {values:?}");
             }
+        }
+        if options.factoring == 0 {
+            assert_eq!(
+                engine.order_report(&seen_here),
+                fresh.order_report(&seen_fresh),
+                "{context}: walk evidence"
+            );
         }
         // More of the same traffic, walked only: evidence for the order.
         for _ in 0..40 {
@@ -1482,6 +1652,13 @@ fn churn_against_scratch(
     }
     assert!(peak >= 60, "config {ci}: population peaked at {peak}");
     assert!(bursts >= 50, "config {ci}: only {bursts} tails burst");
+    let entered = [
+        tails.through_absorbed_parents,
+        tails.shared,
+        tails.all_wildcard,
+        tails.never_failing,
+    ];
+    assert!(entered.iter().all(|n| *n >= 10), "config {ci}: {tails:?}");
     assert!(
         matched_somewhere >= STEPS,
         "config {ci}: only {matched_somewhere} events were routed anywhere"
@@ -1685,7 +1862,7 @@ fn a_tail_turning_reachable_recuts_its_runs() {
             "{when}"
         );
         assert!(
-            engine.arena().outline() == expected.arena().outline(),
+            engine.arena().outline(engine.pst()) == expected.arena().outline(expected.pst()),
             "{when}"
         );
         let mut scratch = crate::RouteScratch::new();

@@ -12,7 +12,8 @@
 //! subscription shares is one **tail** node, parked on which the
 //! subscription stands for the whole chain of single-edge nodes down to
 //! its leaf; the tests of that chain are read off the parked
-//! subscription's own predicate ([`NodeRef::residual`]). A tail is
+//! subscription's own predicate ([`NodeRef::residual`]), through the slot
+//! the subscription occupies in the tree's slab. A tail is
 //! observationally the chain it abbreviates — every search charges it the
 //! steps and comparisons the chain would cost — and an insert that parts
 //! ways with one mid-chain makes the shared levels real first.
@@ -34,6 +35,7 @@
 
 mod mutate;
 mod options;
+mod slab;
 mod traverse;
 
 #[cfg(test)]
@@ -46,6 +48,7 @@ use linkcast_types::{AttrTest, Event, EventSchema, Subscription, SubscriptionId,
 use crate::{MatchStats, Matcher, MatcherError};
 
 pub use options::{OrderPolicy, PstOptions};
+use slab::{Parked, Slab};
 pub(crate) use traverse::walk_chain;
 
 /// Identifies a node within a [`Pst`]'s arena.
@@ -53,7 +56,7 @@ pub(crate) use traverse::walk_chain;
 /// Node ids are stable across unrelated mutations, which lets the
 /// link-matching layer keep per-node annotations in a side table keyed by
 /// `NodeId`. Ids of removed nodes may be reused by later insertions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -87,11 +90,11 @@ pub(crate) struct Node {
     pub(crate) range_index: Option<Box<HashMap<AttrTest, NodeId>>>,
     /// The `*` (don't-care) branch.
     pub(crate) star: Option<NodeId>,
-    /// Subscriptions parked here, sorted (empty on interior nodes). A node
-    /// that parks subscriptions has no edges: it is a leaf, or above leaf
-    /// level a tail, and the subscriptions on one tail agree on every test
-    /// from its level down.
-    pub(crate) subs: Vec<SubscriptionId>,
+    /// Subscriptions parked here (none on interior nodes). A node that
+    /// parks subscriptions has no edges: it is a leaf, or above leaf level
+    /// a tail, and the subscriptions on one tail agree on every test from
+    /// its level down.
+    pub(crate) subs: Parked,
     /// Trivial-test-elimination shortcut: set on nodes whose only outgoing
     /// edge is `*` (and which hold no subscriptions) to the deepest node
     /// the whole `*`-chain leads to.
@@ -106,7 +109,7 @@ impl Node {
             range_edges: Vec::new(),
             range_index: None,
             star: None,
-            subs: Vec::new(),
+            subs: Parked::default(),
             skip: None,
         }
     }
@@ -242,7 +245,7 @@ pub struct Pst {
     roots: HashMap<FactorKey, NodeId>,
     nodes: Vec<Option<Node>>,
     free: Vec<u32>,
-    subscriptions: HashMap<SubscriptionId, Subscription>,
+    subscriptions: Slab,
 }
 
 /// Range-edge lists at least this long carry a label index; shorter ones
@@ -280,7 +283,7 @@ pub struct PathReport {
     /// Insert: the path from the root to the node the subscription is
     /// parked on. Remove: the prefix that survived. Re-annotating exactly
     /// these nodes, bottom-up, restores annotation consistency.
-    pub nodes: Vec<NodeId>,
+    pub nodes: PathNodes,
     /// Index into `nodes` of the first node the insert created; every node
     /// after it is new too. `nodes.len()` when nothing was created.
     pub created: usize,
@@ -300,6 +303,58 @@ pub struct PathReport {
     /// so whatever resolved the edge into it — `slot` of `nodes[i - 1]`,
     /// [`EdgeSlot::Root`] for `i = 0` — through the old pointer is stale.
     pub retargets: Vec<(usize, EdgeSlot)>,
+}
+
+/// The nodes of a reported path, root first: a slice of [`NodeId`]s that
+/// lives inside the report while the path is no longer than most trees are
+/// deep, so reporting one costs no allocation.
+#[derive(Debug, Clone, Default)]
+pub struct PathNodes {
+    len: usize,
+    inline: [NodeId; PathNodes::INLINE],
+    /// Every node of a path too long for `inline`; empty otherwise.
+    spill: Vec<NodeId>,
+}
+
+impl PathNodes {
+    const INLINE: usize = 12;
+
+    pub(crate) fn push(&mut self, id: NodeId) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = id,
+            None => {
+                if self.spill.is_empty() {
+                    self.spill.extend_from_slice(&self.inline);
+                }
+                self.spill.push(id);
+            }
+        }
+        self.len += 1;
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<NodeId> {
+        let last = self.last().copied()?;
+        self.len -= 1;
+        // `inline` still holds the first nodes of a path that spilled.
+        if self.len <= Self::INLINE {
+            self.spill.clear();
+        } else {
+            self.spill.pop();
+        }
+        Some(last)
+    }
+}
+
+impl std::ops::Deref for PathNodes {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        if self.len <= Self::INLINE {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
 }
 
 /// How an insert burst the tail `nodes[created - 1]` of its [`PathReport`].
@@ -323,8 +378,40 @@ pub struct Burst {
 /// per factored subtree the subscription touches.
 #[derive(Debug, Clone, Default)]
 pub struct MutationReport {
+    paths: Paths,
+}
+
+/// One path — every mutation of an unfactored tree — is kept in the report
+/// itself: boxing it to even the variants out is the allocation this saves.
+#[derive(Debug, Clone, Default)]
+#[allow(clippy::large_enum_variant)]
+enum Paths {
+    #[default]
+    None,
+    One(PathReport),
+    Many(Vec<PathReport>),
+}
+
+impl MutationReport {
     /// The touched paths.
-    pub paths: Vec<PathReport>,
+    pub fn paths(&self) -> &[PathReport] {
+        match &self.paths {
+            Paths::None => &[],
+            Paths::One(path) => std::slice::from_ref(path),
+            Paths::Many(paths) => paths,
+        }
+    }
+
+    pub(crate) fn push(&mut self, path: PathReport) {
+        self.paths = match std::mem::take(&mut self.paths) {
+            Paths::None => Paths::One(path),
+            Paths::One(first) => Paths::Many(vec![first, path]),
+            Paths::Many(mut paths) => {
+                paths.push(path);
+                Paths::Many(paths)
+            }
+        };
+    }
 }
 
 impl Pst {
@@ -388,7 +475,7 @@ impl Pst {
             roots: HashMap::new(),
             nodes: Vec::new(),
             free: Vec::new(),
-            subscriptions: HashMap::new(),
+            subscriptions: Slab::default(),
         })
     }
 
@@ -473,14 +560,14 @@ impl Pst {
 
     /// The chain `node` abbreviates, as `(attribute, test)` per level from
     /// its own down to the last; nothing for interior nodes and leaves
-    /// proper. Read off the first parked subscription: all of them agree.
+    /// proper. Read off one parked subscription, through the slot the node
+    /// remembers: all of them agree.
     pub(crate) fn residual<'a>(
         &'a self,
         node: &Node,
     ) -> impl DoubleEndedIterator<Item = (usize, &'a AttrTest)> + ExactSizeIterator + Clone + 'a
     {
-        let parked = node.subs.first().and_then(|id| self.subscriptions.get(id));
-        let tests = parked.map_or(&[] as &[AttrTest], |s| s.predicate().tests());
+        let tests = self.slot_tests(node.subs.slot());
         let from = if tests.is_empty() {
             self.order.len()
         } else {
@@ -489,6 +576,13 @@ impl Pst {
         self.order[from..]
             .iter()
             .map(move |&attr| (attr, &tests[attr]))
+    }
+
+    /// The tests, by schema attribute, of the subscription in slab slot
+    /// `slot` ([`NodeRef::residual_slot`]); none for a vacant slot.
+    pub fn slot_tests(&self, slot: u32) -> &[AttrTest] {
+        let parked = self.subscriptions.at(slot);
+        parked.map_or(&[], |s| s.predicate().tests())
     }
 
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
@@ -552,9 +646,10 @@ impl Pst {
         self.roots.get(&key).copied()
     }
 
-    /// Iterates over all registered subscriptions (arbitrary order).
+    /// Iterates over all registered subscriptions, in slab order: that of
+    /// their insertion while none has been removed.
     pub fn subscriptions(&self) -> impl Iterator<Item = &Subscription> {
-        self.subscriptions.values()
+        self.subscriptions.iter()
     }
 }
 
@@ -576,7 +671,7 @@ impl Matcher for Pst {
     }
 
     fn subscription(&self, id: SubscriptionId) -> Option<&Subscription> {
-        self.subscriptions.get(&id)
+        self.subscriptions.get(id)
     }
 }
 
@@ -652,7 +747,16 @@ impl<'a> NodeRef<'a> {
     /// Subscriptions parked on this leaf or tail (empty for interior
     /// nodes).
     pub fn subscription_ids(&self) -> &'a [SubscriptionId] {
-        &self.node.subs
+        self.node.subs.as_slice()
+    }
+
+    /// The slab slot [`residual`](Self::residual) reads the chain's tests
+    /// through ([`Pst::slot_tests`]): that of one parked subscription.
+    /// `None` for interior nodes. A mirror of the tree may keep it in place
+    /// of the chain; it is good until a subscription is parked on or taken
+    /// off this node.
+    pub fn residual_slot(&self) -> Option<u32> {
+        (!self.node.subs.is_empty()).then(|| self.node.subs.slot())
     }
 
     /// The trivial-test-elimination skip target, if one is set: the deepest
@@ -680,7 +784,7 @@ impl std::fmt::Debug for NodeRef<'_> {
             .field("eq_edges", &self.node.eq_edges.len())
             .field("range_edges", &self.node.range_edges.len())
             .field("star", &self.node.star.is_some())
-            .field("subs", &self.node.subs)
+            .field("subs", &self.node.subs.as_slice())
             .finish()
     }
 }
@@ -695,8 +799,9 @@ impl Pst {
     /// 2. every child's level is its parent's level + 1;
     /// 3. subscriptions appear only on nodes without edges (leaves and
     ///    tails), sorted and duplicate-free, every listed id is registered,
-    ///    and those sharing a tail agree on every test from its level
-    ///    down;
+    ///    those sharing a tail agree on every test from its level down,
+    ///    and the slab slot the tail reads its chain through holds one of
+    ///    them;
     /// 4. no node is dead (childless, subscription-less) — mutation prunes
     ///    them;
     /// 5. skip pointers are set exactly on trivial nodes and point to the
@@ -741,13 +846,20 @@ impl Pst {
             if node.level as usize == self.depth() && !node.is_terminal() {
                 return Err(format!("leaf {id} holds no subscription"));
             }
-            for pair in node.subs.windows(2) {
+            for pair in node.subs.as_slice().windows(2) {
                 if pair[0] >= pair[1] {
                     return Err(format!("{id}: parked subscriptions out of order"));
                 }
             }
-            for sub in &node.subs {
-                let Some(parked) = self.subscriptions.get(sub) else {
+            let through = self.subscriptions.at(node.subs.slot());
+            let parked = |s: &Subscription| node.subs.as_slice().contains(&s.id());
+            if node.is_terminal() && !through.is_some_and(parked) {
+                return Err(format!(
+                    "{id} reads its chain through a slot none of its subscriptions is in"
+                ));
+            }
+            for sub in node.subs.as_slice() {
+                let Some(parked) = self.subscriptions.get(*sub) else {
                     return Err(format!("{id} lists unregistered subscription {sub}"));
                 };
                 let tests = parked.predicate().tests();
@@ -847,7 +959,7 @@ impl Pst {
             s.nodes += 1;
             if slot.is_terminal() {
                 s.leaves += 1;
-                s.leaf_entries += slot.subs.len();
+                s.leaf_entries += slot.subs.as_slice().len();
             }
             s.eq_edges += slot.eq_edges.len();
             s.range_edges += slot.range_edges.len();

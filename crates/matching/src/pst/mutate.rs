@@ -2,7 +2,7 @@
 
 use linkcast_types::{AttrTest, Subscription, SubscriptionId, Value};
 
-use super::{Burst, EdgeSlot, FactorKey, MutationReport, NodeId, PathReport, Pst};
+use super::{Burst, EdgeSlot, FactorKey, MutationReport, NodeId, PathNodes, PathReport, Pst};
 use crate::MatcherError;
 
 impl Pst {
@@ -24,13 +24,15 @@ impl Pst {
             });
         }
         let id = subscription.id();
-        if self.subscriptions.contains_key(&id) {
+        if self.subscriptions.slot_of(id).is_some() {
             return Err(MatcherError::DuplicateSubscription(id));
         }
 
+        // Where the subscription will live once its paths are in.
+        let slot = self.subscriptions.vacant();
         let mut report = MutationReport::default();
         for key in self.factor_keys(&subscription) {
-            let mut path = self.insert_path(key, &subscription);
+            let mut path = self.insert_path(key, &subscription, slot);
             // A search entered a tail whose chain opened with `*` levels
             // below them, as if through a skip pointer. Burst with those
             // levels still `*`-only it has a real pointer now, which
@@ -45,9 +47,10 @@ impl Pst {
             let reentered = path.burst.as_ref().and_then(forks_off_star);
             path.retargets =
                 self.recompute_skips(&path.nodes, path.created, &subscription, reentered);
-            report.paths.push(path);
+            report.push(path);
         }
-        self.subscriptions.insert(id, subscription);
+        let filled = self.subscriptions.insert(subscription);
+        debug_assert_eq!(filled, slot, "nothing else touches the slab meanwhile");
         Ok(report)
     }
 
@@ -55,24 +58,27 @@ impl Pst {
     /// paths and the nodes pruned away. Returns `None` if the id was not
     /// registered.
     pub fn remove_reported(&mut self, id: SubscriptionId) -> Option<MutationReport> {
-        let subscription = self.subscriptions.remove(&id)?;
+        let (slot, subscription) = self.subscriptions.remove(id)?;
         let mut report = MutationReport::default();
         for key in self.factor_keys(&subscription) {
-            let mut path = self.remove_path(key, &subscription);
+            let mut path = self.remove_path(key, &subscription, slot);
             path.retargets = self.recompute_skips(&path.nodes, path.created, &subscription, None);
-            report.paths.push(path);
+            report.push(path);
         }
         Some(report)
     }
 
     /// The factor keys a subscription must be inserted under: the cartesian
     /// product of, per factored attribute, the domain values its test
-    /// accepts (`*` replicates across the whole domain, per §2.1.1).
-    fn factor_keys(&self, subscription: &Subscription) -> Vec<FactorKey> {
-        if self.factored.is_empty() {
-            return vec![FactorKey::from([] as [Value; 0])];
-        }
-        let mut keys: Vec<Vec<Value>> = vec![Vec::with_capacity(self.factored.len())];
+    /// accepts (`*` replicates across the whole domain, per §2.1.1). An
+    /// unfactored tree has the one empty key, which costs no allocation.
+    fn factor_keys(&self, subscription: &Subscription) -> impl Iterator<Item = FactorKey> {
+        let unfactored = self.factored.is_empty();
+        let mut keys: Vec<Vec<Value>> = if unfactored {
+            Vec::new()
+        } else {
+            vec![Vec::with_capacity(self.factored.len())]
+        };
         for &attr in &self.factored {
             let test = &subscription.predicate().tests()[attr];
             let candidates: Vec<Value> = match test {
@@ -96,7 +102,8 @@ impl Pst {
             }
             keys = next;
         }
-        keys.into_iter().map(Into::into).collect()
+        let empty = unfactored.then(FactorKey::default);
+        empty.into_iter().chain(keys.into_iter().map(Into::into))
     }
 
     /// The label `subscription` puts on the edge leaving a node at `level`.
@@ -109,9 +116,13 @@ impl Pst {
     /// there. Reaching a tail (or leaf) whose chain spells the same tests
     /// parks it beside the subscriptions already there; reaching one that
     /// differs bursts it first.
-    fn insert_path(&mut self, key: FactorKey, subscription: &Subscription) -> PathReport {
-        let depth = self.depth();
-        let mut nodes = Vec::with_capacity(depth + 1);
+    fn insert_path(
+        &mut self,
+        key: FactorKey,
+        subscription: &Subscription,
+        slot: u32,
+    ) -> PathReport {
+        let mut nodes = PathNodes::default();
         let mut added = None;
         let mut burst = None;
         let mut current = match self.roots.get(&key) {
@@ -154,10 +165,7 @@ impl Pst {
             };
             nodes.push(current);
         }
-        let parked = &mut self.node_mut(current).subs;
-        if let Err(i) = parked.binary_search(&subscription.id()) {
-            parked.insert(i, subscription.id());
-        }
+        self.node_mut(current).subs.insert(subscription.id(), slot);
         PathReport {
             key,
             created: added.map_or(nodes.len(), |(at, _)| at),
@@ -184,7 +192,7 @@ impl Pst {
         shared: usize,
         older: AttrTest,
         subscription: &Subscription,
-        nodes: &mut Vec<NodeId>,
+        nodes: &mut PathNodes,
         added: &mut Option<(usize, EdgeSlot)>,
     ) -> (NodeId, Burst) {
         let parked_subs = std::mem::take(&mut self.node_mut(tail).subs);
@@ -213,10 +221,15 @@ impl Pst {
     /// Removes `subscription` from the leaf or tail its predicate leads to
     /// in subtree `key`, pruning nodes left with no children and no
     /// subscriptions. A chain an insert made real is left real.
-    fn remove_path(&mut self, key: FactorKey, subscription: &Subscription) -> PathReport {
+    fn remove_path(
+        &mut self,
+        key: FactorKey,
+        subscription: &Subscription,
+        slot: u32,
+    ) -> PathReport {
         let mut report = PathReport {
             key,
-            nodes: Vec::new(),
+            nodes: PathNodes::default(),
             created: 0,
             burst: None,
             freed: Vec::new(),
@@ -227,7 +240,8 @@ impl Pst {
         let Some(&root) = self.roots.get(&report.key) else {
             return report;
         };
-        let mut nodes = vec![root];
+        let mut nodes = PathNodes::default();
+        nodes.push(root);
         let mut current = root;
         while !self.node_inner(current).is_terminal() {
             let test = self.test_at(subscription, nodes.len() - 1);
@@ -239,9 +253,11 @@ impl Pst {
             nodes.push(next);
             current = next;
         }
-        let parked = &mut self.node_mut(current).subs;
-        if let Ok(i) = parked.binary_search(&subscription.id()) {
-            parked.remove(i);
+        // Split borrow: the node is rewritten, the slab only read.
+        let (subscriptions, node) = (&self.subscriptions, self.nodes[current.index()].as_mut());
+        if let Some(node) = node {
+            let still_parked = |id| subscriptions.slot_of(id);
+            node.subs.remove(subscription.id(), slot, still_parked);
         }
 
         // Prune dead nodes bottom-up; the last edge cut is the one the

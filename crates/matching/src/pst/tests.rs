@@ -132,7 +132,7 @@ fn removal_prunes_nodes_and_reports_freed() {
     // The paths diverge after the a1=1 node: the a2=3 suffix (one tail,
     // standing for four nodes) dies, cut off the second equality edge of
     // the two-node surviving prefix.
-    let path = &report.paths[0];
+    let path = &report.paths()[0];
     assert_eq!(path.freed.len(), 1);
     assert_eq!(path.nodes.len(), 2);
     assert_eq!(
@@ -294,7 +294,7 @@ fn range_label_index_tracks_the_edge_list() {
         let at = live.iter().position(|&i| i == gone).unwrap();
         live.remove(at);
         if !live.is_empty() {
-            let removed = report.paths[0].removed.clone();
+            let removed = report.paths()[0].removed.clone();
             assert_eq!(removed, Some((EdgeSlot::Range(at), expected[gone].clone())));
             let survivors: Vec<AttrTest> = live.iter().map(|&i| expected[i].clone()).collect();
             assert_eq!(root_labels(&pst), survivors);
@@ -626,6 +626,109 @@ fn node_refs_expose_structure() {
     assert_eq!(leaf.attribute(), None);
     assert_eq!(leaf.residual().count(), 0);
     assert_eq!(leaf.subscription_ids(), &[SubscriptionId::new(1)]);
+}
+
+/// Subscriptions live in slab slots, and a tail reads its chain through
+/// the slot of one subscription parked on it: the first id sits in the node
+/// itself, twins go to a list beside it and come back out of it, the slot a
+/// tail reads through moves to a remaining twin when its owner leaves, and a
+/// vacated slot is the next one filled. Long reported paths spill, short
+/// ones do not; either way they read root first.
+#[test]
+fn slab_slots_are_reused_and_tails_read_through_them() {
+    let schema = figure2_schema();
+    let mut pst = Pst::new(schema.clone(), PstOptions::default()).unwrap();
+    let chain = [Some(1), None, Some(2), None, Some(3)];
+    let tail_of = |pst: &Pst| pst.roots().next().unwrap().1;
+    let expected: Vec<_> = (int_sub(&schema, 0, &chain).predicate().tests().iter())
+        .cloned()
+        .enumerate()
+        .collect();
+    let reads = |pst: &Pst| -> Vec<(usize, AttrTest)> {
+        let chain = pst.node(tail_of(pst)).residual();
+        chain.map(|(attr, test)| (attr, test.clone())).collect()
+    };
+
+    // One id, inline; three, listed in order; back to one, inline again.
+    pst.insert(int_sub(&schema, 5, &chain)).unwrap();
+    let first = pst.node(tail_of(&pst)).residual_slot().unwrap();
+    assert_eq!(pst.node(tail_of(&pst)).subscription_ids(), ids(&[5]));
+    pst.insert(int_sub(&schema, 9, &chain)).unwrap();
+    pst.insert(int_sub(&schema, 2, &chain)).unwrap();
+    assert_eq!(pst.node(tail_of(&pst)).subscription_ids(), ids(&[2, 5, 9]));
+    assert_eq!(pst.node(tail_of(&pst)).residual_slot(), Some(first));
+    assert_eq!(
+        pst.slot_tests(first),
+        int_sub(&schema, 5, &chain).predicate().tests()
+    );
+    pst.check_invariants().unwrap();
+
+    // The slot's owner leaves: the chain reads through a twin's, the same.
+    assert!(pst.remove(SubscriptionId::new(5)));
+    let second = pst.node(tail_of(&pst)).residual_slot().unwrap();
+    assert_ne!(second, first);
+    assert!(
+        pst.slot_tests(first).is_empty(),
+        "a vacant slot has no tests"
+    );
+    assert_eq!(reads(&pst), expected);
+    pst.check_invariants().unwrap();
+    assert!(pst.remove(SubscriptionId::new(9)));
+    assert_eq!(pst.node(tail_of(&pst)).subscription_ids(), ids(&[2]));
+    assert_eq!(reads(&pst), expected);
+    pst.check_invariants().unwrap();
+
+    // Vacated slots are filled last freed first, by whoever comes next:
+    // the one id 9 had (handed out right after `first`), then id 5's.
+    let mut slots = Vec::new();
+    for (id, a1) in [(7, 2), (8, 3)] {
+        let other = [Some(a1), None, None, None, None];
+        let report = pst.insert_reported(int_sub(&schema, id, &other)).unwrap();
+        let newcomer = *report.paths()[0].nodes.last().unwrap();
+        assert_eq!(report.paths()[0].nodes.len(), 2);
+        slots.extend(pst.node(newcomer).residual_slot());
+    }
+    assert_eq!(slots, [first + 1, first]);
+    pst.insert(int_sub(&schema, 6, &chain)).unwrap();
+    assert_eq!(pst.len(), 4);
+    assert_eq!(pst.subscriptions().count(), 4);
+    pst.check_invariants().unwrap();
+    for id in [2, 6, 7, 8] {
+        assert_eq!(
+            pst.subscription(SubscriptionId::new(id))
+                .unwrap()
+                .id()
+                .raw(),
+            id
+        );
+        assert!(pst.remove(SubscriptionId::new(id)));
+        pst.check_invariants().unwrap();
+    }
+    assert_eq!((pst.len(), pst.node_count()), (0, 0));
+
+    // A path deeper than a report keeps inline: fourteen levels, two twins
+    // that part ways at the last.
+    let mut deep = EventSchema::builder("deep");
+    for k in 0..14 {
+        deep = deep.attribute(format!("a{k}").as_str(), ValueKind::Int);
+    }
+    let deep = deep.build().unwrap();
+    let mut pst = Pst::new(deep.clone(), PstOptions::default()).unwrap();
+    let mut tests = vec![Some(1); 14];
+    pst.insert(int_sub(&deep, 0, &tests)).unwrap();
+    tests[13] = Some(2);
+    let report = pst.insert_reported(int_sub(&deep, 1, &tests)).unwrap();
+    let path = &report.paths()[0];
+    assert_eq!(path.nodes.len(), 15);
+    assert_eq!(path.nodes[0], pst.roots().next().unwrap().1);
+    assert!(path
+        .nodes
+        .windows(2)
+        .all(|pair| { pst.node(pair[0]).children().any(|child| child == pair[1]) }));
+    let report = pst.remove_reported(SubscriptionId::new(1)).unwrap();
+    assert_eq!(report.paths()[0].nodes.len(), 14, "the leaf was pruned");
+    assert_eq!(report.paths()[0].freed.len(), 1);
+    pst.check_invariants().unwrap();
 }
 
 #[test]

@@ -107,7 +107,7 @@ impl Pst {
         let node = self.node_inner(id);
         if node.is_terminal() {
             if walk_chain(self.residual(node), event, skipping, stats) {
-                out.extend_from_slice(&node.subs);
+                out.extend_from_slice(node.subs.as_slice());
             }
             return;
         }

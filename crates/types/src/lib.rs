@@ -61,5 +61,5 @@ pub use parser::{parse_predicate, ParsePredicateError};
 pub use predicate::{AttrTest, Predicate, PredicateBuilder};
 pub use schema::{AttributeDef, EventSchema, EventSchemaBuilder, SchemaRegistry};
 pub use subscription::Subscription;
-pub use trit::{Trit, TritTally, TritVec};
+pub use trit::{Trit, TritTallies, TritVec};
 pub use value::{Value, ValueKind};

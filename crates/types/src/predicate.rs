@@ -32,6 +32,10 @@ impl AttrTest {
     ///
     /// A value of a different kind than the operand never satisfies a
     /// non-`Any` test.
+    ///
+    /// Inlinable across crates: the arena's range scan calls this once per
+    /// edge, 2 048 times an event on the benchmark's `match` table.
+    #[inline]
     pub fn matches(&self, value: &Value) -> bool {
         match self {
             AttrTest::Any => true,

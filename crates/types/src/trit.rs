@@ -433,6 +433,16 @@ impl TritVec {
         }
     }
 
+    /// Turns every `Maybe` into `Yes` in place: what refining by a leaf's
+    /// annotation does to a mask already refined by the annotation of a tail
+    /// above it, which is the leaf's with every `Yes` demoted.
+    pub fn maybes_to_yes_in_place(&mut self) {
+        for a in &mut self.words {
+            let m = (*a & LO) & !((*a >> 1) & LO);
+            *a = (*a & !m) | (m << 1);
+        }
+    }
+
     /// Turns every `Yes` into `Maybe` in place: *Alternative Combine* with
     /// an all-`No` vector, which is what a test that can fail does to the
     /// annotation of the subtree behind it.
@@ -442,6 +452,29 @@ impl TritVec {
         }
     }
 
+    /// A vector of `len` trits from its packed words (the inverse of
+    /// [`words`](Self::words)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not as long as `len` trits pack to.
+    pub fn from_words(len: usize, words: &[u64]) -> Self {
+        let mut v = TritVec::no(len);
+        v.copy_from_words(words);
+        v
+    }
+
+    /// Overwrites every trit from packed words (see
+    /// [`words`](Self::words)), keeping the allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` has a different word count.
+    pub fn copy_from_words(&mut self, words: &[u64]) {
+        self.words.copy_from_slice(words);
+        self.mask_tail();
+    }
+
     /// In-place [`parallel`](Self::parallel).
     ///
     /// # Panics
@@ -449,7 +482,22 @@ impl TritVec {
     /// Panics if the lengths differ.
     pub fn parallel_in_place(&mut self, other: &TritVec) {
         self.check_len(other);
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
+        self.parallel_words_in_place(&other.words);
+    }
+
+    /// In-place [`parallel`](Self::parallel) with a raw word slice (same
+    /// packing as [`words`](Self::words)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` has a different word count.
+    pub fn parallel_words_in_place(&mut self, other: &[u64]) {
+        assert_eq!(
+            self.words.len(),
+            other.len(),
+            "trit vector word-count mismatch"
+        );
+        for (a, &b) in self.words.iter_mut().zip(other) {
             let or = *a | b;
             let y = or & HI;
             *a = y | (or & LO & !(y >> 1));
@@ -533,44 +581,85 @@ impl TritVec {
     }
 }
 
-/// Per-lane tallies over a multiset of equal-length [`TritVec`]s: how many
-/// members hold `Yes` and how many hold a non-`No` at each position.
+/// Per-lane tallies over multisets of equal-length [`TritVec`]s, one
+/// multiset per *row*: how many members hold `Yes` and how many hold a
+/// non-`No` at each position.
 ///
-/// The tallies are enough to read off both combine operators over the whole
+/// The tallies are enough to read off both combine operators over a whole
 /// multiset ([`alternative_into`](Self::alternative_into),
-/// [`parallel_into`](Self::parallel_into)), so a search-tree node that keeps
-/// one can absorb a changed child as "remove the old vector, add the new
-/// one" instead of re-folding every sibling.
+/// [`parallel_into`](Self::parallel_into)), so a search tree that keeps a
+/// row per node can absorb a changed child as "remove the old vector, add
+/// the new one" instead of re-folding every sibling.
 ///
 /// Counters are bit-sliced: plane `k` holds bit `k` of every lane's two
 /// counters (the `Yes` count in the lane's low bit, the non-`No` count in
 /// its high bit), in the same 32-lanes-per-word packing as [`TritVec`].
 /// Adding a vector is a ripple-carry over the planes with word ops, and the
-/// plane count grows with the logarithm of the largest tally — a node with
-/// one child spends one plane.
+/// plane count grows with the logarithm of the largest tally — a row with
+/// one member spends one plane, one with two thousand spends twelve. All
+/// rows' planes live in one slab: a row is a window into it, moved to the
+/// slab's end with twice the room when it outgrows the one it has and kept,
+/// emptied, when the row is [`clear`](Self::clear)ed — so counting into a
+/// table that has seen the like before allocates nothing.
 ///
 /// ```
-/// use linkcast_types::{TritTally, TritVec};
+/// use linkcast_types::{TritTallies, TritVec};
 ///
 /// let a: TritVec = "MYY".parse().unwrap();
 /// let b: TritVec = "NYN".parse().unwrap();
-/// let mut tally = TritTally::default();
-/// tally.add(&a);
-/// tally.add(&b);
+/// let mut tallies = TritTallies::new(3);
+/// tallies.resize(1);
+/// tallies.add(0, a.words());
+/// tallies.add(0, b.words());
 /// let mut out = TritVec::no(3);
-/// tally.alternative_into(2, &mut out);
+/// tallies.alternative_into(0, 2, &mut out);
 /// assert_eq!(out, a.alternative(&b));
-/// tally.remove(&b);
-/// tally.alternative_into(1, &mut out);
+/// tallies.remove(0, b.words());
+/// tallies.alternative_into(0, 1, &mut out);
 /// assert_eq!(out, a);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TritTally {
-    /// `planes[k * words + j]`: bit `k` of the counters of word `j`'s lanes.
+#[derive(Debug, Clone, Default)]
+pub struct TritTallies {
+    /// Words per plane: those of the vectors counted.
+    words: usize,
+    /// `planes[row.start + k * words + j]`: bit `k` of the counters of word
+    /// `j`'s lanes, in that row.
     planes: Vec<u64>,
+    rows: Vec<TallyRow>,
 }
 
-impl TritTally {
+/// One row's window `[start, start + cap)` into the plane slab; its first
+/// `len` words are the planes in use, the top one never all zero.
+#[derive(Debug, Clone, Copy, Default)]
+struct TallyRow {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl TallyRow {
+    fn live(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+impl TritTallies {
+    /// An empty table for vectors of `width` trits.
+    pub fn new(width: usize) -> Self {
+        TritTallies {
+            words: width.div_ceil(TRITS_PER_WORD),
+            planes: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Makes the table at least `rows` rows long, the new ones empty.
+    pub fn resize(&mut self, rows: usize) {
+        if self.rows.len() < rows {
+            self.rows.resize(rows, TallyRow::default());
+        }
+    }
+
     /// Counter increments for one packed trit word: the lane's low bit set
     /// for a `Yes`, its high bit set for a `Yes` or a `Maybe`.
     fn increments(word: u64) -> u64 {
@@ -590,69 +679,120 @@ impl TritTally {
         (yes << 1) | ((non_no >> 1) & LO & !yes)
     }
 
-    /// Counts `v` into the tallies.
-    pub fn add(&mut self, v: &TritVec) {
-        let words = v.words.len();
-        for (j, &word) in v.words.iter().enumerate() {
+    /// The planes of `row` in use.
+    fn live(&self, row: usize) -> &[u64] {
+        &self.planes[self.rows[row].live()]
+    }
+
+    /// Counts the vector packed in `v` ([`TritVec::words`]) into `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range or `v` of another width.
+    pub fn add(&mut self, row: usize, v: &[u64]) {
+        let words = self.words;
+        assert_eq!(v.len(), words, "trit vector word-count mismatch");
+        // A lane whose counter stands at all ones carries out of the top
+        // plane: the only way a row comes to need another.
+        let live = self.live(row);
+        let overflows = v.iter().enumerate().any(|(j, &word)| {
+            let planes = live.iter().skip(j).step_by(words);
+            planes.fold(Self::increments(word), |full, plane| full & plane) != 0
+        });
+        if overflows {
+            self.add_plane(row);
+        }
+        let live = self.rows[row].live();
+        let planes = &mut self.planes[live];
+        for (j, &word) in v.iter().enumerate() {
             let mut carry = Self::increments(word);
-            let mut k = 0;
-            while carry != 0 {
-                if (k + 1) * words > self.planes.len() {
-                    self.planes.resize((k + 1) * words, 0);
+            for plane in planes.iter_mut().skip(j).step_by(words) {
+                if carry == 0 {
+                    break;
                 }
-                let plane = &mut self.planes[k * words + j];
                 let sum = *plane ^ carry;
                 carry &= *plane;
                 *plane = sum;
-                k += 1;
             }
+            debug_assert_eq!(carry, 0, "the plane the carry needs was added above");
         }
     }
 
-    /// Takes a previously [`add`](Self::add)ed `v` back out.
-    pub fn remove(&mut self, v: &TritVec) {
-        let words = v.words.len();
-        for (j, &word) in v.words.iter().enumerate() {
+    /// Puts one more (zero) plane on top of `row`, in a window of twice the
+    /// size at the end of the slab if the one it has is full.
+    fn add_plane(&mut self, row: usize) {
+        let mut at = self.rows[row];
+        let words = self.words as u32;
+        if at.len + words > at.cap {
+            let start = self.planes.len();
+            at.cap = (2 * at.cap).max(words);
+            self.planes.extend_from_within(at.live());
+            self.planes.resize(start + at.cap as usize, 0);
+            at.start = start as u32;
+        } else {
+            // What an earlier, larger tally left here.
+            self.planes[at.live().end..][..words as usize].fill(0);
+        }
+        at.len += words;
+        self.rows[row] = at;
+    }
+
+    /// Takes a previously [`add`](Self::add)ed `v` back out of `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range or `v` of another width.
+    pub fn remove(&mut self, row: usize, v: &[u64]) {
+        let words = self.words;
+        assert_eq!(v.len(), words, "trit vector word-count mismatch");
+        let mut at = self.rows[row];
+        let planes = &mut self.planes[at.live()];
+        for (j, &word) in v.iter().enumerate() {
             let mut borrow = Self::increments(word);
-            let mut k = 0;
-            while borrow != 0 && (k + 1) * words <= self.planes.len() {
-                let plane = &mut self.planes[k * words + j];
+            for plane in planes.iter_mut().skip(j).step_by(words) {
+                if borrow == 0 {
+                    break;
+                }
                 let diff = *plane ^ borrow;
                 borrow &= !*plane;
                 *plane = diff;
-                k += 1;
             }
             debug_assert_eq!(borrow, 0, "removed a vector that was never added");
         }
-        while words > 0
-            && self.planes.len() >= words
-            && self.planes[self.planes.len() - words..]
-                .iter()
-                .all(|&p| p == 0)
-        {
-            self.planes.truncate(self.planes.len() - words);
+        // Keep the top plane in use non-zero, so a row's planes grow with
+        // the logarithm of its tallies and shrink with it.
+        let top = |len: u32| &planes[len as usize - words..len as usize];
+        while at.len > 0 && top(at.len).iter().all(|plane| *plane == 0) {
+            at.len -= words as u32;
         }
+        self.rows[row] = at;
     }
 
-    /// Forgets every counted vector, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.planes.clear();
+    /// Forgets every vector counted into `row`, keeping its window.
+    pub fn clear(&mut self, row: usize) {
+        self.rows[row].len = 0;
     }
 
-    /// *Alternative Combine* over `total` alternatives — the counted
-    /// vectors plus `total - counted` implicit all-`No` ones — written into
-    /// `out`: `Yes` where every alternative says `Yes`, `No` where every
-    /// one says `No`, `Maybe` elsewhere. Zero alternatives give all-`No`.
-    pub fn alternative_into(&self, total: usize, out: &mut TritVec) {
-        let words = out.words.len();
-        let planes = self.planes.len().checked_div(words).unwrap_or(0);
+    /// Exchanges rows `a` and `b`, windows and all.
+    pub fn swap(&mut self, a: usize, b: usize) {
+        self.rows.swap(a, b);
+    }
+
+    /// *Alternative Combine* over `total` alternatives — the vectors
+    /// counted into `row` plus `total - counted` implicit all-`No` ones —
+    /// written into `out`: `Yes` where every alternative says `Yes`, `No`
+    /// where every one says `No`, `Maybe` elsewhere. Zero alternatives give
+    /// all-`No`.
+    pub fn alternative_into(&self, row: usize, total: usize, out: &mut TritVec) {
+        let words = self.words;
+        let live = self.live(row);
+        let planes = live.len().checked_div(words).unwrap_or(0);
         // A total the planes cannot represent is a count no lane reaches.
         let reachable = total > 0 && (total as u64) >> planes.min(63) == 0;
         for (j, slot) in out.words.iter_mut().enumerate() {
             let mut all = if reachable { !0u64 } else { 0 };
             let mut any = 0u64;
-            for k in 0..planes {
-                let plane = self.planes[k * words + j];
+            for (k, &plane) in live.iter().skip(j).step_by(words.max(1)).enumerate() {
                 all &= if (total >> k) & 1 == 1 { plane } else { !plane };
                 any |= plane;
             }
@@ -660,13 +800,14 @@ impl TritTally {
         }
     }
 
-    /// *Parallel Combine* over the counted vectors, written into `out`:
-    /// `Yes` where any says `Yes`, else `Maybe` where any says `Maybe`.
-    pub fn parallel_into(&self, out: &mut TritVec) {
-        let words = out.words.len();
-        let planes = self.planes.len().checked_div(words).unwrap_or(0);
+    /// *Parallel Combine* over the vectors counted into `row`, written into
+    /// `out`: `Yes` where any says `Yes`, else `Maybe` where any says
+    /// `Maybe`.
+    pub fn parallel_into(&self, row: usize, out: &mut TritVec) {
+        let live = self.live(row);
         for (j, slot) in out.words.iter_mut().enumerate() {
-            let any = (0..planes).fold(0u64, |acc, k| acc | self.planes[k * words + j]);
+            let planes = live.iter().skip(j).step_by(self.words.max(1));
+            let any = planes.fold(0u64, |acc, plane| acc | plane);
             *slot = Self::trits(any, any);
         }
     }
@@ -901,6 +1042,19 @@ mod tests {
                 demoted.yes_to_maybe_in_place();
                 assert_eq!(demoted, a.alternative(&TritVec::no(len)));
 
+                // Refined by a leaf's (`Maybe`-free) annotation demoted,
+                // then by that annotation: every Maybe the first leaves is
+                // a Yes of the second.
+                let leaf = a.maybes_to_no();
+                let mut tail = leaf.clone();
+                tail.yes_to_maybe_in_place();
+                let mut mty = b.refine(&tail);
+                let twice = mty.refine(&leaf);
+                mty.maybes_to_yes_in_place();
+                assert_eq!(mty, twice);
+
+                assert_eq!(TritVec::from_words(len, a.words()), a);
+
                 let mut fill = a.clone();
                 fill.fill_no();
                 assert_eq!(fill, TritVec::no(len));
@@ -1044,7 +1198,7 @@ mod tests {
                 })
                 .collect()
         };
-        let check = |tally: &TritTally, members: &[TritVec]| {
+        let check = |tally: &TritTallies, members: &[TritVec]| {
             let mut out = TritVec::maybe(width);
             for implicit in 0..2 {
                 let mut expected = members.iter().skip(1).fold(
@@ -1057,30 +1211,54 @@ mod tests {
                 if implicit == 1 {
                     expected = expected.alternative(&TritVec::no(width));
                 }
-                tally.alternative_into(members.len() + implicit, &mut out);
+                tally.alternative_into(1, members.len() + implicit, &mut out);
                 assert_eq!(out, expected, "{} members + {implicit}", members.len());
             }
             let expected = members
                 .iter()
                 .fold(TritVec::no(width), |acc, v| acc.parallel(v));
-            tally.parallel_into(&mut out);
+            tally.parallel_into(1, &mut out);
             assert_eq!(out, expected, "{} members", members.len());
         };
 
-        let mut tally = TritTally::default();
+        // The row under test between two that are counted into alongside
+        // and must not be disturbed by its window moving about.
+        let mut tally = TritTallies::new(width);
+        tally.resize(3);
+        let bystander = random_vec(3);
         let mut members: Vec<TritVec> = Vec::new();
         check(&tally, &members);
-        for _ in 0..70 {
+        for round in 0..70 {
             // Mostly-Yes vectors keep some lanes unanimous at high counts.
             let v = random_vec(12);
-            tally.add(&v);
+            tally.add(1, v.words());
+            tally.add(if round % 3 == 0 { 0 } else { 2 }, bystander.words());
             members.push(v);
             check(&tally, &members);
         }
+        let slab = tally.planes.len();
         while let Some(v) = members.pop() {
-            tally.remove(&v);
+            tally.remove(1, v.words());
             check(&tally, &members);
         }
-        assert_eq!(tally, TritTally::default(), "empty tallies hold no planes");
+        assert_eq!(tally.rows[1].len, 0, "an empty row holds no planes");
+        let mut out = TritVec::maybe(width);
+        tally.alternative_into(0, 24, &mut out);
+        assert_eq!(out, bystander, "row 0: 24 copies of one vector");
+
+        // A cleared row counts afresh in the window it has.
+        tally.clear(0);
+        tally.swap(0, 1);
+        for _ in 0..70 {
+            let v = random_vec(12);
+            tally.add(1, v.words());
+            members.push(v);
+            check(&tally, &members);
+        }
+        assert_eq!(
+            tally.planes.len(),
+            slab,
+            "windows are reused, not abandoned"
+        );
     }
 }

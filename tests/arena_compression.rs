@@ -21,7 +21,9 @@
 //! subscriber's first `*` node, then six nodes down every chain whose link
 //! is still undecided (those of the broker's own decoy clients) and one
 //! for each of the rest. The arena folds `a1..a5` of every chain into the
-//! prefix of its `a6` node — one step per chain.
+//! prefix of its `a6` node — one step per chain — and keeps each tail as
+//! the one node the PST does: it holds `3 + DECOYS` nodes and reports
+//! (`summary()`) the runs of the spelled-out tree its walk is charged by.
 
 use linkcast::{LinkMatchEngine, LinkSpace, NetworkBuilder, RouteScratch, RoutingFabric};
 use linkcast_matching::{MatchStats, PstOptions};
@@ -111,14 +113,16 @@ fn match_table_steps_are_pinned_for_both_walks() {
     let (fabric, engines) = chain_engines(&schema, DECOYS);
     let brokers: Vec<_> = fabric.network().brokers().collect();
 
-    // Per chain: the run [a1..a5 | a6], the `ts` node, the leaf; plus the
-    // root, the `volume` node and the subscriber's eight.
+    // Per chain the logical tree has the run [a1..a5 | a6], the `ts` node
+    // and the leaf; plus the root, the `volume` node and the subscriber's
+    // eight. Kept: a node per PST node.
     for engine in &engines {
         let summary = engine.arena().summary();
         assert_eq!(engine.pst().node_count(), 3 + DECOYS as usize);
         assert_eq!(summary.covered_nodes, engine.pst().expanded_node_count());
         assert_eq!(summary.covered_nodes, 2 + 8 + 8 * DECOYS as usize);
-        assert_eq!(summary.nodes, 2 + 8 + 3 * DECOYS as usize);
+        assert_eq!(summary.nodes, 3 + DECOYS as usize);
+        assert_eq!(engine.arena().node_count(), 3 + DECOYS as usize);
         assert_eq!(summary.runs, DECOYS as usize);
         assert_eq!(summary.prefix_tests, 5 * DECOYS as usize);
     }
@@ -201,9 +205,10 @@ fn observed_selectivity_reorders_the_match_table_once() {
         assert_eq!(engine.pst().order(), adapted);
         assert_eq!(engine.generation(), generation + 1);
         assert_eq!(engine.tested_attributes(), tested);
-        // Each chain now ends in two `*`-only nodes, `issue` and `ts`; and
-        // hangs off the root, which alone is shared.
-        assert_eq!(engine.arena().node_count(), nodes + DECOYS as usize);
+        // Each chain hangs off the root now, which alone is shared (and
+        // ends in two `*`-only levels, `issue` and `ts`): one node fewer,
+        // the real subscription's `volume` node.
+        assert_eq!(engine.arena().node_count(), nodes - 1);
         assert_eq!(engine.pst().node_count(), 2 + DECOYS as usize);
 
         for walked in 0..5_000 {

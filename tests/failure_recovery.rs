@@ -269,6 +269,17 @@ fn broker_link_crash_spools_and_retransmits() {
         (1..=5).map(Value::Int).collect::<Vec<_>>(),
         "the spool must replay the events published during the outage"
     );
+
+    // The restarted B counts its subscription ids from nothing, but the
+    // resync handed it back the one it minted in its previous life: the
+    // next id it mints must not be that one again.
+    let second = subscriber.subscribe(SchemaId::new(0), "n >= 100").unwrap();
+    await_stats(&node_a, |s| s.subscriptions >= 2);
+    assert_eq!(
+        node_b.stats().subscriptions,
+        2,
+        "{second} beside the resynced one"
+    );
 }
 
 #[test]
