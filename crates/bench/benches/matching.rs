@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use linkcast_bench::{options_for, standalone_subscriptions};
-use linkcast_matching::{GatingMatcher, MatchStats, Matcher, NaiveMatcher, Pst};
+use linkcast_matching::{GatingMatcher, Matcher, NaiveMatcher, Pst};
 use linkcast_workload::{EventGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,20 +40,6 @@ fn bench_matching(c: &mut Criterion) {
                 total
             })
         });
-        group.bench_with_input(
-            BenchmarkId::new("pst_parallel4", subs),
-            &events,
-            |b, events| {
-                b.iter(|| {
-                    let mut total = 0usize;
-                    let mut stats = MatchStats::new();
-                    for e in events {
-                        total += pst.matches_parallel(black_box(e), 4, &mut stats).len();
-                    }
-                    total
-                })
-            },
-        );
         let mut gating = GatingMatcher::new(schema.clone());
         for s in &subscriptions {
             gating.insert(s.clone()).unwrap();

@@ -15,7 +15,7 @@ use linkcast_types::{
     wire, BrokerId, ClientId, Event, LinkId, SchemaId, SchemaRegistry, SubscriberId, Subscription,
     SubscriptionId,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::control::{SubIdAllocator, TombstoneSet, SUB_COUNTER_BITS, SUB_ID_SPACE};
 use crate::counters::{BrokerStats, Derived, Gauges, StatsInner};
@@ -110,29 +110,9 @@ pub struct BrokerConfig {
     /// collector reclaims it entirely. A client reconnecting later starts a
     /// fresh session (sequence numbers restart).
     pub client_ttl: Duration,
-    /// Number of matching-worker shards. With the default `1`, matching
-    /// runs inline on the engine thread and every operation is processed in
-    /// arrival order. With `N > 1`, events are matched on a pool of worker
-    /// threads sharded by information space (schema id modulo `N`):
-    /// same-space events keep their order, but an event may be matched
-    /// after a subscribe/unsubscribe that arrived behind it — a throughput
-    /// mode for publish-heavy workloads, not a different protocol.
-    pub match_shards: usize,
-    /// Threads for fanning one PST walk out during matching
-    /// (`Pst::matches_parallel`); `1` keeps the sequential trit search.
-    /// Large subscription trees benefit; small trees fall back to the
-    /// sequential path internally regardless of this setting.
-    pub match_threads: usize,
-    /// Route events through the arena-flattened matching walk (index-based
-    /// node table + reusable scratch masks) instead of the boxed recursive
-    /// search. Identical link sets either way — this is the A/B switch for
-    /// the `broker_pipeline` benchmark's `arena` legs; leave it `true`
-    /// everywhere else.
-    pub match_arena: bool,
-    /// Capacity of each match shard's result cache (entries), keyed by the
-    /// event's *tested* attribute values and invalidated wholesale when the
-    /// subscription set changes generation. `0` disables caching. Only
-    /// consulted on the arena path (`match_arena = true`).
+    /// Capacity of the match-result cache (entries), keyed by the event's
+    /// *tested* attribute values and invalidated wholesale when the
+    /// subscription set changes generation. `0` disables caching.
     pub match_cache_cap: usize,
     /// Maximum retained entries per broker-link spool. Events routed
     /// toward a neighbor are held (as stitched `Forward` frames) until the
@@ -172,14 +152,6 @@ pub struct BrokerConfig {
     /// reading while the kernel send buffer is full fails the write (and is
     /// disconnected) instead of wedging a sender-pool thread indefinitely.
     pub write_stall_timeout: Duration,
-    /// Reproduces the pre-pipeline dataflow for A/B measurement: every
-    /// outgoing `Forward`/`Deliver` frame re-serializes the event through
-    /// the protocol enums, and the outbox writes one frame per syscall
-    /// instead of draining queues with batched vectored writes. Protocol
-    /// behavior is identical — only the per-event cost changes. This is the
-    /// "before" leg of the `broker_pipeline` benchmark; leave it `false`
-    /// everywhere else.
-    pub seed_dataflow: bool,
     /// Durable storage for crash consistency, or `None` (the default) for
     /// a purely in-memory broker. With storage configured, every routed
     /// event's spool appends and receive mark commit to a write-ahead log
@@ -210,7 +182,7 @@ pub struct BrokerConfig {
     /// frames reach the wire (fsync-on-commit — a torn tail record can
     /// only ever describe frames no peer received). Disabling trades the
     /// power-cut guarantee for process-crash-only durability at much lower
-    /// latency; the `durability` bench leg tracks the gap.
+    /// latency (`benchmark/`'s `durable` workload measures the synced path).
     pub wal_sync: bool,
 }
 
@@ -233,9 +205,6 @@ impl BrokerConfig {
             gc_interval: Duration::from_millis(250),
             log_bound: 4096,
             client_ttl: Duration::from_secs(3600),
-            match_shards: 1,
-            match_threads: 1,
-            match_arena: true,
             match_cache_cap: 0,
             link_spool_bound: 32768,
             heartbeat_interval: Duration::from_millis(500),
@@ -244,7 +213,6 @@ impl BrokerConfig {
             drain_timeout: Duration::from_secs(1),
             link_handshake_timeout: Duration::from_secs(2),
             write_stall_timeout: Duration::from_secs(5),
-            seed_dataflow: false,
             repair_after: 0,
             storage: None,
             snapshot_every: 256,
@@ -261,27 +229,6 @@ pub(crate) enum Command {
     DialedNeighbor(ConnId, BrokerId),
     /// A connection died (reader EOF/error or writer failure).
     Disconnected(ConnId),
-    /// A matching-worker shard finished routing an event; the engine thread
-    /// performs the dispatch (log appends and connection lookups stay
-    /// single-threaded).
-    Routed {
-        event: Event,
-        tree: TreeId,
-        /// The event's wire encoding, sliced from the incoming frame.
-        body: Bytes,
-        links: Vec<LinkId>,
-        /// Where the event entered routing: `Some((neighbor, seq,
-        /// incarnation))` for a `Forward` from a peer, `None` for a local
-        /// publish. Dispatch journals the receive mark from this, so the
-        /// provenance must ride through the matching shards with the event.
-        source: Option<(BrokerId, u64, u64)>,
-        /// The topology epoch the links were computed under. A shard
-        /// result that crosses an epoch flip in flight carries a stale
-        /// epoch; the engine discards its links and re-matches inline
-        /// under the repaired trees instead of dispatching over dead
-        /// edges.
-        epoch: u64,
-    },
     /// A supervised link's redial escalation crossed
     /// [`BrokerConfig::repair_after`] consecutive failures (or an
     /// operator called [`BrokerNode::mark_link_down`]): declare the edge
@@ -302,19 +249,6 @@ pub(crate) enum Command {
     /// Crash-stop the engine loop (fault injection): exit immediately,
     /// without the final ack flush a graceful `Shutdown` performs.
     Crash,
-}
-
-/// One unit of work for a matching-worker shard.
-struct MatchJob {
-    event: Event,
-    tree: TreeId,
-    /// The event's wire encoding, carried through so dispatch never
-    /// re-serializes.
-    body: Bytes,
-    /// Provenance for the WAL receive mark; see [`Command::Routed`].
-    source: Option<(BrokerId, u64, u64)>,
-    /// Topology epoch at enqueue time; see [`Command::Routed`].
-    epoch: u64,
 }
 
 enum Peer {
@@ -364,7 +298,7 @@ pub struct BrokerNode {
     cmd_tx: Sender<Command>,
     outbox: Arc<Outbox>,
     stats: Arc<StatsInner>,
-    match_stats: Arc<Vec<Mutex<MatchStats>>>,
+    match_stats: Arc<Mutex<MatchStats>>,
     shutdown: Arc<AtomicBool>,
     next_conn: Arc<AtomicU64>,
     /// [`BrokerConfig::transport`], kept for outbound dials.
@@ -404,14 +338,8 @@ impl BrokerNode {
         let (cmd_tx, cmd_rx) = unbounded::<Command>();
         let (dead_tx, dead_rx) = unbounded::<ConnId>();
         let (overflow_tx, overflow_rx) = unbounded::<ConnId>();
-        let drain_batch = if config.seed_dataflow {
-            1
-        } else {
-            crate::outbox::DRAIN_BATCH
-        };
         let outbox = Outbox::new(
             config.sender_threads.max(1),
-            drain_batch,
             config.conn_queue_bound,
             Some(config.write_stall_timeout),
             dead_tx,
@@ -514,27 +442,25 @@ impl BrokerNode {
             None => Recovered::fresh(),
         };
 
-        // Matching engine, shared read-mostly between the engine thread
-        // (writes on subscribe/unsubscribe, reads when matching inline) and
-        // the matching-worker shards (reads only).
-        let engine = Arc::new(RwLock::new(MatchingEngine::new(
+        // Matching engine, moved into the engine thread below: nothing
+        // else ever reads or writes it.
+        let mut engine = MatchingEngine::new(
             config.broker,
             &config.fabric,
             Arc::clone(&config.registry),
             config.options.clone(),
-        )?));
+        )?;
         if !recovered.subscriptions.is_empty() {
             // Re-install the checkpointed subscription set. Failures are
             // skipped rather than fatal (a subscription that no longer
             // parses against the fabric is better dropped than blocking
             // boot); the anti-entropy resync heals any gap from peers.
-            let mut eng = engine.write();
             for (schema, subscription) in &recovered.subscriptions {
-                let _ = eng.subscribe(*schema, subscription.clone());
+                let _ = engine.subscribe(*schema, subscription.clone());
             }
             stats
                 .subscriptions
-                .store(eng.subscription_count() as u64, Ordering::Relaxed);
+                .store(engine.subscription_count() as u64, Ordering::Relaxed);
         }
         if let Some(st) = &config.storage {
             // Commit recovery: a boot snapshot of the merged state, then
@@ -563,68 +489,7 @@ impl BrokerNode {
             spools,
             subscriptions: _,
         } = recovered;
-        let shards = config.match_shards.max(1);
-        let match_stats: Arc<Vec<Mutex<MatchStats>>> =
-            Arc::new((0..shards).map(|_| Mutex::new(MatchStats::new())).collect());
-
-        // Matching-worker shards (only when configured): each worker owns
-        // the PST walk for its share of the information spaces and hands
-        // the routed link set back to the engine thread for dispatch.
-        let mut shard_txs: Vec<Sender<MatchJob>> = Vec::new();
-        if config.match_shards > 1 {
-            for shard in 0..config.match_shards {
-                let (tx, rx) = unbounded::<MatchJob>();
-                let engine = Arc::clone(&engine);
-                let cmd_tx = cmd_tx.clone();
-                let shard_stats = Arc::clone(&match_stats);
-                let threads = config.match_threads;
-                let use_arena = config.match_arena;
-                let cache_cap = config.match_cache_cap;
-                std::thread::Builder::new()
-                    .name(format!("match-{}-{shard}", config.broker))
-                    .spawn(move || {
-                        // Shard-owned, so no lock guards the cache or the
-                        // scratch masks: each worker serializes its own
-                        // information spaces by construction.
-                        let mut cache = MatchCache::new(cache_cap);
-                        let mut scratch = RouteScratch::new();
-                        for job in rx.iter() {
-                            let mut local = MatchStats::new();
-                            let mut links = Vec::new();
-                            if use_arena {
-                                engine.read().route_cached(
-                                    &job.event,
-                                    job.tree,
-                                    threads,
-                                    &mut cache,
-                                    &mut scratch,
-                                    &mut local,
-                                    &mut links,
-                                );
-                            } else {
-                                links = engine
-                                    .read()
-                                    .route_parallel(&job.event, job.tree, threads, &mut local);
-                            }
-                            if let Some(shard_stats) = shard_stats.get(shard) {
-                                *shard_stats.lock() += local;
-                            }
-                            let routed = Command::Routed {
-                                event: job.event,
-                                tree: job.tree,
-                                body: job.body,
-                                links,
-                                source: job.source,
-                                epoch: job.epoch,
-                            };
-                            if cmd_tx.send(routed).is_err() {
-                                break;
-                            }
-                        }
-                    })?;
-                shard_txs.push(tx);
-            }
-        }
+        let match_stats = Arc::new(Mutex::new(MatchStats::new()));
 
         // Engine loop.
         let topology_epoch = Arc::new(AtomicU64::new(0));
@@ -657,7 +522,6 @@ impl BrokerNode {
                         outbox,
                         stats,
                         match_stats,
-                        shard_txs,
                         conns: HashMap::new(),
                         clients: HashMap::new(),
                         neighbors: HashMap::new(),
@@ -920,14 +784,9 @@ impl BrokerNode {
         )
     }
 
-    /// Aggregated matching cost across the inline path and every
-    /// matching-worker shard.
+    /// Accumulated matching cost of every event this broker has routed.
     pub fn match_stats(&self) -> MatchStats {
-        let mut total = MatchStats::new();
-        for shard_stats in self.match_stats.iter() {
-            total += *shard_stats.lock();
-        }
-        total
+        *self.match_stats.lock()
     }
 
     /// Stops the node: the engine loop exits, the acceptor stops, reader
@@ -1342,18 +1201,14 @@ struct EngineLoop {
     /// peers can tell a restart (fresh sequence space, empty spool) from
     /// a mere reconnect. See [`BrokerToBroker::Hello`].
     incarnation: u64,
-    engine: Arc<RwLock<MatchingEngine>>,
+    engine: MatchingEngine,
     outbox: Arc<Outbox>,
     stats: Arc<StatsInner>,
-    /// Per-shard matching cost (slot 0 doubles as the inline path's slot).
-    match_stats: Arc<Vec<Mutex<MatchStats>>>,
-    /// Matching-worker inboxes; empty means matching runs inline.
-    shard_txs: Vec<Sender<MatchJob>>,
-    /// The inline path's match-result cache (engine-thread-owned; the
-    /// worker shards each own their own — no lock anywhere).
+    /// Accumulated matching cost, read by [`BrokerNode::match_stats`].
+    match_stats: Arc<Mutex<MatchStats>>,
+    /// The match-result cache.
     match_cache: MatchCache,
-    /// The inline path's reusable matching buffers (scratch masks, walk
-    /// frames, parallel worker state).
+    /// Reusable matching buffers (scratch masks, walk frames).
     route_scratch: RouteScratch,
     conns: HashMap<ConnId, Peer>,
     clients: HashMap<ClientId, ClientState>,
@@ -1464,24 +1319,6 @@ impl EngineLoop {
                     self.resync_link_state(conn);
                 }
                 Command::Disconnected(conn) => self.handle_disconnect(conn),
-                Command::Routed {
-                    event,
-                    tree,
-                    body,
-                    links,
-                    source,
-                    epoch,
-                } => {
-                    if epoch == self.epoch {
-                        self.dispatch(&event, tree, &body, links, source);
-                    } else {
-                        // The shard matched under a topology that has
-                        // since been repaired: its links may cross dead
-                        // edges or miss the new trees. Discard them and
-                        // re-match inline under the current engine.
-                        self.rematch_stale(&event, &body, source);
-                    }
-                }
                 Command::LinkUnreachable(neighbor) => self.handle_link_unreachable(neighbor),
                 Command::GcTick => self.collect_garbage(),
                 Command::HeartbeatTick => self.heartbeat_tick(),
@@ -1502,7 +1339,6 @@ impl EngineLoop {
                 }
             }
         }
-        // Dropping self drops the shard senders; workers drain and exit.
     }
 
     /// One frame, length prefix included.
@@ -1649,7 +1485,7 @@ impl EngineLoop {
                     self.client_error(conn, "subscribe before hello".into());
                     return;
                 };
-                let predicate = match self.engine.read().parse_subscription(schema, &expression) {
+                let predicate = match self.engine.parse_subscription(schema, &expression) {
                     Ok(p) => p,
                     Err(e) => {
                         self.client_error(conn, e.to_string());
@@ -1672,16 +1508,11 @@ impl EngineLoop {
                 // The one encoding of this subscription's flood: every
                 // broker it reaches passes these bytes on as received.
                 let flood = protocol::sub_add_frame(schema, &subscription, false);
-                let result = {
-                    let mut engine = self.engine.write();
-                    let r = engine.subscribe(schema, subscription);
-                    (r, engine.subscription_count())
-                };
-                match result.0 {
+                match self.engine.subscribe(schema, subscription) {
                     Ok(()) => {
                         self.stats
                             .subscriptions
-                            .store(result.1 as u64, Ordering::Relaxed);
+                            .store(self.engine.subscription_count() as u64, Ordering::Relaxed);
                         self.outbox
                             .send(conn, BrokerToClient::SubAck { id }.encode());
                         // Control plane: flood to every neighbor.
@@ -1701,21 +1532,16 @@ impl EngineLoop {
                 };
                 let owned = self
                     .engine
-                    .read()
                     .subscription(id)
                     .is_some_and(|s| s.subscriber().client == client);
                 if !owned {
                     self.client_error(conn, format!("subscription {id} is not yours"));
                     return;
                 }
-                let remaining = {
-                    let mut engine = self.engine.write();
-                    engine.unsubscribe(id);
-                    engine.subscription_count()
-                };
+                self.engine.unsubscribe(id);
                 self.stats
                     .subscriptions
-                    .store(remaining as u64, Ordering::Relaxed);
+                    .store(self.engine.subscription_count() as u64, Ordering::Relaxed);
                 // Tombstone the id (so a resync while some link is down
                 // cannot resurrect it) and recycle its counter half.
                 self.tombstones.insert(id);
@@ -1740,18 +1566,16 @@ impl EngineLoop {
                 }
             }
             ClientToBroker::StatsRequest => {
-                let mut matching = MatchStats::new();
-                for shard_stats in self.match_stats.iter() {
-                    matching += *shard_stats.lock();
-                }
-                // `subscriptions` reads the stored gauge rather than
-                // re-counting under the engine lock; it is refreshed on
+                // `subscriptions` reads the stored gauge, refreshed on
                 // every subscription change.
-                let counters = self.stats.counters(Derived {
-                    match_cache_hits: matching.cache_hits,
-                    match_cache_misses: matching.cache_misses,
-                    match_cache_invalidations: matching.cache_invalidations,
-                });
+                let counters = {
+                    let matching = self.match_stats.lock();
+                    self.stats.counters(Derived {
+                        match_cache_hits: matching.cache_hits,
+                        match_cache_misses: matching.cache_misses,
+                        match_cache_invalidations: matching.cache_invalidations,
+                    })
+                };
                 let frame = BrokerToClient::Stats(counters).encode();
                 self.outbox.send(conn, frame);
             }
@@ -1890,7 +1714,7 @@ impl EngineLoop {
                         .send(conn, BrokerToBroker::SubRemove { id }.encode());
                     return;
                 }
-                if self.engine.read().knows(id) {
+                if self.engine.knows(id) {
                     return; // flood dedup on cyclic broker graphs
                 }
                 if !resync {
@@ -1898,12 +1722,7 @@ impl EngineLoop {
                     // tombstone no longer applies.
                     self.tombstones.remove(id);
                 }
-                let (installed, count) = {
-                    let mut engine = self.engine.write();
-                    let ok = engine.subscribe(schema, subscription).is_ok();
-                    (ok, engine.subscription_count())
-                };
-                if installed {
+                if self.engine.subscribe(schema, subscription).is_ok() {
                     // One this broker minted in an earlier life, handed
                     // back by a neighbor: not to be minted again.
                     if id.raw() >> SUB_COUNTER_BITS == self.config.broker.raw() {
@@ -1911,7 +1730,7 @@ impl EngineLoop {
                     }
                     self.stats
                         .subscriptions
-                        .store(count as u64, Ordering::Relaxed);
+                        .store(self.engine.subscription_count() as u64, Ordering::Relaxed);
                     // `resync` travels unchanged, with the rest.
                     self.flood_frame(frame, Some(conn));
                     self.checkpoint_subscriptions();
@@ -1938,15 +1757,11 @@ impl EngineLoop {
                 // Tombstone-insert doubles as flood dedup: a removal we
                 // already tombstoned has already been flooded onward.
                 let newly_tombstoned = self.tombstones.insert(id);
-                let (removed, count) = {
-                    let mut engine = self.engine.write();
-                    let ok = engine.unsubscribe(id);
-                    (ok, engine.subscription_count())
-                };
+                let removed = self.engine.unsubscribe(id);
                 if removed {
                     self.stats
                         .subscriptions
-                        .store(count as u64, Ordering::Relaxed);
+                        .store(self.engine.subscription_count() as u64, Ordering::Relaxed);
                 }
                 if removed || newly_tombstoned {
                     self.flood_frame(frame, Some(conn));
@@ -2096,15 +1911,11 @@ impl EngineLoop {
         self.route_and_dispatch(event, tree, body, source);
     }
 
-    /// Link matching plus dispatch. `body` is the event's wire encoding
-    /// (sliced from the incoming frame, or encoded exactly once for local
-    /// messages); it rides through matching untouched so dispatch can
-    /// stitch outgoing frames without re-serializing.
-    ///
-    /// With matching workers configured, the match runs on the shard owning
-    /// the event's information space and the link set comes back as
-    /// [`Command::Routed`]; otherwise everything happens inline, in arrival
-    /// order.
+    /// Link matching plus dispatch, inline and in arrival order. `body` is
+    /// the event's wire encoding (sliced from the incoming frame, or
+    /// encoded exactly once for local messages); it rides through matching
+    /// untouched so dispatch can stitch outgoing frames without
+    /// re-serializing.
     fn route_and_dispatch(
         &mut self,
         event: Event,
@@ -2112,59 +1923,31 @@ impl EngineLoop {
         body: Bytes,
         source: Option<(BrokerId, u64, u64)>,
     ) {
-        if let Some(tx) = {
-            let shards = self.shard_txs.len();
-            (shards > 0).then(|| event.schema().id().raw() as usize % shards)
-        }
-        .and_then(|shard| self.shard_txs.get(shard))
-        {
-            let _ = tx.send(MatchJob {
-                event,
-                tree,
-                body,
-                source,
-                epoch: self.epoch,
-            });
-            return;
-        }
         let links = self.route_inline(&event, tree);
         self.dispatch(&event, tree, &body, links, source);
     }
 
-    /// The inline matching path: the engine-thread-owned cache and
-    /// scratch buffers, cost accounted to shard slot 0. Factored out of
-    /// [`route_and_dispatch`](Self::route_and_dispatch) because the
-    /// repair paths (stale shard results, spool re-homing) must re-match
-    /// synchronously under the current topology regardless of the
-    /// configured shard count.
+    /// Link-matches one event: match-cache lookup, else the arena walk
+    /// through the engine's scratch buffers, then the attribute-order
+    /// check when it is due. Factored out of
+    /// [`route_and_dispatch`](Self::route_and_dispatch) because spool
+    /// re-homing re-matches under the repaired topology and dispatches
+    /// over the broker links only.
     fn route_inline(&mut self, event: &Event, tree: TreeId) -> Vec<LinkId> {
         let mut stats = MatchStats::new();
         let mut links = Vec::new();
-        if self.config.match_arena {
-            self.engine.read().route_cached(
-                event,
-                tree,
-                self.config.match_threads,
-                &mut self.match_cache,
-                &mut self.route_scratch,
-                &mut stats,
-                &mut links,
-            );
-        } else {
-            links = self.engine.read().route_parallel(
-                event,
-                tree,
-                self.config.match_threads,
-                &mut stats,
-            );
-        }
-        if let Some(shard_stats) = self.match_stats.first() {
-            *shard_stats.lock() += stats;
-        }
-        // Between events, and only once enough of them have walked the
-        // tree: the per-event path above takes the read lock alone.
+        self.engine.route_cached(
+            event,
+            tree,
+            &mut self.match_cache,
+            &mut self.route_scratch,
+            &mut stats,
+            &mut links,
+        );
+        *self.match_stats.lock() += stats;
+        // Between events, and only once enough of them have walked the tree.
         if self.route_scratch.order_check_due() {
-            let rebuilt = self.engine.write().adapt_orders(&mut self.route_scratch);
+            let rebuilt = self.engine.adapt_orders(&mut self.route_scratch);
             if rebuilt > 0 {
                 self.stats
                     .order_rebuilds
@@ -2172,37 +1955,6 @@ impl EngineLoop {
             }
         }
         links
-    }
-
-    /// A matching-worker shard handed back a link set computed under a
-    /// topology epoch that has since flipped: the links may cross dead
-    /// edges or miss the repaired trees entirely. The shard's answer is
-    /// discarded and the event re-matched inline under this broker's own
-    /// tree in the current fabric — correct for delivery (the tree spans
-    /// every reachable broker) at the cost of possibly re-covering
-    /// subtrees the old dispatch already reached; the transition window
-    /// is at-least-once by design (receiver dedup and client logs keep
-    /// client-visible delivery exactly-once in the quiescent cases, see
-    /// DESIGN.md §15). The link back toward the frame's source is
-    /// excluded — the tree discipline never returns an event to its
-    /// sender.
-    fn rematch_stale(&mut self, event: &Event, body: &Bytes, source: Option<(BrokerId, u64, u64)>) {
-        self.stats.rerouted_frames.fetch_add(1, Ordering::Relaxed);
-        let Ok(tree) = self.fabric.tree_for(self.config.broker) else {
-            return;
-        };
-        let mut links = self.route_inline(event, tree);
-        if let Some((from, _, _)) = source {
-            let fabric = Arc::clone(&self.fabric);
-            let network = fabric.network();
-            links.retain(|&link| {
-                !matches!(
-                    network.link_target(self.config.broker, link),
-                    LinkTarget::Broker(n) if n == from
-                )
-            });
-        }
-        self.dispatch(event, tree, body, links, source);
     }
 
     /// Dispatches a routed event: per-neighbor `Forward` frames (each link
@@ -2241,17 +1993,7 @@ impl EngineLoop {
                     // the reconnect handshake.
                     let spool = self.spools.entry(neighbor).or_default();
                     let seq = spool.last_seq() + 1;
-                    let frame = if self.config.seed_dataflow {
-                        BrokerToBroker::Forward {
-                            tree,
-                            seq,
-                            epoch: self.epoch,
-                            event: event.clone(),
-                        }
-                        .encode()
-                    } else {
-                        protocol::forward_frame(tree, seq, self.epoch, body)
-                    };
+                    let frame = protocol::forward_frame(tree, seq, self.epoch, body);
                     spool.append(frame.clone());
                     if journaling {
                         wal_ops.push(WalOp::Append {
@@ -2295,16 +2037,7 @@ impl EngineLoop {
                     let seq = state.log.append(event.clone());
                     self.stats.delivered.fetch_add(1, Ordering::Relaxed);
                     if let Some(conn) = state.conn {
-                        let frame = if self.config.seed_dataflow {
-                            BrokerToClient::Deliver {
-                                seq,
-                                event: event.clone(),
-                            }
-                            .encode()
-                        } else {
-                            protocol::deliver_frame(seq, body)
-                        };
-                        self.outbox.send(conn, frame);
+                        self.outbox.send(conn, protocol::deliver_frame(seq, body));
                     }
                 }
             }
@@ -2326,9 +2059,10 @@ impl EngineLoop {
             }
             if let Some((from, seq, peer_incarnation)) = source {
                 if let Some(recv) = self.recv_from.get_mut(&from) {
-                    // Skip if the peer restarted between receive and
-                    // dispatch (shards > 1): the mark counts a dead
-                    // sequence space and must not move the live window.
+                    // The mark was taken under `peer_incarnation`. A
+                    // `Hello` from a restarted peer resets the window to a
+                    // fresh sequence space; a mark the old incarnation
+                    // counted must never move the live one.
                     if recv.peer_incarnation == peer_incarnation {
                         recv.durable_seq = recv.durable_seq.max(seq);
                         if recv.durable_seq - recv.acked_sent >= FWD_ACK_EVERY {
@@ -2408,12 +2142,7 @@ impl EngineLoop {
     /// snapshot. A failed snapshot write leaves the WAL alone (nothing is
     /// lost; the log just keeps growing until a write succeeds).
     fn checkpoint(&mut self) {
-        // Snapshot under the engine read guard, encode with it dropped —
-        // same discipline as `resync_subscriptions`.
-        let subscriptions = {
-            let engine = self.engine.read();
-            engine.all_subscriptions()
-        };
+        let subscriptions = self.engine.all_subscriptions();
         let snapshot = encode_snapshot(
             self.incarnation,
             &self.sub_ids,
@@ -2453,14 +2182,7 @@ impl EngineLoop {
     /// instead of resurrecting subscriptions removed while the link was
     /// down.
     fn resync_subscriptions(&self, conn: ConnId) {
-        // Snapshot under the read guard, then send with the guard dropped:
-        // outbox sends while holding `engine` would stall the matching
-        // shards behind a transport hiccup.
-        let subscriptions = {
-            let engine = self.engine.read();
-            engine.all_subscriptions()
-        };
-        for (schema, subscription) in subscriptions {
+        for (schema, subscription) in self.engine.all_subscriptions() {
             self.outbox.send(
                 conn,
                 BrokerToBroker::SubAdd {
@@ -2578,11 +2300,9 @@ impl EngineLoop {
         let old_fabric = Arc::clone(&self.fabric);
         // Rebuild the matching engines in place: each per-space engine
         // swaps its link space and bumps its generation, so the match
-        // caches (engine-thread and shard-owned alike) can never serve a
-        // link set computed against the dead topology.
-        self.engine
-            .write()
-            .rebuild_topology(self.config.broker, &fabric);
+        // cache can never serve a link set computed against the dead
+        // topology.
+        self.engine.rebuild_topology(self.config.broker, &fabric);
         self.link_state = table;
         self.fabric = fabric;
         self.epoch = self.link_state.epoch();

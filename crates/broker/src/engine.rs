@@ -134,26 +134,13 @@ impl MatchingEngine {
             .sum()
     }
 
-    /// Link matching for one event: the links the event must be forwarded
-    /// on, per its own schema's annotated tree.
+    /// Link matching for one event through the boxed recursive walk: the
+    /// reference the arena walk of [`route_cached`](Self::route_cached)
+    /// is tested against. The broker never calls it.
     pub fn route(&self, event: &Event, tree: TreeId, stats: &mut MatchStats) -> Vec<LinkId> {
-        self.route_parallel(event, tree, 1, stats)
-    }
-
-    /// [`route`](Self::route) with the PST walk fanned out over `threads`
-    /// worker threads for large trees (see
-    /// [`LinkMatchEngine::match_links_parallel`]); `threads <= 1` is the
-    /// sequential trit search.
-    pub fn route_parallel(
-        &self,
-        event: &Event,
-        tree: TreeId,
-        threads: usize,
-        stats: &mut MatchStats,
-    ) -> Vec<LinkId> {
         let schema = event.schema().id();
         match self.engines.get(schema.index()) {
-            Some(engine) => engine.match_links_parallel(event, tree, threads, stats),
+            Some(engine) => engine.match_links(event, tree, stats),
             None => Vec::new(),
         }
     }
@@ -166,19 +153,18 @@ impl MatchingEngine {
         self.engines.iter().map(LinkMatchEngine::generation).sum()
     }
 
-    /// [`route_parallel`](Self::route_parallel) through the flattened
-    /// arena walk, reusing `scratch` across calls and memoizing the link
+    /// Link matching for one event through the flattened arena walk: the
+    /// links the event must be forwarded on, per its own schema's
+    /// annotated tree. Reuses `scratch` across calls and memoizes the link
     /// set in `cache` keyed by the event's *tested* attribute values.
     ///
-    /// The caller owns both `cache` and `scratch` (one pair per match
-    /// shard in the broker — plain shard-local data, no locks). A
-    /// disabled cache (capacity 0) degrades to the plain arena walk.
-    #[allow(clippy::too_many_arguments)] // shard-local state threaded explicitly: no lock, no struct
+    /// The caller (the broker's engine thread) owns both `cache` and
+    /// `scratch`. A disabled cache (capacity 0) degrades to the plain
+    /// arena walk.
     pub fn route_cached(
         &self,
         event: &Event,
         tree: TreeId,
-        threads: usize,
         cache: &mut MatchCache,
         scratch: &mut RouteScratch,
         stats: &mut MatchStats,
@@ -202,11 +188,7 @@ impl MatchingEngine {
             out.extend_from_slice(links);
             return;
         }
-        if threads <= 1 {
-            engine.match_links_into(event, tree, scratch, stats, out);
-        } else {
-            engine.match_links_parallel_into(event, tree, threads, scratch, stats, out);
-        }
+        engine.match_links_into(event, tree, scratch, stats, out);
         cache.insert(
             generation,
             schema.index(),
@@ -220,9 +202,8 @@ impl MatchingEngine {
     /// Lets every information space whose walks through `scratch` have
     /// made an order check due reconsider its attribute order
     /// ([`LinkMatchEngine::adapt_order`]); returns how many rebuilt. The
-    /// caller holds the write lock, so it asks
-    /// [`RouteScratch::order_check_due`] first and comes here between
-    /// events only.
+    /// caller asks [`RouteScratch::order_check_due`] first and comes here
+    /// between events only.
     pub fn adapt_orders(&mut self, scratch: &mut RouteScratch) -> u64 {
         let rebuilt = self.engines.iter_mut().map(|e| e.adapt_order(scratch));
         rebuilt.map(u64::from).sum()

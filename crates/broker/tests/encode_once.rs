@@ -61,11 +61,12 @@ fn chain_fan_out_serializes_each_event_exactly_once() {
         Arc::clone(&registry),
     ))
     .unwrap();
-    // B runs the sharded matching path so the test covers the worker
-    // hand-off as well as the inline one on A and C.
-    let mut b_config = BrokerConfig::localhost(b, fabric.clone(), Arc::clone(&registry));
-    b_config.match_shards = 2;
-    let node_b = BrokerNode::start(b_config).unwrap();
+    let node_b = BrokerNode::start(BrokerConfig::localhost(
+        b,
+        fabric.clone(),
+        Arc::clone(&registry),
+    ))
+    .unwrap();
     let node_c =
         BrokerNode::start(BrokerConfig::localhost(c, fabric, Arc::clone(&registry))).unwrap();
     node_a.connect_to_persistent(b, node_b.addr());

@@ -93,11 +93,6 @@ impl Annotations {
         out
     }
 
-    /// The memoized leaf vector of `client`, if any leaf has needed it.
-    pub(crate) fn leaf(&self, client: ClientId) -> Option<&TritVec> {
-        self.leaves.get(&client)
-    }
-
     /// Recomputes everything from `pst` over `space` (post-order, children
     /// first), forgetting leaf vectors minted under an older link space.
     pub(crate) fn rebuild(&mut self, pst: &Pst, space: &LinkSpace) {

@@ -1434,9 +1434,9 @@ impl WalkEvidence {
 
 /// Reusable mask pool and frame stack for [`MatchArena::search`]: one
 /// `TritVec` slot per tree depth, copied into (never freshly allocated) as
-/// the walk descends. Owned by whoever runs matching — a broker shard, the
-/// inline engine loop, a benchmark thread — and handed down per call;
-/// shard-owned, so it needs no lock.
+/// the walk descends. Owned by whoever runs matching — a broker's engine
+/// loop, a benchmark thread — and handed down per call; never shared, so
+/// it needs no lock.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     slots: Vec<TritVec>,

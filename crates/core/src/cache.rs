@@ -31,9 +31,8 @@
 //! never reaches the bound, and flush keeps the structure allocation-light
 //! compared to per-entry eviction bookkeeping).
 //!
-//! Ownership: one cache per matching shard (plus one for the inline path),
-//! living *outside* the engine's `RwLock` beside the shard's scratch pool —
-//! shard-owned plain data, no new locks.
+//! Ownership: one cache per broker, a plain field of its engine loop beside
+//! the scratch pool — no locks.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

@@ -56,7 +56,6 @@ mod dot;
 mod gating;
 mod matcher;
 mod naive;
-mod parallel;
 mod psg;
 mod pst;
 mod stats;
@@ -65,7 +64,6 @@ pub use compact::compact_subscriptions;
 pub use gating::GatingMatcher;
 pub use matcher::{Matcher, MatcherError};
 pub use naive::NaiveMatcher;
-pub use parallel::ParallelScratch;
 pub use psg::Psg;
 pub use pst::{
     Burst, EdgeSlot, MutationReport, NodeId, NodeRef, OrderPolicy, PathReport, Pst, PstOptions,

@@ -2,8 +2,7 @@
 //! oracle under arbitrary subscription sets, mutations, and events.
 
 use linkcast_matching::{
-    compact_subscriptions, GatingMatcher, MatchStats, Matcher, NaiveMatcher, OrderPolicy, Psg, Pst,
-    PstOptions,
+    compact_subscriptions, GatingMatcher, Matcher, NaiveMatcher, OrderPolicy, Psg, Pst, PstOptions,
 };
 use linkcast_types::{
     AttrTest, BrokerId, ClientId, Event, EventSchema, Predicate, SubscriberId, Subscription,
@@ -116,11 +115,6 @@ proptest! {
             let expected = naive.matches(&event);
             prop_assert_eq!(pst.matches(&event), expected.clone(), "pst");
             prop_assert_eq!(psg.matches(&event), expected.clone(), "psg");
-            prop_assert_eq!(
-                pst.matches_parallel(&event, 4, &mut MatchStats::new()),
-                expected.clone(),
-                "parallel"
-            );
             prop_assert_eq!(gating.matches(&event), expected, "gating");
         }
     }

@@ -179,7 +179,6 @@ fn run_churn(options: PstOptions, seed: u64) {
                 engine.route_cached(
                     &event,
                     tree,
-                    1,
                     &mut disabled,
                     &mut scratch_plain,
                     &mut plain_stats,
@@ -189,7 +188,6 @@ fn run_churn(options: PstOptions, seed: u64) {
                 engine.route_cached(
                     &event,
                     tree,
-                    1,
                     &mut cache,
                     &mut scratch_cached,
                     &mut cached_stats,
@@ -366,7 +364,7 @@ fn prefix_attributes_key_the_cache() {
     let mut stats = MatchStats::new();
     let mut route = |event: &Event, stats: &mut MatchStats| {
         let mut links = Vec::new();
-        engine.route_cached(event, tree, 1, &mut cache, &mut scratch, stats, &mut links);
+        engine.route_cached(event, tree, &mut cache, &mut scratch, stats, &mut links);
         links
     };
 
@@ -535,7 +533,6 @@ fn order_rebuild_flushes_the_match_cache() {
         engine.route_cached(
             &event(volume),
             tree,
-            1,
             &mut cache,
             &mut scratch,
             &mut stats,
@@ -549,7 +546,6 @@ fn order_rebuild_flushes_the_match_cache() {
     engine.route_cached(
         &event(256),
         tree,
-        1,
         &mut cache,
         &mut scratch,
         &mut stats,
@@ -567,7 +563,6 @@ fn order_rebuild_flushes_the_match_cache() {
     engine.route_cached(
         &event(256),
         tree,
-        1,
         &mut cache,
         &mut scratch,
         &mut stats,

@@ -1539,7 +1539,6 @@ fn resync_invalidates_match_cache() {
         config.transport = Arc::clone(host) as Arc<dyn linkcast_broker::Transport>;
         config.heartbeat_interval = Duration::from_millis(100);
         config.match_cache_cap = 64;
-        config.match_shards = 1;
         BrokerNode::start(config).unwrap()
     };
     let node_a = start(a, &host_a, 7201);
