@@ -5,10 +5,10 @@ use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use linkcast::{LinkTarget, MatchCache, RouteScratch, RoutingFabric, TreeId};
 use linkcast_matching::{MatchStats, PstOptions};
 use linkcast_types::{
@@ -25,10 +25,10 @@ use crate::outbox::{ConnId, Outbox, Sink};
 use crate::protocol::{self, BrokerToBroker, BrokerToClient, ClientToBroker};
 use crate::storage::{self, Storage, WalOp};
 use crate::tcp::TcpTransport;
-use crate::transport::{self, FrameBatch, FrameReader, Polled, Transport};
+use crate::transport::{self, FrameBatch, Transport};
 
 /// How many received `Forward` frames a broker lets accumulate before it
-/// pushes a cumulative `FwdAck` back over the link (the GC tick flushes
+/// pushes a cumulative `FwdAck` back over the link (the GC pass flushes
 /// whatever is left, so acks also flow on idle links).
 const FWD_ACK_EVERY: u64 = 64;
 
@@ -41,11 +41,16 @@ const LINK_REDIAL_MAX: Duration = Duration::from_secs(2);
 /// then immediately dies (crash loop) keeps backing off instead of being
 /// hot-redialed at the minimum interval forever.
 const LINK_STABILITY_WINDOW: Duration = Duration::from_secs(2);
-
-/// Saturating millisecond conversion for intervals stored in atomics.
-fn duration_to_ms(d: Duration) -> u64 {
-    u64::try_from(d.as_millis()).unwrap_or(u64::MAX).max(1)
-}
+/// Maximum retained entries per broker-link spool. Events routed toward a
+/// neighbor are held (as stitched `Forward` frames) until the neighbor's
+/// cumulative acknowledgment; while a link is down the spool keeps growing
+/// up to this bound, after which the oldest unacknowledged frames are
+/// dropped and counted in [`BrokerStats::dropped_spool_overflow`].
+const LINK_SPOOL_BOUND: usize = 32768;
+/// SO_SNDTIMEO applied to every TCP connection: a peer that stops reading
+/// while the kernel send buffer is full fails the write (and is
+/// disconnected) instead of wedging a sender-pool thread indefinitely.
+const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Stretches a redial backoff by a deterministic pseudo-random factor in
 /// `[1.0, 1.5)`, advancing `state` (splitmix64) on each call. Without
@@ -60,7 +65,9 @@ fn jittered_backoff(backoff: Duration, state: &mut u64) -> Duration {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^= z >> 31;
-    let ms = duration_to_ms(backoff);
+    let ms = u64::try_from(backoff.as_millis())
+        .unwrap_or(u64::MAX)
+        .max(1);
     // Up to +50% in whole milliseconds; `ms / 2 + 1` keeps the modulus
     // nonzero for sub-2ms backoffs.
     let extra = z % (ms / 2 + 1);
@@ -90,8 +97,6 @@ pub struct BrokerConfig {
     pub fabric: Arc<RoutingFabric>,
     /// Information spaces served.
     pub registry: Arc<SchemaRegistry>,
-    /// PST options for the matching engine.
-    pub options: PstOptions,
     /// Listen address; use port 0 to let the OS pick.
     pub listen: SocketAddr,
     /// The network the node binds and dials through:
@@ -114,18 +119,9 @@ pub struct BrokerConfig {
     /// *tested* attribute values and invalidated wholesale when the
     /// subscription set changes generation. `0` disables caching.
     pub match_cache_cap: usize,
-    /// Maximum retained entries per broker-link spool. Events routed
-    /// toward a neighbor are held (as stitched `Forward` frames) until the
-    /// neighbor's cumulative acknowledgment; while a link is down the
-    /// spool keeps growing up to this bound, after which the oldest
-    /// unacknowledged frames are dropped and counted in
-    /// [`BrokerStats::dropped_spool_overflow`].
-    pub link_spool_bound: usize,
     /// How long a broker link may sit with no *received* traffic before the
     /// engine probes it with a `Ping`. Doubles as the heartbeat timer's
-    /// tick period, so detection granularity is one interval. This is the
-    /// initial value; [`BrokerNode::set_heartbeat_interval`] retunes a
-    /// running node.
+    /// period, so detection granularity is one interval.
     pub heartbeat_interval: Duration,
     /// How long a broker link may stay completely silent (no frames at
     /// all — a live peer answers pings) before it is declared dead and torn
@@ -148,14 +144,11 @@ pub struct BrokerConfig {
     /// redials with backoff. A peer that accepts the TCP connection and
     /// then stalls would otherwise wedge the link forever.
     pub link_handshake_timeout: Duration,
-    /// SO_SNDTIMEO applied to every TCP connection: a peer that stops
-    /// reading while the kernel send buffer is full fails the write (and is
-    /// disconnected) instead of wedging a sender-pool thread indefinitely.
-    pub write_stall_timeout: Duration,
     /// Durable storage for crash consistency, or `None` (the default) for
     /// a purely in-memory broker. With storage configured, every routed
     /// event's spool appends and receive mark commit to a write-ahead log
-    /// before its `Forward` frames reach the wire, control state
+    /// (fsynced: a torn tail record can only ever describe frames no peer
+    /// received) before its `Forward` frames reach the wire, control state
     /// (subscriptions, id allocator, incarnation, link windows) checkpoints
     /// to snapshots, and boot becomes recovery: load the snapshot, replay
     /// the WAL suffix, discard torn tails, and resume the *same*
@@ -178,12 +171,6 @@ pub struct BrokerConfig {
     /// connected. Escalation fires once per down episode; a successful
     /// handshake re-arms it.
     pub repair_after: u32,
-    /// With storage configured: fsync the WAL before journaled `Forward`
-    /// frames reach the wire (fsync-on-commit — a torn tail record can
-    /// only ever describe frames no peer received). Disabling trades the
-    /// power-cut guarantee for process-crash-only durability at much lower
-    /// latency (`benchmark/`'s `durable` workload measures the synced path).
-    pub wal_sync: bool,
 }
 
 impl BrokerConfig {
@@ -197,7 +184,6 @@ impl BrokerConfig {
             broker,
             fabric,
             registry,
-            options: PstOptions::default(),
             // analyzer:allow(panic): startup-time parse of a literal address, not dataflow
             listen: "127.0.0.1:0".parse().expect("valid literal address"),
             transport: Arc::new(TcpTransport),
@@ -206,17 +192,14 @@ impl BrokerConfig {
             log_bound: 4096,
             client_ttl: Duration::from_secs(3600),
             match_cache_cap: 0,
-            link_spool_bound: 32768,
             heartbeat_interval: Duration::from_millis(500),
             liveness_timeout: Duration::from_secs(5),
             conn_queue_bound: 8 * 1024 * 1024,
             drain_timeout: Duration::from_secs(1),
             link_handshake_timeout: Duration::from_secs(2),
-            write_stall_timeout: Duration::from_secs(5),
             repair_after: 0,
             storage: None,
             snapshot_every: 256,
-            wal_sync: true,
         }
     }
 }
@@ -235,11 +218,6 @@ pub(crate) enum Command {
     /// to this neighbor dead, flood the `LinkDown` statement, and repair
     /// the topology around it.
     LinkUnreachable(BrokerId),
-    /// Periodic garbage collection of client logs.
-    GcTick,
-    /// Periodic liveness timer: ping idle broker links, tear down links
-    /// silent past the liveness timeout.
-    HeartbeatTick,
     /// A connection's outgoing queue crossed
     /// [`BrokerConfig::conn_queue_bound`] (reported once by the outbox);
     /// the engine picks the policy — client eviction or peer disconnect.
@@ -260,7 +238,7 @@ struct ClientState {
     conn: Option<ConnId>,
     log: EventLog,
     /// When the client's connection dropped (None while connected).
-    disconnected_at: Option<std::time::Instant>,
+    disconnected_at: Option<Instant>,
 }
 
 /// A running broker node (also its handle: inspect stats, connect
@@ -292,31 +270,20 @@ struct ClientState {
 /// # }
 /// ```
 pub struct BrokerNode {
-    broker: BrokerId,
+    /// What the node was started with (the engine loop has its own copy).
+    config: BrokerConfig,
     addr: SocketAddr,
-    registry: Arc<SchemaRegistry>,
     cmd_tx: Sender<Command>,
     outbox: Arc<Outbox>,
     stats: Arc<StatsInner>,
     match_stats: Arc<Mutex<MatchStats>>,
     shutdown: Arc<AtomicBool>,
     next_conn: Arc<AtomicU64>,
-    /// [`BrokerConfig::transport`], kept for outbound dials.
-    transport: Arc<dyn Transport>,
-    /// [`BrokerConfig::drain_timeout`], kept for the shutdown path.
-    drain_timeout: Duration,
-    /// [`BrokerConfig::link_handshake_timeout`], kept for link supervisors.
-    link_handshake_timeout: Duration,
-    /// Current heartbeat probe interval in milliseconds, shared with the
-    /// ticker thread and the engine loop so it can be retuned at runtime.
-    heartbeat_ms: Arc<AtomicU64>,
     /// Current topology epoch, stored by the engine loop on every
     /// link-state flip and sampled by [`stats`](Self::stats). Equal
     /// epochs across brokers mean identical link-state tables, hence
     /// identical repaired forests — the cluster-convergence signal.
     topology_epoch: Arc<AtomicU64>,
-    /// [`BrokerConfig::repair_after`], kept for link supervisors.
-    repair_after: u32,
     engine_thread: Option<std::thread::JoinHandle<()>>,
     /// Joined on shutdown so the listener is unbound before `shutdown`
     /// returns — a restart re-binding the same address must not race the
@@ -325,8 +292,8 @@ pub struct BrokerNode {
 }
 
 impl BrokerNode {
-    /// Starts the node: binds the listener, spawns the engine loop, the
-    /// sender pool, the acceptor, and the GC ticker.
+    /// Starts the node: binds the listener, spawns the sender pool, the
+    /// acceptor and the engine loop (DESIGN.md §7 lists every thread).
     ///
     /// # Errors
     ///
@@ -336,93 +303,15 @@ impl BrokerNode {
         let addr = listener.local_addr()?;
 
         let (cmd_tx, cmd_rx) = unbounded::<Command>();
-        let (dead_tx, dead_rx) = unbounded::<ConnId>();
-        let (overflow_tx, overflow_rx) = unbounded::<ConnId>();
         let outbox = Outbox::new(
             config.sender_threads.max(1),
             config.conn_queue_bound,
-            Some(config.write_stall_timeout),
-            dead_tx,
-            overflow_tx,
+            Some(WRITE_STALL_TIMEOUT),
+            cmd_tx.clone(),
         )?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(StatsInner::default());
         let next_conn = Arc::new(AtomicU64::new(1));
-
-        // Forward writer deaths into the command stream.
-        {
-            let cmd_tx = cmd_tx.clone();
-            std::thread::Builder::new()
-                .name("dead-conn-fwd".into())
-                .spawn(move || {
-                    for conn in dead_rx.iter() {
-                        if cmd_tx.send(Command::Disconnected(conn)).is_err() {
-                            break;
-                        }
-                    }
-                })?;
-        }
-
-        // Forward queue overflows into the command stream (the engine owns
-        // the peer table, so only it can pick eviction vs. disconnect).
-        {
-            let cmd_tx = cmd_tx.clone();
-            std::thread::Builder::new()
-                .name("overflow-fwd".into())
-                .spawn(move || {
-                    for conn in overflow_rx.iter() {
-                        if cmd_tx.send(Command::QueueOverflow(conn)).is_err() {
-                            break;
-                        }
-                    }
-                })?;
-        }
-
-        // GC ticker.
-        {
-            let cmd_tx = cmd_tx.clone();
-            let shutdown = Arc::clone(&shutdown);
-            let interval = config.gc_interval;
-            std::thread::Builder::new()
-                .name("gc-ticker".into())
-                .spawn(move || {
-                    while !shutdown.load(Ordering::Acquire) {
-                        std::thread::sleep(interval);
-                        if cmd_tx.send(Command::GcTick).is_err() {
-                            break;
-                        }
-                    }
-                })?;
-        }
-
-        // Heartbeat ticker: the engine thread does the actual liveness
-        // bookkeeping; this thread only provides the clock edge. The
-        // interval lives in a shared atomic so `set_heartbeat_interval`
-        // can retune a running node; sleeping in short quanta (rather
-        // than one full interval) bounds how long a retune takes to bite.
-        let heartbeat_ms = Arc::new(AtomicU64::new(duration_to_ms(config.heartbeat_interval)));
-        {
-            let cmd_tx = cmd_tx.clone();
-            let shutdown = Arc::clone(&shutdown);
-            let heartbeat_ms = Arc::clone(&heartbeat_ms);
-            std::thread::Builder::new()
-                .name("heartbeat-ticker".into())
-                .spawn(move || {
-                    let mut last_tick = std::time::Instant::now();
-                    while !shutdown.load(Ordering::Acquire) {
-                        let interval =
-                            Duration::from_millis(heartbeat_ms.load(Ordering::Relaxed).max(1));
-                        std::thread::sleep(interval.min(Duration::from_millis(100)));
-                        if last_tick.elapsed() < interval {
-                            continue;
-                        }
-                        last_tick = std::time::Instant::now();
-                        if cmd_tx.send(Command::HeartbeatTick).is_err() {
-                            break;
-                        }
-                    }
-                })?;
-        }
 
         // Acceptor.
         let acceptor_thread = transport::spawn_acceptor(
@@ -448,7 +337,7 @@ impl BrokerNode {
             config.broker,
             &config.fabric,
             Arc::clone(&config.registry),
-            config.options.clone(),
+            PstOptions::default(),
         )?;
         if !recovered.subscriptions.is_empty() {
             // Re-install the checkpointed subscription set. Failures are
@@ -481,79 +370,53 @@ impl BrokerNode {
             st.truncate(WAL_LOG)?;
             stats.snapshot_writes.fetch_add(1, Ordering::Relaxed);
         }
-        let Recovered {
-            incarnation,
-            sub_ids,
-            tombstones,
-            recv_from,
-            spools,
-            subscriptions: _,
-        } = recovered;
         let match_stats = Arc::new(Mutex::new(MatchStats::new()));
 
         // Engine loop.
         let topology_epoch = Arc::new(AtomicU64::new(0));
-        let engine_thread = {
-            let outbox = Arc::clone(&outbox);
-            let stats = Arc::clone(&stats);
-            let match_stats = Arc::clone(&match_stats);
-            let config2 = config.clone();
-            let heartbeat_ms = Arc::clone(&heartbeat_ms);
-            let topology_epoch = Arc::clone(&topology_epoch);
-            std::thread::Builder::new()
-                .name(format!("broker-{}", config.broker))
-                .spawn(move || {
-                    let durable = config2.storage.clone().map(|st| Durable {
-                        storage: st,
-                        records_since_snapshot: 0,
-                        buf: Vec::new(),
-                    });
-                    EngineLoop {
-                        match_cache: MatchCache::new(config2.match_cache_cap),
-                        route_scratch: RouteScratch::new(),
-                        fabric: Arc::clone(&config2.fabric),
-                        link_state: crate::repair::LinkStateTable::default(),
-                        epoch: 0,
-                        epoch_gauge: topology_epoch,
-                        ping_jitter: HashMap::new(),
-                        config: config2,
-                        incarnation,
-                        engine,
-                        outbox,
-                        stats,
-                        match_stats,
-                        conns: HashMap::new(),
-                        clients: HashMap::new(),
-                        neighbors: HashMap::new(),
-                        awaiting_hello: HashSet::new(),
-                        spools,
-                        recv_from,
-                        tombstones,
-                        sub_ids,
-                        last_heard: HashMap::new(),
-                        heartbeat_ms,
-                        durable,
-                    }
-                    .run(cmd_rx)
-                })?
+        let engine_loop = EngineLoop {
+            match_cache: MatchCache::new(config.match_cache_cap),
+            route_scratch: RouteScratch::new(),
+            fabric: Arc::clone(&config.fabric),
+            link_state: crate::repair::LinkStateTable::default(),
+            epoch: 0,
+            epoch_gauge: Arc::clone(&topology_epoch),
+            ping_jitter: HashMap::new(),
+            durable: config.storage.clone().map(|storage| Durable {
+                storage,
+                records_since_snapshot: 0,
+                buf: Vec::new(),
+            }),
+            config: config.clone(),
+            incarnation: recovered.incarnation,
+            engine,
+            outbox: Arc::clone(&outbox),
+            stats: Arc::clone(&stats),
+            match_stats: Arc::clone(&match_stats),
+            conns: HashMap::new(),
+            clients: HashMap::new(),
+            neighbors: HashMap::new(),
+            awaiting_hello: HashSet::new(),
+            spools: recovered.spools,
+            recv_from: recovered.recv_from,
+            tombstones: recovered.tombstones,
+            sub_ids: recovered.sub_ids,
+            last_heard: HashMap::new(),
         };
+        let engine_thread = std::thread::Builder::new()
+            .name(format!("broker-{}", config.broker))
+            .spawn(move || engine_loop.run(cmd_rx))?;
 
         Ok(BrokerNode {
-            broker: config.broker,
+            config,
             addr,
-            registry: config.registry,
             cmd_tx,
             outbox,
             stats,
             match_stats,
             shutdown,
             next_conn,
-            transport: config.transport,
-            drain_timeout: config.drain_timeout,
-            link_handshake_timeout: config.link_handshake_timeout,
-            heartbeat_ms,
             topology_epoch,
-            repair_after: config.repair_after,
             engine_thread: Some(engine_thread),
             acceptor_thread: Some(acceptor_thread),
         })
@@ -561,16 +424,7 @@ impl BrokerNode {
 
     /// This broker's id.
     pub fn broker(&self) -> BrokerId {
-        self.broker
-    }
-
-    /// Retunes the heartbeat probe interval on a running node (ops tuning
-    /// without a restart; benches use it to toggle the sweep). Takes
-    /// effect within one ticker quantum (at most ~100 ms). The liveness
-    /// timeout is a detection policy, not a tuning knob, and stays fixed.
-    pub fn set_heartbeat_interval(&self, interval: Duration) {
-        self.heartbeat_ms
-            .store(duration_to_ms(interval), Ordering::Relaxed);
+        self.config.broker
     }
 
     /// The bound listen address.
@@ -580,147 +434,101 @@ impl BrokerNode {
 
     /// The information spaces served.
     pub fn registry(&self) -> &Arc<SchemaRegistry> {
-        &self.registry
+        &self.config.registry
     }
 
-    /// Dials a neighbor broker and performs the broker-protocol handshake.
-    /// Call once per topology link (one side suffices; conventionally the
-    /// higher-id broker dials).
-    ///
-    /// # Errors
-    ///
-    /// Connection I/O errors.
-    pub fn connect_to(&self, neighbor: BrokerId, addr: SocketAddr) -> std::io::Result<()> {
-        let connection = self.transport.dial(addr)?;
-        let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
-        self.outbox.register(conn, Sink::Link(connection.writer));
-        // The engine sends the `Hello` when it processes `DialedNeighbor`:
-        // the handshake carries per-link sequence state only the engine
-        // thread knows.
-        let _ = self.cmd_tx.send(Command::DialedNeighbor(conn, neighbor));
-        transport::spawn_reader(
-            connection.reader,
-            conn,
-            self.cmd_tx.clone(),
-            Arc::clone(&self.shutdown),
-        );
-        Ok(())
-    }
-
-    /// Like [`BrokerNode::connect_to`], but supervised: if the link drops
-    /// (or the first dial fails), a background thread redials with
+    /// Opens the link to a neighbor broker, supervised. Call once per
+    /// topology link (one side suffices; conventionally the higher-id
+    /// broker dials). A background thread dials and reads the link, and if
+    /// it drops (or a dial fails, the first included) redials with
     /// exponential backoff until the node shuts down. The backoff resets
     /// only after a link has survived a stability window, so a neighbor
     /// stuck in an accept-then-crash loop is not hot-redialed at the
     /// minimum interval. On every (re-)establishment both sides exchange
     /// `Hello` handshakes that resync their full subscription sets *and*
     /// their per-link spool state: events routed toward the neighbor while
-    /// the link was down were spooled (up to
-    /// [`BrokerConfig::link_spool_bound`]) and are retransmitted after the
-    /// handshake, with receiver-side sequence dedup discarding any copies
-    /// that had already crossed before the flap — at-least-once across the
-    /// link, exactly-once into client logs.
+    /// the link was down were spooled (up to 32768 frames per link) and are
+    /// retransmitted after the handshake, with receiver-side sequence dedup
+    /// discarding any copies that had already crossed before the flap —
+    /// at-least-once across the link, exactly-once into client logs.
     pub fn connect_to_persistent(&self, neighbor: BrokerId, addr: SocketAddr) {
         let cmd_tx = self.cmd_tx.clone();
         let outbox = Arc::clone(&self.outbox);
         let next_conn = Arc::clone(&self.next_conn);
         let shutdown = Arc::clone(&self.shutdown);
-        let transport = Arc::clone(&self.transport);
-        let handshake_timeout = self.link_handshake_timeout;
-        let repair_after = self.repair_after;
-        let me = self.broker;
+        let transport = Arc::clone(&self.config.transport);
+        let handshake_timeout = self.config.link_handshake_timeout;
+        let repair_after = self.config.repair_after;
+        let me = self.config.broker;
         let _ = std::thread::Builder::new()
             .name(format!("link-{me}-{neighbor}"))
             .spawn(move || {
                 let mut backoff = LINK_REDIAL_MIN;
                 let mut jitter = jitter_seed(me, neighbor);
-                // Consecutive redial failures since the link last completed
-                // a handshake; crossing `repair_after` escalates ONCE per
+                // Consecutive attempts since the link last completed a
+                // handshake; crossing `repair_after` escalates ONCE per
                 // down episode to a `LinkDown` topology repair. A
                 // successful handshake re-arms the escalation.
                 let mut failures: u32 = 0;
                 let mut escalated = false;
+                // Never panic here — that would kill the supervisor thread
+                // and orphan the link forever.
                 while !shutdown.load(Ordering::Acquire) {
-                    // Dial failures (including per-connection setup inside
-                    // the transport) back off instead of spin-dialing.
-                    // Never panic here — that would kill the supervisor
-                    // thread and orphan the link forever.
-                    let Ok(connection) = transport.dial(addr) else {
-                        failures = failures.saturating_add(1);
-                        if repair_after > 0 && failures >= repair_after && !escalated {
-                            escalated = true;
-                            if cmd_tx.send(Command::LinkUnreachable(neighbor)).is_err() {
+                    // Whether the peer answered this attempt with a frame,
+                    // and how long to wait before the next one.
+                    let (greeted, pause) = match transport.dial(addr) {
+                        // Dial failures (including per-connection setup
+                        // inside the transport) back off instead of
+                        // spin-dialing.
+                        Err(_) => {
+                            let step = backoff;
+                            backoff = (backoff * 2).min(LINK_REDIAL_MAX);
+                            (false, step)
+                        }
+                        Ok(connection) => {
+                            let conn = next_conn.fetch_add(1, Ordering::Relaxed);
+                            outbox.register(conn, Sink::Link(connection.writer));
+                            // The engine answers `DialedNeighbor` with the
+                            // `Hello` handshake: it carries per-link
+                            // spool/sequence state only the engine knows.
+                            if cmd_tx
+                                .send(Command::DialedNeighbor(conn, neighbor))
+                                .is_err()
+                            {
                                 return;
                             }
+                            let established = Instant::now();
+                            // A peer that accepted the dial owes us its
+                            // `Hello` (its first frame) within the handshake
+                            // deadline; one that accepts and then stalls
+                            // must not wedge this supervisor.
+                            let greeted = transport::read_frames(
+                                connection.reader,
+                                conn,
+                                &cmd_tx,
+                                &shutdown,
+                                Some(established + handshake_timeout),
+                            );
+                            if shutdown.load(Ordering::Acquire) {
+                                return;
+                            }
+                            // Only a link that proved stable (handshake
+                            // included) earns a backoff reset; an
+                            // accept-then-die or accept-then-stall neighbor
+                            // keeps escalating.
+                            backoff = if greeted && established.elapsed() >= LINK_STABILITY_WINDOW {
+                                LINK_REDIAL_MIN
+                            } else {
+                                (backoff * 2).min(LINK_REDIAL_MAX)
+                            };
+                            (greeted, backoff)
                         }
-                        std::thread::sleep(jittered_backoff(backoff, &mut jitter));
-                        backoff = (backoff * 2).min(LINK_REDIAL_MAX);
-                        continue;
                     };
-                    let mut frames = FrameReader::new(connection.reader);
-                    let conn = next_conn.fetch_add(1, Ordering::Relaxed);
-                    outbox.register(conn, crate::outbox::Sink::Link(connection.writer));
-                    // The engine answers `DialedNeighbor` with the `Hello`
-                    // handshake (it owns the spool/sequence state).
-                    if cmd_tx
-                        .send(Command::DialedNeighbor(conn, neighbor))
-                        .is_err()
-                    {
-                        return;
-                    }
-                    let established = std::time::Instant::now();
-                    // A peer that accepted the dial owes us its `Hello` (its
-                    // first frame) within the handshake deadline; one that
-                    // accepts and then stalls must not wedge this supervisor.
-                    let handshake_deadline = established + handshake_timeout;
-                    let mut greeted = false;
-                    // Inline read loop; on link death, fall through to redial.
-                    loop {
-                        if shutdown.load(Ordering::Acquire) {
-                            return;
-                        }
-                        match frames.poll() {
-                            Ok(Polled::Frames(batch)) => {
-                                if !greeted {
-                                    greeted = true;
-                                    // The peer answered: the down episode
-                                    // (if any) is over; re-arm escalation.
-                                    failures = 0;
-                                    escalated = false;
-                                }
-                                if cmd_tx.send(Command::Frames(conn, batch)).is_err() {
-                                    return;
-                                }
-                            }
-                            // Nothing whole yet — a silent peer and one
-                            // that stalled part-way through its `Hello`
-                            // look the same from here.
-                            Ok(Polled::Idle) => {
-                                if !greeted && std::time::Instant::now() >= handshake_deadline {
-                                    // Handshake never completed: tear the
-                                    // conn down (the engine unregisters it,
-                                    // closing the socket) and take the
-                                    // backoff path like a failed dial.
-                                    let _ = cmd_tx.send(Command::Disconnected(conn));
-                                    break;
-                                }
-                                continue;
-                            }
-                            Ok(Polled::Closed) | Err(_) => {
-                                let _ = cmd_tx.send(Command::Disconnected(conn));
-                                break;
-                            }
-                        }
-                    }
-                    // Only a link that proved stable (handshake included)
-                    // earns a backoff reset; an accept-then-die or
-                    // accept-then-stall neighbor keeps escalating.
-                    backoff = if greeted && established.elapsed() >= LINK_STABILITY_WINDOW {
-                        LINK_REDIAL_MIN
+                    if greeted {
+                        // The down episode (if any) is over.
+                        failures = 0;
+                        escalated = false;
                     } else {
-                        (backoff * 2).min(LINK_REDIAL_MAX)
-                    };
-                    if !greeted {
                         // Accept-then-stall counts toward repair escalation
                         // like a refused dial: the link is not usable.
                         failures = failures.saturating_add(1);
@@ -731,7 +539,7 @@ impl BrokerNode {
                             }
                         }
                     }
-                    std::thread::sleep(jittered_backoff(backoff, &mut jitter));
+                    std::thread::sleep(jittered_backoff(pause, &mut jitter));
                 }
             });
     }
@@ -761,7 +569,7 @@ impl BrokerNode {
             conn,
             cmd_tx: self.cmd_tx.clone(),
             rx,
-            registry: Arc::clone(&self.registry),
+            registry: Arc::clone(&self.config.registry),
         }
     }
 
@@ -810,7 +618,7 @@ impl BrokerNode {
         // as its queue empties, so neighbors trim their spools and restarts
         // don't open on avoidable retransmit storms. Stragglers past the
         // deadline are cut off; the sender pool winds down either way.
-        self.outbox.drain_all(self.drain_timeout);
+        self.outbox.drain_all(self.config.drain_timeout);
     }
 
     /// Wakes the acceptor out of `accept` — the shutdown flag is set, so it
@@ -823,7 +631,7 @@ impl BrokerNode {
         let Some(acceptor) = self.acceptor_thread.take() else {
             return;
         };
-        while !acceptor.is_finished() && self.transport.dial(self.addr).is_err() {
+        while !acceptor.is_finished() && self.config.transport.dial(self.addr).is_err() {
             std::thread::sleep(Duration::from_millis(1));
         }
         let _ = acceptor.join();
@@ -860,7 +668,7 @@ impl Drop for BrokerNode {
 impl std::fmt::Debug for BrokerNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BrokerNode")
-            .field("broker", &self.broker)
+            .field("broker", &self.config.broker)
             .field("addr", &self.addr)
             .finish_non_exhaustive()
     }
@@ -1234,10 +1042,7 @@ struct EngineLoop {
     /// only guarantee an idle link still produces *some*). The heartbeat
     /// tick reads the broker-link entries; client entries exist only so
     /// `handle_frame` can update blindly, and are dropped in `forget_conn`.
-    last_heard: HashMap<ConnId, std::time::Instant>,
-    /// Current heartbeat probe interval in milliseconds (shared with the
-    /// ticker thread; retunable via [`BrokerNode::set_heartbeat_interval`]).
-    heartbeat_ms: Arc<AtomicU64>,
+    last_heard: HashMap<ConnId, Instant>,
     /// WAL + snapshot bookkeeping; `None` without
     /// [`BrokerConfig::storage`], and every journaling call is a no-op.
     durable: Option<Durable>,
@@ -1286,24 +1091,37 @@ struct NeighborRecv {
 }
 
 impl EngineLoop {
+    /// The engine thread's loop, and its only clock: the GC and heartbeat
+    /// deadlines live here, the wait for the next command ends at the
+    /// nearer of them, and both are checked after every command so a
+    /// mailbox that never empties cannot starve them. `now` is read once
+    /// per wake-up and handed down; no handler reads time itself.
     fn run(mut self, cmd_rx: Receiver<Command>) {
-        for command in cmd_rx.iter() {
+        let gc_interval = self.config.gc_interval.max(Duration::from_millis(1));
+        let heartbeat_interval = self.config.heartbeat_interval.max(Duration::from_millis(1));
+        let mut now = Instant::now();
+        let mut gc_due = now + gc_interval;
+        let mut heartbeat_due = now + heartbeat_interval;
+        loop {
+            let wait = gc_due.min(heartbeat_due).saturating_duration_since(now);
+            let command = cmd_rx.recv_timeout(wait);
+            now = Instant::now();
             match command {
-                Command::Frames(conn, batch) => {
+                Ok(Command::Frames(conn, batch)) => {
                     // Any frame, decodable or not, proves the peer's send
-                    // path is alive; the heartbeat tick consumes this for
+                    // path is alive; the heartbeat timer consumes this for
                     // broker links. One stamp covers the batch: its frames
                     // came out of the same read.
-                    self.last_heard.insert(conn, std::time::Instant::now());
+                    self.last_heard.insert(conn, now);
                     for frame in batch {
-                        self.handle_frame(conn, frame);
+                        self.handle_frame(conn, frame, now);
                     }
                 }
-                Command::DialedNeighbor(conn, neighbor) => {
+                Ok(Command::DialedNeighbor(conn, neighbor)) => {
                     self.conns.insert(conn, Peer::Broker(neighbor));
                     self.install_neighbor_conn(neighbor, conn);
                     // Start the liveness clock: the peer owes us its Hello.
-                    self.last_heard.insert(conn, std::time::Instant::now());
+                    self.last_heard.insert(conn, now);
                     // Control traffic (Hello, resync, floods) flows right
                     // away, but Forward dispatch stays spooled-only until
                     // the peer's Hello arrives and the spool is replayed —
@@ -1318,12 +1136,12 @@ impl EngineLoop {
                     // current epoch.
                     self.resync_link_state(conn);
                 }
-                Command::Disconnected(conn) => self.handle_disconnect(conn),
-                Command::LinkUnreachable(neighbor) => self.handle_link_unreachable(neighbor),
-                Command::GcTick => self.collect_garbage(),
-                Command::HeartbeatTick => self.heartbeat_tick(),
-                Command::QueueOverflow(conn) => self.handle_queue_overflow(conn),
-                Command::Shutdown => {
+                Ok(Command::Disconnected(conn)) => self.handle_disconnect(conn, now),
+                Ok(Command::LinkUnreachable(neighbor)) => {
+                    self.handle_link_unreachable(neighbor, now);
+                }
+                Ok(Command::QueueOverflow(conn)) => self.handle_queue_overflow(conn, now),
+                Ok(Command::Shutdown) => {
                     // Final courtesy: push cumulative acks for everything
                     // received but not yet acked, so surviving neighbors
                     // trim their spools instead of retransmitting the tail
@@ -1331,54 +1149,48 @@ impl EngineLoop {
                     self.flush_forward_acks();
                     break;
                 }
-                Command::Crash => {
-                    // Fault injection: die as a power cut would — no ack
-                    // flush, no checkpoint. Whatever the WAL and the last
-                    // snapshot hold is what recovery gets.
-                    break;
-                }
+                // Fault injection: die as a power cut would — no ack
+                // flush, no checkpoint. Whatever the WAL and the last
+                // snapshot hold is what recovery gets.
+                Ok(Command::Crash) => break,
+                // Not while this loop runs: its outbox holds a sender.
+                Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => {}
+            }
+            if now >= gc_due {
+                self.collect_garbage(now);
+                gc_due = now + gc_interval;
+            }
+            if now >= heartbeat_due {
+                self.heartbeat_tick(now);
+                heartbeat_due = now + heartbeat_interval;
             }
         }
     }
 
     /// One frame, length prefix included.
-    fn handle_frame(&mut self, conn: ConnId, frame: Bytes) {
+    fn handle_frame(&mut self, conn: ConnId, frame: Bytes, now: Instant) {
         let Some(&tag) = frame.get(protocol::FRAME_PREFIX) else {
             return;
         };
-        // The decoders consume a slice of the frame (a refcount bump), so
-        // the data-plane arms can slice the already-encoded event body out
-        // of it instead of re-serializing the decoded event.
+        // The decoders consume a slice of the frame (a refcount bump), and
+        // the handlers get the frame itself: the data-plane arms slice the
+        // already-encoded event body out of it instead of re-serializing
+        // the decoded event, the control-plane arms flood it onward as it
+        // came (it decoded, so it is a well-formed message).
         let payload = || frame.slice(protocol::FRAME_PREFIX..);
         if tag < 0x10 {
             match ClientToBroker::decode(payload(), &self.config.registry) {
-                Ok(ClientToBroker::Publish { event }) => {
-                    let body =
-                        frame.slice(protocol::FRAME_PREFIX + protocol::PUBLISH_BODY_OFFSET..);
-                    self.handle_publish(conn, event, body);
-                }
-                Ok(msg) => self.handle_client(conn, msg),
-                Err(e) => self.protocol_error_disconnect(conn, e.to_string()),
+                Ok(msg) => self.handle_client(conn, msg, &frame, now),
+                Err(e) => self.protocol_error_disconnect(conn, e.to_string(), now),
             }
         } else if (0x21..=0x2f).contains(&tag) {
             match BrokerToBroker::decode(payload(), &self.config.registry) {
-                Ok(BrokerToBroker::Forward {
-                    tree,
-                    seq,
-                    epoch,
-                    event,
-                }) => {
-                    let body =
-                        frame.slice(protocol::FRAME_PREFIX + protocol::FORWARD_BODY_OFFSET..);
-                    self.handle_forward(conn, tree, seq, epoch, event, body);
-                }
-                // The control-plane arms flood the frame onward as it
-                // came: it decoded, so it is a well-formed message.
-                Ok(msg) => self.handle_broker(conn, msg, &frame),
-                Err(e) => self.protocol_error_disconnect(conn, e.to_string()),
+                Ok(msg) => self.handle_broker(conn, msg, &frame, now),
+                Err(e) => self.protocol_error_disconnect(conn, e.to_string(), now),
             }
         } else {
-            self.protocol_error_disconnect(conn, format!("unexpected message tag {tag:#x}"));
+            self.protocol_error_disconnect(conn, format!("unexpected message tag {tag:#x}"), now);
         }
     }
 
@@ -1394,18 +1206,18 @@ impl EngineLoop {
     /// Semantically invalid but *well-formed* requests (unknown schema on
     /// subscribe, publish before hello) go through `client_error` instead
     /// and keep the connection.
-    fn protocol_error_disconnect(&mut self, conn: ConnId, message: String) {
+    fn protocol_error_disconnect(&mut self, conn: ConnId, message: String, now: Instant) {
         self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
         if matches!(self.conns.get(&conn), Some(Peer::Broker(_))) {
-            self.handle_disconnect(conn);
+            self.handle_disconnect(conn, now);
             return;
         }
         self.client_error(conn, message);
         self.outbox.close_after_flush(conn);
-        self.forget_conn(conn);
+        self.forget_conn(conn, now);
     }
 
-    fn handle_publish(&mut self, conn: ConnId, event: Event, body: Bytes) {
+    fn handle_publish(&mut self, conn: ConnId, event: Event, body: Bytes, now: Instant) {
         if self.client_of(conn).is_none() {
             self.client_error(conn, "publish before hello".into());
             return;
@@ -1426,10 +1238,18 @@ impl EngineLoop {
             }
         };
         self.stats.published.fetch_add(1, Ordering::Relaxed);
-        self.route_and_dispatch(event, tree, body, None);
+        let links = self.route_inline(&event, tree);
+        self.dispatch(&event, tree, &body, links, None, now);
     }
 
-    fn handle_client(&mut self, conn: ConnId, message: ClientToBroker) {
+    /// `frame` is `message` as it arrived, length prefix included.
+    fn handle_client(
+        &mut self,
+        conn: ConnId,
+        message: ClientToBroker,
+        frame: &Bytes,
+        now: Instant,
+    ) {
         match message {
             ClientToBroker::Hello {
                 client,
@@ -1552,11 +1372,8 @@ impl EngineLoop {
                 self.checkpoint_subscriptions();
             }
             ClientToBroker::Publish { event } => {
-                // Normally intercepted in `handle_frame` with the body
-                // sliced from the wire; this arm only serves locally
-                // constructed messages, so it pays one serialization.
-                let body = protocol::encode_event_body(&event);
-                self.handle_publish(conn, event, body);
+                let body = frame.slice(protocol::FRAME_PREFIX + protocol::PUBLISH_BODY_OFFSET..);
+                self.handle_publish(conn, event, body, now);
             }
             ClientToBroker::Ack { seq } => {
                 if let Some(client) = self.client_of(conn) {
@@ -1583,7 +1400,13 @@ impl EngineLoop {
     }
 
     /// `frame` is `message` as it arrived, length prefix included.
-    fn handle_broker(&mut self, conn: ConnId, message: BrokerToBroker, frame: &Bytes) {
+    fn handle_broker(
+        &mut self,
+        conn: ConnId,
+        message: BrokerToBroker,
+        frame: &Bytes,
+        now: Instant,
+    ) {
         match message {
             BrokerToBroker::Hello {
                 broker,
@@ -1664,7 +1487,7 @@ impl EngineLoop {
                 let (a, b) = crate::repair::normalize_edge(me, broker);
                 let (ver, down) = self.link_state.get(a, b);
                 if down {
-                    self.apply_link_state(a, b, ver.saturating_add(1), false, None);
+                    self.apply_link_state(a, b, ver.saturating_add(1), false, None, now);
                 }
                 self.retransmit_spool(broker, conn, effective_last_recv);
             }
@@ -1689,11 +1512,11 @@ impl EngineLoop {
                 epoch,
                 event,
             } => {
-                // Normally intercepted in `handle_frame` with the body
-                // sliced from the wire; this arm only serves locally
-                // constructed messages, so it pays one serialization.
-                let body = protocol::encode_event_body(&event);
-                self.handle_forward(conn, tree, seq, epoch, event, body);
+                let body = frame.slice(protocol::FRAME_PREFIX + protocol::FORWARD_BODY_OFFSET..);
+                if let Some(source) = self.accept_forward(conn, tree, seq, epoch, now) {
+                    let links = self.route_inline(&event, tree);
+                    self.dispatch(&event, tree, &body, links, Some(source), now);
+                }
             }
             BrokerToBroker::SubAdd {
                 schema,
@@ -1748,10 +1571,10 @@ impl EngineLoop {
                 // nothing else to do.
             }
             BrokerToBroker::LinkDown { a, b, ver } => {
-                self.handle_link_statement(conn, a, b, ver, true);
+                self.handle_link_statement(conn, a, b, ver, true, now);
             }
             BrokerToBroker::LinkUp { a, b, ver } => {
-                self.handle_link_statement(conn, a, b, ver, false);
+                self.handle_link_statement(conn, a, b, ver, false, now);
             }
             BrokerToBroker::SubRemove { id } => {
                 // Tombstone-insert doubles as flood dedup: a removal we
@@ -1837,17 +1660,18 @@ impl EngineLoop {
         }
     }
 
-    /// An inbound `Forward`: dedup against the per-neighbor receive window,
-    /// pace a cumulative `FwdAck` back, then route.
-    fn handle_forward(
+    /// An inbound `Forward`'s header: dedup against the per-neighbor receive
+    /// window and pace a cumulative `FwdAck` back. Returns the receive mark
+    /// (neighbor, sequence, its incarnation) to route the event under, or
+    /// `None` for a frame that must not be routed.
+    fn accept_forward(
         &mut self,
         conn: ConnId,
         tree: TreeId,
         seq: u64,
         epoch: u64,
-        event: Event,
-        body: Bytes,
-    ) {
+        now: Instant,
+    ) -> Option<(BrokerId, u64, u64)> {
         // Epoch check FIRST, before the tree-bound check: a frame stitched
         // under a different topology epoch refers to trees that no longer
         // exist here (its tree index may not even be in range of the
@@ -1858,7 +1682,7 @@ impl EngineLoop {
         // `rehome_spools` and DESIGN.md §15).
         if epoch != self.epoch {
             self.stats.stale_epoch_drops.fetch_add(1, Ordering::Relaxed);
-            return;
+            return None;
         }
         // The tree id arrives as a raw index; an out-of-range value from a
         // corrupt or hostile peer would panic deep inside the matching
@@ -1868,71 +1692,51 @@ impl EngineLoop {
             self.protocol_error_disconnect(
                 conn,
                 format!("forward on unknown spanning tree {}", tree.index()),
+                now,
             );
-            return;
+            return None;
         }
-        let source;
-        {
-            let Some(Peer::Broker(broker)) = self.conns.get(&conn) else {
-                // Not a registered broker peer — most likely an old stream
-                // torn down when the neighbor redialed (see
-                // `install_neighbor_conn`). Routing it would bypass the
-                // dedup window; drop it instead (the live stream replays
-                // anything unacknowledged).
-                return;
-            };
-            let broker = *broker;
-            let journaling = self.durable.is_some();
-            let recv = self.recv_from.entry(broker).or_default();
-            if seq <= recv.seq {
-                // A retransmission of a frame that already crossed before
-                // the flap: the spool is at-least-once, dedup restores
-                // exactly-once into the routing layer.
-                return;
-            }
-            recv.seq = seq;
-            source = Some((broker, seq, recv.peer_incarnation));
-            if !journaling {
-                // Without storage the receive mark is "durable" the moment
-                // it lands in memory; with storage, `dispatch` advances
-                // `durable_seq` (and paces the ack) only after the WAL
-                // record holding this mark has committed.
-                recv.durable_seq = seq;
-                if recv.durable_seq - recv.acked_sent >= FWD_ACK_EVERY {
-                    recv.acked_sent = recv.durable_seq;
-                    let ack = BrokerToBroker::FwdAck {
-                        seq: recv.acked_sent,
-                    }
-                    .encode();
-                    self.outbox.send(conn, ack);
+        let Some(Peer::Broker(broker)) = self.conns.get(&conn) else {
+            // Not a registered broker peer — most likely an old stream
+            // torn down when the neighbor redialed (see
+            // `install_neighbor_conn`). Routing it would bypass the
+            // dedup window; drop it instead (the live stream replays
+            // anything unacknowledged).
+            return None;
+        };
+        let broker = *broker;
+        let journaling = self.durable.is_some();
+        let recv = self.recv_from.entry(broker).or_default();
+        if seq <= recv.seq {
+            // A retransmission of a frame that already crossed before
+            // the flap: the spool is at-least-once, dedup restores
+            // exactly-once into the routing layer.
+            return None;
+        }
+        recv.seq = seq;
+        if !journaling {
+            // Without storage the receive mark is "durable" the moment
+            // it lands in memory; with storage, `dispatch` advances
+            // `durable_seq` (and paces the ack) only after the WAL
+            // record holding this mark has committed.
+            recv.durable_seq = seq;
+            if recv.durable_seq - recv.acked_sent >= FWD_ACK_EVERY {
+                recv.acked_sent = recv.durable_seq;
+                let ack = BrokerToBroker::FwdAck {
+                    seq: recv.acked_sent,
                 }
+                .encode();
+                self.outbox.send(conn, ack);
             }
         }
-        self.route_and_dispatch(event, tree, body, source);
-    }
-
-    /// Link matching plus dispatch, inline and in arrival order. `body` is
-    /// the event's wire encoding (sliced from the incoming frame, or
-    /// encoded exactly once for local messages); it rides through matching
-    /// untouched so dispatch can stitch outgoing frames without
-    /// re-serializing.
-    fn route_and_dispatch(
-        &mut self,
-        event: Event,
-        tree: TreeId,
-        body: Bytes,
-        source: Option<(BrokerId, u64, u64)>,
-    ) {
-        let links = self.route_inline(&event, tree);
-        self.dispatch(&event, tree, &body, links, source);
+        Some((broker, seq, recv.peer_incarnation))
     }
 
     /// Link-matches one event: match-cache lookup, else the arena walk
     /// through the engine's scratch buffers, then the attribute-order
-    /// check when it is due. Factored out of
-    /// [`route_and_dispatch`](Self::route_and_dispatch) because spool
-    /// re-homing re-matches under the repaired topology and dispatches
-    /// over the broker links only.
+    /// check when it is due. Its caller dispatches the links: all of them
+    /// for an arriving event, the broker links only when spool re-homing
+    /// re-matches under the repaired topology.
     fn route_inline(&mut self, event: &Event, tree: TreeId) -> Vec<LinkId> {
         let mut stats = MatchStats::new();
         let mut links = Vec::new();
@@ -1959,7 +1763,8 @@ impl EngineLoop {
 
     /// Dispatches a routed event: per-neighbor `Forward` frames (each link
     /// carries its own sequence header around the shared, already-encoded
-    /// body) and one `Deliver` header per client around the same body.
+    /// `body`, sliced from the incoming frame) and one `Deliver` header per
+    /// client around the same body.
     /// Runs on the engine thread only (log/spool appends and connection
     /// lookups are single-threaded).
     ///
@@ -1976,6 +1781,7 @@ impl EngineLoop {
         body: &Bytes,
         links: Vec<LinkId>,
         source: Option<(BrokerId, u64, u64)>,
+        now: Instant,
     ) {
         let fabric = Arc::clone(&self.fabric);
         let network = fabric.network();
@@ -2003,9 +1809,9 @@ impl EngineLoop {
                         });
                     }
                     self.stats.spooled.fetch_add(1, Ordering::Relaxed);
-                    if spool.len() > self.config.link_spool_bound {
+                    if spool.len() > LINK_SPOOL_BOUND {
                         let before = spool.lost();
-                        spool.enforce_bound(self.config.link_spool_bound);
+                        spool.enforce_bound(LINK_SPOOL_BOUND);
                         let dropped = spool.lost() - before;
                         self.stats
                             .dropped_spool_overflow
@@ -2032,7 +1838,7 @@ impl EngineLoop {
                     let state = self.clients.entry(client).or_insert_with(|| ClientState {
                         conn: None,
                         log: EventLog::new(),
-                        disconnected_at: Some(std::time::Instant::now()),
+                        disconnected_at: Some(now),
                     });
                     let seq = state.log.append(event.clone());
                     self.stats.delivered.fetch_add(1, Ordering::Relaxed);
@@ -2054,8 +1860,7 @@ impl EngineLoop {
                 });
             }
             if !wal_ops.is_empty() {
-                let sync = self.config.wal_sync;
-                self.wal_commit(&wal_ops, sync);
+                self.wal_commit(&wal_ops, true);
             }
             if let Some((from, seq, peer_incarnation)) = source {
                 if let Some(recv) = self.recv_from.get_mut(&from) {
@@ -2213,7 +2018,7 @@ impl EngineLoop {
     /// consecutive redial failures (or the operator called
     /// [`BrokerNode::mark_link_down`]): originate the `LinkDown`
     /// statement for the edge between this broker and `neighbor`.
-    fn handle_link_unreachable(&mut self, neighbor: BrokerId) {
+    fn handle_link_unreachable(&mut self, neighbor: BrokerId, now: Instant) {
         let me = self.config.broker;
         let network = self.fabric.network();
         // Only real topology edges can be declared dead; and a link whose
@@ -2233,7 +2038,7 @@ impl EngineLoop {
         if down {
             return; // already repaired around in a previous episode
         }
-        self.apply_link_state(a, b, ver.saturating_add(1), true, None);
+        self.apply_link_state(a, b, ver.saturating_add(1), true, None, now);
     }
 
     /// A flooded `LinkDown`/`LinkUp` statement arrived from a peer.
@@ -2247,6 +2052,7 @@ impl EngineLoop {
         b: BrokerId,
         ver: u64,
         down: bool,
+        now: Instant,
     ) {
         if !matches!(self.conns.get(&conn), Some(Peer::Broker(_))) {
             return; // link-state is broker-to-broker control traffic only
@@ -2262,7 +2068,7 @@ impl EngineLoop {
             return;
         }
         let (a, b) = crate::repair::normalize_edge(a, b);
-        self.apply_link_state(a, b, ver, down, Some(conn));
+        self.apply_link_state(a, b, ver, down, Some(conn), now);
     }
 
     /// Folds one link-state statement into the table and, if it applied,
@@ -2283,6 +2089,7 @@ impl EngineLoop {
         ver: u64,
         down: bool,
         from: Option<ConnId>,
+        now: Instant,
     ) {
         // Speculative apply: only commit the table once the fabric
         // rebuild has succeeded, so the table never disagrees with the
@@ -2317,7 +2124,7 @@ impl EngineLoop {
             BrokerToBroker::LinkUp { a, b, ver }
         };
         self.flood_broker_message(&statement, from);
-        self.rehome_spools();
+        self.rehome_spools(now);
         // Subscription state lives where the old trees put it; edges that
         // are tree-adjacent in the repaired forest but were not in the
         // old one have never carried this broker's subscription set.
@@ -2355,7 +2162,7 @@ impl EngineLoop {
     /// sequence dedup cannot catch a re-homed frame (fresh sequence), so
     /// transition windows are at-least-once into routing; quiescent cuts
     /// (nothing pending except toward the dead link) stay exactly-once.
-    fn rehome_spools(&mut self) {
+    fn rehome_spools(&mut self, now: Instant) {
         let me = self.config.broker;
         let Ok(tree) = self.fabric.tree_for(me) else {
             return;
@@ -2401,7 +2208,7 @@ impl EngineLoop {
             if broker_links.is_empty() {
                 continue;
             }
-            self.dispatch(&event, tree, &body, broker_links, None);
+            self.dispatch(&event, tree, &body, broker_links, None, now);
         }
     }
 
@@ -2450,27 +2257,23 @@ impl EngineLoop {
     /// stalled peers the kernel never reports — the spool keeps their
     /// frames and the redial handshake retransmits), and ping the merely
     /// idle ones so a live peer always has something to answer.
-    fn heartbeat_tick(&mut self) {
-        let now = std::time::Instant::now();
+    fn heartbeat_tick(&mut self, now: Instant) {
         let me = self.config.broker;
         // Snapshot: teardown mutates `neighbors`.
         let links: Vec<(BrokerId, ConnId)> = self.neighbors.iter().map(|(&b, &c)| (b, c)).collect();
         for (neighbor, conn) in links {
-            let idle = match self.last_heard.get(&conn) {
-                Some(&at) => now.saturating_duration_since(at),
-                None => {
-                    // A link installed before this feature had a clock (or
-                    // raced the tick): start one now.
-                    self.last_heard.insert(conn, now);
-                    continue;
-                }
+            // Every neighbor conn got its stamp in the command that
+            // installed it (`DialedNeighbor`, or the batch carrying `Hello`).
+            let Some(&heard) = self.last_heard.get(&conn) else {
+                continue;
             };
+            let idle = now.saturating_duration_since(heard);
             if idle >= self.config.liveness_timeout {
                 self.stats.liveness_timeouts.fetch_add(1, Ordering::Relaxed);
                 // Immediate teardown (not flush-then-close): the peer is
                 // unresponsive, and unregistering shuts the socket so both
                 // our reader and a dialing supervisor notice and redial.
-                self.handle_disconnect(conn);
+                self.handle_disconnect(conn, now);
             } else {
                 // Jitter the ping threshold per link and per tick (same
                 // splitmix64 draw as the redial jitter, distinct seed):
@@ -2479,13 +2282,11 @@ impl EngineLoop {
                 // traffic lands in lockstep bursts. The draw stays within
                 // [interval, 1.5*interval), so detection latency is still
                 // bounded by the same order of one heartbeat interval.
-                let interval =
-                    Duration::from_millis(self.heartbeat_ms.load(Ordering::Relaxed).max(1));
                 let state = self
                     .ping_jitter
                     .entry(neighbor)
                     .or_insert_with(|| heartbeat_jitter_seed(me, neighbor));
-                let threshold = jittered_backoff(interval, state);
+                let threshold = jittered_backoff(self.config.heartbeat_interval, state);
                 if idle >= threshold {
                     self.stats.pings_sent.fetch_add(1, Ordering::Relaxed);
                     self.outbox.send(conn, BrokerToBroker::Ping.encode());
@@ -2500,7 +2301,7 @@ impl EngineLoop {
     /// ceremony — their spools hold every unacknowledged frame and the
     /// redial handshake retransmits, so overflow costs a reconnect, not
     /// events.
-    fn handle_queue_overflow(&mut self, conn: ConnId) {
+    fn handle_queue_overflow(&mut self, conn: ConnId, now: Instant) {
         match self.conns.get(&conn) {
             Some(Peer::Client(_)) => {
                 self.stats
@@ -2511,13 +2312,13 @@ impl EngineLoop {
                 }
                 .encode();
                 self.outbox.evict(conn, Some(notice));
-                self.forget_conn(conn);
+                self.forget_conn(conn, now);
             }
             Some(Peer::Broker(_)) => {
                 self.stats
                     .peer_overflow_disconnects
                     .fetch_add(1, Ordering::Relaxed);
-                self.handle_disconnect(conn);
+                self.handle_disconnect(conn, now);
             }
             None => {
                 // Overflow before the peer even said hello: nothing owed.
@@ -2527,7 +2328,7 @@ impl EngineLoop {
     }
 
     /// Pushes a cumulative `FwdAck` to every neighbor we owe one (received
-    /// frames not yet acknowledged). Shared by the GC tick (idle links
+    /// frames not yet acknowledged). Shared by the GC pass (idle links
     /// below the ack cadence) and the shutdown path.
     fn flush_forward_acks(&mut self) {
         for (&broker, recv) in self.recv_from.iter_mut() {
@@ -2548,16 +2349,16 @@ impl EngineLoop {
         }
     }
 
-    fn handle_disconnect(&mut self, conn: ConnId) {
+    fn handle_disconnect(&mut self, conn: ConnId, now: Instant) {
         self.outbox.unregister(conn);
-        self.forget_conn(conn);
+        self.forget_conn(conn, now);
     }
 
     /// Engine-side teardown shared by the immediate
     /// ([`handle_disconnect`](Self::handle_disconnect)) and flush-then-
     /// close (`protocol_error_disconnect`) paths: drops the routing state
     /// for `conn` without touching the transport.
-    fn forget_conn(&mut self, conn: ConnId) {
+    fn forget_conn(&mut self, conn: ConnId, now: Instant) {
         self.awaiting_hello.remove(&conn);
         self.last_heard.remove(&conn);
         match self.conns.remove(&conn) {
@@ -2567,7 +2368,7 @@ impl EngineLoop {
                         // Keep the log: deliveries continue to accumulate
                         // for replay on reconnect (until the TTL).
                         state.conn = None;
-                        state.disconnected_at = Some(std::time::Instant::now());
+                        state.disconnected_at = Some(now);
                     }
                 }
             }
@@ -2578,13 +2379,15 @@ impl EngineLoop {
         }
     }
 
-    fn collect_garbage(&mut self) {
+    fn collect_garbage(&mut self, now: Instant) {
         let ttl = self.config.client_ttl;
         self.clients.retain(|_, state| {
             state.log.collect();
             state.log.enforce_bound(self.config.log_bound);
             // Reclaim state for clients gone longer than the TTL.
-            state.disconnected_at.is_none_or(|at| at.elapsed() <= ttl)
+            state
+                .disconnected_at
+                .is_none_or(|at| now.saturating_duration_since(at) <= ttl)
         });
         // Flush pending forward acks, so a link that went quiet below the
         // ack cadence still lets the neighbor trim its spool.
@@ -2596,7 +2399,7 @@ impl EngineLoop {
             let acked_before = spool.acked();
             spool.collect();
             let before = spool.lost();
-            spool.enforce_bound(self.config.link_spool_bound);
+            spool.enforce_bound(LINK_SPOOL_BOUND);
             let dropped = spool.lost() - before;
             self.stats
                 .dropped_spool_overflow

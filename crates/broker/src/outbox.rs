@@ -19,6 +19,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 
+use crate::broker::Command;
 use crate::transport::LinkWriter;
 
 /// Identifies one connection within a broker node.
@@ -54,8 +55,9 @@ pub(crate) struct Conn {
     /// Bytes currently queued on this connection — the per-connection half
     /// of the depth counters, read by the overflow check on every enqueue.
     queued_bytes: AtomicU64,
-    /// Whether this connection has already been reported on `overflow_tx`
-    /// (the engine is told exactly once; its policy decides what follows).
+    /// Whether [`Command::QueueOverflow`] has already been sent for this
+    /// connection (the engine is told exactly once; its policy decides what
+    /// follows).
     overflowed: AtomicBool,
 }
 
@@ -78,12 +80,11 @@ pub(crate) struct Outbox {
     conns: RwLock<HashMap<ConnId, Arc<Conn>>>,
     /// `None` after [`Outbox::close`]: the pool threads drain out and exit.
     work_tx: Mutex<Option<Sender<Arc<Conn>>>>,
-    /// Write failures are reported here (the engine treats them as
-    /// disconnects).
-    dead_tx: Sender<ConnId>,
-    /// Connections whose queue crossed `conn_queue_bound` are reported here
-    /// (once each); the engine decides between eviction and disconnect.
-    overflow_tx: Sender<ConnId>,
+    /// The engine's mailbox: a write failure is reported on it as
+    /// [`Command::Disconnected`], a queue crossing `conn_queue_bound` as
+    /// [`Command::QueueOverflow`] (once per connection; the engine owns the
+    /// peer table, so only it can pick eviction or disconnect).
+    cmd_tx: Sender<Command>,
     /// Frames currently enqueued across all connections.
     queued_frames: AtomicU64,
     /// Bytes currently enqueued across all connections.
@@ -101,23 +102,21 @@ pub(crate) struct Outbox {
 
 impl Outbox {
     /// Creates the outbox and spawns `senders` pool threads, each draining
-    /// up to [`DRAIN_BATCH`] frames per connection turn. Dead connections are
-    /// announced on `dead_tx`; connections crossing `conn_queue_bound`
-    /// queued bytes are announced (once each) on `overflow_tx`.
+    /// up to [`DRAIN_BATCH`] frames per connection turn. Dead connections
+    /// and connections crossing `conn_queue_bound` queued bytes are
+    /// announced (once each) on `cmd_tx`.
     pub(crate) fn new(
         senders: usize,
         conn_queue_bound: u64,
         write_stall_timeout: Option<Duration>,
-        dead_tx: Sender<ConnId>,
-        overflow_tx: Sender<ConnId>,
+        cmd_tx: Sender<Command>,
     ) -> io::Result<Arc<Outbox>> {
         assert!(senders > 0, "at least one sender thread required");
         let (work_tx, work_rx) = unbounded::<Arc<Conn>>();
         let outbox = Arc::new(Outbox {
             conns: RwLock::new(HashMap::new()),
             work_tx: Mutex::new(Some(work_tx)),
-            dead_tx,
-            overflow_tx,
+            cmd_tx,
             queued_frames: AtomicU64::new(0),
             queued_bytes: AtomicU64::new(0),
             conn_queue_bound: conn_queue_bound.max(1),
@@ -319,7 +318,7 @@ impl Outbox {
             conn.queued_bytes.fetch_sub(len, Ordering::Relaxed);
             if !conn.overflowed.swap(true, Ordering::AcqRel) {
                 // analyzer:allow(hold-across-blocking): unbounded channel, the send never blocks
-                let _ = self.overflow_tx.send(conn.id);
+                let _ = self.cmd_tx.send(Command::QueueOverflow(conn.id));
             }
             return;
         }
@@ -424,7 +423,7 @@ impl Outbox {
                 // processes the death: the local reader thread shares the
                 // fd and unblocks immediately.
                 conn.shutdown_sink();
-                let _ = self.dead_tx.send(conn.id);
+                let _ = self.cmd_tx.send(Command::Disconnected(conn.id));
                 return;
             }
             // Fairness: if the queue refilled past this batch, hand the
@@ -447,17 +446,16 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    /// An outbox with no overflow cap and no overflow listener — the shape
-    /// every pre-existing test wants.
-    fn test_outbox(senders: usize, dead_tx: Sender<ConnId>) -> Arc<Outbox> {
-        let (overflow_tx, _overflow_rx) = unbounded();
-        Outbox::new(senders, u64::MAX, None, dead_tx, overflow_tx).unwrap()
+    /// An outbox with no overflow cap and no write timeout — the shape
+    /// most tests want.
+    fn test_outbox(senders: usize, cmd_tx: Sender<Command>) -> Arc<Outbox> {
+        Outbox::new(senders, u64::MAX, None, cmd_tx).unwrap()
     }
 
     #[test]
     fn frames_arrive_in_order_per_connection() {
-        let (dead_tx, _dead_rx) = unbounded();
-        let outbox = test_outbox(4, dead_tx);
+        let (cmd_tx, _cmd_rx) = unbounded();
+        let outbox = test_outbox(4, cmd_tx);
         let (tx, rx) = unbounded::<Bytes>();
         outbox.register(1, Sink::Chan(tx));
         for i in 0..100u8 {
@@ -473,8 +471,8 @@ mod tests {
 
     #[test]
     fn many_connections_share_the_pool() {
-        let (dead_tx, _dead_rx) = unbounded();
-        let outbox = test_outbox(2, dead_tx);
+        let (cmd_tx, _cmd_rx) = unbounded();
+        let outbox = test_outbox(2, cmd_tx);
         let mut receivers = Vec::new();
         for id in 0..20u64 {
             let (tx, rx) = unbounded::<Bytes>();
@@ -495,8 +493,8 @@ mod tests {
 
     #[test]
     fn send_many_shares_one_buffer_across_links() {
-        let (dead_tx, _dead_rx) = unbounded();
-        let outbox = test_outbox(2, dead_tx);
+        let (cmd_tx, _cmd_rx) = unbounded();
+        let outbox = test_outbox(2, cmd_tx);
         let mut receivers = Vec::new();
         for id in 0..8u64 {
             let (tx, rx) = unbounded::<Bytes>();
@@ -520,8 +518,8 @@ mod tests {
     #[cfg(not(miri))]
     #[test]
     fn a_flood_to_two_neighbors_allocates_nothing() {
-        let (dead_tx, _dead_rx) = unbounded();
-        let outbox = test_outbox(1, dead_tx);
+        let (cmd_tx, _cmd_rx) = unbounded();
+        let outbox = test_outbox(1, cmd_tx);
         let mut neighbors = HashMap::new();
         let mut receivers = Vec::new();
         for (broker, conn) in [(10u32, 1 as ConnId), (11, 2), (12, 3)] {
@@ -550,8 +548,8 @@ mod tests {
 
     #[test]
     fn queue_depth_returns_to_zero_after_drain() {
-        let (dead_tx, _dead_rx) = unbounded();
-        let outbox = test_outbox(1, dead_tx);
+        let (cmd_tx, _cmd_rx) = unbounded();
+        let outbox = test_outbox(1, cmd_tx);
         let (tx, rx) = unbounded::<Bytes>();
         outbox.register(1, Sink::Chan(tx));
         // 3 * DRAIN_BATCH frames exercises the bounded-batch path.
@@ -575,16 +573,19 @@ mod tests {
 
     #[test]
     fn dead_peers_are_reported_once_and_dropped() {
-        let (dead_tx, dead_rx) = unbounded();
-        let outbox = test_outbox(1, dead_tx);
+        let (cmd_tx, cmd_rx) = unbounded();
+        let outbox = test_outbox(1, cmd_tx);
         let (tx, rx) = unbounded::<Bytes>();
         outbox.register(7, Sink::Chan(tx));
         drop(rx); // peer hangs up
         outbox.send(7, Bytes::from_static(b"x"));
-        assert_eq!(dead_rx.recv_timeout(Duration::from_secs(2)).unwrap(), 7);
+        assert!(matches!(
+            cmd_rx.recv_timeout(Duration::from_secs(2)),
+            Ok(Command::Disconnected(7))
+        ));
         // Further sends are silently dropped.
         outbox.send(7, Bytes::from_static(b"y"));
-        assert!(dead_rx.recv_timeout(Duration::from_millis(100)).is_err());
+        assert!(cmd_rx.recv_timeout(Duration::from_millis(100)).is_err());
     }
 
     #[test]
@@ -606,8 +607,8 @@ mod tests {
         reader_half
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        let (dead_tx, _dead_rx) = unbounded();
-        let outbox = test_outbox(1, dead_tx);
+        let (cmd_tx, _cmd_rx) = unbounded();
+        let outbox = test_outbox(1, cmd_tx);
         outbox.register(1, Sink::Link(Arc::new(crate::tcp::TcpWriter(stream))));
         outbox.unregister(1);
         // The remote peer sees the FIN...
@@ -619,8 +620,8 @@ mod tests {
 
     #[test]
     fn close_after_flush_delivers_queued_frames_then_hangs_up() {
-        let (dead_tx, _dead_rx) = unbounded();
-        let outbox = test_outbox(1, dead_tx);
+        let (cmd_tx, _cmd_rx) = unbounded();
+        let outbox = test_outbox(1, cmd_tx);
         let (tx, rx) = unbounded::<Bytes>();
         outbox.register(1, Sink::Chan(tx));
         let total = 2 * DRAIN_BATCH;
@@ -645,27 +646,26 @@ mod tests {
 
     #[test]
     fn overflow_is_reported_once_and_excess_frames_drop() {
-        let (dead_tx, _dead_rx) = unbounded();
-        let (overflow_tx, overflow_rx) = unbounded();
+        let (cmd_tx, cmd_rx) = unbounded();
         // 1 KiB cap; the sink is a rendezvous-ish bounded channel so the
         // drain thread wedges on the first frame and the queue backs up —
         // the same shape as a TCP peer that stopped reading.
-        let outbox = Outbox::new(1, 1024, None, dead_tx, overflow_tx).unwrap();
+        let outbox = Outbox::new(1, 1024, None, cmd_tx).unwrap();
         let (tx, rx) = crossbeam::channel::bounded::<Bytes>(1);
         outbox.register(1, Sink::Chan(tx));
         for _ in 0..16 {
             outbox.send(1, Bytes::from(vec![0u8; 256]));
         }
-        assert_eq!(
-            overflow_rx.recv_timeout(Duration::from_secs(2)).unwrap(),
-            1,
+        assert!(
+            matches!(
+                cmd_rx.recv_timeout(Duration::from_secs(2)),
+                Ok(Command::QueueOverflow(1))
+            ),
             "crossing the cap must be reported"
         );
         // Reported exactly once, no matter how much more is offered.
         outbox.send(1, Bytes::from(vec![0u8; 4096]));
-        assert!(overflow_rx
-            .recv_timeout(Duration::from_millis(100))
-            .is_err());
+        assert!(cmd_rx.recv_timeout(Duration::from_millis(100)).is_err());
         // The queue never grew past the cap: everything offered beyond it
         // was dropped, not buffered.
         let (_, queued) = outbox.queue_depth();
@@ -679,8 +679,8 @@ mod tests {
 
     #[test]
     fn evict_discards_backlog_but_flushes_the_notice() {
-        let (dead_tx, _dead_rx) = unbounded();
-        let outbox = test_outbox(1, dead_tx);
+        let (cmd_tx, _cmd_rx) = unbounded();
+        let outbox = test_outbox(1, cmd_tx);
         // A one-slot sink holding the drain thread on frame 0 keeps the
         // rest of the backlog in the queue, so the eviction has something
         // to discard.
@@ -725,8 +725,8 @@ mod tests {
 
     #[test]
     fn drain_all_flushes_queues_then_hangs_up() {
-        let (dead_tx, _dead_rx) = unbounded();
-        let outbox = test_outbox(2, dead_tx);
+        let (cmd_tx, _cmd_rx) = unbounded();
+        let outbox = test_outbox(2, cmd_tx);
         let mut receivers = Vec::new();
         for id in 0..4u64 {
             let (tx, rx) = unbounded::<Bytes>();
@@ -762,8 +762,8 @@ mod tests {
 
     #[test]
     fn drain_all_gives_up_on_wedged_peers_at_the_deadline() {
-        let (dead_tx, _dead_rx) = unbounded();
-        let outbox = test_outbox(1, dead_tx);
+        let (cmd_tx, _cmd_rx) = unbounded();
+        let outbox = test_outbox(1, cmd_tx);
         // A one-slot channel nobody drains: the first frame fills the
         // slot, the second wedges the pool thread, so the flush can never
         // complete.
@@ -789,16 +789,8 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let client = std::net::TcpStream::connect(addr).unwrap();
         let (stream, _) = listener.accept().unwrap();
-        let (dead_tx, dead_rx) = unbounded();
-        let (overflow_tx, _overflow_rx) = unbounded();
-        let outbox = Outbox::new(
-            1,
-            u64::MAX,
-            Some(Duration::from_millis(300)),
-            dead_tx,
-            overflow_tx,
-        )
-        .unwrap();
+        let (cmd_tx, cmd_rx) = unbounded();
+        let outbox = Outbox::new(1, u64::MAX, Some(Duration::from_millis(300)), cmd_tx).unwrap();
         outbox.register(1, Sink::Link(Arc::new(crate::tcp::TcpWriter(stream))));
         // `client` never reads: the kernel buffers fill and the blocking
         // write must fail at the stall timeout instead of parking the pool
@@ -807,11 +799,9 @@ mod tests {
         let start = std::time::Instant::now();
         loop {
             outbox.send(1, Bytes::from(chunk.clone()));
-            match dead_rx.recv_timeout(Duration::from_millis(10)) {
-                Ok(id) => {
-                    assert_eq!(id, 1);
-                    break;
-                }
+            match cmd_rx.recv_timeout(Duration::from_millis(10)) {
+                Ok(Command::Disconnected(1)) => break,
+                Ok(_) => panic!("a stalled writer is reported as a disconnect of conn 1"),
                 Err(_) if start.elapsed() < Duration::from_secs(30) => continue,
                 Err(e) => panic!("writer never failed over a stalled peer: {e:?}"),
             }
@@ -821,10 +811,10 @@ mod tests {
 
     #[test]
     fn unregistered_connections_drop_frames() {
-        let (dead_tx, dead_rx) = unbounded();
-        let outbox = test_outbox(1, dead_tx);
+        let (cmd_tx, cmd_rx) = unbounded();
+        let outbox = test_outbox(1, cmd_tx);
         outbox.send(99, Bytes::from_static(b"x"));
-        assert!(dead_rx.recv_timeout(Duration::from_millis(50)).is_err());
+        assert!(cmd_rx.recv_timeout(Duration::from_millis(50)).is_err());
 
         let (tx, rx) = unbounded::<Bytes>();
         outbox.register(1, Sink::Chan(tx));

@@ -4,8 +4,8 @@
 //! [`SimNet`] models a set of hosts (synthetic `10.66.0.x` addresses)
 //! joined by bidirectional links. Every connection is a pair of bounded
 //! in-memory byte pipes; per-link knobs mirror the fault harness used by
-//! the TCP integration tests — delay, kill (sever every live pipe and
-//! refuse new dials), revive. All timing randomness (per-write delivery
+//! the TCP integration tests — kill (sever every live pipe and refuse new
+//! dials), revive. All timing randomness (per-write delivery
 //! jitter) flows from one seed, so a failing schedule replays from its
 //! `SIMNET_SEED` (see DESIGN.md §12 for the determinism model and its
 //! limits versus loom).
@@ -95,7 +95,7 @@ struct Pipe {
 struct PipeBuf {
     /// Bytes released for reading.
     ready: VecDeque<u8>,
-    /// Chunks written but not yet due (delay + jitter). Released FIFO —
+    /// Chunks written but not yet due (jitter). Released FIFO —
     /// a later chunk never overtakes an earlier one, preserving stream
     /// order even when jitter would reorder due times.
     staged: VecDeque<(Instant, Vec<u8>)>,
@@ -105,8 +105,6 @@ struct PipeBuf {
     eof: bool,
     /// Hard kill: buffered data is gone, reads see EOF, writes fail.
     severed: bool,
-    /// Base delivery delay for new writes, milliseconds.
-    delay_ms: u64,
     /// Per-pipe jitter stream (seed derived from the net seed and the
     /// host pair, independent of dial order).
     rng: Rng,
@@ -115,7 +113,7 @@ struct PipeBuf {
 }
 
 impl Pipe {
-    fn new(delay_ms: u64, seed: u64) -> Arc<Pipe> {
+    fn new(seed: u64) -> Arc<Pipe> {
         Arc::new(Pipe {
             buf: Mutex::new(PipeBuf {
                 ready: VecDeque::new(),
@@ -123,7 +121,6 @@ impl Pipe {
                 buffered: 0,
                 eof: false,
                 severed: false,
-                delay_ms,
                 rng: Rng(seed),
                 write_timeout: None,
             }),
@@ -195,7 +192,7 @@ impl Pipe {
         }
         let jitter = g.rng.next_below(JITTER_MS);
         // analyzer:allow(sim-determinism): delivery pacing; ordering jitter comes from the seeded rng
-        let due = Instant::now() + Duration::from_millis(g.delay_ms + jitter);
+        let due = Instant::now() + Duration::from_millis(jitter);
         g.buffered += chunk.len();
         g.staged.push_back((due, chunk.to_vec()));
         self.cv.notify_all();
@@ -289,10 +286,9 @@ struct ListenerSlot {
     queue: VecDeque<Connection>,
 }
 
-/// Per-link fault and shaping state.
+/// Per-link fault state.
 struct LinkState {
     up: bool,
-    delay_ms: u64,
     /// Dials ever made across this link (part of each pipe's seed, so
     /// seeds never repeat across redials).
     dials: u64,
@@ -312,7 +308,6 @@ impl NetState {
     fn link(&mut self, key: LinkKey) -> &mut LinkState {
         self.links.entry(key).or_insert(LinkState {
             up: true,
-            delay_ms: 0,
             dials: 0,
             pipes: Vec::new(),
         })
@@ -403,30 +398,6 @@ impl SimNet {
         g.link(LinkKey::new(a, b)).up = true;
     }
 
-    /// Sets the one-way delivery delay on a link, in milliseconds.
-    /// Applies to live pipes and to future dials.
-    pub fn set_link_delay(&self, a: IpAddr, b: IpAddr, delay_ms: u64) {
-        let mut g = self.net.lock();
-        let link = g.link(LinkKey::new(a, b));
-        link.delay_ms = delay_ms;
-        link.pipes.retain(|weak| weak.upgrade().is_some());
-        let pipes: Vec<Weak<Pipe>> = link.pipes.clone();
-        drop(g);
-        for weak in pipes {
-            if let Some(pipe) = weak.upgrade() {
-                let mut b = pipe.buf.lock();
-                b.delay_ms = delay_ms;
-            }
-        }
-    }
-
-    /// Whether the link between two hosts is currently up (links exist
-    /// implicitly and default to up).
-    pub fn link_up(&self, a: IpAddr, b: IpAddr) -> bool {
-        let mut g = self.net.lock();
-        g.link(LinkKey::new(a, b)).up
-    }
-
     fn bind(self: &Arc<Self>, host_ip: IpAddr, requested: SocketAddr) -> io::Result<SimListener> {
         let mut g = self.net.lock();
         let port = if requested.port() == 0 {
@@ -471,13 +442,12 @@ impl SimNet {
             ));
         }
         link.dials = link.dials.wrapping_add(1);
-        let delay_ms = link.delay_ms;
         // Seeds depend only on the net seed, the host pair, and how many
         // dials that pair has made — never on cross-link dial order.
         let s = mix(pair_seed ^ mix(link.dials));
         // `fwd` carries dialer → listener bytes, `rev` the reverse.
-        let fwd = Pipe::new(delay_ms, s);
-        let rev = Pipe::new(delay_ms, mix(s));
+        let fwd = Pipe::new(s);
+        let rev = Pipe::new(mix(s));
         link.pipes.retain(|weak| weak.upgrade().is_some());
         link.pipes.push(Arc::downgrade(&fwd));
         link.pipes.push(Arc::downgrade(&rev));

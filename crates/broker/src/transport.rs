@@ -32,7 +32,7 @@ use std::io::{self, ErrorKind, Read};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::{Buf, Bytes};
 use crossbeam::channel::Sender;
@@ -145,12 +145,14 @@ pub(crate) fn spawn_acceptor(
                     Ok(connection) => {
                         let conn = next_conn.fetch_add(1, Ordering::Relaxed);
                         outbox.register(conn, Sink::Link(connection.writer));
-                        spawn_reader(
-                            connection.reader,
-                            conn,
-                            cmd_tx.clone(),
-                            Arc::clone(&shutdown),
-                        );
+                        // The peer speaks first or not at all: no
+                        // handshake deadline.
+                        let (cmd_tx, shutdown) = (cmd_tx.clone(), Arc::clone(&shutdown));
+                        let _ = std::thread::Builder::new()
+                            .name(format!("reader-{conn}"))
+                            .spawn(move || {
+                                read_frames(connection.reader, conn, &cmd_tx, &shutdown, None)
+                            });
                     }
                     // Nothing pending on a polling listener, or a
                     // transient failure: ask again shortly.
@@ -160,34 +162,46 @@ pub(crate) fn spawn_acceptor(
         })
 }
 
-/// Spawns a framed reader for one connection: every read's complete
-/// frames go to the engine as one command. EOF or error reports a
-/// disconnect.
-pub(crate) fn spawn_reader(
+/// Reads one connection until it ends — the one loop that polls a
+/// broker-side [`FrameReader`], run by an accepted connection's reader
+/// thread and by a dialled link's supervisor alike. Every read's complete
+/// frames go to the engine as one command; EOF or an error reports a
+/// disconnect, and so does a peer that has sent no frame by
+/// `handshake_deadline` (a silent peer and one stalled part-way through
+/// its `Hello` look the same from here; the engine unregisters the conn,
+/// closing the socket). Returns at the next poll once `shutdown` is set.
+/// The result is whether the peer ever sent a frame.
+pub(crate) fn read_frames(
     reader: LinkReader,
     conn: ConnId,
-    cmd_tx: Sender<Command>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let _ = std::thread::Builder::new()
-        .name(format!("reader-{conn}"))
-        .spawn(move || {
-            let mut frames = FrameReader::new(reader);
-            while !shutdown.load(Ordering::Acquire) {
-                match frames.poll() {
-                    Ok(Polled::Frames(batch)) => {
-                        if cmd_tx.send(Command::Frames(conn, batch)).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(Polled::Idle) => {}
-                    Ok(Polled::Closed) | Err(_) => {
-                        let _ = cmd_tx.send(Command::Disconnected(conn));
-                        return;
-                    }
+    cmd_tx: &Sender<Command>,
+    shutdown: &AtomicBool,
+    handshake_deadline: Option<Instant>,
+) -> bool {
+    let mut frames = FrameReader::new(reader);
+    let mut greeted = false;
+    while !shutdown.load(Ordering::Acquire) {
+        match frames.poll() {
+            Ok(Polled::Frames(batch)) => {
+                greeted = true;
+                if cmd_tx.send(Command::Frames(conn, batch)).is_err() {
+                    break;
                 }
             }
-        });
+            Ok(Polled::Idle) => {
+                // analyzer:allow(sim-determinism): a dialled link's handshake deadline only; what arrives, and in which order, stays seed-derived
+                if !greeted && handshake_deadline.is_some_and(|at| Instant::now() >= at) {
+                    let _ = cmd_tx.send(Command::Disconnected(conn));
+                    break;
+                }
+            }
+            Ok(Polled::Closed) | Err(_) => {
+                let _ = cmd_tx.send(Command::Disconnected(conn));
+                break;
+            }
+        }
+    }
+    greeted
 }
 
 /// Complete `[u32 LE length][payload]` frames laid end to end in one shared
@@ -397,14 +411,18 @@ mod tests {
 
     #[test]
     fn reader_holding_half_a_frame_still_sees_the_shutdown_flag() {
-        let (cmd_tx, cmd_rx) = unbounded();
+        let (cmd_tx, cmd_rx) = unbounded::<Command>();
         let shutdown = Arc::new(AtomicBool::new(false));
-        spawn_reader(
-            Box::new(Stalled { sent: false }),
-            1,
-            cmd_tx,
-            Arc::clone(&shutdown),
-        );
+        let reader_shutdown = Arc::clone(&shutdown);
+        std::thread::spawn(move || {
+            read_frames(
+                Box::new(Stalled { sent: false }),
+                1,
+                &cmd_tx,
+                &reader_shutdown,
+                None,
+            )
+        });
         // Half a frame is no frame, and no reason to hang up either.
         assert!(matches!(
             cmd_rx.recv_timeout(Duration::from_millis(50)),

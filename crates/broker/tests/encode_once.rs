@@ -158,7 +158,7 @@ fn a_flooded_subscription_is_serialized_at_its_home_broker_only() {
     // Links first, over which nothing is resynced yet: no broker knows a
     // subscription.
     for (node, (next, id)) in nodes.iter().zip(nodes.iter().zip(&brokers).skip(1)) {
-        node.connect_to(*id, next.addr()).unwrap();
+        node.connect_to_persistent(*id, next.addr());
     }
     let converged = |count: u64| {
         let deadline = Instant::now() + Duration::from_secs(10);

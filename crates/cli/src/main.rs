@@ -157,9 +157,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .iter()
             .find(|n| n.broker() == dialer_id)
             .expect("every broker started");
-        node.connect_to(target_id, target_addr)
-            .map_err(|e| format!("link {dialer} -> {target} failed: {e}"))?;
-        println!("link {dialer} -> {target} connected");
+        node.connect_to_persistent(target_id, target_addr);
+        println!("link {dialer} -> {target} supervised");
     }
     println!("serving; press Enter (or close stdin) to stop");
     let mut line = String::new();

@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     for i in 1..5 {
-        nodes[i].connect_to(BrokerId::new(0), nodes[0].addr())?;
+        nodes[i].connect_to_persistent(BrokerId::new(0), nodes[0].addr());
     }
     println!("five brokers listening:");
     for n in &nodes {

@@ -60,12 +60,8 @@ fn start_cluster_over(registry: Arc<SchemaRegistry>) -> Cluster {
         })
         .collect();
     // Wire the topology: the higher-id side dials.
-    nodes[1]
-        .connect_to(BrokerId::new(0), nodes[0].addr())
-        .unwrap();
-    nodes[2]
-        .connect_to(BrokerId::new(1), nodes[1].addr())
-        .unwrap();
+    nodes[1].connect_to_persistent(BrokerId::new(0), nodes[0].addr());
+    nodes[2].connect_to_persistent(BrokerId::new(1), nodes[1].addr());
     Cluster {
         nodes,
         registry,

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use fault::{await_subscriptions, registry, seed_from_env, tick, Fault, FaultLink, FaultPlan, Lcg};
 use linkcast::{NetworkBuilder, RoutingFabric};
-use linkcast_broker::{BrokerConfig, BrokerNode, Client};
+use linkcast_broker::{BrokerConfig, BrokerNode, Client, ClientToBroker};
 use linkcast_types::{BrokerId, ClientId, SchemaId};
 
 /// Heartbeat/liveness settings shared by every leg: fast enough that a
@@ -355,14 +355,26 @@ fn corrupted_payload_is_rejected_and_replayed_from_the_spool() {
 /// closed — broker link must be torn down by the liveness sweep within the
 /// configured timeout (plus scheduling slack), the spool must retain the
 /// outage window, and the redial must restore the exact flooding baseline.
+///
+/// Two inputs: an idle acceptor, whose engine sleeps until its heartbeat
+/// deadline, and a busy one, where a local publisher keeps the engine's
+/// mailbox non-empty for the whole stall — the engine owns its timers, so
+/// it must look at them between commands too, not only when a wait times
+/// out.
 #[test]
 fn half_open_link_detected_within_liveness_timeout() {
+    half_open_link_is_detected(false);
+    half_open_link_is_detected(true);
+}
+
+fn half_open_link_is_detected(busy: bool) {
     let mut net = NetworkBuilder::new();
     let a = net.add_broker(); // acceptor: hosts the subscriber
     let b = net.add_broker(); // dialer: hosts the publisher
     net.connect(a, b, 5.0).unwrap();
     let sub_client = net.add_client(a).unwrap();
     let pub_client = net.add_client(b).unwrap();
+    let busy_client = net.add_client(a).unwrap();
     let fabric = RoutingFabric::new_all_roots(net.build().unwrap()).unwrap();
     let registry = registry();
 
@@ -403,17 +415,55 @@ fn half_open_link_detected_within_liveness_timeout() {
         publisher.publish(&tick(&registry, n)).unwrap();
     }
 
-    // A must tear the link down within the liveness timeout. The bound
-    // below is deliberately loose (2× the timeout) to absorb scheduler
-    // jitter in CI while still proving detection is prompt.
-    let detection_deadline = stalled_at + 2 * LIVENESS;
-    while node_a.stats().liveness_timeouts == 0 {
-        assert!(
-            Instant::now() < detection_deadline,
-            "half-open link not torn down within 2x the liveness timeout"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // A must tear the link down within the liveness timeout. The idle
+    // bound is deliberately loose (2× the timeout) to absorb scheduler
+    // jitter in CI while still proving detection is prompt. The busy bound
+    // is the timeout plus two timer periods: a timer that waited for the
+    // mailbox to drain would not fire before the publisher below stops,
+    // and it stops only at detection or at the bound.
+    let detection_deadline = stalled_at
+        + if busy {
+            LIVENESS + 2 * HEARTBEAT
+        } else {
+            2 * LIVENESS
+        };
+    let detected = || node_a.stats().liveness_timeouts > 0;
+    std::thread::scope(|scope| {
+        if busy {
+            scope.spawn(|| {
+                // Events nobody subscribes to (`n < 0`): they cost A's
+                // engine a match each and reach no one. Up to 16 384 wait
+                // in the mailbox — some tens of milliseconds of work, so it
+                // stays non-empty while this thread is off the CPU, and
+                // bounded.
+                let local = node_a.open_local();
+                local.send(&ClientToBroker::Hello {
+                    client: busy_client,
+                    resume_from: 0,
+                });
+                let noise = ClientToBroker::Publish {
+                    event: tick(&registry, -1),
+                };
+                let (mut sent, mut done) = (0, 0);
+                while !detected() && Instant::now() < detection_deadline {
+                    if sent < done + 16_384 {
+                        local.send(&noise);
+                        sent += 1;
+                    } else {
+                        done = node_a.stats().published;
+                    }
+                }
+            });
+        }
+        while !detected() {
+            assert!(
+                Instant::now() < detection_deadline,
+                "half-open link not torn down by {:?} after the stall (busy: {busy})",
+                detection_deadline - stalled_at
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    });
 
     // Heal: the supervisor's redial completes a fresh handshake and the
     // spool replays the outage window. Exact baseline, no duplicates.

@@ -76,6 +76,12 @@ fn slow_consumer_is_evicted_and_broker_stays_live() {
         n += 1;
     }
     assert_eq!(node.stats().evicted_slow_consumers, 1);
+    // `publish` returns once the socket has the frame: the last few blobs
+    // may still be on their way to the engine.
+    while node.stats().published < n as u64 {
+        assert!(Instant::now() < deadline, "the engine never caught up");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // The broker is still fully live for everyone else, and the eviction
     // counter travels the wire (what `linkcast-cli stats` renders).
