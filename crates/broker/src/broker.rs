@@ -1,7 +1,7 @@
 //! The broker node: connection manager, protocol state machine, and
 //! lifecycle.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,17 +20,13 @@ use parking_lot::Mutex;
 use crate::control::{SubIdAllocator, TombstoneSet, SUB_COUNTER_BITS, SUB_ID_SPACE};
 use crate::counters::{BrokerStats, Derived, Gauges, StatsInner};
 use crate::engine::MatchingEngine;
-use crate::log::{AckLog, EventLog};
+use crate::link::{heartbeat_jitter_seed, jitter_seed, jittered_backoff, Link, Mark, Tick};
+use crate::log::EventLog;
 use crate::outbox::{ConnId, Outbox, Sink};
 use crate::protocol::{self, BrokerToBroker, BrokerToClient, ClientToBroker};
 use crate::storage::{self, Storage, WalOp};
 use crate::tcp::TcpTransport;
 use crate::transport::{self, FrameBatch, Transport};
-
-/// How many received `Forward` frames a broker lets accumulate before it
-/// pushes a cumulative `FwdAck` back over the link (the GC pass flushes
-/// whatever is left, so acks also flow on idle links).
-const FWD_ACK_EVERY: u64 = 64;
 
 /// Initial (and minimum) redial backoff for supervised links.
 const LINK_REDIAL_MIN: Duration = Duration::from_millis(50);
@@ -41,52 +37,10 @@ const LINK_REDIAL_MAX: Duration = Duration::from_secs(2);
 /// then immediately dies (crash loop) keeps backing off instead of being
 /// hot-redialed at the minimum interval forever.
 const LINK_STABILITY_WINDOW: Duration = Duration::from_secs(2);
-/// Maximum retained entries per broker-link spool. Events routed toward a
-/// neighbor are held (as stitched `Forward` frames) until the neighbor's
-/// cumulative acknowledgment; while a link is down the spool keeps growing
-/// up to this bound, after which the oldest unacknowledged frames are
-/// dropped and counted in [`BrokerStats::dropped_spool_overflow`].
-const LINK_SPOOL_BOUND: usize = 32768;
 /// SO_SNDTIMEO applied to every TCP connection: a peer that stops reading
 /// while the kernel send buffer is full fails the write (and is
 /// disconnected) instead of wedging a sender-pool thread indefinitely.
 const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Stretches a redial backoff by a deterministic pseudo-random factor in
-/// `[1.0, 1.5)`, advancing `state` (splitmix64) on each call. Without
-/// jitter every supervisor redials a recovering neighbor in lockstep —
-/// the escalation ladder is deterministic and shared — so a broker
-/// coming back from a crash takes the whole mesh's dials in one burst.
-/// Seeding `state` per (local, neighbor) pair decorrelates the herd
-/// while keeping every schedule reproducible.
-fn jittered_backoff(backoff: Duration, state: &mut u64) -> Duration {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    let ms = u64::try_from(backoff.as_millis())
-        .unwrap_or(u64::MAX)
-        .max(1);
-    // Up to +50% in whole milliseconds; `ms / 2 + 1` keeps the modulus
-    // nonzero for sub-2ms backoffs.
-    let extra = z % (ms / 2 + 1);
-    Duration::from_millis(ms.saturating_add(extra))
-}
-
-/// Per-link jitter seed: distinct for every (local, neighbor) pair so
-/// supervisors that share an escalation ladder still spread their dials.
-fn jitter_seed(me: BrokerId, neighbor: BrokerId) -> u64 {
-    (u64::from(me.raw()) << 32) ^ u64::from(neighbor.raw()) ^ 0x5851_f42d_4c95_7f2d
-}
-
-/// Seed for the heartbeat ping jitter stream: derived from the redial
-/// seed for the same (local, neighbor) pair but offset so the two
-/// schedules draw from decorrelated splitmix64 sequences — a link's ping
-/// cadence must not mirror its redial cadence.
-fn heartbeat_jitter_seed(me: BrokerId, neighbor: BrokerId) -> u64 {
-    jitter_seed(me, neighbor) ^ 0x9e37_79b9_7f4a_7c15
-}
 
 /// Configuration of one broker node.
 #[derive(Debug, Clone)]
@@ -229,6 +183,7 @@ pub(crate) enum Command {
     Crash,
 }
 
+#[derive(Clone, Copy)]
 enum Peer {
     Client(ClientId),
     Broker(BrokerId),
@@ -362,8 +317,7 @@ impl BrokerNode {
                 recovered.incarnation,
                 &recovered.sub_ids,
                 &recovered.tombstones,
-                &recovered.recv_from,
-                &recovered.spools,
+                &recovered.links,
                 &recovered.subscriptions,
             );
             st.write_snapshot(STATE_SNAPSHOT, &snapshot)?;
@@ -381,12 +335,12 @@ impl BrokerNode {
             link_state: crate::repair::LinkStateTable::default(),
             epoch: 0,
             epoch_gauge: Arc::clone(&topology_epoch),
-            ping_jitter: HashMap::new(),
-            durable: config.storage.clone().map(|storage| Durable {
-                storage,
-                records_since_snapshot: 0,
-                buf: Vec::new(),
-            }),
+            journal: Journal {
+                storage: config.storage.clone(),
+                stats: Arc::clone(&stats),
+                ..Journal::default()
+            },
+            staged: Vec::new(),
             config: config.clone(),
             incarnation: recovered.incarnation,
             engine,
@@ -395,13 +349,9 @@ impl BrokerNode {
             match_stats: Arc::clone(&match_stats),
             conns: HashMap::new(),
             clients: HashMap::new(),
-            neighbors: HashMap::new(),
-            awaiting_hello: HashSet::new(),
-            spools: recovered.spools,
-            recv_from: recovered.recv_from,
+            links: recovered.links,
             tombstones: recovered.tombstones,
             sub_ids: recovered.sub_ids,
-            last_heard: HashMap::new(),
         };
         let engine_thread = std::thread::Builder::new()
             .name(format!("broker-{}", config.broker))
@@ -733,25 +683,99 @@ const STATE_SNAPSHOT: &str = "state";
 /// corruption — reject the snapshot rather than trust the length.
 const MAX_SNAPSHOT_ITEMS: u32 = 1 << 24;
 
-/// Durable-state bookkeeping on the engine thread (present only with
-/// [`BrokerConfig::storage`] configured).
-struct Durable {
-    storage: Arc<dyn Storage>,
+/// The write-ahead journal, on the engine thread. Without
+/// [`BrokerConfig::storage`] it records nothing and every call is a no-op:
+/// callers never ask which kind of broker they run in.
+#[derive(Default)]
+struct Journal {
+    storage: Option<Arc<dyn Storage>>,
+    /// Ops recorded since the last commit; they commit as one WAL record.
+    pending: Vec<WalOp>,
+    /// Reusable record-encoding buffer.
+    buf: Vec<u8>,
     /// WAL records appended since the last checkpoint; reaching
     /// [`BrokerConfig::snapshot_every`] triggers the next one.
     records_since_snapshot: u64,
-    /// Reusable record-encoding buffer.
-    buf: Vec<u8>,
+    stats: Arc<StatsInner>,
+}
+
+impl Journal {
+    /// Adds `op` to the record being built — the one place the event path
+    /// learns whether a journal exists.
+    fn record(&mut self, op: impl FnOnce() -> WalOp) {
+        if self.storage.is_some() {
+            self.pending.push(op());
+        }
+    }
+
+    /// Appends the recorded ops as one WAL record — the atomicity unit:
+    /// recovery replays a record wholly or not at all, so everything that
+    /// must survive together (an event's spool appends plus its receive
+    /// mark) rides in one record. `sync` makes it durable before returning;
+    /// trims pass `false` since losing one only re-replays already-acked
+    /// frames, which the receiver's dedup discards. Storage errors are
+    /// counted and otherwise swallowed: a broker cannot un-route mid-event,
+    /// and availability wins over durability by design (DESIGN.md §14.2).
+    fn commit(&mut self, sync: bool) {
+        let Some(storage) = &self.storage else {
+            return;
+        };
+        if self.pending.is_empty() {
+            return;
+        }
+        let payload = storage::encode_ops(&self.pending);
+        self.pending.clear();
+        self.buf.clear();
+        storage::encode_record(&payload, &mut self.buf);
+        self.swallow(storage.append(WAL_LOG, &self.buf));
+        if sync {
+            self.swallow(storage.sync(WAL_LOG));
+        }
+        self.records_since_snapshot += 1;
+        self.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Journals a spool trim, if the ack floor moved (unsynced). Every path
+    /// that can move one ends here.
+    fn trim(&mut self, neighbor: BrokerId, floor: Option<u64>) {
+        if let Some(acked) = floor {
+            let neighbor = neighbor.raw();
+            self.record(|| WalOp::Trim { neighbor, acked });
+            self.commit(false);
+        }
+    }
+
+    /// Writes `snapshot`, then truncates the WAL it absorbs: after a cut
+    /// between the two the old records replay idempotently on top of it. A
+    /// failed write leaves the WAL alone, to grow until one succeeds.
+    fn checkpoint(&mut self, snapshot: impl FnOnce() -> Vec<u8>) {
+        let Some(storage) = &self.storage else {
+            return;
+        };
+        if self.swallow(storage.write_snapshot(STATE_SNAPSHOT, &snapshot())) {
+            self.swallow(storage.truncate(WAL_LOG));
+            self.stats.snapshot_writes.fetch_add(1, Ordering::Relaxed);
+        }
+        self.records_since_snapshot = 0;
+    }
+
+    /// Counts a failed storage call; `true` if it succeeded.
+    fn swallow(&self, result: std::io::Result<()>) -> bool {
+        if result.is_err() {
+            self.stats.storage_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        result.is_ok()
+    }
 }
 
 /// Broker state rebuilt by [`recover`] (or minted fresh) and handed to
 /// the engine loop at boot.
+#[derive(Default)]
 struct Recovered {
     incarnation: u64,
     sub_ids: SubIdAllocator,
     tombstones: TombstoneSet,
-    recv_from: HashMap<BrokerId, NeighborRecv>,
-    spools: HashMap<BrokerId, AckLog<Bytes>>,
+    links: BTreeMap<BrokerId, Link>,
     subscriptions: Vec<(SchemaId, Subscription)>,
 }
 
@@ -760,12 +784,13 @@ impl Recovered {
     fn fresh() -> Self {
         Recovered {
             incarnation: mint_incarnation(),
-            sub_ids: SubIdAllocator::new(),
-            tombstones: TombstoneSet::default(),
-            recv_from: HashMap::new(),
-            spools: HashMap::new(),
-            subscriptions: Vec::new(),
+            ..Recovered::default()
         }
+    }
+
+    /// The link to neighbor `raw`, made on first mention.
+    fn link(&mut self, raw: u32) -> &mut Link {
+        self.links.entry(BrokerId::new(raw)).or_default()
     }
 }
 
@@ -779,8 +804,7 @@ fn encode_snapshot(
     incarnation: u64,
     sub_ids: &SubIdAllocator,
     tombstones: &TombstoneSet,
-    recv_from: &HashMap<BrokerId, NeighborRecv>,
-    spools: &HashMap<BrokerId, AckLog<Bytes>>,
+    links: &BTreeMap<BrokerId, Link>,
     subscriptions: &[(SchemaId, Subscription)],
 ) -> Vec<u8> {
     let mut b: Vec<u8> = Vec::new();
@@ -796,14 +820,16 @@ fn encode_snapshot(
     for id in tombs {
         b.put_u32_le(id.raw());
     }
-    b.put_u32_le(recv_from.len() as u32);
-    for (broker, recv) in recv_from {
+    b.put_u32_le(links.len() as u32);
+    for (broker, link) in links {
+        let (_, durable_seq, _, peer_incarnation) = link.window();
         b.put_u32_le(broker.raw());
-        b.put_u64_le(recv.peer_incarnation);
-        b.put_u64_le(recv.durable_seq);
+        b.put_u64_le(peer_incarnation);
+        b.put_u64_le(durable_seq);
     }
-    b.put_u32_le(spools.len() as u32);
-    for (broker, spool) in spools {
+    b.put_u32_le(links.len() as u32);
+    for (broker, link) in links {
+        let spool = link.spool();
         b.put_u32_le(broker.raw());
         let acked = spool.acked();
         b.put_u64_le(acked);
@@ -854,45 +880,39 @@ fn decode_snapshot(mut data: &[u8], registry: &SchemaRegistry) -> Option<Recover
         }
         free.push(buf.get_u32_le());
     }
-    let sub_ids = SubIdAllocator::restore(counter, free);
+    let mut recovered = Recovered {
+        incarnation,
+        sub_ids: SubIdAllocator::restore(counter, free),
+        ..Recovered::default()
+    };
     let n_tombs = snap_count(buf)?;
-    let mut tombstones = TombstoneSet::default();
     for _ in 0..n_tombs {
         if buf.remaining() < 4 {
             return None;
         }
-        tombstones.insert(SubscriptionId::new(buf.get_u32_le()));
+        recovered
+            .tombstones
+            .insert(SubscriptionId::new(buf.get_u32_le()));
     }
     let n_recv = snap_count(buf)?;
-    let mut recv_from = HashMap::new();
     for _ in 0..n_recv {
         if buf.remaining() < 4 + 8 + 8 {
             return None;
         }
-        let broker = BrokerId::new(buf.get_u32_le());
-        let peer_incarnation = buf.get_u64_le();
-        let seq = buf.get_u64_le();
-        recv_from.insert(
-            broker,
-            NeighborRecv {
-                seq,
-                durable_seq: seq,
-                acked_sent: 0,
-                peer_incarnation,
-            },
-        );
+        let link = recovered.link(buf.get_u32_le());
+        let (peer_incarnation, seq) = (buf.get_u64_le(), buf.get_u64_le());
+        link.recover_mark(peer_incarnation, seq);
     }
     let n_spools = snap_count(buf)?;
-    let mut spools = HashMap::new();
     for _ in 0..n_spools {
         if buf.remaining() < 4 + 8 {
             return None;
         }
-        let broker = BrokerId::new(buf.get_u32_le());
+        let link = recovered.link(buf.get_u32_le());
         let acked = buf.get_u64_le();
-        let mut spool = AckLog::with_base(acked);
+        link.recover_floor(acked);
         let n_frames = snap_count(buf)?;
-        for _ in 0..n_frames {
+        for i in 0..u64::from(n_frames) {
             if buf.remaining() < 4 {
                 return None;
             }
@@ -901,13 +921,11 @@ fn decode_snapshot(mut data: &[u8], registry: &SchemaRegistry) -> Option<Recover
                 return None;
             }
             let head = buf.get(..len)?;
-            spool.append(Bytes::copy_from_slice(head));
+            link.recover_append(acked.saturating_add(1 + i), Bytes::copy_from_slice(head));
             buf.advance(len);
         }
-        spools.insert(broker, spool);
     }
     let n_subs = snap_count(buf)?;
-    let mut subscriptions = Vec::new();
     for _ in 0..n_subs {
         if buf.remaining() < 4 {
             return None;
@@ -915,16 +933,9 @@ fn decode_snapshot(mut data: &[u8], registry: &SchemaRegistry) -> Option<Recover
         let schema_id = SchemaId::new(buf.get_u32_le());
         let schema = registry.get(schema_id)?;
         let subscription = wire::get_subscription(buf, schema).ok()?;
-        subscriptions.push((schema_id, subscription));
+        recovered.subscriptions.push((schema_id, subscription));
     }
-    Some(Recovered {
-        incarnation,
-        sub_ids,
-        tombstones,
-        recv_from,
-        spools,
-        subscriptions,
-    })
+    Some(recovered)
 }
 
 /// Rebuilds broker state from storage: snapshot first, then the WAL
@@ -963,35 +974,15 @@ fn recover(
                     from,
                     incarnation,
                     seq,
-                } => {
-                    let recv = recovered.recv_from.entry(BrokerId::new(from)).or_default();
-                    if recv.peer_incarnation == incarnation {
-                        recv.seq = recv.seq.max(seq);
-                    } else {
-                        // The peer restarted after the snapshot: later
-                        // marks count a fresh sequence space.
-                        recv.peer_incarnation = incarnation;
-                        recv.seq = seq;
-                    }
-                    recv.durable_seq = recv.seq;
-                }
+                } => recovered.link(from).recover_mark(incarnation, seq),
                 WalOp::Append {
                     neighbor,
                     seq,
                     frame,
-                } => {
-                    let spool = recovered.spools.entry(BrokerId::new(neighbor)).or_default();
-                    // Idempotent replay: a record surviving both in the
-                    // boot snapshot and in an untruncated WAL (cut between
-                    // snapshot-commit and truncate) must not double-append.
-                    if seq == spool.last_seq() + 1 {
-                        spool.append(frame);
-                    }
-                }
+                } => recovered.link(neighbor).recover_append(seq, frame),
                 WalOp::Trim { neighbor, acked } => {
-                    if let Some(spool) = recovered.spools.get_mut(&BrokerId::new(neighbor)) {
-                        spool.ack(acked);
-                        spool.collect();
+                    if let Some(link) = recovered.links.get_mut(&BrokerId::new(neighbor)) {
+                        link.on_ack(acked);
                     }
                 }
             }
@@ -1006,8 +997,7 @@ fn recover(
 struct EngineLoop {
     config: BrokerConfig,
     /// This broker lifetime's nonce, announced in every link `Hello` so
-    /// peers can tell a restart (fresh sequence space, empty spool) from
-    /// a mere reconnect. See [`BrokerToBroker::Hello`].
+    /// peers can tell a restart from a reconnect.
     incarnation: u64,
     engine: MatchingEngine,
     outbox: Arc<Outbox>,
@@ -1018,34 +1008,21 @@ struct EngineLoop {
     match_cache: MatchCache,
     /// Reusable matching buffers (scratch masks, walk frames).
     route_scratch: RouteScratch,
+    /// Who each registered connection speaks for. A broker's entry is
+    /// exactly its [`Link`]'s current connection.
     conns: HashMap<ConnId, Peer>,
     clients: HashMap<ClientId, ClientState>,
-    neighbors: HashMap<BrokerId, ConnId>,
-    /// Dialed neighbor conns whose peer `Hello` has not arrived yet.
-    /// `Forward` traffic is held back (it stays in the spool) until the
-    /// handshake completes: sending fresh higher-seq frames before
-    /// `retransmit_spool` replays the backlog would make the receiver's
-    /// cumulative dedup drop the retransmissions as duplicates — silent
-    /// event loss on every reconnect that overlaps a dispatch.
-    awaiting_hello: HashSet<ConnId>,
-    /// Per-neighbor send-side spool: stitched `Forward` frames retained
-    /// until the neighbor's cumulative `FwdAck`, replayed after a link
-    /// flap. Keyed by broker (not conn) so the spool survives the link.
-    spools: HashMap<BrokerId, AckLog<Bytes>>,
-    /// Per-neighbor receive-side sequence window for dedup and ack pacing.
-    recv_from: HashMap<BrokerId, NeighborRecv>,
+    /// Everything per neighbor, made on first mention and never dropped;
+    /// ordered, so floods, timers, re-homing and snapshots walk in id order.
+    links: BTreeMap<BrokerId, Link>,
     /// Removed subscription ids, so the anti-entropy resync cannot
     /// resurrect an unsubscribe that flooded while a link was down.
     tombstones: TombstoneSet,
     sub_ids: SubIdAllocator,
-    /// When each connection last produced a frame (any frame — heartbeats
-    /// only guarantee an idle link still produces *some*). The heartbeat
-    /// tick reads the broker-link entries; client entries exist only so
-    /// `handle_frame` can update blindly, and are dropped in `forget_conn`.
-    last_heard: HashMap<ConnId, Instant>,
-    /// WAL + snapshot bookkeeping; `None` without
-    /// [`BrokerConfig::storage`], and every journaling call is a no-op.
-    durable: Option<Durable>,
+    journal: Journal,
+    /// `Forward`s stitched for the event being dispatched, released once
+    /// its WAL record has committed. Reused across events.
+    staged: Vec<(ConnId, Bytes)>,
     /// The routing fabric currently in force: [`BrokerConfig::fabric`]
     /// at boot, swapped for a rebuild over the surviving graph on every
     /// topology repair. Routing, dispatch, and the tree-bound check all
@@ -1061,33 +1038,6 @@ struct EngineLoop {
     epoch: u64,
     /// Shared copy of `epoch` for [`BrokerNode::stats`].
     epoch_gauge: Arc<AtomicU64>,
-    /// Per-neighbor splitmix64 state for jittering the heartbeat ping
-    /// schedule, seeded deterministically per (local, neighbor) pair —
-    /// same rationale as the redial jitter: without it every broker
-    /// pings every link on the same clock edge and the probe traffic
-    /// arrives mesh-wide in lockstep bursts.
-    ping_jitter: HashMap<BrokerId, u64>,
-}
-
-/// Receive-side state for one neighbor link.
-#[derive(Debug, Default)]
-struct NeighborRecv {
-    /// Highest event sequence accepted from this neighbor. Lower or equal
-    /// sequences are retransmissions and are dropped (the link is a TCP
-    /// stream, so arrival is FIFO and a cumulative mark suffices).
-    seq: u64,
-    /// Highest sequence whose receive mark is durable (equal to `seq`
-    /// when no storage is configured). Acks and `Hello` high-water marks
-    /// advertise *this*, never `seq`: an ack makes the peer trim its
-    /// spool, so it must only cover frames a crash here cannot lose.
-    durable_seq: u64,
-    /// Highest sequence we have acknowledged back to the neighbor.
-    acked_sent: u64,
-    /// The neighbor incarnation `seq` was accumulated under (0 = none
-    /// seen yet). A handshake announcing a different incarnation resets
-    /// the window: the neighbor restarted, its sequence space is fresh,
-    /// and the old high-water mark would dedup-drop live frames.
-    peer_incarnation: u64,
 }
 
 impl EngineLoop {
@@ -1108,33 +1058,19 @@ impl EngineLoop {
             now = Instant::now();
             match command {
                 Ok(Command::Frames(conn, batch)) => {
-                    // Any frame, decodable or not, proves the peer's send
-                    // path is alive; the heartbeat timer consumes this for
-                    // broker links. One stamp covers the batch: its frames
-                    // came out of the same read.
-                    self.last_heard.insert(conn, now);
+                    // Any frame, decodable or not, proves a broker peer's send
+                    // path alive; one stamp covers the batch, it is one read.
+                    if let Some((_, link)) = self.peer_link(conn) {
+                        link.heard(conn, now);
+                    }
                     for frame in batch {
                         self.handle_frame(conn, frame, now);
                     }
                 }
                 Ok(Command::DialedNeighbor(conn, neighbor)) => {
-                    self.conns.insert(conn, Peer::Broker(neighbor));
-                    self.install_neighbor_conn(neighbor, conn);
-                    // Start the liveness clock: the peer owes us its Hello.
-                    self.last_heard.insert(conn, now);
-                    // Control traffic (Hello, resync, floods) flows right
-                    // away, but Forward dispatch stays spooled-only until
-                    // the peer's Hello arrives and the spool is replayed —
-                    // see `awaiting_hello`.
-                    self.awaiting_hello.insert(conn);
-                    self.send_hello(conn, neighbor);
-                    self.resync_subscriptions(conn);
-                    // Link-state statements must precede any spool
-                    // retransmission on this conn (FIFO link): a peer
-                    // that rebooted at epoch 0 flips forward before it
-                    // processes replayed frames stitched under the
-                    // current epoch.
-                    self.resync_link_state(conn);
+                    // `Forward`s stay spooled until the peer's `Hello`.
+                    self.install_link(neighbor, conn, now);
+                    self.greet(neighbor, conn);
                 }
                 Ok(Command::Disconnected(conn)) => self.handle_disconnect(conn, now),
                 Ok(Command::LinkUnreachable(neighbor)) => {
@@ -1337,7 +1273,7 @@ impl EngineLoop {
                             .send(conn, BrokerToClient::SubAck { id }.encode());
                         // Control plane: flood to every neighbor.
                         self.flood_frame(&flood, None);
-                        self.checkpoint_subscriptions();
+                        self.checkpoint();
                     }
                     Err(e) => {
                         self.sub_ids.free(raw);
@@ -1369,7 +1305,7 @@ impl EngineLoop {
                 self.outbox
                     .send(conn, BrokerToClient::UnsubAck { id }.encode());
                 self.flood_broker_message(&BrokerToBroker::SubRemove { id }, None);
-                self.checkpoint_subscriptions();
+                self.checkpoint();
             }
             ClientToBroker::Publish { event } => {
                 let body = frame.slice(protocol::FRAME_PREFIX + protocol::PUBLISH_BODY_OFFSET..);
@@ -1419,64 +1355,22 @@ impl EngineLoop {
                 // already greeted (the dialer side greeted on
                 // `DialedNeighbor`); otherwise the pair would ping-pong
                 // Hellos forever.
-                let known = matches!(self.conns.get(&conn), Some(Peer::Broker(b)) if *b == broker);
-                self.conns.insert(conn, Peer::Broker(broker));
-                self.install_neighbor_conn(broker, conn);
-                // Handshake complete: retransmit_spool (below) replays the
-                // backlog over this conn, after which dispatch may send
-                // fresh frames on it directly.
-                self.awaiting_hello.remove(&conn);
-                let recv = self.recv_from.entry(broker).or_default();
-                if recv.peer_incarnation != incarnation {
-                    // A new peer lifetime (restart, or first contact): its
-                    // sequence space starts over, so the old high-water
-                    // mark is meaningless — holding onto it would dedup-
-                    // drop the fresh stream.
-                    recv.peer_incarnation = incarnation;
-                    recv.seq = 0;
-                    recv.durable_seq = 0;
-                    recv.acked_sent = 0;
-                } else if send_seq < recv.seq {
-                    // Same lifetime but its send sequence regressed —
-                    // should be impossible, kept as an independent guard
-                    // against the silent-drop failure mode.
-                    recv.seq = send_seq;
-                    recv.durable_seq = recv.durable_seq.min(send_seq);
-                    recv.acked_sent = recv.acked_sent.min(send_seq);
-                }
-                if !known {
-                    self.send_hello(conn, broker);
-                    // Anti-entropy: a (re-)connecting neighbor may have
-                    // missed subscription traffic (e.g. it restarted);
-                    // replay the full set. Duplicates are dropped by the
-                    // flood dedup, dead ids by the tombstone filter.
-                    self.resync_subscriptions(conn);
-                    // Same for link-state statements, and strictly before
-                    // the spool retransmission below: the peer must reach
-                    // our epoch before it processes replayed frames.
-                    self.resync_link_state(conn);
-                }
-                // The peer's `last_recv` is also a cumulative ack: trim the
-                // spool, then retransmit everything it missed. But only if
-                // it counts *our* frames: a mark recorded against an
-                // earlier incarnation of us refers to a dead sequence
-                // space — trimming by it would discard frames the peer
-                // never saw (e.g. a frame spooled right after restart,
-                // "acked" by a stale mark the old lifetime earned).
-                let effective_last_recv = if last_recv_incarnation == self.incarnation {
-                    last_recv
-                } else {
-                    0
-                };
-                // Apply the ack before any repair flip below: frames the
-                // peer already received must not look pending to the epoch
-                // flip's re-homing sweep, or they would be re-dispatched
-                // as duplicates.
-                if let Some(spool) = self.spools.get_mut(&broker) {
-                    spool.ack(effective_last_recv);
-                    spool.collect();
-                    let acked = spool.acked();
-                    self.wal_commit_trim(broker, acked);
+                let fresh = self.install_link(broker, conn, now);
+                // The window first — our own `Hello` advertises it — and
+                // the peer's cumulative ack before any repair flip below:
+                // frames the peer already has must not look pending to the
+                // flip's re-homing sweep, which would re-dispatch them.
+                let floor = self.links.entry(broker).or_default().on_hello(
+                    self.incarnation,
+                    incarnation,
+                    last_recv,
+                    last_recv_incarnation,
+                    send_seq,
+                );
+                self.journal.trim(broker, floor);
+                self.maybe_snapshot();
+                if fresh {
+                    self.greet(broker, conn);
                 }
                 // A Hello on this link proves the edge is live again: if
                 // our table says it is down, originate the LinkUp
@@ -1489,21 +1383,21 @@ impl EngineLoop {
                 if down {
                     self.apply_link_state(a, b, ver.saturating_add(1), false, None, now);
                 }
-                self.retransmit_spool(broker, conn, effective_last_recv);
+                // Last on the conn, behind the resyncs and any statement the
+                // flip flooded: what the peer missed, what the flip re-homed.
+                let frames = self.links.entry(broker).or_default().replay();
+                self.stats
+                    .retransmitted
+                    .fetch_add(frames.len() as u64, Ordering::Relaxed);
+                for frame in frames {
+                    self.outbox.send(conn, frame);
+                }
             }
             BrokerToBroker::FwdAck { seq } => {
-                if let Some(Peer::Broker(broker)) = self.conns.get(&conn) {
-                    let broker = *broker;
-                    let acked = if let Some(spool) = self.spools.get_mut(&broker) {
-                        spool.ack(seq);
-                        spool.collect();
-                        Some(spool.acked())
-                    } else {
-                        None
-                    };
-                    if let Some(acked) = acked {
-                        self.wal_commit_trim(broker, acked);
-                    }
+                if let Some((broker, link)) = self.peer_link(conn) {
+                    let floor = link.on_ack(seq);
+                    self.journal.trim(broker, floor);
+                    self.maybe_snapshot();
                 }
             }
             BrokerToBroker::Forward {
@@ -1556,7 +1450,7 @@ impl EngineLoop {
                         .store(self.engine.subscription_count() as u64, Ordering::Relaxed);
                     // `resync` travels unchanged, with the rest.
                     self.flood_frame(frame, Some(conn));
-                    self.checkpoint_subscriptions();
+                    self.checkpoint();
                 } else {
                     debug_assert!(false, "replicated subscription {id} failed to install");
                 }
@@ -1567,8 +1461,8 @@ impl EngineLoop {
                 self.outbox.send(conn, BrokerToBroker::Pong.encode());
             }
             BrokerToBroker::Pong => {
-                // Its arrival already refreshed `last_heard`; there is
-                // nothing else to do.
+                // Its arrival already stamped the link's liveness clock;
+                // there is nothing else to do.
             }
             BrokerToBroker::LinkDown { a, b, ver } => {
                 self.handle_link_statement(conn, a, b, ver, true, now);
@@ -1588,82 +1482,55 @@ impl EngineLoop {
                 }
                 if removed || newly_tombstoned {
                     self.flood_frame(frame, Some(conn));
-                    self.checkpoint_subscriptions();
+                    self.checkpoint();
                 }
             }
         }
     }
 
-    /// Makes `conn` the single live conn for `broker`, tearing down any
-    /// older conn to the same neighbor. Exactly one TCP stream per
-    /// neighbor may carry sequenced `Forward` traffic: if an old stream
-    /// lingered (e.g. its death is still undetected when the peer redials),
-    /// frames could interleave across two streams and break the
-    /// FIFO-arrival assumption the cumulative seq dedup relies on.
-    fn install_neighbor_conn(&mut self, broker: BrokerId, conn: ConnId) {
-        if let Some(old) = self.neighbors.insert(broker, conn) {
-            if old != conn {
-                self.outbox.unregister(old);
-                self.conns.remove(&old);
-                self.awaiting_hello.remove(&old);
-                self.last_heard.remove(&old);
-            }
-        }
-    }
-
-    /// Sends the link handshake: our receive high-water mark (so the peer
-    /// trims and retransmits its spool) and our send sequence (so the peer
-    /// can detect that we restarted and reset its dedup window).
-    fn send_hello(&mut self, conn: ConnId, neighbor: BrokerId) {
-        // Advertise the *durable* receive mark: the peer trims its spool
-        // by it, so it must never cover frames a crash here could lose.
-        let (last_recv, last_recv_incarnation) = self
-            .recv_from
-            .get(&neighbor)
-            .map_or((0, 0), |r| (r.durable_seq, r.peer_incarnation));
-        let send_seq = self.spools.get(&neighbor).map_or(0, |s| s.last_seq());
-        self.outbox.send(
-            conn,
-            BrokerToBroker::Hello {
-                broker: self.config.broker,
-                incarnation: self.incarnation,
-                last_recv,
-                last_recv_incarnation,
-                send_seq,
-            }
-            .encode(),
-        );
-    }
-
-    /// Trims the spool for `neighbor` to the peer's cumulative `last_recv`
-    /// and retransmits every frame past it over `conn`.
-    fn retransmit_spool(&mut self, neighbor: BrokerId, conn: ConnId, last_recv: u64) {
-        let Some(spool) = self.spools.get_mut(&neighbor) else {
-            return;
+    /// The neighbor `conn` currently speaks for, and its link.
+    fn peer_link(&mut self, conn: ConnId) -> Option<(BrokerId, &mut Link)> {
+        let Some(&Peer::Broker(peer)) = self.conns.get(&conn) else {
+            return None;
         };
-        spool.ack(last_recv);
-        spool.collect();
-        let acked = spool.acked();
-        let frames: Vec<Bytes> = spool
-            .replay_after(acked)
-            .map(|(_, frame)| frame.clone())
-            .collect();
-        self.wal_commit_trim(neighbor, acked);
-        if frames.is_empty() {
-            return;
-        }
-        self.stats
-            .retransmitted
-            .fetch_add(frames.len() as u64, Ordering::Relaxed);
-        for frame in frames {
-            self.outbox.send(conn, frame);
-        }
+        Some((peer, self.links.get_mut(&peer)?))
     }
 
-    /// An inbound `Forward`'s header: dedup against the per-neighbor receive
-    /// window and pace a cumulative `FwdAck` back. Returns the receive mark
-    /// (neighbor, sequence, its incarnation) to route the event under, or
-    /// `None` for a frame that must not be routed.
+    /// Makes `conn` the one connection to `peer`, tearing down an older one
+    /// (dead but undetected when the peer redialed). Returns whether `conn`
+    /// is new to `peer`: it has yet to be greeted.
+    fn install_link(&mut self, peer: BrokerId, conn: ConnId, now: Instant) -> bool {
+        let was = self.conns.insert(conn, Peer::Broker(peer));
+        let jitter = heartbeat_jitter_seed(self.config.broker, peer);
+        let link = self.links.entry(peer).or_default();
+        if let Some(old) = link.install(conn, now, jitter) {
+            self.outbox.unregister(old);
+            self.conns.remove(&old);
+        }
+        !matches!(was, Some(Peer::Broker(b)) if b == peer)
+    }
+
+    /// Our half of the handshake on a fresh `conn`: `Hello`, then the
+    /// anti-entropy resyncs of what a (re-)connecting neighbor may have
+    /// missed — subscriptions (the flood dedup drops duplicates, the
+    /// tombstone filter dead ids) and link-state statements. All of it
+    /// precedes any spool replay on the conn (FIFO link): a peer that
+    /// rebooted at epoch 0 flips forward before it sees replayed frames.
+    fn greet(&mut self, peer: BrokerId, conn: ConnId) {
+        let link = self.links.entry(peer).or_default();
+        let hello = link.hello(self.config.broker, self.incarnation);
+        self.outbox.send(conn, hello.encode());
+        self.resync_subscriptions(conn);
+        self.resync_link_state(conn);
+    }
+
+    /// Sends the cumulative `FwdAck` a link asked for.
+    fn send_ack(outbox: &Outbox, conn: ConnId, seq: u64) {
+        outbox.send(conn, BrokerToBroker::FwdAck { seq }.encode());
+    }
+
+    /// An inbound `Forward`'s header: the neighbor and the receive mark to
+    /// route the event under, or `None` for a frame that must not be routed.
     fn accept_forward(
         &mut self,
         conn: ConnId,
@@ -1671,7 +1538,7 @@ impl EngineLoop {
         seq: u64,
         epoch: u64,
         now: Instant,
-    ) -> Option<(BrokerId, u64, u64)> {
+    ) -> Option<(BrokerId, Mark)> {
         // Epoch check FIRST, before the tree-bound check: a frame stitched
         // under a different topology epoch refers to trees that no longer
         // exist here (its tree index may not even be in range of the
@@ -1696,40 +1563,11 @@ impl EngineLoop {
             );
             return None;
         }
-        let Some(Peer::Broker(broker)) = self.conns.get(&conn) else {
-            // Not a registered broker peer — most likely an old stream
-            // torn down when the neighbor redialed (see
-            // `install_neighbor_conn`). Routing it would bypass the
-            // dedup window; drop it instead (the live stream replays
-            // anything unacknowledged).
-            return None;
-        };
-        let broker = *broker;
-        let journaling = self.durable.is_some();
-        let recv = self.recv_from.entry(broker).or_default();
-        if seq <= recv.seq {
-            // A retransmission of a frame that already crossed before
-            // the flap: the spool is at-least-once, dedup restores
-            // exactly-once into the routing layer.
-            return None;
-        }
-        recv.seq = seq;
-        if !journaling {
-            // Without storage the receive mark is "durable" the moment
-            // it lands in memory; with storage, `dispatch` advances
-            // `durable_seq` (and paces the ack) only after the WAL
-            // record holding this mark has committed.
-            recv.durable_seq = seq;
-            if recv.durable_seq - recv.acked_sent >= FWD_ACK_EVERY {
-                recv.acked_sent = recv.durable_seq;
-                let ack = BrokerToBroker::FwdAck {
-                    seq: recv.acked_sent,
-                }
-                .encode();
-                self.outbox.send(conn, ack);
-            }
-        }
-        Some((broker, seq, recv.peer_incarnation))
+        // Not a registered broker peer: most likely an old stream torn
+        // down when the neighbor redialed (see `install_link`). Routing it
+        // would bypass the dedup window; the live stream replays it.
+        let (broker, link) = self.peer_link(conn)?;
+        Some((broker, link.accept(seq)?))
     }
 
     /// Link-matches one event: match-cache lookup, else the arena walk
@@ -1765,73 +1603,44 @@ impl EngineLoop {
     /// carries its own sequence header around the shared, already-encoded
     /// `body`, sliced from the incoming frame) and one `Deliver` header per
     /// client around the same body.
-    /// Runs on the engine thread only (log/spool appends and connection
-    /// lookups are single-threaded).
     ///
-    /// With storage configured, the event's spool appends and its receive
-    /// mark (`source`) commit as **one WAL record** before any `Forward`
-    /// frame reaches the wire — the record is the atomicity unit, so a
-    /// power cut either keeps the whole batch or loses a batch no peer
-    /// ever saw (the sender's spool retransmits it). Client deliveries are
-    /// volatile by design (client logs live outside the storage contract).
+    /// The event's spool appends and its receive mark (`source`) commit as
+    /// **one WAL record** before any `Forward` frame reaches the wire, so a
+    /// power cut either keeps the whole batch or loses a batch no peer ever
+    /// saw (the sender's spool retransmits it); without storage the commit
+    /// is a no-op and the route is the same. Client deliveries are volatile
+    /// by design (DESIGN.md §14.3) and go out at once.
     fn dispatch(
         &mut self,
         event: &Event,
         tree: TreeId,
         body: &Bytes,
         links: Vec<LinkId>,
-        source: Option<(BrokerId, u64, u64)>,
+        source: Option<(BrokerId, Mark)>,
         now: Instant,
     ) {
         let fabric = Arc::clone(&self.fabric);
         let network = fabric.network();
-        let journaling = self.durable.is_some();
-        let mut wal_ops: Vec<WalOp> = Vec::new();
-        // Broker sends deferred until the WAL record commits; client
-        // deliveries go out immediately.
-        let mut deferred: Vec<(ConnId, Bytes)> = Vec::new();
+        let mut staged = std::mem::take(&mut self.staged);
         for link in links {
             match network.link_target(self.config.broker, link) {
                 LinkTarget::Broker(neighbor) => {
-                    // Spool first: the frame must survive a flap whether or
-                    // not the link is currently up. An unconnected neighbor
-                    // is no longer a silent drop — the spool replays after
-                    // the reconnect handshake.
-                    let spool = self.spools.entry(neighbor).or_default();
-                    let seq = spool.last_seq() + 1;
-                    let frame = protocol::forward_frame(tree, seq, self.epoch, body);
-                    spool.append(frame.clone());
-                    if journaling {
-                        wal_ops.push(WalOp::Append {
-                            neighbor: neighbor.raw(),
-                            seq,
-                            frame: frame.clone(),
-                        });
-                    }
+                    let link = self.links.entry(neighbor).or_default();
+                    let (seq, frame, dropped) = link.stitch(tree, self.epoch, body);
                     self.stats.spooled.fetch_add(1, Ordering::Relaxed);
-                    if spool.len() > LINK_SPOOL_BOUND {
-                        let before = spool.lost();
-                        spool.enforce_bound(LINK_SPOOL_BOUND);
-                        let dropped = spool.lost() - before;
-                        self.stats
-                            .dropped_spool_overflow
-                            .fetch_add(dropped, Ordering::Relaxed);
+                    if dropped > 0 {
+                        let overflow = &self.stats.dropped_spool_overflow;
+                        overflow.fetch_add(dropped, Ordering::Relaxed);
                     }
-                    // Direct sends wait for the reconnect handshake: on a
-                    // conn still awaiting the peer's Hello the frame stays
-                    // spool-only and `retransmit_spool` replays it in
-                    // sequence order once the handshake lands (fresh
-                    // higher-seq frames ahead of the replayed backlog would
-                    // be mis-dropped by the receiver's cumulative dedup).
-                    if let Some(&conn) = self.neighbors.get(&neighbor) {
-                        if !self.awaiting_hello.contains(&conn) {
-                            self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                            if journaling {
-                                deferred.push((conn, frame));
-                            } else {
-                                self.outbox.send(conn, frame);
-                            }
-                        }
+                    self.journal.record(|| WalOp::Append {
+                        neighbor: neighbor.raw(),
+                        seq,
+                        frame: frame.clone(),
+                    });
+                    // Not ahead of the handshake: the next replay sends it.
+                    if let Some(conn) = link.established() {
+                        self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
+                        staged.push((conn, frame));
                     }
                 }
                 LinkTarget::Client(client) => {
@@ -1848,138 +1657,53 @@ impl EngineLoop {
                 }
             }
         }
-        if journaling {
-            // The receive mark is journaled even when the event matched no
-            // links: `durable_seq` (and with it ack pacing and the `Hello`
-            // high-water mark) may only ever advance through the WAL.
-            if let Some((from, seq, peer_incarnation)) = source {
-                wal_ops.push(WalOp::RecvMark {
-                    from: from.raw(),
-                    incarnation: peer_incarnation,
-                    seq,
-                });
-            }
-            if !wal_ops.is_empty() {
-                self.wal_commit(&wal_ops, true);
-            }
-            if let Some((from, seq, peer_incarnation)) = source {
-                if let Some(recv) = self.recv_from.get_mut(&from) {
-                    // The mark was taken under `peer_incarnation`. A
-                    // `Hello` from a restarted peer resets the window to a
-                    // fresh sequence space; a mark the old incarnation
-                    // counted must never move the live one.
-                    if recv.peer_incarnation == peer_incarnation {
-                        recv.durable_seq = recv.durable_seq.max(seq);
-                        if recv.durable_seq - recv.acked_sent >= FWD_ACK_EVERY {
-                            recv.acked_sent = recv.durable_seq;
-                            if let Some(&conn) = self.neighbors.get(&from) {
-                                let ack = BrokerToBroker::FwdAck {
-                                    seq: recv.acked_sent,
-                                }
-                                .encode();
-                                self.outbox.send(conn, ack);
-                            }
-                        }
-                    }
-                }
-            }
-            for (conn, frame) in deferred {
-                self.outbox.send(conn, frame);
-            }
-            self.maybe_snapshot();
+        // The receive mark is journaled even when the event matched no
+        // links: `durable_seq` (and with it ack pacing and the `Hello`
+        // high-water mark) may only ever advance through the WAL.
+        if let Some((from, mark)) = source {
+            self.journal.record(|| WalOp::RecvMark {
+                from: from.raw(),
+                incarnation: mark.incarnation,
+                seq: mark.seq,
+            });
         }
-    }
-
-    /// Appends one WAL record holding `ops` — the atomicity unit: recovery
-    /// replays a record wholly or not at all, so everything that must
-    /// survive together (an event's spool appends plus its receive mark)
-    /// rides in one record. `sync` makes it durable before returning;
-    /// trims pass `false` since losing one only re-replays already-acked
-    /// frames, which the receiver's dedup discards.
-    ///
-    /// Storage errors are swallowed: a broker cannot un-route mid-event,
-    /// and availability wins over durability by design (a persistently
-    /// failing `FsStorage` surfaces at the next recovery). See DESIGN.md
-    /// §14.
-    fn wal_commit(&mut self, ops: &[WalOp], sync: bool) {
-        let Some(d) = self.durable.as_mut() else {
-            return;
-        };
-        let payload = storage::encode_ops(ops);
-        d.buf.clear();
-        storage::encode_record(&payload, &mut d.buf);
-        let _ = d.storage.append(WAL_LOG, &d.buf);
-        if sync {
-            let _ = d.storage.sync(WAL_LOG);
+        self.journal.commit(true);
+        if let Some((from, mark)) = source {
+            let link = self.links.entry(from).or_default();
+            if let (Some(seq), Some(conn)) = (link.committed(mark), link.conn()) {
+                Self::send_ack(&self.outbox, conn, seq);
+            }
         }
-        d.records_since_snapshot += 1;
-        self.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Journals a spool trim (unsynced — see [`EngineLoop::wal_commit`]).
-    fn wal_commit_trim(&mut self, neighbor: BrokerId, acked: u64) {
-        if self.durable.is_some() {
-            self.wal_commit(
-                &[WalOp::Trim {
-                    neighbor: neighbor.raw(),
-                    acked,
-                }],
-                false,
-            );
-            self.maybe_snapshot();
+        for (conn, frame) in staged.drain(..) {
+            self.outbox.send(conn, frame);
         }
+        self.staged = staged;
+        self.maybe_snapshot();
     }
 
     /// Checkpoints once the WAL has grown past the configured cadence.
     fn maybe_snapshot(&mut self) {
-        let due = self
-            .durable
-            .as_ref()
-            .is_some_and(|d| d.records_since_snapshot >= self.config.snapshot_every.max(1));
-        if due {
+        if self.journal.records_since_snapshot >= self.config.snapshot_every.max(1) {
             self.checkpoint();
         }
     }
 
-    /// Writes a full-state snapshot and truncates the WAL it absorbs.
-    /// Snapshot-then-truncate order makes a cut between the two steps
-    /// harmless: the old records replay idempotently on top of the new
-    /// snapshot. A failed snapshot write leaves the WAL alone (nothing is
-    /// lost; the log just keeps growing until a write succeeds).
+    /// Writes a full-state snapshot and truncates the WAL it absorbs (a
+    /// no-op without storage). Besides the record cadence, every
+    /// subscription-table, tombstone or id-allocator change checkpoints at
+    /// once: the snapshot is the only durable home of control-plane state,
+    /// and a crash that resurrects a removed subscription is the one
+    /// divergence the anti-entropy resync cannot heal (DESIGN.md §14.2).
     fn checkpoint(&mut self) {
-        let subscriptions = self.engine.all_subscriptions();
-        let snapshot = encode_snapshot(
-            self.incarnation,
-            &self.sub_ids,
-            &self.tombstones,
-            &self.recv_from,
-            &self.spools,
-            &subscriptions,
-        );
-        let Some(d) = self.durable.as_mut() else {
-            return;
-        };
-        if d.storage.write_snapshot(STATE_SNAPSHOT, &snapshot).is_ok() {
-            let _ = d.storage.truncate(WAL_LOG);
-            self.stats.snapshot_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        d.records_since_snapshot = 0;
-    }
-
-    /// Checkpoints after a subscription-table, tombstone, or id-allocator
-    /// change. Unlike spool traffic, control-plane state has no WAL ops —
-    /// the snapshot is its only durable home — so waiting for the record
-    /// cadence would leave a window where a crash resurrects a removed
-    /// subscription. Resurrection is the one divergence the anti-entropy
-    /// resync cannot heal: neighbors can re-add what the crash forgot,
-    /// but nothing removes an extra the crash brought back (its
-    /// `SubRemove` flooded and died long ago). Subscription churn is rare
-    /// relative to event traffic (the paper's operating assumption), so
-    /// the eager snapshot is cheap.
-    fn checkpoint_subscriptions(&mut self) {
-        if self.durable.is_some() {
-            self.checkpoint();
-        }
+        self.journal.checkpoint(|| {
+            encode_snapshot(
+                self.incarnation,
+                &self.sub_ids,
+                &self.tombstones,
+                &self.links,
+                &self.engine.all_subscriptions(),
+            )
+        });
     }
 
     /// Sends every known subscription to a newly established broker link.
@@ -2002,15 +1726,16 @@ impl EngineLoop {
 
     fn flood_broker_message(&self, message: &BrokerToBroker, except: Option<ConnId>) {
         // Not encoded for nobody.
-        if self.neighbors.values().any(|&conn| Some(conn) != except) {
+        let mut conns = self.links.values().filter_map(Link::conn);
+        if conns.any(|conn| Some(conn) != except) {
             self.flood_frame(&message.encode(), except);
         }
     }
 
     /// Queues one already-encoded frame for every neighbor but `except`.
     fn flood_frame(&self, frame: &Bytes, except: Option<ConnId>) {
-        let neighbors = self.neighbors.values().copied();
-        let targets = neighbors.filter(|&conn| Some(conn) != except);
+        let conns = self.links.values().filter_map(Link::conn);
+        let targets = conns.filter(|&conn| Some(conn) != except);
         self.outbox.send_many(targets, frame);
     }
 
@@ -2028,10 +1753,8 @@ impl EngineLoop {
         if neighbor == me || network.link_to_broker(me, neighbor).is_none() {
             return;
         }
-        if let Some(&conn) = self.neighbors.get(&neighbor) {
-            if !self.awaiting_hello.contains(&conn) {
-                return;
-            }
+        if (self.links.get(&neighbor)).is_some_and(|link| link.established().is_some()) {
+            return;
         }
         let (a, b) = crate::repair::normalize_edge(me, neighbor);
         let (ver, down) = self.link_state.get(a, b);
@@ -2133,13 +1856,13 @@ impl EngineLoop {
         // flooded before the repair stay removed).
         let me = self.config.broker;
         let resync: Vec<ConnId> = self
-            .neighbors
+            .links
             .iter()
             .filter(|&(&n, _)| {
                 self.fabric.forest().tree_adjacent(me, n)
                     && !old_fabric.forest().tree_adjacent(me, n)
             })
-            .map(|(_, &conn)| conn)
+            .filter_map(|(_, link)| link.conn())
             .collect();
         for conn in resync {
             self.resync_subscriptions(conn);
@@ -2168,24 +1891,12 @@ impl EngineLoop {
             return;
         };
         let mut pending: Vec<Bytes> = Vec::new();
-        let mut trims: Vec<(BrokerId, u64)> = Vec::new();
-        for (&neighbor, spool) in self.spools.iter_mut() {
-            let acked = spool.acked();
-            let frames: Vec<Bytes> = spool
-                .replay_after(acked)
-                .map(|(_, frame)| frame.clone())
-                .collect();
-            if frames.is_empty() {
-                continue;
-            }
-            spool.ack(spool.last_seq());
-            spool.collect();
-            trims.push((neighbor, spool.acked()));
+        for (&neighbor, link) in self.links.iter_mut() {
+            let (frames, floor) = link.take_pending();
             pending.extend(frames);
+            self.journal.trim(neighbor, floor);
         }
-        for (neighbor, acked) in trims {
-            self.wal_commit_trim(neighbor, acked);
-        }
+        self.maybe_snapshot();
         for frame in pending {
             // Spooled frames are full wire frames (length prefix + payload).
             let payload = frame.slice(4..);
@@ -2252,44 +1963,28 @@ impl EngineLoop {
             .send(conn, BrokerToClient::Error { message }.encode());
     }
 
-    /// One heartbeat-timer edge: walk the broker links, tear down any that
-    /// stayed completely silent past the liveness timeout (half-open and
-    /// stalled peers the kernel never reports — the spool keeps their
-    /// frames and the redial handshake retransmits), and ping the merely
-    /// idle ones so a live peer always has something to answer.
+    /// One heartbeat-timer edge: tear down the links that stayed completely
+    /// silent past the liveness timeout (half-open and stalled peers the
+    /// kernel never reports — the spool keeps their frames and the redial
+    /// handshake retransmits) and ping the merely idle ones, so a live
+    /// peer always has something to answer.
     fn heartbeat_tick(&mut self, now: Instant) {
-        let me = self.config.broker;
-        // Snapshot: teardown mutates `neighbors`.
-        let links: Vec<(BrokerId, ConnId)> = self.neighbors.iter().map(|(&b, &c)| (b, c)).collect();
-        for (neighbor, conn) in links {
-            // Every neighbor conn got its stamp in the command that
-            // installed it (`DialedNeighbor`, or the batch carrying `Hello`).
-            let Some(&heard) = self.last_heard.get(&conn) else {
-                continue;
-            };
-            let idle = now.saturating_duration_since(heard);
-            if idle >= self.config.liveness_timeout {
-                self.stats.liveness_timeouts.fetch_add(1, Ordering::Relaxed);
-                // Immediate teardown (not flush-then-close): the peer is
-                // unresponsive, and unregistering shuts the socket so both
-                // our reader and a dialing supervisor notice and redial.
-                self.handle_disconnect(conn, now);
-            } else {
-                // Jitter the ping threshold per link and per tick (same
-                // splitmix64 draw as the redial jitter, distinct seed):
-                // with a fixed threshold every broker pings every idle
-                // link on the same timer edge and the whole mesh's probe
-                // traffic lands in lockstep bursts. The draw stays within
-                // [interval, 1.5*interval), so detection latency is still
-                // bounded by the same order of one heartbeat interval.
-                let state = self
-                    .ping_jitter
-                    .entry(neighbor)
-                    .or_insert_with(|| heartbeat_jitter_seed(me, neighbor));
-                let threshold = jittered_backoff(self.config.heartbeat_interval, state);
-                if idle >= threshold {
+        let (heartbeat, liveness) = (self.config.heartbeat_interval, self.config.liveness_timeout);
+        // Decide first: teardown goes back through `links`.
+        let links = self.links.values_mut();
+        let ticks: Vec<Tick> = links.map(|l| l.tick(now, heartbeat, liveness)).collect();
+        for tick in ticks {
+            match tick {
+                Tick::Idle => {}
+                Tick::Ping(conn) => {
                     self.stats.pings_sent.fetch_add(1, Ordering::Relaxed);
                     self.outbox.send(conn, BrokerToBroker::Ping.encode());
+                }
+                Tick::Dead(conn) => {
+                    self.stats.liveness_timeouts.fetch_add(1, Ordering::Relaxed);
+                    // Immediate teardown, not flush-then-close: unregistering shuts
+                    // the socket; our reader and a dialing supervisor notice.
+                    self.handle_disconnect(conn, now);
                 }
             }
         }
@@ -2327,24 +2022,12 @@ impl EngineLoop {
         }
     }
 
-    /// Pushes a cumulative `FwdAck` to every neighbor we owe one (received
-    /// frames not yet acknowledged). Shared by the GC pass (idle links
-    /// below the ack cadence) and the shutdown path.
+    /// Pushes a cumulative `FwdAck` to every neighbor we owe one: the GC
+    /// pass (idle links below the ack cadence) and the shutdown path.
     fn flush_forward_acks(&mut self) {
-        for (&broker, recv) in self.recv_from.iter_mut() {
-            // Acks advertise the durable mark only: a crash must never be
-            // able to lose a frame a peer already trimmed on our word.
-            if recv.durable_seq > recv.acked_sent {
-                if let Some(&conn) = self.neighbors.get(&broker) {
-                    recv.acked_sent = recv.durable_seq;
-                    self.outbox.send(
-                        conn,
-                        BrokerToBroker::FwdAck {
-                            seq: recv.acked_sent,
-                        }
-                        .encode(),
-                    );
-                }
+        for link in self.links.values_mut() {
+            if let (Some(conn), Some(seq)) = (link.conn(), link.owed_ack()) {
+                Self::send_ack(&self.outbox, conn, seq);
             }
         }
     }
@@ -2359,8 +2042,6 @@ impl EngineLoop {
     /// close (`protocol_error_disconnect`) paths: drops the routing state
     /// for `conn` without touching the transport.
     fn forget_conn(&mut self, conn: ConnId, now: Instant) {
-        self.awaiting_hello.remove(&conn);
-        self.last_heard.remove(&conn);
         match self.conns.remove(&conn) {
             Some(Peer::Client(client)) => {
                 if let Some(state) = self.clients.get_mut(&client) {
@@ -2372,10 +2053,12 @@ impl EngineLoop {
                     }
                 }
             }
-            Some(Peer::Broker(broker)) if self.neighbors.get(&broker) == Some(&conn) => {
-                self.neighbors.remove(&broker);
+            Some(Peer::Broker(broker)) => {
+                if let Some(link) = self.links.get_mut(&broker) {
+                    link.forget(conn);
+                }
             }
-            _ => {}
+            None => {}
         }
     }
 
@@ -2391,34 +2074,15 @@ impl EngineLoop {
         });
         // Flush pending forward acks, so a link that went quiet below the
         // ack cadence still lets the neighbor trim its spool.
+        // Spools need no pass: acks reclaim, appends enforce the bound.
         self.flush_forward_acks();
-        // Trim acknowledged spool entries and enforce the per-link bound
-        // for neighbors that stay down.
-        let mut trims: Vec<(BrokerId, u64)> = Vec::new();
-        for (&broker, spool) in self.spools.iter_mut() {
-            let acked_before = spool.acked();
-            spool.collect();
-            let before = spool.lost();
-            spool.enforce_bound(LINK_SPOOL_BOUND);
-            let dropped = spool.lost() - before;
-            self.stats
-                .dropped_spool_overflow
-                .fetch_add(dropped, Ordering::Relaxed);
-            // Bound enforcement can advance the ack floor (dropped-as-lost
-            // frames); journal it so recovery agrees with memory.
-            if spool.acked() != acked_before {
-                trims.push((broker, spool.acked()));
-            }
-        }
-        for (broker, acked) in trims {
-            self.wal_commit_trim(broker, acked);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::heartbeat_jitter_seed;
     use crate::storage::{PowerCut, SimStorage};
     use linkcast_types::{EventSchema, ValueKind};
 
@@ -2544,46 +2208,35 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_full_state() {
         let reg = registry();
-        let mut sub_ids = SubIdAllocator::new();
+        let mut sub_ids = SubIdAllocator::default();
         let a = sub_ids.allocate().unwrap();
         let _b = sub_ids.allocate().unwrap();
         sub_ids.free(a);
         let mut tombstones = TombstoneSet::default();
         tombstones.insert(SubscriptionId::new(77));
-        let mut recv_from = HashMap::new();
-        recv_from.insert(
-            BrokerId::new(3),
-            NeighborRecv {
-                seq: 9,
-                durable_seq: 9,
-                acked_sent: 0,
-                peer_incarnation: 0xabc,
-            },
-        );
-        let mut spools = HashMap::new();
-        let mut spool: AckLog<Bytes> = AckLog::new();
-        spool.append(Bytes::from_static(b"one"));
-        spool.append(Bytes::from_static(b"two"));
-        spool.append(Bytes::from_static(b"three"));
-        spool.ack(1);
-        spools.insert(BrokerId::new(4), spool);
+        let mut receiving = Link::default();
+        receiving.recover_mark(0xabc, 9);
+        let mut sending = Link::default();
+        for (seq, frame) in [(1, "one"), (2, "two"), (3, "three")] {
+            sending.recover_append(seq, Bytes::from_static(frame.as_bytes()));
+        }
+        sending.on_ack(1);
+        let links = BTreeMap::from([(BrokerId::new(3), receiving), (BrokerId::new(4), sending)]);
         let subs = vec![subscription(&reg, 5)];
 
-        let bytes = encode_snapshot(0xfeed, &sub_ids, &tombstones, &recv_from, &spools, &subs);
+        let bytes = encode_snapshot(0xfeed, &sub_ids, &tombstones, &links, &subs);
         let back = decode_snapshot(&bytes, &reg).expect("snapshot decodes");
 
         assert_eq!(back.incarnation, 0xfeed);
         assert_eq!(back.sub_ids.checkpoint(), sub_ids.checkpoint());
         assert!(back.tombstones.contains(SubscriptionId::new(77)));
-        let recv = back.recv_from.get(&BrokerId::new(3)).unwrap();
-        assert_eq!(
-            (recv.seq, recv.durable_seq, recv.peer_incarnation),
-            (9, 9, 0xabc)
-        );
+        let (seq, durable_seq, acked_sent, peer_incarnation) =
+            back.links.get(&BrokerId::new(3)).unwrap().window();
+        assert_eq!((seq, durable_seq, peer_incarnation), (9, 9, 0xabc));
         // Acked-sent restarts at zero: the next flush re-advertises the
         // durable mark, which is harmless (cumulative acks clamp).
-        assert_eq!(recv.acked_sent, 0);
-        let spool = back.spools.get(&BrokerId::new(4)).unwrap();
+        assert_eq!(acked_sent, 0);
+        let spool = back.links.get(&BrokerId::new(4)).unwrap().spool();
         // Only unacknowledged frames survive, in the same sequence space.
         assert_eq!(spool.acked(), 1);
         assert_eq!(spool.last_seq(), 3);
@@ -2609,7 +2262,7 @@ mod tests {
         let r = recover(&st, &reg, &stats).unwrap();
         // Fresh state, fresh incarnation — but the boot still counts as a
         // recovery attempt (durable state existed).
-        assert!(r.spools.is_empty());
+        assert!(r.links.is_empty());
         assert_ne!(r.incarnation, 0);
         assert_eq!(stats.recoveries.load(Ordering::Relaxed), 1);
     }
@@ -2620,7 +2273,7 @@ mod tests {
         let st = SimStorage::default();
         let stats = StatsInner::default();
         let r = recover(&st, &reg, &stats).unwrap();
-        assert!(r.recv_from.is_empty());
+        assert!(r.links.is_empty());
         assert_eq!(stats.recoveries.load(Ordering::Relaxed), 0);
         assert_eq!(stats.wal_replayed.load(Ordering::Relaxed), 0);
     }
@@ -2630,16 +2283,13 @@ mod tests {
         let reg = registry();
         let st = SimStorage::default();
         // Snapshot: incarnation 7, one spool with one unacked frame.
-        let mut spools = HashMap::new();
-        let mut spool: AckLog<Bytes> = AckLog::new();
-        spool.append(Bytes::from_static(b"f1"));
-        spools.insert(BrokerId::new(2), spool);
+        let mut sending = Link::default();
+        sending.recover_append(1, Bytes::from_static(b"f1"));
         let snap = encode_snapshot(
             7,
-            &SubIdAllocator::new(),
+            &SubIdAllocator::default(),
             &TombstoneSet::default(),
-            &HashMap::new(),
-            &spools,
+            &BTreeMap::from([(BrokerId::new(2), sending)]),
             &[],
         );
         st.write_snapshot(STATE_SNAPSHOT, &snap).unwrap();
@@ -2673,15 +2323,13 @@ mod tests {
         let stats = StatsInner::default();
         let r = recover(&st, &reg, &stats).unwrap();
         assert_eq!(r.incarnation, 7);
-        let spool = r.spools.get(&BrokerId::new(2)).unwrap();
+        let spool = r.links.get(&BrokerId::new(2)).unwrap().spool();
         assert_eq!((spool.acked(), spool.last_seq()), (1, 2));
         let frames: Vec<&Bytes> = spool.replay_after(1).map(|(_, f)| f).collect();
         assert_eq!(frames, vec![&Bytes::from_static(b"f2")]);
-        let recv = r.recv_from.get(&BrokerId::new(3)).unwrap();
-        assert_eq!(
-            (recv.seq, recv.durable_seq, recv.peer_incarnation),
-            (5, 5, 0xabc)
-        );
+        let (seq, durable_seq, _, peer_incarnation) =
+            r.links.get(&BrokerId::new(3)).unwrap().window();
+        assert_eq!((seq, durable_seq, peer_incarnation), (5, 5, 0xabc));
         assert_eq!(stats.recoveries.load(Ordering::Relaxed), 1);
         assert_eq!(stats.wal_replayed.load(Ordering::Relaxed), 2);
         assert_eq!(stats.torn_records_discarded.load(Ordering::Relaxed), 0);
@@ -2698,10 +2346,9 @@ mod tests {
         let st = SimStorage::default();
         let old = encode_snapshot(
             7,
-            &SubIdAllocator::new(),
+            &SubIdAllocator::default(),
             &TombstoneSet::default(),
-            &HashMap::new(),
-            &HashMap::new(),
+            &BTreeMap::new(),
             &[],
         );
         st.write_snapshot(STATE_SNAPSHOT, &old).unwrap();
@@ -2719,10 +2366,9 @@ mod tests {
         // recognizably different incarnation, so a failed revert shows).
         let torn = encode_snapshot(
             9,
-            &SubIdAllocator::new(),
+            &SubIdAllocator::default(),
             &TombstoneSet::default(),
-            &HashMap::new(),
-            &HashMap::new(),
+            &BTreeMap::new(),
             &[],
         );
         st.write_snapshot(STATE_SNAPSHOT, &torn).unwrap();
@@ -2734,8 +2380,8 @@ mod tests {
             r.incarnation, 7,
             "torn rename must revert to the committed snapshot"
         );
-        let recv = r.recv_from.get(&BrokerId::new(3)).unwrap();
-        assert_eq!((recv.seq, recv.durable_seq), (4, 4));
+        let (seq, durable_seq, ..) = r.links.get(&BrokerId::new(3)).unwrap().window();
+        assert_eq!((seq, durable_seq), (4, 4));
         assert_eq!(stats.wal_replayed.load(Ordering::Relaxed), 1);
         assert_eq!(stats.recoveries.load(Ordering::Relaxed), 1);
     }
@@ -2768,17 +2414,16 @@ mod tests {
             first.incarnation,
             &first.sub_ids,
             &first.tombstones,
-            &first.recv_from,
-            &first.spools,
+            &first.links,
             &[],
         );
         st.write_snapshot(STATE_SNAPSHOT, &snap).unwrap();
         let second = recover(&st, &reg, &stats).unwrap();
         assert_eq!(second.incarnation, first.incarnation);
-        let spool = second.spools.get(&BrokerId::new(2)).unwrap();
+        let spool = second.links.get(&BrokerId::new(2)).unwrap().spool();
         assert_eq!((spool.acked(), spool.last_seq(), spool.len()), (0, 1, 1));
-        let recv = second.recv_from.get(&BrokerId::new(3)).unwrap();
-        assert_eq!(recv.seq, 4);
+        let (seq, ..) = second.links.get(&BrokerId::new(3)).unwrap().window();
+        assert_eq!(seq, 4);
     }
 
     #[test]
@@ -2809,7 +2454,7 @@ mod tests {
 
         let stats = StatsInner::default();
         let r = recover(&st, &reg, &stats).unwrap();
-        let spool = r.spools.get(&BrokerId::new(2)).unwrap();
+        let spool = r.links.get(&BrokerId::new(2)).unwrap().spool();
         assert_eq!(
             spool.last_seq(),
             1,
@@ -2846,11 +2491,8 @@ mod tests {
 
         let stats = StatsInner::default();
         let r = recover(&st, &reg, &stats).unwrap();
-        let recv = r.recv_from.get(&BrokerId::new(3)).unwrap();
-        assert_eq!(
-            recv.durable_seq, 10,
-            "unsynced mark must not survive the cut"
-        );
+        let (_, durable_seq, ..) = r.links.get(&BrokerId::new(3)).unwrap().window();
+        assert_eq!(durable_seq, 10, "unsynced mark must not survive the cut");
     }
 
     #[test]
@@ -2879,7 +2521,207 @@ mod tests {
         st.sync(WAL_LOG).unwrap();
         let stats = StatsInner::default();
         let r = recover(&st, &reg, &stats).unwrap();
-        let recv = r.recv_from.get(&BrokerId::new(3)).unwrap();
-        assert_eq!((recv.peer_incarnation, recv.seq), (0xb, 2));
+        let (seq, .., peer_incarnation) = r.links.get(&BrokerId::new(3)).unwrap().window();
+        assert_eq!((peer_incarnation, seq), (0xb, 2));
+    }
+
+    /// A neighbor broker played by hand over an in-process connection.
+    struct FakePeer {
+        conn: LocalConn,
+    }
+
+    impl FakePeer {
+        fn send(&self, message: BrokerToBroker) {
+            let batch = FrameBatch::single(message.encode());
+            let command = Command::Frames(self.conn.conn, batch);
+            self.conn.cmd_tx.send(command).unwrap();
+        }
+
+        /// What the broker has sent since the last call: commands run in
+        /// order, so it is everything ahead of the answer to a `Ping`.
+        fn sync(&self) -> Vec<BrokerToBroker> {
+            self.send(BrokerToBroker::Ping);
+            let mut seen = Vec::new();
+            loop {
+                let frame = self.conn.rx.recv_timeout(Duration::from_secs(5)).unwrap();
+                let payload = frame.slice(protocol::FRAME_PREFIX..);
+                match BrokerToBroker::decode(payload, &self.conn.registry).unwrap() {
+                    BrokerToBroker::Pong => return seen,
+                    message => seen.push(message),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_handshake_journals_one_trim_and_an_ack_that_moves_nothing_none() {
+        let reg = Arc::new(registry());
+        let mut b = linkcast::NetworkBuilder::new();
+        let (b0, b1) = (b.add_broker(), b.add_broker());
+        b.connect(b0, b1, 1.0).unwrap();
+        let (publisher, far) = (b.add_client(b0).unwrap(), b.add_client(b1).unwrap());
+        let fabric = RoutingFabric::new_all_roots(b.build().unwrap()).unwrap();
+        let mut config = BrokerConfig::localhost(b0, fabric, Arc::clone(&reg));
+        config.storage = Some(Arc::new(SimStorage::default()));
+        // Nothing but this test's frames may move the journal.
+        config.gc_interval = Duration::from_secs(3600);
+        config.heartbeat_interval = Duration::from_secs(3600);
+        let node = BrokerNode::start(config).unwrap();
+        let hello = |last_recv, last_recv_incarnation| BrokerToBroker::Hello {
+            broker: b1,
+            incarnation: 0xb1,
+            last_recv,
+            last_recv_incarnation,
+            send_seq: 0,
+        };
+
+        // B1 connects and subscribes its client to everything.
+        let peer = FakePeer {
+            conn: node.open_local(),
+        };
+        peer.send(hello(0, 0));
+        let schema = reg.get(SchemaId::new(0)).unwrap();
+        peer.send(BrokerToBroker::SubAdd {
+            schema: SchemaId::new(0),
+            subscription: Subscription::new(
+                SubscriptionId::new((b1.raw() << SUB_COUNTER_BITS) | 1),
+                SubscriberId::new(b1, far),
+                linkcast_types::parse_predicate(schema, "volume >= 0").unwrap(),
+            ),
+            resync: false,
+        });
+        let ours = peer.sync().iter().find_map(|m| match m {
+            BrokerToBroker::Hello { incarnation, .. } => Some(*incarnation),
+            _ => None,
+        });
+        let ours = ours.expect("the broker greets back");
+
+        // Three events cross: three frames spooled, three records.
+        let client = node.open_local();
+        client.send(&ClientToBroker::Hello {
+            client: publisher,
+            resume_from: 0,
+        });
+        for volume in 0..3 {
+            let values = [
+                linkcast_types::Value::Str("IBM".into()),
+                linkcast_types::Value::Int(volume),
+            ];
+            let event = Event::from_values(schema, values).unwrap();
+            client.send(&ClientToBroker::Publish { event });
+        }
+        client.send(&ClientToBroker::StatsRequest);
+        let stats = loop {
+            if let BrokerToClient::Stats(stats) = client.recv(Duration::from_secs(5)).unwrap() {
+                break stats;
+            }
+        };
+        assert_eq!((stats.spooled, stats.wal_appends), (3, 3));
+        assert_eq!(peer.sync().len(), 3);
+
+        // B1 redials having durably received two of them: one trim, one
+        // frame replayed behind the handshake.
+        let peer = FakePeer {
+            conn: node.open_local(),
+        };
+        peer.send(hello(2, ours));
+        let sent = peer.sync();
+        assert!(
+            matches!(sent.last(), Some(BrokerToBroker::Forward { seq: 3, .. })),
+            "{sent:?}"
+        );
+        assert_eq!(node.stats().retransmitted, 1);
+        assert_eq!(node.stats().wal_appends, 3 + 1);
+        // The same Hello again trims nothing and journals nothing.
+        peer.send(hello(2, ours));
+        peer.sync();
+        assert_eq!(node.stats().wal_appends, 3 + 1);
+        // An ack that moves the floor is one record; repeated, none.
+        peer.send(BrokerToBroker::FwdAck { seq: 3 });
+        peer.sync();
+        assert_eq!(node.stats().wal_appends, 3 + 2);
+        peer.send(BrokerToBroker::FwdAck { seq: 3 });
+        peer.sync();
+        assert_eq!(node.stats().wal_appends, 3 + 2);
+        assert_eq!(node.stats().storage_errors, 0);
+    }
+
+    /// Storage whose calls fail while the flag is up.
+    #[derive(Debug, Default)]
+    struct FlakyStorage {
+        inner: SimStorage,
+        failing: AtomicBool,
+    }
+
+    impl FlakyStorage {
+        fn check(&self) -> std::io::Result<()> {
+            if self.failing.load(Ordering::Relaxed) {
+                return Err(std::io::Error::other("injected"));
+            }
+            Ok(())
+        }
+    }
+
+    impl Storage for FlakyStorage {
+        fn append(&self, log: &str, bytes: &[u8]) -> std::io::Result<()> {
+            self.check().and_then(|()| self.inner.append(log, bytes))
+        }
+        fn sync(&self, log: &str) -> std::io::Result<()> {
+            self.check().and_then(|()| self.inner.sync(log))
+        }
+        fn read(&self, log: &str) -> std::io::Result<Vec<u8>> {
+            self.check().and_then(|()| self.inner.read(log))
+        }
+        fn truncate(&self, log: &str) -> std::io::Result<()> {
+            self.check().and_then(|()| self.inner.truncate(log))
+        }
+        fn write_snapshot(&self, slot: &str, bytes: &[u8]) -> std::io::Result<()> {
+            self.check()
+                .and_then(|()| self.inner.write_snapshot(slot, bytes))
+        }
+        fn read_snapshot(&self, slot: &str) -> std::io::Result<Option<Vec<u8>>> {
+            self.check().and_then(|()| self.inner.read_snapshot(slot))
+        }
+    }
+
+    #[test]
+    fn swallowed_storage_errors_are_counted() {
+        let storage = Arc::new(FlakyStorage::default());
+        let stats = Arc::new(StatsInner::default());
+        let mut journal = Journal {
+            storage: Some(Arc::clone(&storage) as Arc<dyn Storage>),
+            stats: Arc::clone(&stats),
+            ..Journal::default()
+        };
+        let errors = || stats.storage_errors.load(Ordering::Relaxed);
+        let mark = || WalOp::RecvMark {
+            from: 2,
+            incarnation: 0xb1,
+            seq: 1,
+        };
+        journal.record(mark);
+        journal.commit(true);
+        journal.checkpoint(|| b"snapshot".to_vec());
+        assert_eq!(errors(), 0);
+
+        storage.failing.store(true, Ordering::Relaxed);
+        // A synced commit fails twice (append, sync), an unsynced one once;
+        // the record still counts, as it did before the counter existed.
+        journal.record(mark);
+        journal.commit(true);
+        assert_eq!(errors(), 2);
+        journal.trim(BrokerId::new(2), Some(1));
+        assert_eq!(errors(), 3);
+        assert_eq!(stats.wal_appends.load(Ordering::Relaxed), 3);
+        // A failed snapshot write is one error and leaves the WAL alone.
+        journal.checkpoint(|| b"snapshot".to_vec());
+        assert_eq!(errors(), 4);
+        assert_eq!(stats.snapshot_writes.load(Ordering::Relaxed), 1);
+
+        storage.failing.store(false, Ordering::Relaxed);
+        assert_eq!(storage.inner.read(WAL_LOG).unwrap(), Vec::<u8>::new());
+        journal.checkpoint(|| b"snapshot".to_vec());
+        assert_eq!(errors(), 4);
+        assert_eq!(stats.snapshot_writes.load(Ordering::Relaxed), 2);
     }
 }

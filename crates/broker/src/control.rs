@@ -32,10 +32,6 @@ pub(crate) struct SubIdAllocator {
 }
 
 impl SubIdAllocator {
-    pub(crate) fn new() -> Self {
-        SubIdAllocator::default()
-    }
-
     /// Returns the next counter value, or `None` when every id is live.
     pub(crate) fn allocate(&mut self) -> Option<u32> {
         if self.counter < SUB_ID_SPACE {
@@ -191,7 +187,7 @@ mod tests {
 
     #[test]
     fn fresh_ids_come_first_and_exhaust() {
-        let mut alloc = SubIdAllocator::new();
+        let mut alloc = SubIdAllocator::default();
         assert_eq!(alloc.allocate(), Some(0));
         assert_eq!(alloc.allocate(), Some(1));
         // Nothing freed yet: exhausting the counter exhausts the allocator.
@@ -205,7 +201,7 @@ mod tests {
     fn churn_past_the_id_space_recycles_fifo() {
         // The pre-fix behavior wedged permanently at SUB_ID_SPACE lifetime
         // subscriptions; recycling must carry allocation well past it.
-        let mut alloc = SubIdAllocator::new();
+        let mut alloc = SubIdAllocator::default();
         for raw in 0..SUB_ID_SPACE {
             assert_eq!(alloc.allocate(), Some(raw));
         }
@@ -224,7 +220,7 @@ mod tests {
     fn steady_churn_never_wedges() {
         // One live subscription, subscribed/unsubscribed more times than
         // the whole id space.
-        let mut alloc = SubIdAllocator::new();
+        let mut alloc = SubIdAllocator::default();
         let mut allocations = 0u64;
         for _ in 0..(SUB_ID_SPACE as u64 + 1000) {
             let raw = alloc.allocate().expect("churn must not exhaust ids");
@@ -236,7 +232,7 @@ mod tests {
 
     #[test]
     fn double_free_and_foreign_free_are_ignored() {
-        let mut alloc = SubIdAllocator::new();
+        let mut alloc = SubIdAllocator::default();
         let a = alloc.allocate().unwrap();
         alloc.free(a);
         alloc.free(a); // double free
@@ -251,7 +247,7 @@ mod tests {
 
     #[test]
     fn reserved_ids_are_never_minted_again() {
-        let mut alloc = SubIdAllocator::new();
+        let mut alloc = SubIdAllocator::default();
         // Above the counter: the counter moves past it.
         alloc.reserve(5);
         assert_eq!(alloc.allocate(), Some(6));
@@ -279,7 +275,7 @@ mod tests {
 
     #[test]
     fn allocator_checkpoint_restores_identical_behavior() {
-        let mut alloc = SubIdAllocator::new();
+        let mut alloc = SubIdAllocator::default();
         for _ in 0..10 {
             alloc.allocate();
         }

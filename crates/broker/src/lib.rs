@@ -38,6 +38,7 @@ mod client;
 mod control;
 mod counters;
 mod engine;
+mod link;
 mod log;
 mod outbox;
 mod protocol;

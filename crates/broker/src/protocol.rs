@@ -895,6 +895,7 @@ mod tests {
                 stale_epoch_drops: 24,
                 rerouted_frames: 25,
                 order_rebuilds: 26,
+                storage_errors: 27,
             }),
         ];
         for m in messages {
@@ -1104,9 +1105,9 @@ mod tests {
     #[test]
     fn stats_ignores_longer_newer_payloads() {
         let reg = registry();
-        // A 29-counter payload from a future build: the 26 counters this
+        // A 30-counter payload from a future build: the 27 counters this
         // build knows decode in wire order, the 3 extra are ignored.
-        let counters: Vec<u64> = (1..=29).collect();
+        let counters: Vec<u64> = (1..=30).collect();
         match BrokerToClient::decode(stats_payload(&counters), &reg).unwrap() {
             BrokerToClient::Stats(c) => {
                 assert_eq!(c.published, 1);
@@ -1114,6 +1115,7 @@ mod tests {
                 assert_eq!(c.recoveries, 21);
                 assert_eq!(c.rerouted_frames, 25);
                 assert_eq!(c.order_rebuilds, 26);
+                assert_eq!(c.storage_errors, 27);
             }
             other => panic!("expected stats, got {other:?}"),
         }

@@ -61,6 +61,7 @@ const HOT_MODULES: &[&str] = &[
     "simnet.rs",
     "storage.rs",
     "repair.rs",
+    "link.rs",
 ];
 
 /// Core matching modules on the per-event path (the arena walk and the
@@ -76,8 +77,9 @@ const HOT_TYPES_MODULES: &[&str] = &["crates/types/src/wire.rs", "crates/types/s
 /// bytes they did not write: held to the wire-taint rule.
 const TAINT_MODULES: &[&str] = &["transport.rs", "storage.rs", "repair.rs"];
 
-/// Simulation-substrate modules held to the sim-determinism rule.
-const SIM_MODULES: &[&str] = &["transport.rs", "simnet.rs"];
+/// Modules held to the sim-determinism rule: the simulation substrate, and
+/// the link protocol, which is handed `now` and reads no clock of its own.
+const SIM_MODULES: &[&str] = &["transport.rs", "simnet.rs", "link.rs"];
 
 /// Output format for `check` findings.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -489,6 +491,17 @@ fn run_selftest(root: &Path) -> Result<(), String> {
             return Err(format!(
                 "the {rule} file set must cover transport.rs (FrameReader)"
             ));
+        }
+    }
+    // And for the link protocol: it runs on the engine thread for every
+    // frame a neighbor sends, and it is clock-free by construction — the
+    // property its socket-free tests rest on.
+    for (set, rule) in [
+        (HOT_MODULES, "panic lint"),
+        (SIM_MODULES, "sim-determinism"),
+    ] {
+        if !set.contains(&"link.rs") {
+            return Err(format!("the {rule} file set must cover link.rs (Link)"));
         }
     }
     // The deliberately bare allow comment must trip the hygiene rule.
