@@ -267,9 +267,7 @@ fn observe(schema: &EventSchema, subs: &[Subscription], events: &[Event], tte: b
     let liked = LinkMatchEngine::with_subscriptions(
         home,
         schema.clone(),
-        PstOptions::default()
-            .with_order(OrderPolicy::Explicit(seen.proposed.clone()))
-            .with_trivial_test_elimination(tte),
+        (engine.pst().options().clone()).with_order(OrderPolicy::Explicit(seen.proposed.clone())),
         LinkSpace::build(fabric.network(), fabric.forest(), home),
         subscriptions,
     )

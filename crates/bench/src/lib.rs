@@ -85,9 +85,7 @@ pub fn standalone_subscriptions(
 
 /// The PST options an experiment derives from its workload config.
 pub fn options_for(config: &WorkloadConfig) -> PstOptions {
-    PstOptions::default()
-        .with_factoring(config.factoring_levels)
-        .with_trivial_test_elimination(true)
+    PstOptions::default().with_factoring(config.factoring_levels)
 }
 
 /// A match-everything oracle used in sanity checks inside binaries.

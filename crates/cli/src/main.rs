@@ -306,9 +306,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let world = topology39::build().map_err(|e| e.to_string())?;
     let wconfig = WorkloadConfig::chart1();
     let schema = wconfig.schema();
-    let options = linkcast_matching::PstOptions::default()
-        .with_factoring(wconfig.factoring_levels)
-        .with_trivial_test_elimination(true);
+    let options = linkcast_matching::PstOptions::default().with_factoring(wconfig.factoring_levels);
     let generator = SubscriptionGenerator::new(&wconfig, seed);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
     let events = EventGenerator::new(&wconfig, seed);

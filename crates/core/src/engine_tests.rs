@@ -364,12 +364,10 @@ fn factoring_and_ordering_options_preserve_routing() {
     let schema = small_schema();
     let (fabric, clients) = random_tree_network(&mut rng, 5);
     let configs = [
-        PstOptions::default(),
+        PstOptions::default().with_trivial_test_elimination(false),
         PstOptions::default().with_factoring(1),
         PstOptions::default().with_factoring(2),
-        PstOptions::default()
-            .with_order(OrderPolicy::Explicit(vec![2, 0, 1]))
-            .with_trivial_test_elimination(true),
+        PstOptions::default().with_order(OrderPolicy::Explicit(vec![2, 0, 1])),
     ];
     let mut routers: Vec<ContentRouter> = configs
         .iter()
@@ -676,11 +674,9 @@ fn arena_walk_agrees_with_recursive_search() {
     let mut rng = StdRng::seed_from_u64(4242);
     let schema = small_schema();
     let configs = [
-        PstOptions::default(),
+        PstOptions::default().with_trivial_test_elimination(false),
         PstOptions::default().with_factoring(1),
-        PstOptions::default()
-            .with_order(OrderPolicy::Explicit(vec![2, 0, 1]))
-            .with_trivial_test_elimination(true),
+        PstOptions::default().with_order(OrderPolicy::Explicit(vec![2, 0, 1])),
     ];
     for (ci, options) in configs.iter().enumerate() {
         let (fabric, clients) = random_tree_network(&mut rng, 5);
@@ -1236,15 +1232,16 @@ impl std::ops::AddAssign for Adaptations {
 fn incremental_engine_equals_scratch_after_every_step() {
     let wide = (churn_schema(), vec![3, 4, 40], 3);
     let deep = (deep_schema(), vec![2, 3, 3, 3, 3, 3], 1);
-    let tte = || PstOptions::default().with_trivial_test_elimination(true);
+    let tte = PstOptions::default;
+    let no_tte = || tte().with_trivial_test_elimination(false);
     let pinned = OrderPolicy::Explicit(vec![2, 0, 1]);
     let configs = [
-        (&wide, PstOptions::default(), Traffic::Uniform),
+        (&wide, no_tte(), Traffic::Uniform),
         (&wide, tte().with_factoring(1), Traffic::Uniform),
         (&wide, tte().with_order(pinned), Traffic::Uniform),
-        (&deep, PstOptions::default(), Traffic::Uniform),
+        (&deep, no_tte(), Traffic::Uniform),
         (&deep, tte(), Traffic::Uniform),
-        (&wide, PstOptions::default(), Traffic::Shifting),
+        (&wide, no_tte(), Traffic::Shifting),
         (&deep, tte().with_factoring(1), Traffic::Shifting),
         (&wide, tte(), Traffic::Reverting),
         (&deep, tte(), Traffic::Reverting),
@@ -1804,11 +1801,10 @@ fn a_tail_turning_reachable_recuts_its_runs() {
     };
     let chain = [Some(1), None, Some(2)];
     let fresh = |subs: &[linkcast_types::Subscription]| {
-        let options = PstOptions::default().with_trivial_test_elimination(true);
         LinkMatchEngine::with_subscriptions(
             b1,
             schema.clone(),
-            options,
+            PstOptions::default(),
             space.clone(),
             subs.to_vec(),
         )

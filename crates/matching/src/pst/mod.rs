@@ -26,8 +26,8 @@
 //!    with `*` on a factored attribute are replicated into every value's
 //!    subtree (space for time), which is why factored attributes must
 //!    declare finite domains.
-//! 2. **Trivial test elimination** — chains of nodes whose only child is a
-//!    `*` branch are skipped over during matching.
+//! 2. **Trivial test elimination**, on by default — chains of nodes whose
+//!    only child is a `*` branch are skipped over during matching.
 //! 3. **Attribute ordering** — the heuristic that "performance seems to be
 //!    better if the attributes near the root are chosen to have the fewest
 //!    number of subscriptions labeled with a `*`" is available as

@@ -5,10 +5,9 @@ use linkcast_types::{EventSchema, Subscription};
 use crate::MatcherError;
 
 /// How the PST orders attributes from root to leaf.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OrderPolicy {
     /// Test attributes in schema declaration order.
-    #[default]
     Schema,
     /// Test attributes in an explicit order (a permutation of `0..arity`).
     Explicit(Vec<usize>),
@@ -23,18 +22,16 @@ pub enum OrderPolicy {
     FewestStarsFirst,
 }
 
-/// Configuration for a [`Pst`](crate::Pst).
+/// Configuration for a [`Pst`](crate::Pst). The default is the paper's:
+/// schema order, no factoring, trivial test elimination on. An ablation
+/// turns the last off:
 ///
 /// ```
-/// use linkcast_matching::{PstOptions, OrderPolicy};
-///
-/// let opts = PstOptions::default()
-///     .with_order(OrderPolicy::FewestStarsFirst)
-///     .with_factoring(2)
-///     .with_trivial_test_elimination(true);
-/// assert_eq!(opts.factoring, 2);
+/// # use linkcast_matching::PstOptions;
+/// let ablated = PstOptions::default().with_trivial_test_elimination(false);
+/// assert_ne!(ablated, PstOptions::default());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PstOptions {
     /// Attribute ordering policy.
     pub order: OrderPolicy,
@@ -44,6 +41,16 @@ pub struct PstOptions {
     pub factoring: usize,
     /// Whether to skip over `*`-only chains during matching (§2.1.2).
     pub eliminate_trivial_tests: bool,
+}
+
+impl Default for PstOptions {
+    fn default() -> Self {
+        Self {
+            order: OrderPolicy::Schema,
+            factoring: 0,
+            eliminate_trivial_tests: true,
+        }
+    }
 }
 
 impl PstOptions {

@@ -381,13 +381,13 @@ fn trivial_test_elimination_reduces_steps_not_results() {
         int_sub(&schema, 0, &[None, None, None, None, Some(1)]),
         int_sub(&schema, 1, &[None, None, None, None, Some(2)]),
     ];
-    let plain = Pst::build(schema.clone(), subs.clone(), PstOptions::default()).unwrap();
-    let skipping = Pst::build(
+    let plain = Pst::build(
         schema.clone(),
-        subs,
-        PstOptions::default().with_trivial_test_elimination(true),
+        subs.clone(),
+        PstOptions::default().with_trivial_test_elimination(false),
     )
     .unwrap();
+    let skipping = Pst::build(schema.clone(), subs, PstOptions::default()).unwrap();
     let event = int_event(&schema, &[0, 0, 0, 0, 1]);
     let mut s_plain = MatchStats::new();
     let mut s_skip = MatchStats::new();
@@ -408,8 +408,7 @@ fn trivial_test_elimination_reduces_steps_not_results() {
 #[test]
 fn skip_pointers_survive_mutation() {
     let schema = figure2_schema();
-    let options = PstOptions::default().with_trivial_test_elimination(true);
-    let mut pst = Pst::new(schema.clone(), options).unwrap();
+    let mut pst = Pst::new(schema.clone(), PstOptions::default()).unwrap();
     pst.insert(int_sub(&schema, 0, &[None, None, None, None, Some(1)]))
         .unwrap();
     // This insert branches at a3, invalidating the chain's skips above it.

@@ -182,9 +182,13 @@ proptest! {
         shapes in subscription_strategy(),
         events in events_strategy(),
         removal_order in proptest::collection::vec(any::<u16>(), 0..24),
+        tte in any::<bool>(),
     ) {
         let schema = schema();
-        let mut pst = Pst::new(schema.clone(), PstOptions::default().with_factoring(1)).unwrap();
+        let options = PstOptions::default()
+            .with_factoring(1)
+            .with_trivial_test_elimination(tte);
+        let mut pst = Pst::new(schema.clone(), options).unwrap();
         let mut naive = NaiveMatcher::new(schema.clone());
         for (i, s) in shapes.iter().enumerate() {
             let sub = build_subscription(&schema, i as u32, s);
@@ -234,12 +238,8 @@ proptest! {
             .enumerate()
             .map(|(i, s)| build_subscription(&schema, i as u32, s))
             .collect();
-        let mut pst = Pst::build(
-            schema.clone(),
-            subs.iter().cloned(),
-            PstOptions::default().with_trivial_test_elimination(true),
-        )
-        .unwrap();
+        let mut pst =
+            Pst::build(schema.clone(), subs.iter().cloned(), PstOptions::default()).unwrap();
         let before: Vec<Vec<SubscriptionId>> = events
             .iter()
             .map(|values| {

@@ -16,9 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let world = topology39::build()?;
     let wconfig = WorkloadConfig::chart1();
     let schema = wconfig.schema();
-    let options = PstOptions::default()
-        .with_factoring(wconfig.factoring_levels)
-        .with_trivial_test_elimination(true);
+    let options = PstOptions::default().with_factoring(wconfig.factoring_levels);
     let subscriptions = 3_000;
     let rate = 100.0;
 

@@ -286,6 +286,65 @@ fn subscribe_local(local: &linkcast_broker::LocalConn, expression: String) {
     }
 }
 
+/// The benchmark's schema, `issue, volume, a1..a6, ts`, as the one
+/// information space.
+fn bench_registry() -> Arc<SchemaRegistry> {
+    let mut schema = EventSchema::builder("bench")
+        .attribute("issue", ValueKind::Str)
+        .attribute("volume", ValueKind::Int);
+    for k in 1..=6 {
+        schema = schema.attribute(format!("a{k}").as_str(), ValueKind::Int);
+    }
+    let mut registry = SchemaRegistry::new();
+    registry
+        .register(schema.attribute("ts", ValueKind::Int).build().unwrap())
+        .unwrap();
+    Arc::new(registry)
+}
+
+/// The benchmark's event stamped `ts`, its volume `ts % 256`.
+fn bench_event(schema: &EventSchema, ts: i64) -> Event {
+    let mut values = vec![Value::str("IBM"), Value::Int(ts % 256)];
+    values.extend((1..=6).map(Value::Int));
+    values.push(Value::Int(ts));
+    Event::from_values(schema, values).unwrap()
+}
+
+/// The benchmark's `relay` table seen from outside a running chain: one
+/// `volume >= 0` subscriber at B2, events published at B0. A broker walks
+/// its tree with trivial tests eliminated — the default `PstOptions` — so
+/// the subscription's `*` on `issue` is skipped and an event costs every
+/// broker two steps: six across the chain, not nine.
+#[test]
+fn relay_table_costs_two_steps_per_broker() {
+    const EVENTS: i64 = 64;
+    let cluster = start_cluster_over(bench_registry());
+    let schema = cluster.registry.get(SchemaId::new(0)).unwrap();
+    let publisher = open_local_as(&cluster.nodes[0], cluster.clients[0]);
+    let subscriber = open_local_as(&cluster.nodes[2], cluster.clients[4]);
+    subscribe_local(&subscriber, "volume >= 0".into());
+    await_subscriptions(&cluster, 1);
+
+    for ts in 0..EVENTS {
+        let event = bench_event(schema, ts);
+        publisher.send(&linkcast_broker::ClientToBroker::Publish { event });
+    }
+    for ts in 0..EVENTS {
+        match subscriber.recv(Duration::from_secs(10)).unwrap() {
+            linkcast_broker::BrokerToClient::Deliver { seq, .. } => {
+                assert_eq!(seq, ts as u64 + 1, "exactly once, in order");
+            }
+            other => panic!("expected delivery {ts}, got {other:?}"),
+        }
+    }
+    let matching: Vec<_> = cluster.nodes.iter().map(BrokerNode::match_stats).collect();
+    for (node, stats) in cluster.nodes.iter().zip(&matching) {
+        assert_eq!(stats.events, EVENTS as u64, "{}", node.broker());
+    }
+    let steps: u64 = matching.iter().map(|s| s.steps).sum();
+    assert_eq!(steps, 6 * EVENTS as u64, "{matching:?}");
+}
+
 /// The order adaptation seen from outside a running chain. The table is
 /// the benchmark's `match` table with 64 decoy chains: in schema order a
 /// broker walks into every chain before `a6` fails it. Each broker counts
@@ -299,17 +358,7 @@ fn order_rebuild_is_invisible_to_subscribers() {
     const DECOYS: u64 = 64;
     const EVENTS: i64 = 1000;
     const BURST: i64 = 50;
-    let mut schema = EventSchema::builder("bench")
-        .attribute("issue", ValueKind::Str)
-        .attribute("volume", ValueKind::Int);
-    for k in 1..=6 {
-        schema = schema.attribute(format!("a{k}").as_str(), ValueKind::Int);
-    }
-    let mut registry = SchemaRegistry::new();
-    registry
-        .register(schema.attribute("ts", ValueKind::Int).build().unwrap())
-        .unwrap();
-    let cluster = start_cluster_over(Arc::new(registry));
+    let cluster = start_cluster_over(bench_registry());
     let schema = cluster.registry.get(SchemaId::new(0)).unwrap();
 
     // Clients 0 and 1 live at B0, 2 and 3 at B1, 4 and 5 at B2.
@@ -329,10 +378,7 @@ fn order_rebuild_is_invisible_to_subscribers() {
     let mut settled = None;
     while next < EVENTS {
         for ts in next..next + BURST {
-            let mut values = vec![Value::str("IBM"), Value::Int(ts % 256)];
-            values.extend((1..=6).map(Value::Int));
-            values.push(Value::Int(ts));
-            let event = Event::from_values(schema, values).unwrap();
+            let event = bench_event(schema, ts);
             publisher.send(&linkcast_broker::ClientToBroker::Publish { event });
         }
         for ts in next..next + BURST {

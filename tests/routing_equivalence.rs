@@ -180,8 +180,8 @@ proptest! {
         let schema = schema();
         let (fabric, clients, n) = build_world(&world, false);
 
-        let mut reference =
-            ContentRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
+        let untuned = PstOptions::default().with_trivial_test_elimination(false);
+        let mut reference = ContentRouter::new(fabric.clone(), schema.clone(), untuned).unwrap();
         let options = PstOptions::default()
             .with_factoring(factoring)
             .with_trivial_test_elimination(skip);

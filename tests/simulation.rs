@@ -16,9 +16,7 @@ fn chart1_small() -> WorkloadConfig {
 }
 
 fn pst_options(w: &WorkloadConfig) -> PstOptions {
-    PstOptions::default()
-        .with_factoring(w.factoring_levels)
-        .with_trivial_test_elimination(true)
+    PstOptions::default().with_factoring(w.factoring_levels)
 }
 
 #[test]
@@ -120,10 +118,8 @@ fn link_matching_steps_stay_close_to_centralized() {
     let world = topology39::build().unwrap();
     let wconfig = WorkloadConfig::chart2();
     let schema = wconfig.schema();
-    let options = PstOptions::default()
-        .with_factoring(wconfig.factoring_levels)
-        .with_trivial_test_elimination(true);
-    let mut router = ContentRouter::new(world.fabric.clone(), schema, options).unwrap();
+    let mut router =
+        ContentRouter::new(world.fabric.clone(), schema, pst_options(&wconfig)).unwrap();
     let generator = SubscriptionGenerator::new(&wconfig, 11);
     let mut rng = StdRng::seed_from_u64(11);
     topology39::subscribe_random(&mut router, &world, &generator, 4000, &mut rng).unwrap();
