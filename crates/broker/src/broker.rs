@@ -1,7 +1,7 @@
-//! The broker node: connection manager, protocol state machine, and
-//! lifecycle.
+//! The broker node: threads, recovery and lifecycle around the protocol
+//! core, [`BrokerCore`], which its engine thread steps.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -9,21 +9,18 @@ use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use linkcast::{LinkTarget, MatchCache, RouteScratch, RoutingFabric, TreeId};
+use linkcast::RoutingFabric;
 use linkcast_matching::{MatchStats, PstOptions};
-use linkcast_types::{
-    wire, BrokerId, ClientId, Event, LinkId, SchemaId, SchemaRegistry, SubscriberId, Subscription,
-    SubscriptionId,
-};
+use linkcast_types::{wire, BrokerId, SchemaId, SchemaRegistry, Subscription, SubscriptionId};
 use parking_lot::Mutex;
 
-use crate::control::{SubIdAllocator, TombstoneSet, SUB_COUNTER_BITS, SUB_ID_SPACE};
+use crate::broker_core::{BrokerCore, Out, STATE_SNAPSHOT, WAL_LOG};
+use crate::control::{SubIdAllocator, TombstoneSet};
 use crate::counters::{BrokerStats, Derived, Gauges, StatsInner};
 use crate::engine::MatchingEngine;
-use crate::link::{heartbeat_jitter_seed, jitter_seed, jittered_backoff, Link, Mark, Tick};
-use crate::log::EventLog;
+use crate::link::{jitter_seed, jittered_backoff, Link};
 use crate::outbox::{ConnId, Outbox, Sink};
-use crate::protocol::{self, BrokerToBroker, BrokerToClient, ClientToBroker};
+use crate::protocol::{self, BrokerToClient, ClientToBroker};
 use crate::storage::{self, Storage, WalOp};
 use crate::tcp::TcpTransport;
 use crate::transport::{self, FrameBatch, Transport};
@@ -183,19 +180,6 @@ pub(crate) enum Command {
     Crash,
 }
 
-#[derive(Clone, Copy)]
-enum Peer {
-    Client(ClientId),
-    Broker(BrokerId),
-}
-
-struct ClientState {
-    conn: Option<ConnId>,
-    log: EventLog,
-    /// When the client's connection dropped (None while connected).
-    disconnected_at: Option<Instant>,
-}
-
 /// A running broker node (also its handle: inspect stats, connect
 /// neighbors, open local connections, shut down).
 ///
@@ -225,7 +209,7 @@ struct ClientState {
 /// # }
 /// ```
 pub struct BrokerNode {
-    /// What the node was started with (the engine loop has its own copy).
+    /// What the node was started with (the core has its own copy).
     config: BrokerConfig,
     addr: SocketAddr,
     cmd_tx: Sender<Command>,
@@ -234,7 +218,7 @@ pub struct BrokerNode {
     match_stats: Arc<Mutex<MatchStats>>,
     shutdown: Arc<AtomicBool>,
     next_conn: Arc<AtomicU64>,
-    /// Current topology epoch, stored by the engine loop on every
+    /// Current topology epoch, stored by the core on every
     /// link-state flip and sampled by [`stats`](Self::stats). Equal
     /// epochs across brokers mean identical link-state tables, hence
     /// identical repaired forests — the cluster-convergence signal.
@@ -277,7 +261,7 @@ impl BrokerNode {
             Arc::clone(&shutdown),
         )?;
 
-        // Durable-state recovery, before the engine loop exists: load the
+        // Durable-state recovery, before the core exists: load the
         // snapshot, replay the WAL suffix on top (discarding torn tails),
         // and resume the recovered incarnation so peers' cumulative acks
         // stay valid. With no storage configured this is a fresh boot.
@@ -286,7 +270,7 @@ impl BrokerNode {
             None => Recovered::fresh(),
         };
 
-        // Matching engine, moved into the engine thread below: nothing
+        // Matching engine, moved into the core below: nothing
         // else ever reads or writes it.
         let mut engine = MatchingEngine::new(
             config.broker,
@@ -324,38 +308,21 @@ impl BrokerNode {
             st.truncate(WAL_LOG)?;
             stats.snapshot_writes.fetch_add(1, Ordering::Relaxed);
         }
-        let match_stats = Arc::new(Mutex::new(MatchStats::new()));
 
-        // Engine loop.
-        let topology_epoch = Arc::new(AtomicU64::new(0));
-        let engine_loop = EngineLoop {
-            match_cache: MatchCache::new(config.match_cache_cap),
-            route_scratch: RouteScratch::new(),
-            fabric: Arc::clone(&config.fabric),
-            link_state: crate::repair::LinkStateTable::default(),
-            epoch: 0,
-            epoch_gauge: Arc::clone(&topology_epoch),
-            journal: Journal {
-                storage: config.storage.clone(),
-                stats: Arc::clone(&stats),
-                ..Journal::default()
-            },
-            staged: Vec::new(),
-            config: config.clone(),
-            incarnation: recovered.incarnation,
+        let (out, now) = (Arc::clone(&outbox), Instant::now());
+        let core = BrokerCore::new(
+            config.clone(),
+            recovered,
             engine,
-            outbox: Arc::clone(&outbox),
-            stats: Arc::clone(&stats),
-            match_stats: Arc::clone(&match_stats),
-            conns: HashMap::new(),
-            clients: HashMap::new(),
-            links: recovered.links,
-            tombstones: recovered.tombstones,
-            sub_ids: recovered.sub_ids,
-        };
+            out,
+            Arc::clone(&stats),
+            now,
+        );
+        let match_stats = Arc::clone(&core.match_stats);
+        let topology_epoch = Arc::clone(&core.epoch_gauge);
         let engine_thread = std::thread::Builder::new()
             .name(format!("broker-{}", config.broker))
-            .spawn(move || engine_loop.run(cmd_rx))?;
+            .spawn(move || run(core, cmd_rx))?;
 
         Ok(BrokerNode {
             config,
@@ -674,109 +641,20 @@ fn mint_incarnation() -> u64 {
     (COUNTER.fetch_add(1, Ordering::Relaxed) << 32) | (nanos & 0xffff_ffff)
 }
 
-/// Name of the broker's single write-ahead log inside its [`Storage`].
-const WAL_LOG: &str = "wal";
-/// Name of the broker's control-state snapshot slot.
-const STATE_SNAPSHOT: &str = "state";
 /// Upper bound on any count field in a snapshot. Snapshots are
 /// self-written (never peer input), so a larger count only ever means
 /// corruption — reject the snapshot rather than trust the length.
 const MAX_SNAPSHOT_ITEMS: u32 = 1 << 24;
 
-/// The write-ahead journal, on the engine thread. Without
-/// [`BrokerConfig::storage`] it records nothing and every call is a no-op:
-/// callers never ask which kind of broker they run in.
-#[derive(Default)]
-struct Journal {
-    storage: Option<Arc<dyn Storage>>,
-    /// Ops recorded since the last commit; they commit as one WAL record.
-    pending: Vec<WalOp>,
-    /// Reusable record-encoding buffer.
-    buf: Vec<u8>,
-    /// WAL records appended since the last checkpoint; reaching
-    /// [`BrokerConfig::snapshot_every`] triggers the next one.
-    records_since_snapshot: u64,
-    stats: Arc<StatsInner>,
-}
-
-impl Journal {
-    /// Adds `op` to the record being built — the one place the event path
-    /// learns whether a journal exists.
-    fn record(&mut self, op: impl FnOnce() -> WalOp) {
-        if self.storage.is_some() {
-            self.pending.push(op());
-        }
-    }
-
-    /// Appends the recorded ops as one WAL record — the atomicity unit:
-    /// recovery replays a record wholly or not at all, so everything that
-    /// must survive together (an event's spool appends plus its receive
-    /// mark) rides in one record. `sync` makes it durable before returning;
-    /// trims pass `false` since losing one only re-replays already-acked
-    /// frames, which the receiver's dedup discards. Storage errors are
-    /// counted and otherwise swallowed: a broker cannot un-route mid-event,
-    /// and availability wins over durability by design (DESIGN.md §14.2).
-    fn commit(&mut self, sync: bool) {
-        let Some(storage) = &self.storage else {
-            return;
-        };
-        if self.pending.is_empty() {
-            return;
-        }
-        let payload = storage::encode_ops(&self.pending);
-        self.pending.clear();
-        self.buf.clear();
-        storage::encode_record(&payload, &mut self.buf);
-        self.swallow(storage.append(WAL_LOG, &self.buf));
-        if sync {
-            self.swallow(storage.sync(WAL_LOG));
-        }
-        self.records_since_snapshot += 1;
-        self.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Journals a spool trim, if the ack floor moved (unsynced). Every path
-    /// that can move one ends here.
-    fn trim(&mut self, neighbor: BrokerId, floor: Option<u64>) {
-        if let Some(acked) = floor {
-            let neighbor = neighbor.raw();
-            self.record(|| WalOp::Trim { neighbor, acked });
-            self.commit(false);
-        }
-    }
-
-    /// Writes `snapshot`, then truncates the WAL it absorbs: after a cut
-    /// between the two the old records replay idempotently on top of it. A
-    /// failed write leaves the WAL alone, to grow until one succeeds.
-    fn checkpoint(&mut self, snapshot: impl FnOnce() -> Vec<u8>) {
-        let Some(storage) = &self.storage else {
-            return;
-        };
-        if self.swallow(storage.write_snapshot(STATE_SNAPSHOT, &snapshot())) {
-            self.swallow(storage.truncate(WAL_LOG));
-            self.stats.snapshot_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        self.records_since_snapshot = 0;
-    }
-
-    /// Counts a failed storage call; `true` if it succeeded.
-    fn swallow(&self, result: std::io::Result<()>) -> bool {
-        if result.is_err() {
-            self.stats.storage_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        result.is_ok()
-    }
-}
-
 /// Broker state rebuilt by [`recover`] (or minted fresh) and handed to
-/// the engine loop at boot.
+/// the core at boot.
 #[derive(Default)]
-struct Recovered {
-    incarnation: u64,
-    sub_ids: SubIdAllocator,
-    tombstones: TombstoneSet,
-    links: BTreeMap<BrokerId, Link>,
-    subscriptions: Vec<(SchemaId, Subscription)>,
+pub(crate) struct Recovered {
+    pub(crate) incarnation: u64,
+    pub(crate) sub_ids: SubIdAllocator,
+    pub(crate) tombstones: TombstoneSet,
+    pub(crate) links: BTreeMap<BrokerId, Link>,
+    pub(crate) subscriptions: Vec<(SchemaId, Subscription)>,
 }
 
 impl Recovered {
@@ -800,7 +678,7 @@ impl Recovered {
 /// neighbor spools (unacknowledged frames only), and the subscription
 /// set. The layout is internal to this module; [`decode_snapshot`] is the
 /// only reader.
-fn encode_snapshot(
+pub(crate) fn encode_snapshot(
     incarnation: u64,
     sub_ids: &SubIdAllocator,
     tombstones: &TombstoneSet,
@@ -994,1097 +872,58 @@ fn recover(
     Ok(recovered)
 }
 
-struct EngineLoop {
-    config: BrokerConfig,
-    /// This broker lifetime's nonce, announced in every link `Hello` so
-    /// peers can tell a restart from a reconnect.
-    incarnation: u64,
-    engine: MatchingEngine,
-    outbox: Arc<Outbox>,
-    stats: Arc<StatsInner>,
-    /// Accumulated matching cost, read by [`BrokerNode::match_stats`].
-    match_stats: Arc<Mutex<MatchStats>>,
-    /// The match-result cache.
-    match_cache: MatchCache,
-    /// Reusable matching buffers (scratch masks, walk frames).
-    route_scratch: RouteScratch,
-    /// Who each registered connection speaks for. A broker's entry is
-    /// exactly its [`Link`]'s current connection.
-    conns: HashMap<ConnId, Peer>,
-    clients: HashMap<ClientId, ClientState>,
-    /// Everything per neighbor, made on first mention and never dropped;
-    /// ordered, so floods, timers, re-homing and snapshots walk in id order.
-    links: BTreeMap<BrokerId, Link>,
-    /// Removed subscription ids, so the anti-entropy resync cannot
-    /// resurrect an unsubscribe that flooded while a link was down.
-    tombstones: TombstoneSet,
-    sub_ids: SubIdAllocator,
-    journal: Journal,
-    /// `Forward`s stitched for the event being dispatched, released once
-    /// its WAL record has committed. Reused across events.
-    staged: Vec<(ConnId, Bytes)>,
-    /// The routing fabric currently in force: [`BrokerConfig::fabric`]
-    /// at boot, swapped for a rebuild over the surviving graph on every
-    /// topology repair. Routing, dispatch, and the tree-bound check all
-    /// read this — never `config.fabric` — so a repair cuts the whole
-    /// data plane over atomically (single-threaded engine loop).
-    fabric: Arc<RoutingFabric>,
-    /// Flooded link-state statements folded into per-edge versions; the
-    /// source of truth for `epoch` and the dead-edge exclusion set.
-    link_state: crate::repair::LinkStateTable,
-    /// Current topology epoch (`link_state.epoch()`), stitched into
-    /// every outgoing `Forward` frame and compared against incoming
-    /// ones. Plain engine-thread copy of `epoch_gauge`.
-    epoch: u64,
-    /// Shared copy of `epoch` for [`BrokerNode::stats`].
-    epoch_gauge: Arc<AtomicU64>,
+/// The engine thread, the one thread that steps a [`BrokerCore`]: its clock.
+/// The wait for a command ends at the core's next deadline, the time is
+/// read once per wake-up, and the core's timers are offered that time after
+/// every command, so a mailbox that never empties delays them by one.
+fn run(mut core: BrokerCore<Arc<Outbox>>, cmd_rx: Receiver<Command>) {
+    let mut now = Instant::now();
+    loop {
+        let command = cmd_rx.recv_timeout(core.next_deadline().saturating_duration_since(now));
+        now = Instant::now();
+        match command {
+            // Final courtesy: the acks we owe, so surviving neighbors trim
+            // their spools instead of retransmitting at our restart.
+            Ok(Command::Shutdown) => return core.flush_forward_acks(),
+            // Fault injection: die as a power cut would, no ack flush, no
+            // checkpoint. (The outbox holds a sender: no early close.)
+            Ok(Command::Crash) | Err(RecvTimeoutError::Disconnected) => return,
+            Ok(command) => core.step(command, now),
+            Err(RecvTimeoutError::Timeout) => {}
+        }
+        core.on_clock(now);
+    }
 }
 
-impl EngineLoop {
-    /// The engine thread's loop, and its only clock: the GC and heartbeat
-    /// deadlines live here, the wait for the next command ends at the
-    /// nearer of them, and both are checked after every command so a
-    /// mailbox that never empties cannot starve them. `now` is read once
-    /// per wake-up and handed down; no handler reads time itself.
-    fn run(mut self, cmd_rx: Receiver<Command>) {
-        let gc_interval = self.config.gc_interval.max(Duration::from_millis(1));
-        let heartbeat_interval = self.config.heartbeat_interval.max(Duration::from_millis(1));
-        let mut now = Instant::now();
-        let mut gc_due = now + gc_interval;
-        let mut heartbeat_due = now + heartbeat_interval;
-        loop {
-            let wait = gc_due.min(heartbeat_due).saturating_duration_since(now);
-            let command = cmd_rx.recv_timeout(wait);
-            now = Instant::now();
-            match command {
-                Ok(Command::Frames(conn, batch)) => {
-                    // Any frame, decodable or not, proves a broker peer's send
-                    // path alive; one stamp covers the batch, it is one read.
-                    if let Some((_, link)) = self.peer_link(conn) {
-                        link.heard(conn, now);
-                    }
-                    for frame in batch {
-                        self.handle_frame(conn, frame, now);
-                    }
-                }
-                Ok(Command::DialedNeighbor(conn, neighbor)) => {
-                    // `Forward`s stay spooled until the peer's `Hello`.
-                    self.install_link(neighbor, conn, now);
-                    self.greet(neighbor, conn);
-                }
-                Ok(Command::Disconnected(conn)) => self.handle_disconnect(conn, now),
-                Ok(Command::LinkUnreachable(neighbor)) => {
-                    self.handle_link_unreachable(neighbor, now);
-                }
-                Ok(Command::QueueOverflow(conn)) => self.handle_queue_overflow(conn, now),
-                Ok(Command::Shutdown) => {
-                    // Final courtesy: push cumulative acks for everything
-                    // received but not yet acked, so surviving neighbors
-                    // trim their spools instead of retransmitting the tail
-                    // at our restart. The frames flush in the drain phase.
-                    self.flush_forward_acks();
-                    break;
-                }
-                // Fault injection: die as a power cut would — no ack
-                // flush, no checkpoint. Whatever the WAL and the last
-                // snapshot hold is what recovery gets.
-                Ok(Command::Crash) => break,
-                // Not while this loop runs: its outbox holds a sender.
-                Err(RecvTimeoutError::Disconnected) => break,
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-            if now >= gc_due {
-                self.collect_garbage(now);
-                gc_due = now + gc_interval;
-            }
-            if now >= heartbeat_due {
-                self.heartbeat_tick(now);
-                heartbeat_due = now + heartbeat_interval;
-            }
-        }
+/// The core's connections are the outbox's.
+impl Out for Arc<Outbox> {
+    fn send(&self, conn: ConnId, frame: Bytes) {
+        Outbox::send(self, conn, frame);
     }
-
-    /// One frame, length prefix included.
-    fn handle_frame(&mut self, conn: ConnId, frame: Bytes, now: Instant) {
-        let Some(&tag) = frame.get(protocol::FRAME_PREFIX) else {
-            return;
-        };
-        // The decoders consume a slice of the frame (a refcount bump), and
-        // the handlers get the frame itself: the data-plane arms slice the
-        // already-encoded event body out of it instead of re-serializing
-        // the decoded event, the control-plane arms flood it onward as it
-        // came (it decoded, so it is a well-formed message).
-        let payload = || frame.slice(protocol::FRAME_PREFIX..);
-        if tag < 0x10 {
-            match ClientToBroker::decode(payload(), &self.config.registry) {
-                Ok(msg) => self.handle_client(conn, msg, &frame, now),
-                Err(e) => self.protocol_error_disconnect(conn, e.to_string(), now),
-            }
-        } else if (0x21..=0x2f).contains(&tag) {
-            match BrokerToBroker::decode(payload(), &self.config.registry) {
-                Ok(msg) => self.handle_broker(conn, msg, &frame, now),
-                Err(e) => self.protocol_error_disconnect(conn, e.to_string(), now),
-            }
-        } else {
-            self.protocol_error_disconnect(conn, format!("unexpected message tag {tag:#x}"), now);
-        }
+    fn send_many<I: IntoIterator<Item = ConnId>>(&self, conns: I, frame: &Bytes) {
+        Outbox::send_many(self, conns, frame);
     }
-
-    /// A peer sent something undecodable. A corrupt payload means the
-    /// stream's framing can no longer be trusted, so rather than guess at
-    /// the next message boundary the broker counts the error and drops the
-    /// connection — the socket shutdown is what the peer observes (a
-    /// dialing neighbor's link supervisor sees the EOF and redials with a
-    /// fresh handshake). Clients additionally get the reason as an `Error`
-    /// frame, flushed before the FIN; broker peers do not, because
-    /// `BrokerToClient::Error` is an unexpected tag on a broker-broker
-    /// link and would itself count as a protocol error on the remote side.
-    /// Semantically invalid but *well-formed* requests (unknown schema on
-    /// subscribe, publish before hello) go through `client_error` instead
-    /// and keep the connection.
-    fn protocol_error_disconnect(&mut self, conn: ConnId, message: String, now: Instant) {
-        self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        if matches!(self.conns.get(&conn), Some(Peer::Broker(_))) {
-            self.handle_disconnect(conn, now);
-            return;
-        }
-        self.client_error(conn, message);
-        self.outbox.close_after_flush(conn);
-        self.forget_conn(conn, now);
+    fn unregister(&self, conn: ConnId) {
+        Outbox::unregister(self, conn);
     }
-
-    fn handle_publish(&mut self, conn: ConnId, event: Event, body: Bytes, now: Instant) {
-        if self.client_of(conn).is_none() {
-            self.client_error(conn, "publish before hello".into());
-            return;
-        }
-        // Reject events too large to re-stitch as Forward/Deliver frames
-        // before they enter routing; an unchecked body would either
-        // truncate the `u32` length prefix or flap the downstream link
-        // (retransmit → peer reject → disconnect → retransmit) forever.
-        if let Err(e) = crate::protocol::check_event_body(body.len()) {
-            self.client_error(conn, e.to_string());
-            return;
-        }
-        let tree = match self.fabric.tree_for(self.config.broker) {
-            Ok(t) => t,
-            Err(e) => {
-                self.client_error(conn, e.to_string());
-                return;
-            }
-        };
-        self.stats.published.fetch_add(1, Ordering::Relaxed);
-        let links = self.route_inline(&event, tree);
-        self.dispatch(&event, tree, &body, links, None, now);
+    fn close_after_flush(&self, conn: ConnId) {
+        Outbox::close_after_flush(self, conn);
     }
-
-    /// `frame` is `message` as it arrived, length prefix included.
-    fn handle_client(
-        &mut self,
-        conn: ConnId,
-        message: ClientToBroker,
-        frame: &Bytes,
-        now: Instant,
-    ) {
-        match message {
-            ClientToBroker::Hello {
-                client,
-                resume_from,
-            } => {
-                let home = self.config.fabric.network().home_broker(client);
-                if home != Some(self.config.broker) {
-                    self.client_error(
-                        conn,
-                        format!(
-                            "client {client} is not homed at broker {}",
-                            self.config.broker
-                        ),
-                    );
-                    return;
-                }
-                self.conns.insert(conn, Peer::Client(client));
-                let state = self.clients.entry(client).or_insert_with(|| ClientState {
-                    conn: None,
-                    log: EventLog::new(),
-                    disconnected_at: None,
-                });
-                state.conn = Some(conn);
-                state.disconnected_at = None;
-                state.log.ack(resume_from);
-                let acked = state.log.acked();
-                self.outbox.send(
-                    conn,
-                    BrokerToClient::Welcome {
-                        client,
-                        resume_from: acked,
-                    }
-                    .encode(),
-                );
-                // Replay what the client missed while disconnected.
-                let frames: Vec<Bytes> = state
-                    .log
-                    .replay_after(acked)
-                    .map(|(seq, event)| {
-                        BrokerToClient::Deliver {
-                            seq,
-                            event: event.clone(),
-                        }
-                        .encode()
-                    })
-                    .collect();
-                for frame in frames {
-                    self.outbox.send(conn, frame);
-                }
-            }
-            ClientToBroker::Subscribe { schema, expression } => {
-                let Some(client) = self.client_of(conn) else {
-                    self.client_error(conn, "subscribe before hello".into());
-                    return;
-                };
-                let predicate = match self.engine.parse_subscription(schema, &expression) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        self.client_error(conn, e.to_string());
-                        return;
-                    }
-                };
-                // Globally unique id: 12 bits of broker, 20 bits of
-                // per-broker counter (recycled after unsubscribe, so churn
-                // never wedges the broker — only concurrency is capped).
-                let Some(raw) = self.sub_ids.allocate() else {
-                    self.client_error(conn, "subscription id space exhausted".into());
-                    return;
-                };
-                let id = SubscriptionId::new((self.config.broker.raw() << SUB_COUNTER_BITS) | raw);
-                // A recycled id must not be shadowed by its previous life's
-                // tombstone.
-                self.tombstones.remove(id);
-                let subscription =
-                    Subscription::new(id, SubscriberId::new(self.config.broker, client), predicate);
-                // The one encoding of this subscription's flood: every
-                // broker it reaches passes these bytes on as received.
-                let flood = protocol::sub_add_frame(schema, &subscription, false);
-                match self.engine.subscribe(schema, subscription) {
-                    Ok(()) => {
-                        self.stats
-                            .subscriptions
-                            .store(self.engine.subscription_count() as u64, Ordering::Relaxed);
-                        self.outbox
-                            .send(conn, BrokerToClient::SubAck { id }.encode());
-                        // Control plane: flood to every neighbor.
-                        self.flood_frame(&flood, None);
-                        self.checkpoint();
-                    }
-                    Err(e) => {
-                        self.sub_ids.free(raw);
-                        self.client_error(conn, e.to_string());
-                    }
-                }
-            }
-            ClientToBroker::Unsubscribe { id } => {
-                let Some(client) = self.client_of(conn) else {
-                    self.client_error(conn, "unsubscribe before hello".into());
-                    return;
-                };
-                let owned = self
-                    .engine
-                    .subscription(id)
-                    .is_some_and(|s| s.subscriber().client == client);
-                if !owned {
-                    self.client_error(conn, format!("subscription {id} is not yours"));
-                    return;
-                }
-                self.engine.unsubscribe(id);
-                self.stats
-                    .subscriptions
-                    .store(self.engine.subscription_count() as u64, Ordering::Relaxed);
-                // Tombstone the id (so a resync while some link is down
-                // cannot resurrect it) and recycle its counter half.
-                self.tombstones.insert(id);
-                self.sub_ids.free(id.raw() & (SUB_ID_SPACE - 1));
-                self.outbox
-                    .send(conn, BrokerToClient::UnsubAck { id }.encode());
-                self.flood_broker_message(&BrokerToBroker::SubRemove { id }, None);
-                self.checkpoint();
-            }
-            ClientToBroker::Publish { event } => {
-                let body = frame.slice(protocol::FRAME_PREFIX + protocol::PUBLISH_BODY_OFFSET..);
-                self.handle_publish(conn, event, body, now);
-            }
-            ClientToBroker::Ack { seq } => {
-                if let Some(client) = self.client_of(conn) {
-                    if let Some(state) = self.clients.get_mut(&client) {
-                        state.log.ack(seq);
-                    }
-                }
-            }
-            ClientToBroker::StatsRequest => {
-                // `subscriptions` reads the stored gauge, refreshed on
-                // every subscription change.
-                let counters = {
-                    let matching = self.match_stats.lock();
-                    self.stats.counters(Derived {
-                        match_cache_hits: matching.cache_hits,
-                        match_cache_misses: matching.cache_misses,
-                        match_cache_invalidations: matching.cache_invalidations,
-                    })
-                };
-                let frame = BrokerToClient::Stats(counters).encode();
-                self.outbox.send(conn, frame);
-            }
-        }
-    }
-
-    /// `frame` is `message` as it arrived, length prefix included.
-    fn handle_broker(
-        &mut self,
-        conn: ConnId,
-        message: BrokerToBroker,
-        frame: &Bytes,
-        now: Instant,
-    ) {
-        match message {
-            BrokerToBroker::Hello {
-                broker,
-                incarnation,
-                last_recv,
-                last_recv_incarnation,
-                send_seq,
-            } => {
-                // Reply with our own handshake only on a conn we have not
-                // already greeted (the dialer side greeted on
-                // `DialedNeighbor`); otherwise the pair would ping-pong
-                // Hellos forever.
-                let fresh = self.install_link(broker, conn, now);
-                // The window first — our own `Hello` advertises it — and
-                // the peer's cumulative ack before any repair flip below:
-                // frames the peer already has must not look pending to the
-                // flip's re-homing sweep, which would re-dispatch them.
-                let floor = self.links.entry(broker).or_default().on_hello(
-                    self.incarnation,
-                    incarnation,
-                    last_recv,
-                    last_recv_incarnation,
-                    send_seq,
-                );
-                self.journal.trim(broker, floor);
-                self.maybe_snapshot();
-                if fresh {
-                    self.greet(broker, conn);
-                }
-                // A Hello on this link proves the edge is live again: if
-                // our table says it is down, originate the LinkUp
-                // statement. Both endpoints may do so concurrently — the
-                // strictly-monotone apply test makes the duplicate
-                // converge instead of ping-ponging.
-                let me = self.config.broker;
-                let (a, b) = crate::repair::normalize_edge(me, broker);
-                let (ver, down) = self.link_state.get(a, b);
-                if down {
-                    self.apply_link_state(a, b, ver.saturating_add(1), false, None, now);
-                }
-                // Last on the conn, behind the resyncs and any statement the
-                // flip flooded: what the peer missed, what the flip re-homed.
-                let frames = self.links.entry(broker).or_default().replay();
-                self.stats
-                    .retransmitted
-                    .fetch_add(frames.len() as u64, Ordering::Relaxed);
-                for frame in frames {
-                    self.outbox.send(conn, frame);
-                }
-            }
-            BrokerToBroker::FwdAck { seq } => {
-                if let Some((broker, link)) = self.peer_link(conn) {
-                    let floor = link.on_ack(seq);
-                    self.journal.trim(broker, floor);
-                    self.maybe_snapshot();
-                }
-            }
-            BrokerToBroker::Forward {
-                tree,
-                seq,
-                epoch,
-                event,
-            } => {
-                let body = frame.slice(protocol::FRAME_PREFIX + protocol::FORWARD_BODY_OFFSET..);
-                if let Some(source) = self.accept_forward(conn, tree, seq, epoch, now) {
-                    let links = self.route_inline(&event, tree);
-                    self.dispatch(&event, tree, &body, links, Some(source), now);
-                }
-            }
-            BrokerToBroker::SubAdd {
-                schema,
-                subscription,
-                resync,
-            } => {
-                let id = subscription.id();
-                // A resynced add may be a resurrection: the neighbor never
-                // saw the `SubRemove` that flooded while its link was down.
-                // Ignoring it is not enough — the neighbor (and everything
-                // behind it) still *holds* the stale subscription and would
-                // keep routing on it forever. Push the removal back on the
-                // same link; the receiver un-installs it and floods the
-                // removal onward, so the partition-missed `SubRemove`
-                // finally reaches every stale copy.
-                if resync && self.tombstones.contains(id) {
-                    self.outbox
-                        .send(conn, BrokerToBroker::SubRemove { id }.encode());
-                    return;
-                }
-                if self.engine.knows(id) {
-                    return; // flood dedup on cyclic broker graphs
-                }
-                if !resync {
-                    // A fresh add recycles the id: its previous life's
-                    // tombstone no longer applies.
-                    self.tombstones.remove(id);
-                }
-                if self.engine.subscribe(schema, subscription).is_ok() {
-                    // One this broker minted in an earlier life, handed
-                    // back by a neighbor: not to be minted again.
-                    if id.raw() >> SUB_COUNTER_BITS == self.config.broker.raw() {
-                        self.sub_ids.reserve(id.raw() & (SUB_ID_SPACE - 1));
-                    }
-                    self.stats
-                        .subscriptions
-                        .store(self.engine.subscription_count() as u64, Ordering::Relaxed);
-                    // `resync` travels unchanged, with the rest.
-                    self.flood_frame(frame, Some(conn));
-                    self.checkpoint();
-                } else {
-                    debug_assert!(false, "replicated subscription {id} failed to install");
-                }
-            }
-            BrokerToBroker::Ping => {
-                // Answer on the same conn: the pong's arrival refreshes the
-                // peer's liveness clock for this link.
-                self.outbox.send(conn, BrokerToBroker::Pong.encode());
-            }
-            BrokerToBroker::Pong => {
-                // Its arrival already stamped the link's liveness clock;
-                // there is nothing else to do.
-            }
-            BrokerToBroker::LinkDown { a, b, ver } => {
-                self.handle_link_statement(conn, a, b, ver, true, now);
-            }
-            BrokerToBroker::LinkUp { a, b, ver } => {
-                self.handle_link_statement(conn, a, b, ver, false, now);
-            }
-            BrokerToBroker::SubRemove { id } => {
-                // Tombstone-insert doubles as flood dedup: a removal we
-                // already tombstoned has already been flooded onward.
-                let newly_tombstoned = self.tombstones.insert(id);
-                let removed = self.engine.unsubscribe(id);
-                if removed {
-                    self.stats
-                        .subscriptions
-                        .store(self.engine.subscription_count() as u64, Ordering::Relaxed);
-                }
-                if removed || newly_tombstoned {
-                    self.flood_frame(frame, Some(conn));
-                    self.checkpoint();
-                }
-            }
-        }
-    }
-
-    /// The neighbor `conn` currently speaks for, and its link.
-    fn peer_link(&mut self, conn: ConnId) -> Option<(BrokerId, &mut Link)> {
-        let Some(&Peer::Broker(peer)) = self.conns.get(&conn) else {
-            return None;
-        };
-        Some((peer, self.links.get_mut(&peer)?))
-    }
-
-    /// Makes `conn` the one connection to `peer`, tearing down an older one
-    /// (dead but undetected when the peer redialed). Returns whether `conn`
-    /// is new to `peer`: it has yet to be greeted.
-    fn install_link(&mut self, peer: BrokerId, conn: ConnId, now: Instant) -> bool {
-        let was = self.conns.insert(conn, Peer::Broker(peer));
-        let jitter = heartbeat_jitter_seed(self.config.broker, peer);
-        let link = self.links.entry(peer).or_default();
-        if let Some(old) = link.install(conn, now, jitter) {
-            self.outbox.unregister(old);
-            self.conns.remove(&old);
-        }
-        !matches!(was, Some(Peer::Broker(b)) if b == peer)
-    }
-
-    /// Our half of the handshake on a fresh `conn`: `Hello`, then the
-    /// anti-entropy resyncs of what a (re-)connecting neighbor may have
-    /// missed — subscriptions (the flood dedup drops duplicates, the
-    /// tombstone filter dead ids) and link-state statements. All of it
-    /// precedes any spool replay on the conn (FIFO link): a peer that
-    /// rebooted at epoch 0 flips forward before it sees replayed frames.
-    fn greet(&mut self, peer: BrokerId, conn: ConnId) {
-        let link = self.links.entry(peer).or_default();
-        let hello = link.hello(self.config.broker, self.incarnation);
-        self.outbox.send(conn, hello.encode());
-        self.resync_subscriptions(conn);
-        self.resync_link_state(conn);
-    }
-
-    /// Sends the cumulative `FwdAck` a link asked for.
-    fn send_ack(outbox: &Outbox, conn: ConnId, seq: u64) {
-        outbox.send(conn, BrokerToBroker::FwdAck { seq }.encode());
-    }
-
-    /// An inbound `Forward`'s header: the neighbor and the receive mark to
-    /// route the event under, or `None` for a frame that must not be routed.
-    fn accept_forward(
-        &mut self,
-        conn: ConnId,
-        tree: TreeId,
-        seq: u64,
-        epoch: u64,
-        now: Instant,
-    ) -> Option<(BrokerId, Mark)> {
-        // Epoch check FIRST, before the tree-bound check: a frame stitched
-        // under a different topology epoch refers to trees that no longer
-        // exist here (its tree index may not even be in range of the
-        // repaired forest). Dropping it is safe precisely because it is
-        // *not* acked and does *not* advance the receive window: the frame
-        // stays pending in the sender's spool, and the sender's own epoch
-        // flip re-homes every pending frame down its repaired trees (see
-        // `rehome_spools` and DESIGN.md §15).
-        if epoch != self.epoch {
-            self.stats.stale_epoch_drops.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        // The tree id arrives as a raw index; an out-of-range value from a
-        // corrupt or hostile peer would panic deep inside the matching
-        // engine's per-tree tables. Treat it like any other undecodable
-        // frame: count it and cut the link.
-        if tree.index() >= self.fabric.forest().len() {
-            self.protocol_error_disconnect(
-                conn,
-                format!("forward on unknown spanning tree {}", tree.index()),
-                now,
-            );
-            return None;
-        }
-        // Not a registered broker peer: most likely an old stream torn
-        // down when the neighbor redialed (see `install_link`). Routing it
-        // would bypass the dedup window; the live stream replays it.
-        let (broker, link) = self.peer_link(conn)?;
-        Some((broker, link.accept(seq)?))
-    }
-
-    /// Link-matches one event: match-cache lookup, else the arena walk
-    /// through the engine's scratch buffers, then the attribute-order
-    /// check when it is due. Its caller dispatches the links: all of them
-    /// for an arriving event, the broker links only when spool re-homing
-    /// re-matches under the repaired topology.
-    fn route_inline(&mut self, event: &Event, tree: TreeId) -> Vec<LinkId> {
-        let mut stats = MatchStats::new();
-        let mut links = Vec::new();
-        self.engine.route_cached(
-            event,
-            tree,
-            &mut self.match_cache,
-            &mut self.route_scratch,
-            &mut stats,
-            &mut links,
-        );
-        *self.match_stats.lock() += stats;
-        // Between events, and only once enough of them have walked the tree.
-        if self.route_scratch.order_check_due() {
-            let rebuilt = self.engine.adapt_orders(&mut self.route_scratch);
-            if rebuilt > 0 {
-                self.stats
-                    .order_rebuilds
-                    .fetch_add(rebuilt, Ordering::Relaxed);
-            }
-        }
-        links
-    }
-
-    /// Dispatches a routed event: per-neighbor `Forward` frames (each link
-    /// carries its own sequence header around the shared, already-encoded
-    /// `body`, sliced from the incoming frame) and one `Deliver` header per
-    /// client around the same body.
-    ///
-    /// The event's spool appends and its receive mark (`source`) commit as
-    /// **one WAL record** before any `Forward` frame reaches the wire, so a
-    /// power cut either keeps the whole batch or loses a batch no peer ever
-    /// saw (the sender's spool retransmits it); without storage the commit
-    /// is a no-op and the route is the same. Client deliveries are volatile
-    /// by design (DESIGN.md §14.3) and go out at once.
-    fn dispatch(
-        &mut self,
-        event: &Event,
-        tree: TreeId,
-        body: &Bytes,
-        links: Vec<LinkId>,
-        source: Option<(BrokerId, Mark)>,
-        now: Instant,
-    ) {
-        let fabric = Arc::clone(&self.fabric);
-        let network = fabric.network();
-        let mut staged = std::mem::take(&mut self.staged);
-        for link in links {
-            match network.link_target(self.config.broker, link) {
-                LinkTarget::Broker(neighbor) => {
-                    let link = self.links.entry(neighbor).or_default();
-                    let (seq, frame, dropped) = link.stitch(tree, self.epoch, body);
-                    self.stats.spooled.fetch_add(1, Ordering::Relaxed);
-                    if dropped > 0 {
-                        let overflow = &self.stats.dropped_spool_overflow;
-                        overflow.fetch_add(dropped, Ordering::Relaxed);
-                    }
-                    self.journal.record(|| WalOp::Append {
-                        neighbor: neighbor.raw(),
-                        seq,
-                        frame: frame.clone(),
-                    });
-                    // Not ahead of the handshake: the next replay sends it.
-                    if let Some(conn) = link.established() {
-                        self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                        staged.push((conn, frame));
-                    }
-                }
-                LinkTarget::Client(client) => {
-                    let state = self.clients.entry(client).or_insert_with(|| ClientState {
-                        conn: None,
-                        log: EventLog::new(),
-                        disconnected_at: Some(now),
-                    });
-                    let seq = state.log.append(event.clone());
-                    self.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                    if let Some(conn) = state.conn {
-                        self.outbox.send(conn, protocol::deliver_frame(seq, body));
-                    }
-                }
-            }
-        }
-        // The receive mark is journaled even when the event matched no
-        // links: `durable_seq` (and with it ack pacing and the `Hello`
-        // high-water mark) may only ever advance through the WAL.
-        if let Some((from, mark)) = source {
-            self.journal.record(|| WalOp::RecvMark {
-                from: from.raw(),
-                incarnation: mark.incarnation,
-                seq: mark.seq,
-            });
-        }
-        self.journal.commit(true);
-        if let Some((from, mark)) = source {
-            let link = self.links.entry(from).or_default();
-            if let (Some(seq), Some(conn)) = (link.committed(mark), link.conn()) {
-                Self::send_ack(&self.outbox, conn, seq);
-            }
-        }
-        for (conn, frame) in staged.drain(..) {
-            self.outbox.send(conn, frame);
-        }
-        self.staged = staged;
-        self.maybe_snapshot();
-    }
-
-    /// Checkpoints once the WAL has grown past the configured cadence.
-    fn maybe_snapshot(&mut self) {
-        if self.journal.records_since_snapshot >= self.config.snapshot_every.max(1) {
-            self.checkpoint();
-        }
-    }
-
-    /// Writes a full-state snapshot and truncates the WAL it absorbs (a
-    /// no-op without storage). Besides the record cadence, every
-    /// subscription-table, tombstone or id-allocator change checkpoints at
-    /// once: the snapshot is the only durable home of control-plane state,
-    /// and a crash that resurrects a removed subscription is the one
-    /// divergence the anti-entropy resync cannot heal (DESIGN.md §14.2).
-    fn checkpoint(&mut self) {
-        self.journal.checkpoint(|| {
-            encode_snapshot(
-                self.incarnation,
-                &self.sub_ids,
-                &self.tombstones,
-                &self.links,
-                &self.engine.all_subscriptions(),
-            )
-        });
-    }
-
-    /// Sends every known subscription to a newly established broker link.
-    /// Marked `resync` so the receiver filters them against its tombstones
-    /// instead of resurrecting subscriptions removed while the link was
-    /// down.
-    fn resync_subscriptions(&self, conn: ConnId) {
-        for (schema, subscription) in self.engine.all_subscriptions() {
-            self.outbox.send(
-                conn,
-                BrokerToBroker::SubAdd {
-                    schema,
-                    subscription,
-                    resync: true,
-                }
-                .encode(),
-            );
-        }
-    }
-
-    fn flood_broker_message(&self, message: &BrokerToBroker, except: Option<ConnId>) {
-        // Not encoded for nobody.
-        let mut conns = self.links.values().filter_map(Link::conn);
-        if conns.any(|conn| Some(conn) != except) {
-            self.flood_frame(&message.encode(), except);
-        }
-    }
-
-    /// Queues one already-encoded frame for every neighbor but `except`.
-    fn flood_frame(&self, frame: &Bytes, except: Option<ConnId>) {
-        let conns = self.links.values().filter_map(Link::conn);
-        let targets = conns.filter(|&conn| Some(conn) != except);
-        self.outbox.send_many(targets, frame);
-    }
-
-    /// A link supervisor crossed [`BrokerConfig::repair_after`]
-    /// consecutive redial failures (or the operator called
-    /// [`BrokerNode::mark_link_down`]): originate the `LinkDown`
-    /// statement for the edge between this broker and `neighbor`.
-    fn handle_link_unreachable(&mut self, neighbor: BrokerId, now: Instant) {
-        let me = self.config.broker;
-        let network = self.fabric.network();
-        // Only real topology edges can be declared dead; and a link whose
-        // connection is currently live (handshake complete) is
-        // demonstrably not unreachable — a stale supervisor escalation
-        // racing a reconnect must not take a healthy link down.
-        if neighbor == me || network.link_to_broker(me, neighbor).is_none() {
-            return;
-        }
-        if (self.links.get(&neighbor)).is_some_and(|link| link.established().is_some()) {
-            return;
-        }
-        let (a, b) = crate::repair::normalize_edge(me, neighbor);
-        let (ver, down) = self.link_state.get(a, b);
-        if down {
-            return; // already repaired around in a previous episode
-        }
-        self.apply_link_state(a, b, ver.saturating_add(1), true, None, now);
-    }
-
-    /// A flooded `LinkDown`/`LinkUp` statement arrived from a peer.
-    /// Statements about edges outside the shared static topology are
-    /// silently ignored (they cannot affect any tree this broker could
-    /// compute); everything else goes through the apply test.
-    fn handle_link_statement(
-        &mut self,
-        conn: ConnId,
-        a: BrokerId,
-        b: BrokerId,
-        ver: u64,
-        down: bool,
-        now: Instant,
-    ) {
-        if !matches!(self.conns.get(&conn), Some(Peer::Broker(_))) {
-            return; // link-state is broker-to-broker control traffic only
-        }
-        let network = self.fabric.network();
-        let count = network.broker_count();
-        // Endpoints come straight off the wire: bound-check before any
-        // adjacency lookup (those index per-broker tables).
-        if a.index() >= count || b.index() >= count || a == b {
-            return;
-        }
-        if network.link_to_broker(a, b).is_none() {
-            return;
-        }
-        let (a, b) = crate::repair::normalize_edge(a, b);
-        self.apply_link_state(a, b, ver, down, Some(conn), now);
-    }
-
-    /// Folds one link-state statement into the table and, if it applied,
-    /// performs the topology cutover: rebuild the spanning forest over
-    /// the surviving graph, rebuild the matching engines' link spaces,
-    /// flip the epoch, flood the statement onward, re-home every pending
-    /// spooled frame down the repaired trees, and re-propagate
-    /// subscription state over edges that just became tree-adjacent.
-    ///
-    /// Ordering inside this method is load-bearing (DESIGN.md §15): the
-    /// flood (step 5) must precede the re-homing sweep (step 6) so that
-    /// on every FIFO link the statement outruns any frame stitched under
-    /// the new epoch — receivers flip before they see the frames.
-    fn apply_link_state(
-        &mut self,
-        a: BrokerId,
-        b: BrokerId,
-        ver: u64,
-        down: bool,
-        from: Option<ConnId>,
-        now: Instant,
-    ) {
-        // Speculative apply: only commit the table once the fabric
-        // rebuild has succeeded, so the table never disagrees with the
-        // fabric actually in force.
-        let mut table = self.link_state.clone();
-        if !table.apply(a, b, ver, down) {
-            return; // stale or duplicate — already known, flood stops here
-        }
-        let Ok(fabric) = self.fabric.rebuild_excluding(&table.dead_edges()) else {
-            // Unreachable with a fabric whose roots all exist in the
-            // (immutable) network; bail without committing the statement.
-            debug_assert!(false, "spanning-forest recompute failed");
-            return;
-        };
-        let old_fabric = Arc::clone(&self.fabric);
-        // Rebuild the matching engines in place: each per-space engine
-        // swaps its link space and bumps its generation, so the match
-        // cache can never serve a link set computed against the dead
-        // topology.
-        self.engine.rebuild_topology(self.config.broker, &fabric);
-        self.link_state = table;
-        self.fabric = fabric;
-        self.epoch = self.link_state.epoch();
-        self.epoch_gauge.store(self.epoch, Ordering::Relaxed);
-        self.stats.epoch_flips.fetch_add(1, Ordering::Relaxed);
-        if from.is_none() {
-            self.stats.repairs_initiated.fetch_add(1, Ordering::Relaxed);
-        }
-        let statement = if down {
-            BrokerToBroker::LinkDown { a, b, ver }
-        } else {
-            BrokerToBroker::LinkUp { a, b, ver }
-        };
-        self.flood_broker_message(&statement, from);
-        self.rehome_spools(now);
-        // Subscription state lives where the old trees put it; edges that
-        // are tree-adjacent in the repaired forest but were not in the
-        // old one have never carried this broker's subscription set.
-        // Re-propagate over exactly those (the resync flag routes the
-        // adds through the receiver's tombstone filter, so removals that
-        // flooded before the repair stay removed).
-        let me = self.config.broker;
-        let resync: Vec<ConnId> = self
-            .links
-            .iter()
-            .filter(|&(&n, _)| {
-                self.fabric.forest().tree_adjacent(me, n)
-                    && !old_fabric.forest().tree_adjacent(me, n)
-            })
-            .filter_map(|(_, link)| link.conn())
-            .collect();
-        for conn in resync {
-            self.resync_subscriptions(conn);
-        }
-    }
-
-    /// The epoch-flip sweep: every frame still pending (unacked) in any
-    /// neighbor spool was stitched under a dead topology — receivers
-    /// drop it on sight (stale epoch) and will never ack it. Pull each
-    /// one out, trim the spools (journaled), and re-dispatch its event
-    /// down this broker's tree in the repaired fabric, **broker links
-    /// only**: the local client deliveries from its first dispatch
-    /// already happened and client logs must not see it twice.
-    ///
-    /// Re-homing is what makes the stale-epoch drop lossless: a pending
-    /// frame is either re-sent here (under the new epoch, with a fresh
-    /// spool sequence) or provably unreachable (its subscribers sit in a
-    /// component the surviving graph no longer connects). Subtrees the
-    /// old dispatch already covered may be covered again — receiver
-    /// sequence dedup cannot catch a re-homed frame (fresh sequence), so
-    /// transition windows are at-least-once into routing; quiescent cuts
-    /// (nothing pending except toward the dead link) stay exactly-once.
-    fn rehome_spools(&mut self, now: Instant) {
-        let me = self.config.broker;
-        let Ok(tree) = self.fabric.tree_for(me) else {
-            return;
-        };
-        let mut pending: Vec<Bytes> = Vec::new();
-        for (&neighbor, link) in self.links.iter_mut() {
-            let (frames, floor) = link.take_pending();
-            pending.extend(frames);
-            self.journal.trim(neighbor, floor);
-        }
-        self.maybe_snapshot();
-        for frame in pending {
-            // Spooled frames are full wire frames (length prefix + payload).
-            let payload = frame.slice(4..);
-            let Ok(BrokerToBroker::Forward { event, .. }) =
-                BrokerToBroker::decode(payload.clone(), &self.config.registry)
-            else {
-                // A frame this broker stitched always decodes; skip
-                // defensively rather than poison the sweep.
-                continue;
-            };
-            let body = payload.slice(protocol::FORWARD_BODY_OFFSET..);
-            self.stats.rerouted_frames.fetch_add(1, Ordering::Relaxed);
-            let links = self.route_inline(&event, tree);
-            let fabric = Arc::clone(&self.fabric);
-            let network = fabric.network();
-            let broker_links: Vec<LinkId> = links
-                .into_iter()
-                .filter(|&link| matches!(network.link_target(me, link), LinkTarget::Broker(_)))
-                .collect();
-            if broker_links.is_empty() {
-                continue;
-            }
-            self.dispatch(&event, tree, &body, broker_links, None, now);
-        }
-    }
-
-    /// Replays every link-state statement with a non-zero version to a
-    /// (re)connecting neighbor, exactly like the subscription resync: a
-    /// peer that rebooted (epoch 0, empty table) or sat out a repair
-    /// behind a partition applies what it is missing and flips forward;
-    /// a peer that already knows everything rejects them all in the
-    /// apply test and the flood stops. Must be sent before any spool
-    /// retransmission on the same conn — FIFO ordering is what
-    /// guarantees the peer reaches our epoch before our replayed frames.
-    fn resync_link_state(&self, conn: ConnId) {
-        for s in self.link_state.statements() {
-            let statement = if s.down {
-                BrokerToBroker::LinkDown {
-                    a: s.a,
-                    b: s.b,
-                    ver: s.ver,
-                }
-            } else {
-                BrokerToBroker::LinkUp {
-                    a: s.a,
-                    b: s.b,
-                    ver: s.ver,
-                }
-            };
-            self.outbox.send(conn, statement.encode());
-        }
-    }
-
-    fn client_of(&self, conn: ConnId) -> Option<ClientId> {
-        match self.conns.get(&conn) {
-            Some(Peer::Client(c)) => Some(*c),
-            _ => None,
-        }
-    }
-
-    fn client_error(&self, conn: ConnId, message: String) {
-        self.stats.errors.fetch_add(1, Ordering::Relaxed);
-        self.outbox
-            .send(conn, BrokerToClient::Error { message }.encode());
-    }
-
-    /// One heartbeat-timer edge: tear down the links that stayed completely
-    /// silent past the liveness timeout (half-open and stalled peers the
-    /// kernel never reports — the spool keeps their frames and the redial
-    /// handshake retransmits) and ping the merely idle ones, so a live
-    /// peer always has something to answer.
-    fn heartbeat_tick(&mut self, now: Instant) {
-        let (heartbeat, liveness) = (self.config.heartbeat_interval, self.config.liveness_timeout);
-        // Decide first: teardown goes back through `links`.
-        let links = self.links.values_mut();
-        let ticks: Vec<Tick> = links.map(|l| l.tick(now, heartbeat, liveness)).collect();
-        for tick in ticks {
-            match tick {
-                Tick::Idle => {}
-                Tick::Ping(conn) => {
-                    self.stats.pings_sent.fetch_add(1, Ordering::Relaxed);
-                    self.outbox.send(conn, BrokerToBroker::Ping.encode());
-                }
-                Tick::Dead(conn) => {
-                    self.stats.liveness_timeouts.fetch_add(1, Ordering::Relaxed);
-                    // Immediate teardown, not flush-then-close: unregistering shuts
-                    // the socket; our reader and a dialing supervisor notice.
-                    self.handle_disconnect(conn, now);
-                }
-            }
-        }
-    }
-
-    /// A connection overran [`BrokerConfig::conn_queue_bound`]. Clients are
-    /// evicted with a final flushed `Error` frame (their event logs survive
-    /// for replay on reconnect); broker peers are disconnected without
-    /// ceremony — their spools hold every unacknowledged frame and the
-    /// redial handshake retransmits, so overflow costs a reconnect, not
-    /// events.
-    fn handle_queue_overflow(&mut self, conn: ConnId, now: Instant) {
-        match self.conns.get(&conn) {
-            Some(Peer::Client(_)) => {
-                self.stats
-                    .evicted_slow_consumers
-                    .fetch_add(1, Ordering::Relaxed);
-                let notice = BrokerToClient::Error {
-                    message: "evicted: outgoing queue exceeded conn_queue_bound".into(),
-                }
-                .encode();
-                self.outbox.evict(conn, Some(notice));
-                self.forget_conn(conn, now);
-            }
-            Some(Peer::Broker(_)) => {
-                self.stats
-                    .peer_overflow_disconnects
-                    .fetch_add(1, Ordering::Relaxed);
-                self.handle_disconnect(conn, now);
-            }
-            None => {
-                // Overflow before the peer even said hello: nothing owed.
-                self.outbox.evict(conn, None);
-            }
-        }
-    }
-
-    /// Pushes a cumulative `FwdAck` to every neighbor we owe one: the GC
-    /// pass (idle links below the ack cadence) and the shutdown path.
-    fn flush_forward_acks(&mut self) {
-        for link in self.links.values_mut() {
-            if let (Some(conn), Some(seq)) = (link.conn(), link.owed_ack()) {
-                Self::send_ack(&self.outbox, conn, seq);
-            }
-        }
-    }
-
-    fn handle_disconnect(&mut self, conn: ConnId, now: Instant) {
-        self.outbox.unregister(conn);
-        self.forget_conn(conn, now);
-    }
-
-    /// Engine-side teardown shared by the immediate
-    /// ([`handle_disconnect`](Self::handle_disconnect)) and flush-then-
-    /// close (`protocol_error_disconnect`) paths: drops the routing state
-    /// for `conn` without touching the transport.
-    fn forget_conn(&mut self, conn: ConnId, now: Instant) {
-        match self.conns.remove(&conn) {
-            Some(Peer::Client(client)) => {
-                if let Some(state) = self.clients.get_mut(&client) {
-                    if state.conn == Some(conn) {
-                        // Keep the log: deliveries continue to accumulate
-                        // for replay on reconnect (until the TTL).
-                        state.conn = None;
-                        state.disconnected_at = Some(now);
-                    }
-                }
-            }
-            Some(Peer::Broker(broker)) => {
-                if let Some(link) = self.links.get_mut(&broker) {
-                    link.forget(conn);
-                }
-            }
-            None => {}
-        }
-    }
-
-    fn collect_garbage(&mut self, now: Instant) {
-        let ttl = self.config.client_ttl;
-        self.clients.retain(|_, state| {
-            state.log.collect();
-            state.log.enforce_bound(self.config.log_bound);
-            // Reclaim state for clients gone longer than the TTL.
-            state
-                .disconnected_at
-                .is_none_or(|at| now.saturating_duration_since(at) <= ttl)
-        });
-        // Flush pending forward acks, so a link that went quiet below the
-        // ack cadence still lets the neighbor trim its spool.
-        // Spools need no pass: acks reclaim, appends enforce the bound.
-        self.flush_forward_acks();
+    fn evict(&self, conn: ConnId, notice: Option<Bytes>) {
+        Outbox::evict(self, conn, notice);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker_core::tests::Io;
+    use crate::broker_core::Journal;
+    use crate::control::SUB_COUNTER_BITS;
     use crate::link::heartbeat_jitter_seed;
+    use crate::protocol::BrokerToBroker;
     use crate::storage::{PowerCut, SimStorage};
-    use linkcast_types::{EventSchema, ValueKind};
+    use linkcast_types::{ClientId, Event, EventSchema, SubscriberId, ValueKind};
 
     fn registry() -> SchemaRegistry {
         let mut r = SchemaRegistry::new();
@@ -2525,36 +1364,11 @@ mod tests {
         assert_eq!((peer_incarnation, seq), (0xb, 2));
     }
 
-    /// A neighbor broker played by hand over an in-process connection.
-    struct FakePeer {
-        conn: LocalConn,
-    }
-
-    impl FakePeer {
-        fn send(&self, message: BrokerToBroker) {
-            let batch = FrameBatch::single(message.encode());
-            let command = Command::Frames(self.conn.conn, batch);
-            self.conn.cmd_tx.send(command).unwrap();
-        }
-
-        /// What the broker has sent since the last call: commands run in
-        /// order, so it is everything ahead of the answer to a `Ping`.
-        fn sync(&self) -> Vec<BrokerToBroker> {
-            self.send(BrokerToBroker::Ping);
-            let mut seen = Vec::new();
-            loop {
-                let frame = self.conn.rx.recv_timeout(Duration::from_secs(5)).unwrap();
-                let payload = frame.slice(protocol::FRAME_PREFIX..);
-                match BrokerToBroker::decode(payload, &self.conn.registry).unwrap() {
-                    BrokerToBroker::Pong => return seen,
-                    message => seen.push(message),
-                }
-            }
-        }
-    }
-
     #[test]
     fn a_handshake_journals_one_trim_and_an_ack_that_moves_nothing_none() {
+        const PEER: ConnId = 1;
+        const CLIENT: ConnId = 2;
+        const REDIALED: ConnId = 3;
         let reg = Arc::new(registry());
         let mut b = linkcast::NetworkBuilder::new();
         let (b0, b1) = (b.add_broker(), b.add_broker());
@@ -2563,10 +1377,21 @@ mod tests {
         let fabric = RoutingFabric::new_all_roots(b.build().unwrap()).unwrap();
         let mut config = BrokerConfig::localhost(b0, fabric, Arc::clone(&reg));
         config.storage = Some(Arc::new(SimStorage::default()));
-        // Nothing but this test's frames may move the journal.
-        config.gc_interval = Duration::from_secs(3600);
-        config.heartbeat_interval = Duration::from_secs(3600);
-        let node = BrokerNode::start(config).unwrap();
+        // No timer fires: nothing moves the clock.
+        let now = Instant::now();
+        let mut core = BrokerCore::recording(config, 0xb0, now);
+        let stats = Arc::clone(&core.stats);
+        let wal_appends = || stats.wal_appends.load(Ordering::Relaxed);
+        // What the broker sent on `conn` since the last call.
+        let sent = |core: &mut BrokerCore<_>, conn| -> Vec<BrokerToBroker> {
+            let frames = core.take_io().into_iter().filter_map(|io| match io {
+                Io::Send(to, frame) if to == conn => Some(frame),
+                _ => None,
+            });
+            let payload = |frame: Bytes| frame.slice(protocol::FRAME_PREFIX..);
+            let decode = |frame| BrokerToBroker::decode(payload(frame), &reg).unwrap();
+            frames.map(decode).collect()
+        };
         let hello = |last_recv, last_recv_incarnation| BrokerToBroker::Hello {
             broker: b1,
             incarnation: 0xb1,
@@ -2576,12 +1401,9 @@ mod tests {
         };
 
         // B1 connects and subscribes its client to everything.
-        let peer = FakePeer {
-            conn: node.open_local(),
-        };
-        peer.send(hello(0, 0));
+        core.feed(PEER, hello(0, 0).encode(), now);
         let schema = reg.get(SchemaId::new(0)).unwrap();
-        peer.send(BrokerToBroker::SubAdd {
+        let add = BrokerToBroker::SubAdd {
             schema: SchemaId::new(0),
             subscription: Subscription::new(
                 SubscriptionId::new((b1.raw() << SUB_COUNTER_BITS) | 1),
@@ -2589,61 +1411,54 @@ mod tests {
                 linkcast_types::parse_predicate(schema, "volume >= 0").unwrap(),
             ),
             resync: false,
-        });
-        let ours = peer.sync().iter().find_map(|m| match m {
+        };
+        core.feed(PEER, add.encode(), now);
+        let ours = sent(&mut core, PEER).iter().find_map(|m| match m {
             BrokerToBroker::Hello { incarnation, .. } => Some(*incarnation),
             _ => None,
         });
         let ours = ours.expect("the broker greets back");
 
         // Three events cross: three frames spooled, three records.
-        let client = node.open_local();
-        client.send(&ClientToBroker::Hello {
+        let hello_client = ClientToBroker::Hello {
             client: publisher,
             resume_from: 0,
-        });
+        };
+        core.feed(CLIENT, hello_client.encode(), now);
         for volume in 0..3 {
             let values = [
                 linkcast_types::Value::Str("IBM".into()),
                 linkcast_types::Value::Int(volume),
             ];
             let event = Event::from_values(schema, values).unwrap();
-            client.send(&ClientToBroker::Publish { event });
+            core.feed(CLIENT, ClientToBroker::Publish { event }.encode(), now);
         }
-        client.send(&ClientToBroker::StatsRequest);
-        let stats = loop {
-            if let BrokerToClient::Stats(stats) = client.recv(Duration::from_secs(5)).unwrap() {
-                break stats;
-            }
-        };
-        assert_eq!((stats.spooled, stats.wal_appends), (3, 3));
-        assert_eq!(peer.sync().len(), 3);
+        assert_eq!(stats.spooled.load(Ordering::Relaxed), 3);
+        assert_eq!(wal_appends(), 3);
+        assert_eq!(sent(&mut core, PEER).len(), 3);
 
         // B1 redials having durably received two of them: one trim, one
         // frame replayed behind the handshake.
-        let peer = FakePeer {
-            conn: node.open_local(),
-        };
-        peer.send(hello(2, ours));
-        let sent = peer.sync();
+        core.feed(REDIALED, hello(2, ours).encode(), now);
+        let replayed = sent(&mut core, REDIALED);
         assert!(
-            matches!(sent.last(), Some(BrokerToBroker::Forward { seq: 3, .. })),
-            "{sent:?}"
+            matches!(
+                replayed.last(),
+                Some(BrokerToBroker::Forward { seq: 3, .. })
+            ),
+            "{replayed:?}"
         );
-        assert_eq!(node.stats().retransmitted, 1);
-        assert_eq!(node.stats().wal_appends, 3 + 1);
+        assert_eq!(stats.retransmitted.load(Ordering::Relaxed), 1);
+        assert_eq!(wal_appends(), 3 + 1);
         // The same Hello again trims nothing and journals nothing.
-        peer.send(hello(2, ours));
-        peer.sync();
-        assert_eq!(node.stats().wal_appends, 3 + 1);
+        core.feed(REDIALED, hello(2, ours).encode(), now);
+        assert_eq!(wal_appends(), 3 + 1);
         // An ack that moves the floor is one record; repeated, none.
-        peer.send(BrokerToBroker::FwdAck { seq: 3 });
-        peer.sync();
-        assert_eq!(node.stats().wal_appends, 3 + 2);
-        peer.send(BrokerToBroker::FwdAck { seq: 3 });
-        peer.sync();
-        assert_eq!(node.stats().wal_appends, 3 + 2);
-        assert_eq!(node.stats().storage_errors, 0);
+        core.feed(REDIALED, BrokerToBroker::FwdAck { seq: 3 }.encode(), now);
+        assert_eq!(wal_appends(), 3 + 2);
+        core.feed(REDIALED, BrokerToBroker::FwdAck { seq: 3 }.encode(), now);
+        assert_eq!(wal_appends(), 3 + 2);
+        assert_eq!(stats.storage_errors.load(Ordering::Relaxed), 0);
     }
 
     /// Storage whose calls fail while the flag is up.

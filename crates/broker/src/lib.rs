@@ -34,6 +34,7 @@
 static ALLOC: linkcast_alloc_count::CountingAllocator = linkcast_alloc_count::CountingAllocator;
 
 mod broker;
+mod broker_core;
 mod client;
 mod control;
 mod counters;

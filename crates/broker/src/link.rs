@@ -3,7 +3,7 @@
 //! connection, send spool, receive window, liveness — and the only place
 //! the link protocol is decided. It reads no clock, owns no socket and
 //! journals nothing: a method takes `now` where it needs time and returns
-//! what the engine loop must send or journal.
+//! what the core must send or journal.
 
 use std::time::{Duration, Instant};
 

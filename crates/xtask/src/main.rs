@@ -53,6 +53,7 @@ pub struct Finding {
 /// Broker dataflow modules covered by the panic lint.
 const HOT_MODULES: &[&str] = &[
     "broker.rs",
+    "broker_core.rs",
     "outbox.rs",
     "engine.rs",
     "protocol.rs",
@@ -78,8 +79,9 @@ const HOT_TYPES_MODULES: &[&str] = &["crates/types/src/wire.rs", "crates/types/s
 const TAINT_MODULES: &[&str] = &["transport.rs", "storage.rs", "repair.rs"];
 
 /// Modules held to the sim-determinism rule: the simulation substrate, and
-/// the link protocol, which is handed `now` and reads no clock of its own.
-const SIM_MODULES: &[&str] = &["transport.rs", "simnet.rs", "link.rs"];
+/// the link protocol and the broker core, which are handed `now` and read
+/// no clock of their own.
+const SIM_MODULES: &[&str] = &["transport.rs", "simnet.rs", "link.rs", "broker_core.rs"];
 
 /// Output format for `check` findings.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -314,7 +316,7 @@ fn run_check(root: &Path) -> Result<Vec<Finding>, String> {
     let ws = wire::WireSources {
         wire: load(root, "crates/types/src/wire.rs")?,
         protocol: load(root, "crates/broker/src/protocol.rs")?,
-        broker: load(root, "crates/broker/src/broker.rs")?,
+        broker: load(root, "crates/broker/src/broker_core.rs")?,
         client: load(root, "crates/broker/src/client.rs")?,
     };
     findings.extend(wire::check(&ws));
@@ -502,6 +504,18 @@ fn run_selftest(root: &Path) -> Result<(), String> {
     ] {
         if !set.contains(&"link.rs") {
             return Err(format!("the {rule} file set must cover link.rs (Link)"));
+        }
+    }
+    // And for the broker core: every handler the engine thread runs, on
+    // every frame any peer sends; it is stepped with a `now` its tests pick.
+    for (set, rule) in [
+        (HOT_MODULES, "panic lint"),
+        (SIM_MODULES, "sim-determinism"),
+    ] {
+        if !set.contains(&"broker_core.rs") {
+            return Err(format!(
+                "the {rule} file set must cover broker_core.rs (BrokerCore)"
+            ));
         }
     }
     // The deliberately bare allow comment must trip the hygiene rule.

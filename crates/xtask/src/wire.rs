@@ -5,7 +5,7 @@
 //! const in `crates/broker/src/protocol.rs` (`const X: u8 = FrameTag::V as
 //! u8;`), (b) written in an encode path (`put_u8(X)`), and (c) matched in a
 //! decode path (`X =>` or an `X | Y` pattern). Separately, every variant of
-//! the three protocol enums must appear in its dispatch site (`broker.rs`
+//! the three protocol enums must appear in its dispatch site (`broker_core.rs`
 //! for client→broker and broker→broker traffic, `client.rs` for
 //! broker→client), so adding a frame without handling it fails `cargo xtask
 //! check` instead of silently dropping traffic.
@@ -22,7 +22,7 @@ pub struct WireSources {
     pub wire: SourceFile,
     /// `crates/broker/src/protocol.rs` — tag consts, encode, decode.
     pub protocol: SourceFile,
-    /// `crates/broker/src/broker.rs` — dispatches `ClientToBroker` and
+    /// `crates/broker/src/broker_core.rs` — dispatches `ClientToBroker` and
     /// `BrokerToBroker`.
     pub broker: SourceFile,
     /// `crates/broker/src/client.rs` — dispatches `BrokerToClient`.
