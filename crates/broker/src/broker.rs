@@ -10,30 +10,20 @@ use std::time::{Duration, Instant};
 use bytes::{Buf, BufMut, Bytes};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use linkcast::RoutingFabric;
-use linkcast_matching::{MatchStats, PstOptions};
+use linkcast_matching::MatchStats;
 use linkcast_types::{wire, BrokerId, SchemaId, SchemaRegistry, Subscription, SubscriptionId};
 use parking_lot::Mutex;
 
 use crate::broker_core::{BrokerCore, Out, STATE_SNAPSHOT, WAL_LOG};
 use crate::control::{SubIdAllocator, TombstoneSet};
 use crate::counters::{BrokerStats, Derived, Gauges, StatsInner};
-use crate::engine::MatchingEngine;
-use crate::link::{jitter_seed, jittered_backoff, Link};
+use crate::link::{Link, Redial};
 use crate::outbox::{ConnId, Outbox, Sink};
 use crate::protocol::{self, BrokerToClient, ClientToBroker};
 use crate::storage::{self, Storage, WalOp};
 use crate::tcp::TcpTransport;
 use crate::transport::{self, FrameBatch, Transport};
 
-/// Initial (and minimum) redial backoff for supervised links.
-const LINK_REDIAL_MIN: Duration = Duration::from_millis(50);
-/// Redial backoff ceiling.
-const LINK_REDIAL_MAX: Duration = Duration::from_secs(2);
-/// How long a supervised link must survive before the redial backoff
-/// resets to the minimum. A neighbor that accepts the TCP handshake and
-/// then immediately dies (crash loop) keeps backing off instead of being
-/// hot-redialed at the minimum interval forever.
-const LINK_STABILITY_WINDOW: Duration = Duration::from_secs(2);
 /// SO_SNDTIMEO applied to every TCP connection: a peer that stops reading
 /// while the kernel send buffer is full fails the write (and is
 /// disconnected) instead of wedging a sender-pool thread indefinitely.
@@ -50,10 +40,9 @@ pub struct BrokerConfig {
     pub registry: Arc<SchemaRegistry>,
     /// Listen address; use port 0 to let the OS pick.
     pub listen: SocketAddr,
-    /// The network the node binds and dials through:
-    /// [`TcpTransport`] (the default) for real sockets, or a
-    /// [`SimNet`](crate::SimNet) host for deterministic in-process
-    /// clusters.
+    /// The network the node binds and dials through: [`TcpTransport`] (the
+    /// default), or any other [`Transport`] — a wrapper that counts or
+    /// traces what the sockets do, say.
     pub transport: Arc<dyn Transport>,
     /// Size of the sending-thread pool.
     pub sender_threads: usize,
@@ -249,7 +238,6 @@ impl BrokerNode {
             cmd_tx.clone(),
         )?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(StatsInner::default());
         let next_conn = Arc::new(AtomicU64::new(1));
 
         // Acceptor.
@@ -261,63 +249,9 @@ impl BrokerNode {
             Arc::clone(&shutdown),
         )?;
 
-        // Durable-state recovery, before the core exists: load the
-        // snapshot, replay the WAL suffix on top (discarding torn tails),
-        // and resume the recovered incarnation so peers' cumulative acks
-        // stay valid. With no storage configured this is a fresh boot.
-        let recovered = match &config.storage {
-            Some(st) => recover(st.as_ref(), &config.registry, &stats)?,
-            None => Recovered::fresh(),
-        };
-
-        // Matching engine, moved into the core below: nothing
-        // else ever reads or writes it.
-        let mut engine = MatchingEngine::new(
-            config.broker,
-            &config.fabric,
-            Arc::clone(&config.registry),
-            PstOptions::default(),
-        )?;
-        if !recovered.subscriptions.is_empty() {
-            // Re-install the checkpointed subscription set. Failures are
-            // skipped rather than fatal (a subscription that no longer
-            // parses against the fabric is better dropped than blocking
-            // boot); the anti-entropy resync heals any gap from peers.
-            for (schema, subscription) in &recovered.subscriptions {
-                let _ = engine.subscribe(*schema, subscription.clone());
-            }
-            stats
-                .subscriptions
-                .store(engine.subscription_count() as u64, Ordering::Relaxed);
-        }
-        if let Some(st) = &config.storage {
-            // Commit recovery: a boot snapshot of the merged state, then
-            // truncate the WAL it absorbed. Snapshot-then-truncate order
-            // makes a cut between the two steps harmless — the old records
-            // replay idempotently on top of the new snapshot. Only after
-            // this point may the engine talk to peers (the snapshot is
-            // what makes the resumed incarnation durable).
-            let snapshot = encode_snapshot(
-                recovered.incarnation,
-                &recovered.sub_ids,
-                &recovered.tombstones,
-                &recovered.links,
-                &recovered.subscriptions,
-            );
-            st.write_snapshot(STATE_SNAPSHOT, &snapshot)?;
-            st.truncate(WAL_LOG)?;
-            stats.snapshot_writes.fetch_add(1, Ordering::Relaxed);
-        }
-
         let (out, now) = (Arc::clone(&outbox), Instant::now());
-        let core = BrokerCore::new(
-            config.clone(),
-            recovered,
-            engine,
-            out,
-            Arc::clone(&stats),
-            now,
-        );
+        let core = BrokerCore::boot(config.clone(), mint_incarnation(), out, now)?;
+        let stats = Arc::clone(&core.stats);
         let match_stats = Arc::clone(&core.match_stats);
         let topology_epoch = Arc::clone(&core.epoch_gauge);
         let engine_thread = std::thread::Builder::new()
@@ -380,28 +314,17 @@ impl BrokerNode {
         let _ = std::thread::Builder::new()
             .name(format!("link-{me}-{neighbor}"))
             .spawn(move || {
-                let mut backoff = LINK_REDIAL_MIN;
-                let mut jitter = jitter_seed(me, neighbor);
-                // Consecutive attempts since the link last completed a
-                // handshake; crossing `repair_after` escalates ONCE per
-                // down episode to a `LinkDown` topology repair. A
-                // successful handshake re-arms the escalation.
-                let mut failures: u32 = 0;
-                let mut escalated = false;
+                let mut redial = Redial::new(me, neighbor, repair_after);
                 // Never panic here — that would kill the supervisor thread
                 // and orphan the link forever.
                 while !shutdown.load(Ordering::Acquire) {
-                    // Whether the peer answered this attempt with a frame,
-                    // and how long to wait before the next one.
-                    let (greeted, pause) = match transport.dial(addr) {
+                    // How long to wait before the next attempt, and whether
+                    // to escalate to a `LinkDown` topology repair.
+                    let (pause, escalate) = match transport.dial(addr) {
                         // Dial failures (including per-connection setup
                         // inside the transport) back off instead of
                         // spin-dialing.
-                        Err(_) => {
-                            let step = backoff;
-                            backoff = (backoff * 2).min(LINK_REDIAL_MAX);
-                            (false, step)
-                        }
+                        Err(_) => redial.refused(),
                         Ok(connection) => {
                             let conn = next_conn.fetch_add(1, Ordering::Relaxed);
                             outbox.register(conn, Sink::Link(connection.writer));
@@ -429,34 +352,13 @@ impl BrokerNode {
                             if shutdown.load(Ordering::Acquire) {
                                 return;
                             }
-                            // Only a link that proved stable (handshake
-                            // included) earns a backoff reset; an
-                            // accept-then-die or accept-then-stall neighbor
-                            // keeps escalating.
-                            backoff = if greeted && established.elapsed() >= LINK_STABILITY_WINDOW {
-                                LINK_REDIAL_MIN
-                            } else {
-                                (backoff * 2).min(LINK_REDIAL_MAX)
-                            };
-                            (greeted, backoff)
+                            redial.ended(greeted, established.elapsed())
                         }
                     };
-                    if greeted {
-                        // The down episode (if any) is over.
-                        failures = 0;
-                        escalated = false;
-                    } else {
-                        // Accept-then-stall counts toward repair escalation
-                        // like a refused dial: the link is not usable.
-                        failures = failures.saturating_add(1);
-                        if repair_after > 0 && failures >= repair_after && !escalated {
-                            escalated = true;
-                            if cmd_tx.send(Command::LinkUnreachable(neighbor)).is_err() {
-                                return;
-                            }
-                        }
+                    if escalate && cmd_tx.send(Command::LinkUnreachable(neighbor)).is_err() {
+                        return;
                     }
-                    std::thread::sleep(jittered_backoff(pause, &mut jitter));
+                    std::thread::sleep(pause);
                 }
             });
     }
@@ -646,8 +548,8 @@ fn mint_incarnation() -> u64 {
 /// corruption — reject the snapshot rather than trust the length.
 const MAX_SNAPSHOT_ITEMS: u32 = 1 << 24;
 
-/// Broker state rebuilt by [`recover`] (or minted fresh) and handed to
-/// the core at boot.
+/// Broker state rebuilt by [`recover`] (or fresh) and handed to the core
+/// at boot.
 #[derive(Default)]
 pub(crate) struct Recovered {
     pub(crate) incarnation: u64,
@@ -658,14 +560,6 @@ pub(crate) struct Recovered {
 }
 
 impl Recovered {
-    /// A fresh boot: new incarnation, empty state.
-    fn fresh() -> Self {
-        Recovered {
-            incarnation: mint_incarnation(),
-            ..Recovered::default()
-        }
-    }
-
     /// The link to neighbor `raw`, made on first mention.
     fn link(&mut self, raw: u32) -> &mut Link {
         self.links.entry(BrokerId::new(raw)).or_default()
@@ -820,19 +714,23 @@ fn decode_snapshot(mut data: &[u8], registry: &SchemaRegistry) -> Option<Recover
 /// suffix replayed idempotently on top (duplicate appends dedup by
 /// sequence, receive marks and trims are cumulative). Torn or corrupt
 /// tail records are discarded, never replayed as data. A missing or
-/// undecodable snapshot falls back to a fresh boot — with a *new*
-/// incarnation, so nothing of the dead sequence space leaks.
-fn recover(
+/// undecodable snapshot falls back to a fresh boot — with the *new*
+/// `incarnation`, so nothing of the dead sequence space leaks.
+pub(crate) fn recover(
     st: &dyn Storage,
     registry: &SchemaRegistry,
     stats: &StatsInner,
+    incarnation: u64,
 ) -> std::io::Result<Recovered> {
     let snap = st.read_snapshot(STATE_SNAPSHOT)?;
     let wal = st.read(WAL_LOG)?;
     let had_state = snap.is_some() || !wal.is_empty();
     let mut recovered = snap
         .and_then(|bytes| decode_snapshot(&bytes, registry))
-        .unwrap_or_else(Recovered::fresh);
+        .unwrap_or_else(|| Recovered {
+            incarnation,
+            ..Recovered::default()
+        });
     let (records, torn) = storage::decode_records(&wal);
     stats
         .torn_records_discarded
@@ -917,10 +815,12 @@ impl Out for Arc<Outbox> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broker_core::tests::Io;
+    use crate::broker_core::tests::{Io, Recording};
     use crate::broker_core::Journal;
     use crate::control::SUB_COUNTER_BITS;
-    use crate::link::heartbeat_jitter_seed;
+    use crate::link::{
+        heartbeat_jitter_seed, jitter_seed, jittered_backoff, LINK_REDIAL_MAX, LINK_REDIAL_MIN,
+    };
     use crate::protocol::BrokerToBroker;
     use crate::storage::{PowerCut, SimStorage};
     use linkcast_types::{ClientId, Event, EventSchema, SubscriberId, ValueKind};
@@ -1098,11 +998,11 @@ mod tests {
         let st = SimStorage::default();
         st.write_snapshot(STATE_SNAPSHOT, &[9, 9, 9, 9]).unwrap();
         let stats = StatsInner::default();
-        let r = recover(&st, &reg, &stats).unwrap();
-        // Fresh state, fresh incarnation — but the boot still counts as a
-        // recovery attempt (durable state existed).
+        let r = recover(&st, &reg, &stats, 0xf1).unwrap();
+        // Fresh state, the fresh incarnation — but the boot still counts as
+        // a recovery attempt (durable state existed).
         assert!(r.links.is_empty());
-        assert_ne!(r.incarnation, 0);
+        assert_eq!(r.incarnation, 0xf1);
         assert_eq!(stats.recoveries.load(Ordering::Relaxed), 1);
     }
 
@@ -1111,7 +1011,7 @@ mod tests {
         let reg = registry();
         let st = SimStorage::default();
         let stats = StatsInner::default();
-        let r = recover(&st, &reg, &stats).unwrap();
+        let r = recover(&st, &reg, &stats, 0xf1).unwrap();
         assert!(r.links.is_empty());
         assert_eq!(stats.recoveries.load(Ordering::Relaxed), 0);
         assert_eq!(stats.wal_replayed.load(Ordering::Relaxed), 0);
@@ -1160,7 +1060,7 @@ mod tests {
         st.sync(WAL_LOG).unwrap();
 
         let stats = StatsInner::default();
-        let r = recover(&st, &reg, &stats).unwrap();
+        let r = recover(&st, &reg, &stats, 0xf1).unwrap();
         assert_eq!(r.incarnation, 7);
         let spool = r.links.get(&BrokerId::new(2)).unwrap().spool();
         assert_eq!((spool.acked(), spool.last_seq()), (1, 2));
@@ -1214,7 +1114,7 @@ mod tests {
         st.power_cut(PowerCut::SnapshotTorn);
 
         let stats = StatsInner::default();
-        let r = recover(&st, &reg, &stats).unwrap();
+        let r = recover(&st, &reg, &stats, 0xf1).unwrap();
         assert_eq!(
             r.incarnation, 7,
             "torn rename must revert to the committed snapshot"
@@ -1247,7 +1147,7 @@ mod tests {
         st.append(WAL_LOG, &append).unwrap();
         st.sync(WAL_LOG).unwrap();
         let stats = StatsInner::default();
-        let first = recover(&st, &reg, &stats).unwrap();
+        let first = recover(&st, &reg, &stats, 0xf1).unwrap();
         // Simulate the boot snapshot without the truncate.
         let snap = encode_snapshot(
             first.incarnation,
@@ -1257,7 +1157,7 @@ mod tests {
             &[],
         );
         st.write_snapshot(STATE_SNAPSHOT, &snap).unwrap();
-        let second = recover(&st, &reg, &stats).unwrap();
+        let second = recover(&st, &reg, &stats, 0xf1).unwrap();
         assert_eq!(second.incarnation, first.incarnation);
         let spool = second.links.get(&BrokerId::new(2)).unwrap().spool();
         assert_eq!((spool.acked(), spool.last_seq(), spool.len()), (0, 1, 1));
@@ -1292,7 +1192,7 @@ mod tests {
         st.power_cut(PowerCut::TornTail);
 
         let stats = StatsInner::default();
-        let r = recover(&st, &reg, &stats).unwrap();
+        let r = recover(&st, &reg, &stats, 0xf1).unwrap();
         let spool = r.links.get(&BrokerId::new(2)).unwrap().spool();
         assert_eq!(
             spool.last_seq(),
@@ -1329,7 +1229,7 @@ mod tests {
         st.power_cut(PowerCut::LostSuffix);
 
         let stats = StatsInner::default();
-        let r = recover(&st, &reg, &stats).unwrap();
+        let r = recover(&st, &reg, &stats, 0xf1).unwrap();
         let (_, durable_seq, ..) = r.links.get(&BrokerId::new(3)).unwrap().window();
         assert_eq!(durable_seq, 10, "unsynced mark must not survive the cut");
     }
@@ -1359,7 +1259,7 @@ mod tests {
         .unwrap();
         st.sync(WAL_LOG).unwrap();
         let stats = StatsInner::default();
-        let r = recover(&st, &reg, &stats).unwrap();
+        let r = recover(&st, &reg, &stats, 0xf1).unwrap();
         let (seq, .., peer_incarnation) = r.links.get(&BrokerId::new(3)).unwrap().window();
         assert_eq!((peer_incarnation, seq), (0xb, 2));
     }
@@ -1379,7 +1279,7 @@ mod tests {
         config.storage = Some(Arc::new(SimStorage::default()));
         // No timer fires: nothing moves the clock.
         let now = Instant::now();
-        let mut core = BrokerCore::recording(config, 0xb0, now);
+        let mut core = BrokerCore::boot(config, 0xb0, Recording::default(), now).unwrap();
         let stats = Arc::clone(&core.stats);
         let wal_appends = || stats.wal_appends.load(Ordering::Relaxed);
         // What the broker sent on `conn` since the last call.

@@ -1,7 +1,8 @@
 //! The broker as a function of its inputs (DESIGN.md §7): every handler,
 //! both timers and the journal, and no thread, clock, channel or socket.
 //! [`BrokerCore`] takes each [`Command`] with the time its caller read and
-//! acts on connections through [`Out`]; `broker.rs` drives it, tests step it.
+//! acts on connections through [`Out`]; `broker.rs` drives it, the tests and
+//! the simulator (`broker_core/des.rs`, DESIGN.md §12.2) step it.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,13 +11,13 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use linkcast::{LinkTarget, MatchCache, RouteScratch, RoutingFabric, TreeId};
-use linkcast_matching::MatchStats;
+use linkcast_matching::{MatchStats, PstOptions};
 use linkcast_types::{
     BrokerId, ClientId, Event, LinkId, SubscriberId, Subscription, SubscriptionId,
 };
 use parking_lot::Mutex;
 
-use crate::broker::{encode_snapshot, BrokerConfig, Command, Recovered};
+use crate::broker::{encode_snapshot, recover, BrokerConfig, Command, Recovered};
 use crate::control::{SubIdAllocator, TombstoneSet, SUB_COUNTER_BITS, SUB_ID_SPACE};
 use crate::counters::{Derived, StatsInner};
 use crate::engine::MatchingEngine;
@@ -210,17 +211,61 @@ fn statement(s: LinkStatement) -> BrokerToBroker {
 }
 
 impl<O: Out> BrokerCore<O> {
-    /// A core resuming `recovered` (whose subscriptions `engine` holds),
-    /// counting into `stats`, its timers first due an interval after `now`.
-    pub(crate) fn new(
+    /// Boots a broker, its timers first due an interval after `now`: what
+    /// `config.storage` holds is recovered and its subscriptions
+    /// re-installed, or — with no storage, or nothing in it — the broker
+    /// starts empty as lifetime `incarnation`. Every boot, the first and
+    /// every restart alike, goes through here.
+    ///
+    /// # Errors
+    ///
+    /// Storage errors reading or committing the recovered state, and
+    /// matching-engine construction errors.
+    pub(crate) fn boot(
         config: BrokerConfig,
-        recovered: Recovered,
-        engine: MatchingEngine,
+        incarnation: u64,
         out: O,
-        stats: Arc<StatsInner>,
         now: Instant,
-    ) -> Self {
-        BrokerCore {
+    ) -> Result<Self, Box<dyn std::error::Error>> {
+        let stats = Arc::new(StatsInner::default());
+        // Load the snapshot, replay the WAL suffix on top (discarding torn
+        // tails) and resume the recovered incarnation, so peers' cumulative
+        // acks stay valid.
+        let recovered = match &config.storage {
+            Some(st) => recover(st.as_ref(), &config.registry, &stats, incarnation)?,
+            None => Recovered {
+                incarnation,
+                ..Recovered::default()
+            },
+        };
+        let registry = Arc::clone(&config.registry);
+        let options = PstOptions::default();
+        let mut engine = MatchingEngine::new(config.broker, &config.fabric, registry, options)?;
+        // Failures are skipped rather than fatal (a subscription that no
+        // longer parses against the fabric is better dropped than blocking
+        // boot); the anti-entropy resync heals any gap from peers.
+        for (schema, subscription) in &recovered.subscriptions {
+            let _ = engine.subscribe(*schema, subscription.clone());
+        }
+        let subscriptions = engine.subscription_count() as u64;
+        stats.subscriptions.store(subscriptions, Ordering::Relaxed);
+        if let Some(st) = &config.storage {
+            // Commit recovery: a boot snapshot of the merged state, then
+            // truncate the WAL it absorbed (a cut between the two replays
+            // the old records idempotently on top). Only after this may the
+            // core talk to peers: the snapshot makes the incarnation durable.
+            let snapshot = encode_snapshot(
+                recovered.incarnation,
+                &recovered.sub_ids,
+                &recovered.tombstones,
+                &recovered.links,
+                &recovered.subscriptions,
+            );
+            st.write_snapshot(STATE_SNAPSHOT, &snapshot)?;
+            st.truncate(WAL_LOG)?;
+            stats.snapshot_writes.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(BrokerCore {
             match_cache: MatchCache::new(config.match_cache_cap),
             route_scratch: RouteScratch::new(),
             fabric: Arc::clone(&config.fabric),
@@ -246,7 +291,7 @@ impl<O: Out> BrokerCore<O> {
             tombstones: recovered.tombstones,
             sub_ids: recovered.sub_ids,
             config,
-        }
+        })
     }
 
     /// Handles one command read at `now` (`Shutdown` and `Crash` are the shell's).
@@ -1222,5 +1267,7 @@ impl<O: Out> BrokerCore<O> {
     }
 }
 
+#[cfg(test)]
+mod des;
 #[cfg(test)]
 pub(crate) mod tests;

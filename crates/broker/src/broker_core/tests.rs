@@ -1,17 +1,16 @@
-//! Tests that step [`BrokerCore`]s by hand: no thread, no socket, and no
-//! clock but the `now` each test moves.
+//! Tests that step [`BrokerCore`]s by hand or on the simulator: no thread,
+//! no socket, and no clock but the `now` each test moves.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 
 use linkcast::NetworkBuilder;
-use linkcast_matching::PstOptions;
 use linkcast_types::{
     parse_predicate, EventSchema, Predicate, SchemaId, SchemaRegistry, Value, ValueKind,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::des::{Drawn, Sim, Spec};
 use super::*;
 use crate::transport::FrameBatch;
 
@@ -49,26 +48,6 @@ impl Out for Recording {
 }
 
 impl BrokerCore<Recording> {
-    /// A freshly booted core for `config`, lifetime `incarnation`, at `now`.
-    pub(crate) fn recording(config: BrokerConfig, incarnation: u64, now: Instant) -> Self {
-        let registry = Arc::clone(&config.registry);
-        let options = PstOptions::default();
-        let engine = MatchingEngine::new(config.broker, &config.fabric, registry, options);
-        let recovered = Recovered {
-            incarnation,
-            ..Recovered::default()
-        };
-        let stats = Arc::new(StatsInner::default());
-        BrokerCore::new(
-            config,
-            recovered,
-            engine.unwrap(),
-            Recording::default(),
-            stats,
-            now,
-        )
-    }
-
     /// What the core did to its connections since the last call.
     pub(crate) fn take_io(&mut self) -> Vec<Io> {
         self.out.0.take()
@@ -106,7 +85,7 @@ fn the_clock_pings_an_idle_link_drops_a_silent_one_and_reclaims_a_gone_client() 
     let (gc, heartbeat) = (config.gc_interval, config.heartbeat_interval);
     let (liveness, ttl) = (config.liveness_timeout, config.client_ttl);
     let t0 = Instant::now();
-    let mut core = BrokerCore::recording(config, 0xa0, t0);
+    let mut core = BrokerCore::boot(config, 0xa0, Recording::default(), t0).unwrap();
     assert_eq!(core.next_deadline(), t0 + gc.min(heartbeat));
     // B1 connects; a client says hello and leaves.
     let hello = BrokerToBroker::Hello {
@@ -158,176 +137,9 @@ fn the_clock_pings_an_idle_link_drops_a_silent_one_and_reclaims_a_gone_client() 
     assert!(!core.clients.contains_key(&client));
 }
 
-/// The client connection at either end of the chain.
-const CLIENT: ConnId = 1;
-const A: usize = 0;
-const C: usize = 2;
-
-/// Three cores on the chain A – B – C, joined by a FIFO pump. Link `l`
-/// joins cores `l` and `l + 1`, and either may dial it.
-struct Chain {
-    registry: Arc<SchemaRegistry>,
-    brokers: Vec<BrokerId>,
-    cores: Vec<BrokerCore<Recording>>,
-    /// Everything each core did to its connections, in order.
-    logs: Vec<Vec<Io>>,
-    now: Instant,
-    /// Frames in flight, oldest first: the core they go to, its conn.
-    fifo: VecDeque<(usize, ConnId, Bytes)>,
-    /// Each link's live connection, one number at both ends.
-    wires: [Option<ConnId>; 2],
-    next_conn: ConnId,
-    cuts: u64,
-    /// The `id`s of the events C's client was delivered, in order.
-    delivered: Vec<i64>,
-    /// Subscription ids acknowledged to C's client and not yet read.
-    sub_acks: Vec<SubscriptionId>,
-}
-
-impl Chain {
-    /// The chain at `now`, links down, with a client at A and at C.
-    fn new(now: Instant) -> (Chain, ClientId, ClientId) {
-        let mut b = NetworkBuilder::new();
-        let brokers = b.add_brokers(3);
-        b.connect(brokers[0], brokers[1], 1.0).unwrap();
-        b.connect(brokers[1], brokers[2], 1.0).unwrap();
-        let publisher = b.add_client(brokers[A]).unwrap();
-        let subscriber = b.add_client(brokers[C]).unwrap();
-        let fabric = RoutingFabric::new_all_roots(b.build().unwrap()).unwrap();
-        let registry = registry();
-        let cores = (0..3)
-            .map(|i| {
-                let fabric = Arc::clone(&fabric);
-                let mut config = BrokerConfig::localhost(brokers[i], fabric, Arc::clone(&registry));
-                // Three heartbeats: a link the pump starves can die.
-                config.liveness_timeout = config.heartbeat_interval * 3;
-                BrokerCore::recording(config, 0xa0 + i as u64, now)
-            })
-            .collect();
-        let chain = Chain {
-            registry,
-            brokers,
-            cores,
-            logs: vec![Vec::new(); 3],
-            now,
-            fifo: VecDeque::new(),
-            wires: [None; 2],
-            next_conn: 100,
-            cuts: 0,
-            delivered: Vec::new(),
-            sub_acks: Vec::new(),
-        };
-        (chain, publisher, subscriber)
-    }
-
-    /// Steps core `i` and carries out what it did.
-    fn step(&mut self, i: usize, command: Command) {
-        self.cores[i].step(command, self.now);
-        self.route(i);
-    }
-
-    /// The client at core `i` sends `message`.
-    fn client_sends(&mut self, i: usize, message: ClientToBroker) {
-        self.step(
-            i,
-            Command::Frames(CLIENT, FrameBatch::single(message.encode())),
-        );
-    }
-
-    /// Logs what core `i` did to its connections and carries it out: a
-    /// frame on a live link joins the FIFO, one to its client is read, and
-    /// a closed link is cut.
-    fn route(&mut self, i: usize) {
-        let io = self.cores[i].take_io();
-        self.logs[i].extend(io.iter().cloned());
-        for io in io {
-            match io {
-                Io::Send(conn, frame) => match self.link_of(i, conn) {
-                    Some(l) => self.fifo.push_back((2 * l + 1 - i, conn, frame)),
-                    None if conn == CLIENT => self.client_frame(i, &frame),
-                    // A connection the core has already given up.
-                    None => {}
-                },
-                Io::Unregister(conn) | Io::CloseAfterFlush(conn) | Io::Evict(conn, _) => {
-                    if let Some(l) = self.link_of(i, conn) {
-                        self.cut(l);
-                    }
-                }
-            }
-        }
-    }
-
-    fn link_of(&self, i: usize, conn: ConnId) -> Option<usize> {
-        (0..2).find(|&l| self.wires[l] == Some(conn) && (l == i || l + 1 == i))
-    }
-
-    fn client_frame(&mut self, i: usize, frame: &Bytes) {
-        let payload = frame.slice(protocol::FRAME_PREFIX..);
-        match BrokerToClient::decode(payload, &self.registry).unwrap() {
-            BrokerToClient::Deliver { event, .. } if i == C => {
-                let Some(&Value::Int(id)) = event.value(2) else {
-                    panic!("no id in {event:?}");
-                };
-                self.delivered.push(id);
-            }
-            BrokerToClient::SubAck { id } => self.sub_acks.push(id),
-            BrokerToClient::Error { message } => panic!("core {i}: {message}"),
-            _ => {}
-        }
-    }
-
-    /// Drops link `l`: what is in flight on it is lost, and both ends
-    /// hear `Disconnected`, as their readers would.
-    fn cut(&mut self, l: usize) {
-        let Some(conn) = self.wires[l].take() else {
-            return;
-        };
-        self.cuts += 1;
-        self.fifo.retain(|&(_, c, _)| c != conn);
-        self.step(l, Command::Disconnected(conn));
-        self.step(l + 1, Command::Disconnected(conn));
-    }
-
-    /// Core `from` redials link `l` if it is down: `DialedNeighbor` there,
-    /// whose frames then reach the other end on the fresh conn.
-    fn dial(&mut self, l: usize, from: usize) {
-        if self.wires[l].is_none() {
-            let conn = self.next_conn;
-            self.next_conn += 1;
-            self.wires[l] = Some(conn);
-            let to = self.brokers[2 * l + 1 - from];
-            self.step(from, Command::DialedNeighbor(conn, to));
-        }
-    }
-
-    /// Delivers the `n` oldest frames in flight.
-    fn pump(&mut self, n: usize) {
-        for _ in 0..n {
-            let Some((to, conn, frame)) = self.fifo.pop_front() else {
-                return;
-            };
-            self.step(to, Command::Frames(conn, FrameBatch::single(frame)));
-        }
-    }
-
-    /// Redials every link and delivers until nothing is in flight.
-    fn settle(&mut self) {
-        while self.wires.contains(&None) || !self.fifo.is_empty() {
-            self.dial(0, 1);
-            self.dial(1, 2);
-            self.pump(1);
-        }
-    }
-
-    /// Moves the clock on by `by` and offers every core its timers.
-    fn advance(&mut self, by: Duration) {
-        self.now += by;
-        for i in 0..3 {
-            self.cores[i].on_clock(self.now);
-            self.route(i);
-        }
-    }
-}
+/// The chain A – B – C's two clients: a publisher at A, a subscriber at C.
+const PUBLISHER: usize = 0;
+const SUBSCRIBER: usize = 1;
 
 const FILTERS: [&str; 5] = [
     "volume >= 0",
@@ -343,42 +155,43 @@ const OPS: usize = 400;
 /// What one seeded schedule left behind.
 struct Run {
     logs: Vec<Vec<Io>>,
+    /// The `id`s of the events C's client was delivered, in order.
     delivered: Vec<i64>,
     /// The `id`s the flooding oracle says C's client must get, in order.
     expected: Vec<i64>,
-    cuts: u64,
-    retransmitted: u64,
-    timeouts: u64,
+    drawn: Drawn,
 }
 
-/// A seeded schedule over the chain: publish at A; subscribe or
-/// unsubscribe at C; drop or redial a link; deliver some frames; move
-/// the clock. A subscription change is made on a settled chain and
-/// settled after, so every event is routed, end to end, under the one
-/// subscription set in force when it was published: the oracle is
-/// that set's predicates.
-fn run_schedule(seed: u64, t0: Instant) -> Run {
+/// Heals every link and runs until all are up and nothing is in flight.
+fn settle(sim: &mut Sim) -> Result<(), String> {
+    sim.heal();
+    let settled = |sim: &Sim| sim.meshed() && sim.quiet();
+    sim.run_until("a settled chain", Duration::from_secs(60), settled)
+}
+
+/// A seeded schedule over the chain, on the simulator: publish at A;
+/// subscribe or unsubscribe at C; kill, revive or stall a link; let time
+/// run. A subscription change is made on a settled chain and settled
+/// after, so every event is routed, end to end, under the one subscription
+/// set in force when it was published: the oracle is that set's predicates.
+fn run_schedule(seed: u64, base: Instant) -> Result<Run, String> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let (mut chain, publisher, subscriber) = Chain::new(t0);
-    let resume_from = 0;
-    chain.client_sends(
-        A,
-        ClientToBroker::Hello {
-            client: publisher,
-            resume_from,
-        },
-    );
-    chain.client_sends(
-        C,
-        ClientToBroker::Hello {
-            client: subscriber,
-            resume_from,
-        },
-    );
-    chain.settle();
-    let schema = chain.registry.get(SchemaId::new(0)).unwrap().clone();
+    let chain = Spec::new(seed, 3, &[(0, 1), (1, 2)], &[0, 2]);
+    let spec = Spec {
+        registry: registry(),
+        ..chain
+    };
+    let mut sim = Sim::new(spec, base, |config| {
+        // Three heartbeats: a stalled link can die.
+        config.liveness_timeout = config.heartbeat_interval * 3;
+    });
+    sim.connect(PUBLISHER, 0);
+    sim.connect(SUBSCRIBER, 0);
+    settle(&mut sim)?;
+    let schema = sim.registry.get(SchemaId::new(0)).unwrap().clone();
     let mut live: Vec<(SubscriptionId, Predicate)> = Vec::new();
     let (mut expected, mut next_id) = (Vec::new(), 0);
+    let ms = |ms| Duration::from_millis(ms);
     for _ in 0..OPS {
         match rng.random_range(0..20) {
             0..=5 => {
@@ -394,54 +207,40 @@ fn run_schedule(seed: u64, t0: Instant) -> Run {
                     expected.push(next_id);
                 }
                 next_id += 1;
-                chain.client_sends(A, ClientToBroker::Publish { event });
+                sim.publish(PUBLISHER, event);
             }
-            6..=11 => chain.pump(rng.random_range(1..=8)),
-            12 => chain.cut(rng.random_range(0..2)),
-            13 | 14 => {
-                let l = rng.random_range(0..2);
-                chain.dial(l, l + rng.random_range(0..2));
-            }
-            15 | 16 => chain.advance(Duration::from_millis(rng.random_range(0..1500))),
+            6..=10 => sim.run_for(ms(rng.random_range(0..20))),
+            11 => sim.stall(rng.random_range(0..2), rng.random(), rng.random()),
+            12 => sim.kill(rng.random_range(0..2)),
+            13 | 14 => sim.revive(rng.random_range(0..2)),
+            15 | 16 => sim.run_for(ms(rng.random_range(0..1500))),
             17 | 18 if live.len() < 4 => {
-                chain.settle();
+                settle(&mut sim)?;
                 let expression = FILTERS[rng.random_range(0..FILTERS.len())];
-                let subscribe = ClientToBroker::Subscribe {
-                    schema: SchemaId::new(0),
-                    expression: expression.into(),
-                };
-                chain.client_sends(C, subscribe);
-                let id = chain
-                    .sub_acks
-                    .pop()
-                    .expect("the subscription is acknowledged");
+                let id = sim.subscribe(SUBSCRIBER, expression)?;
                 live.push((id, parse_predicate(&schema, expression).unwrap()));
-                chain.settle();
+                settle(&mut sim)?;
             }
             _ if !live.is_empty() => {
-                chain.settle();
+                settle(&mut sim)?;
                 let (id, _) = live.remove(rng.random_range(0..live.len()));
-                chain.client_sends(C, ClientToBroker::Unsubscribe { id });
-                chain.settle();
+                sim.unsubscribe(SUBSCRIBER, id)?;
+                settle(&mut sim)?;
             }
             _ => {}
         }
     }
-    chain.settle();
-    let total = |counter: fn(&StatsInner) -> &AtomicU64| {
-        let cores = chain.cores.iter();
-        cores
-            .map(|c| counter(&c.stats).load(Ordering::Relaxed))
-            .sum()
+    settle(&mut sim)?;
+    let id = |event: &Event| match event.value(2) {
+        Some(&Value::Int(id)) => id,
+        _ => panic!("no id in {event:?}"),
     };
-    Run {
-        retransmitted: total(|s| &s.retransmitted),
-        timeouts: total(|s| &s.liveness_timeouts),
-        logs: chain.logs,
-        delivered: chain.delivered,
+    Ok(Run {
+        logs: sim.logs(),
+        delivered: sim.clients[SUBSCRIBER].got.iter().map(id).collect(),
         expected,
-        cuts: chain.cuts,
-    }
+        drawn: sim.drawn(),
+    })
 }
 
 /// Seeded schedules: a few in a debug build, more in release (CI's
@@ -454,29 +253,26 @@ const SEEDS: &[u64] = if cfg!(debug_assertions) {
 
 #[test]
 fn three_cores_meet_the_flooding_oracle_and_replay_byte_for_byte() {
-    let (mut cuts, mut retransmitted, mut timeouts) = (0, 0, 0);
+    let mut drawn = Drawn::default();
     for &seed in SEEDS {
         let t0 = Instant::now();
-        let run = run_schedule(seed, t0);
+        let run = run_schedule(seed, t0).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(
             run.delivered, run.expected,
             "seed {seed}: delivered != oracle"
         );
-        let again = run_schedule(seed, t0);
+        // The same seed from another base instant: the same bytes.
+        let later = t0 + Duration::from_secs(3600);
+        let again = run_schedule(seed, later).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         for (core, (a, b)) in run.logs.iter().zip(&again.logs).enumerate() {
             let first = a.iter().zip(b).position(|(x, y)| x != y);
             assert_eq!(first, None, "seed {seed}: core {core} diverges on replay");
             assert_eq!(a.len(), b.len(), "seed {seed}: core {core} log length");
         }
-        cuts += run.cuts;
-        retransmitted += run.retransmitted;
-        timeouts += run.timeouts;
+        drawn.add(&run.drawn);
     }
-    // The schedules drop links, time them out and retransmit.
-    let drawn = (cuts > 0, timeouts > 0, retransmitted > 0);
-    assert_eq!(
-        drawn,
-        (true, true, true),
-        "{cuts} {timeouts} {retransmitted}"
-    );
+    // The schedules cut links, time them out, retransmit, and land frames
+    // on one link ahead of frames sent earlier on the other.
+    let missing = drawn.missing(&["cut", "liveness timeout", "retransmit", "overtake"]);
+    assert!(missing.is_empty(), "never drawn: {missing:?} in {drawn:?}");
 }

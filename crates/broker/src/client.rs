@@ -94,9 +94,8 @@ impl Client {
         Client::connect_via(&TcpTransport, addr, client, resume_from, registry)
     }
 
-    /// Like [`Client::connect`], but over an explicit [`Transport`] — the
-    /// entry point for clients living inside a [`SimNet`](crate::SimNet)
-    /// cluster.
+    /// Like [`Client::connect`], but over an explicit [`Transport`] — one
+    /// that wraps TCP to count or trace what the socket does, say.
     ///
     /// # Errors
     ///

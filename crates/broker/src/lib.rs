@@ -44,7 +44,6 @@ mod log;
 mod outbox;
 mod protocol;
 mod repair;
-mod simnet;
 mod storage;
 mod tcp;
 mod transport;
@@ -58,7 +57,6 @@ pub use protocol::{
     BrokerToBroker, BrokerToClient, ClientToBroker, ProtocolError, MAX_EVENT_BODY, MAX_FRAME,
     MAX_FRAME_LEN,
 };
-pub use simnet::{SimHost, SimNet};
 pub use storage::{FsStorage, PowerCut, SimStorage, Storage};
 pub use tcp::TcpTransport;
 pub use transport::{

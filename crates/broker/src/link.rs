@@ -56,6 +56,75 @@ pub(crate) fn heartbeat_jitter_seed(me: BrokerId, neighbor: BrokerId) -> u64 {
     jitter_seed(me, neighbor) ^ 0x9e37_79b9_7f4a_7c15
 }
 
+/// Initial (and minimum) redial backoff for supervised links.
+pub(crate) const LINK_REDIAL_MIN: Duration = Duration::from_millis(50);
+/// Redial backoff ceiling.
+pub(crate) const LINK_REDIAL_MAX: Duration = Duration::from_secs(2);
+/// How long a greeted link must survive before the redial backoff resets
+/// to the minimum. A neighbor that accepts the dial and then dies at once
+/// (crash loop) keeps backing off instead of being hot-redialed.
+pub(crate) const LINK_STABILITY_WINDOW: Duration = Duration::from_secs(2);
+
+/// A link supervisor's redial policy: how long to wait after each attempt,
+/// and when a down episode has failed often enough to declare the link
+/// unreachable (`repair_after` attempts in a row that never heard the peer;
+/// once per episode, re-armed by the next attempt that does).
+#[derive(Debug)]
+pub(crate) struct Redial {
+    backoff: Duration,
+    jitter: u64,
+    failures: u32,
+    escalated: bool,
+    repair_after: u32,
+}
+
+impl Redial {
+    /// The policy for `me`'s link to `neighbor`.
+    pub(crate) fn new(me: BrokerId, neighbor: BrokerId, repair_after: u32) -> Redial {
+        Redial {
+            backoff: LINK_REDIAL_MIN,
+            jitter: jitter_seed(me, neighbor),
+            failures: 0,
+            escalated: false,
+            repair_after,
+        }
+    }
+
+    /// The dial was refused: the jittered pause before the next, and
+    /// whether to report the link unreachable now.
+    pub(crate) fn refused(&mut self) -> (Duration, bool) {
+        let pause = self.backoff;
+        self.backoff = (self.backoff * 2).min(LINK_REDIAL_MAX);
+        self.next(false, pause)
+    }
+
+    /// A dialled connection ended after `lasted`, `greeted` if the peer sent
+    /// anything on it: as [`refused`](Self::refused). Only a link that
+    /// proved stable earns a backoff reset.
+    pub(crate) fn ended(&mut self, greeted: bool, lasted: Duration) -> (Duration, bool) {
+        self.backoff = if greeted && lasted >= LINK_STABILITY_WINDOW {
+            LINK_REDIAL_MIN
+        } else {
+            (self.backoff * 2).min(LINK_REDIAL_MAX)
+        };
+        self.next(greeted, self.backoff)
+    }
+
+    fn next(&mut self, greeted: bool, pause: Duration) -> (Duration, bool) {
+        if greeted {
+            // The down episode (if any) is over.
+            (self.failures, self.escalated) = (0, false);
+        } else {
+            self.failures = self.failures.saturating_add(1);
+        }
+        let escalate = !greeted
+            && self.repair_after > 0
+            && self.failures >= self.repair_after
+            && !std::mem::replace(&mut self.escalated, true);
+        (jittered_backoff(pause, &mut self.jitter), escalate)
+    }
+}
+
 /// The connection currently carrying a link.
 #[derive(Debug)]
 struct Up {
@@ -546,6 +615,45 @@ mod tests {
         assert_eq!(link.tick(t0 + liveness, heartbeat, liveness), Tick::Dead(9));
         link.heard(9, t0 + liveness);
         assert_eq!(link.tick(t0 + liveness, heartbeat, liveness), Tick::Idle);
+    }
+
+    #[test]
+    fn redial_doubles_to_the_cap_resets_when_stable_and_escalates_once_per_episode() {
+        let ms = Duration::from_millis;
+        // A pause is its base stretched by the jitter, under half as much again.
+        let paused = |(pause, _): (Duration, bool), base: Duration| {
+            assert!(
+                pause >= base && pause <= base * 3 / 2,
+                "{pause:?} for {base:?}"
+            );
+        };
+        let mut redial = Redial::new(A, B, 3);
+        // Refusals double the backoff up to the cap; the third in a row
+        // escalates, and only the third.
+        let bases = [50, 100, 200, 400, 800, 1600, 2000, 2000];
+        for (i, base) in bases.into_iter().enumerate() {
+            let next = redial.refused();
+            paused(next, ms(base));
+            assert_eq!(next.1, i == 2, "refusal {i}");
+        }
+        // A greeted link that died young ends the episode without a reset.
+        let next = redial.ended(true, LINK_STABILITY_WINDOW - ms(1));
+        paused(next, LINK_REDIAL_MAX);
+        assert!(!next.1);
+        // So the next episode escalates again, once.
+        let escalations: Vec<bool> = (0..4).map(|_| redial.refused().1).collect();
+        assert_eq!(escalations, [false, false, true, false]);
+        // A greeted link that outlived the stability window resets it.
+        let next = redial.ended(true, LINK_STABILITY_WINDOW);
+        paused(next, LINK_REDIAL_MIN);
+        paused(redial.refused(), LINK_REDIAL_MIN);
+        // An accept-then-stall (never greeted) counts as a failure.
+        let mut stalls = Redial::new(A, B, 2);
+        assert!(!stalls.ended(false, ms(5000)).1);
+        assert!(stalls.ended(false, ms(5000)).1);
+        // `repair_after = 0` never escalates.
+        let mut never = Redial::new(A, B, 0);
+        assert!((0..64).all(|_| !never.refused().1));
     }
 
     /// One step of a schedule over two links joined by an in-memory FIFO.

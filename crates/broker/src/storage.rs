@@ -1,6 +1,6 @@
 //! Durable broker state behind a `Storage` seam.
 //!
-//! Mirrors the `Transport` seam from the simnet work: the broker journals
+//! Mirrors the `Transport` seam: the broker journals
 //! its per-neighbor send spool through an append-only write-ahead log and
 //! checkpoints its control state (subscriptions, id allocator, incarnation
 //! nonce) into atomic snapshot slots, all through the [`Storage`] trait.
@@ -10,8 +10,9 @@
 //!   logs with `sync_data` on commit, `<slot>.snap` snapshots written via
 //!   temp-file + fsync + rename so a crash never exposes a half-written
 //!   snapshot.
-//! - [`SimStorage`] — deterministic in-memory storage for the simnet
-//!   cluster model, with injectable power-cut semantics ([`PowerCut`]):
+//! - [`SimStorage`] — deterministic in-memory storage for the simulated
+//!   cluster models and crash tests, with injectable power-cut semantics
+//!   ([`PowerCut`]):
 //!   a torn tail record, a lost unsynced suffix, or an interrupted
 //!   snapshot rename.
 //!
@@ -447,10 +448,11 @@ struct SimState {
     last_snap: Option<(String, Option<Vec<u8>>)>,
 }
 
-/// Deterministic in-memory [`Storage`] for the simnet cluster model. The
-/// harness holds the `Arc` across a simulated crash (the broker process
-/// state is dropped, the storage survives) and injects a [`PowerCut`] to
-/// model what a real disk would retain.
+/// Deterministic in-memory [`Storage`] for crash tests: the simulator's
+/// crash model and the TCP tests that crash a `BrokerNode`. The harness
+/// holds the `Arc` across a crash (the broker's state is dropped, the
+/// storage survives) and injects a [`PowerCut`] to model what a real disk
+/// would retain.
 #[derive(Default)]
 pub struct SimStorage {
     store: Mutex<SimState>,

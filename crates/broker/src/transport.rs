@@ -1,7 +1,9 @@
 //! The transport abstraction: the byte-stream surface the broker needs
 //! from its network, factored behind traits so the default TCP stack
-//! ([`crate::tcp::TcpTransport`]) and the deterministic in-memory network
-//! ([`crate::simnet::SimNet`]) are interchangeable.
+//! ([`crate::tcp::TcpTransport`]) can be wrapped or replaced — the
+//! benchmark, for one, counts and traces every read and write through it.
+//! The protocol itself runs without any transport on the simulator
+//! (DESIGN.md §12.2).
 //!
 //! The contract the broker relies on (DESIGN.md §12):
 //!
@@ -80,9 +82,9 @@ pub struct Connection {
 /// A bound accept socket.
 pub trait Listener: Send {
     /// Accepts one connection: blocks until one is pending (TCP), or
-    /// returns `ErrorKind::WouldBlock` when none is (SimNet) — the accept
-    /// loop copes with either, re-checking its shutdown flag after every
-    /// return.
+    /// returns `ErrorKind::WouldBlock` when none is (a polled listener) —
+    /// the accept loop copes with either, re-checking its shutdown flag
+    /// after every return.
     ///
     /// # Errors
     ///
@@ -189,7 +191,6 @@ pub(crate) fn read_frames(
                 }
             }
             Ok(Polled::Idle) => {
-                // analyzer:allow(sim-determinism): a dialled link's handshake deadline only; what arrives, and in which order, stays seed-derived
                 if !greeted && handshake_deadline.is_some_and(|at| Instant::now() >= at) {
                     let _ = cmd_tx.send(Command::Disconnected(conn));
                     break;

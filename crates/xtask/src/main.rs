@@ -18,8 +18,8 @@
 //! 4. wire-taint tracking of untrusted decoder reads to allocation and
 //!    cursor sinks;
 //! 5. counter-registry plumbing-exhaustiveness for `broker_counters!`;
-//! 6. sim-determinism (no wall clock, no OS entropy) over the simulation
-//!    substrate.
+//! 6. sim-determinism (no wall clock, no OS entropy) over the IO-free
+//!    protocol code the simulator steps.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -59,7 +59,6 @@ const HOT_MODULES: &[&str] = &[
     "protocol.rs",
     "control.rs",
     "transport.rs",
-    "simnet.rs",
     "storage.rs",
     "repair.rs",
     "link.rs",
@@ -78,10 +77,10 @@ const HOT_TYPES_MODULES: &[&str] = &["crates/types/src/wire.rs", "crates/types/s
 /// bytes they did not write: held to the wire-taint rule.
 const TAINT_MODULES: &[&str] = &["transport.rs", "storage.rs", "repair.rs"];
 
-/// Modules held to the sim-determinism rule: the simulation substrate, and
-/// the link protocol and the broker core, which are handed `now` and read
-/// no clock of their own.
-const SIM_MODULES: &[&str] = &["transport.rs", "simnet.rs", "link.rs", "broker_core.rs"];
+/// Modules held to the sim-determinism rule: the link protocol and the
+/// broker core, which are handed `now` and read no clock of their own — the
+/// code the simulator steps in virtual time.
+const SIM_MODULES: &[&str] = &["link.rs", "broker_core.rs"];
 
 /// Output format for `check` findings.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -347,7 +346,7 @@ fn run_check(root: &Path) -> Result<Vec<Finding>, String> {
     };
     findings.extend(counters::check(&cs));
 
-    // Pass 6: sim-determinism over the simulation substrate.
+    // Pass 6: sim-determinism over the code the simulator steps.
     for file in &lock_files {
         let name = file.path.rsplit('/').next().unwrap_or(&file.path);
         if file.path.starts_with("crates/broker/src") && SIM_MODULES.contains(&name) {
@@ -482,13 +481,9 @@ fn run_selftest(root: &Path) -> Result<(), String> {
         return Err("HOT_MODULES must cover repair.rs (link-state statements)".into());
     }
     // And for the frame reader: it carves every connection's stream by a
-    // length prefix the peer wrote, on SimNet as on TCP, so it stays under
-    // the panic lint, the taint pass and the determinism rule at once.
-    for (set, rule) in [
-        (HOT_MODULES, "panic lint"),
-        (TAINT_MODULES, "wire-taint"),
-        (SIM_MODULES, "sim-determinism"),
-    ] {
+    // length prefix the peer wrote, so it stays under the panic lint and
+    // the taint pass at once.
+    for (set, rule) in [(HOT_MODULES, "panic lint"), (TAINT_MODULES, "wire-taint")] {
         if !set.contains(&"transport.rs") {
             return Err(format!(
                 "the {rule} file set must cover transport.rs (FrameReader)"

@@ -1,12 +1,13 @@
-//! Pass: `sim-determinism` — the simulation substrate must stay
+//! Pass: `sim-determinism` — the code the simulator steps must stay
 //! deterministic.
 //!
-//! The simnet harness (PR 7) replays seed-derived schedules; its whole
-//! value is that a failing seed reproduces byte-for-byte. Wall-clock reads
-//! and OS randomness silently break that contract, so `transport.rs` and
-//! `simnet.rs` may not call them from non-test code. The few legitimate
-//! real-time sites (blocking-wait pacing whose *ordering* stays
-//! seed-derived) carry `// analyzer:allow(sim-determinism): <reason>`.
+//! The simulator replays seed-derived schedules over the real broker core;
+//! its whole value is that a failing seed reproduces byte-for-byte. A
+//! wall-clock read or OS randomness inside the core silently breaks that
+//! contract — and the replay test only notices one that changes what the
+//! core sends — so `link.rs` and `broker_core.rs` may not call them from
+//! non-test code: they are handed `now`. A site that must read the clock
+//! says why in an allow comment for this rule (the fixture has one).
 
 use crate::source::SourceFile;
 use crate::Finding;

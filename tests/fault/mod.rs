@@ -8,10 +8,9 @@
 //! partial writes, one-shot tag-byte corruption, and per-frame delay; the
 //! link as a whole can be killed and revived like a cut cable.
 //!
-//! [`FaultPlan`] names the fault archetypes so a test matrix can iterate
-//! them; schedules draw from the seeded [`Lcg`] (via [`seed_from_env`],
-//! e.g. `FAULT_SEED` / `LINKFLAP_SEED`) so CI runs a fixed, reproducible
-//! matrix.
+//! [`FaultPlan`] names the fault archetypes a test runs under; schedules
+//! draw from the seeded [`Lcg`] (via [`seed_from_env`], e.g. `FAULT_SEED`)
+//! so CI runs a fixed, reproducible matrix.
 
 // Each test binary compiles this module separately and uses a different
 // subset of it.
@@ -298,7 +297,7 @@ fn pump(from: TcpStream, to: TcpStream, state: Arc<DirState>) {
     });
 }
 
-/// The fault archetypes the matrix iterates.
+/// The fault archetypes of the matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
     /// Sever every proxied connection; drop new dials while down.
@@ -322,32 +321,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Every plan the matrix covers.
-    pub fn matrix() -> [FaultPlan; 5] {
-        [
-            FaultPlan {
-                name: "kill",
-                fault: Fault::Kill,
-            },
-            FaultPlan {
-                name: "stall",
-                fault: Fault::Stall,
-            },
-            FaultPlan {
-                name: "partial-write",
-                fault: Fault::PartialWrite,
-            },
-            FaultPlan {
-                name: "corrupt",
-                fault: Fault::Corrupt,
-            },
-            FaultPlan {
-                name: "delay",
-                fault: Fault::Delay,
-            },
-        ]
-    }
-
     /// Injects this plan's fault on `link`; directional choices draw from
     /// the seeded `rng`.
     pub fn inject(&self, link: &FaultLink, rng: &mut Lcg) {
@@ -374,12 +347,6 @@ impl FaultPlan {
                 link.reply().delay(ms);
             }
         }
-    }
-
-    /// Whether recovery requires tearing the link down (and therefore a
-    /// detection delay before healing makes sense).
-    pub fn disruptive(&self) -> bool {
-        matches!(self.fault, Fault::Kill | Fault::Stall | Fault::Corrupt)
     }
 
     pub fn heal(&self, link: &FaultLink) {

@@ -1,4 +1,4 @@
-//! Client `resume_from` cursor edge cases against one simnet broker.
+//! Client `resume_from` cursor edge cases against one broker over TCP.
 //!
 //! The hello handshake carries the last sequence number the client
 //! safely processed; the broker clamps it into its delivery log
@@ -28,13 +28,13 @@ use std::time::Duration;
 use fault::{registry, tick};
 use linkcast::{NetworkBuilder, RoutingFabric};
 use linkcast_broker::{
-    BrokerConfig, BrokerNode, Client, ClientError, PowerCut, SimHost, SimNet, SimStorage, Storage,
+    BrokerConfig, BrokerNode, Client, ClientError, PowerCut, SimStorage, Storage,
 };
 use linkcast_types::{BrokerId, ClientId, SchemaId, SchemaRegistry};
 
 struct Rig {
     node: Option<BrokerNode>,
-    client_host: Arc<SimHost>,
+    /// The first boot's address, which every reboot binds again.
     addr: SocketAddr,
     registry: Arc<SchemaRegistry>,
     broker: BrokerId,
@@ -42,35 +42,28 @@ struct Rig {
     publisher: ClientId,
     storage: Option<Arc<SimStorage>>,
     fabric: Arc<RoutingFabric>,
-    host: Arc<SimHost>,
 }
 
 impl Rig {
     /// One broker, one subscriber, one publisher, optional durable
     /// storage, fast garbage collection (so acked log prefixes trim
     /// within a test-scale sleep).
-    fn start(seed: u64, port: u16, durable: bool) -> Rig {
+    fn start(durable: bool) -> Rig {
         let mut builder = NetworkBuilder::new();
         let broker = builder.add_broker();
         let subscriber = builder.add_client(broker).unwrap();
         let publisher = builder.add_client(broker).unwrap();
         let fabric = RoutingFabric::new_all_roots(builder.build().unwrap()).unwrap();
-        let registry = registry();
-        let net = SimNet::new(seed);
-        let host = Arc::new(net.host());
-        let client_host = Arc::new(net.host());
-        let storage = durable.then(|| Arc::new(SimStorage::new()));
         let mut rig = Rig {
             node: None,
-            client_host,
-            addr: SocketAddr::new(host.ip(), port),
-            registry,
+            // Port 0 until the first boot picks one.
+            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
+            registry: registry(),
             broker,
             subscriber,
             publisher,
-            storage,
+            storage: durable.then(|| Arc::new(SimStorage::new())),
             fabric,
-            host,
         };
         rig.boot();
         rig
@@ -83,10 +76,11 @@ impl Rig {
             Arc::clone(&self.registry),
         );
         config.listen = self.addr;
-        config.transport = Arc::clone(&self.host) as Arc<dyn linkcast_broker::Transport>;
         config.gc_interval = Duration::from_millis(25);
         config.storage = self.storage.clone().map(|s| s as Arc<dyn Storage>);
-        self.node = Some(BrokerNode::start(config).unwrap());
+        let node = BrokerNode::start(config).unwrap();
+        self.addr = node.addr();
+        self.node = Some(node);
     }
 
     fn node(&self) -> &BrokerNode {
@@ -96,13 +90,7 @@ impl Rig {
     fn connect(&self, id: ClientId, resume_from: u64) -> Client {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
-            match Client::connect_via(
-                &*self.client_host,
-                self.addr,
-                id,
-                resume_from,
-                Arc::clone(&self.registry),
-            ) {
+            match Client::connect(self.addr, id, resume_from, Arc::clone(&self.registry)) {
                 Ok(c) => return c,
                 Err(e) => {
                     assert!(
@@ -141,7 +129,7 @@ fn expect_quiet(client: &mut Client) {
 
 #[test]
 fn resume_at_trim_boundary_replays_exactly_the_unacked_suffix() {
-    let rig = Rig::start(11, 7401, false);
+    let rig = Rig::start(false);
     let mut sub = rig.connect(rig.subscriber, 0);
     sub.subscribe(SchemaId::new(0), "n >= 0").unwrap();
     let mut publisher = rig.connect(rig.publisher, 0);
@@ -175,7 +163,7 @@ fn resume_at_trim_boundary_replays_exactly_the_unacked_suffix() {
 
 #[test]
 fn resume_beyond_the_log_head_clamps_instead_of_poisoning_the_sequence() {
-    let rig = Rig::start(13, 7402, false);
+    let rig = Rig::start(false);
     let mut sub = rig.connect(rig.subscriber, 0);
     sub.subscribe(SchemaId::new(0), "n >= 0").unwrap();
     let mut publisher = rig.connect(rig.publisher, 0);
@@ -200,7 +188,7 @@ fn resume_beyond_the_log_head_clamps_instead_of_poisoning_the_sequence() {
 
 #[test]
 fn crash_recovery_voids_the_cursor_but_keeps_the_subscription() {
-    let mut rig = Rig::start(17, 7403, true);
+    let mut rig = Rig::start(true);
     let mut sub = rig.connect(rig.subscriber, 0);
     sub.subscribe(SchemaId::new(0), "n >= 0").unwrap();
     let mut publisher = rig.connect(rig.publisher, 0);
