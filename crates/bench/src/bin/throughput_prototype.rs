@@ -32,8 +32,7 @@ fn main() {
     registry.register(wconfig.schema()).unwrap();
     let registry = Arc::new(registry);
 
-    let mut config = BrokerConfig::localhost(b0, fabric, Arc::clone(&registry));
-    config.sender_threads = 4;
+    let config = BrokerConfig::localhost(b0, fabric, Arc::clone(&registry));
     let node = BrokerNode::start(config).unwrap();
     let schema = registry.get(SchemaId::new(0)).unwrap().clone();
 

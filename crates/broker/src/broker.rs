@@ -29,6 +29,21 @@ use crate::transport::{self, FrameBatch, Transport};
 /// disconnected) instead of wedging a sender-pool thread indefinitely.
 const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// Threads in the sending pool. One sender drains a connection at a time,
+/// so more of them help only when more connections have frames queued.
+const SENDER_THREADS: usize = 2;
+
+/// Per-connection cap on queued outgoing bytes. A client that crosses it
+/// (a subscriber that stopped reading) is evicted with a final `Error`
+/// frame; a broker peer that crosses it is disconnected and its spool
+/// retransmits after the redial. Either way one stalled consumer costs at
+/// most this much memory, not the broker.
+const CONN_QUEUE_BOUND: u64 = 8 * 1024 * 1024;
+
+/// How long [`BrokerNode::shutdown`] waits for queued frames (final acks,
+/// tail-of-stream deliveries) to flush before cutting stragglers off.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Configuration of one broker node.
 #[derive(Debug, Clone)]
 pub struct BrokerConfig {
@@ -44,41 +59,17 @@ pub struct BrokerConfig {
     /// default), or any other [`Transport`] — a wrapper that counts or
     /// traces what the sockets do, say.
     pub transport: Arc<dyn Transport>,
-    /// Size of the sending-thread pool.
-    pub sender_threads: usize,
-    /// Garbage-collection period for client event logs.
-    pub gc_interval: Duration,
-    /// Maximum retained entries per client log (older unacknowledged
-    /// entries are dropped and counted as lost).
-    pub log_bound: usize,
-    /// How long a disconnected client's log is retained before the garbage
-    /// collector reclaims it entirely. A client reconnecting later starts a
-    /// fresh session (sequence numbers restart).
-    pub client_ttl: Duration,
     /// Capacity of the match-result cache (entries), keyed by the event's
     /// *tested* attribute values and invalidated wholesale when the
     /// subscription set changes generation. `0` disables caching.
     pub match_cache_cap: usize,
-    /// How long a broker link may sit with no *received* traffic before the
-    /// engine probes it with a `Ping`. Doubles as the heartbeat timer's
-    /// period, so detection granularity is one interval.
-    pub heartbeat_interval: Duration,
     /// How long a broker link may stay completely silent (no frames at
     /// all — a live peer answers pings) before it is declared dead and torn
     /// down. The link spool keeps every unacknowledged frame, so the redial
-    /// handshake retransmits and nothing is lost. Should be several
-    /// heartbeat intervals.
+    /// handshake retransmits and nothing is lost. The heartbeat is a tenth
+    /// of it: a link idle that long is pinged, so a live peer answers
+    /// several times before the timeout.
     pub liveness_timeout: Duration,
-    /// Per-connection cap on queued outgoing bytes. A client that crosses
-    /// it (a subscriber that stopped reading) is evicted with a final
-    /// `Error` frame; a broker peer that crosses it is disconnected and its
-    /// spool retransmits after the redial. Either way one stalled consumer
-    /// costs at most this much memory, not the broker.
-    pub conn_queue_bound: u64,
-    /// Graceful-shutdown drain deadline: how long [`BrokerNode::shutdown`]
-    /// waits for queued frames (final acks, tail-of-stream deliveries) to
-    /// flush before cutting stragglers off.
-    pub drain_timeout: Duration,
     /// How long a dialed neighbor may take to send its first frame (the
     /// `Hello` handshake answer) before the link supervisor gives up and
     /// redials with backoff. A peer that accepts the TCP connection and
@@ -95,10 +86,6 @@ pub struct BrokerConfig {
     /// incarnation — to peers a crash looks like a long link stall, not a
     /// restart. See `DESIGN.md` §14.
     pub storage: Option<Arc<dyn Storage>>,
-    /// Snapshot cadence with storage configured: after this many WAL
-    /// records the broker checkpoints a snapshot and truncates the log,
-    /// bounding both recovery replay time and WAL growth.
-    pub snapshot_every: u64,
     /// Consecutive failed redials of a supervised link
     /// ([`BrokerNode::connect_to_persistent`]) after which the dialing
     /// broker declares the link dead and floods a `LinkDown` statement,
@@ -127,19 +114,11 @@ impl BrokerConfig {
             // analyzer:allow(panic): startup-time parse of a literal address, not dataflow
             listen: "127.0.0.1:0".parse().expect("valid literal address"),
             transport: Arc::new(TcpTransport),
-            sender_threads: 2,
-            gc_interval: Duration::from_millis(250),
-            log_bound: 4096,
-            client_ttl: Duration::from_secs(3600),
             match_cache_cap: 0,
-            heartbeat_interval: Duration::from_millis(500),
             liveness_timeout: Duration::from_secs(5),
-            conn_queue_bound: 8 * 1024 * 1024,
-            drain_timeout: Duration::from_secs(1),
             link_handshake_timeout: Duration::from_secs(2),
             repair_after: 0,
             storage: None,
-            snapshot_every: 256,
         }
     }
 }
@@ -153,14 +132,13 @@ pub(crate) enum Command {
     /// A connection died (reader EOF/error or writer failure).
     Disconnected(ConnId),
     /// A supervised link's redial escalation crossed
-    /// [`BrokerConfig::repair_after`] consecutive failures (or an
-    /// operator called [`BrokerNode::mark_link_down`]): declare the edge
-    /// to this neighbor dead, flood the `LinkDown` statement, and repair
-    /// the topology around it.
+    /// [`BrokerConfig::repair_after`] consecutive failures: declare the
+    /// edge to this neighbor dead, flood the `LinkDown` statement, and
+    /// repair the topology around it.
     LinkUnreachable(BrokerId),
-    /// A connection's outgoing queue crossed
-    /// [`BrokerConfig::conn_queue_bound`] (reported once by the outbox);
-    /// the engine picks the policy — client eviction or peer disconnect.
+    /// A connection's outgoing queue crossed [`CONN_QUEUE_BOUND`] (reported
+    /// once by the outbox); the engine picks the policy — client eviction
+    /// or peer disconnect.
     QueueOverflow(ConnId),
     /// Stop the engine loop.
     Shutdown,
@@ -232,8 +210,8 @@ impl BrokerNode {
 
         let (cmd_tx, cmd_rx) = unbounded::<Command>();
         let outbox = Outbox::new(
-            config.sender_threads.max(1),
-            config.conn_queue_bound,
+            SENDER_THREADS,
+            CONN_QUEUE_BOUND,
             Some(WRITE_STALL_TIMEOUT),
             cmd_tx.clone(),
         )?;
@@ -363,20 +341,6 @@ impl BrokerNode {
             });
     }
 
-    /// Operator escalation: declare the link to `neighbor` dead *now*,
-    /// without waiting for [`BrokerConfig::repair_after`] redial
-    /// failures. The broker floods a `LinkDown` statement and repairs
-    /// its topology exactly as if the link supervisor had escalated.
-    ///
-    /// A link whose connection is currently live (handshake complete) is
-    /// left alone — marking a healthy link down is a no-op, which also
-    /// makes a stale supervisor escalation racing a reconnect harmless.
-    /// The repair undoes itself when the link next completes a `Hello`
-    /// handshake (a `LinkUp` statement floods).
-    pub fn mark_link_down(&self, neighbor: BrokerId) {
-        let _ = self.cmd_tx.send(Command::LinkUnreachable(neighbor));
-    }
-
     /// Opens an in-process connection (bypassing TCP). The returned pair is
     /// a sender for client frames and a receiver of broker frames — used by
     /// tests and the throughput benchmark.
@@ -437,7 +401,7 @@ impl BrokerNode {
         // as its queue empties, so neighbors trim their spools and restarts
         // don't open on avoidable retransmit storms. Stragglers past the
         // deadline are cut off; the sender pool winds down either way.
-        self.outbox.drain_all(self.config.drain_timeout);
+        self.outbox.drain_all(DRAIN_TIMEOUT);
     }
 
     /// Wakes the acceptor out of `accept` — the shutdown flag is set, so it

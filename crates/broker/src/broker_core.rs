@@ -72,7 +72,7 @@ pub(crate) struct Journal {
     /// Reusable record-encoding buffer.
     pub(crate) buf: Vec<u8>,
     /// WAL records appended since the last checkpoint; reaching
-    /// [`BrokerConfig::snapshot_every`] triggers the next one.
+    /// `SNAPSHOT_EVERY` triggers the next one.
     pub(crate) records_since_snapshot: u64,
     pub(crate) stats: Arc<StatsInner>,
 }
@@ -191,14 +191,34 @@ pub(crate) struct BrokerCore<O: Out> {
     epoch: u64,
     /// Shared copy of `epoch` for `BrokerNode::stats`.
     pub(crate) epoch_gauge: Arc<AtomicU64>,
-    /// When the GC pass is next due (`gc_interval` apart).
+    /// When the GC pass is next due (`GC_INTERVAL` apart).
     gc_due: Instant,
-    /// When the heartbeat is next due (`heartbeat_interval` apart).
+    /// When the heartbeat is next due (`heartbeat_period` apart).
     heartbeat_due: Instant,
 }
 
-/// The shortest timer period, so a zero interval cannot spin the shell.
+/// How often the GC pass runs: it trims acknowledged client-log entries,
+/// enforces `LOG_BOUND`, reclaims clients gone past `CLIENT_TTL` and sends
+/// the `FwdAck`s quiet links still owe.
+const GC_INTERVAL: Duration = Duration::from_millis(250);
+/// Entries a client log retains; older unacknowledged ones are dropped and
+/// counted lost, so a client that never returns holds bounded memory.
+const LOG_BOUND: usize = 4096;
+/// How long a disconnected client's log outlives its connection; a client
+/// that reconnects later starts a fresh session (sequence numbers restart).
+const CLIENT_TTL: Duration = Duration::from_secs(3600);
+/// WAL records between cadence checkpoints with storage configured: each
+/// writes a snapshot and truncates the log, bounding recovery replay.
+const SNAPSHOT_EVERY: u64 = 256;
+/// The shortest heartbeat period, so a zero liveness timeout cannot spin
+/// the shell.
 const MIN_PERIOD: Duration = Duration::from_millis(1);
+
+/// The heartbeat period: a tenth of the liveness timeout, so a live peer
+/// is pinged, and answers, several times before its link could time out.
+fn heartbeat_period(liveness: Duration) -> Duration {
+    (liveness / 10).max(MIN_PERIOD)
+}
 
 /// The frame that states `s`.
 fn statement(s: LinkStatement) -> BrokerToBroker {
@@ -247,8 +267,6 @@ impl<O: Out> BrokerCore<O> {
         for (schema, subscription) in &recovered.subscriptions {
             let _ = engine.subscribe(*schema, subscription.clone());
         }
-        let subscriptions = engine.subscription_count() as u64;
-        stats.subscriptions.store(subscriptions, Ordering::Relaxed);
         if let Some(st) = &config.storage {
             // Commit recovery: a boot snapshot of the merged state, then
             // truncate the WAL it absorbed (a cut between the two replays
@@ -265,7 +283,7 @@ impl<O: Out> BrokerCore<O> {
             st.truncate(WAL_LOG)?;
             stats.snapshot_writes.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(BrokerCore {
+        let core = BrokerCore {
             match_cache: MatchCache::new(config.match_cache_cap),
             route_scratch: RouteScratch::new(),
             fabric: Arc::clone(&config.fabric),
@@ -278,8 +296,8 @@ impl<O: Out> BrokerCore<O> {
                 ..Journal::default()
             },
             staged: Vec::new(),
-            gc_due: now + config.gc_interval.max(MIN_PERIOD),
-            heartbeat_due: now + config.heartbeat_interval.max(MIN_PERIOD),
+            gc_due: now + GC_INTERVAL,
+            heartbeat_due: now + heartbeat_period(config.liveness_timeout),
             incarnation: recovered.incarnation,
             engine,
             out,
@@ -291,7 +309,9 @@ impl<O: Out> BrokerCore<O> {
             tombstones: recovered.tombstones,
             sub_ids: recovered.sub_ids,
             config,
-        })
+        };
+        core.refresh_subscriptions();
+        Ok(core)
     }
 
     /// Handles one command read at `now` (`Shutdown` and `Crash` are the shell's).
@@ -324,11 +344,11 @@ impl<O: Out> BrokerCore<O> {
     pub(crate) fn on_clock(&mut self, now: Instant) {
         if now >= self.gc_due {
             self.collect_garbage(now);
-            self.gc_due = now + self.config.gc_interval.max(MIN_PERIOD);
+            self.gc_due = now + GC_INTERVAL;
         }
         if now >= self.heartbeat_due {
             self.heartbeat_tick(now);
-            self.heartbeat_due = now + self.config.heartbeat_interval.max(MIN_PERIOD);
+            self.heartbeat_due = now + heartbeat_period(self.config.liveness_timeout);
         }
     }
 
@@ -482,9 +502,7 @@ impl<O: Out> BrokerCore<O> {
                 let flood = protocol::sub_add_frame(schema, &subscription, false);
                 match self.engine.subscribe(schema, subscription) {
                     Ok(()) => {
-                        self.stats
-                            .subscriptions
-                            .store(self.engine.subscription_count() as u64, Ordering::Relaxed);
+                        self.refresh_subscriptions();
                         self.out.send(conn, BrokerToClient::SubAck { id }.encode());
                         // Control plane: flood to every neighbor.
                         self.flood_frame(&flood, None);
@@ -510,9 +528,7 @@ impl<O: Out> BrokerCore<O> {
                     return;
                 }
                 self.engine.unsubscribe(id);
-                self.stats
-                    .subscriptions
-                    .store(self.engine.subscription_count() as u64, Ordering::Relaxed);
+                self.refresh_subscriptions();
                 // Tombstone the id (so a resync while some link is down
                 // cannot resurrect it) and recycle its counter half.
                 self.tombstones.insert(id);
@@ -660,9 +676,7 @@ impl<O: Out> BrokerCore<O> {
                     if id.raw() >> SUB_COUNTER_BITS == self.config.broker.raw() {
                         self.sub_ids.reserve(id.raw() & (SUB_ID_SPACE - 1));
                     }
-                    self.stats
-                        .subscriptions
-                        .store(self.engine.subscription_count() as u64, Ordering::Relaxed);
+                    self.refresh_subscriptions();
                     // `resync` travels unchanged, with the rest.
                     self.flood_frame(frame, Some(conn));
                     self.checkpoint();
@@ -691,9 +705,7 @@ impl<O: Out> BrokerCore<O> {
                 let newly_tombstoned = self.tombstones.insert(id);
                 let removed = self.engine.unsubscribe(id);
                 if removed {
-                    self.stats
-                        .subscriptions
-                        .store(self.engine.subscription_count() as u64, Ordering::Relaxed);
+                    self.refresh_subscriptions();
                 }
                 if removed || newly_tombstoned {
                     self.flood_frame(frame, Some(conn));
@@ -893,9 +905,9 @@ impl<O: Out> BrokerCore<O> {
         self.maybe_snapshot();
     }
 
-    /// Checkpoints once the WAL has grown past the configured cadence.
+    /// Checkpoints once the WAL has grown to `SNAPSHOT_EVERY` records.
     fn maybe_snapshot(&mut self) {
-        if self.journal.records_since_snapshot >= self.config.snapshot_every.max(1) {
+        if self.journal.records_since_snapshot >= SNAPSHOT_EVERY {
             self.checkpoint();
         }
     }
@@ -945,9 +957,8 @@ impl<O: Out> BrokerCore<O> {
     }
 
     /// A link supervisor crossed [`BrokerConfig::repair_after`]
-    /// consecutive redial failures (or the operator called
-    /// `BrokerNode::mark_link_down`): originate the `LinkDown`
-    /// statement for the edge between this broker and `neighbor`.
+    /// consecutive redial failures: originate the `LinkDown` statement for
+    /// the edge between this broker and `neighbor`.
     fn handle_link_unreachable(&mut self, neighbor: BrokerId, now: Instant) {
         let me = self.config.broker;
         let network = self.fabric.network();
@@ -1145,6 +1156,13 @@ impl<O: Out> BrokerCore<O> {
         }
     }
 
+    /// Stores the subscription count in the `subscriptions` gauge; every
+    /// change to the table calls it.
+    fn refresh_subscriptions(&self) {
+        let count = self.engine.subscription_count() as u64;
+        self.stats.subscriptions.store(count, Ordering::Relaxed);
+    }
+
     fn client_error(&self, conn: ConnId, message: String) {
         self.stats.errors.fetch_add(1, Ordering::Relaxed);
         self.out
@@ -1157,7 +1175,8 @@ impl<O: Out> BrokerCore<O> {
     /// handshake retransmits) and ping the merely idle ones, so a live
     /// peer always has something to answer.
     fn heartbeat_tick(&mut self, now: Instant) {
-        let (heartbeat, liveness) = (self.config.heartbeat_interval, self.config.liveness_timeout);
+        let liveness = self.config.liveness_timeout;
+        let heartbeat = heartbeat_period(liveness);
         // Decide first: teardown goes back through `links`.
         let links = self.links.values_mut();
         let ticks: Vec<Tick> = links.map(|l| l.tick(now, heartbeat, liveness)).collect();
@@ -1178,7 +1197,7 @@ impl<O: Out> BrokerCore<O> {
         }
     }
 
-    /// A connection overran [`BrokerConfig::conn_queue_bound`]. Clients are
+    /// A connection overran its queue bound (`CONN_QUEUE_BOUND`). Clients are
     /// evicted with a final flushed `Error` frame (their event logs survive
     /// for replay on reconnect); broker peers are disconnected without
     /// ceremony — their spools hold every unacknowledged frame and the
@@ -1191,7 +1210,7 @@ impl<O: Out> BrokerCore<O> {
                     .evicted_slow_consumers
                     .fetch_add(1, Ordering::Relaxed);
                 let notice = BrokerToClient::Error {
-                    message: "evicted: outgoing queue exceeded conn_queue_bound".into(),
+                    message: "evicted: outgoing queue exceeded its bound".into(),
                 }
                 .encode();
                 self.out.evict(conn, Some(notice));
@@ -1251,14 +1270,13 @@ impl<O: Out> BrokerCore<O> {
     }
 
     fn collect_garbage(&mut self, now: Instant) {
-        let ttl = self.config.client_ttl;
         self.clients.retain(|_, state| {
             state.log.collect();
-            state.log.enforce_bound(self.config.log_bound);
+            state.log.enforce_bound(LOG_BOUND);
             // Reclaim state for clients gone longer than the TTL.
             state
                 .disconnected_at
-                .is_none_or(|at| now.saturating_duration_since(at) <= ttl)
+                .is_none_or(|at| now.saturating_duration_since(at) <= CLIENT_TTL)
         });
         // Flush pending forward acks, so a link that went quiet below the
         // ack cadence still lets the neighbor trim its spool.

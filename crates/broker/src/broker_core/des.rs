@@ -19,7 +19,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -120,8 +120,10 @@ fn boot(
 /// How often each fault was drawn, by name: "cut" (a broker connection
 /// killed, timed out, displaced or closed), "liveness timeout",
 /// "retransmit", "escalation" (a `LinkUnreachable` a `Redial` raised),
-/// "recovery" (a boot that recovered durable state), "restart", and
-/// "overtake" (a frame landing ahead of one sent earlier on another
+/// "recovery" (a boot that recovered durable state), "suffix replay" (a
+/// recovery that replayed WAL records on top of its snapshot),
+/// "checkpoint" (a snapshot the `SNAPSHOT_EVERY` cadence took), "restart",
+/// and "overtake" (a frame landing ahead of one sent earlier on another
 /// connection).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Drawn(BTreeMap<&'static str, u64>);
@@ -430,8 +432,18 @@ impl Sim {
     fn input(&mut self, n: usize, command: Command) {
         let now = self.at();
         let core = &mut self.nodes[n].core;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let appends = load(&core.stats.wal_appends);
+        let snapshots = load(&core.stats.snapshot_writes);
         core.step(command, now);
         core.on_clock(now);
+        // Only a step that journals checkpoints on the cadence, and nothing
+        // else checkpoints in it: the eager checkpoints follow subscription
+        // changes, which journal nothing.
+        if load(&core.stats.wal_appends) > appends {
+            let cadence = load(&core.stats.snapshot_writes) - snapshots;
+            self.drawn.count("checkpoint", cadence);
+        }
         self.settle_core(n);
     }
 
@@ -490,8 +502,12 @@ impl Sim {
         let node = &mut self.nodes[n];
         node.life += 1;
         node.core = boot(&node.config, self.seed, n, node.life, self.base + self.now);
-        let recovered = node.core.stats.recoveries.load(Ordering::Relaxed);
+        let stats = &node.core.stats;
+        let recovered = stats.recoveries.load(Ordering::Relaxed);
         self.drawn.count("recovery", recovered);
+        let replayed = stats.wal_replayed.load(Ordering::Relaxed) > 0;
+        self.drawn
+            .count("suffix replay", u64::from(recovered > 0 && replayed));
         self.started(n);
     }
 

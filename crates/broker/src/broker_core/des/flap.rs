@@ -8,15 +8,13 @@ use std::time::{Duration, Instant};
 
 use super::{seeds, tick, Lcg, Sim, Spec};
 
-/// A chain of `brokers`, `clients` homed as given, with the GC pass every
-/// `gc` so idle links ack.
-fn chain(seed: u64, brokers: usize, clients: &[usize], gc: Duration) -> Sim {
+/// A chain of `brokers`, `clients` homed as given.
+fn chain(seed: u64, brokers: usize, clients: &[usize]) -> Sim {
     let edges: Vec<(usize, usize)> = (1..brokers).map(|b| (b - 1, b)).collect();
     let spec = Spec::new(seed, brokers, &edges, clients);
-    Sim::new(spec, Instant::now(), |config| config.gc_interval = gc)
+    Sim::new(spec, Instant::now(), |_| {})
 }
 
-const GC: Duration = Duration::from_millis(50);
 const WITHIN: Duration = Duration::from_secs(10);
 
 /// A three-broker chain B0–B1–B2 whose links are cut and healed over and
@@ -28,7 +26,7 @@ fn chain_survives_link_flaps() -> Result<(), String> {
     for seed in seeds() {
         let mut rng = Lcg::new(seed);
         // A subscriber at each broker, then the publisher at B0.
-        let mut sim = chain(seed, 3, &[0, 1, 2, 0], GC);
+        let mut sim = chain(seed, 3, &[0, 1, 2, 0]);
         let publisher = 3;
         for i in 0..=publisher {
             sim.connect(i, 0);
@@ -93,7 +91,7 @@ fn unsubscribe_survives_link_flap() -> Result<(), String> {
     const SUBSCRIBER: usize = 0;
     const PUBLISHER: usize = 1;
     let (a, b) = (0, 1);
-    let mut sim = chain(1, 2, &[a, b], Duration::from_millis(250));
+    let mut sim = chain(1, 2, &[a, b]);
     sim.connect(SUBSCRIBER, 0);
     let sub_id = sim.subscribe(SUBSCRIBER, "n >= 0")?;
     // The subscription floods to B.
@@ -141,7 +139,7 @@ fn dialer_reconnect_window_loses_no_events() -> Result<(), String> {
     const SUBSCRIBER: usize = 0;
     const PUBLISHER: usize = 1;
     // A (0) accepts and hosts the subscriber; B (1) dials and publishes.
-    let mut sim = chain(1, 2, &[0, 1], GC);
+    let mut sim = chain(1, 2, &[0, 1]);
     sim.connect(SUBSCRIBER, 0);
     sim.subscribe(SUBSCRIBER, "n >= 0")?;
     let flooded = |s: &Sim| s.counts(1).subscriptions == 1;
@@ -198,9 +196,8 @@ fn dialer_reconnect_window_loses_no_events() -> Result<(), String> {
 fn an_ack_before_the_peers_hello_trims_nothing() -> Result<(), String> {
     const PUBLISHER: usize = 0;
     const SUBSCRIBER: usize = 1;
-    // A (0) accepts and publishes; B (1) dials and subscribes. A GC pass a
-    // second apart keeps B's ack owed across A's restart.
-    let mut sim = chain(1, 2, &[0, 1], Duration::from_secs(1));
+    // A (0) accepts and publishes; B (1) dials and subscribes.
+    let mut sim = chain(1, 2, &[0, 1]);
     sim.connect(PUBLISHER, 0);
     sim.connect(SUBSCRIBER, 0);
     sim.subscribe(SUBSCRIBER, "n >= 0")?;

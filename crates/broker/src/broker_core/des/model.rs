@@ -24,7 +24,7 @@ use linkcast_types::{
 };
 
 use super::{replay_seed, seeds, tick, Drawn, Lcg, Sim, Spec};
-use crate::broker_core::tests::Io;
+use crate::broker_core::{tests::Io, SNAPSHOT_EVERY};
 use crate::storage::PowerCut;
 
 /// Tree topology: broker 1 is the hub.
@@ -147,7 +147,9 @@ fn schedule(seed: u64, len: usize) -> Vec<Op> {
 /// becomes a power-cut [`Op::CrashBroker`]. Seeds whose schedule never
 /// drew the restart arm get a crash appended (after reviving any
 /// still-down edges, so it is not no-op'd away), keeping every seed an
-/// actual crash test.
+/// actual crash test. Ahead of the crash go `SNAPSHOT_EVERY` + 16
+/// publishes: the hub checkpoints on the cadence and journals on, so its
+/// recovery replays WAL records on top of that snapshot.
 fn crash_schedule(seed: u64, len: usize) -> Vec<Op> {
     let mut ops: Vec<Op> = schedule(seed, len)
         .into_iter()
@@ -174,6 +176,10 @@ fn crash_schedule(seed: u64, len: usize) -> Vec<Op> {
         ops.push(Op::CrashBroker);
         ops.push(Op::Publish);
     }
+    let crash = ops.iter().position(|&op| op == Op::CrashBroker);
+    let crash = crash.expect("a crash schedule crashes");
+    let burst = std::iter::repeat_n(Op::Publish, SNAPSHOT_EVERY as usize + 16);
+    ops.splice(crash..crash, burst);
     ops
 }
 
@@ -320,13 +326,7 @@ fn start(seed: u64, base: Instant, model: Model) -> Sim {
     let mut spec = Spec::new(seed, N_BROKERS, edges, &clients);
     spec.durable = matches!(model, Model::Crash(_));
     Sim::new(spec, base, |config| {
-        config.gc_interval = Duration::from_millis(50);
-        config.heartbeat_interval = Duration::from_millis(100);
-        config.liveness_timeout = Duration::from_secs(2);
         config.match_cache_cap = 64;
-        // A short cadence so crash schedules exercise checkpoint +
-        // WAL-suffix replay, not just one long log.
-        config.snapshot_every = 8;
         config.repair_after = if repair { 2 } else { 0 };
     })
 }
@@ -684,7 +684,7 @@ fn run(seed: u64, ops: &[Op], model: Model, base: Instant) -> Result<Run, String
     assert_quiet(&mut sim, &held)?;
 
     // Repair accounting: every partition was detected by the dead edge's
-    // dialer (escalation, not an operator call), every broker flipped at
+    // dialer (its redial escalation), every broker flipped at
     // least once per flood, and the final epoch agrees with the harness's
     // link-state mirror everywhere.
     let mut trace = format!("seed={seed}\n");
@@ -824,7 +824,8 @@ fn seeded_cluster_model() {
 /// equivalence, the probe counter accounting, and the convergence/leak
 /// checks all still hold across the crash — recovery that lost a committed
 /// frame, replayed a torn record, or re-entered a dead sequence space would
-/// break one of them.
+/// break one of them. Under every cut the hub has checkpointed on the
+/// cadence and recovers WAL records on top of a snapshot.
 #[test]
 fn seeded_crash_model() {
     let cuts = match std::env::var("SIMNET_CUT") {
@@ -837,12 +838,14 @@ fn seeded_crash_model() {
             PowerCut::SnapshotTorn,
         ],
     };
-    let mut drawn = Drawn::default();
     for cut in cuts {
-        drawn.add(&check(Model::Crash(cut), crash_schedule, 30));
+        let drawn = check(Model::Crash(cut), crash_schedule, 30);
+        let missing = drawn.missing(&["cut", "recovery", "suffix replay", "checkpoint"]);
+        assert!(
+            missing.is_empty(),
+            "{cut:?}: never drawn: {missing:?} in {drawn:?}"
+        );
     }
-    let missing = drawn.missing(&["cut", "recovery"]);
-    assert!(missing.is_empty(), "never drawn: {missing:?} in {drawn:?}");
 }
 
 /// The repair model: kill any single cycle edge of a redundant
@@ -941,10 +944,7 @@ fn resync_invalidates_match_cache() -> Result<(), String> {
     const SUBSCRIBER: usize = 0;
     const PUBLISHER: usize = 1;
     let spec = Spec::new(1, 2, &[(0, 1)], &[0, 1]);
-    let mut sim = Sim::new(spec, Instant::now(), |config| {
-        config.heartbeat_interval = Duration::from_millis(100);
-        config.match_cache_cap = 64;
-    });
+    let mut sim = Sim::new(spec, Instant::now(), |config| config.match_cache_cap = 64);
     let within = Duration::from_secs(10);
     sim.run_until("initial link", within, |s| s.established(0))?;
     sim.connect(PUBLISHER, 0);
@@ -997,11 +997,7 @@ fn repair_rehomes_spooled_frames_across_the_new_tree() -> Result<(), String> {
     // The higher-numbered endpoint of each edge supervises the dial, so
     // the (a, c) edge's failure detector lives at C.
     let spec = Spec::new(3, 3, &[(0, 1), (1, 2), (0, 2)], &[0, 2]);
-    let mut sim = Sim::new(spec, Instant::now(), |config| {
-        config.gc_interval = Duration::from_millis(50);
-        config.heartbeat_interval = Duration::from_millis(100);
-        config.repair_after = 2;
-    });
+    let mut sim = Sim::new(spec, Instant::now(), |config| config.repair_after = 2);
     let within = Duration::from_secs(15);
     sim.run_until("triangle mesh", within, Sim::meshed)?;
     sim.connect(PUBLISHER, 0);

@@ -72,40 +72,81 @@ fn registry() -> Arc<SchemaRegistry> {
     Arc::new(r)
 }
 
-#[test]
-fn the_clock_pings_an_idle_link_drops_a_silent_one_and_reclaims_a_gone_client() {
-    const PEER: ConnId = 1;
-    const CLIENT: ConnId = 2;
+/// B0's configuration in a two-broker network, its neighbor B1, and two
+/// clients homed at B0.
+fn pair() -> (BrokerConfig, BrokerId, [ClientId; 2]) {
     let mut b = NetworkBuilder::new();
     let (b0, b1) = (b.add_broker(), b.add_broker());
     b.connect(b0, b1, 1.0).unwrap();
-    let client = b.add_client(b0).unwrap();
+    let clients = [b.add_client(b0).unwrap(), b.add_client(b0).unwrap()];
     let fabric = RoutingFabric::new_all_roots(b.build().unwrap()).unwrap();
-    let config = BrokerConfig::localhost(b0, fabric, registry());
-    let (gc, heartbeat) = (config.gc_interval, config.heartbeat_interval);
-    let (liveness, ttl) = (config.liveness_timeout, config.client_ttl);
-    let t0 = Instant::now();
-    let mut core = BrokerCore::boot(config, 0xa0, Recording::default(), t0).unwrap();
-    assert_eq!(core.next_deadline(), t0 + gc.min(heartbeat));
-    // B1 connects; a client says hello and leaves.
+    (BrokerConfig::localhost(b0, fabric, registry()), b1, clients)
+}
+
+/// B1's `Hello` opening a fresh link.
+fn peer_hello(broker: BrokerId) -> Bytes {
     let hello = BrokerToBroker::Hello {
-        broker: b1,
+        broker,
         incarnation: 0xb1,
         last_recv: 0,
         last_recv_incarnation: 0,
         send_seq: 0,
     };
-    core.feed(PEER, hello.encode(), t0);
-    let resume_from = 0;
-    core.feed(
-        CLIENT,
-        ClientToBroker::Hello {
-            client,
-            resume_from,
-        }
-        .encode(),
-        t0,
-    );
+    hello.encode()
+}
+
+/// `client`'s `Hello`, resuming after `resume_from`.
+fn client_hello(client: ClientId, resume_from: u64) -> Bytes {
+    let hello = ClientToBroker::Hello {
+        client,
+        resume_from,
+    };
+    hello.encode()
+}
+
+/// A subscription to every `trades` event.
+fn subscribe_all() -> Bytes {
+    let (schema, expression) = (SchemaId::new(0), "volume >= 0".into());
+    ClientToBroker::Subscribe { schema, expression }.encode()
+}
+
+/// The `trades` event `id`: IBM, at volume `id`.
+fn trade(id: i64) -> Event {
+    let registry = registry();
+    let values = [Value::Str("IBM".into()), Value::Int(id), Value::Int(id)];
+    Event::from_values(registry.get(SchemaId::new(0)).unwrap(), values).unwrap()
+}
+
+/// `trade(id)`, published.
+fn publish(id: i64) -> Bytes {
+    ClientToBroker::Publish { event: trade(id) }.encode()
+}
+
+/// What the core sent `conn` since the last call, decoded.
+fn sent_to(core: &mut BrokerCore<Recording>, conn: ConnId) -> Vec<BrokerToClient> {
+    let registry = Arc::clone(&core.config.registry);
+    let payloads = core.take_io().into_iter().filter_map(|io| match io {
+        Io::Send(to, frame) if to == conn => Some(frame.slice(protocol::FRAME_PREFIX..)),
+        _ => None,
+    });
+    payloads
+        .map(|p| BrokerToClient::decode(p, &registry).unwrap())
+        .collect()
+}
+
+#[test]
+fn the_clock_pings_an_idle_link_drops_a_silent_one_and_reclaims_a_gone_client() {
+    const PEER: ConnId = 1;
+    const CLIENT: ConnId = 2;
+    let (config, b1, [client, _]) = pair();
+    let liveness = config.liveness_timeout;
+    let heartbeat = heartbeat_period(liveness);
+    let t0 = Instant::now();
+    let mut core = BrokerCore::boot(config, 0xa0, Recording::default(), t0).unwrap();
+    assert_eq!(core.next_deadline(), t0 + GC_INTERVAL.min(heartbeat));
+    // B1 connects; a client says hello and leaves.
+    core.feed(PEER, peer_hello(b1), t0);
+    core.feed(CLIENT, client_hello(client, 0), t0);
     core.step(Command::Disconnected(CLIENT), t0);
     core.take_io();
     let count = |core: &BrokerCore<Recording>| {
@@ -131,10 +172,123 @@ fn the_clock_pings_an_idle_link_drops_a_silent_one_and_reclaims_a_gone_client() 
     assert_eq!(core.take_io(), []);
     assert_eq!(count(&core), (1, 1));
     // The client's state outlives its connection by the TTL, no more.
-    core.on_clock(t0 + ttl);
+    core.on_clock(t0 + CLIENT_TTL);
     assert!(core.clients.contains_key(&client));
-    core.on_clock(t0 + ttl + gc);
+    core.on_clock(t0 + CLIENT_TTL + GC_INTERVAL);
     assert!(!core.clients.contains_key(&client));
+}
+
+/// The heartbeat is a tenth of the liveness timeout. At 2 s an idle link is
+/// pinged once 200 ms idle (by 300 ms, with the jitter) and dropped at 2 s;
+/// at 0 the period is still `MIN_PERIOD`, so the shell's wait never spins.
+#[test]
+fn the_heartbeat_follows_the_liveness_timeout() {
+    const PEER: ConnId = 1;
+    let ms = Duration::from_millis;
+    let (mut config, b1, _) = pair();
+    config.liveness_timeout = ms(2000);
+    let t0 = Instant::now();
+    let mut core = BrokerCore::boot(config.clone(), 0xa0, Recording::default(), t0).unwrap();
+    core.feed(PEER, peer_hello(b1), t0);
+    core.take_io();
+    core.on_clock(t0 + ms(199));
+    assert_eq!(core.take_io(), []);
+    core.on_clock(t0 + ms(300));
+    assert_eq!(
+        core.take_io(),
+        [Io::Send(PEER, BrokerToBroker::Ping.encode())]
+    );
+    core.on_clock(t0 + ms(2000));
+    assert_eq!(core.take_io(), [Io::Unregister(PEER)]);
+
+    config.liveness_timeout = Duration::ZERO;
+    let mut core = BrokerCore::boot(config, 0xa0, Recording::default(), t0).unwrap();
+    core.feed(PEER, peer_hello(b1), t0);
+    let mut now = t0;
+    for _ in 0..3 {
+        assert!(core.next_deadline() >= now + MIN_PERIOD);
+        now = core.next_deadline();
+        core.on_clock(now);
+    }
+}
+
+/// A client gone past `CLIENT_TTL` loses its state: back on a new
+/// connection, nothing it missed replays and its sequence restarts at 1.
+#[test]
+fn client_state_is_reclaimed_after_the_ttl() {
+    const SUBSCRIBER: ConnId = 1;
+    const PUBLISHER: ConnId = 2;
+    const RETURNED: ConnId = 3;
+    let (config, _, [subscriber, publisher]) = pair();
+    let t0 = Instant::now();
+    let mut core = BrokerCore::boot(config, 0xa0, Recording::default(), t0).unwrap();
+    core.feed(SUBSCRIBER, client_hello(subscriber, 0), t0);
+    core.feed(SUBSCRIBER, subscribe_all(), t0);
+    core.feed(PUBLISHER, client_hello(publisher, 0), t0);
+    core.feed(PUBLISHER, publish(1), t0);
+    core.feed(SUBSCRIBER, ClientToBroker::Ack { seq: 1 }.encode(), t0);
+    core.step(Command::Disconnected(SUBSCRIBER), t0);
+    // One more event lands in the log while the subscriber is away, and it
+    // stays away past the TTL and the GC pass after it.
+    core.feed(PUBLISHER, publish(2), t0);
+    let back = t0 + CLIENT_TTL + GC_INTERVAL;
+    core.on_clock(back);
+    core.take_io();
+    core.feed(RETURNED, client_hello(subscriber, 1), back);
+    let welcome = BrokerToClient::Welcome {
+        client: subscriber,
+        resume_from: 0,
+    };
+    let replayed = sent_to(&mut core, RETURNED);
+    assert_eq!(replayed, [welcome], "the expired log must not replay");
+    core.feed(PUBLISHER, publish(3), back);
+    let fresh = BrokerToClient::Deliver {
+        seq: 1,
+        event: trade(3),
+    };
+    assert_eq!(
+        sent_to(&mut core, RETURNED),
+        [fresh],
+        "a fresh log starts at 1"
+    );
+}
+
+/// A client that never returns holds at most `LOG_BOUND` entries: the GC
+/// pass drops the oldest and counts them lost, and a reconnect replays
+/// exactly the newest `LOG_BOUND`.
+#[test]
+fn log_bound_drops_oldest_for_absent_clients() {
+    const SUBSCRIBER: ConnId = 1;
+    const PUBLISHER: ConnId = 2;
+    const RETURNED: ConnId = 3;
+    const OVER: u64 = 5;
+    let (config, _, [subscriber, publisher]) = pair();
+    let t0 = Instant::now();
+    let mut core = BrokerCore::boot(config, 0xa0, Recording::default(), t0).unwrap();
+    // The absent subscriber connects just long enough to subscribe.
+    core.feed(SUBSCRIBER, client_hello(subscriber, 0), t0);
+    core.feed(SUBSCRIBER, subscribe_all(), t0);
+    core.step(Command::Disconnected(SUBSCRIBER), t0);
+    core.feed(PUBLISHER, client_hello(publisher, 0), t0);
+    let published = LOG_BOUND as u64 + OVER;
+    for id in 1..=published {
+        core.feed(PUBLISHER, publish(id as i64), t0);
+    }
+    let gc = t0 + GC_INTERVAL;
+    core.on_clock(gc);
+    assert_eq!(core.clients[&subscriber].log.lost(), OVER);
+    core.take_io();
+    core.feed(RETURNED, client_hello(subscriber, 0), gc);
+    let welcome = BrokerToClient::Welcome {
+        client: subscriber,
+        resume_from: OVER,
+    };
+    let newest = (OVER + 1..=published).map(|seq| BrokerToClient::Deliver {
+        seq,
+        event: trade(seq as i64),
+    });
+    let expected: Vec<_> = std::iter::once(welcome).chain(newest).collect();
+    assert_eq!(sent_to(&mut core, RETURNED), expected);
 }
 
 /// The chain A – B – C's two clients: a publisher at A, a subscriber at C.
@@ -182,8 +336,8 @@ fn run_schedule(seed: u64, base: Instant) -> Result<Run, String> {
         ..chain
     };
     let mut sim = Sim::new(spec, base, |config| {
-        // Three heartbeats: a stalled link can die.
-        config.liveness_timeout = config.heartbeat_interval * 3;
+        // As long as the schedule's longest wait: a stalled link can die.
+        config.liveness_timeout = Duration::from_millis(1500);
     });
     sim.connect(PUBLISHER, 0);
     sim.connect(SUBSCRIBER, 0);

@@ -307,10 +307,10 @@ impl Client {
 
     fn send(&mut self, message: &ClientToBroker) -> Result<(), ClientError> {
         let frame = message.encode();
-        // `encode` writes `payload.len() as u32` — past `MAX_FRAME_LEN` the
+        // `encode` writes `payload.len() as u32` — past `MAX_FRAME` the
         // header would silently truncate (frame.len() counts the real
         // payload, so the check works even after the header wrapped).
-        if frame.len().saturating_sub(FRAME_PREFIX) > crate::protocol::MAX_FRAME_LEN {
+        if frame.len().saturating_sub(FRAME_PREFIX) > crate::protocol::MAX_FRAME {
             return Err(ClientError::Protocol(
                 ProtocolError::Oversized(frame.len() - FRAME_PREFIX).to_string(),
             ));

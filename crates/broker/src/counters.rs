@@ -215,20 +215,19 @@ broker_counters! {
         /// connection (a corrupt stream cannot be re-framed, so the broker
         /// cuts it loose rather than guess at message boundaries).
         protocol_errors: atomic,
-        /// Liveness probes sent on broker links idle past
-        /// `BrokerConfig::heartbeat_interval`.
+        /// Liveness probes sent on broker links idle past the heartbeat
+        /// period, a tenth of `BrokerConfig::liveness_timeout`.
         pings_sent: atomic,
         /// Broker links torn down after staying silent past
         /// `BrokerConfig::liveness_timeout` — half-open and stalled peers
         /// the kernel would never report.
         liveness_timeouts: atomic,
-        /// Client connections evicted for overrunning
-        /// `BrokerConfig::conn_queue_bound` (subscribers that stopped
-        /// reading; their logs still replay on reconnect).
+        /// Client connections evicted for overrunning the per-connection
+        /// queue bound, 8 MiB (subscribers that stopped reading; their logs
+        /// still replay on reconnect).
         evicted_slow_consumers: atomic,
-        /// Broker links disconnected for overrunning
-        /// `BrokerConfig::conn_queue_bound`; their spools keep the frames
-        /// for retransmit after the redial.
+        /// Broker links disconnected for overrunning the same bound; their
+        /// spools keep the frames for retransmit after the redial.
         peer_overflow_disconnects: atomic,
         /// Match-cache lookups answered without a PST walk (see
         /// `BrokerConfig::match_cache_cap`).
@@ -254,8 +253,7 @@ broker_counters! {
         /// WAL existed in `BrokerConfig::storage`).
         recoveries: atomic,
         /// Link-state changes this broker *originated* (its own redial
-        /// escalation or operator call, not a flooded statement it heard
-        /// from a neighbor).
+        /// escalation, not a flooded statement it heard from a neighbor).
         repairs_initiated: atomic,
         /// Topology-epoch changes applied: each is a spanning-forest
         /// recompute over the surviving graph plus a routing cutover.

@@ -55,7 +55,6 @@ pub use engine::MatchingEngine;
 pub use log::{AckLog, EventLog};
 pub use protocol::{
     BrokerToBroker, BrokerToClient, ClientToBroker, ProtocolError, MAX_EVENT_BODY, MAX_FRAME,
-    MAX_FRAME_LEN,
 };
 pub use storage::{FsStorage, PowerCut, SimStorage, Storage};
 pub use tcp::TcpTransport;

@@ -81,7 +81,7 @@ pub(crate) struct Outbox {
     /// `None` after [`Outbox::close`]: the pool threads drain out and exit.
     work_tx: Mutex<Option<Sender<Arc<Conn>>>>,
     /// The engine's mailbox: a write failure is reported on it as
-    /// [`Command::Disconnected`], a queue crossing `conn_queue_bound` as
+    /// [`Command::Disconnected`], a queue crossing `queue_bound` as
     /// [`Command::QueueOverflow`] (once per connection; the engine owns the
     /// peer table, so only it can pick eviction or disconnect).
     cmd_tx: Sender<Command>,
@@ -93,7 +93,7 @@ pub(crate) struct Outbox {
     /// dropped (broker peers replay from their spool, clients from their
     /// log) so one stalled consumer bounds the broker's memory instead of
     /// exhausting it.
-    conn_queue_bound: u64,
+    queue_bound: u64,
     /// SO_SNDTIMEO applied to TCP sinks at registration: a peer that stops
     /// reading while the kernel buffer is full fails the write instead of
     /// wedging a sender-pool thread forever.
@@ -103,15 +103,14 @@ pub(crate) struct Outbox {
 impl Outbox {
     /// Creates the outbox and spawns `senders` pool threads, each draining
     /// up to [`DRAIN_BATCH`] frames per connection turn. Dead connections
-    /// and connections crossing `conn_queue_bound` queued bytes are
+    /// and connections crossing `queue_bound` queued bytes are
     /// announced (once each) on `cmd_tx`.
     pub(crate) fn new(
         senders: usize,
-        conn_queue_bound: u64,
+        queue_bound: u64,
         write_stall_timeout: Option<Duration>,
         cmd_tx: Sender<Command>,
     ) -> io::Result<Arc<Outbox>> {
-        assert!(senders > 0, "at least one sender thread required");
         let (work_tx, work_rx) = unbounded::<Arc<Conn>>();
         let outbox = Arc::new(Outbox {
             conns: RwLock::new(HashMap::new()),
@@ -119,7 +118,7 @@ impl Outbox {
             cmd_tx,
             queued_frames: AtomicU64::new(0),
             queued_bytes: AtomicU64::new(0),
-            conn_queue_bound: conn_queue_bound.max(1),
+            queue_bound: queue_bound.max(1),
             write_stall_timeout,
         });
         for i in 0..senders {
@@ -311,7 +310,7 @@ impl Outbox {
         }
         let len = frame.len() as u64;
         let queued = conn.queued_bytes.fetch_add(len, Ordering::Relaxed) + len;
-        if queued > self.conn_queue_bound {
+        if queued > self.queue_bound {
             // Past the cap: drop the frame (reliability lives upstream —
             // broker links replay from their spool, clients from their
             // log) and tell the engine once so it can apply its policy.

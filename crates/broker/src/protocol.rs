@@ -13,19 +13,14 @@ use linkcast_types::{
 };
 use std::fmt;
 
-/// Maximum accepted frame payload, bytes (a defense against corrupt length
-/// prefixes).
+/// Maximum frame payload, bytes, both ways: a receiver rejects a longer
+/// length prefix (a defense against corrupt ones), and an encode entry
+/// point rejects a longer payload with [`ProtocolError::Oversized`] instead
+/// of truncating its `u32` length prefix and desyncing the stream.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Maximum payload length an encoder may emit. Same bound as [`MAX_FRAME`]
-/// under a send-side name: a payload past this would truncate its `u32`
-/// length prefix (or be dropped by every receiver), so encode entry points
-/// reject it with [`ProtocolError::Oversized`] instead of desyncing the
-/// stream.
-pub const MAX_FRAME_LEN: usize = MAX_FRAME;
-
 /// Maximum encoded *event body* accepted into routing. Tighter than
-/// [`MAX_FRAME_LEN`] by a headroom margin because an accepted publish body
+/// [`MAX_FRAME`] by a headroom margin because an accepted publish body
 /// is re-stitched as a `Forward` frame (+21 bytes of routing header) and a
 /// `Deliver` frame; the result must still fit every receiver's
 /// [`MAX_FRAME`], or the oversized Forward would flap the link forever
@@ -40,7 +35,7 @@ pub const MAX_EVENT_BODY: usize = MAX_FRAME - 64;
 /// # Errors
 ///
 /// [`ProtocolError::Oversized`] when `len` exceeds [`MAX_EVENT_BODY`].
-pub fn check_event_body(len: usize) -> Result<(), ProtocolError> {
+pub(crate) fn check_event_body(len: usize) -> Result<(), ProtocolError> {
     if len > MAX_EVENT_BODY {
         return Err(ProtocolError::Oversized(len));
     }
@@ -1058,7 +1053,6 @@ mod tests {
         // fits every receiver's MAX_FRAME — otherwise the oversized
         // Forward would flap the link forever.
         const { assert!(MAX_EVENT_BODY + FORWARD_BODY_OFFSET + 4 <= MAX_FRAME) };
-        const { assert!(MAX_EVENT_BODY < MAX_FRAME_LEN) };
     }
 
     fn stats_payload(counters: &[u64]) -> Bytes {

@@ -1,8 +1,8 @@
 //! Topology-repair link-state table.
 //!
 //! When a broker-broker link is declared dead (redial escalation past
-//! [`BrokerConfig::repair_after`](crate::BrokerConfig::repair_after) or an
-//! operator call), the detecting broker floods a `LinkDown` statement;
+//! [`BrokerConfig::repair_after`](crate::BrokerConfig::repair_after)), the
+//! detecting broker floods a `LinkDown` statement;
 //! when the link proves live again (a `Hello` arrives over it), a
 //! `LinkUp` statement floods. Every broker folds the statements it has
 //! seen into this table, rebuilds its spanning forest over the surviving

@@ -48,7 +48,8 @@ const RECORD_HEADER: usize = 8;
 /// *not* guaranteed durable until `sync` returns. `read` returns the full
 /// current contents; after a crash, an implementation may surface a torn
 /// tail (partial final write) — callers must frame their data so torn
-/// tails are detectable (see [`encode_record`] / [`decode_records`]).
+/// tails are detectable (the broker's WAL frames each record with its
+/// length and a CRC).
 ///
 /// Snapshot semantics: `write_snapshot` atomically replaces the slot's
 /// contents — after a crash the slot holds either the old or the new

@@ -401,53 +401,3 @@ fn broker_restart_recovers_subscriptions_via_resync() {
     assert_eq!(event.value_by_name("issue"), Some(&Value::str("RECOVERED")));
     assert_eq!(node_a.broker(), BrokerId::new(0));
 }
-
-#[test]
-fn client_state_is_reclaimed_after_the_ttl() {
-    let mut net = NetworkBuilder::new();
-    let b0 = net.add_broker();
-    let clients = net.add_clients(b0, 2).unwrap();
-    let fabric = RoutingFabric::new_all_roots(net.build().unwrap()).unwrap();
-    let registry = two_space_registry();
-    let mut config = BrokerConfig::localhost(b0, fabric, Arc::clone(&registry));
-    config.client_ttl = Duration::from_millis(200);
-    config.gc_interval = Duration::from_millis(50);
-    let node = BrokerNode::start(config).unwrap();
-
-    let mut subscriber =
-        Client::connect(node.addr(), clients[0], 0, Arc::clone(&registry)).unwrap();
-    subscriber
-        .subscribe(SchemaId::new(0), "volume >= 0")
-        .unwrap();
-    let mut publisher = Client::connect(node.addr(), clients[1], 0, Arc::clone(&registry)).unwrap();
-    let schema = registry.get(SchemaId::new(0)).unwrap().clone();
-
-    publisher
-        .publish(&Event::from_values(&schema, [Value::str("A"), Value::Int(1)]).unwrap())
-        .unwrap();
-    let (seq, _) = subscriber.recv(Duration::from_secs(5)).unwrap();
-    assert_eq!(seq, 1);
-    drop(subscriber);
-
-    // One more event lands in the log while disconnected...
-    publisher
-        .publish(&Event::from_values(&schema, [Value::str("B"), Value::Int(2)]).unwrap())
-        .unwrap();
-    // ...but the TTL expires before the client returns.
-    std::thread::sleep(Duration::from_millis(600));
-
-    // Reconnecting starts a fresh session: the missed event is gone and
-    // sequence numbers restart at 1 for new deliveries.
-    let mut subscriber =
-        Client::connect(node.addr(), clients[0], 1, Arc::clone(&registry)).unwrap();
-    assert!(
-        subscriber.recv(Duration::from_millis(300)).is_err(),
-        "expired log must not replay"
-    );
-    publisher
-        .publish(&Event::from_values(&schema, [Value::str("C"), Value::Int(3)]).unwrap())
-        .unwrap();
-    let (seq, event) = subscriber.recv(Duration::from_secs(5)).unwrap();
-    assert_eq!(seq, 1, "fresh log after reclamation");
-    assert_eq!(event.value_by_name("issue"), Some(&Value::str("C")));
-}

@@ -146,46 +146,6 @@ fn acked_events_are_garbage_collected_and_not_replayed() {
     );
 }
 
-#[test]
-fn log_bound_drops_oldest_for_absent_clients() {
-    // A tight log bound: a client that never connects cannot hold
-    // unbounded broker memory.
-    let mut b = NetworkBuilder::new();
-    let b0 = b.add_broker();
-    let clients = b.add_clients(b0, 2).unwrap();
-    let fabric = RoutingFabric::new_all_roots(b.build().unwrap()).unwrap();
-    let registry = registry();
-    let mut config = BrokerConfig::localhost(b0, fabric, Arc::clone(&registry));
-    config.log_bound = 5;
-    config.gc_interval = Duration::from_millis(50);
-    let node = BrokerNode::start(config).unwrap();
-
-    // The "absent" subscriber connects just long enough to subscribe.
-    let mut subscriber =
-        Client::connect(node.addr(), clients[0], 0, Arc::clone(&registry)).unwrap();
-    subscriber.subscribe(SchemaId::new(0), "n >= 0").unwrap();
-    drop(subscriber);
-
-    let mut publisher = Client::connect(node.addr(), clients[1], 0, Arc::clone(&registry)).unwrap();
-    for n in 1..=20 {
-        publisher.publish(&tick(&registry, n)).unwrap();
-    }
-    await_stats(&node, |s| s.delivered >= 20);
-    std::thread::sleep(Duration::from_millis(300)); // let GC enforce the bound
-
-    let mut subscriber =
-        Client::connect(node.addr(), clients[0], 0, Arc::clone(&registry)).unwrap();
-    let mut got = Vec::new();
-    while let Ok((seq, _)) = subscriber.recv(Duration::from_millis(300)) {
-        got.push(seq);
-    }
-    assert!(
-        got.len() <= 5,
-        "bounded log must retain at most 5 entries, got {got:?}"
-    );
-    assert_eq!(*got.last().unwrap(), 20, "newest entries are retained");
-}
-
 /// A broker-link (not client) crash: events routed toward the dead
 /// neighbor are spooled, not forwarded; the `Disconnected` cleans up the
 /// conn (outbox registration and `neighbors` entry) so no queue or
@@ -203,8 +163,7 @@ fn broker_link_crash_spools_and_retransmits() {
     let fabric = RoutingFabric::new_all_roots(net.build().unwrap()).unwrap();
     let registry = registry();
 
-    let mut a_config = BrokerConfig::localhost(a, fabric.clone(), Arc::clone(&registry));
-    a_config.gc_interval = Duration::from_millis(50);
+    let a_config = BrokerConfig::localhost(a, fabric.clone(), Arc::clone(&registry));
     let node_a = BrokerNode::start(a_config).unwrap();
     // Fixed port for B so the restarted instance is reachable at the same
     // address the supervisor keeps dialing.

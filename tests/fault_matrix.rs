@@ -25,13 +25,27 @@ use std::time::{Duration, Instant};
 use fault::{await_subscriptions, registry, seed_from_env, tick, Fault, FaultLink, FaultPlan, Lcg};
 use linkcast::{NetworkBuilder, RoutingFabric};
 use linkcast_broker::{BrokerConfig, BrokerNode, Client, ClientToBroker};
-use linkcast_types::{BrokerId, ClientId, SchemaId};
+use linkcast_types::{BrokerId, ClientId, SchemaId, SchemaRegistry};
 
-/// Heartbeat/liveness settings shared by every leg: fast enough that a
-/// stalled link is detected within one cycle, slow enough that healthy
-/// (merely delayed or dribbled) links never trip.
-const HEARTBEAT: Duration = Duration::from_millis(100);
+/// The liveness timeout of every leg (the heartbeat is a tenth of it):
+/// short enough that a stalled link is detected within one cycle, long
+/// enough that healthy (merely delayed or dribbled) links never trip.
 const LIVENESS: Duration = Duration::from_millis(600);
+
+/// A broker of the matrix. A stalled link also swallows the redial
+/// handshake, so the supervisor's give-up-and-backoff loop is kept tight.
+fn start(
+    broker: BrokerId,
+    fabric: &Arc<RoutingFabric>,
+    registry: &Arc<SchemaRegistry>,
+    cache_cap: usize,
+) -> BrokerNode {
+    let mut config = BrokerConfig::localhost(broker, Arc::clone(fabric), Arc::clone(registry));
+    config.liveness_timeout = LIVENESS;
+    config.link_handshake_timeout = Duration::from_millis(500);
+    config.match_cache_cap = cache_cap;
+    BrokerNode::start(config).unwrap()
+}
 
 fn run_plan(plan: FaultPlan) {
     run_plan_with_cache(plan, 0);
@@ -57,17 +71,7 @@ fn run_plan_with_cache(plan: FaultPlan, cache_cap: usize) {
 
     let nodes: Vec<BrokerNode> = brokers
         .iter()
-        .map(|&b| {
-            let mut config = BrokerConfig::localhost(b, fabric.clone(), Arc::clone(&registry));
-            config.gc_interval = Duration::from_millis(50);
-            config.heartbeat_interval = HEARTBEAT;
-            config.liveness_timeout = LIVENESS;
-            // A stalled link also swallows the redial handshake, so keep
-            // the supervisor's give-up-and-backoff loop tight.
-            config.link_handshake_timeout = Duration::from_millis(500);
-            config.match_cache_cap = cache_cap;
-            BrokerNode::start(config).unwrap()
-        })
+        .map(|&b| start(b, &fabric, &registry, cache_cap))
         .collect();
 
     // Each topology link goes through its own fault proxy; the higher-id
@@ -284,16 +288,8 @@ fn corrupted_payload_is_rejected_and_replayed_from_the_spool() {
     let fabric = RoutingFabric::new_all_roots(net.build().unwrap()).unwrap();
     let registry = registry();
 
-    let start = |broker| {
-        let mut config = BrokerConfig::localhost(broker, fabric.clone(), Arc::clone(&registry));
-        config.gc_interval = Duration::from_millis(50);
-        config.heartbeat_interval = HEARTBEAT;
-        config.liveness_timeout = LIVENESS;
-        config.link_handshake_timeout = Duration::from_millis(500);
-        BrokerNode::start(config).unwrap()
-    };
-    let node_a = start(a);
-    let node_b = start(b);
+    let node_a = start(a, &fabric, &registry, 0);
+    let node_b = start(b, &fabric, &registry, 0);
     let link = FaultLink::start(node_a.addr());
     node_b.connect_to_persistent(a, link.addr());
 
@@ -378,16 +374,8 @@ fn half_open_link_is_detected(busy: bool) {
     let fabric = RoutingFabric::new_all_roots(net.build().unwrap()).unwrap();
     let registry = registry();
 
-    let start = |broker| {
-        let mut config = BrokerConfig::localhost(broker, fabric.clone(), Arc::clone(&registry));
-        config.gc_interval = Duration::from_millis(50);
-        config.heartbeat_interval = HEARTBEAT;
-        config.liveness_timeout = LIVENESS;
-        config.link_handshake_timeout = Duration::from_millis(500);
-        BrokerNode::start(config).unwrap()
-    };
-    let node_a = start(a);
-    let node_b = start(b);
+    let node_a = start(a, &fabric, &registry, 0);
+    let node_b = start(b, &fabric, &registry, 0);
     let link = FaultLink::start(node_a.addr());
     node_b.connect_to_persistent(a, link.addr());
 
@@ -418,12 +406,12 @@ fn half_open_link_is_detected(busy: bool) {
     // A must tear the link down within the liveness timeout. The idle
     // bound is deliberately loose (2× the timeout) to absorb scheduler
     // jitter in CI while still proving detection is prompt. The busy bound
-    // is the timeout plus two timer periods: a timer that waited for the
-    // mailbox to drain would not fire before the publisher below stops,
-    // and it stops only at detection or at the bound.
+    // is the timeout plus a third of it, over three heartbeat periods: a
+    // timer that waited for the mailbox to drain would not fire before the
+    // publisher below stops, and it stops only at detection or at the bound.
     let detection_deadline = stalled_at
         + if busy {
-            LIVENESS + 2 * HEARTBEAT
+            LIVENESS + LIVENESS / 3
         } else {
             2 * LIVENESS
         };

@@ -13,8 +13,8 @@ use linkcast::{NetworkBuilder, RoutingFabric};
 use linkcast_broker::{BrokerConfig, BrokerNode, Client, ClientError};
 use linkcast_types::{Event, EventSchema, SchemaId, SchemaRegistry, Value, ValueKind};
 
-/// A registry with a bulky payload attribute, so a handful of events can
-/// overrun a small queue bound.
+/// A registry with a bulky payload attribute, so a few dozen events
+/// overrun the per-connection queue bound.
 fn blob_registry() -> Arc<SchemaRegistry> {
     let mut r = SchemaRegistry::new();
     r.register(
@@ -38,7 +38,7 @@ fn blob(registry: &SchemaRegistry, n: i64, payload_len: usize) -> Event {
 }
 
 /// A subscriber that stops reading must not wedge the broker: once its
-/// outgoing queue overruns [`BrokerConfig::conn_queue_bound`], the broker
+/// outgoing queue overruns the per-connection bound (8 MiB), the broker
 /// evicts it — discarding the backlog, flushing one `Error` notice, and
 /// hanging up — while every other client keeps working, and the eviction
 /// is visible in the wire-level stats a CLI would render.
@@ -52,10 +52,7 @@ fn slow_consumer_is_evicted_and_broker_stays_live() {
     let fabric = RoutingFabric::new_all_roots(net.build().unwrap()).unwrap();
     let registry = blob_registry();
 
-    let mut config = BrokerConfig::localhost(broker, fabric, Arc::clone(&registry));
-    config.gc_interval = Duration::from_millis(50);
-    // Small enough that kernel socket buffers plus a few frames overrun it.
-    config.conn_queue_bound = 64 * 1024;
+    let config = BrokerConfig::localhost(broker, fabric, Arc::clone(&registry));
     let node = BrokerNode::start(config).unwrap();
 
     // The victim subscribes to everything and then never reads: its kernel
@@ -72,7 +69,9 @@ fn slow_consumer_is_evicted_and_broker_stays_live() {
             Instant::now() < deadline,
             "published {n} blobs without tripping the queue bound"
         );
-        publisher.publish(&blob(&registry, n, 8 * 1024)).unwrap();
+        // Megabyte blobs: a few dozen overrun the bound plus whatever the
+        // kernel's socket buffers hold.
+        publisher.publish(&blob(&registry, n, 1024 * 1024)).unwrap();
         n += 1;
     }
     assert_eq!(node.stats().evicted_slow_consumers, 1);
@@ -123,8 +122,7 @@ fn shutdown_flushes_queued_deliveries_before_fin() {
     let fabric = RoutingFabric::new_all_roots(net.build().unwrap()).unwrap();
     let registry = registry();
 
-    let mut config = BrokerConfig::localhost(broker, fabric, Arc::clone(&registry));
-    config.gc_interval = Duration::from_millis(50);
+    let config = BrokerConfig::localhost(broker, fabric, Arc::clone(&registry));
     let node = BrokerNode::start(config).unwrap();
 
     let mut subscriber = Client::connect(node.addr(), sub_id, 0, Arc::clone(&registry)).unwrap();
@@ -175,7 +173,6 @@ fn stalled_accept_falls_back_to_backoff_and_recovers() {
 
     let start = |broker| {
         let mut config = BrokerConfig::localhost(broker, fabric.clone(), Arc::clone(&registry));
-        config.gc_interval = Duration::from_millis(50);
         config.link_handshake_timeout = Duration::from_millis(300);
         // Liveness stays slow so every redial below is attributable to the
         // handshake deadline, not the heartbeat sweep.

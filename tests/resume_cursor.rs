@@ -46,8 +46,7 @@ struct Rig {
 
 impl Rig {
     /// One broker, one subscriber, one publisher, optional durable
-    /// storage, fast garbage collection (so acked log prefixes trim
-    /// within a test-scale sleep).
+    /// storage.
     fn start(durable: bool) -> Rig {
         let mut builder = NetworkBuilder::new();
         let broker = builder.add_broker();
@@ -76,7 +75,6 @@ impl Rig {
             Arc::clone(&self.registry),
         );
         config.listen = self.addr;
-        config.gc_interval = Duration::from_millis(25);
         config.storage = self.storage.clone().map(|s| s as Arc<dyn Storage>);
         let node = BrokerNode::start(config).unwrap();
         self.addr = node.addr();
@@ -138,11 +136,11 @@ fn resume_at_trim_boundary_replays_exactly_the_unacked_suffix() {
     }
     expect_deliveries(&mut sub, &[(1, 10), (2, 11), (3, 12)]);
     sub.ack(2).unwrap();
-    // Give the ack a moment to land, then drop the session; the gc cycle
-    // trims the acknowledged prefix (seqs 1–2) from the retained log.
-    std::thread::sleep(Duration::from_millis(100));
+    // Drop the session: the ack lands first (one stream), and two GC
+    // passes (250 ms apart) trim the acknowledged prefix (seqs 1–2) from
+    // the retained log within the wait.
     drop(sub);
-    std::thread::sleep(Duration::from_millis(200));
+    std::thread::sleep(Duration::from_millis(600));
 
     // Cursor exactly on the trim boundary: replay is precisely seq 3.
     let mut sub = rig.connect(rig.subscriber, 2);
