@@ -2,7 +2,7 @@
 //! core, [`BrokerCore`], which its engine thread steps.
 
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
+use std::net::{Ipv4Addr, SocketAddr};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -111,8 +111,7 @@ impl BrokerConfig {
             broker,
             fabric,
             registry,
-            // analyzer:allow(panic): startup-time parse of a literal address, not dataflow
-            listen: "127.0.0.1:0".parse().expect("valid literal address"),
+            listen: SocketAddr::from((Ipv4Addr::LOCALHOST, 0)),
             transport: Arc::new(TcpTransport),
             match_cache_cap: 0,
             liveness_timeout: Duration::from_secs(5),

@@ -431,7 +431,13 @@ impl<O: Out> BrokerCore<O> {
         self.dispatch(&event, tree, &body, links, None, now);
     }
 
-    /// `frame` is `message` as it arrived, length prefix included.
+    /// `frame` is `message` as it arrived, length prefix included. Every
+    /// variant has its own arm: a wildcard, which would swallow one added
+    /// later, fails clippy.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn handle_client(
         &mut self,
         conn: ConnId,
@@ -566,7 +572,13 @@ impl<O: Out> BrokerCore<O> {
         }
     }
 
-    /// `frame` is `message` as it arrived, length prefix included.
+    /// `frame` is `message` as it arrived, length prefix included. Every
+    /// variant has its own arm: a wildcard, which would swallow one added
+    /// later, fails clippy.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn handle_broker(
         &mut self,
         conn: ConnId,

@@ -13,6 +13,9 @@ use crate::protocol::{BrokerToClient, ClientToBroker, ProtocolError, FRAME_PREFI
 use crate::tcp::TcpTransport;
 use crate::transport::{FrameBatch, FrameReader, LinkWriter, Polled, Transport};
 
+/// How long a request waits for the broker's reply.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Errors from the client library.
 #[derive(Debug)]
 pub enum ClientError {
@@ -122,19 +125,19 @@ impl Client {
             client,
             resume_from,
         })?;
-        match c.read_message(Duration::from_secs(5))? {
-            BrokerToClient::Welcome {
-                client: echoed,
-                resume_from: resumed,
-            } if echoed == client => {
-                c.resumed_from = resumed;
-                Ok(c)
-            }
-            BrokerToClient::Error { message } => Err(ClientError::Rejected(message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected welcome, got {other:?}"
-            ))),
+        let reply = c.await_reply()?;
+        let BrokerToClient::Welcome {
+            client: echoed,
+            resume_from,
+        } = reply
+        else {
+            return Err(unexpected("welcome", &reply));
+        };
+        if echoed != client {
+            return Err(unexpected("welcome", &reply));
         }
+        c.resumed_from = resume_from;
+        Ok(c)
     }
 
     /// This client's id.
@@ -174,21 +177,11 @@ impl Client {
             schema,
             expression: expression.to_string(),
         })?;
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match self.read_message(deadline.saturating_duration_since(Instant::now()))? {
-                BrokerToClient::SubAck { id } => return Ok(id),
-                BrokerToClient::Error { message } => return Err(ClientError::Rejected(message)),
-                BrokerToClient::Deliver { seq, event } => {
-                    self.inbox.push_back((seq, event));
-                }
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected subscription ack, got {other:?}"
-                    )))
-                }
-            }
-        }
+        let reply = self.await_reply()?;
+        let BrokerToClient::SubAck { id } = reply else {
+            return Err(unexpected("subscription ack", &reply));
+        };
+        Ok(id)
     }
 
     /// Removes a subscription and waits for the acknowledgment.
@@ -198,21 +191,11 @@ impl Client {
     /// See [`Client::subscribe`].
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> Result<(), ClientError> {
         self.send(&ClientToBroker::Unsubscribe { id })?;
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match self.read_message(deadline.saturating_duration_since(Instant::now()))? {
-                BrokerToClient::UnsubAck { id: echoed } if echoed == id => return Ok(()),
-                BrokerToClient::Error { message } => return Err(ClientError::Rejected(message)),
-                BrokerToClient::Deliver { seq, event } => {
-                    self.inbox.push_back((seq, event));
-                }
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected unsubscription ack, got {other:?}"
-                    )))
-                }
-            }
+        let reply = self.await_reply()?;
+        if reply != (BrokerToClient::UnsubAck { id }) {
+            return Err(unexpected("unsubscription ack", &reply));
         }
+        Ok(())
     }
 
     /// Publishes an event (fire-and-forget, like the paper's prototype).
@@ -256,19 +239,15 @@ impl Client {
     ///
     /// See [`Client::recv`].
     pub fn recv_unacked(&mut self, timeout: Duration) -> Result<(u64, Event), ClientError> {
-        if let Some((seq, event)) = self.inbox.pop_front() {
-            self.last_seq = self.last_seq.max(seq);
-            return Ok((seq, event));
-        }
-        match self.read_message(timeout)? {
-            BrokerToClient::Deliver { seq, event } => {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some((seq, event)) = self.inbox.pop_front() {
                 self.last_seq = self.last_seq.max(seq);
-                Ok((seq, event))
+                return Ok((seq, event));
             }
-            BrokerToClient::Error { message } => Err(ClientError::Rejected(message)),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected message while receiving: {other:?}"
-            ))),
+            if let Some(reply) = self.read_reply(deadline)? {
+                return Err(unexpected("a delivery", &reply));
+            }
         }
     }
 
@@ -288,21 +267,11 @@ impl Client {
     /// Transport and protocol errors.
     pub fn stats(&mut self) -> Result<NodeCounters, ClientError> {
         self.send(&ClientToBroker::StatsRequest)?;
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match self.read_message(deadline.saturating_duration_since(Instant::now()))? {
-                BrokerToClient::Stats(counters) => return Ok(counters),
-                BrokerToClient::Deliver { seq, event } => {
-                    self.inbox.push_back((seq, event));
-                }
-                BrokerToClient::Error { message } => return Err(ClientError::Rejected(message)),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected stats, got {other:?}"
-                    )))
-                }
-            }
-        }
+        let reply = self.await_reply()?;
+        let BrokerToClient::Stats(counters) = reply else {
+            return Err(unexpected("stats", &reply));
+        };
+        Ok(counters)
     }
 
     fn send(&mut self, message: &ClientToBroker) -> Result<(), ClientError> {
@@ -317,6 +286,36 @@ impl Client {
         }
         self.writer.write_batch(&[frame])?;
         Ok(())
+    }
+
+    /// Waits up to [`REPLY_TIMEOUT`] for the broker's reply to a request;
+    /// deliveries that arrive first queue in the inbox.
+    fn await_reply(&mut self) -> Result<BrokerToClient, ClientError> {
+        let deadline = Instant::now() + REPLY_TIMEOUT;
+        loop {
+            if let Some(reply) = self.read_reply(deadline)? {
+                return Ok(reply);
+            }
+        }
+    }
+
+    /// Reads one broker frame by `deadline`: a delivery queues in the inbox
+    /// (`None`), an `Error` frame rejects the request in flight, and any
+    /// other frame is the reply to it. This is the client's one match over
+    /// [`BrokerToClient`], and it names every variant: one added to the
+    /// protocol does not build until it is given a case here.
+    fn read_reply(&mut self, deadline: Instant) -> Result<Option<BrokerToClient>, ClientError> {
+        match self.read_message(deadline.saturating_duration_since(Instant::now()))? {
+            BrokerToClient::Deliver { seq, event } => {
+                self.inbox.push_back((seq, event));
+                Ok(None)
+            }
+            BrokerToClient::Error { message } => Err(ClientError::Rejected(message)),
+            reply @ (BrokerToClient::Welcome { .. }
+            | BrokerToClient::SubAck { .. }
+            | BrokerToClient::UnsubAck { .. }
+            | BrokerToClient::Stats(_)) => Ok(Some(reply)),
+        }
     }
 
     /// Reads the next broker message, waiting at most `timeout`.
@@ -343,6 +342,11 @@ impl Client {
             }
         }
     }
+}
+
+/// The error for a reply the client was not waiting for.
+fn unexpected(expected: &str, got: &BrokerToClient) -> ClientError {
+    ClientError::Protocol(format!("expected {expected}, got {got:?}"))
 }
 
 impl std::fmt::Debug for Client {

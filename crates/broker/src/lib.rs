@@ -27,6 +27,15 @@
 //! See [`BrokerNode`] and [`Client`] for a runnable two-broker setup, and
 //! the `tcp_cluster` example for a full network.
 
+// One broker process runs the matching engine, the client protocol and the
+// broker protocol (paper Fig. 7), so a panic on one frame stops delivery to
+// every subscriber downstream: the shipped code neither unwraps nor indexes
+// nor panics. Test code is exempt (the root `clippy.toml`); a waiver is an
+// `#[expect(clippy::…, reason = "…")]` on the smallest item that needs it.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::string_slice)]
+
 /// Unit tests pin allocation counts where the subject is not public (the
 /// outbox's fan-out); counting is per thread and costs an increment.
 #[cfg(all(test, not(miri)))]
@@ -54,7 +63,8 @@ pub use counters::{BrokerStats, NodeCounters};
 pub use engine::MatchingEngine;
 pub use log::{AckLog, EventLog};
 pub use protocol::{
-    BrokerToBroker, BrokerToClient, ClientToBroker, ProtocolError, MAX_EVENT_BODY, MAX_FRAME,
+    BrokerToBroker, BrokerToClient, ClientToBroker, FrameTag, ProtocolError, MAX_EVENT_BODY,
+    MAX_FRAME,
 };
 pub use storage::{FsStorage, PowerCut, SimStorage, Storage};
 pub use tcp::TcpTransport;

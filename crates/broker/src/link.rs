@@ -823,7 +823,7 @@ mod tests {
                 ..
             } = hello
             else {
-                unreachable!("only Hellos are queued as Msg::Hello");
+                panic!("only Hellos are queued as Msg::Hello");
             };
             let (link, me, ours, out, greeted) = if at_receiver {
                 let (out, greeted) = (&mut self.to_sender, &mut self.greeted[1]);

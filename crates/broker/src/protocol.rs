@@ -7,7 +7,6 @@
 use crate::counters::NodeCounters;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use linkcast::TreeId;
-use linkcast_types::wire::FrameTag;
 use linkcast_types::{
     wire, BrokerId, ClientId, Event, SchemaId, SchemaRegistry, Subscription, SubscriptionId,
 };
@@ -264,32 +263,92 @@ pub enum BrokerToBroker {
     },
 }
 
-// Tag bytes are owned by `FrameTag` in `linkcast_types::wire` — the consts
-// below only bind local names; `cargo xtask check` verifies that every
-// variant is bound, encoded, and decoded here.
-const C2B_HELLO: u8 = FrameTag::ClientHello as u8;
-const C2B_SUBSCRIBE: u8 = FrameTag::Subscribe as u8;
-const C2B_UNSUBSCRIBE: u8 = FrameTag::Unsubscribe as u8;
-const C2B_PUBLISH: u8 = FrameTag::Publish as u8;
-const C2B_ACK: u8 = FrameTag::Ack as u8;
-const C2B_STATS: u8 = FrameTag::StatsRequest as u8;
+/// Declares the frame tags once: the `FrameTag` enum and the byte-to-tag
+/// map are generated from one list, so neither can miss a tag. Every decode
+/// matches the tag with no wildcard arm, so a tag no decoder handles fails
+/// the build.
+macro_rules! frame_tags {
+    ($($(#[$doc:meta])* $tag:ident = $byte:literal,)+) => {
+        /// Every frame tag in the broker protocols: the one byte that leads
+        /// each frame payload.
+        ///
+        /// Tag ranges encode the direction: `0x01..=0x0f` client → broker,
+        /// `0x11..=0x1f` broker → client, `0x21..=0x2f` broker ↔ broker.
+        #[repr(u8)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum FrameTag {
+            $($(#[$doc])* $tag = $byte,)+
+        }
 
-const B2C_WELCOME: u8 = FrameTag::Welcome as u8;
-const B2C_DELIVER: u8 = FrameTag::Deliver as u8;
-const B2C_SUBACK: u8 = FrameTag::SubAck as u8;
-const B2C_UNSUBACK: u8 = FrameTag::UnsubAck as u8;
-const B2C_ERROR: u8 = FrameTag::Error as u8;
-const B2C_STATS: u8 = FrameTag::Stats as u8;
+        impl FrameTag {
+            /// Every tag, in declaration order.
+            #[cfg(test)]
+            const ALL: &'static [FrameTag] = &[$(FrameTag::$tag),+];
 
-const B2B_HELLO: u8 = FrameTag::BrokerHello as u8;
-const B2B_FORWARD: u8 = FrameTag::Forward as u8;
-const B2B_SUBADD: u8 = FrameTag::SubAdd as u8;
-const B2B_SUBREMOVE: u8 = FrameTag::SubRemove as u8;
-const B2B_FWDACK: u8 = FrameTag::FwdAck as u8;
-const B2B_PING: u8 = FrameTag::Ping as u8;
-const B2B_PONG: u8 = FrameTag::Pong as u8;
-const B2B_LINKDOWN: u8 = FrameTag::LinkDown as u8;
-const B2B_LINKUP: u8 = FrameTag::LinkUp as u8;
+            /// The tag `byte` stands for, if it stands for one.
+            pub(crate) fn from_byte(byte: u8) -> Option<FrameTag> {
+                match byte {
+                    $($byte => Some(FrameTag::$tag),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+frame_tags! {
+    /// Client session hello / resume (client → broker).
+    ClientHello = 0x01,
+    /// Subscription registration (client → broker).
+    Subscribe = 0x02,
+    /// Subscription removal (client → broker).
+    Unsubscribe = 0x03,
+    /// Event publication (client → broker).
+    Publish = 0x04,
+    /// Cumulative delivery acknowledgment (client → broker).
+    Ack = 0x05,
+    /// Counter-snapshot request (client → broker).
+    StatsRequest = 0x06,
+    /// Session accepted (broker → client).
+    Welcome = 0x11,
+    /// Matched-event delivery (broker → client).
+    Deliver = 0x12,
+    /// Subscription registered (broker → client).
+    SubAck = 0x13,
+    /// Subscription removed (broker → client).
+    UnsubAck = 0x14,
+    /// Request failed (broker → client).
+    Error = 0x15,
+    /// Counter snapshot (broker → client).
+    Stats = 0x16,
+    /// Link handshake / resync (broker ↔ broker).
+    BrokerHello = 0x21,
+    /// Event in flight along a spanning tree (broker ↔ broker).
+    Forward = 0x22,
+    /// Flooded subscription registration (broker ↔ broker).
+    SubAdd = 0x23,
+    /// Flooded subscription removal (broker ↔ broker).
+    SubRemove = 0x24,
+    /// Cumulative `Forward` acknowledgment (broker ↔ broker).
+    FwdAck = 0x25,
+    /// Liveness probe on an idle link (broker ↔ broker). A broker that has
+    /// heard nothing from a neighbor for a heartbeat interval sends one;
+    /// a silent link past the liveness timeout is torn down.
+    Ping = 0x26,
+    /// Liveness probe answer (broker ↔ broker). Any received frame proves
+    /// liveness, but `Pong` is the guaranteed answer to a `Ping` on an
+    /// otherwise idle link.
+    Pong = 0x27,
+    /// Flooded link-state statement: a broker-broker edge is down
+    /// (broker ↔ broker). Carries the edge's normalized endpoints and a
+    /// per-edge version; receivers apply it if newer, recompute the
+    /// spanning forest over the surviving graph, and re-flood.
+    LinkDown = 0x28,
+    /// Flooded link-state statement: a previously dead edge is live again
+    /// (broker ↔ broker). Same payload and apply-if-newer semantics as
+    /// [`FrameTag::LinkDown`].
+    LinkUp = 0x29,
+}
 
 /// Bytes of the `u32` LE length prefix in front of every frame's payload.
 pub(crate) const FRAME_PREFIX: usize = 4;
@@ -336,7 +395,7 @@ pub(crate) fn encode_event_body(event: &Event) -> Bytes {
 /// Stitches a complete `Publish` frame around an already-encoded event body.
 pub(crate) fn publish_frame(body: &[u8]) -> Bytes {
     let mut out = begin_frame(PUBLISH_BODY_OFFSET + body.len());
-    out.put_u8(C2B_PUBLISH);
+    out.put_u8(FrameTag::Publish as u8);
     out.extend_from_slice(body);
     finish_frame(out)
 }
@@ -347,7 +406,7 @@ pub(crate) fn publish_frame(body: &[u8]) -> Bytes {
 /// never re-serialized.
 pub(crate) fn forward_frame(tree: TreeId, seq: u64, epoch: u64, body: &[u8]) -> Bytes {
     let mut out = begin_frame(FORWARD_BODY_OFFSET + body.len());
-    out.put_u8(B2B_FORWARD);
+    out.put_u8(FrameTag::Forward as u8);
     out.put_u32_le(tree.index() as u32);
     out.put_u64_le(seq);
     out.put_u64_le(epoch);
@@ -360,7 +419,7 @@ pub(crate) fn forward_frame(tree: TreeId, seq: u64, epoch: u64, body: &[u8]) -> 
 /// but the body bytes are never re-serialized.
 pub(crate) fn deliver_frame(seq: u64, body: &[u8]) -> Bytes {
     let mut out = begin_frame(DELIVER_BODY_OFFSET + body.len());
-    out.put_u8(B2C_DELIVER);
+    out.put_u8(FrameTag::Deliver as u8);
     out.put_u64_le(seq);
     out.extend_from_slice(body);
     finish_frame(out)
@@ -372,7 +431,7 @@ pub(crate) fn deliver_frame(seq: u64, body: &[u8]) -> Bytes {
 /// here too.
 pub(crate) fn sub_add_frame(schema: SchemaId, subscription: &Subscription, resync: bool) -> Bytes {
     let mut b = begin_frame(6 + wire::subscription_len(subscription));
-    b.put_u8(B2B_SUBADD);
+    b.put_u8(FrameTag::SubAdd as u8);
     b.put_u32_le(schema.raw());
     b.put_u8(u8::from(resync));
     wire::put_subscription(&mut b, subscription);
@@ -388,39 +447,39 @@ impl ClientToBroker {
                 resume_from,
             } => {
                 let mut b = begin_frame(13);
-                b.put_u8(C2B_HELLO);
+                b.put_u8(FrameTag::ClientHello as u8);
                 b.put_u32_le(client.raw());
                 b.put_u64_le(*resume_from);
                 b
             }
             ClientToBroker::Subscribe { schema, expression } => {
                 let mut b = begin_frame(9 + expression.len());
-                b.put_u8(C2B_SUBSCRIBE);
+                b.put_u8(FrameTag::Subscribe as u8);
                 b.put_u32_le(schema.raw());
                 wire::put_str(&mut b, expression);
                 b
             }
             ClientToBroker::Unsubscribe { id } => {
                 let mut b = begin_frame(5);
-                b.put_u8(C2B_UNSUBSCRIBE);
+                b.put_u8(FrameTag::Unsubscribe as u8);
                 b.put_u32_le(id.raw());
                 b
             }
             ClientToBroker::Publish { event } => {
                 let mut b = begin_frame(PUBLISH_BODY_OFFSET + wire::event_len(event));
-                b.put_u8(C2B_PUBLISH);
+                b.put_u8(FrameTag::Publish as u8);
                 wire::put_event(&mut b, event);
                 b
             }
             ClientToBroker::Ack { seq } => {
                 let mut b = begin_frame(9);
-                b.put_u8(C2B_ACK);
+                b.put_u8(FrameTag::Ack as u8);
                 b.put_u64_le(*seq);
                 b
             }
             ClientToBroker::StatsRequest => {
                 let mut b = begin_frame(1);
-                b.put_u8(C2B_STATS);
+                b.put_u8(FrameTag::StatsRequest as u8);
                 b
             }
         };
@@ -438,8 +497,9 @@ impl ClientToBroker {
         if buf.remaining() < 1 {
             return Err(ProtocolError::Malformed("empty payload".into()));
         }
-        match buf.get_u8() {
-            C2B_HELLO => {
+        let tag = buf.get_u8();
+        match FrameTag::from_byte(tag) {
+            Some(FrameTag::ClientHello) => {
                 if buf.remaining() < 12 {
                     return Err(ProtocolError::Malformed("short hello".into()));
                 }
@@ -448,7 +508,7 @@ impl ClientToBroker {
                     resume_from: buf.get_u64_le(),
                 })
             }
-            C2B_SUBSCRIBE => {
+            Some(FrameTag::Subscribe) => {
                 if buf.remaining() < 4 {
                     return Err(ProtocolError::Malformed("short subscribe".into()));
                 }
@@ -456,7 +516,7 @@ impl ClientToBroker {
                 let expression = wire::get_str(buf)?;
                 Ok(ClientToBroker::Subscribe { schema, expression })
             }
-            C2B_UNSUBSCRIBE => {
+            Some(FrameTag::Unsubscribe) => {
                 if buf.remaining() < 4 {
                     return Err(ProtocolError::Malformed("short unsubscribe".into()));
                 }
@@ -464,10 +524,10 @@ impl ClientToBroker {
                     id: SubscriptionId::new(buf.get_u32_le()),
                 })
             }
-            C2B_PUBLISH => Ok(ClientToBroker::Publish {
+            Some(FrameTag::Publish) => Ok(ClientToBroker::Publish {
                 event: wire::get_event(buf, registry)?,
             }),
-            C2B_ACK => {
+            Some(FrameTag::Ack) => {
                 if buf.remaining() < 8 {
                     return Err(ProtocolError::Malformed("short ack".into()));
                 }
@@ -475,8 +535,26 @@ impl ClientToBroker {
                     seq: buf.get_u64_le(),
                 })
             }
-            C2B_STATS => Ok(ClientToBroker::StatsRequest),
-            tag => Err(ProtocolError::Malformed(format!(
+            Some(FrameTag::StatsRequest) => Ok(ClientToBroker::StatsRequest),
+            // Broker-to-client and broker-to-broker tags.
+            Some(
+                FrameTag::Welcome
+                | FrameTag::Deliver
+                | FrameTag::SubAck
+                | FrameTag::UnsubAck
+                | FrameTag::Error
+                | FrameTag::Stats
+                | FrameTag::BrokerHello
+                | FrameTag::Forward
+                | FrameTag::SubAdd
+                | FrameTag::SubRemove
+                | FrameTag::FwdAck
+                | FrameTag::Ping
+                | FrameTag::Pong
+                | FrameTag::LinkDown
+                | FrameTag::LinkUp,
+            )
+            | None => Err(ProtocolError::Malformed(format!(
                 "unknown client message tag {tag:#x}"
             ))),
         }
@@ -492,39 +570,39 @@ impl BrokerToClient {
                 resume_from,
             } => {
                 let mut b = begin_frame(13);
-                b.put_u8(B2C_WELCOME);
+                b.put_u8(FrameTag::Welcome as u8);
                 b.put_u32_le(client.raw());
                 b.put_u64_le(*resume_from);
                 b
             }
             BrokerToClient::Deliver { seq, event } => {
                 let mut b = begin_frame(DELIVER_BODY_OFFSET + wire::event_len(event));
-                b.put_u8(B2C_DELIVER);
+                b.put_u8(FrameTag::Deliver as u8);
                 b.put_u64_le(*seq);
                 wire::put_event(&mut b, event);
                 b
             }
             BrokerToClient::SubAck { id } => {
                 let mut b = begin_frame(5);
-                b.put_u8(B2C_SUBACK);
+                b.put_u8(FrameTag::SubAck as u8);
                 b.put_u32_le(id.raw());
                 b
             }
             BrokerToClient::UnsubAck { id } => {
                 let mut b = begin_frame(5);
-                b.put_u8(B2C_UNSUBACK);
+                b.put_u8(FrameTag::UnsubAck as u8);
                 b.put_u32_le(id.raw());
                 b
             }
             BrokerToClient::Error { message } => {
                 let mut b = begin_frame(5 + message.len());
-                b.put_u8(B2C_ERROR);
+                b.put_u8(FrameTag::Error as u8);
                 wire::put_str(&mut b, message);
                 b
             }
             BrokerToClient::Stats(counters) => {
                 let mut b = begin_frame(1 + 8 * NodeCounters::COUNT);
-                b.put_u8(B2C_STATS);
+                b.put_u8(FrameTag::Stats as u8);
                 counters.encode_wire(&mut b);
                 b
             }
@@ -543,8 +621,9 @@ impl BrokerToClient {
         if buf.remaining() < 1 {
             return Err(ProtocolError::Malformed("empty payload".into()));
         }
-        match buf.get_u8() {
-            B2C_WELCOME => {
+        let tag = buf.get_u8();
+        match FrameTag::from_byte(tag) {
+            Some(FrameTag::Welcome) => {
                 if buf.remaining() < 12 {
                     return Err(ProtocolError::Malformed("short welcome".into()));
                 }
@@ -553,7 +632,7 @@ impl BrokerToClient {
                     resume_from: buf.get_u64_le(),
                 })
             }
-            B2C_DELIVER => {
+            Some(FrameTag::Deliver) => {
                 if buf.remaining() < 8 {
                     return Err(ProtocolError::Malformed("short deliver".into()));
                 }
@@ -561,7 +640,7 @@ impl BrokerToClient {
                 let event = wire::get_event(buf, registry)?;
                 Ok(BrokerToClient::Deliver { seq, event })
             }
-            B2C_SUBACK => {
+            Some(FrameTag::SubAck) => {
                 if buf.remaining() < 4 {
                     return Err(ProtocolError::Malformed("short suback".into()));
                 }
@@ -569,7 +648,7 @@ impl BrokerToClient {
                     id: SubscriptionId::new(buf.get_u32_le()),
                 })
             }
-            B2C_UNSUBACK => {
+            Some(FrameTag::UnsubAck) => {
                 if buf.remaining() < 4 {
                     return Err(ProtocolError::Malformed("short unsuback".into()));
                 }
@@ -577,10 +656,10 @@ impl BrokerToClient {
                     id: SubscriptionId::new(buf.get_u32_le()),
                 })
             }
-            B2C_ERROR => Ok(BrokerToClient::Error {
+            Some(FrameTag::Error) => Ok(BrokerToClient::Error {
                 message: wire::get_str(buf)?,
             }),
-            B2C_STATS => {
+            Some(FrameTag::Stats) => {
                 // Forward-compatible prefix decoding: the Stats frame has
                 // grown (64 → 72 → 104 → 128 bytes) as counters were added,
                 // and will grow again. `NodeCounters::decode_wire` (macro-
@@ -595,7 +674,25 @@ impl BrokerToClient {
                 }
                 Ok(BrokerToClient::Stats(NodeCounters::decode_wire(buf)))
             }
-            tag => Err(ProtocolError::Malformed(format!(
+            // Client-to-broker and broker-to-broker tags.
+            Some(
+                FrameTag::ClientHello
+                | FrameTag::Subscribe
+                | FrameTag::Unsubscribe
+                | FrameTag::Publish
+                | FrameTag::Ack
+                | FrameTag::StatsRequest
+                | FrameTag::BrokerHello
+                | FrameTag::Forward
+                | FrameTag::SubAdd
+                | FrameTag::SubRemove
+                | FrameTag::FwdAck
+                | FrameTag::Ping
+                | FrameTag::Pong
+                | FrameTag::LinkDown
+                | FrameTag::LinkUp,
+            )
+            | None => Err(ProtocolError::Malformed(format!(
                 "unknown broker-to-client tag {tag:#x}"
             ))),
         }
@@ -614,7 +711,7 @@ impl BrokerToBroker {
                 send_seq,
             } => {
                 let mut b = begin_frame(37);
-                b.put_u8(B2B_HELLO);
+                b.put_u8(FrameTag::BrokerHello as u8);
                 b.put_u32_le(broker.raw());
                 b.put_u64_le(*incarnation);
                 b.put_u64_le(*last_recv);
@@ -629,7 +726,7 @@ impl BrokerToBroker {
                 event,
             } => {
                 let mut b = begin_frame(FORWARD_BODY_OFFSET + wire::event_len(event));
-                b.put_u8(B2B_FORWARD);
+                b.put_u8(FrameTag::Forward as u8);
                 b.put_u32_le(tree.index() as u32);
                 b.put_u64_le(*seq);
                 b.put_u64_le(*epoch);
@@ -638,7 +735,7 @@ impl BrokerToBroker {
             }
             BrokerToBroker::FwdAck { seq } => {
                 let mut b = begin_frame(9);
-                b.put_u8(B2B_FWDACK);
+                b.put_u8(FrameTag::FwdAck as u8);
                 b.put_u64_le(*seq);
                 b
             }
@@ -649,23 +746,23 @@ impl BrokerToBroker {
             } => return sub_add_frame(*schema, subscription, *resync),
             BrokerToBroker::SubRemove { id } => {
                 let mut b = begin_frame(5);
-                b.put_u8(B2B_SUBREMOVE);
+                b.put_u8(FrameTag::SubRemove as u8);
                 b.put_u32_le(id.raw());
                 b
             }
             BrokerToBroker::Ping => {
                 let mut b = begin_frame(1);
-                b.put_u8(B2B_PING);
+                b.put_u8(FrameTag::Ping as u8);
                 b
             }
             BrokerToBroker::Pong => {
                 let mut b = begin_frame(1);
-                b.put_u8(B2B_PONG);
+                b.put_u8(FrameTag::Pong as u8);
                 b
             }
             BrokerToBroker::LinkDown { a, b: bb, ver } => {
                 let mut b = begin_frame(17);
-                b.put_u8(B2B_LINKDOWN);
+                b.put_u8(FrameTag::LinkDown as u8);
                 b.put_u32_le(a.raw());
                 b.put_u32_le(bb.raw());
                 b.put_u64_le(*ver);
@@ -673,7 +770,7 @@ impl BrokerToBroker {
             }
             BrokerToBroker::LinkUp { a, b: bb, ver } => {
                 let mut b = begin_frame(17);
-                b.put_u8(B2B_LINKUP);
+                b.put_u8(FrameTag::LinkUp as u8);
                 b.put_u32_le(a.raw());
                 b.put_u32_le(bb.raw());
                 b.put_u64_le(*ver);
@@ -694,8 +791,9 @@ impl BrokerToBroker {
         if buf.remaining() < 1 {
             return Err(ProtocolError::Malformed("empty payload".into()));
         }
-        match buf.get_u8() {
-            B2B_HELLO => {
+        let tag = buf.get_u8();
+        match FrameTag::from_byte(tag) {
+            Some(FrameTag::BrokerHello) => {
                 if buf.remaining() < 36 {
                     return Err(ProtocolError::Malformed("short broker hello".into()));
                 }
@@ -707,7 +805,7 @@ impl BrokerToBroker {
                     send_seq: buf.get_u64_le(),
                 })
             }
-            B2B_FORWARD => {
+            Some(FrameTag::Forward) => {
                 if buf.remaining() < 20 {
                     return Err(ProtocolError::Malformed("short forward".into()));
                 }
@@ -722,7 +820,7 @@ impl BrokerToBroker {
                     event,
                 })
             }
-            B2B_FWDACK => {
+            Some(FrameTag::FwdAck) => {
                 if buf.remaining() < 8 {
                     return Err(ProtocolError::Malformed("short fwdack".into()));
                 }
@@ -730,7 +828,7 @@ impl BrokerToBroker {
                     seq: buf.get_u64_le(),
                 })
             }
-            B2B_SUBADD => {
+            Some(FrameTag::SubAdd) => {
                 if buf.remaining() < 5 {
                     return Err(ProtocolError::Malformed("short subadd".into()));
                 }
@@ -746,7 +844,7 @@ impl BrokerToBroker {
                     resync,
                 })
             }
-            B2B_SUBREMOVE => {
+            Some(FrameTag::SubRemove) => {
                 if buf.remaining() < 4 {
                     return Err(ProtocolError::Malformed("short subremove".into()));
                 }
@@ -754,9 +852,9 @@ impl BrokerToBroker {
                     id: SubscriptionId::new(buf.get_u32_le()),
                 })
             }
-            B2B_PING => Ok(BrokerToBroker::Ping),
-            B2B_PONG => Ok(BrokerToBroker::Pong),
-            B2B_LINKDOWN => {
+            Some(FrameTag::Ping) => Ok(BrokerToBroker::Ping),
+            Some(FrameTag::Pong) => Ok(BrokerToBroker::Pong),
+            Some(FrameTag::LinkDown) => {
                 if buf.remaining() < 16 {
                     return Err(ProtocolError::Malformed("short linkdown".into()));
                 }
@@ -766,7 +864,7 @@ impl BrokerToBroker {
                     ver: buf.get_u64_le(),
                 })
             }
-            B2B_LINKUP => {
+            Some(FrameTag::LinkUp) => {
                 if buf.remaining() < 16 {
                     return Err(ProtocolError::Malformed("short linkup".into()));
                 }
@@ -776,7 +874,22 @@ impl BrokerToBroker {
                     ver: buf.get_u64_le(),
                 })
             }
-            tag => Err(ProtocolError::Malformed(format!(
+            // Client-to-broker and broker-to-client tags.
+            Some(
+                FrameTag::ClientHello
+                | FrameTag::Subscribe
+                | FrameTag::Unsubscribe
+                | FrameTag::Publish
+                | FrameTag::Ack
+                | FrameTag::StatsRequest
+                | FrameTag::Welcome
+                | FrameTag::Deliver
+                | FrameTag::SubAck
+                | FrameTag::UnsubAck
+                | FrameTag::Error
+                | FrameTag::Stats,
+            )
+            | None => Err(ProtocolError::Malformed(format!(
                 "unknown broker-to-broker tag {tag:#x}"
             ))),
         }
@@ -1042,6 +1155,142 @@ mod tests {
         assert!(BrokerToBroker::decode(Bytes::from_static(&[0x23]), &reg).is_err());
     }
 
+    /// A message of any direction, so one test can hold all three codecs.
+    #[derive(Debug, PartialEq)]
+    enum Message {
+        C2B(ClientToBroker),
+        B2C(BrokerToClient),
+        B2B(BrokerToBroker),
+    }
+
+    impl Message {
+        fn encode(&self) -> Bytes {
+            match self {
+                Message::C2B(m) => m.encode(),
+                Message::B2C(m) => m.encode(),
+                Message::B2B(m) => m.encode(),
+            }
+        }
+    }
+
+    /// `payload` through each direction's decoder.
+    fn decode_all(payload: &Bytes, reg: &SchemaRegistry) -> [Result<Message, ProtocolError>; 3] {
+        [
+            ClientToBroker::decode(payload.clone(), reg).map(Message::C2B),
+            BrokerToClient::decode(payload.clone(), reg).map(Message::B2C),
+            BrokerToBroker::decode(payload.clone(), reg).map(Message::B2B),
+        ]
+    }
+
+    #[test]
+    fn every_frame_tag_round_trips() {
+        let reg = registry();
+        let schema = reg.get(SchemaId::new(0)).unwrap();
+        let event = Event::from_values(schema, [Value::str("IBM"), Value::Int(5)]).unwrap();
+        let subscription = Subscription::new(
+            SubscriptionId::new(5),
+            SubscriberId::new(BrokerId::new(1), ClientId::new(2)),
+            linkcast_types::parse_predicate(schema, "volume > 10").unwrap(),
+        );
+        for &tag in FrameTag::ALL {
+            // No wildcard: a tag declared without a sample here does not build.
+            let sample = match tag {
+                FrameTag::ClientHello => Message::C2B(ClientToBroker::Hello {
+                    client: ClientId::new(3),
+                    resume_from: 42,
+                }),
+                FrameTag::Subscribe => Message::C2B(ClientToBroker::Subscribe {
+                    schema: SchemaId::new(0),
+                    expression: "volume > 100".into(),
+                }),
+                FrameTag::Unsubscribe => Message::C2B(ClientToBroker::Unsubscribe {
+                    id: SubscriptionId::new(9),
+                }),
+                FrameTag::Publish => Message::C2B(ClientToBroker::Publish {
+                    event: event.clone(),
+                }),
+                FrameTag::Ack => Message::C2B(ClientToBroker::Ack { seq: 7 }),
+                FrameTag::StatsRequest => Message::C2B(ClientToBroker::StatsRequest),
+                FrameTag::Welcome => Message::B2C(BrokerToClient::Welcome {
+                    client: ClientId::new(1),
+                    resume_from: 10,
+                }),
+                FrameTag::Deliver => Message::B2C(BrokerToClient::Deliver {
+                    seq: 11,
+                    event: event.clone(),
+                }),
+                FrameTag::SubAck => Message::B2C(BrokerToClient::SubAck {
+                    id: SubscriptionId::new(2),
+                }),
+                FrameTag::UnsubAck => Message::B2C(BrokerToClient::UnsubAck {
+                    id: SubscriptionId::new(2),
+                }),
+                FrameTag::Error => Message::B2C(BrokerToClient::Error {
+                    message: "no such schema".into(),
+                }),
+                FrameTag::Stats => Message::B2C(BrokerToClient::Stats(NodeCounters {
+                    published: 1,
+                    ..NodeCounters::default()
+                })),
+                FrameTag::BrokerHello => Message::B2B(BrokerToBroker::Hello {
+                    broker: BrokerId::new(7),
+                    incarnation: 1,
+                    last_recv: 2,
+                    last_recv_incarnation: 3,
+                    send_seq: 4,
+                }),
+                FrameTag::Forward => Message::B2B(BrokerToBroker::Forward {
+                    tree: TreeId::from_index(2),
+                    seq: 31,
+                    epoch: 6,
+                    event: event.clone(),
+                }),
+                FrameTag::SubAdd => Message::B2B(BrokerToBroker::SubAdd {
+                    schema: SchemaId::new(0),
+                    subscription: subscription.clone(),
+                    resync: true,
+                }),
+                FrameTag::SubRemove => Message::B2B(BrokerToBroker::SubRemove {
+                    id: SubscriptionId::new(5),
+                }),
+                FrameTag::FwdAck => Message::B2B(BrokerToBroker::FwdAck { seq: 77 }),
+                FrameTag::Ping => Message::B2B(BrokerToBroker::Ping),
+                FrameTag::Pong => Message::B2B(BrokerToBroker::Pong),
+                FrameTag::LinkDown => Message::B2B(BrokerToBroker::LinkDown {
+                    a: BrokerId::new(1),
+                    b: BrokerId::new(3),
+                    ver: 7,
+                }),
+                FrameTag::LinkUp => Message::B2B(BrokerToBroker::LinkUp {
+                    a: BrokerId::new(1),
+                    b: BrokerId::new(3),
+                    ver: 8,
+                }),
+            };
+            let frame = sample.encode();
+            assert_eq!(frame.get(FRAME_PREFIX), Some(&(tag as u8)), "{tag:?}");
+            let decoded: Vec<Message> = decode_all(&strip(frame), &reg)
+                .into_iter()
+                .filter_map(Result::ok)
+                .collect();
+            assert_eq!(decoded, [sample], "{tag:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_tags_are_malformed_in_every_direction() {
+        let reg = registry();
+        for byte in 0..=u8::MAX {
+            for decoded in decode_all(&Bytes::copy_from_slice(&[byte]), &reg) {
+                match decoded {
+                    // A bodyless message of the decoder's own direction.
+                    Ok(m) => assert_eq!(m.encode().get(FRAME_PREFIX), Some(&byte), "{m:?}"),
+                    Err(e) => assert!(matches!(e, ProtocolError::Malformed(_)), "{byte:#x}: {e}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn event_body_bounds() {
         assert!(check_event_body(0).is_ok());
@@ -1057,7 +1306,7 @@ mod tests {
 
     fn stats_payload(counters: &[u64]) -> Bytes {
         let mut b = BytesMut::new();
-        b.put_u8(B2C_STATS);
+        b.put_u8(FrameTag::Stats as u8);
         for &c in counters {
             b.put_u64_le(c);
         }
@@ -1119,7 +1368,7 @@ mod tests {
     fn stats_rejects_ragged_payloads() {
         let reg = registry();
         let mut b = BytesMut::new();
-        b.put_u8(B2C_STATS);
+        b.put_u8(FrameTag::Stats as u8);
         b.put_u64_le(1);
         b.put_u32_le(2); // half a counter
         let err = BrokerToClient::decode(b.freeze(), &reg).unwrap_err();

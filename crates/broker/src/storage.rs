@@ -76,6 +76,7 @@ pub trait Storage: Send + Sync + fmt::Debug {
 // CRC-32 (IEEE, reflected 0xedb88320) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = build_crc_table();
 
+#[expect(clippy::indexing_slicing, reason = "i < 256 by the loop bound")]
 const fn build_crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -90,7 +91,6 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        // analyzer:allow(index): i < 256 by the loop bound
         table[i] = c;
         i += 1;
     }

@@ -79,13 +79,16 @@ impl LinkWriter for TcpWriter {
 /// Writes every buffer in `batch` with vectored I/O, advancing through
 /// partial writes. One syscall per drain batch in the common case, versus
 /// one per frame with `write_all`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "idx < batch.len() is the loop condition and off < batch[idx].len() its invariant, \
+              so idx + 1 <= batch.len() and the tail slice is at worst empty"
+)]
 fn write_vectored_all(stream: &mut impl Write, batch: &[Bytes]) -> io::Result<()> {
     let mut idx = 0; // first buffer not fully written
     let mut off = 0; // bytes of batch[idx] already written
     while idx < batch.len() {
-        // analyzer:allow(index): idx < batch.len() is the loop condition, off < batch[idx].len() its invariant
         let first = IoSlice::new(&batch[idx][off..]);
-        // analyzer:allow(index): idx + 1 <= batch.len(), so the tail slice is at worst empty
         let rest = batch[idx + 1..].iter().map(|b| IoSlice::new(b));
         let slices: Vec<IoSlice<'_>> = std::iter::once(first).chain(rest).collect();
         let mut n = stream.write_vectored(&slices)?;
@@ -93,7 +96,6 @@ fn write_vectored_all(stream: &mut impl Write, batch: &[Bytes]) -> io::Result<()
             return Err(io::ErrorKind::WriteZero.into());
         }
         while idx < batch.len() {
-            // analyzer:allow(index): idx < batch.len() is the loop condition
             let remaining = batch[idx].len() - off;
             if n >= remaining {
                 n -= remaining;

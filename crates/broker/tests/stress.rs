@@ -197,8 +197,7 @@ fn protocol_error_sends_reason_then_closes_the_socket() {
 
 #[test]
 fn broker_peer_protocol_error_closes_link_without_error_frame() {
-    use linkcast_broker::BrokerToBroker;
-    use linkcast_types::wire::FrameTag;
+    use linkcast_broker::{BrokerToBroker, FrameTag};
     use std::io::Read;
 
     let mut net = NetworkBuilder::new();

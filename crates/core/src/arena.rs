@@ -56,6 +56,12 @@
 //! Edge spans grow by doubling and pruned nodes go on a free list; a fresh
 //! compile happens only as compaction, once dead slots dominate.
 
+// The per-event match walk, on the broker's engine thread: the shipped code
+// neither unwraps nor indexes nor panics.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::string_slice)]
+
 use linkcast_matching::{Burst, EdgeSlot, MatchStats, MutationReport, NodeId, PathReport, Pst};
 use linkcast_types::{AttrTest, Event, TritVec, Value};
 
@@ -1471,11 +1477,14 @@ impl MatchScratch {
         self.slots.first()
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "depth < slots.len() by ensure(), asserted below"
+    )]
     fn slot_mut(&mut self, depth: usize) -> &mut TritVec {
         // The walk never descends deeper than the PST depth the pool was
         // sized for, so `ensure()` has always made this slot exist.
         debug_assert!(depth < self.slots.len(), "slot pool sized by ensure()");
-        // analyzer:allow(index): depth < slots.len() by ensure(), asserted above
         &mut self.slots[depth]
     }
 
@@ -1495,12 +1504,15 @@ impl MatchScratch {
     }
 
     /// Mutable parent slot at `depth` plus shared child slot at `depth+1`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "both split sides non-empty, asserted below"
+    )]
     fn parent_child(&mut self, depth: usize) -> (&mut TritVec, &TritVec) {
         let (parents, children) = self.slots.split_at_mut(depth + 1);
         // The walk only unwinds frames it descended into, and ensure()
         // sized the pool, so both sides of the split are non-empty.
         debug_assert!(!parents.is_empty() && !children.is_empty());
-        // analyzer:allow(index): both split sides non-empty, asserted above
         (&mut parents[depth], &children[0])
     }
 }

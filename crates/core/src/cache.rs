@@ -34,6 +34,12 @@
 //! Ownership: one cache per broker, a plain field of its engine loop beside
 //! the scratch pool — no locks.
 
+// Probed once per event, on the broker's engine thread: the shipped code
+// neither unwraps nor indexes nor panics.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::string_slice)]
+
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

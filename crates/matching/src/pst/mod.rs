@@ -84,9 +84,11 @@ pub(crate) struct Node {
     /// Label → child index over `range_edges`, kept exactly while the list
     /// holds at least [`RANGE_INDEX_MIN`] edges, so finding an existing
     /// range branch does not scan every sibling. The list alone fixes the
-    /// match-time visiting order; the index never reorders it. Boxed so
-    /// the many nodes without one pay a pointer, not an empty map's 48 bytes.
-    #[allow(clippy::box_collection)]
+    /// match-time visiting order; the index never reorders it.
+    #[allow(
+        clippy::box_collection,
+        reason = "boxed so the many nodes without one pay a pointer, not an empty map's 48 bytes"
+    )]
     pub(crate) range_index: Option<Box<HashMap<AttrTest, NodeId>>>,
     /// The `*` (don't-care) branch.
     pub(crate) star: Option<NodeId>,
@@ -382,9 +384,12 @@ pub struct MutationReport {
 }
 
 /// One path — every mutation of an unfactored tree — is kept in the report
-/// itself: boxing it to even the variants out is the allocation this saves.
+/// itself.
 #[derive(Debug, Clone, Default)]
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "boxing the one path to even the variants out is the allocation this saves"
+)]
 enum Paths {
     #[default]
     None,

@@ -344,7 +344,10 @@ impl<'a, P: SimProtocol> Simulation<'a, P> {
 
     /// Pops the head of `broker`'s queue, runs the protocol's routing for
     /// it, and schedules the completion after the modeled service time.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "takes the run loop's state piece by piece, which the loop holds borrowed apart"
+    )]
     fn start_service(
         protocol: &P,
         config: &SimConfig,

@@ -18,6 +18,12 @@
 //! `integer` attribute takes whole numbers, a `dollar` attribute takes
 //! `120`, `119.5`, or `119.50` (at most two decimal places).
 
+// Parses text a client sent, on the broker's engine thread: the shipped
+// code neither unwraps nor indexes nor panics.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::string_slice)]
+
 use std::borrow::Cow;
 use std::fmt;
 
@@ -150,8 +156,11 @@ impl<'a> Lexer<'a> {
     }
 
     /// The input from `start` up to the scan position.
+    #[expect(
+        clippy::string_slice,
+        reason = "ASCII byte-scan bounds: start and pos are always char-aligned and <= len"
+    )]
     fn text(&self, start: usize) -> &'a str {
-        // analyzer:allow(index): ASCII byte-scan bounds — start and pos are always char-aligned and <= len
         &self.input[start..self.pos]
     }
 

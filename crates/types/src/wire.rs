@@ -3,7 +3,15 @@
 //! The broker prototype (paper §4.2) exchanges events and subscriptions over
 //! TCP; this module defines the payload encoding. All integers are
 //! little-endian; strings and sequences are length-prefixed. Framing (length
-//! prefix per message) is the transport's concern, not this module's.
+//! prefix per message) is the transport's concern, not this module's, and
+//! the one-byte frame tags live with the broker's frame codec
+//! (`linkcast_broker::FrameTag`).
+
+// Decodes bytes a peer controls, on the broker's engine thread: the shipped
+// code neither unwraps nor indexes nor panics.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::string_slice)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -26,74 +34,6 @@ const TEST_LE: u8 = 3;
 const TEST_GT: u8 = 4;
 const TEST_GE: u8 = 5;
 const TEST_BETWEEN: u8 = 6;
-
-/// Every frame tag in the broker protocols, in one place.
-///
-/// This enum is the single source of truth for the one-byte message tags
-/// that lead each frame payload. The codec in `crates/broker/src/protocol.rs`
-/// binds a tag const to each variant (`const X: u8 = FrameTag::V as u8;`),
-/// and `cargo xtask check` verifies that every variant is bound, encoded,
-/// decoded, and dispatched — adding a variant here without wiring it
-/// through fails the build gate rather than silently dropping traffic.
-///
-/// Tag ranges encode the direction: `0x01..=0x0f` client → broker,
-/// `0x11..=0x1f` broker → client, `0x21..=0x2f` broker ↔ broker. The
-/// broker's frame demultiplexer relies on these ranges.
-#[repr(u8)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FrameTag {
-    /// Client session hello / resume (client → broker).
-    ClientHello = 0x01,
-    /// Subscription registration (client → broker).
-    Subscribe = 0x02,
-    /// Subscription removal (client → broker).
-    Unsubscribe = 0x03,
-    /// Event publication (client → broker).
-    Publish = 0x04,
-    /// Cumulative delivery acknowledgment (client → broker).
-    Ack = 0x05,
-    /// Counter-snapshot request (client → broker).
-    StatsRequest = 0x06,
-    /// Session accepted (broker → client).
-    Welcome = 0x11,
-    /// Matched-event delivery (broker → client).
-    Deliver = 0x12,
-    /// Subscription registered (broker → client).
-    SubAck = 0x13,
-    /// Subscription removed (broker → client).
-    UnsubAck = 0x14,
-    /// Request failed (broker → client).
-    Error = 0x15,
-    /// Counter snapshot (broker → client).
-    Stats = 0x16,
-    /// Link handshake / resync (broker ↔ broker).
-    BrokerHello = 0x21,
-    /// Event in flight along a spanning tree (broker ↔ broker).
-    Forward = 0x22,
-    /// Flooded subscription registration (broker ↔ broker).
-    SubAdd = 0x23,
-    /// Flooded subscription removal (broker ↔ broker).
-    SubRemove = 0x24,
-    /// Cumulative `Forward` acknowledgment (broker ↔ broker).
-    FwdAck = 0x25,
-    /// Liveness probe on an idle link (broker ↔ broker). A broker that has
-    /// heard nothing from a neighbor for a heartbeat interval sends one;
-    /// a silent link past the liveness timeout is torn down.
-    Ping = 0x26,
-    /// Liveness probe answer (broker ↔ broker). Any received frame proves
-    /// liveness, but `Pong` is the guaranteed answer to a `Ping` on an
-    /// otherwise idle link.
-    Pong = 0x27,
-    /// Flooded link-state statement: a broker-broker edge is down
-    /// (broker ↔ broker). Carries the edge's normalized endpoints and a
-    /// per-edge version; receivers apply it if newer, recompute the
-    /// spanning forest over the surviving graph, and re-flood.
-    LinkDown = 0x28,
-    /// Flooded link-state statement: a previously dead edge is live again
-    /// (broker ↔ broker). Same payload and apply-if-newer semantics as
-    /// [`FrameTag::LinkDown`].
-    LinkUp = 0x29,
-}
 
 fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
     if buf.remaining() < n {

@@ -3,11 +3,9 @@
 // protocol error instead of a degraded read), and a hand-built counter
 // literal bypasses the registry entirely.
 
-const T_STATS: u8 = FrameTag::Stats as u8;
-
 fn decode(tag: u8, buf: &mut Bytes) -> Frame {
-    match tag {
-        T_STATS => {
+    match FrameTag::from_byte(tag) {
+        Some(FrameTag::Stats) => {
             let published = buf.get_u64_le(); // seeded: fixed-layout read
             let forwarded = buf.get_u64_le();
             Frame::Stats(NodeCounters {
@@ -15,16 +13,15 @@ fn decode(tag: u8, buf: &mut Bytes) -> Frame {
                 forwarded: forwarded,
             })
         }
-        _ => Frame::Unknown,
+        None => Frame::Unknown,
     }
 }
 
 fn encode(frame: &Frame, b: &mut BytesMut) {
     match frame {
         Frame::Stats(counters) => {
-            b.put_u8(T_STATS);
+            b.put_u8(FrameTag::Stats as u8);
             counters.encode_wire(b);
         }
-        _ => {}
     }
 }

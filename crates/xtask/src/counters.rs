@@ -14,15 +14,14 @@
 //!    `cargo xtask check`;
 //! 3. the `Stats` frame's codec arms in `protocol.rs` contain no raw
 //!    `get_u64_le`/`put_u64_le` — counters cross the wire only through the
-//!    macro-generated prefix-tolerant helpers (this subsumes the old
-//!    wire-pass rule (d));
+//!    macro-generated prefix-tolerant helpers;
 //! 4. no hand-built counter literal (a braced literal naming two or more
 //!    registry counters) bypasses the registry in `protocol.rs` or the CLI;
 //! 5. the CLI stats table renders via `counter_lines()` so new counters
 //!    appear in `linkcast stats` with zero per-counter edits.
 
+use crate::lexer::Tok;
 use crate::source::{matching_brace, SourceFile};
-use crate::wire::{arm_end, ident_in_decode_arm, tag_consts};
 use crate::Finding;
 
 const RULE: &str = "counter-registry";
@@ -71,30 +70,22 @@ pub fn check(cs: &CounterSources) -> Vec<Finding> {
     }
 
     // (3) the Stats codec arms use the generated helpers, not raw words.
-    let ptoks = cs.protocol.toks();
-    if let Some((stats_const, _)) = tag_consts(ptoks).iter().find(|(_, v)| v == "Stats") {
-        if let Some(line) = ident_in_decode_arm(ptoks, stats_const, "get_u64_le") {
+    for (raw, verb, helper) in [
+        ("get_u64_le", "reads", "decode_wire"),
+        ("put_u64_le", "writes", "encode_wire"),
+    ] {
+        if let Some(line) = ident_in_stats_arm(&cs.protocol, raw) {
             findings.push(Finding {
                 file: cs.protocol.path.clone(),
                 line,
                 rule: RULE.into(),
                 message: format!(
-                    "decode arm for `{stats_const}` reads counters with raw `get_u64_le` — \
-                     use the registry-generated `NodeCounters::decode_wire` so the layout \
-                     stays prefix-tolerant across releases"
+                    "a Stats codec arm {verb} counters with raw `{raw}` — use the \
+                     registry-generated `NodeCounters::{helper}` so the layout stays \
+                     prefix-tolerant across releases"
                 ),
             });
         }
-    }
-    if let Some(line) = ident_in_encode_arm(&cs.protocol, "Stats", "put_u64_le") {
-        findings.push(Finding {
-            file: cs.protocol.path.clone(),
-            line,
-            rule: RULE.into(),
-            message: "Stats encode arm writes counters with raw `put_u64_le` — use the \
-                      registry-generated `NodeCounters::encode_wire`"
-                .into(),
-        });
     }
 
     // (4) no hand-built counter literal bypasses the registry.
@@ -232,16 +223,50 @@ fn check_surface(
     }
 }
 
-/// Line of `needle` inside the `Variant ( .. ) => ..` encode arm, if any.
-fn ident_in_encode_arm(file: &SourceFile, variant: &str, needle: &str) -> Option<u32> {
+/// The token index one past a match arm's body, given the index of the
+/// first body token (right after the `=>`). A block arm (`X => { ... }`)
+/// ends at its matching brace — block arms need no trailing comma, so
+/// scanning on to the next `,` would bleed into the following arm. An
+/// expression arm ends at the first `,` (or the match's closing `}`) at its
+/// own depth.
+fn arm_end(toks: &[Tok], start: usize) -> usize {
+    if toks.get(start).is_some_and(|t| t.is_punct('{')) {
+        return matching_brace(toks, start);
+    }
+    let mut depth = 0usize;
+    let mut j = start;
+    while j < toks.len() {
+        let t = &toks[j];
+        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') {
+            depth = depth.saturating_sub(1);
+        } else if t.is_punct('}') {
+            if depth == 0 {
+                break;
+            }
+            depth -= 1;
+        } else if t.is_punct(',') && depth == 0 {
+            break;
+        }
+        j += 1;
+    }
+    j
+}
+
+/// Line of `needle` inside a `Stats` codec arm, if any: the encode arm
+/// (`Stats ( binding ) =>` or `Stats =>`) or the decode arm
+/// (`Some(FrameTag::Stats) =>`).
+fn ident_in_stats_arm(file: &SourceFile, needle: &str) -> Option<u32> {
     let toks = file.toks();
     for i in 0..toks.len() {
-        if file.in_test(i) || !toks[i].is_ident(variant) {
+        if file.in_test(i) || !toks[i].is_ident("Stats") {
             continue;
         }
-        // `Stats ( binding ) =>` or `Stats =>`.
         let mut j = i + 1;
-        if toks.get(j).is_some_and(|t| t.is_punct('(')) {
+        if toks.get(j).is_some_and(|t| t.is_punct(')')) {
+            j += 1;
+        } else if toks.get(j).is_some_and(|t| t.is_punct('(')) {
             let mut depth = 0usize;
             while j < toks.len() {
                 if toks[j].is_punct('(') {
@@ -357,13 +382,12 @@ mod tests {
             (\"forwarded\", self.forwarded), (\"spooled\", self.spooled)] }\n";
 
     const PROTOCOL_OK: &str = "\
-        const T_STATS: u8 = FrameTag::Stats as u8;\n\
-        fn decode(tag: u8, buf: &mut Bytes) { match tag {\n\
-            T_STATS => Stats(NodeCounters::decode_wire(buf)),\n\
-            _ => (),\n\
+        fn decode(tag: u8, buf: &mut Bytes) { match FrameTag::from_byte(tag) {\n\
+            Some(FrameTag::Stats) => Stats(NodeCounters::decode_wire(buf)),\n\
+            Some(FrameTag::Ping | FrameTag::Stats) | None => (),\n\
         } }\n\
-        fn encode(m: &M, b: &mut B) { match m { Stats(c) => { b.put_u8(T_STATS); \
-            c.encode_wire(b); } } }\n";
+        fn encode(m: &M, b: &mut B) { match m { Stats(c) => { \
+            b.put_u8(FrameTag::Stats as u8); c.encode_wire(b); } } }\n";
 
     const CLI_OK: &str =
         "fn cmd_stats(c: NodeCounters) { for (n, v) in c.counter_lines() { print(n, v); } }";
@@ -411,11 +435,10 @@ mod tests {
     #[test]
     fn raw_counter_reads_in_stats_arm_are_flagged() {
         let protocol = "\
-            const T_STATS: u8 = FrameTag::Stats as u8;\n\
-            fn decode(tag: u8, buf: &mut Bytes) { match tag {\n\
-                T_STATS => { let published = buf.get_u64_le(); \
+            fn decode(tag: u8, buf: &mut Bytes) { match FrameTag::from_byte(tag) {\n\
+                Some(FrameTag::Stats) => { let published = buf.get_u64_le(); \
                 let forwarded = buf.get_u64_le(); Stats { published, forwarded } }\n\
-                _ => (),\n\
+                None => (),\n\
             } }\n";
         let cs = sources(&counters_with(FULL_SURFACES), protocol, CLI_OK);
         let out = check(&cs);

@@ -1,7 +1,7 @@
 //! A lightweight Rust tokenizer — just enough structure for the analysis
 //! passes: identifiers, punctuation, and literals with line numbers, with
-//! comments and string/char literals stripped (so a `panic!` inside a string
-//! is never a finding). `// analyzer:allow(rule): reason` comments are
+//! comments and string/char literals stripped (so a `.lock()` inside a
+//! string is never a finding). `// analyzer:allow(rule): reason` comments are
 //! surfaced separately so passes can honor the escape hatch.
 //!
 //! The container this repo builds in has no crates.io access, so the
@@ -54,8 +54,9 @@ impl Tok {
 /// An `// analyzer:allow(rule): reason` escape-hatch comment.
 #[derive(Debug, Clone)]
 pub struct Allow {
-    /// The rule being waived (`panic`, `index`, `hold-across-blocking`,
-    /// `lock-order`, `undeclared-lock`).
+    /// The rule being waived (`hold-across-blocking`, `lock-order`,
+    /// `undeclared-lock`, `wire-taint`, `counter-registry`,
+    /// `sim-determinism`).
     pub rule: String,
     /// 1-indexed line the comment sits on.
     pub line: u32,
@@ -329,14 +330,17 @@ mod tests {
 
     #[test]
     fn allow_comments_are_captured() {
-        let lexed = lex("x(); // analyzer:allow(panic): checked above\ny();\n");
+        let lexed = lex("x(); // analyzer:allow(wire-taint): checked above\ny();\n");
         assert_eq!(lexed.allows.len(), 1);
-        assert_eq!(lexed.allows[0].rule, "panic");
+        assert_eq!(lexed.allows[0].rule, "wire-taint");
         assert!(lexed.allows[0].has_reason);
-        assert!(lexed.allowed("panic", 1));
-        assert!(lexed.allowed("panic", 2), "comment covers the next line");
-        assert!(!lexed.allowed("panic", 3));
-        assert!(!lexed.allowed("index", 1));
+        assert!(lexed.allowed("wire-taint", 1));
+        assert!(
+            lexed.allowed("wire-taint", 2),
+            "comment covers the next line"
+        );
+        assert!(!lexed.allowed("wire-taint", 3));
+        assert!(!lexed.allowed("lock-order", 1));
     }
 
     #[test]

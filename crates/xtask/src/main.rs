@@ -11,15 +11,18 @@
 //! The passes (see DESIGN.md §9 and §13):
 //! 1. lock-order analysis over `crates/broker` + `crates/core` against the
 //!    hierarchy declared in `docs/LOCK_ORDER.md`;
-//! 2. hot-path panic lint over the broker dataflow modules and the types
-//!    decode surface;
-//! 3. wire-protocol exhaustiveness across `FrameTag`, the protocol codec,
-//!    and the dispatch sites;
-//! 4. wire-taint tracking of untrusted decoder reads to allocation and
+//! 2. wire-taint tracking of untrusted decoder reads to allocation and
 //!    cursor sinks;
-//! 5. counter-registry plumbing-exhaustiveness for `broker_counters!`;
-//! 6. sim-determinism (no wall clock, no OS entropy) over the IO-free
+//! 3. counter-registry plumbing-exhaustiveness for `broker_counters!`;
+//! 4. sim-determinism (no wall clock, no OS entropy) over the IO-free
 //!    protocol code the simulator steps.
+//!
+//! Each checks what no compiler lint can. What one can is left to rustc and
+//! clippy: the broker crate and the hot core and types modules deny
+//! clippy's panic lints (`unwrap_used`, `indexing_slicing`, `panic`, …),
+//! and every frame tag is decoded and every message dispatched by a match
+//! with no wildcard arm, so a tag or variant nobody handles fails the
+//! build.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -27,11 +30,9 @@ use std::process::ExitCode;
 mod counters;
 mod lexer;
 mod locks;
-mod panics;
 mod simdet;
 mod source;
 mod taint;
-mod wire;
 
 use source::SourceFile;
 
@@ -43,34 +44,15 @@ pub struct Finding {
     /// 1-indexed line.
     pub line: u32,
     /// Rule id (`lock-order`, `hold-across-blocking`, `undeclared-lock`,
-    /// `panic`, `index`, `wire-exhaustiveness`, `wire-taint`,
-    /// `counter-registry`, `sim-determinism`, `allow-without-reason`).
+    /// `wire-taint`, `counter-registry`, `sim-determinism`,
+    /// `allow-without-reason`).
     pub rule: String,
     /// Human-readable explanation.
     pub message: String,
 }
 
-/// Broker dataflow modules covered by the panic lint.
-const HOT_MODULES: &[&str] = &[
-    "broker.rs",
-    "broker_core.rs",
-    "outbox.rs",
-    "engine.rs",
-    "protocol.rs",
-    "control.rs",
-    "transport.rs",
-    "storage.rs",
-    "repair.rs",
-    "link.rs",
-];
-
-/// Core matching modules on the per-event path (the arena walk and the
-/// match-result cache), held to the same no-panic standard.
-const HOT_CORE_MODULES: &[&str] = &["arena.rs", "cache.rs"];
-
 /// Types modules on the decode path: everything here runs against bytes an
-/// unauthenticated peer controls, so it gets both the panic lint and the
-/// wire-taint pass.
+/// unauthenticated peer controls, so it gets the wire-taint pass.
 const HOT_TYPES_MODULES: &[&str] = &["crates/types/src/wire.rs", "crates/types/src/parser.rs"];
 
 /// Broker modules, besides the codec in `protocol.rs`, that size or index by
@@ -293,41 +275,19 @@ fn run_check(root: &Path) -> Result<Vec<Finding>, String> {
     }
     findings.extend(locks::check(&lock_files, &hierarchy));
 
-    // Pass 2: panic lint over the hot dataflow modules (broker), the
-    // per-event matching modules (core), and the types decode surface.
-    let types_files = HOT_TYPES_MODULES
-        .iter()
-        .map(|rel| load(root, rel))
-        .collect::<Result<Vec<_>, _>>()?;
-    for file in &lock_files {
-        let name = file.path.rsplit('/').next().unwrap_or(&file.path);
-        let hot = (file.path.starts_with("crates/broker/src") && HOT_MODULES.contains(&name))
-            || (file.path.starts_with("crates/core/src") && HOT_CORE_MODULES.contains(&name));
-        if hot {
-            findings.extend(panics::check(file));
-        }
-    }
-    for file in &types_files {
-        findings.extend(panics::check(file));
-    }
-
-    // Pass 3: wire-protocol exhaustiveness.
-    let ws = wire::WireSources {
-        wire: load(root, "crates/types/src/wire.rs")?,
-        protocol: load(root, "crates/broker/src/protocol.rs")?,
-        broker: load(root, "crates/broker/src/broker_core.rs")?,
-        client: load(root, "crates/broker/src/client.rs")?,
-    };
-    findings.extend(wire::check(&ws));
-
-    // Pass 4: wire-taint over every file that decodes untrusted bytes —
+    // Pass 2: wire-taint over every file that decodes untrusted bytes —
     // the broker codec (including the LinkDown/LinkUp repair arms, whose
     // epoch and version fields arrive from peers), the frame reader (the
     // length prefix it carves by is the first thing a peer controls), the
     // WAL record decoder (a torn write leaves arbitrary garbage in the
     // length headers `recover()` reads back), the link-state table the
     // decoded statements flow into, and the types decode surface.
-    findings.extend(taint::check(&ws.protocol));
+    let types_files = HOT_TYPES_MODULES
+        .iter()
+        .map(|rel| load(root, rel))
+        .collect::<Result<Vec<_>, _>>()?;
+    let protocol = load(root, "crates/broker/src/protocol.rs")?;
+    findings.extend(taint::check(&protocol));
     for file in &lock_files {
         let name = file.path.rsplit('/').next().unwrap_or(&file.path);
         if file.path.starts_with("crates/broker/src") && TAINT_MODULES.contains(&name) {
@@ -338,15 +298,15 @@ fn run_check(root: &Path) -> Result<Vec<Finding>, String> {
         findings.extend(taint::check(file));
     }
 
-    // Pass 5: counter-registry plumbing-exhaustiveness.
+    // Pass 3: counter-registry plumbing-exhaustiveness.
     let cs = counters::CounterSources {
         counters: load(root, "crates/broker/src/counters.rs")?,
-        protocol: load(root, "crates/broker/src/protocol.rs")?,
+        protocol,
         cli: load(root, "crates/cli/src/main.rs")?,
     };
     findings.extend(counters::check(&cs));
 
-    // Pass 6: sim-determinism over the code the simulator steps.
+    // Pass 4: sim-determinism over the code the simulator steps.
     for file in &lock_files {
         let name = file.path.rsplit('/').next().unwrap_or(&file.path);
         if file.path.starts_with("crates/broker/src") && SIM_MODULES.contains(&name) {
@@ -355,11 +315,11 @@ fn run_check(root: &Path) -> Result<Vec<Finding>, String> {
     }
 
     // Hygiene over every file any pass looked at.
-    for file in lock_files
-        .iter()
-        .chain(types_files.iter())
-        .chain([&ws.wire, &ws.protocol, &ws.broker, &ws.client])
-        .chain([&cs.counters, &cs.protocol, &cs.cli])
+    for file in
+        lock_files
+            .iter()
+            .chain(types_files.iter())
+            .chain([&cs.counters, &cs.protocol, &cs.cli])
     {
         findings.extend(allow_hygiene(file));
     }
@@ -388,59 +348,7 @@ fn run_selftest(root: &Path) -> Result<(), String> {
     expect_rule(&found, "lock-order", "lock_cycle")?;
     expect_rule(&found, "hold-across-blocking", "lock_cycle")?;
 
-    // Fixture 2: hot-path unwrap/index/panic.
-    let src = std::fs::read_to_string(fixtures.join("hot_panic/src.rs"))
-        .map_err(|e| format!("hot_panic fixture: {e}"))?;
-    let file = SourceFile::parse("fixtures/hot_panic/src.rs", &src);
-    let found = panics::check(&file);
-    expect_rule(&found, "panic", "hot_panic")?;
-    expect_rule(&found, "index", "hot_panic")?;
-    // The fixture's only `.expect()` sits under an allow comment, and its
-    // only test-mod unwrap is `#[cfg(test)]`-masked: neither may be flagged.
-    if found.iter().any(|f| f.message.contains(".expect")) {
-        return Err(format!(
-            "hot_panic: flagged a line covered by an allow comment: {found:?}"
-        ));
-    }
-    if found.iter().filter(|f| f.rule == "panic").count() != 2 {
-        return Err(format!(
-            "hot_panic: expected exactly 2 panic findings (unwrap + panic!), got {found:?}"
-        ));
-    }
-
-    // Fixture 3: an unhandled Frame variant.
-    let read = |rel: &str| -> Result<SourceFile, String> {
-        let p = fixtures.join("wire").join(rel);
-        let src = std::fs::read_to_string(&p).map_err(|e| format!("wire fixture {rel}: {e}"))?;
-        Ok(SourceFile::parse(&format!("fixtures/wire/{rel}"), &src))
-    };
-    let ws = wire::WireSources {
-        wire: read("wire.rs")?,
-        protocol: read("protocol.rs")?,
-        broker: read("broker.rs")?,
-        client: read("client.rs")?,
-    };
-    let found = wire::check(&ws);
-    expect_rule(&found, "wire-exhaustiveness", "wire")?;
-    // The last two needles are the heartbeat failure modes: a probe tag
-    // encoded but absent from the decode match (the peer would count every
-    // ping as a protocol error), and a decoded Ping with no dispatch arm
-    // (nobody answers, so liveness would false-positive).
-    for needle in [
-        "has no",
-        "never encoded",
-        "never dispatched",
-        "tag `T_PROBE` (FrameTag::Probe) never appears in a decode match arm",
-        "BrokerToBroker::Ping is never dispatched",
-    ] {
-        if !found.iter().any(|f| f.message.contains(needle)) {
-            return Err(format!(
-                "wire fixture: expected a finding containing {needle:?}, got {found:?}"
-            ));
-        }
-    }
-
-    // Fixture 4: wire-taint — every `tainted_*` function leaks a decoder
+    // Fixture 2: wire-taint — every `tainted_*` function leaks a decoder
     // read into a sink; every `sanitized_*` twin must stay quiet.
     let src = std::fs::read_to_string(fixtures.join("taint/src.rs"))
         .map_err(|e| format!("taint fixture: {e}"))?;
@@ -469,54 +377,22 @@ fn run_selftest(root: &Path) -> Result<(), String> {
              allow-annotated sink must stay quiet), got {found:?}"
         ));
     }
-    // Coverage pin for the durability work: the WAL record decoder must
-    // stay in the hot set — dropping it from `HOT_MODULES` would silently
-    // exempt `recover()`'s byte handling from the panic lint.
-    if !HOT_MODULES.contains(&"storage.rs") {
-        return Err("HOT_MODULES must cover storage.rs (WAL record decoding)".into());
+    // Coverage pins: the frame reader carves every connection's stream by a
+    // length prefix the peer wrote, so it stays under the taint pass; the
+    // link protocol and the broker core are stepped with a `now` their
+    // tests pick, so they stay clock-free.
+    if !TAINT_MODULES.contains(&"transport.rs") {
+        return Err("the wire-taint file set must cover transport.rs (FrameReader)".into());
     }
-    // Same pin for the repair work: the link-state table consumes
-    // peer-supplied versions from the LinkDown/LinkUp decode arms.
-    if !HOT_MODULES.contains(&"repair.rs") {
-        return Err("HOT_MODULES must cover repair.rs (link-state statements)".into());
-    }
-    // And for the frame reader: it carves every connection's stream by a
-    // length prefix the peer wrote, so it stays under the panic lint and
-    // the taint pass at once.
-    for (set, rule) in [(HOT_MODULES, "panic lint"), (TAINT_MODULES, "wire-taint")] {
-        if !set.contains(&"transport.rs") {
-            return Err(format!(
-                "the {rule} file set must cover transport.rs (FrameReader)"
-            ));
-        }
-    }
-    // And for the link protocol: it runs on the engine thread for every
-    // frame a neighbor sends, and it is clock-free by construction — the
-    // property its socket-free tests rest on.
-    for (set, rule) in [
-        (HOT_MODULES, "panic lint"),
-        (SIM_MODULES, "sim-determinism"),
-    ] {
-        if !set.contains(&"link.rs") {
-            return Err(format!("the {rule} file set must cover link.rs (Link)"));
-        }
-    }
-    // And for the broker core: every handler the engine thread runs, on
-    // every frame any peer sends; it is stepped with a `now` its tests pick.
-    for (set, rule) in [
-        (HOT_MODULES, "panic lint"),
-        (SIM_MODULES, "sim-determinism"),
-    ] {
-        if !set.contains(&"broker_core.rs") {
-            return Err(format!(
-                "the {rule} file set must cover broker_core.rs (BrokerCore)"
-            ));
+    for module in ["link.rs", "broker_core.rs"] {
+        if !SIM_MODULES.contains(&module) {
+            return Err(format!("the sim-determinism file set must cover {module}"));
         }
     }
     // The deliberately bare allow comment must trip the hygiene rule.
     expect_rule(&allow_hygiene(&file), "allow-without-reason", "taint")?;
 
-    // Fixture 5: counter-registry drift — a dropped counter in decode and
+    // Fixture 3: counter-registry drift — a dropped counter in decode and
     // CLI, a fixed-layout Stats read, and a literal bypassing the macro.
     let read = |rel: &str| -> Result<SourceFile, String> {
         let p = fixtures.join("counters").join(rel);
@@ -558,7 +434,7 @@ fn run_selftest(root: &Path) -> Result<(), String> {
         ));
     }
 
-    // Fixture 6: sim-determinism — wall clock + OS entropy, with one
+    // Fixture 4: sim-determinism — wall clock + OS entropy, with one
     // annotated pacing site that must stay quiet.
     let src = std::fs::read_to_string(fixtures.join("sim_determinism/src.rs"))
         .map_err(|e| format!("sim_determinism fixture: {e}"))?;

@@ -51,7 +51,7 @@ const ALLOC_IDENTS: &[&str] = &[
 ];
 
 /// Keywords that may precede a `[` that is not an indexing expression
-/// (mirrors the panic lint's indexing heuristic).
+/// (slice patterns, array types, `in [..]` iterations).
 const NON_INDEX_PRECEDERS: &[&str] = &[
     "let", "in", "as", "mut", "ref", "return", "if", "else", "match", "while", "for", "move",
     "box", "dyn", "impl", "where", "break", "continue", "static", "const", "pub", "fn", "use",

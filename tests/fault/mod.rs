@@ -12,9 +12,10 @@
 //! draw from the seeded [`Lcg`] (via [`seed_from_env`], e.g. `FAULT_SEED`)
 //! so CI runs a fixed, reproducible matrix.
 
-// Each test binary compiles this module separately and uses a different
-// subset of it.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test binary compiles this module separately and uses a different subset of it"
+)]
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
