@@ -375,6 +375,11 @@ impl BrokerNode {
     }
 
     /// Accumulated matching cost of every event this broker has routed.
+    ///
+    /// The snapshot is consistent: the core adds each event's whole cost
+    /// under one lock, so every field counts the same events, and a reader
+    /// polling while events flow can divide Δ`steps` by Δ(`events` −
+    /// `cache_hits`) without tearing.
     pub fn match_stats(&self) -> MatchStats {
         *self.match_stats.lock()
     }

@@ -561,8 +561,8 @@ impl Sim {
     fn node_drawn(&self, n: usize) -> Drawn {
         let counts = self.counts(n);
         let mut drawn = Drawn::default();
-        drawn.count("liveness timeout", counts.liveness_timeouts);
-        drawn.count("retransmit", counts.retransmitted);
+        drawn.count("liveness timeout", counts.liveness_timeouts());
+        drawn.count("retransmit", counts.retransmitted());
         drawn
     }
 

@@ -34,7 +34,7 @@ fn chain_survives_link_flaps() -> Result<(), String> {
         for i in 0..3 {
             sim.subscribe(i, "n >= 0")?;
         }
-        let flooded = |s: &Sim| (0..3).all(|i| s.counts(i).subscriptions == 3);
+        let flooded = |s: &Sim| (0..3).all(|i| s.counts(i).subscriptions() == 3);
         sim.run_until("subscription flood", WITHIN, flooded)?;
 
         // Flap cycles: cut one link, publish through the wound, heal, repeat.
@@ -72,10 +72,10 @@ fn chain_survives_link_flaps() -> Result<(), String> {
         }
 
         // The flaps actually exercised the spool path.
-        let retransmitted: u64 = (0..3).map(|i| sim.counts(i).retransmitted).sum();
+        let retransmitted: u64 = (0..3).map(|i| sim.counts(i).retransmitted()).sum();
         let forced = format!("seed {seed}: link flaps must force spool retransmissions");
         assert!(retransmitted > 0, "{forced}");
-        let overflowed: u64 = (0..3).map(|i| sim.counts(i).dropped_spool_overflow).sum();
+        let overflowed: u64 = (0..3).map(|i| sim.counts(i).dropped_spool_overflow()).sum();
         assert_eq!(overflowed, 0, "spools must not overflow in this workload");
     }
     Ok(())
@@ -95,14 +95,14 @@ fn unsubscribe_survives_link_flap() -> Result<(), String> {
     sim.connect(SUBSCRIBER, 0);
     let sub_id = sim.subscribe(SUBSCRIBER, "n >= 0")?;
     // The subscription floods to B.
-    let flooded = |s: &Sim| s.counts(b).subscriptions >= 1;
+    let flooded = |s: &Sim| s.counts(b).subscriptions() >= 1;
     sim.run_until("subscription flood", WITHIN, flooded)?;
 
     // Cut the link, then unsubscribe: the SubRemove flood toward B is lost.
     sim.kill(0);
     sim.run_until("A noticing the cut link", WITHIN, Sim::meshed)?;
     sim.unsubscribe(SUBSCRIBER, sub_id)?;
-    assert_eq!(sim.counts(a).subscriptions, 0);
+    assert_eq!(sim.counts(a).subscriptions(), 0);
 
     // Heal; the supervisor redials and both sides resync. B still resyncs
     // the stale subscription back, but A's tombstone filters it — and
@@ -113,9 +113,9 @@ fn unsubscribe_survives_link_flap() -> Result<(), String> {
     // as a subscription reappearing at A).
     sim.run_for(Duration::from_millis(300));
     let resurrected = "resync resurrected the unsubscribed subscription";
-    assert_eq!(sim.counts(a).subscriptions, 0, "{resurrected}");
+    assert_eq!(sim.counts(a).subscriptions(), 0, "{resurrected}");
     let stale = "B still holds the subscription removed while the link was down";
-    assert_eq!(sim.counts(b).subscriptions, 0, "{stale}");
+    assert_eq!(sim.counts(b).subscriptions(), 0, "{stale}");
 
     // Publishing a matching event at B must not reach the dead client.
     sim.connect(PUBLISHER, 0);
@@ -123,7 +123,11 @@ fn unsubscribe_survives_link_flap() -> Result<(), String> {
     sim.run_for(Duration::from_secs(1));
     let dead = "event delivered to an unsubscribed client";
     assert!(!sim.holds(SUBSCRIBER, 1), "{dead}");
-    assert_eq!(sim.counts(a).delivered, 0, "nothing may reach A's clients");
+    assert_eq!(
+        sim.counts(a).delivered(),
+        0,
+        "nothing may reach A's clients"
+    );
     Ok(())
 }
 
@@ -142,7 +146,7 @@ fn dialer_reconnect_window_loses_no_events() -> Result<(), String> {
     let mut sim = chain(1, 2, &[0, 1]);
     sim.connect(SUBSCRIBER, 0);
     sim.subscribe(SUBSCRIBER, "n >= 0")?;
-    let flooded = |s: &Sim| s.counts(1).subscriptions == 1;
+    let flooded = |s: &Sim| s.counts(1).subscriptions() == 1;
     sim.run_until("subscription flood", WITHIN, flooded)?;
     sim.connect(PUBLISHER, 0);
 
@@ -201,7 +205,7 @@ fn an_ack_before_the_peers_hello_trims_nothing() -> Result<(), String> {
     sim.connect(PUBLISHER, 0);
     sim.connect(SUBSCRIBER, 0);
     sim.subscribe(SUBSCRIBER, "n >= 0")?;
-    let subscribed = |s: &Sim| s.counts(0).subscriptions == 1;
+    let subscribed = |s: &Sim| s.counts(0).subscriptions() == 1;
     sim.run_until("subscription flood", WITHIN, subscribed)?;
     for n in 1..=3 {
         sim.publish(PUBLISHER, tick(&sim.registry, n));

@@ -342,7 +342,7 @@ fn connect_all(sim: &mut Sim) -> Result<(), String> {
     }
     let within = Duration::from_secs(10);
     sim.run_until("stable subscription flood", within, |s| {
-        (0..N_BROKERS).all(|i| s.counts(i).subscriptions >= N_BROKERS as u64)
+        (0..N_BROKERS).all(|i| s.counts(i).subscriptions() >= N_BROKERS as u64)
     })?;
     sim.run_until("initial link mesh", within, Sim::meshed)
 }
@@ -392,8 +392,8 @@ fn assert_quiet(sim: &mut Sim, held: &[(usize, usize)]) -> Result<(), String> {
 fn leak_checks(sim: &Sim) -> Result<(), String> {
     for i in 0..N_BROKERS {
         let s = sim.counts(i);
-        let evicted = s.evicted_slow_consumers + s.peer_overflow_disconnects;
-        let (dropped, errors) = (s.dropped_spool_overflow, s.protocol_errors);
+        let evicted = s.evicted_slow_consumers() + s.peer_overflow_disconnects();
+        let (dropped, errors) = (s.dropped_spool_overflow(), s.protocol_errors());
         ensure!(
             (dropped, errors, evicted) == (0, 0, 0),
             "broker {i} dropped {dropped} spooled frames, counted {errors} protocol \
@@ -425,8 +425,8 @@ fn probe(
     sim.run_until("probe quiescence", Duration::from_secs(10), Sim::quiet)?;
     for i in 0..N_BROKERS {
         let after = sim.counts(i);
-        let fwd = after.forwarded - before[i].forwarded;
-        let del = after.delivered - before[i].delivered;
+        let fwd = after.forwarded() - before[i].forwarded();
+        let del = after.delivered() - before[i].delivered();
         ensure!(
             (fwd, del) == expected[i],
             "broker {i} probe counters diverged from the {what}: \
@@ -552,7 +552,7 @@ fn run(seed: u64, ops: &[Op], model: Model, base: Instant) -> Result<Run, String
                 // boot fresh — to its neighbors the crash should look
                 // like a long link stall, not a restart.
                 ensure!(
-                    sim.counts(HUB).recoveries == 1,
+                    sim.counts(HUB).recoveries() == 1,
                     "op {step}: rebooted hub did not recover its durable state"
                 );
                 // Reconnect with resume_from = 0: client delivery logs
@@ -614,7 +614,7 @@ fn run(seed: u64, ops: &[Op], model: Model, base: Instant) -> Result<Run, String
     // the harness's live-subscription oracle — resurrections (tombstone
     // bugs) or lost SubAdds park this wait on the wrong count.
     sim.run_until("subscription convergence", secs(30), |s| {
-        (0..N_BROKERS).all(|i| s.counts(i).subscriptions == live_subs)
+        (0..N_BROKERS).all(|i| s.counts(i).subscriptions() == live_subs)
     })?;
     if !repair {
         sim.run_until("queue quiescence", secs(30), Sim::quiet)?;
@@ -691,14 +691,14 @@ fn run(seed: u64, ops: &[Op], model: Model, base: Instant) -> Result<Run, String
     if repair {
         if partitions > 0 {
             let initiated: u64 = (0..N_BROKERS)
-                .map(|i| sim.counts(i).repairs_initiated)
+                .map(|i| sim.counts(i).repairs_initiated())
                 .sum();
             ensure!(
                 initiated >= 1,
                 "no broker escalated a dead link into a repair across {partitions} partitions"
             );
             for i in 0..N_BROKERS {
-                let flips = sim.counts(i).epoch_flips;
+                let flips = sim.counts(i).epoch_flips();
                 ensure!(flips >= 1, "broker {i} never flipped its topology epoch");
             }
         }
@@ -951,7 +951,7 @@ fn resync_invalidates_match_cache() -> Result<(), String> {
     // Publish with no subscribers anywhere: B's match cache stores the
     // empty link set for these attribute values.
     sim.publish(PUBLISHER, tick(&sim.registry, 7));
-    let routed = |s: &Sim| s.counts(1).published == 1;
+    let routed = |s: &Sim| s.counts(1).published() == 1;
     sim.run_until("first publish routed", within, routed)?;
 
     // Cut the link, subscribe at A (the SubAdd flood toward B is lost),
@@ -961,7 +961,7 @@ fn resync_invalidates_match_cache() -> Result<(), String> {
     sim.connect(SUBSCRIBER, 0);
     sim.subscribe(SUBSCRIBER, "n >= 0")?;
     sim.revive(0);
-    let resynced = |s: &Sim| s.counts(1).subscriptions == 1;
+    let resynced = |s: &Sim| s.counts(1).subscriptions() == 1;
     sim.run_until("resync converged", within, resynced)?;
 
     // Same attribute values as the cached miss: a stale cache entry
@@ -973,7 +973,7 @@ fn resync_invalidates_match_cache() -> Result<(), String> {
 
     // The cache actually participated: the second publish had to flush a
     // generation.
-    let invalidations = sim.counts(1).match_cache_invalidations;
+    let invalidations = sim.counts(1).match_cache_invalidations();
     assert!(
         invalidations >= 1,
         "resync subscribe never invalidated the cache"
@@ -1003,7 +1003,7 @@ fn repair_rehomes_spooled_frames_across_the_new_tree() -> Result<(), String> {
     sim.connect(PUBLISHER, 0);
     sim.connect(SUBSCRIBER, 0);
     sim.subscribe(SUBSCRIBER, "n >= 0")?;
-    let flooded = |s: &Sim| (0..3).all(|i| s.counts(i).subscriptions == 1);
+    let flooded = |s: &Sim| (0..3).all(|i| s.counts(i).subscriptions() == 1);
     sim.run_until("subscription flood", within, flooded)?;
 
     // Baseline: A's publish tree reaches C over the direct edge.
@@ -1037,15 +1037,15 @@ fn repair_rehomes_spooled_frames_across_the_new_tree() -> Result<(), String> {
     })?;
     let (sa, sb, sc) = (sim.counts(0), sim.counts(1), sim.counts(2));
     let initiated = "the dead edge's dialer (C) initiates the repair";
-    assert_eq!(sc.repairs_initiated, 1, "{initiated}");
-    assert_eq!(sa.repairs_initiated + sb.repairs_initiated, 0);
+    assert_eq!(sc.repairs_initiated(), 1, "{initiated}");
+    assert_eq!(sa.repairs_initiated() + sb.repairs_initiated(), 0);
     assert!(
-        sa.rerouted_frames >= 1,
+        sa.rerouted_frames() >= 1,
         "A never re-homed the spooled frame"
     );
     for (name, s) in [("A", &sa), ("B", &sb), ("C", &sc)] {
-        assert_eq!(s.epoch_flips, 1, "broker {name} must flip exactly once");
-        assert_eq!(s.protocol_errors, 0, "broker {name} saw protocol errors");
+        assert_eq!(s.epoch_flips(), 1, "broker {name} must flip exactly once");
+        assert_eq!(s.protocol_errors(), 0, "broker {name} saw protocol errors");
     }
     Ok(())
 }

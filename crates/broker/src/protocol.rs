@@ -929,6 +929,16 @@ mod tests {
         f
     }
 
+    /// A `NodeCounters` holding `words` in wire order, filled through the
+    /// registry's decoder: the only way outside `counters.rs` to build one.
+    fn counters(words: impl IntoIterator<Item = u64>) -> NodeCounters {
+        let mut b = BytesMut::new();
+        for word in words {
+            b.put_u64_le(word);
+        }
+        NodeCounters::decode_wire(&mut b.freeze())
+    }
+
     #[test]
     fn client_messages_roundtrip() {
         let reg = registry();
@@ -976,35 +986,7 @@ mod tests {
             BrokerToClient::Error {
                 message: "no such schema".into(),
             },
-            BrokerToClient::Stats(NodeCounters {
-                published: 1,
-                forwarded: 2,
-                delivered: 3,
-                errors: 4,
-                subscriptions: 5,
-                spooled: 6,
-                retransmitted: 7,
-                dropped_spool_overflow: 8,
-                protocol_errors: 9,
-                pings_sent: 10,
-                liveness_timeouts: 11,
-                evicted_slow_consumers: 12,
-                peer_overflow_disconnects: 13,
-                match_cache_hits: 14,
-                match_cache_misses: 15,
-                match_cache_invalidations: 16,
-                wal_appends: 17,
-                wal_replayed: 18,
-                snapshot_writes: 19,
-                torn_records_discarded: 20,
-                recoveries: 21,
-                repairs_initiated: 22,
-                epoch_flips: 23,
-                stale_epoch_drops: 24,
-                rerouted_frames: 25,
-                order_rebuilds: 26,
-                storage_errors: 27,
-            }),
+            BrokerToClient::Stats(counters(1..=27)),
         ];
         for m in messages {
             let back = BrokerToClient::decode(strip(m.encode()), &reg).unwrap();
@@ -1228,10 +1210,7 @@ mod tests {
                 FrameTag::Error => Message::B2C(BrokerToClient::Error {
                     message: "no such schema".into(),
                 }),
-                FrameTag::Stats => Message::B2C(BrokerToClient::Stats(NodeCounters {
-                    published: 1,
-                    ..NodeCounters::default()
-                })),
+                FrameTag::Stats => Message::B2C(BrokerToClient::Stats(counters([1]))),
                 FrameTag::BrokerHello => Message::B2B(BrokerToBroker::Hello {
                     broker: BrokerId::new(7),
                     incarnation: 1,
@@ -1322,19 +1301,19 @@ mod tests {
             BrokerToClient::Stats(c) => {
                 assert_eq!(
                     (
-                        c.published,
-                        c.forwarded,
-                        c.delivered,
-                        c.errors,
-                        c.subscriptions,
-                        c.spooled,
-                        c.retransmitted,
-                        c.dropped_spool_overflow
+                        c.published(),
+                        c.forwarded(),
+                        c.delivered(),
+                        c.errors(),
+                        c.subscriptions(),
+                        c.spooled(),
+                        c.retransmitted(),
+                        c.dropped_spool_overflow()
                     ),
                     (1, 2, 3, 4, 5, 6, 7, 8)
                 );
-                assert_eq!(c.protocol_errors, 0);
-                assert_eq!(c.match_cache_invalidations, 0);
+                assert_eq!(c.protocol_errors(), 0);
+                assert_eq!(c.match_cache_invalidations(), 0);
             }
             other => panic!("expected stats, got {other:?}"),
         }
@@ -1353,12 +1332,12 @@ mod tests {
         let counters: Vec<u64> = (1..=30).collect();
         match BrokerToClient::decode(stats_payload(&counters), &reg).unwrap() {
             BrokerToClient::Stats(c) => {
-                assert_eq!(c.published, 1);
-                assert_eq!(c.match_cache_invalidations, 16);
-                assert_eq!(c.recoveries, 21);
-                assert_eq!(c.rerouted_frames, 25);
-                assert_eq!(c.order_rebuilds, 26);
-                assert_eq!(c.storage_errors, 27);
+                assert_eq!(c.published(), 1);
+                assert_eq!(c.match_cache_invalidations(), 16);
+                assert_eq!(c.recoveries(), 21);
+                assert_eq!(c.rerouted_frames(), 25);
+                assert_eq!(c.order_rebuilds(), 26);
+                assert_eq!(c.storage_errors(), 27);
             }
             other => panic!("expected stats, got {other:?}"),
         }

@@ -147,6 +147,24 @@ fn serve_publish_subscribe_roundtrip() {
     assert!(stdout.contains("3000"), "{stdout}");
     assert!(!stdout.contains("HP"), "only the matching event: {stdout}");
 
+    // `stats` prints the whole counter registry: every name exactly once.
+    let out = bin()
+        .arg("stats")
+        .arg(&config)
+        .args(["--client", "bob"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let printed: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split_whitespace().next()?.strip_suffix(':'))
+        .collect();
+    for name in linkcast_broker::NodeCounters::NAMES {
+        let times = printed.iter().filter(|&&p| p == name).count();
+        assert_eq!(times, 1, "`{name}` printed {times} times: {stdout}");
+    }
+
     // Stop the server via stdin (clean shutdown path).
     serve.0.stdin.take().unwrap().write_all(b"\n").unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);

@@ -55,8 +55,7 @@ impl Tok {
 #[derive(Debug, Clone)]
 pub struct Allow {
     /// The rule being waived (`hold-across-blocking`, `lock-order`,
-    /// `undeclared-lock`, `wire-taint`, `counter-registry`,
-    /// `sim-determinism`).
+    /// `undeclared-lock`, `wire-taint`, `sim-determinism`).
     pub rule: String,
     /// 1-indexed line the comment sits on.
     pub line: u32,

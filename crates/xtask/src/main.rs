@@ -13,21 +13,20 @@
 //!    hierarchy declared in `docs/LOCK_ORDER.md`;
 //! 2. wire-taint tracking of untrusted decoder reads to allocation and
 //!    cursor sinks;
-//! 3. counter-registry plumbing-exhaustiveness for `broker_counters!`;
-//! 4. sim-determinism (no wall clock, no OS entropy) over the IO-free
+//! 3. sim-determinism (no wall clock, no OS entropy) over the IO-free
 //!    protocol code the simulator steps.
 //!
 //! Each checks what no compiler lint can. What one can is left to rustc and
 //! clippy: the broker crate and the hot core and types modules deny
 //! clippy's panic lints (`unwrap_used`, `indexing_slicing`, `panic`, …),
-//! and every frame tag is decoded and every message dispatched by a match
+//! every frame tag is decoded and every message dispatched by a match
 //! with no wildcard arm, so a tag or variant nobody handles fails the
-//! build.
+//! build, and `NodeCounters`'s fields are private to the
+//! `broker_counters!` registry, so only its generated code fills one.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-mod counters;
 mod lexer;
 mod locks;
 mod simdet;
@@ -44,8 +43,7 @@ pub struct Finding {
     /// 1-indexed line.
     pub line: u32,
     /// Rule id (`lock-order`, `hold-across-blocking`, `undeclared-lock`,
-    /// `wire-taint`, `counter-registry`, `sim-determinism`,
-    /// `allow-without-reason`).
+    /// `wire-taint`, `sim-determinism`, `allow-without-reason`).
     pub rule: String,
     /// Human-readable explanation.
     pub message: String,
@@ -55,9 +53,9 @@ pub struct Finding {
 /// unauthenticated peer controls, so it gets the wire-taint pass.
 const HOT_TYPES_MODULES: &[&str] = &["crates/types/src/wire.rs", "crates/types/src/parser.rs"];
 
-/// Broker modules, besides the codec in `protocol.rs`, that size or index by
-/// bytes they did not write: held to the wire-taint rule.
-const TAINT_MODULES: &[&str] = &["transport.rs", "storage.rs", "repair.rs"];
+/// Broker modules that size or index by bytes they did not write: held to
+/// the wire-taint rule.
+const TAINT_MODULES: &[&str] = &["protocol.rs", "transport.rs", "storage.rs", "repair.rs"];
 
 /// Modules held to the sim-determinism rule: the link protocol and the
 /// broker core, which are handed `now` and read no clock of their own — the
@@ -286,8 +284,6 @@ fn run_check(root: &Path) -> Result<Vec<Finding>, String> {
         .iter()
         .map(|rel| load(root, rel))
         .collect::<Result<Vec<_>, _>>()?;
-    let protocol = load(root, "crates/broker/src/protocol.rs")?;
-    findings.extend(taint::check(&protocol));
     for file in &lock_files {
         let name = file.path.rsplit('/').next().unwrap_or(&file.path);
         if file.path.starts_with("crates/broker/src") && TAINT_MODULES.contains(&name) {
@@ -298,15 +294,7 @@ fn run_check(root: &Path) -> Result<Vec<Finding>, String> {
         findings.extend(taint::check(file));
     }
 
-    // Pass 3: counter-registry plumbing-exhaustiveness.
-    let cs = counters::CounterSources {
-        counters: load(root, "crates/broker/src/counters.rs")?,
-        protocol,
-        cli: load(root, "crates/cli/src/main.rs")?,
-    };
-    findings.extend(counters::check(&cs));
-
-    // Pass 4: sim-determinism over the code the simulator steps.
+    // Pass 3: sim-determinism over the code the simulator steps.
     for file in &lock_files {
         let name = file.path.rsplit('/').next().unwrap_or(&file.path);
         if file.path.starts_with("crates/broker/src") && SIM_MODULES.contains(&name) {
@@ -315,12 +303,7 @@ fn run_check(root: &Path) -> Result<Vec<Finding>, String> {
     }
 
     // Hygiene over every file any pass looked at.
-    for file in
-        lock_files
-            .iter()
-            .chain(types_files.iter())
-            .chain([&cs.counters, &cs.protocol, &cs.cli])
-    {
+    for file in lock_files.iter().chain(&types_files) {
         findings.extend(allow_hygiene(file));
     }
 
@@ -377,12 +360,14 @@ fn run_selftest(root: &Path) -> Result<(), String> {
              allow-annotated sink must stay quiet), got {found:?}"
         ));
     }
-    // Coverage pins: the frame reader carves every connection's stream by a
-    // length prefix the peer wrote, so it stays under the taint pass; the
-    // link protocol and the broker core are stepped with a `now` their
-    // tests pick, so they stay clock-free.
-    if !TAINT_MODULES.contains(&"transport.rs") {
-        return Err("the wire-taint file set must cover transport.rs (FrameReader)".into());
+    // Coverage pins: the codec decodes every frame a peer sends and the
+    // frame reader carves each stream by a length prefix the peer wrote, so
+    // both stay under the taint pass; the link protocol and the broker core
+    // are stepped with a `now` their tests pick, so they stay clock-free.
+    for module in ["protocol.rs", "transport.rs"] {
+        if !TAINT_MODULES.contains(&module) {
+            return Err(format!("the wire-taint file set must cover {module}"));
+        }
     }
     for module in ["link.rs", "broker_core.rs"] {
         if !SIM_MODULES.contains(&module) {
@@ -392,49 +377,7 @@ fn run_selftest(root: &Path) -> Result<(), String> {
     // The deliberately bare allow comment must trip the hygiene rule.
     expect_rule(&allow_hygiene(&file), "allow-without-reason", "taint")?;
 
-    // Fixture 3: counter-registry drift — a dropped counter in decode and
-    // CLI, a fixed-layout Stats read, and a literal bypassing the macro.
-    let read = |rel: &str| -> Result<SourceFile, String> {
-        let p = fixtures.join("counters").join(rel);
-        let src =
-            std::fs::read_to_string(&p).map_err(|e| format!("counters fixture {rel}: {e}"))?;
-        Ok(SourceFile::parse(&format!("fixtures/counters/{rel}"), &src))
-    };
-    let cs = counters::CounterSources {
-        counters: read("counters.rs")?,
-        protocol: read("protocol.rs")?,
-        cli: read("cli.rs")?,
-    };
-    let found = counters::check(&cs);
-    expect_rule(&found, "counter-registry", "counters")?;
-    for needle in [
-        "counter `spooled` is missing from `decode_wire`",
-        "counter `spooled` is missing from `counter_lines`",
-        // The widened-counters-frame mistake: a Stats decode arm that
-        // reads counters at fixed offsets, so a peer one release apart
-        // becomes a protocol error instead of a degraded read.
-        "reads counters with raw `get_u64_le`",
-        "bypasses the `broker_counters!` registry",
-        "does not render `counter_lines()`",
-    ] {
-        if !found.iter().any(|f| f.message.contains(needle)) {
-            return Err(format!(
-                "counters fixture: expected a finding containing {needle:?}, got {found:?}"
-            ));
-        }
-    }
-    // The complete surfaces (encode_wire, the NodeCounters struct) must not
-    // be flagged.
-    if found
-        .iter()
-        .any(|f| f.message.contains("`encode_wire`") || f.message.contains("`NodeCounters`"))
-    {
-        return Err(format!(
-            "counters fixture: flagged a surface that covers every entry: {found:?}"
-        ));
-    }
-
-    // Fixture 4: sim-determinism — wall clock + OS entropy, with one
+    // Fixture 3: sim-determinism — wall clock + OS entropy, with one
     // annotated pacing site that must stay quiet.
     let src = std::fs::read_to_string(fixtures.join("sim_determinism/src.rs"))
         .map_err(|e| format!("sim_determinism fixture: {e}"))?;

@@ -325,18 +325,39 @@ fn relay_table_costs_two_steps_per_broker() {
     subscribe_local(&subscriber, "volume >= 0".into());
     await_subscriptions(&cluster, 1);
 
-    for ts in 0..EVENTS {
-        let event = bench_event(schema, ts);
-        publisher.send(&linkcast_broker::ClientToBroker::Publish { event });
-    }
-    for ts in 0..EVENTS {
-        match subscriber.recv(Duration::from_secs(10)).unwrap() {
-            linkcast_broker::BrokerToClient::Deliver { seq, .. } => {
-                assert_eq!(seq, ts as u64 + 1, "exactly once, in order");
+    std::thread::scope(|scope| {
+        // A reader polls every broker's `match_stats()` while the events
+        // flow. The benchmark's gated steps-per-event count divides the
+        // deltas of one such snapshot, so each must hold whole events:
+        // never the steps of an event without its count, or the reverse.
+        scope.spawn(|| {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            loop {
+                let mut all_routed = true;
+                for node in &cluster.nodes {
+                    let s = node.match_stats();
+                    let walked = s.events - s.cache_hits;
+                    assert_eq!(s.steps, 2 * walked, "{}: {s:?}", node.broker());
+                    all_routed &= s.events == EVENTS as u64;
+                }
+                if all_routed || Instant::now() > deadline {
+                    return;
+                }
             }
-            other => panic!("expected delivery {ts}, got {other:?}"),
+        });
+        for ts in 0..EVENTS {
+            let event = bench_event(schema, ts);
+            publisher.send(&linkcast_broker::ClientToBroker::Publish { event });
         }
-    }
+        for ts in 0..EVENTS {
+            match subscriber.recv(Duration::from_secs(10)).unwrap() {
+                linkcast_broker::BrokerToClient::Deliver { seq, .. } => {
+                    assert_eq!(seq, ts as u64 + 1, "exactly once, in order");
+                }
+                other => panic!("expected delivery {ts}, got {other:?}"),
+            }
+        }
+    });
     let matching: Vec<_> = cluster.nodes.iter().map(BrokerNode::match_stats).collect();
     for (node, stats) in cluster.nodes.iter().zip(&matching) {
         assert_eq!(stats.events, EVENTS as u64, "{}", node.broker());

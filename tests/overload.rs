@@ -86,8 +86,8 @@ fn slow_consumer_is_evicted_and_broker_stays_live() {
     // counter travels the wire (what `linkcast-cli stats` renders).
     let mut probe = Client::connect(node.addr(), probe_id, 0, Arc::clone(&registry)).unwrap();
     let counters = probe.stats().unwrap();
-    assert_eq!(counters.evicted_slow_consumers, 1);
-    assert!(counters.published >= n as u64);
+    assert_eq!(counters.evicted_slow_consumers(), 1);
+    assert!(counters.published() >= n as u64);
 
     // The victim, when it finally reads, sees whatever had already been
     // flushed, then the eviction notice — not a silent EOF. (recv_unacked:
