@@ -1,5 +1,9 @@
 //! The broker node: threads, recovery and lifecycle around the protocol
 //! core, [`BrokerCore`], which its engine thread steps.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "shell: the engine thread reads the clock it hands the core, and a boot nonce salts with the time"
+)]
 
 use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, SocketAddr};
@@ -12,11 +16,10 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use linkcast::RoutingFabric;
 use linkcast_matching::MatchStats;
 use linkcast_types::{wire, BrokerId, SchemaId, SchemaRegistry, Subscription, SubscriptionId};
-use parking_lot::Mutex;
 
 use crate::broker_core::{BrokerCore, Out, STATE_SNAPSHOT, WAL_LOG};
 use crate::control::{SubIdAllocator, TombstoneSet};
-use crate::counters::{BrokerStats, Derived, Gauges, StatsInner};
+use crate::counters::{BrokerStats, Derived, Gauges, MatchTally, StatsInner};
 use crate::link::{Link, Redial};
 use crate::outbox::{ConnId, Outbox, Sink};
 use crate::protocol::{self, BrokerToClient, ClientToBroker};
@@ -181,7 +184,7 @@ pub struct BrokerNode {
     cmd_tx: Sender<Command>,
     outbox: Arc<Outbox>,
     stats: Arc<StatsInner>,
-    match_stats: Arc<Mutex<MatchStats>>,
+    match_stats: Arc<MatchTally>,
     shutdown: Arc<AtomicBool>,
     next_conn: Arc<AtomicU64>,
     /// Current topology epoch, stored by the core on every
@@ -381,7 +384,7 @@ impl BrokerNode {
     /// polling while events flow can divide Δ`steps` by Δ(`events` −
     /// `cache_hits`) without tearing.
     pub fn match_stats(&self) -> MatchStats {
-        *self.match_stats.lock()
+        self.match_stats.get()
     }
 
     /// Stops the node: the engine loop exits, the acceptor stops, reader

@@ -15,11 +15,10 @@ use linkcast_matching::{MatchStats, PstOptions};
 use linkcast_types::{
     BrokerId, ClientId, Event, LinkId, SubscriberId, Subscription, SubscriptionId,
 };
-use parking_lot::Mutex;
 
 use crate::broker::{encode_snapshot, recover, BrokerConfig, Command, Recovered};
 use crate::control::{SubIdAllocator, TombstoneSet, SUB_COUNTER_BITS, SUB_ID_SPACE};
-use crate::counters::{Derived, StatsInner};
+use crate::counters::{Derived, MatchTally, StatsInner};
 use crate::engine::MatchingEngine;
 use crate::link::{heartbeat_jitter_seed, Link, Mark, Tick};
 use crate::log::EventLog;
@@ -38,7 +37,11 @@ pub(crate) trait Out {
     /// Queues `frame` on `conn`; dropped if `conn` is gone.
     fn send(&self, conn: ConnId, frame: Bytes);
     /// Queues one shared `frame` on each of `conns`.
-    fn send_many<I: IntoIterator<Item = ConnId>>(&self, conns: I, frame: &Bytes);
+    fn send_many<I: IntoIterator<Item = ConnId>>(&self, conns: I, frame: &Bytes) {
+        for conn in conns {
+            self.send(conn, frame.clone());
+        }
+    }
     /// Closes `conn` at once, discarding what is queued on it.
     fn unregister(&self, conn: ConnId);
     /// Closes `conn` once what is queued on it is written.
@@ -156,7 +159,7 @@ pub(crate) struct BrokerCore<O: Out> {
     out: O,
     pub(crate) stats: Arc<StatsInner>,
     /// Accumulated matching cost, read by `BrokerNode::match_stats`.
-    pub(crate) match_stats: Arc<Mutex<MatchStats>>,
+    pub(crate) match_stats: Arc<MatchTally>,
     /// The match-result cache.
     match_cache: MatchCache,
     /// Reusable matching buffers (scratch masks, walk frames).
@@ -302,7 +305,7 @@ impl<O: Out> BrokerCore<O> {
             engine,
             out,
             stats,
-            match_stats: Arc::new(Mutex::new(MatchStats::new())),
+            match_stats: Arc::default(),
             conns: HashMap::new(),
             clients: HashMap::new(),
             links: recovered.links,
@@ -558,14 +561,12 @@ impl<O: Out> BrokerCore<O> {
             ClientToBroker::StatsRequest => {
                 // `subscriptions` reads the stored gauge, refreshed on
                 // every subscription change.
-                let counters = {
-                    let matching = self.match_stats.lock();
-                    self.stats.counters(Derived {
-                        match_cache_hits: matching.cache_hits,
-                        match_cache_misses: matching.cache_misses,
-                        match_cache_invalidations: matching.cache_invalidations,
-                    })
-                };
+                let matching = self.match_stats.get();
+                let counters = self.stats.counters(Derived {
+                    match_cache_hits: matching.cache_hits,
+                    match_cache_misses: matching.cache_misses,
+                    match_cache_invalidations: matching.cache_invalidations,
+                });
                 let frame = BrokerToClient::Stats(counters).encode();
                 self.out.send(conn, frame);
             }
@@ -825,7 +826,7 @@ impl<O: Out> BrokerCore<O> {
             &mut stats,
             &mut links,
         );
-        *self.match_stats.lock() += stats;
+        self.match_stats.add(stats);
         // Between events, and only once enough of them have walked the tree.
         if self.route_scratch.order_check_due() {
             let rebuilt = self.engine.adapt_orders(&mut self.route_scratch);

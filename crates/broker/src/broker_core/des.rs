@@ -530,7 +530,7 @@ impl Sim {
     /// What core `n`'s counters read now.
     pub(crate) fn counts(&self, n: usize) -> NodeCounters {
         let core = &self.nodes[n].core;
-        let matching = *core.match_stats.lock();
+        let matching = core.match_stats.get();
         core.stats.counters(Derived {
             match_cache_hits: matching.cache_hits,
             match_cache_misses: matching.cache_misses,

@@ -31,11 +31,6 @@ impl Out for Recording {
     fn send(&self, conn: ConnId, frame: Bytes) {
         self.0.borrow_mut().push(Io::Send(conn, frame));
     }
-    fn send_many<I: IntoIterator<Item = ConnId>>(&self, conns: I, frame: &Bytes) {
-        for conn in conns {
-            self.send(conn, frame.clone());
-        }
-    }
     fn unregister(&self, conn: ConnId) {
         self.0.borrow_mut().push(Io::Unregister(conn));
     }

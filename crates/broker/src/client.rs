@@ -1,5 +1,9 @@
 //! Client library for connecting to broker nodes over a transport
 //! (TCP by default; see [`Client::connect_via`] for others).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "shell: reply and delivery deadlines read the clock"
+)]
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;

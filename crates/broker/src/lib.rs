@@ -35,6 +35,16 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![deny(clippy::indexing_slicing, clippy::string_slice)]
+// Every lock is a leaf: a private field of one small type whose methods are
+// the only code that takes it (docs/LOCK_ORDER.md). Each carries an
+// `#[expect(clippy::disallowed_types, reason = "leaf: …")]`, so a lock
+// declared anywhere else fails here, and one deleted leaves a stale expect.
+#![deny(clippy::disallowed_types)]
+// The protocol the simulator steps in virtual time is handed `now`: only the
+// shell modules that own threads and sockets (`broker`, `client`,
+// `transport`, `outbox`) read a clock, each under a module-level `#![expect]`.
+// Tests pick their own base instant.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 /// Unit tests pin allocation counts where the subject is not public (the
 /// outbox's fan-out); counting is per thread and costs an increment.

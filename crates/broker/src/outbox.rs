@@ -8,19 +8,28 @@
 //! link, never a copy. Pool threads drain queues in bounded batches with
 //! vectored writes, so one saturated connection cannot monopolize a sender
 //! thread, and aggregate queue depth is observable for backpressure.
+//!
+//! The outbox's two locks are leaves (docs/LOCK_ORDER.md): the connection
+//! table's and each connection's queue, each a private field of a type in
+//! its own module here, whose methods take it and let go before returning.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "shell: the drain deadline reads the clock"
+)]
 
-use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use crossbeam::channel::{unbounded, Sender};
 
 use crate::broker::Command;
 use crate::transport::LinkWriter;
+
+use conn::Conn;
+use table::ConnTable;
 
 /// Identifies one connection within a broker node.
 pub(crate) type ConnId = u64;
@@ -41,35 +50,150 @@ pub(crate) enum Sink {
     Chan(Sender<Bytes>),
 }
 
-pub(crate) struct Conn {
-    id: ConnId,
-    sink: Sink,
-    queue: Mutex<VecDeque<Bytes>>,
-    /// Whether a drain task is scheduled or running for this connection;
-    /// guarantees a single writer per sink.
-    draining: AtomicBool,
-    dead: AtomicBool,
-    /// Set by [`Outbox::close_after_flush`]: the drain loop shuts the sink
-    /// down once the queue empties instead of parking the connection.
-    closing: AtomicBool,
-    /// Bytes currently queued on this connection — the per-connection half
-    /// of the depth counters, read by the overflow check on every enqueue.
-    queued_bytes: AtomicU64,
-    /// Whether [`Command::QueueOverflow`] has already been sent for this
-    /// connection (the engine is told exactly once; its policy decides what
-    /// follows).
-    overflowed: AtomicBool,
+mod conn {
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    use bytes::Bytes;
+
+    use super::{ConnId, Sink};
+
+    pub(crate) struct Conn {
+        pub(super) id: ConnId,
+        pub(super) sink: Sink,
+        /// Pending frames. Only the methods below lock it.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "leaf: one connection's queue, locked only by `Conn`'s methods"
+        )]
+        queue: parking_lot::Mutex<VecDeque<Bytes>>,
+        /// Whether a drain task is scheduled or running for this
+        /// connection; guarantees a single writer per sink.
+        pub(super) draining: AtomicBool,
+        pub(super) dead: AtomicBool,
+        /// Set by [`super::Outbox::close_after_flush`] and `evict`: the
+        /// drain loop shuts the sink down once the queue empties instead of
+        /// parking the connection. Written and read under the queue lock
+        /// only, so a drain that sees the queue empty either sees the mark
+        /// or is ordered before it — the lost-wakeup protocol that
+        /// `tests/loom_model.rs` models.
+        closing: AtomicBool,
+        /// Bytes currently queued on this connection — the per-connection
+        /// half of the depth counters, read by the overflow check on every
+        /// enqueue.
+        pub(super) queued_bytes: AtomicU64,
+        /// Whether [`super::Command::QueueOverflow`] has already been sent
+        /// for this connection (the engine is told exactly once; its policy
+        /// decides what follows).
+        pub(super) overflowed: AtomicBool,
+    }
+
+    impl Conn {
+        pub(super) fn new(id: ConnId, sink: Sink) -> Conn {
+            Conn {
+                id,
+                sink,
+                queue: Default::default(),
+                draining: AtomicBool::new(false),
+                dead: AtomicBool::new(false),
+                closing: AtomicBool::new(false),
+                queued_bytes: AtomicU64::new(0),
+                overflowed: AtomicBool::new(false),
+            }
+        }
+
+        pub(super) fn push(&self, frame: Bytes) {
+            self.queue.lock().push_back(frame);
+        }
+
+        /// Queues the last frame the peer will see and marks the
+        /// connection closing, under one lock.
+        pub(super) fn push_final(&self, frame: Bytes) {
+            let mut queue = self.queue.lock();
+            queue.push_back(frame);
+            self.closing.store(true, Ordering::Release);
+        }
+
+        pub(super) fn mark_closing(&self) {
+            let _queue = self.queue.lock();
+            self.closing.store(true, Ordering::Release);
+        }
+
+        /// Takes up to `n` frames off the front, and whether the
+        /// connection was closing when they were taken.
+        pub(super) fn take_batch(&self, n: usize) -> (Vec<Bytes>, bool) {
+            let mut queue = self.queue.lock();
+            let n = queue.len().min(n);
+            (
+                queue.drain(..n).collect(),
+                self.closing.load(Ordering::Acquire),
+            )
+        }
+
+        /// Drops every queued frame; returns how many and their bytes.
+        pub(super) fn clear(&self) -> (u64, u64) {
+            let mut queue = self.queue.lock();
+            let bytes: usize = queue.iter().map(Bytes::len).sum();
+            let frames = queue.len();
+            queue.clear();
+            (frames as u64, bytes as u64)
+        }
+
+        /// The drain loop's re-check: is there a frame to write or a close
+        /// to carry out?
+        pub(super) fn has_work(&self) -> bool {
+            let queue = self.queue.lock();
+            !queue.is_empty() || self.closing.load(Ordering::Acquire)
+        }
+
+        /// Closes the underlying link so both the peer and the local reader
+        /// thread (which holds a handle on the same stream, so merely
+        /// dropping our write half would never send a FIN) observe the
+        /// disconnect. A no-op for channel sinks — dropping the `Conn` drops
+        /// the sender and the receiver sees the hangup.
+        pub(super) fn shutdown_sink(&self) {
+            if let Sink::Link(writer) = &self.sink {
+                writer.shutdown();
+            }
+        }
+    }
 }
 
-impl Conn {
-    /// Closes the underlying link so both the peer and the local reader
-    /// thread (which holds a handle on the same stream, so merely dropping
-    /// our write half would never send a FIN) observe the disconnect. A
-    /// no-op for channel sinks — dropping the `Conn` drops the sender and
-    /// the receiver sees the hangup.
-    fn shutdown_sink(&self) {
-        if let Sink::Link(writer) = &self.sink {
-            writer.shutdown();
+mod table {
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
+    use super::{Conn, ConnId};
+
+    /// The registered connections. Only the methods below lock the map.
+    #[derive(Default)]
+    pub(super) struct ConnTable {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "leaf: the connection map, locked only by `ConnTable`'s methods"
+        )]
+        map: parking_lot::RwLock<HashMap<ConnId, Arc<Conn>>>,
+    }
+
+    impl ConnTable {
+        pub(super) fn get(&self, id: ConnId) -> Option<Arc<Conn>> {
+            self.map.read().get(&id).cloned()
+        }
+
+        pub(super) fn insert(&self, id: ConnId, conn: Arc<Conn>) {
+            self.map.write().insert(id, conn);
+        }
+
+        pub(super) fn remove(&self, id: ConnId) -> Option<Arc<Conn>> {
+            self.map.write().remove(&id)
+        }
+
+        pub(super) fn take_all(&self) -> Vec<Arc<Conn>> {
+            self.map.write().drain().map(|(_, conn)| conn).collect()
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.map.read().len()
         }
     }
 }
@@ -77,9 +201,16 @@ impl Conn {
 /// The send half of the transport: registry of connections plus the sender
 /// pool.
 pub(crate) struct Outbox {
-    conns: RwLock<HashMap<ConnId, Arc<Conn>>>,
-    /// `None` after [`Outbox::close`]: the pool threads drain out and exit.
-    work_tx: Mutex<Option<Sender<Arc<Conn>>>>,
+    conns: ConnTable,
+    /// The sender pool's work channel: `Some(conn)` hands a connection to
+    /// a pool thread, `None` stops one.
+    pool: Sender<Option<Arc<Conn>>>,
+    /// Pool threads spawned: [`Outbox::close`] sends each a `None`.
+    senders: usize,
+    /// Set by [`Outbox::close`] (`Release`, before the stop signals go
+    /// out): nothing more is handed to the pool. `schedule` and the drain
+    /// loop's hand-back read it with `Acquire`.
+    closed: AtomicBool,
     /// The engine's mailbox: a write failure is reported on it as
     /// [`Command::Disconnected`], a queue crossing `queue_bound` as
     /// [`Command::QueueOverflow`] (once per connection; the engine owns the
@@ -111,10 +242,12 @@ impl Outbox {
         write_stall_timeout: Option<Duration>,
         cmd_tx: Sender<Command>,
     ) -> io::Result<Arc<Outbox>> {
-        let (work_tx, work_rx) = unbounded::<Arc<Conn>>();
+        let (pool, work) = unbounded::<Option<Arc<Conn>>>();
         let outbox = Arc::new(Outbox {
-            conns: RwLock::new(HashMap::new()),
-            work_tx: Mutex::new(Some(work_tx)),
+            conns: ConnTable::default(),
+            pool,
+            senders,
+            closed: AtomicBool::new(false),
             cmd_tx,
             queued_frames: AtomicU64::new(0),
             queued_bytes: AtomicU64::new(0),
@@ -122,20 +255,29 @@ impl Outbox {
             write_stall_timeout,
         });
         for i in 0..senders {
-            let rx: Receiver<Arc<Conn>> = work_rx.clone();
-            let ob = Arc::clone(&outbox);
+            let (work, ob) = (work.clone(), Arc::clone(&outbox));
             let spawned = std::thread::Builder::new()
                 .name(format!("sender-{i}"))
                 .spawn(move || {
-                    for conn in rx.iter() {
+                    while let Ok(Some(conn)) = work.recv() {
+                        ob.drain_conn(&conn);
+                    }
+                    // Stopped by `close`. A connection a pool thread handed
+                    // back just before the close can sit behind the stop
+                    // signals: finish it rather than strand it, and pass
+                    // another thread's stop signal on.
+                    for next in work.try_iter() {
+                        let Some(conn) = next else {
+                            let _ = ob.pool.send(None);
+                            break;
+                        };
                         ob.drain_conn(&conn);
                     }
                 });
             if let Err(e) = spawned {
-                // Threads 0..i hold `Arc<Outbox>` (and thus the work
-                // sender); drop it so their `rx.iter()` terminates instead
-                // of leaking blocked threads.
-                outbox.work_tx.lock().take();
+                // Threads 0..i hold `Arc<Outbox>`, so their channel never
+                // hangs up: stop them instead of leaking them.
+                outbox.close();
                 return Err(e);
             }
         }
@@ -147,27 +289,14 @@ impl Outbox {
         if let Sink::Link(writer) = &sink {
             writer.set_write_timeout(self.write_stall_timeout);
         }
-        let conn = Arc::new(Conn {
-            id,
-            sink,
-            queue: Mutex::new(VecDeque::new()),
-            draining: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
-            closing: AtomicBool::new(false),
-            queued_bytes: AtomicU64::new(0),
-            overflowed: AtomicBool::new(false),
-        });
-        self.conns.write().insert(id, conn);
+        self.conns.insert(id, Arc::new(Conn::new(id, sink)));
     }
 
     /// Removes a connection immediately: queued frames are dropped and the
     /// socket is shut down so the peer sees the disconnect right away.
     pub(crate) fn unregister(&self, id: ConnId) {
-        let removed = self.conns.write().remove(&id);
-        if let Some(conn) = removed {
-            conn.dead.store(true, Ordering::Release);
-            self.discard_queue(&conn);
-            conn.shutdown_sink();
+        if let Some(conn) = self.conns.remove(id) {
+            self.kill(&conn);
         }
     }
 
@@ -178,20 +307,16 @@ impl Outbox {
     /// [`Error`](crate::protocol::BrokerToClient::Error) frame) reaches
     /// the peer before the FIN.
     pub(crate) fn close_after_flush(&self, id: ConnId) {
-        let removed = self.conns.write().remove(&id);
-        if let Some(conn) = removed {
-            // Set under the queue lock so the drain loop's locked re-check
-            // cannot miss it — the same lost-wakeup protocol that keeps a
-            // concurrently-enqueued frame from being stranded (modelled in
-            // `tests/loom_model.rs`).
-            {
-                let _queue = conn.queue.lock();
-                conn.closing.store(true, Ordering::Release);
-            }
-            // If a drain is mid-flight it observes `closing` when the
-            // queue empties; otherwise this schedules the final drain.
-            self.schedule(conn);
+        if let Some(conn) = self.conns.remove(id) {
+            self.flush_then_close(conn);
         }
+    }
+
+    fn flush_then_close(&self, conn: Arc<Conn>) {
+        conn.mark_closing();
+        // If a drain is mid-flight it observes `closing` when the queue
+        // empties; otherwise this schedules the final drain.
+        self.schedule(conn);
     }
 
     /// Evicts a connection that overran its queue bound: the backlog is
@@ -200,44 +325,31 @@ impl Outbox {
     /// the socket is shut down. The write-stall timeout bounds how long the
     /// notice write can occupy a pool thread against a full kernel buffer.
     pub(crate) fn evict(&self, id: ConnId, notice: Option<Bytes>) {
-        let removed = self.conns.write().remove(&id);
-        let Some(conn) = removed else {
+        let Some(conn) = self.conns.remove(id) else {
+            return;
+        };
+        let Some(frame) = notice else {
+            self.kill(&conn);
             return;
         };
         self.discard_queue(&conn);
-        match notice {
-            Some(frame) => {
-                {
-                    let mut q = conn.queue.lock();
-                    self.queued_frames.fetch_add(1, Ordering::Relaxed);
-                    self.queued_bytes
-                        .fetch_add(frame.len() as u64, Ordering::Relaxed);
-                    conn.queued_bytes
-                        .fetch_add(frame.len() as u64, Ordering::Relaxed);
-                    q.push_back(frame);
-                    // Same lost-wakeup protocol as `close_after_flush`: set
-                    // under the queue lock so a mid-flight drain cannot
-                    // park without observing it.
-                    conn.closing.store(true, Ordering::Release);
-                }
-                self.schedule(conn);
-            }
-            None => {
-                conn.dead.store(true, Ordering::Release);
-                conn.shutdown_sink();
-            }
-        }
+        let len = frame.len() as u64;
+        self.queued_frames.fetch_add(1, Ordering::Relaxed);
+        self.queued_bytes.fetch_add(len, Ordering::Relaxed);
+        conn.queued_bytes.fetch_add(len, Ordering::Relaxed);
+        conn.push_final(frame);
+        self.schedule(conn);
     }
 
     /// Graceful-shutdown drain: switches every connection to
     /// close-after-flush (each FINs as its queue empties) and blocks until
     /// all of them have finished or `deadline` passes, after which the
-    /// stragglers are cut off. Always closes the work channel so the
-    /// sender pool exits. Returns whether every queue flushed in time.
+    /// stragglers are cut off. Always stops the sender pool. Returns
+    /// whether every queue flushed in time.
     pub(crate) fn drain_all(&self, deadline: Duration) -> bool {
-        let conns: Vec<Arc<Conn>> = self.conns.read().values().cloned().collect();
+        let conns = self.conns.take_all();
         for conn in &conns {
-            self.close_after_flush(conn.id);
+            self.flush_then_close(Arc::clone(conn));
         }
         let start = std::time::Instant::now();
         let mut clean = true;
@@ -260,25 +372,18 @@ impl Outbox {
     /// connections drop the frame silently (the engine hears about the
     /// death separately).
     pub(crate) fn send(&self, id: ConnId, frame: Bytes) {
-        let conn = {
-            let conns = self.conns.read();
-            match conns.get(&id) {
-                Some(c) => Arc::clone(c),
-                None => return,
-            }
-        };
-        self.enqueue(conn, frame);
+        if let Some(conn) = self.conns.get(id) {
+            self.enqueue(conn, frame);
+        }
     }
 
     /// Enqueues one frame on many connections, sharing the underlying
     /// buffer: fan-out to N links costs N reference-count bumps, not N
     /// copies (the transport half of the encode-once invariant) — and no
-    /// allocation: the connections are looked up and enqueued on under the
-    /// one read lock (`conns` precedes `queue` and `work_tx`).
+    /// allocation. Each target is a [`send`](Self::send) of its own.
     pub(crate) fn send_many(&self, ids: impl IntoIterator<Item = ConnId>, frame: &Bytes) {
-        let conns = self.conns.read();
-        for conn in ids.into_iter().filter_map(|id| conns.get(&id)) {
-            self.enqueue(Arc::clone(conn), frame.clone());
+        for id in ids {
+            self.send(id, frame.clone());
         }
     }
 
@@ -295,7 +400,7 @@ impl Outbox {
     /// [`crate::BrokerStats`], and the evidence that per-flap conn state
     /// does not leak (each `Disconnected` must unregister its conn).
     pub(crate) fn connections(&self) -> usize {
-        self.conns.read().len()
+        self.conns.len()
     }
 
     /// Number of live registered connections (test alias).
@@ -316,49 +421,56 @@ impl Outbox {
             // log) and tell the engine once so it can apply its policy.
             conn.queued_bytes.fetch_sub(len, Ordering::Relaxed);
             if !conn.overflowed.swap(true, Ordering::AcqRel) {
-                // analyzer:allow(hold-across-blocking): unbounded channel, the send never blocks
                 let _ = self.cmd_tx.send(Command::QueueOverflow(conn.id));
             }
             return;
         }
         self.queued_frames.fetch_add(1, Ordering::Relaxed);
         self.queued_bytes.fetch_add(len, Ordering::Relaxed);
-        conn.queue.lock().push_back(frame);
+        conn.push(frame);
+        if conn.dead.load(Ordering::Acquire) {
+            // Killed since the check above: the kill's discard may have
+            // run before the push, so discard again to keep the depth
+            // counters balanced.
+            self.discard_queue(&conn);
+            return;
+        }
         self.schedule(conn);
     }
 
     fn schedule(&self, conn: Arc<Conn>) {
-        if !conn.draining.swap(true, Ordering::AcqRel) {
-            if let Some(tx) = self.work_tx.lock().as_ref() {
-                // analyzer:allow(hold-across-blocking): unbounded channel, the send never blocks
-                let _ = tx.send(conn);
-            }
+        if !conn.draining.swap(true, Ordering::AcqRel) && !self.closed.load(Ordering::Acquire) {
+            let _ = self.pool.send(Some(conn));
         }
+    }
+
+    /// Marks a connection dead, drops its queue and shuts its sink.
+    fn kill(&self, conn: &Conn) {
+        conn.dead.store(true, Ordering::Release);
+        self.discard_queue(conn);
+        conn.shutdown_sink();
     }
 
     /// Subtracts a connection's remaining queue from the depth counters and
     /// drops the frames.
     fn discard_queue(&self, conn: &Conn) {
-        let mut q = conn.queue.lock();
-        let bytes: usize = q.iter().map(Bytes::len).sum();
-        self.queued_frames
-            .fetch_sub(q.len() as u64, Ordering::Relaxed);
-        self.queued_bytes.fetch_sub(bytes as u64, Ordering::Relaxed);
-        conn.queued_bytes.fetch_sub(bytes as u64, Ordering::Relaxed);
-        q.clear();
+        let (frames, bytes) = conn.clear();
+        self.queued_frames.fetch_sub(frames, Ordering::Relaxed);
+        self.queued_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        conn.queued_bytes.fetch_sub(bytes, Ordering::Relaxed);
     }
 
     /// Shuts the transport down: drops every connection (closing the
-    /// broker's half of each socket so peers see EOF) and closes the work
-    /// channel so the sender pool exits.
+    /// broker's half of each socket so peers see EOF) and stops the sender
+    /// pool, one `None` per thread.
     pub(crate) fn close(&self) {
-        let drained: Vec<_> = self.conns.write().drain().collect();
-        for (_, conn) in drained {
-            conn.dead.store(true, Ordering::Release);
-            self.discard_queue(&conn);
-            conn.shutdown_sink();
+        self.closed.store(true, Ordering::Release);
+        for conn in self.conns.take_all() {
+            self.kill(&conn);
         }
-        self.work_tx.lock().take();
+        for _ in 0..self.senders {
+            let _ = self.pool.send(None);
+        }
     }
 
     /// Drains one connection's queue to its sink in bounded batches (runs
@@ -366,37 +478,22 @@ impl Outbox {
     /// access).
     fn drain_conn(&self, conn: &Arc<Conn>) {
         loop {
-            // `closing` is read under the same lock that guards the queue:
-            // `close_after_flush` sets it under that lock, so a drain that
-            // sees the queue empty either sees `closing` too or is ordered
-            // before it — in which case the re-check below (or the drain
-            // scheduled by `close_after_flush`) picks it up.
-            let (batch, closing): (Vec<Bytes>, bool) = {
-                let mut q = conn.queue.lock();
-                let n = q.len().min(DRAIN_BATCH);
-                (q.drain(..n).collect(), conn.closing.load(Ordering::Acquire))
-            };
+            let (batch, closing) = conn.take_batch(DRAIN_BATCH);
             if batch.is_empty() {
                 if closing {
                     // Flush complete for a connection being closed
                     // gracefully: now send the FIN. A sender that cloned
                     // the conn before it left the map may still enqueue a
-                    // late frame; discard it so the depth counters stay
-                    // balanced (same as `unregister`).
-                    conn.dead.store(true, Ordering::Release);
-                    self.discard_queue(conn);
-                    conn.shutdown_sink();
+                    // late frame; `kill` discards it so the depth counters
+                    // stay balanced.
+                    self.kill(conn);
                     return;
                 }
                 conn.draining.store(false, Ordering::Release);
                 // Re-check: a frame may have been enqueued (or the
                 // connection marked closing) between the drain and the
                 // flag store.
-                let retry = {
-                    let q = conn.queue.lock();
-                    !q.is_empty() || conn.closing.load(Ordering::Acquire)
-                };
-                if retry && !conn.draining.swap(true, Ordering::AcqRel) {
+                if conn.has_work() && !conn.draining.swap(true, Ordering::AcqRel) {
                     continue;
                 }
                 return;
@@ -425,16 +522,13 @@ impl Outbox {
                 let _ = self.cmd_tx.send(Command::Disconnected(conn.id));
                 return;
             }
-            // Fairness: if the queue refilled past this batch, hand the
-            // connection back to the pool instead of looping, so other
-            // connections' queues get a turn on this thread.
-            if !conn.queue.lock().is_empty() {
-                if let Some(tx) = self.work_tx.lock().as_ref() {
-                    // analyzer:allow(hold-across-blocking): unbounded channel, the send never blocks
-                    let _ = tx.send(Arc::clone(conn));
-                    return;
-                }
-                // Work channel already closed (shutdown): finish inline.
+            // Fairness: if there is more to do, hand the connection back to
+            // the pool instead of looping, so other connections' queues get
+            // a turn on this thread. After `close` there is no pool to hand
+            // it to: finish inline.
+            if conn.has_work() && !self.closed.load(Ordering::Acquire) {
+                let _ = self.pool.send(Some(Arc::clone(conn)));
+                return;
             }
         }
     }
@@ -443,6 +537,7 @@ impl Outbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::time::Duration;
 
     /// An outbox with no overflow cap and no write timeout — the shape
@@ -806,6 +901,82 @@ mod tests {
             }
         }
         drop(client);
+    }
+
+    /// `close` racing a thread that floods `send` and `send_many`: every
+    /// pool thread exits, the depth counters balance, and later sends drop
+    /// silently.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn close_racing_a_flood_stops_the_pool_and_balances_the_counters() {
+        /// A sink that reports which thread wrote to it, by kernel tid.
+        struct Tids(Sender<u32>);
+        impl LinkWriter for Tids {
+            fn write_batch(&self, _: &[Bytes]) -> io::Result<()> {
+                let comm = std::fs::read_to_string("/proc/thread-self/comm").unwrap();
+                assert!(comm.starts_with("sender-"), "written from {comm}");
+                // "<pid>/task/<tid>"
+                let me = std::fs::read_link("/proc/thread-self").unwrap();
+                let tid = me.file_name().unwrap().to_str().unwrap().parse().unwrap();
+                let _ = self.0.send(tid);
+                Ok(())
+            }
+            fn shutdown(&self) {}
+            fn set_write_timeout(&self, _: Option<Duration>) {}
+        }
+        let (cmd_tx, cmd_rx) = unbounded();
+        let outbox = test_outbox(2, cmd_tx);
+        let (tid_tx, tid_rx) = unbounded();
+        for id in 0..8 {
+            outbox.register(id, Sink::Link(Arc::new(Tids(tid_tx.clone()))));
+        }
+        let flood = {
+            let outbox = Arc::clone(&outbox);
+            std::thread::spawn(move || {
+                let frame = Bytes::from(vec![7u8; 64]);
+                for round in 0..4000u64 {
+                    outbox.send(round % 8, frame.clone());
+                    outbox.send_many(0..8, &frame);
+                }
+            })
+        };
+        // Close once the pool is writing, while the flood goes on.
+        let mut pool = vec![tid_rx.recv_timeout(Duration::from_secs(5)).unwrap()];
+        outbox.close();
+        flood.join().unwrap();
+
+        // Each pool thread holds the outbox until it returns...
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while Arc::strong_count(&outbox) > 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a pool thread survived close"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // ...and then leaves the process's thread list.
+        pool.extend(tid_rx.try_iter());
+        let alive = || {
+            pool.iter()
+                .filter(|tid| std::fs::metadata(format!("/proc/self/task/{tid}")).is_ok())
+                .count()
+        };
+        while alive() > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a sender thread survived close"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(outbox.queue_depth(), (0, 0));
+        assert_eq!(outbox.len(), 0);
+
+        // Sends after the close drop silently.
+        outbox.send(0, Bytes::from_static(b"late"));
+        outbox.send_many(0..8, &Bytes::from_static(b"late"));
+        assert_eq!(outbox.queue_depth(), (0, 0));
+        assert!(cmd_rx.try_recv().is_err());
+        assert!(tid_rx.try_recv().is_err());
     }
 
     #[test]

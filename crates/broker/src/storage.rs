@@ -28,7 +28,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::PoisonError;
 
 use bytes::{Buf, BufMut, Bytes};
 
@@ -287,10 +287,13 @@ pub(crate) fn decode_ops(payload: &[u8]) -> Option<Vec<WalOp>> {
 /// temp-file + fsync + rename.
 pub struct FsStorage {
     root: PathBuf,
-    /// Cached append handles, one per log name (lock order: `store` is
-    /// innermost — see docs/LOCK_ORDER.md). File writes happen on clones
-    /// of the handle *outside* the guard.
-    store: Mutex<HashMap<String, File>>,
+    /// Cached append handles, one per log name. Opens, writes and syncs
+    /// all happen outside the guard, on clones of a handle.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "leaf: the handle cache, locked only by `FsStorage::handle`"
+    )]
+    store: std::sync::Mutex<HashMap<String, File>>,
 }
 
 impl FsStorage {
@@ -300,7 +303,7 @@ impl FsStorage {
         std::fs::create_dir_all(&root)?;
         Ok(FsStorage {
             root,
-            store: Mutex::new(HashMap::new()),
+            store: Default::default(),
         })
     }
 
@@ -313,21 +316,30 @@ impl FsStorage {
     }
 
     /// Returns an owned clone of the cached append handle for `log`,
-    /// opening it on first use. Appends on the clone are positioned by
+    /// opening it on first use. The open runs outside the lock: two
+    /// threads that both miss open twice, the first to insert wins and the
+    /// other's handle drops. Appends on any handle are positioned by
     /// `O_APPEND`, so cloning is safe.
     fn handle(&self, log: &str) -> io::Result<File> {
-        let mut store = self.store.lock().unwrap_or_else(|e| e.into_inner());
-        if !store.contains_key(log) {
-            let file = OpenOptions::new()
-                .append(true)
-                .create(true)
-                .open(self.log_path(log))?;
-            store.insert(log.to_string(), file);
+        let cached = self
+            .store
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(log)
+            .map(File::try_clone);
+        if let Some(file) = cached {
+            return file;
         }
-        match store.get(log) {
-            Some(file) => file.try_clone(),
-            None => Err(io::Error::new(io::ErrorKind::NotFound, "log handle")),
-        }
+        let opened = OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(self.log_path(log))?;
+        self.store
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(log.to_string())
+            .or_insert(opened)
+            .try_clone()
     }
 }
 
@@ -456,7 +468,11 @@ struct SimState {
 /// would retain.
 #[derive(Default)]
 pub struct SimStorage {
-    store: Mutex<SimState>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "leaf: the simulated disk, locked only by `SimStorage::with`"
+    )]
+    store: std::sync::Mutex<SimState>,
 }
 
 impl SimStorage {
@@ -465,39 +481,41 @@ impl SimStorage {
         SimStorage::default()
     }
 
-    fn locked(&self) -> MutexGuard<'_, SimState> {
-        self.store.lock().unwrap_or_else(|e| e.into_inner())
+    /// Runs `f` on the state under the lock; the guard never leaves.
+    fn with<R>(&self, f: impl FnOnce(&mut SimState) -> R) -> R {
+        f(&mut self.store.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Applies power-cut semantics: everything not durable at the moment
     /// of the cut is degraded according to `mode`. Call between dropping
     /// the crashed broker and booting its replacement.
     pub fn power_cut(&self, mode: PowerCut) {
-        let mut state = self.locked();
-        for log in state.logs.values_mut() {
-            let keep = match mode {
-                // Half of the unsynced suffix made it to the platter.
-                PowerCut::TornTail => log.synced + (log.data.len() - log.synced) / 2,
-                PowerCut::LostSuffix | PowerCut::SnapshotTorn => log.synced,
-            };
-            log.data.truncate(keep);
-            log.synced = log.data.len();
-        }
-        if mode == PowerCut::SnapshotTorn {
-            if let Some((slot, prev)) = state.last_snap.take() {
-                match prev {
-                    Some(bytes) => {
-                        state.snaps.insert(slot, bytes);
-                    }
-                    None => {
-                        state.snaps.remove(&slot);
+        self.with(|state| {
+            for log in state.logs.values_mut() {
+                let keep = match mode {
+                    // Half of the unsynced suffix made it to the platter.
+                    PowerCut::TornTail => log.synced + (log.data.len() - log.synced) / 2,
+                    PowerCut::LostSuffix | PowerCut::SnapshotTorn => log.synced,
+                };
+                log.data.truncate(keep);
+                log.synced = log.data.len();
+            }
+            if mode == PowerCut::SnapshotTorn {
+                if let Some((slot, prev)) = state.last_snap.take() {
+                    match prev {
+                        Some(bytes) => {
+                            state.snaps.insert(slot, bytes);
+                        }
+                        None => {
+                            state.snaps.remove(&slot);
+                        }
                     }
                 }
             }
-        }
-        // Whatever survived the cut is, by definition, durable now; and
-        // any snapshot older than the reverted one committed long ago.
-        state.last_snap = None;
+            // Whatever survived the cut is, by definition, durable now; and
+            // any snapshot older than the reverted one committed long ago.
+            state.last_snap = None;
+        });
     }
 }
 
@@ -509,49 +527,53 @@ impl fmt::Debug for SimStorage {
 
 impl Storage for SimStorage {
     fn append(&self, log: &str, bytes: &[u8]) -> io::Result<()> {
-        let mut state = self.locked();
-        state.last_snap = None; // see `SimState::last_snap`
-        let entry = state.logs.entry(log.to_string()).or_default();
-        entry.data.extend_from_slice(bytes);
+        self.with(|state| {
+            state.last_snap = None; // see `SimState::last_snap`
+            let entry = state.logs.entry(log.to_string()).or_default();
+            entry.data.extend_from_slice(bytes);
+        });
         Ok(())
     }
 
     fn sync(&self, log: &str) -> io::Result<()> {
-        let mut state = self.locked();
-        state.last_snap = None;
-        let entry = state.logs.entry(log.to_string()).or_default();
-        entry.synced = entry.data.len();
+        self.with(|state| {
+            state.last_snap = None;
+            let entry = state.logs.entry(log.to_string()).or_default();
+            entry.synced = entry.data.len();
+        });
         Ok(())
     }
 
     fn read(&self, log: &str) -> io::Result<Vec<u8>> {
-        let state = self.locked();
-        Ok(state
-            .logs
-            .get(log)
-            .map(|l| l.data.clone())
-            .unwrap_or_default())
+        Ok(self.with(|state| {
+            state
+                .logs
+                .get(log)
+                .map(|l| l.data.clone())
+                .unwrap_or_default()
+        }))
     }
 
     fn truncate(&self, log: &str) -> io::Result<()> {
-        let mut state = self.locked();
-        state.last_snap = None;
-        let entry = state.logs.entry(log.to_string()).or_default();
-        entry.data.clear();
-        entry.synced = 0;
+        self.with(|state| {
+            state.last_snap = None;
+            let entry = state.logs.entry(log.to_string()).or_default();
+            entry.data.clear();
+            entry.synced = 0;
+        });
         Ok(())
     }
 
     fn write_snapshot(&self, slot: &str, bytes: &[u8]) -> io::Result<()> {
-        let mut state = self.locked();
-        let prev = state.snaps.insert(slot.to_string(), bytes.to_vec());
-        state.last_snap = Some((slot.to_string(), prev));
+        self.with(|state| {
+            let prev = state.snaps.insert(slot.to_string(), bytes.to_vec());
+            state.last_snap = Some((slot.to_string(), prev));
+        });
         Ok(())
     }
 
     fn read_snapshot(&self, slot: &str) -> io::Result<Option<Vec<u8>>> {
-        let state = self.locked();
-        Ok(state.snaps.get(slot).cloned())
+        Ok(self.with(|state| state.snaps.get(slot).cloned()))
     }
 }
 
@@ -559,6 +581,7 @@ impl Storage for SimStorage {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     fn record(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -760,6 +783,38 @@ mod tests {
         s.append("wal", &record(b"three")).unwrap();
         let (records, _) = decode_records(&s.read("wal").unwrap());
         assert_eq!(&records[0][..], b"three");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The first appends to a fresh log race to open its handle: the open
+    /// runs outside the cache lock, so several threads may open the file,
+    /// and every append must still land whole.
+    #[test]
+    fn racing_first_appends_to_a_fresh_log_all_read_back() {
+        const WRITERS: u8 = 8;
+        let root = temp_root();
+        let s = Arc::new(FsStorage::open(&root).unwrap());
+        let barrier = Arc::new(std::sync::Barrier::new(usize::from(WRITERS)));
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|i| {
+                let (s, barrier) = (Arc::clone(&s), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    s.append("wal", &record(&[i; 100])).unwrap();
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        let (records, torn) = decode_records(&s.read("wal").unwrap());
+        assert_eq!(torn, 0);
+        let mut firsts: Vec<u8> = records.iter().map(|r| r[0]).collect();
+        firsts.sort_unstable();
+        assert_eq!(firsts, (0..WRITERS).collect::<Vec<_>>());
+        assert!(records
+            .iter()
+            .all(|r| r.len() == 100 && r.iter().all(|b| *b == r[0])));
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -28,6 +28,10 @@
 //! - [`LinkWriter::set_write_timeout`] bounds how long a single write may
 //!   block (SO_SNDTIMEO on TCP); a timed-out write fails the connection
 //!   instead of wedging a sender-pool thread.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "shell: the handshake deadline reads the clock"
+)]
 
 use std::fmt;
 use std::io::{self, ErrorKind, Read};

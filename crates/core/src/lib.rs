@@ -67,6 +67,10 @@
 //! # }
 //! ```
 
+// The routing layer takes no lock: one thread owns each matcher, cache and
+// scratch pool (docs/LOCK_ORDER.md).
+#![deny(clippy::disallowed_types)]
+
 mod annotate;
 mod arena;
 mod baselines;

@@ -1,8 +1,8 @@
 //! A lightweight Rust tokenizer — just enough structure for the analysis
-//! passes: identifiers, punctuation, and literals with line numbers, with
-//! comments and string/char literals stripped (so a `.lock()` inside a
-//! string is never a finding). `// analyzer:allow(rule): reason` comments are
-//! surfaced separately so passes can honor the escape hatch.
+//! pass: identifiers, punctuation, and literals with line numbers, with
+//! comments and string/char literals stripped (so a `with_capacity(n)`
+//! inside a string is never a finding). `// analyzer:allow(rule): reason`
+//! comments are surfaced separately so the pass can honor the escape hatch.
 //!
 //! The container this repo builds in has no crates.io access, so the
 //! analyzer cannot use `syn`; this hand-rolled front end covers the subset
@@ -54,8 +54,7 @@ impl Tok {
 /// An `// analyzer:allow(rule): reason` escape-hatch comment.
 #[derive(Debug, Clone)]
 pub struct Allow {
-    /// The rule being waived (`hold-across-blocking`, `lock-order`,
-    /// `undeclared-lock`, `wire-taint`, `sim-determinism`).
+    /// The rule being waived (`wire-taint`).
     pub rule: String,
     /// 1-indexed line the comment sits on.
     pub line: u32,

@@ -2,34 +2,27 @@
 //! workspace.
 //!
 //! ```text
-//! cargo xtask check                    # run all passes against the repo
+//! cargo xtask check                    # run the pass against the repo
 //! cargo xtask check --format=json     # machine-readable findings
 //! cargo xtask check --format=github   # GitHub Actions error annotations
-//! cargo xtask selftest                 # run the passes against fixtures
+//! cargo xtask selftest                 # run the pass against its fixture
 //! ```
 //!
-//! The passes (see DESIGN.md §9 and §13):
-//! 1. lock-order analysis over `crates/broker` + `crates/core` against the
-//!    hierarchy declared in `docs/LOCK_ORDER.md`;
-//! 2. wire-taint tracking of untrusted decoder reads to allocation and
-//!    cursor sinks;
-//! 3. sim-determinism (no wall clock, no OS entropy) over the IO-free
-//!    protocol code the simulator steps.
-//!
-//! Each checks what no compiler lint can. What one can is left to rustc and
-//! clippy: the broker crate and the hot core and types modules deny
-//! clippy's panic lints (`unwrap_used`, `indexing_slicing`, `panic`, …),
-//! every frame tag is decoded and every message dispatched by a match
-//! with no wildcard arm, so a tag or variant nobody handles fails the
-//! build, and `NodeCounters`'s fields are private to the
-//! `broker_counters!` registry, so only its generated code fills one.
+//! One pass (DESIGN.md §13): wire-taint tracking of untrusted decoder reads
+//! to allocation and cursor sinks, which no compiler lint can check. What
+//! one can is left to rustc and clippy (DESIGN.md §9): the broker crate
+//! and the hot core and types modules deny clippy's panic lints
+//! (`unwrap_used`, `indexing_slicing`, `panic`, …); every frame tag is
+//! decoded and every message dispatched by a match with no wildcard arm;
+//! `NodeCounters`'s fields are private to the `broker_counters!` registry;
+//! every lock in the broker is a private field of one leaf type and any
+//! other fails `clippy::disallowed_types`; and the broker's protocol
+//! modules read no clock, by `clippy::disallowed_methods`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 mod lexer;
-mod locks;
-mod simdet;
 mod source;
 mod taint;
 
@@ -42,8 +35,7 @@ pub struct Finding {
     pub file: String,
     /// 1-indexed line.
     pub line: u32,
-    /// Rule id (`lock-order`, `hold-across-blocking`, `undeclared-lock`,
-    /// `wire-taint`, `sim-determinism`, `allow-without-reason`).
+    /// Rule id (`wire-taint`, `allow-without-reason`).
     pub rule: String,
     /// Human-readable explanation.
     pub message: String,
@@ -56,11 +48,6 @@ const HOT_TYPES_MODULES: &[&str] = &["crates/types/src/wire.rs", "crates/types/s
 /// Broker modules that size or index by bytes they did not write: held to
 /// the wire-taint rule.
 const TAINT_MODULES: &[&str] = &["protocol.rs", "transport.rs", "storage.rs", "repair.rs"];
-
-/// Modules held to the sim-determinism rule: the link protocol and the
-/// broker core, which are handed `now` and read no clock of their own — the
-/// code the simulator steps in virtual time.
-const SIM_MODULES: &[&str] = &["link.rs", "broker_core.rs"];
 
 /// Output format for `check` findings.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -215,30 +202,6 @@ fn load(root: &Path, rel: &str) -> Result<SourceFile, String> {
     Ok(SourceFile::parse(rel, &src))
 }
 
-/// All `.rs` files (repo-relative) under `dir`, recursively, sorted.
-fn rust_files(root: &Path, dir: &str) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
-    let mut stack = vec![root.join(dir)];
-    while let Some(d) = stack.pop() {
-        let entries = std::fs::read_dir(&d).map_err(|e| format!("reading {}: {e}", d.display()))?;
-        for entry in entries {
-            let path = entry.map_err(|e| e.to_string())?.path();
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|x| x == "rs") {
-                let rel = path
-                    .strip_prefix(root)
-                    .map_err(|e| e.to_string())?
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                out.push(rel);
-            }
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
 /// Hygiene: every allow comment must carry a reason.
 fn allow_hygiene(file: &SourceFile) -> Vec<Finding> {
     file.lexed
@@ -257,53 +220,26 @@ fn allow_hygiene(file: &SourceFile) -> Vec<Finding> {
         .collect()
 }
 
-/// Runs all passes against the real workspace.
+/// Runs the pass against the real workspace.
 fn run_check(root: &Path) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
 
-    // Pass 1: lock-order over broker + core.
-    let hierarchy_md = std::fs::read_to_string(root.join("docs/LOCK_ORDER.md"))
-        .map_err(|e| format!("reading docs/LOCK_ORDER.md: {e}"))?;
-    let hierarchy = locks::Hierarchy::parse(&hierarchy_md)?;
-    let mut lock_files = Vec::new();
-    for dir in ["crates/broker/src", "crates/core/src"] {
-        for rel in rust_files(root, dir)? {
-            lock_files.push(load(root, &rel)?);
-        }
-    }
-    findings.extend(locks::check(&lock_files, &hierarchy));
-
-    // Pass 2: wire-taint over every file that decodes untrusted bytes —
+    // Wire-taint over every file that decodes untrusted bytes —
     // the broker codec (including the LinkDown/LinkUp repair arms, whose
     // epoch and version fields arrive from peers), the frame reader (the
     // length prefix it carves by is the first thing a peer controls), the
     // WAL record decoder (a torn write leaves arbitrary garbage in the
     // length headers `recover()` reads back), the link-state table the
     // decoded statements flow into, and the types decode surface.
-    let types_files = HOT_TYPES_MODULES
+    let broker_files = TAINT_MODULES
         .iter()
-        .map(|rel| load(root, rel))
+        .map(|name| format!("crates/broker/src/{name}"));
+    let files = broker_files
+        .chain(HOT_TYPES_MODULES.iter().map(|rel| rel.to_string()))
+        .map(|rel| load(root, &rel))
         .collect::<Result<Vec<_>, _>>()?;
-    for file in &lock_files {
-        let name = file.path.rsplit('/').next().unwrap_or(&file.path);
-        if file.path.starts_with("crates/broker/src") && TAINT_MODULES.contains(&name) {
-            findings.extend(taint::check(file));
-        }
-    }
-    for file in &types_files {
+    for file in &files {
         findings.extend(taint::check(file));
-    }
-
-    // Pass 3: sim-determinism over the code the simulator steps.
-    for file in &lock_files {
-        let name = file.path.rsplit('/').next().unwrap_or(&file.path);
-        if file.path.starts_with("crates/broker/src") && SIM_MODULES.contains(&name) {
-            findings.extend(simdet::check(file));
-        }
-    }
-
-    // Hygiene over every file any pass looked at.
-    for file in lock_files.iter().chain(&types_files) {
         findings.extend(allow_hygiene(file));
     }
 
@@ -312,26 +248,13 @@ fn run_check(root: &Path) -> Result<Vec<Finding>, String> {
     Ok(findings)
 }
 
-/// Each seeded-violation fixture must trip its pass, proving the passes
-/// actually detect what they claim to — and the sanitized twins in the
-/// same fixtures must stay quiet, proving the passes do not cry wolf.
+/// The seeded-violation fixture must trip the pass, proving it detects
+/// what it claims to — and the sanitized twins in the same fixture must
+/// stay quiet, proving it does not cry wolf.
 fn run_selftest(root: &Path) -> Result<(), String> {
     let fixtures = root.join("crates/xtask/fixtures");
 
-    // Fixture 1: a lock-order cycle (a→b in one function, b→a in another).
-    let hier_md = std::fs::read_to_string(fixtures.join("lock_cycle/LOCK_ORDER.md"))
-        .map_err(|e| format!("lock_cycle fixture: {e}"))?;
-    let hierarchy = locks::Hierarchy::parse(&hier_md)?;
-    let src = std::fs::read_to_string(fixtures.join("lock_cycle/src.rs"))
-        .map_err(|e| format!("lock_cycle fixture: {e}"))?;
-    let found = locks::check(
-        &[SourceFile::parse("fixtures/lock_cycle/src.rs", &src)],
-        &hierarchy,
-    );
-    expect_rule(&found, "lock-order", "lock_cycle")?;
-    expect_rule(&found, "hold-across-blocking", "lock_cycle")?;
-
-    // Fixture 2: wire-taint — every `tainted_*` function leaks a decoder
+    // The wire-taint fixture: every `tainted_*` function leaks a decoder
     // read into a sink; every `sanitized_*` twin must stay quiet.
     let src = std::fs::read_to_string(fixtures.join("taint/src.rs"))
         .map_err(|e| format!("taint fixture: {e}"))?;
@@ -360,44 +283,18 @@ fn run_selftest(root: &Path) -> Result<(), String> {
              allow-annotated sink must stay quiet), got {found:?}"
         ));
     }
-    // Coverage pins: the codec decodes every frame a peer sends and the
+    // Coverage pin: the codec decodes every frame a peer sends and the
     // frame reader carves each stream by a length prefix the peer wrote, so
-    // both stay under the taint pass; the link protocol and the broker core
-    // are stepped with a `now` their tests pick, so they stay clock-free.
+    // both stay under the taint pass.
     for module in ["protocol.rs", "transport.rs"] {
         if !TAINT_MODULES.contains(&module) {
             return Err(format!("the wire-taint file set must cover {module}"));
         }
     }
-    for module in ["link.rs", "broker_core.rs"] {
-        if !SIM_MODULES.contains(&module) {
-            return Err(format!("the sim-determinism file set must cover {module}"));
-        }
-    }
     // The deliberately bare allow comment must trip the hygiene rule.
     expect_rule(&allow_hygiene(&file), "allow-without-reason", "taint")?;
 
-    // Fixture 3: sim-determinism — wall clock + OS entropy, with one
-    // annotated pacing site that must stay quiet.
-    let src = std::fs::read_to_string(fixtures.join("sim_determinism/src.rs"))
-        .map_err(|e| format!("sim_determinism fixture: {e}"))?;
-    let found = simdet::check(&SourceFile::parse("fixtures/sim_determinism/src.rs", &src));
-    expect_rule(&found, "sim-determinism", "sim_determinism")?;
-    for needle in ["wall-clock read", "OS-seeded RNG"] {
-        if !found.iter().any(|f| f.message.contains(needle)) {
-            return Err(format!(
-                "sim_determinism fixture: expected a finding containing {needle:?}, got {found:?}"
-            ));
-        }
-    }
-    if found.len() != 3 {
-        return Err(format!(
-            "sim_determinism fixture: expected exactly 3 findings (the allow-annotated \
-             pacing site must stay quiet), got {found:?}"
-        ));
-    }
-
-    // And the real tree must be clean — the fixtures prove sensitivity,
+    // And the real tree must be clean — the fixture proves sensitivity,
     // the repo proves specificity.
     let repo = run_check(root)?;
     if !repo.is_empty() {

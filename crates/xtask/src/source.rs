@@ -9,20 +9,9 @@ pub struct SourceFile {
     pub path: String,
     /// The token stream with allows.
     pub lexed: Lexed,
-    /// Half-open token ranges belonging to test-only code.
-    test_ranges: Vec<(usize, usize)>,
-    /// Functions found outside test code: `(name, body_range)` where the
-    /// body range covers the tokens between the function's braces.
-    pub functions: Vec<Function>,
-}
-
-/// A non-test function and the token range of its body.
-#[derive(Debug, Clone)]
-pub struct Function {
-    /// The function's name (methods are not qualified by type).
-    pub name: String,
-    /// Token index range of the body, excluding the outer braces.
-    pub body: (usize, usize),
+    /// The bodies of the functions found outside test code: token index
+    /// ranges between each function's braces.
+    pub functions: Vec<(usize, usize)>,
 }
 
 impl SourceFile {
@@ -34,14 +23,8 @@ impl SourceFile {
         SourceFile {
             path: path.to_string(),
             lexed,
-            test_ranges,
             functions,
         }
-    }
-
-    /// Whether token index `i` falls inside test-only code.
-    pub fn in_test(&self, i: usize) -> bool {
-        self.test_ranges.iter().any(|&(a, b)| i >= a && i < b)
     }
 
     /// The tokens of the file.
@@ -121,14 +104,14 @@ fn find_test_ranges(toks: &[Tok]) -> Vec<(usize, usize)> {
     ranges
 }
 
-fn find_functions(toks: &[Tok], test_ranges: &[(usize, usize)]) -> Vec<Function> {
+fn find_functions(toks: &[Tok], test_ranges: &[(usize, usize)]) -> Vec<(usize, usize)> {
     let in_test = |i: usize| test_ranges.iter().any(|&(a, b)| i >= a && i < b);
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
         if toks[i].is_ident("fn") && !in_test(i) {
             if let Some(name_tok) = toks.get(i + 1) {
-                if let Some(name) = name_tok.ident() {
+                if name_tok.ident().is_some() {
                     // The body is the first `{` after the signature; a `;`
                     // first means a trait/extern declaration without body.
                     // `;` inside brackets (an array type like
@@ -155,10 +138,7 @@ fn find_functions(toks: &[Tok], test_ranges: &[(usize, usize)]) -> Vec<Function>
                     }
                     if let Some(open) = open {
                         let close = matching_brace(toks, open);
-                        out.push(Function {
-                            name: name.to_string(),
-                            body: (open + 1, close),
-                        });
+                        out.push((open + 1, close));
                         // Continue scanning *inside* the body too (nested
                         // fns are indexed as their own entries; closures are
                         // analyzed as part of the enclosing body).
@@ -192,23 +172,27 @@ fn standalone_test() { y.unwrap(); }
 fn beta() -> usize { 1 }
 "#;
 
+    /// The tokens of each indexed body.
+    fn bodies(f: &SourceFile) -> Vec<&[Tok]> {
+        f.functions.iter().map(|&(a, b)| &f.toks()[a..b]).collect()
+    }
+
     #[test]
     fn test_code_is_masked() {
         let f = SourceFile::parse("mem", SRC);
-        let names: Vec<&str> = f.functions.iter().map(|f| f.name.as_str()).collect();
-        assert!(names.contains(&"alpha"));
-        assert!(names.contains(&"beta"));
-        assert!(!names.contains(&"in_mod"));
-        assert!(!names.contains(&"standalone_test"));
+        // `alpha` and `beta`; neither test function.
+        assert_eq!(f.functions.len(), 2);
+        for body in bodies(&f) {
+            assert!(!body.iter().any(|t| t.is_ident("unwrap")));
+        }
     }
 
     #[test]
     fn bodies_cover_the_right_tokens() {
         let f = SourceFile::parse("mem", SRC);
-        let alpha = f.functions.iter().find(|f| f.name == "alpha").unwrap();
-        let body = &f.toks()[alpha.body.0..alpha.body.1];
-        assert!(body.iter().any(|t| t.is_ident("beta")));
-        assert!(!body.iter().any(|t| t.is_ident("unwrap")));
+        let alpha = bodies(&f)[0];
+        assert!(alpha.iter().any(|t| t.is_ident("beta")));
+        assert!(!alpha.iter().any(|t| t.is_ident("unwrap")));
     }
 
     #[test]
@@ -218,6 +202,6 @@ fn beta() -> usize { 1 }
             "#[derive(Debug)]\nstruct S;\n#[inline]\nfn hot() { work(); }\n",
         );
         assert_eq!(f.functions.len(), 1);
-        assert_eq!(f.functions[0].name, "hot");
+        assert!(bodies(&f)[0].iter().any(|t| t.is_ident("work")));
     }
 }

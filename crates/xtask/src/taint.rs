@@ -60,8 +60,8 @@ const NON_INDEX_PRECEDERS: &[&str] = &[
 /// Runs the taint pass over one decoder-path file.
 pub fn check(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for f in &file.functions {
-        check_fn(file, f.body, &mut findings);
+    for &body in &file.functions {
+        check_fn(file, body, &mut findings);
     }
     findings.sort_by_key(|f| f.line);
     findings.dedup();
