@@ -54,16 +54,15 @@ fn bench_link_matching(c: &mut Criterion) {
         let tree = world.fabric.tree_for(publisher).unwrap();
 
         group.bench_with_input(
-            BenchmarkId::new("route_at_publisher", subs),
+            BenchmarkId::new("match_links_publisher", subs),
             &events,
             |b, events| {
                 b.iter(|| {
                     let mut stats = MatchStats::new();
                     let mut links = 0usize;
                     for e in events {
-                        links += router
-                            .route_at(publisher, black_box(e), tree, &mut stats)
-                            .len();
+                        let engine = router.engine(publisher);
+                        links += engine.match_links(black_box(e), tree, &mut stats).len();
                     }
                     links
                 })

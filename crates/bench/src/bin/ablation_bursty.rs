@@ -5,11 +5,13 @@
 //! Runs the Figure 6 network at a fixed mean rate under Poisson arrivals
 //! and under increasingly bursty trains, comparing queue depth and latency.
 //!
+//! Every broker is a real broker core in virtual time, charged §4.1's
+//! per-step service time.
+//!
 //! Run with: `cargo run --release -p linkcast-bench --bin ablation_bursty`
 
-use linkcast::ContentRouter;
-use linkcast_bench::{options_for, print_table};
-use linkcast_sim::{topology39, ArrivalKind, CostModel, LinkMatchingSim, SimConfig, Simulation};
+use linkcast_bench::print_table;
+use linkcast_sim::{publications, topology39, ArrivalKind, CostModel, SimConfig, Simulation};
 use linkcast_workload::{EventGenerator, SubscriptionGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,12 +20,10 @@ fn main() {
     let wconfig = WorkloadConfig::chart1();
     let schema = wconfig.schema();
     let world = topology39::build().expect("figure 6 builds");
-    let mut router =
-        ContentRouter::new(world.fabric.clone(), schema, options_for(&wconfig)).unwrap();
     let generator = SubscriptionGenerator::new(&wconfig, 29);
     let mut rng = StdRng::seed_from_u64(29);
-    topology39::subscribe_random(&mut router, &world, &generator, 2_000, &mut rng).unwrap();
-    let protocol = LinkMatchingSim(router);
+    let subs = topology39::random_subscriptions(&world, &generator, 2_000, &mut rng);
+    let mut sim = Simulation::link_matching(world.fabric.clone(), &schema, &subs).unwrap();
     let events = EventGenerator::new(&wconfig, 29);
     let publishers = world.all_publishers();
 
@@ -58,11 +58,12 @@ fn main() {
             },
         ),
     ];
-    let mut rows = Vec::new();
+    let (mut rows, mut queues) = (Vec::new(), Vec::new());
     for (name, arrivals) in shapes {
         let config = base.clone().with_arrivals(arrivals);
-        let report = Simulation::new(&protocol, publishers.clone(), &events, config).run();
+        let report = sim.run(&publications(&publishers, &events, &config), &config);
         let max_queue = report.loads.iter().map(|l| l.max_queue).max().unwrap_or(0);
+        queues.push(max_queue);
         rows.push((
             name,
             vec![
@@ -80,7 +81,11 @@ fn main() {
         &rows,
     );
     println!(
-        "\nSame mean rate, different shape: bursts deepen broker queues and fatten\n\
-         the latency tail — the sensitivity the paper flags as future work."
+        "\nModel: 39 broker cores in virtual time, 200/12/50 µs per step, one\n\
+         cluster for every shape (each run drains before the next).\n\
+         Same mean rate, different shape: bursts deepen broker queues and fatten\n\
+         the latency tail — the sensitivity the paper flags as future work.\n\
+         Shape: the queue deepens with every larger burst: {}.",
+        queues.windows(2).all(|w| w[1] > w[0])
     );
 }

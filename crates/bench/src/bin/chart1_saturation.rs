@@ -10,13 +10,14 @@
 //! subscriptions", with the gap narrowing as events are distributed more
 //! widely.
 //!
+//! Every broker is a real broker core, stepped in virtual time, charged
+//! §4.1's `base + step × (match steps) + send × (frames sent)` per step;
+//! flooding is a workload in which every client subscribes to everything.
+//!
 //! Run with: `cargo run --release -p linkcast-bench --bin chart1_saturation`
 
-use linkcast::{ContentRouter, FloodingRouter};
-use linkcast_bench::{options_for, print_table};
-use linkcast_sim::{
-    find_saturation_rate, topology39, CostModel, FloodingSim, LinkMatchingSim, SimConfig,
-};
+use linkcast_bench::print_table;
+use linkcast_sim::{find_saturation_rate, topology39, CostModel, SimConfig, Simulation};
 use linkcast_workload::{EventGenerator, SubscriptionGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +25,6 @@ use rand::SeedableRng;
 fn main() {
     let wconfig = WorkloadConfig::chart1();
     let schema = wconfig.schema();
-    let options = options_for(&wconfig);
     let events = EventGenerator::new(&wconfig, 7);
 
     // Paper-era broker speed (a 200 MHz Pentium Pro spends on the order of
@@ -37,43 +37,23 @@ fn main() {
         send_us: 50.0,
     };
 
+    let world = topology39::build().expect("figure 6 builds");
+    let publishers = world.all_publishers();
+    let mut flooding = Simulation::flooding(world.fabric.clone(), &schema).unwrap();
     let sub_counts = [500usize, 1000, 2000, 4000, 6000, 8000];
-    let mut rows = Vec::new();
+    let (mut rows, mut ratios) = (Vec::new(), Vec::new());
     for &subs in &sub_counts {
-        let world = topology39::build().expect("figure 6 builds");
-        let publishers = world.all_publishers();
-
-        let mut lm =
-            ContentRouter::new(world.fabric.clone(), schema.clone(), options.clone()).unwrap();
         let generator = SubscriptionGenerator::new(&wconfig, 7);
         let mut rng = StdRng::seed_from_u64(7);
-        topology39::subscribe_random(&mut lm, &world, &generator, subs, &mut rng).unwrap();
-        let lm_protocol = LinkMatchingSim(lm);
-        let lm_rate = find_saturation_rate(
-            &lm_protocol,
-            &publishers,
-            &events,
-            &base,
-            10.0,
-            5_000.0,
-            0.1,
-        );
-
-        let mut fl =
-            FloodingRouter::new(world.fabric.clone(), schema.clone(), options.clone()).unwrap();
-        let generator = SubscriptionGenerator::new(&wconfig, 7);
-        let mut rng = StdRng::seed_from_u64(7);
-        topology39::subscribe_random(&mut fl, &world, &generator, subs, &mut rng).unwrap();
-        let fl_protocol = FloodingSim::new(fl, world.fabric.clone());
-        let fl_rate = find_saturation_rate(
-            &fl_protocol,
-            &publishers,
-            &events,
-            &base,
-            10.0,
-            5_000.0,
-            0.1,
-        );
+        let subscriptions = topology39::random_subscriptions(&world, &generator, subs, &mut rng);
+        let fabric = world.fabric.clone();
+        let mut lm = Simulation::link_matching(fabric, &schema, &subscriptions).unwrap();
+        let rate = |sim: &mut Simulation| {
+            find_saturation_rate(sim, &publishers, &events, &base, 10.0, 5_000.0, 0.1)
+        };
+        let lm_rate = rate(&mut lm);
+        let fl_rate = rate(&mut flooding);
+        ratios.push(lm_rate / fl_rate);
 
         rows.push((
             subs.to_string(),
@@ -93,8 +73,14 @@ fn main() {
         &rows,
     );
     println!(
-        "\nPaper: flooding saturates at significantly lower rates for any number of\n\
+        "\nModel: 39 broker cores in virtual time, 200/12/50 µs per step, match\n\
+         steps and frames counted by the cores themselves.\n\
+         Paper: flooding saturates at significantly lower rates for any number of\n\
          subscriptions; the gap narrows as events are distributed more widely\n\
-         (higher subscription counts)."
+         (higher subscription counts).\n\
+         Shape: link matching beats flooding at every count: {}; the gap narrows\n\
+         as the count grows: {}.",
+        ratios.iter().all(|&r| r > 1.0),
+        ratios.windows(2).all(|w| w[1] <= w[0])
     );
 }

@@ -1300,5 +1300,6 @@ impl<O: Out> BrokerCore<O> {
 
 #[cfg(test)]
 mod des;
+pub mod sim;
 #[cfg(test)]
 pub(crate) mod tests;

@@ -1,8 +1,6 @@
 //! Tests that step [`BrokerCore`]s by hand or on the simulator: no thread,
 //! no socket, and no clock but the `now` each test moves.
 
-use std::cell::RefCell;
-
 use linkcast::NetworkBuilder;
 use linkcast_types::{
     parse_predicate, EventSchema, Predicate, SchemaId, SchemaRegistry, Value, ValueKind,
@@ -14,40 +12,9 @@ use super::des::{Drawn, Sim, Spec};
 use super::*;
 use crate::transport::FrameBatch;
 
-/// One call a core made on its [`Out`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Io {
-    Send(ConnId, Bytes),
-    Unregister(ConnId),
-    CloseAfterFlush(ConnId),
-    Evict(ConnId, Option<Bytes>),
-}
-
-/// An [`Out`] that records every call, in order.
-#[derive(Default)]
-pub(crate) struct Recording(RefCell<Vec<Io>>);
-
-impl Out for Recording {
-    fn send(&self, conn: ConnId, frame: Bytes) {
-        self.0.borrow_mut().push(Io::Send(conn, frame));
-    }
-    fn unregister(&self, conn: ConnId) {
-        self.0.borrow_mut().push(Io::Unregister(conn));
-    }
-    fn close_after_flush(&self, conn: ConnId) {
-        self.0.borrow_mut().push(Io::CloseAfterFlush(conn));
-    }
-    fn evict(&self, conn: ConnId, notice: Option<Bytes>) {
-        self.0.borrow_mut().push(Io::Evict(conn, notice));
-    }
-}
+pub(crate) use super::sim::{Io, Recording};
 
 impl BrokerCore<Recording> {
-    /// What the core did to its connections since the last call.
-    pub(crate) fn take_io(&mut self) -> Vec<Io> {
-        self.out.0.take()
-    }
-
     /// One frame arriving on `conn` at `now`.
     pub(crate) fn feed(&mut self, conn: ConnId, frame: Bytes, now: Instant) {
         self.step(Command::Frames(conn, FrameBatch::single(frame)), now);
@@ -386,7 +353,11 @@ fn run_schedule(seed: u64, base: Instant) -> Result<Run, String> {
     };
     Ok(Run {
         logs: sim.logs(),
-        delivered: sim.clients[SUBSCRIBER].got.iter().map(id).collect(),
+        delivered: sim.clients[SUBSCRIBER]
+            .got
+            .iter()
+            .map(|(_, e)| id(e))
+            .collect(),
         expected,
         drawn: sim.drawn(),
     })

@@ -68,6 +68,7 @@ mod tcp;
 mod transport;
 
 pub use broker::{BrokerConfig, BrokerNode, LocalConn};
+pub use broker_core::sim;
 pub use client::{Client, ClientError};
 pub use counters::{BrokerStats, NodeCounters};
 pub use engine::MatchingEngine;

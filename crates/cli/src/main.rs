@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use linkcast::RoutingFabric;
 use linkcast_broker::{BrokerConfig, BrokerNode, Client};
-use linkcast_sim::{topology39, FloodingSim, LinkMatchingSim, SimConfig, Simulation};
+use linkcast_sim::{publications, topology39, SimConfig, Simulation};
 use linkcast_workload::{EventGenerator, SubscriptionGenerator, WorkloadConfig};
 
 fn main() -> ExitCode {
@@ -306,7 +306,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let world = topology39::build().map_err(|e| e.to_string())?;
     let wconfig = WorkloadConfig::chart1();
     let schema = wconfig.schema();
-    let options = linkcast_matching::PstOptions::default().with_factoring(wconfig.factoring_levels);
     let generator = SubscriptionGenerator::new(&wconfig, seed);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
     let events = EventGenerator::new(&wconfig, seed);
@@ -315,35 +314,16 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         .with_events(events_n)
         .with_seed(seed);
 
-    let report = match protocol {
+    let fabric = world.fabric.clone();
+    let mut sim = match protocol {
         "link" => {
-            let mut router = linkcast::ContentRouter::new(world.fabric.clone(), schema, options)
-                .map_err(|e| e.to_string())?;
-            topology39::subscribe_random(&mut router, &world, &generator, subs, &mut rng)
-                .map_err(|e| e.to_string())?;
-            Simulation::new(
-                &LinkMatchingSim(router),
-                world.publishers.clone(),
-                &events,
-                config,
-            )
-            .run()
+            let subs = topology39::random_subscriptions(&world, &generator, subs, &mut rng);
+            Simulation::link_matching(fabric, &schema, &subs)?
         }
-        "flood" => {
-            let mut router = linkcast::FloodingRouter::new(world.fabric.clone(), schema, options)
-                .map_err(|e| e.to_string())?;
-            topology39::subscribe_random(&mut router, &world, &generator, subs, &mut rng)
-                .map_err(|e| e.to_string())?;
-            Simulation::new(
-                &FloodingSim::new(router, world.fabric.clone()),
-                world.publishers.clone(),
-                &events,
-                config,
-            )
-            .run()
-        }
+        "flood" => Simulation::flooding(fabric, &schema)?,
         other => return Err(format!("unknown protocol `{other}` (link|flood)")),
     };
+    let report = sim.run(&publications(&world.publishers, &events, &config), &config);
 
     println!("protocol:            {}", report.protocol);
     println!("published:           {}", report.published);

@@ -57,38 +57,6 @@ impl FloodingRouter {
             next_subscription: 0,
         })
     }
-
-    /// One hop of the flooding protocol: every spanning-tree child link plus
-    /// **every** local client link — no content matching at the broker
-    /// (clients filter for themselves). Used by the discrete-event
-    /// simulator; the service-time model correctly charges the broker for
-    /// the send fan-out only.
-    pub fn route_at(
-        &self,
-        broker: BrokerId,
-        _event: &Event,
-        tree: crate::TreeId,
-        stats: &mut MatchStats,
-    ) -> Vec<linkcast_types::LinkId> {
-        stats.events += 1;
-        let network = self.fabric.network();
-        let tree = self
-            .fabric
-            .forest()
-            .tree(tree)
-            .expect("tree ids from the forest are valid");
-        let mut links = child_links(network, tree, broker);
-        for client in network.clients_of(broker) {
-            links.push(
-                network
-                    .link_to_client(broker, *client)
-                    .expect("local clients have links"),
-            );
-        }
-        links.sort_unstable();
-        links.dedup();
-        links
-    }
 }
 
 impl EventRouter for FloodingRouter {

@@ -229,19 +229,6 @@ impl ContentRouter {
     ) -> Vec<SubscriptionId> {
         self.engines[broker.index()].match_subscriptions(event, stats)
     }
-
-    /// One hop of the protocol: the links `broker` forwards `event` on for
-    /// spanning tree `tree`. Used by the discrete-event simulator and the
-    /// broker prototype, which drive propagation themselves.
-    pub fn route_at(
-        &self,
-        broker: BrokerId,
-        event: &Event,
-        tree: TreeId,
-        stats: &mut MatchStats,
-    ) -> Vec<LinkId> {
-        self.engines[broker.index()].match_links(event, tree, stats)
-    }
 }
 
 impl EventRouter for ContentRouter {

@@ -1,40 +1,6 @@
 //! Simulation configuration.
 
-/// The broker service-time model: how long one event occupies a broker's
-/// processor.
-///
-/// The paper's model charges an event for "waiting at an incoming broker
-/// queue, getting matched, and being sent (software latency of the
-/// communication stack)". The matched portion scales with matching steps
-/// ("we estimate that a time efficient implementation can execute a matching
-/// step in the order of a few microseconds").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Fixed per-message cost (receive + dispatch), µs.
-    pub base_us: f64,
-    /// Cost per matching step, µs.
-    pub step_us: f64,
-    /// Cost per outgoing copy (communication-stack software latency), µs.
-    pub send_us: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            base_us: 50.0,
-            step_us: 3.0,
-            send_us: 20.0,
-        }
-    }
-}
-
-impl CostModel {
-    /// Service time for a message that took `steps` matching steps and
-    /// produced `copies` outgoing copies, in µs.
-    pub fn service_us(&self, steps: u64, copies: usize) -> f64 {
-        self.base_us + self.step_us * steps as f64 + self.send_us * copies as f64
-    }
-}
+use crate::CostModel;
 
 /// How publishers space their events.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,29 +25,17 @@ pub struct SimConfig {
     /// Number of events to publish ("The number of events published is
     /// 500" for Chart 1, 1000 for Chart 2).
     pub events: usize,
-    /// Broker service-time model.
+    /// What a core step costs (§4.1).
     pub costs: CostModel,
-    /// Hop delay from a publishing client to its broker and from a broker
-    /// to a subscribing client, ms (1 ms in Figure 6).
-    pub client_hop_ms: f64,
-    /// Delay after the last publication before the backlog probe, simulated
-    /// seconds. Zero (the default) samples queues the instant publishing
-    /// stops — the paper's criterion is a queue "growing at a rate higher
-    /// than the broker processor can handle" *while* events flow.
-    pub drain_s: f64,
-    /// Input-queue depth at one broker beyond which the broker counts as
+    /// Unfinished services at one core beyond which the broker counts as
     /// overloaded — the queue "growing at a rate higher than the broker
     /// processor can handle" shows up as depth proportional to the run
     /// length, while stable queues stay shallow.
     pub overload_backlog: usize,
-    /// RNG seed for arrival times.
+    /// RNG seed for arrival times and event values.
     pub seed: u64,
     /// Arrival process shape.
     pub arrivals: ArrivalKind,
-    /// Record every published `(broker, event)` pair in the report —
-    /// memory-proportional to the event count; used by validation tests
-    /// that replay the run against a reference router.
-    pub record_events: bool,
 }
 
 impl Default for SimConfig {
@@ -89,13 +43,14 @@ impl Default for SimConfig {
         SimConfig {
             publish_rate: 10.0,
             events: 500,
-            costs: CostModel::default(),
-            client_hop_ms: 1.0,
-            drain_s: 0.0,
+            costs: CostModel {
+                base_us: 50.0,
+                step_us: 3.0,
+                send_us: 20.0,
+            },
             overload_backlog: 30,
             seed: 1,
             arrivals: ArrivalKind::Poisson,
-            record_events: false,
         }
     }
 }

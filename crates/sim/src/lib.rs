@@ -1,34 +1,32 @@
-//! Discrete-event simulator for broker networks.
+//! The paper's §4.1 simulation environment, on real broker cores.
 //!
-//! Reproduces the paper's §4.1 simulation environment: brokers with FIFO
-//! input queues and a service-time model, links with per-hop delays, Poisson
-//! (or bursty) publishers, a virtual clock in 12 µs ticks, and overload
-//! detection ("a broker is overloaded when its input message queue is
-//! growing at a rate higher than the broker processor can handle").
+//! Brokers with a service-time model, links with per-hop delays, Poisson
+//! (or bursty) publishers, and overload detection ("a broker is overloaded
+//! when its input message queue is growing at a rate higher than the
+//! broker processor can handle"). Every broker is a `linkcast-broker`
+//! core — the arena walk, `adapt_order`, spools and acks the shipped
+//! broker runs — stepped in virtual time by [`linkcast_broker::sim`],
+//! which charges each core step the [`CostModel`]'s `base + step × (match
+//! steps) + send × (frames sent)`.
 //!
-//! The simulator drives a routing protocol one hop at a time through the
-//! [`SimProtocol`] abstraction; adapters are provided for the paper's link
-//! matching and for the flooding baseline, so Chart 1 (saturation publish
-//! rate vs. subscription count, per protocol) falls out of
+//! [`Simulation::link_matching`] installs a workload's subscriptions;
+//! [`Simulation::flooding`] is the baseline as a workload, every client
+//! subscribed to everything and filtering for itself. Chart 1 (saturation
+//! publish rate vs. subscription count, per protocol) falls out of
 //! [`find_saturation_rate`].
 //!
 //! The [`topology39`] module builds the exact Figure 6 network: three
 //! 13-broker trees with interconnected roots, lateral links, 65/25/10/1 ms
 //! hop delays, ten subscribing clients per broker, and publishers P1–P3.
 
+mod cluster;
 mod config;
-mod engine;
 mod metrics;
-mod protocol;
 mod saturation;
 pub mod topology39;
 
-pub use config::{ArrivalKind, CostModel, SimConfig};
-pub use engine::{Publisher, Simulation};
+pub use cluster::{publications, Publication, Publisher, Simulation};
+pub use config::{ArrivalKind, SimConfig};
+pub use linkcast_broker::sim::CostModel;
 pub use metrics::{BrokerLoad, SimReport};
-pub use protocol::{FloodingSim, LinkMatchingSim, SimProtocol};
-pub use saturation::{find_saturation_rate, SaturationPoint};
-
-/// Microseconds of virtual time per simulator tick (§4.1: "each tick
-/// corresponding to about 12 microseconds").
-pub const TICK_US: u64 = 12;
+pub use saturation::find_saturation_rate;

@@ -2,22 +2,17 @@
 
 use linkcast_types::BrokerId;
 
-use crate::TICK_US;
-
 /// Per-broker load summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BrokerLoad {
     /// The broker.
     pub broker: BrokerId,
-    /// Messages fully processed.
+    /// Charged core steps.
     pub processed: u64,
     /// Total time the processor was busy, µs.
     pub busy_us: f64,
-    /// Largest input-queue length observed.
+    /// Most services queued at once behind the one in progress.
     pub max_queue: usize,
-    /// Messages still queued at the overload probe (taken shortly after the
-    /// last publication).
-    pub probe_backlog: usize,
     /// Fraction of the publishing window the processor was busy.
     pub utilization: f64,
 }
@@ -27,41 +22,34 @@ pub struct BrokerLoad {
 pub struct SimReport {
     /// Protocol name.
     pub protocol: &'static str,
-    /// Virtual duration until the last message drained, µs.
+    /// Virtual time from the first publication to the last delivery, µs.
     pub duration_us: u64,
     /// Events published.
     pub published: usize,
     /// Client deliveries.
     pub deliveries: u64,
-    /// Copies sent over broker-to-broker links.
+    /// `Forward` frames sent over broker-to-broker links.
     pub broker_messages: u64,
     /// Per delivery: broker hops traveled and publish-to-client latency in
     /// µs.
     pub latencies_us: Vec<(u32, u64)>,
-    /// Matching steps summed over every broker visit.
+    /// Matching steps summed over every core.
     pub total_steps: u64,
     /// Per-broker loads, indexed by broker.
     pub loads: Vec<BrokerLoad>,
-    /// Brokers whose input queue was still backed up at the probe —
-    /// "overloaded" in the paper's sense.
+    /// Brokers whose input queue grew past
+    /// [`SimConfig::overload_backlog`](crate::SimConfig) — "overloaded" in
+    /// the paper's sense.
     pub overloaded: Vec<BrokerId>,
-    /// Copies carried per directed broker link, as `((from, to), count)`,
+    /// Frames carried per directed broker link, as `((from, to), count)`,
     /// sorted by descending count — the paper's "network loading" view.
     pub link_loads: Vec<((BrokerId, BrokerId), u64)>,
-    /// Every published `(broker, event)` pair, in publish order — empty
-    /// unless [`SimConfig::record_events`](crate::SimConfig) was set.
-    pub published_events: Vec<(BrokerId, linkcast_types::Event)>,
 }
 
 impl SimReport {
     /// Whether any broker was overloaded.
     pub fn is_overloaded(&self) -> bool {
         !self.overloaded.is_empty()
-    }
-
-    /// Virtual duration in 12 µs ticks.
-    pub fn duration_ticks(&self) -> u64 {
-        self.duration_us / TICK_US
     }
 
     /// Mean delivery latency, ms (0 when nothing was delivered).
@@ -136,7 +124,6 @@ mod tests {
                     processed: 3,
                     busy_us: 100.0,
                     max_queue: 2,
-                    probe_backlog: 0,
                     utilization: 0.5,
                 },
                 BrokerLoad {
@@ -144,7 +131,6 @@ mod tests {
                     processed: 3,
                     busy_us: 300.0,
                     max_queue: 9,
-                    probe_backlog: 30,
                     utilization: 0.9,
                 },
             ],
@@ -153,7 +139,6 @@ mod tests {
                 ((BrokerId::new(0), BrokerId::new(1)), 9),
                 ((BrokerId::new(1), BrokerId::new(0)), 2),
             ],
-            published_events: Vec::new(),
         }
     }
 
@@ -164,7 +149,6 @@ mod tests {
         assert_eq!(r.latency_percentile_ms(0.0), 1.0);
         assert_eq!(r.latency_percentile_ms(1.0), 10.0);
         assert!(r.is_overloaded());
-        assert_eq!(r.duration_ticks(), 2_000);
         assert!((r.max_utilization() - 0.9).abs() < 1e-12);
         assert_eq!(
             r.hottest_links(1),

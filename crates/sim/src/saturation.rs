@@ -2,28 +2,22 @@
 
 use linkcast_workload::EventGenerator;
 
-use crate::{Publisher, SimConfig, SimProtocol, Simulation};
-
-/// One point of Chart 1: the highest sustainable publish rate for a
-/// subscription count.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SaturationPoint {
-    /// Number of subscriptions active in the network.
-    pub subscriptions: usize,
-    /// Highest aggregate publish rate (events/second) at which no broker
-    /// overloads.
-    pub rate: f64,
-}
+use crate::{publications, Publisher, SimConfig, Simulation};
 
 /// Finds the saturation publish rate by bisection: the highest aggregate
-/// rate (events/second, within `rel_tolerance`) at which no broker's input
-/// queue is still backed up after the drain period.
+/// rate (events/second, within `rel_tolerance`) at which no broker's
+/// input queue grows past [`SimConfig::overload_backlog`].
+///
+/// Every probe runs on `sim`'s cluster, its subscriptions installed once,
+/// and drains before the next. The cores adapt their attribute order as
+/// they walk (after 256 events each), so the first probe may see the
+/// insertion order where later ones see the adapted one.
 ///
 /// `lo` must be sustainable and `hi` unsustainable — the function widens
 /// `hi` (doubling, up to 16×) if the initial `hi` turns out sustainable,
 /// and returns `lo` immediately if even `lo` overloads.
-pub fn find_saturation_rate<P: SimProtocol>(
-    protocol: &P,
+pub fn find_saturation_rate(
+    sim: &mut Simulation,
     publishers: &[Publisher],
     generator: &EventGenerator,
     base: &SimConfig,
@@ -31,11 +25,10 @@ pub fn find_saturation_rate<P: SimProtocol>(
     mut hi: f64,
     rel_tolerance: f64,
 ) -> f64 {
-    let overloaded = |rate: f64| -> bool {
+    let mut overloaded = |rate: f64| -> bool {
         let config = base.clone().with_rate(rate);
-        Simulation::new(protocol, publishers.to_vec(), generator, config)
-            .run()
-            .is_overloaded()
+        let schedule = publications(publishers, generator, &config);
+        sim.run(&schedule, &config).is_overloaded()
     };
     if overloaded(lo) {
         return lo;
@@ -64,10 +57,8 @@ pub fn find_saturation_rate<P: SimProtocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LinkMatchingSim;
-    use linkcast::{ContentRouter, EventRouter, NetworkBuilder, RoutingFabric};
-    use linkcast_matching::PstOptions;
-    use linkcast_types::{AttrTest, BrokerId, Predicate};
+    use linkcast::{NetworkBuilder, RoutingFabric};
+    use linkcast_types::{BrokerId, Predicate};
     use linkcast_workload::WorkloadConfig;
 
     #[test]
@@ -77,6 +68,7 @@ mod tests {
         let mut b = NetworkBuilder::new();
         let brokers = b.add_brokers(2);
         b.connect(brokers[0], brokers[1], 5.0).unwrap();
+        b.add_client(brokers[0]).unwrap();
         let client = b.add_client(brokers[1]).unwrap();
         let fabric = RoutingFabric::new_all_roots(b.build().unwrap()).unwrap();
 
@@ -85,23 +77,16 @@ mod tests {
         wconfig.values_per_attribute = 3;
         wconfig.factoring_levels = 0;
         let schema = wconfig.schema();
-        let mut router =
-            ContentRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
-        router
-            .subscribe(
-                client,
-                Predicate::from_tests(&schema, vec![AttrTest::Any; 3]).unwrap(),
-            )
-            .unwrap();
-        let protocol = LinkMatchingSim(router);
+        let subscriptions = [(client, Predicate::match_all(&schema))];
+        let mut sim = Simulation::link_matching(fabric, &schema, &subscriptions).unwrap();
         let generator = EventGenerator::new(&wconfig, 1);
-        let publishers = vec![Publisher {
+        let publishers = [Publisher {
             broker: BrokerId::new(0),
             region: 0,
         }];
         let base = SimConfig::default().with_events(300);
         let rate = find_saturation_rate(
-            &protocol,
+            &mut sim,
             &publishers,
             &generator,
             &base,

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use linkcast::{EventRouter, NetworkBuilder, Result, RoutingFabric};
-use linkcast_types::{BrokerId, ClientId};
+use linkcast_types::{BrokerId, ClientId, Predicate};
 use linkcast_workload::SubscriptionGenerator;
 use rand::Rng;
 
@@ -152,9 +152,24 @@ pub fn build() -> Result<Figure6> {
     })
 }
 
-/// Registers `count` randomly generated subscriptions, spread round-robin
-/// over the figure's 390 subscribing clients (each using its region's value
+/// `count` randomly generated subscriptions, spread round-robin over the
+/// figure's 390 subscribing clients (each using its region's value
 /// distribution).
+pub fn random_subscriptions(
+    world: &Figure6,
+    generator: &SubscriptionGenerator,
+    count: usize,
+    rng: &mut impl Rng,
+) -> Vec<(ClientId, Predicate)> {
+    (0..count)
+        .map(|i| {
+            let (client, region) = world.subscribers[i % world.subscribers.len()];
+            (client, generator.generate_predicate(rng, region))
+        })
+        .collect()
+}
+
+/// Registers [`random_subscriptions`] with `router`.
 ///
 /// # Errors
 ///
@@ -166,9 +181,7 @@ pub fn subscribe_random<R: EventRouter>(
     count: usize,
     rng: &mut impl Rng,
 ) -> Result<()> {
-    for i in 0..count {
-        let (client, region) = world.subscribers[i % world.subscribers.len()];
-        let predicate = generator.generate_predicate(rng, region);
+    for (client, predicate) in random_subscriptions(world, generator, count, rng) {
         router.subscribe(client, predicate)?;
     }
     Ok(())

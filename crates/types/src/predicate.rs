@@ -242,23 +242,24 @@ impl Predicate {
     }
 
     /// Renders the predicate using the schema's attribute names, e.g.
-    /// `issue = "IBM" & price < 120.00`. All-`*` predicates render as `true`.
+    /// `issue = "IBM" & price < 120.00`. The all-`*` predicate renders as
+    /// its first attribute's `*` test, `issue = *`, which parses back to it.
     pub fn display_with(&self, schema: &EventSchema) -> String {
+        let name = |i: usize| {
+            schema
+                .attribute(i)
+                .map(|a| a.name().to_string())
+                .unwrap_or_else(|| format!("a{i}"))
+        };
         let parts: Vec<String> = self
             .tests
             .iter()
             .enumerate()
             .filter(|(_, t)| !t.is_wildcard())
-            .map(|(i, t)| {
-                let name = schema
-                    .attribute(i)
-                    .map(|a| a.name().to_string())
-                    .unwrap_or_else(|| format!("a{i}"));
-                t.display_with(&name)
-            })
+            .map(|(i, t)| t.display_with(&name(i)))
             .collect();
         if parts.is_empty() {
-            "true".to_string()
+            AttrTest::Any.display_with(&name(0))
         } else {
             parts.join(" & ")
         }
@@ -266,7 +267,8 @@ impl Predicate {
 }
 
 impl fmt::Display for Predicate {
-    /// Renders positionally (`a0 = 1 & a2 < 5`); use
+    /// Renders positionally (`a0 = 1 & a2 < 5`; the all-`*` predicate as
+    /// `a0 = *`); use
     /// [`Predicate::display_with`] to render with schema attribute names.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
@@ -281,7 +283,7 @@ impl fmt::Display for Predicate {
             write!(f, "{}", t.display_with(&format!("a{i}")))?;
         }
         if first {
-            write!(f, "true")?;
+            write!(f, "{}", AttrTest::Any.display_with("a0"))?;
         }
         Ok(())
     }
@@ -449,7 +451,9 @@ mod tests {
         assert!(p.matches(&ibm_event(1, 1)));
         assert_eq!(p.non_wildcard_count(), 0);
         assert!(p.is_equality_only());
-        assert_eq!(p.to_string(), "true");
+        assert_eq!(p.to_string(), "a0 = *");
+        let text = p.display_with(&trades());
+        assert_eq!(crate::parse_predicate(&trades(), &text).unwrap(), p);
     }
 
     #[test]

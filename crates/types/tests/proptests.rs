@@ -217,9 +217,6 @@ proptest! {
     #[test]
     fn predicate_display_parse_roundtrip(p in predicate_strategy()) {
         let schema = test_schema();
-        // The all-wildcard predicate renders as the keyword `true`, which
-        // is a display convention, not grammar; skip it.
-        prop_assume!(p.non_wildcard_count() > 0);
         let text = p.display_with(&schema);
         // `Between` renders with the `between ... and ...` form the parser
         // accepts; all other forms are canonical too.

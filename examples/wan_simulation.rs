@@ -3,11 +3,12 @@
 //! print per-broker load, latency, and traffic — for both link matching and
 //! flooding.
 //!
+//! Every broker is a real broker core stepped in virtual time; flooding is
+//! a workload in which every client subscribes to everything.
+//!
 //! Run with: `cargo run --release --example wan_simulation`
 
-use linkcast::matching::PstOptions;
-use linkcast::{ContentRouter, FloodingRouter};
-use linkcast_sim::{topology39, FloodingSim, LinkMatchingSim, SimConfig, SimProtocol, Simulation};
+use linkcast_sim::{publications, topology39, SimConfig, Simulation};
 use linkcast_workload::{EventGenerator, SubscriptionGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,44 +17,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let world = topology39::build()?;
     let wconfig = WorkloadConfig::chart1();
     let schema = wconfig.schema();
-    let options = PstOptions::default().with_factoring(wconfig.factoring_levels);
     let subscriptions = 3_000;
     let rate = 100.0;
 
     println!("Figure 6 network: 39 brokers, 390 clients, {subscriptions} subscriptions");
     println!("aggregate publish rate {rate} events/s, 500 events\n");
 
-    // Link matching.
-    let mut lm = ContentRouter::new(world.fabric.clone(), schema.clone(), options.clone())?;
     let generator = SubscriptionGenerator::new(&wconfig, 42);
     let mut rng = StdRng::seed_from_u64(42);
-    topology39::subscribe_random(&mut lm, &world, &generator, subscriptions, &mut rng)?;
-    let lm_protocol = LinkMatchingSim(lm);
-
-    // Flooding, same workload.
-    let mut fl = FloodingRouter::new(world.fabric.clone(), schema.clone(), options.clone())?;
-    let generator = SubscriptionGenerator::new(&wconfig, 42);
-    let mut rng = StdRng::seed_from_u64(42);
-    topology39::subscribe_random(&mut fl, &world, &generator, subscriptions, &mut rng)?;
-    let fl_protocol = FloodingSim::new(fl, world.fabric.clone());
+    let subs = topology39::random_subscriptions(&world, &generator, subscriptions, &mut rng);
+    let mut link_matching = Simulation::link_matching(world.fabric.clone(), &schema, &subs)?;
+    let mut flooding = Simulation::flooding(world.fabric.clone(), &schema)?;
 
     let events = EventGenerator::new(&wconfig, 42);
     let config = SimConfig::default().with_rate(rate).with_events(500);
+    let schedule = publications(&world.publishers, &events, &config);
 
-    for report in [
-        Simulation::new(
-            &lm_protocol,
-            world.publishers.clone(),
-            &events,
-            config.clone(),
-        )
-        .run(),
-        Simulation::new(&fl_protocol, world.publishers.clone(), &events, config).run(),
-    ] {
+    for sim in [&mut link_matching, &mut flooding] {
+        let report = sim.run(&schedule, &config);
         println!("=== {} ===", report.protocol);
         println!("  events published:     {}", report.published);
         println!("  client deliveries:    {}", report.deliveries);
-        println!("  broker-link copies:   {}", report.broker_messages);
+        println!("  broker-link frames:   {}", report.broker_messages);
         println!("  total matching steps: {}", report.total_steps);
         println!("  mean latency:         {:.1} ms", report.mean_latency_ms());
         println!(
@@ -77,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  five busiest brokers:");
         for l in loads.iter().take(5) {
             println!(
-                "    {}: {:>6} msgs, {:>5.1}% busy, max queue {}",
+                "    {}: {:>6} services, {:>5.1}% busy, max queue {}",
                 l.broker,
                 l.processed,
                 l.utilization * 100.0,
@@ -86,10 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         println!("  five hottest links:");
         for ((from, to), count) in report.hottest_links(5) {
-            println!("    {from} -> {to}: {count} copies");
+            println!("    {from} -> {to}: {count} frames");
         }
         println!();
     }
-    let _ = lm_protocol.fabric(); // keep the fabric alive to the end
     Ok(())
 }

@@ -1,11 +1,11 @@
 //! Simulation-level integration: the Figure 6 network under the paper's
-//! workloads, checking the qualitative results behind Charts 1 and 2.
+//! workloads, checking the qualitative results behind Charts 1 and 2. The
+//! simulated brokers are real broker cores stepped in virtual time.
 
-use linkcast::{ContentRouter, FloodingRouter};
+use linkcast::{ContentRouter, EventRouter};
 use linkcast_matching::{MatchStats, PstOptions};
-use linkcast_sim::{
-    find_saturation_rate, topology39, FloodingSim, LinkMatchingSim, SimConfig, Simulation,
-};
+use linkcast_sim::{publications, topology39, CostModel, SimConfig, SimReport, Simulation};
+use linkcast_types::{ClientId, EventSchema, Predicate};
 use linkcast_workload::{EventGenerator, SubscriptionGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,21 +19,45 @@ fn pst_options(w: &WorkloadConfig) -> PstOptions {
     PstOptions::default().with_factoring(w.factoring_levels)
 }
 
+/// `count` random subscriptions drawn from `seed`.
+fn random(
+    world: &topology39::Figure6,
+    w: &WorkloadConfig,
+    count: usize,
+    seed: u64,
+) -> Vec<(ClientId, Predicate)> {
+    let generator = SubscriptionGenerator::new(w, seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    topology39::random_subscriptions(world, &generator, count, &mut rng)
+}
+
+/// Link matching on cores over `world`, with `subscriptions` installed.
+fn cores(
+    world: &topology39::Figure6,
+    schema: &EventSchema,
+    subscriptions: &[(ClientId, Predicate)],
+) -> Simulation {
+    Simulation::link_matching(world.fabric.clone(), schema, subscriptions).unwrap()
+}
+
+/// Paper-era service costs: a 200 MHz broker spends on the order of a
+/// millisecond per event (Chart 3), which is what pushes Chart 1's
+/// saturation points down to tens–hundreds of events per second.
+const PAPER_ERA: CostModel = CostModel {
+    base_us: 200.0,
+    step_us: 12.0,
+    send_us: 50.0,
+};
+
 #[test]
 fn figure6_simulation_runs_and_delivers() {
     let world = topology39::build().unwrap();
     let wconfig = chart1_small();
     let schema = wconfig.schema();
-    let mut router =
-        ContentRouter::new(world.fabric.clone(), schema, pst_options(&wconfig)).unwrap();
-    let generator = SubscriptionGenerator::new(&wconfig, 42);
-    let mut rng = StdRng::seed_from_u64(42);
-    topology39::subscribe_random(&mut router, &world, &generator, 1000, &mut rng).unwrap();
-
+    let mut sim = cores(&world, &schema, &random(&world, &wconfig, 1000, 42));
     let events = EventGenerator::new(&wconfig, 42);
-    let protocol = LinkMatchingSim(router);
     let config = SimConfig::default().with_rate(50.0).with_events(200);
-    let report = Simulation::new(&protocol, world.publishers.clone(), &events, config).run();
+    let report = sim.run(&publications(&world.publishers, &events, &config), &config);
 
     assert_eq!(report.published, 200);
     assert!(!report.is_overloaded(), "50 ev/s must be sustainable");
@@ -44,7 +68,9 @@ fn figure6_simulation_runs_and_delivers() {
 }
 
 /// The headline of Chart 1: flooding saturates at a much lower publish rate
-/// than link matching when subscriptions are selective.
+/// than link matching when subscriptions are selective. At 2 000 events/s
+/// on paper-era costs, flooding's cores overload and link matching's do not
+/// (the chart1 bench binary bisects for both saturation points).
 #[test]
 fn flooding_saturates_before_link_matching() {
     let world = topology39::build().unwrap();
@@ -54,57 +80,26 @@ fn flooding_saturates_before_link_matching() {
     // (the paper's own caveat: "In the case where events are distributed
     // quite widely, the difference is not as great" — the chart1 bench
     // binary sweeps the full range).
-    let subscriptions = 500;
-
-    let mut lm =
-        ContentRouter::new(world.fabric.clone(), schema.clone(), pst_options(&wconfig)).unwrap();
-    let mut fl =
-        FloodingRouter::new(world.fabric.clone(), schema.clone(), pst_options(&wconfig)).unwrap();
-    let generator = SubscriptionGenerator::new(&wconfig, 7);
-    let mut rng = StdRng::seed_from_u64(7);
-    topology39::subscribe_random(&mut lm, &world, &generator, subscriptions, &mut rng).unwrap();
-    let generator2 = SubscriptionGenerator::new(&wconfig, 7);
-    let mut rng2 = StdRng::seed_from_u64(7);
-    topology39::subscribe_random(&mut fl, &world, &generator2, subscriptions, &mut rng2).unwrap();
+    let mut lm = cores(&world, &schema, &random(&world, &wconfig, 500, 7));
+    let mut fl = Simulation::flooding(world.fabric.clone(), &schema).unwrap();
 
     let events = EventGenerator::new(&wconfig, 7);
-    // Paper-era service costs: a 200 MHz broker spends on the order of a
-    // millisecond per event (Chart 3), which is what pushes Chart 1's
-    // saturation points down to tens–hundreds of events per second.
-    let mut base = SimConfig::default().with_events(500);
-    base.costs = linkcast_sim::CostModel {
-        base_us: 200.0,
-        step_us: 12.0,
-        send_us: 50.0,
-    };
-
+    let mut config = SimConfig::default().with_events(500).with_rate(2_000.0);
+    config.costs = PAPER_ERA;
     // Publishers everywhere (P1-P3 plus the paper's background load), so
     // neither protocol is bottlenecked artificially at three entry brokers.
-    let publishers = world.all_publishers();
-    let lm_protocol = LinkMatchingSim(lm);
-    let lm_rate = find_saturation_rate(
-        &lm_protocol,
-        &publishers,
-        &events,
-        &base,
-        10.0,
-        5_000.0,
-        0.15,
-    );
-    let fl_protocol = FloodingSim::new(fl, world.fabric.clone());
-    let fl_rate = find_saturation_rate(
-        &fl_protocol,
-        &publishers,
-        &events,
-        &base,
-        10.0,
-        5_000.0,
-        0.15,
-    );
+    let schedule = publications(&world.all_publishers(), &events, &config);
+    let lm_report = lm.run(&schedule, &config);
+    let fl_report = fl.run(&schedule, &config);
 
     assert!(
-        lm_rate > fl_rate * 1.5,
-        "link matching ({lm_rate:.0}/s) should sustain well beyond flooding ({fl_rate:.0}/s)"
+        fl_report.is_overloaded(),
+        "flooding must overload at 2 000/s"
+    );
+    let overloaded = &lm_report.overloaded;
+    assert!(
+        !lm_report.is_overloaded(),
+        "link matching overloaded: {overloaded:?}"
     );
 }
 
@@ -128,7 +123,6 @@ fn link_matching_steps_stay_close_to_centralized() {
     // per hop count: (deliveries, cumulative path steps)
     let mut by_hops: Vec<(u64, u64)> = vec![(0, 0); 10];
     let mut centralized = MatchStats::new();
-    use linkcast::EventRouter;
     let network = world.fabric.network();
     for i in 0..300 {
         let publisher = world.publishers[i % world.publishers.len()];
@@ -191,7 +185,6 @@ fn locality_reduces_intercontinental_traffic() {
     topology39::subscribe_random(&mut router, &world, &generator, 3000, &mut rng).unwrap();
 
     let events = EventGenerator::new(&wconfig, 5);
-    use linkcast::EventRouter;
     // Publish only from P1 (region 0) and count deliveries per region.
     let mut local = 0u64;
     let mut remote = 0u64;
@@ -222,40 +215,19 @@ fn intercontinental_links_carry_less_under_link_matching() {
     let wconfig = chart1_small();
     let schema = wconfig.schema();
     // Selective enough that most events stay regional.
-    let subscriptions = 600;
-
-    let mut lm =
-        ContentRouter::new(world.fabric.clone(), schema.clone(), pst_options(&wconfig)).unwrap();
-    let g1 = SubscriptionGenerator::new(&wconfig, 3);
-    let mut r1 = StdRng::seed_from_u64(3);
-    topology39::subscribe_random(&mut lm, &world, &g1, subscriptions, &mut r1).unwrap();
-    let mut fl =
-        FloodingRouter::new(world.fabric.clone(), schema.clone(), pst_options(&wconfig)).unwrap();
-    let g2 = SubscriptionGenerator::new(&wconfig, 3);
-    let mut r2 = StdRng::seed_from_u64(3);
-    topology39::subscribe_random(&mut fl, &world, &g2, subscriptions, &mut r2).unwrap();
+    let mut lm = cores(&world, &schema, &random(&world, &wconfig, 600, 3));
+    let mut fl = Simulation::flooding(world.fabric.clone(), &schema).unwrap();
 
     let events = EventGenerator::new(&wconfig, 3);
     let config = SimConfig::default().with_rate(100.0).with_events(300);
-    let lm_report = Simulation::new(
-        &LinkMatchingSim(lm),
-        world.publishers.clone(),
-        &events,
-        config.clone(),
-    )
-    .run();
-    let fl_report = Simulation::new(
-        &FloodingSim::new(fl, world.fabric.clone()),
-        world.publishers.clone(),
-        &events,
-        config,
-    )
-    .run();
+    let schedule = publications(&world.publishers, &events, &config);
+    let lm_report = lm.run(&schedule, &config);
+    let fl_report = fl.run(&schedule, &config);
 
     // The three roots are brokers 0, 13, 26; count copies over the root
     // mesh in both directions.
     let roots = [world.brokers[0], world.brokers[13], world.brokers[26]];
-    let intercontinental = |report: &linkcast_sim::SimReport| -> u64 {
+    let intercontinental = |report: &SimReport| -> u64 {
         report
             .link_loads
             .iter()
@@ -281,24 +253,20 @@ fn latency_is_dominated_by_wan_delays_not_matching() {
     let world = topology39::build().unwrap();
     let wconfig = chart1_small();
     let schema = wconfig.schema();
-    let mut router =
-        ContentRouter::new(world.fabric.clone(), schema, pst_options(&wconfig)).unwrap();
-    let generator = SubscriptionGenerator::new(&wconfig, 21);
-    let mut rng = StdRng::seed_from_u64(21);
-    topology39::subscribe_random(&mut router, &world, &generator, 2000, &mut rng).unwrap();
+    let mut sim = cores(&world, &schema, &random(&world, &wconfig, 2000, 21));
     let events = EventGenerator::new(&wconfig, 21);
-    let protocol = LinkMatchingSim(router);
     // Fast modern broker (tens of µs per event) vs one 10x slower: if
     // processing mattered, latency would shift visibly.
     let fast = SimConfig::default().with_rate(50.0).with_events(400);
     let mut slow = fast.clone();
-    slow.costs = linkcast_sim::CostModel {
+    slow.costs = CostModel {
         base_us: 500.0,
         step_us: 30.0,
         send_us: 200.0,
     };
-    let fast_report = Simulation::new(&protocol, world.publishers.clone(), &events, fast).run();
-    let slow_report = Simulation::new(&protocol, world.publishers.clone(), &events, slow).run();
+    let schedule = publications(&world.publishers, &events, &fast);
+    let fast_report = sim.run(&schedule, &fast);
+    let slow_report = sim.run(&schedule, &slow);
     assert_eq!(fast_report.deliveries, slow_report.deliveries);
 
     // Deliveries sit at WAN scale: at least the 10 ms minimum link delay
@@ -319,39 +287,32 @@ fn latency_is_dominated_by_wan_delays_not_matching() {
     assert!(fast_report.latency_by_hops().len() >= 2);
 }
 
-/// Cross-layer validation: the simulator's queueing/timing machinery must
-/// not change *what* is delivered — replaying the exact published events
-/// through the router directly yields the same delivery and traffic
-/// totals.
+/// Cross-layer validation: cores deliver exactly what
+/// `ContentRouter::publish` predicts — their queues and timing change
+/// nothing about *what* is delivered, or which links carry it.
 #[test]
 fn simulator_deliveries_match_direct_routing() {
     let world = topology39::build().unwrap();
     let wconfig = chart1_small();
     let schema = wconfig.schema();
+    let subscriptions = random(&world, &wconfig, 1500, 33);
     let mut router =
-        ContentRouter::new(world.fabric.clone(), schema, pst_options(&wconfig)).unwrap();
-    let generator = SubscriptionGenerator::new(&wconfig, 33);
-    let mut rng = StdRng::seed_from_u64(33);
-    topology39::subscribe_random(&mut router, &world, &generator, 1500, &mut rng).unwrap();
-    let events = EventGenerator::new(&wconfig, 33);
-
-    let mut config = SimConfig::default().with_rate(80.0).with_events(250);
-    config.record_events = true;
-    let protocol = LinkMatchingSim(router);
-    let report = Simulation::new(&protocol, world.publishers.clone(), &events, config).run();
-    assert_eq!(report.published_events.len(), 250);
-
-    use linkcast::EventRouter;
-    let mut expected_deliveries = 0u64;
-    let mut expected_broker_messages = 0u64;
-    for (broker, event) in &report.published_events {
-        // `LinkMatchingSim` wraps the router we built; re-publish through a
-        // fresh reference route (publish() is &self, the subscription set
-        // is unchanged).
-        let d = protocol.0.publish(*broker, event).unwrap();
-        expected_deliveries += d.client_messages;
-        expected_broker_messages += d.broker_messages;
+        ContentRouter::new(world.fabric.clone(), schema.clone(), pst_options(&wconfig)).unwrap();
+    for (client, predicate) in &subscriptions {
+        router.subscribe(*client, predicate.clone()).unwrap();
     }
-    assert_eq!(report.deliveries, expected_deliveries);
-    assert_eq!(report.broker_messages, expected_broker_messages);
+    let mut sim = cores(&world, &schema, &subscriptions);
+    let events = EventGenerator::new(&wconfig, 33);
+    let config = SimConfig::default().with_rate(80.0).with_events(250);
+    let schedule = publications(&world.publishers, &events, &config);
+    let report = sim.run(&schedule, &config);
+
+    let (mut deliveries, mut broker_messages) = (0, 0);
+    for p in &schedule {
+        let d = router.publish(p.broker, &p.event).unwrap();
+        deliveries += d.client_messages;
+        broker_messages += d.broker_messages;
+    }
+    assert_eq!(report.deliveries, deliveries);
+    assert_eq!(report.broker_messages, broker_messages);
 }
