@@ -53,18 +53,27 @@ fn bench_link_matching(c: &mut Criterion) {
         let publisher = world.publishers[0].broker;
         let tree = world.fabric.tree_for(publisher).unwrap();
 
+        let mut scratch = RouteScratch::new();
+        let mut links = Vec::new();
         group.bench_with_input(
             BenchmarkId::new("match_links_publisher", subs),
             &events,
             |b, events| {
                 b.iter(|| {
                     let mut stats = MatchStats::new();
-                    let mut links = 0usize;
+                    let mut sent = 0usize;
+                    let engine = router.engine(publisher);
                     for e in events {
-                        let engine = router.engine(publisher);
-                        links += engine.match_links(black_box(e), tree, &mut stats).len();
+                        engine.match_links_into(
+                            black_box(e),
+                            tree,
+                            &mut scratch,
+                            &mut stats,
+                            &mut links,
+                        );
+                        sent += links.len();
                     }
-                    links
+                    sent
                 })
             },
         );
@@ -189,10 +198,8 @@ fn bench_subscribe_scaling(c: &mut Criterion) {
 /// tests every event passes, then one none does, `*` below — spread over
 /// 96 subscribers so no chain's link is decided before the walk reaches it.
 /// The arena folds each chain into one node, so steps per event stay at
-/// one (the `volume` node) plus one per chain whatever the depth, where
-/// the recursive search over the boxed tree (printed beside it) pays
-/// `depth` per chain; what is left of the slope in time is one comparison
-/// per folded test.
+/// one (the `volume` node) plus one per chain whatever the depth; what is
+/// left of the slope in time is one comparison per folded test.
 fn bench_chain_depth(c: &mut Criterion) {
     const CHAINS: i64 = 1024;
     let mut b = EventSchema::builder("chains").attribute("volume", ValueKind::Int);
@@ -260,14 +267,9 @@ fn bench_chain_depth(c: &mut Criterion) {
                 }
             })
         });
-        let mut recursive = MatchStats::new();
-        for event in &events {
-            black_box(engine.match_links(event, tree, &mut recursive));
-        }
         println!(
-            "chain_depth/steps_per_event/{depth:<27} arena: {:.0}  recursive: {:.0}  ({} arena nodes for the {} nodes {} PST nodes stand for)",
+            "chain_depth/steps_per_event/{depth:<27} {:.0}  ({} arena nodes for the {} nodes {} PST nodes stand for)",
             stats.steps_per_event(),
-            recursive.steps_per_event(),
             engine.arena().node_count(),
             engine.pst().expanded_node_count(),
             engine.pst().node_count(),

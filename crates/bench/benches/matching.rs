@@ -2,8 +2,8 @@
 //! PST vs the naive and gating baselines, across subscription counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use linkcast_bench::{options_for, standalone_subscriptions};
-use linkcast_matching::{GatingMatcher, Matcher, NaiveMatcher, Pst};
+use linkcast_bench::{options_for, standalone_subscriptions, GatingMatcher, NaiveMatcher};
+use linkcast_matching::{Matcher, Pst};
 use linkcast_workload::{EventGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -11,8 +11,10 @@
 
 use std::time::Instant;
 
-use linkcast_bench::{options_for, print_table, standalone_subscriptions};
-use linkcast_matching::{GatingMatcher, Matcher, NaiveMatcher, Pst};
+use linkcast_bench::{
+    options_for, print_table, standalone_subscriptions, GatingMatcher, NaiveMatcher,
+};
+use linkcast_matching::{Matcher, Pst};
 use linkcast_workload::{EventGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -14,6 +14,16 @@
 //! | `ablation_factoring` | §2.1 factoring levels |
 //! | `ablation_virtual_links` | §3.2 footnote 1 |
 //! | `ablation_bursty` | §6 bursty loads |
+//!
+//! Chart 3's two baseline matchers live here too, off the library's
+//! shipped path: [`NaiveMatcher`] (a linear scan) and [`GatingMatcher`]
+//! (Hanson et al.'s gating-test index).
+
+mod gating;
+mod naive;
+
+pub use gating::GatingMatcher;
+pub use naive::NaiveMatcher;
 
 use linkcast_matching::PstOptions;
 use linkcast_types::{

@@ -134,17 +134,6 @@ impl MatchingEngine {
             .sum()
     }
 
-    /// Link matching for one event through the boxed recursive walk: the
-    /// reference the arena walk of [`route_cached`](Self::route_cached)
-    /// is tested against. The broker never calls it.
-    pub fn route(&self, event: &Event, tree: TreeId, stats: &mut MatchStats) -> Vec<LinkId> {
-        let schema = event.schema().id();
-        match self.engines.get(schema.index()) {
-            Some(engine) => engine.match_links(event, tree, stats),
-            None => Vec::new(),
-        }
-    }
-
     /// Sum of the per-space engine generations. Bumps on every
     /// subscription add/remove and every re-annotation in any information
     /// space, so a [`MatchCache`] keyed by this value can never serve a
@@ -260,6 +249,20 @@ mod tests {
         Arc::new(r)
     }
 
+    /// The links `event` leaves on, walked with the result cache off.
+    fn route(engine: &MatchingEngine, event: &Event, tree: TreeId) -> Vec<LinkId> {
+        let mut links = Vec::new();
+        engine.route_cached(
+            event,
+            tree,
+            &mut MatchCache::new(0),
+            &mut RouteScratch::new(),
+            &mut MatchStats::new(),
+            &mut links,
+        );
+        links
+    }
+
     fn world() -> (Arc<RoutingFabric>, ClientId, ClientId) {
         let mut b = NetworkBuilder::new();
         let b0 = b.add_broker();
@@ -305,9 +308,8 @@ mod tests {
         let tree = fabric.tree_for(BrokerId::new(0)).unwrap();
         let trade = Event::from_values(&trades, [Value::str("IBM"), Value::Int(500)]).unwrap();
         let quote = Event::from_values(&quotes, [Value::Dollar(100)]).unwrap();
-        let mut stats = MatchStats::new();
-        assert_eq!(engine.route(&trade, tree, &mut stats).len(), 1);
-        assert!(engine.route(&quote, tree, &mut stats).is_empty());
+        assert_eq!(route(&engine, &trade, tree).len(), 1);
+        assert!(route(&engine, &quote, tree).is_empty());
         assert_eq!(engine.subscription_count(), 1);
         assert!(engine.knows(SubscriptionId::new(1)));
         assert!(engine.subscription(SubscriptionId::new(1)).is_some());
@@ -342,8 +344,7 @@ mod tests {
         assert!(!engine.unsubscribe(SubscriptionId::new(1)));
         let tree = fabric.tree_for(BrokerId::new(0)).unwrap();
         let trade = Event::from_values(&trades, [Value::str("IBM"), Value::Int(500)]).unwrap();
-        let mut stats = MatchStats::new();
-        assert!(engine.route(&trade, tree, &mut stats).is_empty());
+        assert!(route(&engine, &trade, tree).is_empty());
     }
 
     #[test]

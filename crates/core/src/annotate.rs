@@ -85,14 +85,6 @@ impl Annotations {
         self.next.len()
     }
 
-    /// What the leaf at the end of tail (or leaf) `id`'s chain is
-    /// annotated with: its subscribers' *Parallel Combine*, undemoted.
-    pub(crate) fn at_leaf(&self, id: NodeId) -> TritVec {
-        let mut out = TritVec::no(self.width());
-        self.tallies.parallel_into(id.index(), &mut out);
-        out
-    }
-
     /// Recomputes everything from `pst` over `space` (post-order, children
     /// first), forgetting leaf vectors minted under an older link space.
     pub(crate) fn rebuild(&mut self, pst: &Pst, space: &LinkSpace) {
@@ -352,17 +344,6 @@ impl Annotations {
 /// The finite domain of the attribute `node` tests, if it declares one.
 fn domain_of<'a>(pst: &'a Pst, node: &NodeRef<'_>) -> Option<&'a [Value]> {
     pst.schema().attribute(node.attribute()?)?.domain()
-}
-
-/// The deepest test of a tail's `chain` ([`NodeRef::residual`]) that
-/// [`can_fail`], as its level counted from the tail's. The chain's nodes
-/// down to that one carry the tail's annotation, those below it the leaf's.
-pub(crate) fn last_failing<'a>(
-    pst: &Pst,
-    chain: impl DoubleEndedIterator<Item = (usize, &'a AttrTest)> + ExactSizeIterator,
-) -> Option<usize> {
-    let last = (chain.enumerate()).rfind(|(_, (attr, test))| can_fail(pst, *attr, test));
-    last.map(|(level, _)| level)
 }
 
 /// Whether a node whose one edge tests `attr` by `test` turns some events

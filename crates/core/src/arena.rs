@@ -1,9 +1,9 @@
 //! Arena-flattened link-matching: the annotated PST compiled into a
 //! contiguous struct-of-arrays index space.
 //!
-//! The boxed PST is the right structure for *mutation* (subscribe /
-//! unsubscribe), but a match walk over it chases `Box` and `HashMap`
-//! pointers and clones a fresh `TritVec` per child recursion. The
+//! The PST is the right structure for *mutation* (subscribe /
+//! unsubscribe), but a match walk over it would chase `HashMap` lookups
+//! and clone a fresh `TritVec` per child. The
 //! [`MatchArena`] is the match-time view of the same tree: node fields live
 //! in parallel vectors indexed by a dense `u32`, edge lists are index spans
 //! into shared edge arrays, and every node's trit annotation occupies a
@@ -1029,13 +1029,16 @@ impl MatchArena {
     /// flattened tree of `pst` (the one this arena mirrors).
     /// `scratch.slot(0)` must hold the tree's initialization mask on entry
     /// (with at least one `Maybe`); on return it holds the fully refined
-    /// mask. Refines in the recursive `subsearch`'s order, with its early
-    /// exits, to its result; it counts a step per run of the logical tree
-    /// entered, so a run of `k` PST nodes (like a skipped trivial chain)
-    /// costs one step where `subsearch` counts `k`, and one comparison per
-    /// prefix test — a tail charged on entry what the runs of its chain come
-    /// to. What the edge tests it evaluates come to, attribute by attribute,
-    /// goes into `evidence` along with the walk's steps.
+    /// mask. A node's children are searched depth-first — the equality
+    /// child, the satisfied range edges in order, then `*` — each with a
+    /// copy of its mask, whose `Yes` trits are absorbed as the child
+    /// returns, and a node is left as soon as no `Maybe` remains. It counts
+    /// a step per run of the logical tree entered, so a run of `k` PST
+    /// nodes (like a skipped trivial chain) costs one step, and one
+    /// comparison per prefix test — a tail charged on entry what the runs
+    /// of its chain come to. What the edge tests it evaluates come to,
+    /// attribute by attribute, goes into `evidence` along with the walk's
+    /// steps.
     pub fn search(
         &self,
         pst: &Pst,
@@ -1338,9 +1341,8 @@ fn set_top(scratch: &mut MatchScratch, state: FrameState, cursor: u32) {
 }
 
 /// Pops the completed top frame and absorbs its result into the parent,
-/// cascading while parents early-exit (no `Maybe` left — the recursive
-/// search returns right there, skipping `maybes_to_no`, which is the
-/// identity on a Maybe-free mask).
+/// cascading while parents early-exit (no `Maybe` left: the parent is
+/// done, and `maybes_to_no` would be the identity on its mask).
 fn unwind(scratch: &mut MatchScratch) {
     loop {
         scratch.frames.pop();

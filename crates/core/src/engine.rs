@@ -3,7 +3,7 @@
 use linkcast_matching::{MatchStats, Matcher, NodeId, OrderPolicy, Pst, PstOptions};
 use linkcast_types::{Event, EventSchema, LinkId, Subscription, SubscriptionId, TritVec};
 
-use crate::annotate::{last_failing, Annotations};
+use crate::annotate::Annotations;
 use crate::arena::WalkEvidence;
 use crate::order::{self, OrderReport, FIRST_CHECK_WALKS};
 use crate::{LinkSpace, MatchArena, MatchScratch, Result, TreeId};
@@ -77,8 +77,8 @@ struct Trial {
 /// # Example
 ///
 /// ```
-/// use linkcast::{NetworkBuilder, SpanningForest, LinkSpace, LinkMatchEngine};
-/// use linkcast_matching::PstOptions;
+/// use linkcast::{NetworkBuilder, SpanningForest, LinkSpace, LinkMatchEngine, RouteScratch};
+/// use linkcast_matching::{MatchStats, PstOptions};
 /// use linkcast_types::{EventSchema, ValueKind, Value, Event, Predicate,
 ///     Subscription, SubscriptionId, SubscriberId};
 ///
@@ -106,8 +106,11 @@ struct Trial {
 ///
 /// let hit = Event::from_values(&schema, [Value::Int(7)])?;
 /// let miss = Event::from_values(&schema, [Value::Int(8)])?;
-/// assert_eq!(engine.match_links_simple(&hit, tree).len(), 1);
-/// assert!(engine.match_links_simple(&miss, tree).is_empty());
+/// let (mut scratch, mut stats, mut links) = (RouteScratch::new(), MatchStats::new(), Vec::new());
+/// engine.match_links_into(&hit, tree, &mut scratch, &mut stats, &mut links);
+/// assert_eq!(links.len(), 1);
+/// engine.match_links_into(&miss, tree, &mut scratch, &mut stats, &mut links);
+/// assert!(links.is_empty());
 /// # Ok(())
 /// # }
 /// ```
@@ -265,35 +268,11 @@ impl LinkMatchEngine {
     }
 
     /// Link matching (§3.3): refines `tree`'s initialization mask through
-    /// the annotated PST until no `Maybe` remains, returning the physical
-    /// links the event must be forwarded on (broker links and/or local
-    /// client links).
-    pub fn match_links(&self, event: &Event, tree: TreeId, stats: &mut MatchStats) -> Vec<LinkId> {
-        stats.events += 1;
-        let mask = self.space.init_mask(tree).clone();
-        if !mask.has_maybe() {
-            // Nothing is downstream of this broker on this tree.
-            return Vec::new();
-        }
-        let Some(root) = self.pst.root_for_event(event) else {
-            // No subscription exists under the event's factor key.
-            return Vec::new();
-        };
-        let refined = self.subsearch(root, mask, event, stats);
-        self.space.links_to_send(&refined)
-    }
-
-    /// [`match_links`](Self::match_links) without stats collection.
-    pub fn match_links_simple(&self, event: &Event, tree: TreeId) -> Vec<LinkId> {
-        let mut stats = MatchStats::new();
-        self.match_links(event, tree, &mut stats)
-    }
-
-    /// [`match_links`](Self::match_links) over the flattened
-    /// [`MatchArena`]: the same §3.3 refinement as an explicit work-stack
-    /// walk over contiguous index arrays, drawing every mask from
-    /// `scratch` and writing the link set into `out` (cleared first). The
-    /// steady-state path allocates nothing.
+    /// the flattened [`MatchArena`] until no `Maybe` remains, writing the
+    /// physical links the event must be forwarded on (broker links and/or
+    /// local client links) into `out` (cleared first). The walk is an
+    /// explicit work stack over contiguous index arrays that draws every
+    /// mask from `scratch`; the steady-state path allocates nothing.
     pub fn match_links_into(
         &self,
         event: &Event,
@@ -483,87 +462,6 @@ impl LinkMatchEngine {
     /// Recompiles the arena from the current PST and annotations.
     fn rebuild_arena(&mut self) {
         self.arena = MatchArena::build(&self.pst, &self.annotations);
-    }
-
-    fn subsearch(
-        &self,
-        id: NodeId,
-        mut mask: TritVec,
-        event: &Event,
-        stats: &mut MatchStats,
-    ) -> TritVec {
-        stats.steps += 1;
-        let annotation = self.annotations.get(id).expect("live nodes are annotated");
-        // §3.3 step 2: replace every Maybe by the node's annotation trit.
-        mask.refine_in_place(annotation);
-        if !mask.has_maybe() {
-            return mask;
-        }
-        let node = self.pst.node(id);
-        if node.is_leaf() {
-            // A leaf proper's annotation is Yes/No-only, so refinement
-            // terminates there; a `Maybe` was left by a tail.
-            return self.subsearch_chain(id, mask, event, stats);
-        }
-        let attr = node.attribute().expect("interior node tests an attribute");
-        let value = &event.values()[attr];
-
-        // §3.3 step 3: subsearch each applicable child with a copy of the
-        // mask, absorbing Yes trits as subsearches return.
-        stats.comparisons += 1;
-        if let Some(child) = node.eq_child(value) {
-            let sub = self.subsearch(child, mask.clone(), event, stats);
-            mask = mask.absorb_yes(&sub);
-            if !mask.has_maybe() {
-                return mask;
-            }
-        }
-        for (test, child) in node.range_edges() {
-            stats.comparisons += 1;
-            if test.matches(value) {
-                let sub = self.subsearch(*child, mask.clone(), event, stats);
-                mask = mask.absorb_yes(&sub);
-                if !mask.has_maybe() {
-                    return mask;
-                }
-            }
-        }
-        if let Some(star) = node.star() {
-            let sub = self.subsearch(star, mask.clone(), event, stats);
-            mask = mask.absorb_yes(&sub);
-        }
-        // End of step 3: remaining Maybes become No.
-        mask.maybes_to_no()
-    }
-
-    /// [`subsearch`](Self::subsearch) down the chain tail `id` stands for,
-    /// its first node entered and `mask` refined by it already. Every node
-    /// down to the last whose test can fail carries the tail's annotation —
-    /// refining by it again changes nothing — and the one below that the
-    /// leaf's, which leaves no `Maybe`: so the walk evaluates tests, charged
-    /// as the single-edge nodes would be, until one fails (every `Maybe`
-    /// becomes `No`) or that node is reached.
-    fn subsearch_chain(
-        &self,
-        id: NodeId,
-        mask: TritVec,
-        event: &Event,
-        stats: &mut MatchStats,
-    ) -> TritVec {
-        let chain = self.pst.node(id).residual();
-        let last = last_failing(&self.pst, chain.clone());
-        for (level, (attr, test)) in chain.enumerate() {
-            let value = &event.values()[attr];
-            stats.comparisons += 1 + u64::from(!test.is_wildcard() && !test.is_equality());
-            if !test.matches(value) {
-                break;
-            }
-            stats.steps += 1;
-            if Some(level) == last {
-                return mask.refine(&self.annotations.at_leaf(id));
-            }
-        }
-        mask.maybes_to_no()
     }
 
     /// Swaps in a new link space (topology repair) and rebuilds every

@@ -2,15 +2,58 @@
 
 use linkcast_matching::{MatchStats, OrderPolicy, PstOptions};
 use linkcast_types::{
-    AttrTest, BrokerId, ClientId, Event, EventSchema, Predicate, Trit, Value, ValueKind,
+    AttrTest, BrokerId, ClientId, Event, EventSchema, LinkId, Predicate, Subscription, Trit, Value,
+    ValueKind,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::{
-    ContentRouter, EventRouter, FloodingRouter, LinkMatchEngine, LinkSpace, MatchFirstRouter,
-    NetworkBuilder, RoutingFabric,
+    BrokerNetwork, ContentRouter, EventRouter, FloodingRouter, LinkMatchEngine, LinkSpace,
+    MatchFirstRouter, NetworkBuilder, RoutingFabric, SpanningTree, TreeId,
 };
+
+/// The brute-force oracle, as the root `tests/oracle` module has it: every
+/// live predicate evaluated against the event, each match mapped to the
+/// link its subscriber sits behind on `tree` — the client's own link at its
+/// home broker, else the link to the child whose subtree holds that home.
+/// No PST, no annotations, no link space.
+fn oracle_links<'a>(
+    network: &BrokerNetwork,
+    tree: &SpanningTree,
+    broker: BrokerId,
+    live: impl IntoIterator<Item = &'a Subscription>,
+    event: &Event,
+) -> Vec<LinkId> {
+    if !tree.contains(broker) {
+        return Vec::new();
+    }
+    let links: std::collections::BTreeSet<LinkId> = (live.into_iter())
+        .filter(|sub| sub.predicate().matches(event))
+        .filter_map(|sub| {
+            let client = sub.subscriber().client;
+            let home = network.home_broker(client)?;
+            if home == broker {
+                return network.link_to_client(broker, client);
+            }
+            network.link_to_broker(broker, tree.child_toward(broker, home)?)
+        })
+        .collect();
+    links.into_iter().collect()
+}
+
+/// One arena walk through a fresh scratch: the links and what it cost.
+fn walk(engine: &LinkMatchEngine, event: &Event, tree: TreeId) -> (Vec<LinkId>, MatchStats) {
+    let (mut links, mut stats) = (Vec::new(), MatchStats::new());
+    engine.match_links_into(
+        event,
+        tree,
+        &mut crate::RouteScratch::new(),
+        &mut stats,
+        &mut links,
+    );
+    (links, stats)
+}
 
 /// Three integer attributes with domain 0..3.
 fn small_schema() -> EventSchema {
@@ -163,9 +206,8 @@ fn exhaustive_value_branches_stay_yes() {
 
     // A single matching step should suffice: the mask fully refines at the
     // root.
-    let mut stats = MatchStats::new();
     let tree = fabric.tree_for(brokers[0]).unwrap();
-    let links = engine.match_links(&int_event(&schema, &[0, 0, 0]), tree, &mut stats);
+    let (links, stats) = walk(&engine, &int_event(&schema, &[0, 0, 0]), tree);
     assert_eq!(links, vec![b1_link]);
     assert_eq!(stats.steps, 1, "fully refined at the root");
 }
@@ -623,19 +665,19 @@ fn with_subscriptions_builds_annotated_engine() {
         schema.clone(),
         PstOptions::default().with_order(OrderPolicy::FewestStarsFirst),
         space,
-        subs,
+        subs.clone(),
     )
     .unwrap();
     assert_eq!(engine.subscription_count(), 3);
     let tree = fabric.tree_for(brokers[0]).unwrap();
-    let links = engine.match_links_simple(&int_event(&schema, &[1, 0, 0]), tree);
-    assert_eq!(links.len(), 1, "toward the subscriber's broker");
-    assert!(
-        engine
-            .match_links_simple(&int_event(&schema, &[1, 2, 2]), tree)
-            .len()
-            == 1
-    );
+    let spanning = fabric.forest().tree(tree).unwrap();
+    for values in [[1, 0, 0], [1, 2, 2]] {
+        let event = int_event(&schema, &values);
+        let (links, _) = walk(&engine, &event, tree);
+        assert_eq!(links.len(), 1, "toward the subscriber's broker");
+        let expected = oracle_links(fabric.network(), spanning, brokers[0], &subs, &event);
+        assert_eq!(links, expected, "{values:?}");
+    }
 }
 
 #[test]
@@ -646,31 +688,32 @@ fn rebuild_annotations_is_idempotent() {
     let mut engine =
         LinkMatchEngine::new(brokers[0], schema.clone(), PstOptions::default(), space).unwrap();
     let home = fabric.network().home_broker(clients[2]).unwrap();
-    engine
-        .subscribe(linkcast_types::Subscription::new(
-            linkcast_types::SubscriptionId::new(0),
-            linkcast_types::SubscriberId::new(home, clients[2]),
-            int_predicate(&schema, &[Some(1), None, None]),
-        ))
-        .unwrap();
+    let sub = linkcast_types::Subscription::new(
+        linkcast_types::SubscriptionId::new(0),
+        linkcast_types::SubscriberId::new(home, clients[2]),
+        int_predicate(&schema, &[Some(1), None, None]),
+    );
+    engine.subscribe(sub.clone()).unwrap();
     let tree = fabric.tree_for(brokers[0]).unwrap();
     let event = int_event(&schema, &[1, 0, 0]);
-    let before = engine.match_links_simple(&event, tree);
+    let (before, _) = walk(&engine, &event, tree);
+    let spanning = fabric.forest().tree(tree).unwrap();
+    let expected = oracle_links(fabric.network(), spanning, brokers[0], [&sub], &event);
+    assert_eq!(before, expected);
     engine.rebuild_annotations();
-    assert_eq!(engine.match_links_simple(&event, tree), before);
+    assert_eq!(walk(&engine, &event, tree).0, before);
     // Annotations exist for every live node after the rebuild.
     for id in engine.pst().postorder() {
         assert!(engine.annotation(id).is_some(), "{id} unannotated");
     }
 }
 
-/// The arena walk must reproduce the recursive §3.3 search's result: same
-/// links from every publisher/tree/event across option configs. It enters
-/// one node per run (and none for a skipped trivial chain) where the
-/// recursion enters every PST node, so it never counts more steps or
-/// comparisons.
+/// The arena walk must send every event where the brute-force oracle does,
+/// across option configs. It enters one node per run (and none for a
+/// skipped trivial chain); what that comes to over each config's 40
+/// events is pinned.
 #[test]
-fn arena_walk_agrees_with_recursive_search() {
+fn arena_walk_agrees_with_brute_force() {
     let mut rng = StdRng::seed_from_u64(4242);
     let schema = small_schema();
     let configs = [
@@ -678,47 +721,44 @@ fn arena_walk_agrees_with_recursive_search() {
         PstOptions::default().with_factoring(1),
         PstOptions::default().with_order(OrderPolicy::Explicit(vec![2, 0, 1])),
     ];
+    let mut steps = Vec::new();
     for (ci, options) in configs.iter().enumerate() {
         let (fabric, clients) = random_tree_network(&mut rng, 5);
         let broker = fabric.network().brokers().next().unwrap();
         let space = LinkSpace::build(fabric.network(), fabric.forest(), broker);
         let mut engine =
             LinkMatchEngine::new(broker, schema.clone(), options.clone(), space).unwrap();
-        let mut next_id = 0u32;
+        let mut live = Vec::new();
         for &client in &clients {
             for _ in 0..rng.random_range(0..3) {
                 let tests: Vec<Option<i64>> = (0..3)
                     .map(|_| rng.random_bool(0.6).then(|| rng.random_range(0..3)))
                     .collect();
                 let home = fabric.network().home_broker(client).unwrap();
-                engine
-                    .subscribe(linkcast_types::Subscription::new(
-                        linkcast_types::SubscriptionId::new(next_id),
-                        linkcast_types::SubscriberId::new(home, client),
-                        int_predicate(&schema, &tests),
-                    ))
-                    .unwrap();
-                next_id += 1;
+                let sub = linkcast_types::Subscription::new(
+                    linkcast_types::SubscriptionId::new(live.len() as u32),
+                    linkcast_types::SubscriberId::new(home, client),
+                    int_predicate(&schema, &tests),
+                );
+                engine.subscribe(sub.clone()).unwrap();
+                live.push(sub);
             }
         }
         let mut scratch = crate::RouteScratch::new();
         let mut out = Vec::new();
+        let mut stats = MatchStats::new();
         let tree = fabric.tree_for(broker).unwrap();
+        let spanning = fabric.forest().tree(tree).unwrap();
         for _ in 0..40 {
             let values: Vec<i64> = (0..3).map(|_| rng.random_range(0..3)).collect();
             let event = int_event(&schema, &values);
-            let mut rec_stats = MatchStats::new();
-            let expected = engine.match_links(&event, tree, &mut rec_stats);
-            let mut arena_stats = MatchStats::new();
-            engine.match_links_into(&event, tree, &mut scratch, &mut arena_stats, &mut out);
+            let expected = oracle_links(fabric.network(), spanning, broker, &live, &event);
+            engine.match_links_into(&event, tree, &mut scratch, &mut stats, &mut out);
             assert_eq!(out, expected, "config {ci}, event {values:?}");
-            assert!(
-                arena_stats.steps <= rec_stats.steps
-                    && arena_stats.comparisons <= rec_stats.comparisons,
-                "config {ci}, event {values:?}: {arena_stats:?} vs {rec_stats:?}"
-            );
         }
+        steps.push(stats.steps);
     }
+    assert_eq!(steps, [294, 110, 233]);
 }
 
 /// Subscribe/unsubscribe churn: the arena (incrementally patched or
@@ -739,9 +779,10 @@ fn arena_tracks_subscription_churn() {
     )
     .unwrap();
     let tree = fabric.tree_for(broker).unwrap();
+    let spanning = fabric.forest().tree(tree).unwrap();
     let mut scratch = crate::RouteScratch::new();
     let mut out = Vec::new();
-    let mut live: Vec<u32> = Vec::new();
+    let mut live: Vec<linkcast_types::Subscription> = Vec::new();
     let mut next_id = 0u32;
     for step in 0..200 {
         let before = engine.generation();
@@ -751,24 +792,23 @@ fn arena_tracks_subscription_churn() {
                 .map(|_| rng.random_bool(0.6).then(|| rng.random_range(0..3)))
                 .collect();
             let home = fabric.network().home_broker(client).unwrap();
-            engine
-                .subscribe(linkcast_types::Subscription::new(
-                    linkcast_types::SubscriptionId::new(next_id),
-                    linkcast_types::SubscriberId::new(home, client),
-                    int_predicate(&schema, &tests),
-                ))
-                .unwrap();
-            live.push(next_id);
+            let sub = linkcast_types::Subscription::new(
+                linkcast_types::SubscriptionId::new(next_id),
+                linkcast_types::SubscriberId::new(home, client),
+                int_predicate(&schema, &tests),
+            );
+            engine.subscribe(sub.clone()).unwrap();
+            live.push(sub);
             next_id += 1;
         } else {
-            let id = live.swap_remove(rng.random_range(0..live.len()));
-            assert!(engine.unsubscribe(linkcast_types::SubscriptionId::new(id)));
+            let gone = live.swap_remove(rng.random_range(0..live.len()));
+            assert!(engine.unsubscribe(gone.id()));
         }
         assert_eq!(engine.generation(), before + 1, "step {step}");
         for _ in 0..5 {
             let values: Vec<i64> = (0..3).map(|_| rng.random_range(0..3)).collect();
             let event = int_event(&schema, &values);
-            let expected = engine.match_links_simple(&event, tree);
+            let expected = oracle_links(fabric.network(), spanning, broker, &live, &event);
             let mut stats = MatchStats::new();
             engine.match_links_into(&event, tree, &mut scratch, &mut stats, &mut out);
             assert_eq!(out, expected, "step {step}, event {values:?}");
@@ -1539,10 +1579,9 @@ fn churn_against_scratch(
                     (predicted.0, predicted.1, &predicted.2),
                     "{context}, event {values:?}: the walk the run rule predicts"
                 );
-                let mut oracle_stats = MatchStats::new();
-                let oracle = engine.match_links(&event, tree, &mut oracle_stats);
-                assert_eq!(got, oracle, "{context}, event {values:?}: recursive search");
-                assert!(stats.steps <= oracle_stats.steps, "{context}: {values:?}");
+                let spanning = fabric.forest().tree(tree).unwrap();
+                let oracle = oracle_links(fabric.network(), spanning, broker, &live, &event);
+                assert_eq!(got, oracle, "{context}, event {values:?}: brute force");
                 let mut fresh_stats = MatchStats::new();
                 fresh.match_links_into(&event, tree, &mut scratch, &mut fresh_stats, &mut want);
                 assert_eq!(got, want, "{context}, event {values:?}: links");
@@ -1657,10 +1696,11 @@ fn churn_against_scratch(
                 );
                 assert_eq!(got, want, "{context}, event {values:?}: rebuilt links");
                 assert_eq!(stats, built_stats, "{context}, event {values:?}: rebuilt");
-                let oracle = engine.match_links(&event, tree, &mut MatchStats::new());
+                let spanning = fabric.forest().tree(tree).unwrap();
+                let oracle = oracle_links(fabric.network(), spanning, broker, &live, &event);
                 assert_eq!(
                     got, oracle,
-                    "{context}, event {values:?}: rebuilt vs recursive"
+                    "{context}, event {values:?}: rebuilt vs brute force"
                 );
             }
         }
@@ -1822,17 +1862,15 @@ fn a_tail_turning_reachable_recuts_its_runs() {
             engine.arena().outline(engine.pst()) == expected.arena().outline(expected.pst()),
             "{when}"
         );
+        let spanning = forest.tree(tree).unwrap();
         let mut scratch = crate::RouteScratch::new();
         let mut got = Vec::new();
         for z in 0..3 {
             let event = int_event(&schema, &[1, 0, z]);
             let mut stats = MatchStats::new();
             engine.match_links_into(&event, tree, &mut scratch, &mut stats, &mut got);
-            assert_eq!(
-                got,
-                engine.match_links_simple(&event, tree),
-                "{when}: z={z}"
-            );
+            let expected = oracle_links(&network, spanning, b1, subs, &event);
+            assert_eq!(got, expected, "{when}: z={z}");
             assert_eq!(got.is_empty(), subs.len() < 2 || z != 2, "{when}: z={z}");
         }
     };

@@ -10,8 +10,8 @@ use linkcast_types::{
 };
 
 use crate::{
-    BrokerNetwork, CoreError, LinkMatchEngine, LinkSpace, LinkTarget, Result, SpanningForest,
-    TreeId,
+    BrokerNetwork, CoreError, LinkMatchEngine, LinkSpace, LinkTarget, Result, RouteScratch,
+    SpanningForest, TreeId,
 };
 
 /// The static routing substrate shared by every protocol implementation:
@@ -260,14 +260,23 @@ impl EventRouter for ContentRouter {
         let tree = self.fabric.tree_for(broker)?;
         let network = self.fabric.network();
         let mut delivery = Delivery::default();
+        // Every hop walks its broker's arena, as a broker core does.
+        let mut scratch = RouteScratch::new();
+        let mut links = Vec::new();
         // Hop-by-hop propagation along the spanning tree.
         let mut queue = std::collections::VecDeque::new();
         queue.push_back((broker, 0u32));
         while let Some((at, hops)) = queue.pop_front() {
             let mut stats = MatchStats::new();
-            let links = self.engines[at.index()].match_links(event, tree, &mut stats);
+            self.engines[at.index()].match_links_into(
+                event,
+                tree,
+                &mut scratch,
+                &mut stats,
+                &mut links,
+            );
             delivery.record_hop(at, hops, stats.steps);
-            for link in links {
+            for &link in &links {
                 match network.link_target(at, link) {
                     LinkTarget::Broker(next) => {
                         delivery.broker_messages += 1;

@@ -77,7 +77,6 @@ pub fn compact_subscriptions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Matcher, NaiveMatcher};
     use linkcast_types::{
         AttrTest, BrokerId, ClientId, Event, EventSchema, Predicate, SubscriberId, SubscriptionId,
         Value, ValueKind,
@@ -167,30 +166,19 @@ mod tests {
             let (kept, dropped) = compact_subscriptions(subs.clone());
             assert_eq!(kept.len() + dropped.len(), subs.len());
 
-            let mut full = NaiveMatcher::new(schema.clone());
-            let mut compacted = NaiveMatcher::new(schema.clone());
-            for s in &subs {
-                full.insert(s.clone()).unwrap();
-            }
-            for s in &kept {
-                compacted.insert(s.clone()).unwrap();
-            }
             for a in 0..5 {
                 for b in 0..5 {
                     let e = Event::from_values(&schema, [Value::Int(a), Value::Int(b)]).unwrap();
-                    let clients_of = |m: &NaiveMatcher| -> Vec<ClientId> {
-                        let mut c: Vec<ClientId> = m
-                            .matches(&e)
-                            .into_iter()
-                            .map(|id| m.subscription(id).unwrap().subscriber().client)
-                            .collect();
+                    let clients_of = |table: &[Subscription]| -> Vec<ClientId> {
+                        let matched = table.iter().filter(|s| s.predicate().matches(&e));
+                        let mut c: Vec<ClientId> = matched.map(|s| s.subscriber().client).collect();
                         c.sort_unstable();
                         c.dedup();
                         c
                     };
                     assert_eq!(
-                        clients_of(&full),
-                        clients_of(&compacted),
+                        clients_of(&subs),
+                        clients_of(&kept),
                         "round {round}, event {e}"
                     );
                 }

@@ -4,21 +4,17 @@
 //! §2: given an event and a (large) set of subscriptions, find every
 //! subscription whose predicate the event satisfies.
 //!
-//! Three engines are provided behind the [`Matcher`] trait:
-//!
-//! - [`Pst`] — the paper's **parallel search tree**: subscriptions are sorted
-//!   into a tree in which each level tests one attribute and each
-//!   subscription is a root-to-leaf path; matching follows all satisfied
-//!   paths at once, sharing work across subscriptions with common prefixes.
-//!   Supports the paper's optimizations: *factoring* (§2.1.1), *trivial test
-//!   elimination* (§2.1.2), and configurable attribute ordering (fewest
-//!   don't-cares near the root).
-//! - [`NaiveMatcher`] — a linear scan over all subscriptions; the obvious
-//!   baseline and the correctness oracle for property tests.
-//! - [`GatingMatcher`] — the predicate-indexing algorithm of Hanson et
-//!   al. (SIGMOD 1990), discussed in the paper's related work: one *gating
-//!   test* per subscription is indexed; candidates selected by the gating
-//!   test have their *residual tests* evaluated one by one.
+//! [`Pst`] is the paper's **parallel search tree**, behind the [`Matcher`]
+//! trait: subscriptions are sorted into a tree in which each level tests
+//! one attribute and each subscription is a root-to-leaf path; matching
+//! follows all satisfied paths at once, sharing work across subscriptions
+//! with common prefixes. It supports the paper's optimizations: *factoring*
+//! (§2.1.1), *trivial test elimination* (§2.1.2), and configurable
+//! attribute ordering (fewest don't-cares near the root). [`Psg`] compiles
+//! a tree into the §2.1 search graph, and [`compact_subscriptions`] drops
+//! subscriptions another of the same subscriber covers. The chart
+//! baselines (a linear scan and Hanson et al.'s gating-test matcher) live
+//! in the bench crate.
 //!
 //! # Example
 //!
@@ -53,17 +49,13 @@
 
 mod compact;
 mod dot;
-mod gating;
 mod matcher;
-mod naive;
 mod psg;
 mod pst;
 mod stats;
 
 pub use compact::compact_subscriptions;
-pub use gating::GatingMatcher;
 pub use matcher::{Matcher, MatcherError};
-pub use naive::NaiveMatcher;
 pub use psg::Psg;
 pub use pst::{
     Burst, EdgeSlot, MutationReport, NodeId, NodeRef, OrderPolicy, PathReport, Pst, PstOptions,

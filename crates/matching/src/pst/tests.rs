@@ -5,9 +5,19 @@ use linkcast_types::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{
-    EdgeSlot, MatchStats, Matcher, MatcherError, NaiveMatcher, OrderPolicy, Pst, PstOptions,
-};
+use crate::{EdgeSlot, MatchStats, Matcher, MatcherError, OrderPolicy, Pst, PstOptions};
+
+/// The brute-force answer: every predicate of `live` evaluated against
+/// `event`, the ids that hold in order.
+fn brute_force<'a>(
+    live: impl IntoIterator<Item = &'a Subscription>,
+    event: &Event,
+) -> Vec<SubscriptionId> {
+    let matched = live.into_iter().filter(|s| s.predicate().matches(event));
+    let mut ids: Vec<SubscriptionId> = matched.map(Subscription::id).collect();
+    ids.sort_unstable();
+    ids
+}
 
 /// Five integer attributes a1..a5, like paper Figure 2.
 fn figure2_schema() -> EventSchema {
@@ -522,21 +532,17 @@ fn matches_agree_with_naive_on_random_workloads() {
             subs.push(int_sub(&schema, i, &tests));
         }
         let mut pst = Pst::build(schema.clone(), subs.clone(), options).unwrap();
-        let mut naive = NaiveMatcher::new(schema.clone());
-        for s in subs {
-            naive.insert(s).unwrap();
-        }
         // Interleave removals to exercise pruning.
         for i in (0..400u32).step_by(7) {
             assert!(pst.remove(SubscriptionId::new(i)));
-            assert!(naive.remove(SubscriptionId::new(i)));
         }
+        let live: Vec<&Subscription> = subs.iter().filter(|s| s.id().raw() % 7 != 0).collect();
         for _ in 0..200 {
             let vals: Vec<i64> = (0..5).map(|_| rng.random_range(0..5)).collect();
             let event = int_event(&schema, &vals);
             assert_eq!(
                 pst.matches(&event),
-                naive.matches(&event),
+                brute_force(live.iter().copied(), &event),
                 "factoring={factoring} skip={skip}"
             );
         }
@@ -958,19 +964,17 @@ fn bursts_at_every_depth_in_every_order_match_the_spelled_out_tree() {
                 let context =
                     format!("k={k} factoring={factoring} tte={skipping} {inserts:?} {removes:?}");
                 let mut pst = Pst::new(schema.clone(), options.clone()).unwrap();
-                let mut naive = NaiveMatcher::new(schema.clone());
                 let mut live: Vec<usize> = Vec::new();
                 let steps = inserts.iter().map(|i| (true, *i));
                 for (insert, i) in steps.chain(removes.iter().map(|i| (false, *i))) {
                     if insert {
                         pst.insert(sub(i)).unwrap();
-                        naive.insert(sub(i)).unwrap();
                         live.push(i);
                     } else {
                         assert!(pst.remove(SubscriptionId::new(i as u32)), "{context}");
-                        naive.remove(SubscriptionId::new(i as u32));
                         live.retain(|l| *l != i);
                     }
+                    let live_subs: Vec<Subscription> = live.iter().map(|i| sub(*i)).collect();
                     pst.check_invariants()
                         .unwrap_or_else(|e| panic!("{context}: {e}"));
                     if factoring == 0 && insert && live.contains(&1) && live.len() > 1 {
@@ -981,7 +985,7 @@ fn bursts_at_every_depth_in_every_order_match_the_spelled_out_tree() {
                     for event in &events {
                         let mut stats = MatchStats::new();
                         let got = pst.matches_with_stats(event, &mut stats);
-                        assert_eq!(got, naive.matches(event), "{context}: {event}");
+                        assert_eq!(got, brute_force(&live_subs, event), "{context}: {event}");
 
                         let (keyed, walked) = event.values().split_at(factoring);
                         let mut spelled = Spelled::default();

@@ -1,9 +1,11 @@
-//! Property-based tests: every matcher configuration agrees with the naive
-//! oracle under arbitrary subscription sets, mutations, and events.
+//! Property-based tests: every PST configuration, and the search graph
+//! compiled from it, agrees with brute force — each predicate evaluated
+//! against the event — under arbitrary subscription sets, mutations, and
+//! events.
 
-use linkcast_matching::{
-    compact_subscriptions, GatingMatcher, Matcher, NaiveMatcher, OrderPolicy, Psg, Pst, PstOptions,
-};
+use std::collections::{BTreeMap, BTreeSet};
+
+use linkcast_matching::{compact_subscriptions, Matcher, OrderPolicy, Psg, Pst, PstOptions};
 use linkcast_types::{
     AttrTest, BrokerId, ClientId, Event, EventSchema, Predicate, SubscriberId, Subscription,
     SubscriptionId, Value, ValueKind,
@@ -71,11 +73,22 @@ fn build_subscription(schema: &EventSchema, id: u32, shapes: &[TestShape; ATTRS]
     )
 }
 
+/// The brute-force answer: the ids of `live`'s subscriptions whose
+/// predicate `event` satisfies, in order.
+fn brute_force<'a>(
+    live: impl IntoIterator<Item = &'a Subscription>,
+    event: &Event,
+) -> Vec<SubscriptionId> {
+    let matched = live.into_iter().filter(|s| s.predicate().matches(event));
+    let mut ids: Vec<SubscriptionId> = matched.map(Subscription::id).collect();
+    ids.sort_unstable();
+    ids
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every PST configuration and the gating matcher agree with the naive
-    /// oracle.
+    /// Every PST configuration and its search graph agree with brute force.
     #[test]
     fn all_matchers_agree(
         shapes in subscription_strategy(),
@@ -103,25 +116,18 @@ proptest! {
         pst.check_invariants().map_err(TestCaseError::fail)?;
         let psg = Psg::compile(&pst);
         prop_assert!(psg.node_count() <= pst.node_count());
-        let mut naive = NaiveMatcher::new(schema.clone());
-        let mut gating = GatingMatcher::new(schema.clone());
-        for s in &subs {
-            naive.insert(s.clone()).unwrap();
-            gating.insert(s.clone()).unwrap();
-        }
         for values in &events {
             let event =
                 Event::from_values(&schema, values.iter().map(|v| Value::Int(*v))).unwrap();
-            let expected = naive.matches(&event);
+            let expected = brute_force(&subs, &event);
             prop_assert_eq!(pst.matches(&event), expected.clone(), "pst");
-            prop_assert_eq!(psg.matches(&event), expected.clone(), "psg");
-            prop_assert_eq!(gating.matches(&event), expected, "gating");
+            prop_assert_eq!(psg.matches(&event), expected, "psg");
         }
     }
 
     /// A random table published through the tree, the graph compiled from
-    /// it and the tree over the compacted table reaches the subscribers the
-    /// naive matcher does. Three subscribers share the table, so predicates
+    /// it and the tree over the compacted table reaches the subscribers
+    /// brute force does. Three subscribers share the table, so predicates
     /// cover one another and compaction has something to drop; the tree it
     /// leaves parks on tails what the full one had to burst, and the other
     /// way round.
@@ -153,30 +159,26 @@ proptest! {
         compacted.check_invariants().map_err(TestCaseError::fail)?;
         prop_assert!(compacted.node_count() <= pst.expanded_node_count());
         let psg = Psg::compile(&pst);
-        let mut naive = NaiveMatcher::new(schema.clone());
-        for s in &subs {
-            naive.insert(s.clone()).unwrap();
-        }
         let reached = |m: &dyn Matcher, ids: Vec<SubscriptionId>| {
             let clients = ids.iter().map(|id| m.subscription(*id).unwrap().subscriber().client);
-            clients.collect::<std::collections::BTreeSet<_>>()
+            clients.collect::<BTreeSet<_>>()
         };
         for values in &events {
             let event =
                 Event::from_values(&schema, values.iter().map(|v| Value::Int(*v))).unwrap();
-            let expected = naive.matches(&event);
+            let expected = brute_force(&subs, &event);
             prop_assert_eq!(pst.matches(&event), expected.clone(), "pst");
             prop_assert_eq!(psg.matches(&event), expected.clone(), "psg");
             prop_assert_eq!(
                 reached(&compacted, compacted.matches(&event)),
-                reached(&naive, expected),
+                reached(&pst, expected),
                 "compacted"
             );
         }
     }
 
-    /// Interleaved inserts and removes leave the PST equivalent to the
-    /// oracle at every point, and removing everything empties the arena.
+    /// Interleaved inserts and removes leave the PST equivalent to brute
+    /// force at every point, and removing everything empties the arena.
     #[test]
     fn mutation_sequences_stay_consistent(
         shapes in subscription_strategy(),
@@ -189,11 +191,11 @@ proptest! {
             .with_factoring(1)
             .with_trivial_test_elimination(tte);
         let mut pst = Pst::new(schema.clone(), options).unwrap();
-        let mut naive = NaiveMatcher::new(schema.clone());
+        let mut live = BTreeMap::new();
         for (i, s) in shapes.iter().enumerate() {
             let sub = build_subscription(&schema, i as u32, s);
             pst.insert(sub.clone()).unwrap();
-            naive.insert(sub).unwrap();
+            live.insert(sub.id(), sub);
         }
         // Remove a pseudo-random subset.
         for (k, raw) in removal_order.iter().enumerate() {
@@ -201,19 +203,17 @@ proptest! {
                 break;
             }
             let id = SubscriptionId::new((*raw as usize % shapes.len()) as u32);
-            prop_assert_eq!(pst.remove(id), naive.remove(id), "removal {}", k);
+            prop_assert_eq!(pst.remove(id), live.remove(&id).is_some(), "removal {}", k);
             pst.check_invariants().map_err(TestCaseError::fail)?;
             if let Some(values) = events.first() {
                 let event =
                     Event::from_values(&schema, values.iter().map(|v| Value::Int(*v))).unwrap();
-                prop_assert_eq!(pst.matches(&event), naive.matches(&event));
+                prop_assert_eq!(pst.matches(&event), brute_force(live.values(), &event));
             }
         }
         // Remove the rest.
         for i in 0..shapes.len() as u32 {
-            let id = SubscriptionId::new(i);
-            pst.remove(id);
-            naive.remove(id);
+            pst.remove(SubscriptionId::new(i));
         }
         prop_assert_eq!(pst.len(), 0);
         prop_assert_eq!(pst.node_count(), 0, "empty matcher must free all nodes");

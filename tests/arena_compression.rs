@@ -1,5 +1,6 @@
 //! The `match` workload's table of `benchmark/`, built in-process and
-//! walked both ways, with the per-broker step counts pinned.
+//! walked as a broker walks it, with the per-broker step counts pinned and
+//! every link set checked against the brute-force oracle.
 //!
 //! Three brokers in a chain A–B–C, spanning trees rooted everywhere, the
 //! publisher at A, the subscriber (`volume >= 0`) at C, and 2048 decoy
@@ -15,19 +16,15 @@
 //! the real subscription, alone in the tree until then, made real), the
 //! real subscription's tail below `volume`, and one tail per chain —
 //! `3 + DECOYS` nodes standing for the `2 + 8 + 8·DECOYS` of the tree with
-//! every chain spelled out, which is the tree both searches walk.
+//! every chain spelled out, which is the tree the search walks.
 //!
-//! The recursive search enters a node per test: root, `volume`, the
-//! subscriber's first `*` node, then six nodes down every chain whose link
-//! is still undecided (those of the broker's own decoy clients) and one
-//! for each of the rest. The arena walks as a broker does, under trivial
-//! test elimination: the root's only edge is `*` (no subscription tests
-//! `issue`), so an event skips it and lands on `volume`. From there it
-//! enters the subscriber's tail and folds `a1..a5` of every chain into
-//! the prefix of its `a6` node — one step per chain, `2 + DECOYS` in all —
-//! and keeps each tail as the one node the PST does: it holds `3 + DECOYS`
-//! nodes and reports (`summary()`) the runs of the spelled-out tree its
-//! walk is charged by.
+//! The arena walks under trivial test elimination: the root's only edge
+//! is `*` (no subscription tests `issue`), so an event skips it and lands
+//! on `volume`. From there it enters the subscriber's tail and folds
+//! `a1..a5` of every chain into the prefix of its `a6` node — one step per
+//! chain, `2 + DECOYS` in all — and keeps each tail as the one node the
+//! PST does: it holds `3 + DECOYS` nodes and reports (`summary()`) the
+//! runs of the spelled-out tree its walk is charged by.
 
 use linkcast::{LinkMatchEngine, LinkSpace, NetworkBuilder, RouteScratch, RoutingFabric};
 use linkcast_matching::{MatchStats, PstOptions};
@@ -36,6 +33,10 @@ use linkcast_types::{
     ValueKind,
 };
 use linkcast_workload::decoy_chain;
+
+mod oracle;
+
+use oracle::oracle_links;
 
 const BROKERS: usize = 3;
 const DECOYS: u64 = 2048;
@@ -60,12 +61,17 @@ fn bench_event(schema: &EventSchema, volume: i64) -> Event {
     Event::from_values(schema, values).unwrap()
 }
 
-/// The chain's fabric and one engine per broker, each holding the real
-/// subscription and `decoys` chains installed as the module doc describes.
+/// The chain's fabric, the table, and one engine per broker, each holding
+/// the real subscription and `decoys` chains installed as the module doc
+/// describes.
 fn chain_engines(
     schema: &EventSchema,
     decoys: u64,
-) -> (std::sync::Arc<RoutingFabric>, Vec<LinkMatchEngine>) {
+) -> (
+    std::sync::Arc<RoutingFabric>,
+    Vec<Subscription>,
+    Vec<LinkMatchEngine>,
+) {
     let mut net = NetworkBuilder::new();
     let brokers = net.add_brokers(BROKERS);
     for pair in brokers.windows(2) {
@@ -89,32 +95,35 @@ fn chain_engines(
         }));
     }
 
+    let table: Vec<Subscription> = (table.iter().enumerate())
+        .map(|(id, (client, predicate))| {
+            let home = fabric.network().home_broker(*client).unwrap();
+            Subscription::new(
+                SubscriptionId::new(id as u32),
+                SubscriberId::new(home, *client),
+                parse_predicate(schema, predicate).unwrap(),
+            )
+        })
+        .collect();
     let engines = brokers
         .iter()
         .map(|&broker| {
             let space = LinkSpace::build(fabric.network(), fabric.forest(), broker);
             let mut engine =
                 LinkMatchEngine::new(broker, schema.clone(), PstOptions::default(), space).unwrap();
-            for (id, (client, predicate)) in table.iter().enumerate() {
-                let home = fabric.network().home_broker(*client).unwrap();
-                engine
-                    .subscribe(Subscription::new(
-                        SubscriptionId::new(id as u32),
-                        SubscriberId::new(home, *client),
-                        parse_predicate(schema, predicate).unwrap(),
-                    ))
-                    .unwrap();
+            for subscription in &table {
+                engine.subscribe(subscription.clone()).unwrap();
             }
             engine
         })
         .collect();
-    (fabric, engines)
+    (fabric, table, engines)
 }
 
 #[test]
-fn match_table_steps_are_pinned_for_both_walks() {
+fn match_table_steps_are_pinned() {
     let schema = bench_schema();
-    let (fabric, engines) = chain_engines(&schema, DECOYS);
+    let (fabric, table, engines) = chain_engines(&schema, DECOYS);
     let brokers: Vec<_> = fabric.network().brokers().collect();
 
     // Per chain the logical tree has the run [a1..a5 | a6], the `ts` node
@@ -131,26 +140,23 @@ fn match_table_steps_are_pinned_for_both_walks() {
         assert_eq!(summary.prefix_tests, 5 * DECOYS as usize);
     }
 
-    let tree = fabric.tree_for(brokers[0]).unwrap();
+    let tree_id = fabric.tree_for(brokers[0]).unwrap();
+    let tree = fabric.forest().tree(tree_id).unwrap();
     let mut scratch = RouteScratch::new();
     let mut links = Vec::new();
     for volume in [0, 17, 255] {
         let event = bench_event(&schema, volume);
 
         let mut arena_steps = Vec::new();
-        let mut recursive_steps = Vec::new();
         for engine in &engines {
             let mut arena = MatchStats::new();
-            engine.match_links_into(&event, tree, &mut scratch, &mut arena, &mut links);
-            let mut recursive = MatchStats::new();
-            let expected = engine.match_links(&event, tree, &mut recursive);
+            engine.match_links_into(&event, tree_id, &mut scratch, &mut arena, &mut links);
+            let expected = oracle_links(fabric.network(), tree, engine.broker(), &table, &event);
             assert_eq!(links, expected, "volume {volume} at {}", engine.broker());
             assert_eq!(links.len(), 1, "towards the subscriber, nowhere else");
             arena_steps.push(arena.steps);
-            recursive_steps.push(recursive.steps);
         }
         assert_eq!(arena_steps, [2050, 2050, 2050], "volume {volume}");
-        assert_eq!(recursive_steps, [5461, 5466, 5466], "volume {volume}");
     }
 }
 
@@ -167,8 +173,9 @@ fn match_table_steps_are_pinned_for_both_walks() {
 #[test]
 fn observed_selectivity_reorders_the_match_table_once() {
     let schema = bench_schema();
-    let (fabric, mut engines) = chain_engines(&schema, DECOYS);
+    let (fabric, table, mut engines) = chain_engines(&schema, DECOYS);
     let tree = fabric.tree_for(engines[0].broker()).unwrap();
+    let spanning = fabric.forest().tree(tree).unwrap();
     let attr = |name: &str| schema.attribute_index(name).unwrap();
     let adapted: Vec<usize> = ["a6", "volume", "a1", "a2", "a3", "a4", "a5", "issue", "ts"]
         .map(attr)
@@ -185,7 +192,8 @@ fn observed_selectivity_reorders_the_match_table_once() {
             let event = bench_event(&schema, walked as i64 % 256);
             let mut stats = MatchStats::new();
             engine.match_links_into(&event, tree, &mut scratch, &mut stats, &mut links);
-            let expected = engine.match_links(&event, tree, &mut MatchStats::new());
+            let expected =
+                oracle_links(fabric.network(), spanning, engine.broker(), &table, &event);
             assert_eq!(links, expected, "event {walked} at {}", engine.broker());
             assert_eq!(links.len(), 1, "towards the subscriber, nowhere else");
             let (steps, comparisons) = if rebuilds.is_empty() {
@@ -227,7 +235,7 @@ fn observed_selectivity_reorders_the_match_table_once() {
         assert_eq!(engine.generation(), generation + 1);
     }
 
-    let (fabric, mut relay) = chain_engines(&schema, 0);
+    let (fabric, _, mut relay) = chain_engines(&schema, 0);
     let tree = fabric.tree_for(relay[0].broker()).unwrap();
     for engine in &mut relay {
         let mut scratch = RouteScratch::new();

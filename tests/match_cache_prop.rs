@@ -3,15 +3,13 @@
 //!
 //! One seeded run interleaves ≥1000 subscribe / unsubscribe / match steps
 //! against a single [`MatchingEngine`] and, on every match step, compares
-//! four independently computed link sets:
+//! three independently computed link sets:
 //!
-//! 1. a **naive oracle** built from the public [`LinkSpace`] primitives —
-//!    evaluate every live predicate against the event, union the matching
-//!    subscribers' leaf vectors, absorb into the tree's initialization
-//!    mask (no PST involved at all);
-//! 2. the **legacy recursive search** ([`MatchingEngine::route`]);
-//! 3. the **arena walk with the cache disabled** (capacity 0);
-//! 4. the **arena walk with the cache enabled**, which must survive every
+//! 1. the **brute-force oracle** (`tests/oracle`) — evaluate every live
+//!    predicate against the event and map each match to the link its
+//!    subscriber sits behind on the tree (no PST, no link space);
+//! 2. the **arena walk with the cache disabled** (capacity 0);
+//! 3. the **arena walk with the cache enabled**, which must survive every
 //!    generation bump the churn causes.
 //!
 //! The event domain is deliberately tiny (three int attributes over 0..3)
@@ -26,6 +24,7 @@
 //! that a test absorbed into a run's prefix still keys the cache.
 
 mod fault;
+mod oracle;
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -37,9 +36,10 @@ use linkcast::{
 use linkcast_broker::MatchingEngine;
 use linkcast_matching::{MatchStats, PstOptions};
 use linkcast_types::{
-    AttrTest, BrokerId, ClientId, Event, EventSchema, LinkId, Predicate, SchemaId, SchemaRegistry,
-    SubscriberId, Subscription, SubscriptionId, TritVec, Value, ValueKind,
+    AttrTest, BrokerId, ClientId, Event, EventSchema, Predicate, SchemaId, SchemaRegistry,
+    SubscriberId, Subscription, SubscriptionId, Value, ValueKind,
 };
+use oracle::oracle_links;
 
 const STEPS: usize = 1200;
 const DOMAIN: i64 = 3;
@@ -98,33 +98,12 @@ fn random_predicate(schema: &EventSchema, rng: &mut Lcg) -> Predicate {
     }
 }
 
-/// The naive oracle: no PST, no annotations — just predicate evaluation
-/// plus the §3.2 mask algebra over the public [`LinkSpace`] API.
-fn oracle_links(
-    space: &LinkSpace,
-    live: &HashMap<SubscriptionId, Subscription>,
-    event: &Event,
-    tree: TreeId,
-) -> Vec<LinkId> {
-    let mut yes = TritVec::no(space.width());
-    for sub in live.values() {
-        if sub.predicate().matches(event) {
-            yes.parallel_in_place(&space.leaf_vector(sub.subscriber().client));
-        }
-    }
-    let mut mask = space.init_mask(tree).clone();
-    mask.absorb_yes_in_place(&yes);
-    mask.maybes_to_no_in_place();
-    space.links_to_send(&mask)
-}
-
 fn run_churn(options: PstOptions, seed: u64) {
     let (fabric, brokers, clients) = star_fabric();
     let registry = registry();
     let schema = registry.get(SchemaId::new(0)).unwrap().clone();
     let home = brokers[1];
     let mut engine = MatchingEngine::new(home, &fabric, Arc::clone(&registry), options).unwrap();
-    let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
     let trees: Vec<TreeId> = brokers
         .iter()
         .map(|&b| fabric.tree_for(b).unwrap())
@@ -141,7 +120,6 @@ fn run_churn(options: PstOptions, seed: u64) {
     let mut scratch_plain = RouteScratch::new();
     let mut cached_stats = MatchStats::new();
     let mut plain_stats = MatchStats::new();
-    let mut legacy_stats = MatchStats::new();
 
     let mut match_steps = 0usize;
     for step in 0..STEPS {
@@ -167,14 +145,15 @@ fn run_churn(options: PstOptions, seed: u64) {
                 assert!(engine.unsubscribe(id), "live id must be removable");
             }
             // 5/10 (plus unsubscribes with nothing live): match an event
-            // along a random spanning tree and compare all four answers.
+            // along a random spanning tree and compare all three answers.
             _ => {
                 match_steps += 1;
                 let event = random_event(&schema, &mut rng);
                 let tree = trees[rng.below(trees.len() as u64) as usize];
 
-                let expected = oracle_links(&space, &live, &event, tree);
-                let legacy = engine.route(&event, tree, &mut legacy_stats);
+                let spanning = fabric.forest().tree(tree).unwrap();
+                let expected =
+                    oracle_links(fabric.network(), spanning, home, live.values(), &event);
                 let mut plain = Vec::new();
                 engine.route_cached(
                     &event,
@@ -194,7 +173,6 @@ fn run_churn(options: PstOptions, seed: u64) {
                     &mut cached,
                 );
 
-                assert_eq!(legacy, expected, "step {step}: recursive search vs oracle");
                 assert_eq!(plain, expected, "step {step}: arena walk vs oracle");
                 assert_eq!(cached, expected, "step {step}: cached arena walk vs oracle");
             }
@@ -457,6 +435,8 @@ fn order_rebuild_is_history_independent() {
     assert_eq!(straight.subscription_count(), winding.subscription_count());
 
     let tree = fabric.tree_for(brokers[0]).unwrap();
+    let spanning = fabric.forest().tree(tree).unwrap();
+    let table: Vec<Subscription> = (0..=CHAINS).map(entry).collect();
     let mut engines = [
         (straight, RouteScratch::new(), Vec::new()),
         (winding, RouteScratch::new(), Vec::new()),
@@ -469,11 +449,8 @@ fn order_rebuild_is_history_independent() {
             let mut stats = MatchStats::new();
             let mut links = Vec::new();
             engine.match_links_into(&event, tree, scratch, &mut stats, &mut links);
-            assert_eq!(
-                links,
-                engine.match_links(&event, tree, &mut MatchStats::new()),
-                "event {walked}"
-            );
+            let expected = oracle_links(fabric.network(), spanning, home, &table, &event);
+            assert_eq!(links, expected, "event {walked}");
             if engine.adapt_order(scratch) {
                 rebuilds.push(walked);
             }
