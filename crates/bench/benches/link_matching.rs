@@ -283,8 +283,9 @@ fn bench_chain_depth(c: &mut Criterion) {
 /// sits on `a6`, the deepest level of the schema order — routed before and
 /// after the engine reorders itself on what its walks observed
 /// (DESIGN.md §11.2). Before, a route enters every chain (one step each);
-/// after, the root scans its `a6` range edges, none holds, and three steps
-/// reach the subscriber whatever the number of chains. The rebuild in
+/// after, a binary search finds that none of the root's `a6` range edges
+/// holds, and three steps reach the subscriber whatever the number of
+/// chains. The rebuild in
 /// between is timed once per size and printed, not sampled: it happens once.
 fn bench_order_adaptation(c: &mut Criterion) {
     let mut b = EventSchema::builder("bench")

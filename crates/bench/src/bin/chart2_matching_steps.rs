@@ -10,6 +10,10 @@
 //! the link matching algorithm is not more than the number of matching
 //! steps taken by the centralized algorithm".
 //!
+//! Units: an LM column counts arena runs entered (DESIGN.md §11.1), the
+//! centralized one PST nodes visited, the paper's unit; counted per node,
+//! an LM path here costs 0–2 steps (≤ 3.6 %) more (EXPERIMENTS.md E2).
+//!
 //! Run with: `cargo run --release -p linkcast-bench --bin chart2_matching_steps`
 
 use std::collections::HashMap;
@@ -104,7 +108,12 @@ fn main() {
         &rows,
     );
     println!(
-        "\nPaper: cumulative link-matching steps up to ~4 hops stay at or below one\n\
+        "\nUnits: an LM column counts arena runs entered along the path (a run of\n\
+         single-choice nodes is one step); centralized counts PST nodes visited,\n\
+         the paper's unit. Counted per node, an LM path here costs 0-2 steps\n\
+         (at most 3.6 %) more.\n\
+         \n\
+         Paper: cumulative link-matching steps up to ~4 hops stay at or below one\n\
          centralized match; longer paths cost more steps but the extra processing\n\
          (microseconds) is dwarfed by WAN latency (tens of milliseconds)."
     );

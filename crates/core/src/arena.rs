@@ -63,7 +63,7 @@
 #![deny(clippy::indexing_slicing, clippy::string_slice)]
 
 use linkcast_matching::{Burst, EdgeSlot, MatchStats, MutationReport, NodeId, PathReport, Pst};
-use linkcast_types::{AttrTest, Event, TritVec, Value};
+use linkcast_types::{AttrTest, Event, RangeLookup, TritVec, Value};
 
 use crate::annotate::{can_fail, Annotations};
 
@@ -307,7 +307,8 @@ pub struct MatchArena {
     attr: Vec<u32>,
     /// Equality edges, sorted by label within each node's span.
     eq: EdgeTable<Value>,
-    /// Range edges, in insertion order within each node's span.
+    /// Range edges, sorted by [`AttrTest::range_cmp`] within each node's
+    /// span.
     ranges: EdgeTable<AttrTest>,
     /// The tests a node's run absorbed, with the attribute each one reads,
     /// tail end first: the test of the tail's parent at position 0, the
@@ -1030,15 +1031,16 @@ impl MatchArena {
     /// `scratch.slot(0)` must hold the tree's initialization mask on entry
     /// (with at least one `Maybe`); on return it holds the fully refined
     /// mask. A node's children are searched depth-first — the equality
-    /// child, the satisfied range edges in order, then `*` — each with a
-    /// copy of its mask, whose `Yes` trits are absorbed as the child
-    /// returns, and a node is left as soon as no `Maybe` remains. It counts
-    /// a step per run of the logical tree entered, so a run of `k` PST
-    /// nodes (like a skipped trivial chain) costs one step, and one
-    /// comparison per prefix test — a tail charged on entry what the runs
-    /// of its chain come to. What the edge tests it evaluates come to,
-    /// attribute by attribute, goes into `evidence` along with the walk's
-    /// steps.
+    /// child, the satisfied range edges in the order of their span, which a
+    /// [`RangeLookup`] finds once the equality child has returned, then
+    /// `*` — each with a copy of its mask, whose `Yes` trits are absorbed
+    /// as the child returns, and a node is left as soon as no `Maybe`
+    /// remains. It counts a step per run of the logical tree entered, so a
+    /// run of `k` PST nodes (like a skipped trivial chain) costs one step;
+    /// a comparison per prefix test and per equality lookup, and what the
+    /// range lookup charges — a tail charged on entry what the runs of its
+    /// chain come to. What the edge tests it evaluates come to, attribute
+    /// by attribute, goes into `evidence` along with the walk's steps.
     pub fn search(
         &self,
         pst: &Pst,
@@ -1054,16 +1056,13 @@ impl MatchArena {
         let entered = stats.steps;
         scratch.ensure(self.max_depth + 2, self.width);
         scratch.frames.clear();
-        scratch.frames.push(Frame {
-            node: root,
-            cursor: 0,
-            state: FrameState::Enter,
-        });
+        scratch.frames.push(Frame::enter(root));
         let values = event.values();
 
         'walk: while let Some(&Frame {
             node,
             cursor,
+            end,
             state,
         }) = scratch.frames.last()
         {
@@ -1118,9 +1117,7 @@ impl MatchArena {
                     }
                     // Range edges come after the equality branch either
                     // way; prime the resume point before descending.
-                    let ranges = self.ranges.spans.get(node as usize);
-                    let range_start = ranges.map_or(0, |span| span.start);
-                    set_top(scratch, FrameState::Ranges, range_start);
+                    set_top(scratch, FrameState::Ranges, NONE, end);
                     stats.comparisons += 1;
                     let child = self.eq_lookup(node, values);
                     evidence.record(attr, self.eq.len(node as usize) as u64, child.is_some());
@@ -1129,38 +1126,50 @@ impl MatchArena {
                     }
                 }
                 FrameState::Ranges => {
-                    let ranges = self.ranges.spans.get(node as usize);
-                    let range_end = ranges.map_or(0, |span| span.start + span.len);
                     let attr = self.attr.get(node as usize).copied().unwrap_or(NONE);
                     let value = values.get(attr as usize);
-                    let mut cur = cursor;
+                    let (mut cur, mut end) = (cursor, end);
+                    if cur == NONE {
+                        // Back from the equality branch: find the run of
+                        // range candidates.
+                        let (labels, _) = self.ranges.edges(node as usize);
+                        let lookup = value.map(|v| RangeLookup::new(labels, |t| t, v));
+                        let RangeLookup { candidates, probes } = lookup.unwrap_or_default();
+                        stats.comparisons += probes;
+                        evidence.record(attr, labels.len() as u64, false);
+                        let start = self.ranges.spans.get(node as usize).map_or(0, |s| s.start);
+                        (cur, end) = (
+                            start + candidates.start as u32,
+                            start + candidates.end as u32,
+                        );
+                    }
                     let mut child = None;
-                    while cur < range_end {
+                    while cur < end {
                         let i = cur as usize;
                         cur += 1;
-                        stats.comparisons += 1;
-                        let matched = match (self.ranges.labels.get(i), value) {
-                            (Some(test), Some(v)) => test.matches(v),
-                            _ => false,
+                        let Some(test) = self.ranges.labels.get(i) else {
+                            break;
                         };
-                        if matched {
+                        // The lookup decided every other candidate.
+                        stats.comparisons += u64::from(matches!(test, AttrTest::Between(..)));
+                        if value.is_some_and(|v| test.matches(v)) {
                             child = self.ranges.children.get(i).copied();
                             break;
                         }
                     }
-                    evidence.record(attr, u64::from(cur - cursor), child.is_some());
                     let next = if child.is_some() {
+                        evidence.record(attr, 0, true);
                         FrameState::Ranges
                     } else {
                         FrameState::Star
                     };
-                    set_top(scratch, next, cur);
+                    set_top(scratch, next, cur, end);
                     if let Some(child) = child {
                         scratch.descend(depth, child);
                     }
                 }
                 FrameState::Star => {
-                    set_top(scratch, FrameState::Done, cursor);
+                    set_top(scratch, FrameState::Done, cursor, end);
                     let star = self.star.get(node as usize).copied().unwrap_or(NONE);
                     if star != NONE {
                         scratch.descend(depth, star);
@@ -1202,10 +1211,11 @@ impl MatchArena {
     /// below it is the leaf's, which leaves no `Maybe`); every other test
     /// sits in the prefix of the node below it. A prefix test costs a
     /// comparison; a node's own test the equality lookup every node makes
-    /// and one more for a range edge; the node behind it a step — under
-    /// trivial-test elimination the one the `*` nodes it heads lead to. An
-    /// edge that lands on the chain's top skips such `*` nodes too, unless
-    /// the top `opens_run`: is entered through a parent it absorbed.
+    /// and what a range lookup over its one range edge charges; the node
+    /// behind it a step — under trivial-test elimination the one the `*`
+    /// nodes it heads lead to. An edge that lands on the chain's top skips
+    /// such `*` nodes too, unless the top `opens_run`: is entered through a
+    /// parent it absorbed.
     fn walk_chain<'a>(
         &self,
         chain: impl Iterator<Item = (usize, &'a AttrTest)>,
@@ -1224,15 +1234,14 @@ impl MatchArena {
             skip_trivial(&mut chain);
         }
         while let Some((level, (attr, test))) = chain.next() {
-            let holds = values.get(attr).is_some_and(|v| test.matches(v));
+            let value = values.get(attr);
+            let holds = value.is_some_and(|v| test.matches(v));
             stats.comparisons += 1;
             let cut = level + 1 == usize::from(tail.cut);
             if test.is_wildcard() || cut {
                 // A node of its own: the lookup among its (at most one)
-                // equality edges, then its range edge if it has that.
-                if !test.is_wildcard() && !test.is_equality() {
-                    stats.comparisons += 1;
-                }
+                // equality edges, then among its range edges.
+                stats.comparisons += value.map_or(0, |v| test.lone_range_cost(v));
                 if !test.is_wildcard() {
                     evidence.record(attr as u32, 1, holds);
                 }
@@ -1333,10 +1342,11 @@ fn resolve(map: &[u32], pst: &Pst, id: NodeId) -> u32 {
 }
 
 /// Rewrites the top frame's resume point.
-fn set_top(scratch: &mut MatchScratch, state: FrameState, cursor: u32) {
+fn set_top(scratch: &mut MatchScratch, state: FrameState, cursor: u32, end: u32) {
     if let Some(frame) = scratch.frames.last_mut() {
         frame.state = state;
         frame.cursor = cursor;
+        frame.end = end;
     }
 }
 
@@ -1364,17 +1374,31 @@ fn unwind(scratch: &mut MatchScratch) {
 struct Frame {
     /// Arena node index.
     node: u32,
-    /// Next range edge to test (absolute index into the range table's
-    /// `labels`/`children`).
+    /// Next range candidate to test (absolute index into the range table's
+    /// `labels`/`children`); `NONE` until they are looked up.
     cursor: u32,
+    /// End of the range candidates (absolute, exclusive).
+    end: u32,
     state: FrameState,
+}
+
+impl Frame {
+    fn enter(node: u32) -> Self {
+        Frame {
+            node,
+            cursor: 0,
+            end: 0,
+            state: FrameState::Enter,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FrameState {
     /// Refine against the node's annotation, then try the equality branch.
     Enter,
-    /// Testing range edges from `cursor`.
+    /// Looking the range candidates up (`cursor` is `NONE`), then testing
+    /// them from `cursor` to `end`.
     Ranges,
     /// Range edges exhausted; the `*` branch remains.
     Star,
@@ -1385,9 +1409,9 @@ enum FrameState {
 /// What [`MatchArena::search`] has observed since it was last cleared: per
 /// attribute, how many edge tests the walks evaluated and how many of them
 /// held, plus the walks themselves and the steps they took. A prefix test
-/// and a range edge count one test each; an equality lookup over `k`
-/// labels counts `k` evaluated and at most one satisfied, which is what it
-/// decides. Caller-owned like the scratch pool, and only ever added to on
+/// counts one test; a lookup among `k` labels — equality or range — counts
+/// `k` evaluated, which is what it decides, and each edge taken one
+/// satisfied. Caller-owned like the scratch pool, and only ever added to on
 /// the match path: the engine reads and clears it between events, when it
 /// reconsiders its attribute order.
 #[derive(Debug, Clone, Default)]
@@ -1498,11 +1522,7 @@ impl MatchScratch {
             (Some(parent), Some(slot)) => slot.clone_from(parent),
             _ => debug_assert!(false, "slot pool sized by ensure()"),
         }
-        self.frames.push(Frame {
-            node: child,
-            cursor: 0,
-            state: FrameState::Enter,
-        });
+        self.frames.push(Frame::enter(child));
     }
 
     /// Mutable parent slot at `depth` plus shared child slot at `depth+1`.

@@ -842,41 +842,20 @@ fn deep_schema() -> EventSchema {
     b.build().unwrap()
 }
 
-/// A random test over `0..domain`; `stars` in ten come out `*`.
+/// A random test over `0..domain`; `stars` in eleven come out `*`. Every
+/// range kind is drawn over the same values, so `>=`, `>` and `between`
+/// tie on a lower bound and `<=` and `<` on an upper one.
 fn churn_test(rng: &mut StdRng, domain: i64, stars: u32) -> AttrTest {
     let v = rng.random_range(0..domain);
-    match rng.random_range(0..10) {
+    match rng.random_range(0..11) {
         k if k < stars => AttrTest::Any,
         0..=5 => AttrTest::Eq(Value::Int(v)),
         6 => AttrTest::Ge(Value::Int(v)),
         7 => AttrTest::Lt(Value::Int(v)),
         8 => AttrTest::Le(Value::Int(v)),
+        9 => AttrTest::Gt(Value::Int(v)),
         _ => AttrTest::Between(Value::Int(v / 2), Value::Int(v)),
     }
-}
-
-/// The live subscriptions in the order a depth-first walk of `engine`'s
-/// tree meets them. Range edges are visited in insertion order, so
-/// inserting the subscriptions into an empty tree in this order grows every
-/// node's range edges in the order `engine` holds them.
-fn in_tree_order(engine: &LinkMatchEngine) -> Vec<linkcast_types::Subscription> {
-    let pst = engine.pst();
-    let mut roots: Vec<_> = pst.roots().collect();
-    roots.sort();
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    let mut stack: Vec<_> = roots.into_iter().rev().map(|(_, root)| root).collect();
-    while let Some(id) = stack.pop() {
-        let node = pst.node(id);
-        for sub in node.subscription_ids() {
-            if seen.insert(*sub) {
-                out.push(engine.subscription(*sub).unwrap().clone());
-            }
-        }
-        let children: Vec<_> = node.children().collect();
-        stack.extend(children.into_iter().rev());
-    }
-    out
 }
 
 /// A node of the *logical* tree — the one every tail stands for a chain
@@ -1121,8 +1100,11 @@ impl PredictedWalk<'_> {
 
     /// Enters the run `top` opens: one step and one refinement for the lot,
     /// a comparison per absorbed test, then the edges of the node the run
-    /// ends in — the equality lookup, range edges in order until the mask
-    /// is settled, `*` last.
+    /// ends in until the mask is settled — the equality lookup; the range
+    /// lookup, a binary search per group of its tests, lower- and
+    /// upper-bounded, `⌈log₂ n⌉ + 1` probes over `n` of them, and the
+    /// satisfied range edges in the range order, a comparison more for a
+    /// `between` the search leaves to check; `*` last.
     fn enter(&mut self, top: Logical, mask: linkcast_types::TritVec) -> linkcast_types::TritVec {
         self.steps += 1;
         let mut mask = mask.refine(&top.annotation(self.engine));
@@ -1157,18 +1139,32 @@ impl PredictedWalk<'_> {
             return mask.maybes_to_no();
         }
         let value = self.value(node).clone();
+        let edges = node.edges(self.engine);
+        let is_range = |l: &AttrTest| !l.is_wildcard() && !l.is_equality();
+        let mut ranges: Vec<_> = edges.iter().filter(|(l, _)| is_range(l)).collect();
+        ranges.sort_by(|a, b| a.0.range_cmp(&b.0));
+        let upper = ranges
+            .iter()
+            .filter(|(l, _)| matches!(l, AttrTest::Lt(_) | AttrTest::Le(_)));
+        let upper = upper.count();
+        let probes = |n: usize| (n > 0).then(|| (n as f64).log2().ceil() as u64 + 1);
+        let mut lookup = probes(ranges.len() - upper).unwrap_or(0) + probes(upper).unwrap_or(0);
         self.comparisons += 1;
-        for (label, child) in node.edges(self.engine) {
-            let taken = match &label {
-                AttrTest::Eq(v) => *v == value,
-                AttrTest::Any => true,
-                range => {
-                    self.comparisons += 1;
-                    range.matches(&value)
-                }
+        let eq = edges
+            .iter()
+            .filter(|(l, _)| l.is_equality() && l.matches(&value));
+        let star = edges.iter().filter(|(l, _)| l.is_wildcard());
+        for (label, child) in eq.chain(ranges).chain(star) {
+            if is_range(label) {
+                self.comparisons += std::mem::take(&mut lookup);
+            }
+            let found = match label {
+                AttrTest::Between(lo, _) => *lo <= value,
+                _ => label.matches(&value),
             };
-            if taken {
-                let sub = self.enter(self.landing(child), mask.clone());
+            self.comparisons += u64::from(found && matches!(label, AttrTest::Between(..)));
+            if found && label.matches(&value) {
+                let sub = self.enter(self.landing(*child), mask.clone());
                 mask = mask.absorb_yes(&sub);
                 if !mask.has_maybe() {
                     return mask;
@@ -1379,8 +1375,8 @@ fn churn_against_scratch(
         if step % (2 * SHIFT_PHASE) == 0 {
             hot = engine.pst().order().last().copied().unwrap_or(0);
         }
-        // Alternate growth and decay so spans grow past the range-index
-        // threshold, relocate, drain to empty and are reused.
+        // Alternate growth and decay so spans grow wide, relocate, drain
+        // to empty and are reused.
         let half_cycle = if traffic == Traffic::Shifting {
             SHIFT_PHASE
         } else {
@@ -1491,7 +1487,7 @@ fn churn_against_scratch(
             schema.clone(),
             in_its_order(&engine),
             space.clone(),
-            in_tree_order(&engine),
+            engine.pst().subscriptions().cloned().collect::<Vec<_>>(),
         )
         .unwrap();
         assert_same_annotated_tree(&engine, &fresh, &context);

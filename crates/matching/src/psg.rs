@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use linkcast_types::{AttrTest, Event, EventSchema, SubscriptionId, Value};
+use linkcast_types::{AttrTest, Event, EventSchema, RangeLookup, SubscriptionId, Value};
 
 use crate::pst::{walk_chain, Pst};
 use crate::MatchStats;
@@ -35,6 +35,7 @@ struct NodeKey {
 struct PsgNode {
     level: u16,
     eq_edges: Vec<(Value, u32)>,
+    /// In the [`Pst`]'s order, [`AttrTest::range_cmp`].
     range_edges: Vec<(AttrTest, u32)>,
     star: Option<u32>,
     subs: Vec<SubscriptionId>,
@@ -201,8 +202,10 @@ impl Psg {
             if let Ok(i) = node.eq_edges.binary_search_by(|(v, _)| v.cmp(value)) {
                 stack.push(node.eq_edges[i].1);
             }
-            for (test, child) in &node.range_edges {
-                stats.comparisons += 1;
+            let ranges = RangeLookup::new(&node.range_edges, |(test, _)| test, value);
+            stats.comparisons += ranges.probes;
+            for (test, child) in &node.range_edges[ranges.candidates] {
+                stats.comparisons += u64::from(matches!(test, AttrTest::Between(..)));
                 if test.matches(value) {
                     stack.push(*child);
                 }

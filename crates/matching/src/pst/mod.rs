@@ -79,17 +79,9 @@ pub(crate) struct Node {
     pub(crate) level: u16,
     /// Equality branches, sorted by value for binary search.
     pub(crate) eq_edges: Vec<(Value, NodeId)>,
-    /// Non-equality (range) branches, scanned linearly.
+    /// Non-equality (range) branches, sorted by [`AttrTest::range_cmp`]
+    /// for binary search: by label, and by value ([`RangeLookup`](linkcast_types::RangeLookup)).
     pub(crate) range_edges: Vec<(AttrTest, NodeId)>,
-    /// Label → child index over `range_edges`, kept exactly while the list
-    /// holds at least [`RANGE_INDEX_MIN`] edges, so finding an existing
-    /// range branch does not scan every sibling. The list alone fixes the
-    /// match-time visiting order; the index never reorders it.
-    #[allow(
-        clippy::box_collection,
-        reason = "boxed so the many nodes without one pay a pointer, not an empty map's 48 bytes"
-    )]
-    pub(crate) range_index: Option<Box<HashMap<AttrTest, NodeId>>>,
     /// The `*` (don't-care) branch.
     pub(crate) star: Option<NodeId>,
     /// Subscriptions parked here (none on interior nodes). A node that
@@ -109,7 +101,6 @@ impl Node {
             level,
             eq_edges: Vec::new(),
             range_edges: Vec::new(),
-            range_index: None,
             star: None,
             subs: Parked::default(),
             skip: None,
@@ -121,19 +112,21 @@ impl Node {
         self.eq_edges.binary_search_by(|(v, _)| v.cmp(value))
     }
 
+    /// Where `test` is, or would go, among the sorted range edges.
+    fn range_position(&self, test: &AttrTest) -> Result<usize, usize> {
+        self.range_edges
+            .binary_search_by(|(t, _)| t.range_cmp(test))
+    }
+
     /// The child the branch labeled `test` leads to, if that branch exists.
     pub(crate) fn child_for(&self, test: &AttrTest) -> Option<NodeId> {
         match test {
             AttrTest::Any => self.star,
             AttrTest::Eq(value) => self.eq_position(value).ok().map(|i| self.eq_edges[i].1),
-            test => match &self.range_index {
-                Some(index) => index.get(test).copied(),
-                None => self
-                    .range_edges
-                    .iter()
-                    .find(|(label, _)| label == test)
-                    .map(|(_, child)| *child),
-            },
+            test => self
+                .range_position(test)
+                .ok()
+                .map(|i| self.range_edges[i].1),
         }
     }
 
@@ -142,13 +135,7 @@ impl Node {
         match test {
             AttrTest::Any => (self.star == Some(child)).then_some(EdgeSlot::Star),
             AttrTest::Eq(value) => self.eq_position(value).ok().map(EdgeSlot::Eq),
-            // Child ids are cheaper to compare than labels, and the
-            // position is needed either way.
-            _ => self
-                .range_edges
-                .iter()
-                .position(|(_, c)| *c == child)
-                .map(EdgeSlot::Range),
+            test => self.range_position(test).ok().map(EdgeSlot::Range),
         }
     }
 
@@ -165,20 +152,9 @@ impl Node {
                 EdgeSlot::Eq(at)
             }
             test => {
-                match &mut self.range_index {
-                    Some(index) => {
-                        index.insert(test.clone(), child);
-                    }
-                    None if self.range_edges.len() + 1 >= RANGE_INDEX_MIN => {
-                        let mut index: HashMap<AttrTest, NodeId> =
-                            self.range_edges.iter().cloned().collect();
-                        index.insert(test.clone(), child);
-                        self.range_index = Some(Box::new(index));
-                    }
-                    None => {}
-                }
-                self.range_edges.push((test, child));
-                EdgeSlot::Range(self.range_edges.len() - 1)
+                let at = self.range_position(&test).unwrap_or_else(|at| at);
+                self.range_edges.insert(at, (test, child));
+                EdgeSlot::Range(at)
             }
         }
     }
@@ -195,11 +171,6 @@ impl Node {
             }
             EdgeSlot::Range(at) => {
                 self.range_edges.remove(at);
-                if self.range_edges.len() < RANGE_INDEX_MIN {
-                    self.range_index = None;
-                } else if let Some(index) = &mut self.range_index {
-                    index.remove(test);
-                }
             }
         }
         Some(slot)
@@ -250,10 +221,6 @@ pub struct Pst {
     subscriptions: Slab,
 }
 
-/// Range-edge lists at least this long carry a label index; shorter ones
-/// are scanned (a handful of label compares beats hashing).
-pub(crate) const RANGE_INDEX_MIN: usize = 16;
-
 /// Where an edge sits in its parent: the position a mirror of the tree (the
 /// link-matching arena) can patch without searching for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,7 +229,8 @@ pub enum EdgeSlot {
     Root,
     /// Position in the parent's value-sorted equality edges.
     Eq(usize),
-    /// Position in the parent's insertion-ordered range edges.
+    /// Position in the parent's range edges, sorted by
+    /// [`AttrTest::range_cmp`].
     Range(usize),
     /// The parent's `*` branch.
     Star,
@@ -434,7 +402,9 @@ impl Pst {
 
     /// Builds a tree from an initial subscription set. With
     /// [`OrderPolicy::FewestStarsFirst`], the attribute order is derived
-    /// from this set's don't-care statistics.
+    /// from this set's don't-care statistics. The set goes in sorted level
+    /// by level by [`AttrTest::range_cmp`], the order edge lists are kept
+    /// in, so every insert appends to the list it extends.
     ///
     /// # Errors
     ///
@@ -444,8 +414,18 @@ impl Pst {
         subscriptions: impl IntoIterator<Item = Subscription>,
         options: PstOptions,
     ) -> Result<Self, MatcherError> {
-        let subs: Vec<Subscription> = subscriptions.into_iter().collect();
+        let mut subs: Vec<Subscription> = subscriptions.into_iter().collect();
         let full_order = options.resolve_order(&schema, Some(&subs))?;
+        subs.sort_by(|a, b| {
+            let (a, b) = (a.predicate(), b.predicate());
+            let mut levels = full_order.iter().map(|&i| match (a.test(i), b.test(i)) {
+                (Some(x), Some(y)) => x.range_cmp(y),
+                (x, y) => x.is_some().cmp(&y.is_some()),
+            });
+            levels
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
         let mut pst = Self::with_order(schema, options, full_order)?;
         for sub in subs {
             pst.insert(sub)?;
@@ -730,7 +710,8 @@ impl<'a> NodeRef<'a> {
         &self.node.eq_edges
     }
 
-    /// Range branches (test label, child).
+    /// Range branches (test label, child), sorted by
+    /// [`AttrTest::range_cmp`].
     pub fn range_edges(&self) -> &'a [(AttrTest, NodeId)] {
         &self.node.range_edges
     }
@@ -813,8 +794,8 @@ impl Pst {
     ///    end of their `*`-chain;
     /// 6. every live arena slot is reachable from exactly one parent (the
     ///    structure is a forest of trees, not a DAG);
-    /// 7. a range-edge label index exists exactly on nodes with at least
-    ///    `RANGE_INDEX_MIN` range edges and maps every label to its child.
+    /// 7. range edges are sorted by [`AttrTest::range_cmp`] and
+    ///    duplicate-free.
     ///
     /// # Errors
     ///
@@ -827,11 +808,12 @@ impl Pst {
         let order = self.postorder();
         for &id in &order {
             let node = self.node_inner(id);
-            // (1) sorted, unique equality edges.
-            for pair in node.eq_edges.windows(2) {
-                if pair[0].0 >= pair[1].0 {
-                    return Err(format!("{id}: equality edges out of order"));
-                }
+            // (1), (7) sorted, unique labels.
+            let eq_sorted = node.eq_edges.windows(2).all(|p| p[0].0 < p[1].0);
+            let range_sorted =
+                (node.range_edges.windows(2)).all(|p| p[0].0.range_cmp(&p[1].0).is_lt());
+            if !eq_sorted || !range_sorted {
+                return Err(format!("{id}: edges out of order"));
             }
             // (2) level discipline; count parents.
             for child in self.node(id).children() {
@@ -890,26 +872,6 @@ impl Pst {
                     }
                 }
                 (false, None) => {}
-            }
-            // (7) range index ↔ edge list.
-            match &node.range_index {
-                None if node.range_edges.len() >= RANGE_INDEX_MIN => {
-                    return Err(format!("{id}: long range-edge list lacks its index"));
-                }
-                Some(_) if node.range_edges.len() < RANGE_INDEX_MIN => {
-                    return Err(format!("{id}: short range-edge list kept its index"));
-                }
-                Some(index) => {
-                    let agree = index.len() == node.range_edges.len()
-                        && node
-                            .range_edges
-                            .iter()
-                            .all(|(test, child)| index.get(test) == Some(child));
-                    if !agree {
-                        return Err(format!("{id}: range index disagrees with edge list"));
-                    }
-                }
-                None => {}
             }
         }
         // (6) single-parent reachability over live slots.

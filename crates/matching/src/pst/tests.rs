@@ -253,22 +253,32 @@ fn identical_range_labels_share_an_edge() {
     assert_eq!(pst.matches(&int_event(&schema, &[2, 0, 0, 0, 1])), ids(&[]));
 }
 
-/// A long range-edge list is found through its label index, a short one
-/// by scanning; either way duplicates share the edge, removal keeps the
-/// insertion order of the rest, and the index follows the list across the
-/// threshold in both directions (invariant 7).
+/// Range edges are kept in the range order whatever the insertion order:
+/// an insert lands at, and reports, its sorted position; a duplicate label
+/// reuses its edge; a removal reports the position it left, and the rest
+/// keep their order (invariant 7).
 #[test]
-fn range_label_index_tracks_the_edge_list() {
+fn range_edges_stay_in_the_range_order() {
     let schema = figure2_schema();
     let mut pst = Pst::new(schema.clone(), PstOptions::default()).unwrap();
-    let range_sub = |id: u32, bound: i64| {
-        let mut tests = vec![AttrTest::Gt(Value::Int(bound))];
-        tests.resize(5, AttrTest::Any);
+    // Descending lower bounds, `>` then `>=` then `between` (by descending
+    // upper bound) at a tie; then descending upper bounds, `<=` first.
+    let sorted: Vec<&str> = ("> 5|>= 5|between 5 and 9|between 5 and 6|> 2|>= 2")
+        .split('|')
+        .chain("between 2 and 3|>= -1|<= 7|< 7|<= 0|< -4".split('|'))
+        .collect();
+    let sub = |id: usize| {
+        let predicate = parse_predicate(&schema, &format!("a1 {}", sorted[id % 100]));
         Subscription::new(
-            SubscriptionId::new(id),
-            subscriber(id),
-            Predicate::from_tests(&schema, tests).unwrap(),
+            SubscriptionId::new(id as u32),
+            subscriber(id as u32),
+            predicate.unwrap(),
         )
+    };
+    let labels = |live: &[usize]| -> Vec<AttrTest> {
+        live.iter()
+            .map(|&i| sub(i).predicate().tests()[0].clone())
+            .collect()
     };
     let root_labels = |pst: &Pst| -> Vec<AttrTest> {
         let (_, root) = pst.roots().next().unwrap();
@@ -276,38 +286,46 @@ fn range_label_index_tracks_the_edge_list() {
         edges.iter().map(|(test, _)| test.clone()).collect()
     };
 
-    let bounds: Vec<i64> = (0..40).map(|i| (i * 17) % 40 - 20).collect();
-    for (id, &bound) in bounds.iter().enumerate() {
-        pst.insert(range_sub(id as u32, bound)).unwrap();
+    // Inserted in a scrambled order: the first is a lone tail, the second
+    // bursts it, every later one lands in the middle or at an end.
+    let mut live: Vec<usize> = Vec::new();
+    for i in (0..sorted.len()).map(|i| i * 5 % sorted.len()) {
+        let report = pst.insert_reported(sub(i)).unwrap();
+        live.push(i);
+        live.sort_unstable();
+        let path = &report.paths()[0];
+        if live.len() > 1 {
+            let at = live.iter().position(|&j| j == i).unwrap();
+            let slot = path.burst.map(|b| b.forked).or(path.added);
+            assert_eq!(slot, Some(EdgeSlot::Range(at)), "{}", sorted[i]);
+            assert_eq!(root_labels(&pst), labels(&live));
+        }
         pst.check_invariants().unwrap();
     }
-    let expected: Vec<AttrTest> = bounds
-        .iter()
-        .map(|b| AttrTest::Gt(Value::Int(*b)))
-        .collect();
-    assert_eq!(root_labels(&pst), expected, "insertion order");
 
-    // A duplicate label reuses its edge through the index.
+    // A duplicate label reuses its edge.
     let before = pst.node_count();
-    pst.insert(range_sub(100, bounds[7])).unwrap();
-    assert_eq!(pst.node_count(), before);
-    assert!(pst.remove(SubscriptionId::new(100)));
+    pst.insert(sub(107)).unwrap();
+    assert_eq!(
+        (pst.node_count(), root_labels(&pst)),
+        (before, labels(&live))
+    );
+    assert!(pst.remove(SubscriptionId::new(107)));
 
     // Remove every third, then everything, checking order each time.
-    let mut live: Vec<usize> = (0..bounds.len()).collect();
-    let thirds = (0..bounds.len()).filter(|i| i % 3 == 1);
-    let rest = (0..bounds.len()).filter(|i| i % 3 != 1);
+    let thirds = (0..sorted.len()).filter(|i| i % 3 == 1);
+    let rest = (0..sorted.len()).filter(|i| i % 3 != 1);
     for gone in thirds.chain(rest) {
-        let report = pst
-            .remove_reported(SubscriptionId::new(gone as u32))
-            .unwrap();
+        let report = pst.remove_reported(SubscriptionId::new(gone as u32));
         let at = live.iter().position(|&i| i == gone).unwrap();
         live.remove(at);
         if !live.is_empty() {
-            let removed = report.paths()[0].removed.clone();
-            assert_eq!(removed, Some((EdgeSlot::Range(at), expected[gone].clone())));
-            let survivors: Vec<AttrTest> = live.iter().map(|&i| expected[i].clone()).collect();
-            assert_eq!(root_labels(&pst), survivors);
+            let removed = report.unwrap().paths()[0].removed.clone();
+            assert_eq!(
+                removed,
+                Some((EdgeSlot::Range(at), labels(&[gone])[0].clone()))
+            );
+            assert_eq!(root_labels(&pst), labels(&live));
         }
         pst.check_invariants().unwrap();
     }
@@ -877,15 +895,31 @@ impl Spelled {
             out.extend_from_slice(&self.subs);
             return;
         };
-        stats.comparisons += 1;
+        stats.comparisons += 1 + range_lookup_cost(self.children.iter().map(|(l, _)| l), value);
         for (label, child) in &self.children {
-            let is_range = !label.is_wildcard() && !label.is_equality();
-            stats.comparisons += u64::from(is_range);
             if label.matches(value) {
                 child.visit(rest, skipping, stats, out);
             }
         }
     }
+}
+
+/// What looking `value` up among the range tests of `labels` costs: a
+/// binary search over the lower-bounded ones and one over the
+/// upper-bounded ones, `⌈log₂ n⌉ + 1` probes each over `n > 0` labels,
+/// and the upper bound of every `between` whose lower bound holds.
+fn range_lookup_cost<'a>(labels: impl Iterator<Item = &'a AttrTest>, value: &Value) -> u64 {
+    let probes = |n: usize| (n > 0).then(|| (n as f64).log2().ceil() as u64 + 1);
+    let ranges: Vec<_> = labels
+        .filter(|l| !l.is_wildcard() && !l.is_equality())
+        .collect();
+    let upper = ranges
+        .iter()
+        .filter(|l| matches!(l, AttrTest::Lt(_) | AttrTest::Le(_)));
+    let upper = upper.count();
+    let found = |l: &&&AttrTest| matches!(l, AttrTest::Between(lo, _) if lo <= value);
+    let betweens = ranges.iter().filter(found).count() as u64;
+    probes(ranges.len() - upper).unwrap_or(0) + probes(upper).unwrap_or(0) + betweens
 }
 
 /// A tail is the chain it abbreviates. Two predicates that part ways at

@@ -1,6 +1,6 @@
 //! PST match-time traversal.
 
-use linkcast_types::{AttrTest, Event, SubscriptionId};
+use linkcast_types::{AttrTest, Event, RangeLookup, SubscriptionId};
 
 use super::{NodeId, Pst};
 use crate::MatchStats;
@@ -66,8 +66,10 @@ impl Pst {
         if let Ok(i) = node.eq_edges.binary_search_by(|(v, _)| v.cmp(value)) {
             stack.push(self.effective(node.eq_edges[i].1, skipping));
         }
-        for (test, child) in &node.range_edges {
-            stats.comparisons += 1;
+        let ranges = RangeLookup::new(&node.range_edges, |(test, _)| test, value);
+        stats.comparisons += ranges.probes;
+        for (test, child) in &node.range_edges[ranges.candidates] {
+            stats.comparisons += u64::from(matches!(test, AttrTest::Between(..)));
             if test.matches(value) {
                 stack.push(self.effective(*child, skipping));
             }
@@ -93,9 +95,10 @@ impl Pst {
 /// its first node (which the search is entering) to its leaf, charging
 /// `stats` what a search over the real nodes would be charged: a step per
 /// node entered — a run of `*`-only nodes collapsing into the node it
-/// leads to when `skipping` — a comparison per equality lookup and one
-/// more per range edge, a leaf hit at the end. Returns whether the event
-/// passed every test, that is, whether the leaf was reached.
+/// leads to when `skipping` — a comparison per equality lookup and what a
+/// [`RangeLookup`] over the one range edge charges, a leaf hit at the end.
+/// Returns whether the event passed every test, that is, whether the leaf
+/// was reached.
 pub(crate) fn walk_chain<'a>(
     chain: impl Iterator<Item = (usize, &'a AttrTest)>,
     event: &Event,
@@ -111,8 +114,9 @@ pub(crate) fn walk_chain<'a>(
             return true;
         };
         // The equality lookup every node makes, and the one range edge.
-        stats.comparisons += 1 + u64::from(!test.is_wildcard() && !test.is_equality());
-        if !test.matches(&event.values()[attr]) {
+        let value = &event.values()[attr];
+        stats.comparisons += 1 + test.lone_range_cost(value);
+        if !test.matches(value) {
             return false;
         }
     }

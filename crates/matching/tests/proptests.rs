@@ -28,6 +28,8 @@ enum TestShape {
     Any,
     Eq(i64),
     Lt(i64),
+    Le(i64),
+    Gt(i64),
     Ge(i64),
     Between(i64, i64),
 }
@@ -38,6 +40,8 @@ impl TestShape {
             TestShape::Any => AttrTest::Any,
             TestShape::Eq(v) => AttrTest::Eq(Value::Int(*v)),
             TestShape::Lt(v) => AttrTest::Lt(Value::Int(*v)),
+            TestShape::Le(v) => AttrTest::Le(Value::Int(*v)),
+            TestShape::Gt(v) => AttrTest::Gt(Value::Int(*v)),
             TestShape::Ge(v) => AttrTest::Ge(Value::Int(*v)),
             TestShape::Between(a, b) => {
                 AttrTest::Between(Value::Int(*a.min(b)), Value::Int(*a.max(b)))
@@ -51,6 +55,8 @@ fn test_shape() -> impl Strategy<Value = TestShape> {
         3 => Just(TestShape::Any),
         4 => (0..VALUES).prop_map(TestShape::Eq),
         1 => (0..VALUES).prop_map(TestShape::Lt),
+        1 => (0..VALUES).prop_map(TestShape::Le),
+        1 => (0..VALUES).prop_map(TestShape::Gt),
         1 => (0..VALUES).prop_map(TestShape::Ge),
         1 => (0..VALUES, 0..VALUES).prop_map(|(a, b)| TestShape::Between(a, b)),
     ]

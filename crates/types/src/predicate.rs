@@ -1,5 +1,6 @@
 //! Subscription predicates: conjunctions of per-attribute tests.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use crate::{Error, Event, EventSchema, Result, Value, ValueKind};
@@ -33,8 +34,8 @@ impl AttrTest {
     /// A value of a different kind than the operand never satisfies a
     /// non-`Any` test.
     ///
-    /// Inlinable across crates: the arena's range scan calls this once per
-    /// edge, 2 048 times an event on the benchmark's `match` table.
+    /// Inlinable across crates: every walk calls this on each candidate a
+    /// [`RangeLookup`] returns.
     #[inline]
     pub fn matches(&self, value: &Value) -> bool {
         match self {
@@ -46,6 +47,44 @@ impl AttrTest {
             AttrTest::Ge(v) => value.kind() == v.kind() && value >= v,
             AttrTest::Between(lo, hi) => value.kind() == lo.kind() && lo <= value && value <= hi,
         }
+    }
+
+    /// The order a node's range edges are kept in, so that the tests a
+    /// value satisfies form one run, which [`RangeLookup`] finds: first the
+    /// lower-bounded tests (`>`, `>=`, `between`) by descending lower bound,
+    /// at a tie `>`, then `>=`, then `between` by descending upper bound;
+    /// then the upper-bounded ones by descending upper bound, at a tie `<=`
+    /// before `<`; last `*` and equality, which are not range edges.
+    /// Descending lower bounds make the benchmark's `volume >= -j` tables,
+    /// installed with `j` rising, an append.
+    pub fn range_cmp(&self, other: &AttrTest) -> Ordering {
+        // (group, bound, rank at a tied bound, a `between`'s upper bound)
+        fn key(t: &AttrTest) -> (u8, Option<&Value>, u8, Option<&Value>) {
+            match t {
+                AttrTest::Gt(lo) => (0, Some(lo), 0, None),
+                AttrTest::Ge(lo) => (0, Some(lo), 1, None),
+                AttrTest::Between(lo, hi) => (0, Some(lo), 2, Some(hi)),
+                AttrTest::Le(hi) => (1, Some(hi), 0, None),
+                AttrTest::Lt(hi) => (1, Some(hi), 1, None),
+                _ => (2, None, 0, None),
+            }
+        }
+        let ((ga, a, ra, ha), (gb, b, rb, hb)) = (key(self), key(other));
+        (ga, b, ra, hb)
+            .cmp(&(gb, a, rb, ha))
+            .then_with(|| self.cmp(other))
+    }
+
+    /// What a [`RangeLookup`] over this test alone charges for `value`,
+    /// its candidate checked; nothing for `*` and equality, which are not
+    /// range edges.
+    pub fn lone_range_cost(&self, value: &Value) -> u64 {
+        if self.is_wildcard() || self.is_equality() {
+            return 0;
+        }
+        let lookup = RangeLookup::new(std::slice::from_ref(self), |t| t, value);
+        let between = matches!(self, AttrTest::Between(..));
+        lookup.probes + u64::from(between && !lookup.candidates.is_empty())
     }
 
     /// Whether this is the `*` (don't care) test.
@@ -124,6 +163,66 @@ impl AttrTest {
             AttrTest::Ge(v) => format!("{name} >= {v}"),
             AttrTest::Between(lo, hi) => format!("{name} between {lo} and {hi}"),
         }
+    }
+}
+
+/// Where the tests a value satisfies sit in a list of range tests sorted by
+/// [`AttrTest::range_cmp`]: among `candidates`, every one of which holds
+/// for a value of the tests' kind, except a `between` whose upper bound it
+/// exceeds — which [`AttrTest::matches`] decides, at a comparison more.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RangeLookup {
+    /// The run of candidates, as positions in the list.
+    pub candidates: std::ops::Range<usize>,
+    /// Comparisons made: over `l` lower- and `u` upper-bounded tests,
+    /// `probes(l) + probes(u)`, where `probes(0) = 0` and
+    /// `probes(n) = ⌈log₂ n⌉ + 1`.
+    pub probes: u64,
+}
+
+impl RangeLookup {
+    /// Searches `labels`, whose tests `test` reads, for `value`.
+    pub fn new<T>(labels: &[T], test: impl Fn(&T) -> &AttrTest, value: &Value) -> Self {
+        use AttrTest::{Between, Ge, Gt, Le, Lt};
+        let lower = labels.partition_point(|l| matches!(test(l), Gt(_) | Ge(_) | Between(..)));
+        let (lows, highs) = labels.split_at(lower);
+        // The lower bounds the value fails, and the upper bounds it meets,
+        // come first.
+        let first = partition(lows, |l| match test(l) {
+            Gt(lo) => lo >= value,
+            Ge(lo) | Between(lo, _) => lo > value,
+            _ => false,
+        });
+        let last = partition(highs, |l| match test(l) {
+            Le(hi) => hi >= value,
+            Lt(hi) => hi > value,
+            _ => false,
+        });
+        RangeLookup {
+            candidates: first..lower + last,
+            probes: probes(lows.len()) + probes(highs.len()),
+        }
+    }
+}
+
+/// The first position of `items` at which `before` turns false (it must
+/// hold on a prefix), found in exactly [`probes`]`(items.len())` calls.
+fn partition<T>(items: &[T], before: impl Fn(&T) -> bool) -> usize {
+    let (mut base, mut size) = (0, items.len());
+    while size > 1 {
+        let half = size / 2;
+        if items.get(base + half).is_some_and(&before) {
+            base += half;
+        }
+        size -= half;
+    }
+    base + usize::from(items.get(base).is_some_and(before))
+}
+
+fn probes(len: usize) -> u64 {
+    match len {
+        0 => 0,
+        n => u64::from(n.next_power_of_two().trailing_zeros()) + 1,
     }
 }
 

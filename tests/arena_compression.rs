@@ -165,9 +165,9 @@ fn match_table_steps_are_pinned() {
 /// at the first check — walked event 256, not before — every engine finds
 /// that `a6` fails for all but the one subscription that does not test it,
 /// prices the schema order at 8.0 against 1.0, and rebuilds once with `a6`
-/// at the root: the 2048 range edges there are scanned, none holds, no
-/// chain is entered. Nothing after that is worth another rebuild. A table
-/// with one subscription (`relay`'s) has nothing to choose between: its
+/// at the root: a binary search over the 2048 range edges there finds,
+/// in 12 comparisons, that none holds, and no chain is entered. Nothing
+/// after that is worth another rebuild. A table with one subscription (`relay`'s) has nothing to choose between: its
 /// walk is two steps, the tail that subscription is and the node of its
 /// `volume` test, with the `*` on `issue` between them skipped.
 #[test]
@@ -197,9 +197,9 @@ fn observed_selectivity_reorders_the_match_table_once() {
             assert_eq!(links, expected, "event {walked} at {}", engine.broker());
             assert_eq!(links.len(), 1, "towards the subscriber, nowhere else");
             let (steps, comparisons) = if rebuilds.is_empty() {
-                (2050, 6824..=6831)
+                (2050, 4788..=4795)
             } else {
-                (3, 2051..=2051)
+                (3, 15..=15)
             };
             assert_eq!(stats.steps, steps, "event {walked}");
             assert!(
