@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use linkcast_matching::{EdgeSlot, Matcher, NodeId, NodeRef, PathReport, Pst};
+use linkcast_matching::{Matcher, NodeId, NodeRef, PathReport, Pst};
 use linkcast_types::{AttrTest, ClientId, TritTallies, TritVec, Value};
 
 use crate::LinkSpace;
@@ -100,11 +100,11 @@ impl Annotations {
                     .client;
                 self.count_subscriber(space, id, client, true);
             }
-            for (at, (_, child)) in node.eq_edges().iter().enumerate() {
-                self.count_branch(pst, &node, id, EdgeSlot::Eq(at), *child);
+            for (label, child) in node.eq_edges() {
+                self.count_branch(pst, &node, id, |v| v == label, *child);
             }
-            for (at, (_, child)) in node.range_edges().iter().enumerate() {
-                self.count_branch(pst, &node, id, EdgeSlot::Range(at), *child);
+            for (test, child) in node.range_edges() {
+                self.count_branch(pst, &node, id, |v| test.matches(v), *child);
             }
             self.derive(pst, &node, id);
         }
@@ -124,22 +124,17 @@ impl Annotations {
         subscribed: bool,
     ) {
         self.grow(pst.arena_size());
-        if let (Some(burst), [.., fork, _]) = (&path.burst, &path.nodes[..]) {
+        if let (Some(parked), [.., fork, _]) = (path.burst, &path.nodes[..]) {
             // The burst tail's subscribers moved to `parked`, behind the
             // older edge of the fork; everything else about the nodes the
             // burst made real is the newcomer's path, annotated below.
             if let Some(tail) = path.created.checked_sub(1).and_then(|i| path.nodes.get(i)) {
-                self.tallies.swap(burst.parked.index(), tail.index());
+                self.tallies.swap(parked.index(), tail.index());
             }
-            self.derive(pst, &pst.node(burst.parked), burst.parked);
+            self.derive(pst, &pst.node(parked), parked);
             let node = pst.node(*fork);
-            let eq = node.eq_edges().iter().position(|(_, c)| *c == burst.parked);
-            let range = node
-                .range_edges()
-                .iter()
-                .position(|(_, c)| *c == burst.parked);
-            if let Some(slot) = eq.map(EdgeSlot::Eq).or(range.map(EdgeSlot::Range)) {
-                self.count_branch(pst, &node, *fork, slot, burst.parked);
+            if let Some(test) = value_label(pst, parked, node.level()) {
+                self.count_branch(pst, &node, *fork, |v| test.matches(v), parked);
             }
         }
         // Drop the pruned chain's state, leaf first, keeping the last
@@ -149,6 +144,8 @@ impl Annotations {
             had_previous |= self.take(*freed);
         }
 
+        // The leaf or tail an insert parked the subscription on.
+        let end = path.nodes.last().copied();
         // The child just below the node being visited, if it survives.
         let mut below: Option<NodeId> = None;
         for (i, &id) in path.nodes.iter().enumerate().rev() {
@@ -163,11 +160,9 @@ impl Annotations {
                 // The last survivor of a remove: its branch into the
                 // pruned chain is gone.
                 None => {
-                    if let Some((slot, test)) = &path.removed {
-                        if !matches!(slot, EdgeSlot::Star | EdgeSlot::Root) {
-                            self.tallies.remove(id.index(), self.previous.words());
-                            self.cover_adjust(pst, &node, id, |v| test.matches(v), false);
-                        }
+                    if let Some(test) = path.removed.as_ref().filter(|t| !t.is_wildcard()) {
+                        self.tallies.remove(id.index(), self.previous.words());
+                        self.cover_adjust(pst, &node, id, |v| test.matches(v), false);
                     }
                 }
                 Some(child) if node.star() == Some(child) => {}
@@ -177,17 +172,11 @@ impl Annotations {
                         debug_assert!(self.live[child.index()], "children are annotated first");
                         let now = row(&self.trits, self.words, child.index());
                         self.tallies.add(id.index(), now);
-                    } else {
-                        // A fresh branch: the newer edge of a burst's
-                        // fork, the boundary edge the report names, or a
-                        // created node's only edge.
-                        let slot = match (&path.burst, path.added) {
-                            (Some(burst), _) if i + 2 == path.nodes.len() => burst.forked,
-                            (_, Some(slot)) if i + 1 == path.created => slot,
-                            _ if node.eq_edges().is_empty() => EdgeSlot::Range(0),
-                            _ => EdgeSlot::Eq(0),
-                        };
-                        self.count_branch(pst, &node, id, slot, child);
+                    } else if let Some(test) = end.and_then(|end| value_label(pst, end, i)) {
+                        // A fresh branch — the newer edge of a burst's
+                        // fork, the boundary edge, or a created node's only
+                        // edge — labeled with the new subscription's test.
+                        self.count_branch(pst, &node, id, |v| test.matches(v), child);
                     }
                 }
             }
@@ -236,32 +225,20 @@ impl Annotations {
         }
     }
 
-    /// Counts the (annotated) `child` behind the value branch at `slot` of
-    /// `id` in.
+    /// Counts the (annotated) `child` behind the value branch of `id` that
+    /// accepts the domain values `accepts` holds for in.
     fn count_branch(
         &mut self,
         pst: &Pst,
         node: &NodeRef<'_>,
         id: NodeId,
-        slot: EdgeSlot,
+        accepts: impl Fn(&Value) -> bool,
         child: NodeId,
     ) {
         debug_assert!(self.live[child.index()], "children are annotated first");
         let says = row(&self.trits, self.words, child.index());
         self.tallies.add(id.index(), says);
-        match slot {
-            EdgeSlot::Eq(at) => {
-                if let Some((label, _)) = node.eq_edges().get(at) {
-                    self.cover_adjust(pst, node, id, |v| v == label, true);
-                }
-            }
-            EdgeSlot::Range(at) => {
-                if let Some((test, _)) = node.range_edges().get(at) {
-                    self.cover_adjust(pst, node, id, |v| test.matches(v), true);
-                }
-            }
-            EdgeSlot::Star | EdgeSlot::Root => {}
-        }
+        self.cover_adjust(pst, node, id, accepts, true);
     }
 
     /// Counts a value branch accepting exactly the domain values `accepts`
@@ -339,6 +316,15 @@ impl Annotations {
         current.copy_from_slice(self.next.words());
         changed
     }
+}
+
+/// The label of the value branch leaving tree level `level` on the way down
+/// to leaf or tail `end`: the test the subscriptions parked there put at
+/// that level. `None` if it is a `*` branch.
+fn value_label(pst: &Pst, end: NodeId, level: usize) -> Option<&AttrTest> {
+    let tests = pst.slot_tests(pst.node(end).residual_slot()?);
+    let test = tests.get(*pst.order().get(level)?)?;
+    (!test.is_wildcard()).then_some(test)
 }
 
 /// The finite domain of the attribute `node` tests, if it declares one.

@@ -1,23 +1,24 @@
 //! Arena-flattened link-matching: the annotated PST compiled into a
 //! contiguous struct-of-arrays index space.
 //!
-//! The PST is the right structure for *mutation* (subscribe /
-//! unsubscribe), but a match walk over it would chase `HashMap` lookups
-//! and clone a fresh `TritVec` per child. The
-//! [`MatchArena`] is the match-time view of the same tree: node fields live
-//! in parallel vectors indexed by a dense `u32`, edge lists are index spans
-//! into shared edge arrays, and every node's trit annotation occupies a
-//! fixed-width slot in one contiguous word slab. A search is then
-//! sequential index arithmetic plus word ops against the slab, with all
-//! masks drawn from a reusable [`MatchScratch`] pool — no allocation per
-//! event, no pointer chasing, no per-child mask clone.
+//! The PST keeps the edges; the per-broker annotations live beside it,
+//! keyed by node. The [`MatchArena`] is the match-time view of the
+//! annotated tree: node fields live in parallel vectors indexed by a dense
+//! `u32`, every node's trit annotation occupies a fixed-width slot in one
+//! contiguous word slab, and each node names the PST node whose sorted
+//! equality, range and `*` edges a search follows on from it — one copy of
+//! every edge list, the PST's, binary-searched where it is. A search is
+//! then index arithmetic plus word ops against the slab, with all masks
+//! drawn from a reusable [`MatchScratch`] pool — no allocation per event,
+//! no per-child mask clone.
 //!
-//! Trivial-test skip pointers (§2.1.2) are resolved at build time: every
-//! edge stores its *effective* target, so `*`-only chains cost nothing at
-//! match time. This preserves results because a trivial node's annotation
-//! equals its star child's annotation (the alternative fold over zero value
-//! branches contributes all-`No`, the identity of *Parallel Combine*), and
-//! refinement is idempotent over equal annotations.
+//! Trivial-test skip pointers (§2.1.2) are followed as a search takes an
+//! edge: it enters the child's skip target, so `*`-only chains cost nothing
+//! at match time. This preserves results because a trivial node's
+//! annotation equals its star child's annotation (the alternative fold
+//! over zero value branches contributes all-`No`, the identity of
+//! *Parallel Combine*), and refinement is idempotent over equal
+//! annotations.
 //!
 //! The same idempotence compresses single-choice *runs*. A PST node is
 //! **absorbed** into its child when it has exactly one equality-or-range
@@ -48,13 +49,12 @@
 //! new PST nodes form, by the rule that cuts any other.
 //!
 //! The arena is compiled from the PST once and then patched in place: a
-//! [`MutationReport`] names the one edge each touched path gained or lost,
-//! so a subscribe or unsubscribe rewrites that edge, the annotation slots
-//! on the path, the nodes it created or pruned, and the run boundaries the
-//! path crosses — nothing proportional to a node's fan-out except the
-//! order-preserving shift inside its span.
-//! Edge spans grow by doubling and pruned nodes go on a free list; a fresh
-//! compile happens only as compaction, once dead slots dominate.
+//! [`MutationReport`] names the path each subscribe or unsubscribe
+//! touched, so it rewrites the annotation slots on the path, the nodes it
+//! created or pruned, and the run boundaries the path crosses — nothing
+//! proportional to a node's fan-out. Prefix spans grow by doubling and
+//! pruned nodes go on a free list; a fresh compile happens only as
+//! compaction, once dead slots dominate.
 
 // The per-event match walk, on the broker's engine thread: the shipped code
 // neither unwraps nor indexes nor panics.
@@ -62,7 +62,7 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![deny(clippy::indexing_slicing, clippy::string_slice)]
 
-use linkcast_matching::{Burst, EdgeSlot, MatchStats, MutationReport, NodeId, PathReport, Pst};
+use linkcast_matching::{MatchStats, MutationReport, NodeId, NodeRef, PathReport, Pst};
 use linkcast_types::{AttrTest, Event, RangeLookup, TritVec, Value};
 
 use crate::annotate::{can_fail, Annotations};
@@ -75,8 +75,8 @@ const NONE: u32 = u32::MAX;
 const COMPACT_FLOOR: usize = 64;
 
 /// One node's window `[start, start + cap)` into an [`EdgeTable`]'s arrays;
-/// the first `len` entries are its live edges, the rest is slack to grow
-/// into. Slack sits at the end, never between live edges.
+/// the first `len` entries are its live tests, the rest is slack to grow
+/// into. Slack sits at the end, never between live tests.
 #[derive(Debug, Clone, Copy, Default)]
 struct Span {
     start: u32,
@@ -130,97 +130,81 @@ impl Tail {
     }
 }
 
-/// The out-edges of one kind (equality or range) of every node: labels and
-/// skip-resolved targets in parallel arrays, one contiguous span per node.
-/// The order of a span's live edges is the match-time visiting order and
-/// mirrors the PST's edge list position for position.
-///
-/// The run prefixes share the layout: there a span holds the tests a run
-/// absorbed, `children` the attribute index each test reads.
-#[derive(Debug, Clone)]
-struct EdgeTable<L> {
-    labels: Vec<L>,
-    children: Vec<u32>,
+/// The tests every node's run absorbed, with the attribute each one reads,
+/// in parallel arrays: one contiguous span per node.
+#[derive(Debug, Clone, Default)]
+struct EdgeTable {
+    tests: Vec<AttrTest>,
+    attrs: Vec<u32>,
     /// Per-node span.
     spans: Vec<Span>,
     /// Σ `len` over all spans.
     live: usize,
 }
 
-impl<L> Default for EdgeTable<L> {
-    fn default() -> Self {
-        EdgeTable {
-            labels: Vec::new(),
-            children: Vec::new(),
-            spans: Vec::new(),
-            live: 0,
-        }
-    }
-}
-
-impl<L: Clone> EdgeTable<L> {
-    /// The live labels and targets of `node`.
-    fn edges(&self, node: usize) -> (&[L], &[u32]) {
+impl EdgeTable {
+    /// The live tests of `node` and the attributes they read.
+    fn edges(&self, node: usize) -> (&[AttrTest], &[u32]) {
         let live = self.spans.get(node).copied().unwrap_or_default().live();
         (
-            self.labels.get(live.clone()).unwrap_or(&[]),
-            self.children.get(live).unwrap_or(&[]),
+            self.tests.get(live.clone()).unwrap_or(&[]),
+            self.attrs.get(live).unwrap_or(&[]),
         )
     }
 
     /// Makes `edges` the whole of `node`'s (empty) span, in a fresh window
     /// of exactly their number when the current one is too small.
-    fn fill(&mut self, node: usize, edges: impl ExactSizeIterator<Item = (L, u32)>) {
+    fn fill(&mut self, node: usize, edges: impl ExactSizeIterator<Item = (AttrTest, u32)>) {
         let Some(span) = self.spans.get_mut(node) else {
             return;
         };
         debug_assert_eq!(span.len, 0, "fill() is for freshly appended nodes");
         if (span.cap as usize) < edges.len() {
-            span.start = self.labels.len() as u32;
+            span.start = self.tests.len() as u32;
             span.cap = edges.len() as u32;
             span.len = span.cap;
             self.live += edges.len();
-            for (label, child) in edges {
-                self.labels.push(label);
-                self.children.push(child);
+            for (test, attr) in edges {
+                self.tests.push(test);
+                self.attrs.push(attr);
             }
             return;
         }
-        for (at, (label, child)) in edges.enumerate() {
-            self.insert(node, at, label, child);
+        for (at, (test, attr)) in edges.enumerate() {
+            self.insert(node, at, test, attr);
         }
     }
 
-    /// Inserts an edge at position `at` of `node`'s span, shifting the
+    /// Inserts a test at position `at` of `node`'s span, shifting the
     /// later ones up. A full span first moves to a fresh one of twice the
     /// capacity at the end of the arrays (amortised O(1); the old window
     /// is dead until the next compaction).
-    fn insert(&mut self, node: usize, at: usize, label: L, child: u32) {
+    fn insert(&mut self, node: usize, at: usize, test: AttrTest, attr: u32) {
         let Some(mut span) = self.spans.get(node).copied() else {
             return;
         };
         if span.len == span.cap {
-            let start = self.labels.len();
+            let start = self.tests.len();
             let cap = (span.cap as usize * 2).max(1);
-            self.labels.extend_from_within(span.live());
-            self.children.extend_from_within(span.live());
-            self.labels.resize(start + cap, label.clone());
-            self.children.resize(start + cap, NONE);
+            self.tests.extend_from_within(span.live());
+            self.attrs.extend_from_within(span.live());
+            self.tests.resize(start + cap, test.clone());
+            self.attrs.resize(start + cap, NONE);
             span.start = start as u32;
             span.cap = cap as u32;
         }
         let at = span.start as usize + at.min(span.len as usize);
         let end = span.start as usize + span.len as usize;
-        if let Some(window) = self.labels.get_mut(at..=end) {
+        if let Some(window) = self.tests.get_mut(at..=end) {
             window.rotate_right(1);
             if let Some(first) = window.first_mut() {
-                *first = label;
+                *first = test;
             }
         }
-        if let Some(window) = self.children.get_mut(at..=end) {
+        if let Some(window) = self.attrs.get_mut(at..=end) {
             window.rotate_right(1);
             if let Some(first) = window.first_mut() {
-                *first = child;
+                *first = attr;
             }
         }
         span.len += 1;
@@ -230,61 +214,33 @@ impl<L: Clone> EdgeTable<L> {
         }
     }
 
-    /// Appends an edge to `node`'s span.
-    fn push(&mut self, node: usize, label: L, child: u32) {
-        self.insert(node, self.len(node), label, child);
+    /// Appends a test to `node`'s span.
+    fn push(&mut self, node: usize, test: AttrTest, attr: u32) {
+        self.insert(node, self.len(node), test, attr);
     }
 
-    /// Number of live edges of `node`.
+    /// Number of live tests of `node`.
     fn len(&self, node: usize) -> usize {
         self.spans.get(node).map_or(0, |span| span.len as usize)
     }
 
-    /// Appends copies of `from`'s edges, from position `start` on, to
+    /// Appends copies of `from`'s tests, from position `start` on, to
     /// `to`'s span.
     fn extend_from(&mut self, to: usize, from: usize, start: usize) {
         for at in start..self.len(from) {
-            let (labels, children) = self.edges(from);
-            if let (Some(label), Some(child)) = (labels.get(at).cloned(), children.get(at)) {
-                self.push(to, label, *child);
+            let (tests, attrs) = self.edges(from);
+            if let (Some(test), Some(attr)) = (tests.get(at).cloned(), attrs.get(at)) {
+                self.push(to, test, *attr);
             }
         }
     }
 
-    /// Drops every edge of `node`'s span from position `len` on.
+    /// Drops every test of `node`'s span from position `len` on.
     fn truncate(&mut self, node: usize, len: usize) {
         if let Some(span) = self.spans.get_mut(node) {
             let cut = (span.len as usize).saturating_sub(len);
             span.len -= cut as u32;
             self.live -= cut;
-        }
-    }
-
-    /// Removes the edge at position `at` of `node`'s span, shifting the
-    /// later ones down (their order is kept).
-    fn remove(&mut self, node: usize, at: usize) {
-        let Some(span) = self.spans.get_mut(node) else {
-            return;
-        };
-        if at >= span.len as usize {
-            return;
-        }
-        let window = span.start as usize + at..(span.start + span.len) as usize;
-        span.len -= 1;
-        self.live -= 1;
-        if let Some(window) = self.labels.get_mut(window.clone()) {
-            window.rotate_left(1);
-        }
-        if let Some(window) = self.children.get_mut(window) {
-            window.rotate_left(1);
-        }
-    }
-
-    /// Points the edge at position `at` of `node`'s span at `child`.
-    fn retarget(&mut self, node: usize, at: usize, child: u32) {
-        let live = self.spans.get(node).copied().unwrap_or_default().live();
-        if let Some(slot) = self.children.get_mut(live).and_then(|s| s.get_mut(at)) {
-            *slot = child;
         }
     }
 
@@ -305,18 +261,15 @@ pub struct MatchArena {
     /// node, its *tail*; where that is a PST tail, by the first node of its
     /// chain); `NONE` for leaves.
     attr: Vec<u32>,
-    /// Equality edges, sorted by label within each node's span.
-    eq: EdgeTable<Value>,
-    /// Range edges, sorted by [`AttrTest::range_cmp`] within each node's
-    /// span.
-    ranges: EdgeTable<AttrTest>,
+    /// Per node, the PST node that ends its run: the one whose equality,
+    /// range and `*` edges a search follows on from it, read from the PST
+    /// itself. `None` on free slots.
+    end: Vec<Option<NodeId>>,
     /// The tests a node's run absorbed, with the attribute each one reads,
     /// tail end first: the test of the tail's parent at position 0, the
     /// run's topmost test last, so a run grows upward by appending and is
     /// cut by truncating.
-    prefix: EdgeTable<AttrTest>,
-    /// Per-node `*` child (skip-resolved); `NONE` if absent.
-    star: Vec<u32>,
+    prefix: EdgeTable,
     /// Per node, the chain it stands for below its own level, if it mirrors
     /// a PST leaf or tail; [`Tail::NONE`] on interior nodes.
     tail: Vec<Tail>,
@@ -326,9 +279,9 @@ pub struct MatchArena {
     /// Annotation slab: node `i`'s trits at
     /// `[i * words_per_mask, (i + 1) * words_per_mask)`.
     ann_words: Vec<u64>,
-    /// Factored-subtree roots (skip-resolved), sorted by key for
-    /// borrow-keyed binary search against event values.
-    roots: Vec<(Box<[Value]>, u32)>,
+    /// Factored-subtree roots (PST ids), sorted by key for borrow-keyed
+    /// binary search against event values.
+    roots: Vec<(Box<[Value]>, NodeId)>,
     /// Factored attribute indices (the root-key schema).
     factored: Vec<usize>,
     /// PST `NodeId::index()` → arena index, the same for every node of a
@@ -357,7 +310,7 @@ pub struct MatchArena {
 impl MatchArena {
     /// Flattens `pst` and its `annotations` into a fresh arena: every live
     /// node appended children-first, so each span is exactly as long as its
-    /// edge list (or its run's prefix) and nothing is dead.
+    /// run's prefix and nothing is dead.
     pub(crate) fn build(pst: &Pst, annotations: &Annotations) -> Self {
         let width = annotations.width();
         let mut arena = MatchArena {
@@ -372,10 +325,7 @@ impl MatchArena {
             ..MatchArena::default()
         };
         arena.append_runs(pst, pst.postorder().into_iter(), annotations);
-        arena.roots = pst
-            .roots()
-            .map(|(key, root)| (key.to_vec().into(), arena.resolve(pst, root)))
-            .collect();
+        arena.roots = pst.roots().map(|(key, root)| (key.into(), root)).collect();
         arena.roots.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         arena.tested.sort_unstable();
         arena.tested.dedup();
@@ -383,17 +333,16 @@ impl MatchArena {
     }
 
     /// Applies one PST mutation in place. Everything a mutation can change
-    /// lives on the reported paths — a node's only incoming edge comes from
-    /// its parent, which is on the path too, and a trivial node's skip
-    /// chain is star-only, so it is walked (and therefore reported) by the
-    /// mutation that altered it. Run boundaries move only where the rule's
-    /// inputs did: at path nodes, and below the node whose edge count
-    /// changed, in the run of the one child it has left (remove) or had to
-    /// itself before (insert). Recompiles only to compact, when dead slots
-    /// (abandoned and slack edge and prefix slots, free node slots) outnumber
-    /// live ones three to one: a span's first relocation after a compile
-    /// can strand twice its length for a single insert, so any lower bar
-    /// could be hit again and again by a handful of mutations.
+    /// lives on the reported paths: annotations change only there, and run
+    /// boundaries move only where the rule's inputs did — at path nodes, and
+    /// below the node whose edge count changed, in the run of the one child
+    /// it has left (remove) or had to itself before (insert). Edges need no
+    /// patch: a search reads them, and the skip pointers they resolve
+    /// through, from the PST. Recompiles only to compact, when dead slots
+    /// (abandoned and slack prefix slots, free node slots) outnumber live
+    /// ones three to one: a span's first relocation after a compile can
+    /// strand twice its length for a single insert, so any lower bar could
+    /// be hit again and again by a handful of mutations.
     pub(crate) fn apply_mutation(
         &mut self,
         pst: &Pst,
@@ -406,9 +355,9 @@ impl MatchArena {
         for path in report.paths() {
             self.apply_path(pst, path, annotations);
         }
-        let edges = self.eq.live + self.ranges.live + self.prefix.live;
-        let live = self.node_count() + edges;
-        let dead = self.free.len() + self.edge_slots() - edges;
+        let tests = self.prefix.live;
+        let live = self.node_count() + tests;
+        let dead = self.free.len() + self.edge_slots() - tests;
         if dead > 3 * live + COMPACT_FLOOR {
             *self = Self::build(pst, annotations);
         }
@@ -418,7 +367,7 @@ impl MatchArena {
     fn apply_path(&mut self, pst: &Pst, path: &PathReport, annotations: &Annotations) {
         // Top of the pruned chain first: the free list is a stack and
         // appends go leaf first, so the next chain of the same shape gets
-        // each slot back in its old role, edge windows fitting. A pruned
+        // each slot back in its old role, prefix windows fitting. A pruned
         // run's nodes are consecutive and share one slot.
         let mut released = NONE;
         for id in path.freed.iter().rev() {
@@ -434,14 +383,14 @@ impl MatchArena {
         // What is new to the logical tree. A burst made nodes of a chain
         // the arena holds already, as one node: only the newcomer's tail
         // is, hanging off the fork.
-        let (created, added) = match &path.burst {
-            Some(burst) => {
-                self.spell_out(pst, path, burst, annotations);
-                (path.nodes.len().saturating_sub(1), Some(burst.forked))
+        let created = match path.burst {
+            Some(parked) => {
+                self.spell_out(pst, path, parked, annotations);
+                path.nodes.len().saturating_sub(1)
             }
-            None => (path.created, path.added),
+            None => path.created,
         };
-        // Leaf first, so a parent's edges can translate its children.
+        // Leaf first, the order `append_runs` folds runs in.
         let fresh = path.nodes.iter().skip(created).rev();
         self.append_runs(pst, fresh.copied(), annotations);
 
@@ -456,39 +405,24 @@ impl MatchArena {
                 existing = above;
             }
         }
-        // Runs are re-cut in three passes around the edge patch: first
+        // Runs are re-cut in two passes around the annotation copy: first
         // every node the rule no longer absorbs gets its own arena node
-        // back (so the patch finds the edges it rewrites), last every node
-        // the rule newly absorbs gives its arena node up.
-        let mut boundary_rewritten = false;
+        // back, last every node the rule newly absorbs gives its arena node
+        // up.
         for (i, id) in existing.iter().enumerate().rev() {
             if !self.ends_run(pst, i, *id) && absorbed_into(pst, annotations, *id).is_none() {
                 self.split(pst, existing, i, annotations);
-                boundary_rewritten |= i + 1 == created;
             }
         }
-
-        // The node an edge into `nodes[i]` leaves from (none for a root).
-        let above = |i: usize| i.checked_sub(1).and_then(|p| path.nodes.get(p)).copied();
-        if let (Some(slot), Some(child)) = (added, path.nodes.get(created)) {
-            // A split wrote the parent's image from the PST, new edge and all.
-            if !boundary_rewritten {
-                self.add_edge(pst, &path.key, above(created), slot, *child);
+        // A new root, or a level that may branch for the first time.
+        if let Some(child) = path.nodes.get(created) {
+            match created.checked_sub(1).and_then(|p| path.nodes.get(p)) {
+                None => self.add_root(&path.key, *child),
+                Some(parent) => self.mark_branching(pst, *parent),
             }
         }
-        if let Some((slot, _)) = &path.removed {
-            self.remove_edge(&path.key, path.nodes.last().copied(), *slot);
-        }
-        for (i, slot) in &path.retargets {
-            let parent = above(*i);
-            // An absorbed parent has no edge to re-resolve: its test sits
-            // in a prefix, and a run's nodes share one slot.
-            if parent.is_some_and(|p| !self.ends_run(pst, *i - 1, p)) {
-                continue;
-            }
-            if let Some(id) = path.nodes.get(*i) {
-                self.retarget(pst, &path.key, parent, *slot, *id);
-            }
+        if path.removed.is_some() && path.nodes.is_empty() {
+            self.remove_root(&path.key);
         }
         for (i, id) in existing.iter().enumerate() {
             if self.ends_run(pst, i, *id) {
@@ -508,7 +442,7 @@ impl MatchArena {
     /// Re-states, ahead of the passes that re-cut runs, what a burst did to
     /// the tail `nodes[created - 1]`: the levels of its chain down to the
     /// fork `nodes[len - 2]` are real single-edge nodes now, and its
-    /// subscriptions sit on `burst.parked` below the fork. The arena node
+    /// subscriptions sit on `parked` below the fork. The arena node
     /// becomes the run of all of them — the chain's tests at those levels
     /// join its prefix, what is left of the chain is `parked`'s — which is
     /// what the rule makes of them only where they are value-edged and
@@ -518,7 +452,7 @@ impl MatchArena {
         &mut self,
         pst: &Pst,
         path: &PathReport,
-        burst: &Burst,
+        parked: NodeId,
         annotations: &Annotations,
     ) {
         let Some(from) = path.created.checked_sub(1) else {
@@ -526,8 +460,8 @@ impl MatchArena {
         };
         let fork = path.nodes.len().saturating_sub(2);
         let idx = path.nodes.get(from).map_or(NONE, |id| self.translate(*id));
-        let parked = pst.node(burst.parked);
-        let tests = pst.slot_tests(parked.residual_slot().unwrap_or(NONE));
+        let slot = pst.node(parked).residual_slot();
+        let tests = pst.slot_tests(slot.unwrap_or(NONE));
         for level in from..=fork {
             // The node this level's edge leads to: the next one down the
             // path, or below the fork `parked`, which `write_tail` maps.
@@ -542,7 +476,7 @@ impl MatchArena {
                 self.prefix.insert(idx as usize, 0, test, attr as u32);
             }
         }
-        self.write_tail(idx, pst, burst.parked, annotations);
+        self.write_tail(idx, pst, parked, annotations);
     }
 
     /// Appends the arena images of the PST nodes `ids`, which must come
@@ -634,13 +568,16 @@ impl MatchArena {
     }
 
     /// Maps PST node `id` to node slot `idx`, the end of whose run it is:
-    /// the slot tests what `id` does.
+    /// the slot tests what `id` does, and carries on along its edges.
     fn name(&mut self, idx: u32, id: NodeId, attribute: Option<usize>) {
         if let Some(slot) = self.map.get_mut(id.index()) {
             *slot = idx;
         }
         if let Some(slot) = self.attr.get_mut(idx as usize) {
             *slot = attribute.map_or(NONE, |a| a as u32);
+        }
+        if let Some(slot) = self.end.get_mut(idx as usize) {
+            *slot = Some(id);
         }
     }
 
@@ -650,54 +587,33 @@ impl MatchArena {
             return idx;
         }
         self.attr.push(NONE);
-        self.star.push(NONE);
+        self.end.push(None);
         self.tail.push(Tail::NONE);
-        self.eq.spans.push(Span::default());
-        self.ranges.spans.push(Span::default());
         self.prefix.spans.push(Span::default());
         self.ann_words
             .resize(self.ann_words.len() + self.words_per_mask, 0);
         (self.attr.len() - 1) as u32
     }
 
-    /// Writes the arena image of interior PST node `id` — attribute,
-    /// annotation, and its edges resolved against the already-mapped
-    /// children — into the blank slot `idx`, as the end of a run with no
-    /// prefix yet.
+    /// Makes the blank slot `idx` the image of interior PST node `id` —
+    /// its attribute, its annotation, and its edges to carry on along — as
+    /// the end of a run with no prefix yet.
     fn write(&mut self, idx: u32, pst: &Pst, id: NodeId, annotations: &Annotations) {
-        let node = pst.node(id);
-        let attr = node.attribute().map_or(NONE, |a| a as u32);
-        let star = node.star().map_or(NONE, |s| self.resolve(pst, s));
-        let i = idx as usize;
-        self.name(idx, id, node.attribute());
-        if let Some(slot) = self.star.get_mut(i) {
-            *slot = star;
-        }
-        let map = &self.map;
-        let eq = node.eq_edges().iter();
-        self.eq
-            .fill(i, eq.map(|(v, c)| (v.clone(), resolve(map, pst, *c))));
-        let ranges = node.range_edges().iter();
-        self.ranges
-            .fill(i, ranges.map(|(t, c)| (t.clone(), resolve(map, pst, *c))));
-        if !node.eq_edges().is_empty() || !node.range_edges().is_empty() {
-            self.mark_tested(attr);
-        }
+        self.name(idx, id, pst.node(id).attribute());
+        self.mark_branching(pst, id);
         self.set_annotation(idx, annotations.get(id));
     }
 
-    /// Retires node slot `idx`: emptied, edge windows kept, blank again, it
-    /// waits on the free list for the next [`alloc`](Self::alloc).
+    /// Retires node slot `idx`: emptied, prefix window kept, blank again,
+    /// it waits on the free list for the next [`alloc`](Self::alloc).
     fn release(&mut self, idx: u32) {
         let at = idx as usize;
-        self.eq.clear(at);
-        self.ranges.clear(at);
         self.prefix.clear(at);
         if let Some(slot) = self.attr.get_mut(at) {
             *slot = NONE;
         }
-        if let Some(slot) = self.star.get_mut(at) {
-            *slot = NONE;
+        if let Some(slot) = self.end.get_mut(at) {
+            *slot = None;
         }
         if let Some(slot) = self.tail.get_mut(at) {
             *slot = Tail::NONE;
@@ -764,10 +680,8 @@ impl MatchArena {
             return;
         }
         self.attr.swap(a, b);
-        self.star.swap(a, b);
+        self.end.swap(a, b);
         self.tail.swap(a, b);
-        self.eq.spans.swap(a, b);
-        self.ranges.spans.swap(a, b);
         self.prefix.spans.swap(a, b);
         for word in 0..self.words_per_mask {
             self.ann_words.swap(
@@ -794,93 +708,17 @@ impl MatchArena {
         }
     }
 
-    /// Mirrors the edge the PST gained at `slot` of `parent`, leading to
-    /// `child`.
-    fn add_edge(
-        &mut self,
-        pst: &Pst,
-        key: &[Value],
-        parent: Option<NodeId>,
-        slot: EdgeSlot,
-        child: NodeId,
-    ) {
-        let target = self.resolve(pst, child);
-        let Some(parent) = parent else {
-            if let Err(at) = self.roots.binary_search_by(|(k, _)| (**k).cmp(key)) {
-                self.roots.insert(at, (key.into(), target));
-            }
-            return;
-        };
-        let p = self.translate(parent) as usize;
-        let node = pst.node(parent);
-        match slot {
-            EdgeSlot::Eq(at) => {
-                if let Some((value, _)) = node.eq_edges().get(at) {
-                    self.eq.insert(p, at, value.clone(), target);
-                }
-            }
-            EdgeSlot::Range(at) => {
-                if let Some((test, _)) = node.range_edges().get(at) {
-                    self.ranges.insert(p, at, test.clone(), target);
-                }
-            }
-            EdgeSlot::Star | EdgeSlot::Root => {
-                return self.retarget(pst, key, Some(parent), slot, child);
-            }
-        }
-        // A level that branches for the first time makes its attribute
-        // observable — future cache keys must include it.
-        self.mark_tested(node.attribute().map_or(NONE, |a| a as u32));
-    }
-
-    /// Mirrors the loss of the edge at `slot` of `parent`.
-    fn remove_edge(&mut self, key: &[Value], parent: Option<NodeId>, slot: EdgeSlot) {
-        let Some(parent) = parent else {
-            if let Ok(at) = self.roots.binary_search_by(|(k, _)| (**k).cmp(key)) {
-                self.roots.remove(at);
-            }
-            return;
-        };
-        let p = self.translate(parent) as usize;
-        match slot {
-            EdgeSlot::Eq(at) => self.eq.remove(p, at),
-            EdgeSlot::Range(at) => self.ranges.remove(p, at),
-            EdgeSlot::Star | EdgeSlot::Root => {
-                if let Some(star) = self.star.get_mut(p) {
-                    *star = NONE;
-                }
-            }
+    /// Files the new subtree root `root` under `key`.
+    fn add_root(&mut self, key: &[Value], root: NodeId) {
+        if let Err(at) = self.roots.binary_search_by(|(k, _)| (**k).cmp(key)) {
+            self.roots.insert(at, (key.into(), root));
         }
     }
 
-    /// Re-resolves the edge at `slot` of `parent` (the roots entry under
-    /// `key` when there is none) after `child`'s skip pointer moved.
-    fn retarget(
-        &mut self,
-        pst: &Pst,
-        key: &[Value],
-        parent: Option<NodeId>,
-        slot: EdgeSlot,
-        child: NodeId,
-    ) {
-        let target = self.resolve(pst, child);
-        let Some(parent) = parent else {
-            if let Ok(at) = self.roots.binary_search_by(|(k, _)| (**k).cmp(key)) {
-                if let Some(entry) = self.roots.get_mut(at) {
-                    entry.1 = target;
-                }
-            }
-            return;
-        };
-        let p = self.translate(parent) as usize;
-        match slot {
-            EdgeSlot::Eq(at) => self.eq.retarget(p, at, target),
-            EdgeSlot::Range(at) => self.ranges.retarget(p, at, target),
-            EdgeSlot::Star | EdgeSlot::Root => {
-                if let Some(star) = self.star.get_mut(p) {
-                    *star = target;
-                }
-            }
+    /// Drops the subtree root filed under `key`.
+    fn remove_root(&mut self, key: &[Value]) {
+        if let Ok(at) = self.roots.binary_search_by(|(k, _)| (**k).cmp(key)) {
+            self.roots.remove(at);
         }
     }
 
@@ -893,6 +731,15 @@ impl MatchArena {
         match annotation {
             Some(words) => slot.copy_from_slice(words),
             None => slot.fill(0),
+        }
+    }
+
+    /// Records that PST node `id`'s level branches on values, if it does:
+    /// future cache keys must include its attribute.
+    fn mark_branching(&mut self, pst: &Pst, id: NodeId) {
+        let node = pst.node(id);
+        if !node.eq_edges().is_empty() || !node.range_edges().is_empty() {
+            self.mark_tested(node.attribute().map_or(NONE, |a| a as u32));
         }
     }
 
@@ -922,10 +769,10 @@ impl MatchArena {
         self.attr.len() - self.free.len()
     }
 
-    /// Total length of the edge and prefix arrays: live entries plus span
-    /// slack plus windows abandoned by relocations.
+    /// Total length of the prefix arrays: live tests plus span slack plus
+    /// windows abandoned by relocations.
     pub fn edge_slots(&self) -> usize {
-        self.eq.labels.len() + self.ranges.labels.len() + self.prefix.labels.len()
+        self.prefix.tests.len()
     }
 
     /// How much of the logical tree the run compression folds away —
@@ -967,15 +814,20 @@ impl MatchArena {
         };
         let mut out = Vec::new();
         for (key, root) in &self.roots {
-            out.push(format!("{key:?} -> #{}", name(*root, &mut pending)));
+            let root = resolve(&self.map, pst, *root);
+            out.push(format!("{key:?} -> #{}", name(root, &mut pending)));
             while let Some(node) = pending.pop() {
                 let (i, mut fresh) = (node as usize, Vec::new());
                 let (tests, attrs) = self.prefix.edges(i);
-                let (values, eq) = self.eq.edges(i);
-                let (ranges, range) = self.ranges.edges(i);
-                let eq: Vec<_> = eq.iter().map(|c| name(*c, &mut fresh)).collect();
-                let range: Vec<_> = range.iter().map(|c| name(*c, &mut fresh)).collect();
-                let star = (self.star[i] != NONE).then(|| name(self.star[i], &mut fresh));
+                let end = self.end_of(pst, node);
+                let mut target = |c: &NodeId| name(resolve(&self.map, pst, *c), &mut fresh);
+                let (eq, ranges) =
+                    end.map_or((&[][..], &[][..]), |n| (n.eq_edges(), n.range_edges()));
+                let values: Vec<_> = eq.iter().map(|(v, _)| v).collect();
+                let eq: Vec<_> = eq.iter().map(|(_, c)| target(c)).collect();
+                let range: Vec<_> = ranges.iter().map(|(_, c)| target(c)).collect();
+                let ranges: Vec<_> = ranges.iter().map(|(t, _)| t).collect();
+                let star = end.and_then(|n| n.star()).map(|c| target(&c));
                 let own = name(node, &mut fresh);
                 // A tail by what it stands for, wherever its tests live.
                 let tail = self.tail[i];
@@ -997,7 +849,7 @@ impl MatchArena {
     /// The arena root for `event`'s factor key, found by binary search
     /// against the event's *borrowed* factored values — no per-event key
     /// allocation.
-    fn root_for_event(&self, event: &Event) -> Option<u32> {
+    fn root_for_event(&self, event: &Event) -> Option<NodeId> {
         let values = event.values();
         self.roots
             .binary_search_by(|(key, _)| {
@@ -1026,12 +878,19 @@ impl MatchArena {
         translate(&self.map, id)
     }
 
+    /// The PST node whose edges a search carries on along from `node`.
+    #[inline]
+    fn end_of<'p>(&self, pst: &'p Pst, node: u32) -> Option<NodeRef<'p>> {
+        pst.try_node((*self.end.get(node as usize)?)?)
+    }
+
     /// The §3.3 refinement search as an explicit work-stack walk over the
-    /// flattened tree of `pst` (the one this arena mirrors).
+    /// flattened tree of `pst` (the one this arena mirrors), along the
+    /// edges of `pst`'s own nodes.
     /// `scratch.slot(0)` must hold the tree's initialization mask on entry
     /// (with at least one `Maybe`); on return it holds the fully refined
     /// mask. A node's children are searched depth-first — the equality
-    /// child, the satisfied range edges in the order of their span, which a
+    /// child, the satisfied range edges in the order of their list, which a
     /// [`RangeLookup`] finds once the equality child has returned, then
     /// `*` — each with a copy of its mask, whose `Yes` trits are absorbed
     /// as the child returns, and a node is left as soon as no `Maybe`
@@ -1056,7 +915,7 @@ impl MatchArena {
         let entered = stats.steps;
         scratch.ensure(self.max_depth + 2, self.width);
         scratch.frames.clear();
-        scratch.frames.push(Frame::enter(root));
+        scratch.frames.push(Frame::enter(self.resolve(pst, root)));
         let values = event.values();
 
         'walk: while let Some(&Frame {
@@ -1119,41 +978,40 @@ impl MatchArena {
                     // way; prime the resume point before descending.
                     set_top(scratch, FrameState::Ranges, NONE, end);
                     stats.comparisons += 1;
-                    let child = self.eq_lookup(node, values);
-                    evidence.record(attr, self.eq.len(node as usize) as u64, child.is_some());
-                    if let Some(child) = child {
-                        scratch.descend(depth, child);
+                    let edges = self.end_of(pst, node).map_or(&[][..], |n| n.eq_edges());
+                    let child = values.get(attr as usize).and_then(|value| {
+                        let i = edges.binary_search_by(|(v, _)| v.cmp(value)).ok()?;
+                        edges.get(i)
+                    });
+                    evidence.record(attr, edges.len() as u64, child.is_some());
+                    if let Some((_, child)) = child {
+                        scratch.descend(depth, self.resolve(pst, *child));
                     }
                 }
                 FrameState::Ranges => {
                     let attr = self.attr.get(node as usize).copied().unwrap_or(NONE);
                     let value = values.get(attr as usize);
+                    let edges = self.end_of(pst, node).map_or(&[][..], |n| n.range_edges());
                     let (mut cur, mut end) = (cursor, end);
                     if cur == NONE {
                         // Back from the equality branch: find the run of
                         // range candidates.
-                        let (labels, _) = self.ranges.edges(node as usize);
-                        let lookup = value.map(|v| RangeLookup::new(labels, |t| t, v));
+                        let lookup = value.map(|v| RangeLookup::new(edges, |(t, _)| t, v));
                         let RangeLookup { candidates, probes } = lookup.unwrap_or_default();
                         stats.comparisons += probes;
-                        evidence.record(attr, labels.len() as u64, false);
-                        let start = self.ranges.spans.get(node as usize).map_or(0, |s| s.start);
-                        (cur, end) = (
-                            start + candidates.start as u32,
-                            start + candidates.end as u32,
-                        );
+                        evidence.record(attr, edges.len() as u64, false);
+                        (cur, end) = (candidates.start as u32, candidates.end as u32);
                     }
                     let mut child = None;
                     while cur < end {
-                        let i = cur as usize;
-                        cur += 1;
-                        let Some(test) = self.ranges.labels.get(i) else {
+                        let Some((test, target)) = edges.get(cur as usize) else {
                             break;
                         };
+                        cur += 1;
                         // The lookup decided every other candidate.
                         stats.comparisons += u64::from(matches!(test, AttrTest::Between(..)));
                         if value.is_some_and(|v| test.matches(v)) {
-                            child = self.ranges.children.get(i).copied();
+                            child = Some(self.resolve(pst, *target));
                             break;
                         }
                     }
@@ -1170,9 +1028,8 @@ impl MatchArena {
                 }
                 FrameState::Star => {
                     set_top(scratch, FrameState::Done, cursor, end);
-                    let star = self.star.get(node as usize).copied().unwrap_or(NONE);
-                    if star != NONE {
-                        scratch.descend(depth, star);
+                    if let Some(star) = self.end_of(pst, node).and_then(|n| n.star()) {
+                        scratch.descend(depth, self.resolve(pst, star));
                     }
                 }
                 FrameState::Done => {
@@ -1265,16 +1122,6 @@ impl MatchArena {
         debug_assert!(false, "walked a chain past its last test that can fail");
         false
     }
-
-    /// Binary search of the node's equality span for the event's value at
-    /// the node's attribute.
-    fn eq_lookup(&self, node: u32, values: &[Value]) -> Option<u32> {
-        let attr = self.attr.get(node as usize).copied()?;
-        let value = values.get(attr as usize)?;
-        let (labels, children) = self.eq.edges(node as usize);
-        let i = labels.binary_search_by(|v| v.cmp(value)).ok()?;
-        children.get(i).copied()
-    }
 }
 
 /// What [`MatchArena::summary`] reports.
@@ -1291,7 +1138,7 @@ pub struct ArenaSummary {
     /// Absorbed tests, Σ over runs: `covered_nodes` less the nodes the run
     /// rule leaves standing, which are what a search can count a step for.
     pub prefix_tests: usize,
-    /// Length of the edge and prefix arrays, dead slots included.
+    /// Length of the prefix arrays, dead slots included.
     pub edge_slots: usize,
     /// Node slots waiting for reuse.
     pub free_nodes: usize,
@@ -1331,14 +1178,12 @@ fn translate(map: &[u32], id: NodeId) -> u32 {
 
 /// The arena index a search entering PST node `id` lands on: that of its
 /// trivial-test skip target when elimination is on, else its own. (A tail
-/// whose chain opens with `*` tests is skipped into at walk time.) A
-/// function of `map` alone so edges can be resolved while an edge table is
-/// being written.
+/// whose chain opens with `*` tests is skipped into at walk time.)
+#[inline]
 fn resolve(map: &[u32], pst: &Pst, id: NodeId) -> u32 {
-    if !pst.options().eliminate_trivial_tests {
-        return translate(map, id);
-    }
-    translate(map, pst.node(id).skip().unwrap_or(id))
+    let skipping = pst.options().eliminate_trivial_tests;
+    let skip = skipping.then(|| pst.try_node(id)?.skip()).flatten();
+    translate(map, skip.unwrap_or(id))
 }
 
 /// Rewrites the top frame's resume point.
@@ -1374,10 +1219,10 @@ fn unwind(scratch: &mut MatchScratch) {
 struct Frame {
     /// Arena node index.
     node: u32,
-    /// Next range candidate to test (absolute index into the range table's
-    /// `labels`/`children`); `NONE` until they are looked up.
+    /// Next range candidate to test (index into the range edges of the PST
+    /// node the arena node ends with); `NONE` until they are looked up.
     cursor: u32,
-    /// End of the range candidates (absolute, exclusive).
+    /// End of the range candidates (exclusive).
     end: u32,
     state: FrameState,
 }

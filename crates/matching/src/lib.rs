@@ -58,7 +58,6 @@ pub use compact::compact_subscriptions;
 pub use matcher::{Matcher, MatcherError};
 pub use psg::Psg;
 pub use pst::{
-    Burst, EdgeSlot, MutationReport, NodeId, NodeRef, OrderPolicy, PathReport, Pst, PstOptions,
-    PstSummary,
+    MutationReport, NodeId, NodeRef, OrderPolicy, PathReport, Pst, PstOptions, PstSummary,
 };
 pub use stats::MatchStats;

@@ -130,50 +130,33 @@ impl Node {
         }
     }
 
-    /// Where the branch labeled `test` that leads to `child` sits.
-    pub(crate) fn slot_of(&self, test: &AttrTest, child: NodeId) -> Option<EdgeSlot> {
-        match test {
-            AttrTest::Any => (self.star == Some(child)).then_some(EdgeSlot::Star),
-            AttrTest::Eq(value) => self.eq_position(value).ok().map(EdgeSlot::Eq),
-            test => self.range_position(test).ok().map(EdgeSlot::Range),
-        }
-    }
-
     /// Adds a branch labeled `test` (which must not exist yet) to `child`.
-    pub(crate) fn attach(&mut self, test: AttrTest, child: NodeId) -> EdgeSlot {
+    pub(crate) fn attach(&mut self, test: AttrTest, child: NodeId) {
         match test {
-            AttrTest::Any => {
-                self.star = Some(child);
-                EdgeSlot::Star
-            }
+            AttrTest::Any => self.star = Some(child),
             AttrTest::Eq(value) => {
                 let at = self.eq_position(&value).unwrap_or_else(|at| at);
                 self.eq_edges.insert(at, (value, child));
-                EdgeSlot::Eq(at)
             }
             test => {
                 let at = self.range_position(&test).unwrap_or_else(|at| at);
                 self.range_edges.insert(at, (test, child));
-                EdgeSlot::Range(at)
             }
         }
     }
 
     /// Removes the branch labeled `test` leading to `child`, keeping the
-    /// order of the remaining ones.
-    pub(crate) fn detach(&mut self, test: &AttrTest, child: NodeId) -> Option<EdgeSlot> {
-        let slot = self.slot_of(test, child)?;
-        match slot {
-            EdgeSlot::Root => {}
-            EdgeSlot::Star => self.star = None,
-            EdgeSlot::Eq(at) => {
-                self.eq_edges.remove(at);
-            }
-            EdgeSlot::Range(at) => {
-                self.range_edges.remove(at);
-            }
+    /// order of the remaining ones; whether there was one.
+    pub(crate) fn detach(&mut self, test: &AttrTest, child: NodeId) -> bool {
+        match test {
+            AttrTest::Any => self.star.take_if(|star| *star == child).is_some(),
+            AttrTest::Eq(value) => (self.eq_position(value))
+                .map(|at| self.eq_edges.remove(at))
+                .is_ok(),
+            test => (self.range_position(test))
+                .map(|at| self.range_edges.remove(at))
+                .is_ok(),
         }
-        Some(slot)
     }
 
     /// Whether subscriptions are parked here (a leaf or a tail).
@@ -221,21 +204,6 @@ pub struct Pst {
     subscriptions: Slab,
 }
 
-/// Where an edge sits in its parent: the position a mirror of the tree (the
-/// link-matching arena) can patch without searching for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeSlot {
-    /// The factored-roots table entry under the path's key (no parent node).
-    Root,
-    /// Position in the parent's value-sorted equality edges.
-    Eq(usize),
-    /// Position in the parent's range edges, sorted by
-    /// [`AttrTest::range_cmp`].
-    Range(usize),
-    /// The parent's `*` branch.
-    Star,
-}
-
 /// What one insert or remove did along one root-to-leaf path.
 ///
 /// A mutation changes the *logical* tree — the one with every tail spelled
@@ -244,7 +212,7 @@ pub enum EdgeSlot {
 /// one (and the single-edge nodes left childless above it). Everything
 /// else it can change — annotations, skip pointers — lives on the path
 /// above. An insert that parts ways with an existing tail mid-chain first
-/// makes the shared levels of that chain real nodes ([`Burst`]), which
+/// makes the shared levels of that chain real nodes ([`burst`](Self::burst)), which
 /// changes which nodes exist but not the logical tree.
 #[derive(Debug, Clone)]
 pub struct PathReport {
@@ -252,27 +220,27 @@ pub struct PathReport {
     pub key: Box<[Value]>,
     /// Insert: the path from the root to the node the subscription is
     /// parked on. Remove: the prefix that survived. Re-annotating exactly
-    /// these nodes, bottom-up, restores annotation consistency.
+    /// these nodes, bottom-up, restores annotation consistency. The edge
+    /// from `nodes[i]` to `nodes[i + 1]` is labeled with the subscription's
+    /// test at level `i`.
     pub nodes: PathNodes,
     /// Index into `nodes` of the first node the insert created; every node
     /// after it is new too. `nodes.len()` when nothing was created.
     pub created: usize,
     /// Insert: set when `nodes[created - 1]` was a tail the newcomer
-    /// parted ways with.
-    pub burst: Option<Burst>,
+    /// parted ways with, to the node that took its subscriptions over.
+    /// The levels of the tail's chain the newcomer shares are now the real
+    /// nodes `nodes[created - 1..nodes.len() - 1]`; the last of them forks,
+    /// its older edge leading to this node (a shorter tail, or a leaf), its
+    /// newer one to the newcomer's own tail `nodes[nodes.len() - 1]`. Only
+    /// that last node is new to the logical tree.
+    pub burst: Option<NodeId>,
     /// Nodes the remove pruned, leaf first; side tables should drop their
     /// entries.
     pub freed: Vec<NodeId>,
-    /// Insert: the edge now leading to `nodes[created]`, in
-    /// `nodes[created - 1]` ([`EdgeSlot::Root`] when the root is new).
-    pub added: Option<EdgeSlot>,
-    /// Remove: the edge (and its label) that led from the last surviving
-    /// node to the pruned chain ([`EdgeSlot::Root`] when nothing survived).
-    pub removed: Option<(EdgeSlot, AttrTest)>,
-    /// `(i, slot)`: `nodes[i]` existed before and its skip pointer changed,
-    /// so whatever resolved the edge into it — `slot` of `nodes[i - 1]`,
-    /// [`EdgeSlot::Root`] for `i = 0` — through the old pointer is stale.
-    pub retargets: Vec<(usize, EdgeSlot)>,
+    /// Remove: the label of the edge that led from the last surviving node
+    /// to the pruned chain (`*` when nothing survived: the root went).
+    pub removed: Option<AttrTest>,
 }
 
 /// The nodes of a reported path, root first: a slice of [`NodeId`]s that
@@ -325,22 +293,6 @@ impl std::ops::Deref for PathNodes {
             &self.spill
         }
     }
-}
-
-/// How an insert burst the tail `nodes[created - 1]` of its [`PathReport`].
-///
-/// The levels of the tail's chain the newcomer shares are now the real
-/// nodes `nodes[created - 1..nodes.len() - 1]`; the last of them forks:
-/// its older edge leads to `parked`, where the tail's subscriptions went
-/// (a shorter tail, or a leaf), its newer one to the newcomer's own tail
-/// `nodes[nodes.len() - 1]`. Only that last node is new to the logical
-/// tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Burst {
-    /// The node now holding the burst tail's subscriptions.
-    pub parked: NodeId,
-    /// Where, in the forking node, the newcomer's edge sits.
-    pub forked: EdgeSlot,
 }
 
 /// Side effects of an insert or remove, for callers (the link-matching
@@ -470,6 +422,7 @@ impl Pst {
     }
 
     /// The options the tree was built with.
+    #[inline]
     pub fn options(&self) -> &PstOptions {
         &self.options
     }
@@ -531,10 +484,16 @@ impl Pst {
     ///
     /// Panics if `id` does not refer to a live node.
     pub fn node(&self, id: NodeId) -> NodeRef<'_> {
-        NodeRef {
-            pst: self,
-            node: self.node_inner(id),
-        }
+        self.try_node(id)
+            .unwrap_or_else(|| panic!("node {id} is not live"))
+    }
+
+    /// A read-only view of a node; `None` if `id` does not refer to a live
+    /// node.
+    #[inline]
+    pub fn try_node(&self, id: NodeId) -> Option<NodeRef<'_>> {
+        let node = self.nodes.get(id.index())?.as_ref()?;
+        Some(NodeRef { pst: self, node })
     }
 
     pub(crate) fn node_inner(&self, id: NodeId) -> &Node {
@@ -706,17 +665,20 @@ impl<'a> NodeRef<'a> {
     }
 
     /// Equality branches (value label, child), sorted by value.
+    #[inline]
     pub fn eq_edges(&self) -> &'a [(Value, NodeId)] {
         &self.node.eq_edges
     }
 
     /// Range branches (test label, child), sorted by
     /// [`AttrTest::range_cmp`].
+    #[inline]
     pub fn range_edges(&self) -> &'a [(AttrTest, NodeId)] {
         &self.node.range_edges
     }
 
     /// The `*` branch, if present.
+    #[inline]
     pub fn star(&self) -> Option<NodeId> {
         self.node.star
     }
@@ -748,6 +710,7 @@ impl<'a> NodeRef<'a> {
     /// The trivial-test-elimination skip target, if one is set: the deepest
     /// node a search entering this node can jump to without changing the
     /// outcome. Consumers flattening the tree resolve edges through this.
+    #[inline]
     pub fn skip(&self) -> Option<NodeId> {
         self.node.skip
     }

@@ -2,7 +2,7 @@
 
 use linkcast_types::{AttrTest, Subscription, SubscriptionId, Value};
 
-use super::{Burst, EdgeSlot, FactorKey, MutationReport, NodeId, PathNodes, PathReport, Pst};
+use super::{FactorKey, MutationReport, NodeId, PathNodes, PathReport, Pst};
 use crate::MatcherError;
 
 impl Pst {
@@ -32,21 +32,8 @@ impl Pst {
         let slot = self.subscriptions.vacant();
         let mut report = MutationReport::default();
         for key in self.factor_keys(&subscription) {
-            let mut path = self.insert_path(key, &subscription, slot);
-            // A search entered a tail whose chain opened with `*` levels
-            // below them, as if through a skip pointer. Burst with those
-            // levels still `*`-only it has a real pointer now, which
-            // differs from the none it had as a tail; forking at its own
-            // level it has none, like before, but is entered itself from
-            // now on.
-            let forks_off_star = |b: &Burst| {
-                let tail = path.created.checked_sub(1)?;
-                let forked = self.node_inner(*path.nodes.get(tail)?).star == Some(b.parked);
-                (forked && self.options.eliminate_trivial_tests).then_some(tail)
-            };
-            let reentered = path.burst.as_ref().and_then(forks_off_star);
-            path.retargets =
-                self.recompute_skips(&path.nodes, path.created, &subscription, reentered);
+            let path = self.insert_path(key, &subscription, slot);
+            self.recompute_skips(&path.nodes);
             report.push(path);
         }
         let filled = self.subscriptions.insert(subscription);
@@ -61,8 +48,8 @@ impl Pst {
         let (slot, subscription) = self.subscriptions.remove(id)?;
         let mut report = MutationReport::default();
         for key in self.factor_keys(&subscription) {
-            let mut path = self.remove_path(key, &subscription, slot);
-            path.retargets = self.recompute_skips(&path.nodes, path.created, &subscription, None);
+            let path = self.remove_path(key, &subscription, slot);
+            self.recompute_skips(&path.nodes);
             report.push(path);
         }
         Some(report)
@@ -123,19 +110,19 @@ impl Pst {
         slot: u32,
     ) -> PathReport {
         let mut nodes = PathNodes::default();
-        let mut added = None;
+        let mut created = None;
         let mut burst = None;
         let mut current = match self.roots.get(&key) {
             Some(&r) => r,
             None => {
                 let r = self.alloc(0);
                 self.roots.insert(key.clone(), r);
-                added = Some((0, EdgeSlot::Root));
+                created = Some(0);
                 r
             }
         };
         nodes.push(current);
-        while added.is_none() {
+        while created.is_none() {
             let level = nodes.len() - 1;
             let node = self.node_inner(current);
             if node.is_terminal() {
@@ -147,9 +134,15 @@ impl Pst {
                     break;
                 };
                 drop(chain);
-                let (tail, forked) =
-                    self.burst(current, shared, older, subscription, &mut nodes, &mut added);
-                burst = Some(forked);
+                let (tail, parked) = self.burst(
+                    current,
+                    shared,
+                    older,
+                    subscription,
+                    &mut nodes,
+                    &mut created,
+                );
+                burst = Some(parked);
                 current = tail;
                 break;
             }
@@ -158,8 +151,8 @@ impl Pst {
                 Some(c) => c,
                 None => {
                     let c = self.alloc((level + 1) as u16);
-                    let slot = self.node_mut(current).attach(test.clone(), c);
-                    added = Some((nodes.len(), slot));
+                    self.node_mut(current).attach(test.clone(), c);
+                    created = Some(nodes.len());
                     c
                 }
             };
@@ -168,13 +161,11 @@ impl Pst {
         self.node_mut(current).subs.insert(subscription.id(), slot);
         PathReport {
             key,
-            created: added.map_or(nodes.len(), |(at, _)| at),
+            created: created.unwrap_or(nodes.len()),
             nodes,
             burst,
             freed: Vec::new(),
-            added: added.map(|(_, slot)| slot),
             removed: None,
-            retargets: Vec::new(),
         }
     }
 
@@ -183,9 +174,9 @@ impl Pst {
     /// real single-edge nodes (appended to `nodes`), and the last of them
     /// forks — first the chain's own edge `older`, to a node that takes
     /// the tail's subscriptions over, then the newcomer's, to a fresh tail
-    /// (appended too, and returned). Every edge the tail's chain stood for
-    /// keeps its place before the newcomer's, as if the chain had been
-    /// real all along.
+    /// (appended too, and returned with the first). Every edge the tail's
+    /// chain stood for keeps its place before the newcomer's, as if the
+    /// chain had been real all along.
     fn burst(
         &mut self,
         tail: NodeId,
@@ -193,16 +184,16 @@ impl Pst {
         older: AttrTest,
         subscription: &Subscription,
         nodes: &mut PathNodes,
-        added: &mut Option<(usize, EdgeSlot)>,
-    ) -> (NodeId, Burst) {
+        created: &mut Option<usize>,
+    ) -> (NodeId, NodeId) {
         let parked_subs = std::mem::take(&mut self.node_mut(tail).subs);
         let mut fork = tail;
         for _ in 0..shared {
             let level = nodes.len() - 1;
             let below = self.alloc((level + 1) as u16);
             let test = self.test_at(subscription, level).clone();
-            let slot = self.node_mut(fork).attach(test, below);
-            added.get_or_insert((nodes.len(), slot));
+            self.node_mut(fork).attach(test, below);
+            created.get_or_insert(nodes.len());
             nodes.push(below);
             fork = below;
         }
@@ -212,10 +203,10 @@ impl Pst {
         self.node_mut(fork).attach(older, parked);
         let newcomer = self.alloc((level + 1) as u16);
         let test = self.test_at(subscription, level).clone();
-        let forked = self.node_mut(fork).attach(test, newcomer);
-        added.get_or_insert((nodes.len(), forked));
+        self.node_mut(fork).attach(test, newcomer);
+        created.get_or_insert(nodes.len());
         nodes.push(newcomer);
-        (newcomer, Burst { parked, forked })
+        (newcomer, parked)
     }
 
     /// Removes `subscription` from the leaf or tail its predicate leads to
@@ -233,9 +224,7 @@ impl Pst {
             created: 0,
             burst: None,
             freed: Vec::new(),
-            added: None,
             removed: None,
-            retargets: Vec::new(),
         };
         let Some(&root) = self.roots.get(&report.key) else {
             return report;
@@ -270,13 +259,12 @@ impl Pst {
             report.removed = match nodes.last() {
                 None => {
                     self.roots.remove(&report.key);
-                    Some((EdgeSlot::Root, AttrTest::Any))
+                    Some(AttrTest::Any)
                 }
                 Some(&parent) => {
                     let test = self.test_at(subscription, nodes.len() - 1);
-                    self.node_mut(parent)
-                        .detach(test, last)
-                        .map(|slot| (slot, test.clone()))
+                    let detached = self.node_mut(parent).detach(test, last);
+                    detached.then(|| test.clone())
                 }
             };
             self.dealloc(last);
@@ -290,42 +278,15 @@ impl Pst {
     /// Recomputes trivial-test-elimination skip pointers for the (live)
     /// nodes of `path`, bottom-up. A node whose only outgoing edge is `*`
     /// (and which parks no subscriptions) skips to the deepest node its
-    /// `*`-chain reaches. Returns, for every node among the first
-    /// `existing` that searches now enter elsewhere — its pointer changed,
-    /// it is `path[reentered]`, or it skips to such a node — its path index
-    /// and the slot of the edge leading into it.
-    fn recompute_skips(
-        &mut self,
-        path: &[NodeId],
-        existing: usize,
-        subscription: &Subscription,
-        reentered: Option<usize>,
-    ) -> Vec<(usize, EdgeSlot)> {
-        let mut retargets = Vec::new();
-        let mut moved = false;
-        for (i, &id) in path.iter().enumerate().rev() {
+    /// `*`-chain reaches.
+    fn recompute_skips(&mut self, path: &[NodeId]) {
+        for &id in path.iter().rev() {
             let node = self.node_inner(id);
-            let skip = if node.is_trivial() {
+            let skip = node.is_trivial().then(|| {
                 let star = node.star.expect("trivial nodes have a star child");
-                Some(self.node_inner(star).skip.unwrap_or(star))
-            } else {
-                None
-            };
-            moved = skip != node.skip || reentered == Some(i) || (moved && skip.is_some());
-            if !moved {
-                continue;
-            }
-            if i < existing {
-                let slot = match i.checked_sub(1) {
-                    None => Some(EdgeSlot::Root),
-                    Some(above) => self
-                        .node_inner(path[above])
-                        .slot_of(self.test_at(subscription, above), id),
-                };
-                retargets.extend(slot.map(|slot| (i, slot)));
-            }
+                self.node_inner(star).skip.unwrap_or(star)
+            });
             self.node_mut(id).skip = skip;
         }
-        retargets
     }
 }

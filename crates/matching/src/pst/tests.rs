@@ -5,7 +5,7 @@ use linkcast_types::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{EdgeSlot, MatchStats, Matcher, MatcherError, OrderPolicy, Pst, PstOptions};
+use crate::{MatchStats, Matcher, MatcherError, OrderPolicy, Pst, PstOptions};
 
 /// The brute-force answer: every predicate of `live` evaluated against
 /// `event`, the ids that hold in order.
@@ -145,10 +145,7 @@ fn removal_prunes_nodes_and_reports_freed() {
     let path = &report.paths()[0];
     assert_eq!(path.freed.len(), 1);
     assert_eq!(path.nodes.len(), 2);
-    assert_eq!(
-        path.removed,
-        Some((EdgeSlot::Eq(1), AttrTest::Eq(Value::Int(3))))
-    );
+    assert_eq!(path.removed, Some(AttrTest::Eq(Value::Int(3))));
     assert_eq!(pst.node_count(), before - 1);
     assert_eq!(pst.expanded_node_count(), 2 + 4);
     assert!(!pst.remove(SubscriptionId::new(1)));
@@ -254,9 +251,9 @@ fn identical_range_labels_share_an_edge() {
 }
 
 /// Range edges are kept in the range order whatever the insertion order:
-/// an insert lands at, and reports, its sorted position; a duplicate label
-/// reuses its edge; a removal reports the position it left, and the rest
-/// keep their order (invariant 7).
+/// an insert lands at its sorted position; a duplicate label reuses its
+/// edge; a removal reports the label it cut, and the rest keep their order
+/// (invariant 7).
 #[test]
 fn range_edges_stay_in_the_range_order() {
     let schema = figure2_schema();
@@ -296,8 +293,9 @@ fn range_edges_stay_in_the_range_order() {
         let path = &report.paths()[0];
         if live.len() > 1 {
             let at = live.iter().position(|&j| j == i).unwrap();
-            let slot = path.burst.map(|b| b.forked).or(path.added);
-            assert_eq!(slot, Some(EdgeSlot::Range(at)), "{}", sorted[i]);
+            let (_, root) = pst.roots().next().unwrap();
+            let newcomer = pst.node(root).range_edges()[at].1;
+            assert_eq!(newcomer, path.nodes[1], "{}", sorted[i]);
             assert_eq!(root_labels(&pst), labels(&live));
         }
         pst.check_invariants().unwrap();
@@ -321,10 +319,7 @@ fn range_edges_stay_in_the_range_order() {
         live.remove(at);
         if !live.is_empty() {
             let removed = report.unwrap().paths()[0].removed.clone();
-            assert_eq!(
-                removed,
-                Some((EdgeSlot::Range(at), labels(&[gone])[0].clone()))
-            );
+            assert_eq!(removed, Some(labels(&[gone])[0].clone()));
             assert_eq!(root_labels(&pst), labels(&live));
         }
         pst.check_invariants().unwrap();

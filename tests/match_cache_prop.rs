@@ -232,14 +232,12 @@ fn chains_schema() -> EventSchema {
 
 /// Garbage bound for the arena's in-place maintenance: 2048 chains that
 /// each hang off their own range edge of one `volume` node are installed
-/// one at a time (the node's span relocates eleven times on the way), then
-/// 10 000 unsubscribe/subscribe pairs retire the oldest chain for a fresh
-/// one. Throughout, the edge arrays may hold at most twice the live edges
-/// plus a constant, and once the table is full the node count must not
-/// move: pruned slots are reused, not leaked. (Re-appending whole spans,
-/// as the arena used to, overshoots the first bound a thousandfold.) The
-/// tests a chain's run absorbed live in prefix slots, counted on both
-/// sides of the bound.
+/// one at a time, then 10 000 unsubscribe/subscribe pairs retire the oldest
+/// chain for a fresh one. The edges stay in the tree's lists, and no run
+/// here absorbs a real node — each chain is one tail, whose tests stay in
+/// its predicate — so the arena's prefix arrays stay within the compaction
+/// floor throughout (one slot, measured), and once the table is full the
+/// node count must not move: pruned slots are reused, not leaked.
 #[test]
 fn churn_leaves_bounded_garbage() {
     const CHAINS: u64 = 2048;
@@ -275,16 +273,9 @@ fn churn_leaves_bounded_garbage() {
     let assert_bounded = |engine: &LinkMatchEngine, when: &str| {
         let pst = engine.pst();
         let arena = engine.arena().summary();
-        // Every value edge of the tree is an arena edge or a prefix test;
-        // the tests of the chain a tail stands for stay in its predicate.
-        let summary = pst.summary();
-        // All of them sit in the volume node's one span here, which grows
-        // by doubling: a window of at most twice its length, and windows
-        // abandoned on the way that add up to less than that again.
-        let live = summary.eq_edges + summary.range_edges;
         assert!(
-            arena.edge_slots <= 4 * live + 64,
-            "{when}: {} edge and prefix slots for {live} live edges",
+            arena.edge_slots <= 64,
+            "{when}: {} prefix slots",
             arena.edge_slots
         );
         assert_eq!(arena.covered_nodes, pst.expanded_node_count(), "{when}");
