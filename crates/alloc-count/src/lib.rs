@@ -21,7 +21,9 @@
 //! [`live_bytes_in`] measures what a code path *keeps*: the bytes the thread
 //! requested minus the bytes it gave back, a `realloc` counted as the
 //! difference between its sizes — capacity slack included, since a `Vec`
-//! asks for its capacity, not its length.
+//! asks for its capacity, not its length. [`largest_allocation_in`] measures
+//! the largest single request, which is what a decoder handed a lying length
+//! field would inflate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -31,6 +33,9 @@ thread_local! {
     /// Bytes requested minus bytes freed. Signed: a thread may free what
     /// another allocated.
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// The largest single request (an `alloc`'s size, a `realloc`'s new
+    /// size) since [`largest_allocation_in`] last reset it.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 fn count_one() {
@@ -42,17 +47,23 @@ fn count_bytes(delta: i64) {
     let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + delta));
 }
 
+fn note_size(size: usize) {
+    let _ = LARGEST.try_with(|n| n.set(n.get().max(size)));
+}
+
 /// The system allocator, counting the calling thread's requests.
 pub struct CountingAllocator;
 
 // SAFETY: every operation is the system allocator's, called with the
 // arguments this one was given; the bookkeeping in between touches only a
 // `const`-initialised thread-local `Cell<u64>`, which neither allocates nor
-// has a destructor; the same goes for the `Cell<i64>` of live bytes.
+// has a destructor; the same goes for the `Cell<i64>` of live bytes and the
+// `Cell<usize>` of the largest request.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
         count_bytes(layout.size() as i64);
+        note_size(layout.size());
         // SAFETY: the caller's contract for `alloc`, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -60,6 +71,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_one();
         count_bytes(layout.size() as i64);
+        note_size(layout.size());
         // SAFETY: the caller's contract for `alloc_zeroed`, passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -67,6 +79,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
         count_bytes(new_size as i64 - layout.size() as i64);
+        note_size(new_size);
         // SAFETY: the caller's contract for `realloc`, passed through; `ptr`
         // came from this allocator, which is to say from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -98,4 +111,15 @@ pub fn live_bytes_in<R>(f: impl FnOnce() -> R) -> (i64, R) {
     let before = LIVE_BYTES.with(Cell::get);
     let result = f();
     (LIVE_BYTES.with(Cell::get) - before, result)
+}
+
+/// Runs `f` and returns the size of the largest single allocation the
+/// calling thread requested meanwhile (a `realloc` counts its new size;
+/// zero unless [`CountingAllocator`] is the global allocator), with `f`'s
+/// result.
+pub fn largest_allocation_in<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let outer = LARGEST.with(|n| n.replace(0));
+    let result = f();
+    let largest = LARGEST.with(|n| n.replace(outer.max(n.get())));
+    (largest, result)
 }

@@ -40,76 +40,72 @@ fn bench_link_matching(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
 
     for subs in [2_000usize, 10_000] {
-        let world = topology39::build().expect("figure 6 builds");
-        let mut router =
-            ContentRouter::new(world.fabric.clone(), schema.clone(), options_for(&wconfig))
-                .unwrap();
-        let generator = SubscriptionGenerator::new(&wconfig, 11);
-        let mut rng = StdRng::seed_from_u64(11);
-        topology39::subscribe_random(&mut router, &world, &generator, subs, &mut rng).unwrap();
+        // Built by the first benchmark a name filter admits, if any.
+        let mut world = None;
+        let build = || {
+            let world = topology39::build().expect("figure 6 builds");
+            let mut router =
+                ContentRouter::new(world.fabric.clone(), schema.clone(), options_for(&wconfig))
+                    .unwrap();
+            let generator = SubscriptionGenerator::new(&wconfig, 11);
+            let mut rng = StdRng::seed_from_u64(11);
+            topology39::subscribe_random(&mut router, &world, &generator, subs, &mut rng).unwrap();
 
-        let events_gen = EventGenerator::new(&wconfig, 11);
-        let events: Vec<_> = (0..128).map(|_| events_gen.generate(&mut rng, 0)).collect();
-        let publisher = world.publishers[0].broker;
-        let tree = world.fabric.tree_for(publisher).unwrap();
+            let events_gen = EventGenerator::new(&wconfig, 11);
+            let events: Vec<_> = (0..128).map(|_| events_gen.generate(&mut rng, 0)).collect();
+            let publisher = world.publishers[0].broker;
+            let tree = world.fabric.tree_for(publisher).unwrap();
+            (router, events, publisher, tree)
+        };
 
         let mut scratch = RouteScratch::new();
         let mut links = Vec::new();
-        group.bench_with_input(
-            BenchmarkId::new("match_links_publisher", subs),
-            &events,
-            |b, events| {
-                b.iter(|| {
-                    let mut stats = MatchStats::new();
-                    let mut sent = 0usize;
-                    let engine = router.engine(publisher);
-                    for e in events {
-                        engine.match_links_into(
-                            black_box(e),
-                            tree,
-                            &mut scratch,
-                            &mut stats,
-                            &mut links,
-                        );
-                        sent += links.len();
-                    }
-                    sent
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("centralized_match", subs),
-            &events,
-            |b, events| {
-                b.iter(|| {
-                    let mut stats = MatchStats::new();
-                    let mut matched = 0usize;
-                    for e in events {
-                        matched += router
-                            .centralized_match(publisher, black_box(e), &mut stats)
-                            .len();
-                    }
-                    matched
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("full_multicast", subs),
-            &events,
-            |b, events| {
-                b.iter(|| {
-                    let mut recipients = 0usize;
-                    for e in events {
-                        recipients += router
-                            .publish(publisher, black_box(e))
-                            .unwrap()
-                            .recipients
-                            .len();
-                    }
-                    recipients
-                })
-            },
-        );
+        group.bench_function(BenchmarkId::new("match_links_publisher", subs), |b| {
+            let (router, events, publisher, tree) = world.get_or_insert_with(build);
+            b.iter(|| {
+                let mut stats = MatchStats::new();
+                let mut sent = 0usize;
+                let engine = router.engine(*publisher);
+                for e in events.iter() {
+                    engine.match_links_into(
+                        black_box(e),
+                        *tree,
+                        &mut scratch,
+                        &mut stats,
+                        &mut links,
+                    );
+                    sent += links.len();
+                }
+                sent
+            })
+        });
+        group.bench_function(BenchmarkId::new("centralized_match", subs), |b| {
+            let (router, events, publisher, _) = world.get_or_insert_with(build);
+            b.iter(|| {
+                let mut stats = MatchStats::new();
+                let mut matched = 0usize;
+                for e in events.iter() {
+                    matched += router
+                        .centralized_match(*publisher, black_box(e), &mut stats)
+                        .len();
+                }
+                matched
+            })
+        });
+        group.bench_function(BenchmarkId::new("full_multicast", subs), |b| {
+            let (router, events, publisher, _) = world.get_or_insert_with(build);
+            b.iter(|| {
+                let mut recipients = 0usize;
+                for e in events.iter() {
+                    recipients += router
+                        .publish(*publisher, black_box(e))
+                        .unwrap()
+                        .recipients
+                        .len();
+                }
+                recipients
+            })
+        });
     }
     group.finish();
 }
@@ -154,9 +150,6 @@ fn bench_subscribe_scaling(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(1));
     for fanout in [256i64, 1024, 4096] {
-        let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
-        let mut engine = LinkMatchEngine::new(home, schema.clone(), PstOptions::default(), space)
-            .expect("default options");
         let subscription = |j: i64| {
             let client = clients[j as usize % clients.len()];
             let broker = fabric.network().home_broker(client).expect("homed");
@@ -166,12 +159,22 @@ fn bench_subscribe_scaling(c: &mut Criterion) {
                 chain(j),
             )
         };
-        for j in 0..fanout {
-            engine.subscribe(subscription(j)).expect("fresh id");
-        }
+        // Built by the benchmark if a name filter admits it.
+        let mut engine = None;
+        let build = || {
+            let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
+            let mut engine =
+                LinkMatchEngine::new(home, schema.clone(), PstOptions::default(), space)
+                    .expect("default options");
+            for j in 0..fanout {
+                engine.subscribe(subscription(j)).expect("fresh id");
+            }
+            engine
+        };
         let mut next = fanout;
         let (mut subscribe, mut unsubscribe, mut pairs) = (Duration::ZERO, Duration::ZERO, 0u32);
         group.bench_function(BenchmarkId::new("churn_pair", fanout), |b| {
+            let engine = engine.get_or_insert_with(build);
             b.iter(|| {
                 let fresh = subscription(next);
                 let start = Instant::now();
@@ -192,7 +195,7 @@ fn bench_subscribe_scaling(c: &mut Criterion) {
             let label = format!("subscribe_scaling/{name}/{fanout}");
             println!("{label:<50} mean: [{:.0} ns]", mean.as_nanos());
         }
-        black_box(engine.arena().node_count());
+        black_box(engine.map(|engine| engine.arena().node_count()));
     }
     group.finish();
 }
@@ -241,23 +244,30 @@ fn bench_chain_depth(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(1));
     for depth in [1i64, 3, 6] {
-        let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
-        let mut engine = LinkMatchEngine::new(home, schema.clone(), PstOptions::default(), space)
-            .expect("default options");
-        for j in 0..CHAINS {
-            let client = clients[j as usize % clients.len()];
+        // Built by the benchmark if a name filter admits it.
+        let mut engine = None;
+        let build = || {
+            let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
+            let mut engine =
+                LinkMatchEngine::new(home, schema.clone(), PstOptions::default(), space)
+                    .expect("default options");
+            for j in 0..CHAINS {
+                let client = clients[j as usize % clients.len()];
+                engine
+                    .subscribe(Subscription::new(
+                        SubscriptionId::new(j as u32),
+                        SubscriberId::new(home, client),
+                        chain(j, depth),
+                    ))
+                    .expect("fresh id");
+            }
             engine
-                .subscribe(Subscription::new(
-                    SubscriptionId::new(j as u32),
-                    SubscriberId::new(home, client),
-                    chain(j, depth),
-                ))
-                .expect("fresh id");
-        }
+        };
         let mut scratch = RouteScratch::new();
         let mut links = Vec::new();
         let mut stats = MatchStats::new();
         group.bench_function(BenchmarkId::new("route", depth), |b| {
+            let engine = engine.get_or_insert_with(build);
             b.iter(|| {
                 for event in &events {
                     engine.match_links_into(
@@ -271,6 +281,9 @@ fn bench_chain_depth(c: &mut Criterion) {
                 }
             })
         });
+        let Some(engine) = engine else {
+            continue;
+        };
         println!(
             "chain_depth/steps_per_event/{depth:<27} {:.0}  ({} arena nodes for the {} nodes {} PST nodes stand for)",
             stats.steps_per_event(),
@@ -326,55 +339,70 @@ fn bench_order_adaptation(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(1));
     for chains in [256u64, 1024, 2048, 4096] {
-        let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
-        let mut engine = LinkMatchEngine::new(home, schema.clone(), PstOptions::default(), space)
-            .expect("default options");
-        let table =
-            std::iter::once((subscriber, "volume >= 0".to_string())).chain((1..=chains).map(|j| {
-                (
-                    decoy_clients[j as usize % decoy_clients.len()],
-                    decoy_chain(j),
-                )
-            }));
-        for (id, (client, predicate)) in table.enumerate() {
-            let broker = fabric.network().home_broker(client).expect("provisioned");
+        let build = || {
+            let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
+            let mut engine =
+                LinkMatchEngine::new(home, schema.clone(), PstOptions::default(), space)
+                    .expect("default options");
+            let table = std::iter::once((subscriber, "volume >= 0".to_string())).chain(
+                (1..=chains).map(|j| {
+                    (
+                        decoy_clients[j as usize % decoy_clients.len()],
+                        decoy_chain(j),
+                    )
+                }),
+            );
+            for (id, (client, predicate)) in table.enumerate() {
+                let broker = fabric.network().home_broker(client).expect("provisioned");
+                engine
+                    .subscribe(Subscription::new(
+                        SubscriptionId::new(id as u32),
+                        SubscriberId::new(broker, client),
+                        parse_predicate(&schema, &predicate).expect("well-formed predicate"),
+                    ))
+                    .expect("fresh id");
+            }
             engine
-                .subscribe(Subscription::new(
-                    SubscriptionId::new(id as u32),
-                    SubscriberId::new(broker, client),
-                    parse_predicate(&schema, &predicate).expect("well-formed predicate"),
-                ))
-                .expect("fresh id");
-        }
-
-        let mut links = Vec::new();
-        let mut route = |engine: &LinkMatchEngine, scratch: &mut RouteScratch| {
+        };
+        let route = |engine: &LinkMatchEngine, scratch: &mut RouteScratch, links: &mut Vec<_>| {
             let mut stats = MatchStats::new();
             for event in &events {
-                engine.match_links_into(black_box(event), tree, scratch, &mut stats, &mut links);
+                engine.match_links_into(black_box(event), tree, scratch, &mut stats, links);
                 assert_eq!(links.len(), 1, "towards the subscriber, nowhere else");
             }
             stats.steps_per_event()
         };
+        // Built by the first benchmark a name filter admits, if any, and
+        // reordered before `route_after` runs.
+        let mut engine = None;
+        let mut adapted = None;
         // The samples walk through a scratch of their own, so the engine's
         // evidence is exactly the 256 events that make its first check due.
-        let mut bench_scratch = RouteScratch::new();
+        let (mut bench_scratch, mut bench_links) = (RouteScratch::new(), Vec::new());
         group.bench_function(BenchmarkId::new("route_before", chains), |b| {
-            b.iter(|| route(&engine, &mut bench_scratch))
+            let engine = engine.get_or_insert_with(build);
+            b.iter(|| route(engine, &mut bench_scratch, &mut bench_links))
         });
-        let mut scratch = RouteScratch::new();
-        let steps_before = route(&engine, &mut scratch);
-        let nodes_before = engine.arena().node_count();
-        let start = Instant::now();
-        assert!(
-            engine.adapt_order(&mut scratch),
-            "256 walked events: a check"
-        );
-        let rebuild = start.elapsed();
+        let (mut scratch, mut links) = (RouteScratch::new(), Vec::new());
+        let mut adapt = |mut engine: LinkMatchEngine| {
+            let steps_before = route(&engine, &mut scratch, &mut links);
+            let nodes_before = engine.arena().node_count();
+            let start = Instant::now();
+            assert!(
+                engine.adapt_order(&mut scratch),
+                "256 walked events: a check"
+            );
+            (engine, steps_before, nodes_before, start.elapsed())
+        };
         group.bench_function(BenchmarkId::new("route_after", chains), |b| {
-            b.iter(|| route(&engine, &mut bench_scratch))
+            let (engine, ..) =
+                adapted.get_or_insert_with(|| adapt(engine.take().unwrap_or_else(build)));
+            b.iter(|| route(engine, &mut bench_scratch, &mut bench_links))
         });
-        let steps_after = route(&engine, &mut scratch);
+        let Some((engine, steps_before, nodes_before, rebuild)) = adapted else {
+            continue;
+        };
+        let steps_after = route(&engine, &mut scratch, &mut links);
         println!(
             "order_adaptation/steps_per_event/{chains:<22} before: {steps_before:.0}  after: {steps_after:.0}  \
              rebuild: {:.2} ms  ({nodes_before} -> {} arena nodes)",
@@ -430,24 +458,26 @@ fn bench_install_from_empty(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(1));
     for chains in [256u64, 2048, 16384] {
-        let decoys = (1..=chains).map(|j| {
-            let client = decoy_clients[j as usize % decoy_clients.len()];
-            (client, decoy_chain(j))
-        });
-        let table: Vec<Subscription> = std::iter::once((subscriber, "volume >= 0".to_string()))
-            .chain(decoys)
-            .enumerate()
-            .map(|(id, (client, predicate))| {
-                let broker = fabric.network().home_broker(client).expect("provisioned");
-                Subscription::new(
-                    SubscriptionId::new(id as u32),
-                    SubscriberId::new(broker, client),
-                    parse_predicate(&schema, &predicate).expect("well-formed predicate"),
-                )
-            })
-            .collect();
-        let install = |engine: &mut LinkMatchEngine| {
-            let subscriptions = table.clone();
+        let build_table = || -> Vec<Subscription> {
+            let decoys = (1..=chains).map(|j| {
+                let client = decoy_clients[j as usize % decoy_clients.len()];
+                (client, decoy_chain(j))
+            });
+            std::iter::once((subscriber, "volume >= 0".to_string()))
+                .chain(decoys)
+                .enumerate()
+                .map(|(id, (client, predicate))| {
+                    let broker = fabric.network().home_broker(client).expect("provisioned");
+                    Subscription::new(
+                        SubscriptionId::new(id as u32),
+                        SubscriberId::new(broker, client),
+                        parse_predicate(&schema, &predicate).expect("well-formed predicate"),
+                    )
+                })
+                .collect()
+        };
+        let install = |engine: &mut LinkMatchEngine, table: &[Subscription]| {
+            let subscriptions = table.to_vec();
             let start = Instant::now();
             for subscription in subscriptions {
                 engine.subscribe(subscription).expect("fresh id");
@@ -455,26 +485,36 @@ fn bench_install_from_empty(c: &mut Criterion) {
             start.elapsed()
         };
 
+        // Built by the first benchmark a name filter admits, if any.
+        let (mut table, mut engine) = (None, None);
         let (mut cold, mut warm, mut colds, mut warms) = (Duration::ZERO, Duration::ZERO, 0, 0);
         group.bench_function(BenchmarkId::new("cold", chains), |b| {
+            let table = table.get_or_insert_with(build_table);
             b.iter(|| {
                 let mut engine = new_engine();
-                cold += install(&mut engine);
+                cold += install(&mut engine, table);
                 colds += 1;
                 engine
             })
         });
-        let mut engine = new_engine();
-        install(&mut engine);
         group.bench_function(BenchmarkId::new("warm", chains), |b| {
+            let table = table.get_or_insert_with(build_table);
+            let engine = engine.get_or_insert_with(|| {
+                let mut engine = new_engine();
+                install(&mut engine, table);
+                engine
+            });
             b.iter(|| {
-                for subscription in &table {
+                for subscription in table.iter() {
                     engine.unsubscribe(subscription.id());
                 }
-                warm += install(&mut engine);
+                warm += install(engine, table);
                 warms += 1;
             })
         });
+        let Some(table) = table else {
+            continue;
+        };
         let per_subscribe = |total: Duration, installs: u32| {
             total.as_nanos() as f64 / f64::from(installs) / table.len() as f64
         };
@@ -496,10 +536,10 @@ fn bench_install_from_empty(c: &mut Criterion) {
             per_subscribe(warm, warms),
             allocations as f64 / table.len() as f64,
             bytes as f64 / table.len() as f64,
-            engine.pst().node_count() as f64 / table.len() as f64,
-            engine.arena().node_count() as f64 / table.len() as f64,
-            engine.pst().node_count(),
-            engine.pst().expanded_node_count(),
+            counted.pst().node_count() as f64 / table.len() as f64,
+            counted.arena().node_count() as f64 / table.len() as f64,
+            counted.pst().node_count(),
+            counted.pst().expanded_node_count(),
         );
     }
     group.finish();

@@ -1,9 +1,5 @@
 //! The broker node: threads, recovery and lifecycle around the protocol
 //! core, [`BrokerCore`], which its engine thread steps.
-#![expect(
-    clippy::disallowed_methods,
-    reason = "shell: the engine thread reads the clock it hands the core, and a boot nonce salts with the time"
-)]
 
 use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, SocketAddr};
@@ -11,11 +7,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use linkcast::RoutingFabric;
 use linkcast_matching::MatchStats;
-use linkcast_types::{wire, BrokerId, SchemaId, SchemaRegistry, Subscription, SubscriptionId};
+use linkcast_types::wire::{self, Reader};
+use linkcast_types::{BrokerId, SchemaId, SchemaRegistry, Subscription, SubscriptionId};
 
 use crate::broker_core::{BrokerCore, Out, STATE_SNAPSHOT, WAL_LOG};
 use crate::control::{SubIdAllocator, TombstoneSet};
@@ -206,6 +203,10 @@ impl BrokerNode {
     /// # Errors
     ///
     /// I/O errors from binding, or engine construction errors (boxed).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shell: the engine thread starts at the clock it hands the core"
+    )]
     pub fn start(config: BrokerConfig) -> Result<BrokerNode, Box<dyn std::error::Error>> {
         let listener = config.transport.bind(config.listen)?;
         let addr = listener.local_addr()?;
@@ -282,6 +283,10 @@ impl BrokerNode {
     /// retransmitted after the handshake, with receiver-side sequence dedup
     /// discarding any copies that had already crossed before the flap —
     /// at-least-once across the link, exactly-once into client logs.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shell: a link is established at the clock it hands the core"
+    )]
     pub fn connect_to_persistent(&self, neighbor: BrokerId, addr: SocketAddr) {
         let cmd_tx = self.cmd_tx.clone();
         let outbox = Arc::clone(&self.outbox);
@@ -506,6 +511,10 @@ impl Drop for LocalConn {
 /// embedded-cluster case — always differ) salted with startup time in the
 /// low bits (so counter collisions across separate processes still
 /// differ in practice).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "shell: a boot nonce salts with the time"
+)]
 fn mint_incarnation() -> u64 {
     static COUNTER: AtomicU64 = AtomicU64::new(1);
     let nanos = std::time::SystemTime::now()
@@ -513,11 +522,6 @@ fn mint_incarnation() -> u64 {
         .map_or(0, |d| u64::from(d.subsec_nanos()));
     (COUNTER.fetch_add(1, Ordering::Relaxed) << 32) | (nanos & 0xffff_ffff)
 }
-
-/// Upper bound on any count field in a snapshot. Snapshots are
-/// self-written (never peer input), so a larger count only ever means
-/// corruption — reject the snapshot rather than trust the length.
-const MAX_SNAPSHOT_ITEMS: u32 = 1 << 24;
 
 /// Broker state rebuilt by [`recover`] (or fresh) and handed to the core
 /// at boot.
@@ -591,94 +595,62 @@ pub(crate) fn encode_snapshot(
     b
 }
 
-/// Reads a length-prefixed count, rejecting corrupt (absurdly large)
-/// values before any caller sizes a loop by them.
-fn snap_count(buf: &mut &[u8]) -> Option<u32> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32_le();
-    if n > MAX_SNAPSHOT_ITEMS {
-        return None;
-    }
-    Some(n)
-}
-
 /// Decodes a snapshot written by [`encode_snapshot`]. Returns `None` on
 /// any structural violation: the caller falls back to a fresh boot (a new
 /// incarnation makes the discarded sequence space inert network-wide,
 /// so a corrupt snapshot costs durability, never correctness).
-fn decode_snapshot(mut data: &[u8], registry: &SchemaRegistry) -> Option<Recovered> {
-    let buf = &mut data;
-    if buf.remaining() < 8 + 4 {
-        return None;
-    }
-    let incarnation = buf.get_u64_le();
-    let counter = buf.get_u32_le();
-    let n_free = snap_count(buf)?;
-    let mut free = Vec::new();
-    for _ in 0..n_free {
-        if buf.remaining() < 4 {
-            return None;
-        }
-        free.push(buf.get_u32_le());
+pub(crate) fn decode_snapshot(data: &[u8], registry: &SchemaRegistry) -> Option<Recovered> {
+    read_snapshot(&mut Reader::new(data), registry).ok()
+}
+
+fn read_snapshot(
+    r: &mut Reader<'_>,
+    registry: &SchemaRegistry,
+) -> linkcast_types::Result<Recovered> {
+    let incarnation = r.u64()?;
+    let counter = r.u32()?;
+    let n_free = r.count32(4, "free subscription ids")?;
+    let mut free = n_free.vec();
+    for _ in 0..n_free.get() {
+        free.push(r.u32()?);
     }
     let mut recovered = Recovered {
         incarnation,
         sub_ids: SubIdAllocator::restore(counter, free),
         ..Recovered::default()
     };
-    let n_tombs = snap_count(buf)?;
-    for _ in 0..n_tombs {
-        if buf.remaining() < 4 {
-            return None;
-        }
-        recovered
-            .tombstones
-            .insert(SubscriptionId::new(buf.get_u32_le()));
+    for _ in 0..r.count32(4, "tombstones")?.get() {
+        recovered.tombstones.insert(SubscriptionId::new(r.u32()?));
     }
-    let n_recv = snap_count(buf)?;
-    for _ in 0..n_recv {
-        if buf.remaining() < 4 + 8 + 8 {
-            return None;
-        }
-        let link = recovered.link(buf.get_u32_le());
-        let (peer_incarnation, seq) = (buf.get_u64_le(), buf.get_u64_le());
+    for _ in 0..r.count32(4 + 8 + 8, "receive windows")?.get() {
+        let link = recovered.link(r.u32()?);
+        let (peer_incarnation, seq) = (r.u64()?, r.u64()?);
         link.recover_mark(peer_incarnation, seq);
     }
-    let n_spools = snap_count(buf)?;
-    for _ in 0..n_spools {
-        if buf.remaining() < 4 + 8 {
-            return None;
-        }
-        let link = recovered.link(buf.get_u32_le());
-        let acked = buf.get_u64_le();
+    for _ in 0..r.count32(4 + 8 + 4, "spools")?.get() {
+        let link = recovered.link(r.u32()?);
+        let acked = r.u64()?;
         link.recover_floor(acked);
-        let n_frames = snap_count(buf)?;
-        for i in 0..u64::from(n_frames) {
-            if buf.remaining() < 4 {
-                return None;
-            }
-            let len = buf.get_u32_le() as usize;
-            if len > crate::protocol::MAX_FRAME {
-                return None;
-            }
-            let head = buf.get(..len)?;
-            link.recover_append(acked.saturating_add(1 + i), Bytes::copy_from_slice(head));
-            buf.advance(len);
+        let n_frames = r.count32(4, "spooled frames")?;
+        for i in 0..n_frames.get() as u64 {
+            let len = r.length("a spooled frame")?;
+            link.recover_append(
+                acked.saturating_add(1 + i),
+                Bytes::copy_from_slice(r.take(len)?),
+            );
         }
     }
-    let n_subs = snap_count(buf)?;
-    for _ in 0..n_subs {
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let schema_id = SchemaId::new(buf.get_u32_le());
-        let schema = registry.get(schema_id)?;
-        let subscription = wire::get_subscription(buf, schema).ok()?;
-        recovered.subscriptions.push((schema_id, subscription));
+    for _ in 0..r.count32(4 + 14, "subscriptions")?.get() {
+        let schema_id = SchemaId::new(r.u32()?);
+        let schema = registry
+            .get(schema_id)
+            .ok_or_else(|| linkcast_types::Error::Decode(format!("unknown schema {schema_id}")))?;
+        recovered
+            .subscriptions
+            .push((schema_id, r.subscription(schema)?));
     }
-    Some(recovered)
+    r.finish("the snapshot")?;
+    Ok(recovered)
 }
 
 /// Rebuilds broker state from storage: snapshot first, then the WAL
@@ -745,6 +717,10 @@ pub(crate) fn recover(
 /// The wait for a command ends at the core's next deadline, the time is
 /// read once per wake-up, and the core's timers are offered that time after
 /// every command, so a mailbox that never empties delays them by one.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "shell: the engine thread reads the clock it hands the core"
+)]
 fn run(mut core: BrokerCore<Arc<Outbox>>, cmd_rx: Receiver<Command>) {
     let mut now = Instant::now();
     loop {

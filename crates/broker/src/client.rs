@@ -1,9 +1,5 @@
 //! Client library for connecting to broker nodes over a transport
 //! (TCP by default; see [`Client::connect_via`] for others).
-#![expect(
-    clippy::disallowed_methods,
-    reason = "shell: reply and delivery deadlines read the clock"
-)]
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -242,6 +238,10 @@ impl Client {
     /// # Errors
     ///
     /// See [`Client::recv`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shell: reply and delivery deadlines read the clock"
+    )]
     pub fn recv_unacked(&mut self, timeout: Duration) -> Result<(u64, Event), ClientError> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -294,6 +294,10 @@ impl Client {
 
     /// Waits up to [`REPLY_TIMEOUT`] for the broker's reply to a request;
     /// deliveries that arrive first queue in the inbox.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shell: reply and delivery deadlines read the clock"
+    )]
     fn await_reply(&mut self) -> Result<BrokerToClient, ClientError> {
         let deadline = Instant::now() + REPLY_TIMEOUT;
         loop {
@@ -308,6 +312,10 @@ impl Client {
     /// other frame is the reply to it. This is the client's one match over
     /// [`BrokerToClient`], and it names every variant: one added to the
     /// protocol does not build until it is given a case here.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shell: reply and delivery deadlines read the clock"
+    )]
     fn read_reply(&mut self, deadline: Instant) -> Result<Option<BrokerToClient>, ClientError> {
         match self.read_message(deadline.saturating_duration_since(Instant::now()))? {
             BrokerToClient::Deliver { seq, event } => {
@@ -323,6 +331,10 @@ impl Client {
     }
 
     /// Reads the next broker message, waiting at most `timeout`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shell: reply and delivery deadlines read the clock"
+    )]
     fn read_message(&mut self, timeout: Duration) -> Result<BrokerToClient, ClientError> {
         let deadline = Instant::now() + timeout;
         loop {

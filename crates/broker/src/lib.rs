@@ -40,10 +40,11 @@
 // `#[expect(clippy::disallowed_types, reason = "leaf: …")]`, so a lock
 // declared anywhere else fails here, and one deleted leaves a stale expect.
 #![deny(clippy::disallowed_types)]
-// The protocol the simulator steps in virtual time is handed `now`: only the
-// shell modules that own threads and sockets (`broker`, `client`,
-// `transport`, `outbox`) read a clock, each under a module-level `#![expect]`.
-// Tests pick their own base instant.
+// The protocol the simulator steps in virtual time is handed `now`: only
+// functions of the shell modules that own threads and sockets (`broker`,
+// `client`, `transport`, `outbox`) read a clock, each under an `#[expect]`.
+// Tests pick their own base instant. The same lint holds the wire rule:
+// every decoder reads through `linkcast_types::wire::Reader`.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 /// Unit tests pin allocation counts where the subject is not public (the
@@ -57,6 +58,8 @@ mod broker_core;
 mod client;
 mod control;
 mod counters;
+#[cfg(test)]
+mod decode_fuzz;
 mod engine;
 mod link;
 mod log;

@@ -12,10 +12,6 @@
 //! The outbox's two locks are leaves (docs/LOCK_ORDER.md): the connection
 //! table's and each connection's queue, each a private field of a type in
 //! its own module here, whose methods take it and let go before returning.
-#![expect(
-    clippy::disallowed_methods,
-    reason = "shell: the drain deadline reads the clock"
-)]
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -346,6 +342,10 @@ impl Outbox {
     /// all of them have finished or `deadline` passes, after which the
     /// stragglers are cut off. Always stops the sender pool. Returns
     /// whether every queue flushed in time.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shell: the drain deadline reads the clock"
+    )]
     pub(crate) fn drain_all(&self, deadline: Duration) -> bool {
         let conns = self.conns.take_all();
         for conn in &conns {

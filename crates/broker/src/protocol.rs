@@ -5,10 +5,11 @@
 //! subscriptions reuse the [`linkcast_types::wire`] codec.
 
 use crate::counters::NodeCounters;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use linkcast::TreeId;
+use linkcast_types::wire::{self, Reader};
 use linkcast_types::{
-    wire, BrokerId, ClientId, Event, SchemaId, SchemaRegistry, Subscription, SubscriptionId,
+    BrokerId, ClientId, Event, SchemaId, SchemaRegistry, Subscription, SubscriptionId,
 };
 use std::fmt;
 
@@ -283,7 +284,7 @@ macro_rules! frame_tags {
         impl FrameTag {
             /// Every tag, in declaration order.
             #[cfg(test)]
-            const ALL: &'static [FrameTag] = &[$(FrameTag::$tag),+];
+            pub(crate) const ALL: &'static [FrameTag] = &[$(FrameTag::$tag),+];
 
             /// The tag `byte` stands for, if it stands for one.
             pub(crate) fn from_byte(byte: u8) -> Option<FrameTag> {
@@ -490,52 +491,28 @@ impl ClientToBroker {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Malformed`] on truncation, unknown tags, or schema
-    /// violations.
-    pub fn decode(mut payload: Bytes, registry: &SchemaRegistry) -> Result<Self, ProtocolError> {
-        let buf = &mut payload;
-        if buf.remaining() < 1 {
-            return Err(ProtocolError::Malformed("empty payload".into()));
-        }
-        let tag = buf.get_u8();
-        match FrameTag::from_byte(tag) {
-            Some(FrameTag::ClientHello) => {
-                if buf.remaining() < 12 {
-                    return Err(ProtocolError::Malformed("short hello".into()));
-                }
-                Ok(ClientToBroker::Hello {
-                    client: ClientId::new(buf.get_u32_le()),
-                    resume_from: buf.get_u64_le(),
-                })
-            }
-            Some(FrameTag::Subscribe) => {
-                if buf.remaining() < 4 {
-                    return Err(ProtocolError::Malformed("short subscribe".into()));
-                }
-                let schema = SchemaId::new(buf.get_u32_le());
-                let expression = wire::get_str(buf)?;
-                Ok(ClientToBroker::Subscribe { schema, expression })
-            }
-            Some(FrameTag::Unsubscribe) => {
-                if buf.remaining() < 4 {
-                    return Err(ProtocolError::Malformed("short unsubscribe".into()));
-                }
-                Ok(ClientToBroker::Unsubscribe {
-                    id: SubscriptionId::new(buf.get_u32_le()),
-                })
-            }
-            Some(FrameTag::Publish) => Ok(ClientToBroker::Publish {
-                event: wire::get_event(buf, registry)?,
-            }),
-            Some(FrameTag::Ack) => {
-                if buf.remaining() < 8 {
-                    return Err(ProtocolError::Malformed("short ack".into()));
-                }
-                Ok(ClientToBroker::Ack {
-                    seq: buf.get_u64_le(),
-                })
-            }
-            Some(FrameTag::StatsRequest) => Ok(ClientToBroker::StatsRequest),
+    /// [`ProtocolError::Malformed`] on truncation, bytes after the message,
+    /// unknown tags, or schema violations.
+    pub fn decode(payload: Bytes, registry: &SchemaRegistry) -> Result<Self, ProtocolError> {
+        let mut r = Reader::new(&payload);
+        let tag = r.u8()?;
+        let message = match FrameTag::from_byte(tag) {
+            Some(FrameTag::ClientHello) => ClientToBroker::Hello {
+                client: ClientId::new(r.u32()?),
+                resume_from: r.u64()?,
+            },
+            Some(FrameTag::Subscribe) => ClientToBroker::Subscribe {
+                schema: SchemaId::new(r.u32()?),
+                expression: r.str()?.to_owned(),
+            },
+            Some(FrameTag::Unsubscribe) => ClientToBroker::Unsubscribe {
+                id: SubscriptionId::new(r.u32()?),
+            },
+            Some(FrameTag::Publish) => ClientToBroker::Publish {
+                event: r.event(registry)?,
+            },
+            Some(FrameTag::Ack) => ClientToBroker::Ack { seq: r.u64()? },
+            Some(FrameTag::StatsRequest) => ClientToBroker::StatsRequest,
             // Broker-to-client and broker-to-broker tags.
             Some(
                 FrameTag::Welcome
@@ -554,10 +531,14 @@ impl ClientToBroker {
                 | FrameTag::LinkDown
                 | FrameTag::LinkUp,
             )
-            | None => Err(ProtocolError::Malformed(format!(
-                "unknown client message tag {tag:#x}"
-            ))),
-        }
+            | None => {
+                return Err(ProtocolError::Malformed(format!(
+                    "unknown client message tag {tag:#x}"
+                )))
+            }
+        };
+        r.finish("the frame")?;
+        Ok(message)
     }
 }
 
@@ -614,65 +595,45 @@ impl BrokerToClient {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Malformed`] on truncation, unknown tags, or schema
-    /// violations.
-    pub fn decode(mut payload: Bytes, registry: &SchemaRegistry) -> Result<Self, ProtocolError> {
-        let buf = &mut payload;
-        if buf.remaining() < 1 {
-            return Err(ProtocolError::Malformed("empty payload".into()));
-        }
-        let tag = buf.get_u8();
-        match FrameTag::from_byte(tag) {
-            Some(FrameTag::Welcome) => {
-                if buf.remaining() < 12 {
-                    return Err(ProtocolError::Malformed("short welcome".into()));
-                }
-                Ok(BrokerToClient::Welcome {
-                    client: ClientId::new(buf.get_u32_le()),
-                    resume_from: buf.get_u64_le(),
-                })
-            }
-            Some(FrameTag::Deliver) => {
-                if buf.remaining() < 8 {
-                    return Err(ProtocolError::Malformed("short deliver".into()));
-                }
-                let seq = buf.get_u64_le();
-                let event = wire::get_event(buf, registry)?;
-                Ok(BrokerToClient::Deliver { seq, event })
-            }
-            Some(FrameTag::SubAck) => {
-                if buf.remaining() < 4 {
-                    return Err(ProtocolError::Malformed("short suback".into()));
-                }
-                Ok(BrokerToClient::SubAck {
-                    id: SubscriptionId::new(buf.get_u32_le()),
-                })
-            }
-            Some(FrameTag::UnsubAck) => {
-                if buf.remaining() < 4 {
-                    return Err(ProtocolError::Malformed("short unsuback".into()));
-                }
-                Ok(BrokerToClient::UnsubAck {
-                    id: SubscriptionId::new(buf.get_u32_le()),
-                })
-            }
-            Some(FrameTag::Error) => Ok(BrokerToClient::Error {
-                message: wire::get_str(buf)?,
-            }),
+    /// [`ProtocolError::Malformed`] on truncation, bytes after the message,
+    /// unknown tags, or schema violations.
+    pub fn decode(payload: Bytes, registry: &SchemaRegistry) -> Result<Self, ProtocolError> {
+        let mut r = Reader::new(&payload);
+        let tag = r.u8()?;
+        let message = match FrameTag::from_byte(tag) {
+            Some(FrameTag::Welcome) => BrokerToClient::Welcome {
+                client: ClientId::new(r.u32()?),
+                resume_from: r.u64()?,
+            },
+            Some(FrameTag::Deliver) => BrokerToClient::Deliver {
+                seq: r.u64()?,
+                event: r.event(registry)?,
+            },
+            Some(FrameTag::SubAck) => BrokerToClient::SubAck {
+                id: SubscriptionId::new(r.u32()?),
+            },
+            Some(FrameTag::UnsubAck) => BrokerToClient::UnsubAck {
+                id: SubscriptionId::new(r.u32()?),
+            },
+            Some(FrameTag::Error) => BrokerToClient::Error {
+                message: r.str()?.to_owned(),
+            },
             Some(FrameTag::Stats) => {
-                // Forward-compatible prefix decoding: the Stats frame has
-                // grown (64 → 72 → 104 → 128 bytes) as counters were added,
-                // and will grow again. `NodeCounters::decode_wire` (macro-
-                // generated from the counter registry) reads whatever whole
-                // counters are present in registry order, defaults the rest
-                // to 0, and ignores trailing counters newer than this
-                // build. Only a ragged (non-multiple-of-8) payload is
-                // malformed. The *encoder* stays exact-size so old decoders
-                // keep working.
-                if !buf.remaining().is_multiple_of(8) {
+                // Forward-compatible prefix decoding, the one payload that
+                // is length-tolerant: the Stats frame has grown (64 → 72 →
+                // 104 → 128 bytes) as counters were added, and will grow
+                // again. `NodeCounters::decode_wire` (macro-generated from
+                // the counter registry) reads whatever whole counters are
+                // present in registry order, defaults the rest to 0, and
+                // ignores trailing counters newer than this build. Only a
+                // ragged (non-multiple-of-8) payload is malformed. The
+                // *encoder* stays exact-size so old decoders keep working.
+                if !r.remaining().is_multiple_of(8) {
                     return Err(ProtocolError::Malformed("ragged stats payload".into()));
                 }
-                Ok(BrokerToClient::Stats(NodeCounters::decode_wire(buf)))
+                let counters = NodeCounters::decode_wire(&mut r);
+                let _newer = r.rest();
+                BrokerToClient::Stats(counters)
             }
             // Client-to-broker and broker-to-broker tags.
             Some(
@@ -692,10 +653,14 @@ impl BrokerToClient {
                 | FrameTag::LinkDown
                 | FrameTag::LinkUp,
             )
-            | None => Err(ProtocolError::Malformed(format!(
-                "unknown broker-to-client tag {tag:#x}"
-            ))),
-        }
+            | None => {
+                return Err(ProtocolError::Malformed(format!(
+                    "unknown broker-to-client tag {tag:#x}"
+                )))
+            }
+        };
+        r.finish("the frame")?;
+        Ok(message)
     }
 }
 
@@ -784,96 +749,61 @@ impl BrokerToBroker {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Malformed`] on truncation, unknown tags, or schema
-    /// violations.
-    pub fn decode(mut payload: Bytes, registry: &SchemaRegistry) -> Result<Self, ProtocolError> {
-        let buf = &mut payload;
-        if buf.remaining() < 1 {
-            return Err(ProtocolError::Malformed("empty payload".into()));
-        }
-        let tag = buf.get_u8();
-        match FrameTag::from_byte(tag) {
-            Some(FrameTag::BrokerHello) => {
-                if buf.remaining() < 36 {
-                    return Err(ProtocolError::Malformed("short broker hello".into()));
-                }
-                Ok(BrokerToBroker::Hello {
-                    broker: BrokerId::new(buf.get_u32_le()),
-                    incarnation: buf.get_u64_le(),
-                    last_recv: buf.get_u64_le(),
-                    last_recv_incarnation: buf.get_u64_le(),
-                    send_seq: buf.get_u64_le(),
-                })
-            }
-            Some(FrameTag::Forward) => {
-                if buf.remaining() < 20 {
-                    return Err(ProtocolError::Malformed("short forward".into()));
-                }
-                let tree = tree_from_raw(buf.get_u32_le());
-                let seq = buf.get_u64_le();
-                let epoch = buf.get_u64_le();
-                let event = wire::get_event(buf, registry)?;
-                Ok(BrokerToBroker::Forward {
-                    tree,
-                    seq,
-                    epoch,
-                    event,
-                })
-            }
-            Some(FrameTag::FwdAck) => {
-                if buf.remaining() < 8 {
-                    return Err(ProtocolError::Malformed("short fwdack".into()));
-                }
-                Ok(BrokerToBroker::FwdAck {
-                    seq: buf.get_u64_le(),
-                })
-            }
+    /// [`ProtocolError::Malformed`] on truncation, bytes after the message,
+    /// unknown tags, or schema violations.
+    pub fn decode(payload: Bytes, registry: &SchemaRegistry) -> Result<Self, ProtocolError> {
+        let mut r = Reader::new(&payload);
+        let tag = r.u8()?;
+        let message = match FrameTag::from_byte(tag) {
+            Some(FrameTag::BrokerHello) => BrokerToBroker::Hello {
+                broker: BrokerId::new(r.u32()?),
+                incarnation: r.u64()?,
+                last_recv: r.u64()?,
+                last_recv_incarnation: r.u64()?,
+                send_seq: r.u64()?,
+            },
+            Some(FrameTag::Forward) => BrokerToBroker::Forward {
+                tree: tree_from_raw(r.u32()?),
+                seq: r.u64()?,
+                epoch: r.u64()?,
+                event: r.event(registry)?,
+            },
+            Some(FrameTag::FwdAck) => BrokerToBroker::FwdAck { seq: r.u64()? },
             Some(FrameTag::SubAdd) => {
-                if buf.remaining() < 5 {
-                    return Err(ProtocolError::Malformed("short subadd".into()));
-                }
-                let schema_id = SchemaId::new(buf.get_u32_le());
-                let resync = buf.get_u8() != 0;
+                let schema_id = SchemaId::new(r.u32()?);
+                let resync = match r.u8()? {
+                    0 => false,
+                    1 => true,
+                    other => {
+                        return Err(ProtocolError::Malformed(format!(
+                            "resync flag {other} is neither 0 nor 1"
+                        )))
+                    }
+                };
                 let schema = registry.get(schema_id).ok_or_else(|| {
                     ProtocolError::Malformed(format!("unknown schema {schema_id}"))
                 })?;
-                let subscription = wire::get_subscription(buf, schema)?;
-                Ok(BrokerToBroker::SubAdd {
+                BrokerToBroker::SubAdd {
                     schema: schema_id,
-                    subscription,
+                    subscription: r.subscription(schema)?,
                     resync,
-                })
-            }
-            Some(FrameTag::SubRemove) => {
-                if buf.remaining() < 4 {
-                    return Err(ProtocolError::Malformed("short subremove".into()));
                 }
-                Ok(BrokerToBroker::SubRemove {
-                    id: SubscriptionId::new(buf.get_u32_le()),
-                })
             }
-            Some(FrameTag::Ping) => Ok(BrokerToBroker::Ping),
-            Some(FrameTag::Pong) => Ok(BrokerToBroker::Pong),
-            Some(FrameTag::LinkDown) => {
-                if buf.remaining() < 16 {
-                    return Err(ProtocolError::Malformed("short linkdown".into()));
-                }
-                Ok(BrokerToBroker::LinkDown {
-                    a: BrokerId::new(buf.get_u32_le()),
-                    b: BrokerId::new(buf.get_u32_le()),
-                    ver: buf.get_u64_le(),
-                })
-            }
-            Some(FrameTag::LinkUp) => {
-                if buf.remaining() < 16 {
-                    return Err(ProtocolError::Malformed("short linkup".into()));
-                }
-                Ok(BrokerToBroker::LinkUp {
-                    a: BrokerId::new(buf.get_u32_le()),
-                    b: BrokerId::new(buf.get_u32_le()),
-                    ver: buf.get_u64_le(),
-                })
-            }
+            Some(FrameTag::SubRemove) => BrokerToBroker::SubRemove {
+                id: SubscriptionId::new(r.u32()?),
+            },
+            Some(FrameTag::Ping) => BrokerToBroker::Ping,
+            Some(FrameTag::Pong) => BrokerToBroker::Pong,
+            Some(FrameTag::LinkDown) => BrokerToBroker::LinkDown {
+                a: BrokerId::new(r.u32()?),
+                b: BrokerId::new(r.u32()?),
+                ver: r.u64()?,
+            },
+            Some(FrameTag::LinkUp) => BrokerToBroker::LinkUp {
+                a: BrokerId::new(r.u32()?),
+                b: BrokerId::new(r.u32()?),
+                ver: r.u64()?,
+            },
             // Client-to-broker and broker-to-client tags.
             Some(
                 FrameTag::ClientHello
@@ -889,10 +819,14 @@ impl BrokerToBroker {
                 | FrameTag::Error
                 | FrameTag::Stats,
             )
-            | None => Err(ProtocolError::Malformed(format!(
-                "unknown broker-to-broker tag {tag:#x}"
-            ))),
-        }
+            | None => {
+                return Err(ProtocolError::Malformed(format!(
+                    "unknown broker-to-broker tag {tag:#x}"
+                )))
+            }
+        };
+        r.finish("the frame")?;
+        Ok(message)
     }
 }
 
@@ -906,6 +840,7 @@ pub(crate) fn tree_from_raw(raw: u32) -> TreeId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Buf;
     use linkcast_types::{EventSchema, SubscriberId, Value, ValueKind};
 
     fn registry() -> SchemaRegistry {
@@ -936,7 +871,12 @@ mod tests {
         for word in words {
             b.put_u64_le(word);
         }
-        NodeCounters::decode_wire(&mut b.freeze())
+        NodeCounters::decode_wire(&mut Reader::new(&b))
+    }
+
+    /// `payload` with `extra` bytes after it.
+    fn stray(payload: &Bytes, extra: &[u8]) -> Bytes {
+        Bytes::from([&payload[..], extra].concat())
     }
 
     #[test]
@@ -961,8 +901,11 @@ mod tests {
             ClientToBroker::StatsRequest,
         ];
         for m in messages {
-            let back = ClientToBroker::decode(strip(m.encode()), &reg).unwrap();
-            assert_eq!(back, m);
+            let payload = strip(m.encode());
+            assert_eq!(ClientToBroker::decode(payload.clone(), &reg).unwrap(), m);
+            // A byte after the message is malformed, not ignored.
+            let err = ClientToBroker::decode(stray(&payload, &[0]), &reg).unwrap_err();
+            assert!(matches!(err, ProtocolError::Malformed(_)), "{m:?}: {err}");
         }
     }
 
@@ -989,8 +932,12 @@ mod tests {
             BrokerToClient::Stats(counters(1..=27)),
         ];
         for m in messages {
-            let back = BrokerToClient::decode(strip(m.encode()), &reg).unwrap();
-            assert_eq!(back, m);
+            let payload = strip(m.encode());
+            assert_eq!(BrokerToClient::decode(payload.clone(), &reg).unwrap(), m);
+            // A byte after the message is malformed, not ignored (for
+            // `Stats`, a ragged payload).
+            let err = BrokerToClient::decode(stray(&payload, &[0]), &reg).unwrap_err();
+            assert!(matches!(err, ProtocolError::Malformed(_)), "{m:?}: {err}");
         }
     }
 
@@ -1036,6 +983,9 @@ mod tests {
             BrokerToBroker::decode(strip(ack.encode()), &reg).unwrap(),
             ack
         );
+        // Bytes after a message are malformed, not ignored.
+        let err = BrokerToBroker::decode(stray(&strip(ack.encode()), &[1, 2, 3]), &reg);
+        assert!(matches!(err, Err(ProtocolError::Malformed(_))), "{err:?}");
         for probe in [BrokerToBroker::Ping, BrokerToBroker::Pong] {
             assert_eq!(
                 BrokerToBroker::decode(strip(probe.encode()), &reg).unwrap(),

@@ -30,16 +30,14 @@ use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::PoisonError;
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
+use linkcast_types::wire::Reader;
 
 /// Upper bound on a single WAL record payload. A record batches at most
 /// one forwarded frame per neighbor link, each bounded by the 16 MiB wire
-/// frame cap, so this is generous; anything larger is treated as
-/// corruption by the decoder.
+/// frame cap, so this is generous. The decoder needs no cap of its own: a
+/// record's length is checked against the bytes the log holds.
 pub(crate) const MAX_WAL_RECORD: usize = 256 * 1024 * 1024;
-
-/// Bytes of framing in front of every WAL record payload.
-const RECORD_HEADER: usize = 8;
 
 /// Durable storage used by a broker: named append-only byte logs plus
 /// named atomic snapshot slots.
@@ -120,32 +118,24 @@ pub(crate) fn encode_record(payload: &[u8], out: &mut Vec<u8>) {
 /// the number of torn/corrupt tail records discarded (0 or 1: decoding
 /// stops at the first bad frame, so everything after it is unreachable).
 pub(crate) fn decode_records(data: &[u8]) -> (Vec<Bytes>, u64) {
-    let mut buf = data;
+    let mut r = Reader::new(data);
     let mut records = Vec::new();
-    let mut torn = 0u64;
-    while buf.has_remaining() {
-        if buf.remaining() < RECORD_HEADER {
-            torn += 1;
-            break;
+    while !r.is_empty() {
+        match next_record(&mut r) {
+            Some(record) => records.push(Bytes::copy_from_slice(record)),
+            None => return (records, 1),
         }
-        let len = buf.get_u32_le() as usize;
-        let want = buf.get_u32_le();
-        if len > MAX_WAL_RECORD || buf.remaining() < len {
-            torn += 1;
-            break;
-        }
-        let Some(head) = buf.get(..len) else {
-            torn += 1;
-            break;
-        };
-        if crc32(head) != want {
-            torn += 1;
-            break;
-        }
-        records.push(Bytes::copy_from_slice(head));
-        buf.advance(len);
     }
-    (records, torn)
+    (records, 0)
+}
+
+/// The next intact record's payload, or `None` for a short, oversized, or
+/// checksum-failing one.
+fn next_record<'a>(r: &mut Reader<'a>) -> Option<&'a [u8]> {
+    let len = r.u32().ok()? as usize;
+    let want = r.u32().ok()?;
+    let head = r.take(r.need(len, "a WAL record").ok()?).ok()?;
+    (crc32(head) == want).then_some(head)
 }
 
 // ---------------------------------------------------------------------------
@@ -230,52 +220,40 @@ pub(crate) fn encode_ops(ops: &[WalOp]) -> Vec<u8> {
 /// a decode failure means a format bug or version skew, and the caller
 /// should treat the record as unusable rather than half-apply it.
 pub(crate) fn decode_ops(payload: &[u8]) -> Option<Vec<WalOp>> {
-    let mut buf = payload;
+    let mut r = Reader::new(payload);
     let mut ops = Vec::new();
-    while buf.has_remaining() {
-        let tag = buf.get_u8();
-        match tag {
-            OP_RECV_MARK => {
-                if buf.remaining() < 20 {
-                    return None;
-                }
-                ops.push(WalOp::RecvMark {
-                    from: buf.get_u32_le(),
-                    incarnation: buf.get_u64_le(),
-                    seq: buf.get_u64_le(),
-                });
-            }
-            OP_APPEND => {
-                if buf.remaining() < 16 {
-                    return None;
-                }
-                let neighbor = buf.get_u32_le();
-                let seq = buf.get_u64_le();
-                let frame_len = buf.get_u32_le() as usize;
-                if frame_len > MAX_WAL_RECORD || buf.remaining() < frame_len {
-                    return None;
-                }
-                let frame = Bytes::copy_from_slice(buf.get(..frame_len)?);
-                buf.advance(frame_len);
-                ops.push(WalOp::Append {
-                    neighbor,
-                    seq,
-                    frame,
-                });
-            }
-            OP_TRIM => {
-                if buf.remaining() < 12 {
-                    return None;
-                }
-                ops.push(WalOp::Trim {
-                    neighbor: buf.get_u32_le(),
-                    acked: buf.get_u64_le(),
-                });
-            }
-            _ => return None,
-        }
+    while !r.is_empty() {
+        ops.push(next_op(&mut r).ok()?);
     }
     Some(ops)
+}
+
+fn next_op(r: &mut Reader<'_>) -> linkcast_types::Result<WalOp> {
+    Ok(match r.u8()? {
+        OP_RECV_MARK => WalOp::RecvMark {
+            from: r.u32()?,
+            incarnation: r.u64()?,
+            seq: r.u64()?,
+        },
+        OP_APPEND => {
+            let (neighbor, seq) = (r.u32()?, r.u64()?);
+            let len = r.length("a spooled frame")?;
+            WalOp::Append {
+                neighbor,
+                seq,
+                frame: Bytes::copy_from_slice(r.take(len)?),
+            }
+        }
+        OP_TRIM => WalOp::Trim {
+            neighbor: r.u32()?,
+            acked: r.u64()?,
+        },
+        tag => {
+            return Err(linkcast_types::Error::Decode(format!(
+                "unknown WAL op {tag}"
+            )))
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -28,10 +28,6 @@
 //! - [`LinkWriter::set_write_timeout`] bounds how long a single write may
 //!   block (SO_SNDTIMEO on TCP); a timed-out write fails the connection
 //!   instead of wedging a sender-pool thread.
-#![expect(
-    clippy::disallowed_methods,
-    reason = "shell: the handshake deadline reads the clock"
-)]
 
 use std::fmt;
 use std::io::{self, ErrorKind, Read};
@@ -40,8 +36,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{Buf, Bytes};
+use bytes::Bytes;
 use crossbeam::channel::Sender;
+use linkcast_types::wire::{limits, Count, Reader};
 
 use crate::broker::Command;
 use crate::outbox::{ConnId, Outbox, Sink};
@@ -177,6 +174,10 @@ pub(crate) fn spawn_acceptor(
 /// its `Hello` look the same from here; the engine unregisters the conn,
 /// closing the socket). Returns at the next poll once `shutdown` is set.
 /// The result is whether the peer ever sent a frame.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "shell: the handshake deadline reads the clock"
+)]
 pub(crate) fn read_frames(
     reader: LinkReader,
     conn: ConnId,
@@ -224,7 +225,7 @@ impl FrameBatch {
     /// A batch of the one `frame` (length prefix included), as an encoder
     /// returns it.
     pub(crate) fn single(frame: Bytes) -> Self {
-        debug_assert!(matches!(frame_len(&frame), Ok(Some(n)) if n == frame.len()));
+        debug_assert!(matches!(frame_len(&frame), Ok(Some(n)) if n.get() == frame.len()));
         FrameBatch { frames: frame }
     }
 }
@@ -234,7 +235,9 @@ impl Iterator for FrameBatch {
 
     fn next(&mut self) -> Option<Bytes> {
         match frame_len(&self.frames) {
-            Ok(Some(len)) if len <= self.frames.len() => Some(self.frames.split_to(len)),
+            Ok(Some(len)) if len.get() <= self.frames.len() => {
+                Some(self.frames.split_to(len.get()))
+            }
             _ => None,
         }
     }
@@ -248,17 +251,19 @@ impl Iterator for FrameBatch {
 ///
 /// A length prefix above [`MAX_FRAME`]: the stream is corrupt or hostile,
 /// and nothing may be sized by it.
-fn frame_len(bytes: &[u8]) -> io::Result<Option<usize>> {
-    let Some(mut prefix) = bytes.get(..FRAME_PREFIX) else {
+fn frame_len(bytes: &[u8]) -> io::Result<Option<Count>> {
+    let Ok(payload) = Reader::new(bytes).u32() else {
         return Ok(None);
     };
-    let len = prefix.get_u32_le() as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::other(format!(
-            "frame of {len} bytes exceeds limit"
-        )));
-    }
-    Ok(Some(FRAME_PREFIX + len))
+    let payload = payload as usize;
+    limits::checked_count(
+        FRAME_PREFIX + payload,
+        FRAME_PREFIX + MAX_FRAME,
+        1,
+        "a frame",
+    )
+    .map(Some)
+    .map_err(|_| io::Error::other(format!("frame of {payload} bytes exceeds limit")))
 }
 
 /// What one [`FrameReader::poll`] came back with.
@@ -350,9 +355,9 @@ impl FrameReader {
         loop {
             let rest = self.buf.get(end..self.filled).unwrap_or_default();
             match frame_len(rest) {
-                Ok(Some(len)) if len <= rest.len() => end += len,
+                Ok(Some(len)) if len.get() <= rest.len() => end += len.get(),
                 Ok(Some(len)) => {
-                    pending = len;
+                    pending = len.get();
                     break;
                 }
                 Ok(None) => break,
@@ -372,9 +377,16 @@ impl FrameReader {
             self.filled -= end;
         }
 
+        // A frame longer than the buffer grows it by doubling as its bytes
+        // arrive, never ahead of them: a length prefix alone sizes nothing
+        // past twice what the peer has sent.
         let len = self.buf.len();
         let target = if pending > len {
-            pending
+            if was_full {
+                pending.min(len * 2)
+            } else {
+                len
+            }
         } else if len > READ_BUF_MAX {
             pending.max(READ_BUF_MAX)
         } else if was_full {

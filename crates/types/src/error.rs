@@ -37,6 +37,16 @@ pub enum Error {
     ParsePredicate(crate::ParsePredicateError),
     /// A wire frame failed to decode.
     Decode(String),
+    /// A wire frame ended before what it declared. Carries no `String`, so
+    /// a decoder that runs off the end of its input allocates nothing.
+    Truncated {
+        /// What was being read.
+        what: &'static str,
+        /// Bytes it needed.
+        need: usize,
+        /// Bytes that were left.
+        left: usize,
+    },
     /// A predicate used an operator unsupported for the attribute's kind
     /// (e.g. `<` on booleans).
     UnsupportedOperator {
@@ -68,6 +78,10 @@ impl fmt::Display for Error {
             }
             Error::ParsePredicate(e) => write!(f, "{e}"),
             Error::Decode(msg) => write!(f, "decode error: {msg}"),
+            Error::Truncated { what, need, left } => write!(
+                f,
+                "decode error: truncated input: need {need} more bytes for {what}, {left} left"
+            ),
             Error::UnsupportedOperator { operator, kind } => {
                 write!(f, "operator `{operator}` is not supported on {kind} values")
             }

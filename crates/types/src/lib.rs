@@ -42,6 +42,10 @@
 //! # }
 //! ```
 
+// The wire rule (root `clippy.toml`): decoders read through `wire::Reader`,
+// never a raw `bytes::Buf` integer read.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 mod covering;
 mod error;
 mod event;

@@ -6,6 +6,15 @@
 //! prefix per message) is the transport's concern, not this module's, and
 //! the one-byte frame tags live with the broker's frame codec
 //! (`linkcast_broker::FrameTag`).
+//!
+//! Everything that decodes — here, and the broker's frames, WAL records and
+//! snapshots — reads through one [`Reader`]. Its integer reads fail on
+//! truncation instead of panicking, and its length and count reads return a
+//! [`Count`], the only thing its slice and capacity helpers accept: a decoder
+//! cannot size a slice or an allocation by a number it has not checked
+//! against the bytes that carry it. The raw `bytes::Buf` integer reads are
+//! `disallowed-methods` in the root `clippy.toml`, denied in this crate and
+//! in the broker.
 
 // Decodes bytes a peer controls, on the broker's engine thread: the shipped
 // code neither unwraps nor indexes nor panics.
@@ -14,8 +23,9 @@
 #![deny(clippy::indexing_slicing, clippy::string_slice)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 use crate::{
     AttrTest, BrokerId, ClientId, Error, Event, EventSchema, Predicate, Result, SchemaRegistry,
@@ -35,13 +45,25 @@ const TEST_GT: u8 = 4;
 const TEST_GE: u8 = 5;
 const TEST_BETWEEN: u8 = 6;
 
-fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        Err(Error::Decode(format!(
-            "truncated input: need {n} more bytes for {what}"
-        )))
-    } else {
-        Ok(())
+/// A length or element count read off the wire and checked against the
+/// bytes that must carry it. Only [`limits::checked_count`] and
+/// [`Reader::need`] make one, and [`Reader::take`] and [`Count::vec`] take
+/// nothing else, so an unchecked number cannot size a slice or an
+/// allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Count(usize);
+
+impl Count {
+    /// The checked number.
+    #[must_use]
+    pub fn get(self) -> usize {
+        self.0
+    }
+
+    /// An empty vector with room for this many elements.
+    #[must_use]
+    pub fn vec<T>(self) -> Vec<T> {
+        Vec::with_capacity(self.0)
     }
 }
 
@@ -50,10 +72,12 @@ fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
 /// Every count or length read off the wire is untrusted: a peer can
 /// declare `u16::MAX` elements in a 10-byte payload and an unguarded
 /// `Vec::with_capacity` would allocate for all of them before the decode
-/// loop hits the truncation error. The helpers here clamp declared counts
-/// against the bytes actually present *before* any allocation; the
-/// `wire-taint` xtask pass treats them as sanitizers.
+/// loop hits the truncation error. [`checked_count`](limits::checked_count)
+/// clamps a declared count against the bytes actually present *before* any
+/// allocation, and the [`Count`] it returns is what a decoder sizes things
+/// by.
 pub mod limits {
+    use super::Count;
     use crate::{Error, Result};
 
     /// Minimum encoded size of a [`Value`](crate::Value): a one-byte tag
@@ -64,28 +88,316 @@ pub mod limits {
     /// one-byte tag (`Any` has no payload).
     pub const MIN_TEST_BYTES: usize = 1;
 
-    /// Validates a declared element count against the bytes actually
-    /// remaining in the buffer: `n` elements of at least `min_bytes` each
-    /// cannot outsize the payload. Returns `n` unchanged when plausible,
-    /// so callers can write
-    /// `Vec::with_capacity(limits::checked_count(n, ..)?)`.
+    /// Validates a declared element count against `room`, the bytes that
+    /// must hold the elements (what is left of the input, or a hard cap):
+    /// `n` elements of at least `min_bytes` each cannot outsize it.
     ///
     /// # Errors
     ///
     /// [`Error::Decode`] when the declared count cannot fit.
-    pub fn checked_count(
-        n: usize,
-        remaining: usize,
-        min_bytes: usize,
-        what: &str,
-    ) -> Result<usize> {
-        if n.saturating_mul(min_bytes) > remaining {
+    pub fn checked_count(n: usize, room: usize, min_bytes: usize, what: &str) -> Result<Count> {
+        if n.saturating_mul(min_bytes) > room {
             Err(Error::Decode(format!(
-                "declared count {n} for {what} exceeds the {remaining} payload bytes present"
+                "declared count {n} for {what} exceeds the {room} payload bytes present"
             )))
         } else {
-            Ok(n)
+            Ok(Count(n))
         }
+    }
+}
+
+/// A read cursor over bytes nobody vouches for: a frame payload, a WAL
+/// record, a snapshot.
+///
+/// Every read checks what is left first and fails with
+/// [`Error::Truncated`], which allocates nothing, instead of panicking;
+/// lengths and counts come back as a [`Count`]. The typed reads
+/// ([`value`](Self::value), [`event`](Self::event),
+/// [`subscription`](Self::subscription), …) decode what the matching
+/// `put_*` function wrote.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `bytes`.
+    #[must_use]
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader { rest: bytes }
+    }
+
+    /// Bytes not read yet.
+    #[must_use]
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    /// Whether everything has been read.
+    #[must_use]
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.rest.is_empty()
+    }
+
+    /// Checks that `n` more bytes are present.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Truncated`] when fewer remain.
+    #[inline]
+    pub fn need(&self, n: usize, what: &'static str) -> Result<Count> {
+        if n > self.rest.len() {
+            Err(self.short(n, what))
+        } else {
+            Ok(Count(n))
+        }
+    }
+
+    fn short(&self, need: usize, what: &'static str) -> Error {
+        Error::Truncated {
+            what,
+            need,
+            left: self.rest.len(),
+        }
+    }
+
+    /// Fails unless everything has been read: a decoder that accepted bytes
+    /// after a message would accept two encodings of one message.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Decode`] naming `what` and the bytes left over.
+    #[inline]
+    pub fn finish(&self, what: &str) -> Result<()> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(Error::Decode(format!(
+                "{} stray bytes after {what}",
+                self.rest.len()
+            )))
+        }
+    }
+
+    /// The next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Truncated`] when fewer remain (`n` was checked before other
+    /// reads moved the cursor).
+    #[inline]
+    pub fn take(&mut self, n: Count) -> Result<&'a [u8]> {
+        let Some((head, rest)) = self.rest.split_at_checked(n.0) else {
+            return Err(self.short(n.0, "a checked length"));
+        };
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// Everything not read yet; the reader is empty afterwards.
+    #[inline]
+    pub fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.rest)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let Some((head, rest)) = self.rest.split_first_chunk::<N>() else {
+            return Err(self.short(N, "an integer"));
+        };
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    /// Reads a byte.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Truncated`] on truncation, like every read here.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u16`.
+    ///
+    /// # Errors
+    ///
+    /// See [`u8`](Self::u8).
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u32`.
+    ///
+    /// # Errors
+    ///
+    /// See [`u8`](Self::u8).
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u64`.
+    ///
+    /// # Errors
+    ///
+    /// See [`u8`](Self::u8).
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads a little-endian `i64`.
+    ///
+    /// # Errors
+    ///
+    /// See [`u8`](Self::u8).
+    #[inline]
+    pub fn i64(&mut self) -> Result<i64> {
+        self.array().map(i64::from_le_bytes)
+    }
+
+    /// Reads a `u32` byte length and checks that many bytes follow.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Truncated`] on truncation, before or after the length.
+    #[inline]
+    pub fn length(&mut self, what: &'static str) -> Result<Count> {
+        let n = self.u32()? as usize;
+        self.need(n, what)
+    }
+
+    /// Reads a `u16` element count and checks it against the bytes left,
+    /// at `min_bytes` per element; see [`limits::checked_count`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Truncated`], or [`Error::Decode`] when the count cannot fit.
+    #[inline]
+    pub fn count16(&mut self, min_bytes: usize, what: &str) -> Result<Count> {
+        let n = usize::from(self.u16()?);
+        limits::checked_count(n, self.rest.len(), min_bytes, what)
+    }
+
+    /// Reads a `u32` element count; see [`count16`](Self::count16).
+    ///
+    /// # Errors
+    ///
+    /// As for [`count16`](Self::count16).
+    #[inline]
+    pub fn count32(&mut self, min_bytes: usize, what: &str) -> Result<Count> {
+        let n = self.u32()? as usize;
+        limits::checked_count(n, self.rest.len(), min_bytes, what)
+    }
+
+    /// Reads a string written by [`put_str`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Truncated`], or [`Error::Decode`] on invalid UTF-8.
+    #[inline]
+    pub fn str(&mut self) -> Result<&'a str> {
+        let len = self.length("string bytes")?;
+        std::str::from_utf8(self.take(len)?)
+            .map_err(|e| Error::Decode(format!("invalid UTF-8 string: {e}")))
+    }
+
+    /// Reads a [`Value`] written by [`put_value`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Truncated`], or [`Error::Decode`] on an unknown tag.
+    #[inline]
+    pub fn value(&mut self) -> Result<Value> {
+        match self.u8()? {
+            TAG_STR => Ok(Value::Str(Arc::from(self.str()?))),
+            TAG_INT => Ok(Value::Int(self.i64()?)),
+            TAG_DOLLAR => Ok(Value::Dollar(self.i64()?)),
+            TAG_BOOL => match self.u8()? {
+                0 => Ok(Value::Bool(false)),
+                1 => Ok(Value::Bool(true)),
+                other => Err(Error::Decode(format!("invalid boolean byte {other}"))),
+            },
+            tag => Err(Error::Decode(format!("unknown value tag {tag}"))),
+        }
+    }
+
+    /// Reads an [`Event`] written by [`put_event`], resolving its schema in
+    /// `registry` and validating value kinds.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Truncated`], [`Error::Decode`] on an unregistered schema id, plus any
+    /// schema-validation error from [`Event::from_values`].
+    pub fn event(&mut self, registry: &SchemaRegistry) -> Result<Event> {
+        let schema_id = crate::SchemaId::new(self.u32()?);
+        let n = self.count16(limits::MIN_VALUE_BYTES, "event values")?;
+        let schema = registry
+            .get(schema_id)
+            .ok_or_else(|| Error::Decode(format!("unknown schema id {schema_id}")))?;
+        let mut values = n.vec();
+        for _ in 0..n.get() {
+            values.push(self.value()?);
+        }
+        Event::from_values(schema, values)
+    }
+
+    /// Reads an [`AttrTest`] written by [`put_attr_test`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Truncated`], or [`Error::Decode`] on an unknown tag.
+    #[inline]
+    pub fn attr_test(&mut self) -> Result<AttrTest> {
+        match self.u8()? {
+            TEST_ANY => Ok(AttrTest::Any),
+            TEST_EQ => Ok(AttrTest::Eq(self.value()?)),
+            TEST_LT => Ok(AttrTest::Lt(self.value()?)),
+            TEST_LE => Ok(AttrTest::Le(self.value()?)),
+            TEST_GT => Ok(AttrTest::Gt(self.value()?)),
+            TEST_GE => Ok(AttrTest::Ge(self.value()?)),
+            TEST_BETWEEN => Ok(AttrTest::Between(self.value()?, self.value()?)),
+            tag => Err(Error::Decode(format!("unknown test tag {tag}"))),
+        }
+    }
+
+    /// Reads a [`Predicate`] written by [`put_predicate`], validating it
+    /// against `schema`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Truncated`], [`Error::Decode`], and validation errors from
+    /// [`Predicate::from_tests`].
+    pub fn predicate(&mut self, schema: &EventSchema) -> Result<Predicate> {
+        let n = self.count16(limits::MIN_TEST_BYTES, "predicate tests")?;
+        let mut tests = n.vec();
+        for _ in 0..n.get() {
+            tests.push(self.attr_test()?);
+        }
+        Predicate::from_tests(schema, tests)
+    }
+
+    /// Reads a [`Subscription`] written by [`put_subscription`].
+    ///
+    /// # Errors
+    ///
+    /// See [`predicate`](Self::predicate).
+    pub fn subscription(&mut self, schema: &EventSchema) -> Result<Subscription> {
+        let id = SubscriptionId::new(self.u32()?);
+        let broker = BrokerId::new(self.u32()?);
+        let client = ClientId::new(self.u32()?);
+        let predicate = self.predicate(schema)?;
+        Ok(Subscription::new(
+            id,
+            SubscriberId::new(broker, client),
+            predicate,
+        ))
     }
 }
 
@@ -93,20 +405,6 @@ pub mod limits {
 pub fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
-}
-
-/// Decodes a string written by [`put_str`].
-///
-/// # Errors
-///
-/// [`Error::Decode`] on truncation or invalid UTF-8.
-pub fn get_str(buf: &mut impl Buf) -> Result<String> {
-    need(buf, 4, "string length")?;
-    let len = buf.get_u32_le() as usize;
-    need(buf, len, "string bytes")?;
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|e| Error::Decode(format!("invalid UTF-8 string: {e}")))
 }
 
 /// Encodes a [`Value`] as a one-byte tag plus payload.
@@ -137,35 +435,6 @@ fn value_len(value: &Value) -> usize {
         Value::Str(s) => 5 + s.len(),
         Value::Int(_) | Value::Dollar(_) => 9,
         Value::Bool(_) => 2,
-    }
-}
-
-/// Decodes a [`Value`] written by [`put_value`].
-///
-/// # Errors
-///
-/// [`Error::Decode`] on truncation or an unknown tag.
-pub fn get_value(buf: &mut impl Buf) -> Result<Value> {
-    need(buf, 1, "value tag")?;
-    match buf.get_u8() {
-        TAG_STR => Ok(Value::Str(get_str(buf)?.into())),
-        TAG_INT => {
-            need(buf, 8, "integer value")?;
-            Ok(Value::Int(buf.get_i64_le()))
-        }
-        TAG_DOLLAR => {
-            need(buf, 8, "dollar value")?;
-            Ok(Value::Dollar(buf.get_i64_le()))
-        }
-        TAG_BOOL => {
-            need(buf, 1, "boolean value")?;
-            match buf.get_u8() {
-                0 => Ok(Value::Bool(false)),
-                1 => Ok(Value::Bool(true)),
-                other => Err(Error::Decode(format!("invalid boolean byte {other}"))),
-            }
-        }
-        tag => Err(Error::Decode(format!("unknown value tag {tag}"))),
     }
 }
 
@@ -200,30 +469,18 @@ pub fn event_len(event: &Event) -> usize {
     6 + event.values().iter().map(value_len).sum::<usize>()
 }
 
-/// Decodes an [`Event`] written by [`put_event`], resolving its schema in
-/// `registry` and validating value kinds.
+/// Decodes the one [`Event`] that `bytes` holds, as [`put_event`] wrote it;
+/// see [`Reader::event`].
 ///
 /// # Errors
 ///
-/// [`Error::Decode`] on truncation or an unregistered schema id, plus any
-/// schema-validation error from [`Event::from_values`].
-pub fn get_event(buf: &mut impl Buf, registry: &SchemaRegistry) -> Result<Event> {
-    need(buf, 6, "event header")?;
-    let schema_id = crate::SchemaId::new(buf.get_u32_le());
-    let n = limits::checked_count(
-        buf.get_u16_le() as usize,
-        buf.remaining(),
-        limits::MIN_VALUE_BYTES,
-        "event values",
-    )?;
-    let schema = registry
-        .get(schema_id)
-        .ok_or_else(|| Error::Decode(format!("unknown schema id {schema_id}")))?;
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(get_value(buf)?);
-    }
-    Event::from_values(schema, values)
+/// Those of [`Reader::event`], and [`Error::Decode`] for bytes after the
+/// event.
+pub fn get_event(bytes: &[u8], registry: &SchemaRegistry) -> Result<Event> {
+    let mut r = Reader::new(bytes);
+    let event = r.event(registry)?;
+    r.finish("the event")?;
+    Ok(event)
 }
 
 /// Encodes an [`AttrTest`].
@@ -258,53 +515,12 @@ pub fn put_attr_test(buf: &mut impl BufMut, test: &AttrTest) {
     }
 }
 
-/// Decodes an [`AttrTest`] written by [`put_attr_test`].
-///
-/// # Errors
-///
-/// [`Error::Decode`] on truncation or an unknown tag.
-pub fn get_attr_test(buf: &mut impl Buf) -> Result<AttrTest> {
-    need(buf, 1, "test tag")?;
-    match buf.get_u8() {
-        TEST_ANY => Ok(AttrTest::Any),
-        TEST_EQ => Ok(AttrTest::Eq(get_value(buf)?)),
-        TEST_LT => Ok(AttrTest::Lt(get_value(buf)?)),
-        TEST_LE => Ok(AttrTest::Le(get_value(buf)?)),
-        TEST_GT => Ok(AttrTest::Gt(get_value(buf)?)),
-        TEST_GE => Ok(AttrTest::Ge(get_value(buf)?)),
-        TEST_BETWEEN => Ok(AttrTest::Between(get_value(buf)?, get_value(buf)?)),
-        tag => Err(Error::Decode(format!("unknown test tag {tag}"))),
-    }
-}
-
 /// Encodes a [`Predicate`] as its test list.
 pub fn put_predicate(buf: &mut impl BufMut, predicate: &Predicate) {
     buf.put_u16_le(predicate.tests().len() as u16);
     for t in predicate.tests() {
         put_attr_test(buf, t);
     }
-}
-
-/// Decodes a [`Predicate`] written by [`put_predicate`], validating it
-/// against `schema`.
-///
-/// # Errors
-///
-/// [`Error::Decode`] on truncation, plus validation errors from
-/// [`Predicate::from_tests`].
-pub fn get_predicate(buf: &mut impl Buf, schema: &EventSchema) -> Result<Predicate> {
-    need(buf, 2, "predicate length")?;
-    let n = limits::checked_count(
-        buf.get_u16_le() as usize,
-        buf.remaining(),
-        limits::MIN_TEST_BYTES,
-        "predicate tests",
-    )?;
-    let mut tests = Vec::with_capacity(n);
-    for _ in 0..n {
-        tests.push(get_attr_test(buf)?);
-    }
-    Predicate::from_tests(schema, tests)
 }
 
 /// Process-wide count of subscription serializations, the control plane's
@@ -339,24 +555,6 @@ pub fn subscription_len(sub: &Subscription) -> usize {
         AttrTest::Between(lo, hi) => 1 + value_len(lo) + value_len(hi),
     });
     14 + tests.sum::<usize>()
-}
-
-/// Decodes a [`Subscription`] written by [`put_subscription`].
-///
-/// # Errors
-///
-/// See [`get_predicate`].
-pub fn get_subscription(buf: &mut impl Buf, schema: &EventSchema) -> Result<Subscription> {
-    need(buf, 12, "subscription header")?;
-    let id = SubscriptionId::new(buf.get_u32_le());
-    let broker = BrokerId::new(buf.get_u32_le());
-    let client = ClientId::new(buf.get_u32_le());
-    let predicate = get_predicate(buf, schema)?;
-    Ok(Subscription::new(
-        id,
-        SubscriberId::new(broker, client),
-        predicate,
-    ))
 }
 
 #[cfg(test)]
@@ -395,8 +593,8 @@ mod tests {
         ] {
             let mut buf = BytesMut::new();
             put_value(&mut buf, &v);
-            let mut rd = buf.freeze();
-            assert_eq!(get_value(&mut rd).unwrap(), v);
+            let mut rd = Reader::new(&buf);
+            assert_eq!(rd.value().unwrap(), v);
             assert_eq!(rd.remaining(), 0);
         }
     }
@@ -418,9 +616,11 @@ mod tests {
         let mut buf = BytesMut::new();
         put_event(&mut buf, &ev);
         assert_eq!(buf.len(), event_len(&ev));
-        let mut rd = buf.freeze();
-        let back = get_event(&mut rd, &reg).unwrap();
+        let back = get_event(&buf, &reg).unwrap();
         assert_eq!(back, ev);
+        // The event must fill the bytes it is decoded from.
+        buf.put_u8(0);
+        assert!(get_event(&buf, &reg).is_err());
     }
 
     #[test]
@@ -429,7 +629,7 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u32_le(99);
         buf.put_u16_le(0);
-        let err = get_event(&mut buf.freeze(), &reg).unwrap_err();
+        let err = get_event(&buf, &reg).unwrap_err();
         assert!(matches!(err, Error::Decode(_)));
     }
 
@@ -446,7 +646,7 @@ mod tests {
         ] {
             let mut buf = BytesMut::new();
             put_attr_test(&mut buf, &t);
-            assert_eq!(get_attr_test(&mut buf.freeze()).unwrap(), t);
+            assert_eq!(Reader::new(&buf).attr_test().unwrap(), t);
         }
     }
 
@@ -469,7 +669,7 @@ mod tests {
         let mut buf = BytesMut::new();
         put_subscription(&mut buf, &sub);
         assert_eq!(buf.len(), subscription_len(&sub));
-        let back = get_subscription(&mut buf.freeze(), &schema).unwrap();
+        let back = Reader::new(&buf).subscription(&schema).unwrap();
         assert_eq!(back, sub);
         assert_eq!(back.predicate(), &pred);
 
@@ -496,11 +696,9 @@ mod tests {
         let mut buf = BytesMut::new();
         let pred = Predicate::match_all(&schema);
         put_predicate(&mut buf, &pred);
-        let full = buf.freeze();
-        for cut in 0..full.len() {
-            let mut partial = full.slice(0..cut);
+        for cut in 0..buf.len() {
             assert!(
-                get_predicate(&mut partial, &schema).is_err(),
+                Reader::new(&buf[..cut]).predicate(&schema).is_err(),
                 "cut at {cut} should fail"
             );
         }
@@ -508,18 +706,9 @@ mod tests {
 
     #[test]
     fn garbage_tags_error_cleanly() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(200);
-        assert!(get_value(&mut buf.freeze()).is_err());
-
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_BOOL);
-        buf.put_u8(9);
-        assert!(get_value(&mut buf.freeze()).is_err());
-
-        let mut buf = BytesMut::new();
-        buf.put_u8(77);
-        assert!(get_attr_test(&mut buf.freeze()).is_err());
+        assert!(Reader::new(&[200]).value().is_err());
+        assert!(Reader::new(&[TAG_BOOL, 9]).value().is_err());
+        assert!(Reader::new(&[77]).attr_test().is_err());
     }
 
     #[test]
@@ -528,7 +717,7 @@ mod tests {
         buf.put_u8(TAG_STR);
         buf.put_u32_le(2);
         buf.put_slice(&[0xff, 0xfe]);
-        assert!(get_value(&mut buf.freeze()).is_err());
+        assert!(Reader::new(&buf).value().is_err());
     }
 
     #[test]
@@ -542,7 +731,7 @@ mod tests {
         buf.put_u16_le(u16::MAX);
         buf.put_u8(TAG_BOOL);
         buf.put_u8(1);
-        let err = get_event(&mut buf.freeze(), &reg).unwrap_err();
+        let err = get_event(&buf, &reg).unwrap_err();
         assert!(
             err.to_string().contains("declared count"),
             "want a count-vs-payload rejection, got: {err}"
@@ -555,7 +744,7 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u16_le(u16::MAX);
         buf.put_u8(TEST_ANY);
-        let err = get_predicate(&mut buf.freeze(), &schema).unwrap_err();
+        let err = Reader::new(&buf).predicate(&schema).unwrap_err();
         assert!(
             err.to_string().contains("declared count"),
             "want a count-vs-payload rejection, got: {err}"
@@ -572,7 +761,7 @@ mod tests {
         for _ in 0..4 {
             buf.put_u8(TEST_ANY);
         }
-        let pred = get_predicate(&mut buf.freeze(), &schema).unwrap();
+        let pred = Reader::new(&buf).predicate(&schema).unwrap();
         assert_eq!(pred.tests().len(), 4);
     }
 
@@ -587,7 +776,7 @@ mod tests {
         put_attr_test(&mut buf, &AttrTest::Any);
         put_attr_test(&mut buf, &AttrTest::Any);
         put_attr_test(&mut buf, &AttrTest::Any);
-        let err = get_predicate(&mut buf.freeze(), &schema).unwrap_err();
+        let err = Reader::new(&buf).predicate(&schema).unwrap_err();
         assert!(matches!(err, Error::SchemaMismatch { .. }));
     }
 }

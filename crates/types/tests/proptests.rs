@@ -156,9 +156,9 @@ proptest! {
     fn value_wire_roundtrip(v in value_strategy()) {
         let mut buf = BytesMut::new();
         wire::put_value(&mut buf, &v);
-        let mut rd = buf.freeze();
-        prop_assert_eq!(wire::get_value(&mut rd).unwrap(), v);
-        prop_assert_eq!(rd.len(), 0, "decoder must consume exactly what was encoded");
+        let mut rd = wire::Reader::new(&buf);
+        prop_assert_eq!(rd.value().unwrap(), v);
+        prop_assert_eq!(rd.remaining(), 0, "decoder must consume exactly what was encoded");
     }
 
     /// Events survive the wire codec through a registry.
@@ -175,7 +175,7 @@ proptest! {
         let event = Event::from_values(schema, [s, i, d, b]).unwrap();
         let mut buf = BytesMut::new();
         wire::put_event(&mut buf, &event);
-        let back = wire::get_event(&mut buf.freeze(), &registry).unwrap();
+        let back = wire::get_event(&buf, &registry).unwrap();
         prop_assert_eq!(back, event);
     }
 
@@ -190,7 +190,7 @@ proptest! {
         );
         let mut buf = BytesMut::new();
         wire::put_subscription(&mut buf, &sub);
-        let back = wire::get_subscription(&mut buf.freeze(), &schema).unwrap();
+        let back = wire::Reader::new(&buf).subscription(&schema).unwrap();
         prop_assert_eq!(back, sub);
     }
 
@@ -200,10 +200,10 @@ proptest! {
         let mut registry = SchemaRegistry::new();
         registry.register(test_schema()).unwrap();
         let schema = registry.get_by_name("prop").unwrap().clone();
-        let _ = wire::get_value(&mut bytes::Bytes::from(bytes.clone()));
-        let _ = wire::get_event(&mut bytes::Bytes::from(bytes.clone()), &registry);
-        let _ = wire::get_predicate(&mut bytes::Bytes::from(bytes.clone()), &schema);
-        let _ = wire::get_subscription(&mut bytes::Bytes::from(bytes), &schema);
+        let _ = wire::Reader::new(&bytes).value();
+        let _ = wire::get_event(&bytes, &registry);
+        let _ = wire::Reader::new(&bytes).predicate(&schema);
+        let _ = wire::Reader::new(&bytes).subscription(&schema);
     }
 
     /// The predicate parser never panics on arbitrary strings.
