@@ -25,6 +25,12 @@
 //! chain, `2 + DECOYS` in all — and keeps each tail as the one node the
 //! PST does: it holds `3 + DECOYS` nodes and reports (`summary()`) the
 //! runs of the spelled-out tree its walk is charged by.
+//!
+//! The table of the `chain_depth` bench (`crates/bench/benches/
+//! link_matching.rs`) is pinned the same way, per event, at the depths the
+//! bench runs — once as the bench builds it, every chain a tail, and once
+//! with a twin per chain that makes the chain's passing levels real PST
+//! nodes, so that the runs the walk folds are found in the tree itself.
 
 use linkcast::{LinkMatchEngine, LinkSpace, NetworkBuilder, RouteScratch, RoutingFabric};
 use linkcast_matching::{MatchStats, PstOptions};
@@ -247,5 +253,105 @@ fn observed_selectivity_reorders_the_match_table_once() {
             assert!(!engine.adapt_order(&mut scratch));
         }
         assert_eq!(engine.pst().order(), (0..9).collect::<Vec<_>>());
+    }
+}
+
+/// The table of `link_matching`'s `chain_depth` bench: 1024 chains under
+/// one `volume` node at the second of two brokers, each `depth - 1` range
+/// tests every event passes, then one none does, `*` below, spread over 96
+/// local subscribers. With `twins`, every chain gets a second subscriber
+/// whose failing test differs: the two part ways at that level, so the
+/// passing levels above are real single-edge PST nodes — runs the walk
+/// finds in the tree, not in a tail's chain.
+fn chain_depth_engine(
+    depth: i64,
+    twins: bool,
+) -> (
+    std::sync::Arc<RoutingFabric>,
+    Vec<Subscription>,
+    LinkMatchEngine,
+) {
+    use linkcast_types::{AttrTest, Predicate};
+    const CHAINS: i64 = 1024;
+    let mut b = EventSchema::builder("chains").attribute("volume", ValueKind::Int);
+    for k in 1..=6 {
+        b = b.attribute(format!("a{k}").as_str(), ValueKind::Int);
+    }
+    let schema = b.build().unwrap();
+    let chain = |j: i64, last: i64| {
+        let mut tests = vec![AttrTest::Ge(Value::Int(-j))];
+        tests.extend((1..depth).map(|k| AttrTest::Ge(Value::Int(-(7 * j + k)))));
+        tests.push(AttrTest::Ge(Value::Int(last)));
+        tests.resize(7, AttrTest::Any);
+        Predicate::from_tests(&schema, tests).unwrap()
+    };
+
+    let mut net = NetworkBuilder::new();
+    let brokers = net.add_brokers(2);
+    net.connect(brokers[0], brokers[1], 5.0).unwrap();
+    let home = brokers[1];
+    let clients: Vec<_> = (0..96).map(|_| net.add_client(home).unwrap()).collect();
+    let fabric = RoutingFabric::new_all_roots(net.build().unwrap()).unwrap();
+    let mut table = Vec::new();
+    for j in 0..CHAINS {
+        let copies: &[i64] = if twins { &[0, 1] } else { &[0] };
+        for &copy in copies {
+            let client = clients[(j + copy) as usize % clients.len()];
+            table.push(Subscription::new(
+                SubscriptionId::new(table.len() as u32),
+                SubscriberId::new(home, client),
+                chain(j, 100_000 + j + 50_000 * copy),
+            ));
+        }
+    }
+    let space = LinkSpace::build(fabric.network(), fabric.forest(), home);
+    let mut engine =
+        LinkMatchEngine::new(home, schema.clone(), PstOptions::default(), space).unwrap();
+    for subscription in &table {
+        engine.subscribe(subscription.clone()).unwrap();
+    }
+    (fabric, table, engine)
+}
+
+/// Per-event steps and comparisons of routing the bench's 64 events
+/// (`volume` 0..64, `a_k = k`, so no chain matches) from the first broker
+/// through the `chain_depth` table, at depths 1, 3 and 6, with and without
+/// twins.
+#[test]
+fn chain_depth_costs_are_pinned() {
+    let pinned = [
+        // (depth, twins): arena nodes, covered nodes, runs, prefix tests,
+        // and (steps, comparisons) per event, the same for all 64.
+        ((1, false), (1025, 7169, 0, 0), (1025, 2060)),
+        ((3, false), (1025, 7169, 1024, 2048), (1025, 4108)),
+        ((6, false), (1025, 7169, 1024, 5120), (1025, 7180)),
+        ((1, true), (3073, 13313, 0, 0), (1025, 3084)),
+        ((3, true), (3073, 11265, 1024, 2048), (1025, 5132)),
+        ((6, true), (3073, 8193, 1024, 5120), (1025, 8204)),
+    ];
+    for ((depth, twins), shape, cost) in pinned {
+        let (fabric, table, engine) = chain_depth_engine(depth, twins);
+        let summary = engine.arena().summary();
+        let kept = (summary.nodes, summary.covered_nodes);
+        let folded = (summary.runs, summary.prefix_tests);
+        assert_eq!((kept, folded), ((shape.0, shape.1), (shape.2, shape.3)));
+        assert_eq!(engine.arena().node_count(), shape.0);
+        assert_eq!(summary.covered_nodes, engine.pst().expanded_node_count());
+        let brokers: Vec<_> = fabric.network().brokers().collect();
+        let tree_id = fabric.tree_for(brokers[0]).unwrap();
+        let tree = fabric.forest().tree(tree_id).unwrap();
+        let mut scratch = RouteScratch::new();
+        let mut links = Vec::new();
+        for volume in 0..64 {
+            let values = std::iter::once(volume).chain(1..=6).map(Value::Int);
+            let event = Event::from_values(engine.pst().schema(), values).unwrap();
+            let mut stats = MatchStats::new();
+            engine.match_links_into(&event, tree_id, &mut scratch, &mut stats, &mut links);
+            let expected = oracle_links(fabric.network(), tree, engine.broker(), &table, &event);
+            assert_eq!(links, expected, "depth {depth}, volume {volume}");
+            assert!(links.is_empty(), "no chain matches");
+            let context = format!("depth {depth}, twins {twins}, volume {volume}");
+            assert_eq!((stats.steps, stats.comparisons), cost, "{context}");
+        }
     }
 }
