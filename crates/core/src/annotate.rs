@@ -39,6 +39,9 @@ pub(crate) struct Annotations {
     trits: Vec<u64>,
     /// Whether node `i`'s row holds a computed annotation.
     live: Vec<bool>,
+    /// Per leaf or tail `i`: the levels of its chain down to and including
+    /// the last test that can fail ([`can_fail`]), 0 if none can.
+    cuts: Vec<u16>,
     /// Row `i`: what node `i`'s value-branch children (leaf: subscribers)
     /// say.
     tallies: TritTallies,
@@ -66,6 +69,7 @@ impl Annotations {
             words: next.words().len(),
             trits: Vec::new(),
             live: Vec::new(),
+            cuts: Vec::new(),
             tallies: TritTallies::new(width),
             cover: HashMap::new(),
             leaves: HashMap::new(),
@@ -80,9 +84,11 @@ impl Annotations {
         live.then(|| row(&self.trits, self.words, id.index()))
     }
 
-    /// Trits per annotation.
-    pub(crate) fn width(&self) -> usize {
-        self.next.len()
+    /// The levels of leaf or tail `id`'s chain down to and including the
+    /// last test that can fail, 0 if none can (or `id` is interior): below
+    /// it, the nodes the chain stands for carry the leaf's annotation.
+    pub(crate) fn cut(&self, id: NodeId) -> usize {
+        self.cuts.get(id.index()).map_or(0, |cut| usize::from(*cut))
     }
 
     /// Recomputes everything from `pst` over `space` (post-order, children
@@ -194,6 +200,7 @@ impl Annotations {
         if self.live.len() < slots {
             self.trits.resize(slots * self.words, 0);
             self.live.resize(slots, false);
+            self.cuts.resize(slots, 0);
             self.tallies.resize(slots);
         }
     }
@@ -279,19 +286,22 @@ impl Annotations {
 
     /// §3.1: reads `id`'s annotation off its tallies — leaves get `Yes` per
     /// link reaching one of their subscribers, tails `Maybe` instead if a
-    /// test of their chain can fail; interior nodes combine
+    /// test of their chain can fail (and note the last that can, their
+    /// [`cut`](Self::cut)); interior nodes combine
     /// children with *Alternative Combine* (value branches, plus an
     /// implicit all-`No` alternative when the branches do not exhaust the
     /// attribute's domain) and *Parallel Combine* (the `*` branch). Leaves
     /// the node's former annotation in `previous` and returns whether the
     /// new one differs.
     fn derive(&mut self, pst: &Pst, node: &NodeRef<'_>, id: NodeId) -> bool {
+        let mut cut = 0;
         if node.is_leaf() {
             self.tallies.parallel_into(id.index(), &mut self.next);
-            if node
+            let last = node
                 .residual()
-                .any(|(attr, test)| can_fail(pst, attr, test))
-            {
+                .rposition(|(attr, test)| can_fail(pst, attr, test));
+            if let Some(last) = last {
+                cut = last as u16 + 1;
                 self.next.yes_to_maybe_in_place();
             }
         } else {
@@ -306,6 +316,7 @@ impl Annotations {
                 self.next.parallel_words_in_place(says);
             }
         }
+        self.cuts[id.index()] = cut;
         let words = self.words;
         let current = &mut self.trits[id.index() * words..(id.index() + 1) * words];
         let was_live = std::mem::replace(&mut self.live[id.index()], true);

@@ -761,9 +761,9 @@ fn arena_walk_agrees_with_brute_force() {
     assert_eq!(steps, [294, 110, 233]);
 }
 
-/// Subscribe/unsubscribe churn: the arena (incrementally patched or
-/// rebuilt) must track the mutable PST exactly, and the generation counter
-/// must tick on every mutation.
+/// Subscribe/unsubscribe churn: the walk over the incrementally
+/// maintained tree must track the mutable PST exactly, and the generation
+/// counter must tick on every mutation.
 #[test]
 fn arena_tracks_subscription_churn() {
     let mut rng = StdRng::seed_from_u64(1717);
@@ -1225,12 +1225,12 @@ impl std::ops::AddAssign for Adaptations {
 /// The tentpole property: after **every** step of a long random
 /// subscribe/unsubscribe sequence — equality, range and `*` edges, shared
 /// prefixes, duplicate predicates, factoring on and off — the
-/// incrementally maintained engine (counted annotations, in-place arena
-/// patches, free-listed nodes, runs cut and rejoined on the reported path,
+/// incrementally maintained engine (counted annotations, free-listed
+/// nodes, runs the rule cuts and rejoins as edges and annotations change,
 /// tails burst where a newcomer parts ways with them and the chains that
 /// leaves behind never collapsed again) is indistinguishable from one built
 /// from scratch over the surviving subscriptions: the same annotation on
-/// every node of the logical tree, the same runs in the arena, and for a
+/// every node of the logical tree, the same runs, and for a
 /// batch of events on every tree the same link set and the same number of
 /// match steps and comparisons. The recursive search over the boxed tree
 /// vouches for the link sets and bounds the steps from above. Every config
@@ -1239,7 +1239,7 @@ impl std::ops::AddAssign for Adaptations {
 /// Those steps and comparisons are also *predicted*, for every one of the
 /// probe events, from the logical tree alone ([`PredictedWalk`]: the run
 /// rule and trivial-test elimination over [`Logical`] nodes, knowing
-/// nothing of tails), and must come out equal: a tail is one arena node,
+/// nothing of tails), and must come out equal: a tail is one node,
 /// charged on entry what its chain's runs would be, and every config must
 /// have entered tails through absorbed parents, tails with a second
 /// subscriber, tails whose every test is `*` and tails no test of which
@@ -1375,8 +1375,8 @@ fn churn_against_scratch(
         if step % (2 * SHIFT_PHASE) == 0 {
             hot = engine.pst().order().last().copied().unwrap_or(0);
         }
-        // Alternate growth and decay so spans grow wide, relocate, drain
-        // to empty and are reused.
+        // Alternate growth and decay so edge lists grow wide, drain to
+        // empty and node slots are reused.
         let half_cycle = if traffic == Traffic::Shifting {
             SHIFT_PHASE
         } else {
@@ -1491,11 +1491,11 @@ fn churn_against_scratch(
         )
         .unwrap();
         assert_same_annotated_tree(&engine, &fresh, &context);
-        // The same tree, re-annotated and re-flattened from scratch:
-        // identical edge order by construction, so identical steps.
+        // The same tree, re-annotated from scratch: identical edge order
+        // by construction, so identical steps.
         let mut recompiled = engine.clone();
         recompiled.rebuild_annotations();
-        // Same runs; only the garbage (slack, free slots) may differ.
+        // Same runs, same nodes.
         let runs = |e: &LinkMatchEngine| {
             let s = e.arena().summary();
             (s.covered_nodes, s.runs, s.prefix_tests)
@@ -1505,11 +1505,6 @@ fn churn_against_scratch(
             engine.arena().node_count(),
             recompiled.arena().node_count(),
             "{context}"
-        );
-        // Not `assert_eq`: the outlines run to hundreds of lines.
-        assert!(
-            engine.arena().outline(engine.pst()) == recompiled.arena().outline(recompiled.pst()),
-            "{context}: the patched arena walks unlike a fresh compile"
         );
         // And the same as over the tree built from nothing, which keeps as
         // tails — one arena node each — what this one may keep as the
@@ -1521,8 +1516,9 @@ fn churn_against_scratch(
             "{context}"
         );
         // The cache key: every attribute some node branches on, be the
-        // test an arena edge or absorbed into a prefix. Stale entries
-        // may linger until a compaction; none may be missing.
+        // test on an edge the walk looks up or on one it passes through
+        // in a run. Stale entries may linger until a rebuild; none may be
+        // missing.
         let tested = engine.tested_attributes();
         for node in after.keys() {
             if node
@@ -1805,14 +1801,14 @@ fn link_space_structure_is_sound_on_random_networks() {
     }
 }
 
-/// The one mutation the arena does not patch in place. A subscriber the
+/// A mutation that re-cuts runs without touching an edge. A subscriber the
 /// surviving graph cannot reach (topology repair has cut its broker off)
 /// has an all-`No` leaf vector; a tail that parks only such subscribers is
 /// all-`No` down its whole chain, so the run rule folds the chain across
 /// the test that can fail — the annotation does not change there. The
 /// first subscriber that *is* reachable puts a `Maybe` above that test and
-/// a `Yes` below it: the run must be cut, and is, by a recompile; likewise
-/// back when it leaves. Either way the engine is what a fresh one would be.
+/// a `Yes` below it: the run must be cut, and is, by the walk that reads
+/// the new annotations; likewise back when it leaves. Either way the engine is what a fresh one would be.
 #[test]
 fn a_tail_turning_reachable_recuts_its_runs() {
     let mut b = NetworkBuilder::new();
@@ -1852,10 +1848,6 @@ fn a_tail_turning_reachable_recuts_its_runs() {
         assert_eq!(
             engine.arena().summary().runs,
             expected.arena().summary().runs,
-            "{when}"
-        );
-        assert!(
-            engine.arena().outline(engine.pst()) == expected.arena().outline(expected.pst()),
             "{when}"
         );
         let spanning = forest.tree(tree).unwrap();

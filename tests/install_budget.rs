@@ -7,8 +7,8 @@
 //! The subject is the `match` benchmark's decoy chain (six range tests over
 //! per-chain constants), 2 048 of them installed into an empty engine with
 //! the predicates parsed beforehand, so what is counted is the index — tree
-//! node, subscription slot, annotation rows, arena node — and not the
-//! predicate it indexes. Every test installs them in two orders: by id,
+//! node, subscription slot, annotation rows — and not the predicate it
+//! indexes. Every test installs them in two orders: by id,
 //! where each chain's `volume` edge is appended to the sorted list, and in
 //! the benchmark's three phases, where two thirds land in its middle.
 //!
@@ -92,17 +92,17 @@ fn per_chain<R>(f: impl FnOnce() -> R) -> (f64, f64, R) {
 }
 
 /// One subscription is one row in every layer — a tree node with its first
-/// id inline, a slab slot, an annotation row and a tally window, an arena
-/// node that reads the chain's tests, and the edges it follows, where they
-/// are — so an install keeps under 550 bytes of index (496 measured in
-/// either order, 54 of margin; 640 while the arena kept a copy of every
-/// edge list, 770 while range edges carried a label index beside the list,
-/// 1 504 when the arena spelled every chain out as three nodes and five
-/// cloned tests, and annotations were two heap vectors a node) and
-/// allocates only where a slab doubles (6.2 before).
-/// The mirrors of the tree — annotations and arena — allocate nothing else:
-/// what the engine allocates beyond a bare tree fed the same inserts is
-/// their slabs' amortised growth.
+/// id inline and its edge in the parent's list, a slab slot, and an
+/// annotation row with its tally window and its chain's last failing level
+/// beside it — so an install keeps under 420 bytes of index (379 measured
+/// in either order, 41 of margin; 496 while a match arena mirrored every
+/// node in columns of its own, 640 while it kept a copy of every edge list,
+/// 770 while range edges carried a label index beside the list, 1 504 when
+/// the arena spelled every chain out as three nodes and five cloned tests,
+/// and annotations were two heap vectors a node) and allocates only where a
+/// slab doubles (6.2 before). The annotations allocate nothing else: what
+/// the engine allocates beyond a bare tree fed the same inserts is their
+/// slabs' amortised growth.
 #[test]
 fn installing_a_chain_stays_inside_its_budget() {
     for (name, order) in install_orders() {
@@ -129,7 +129,7 @@ fn installing_a_chain_stays_inside_its_budget() {
             allocations <= 3.0,
             "{name}: {allocations} allocations per chain"
         );
-        assert!(bytes <= 550.0, "{name}: {bytes} live bytes per chain");
+        assert!(bytes <= 420.0, "{name}: {bytes} live bytes per chain");
         let mirrors = allocations - tree_allocations;
         assert!(
             mirrors <= 0.25,
@@ -141,8 +141,8 @@ fn installing_a_chain_stays_inside_its_budget() {
 }
 
 /// Taking a chain out and putting it back allocates nothing in the
-/// annotations or the arena: the tree node's index, the annotation row, the
-/// tally window and the arena slot all come back in the role they had. (The
+/// annotations: the tree node's index, the annotation row and the tally
+/// window all come back in the role they had. (The
 /// tree itself allocates the list of nodes a remove pruned; the engine must
 /// allocate exactly what a bare tree does.)
 #[test]

@@ -19,9 +19,9 @@
 //! range and `*` tests, so value branches come to exhaust (and stop
 //! exhausting) the declared domains as subscriptions come and go.
 //!
-//! Two deterministic tests follow: one bounds the garbage the arena's
+//! Two deterministic tests follow: one bounds the garbage the engine's
 //! in-place maintenance may leave behind under sustained churn, one pins
-//! that a test absorbed into a run's prefix still keys the cache.
+//! that a test absorbed into a run still keys the cache.
 
 mod fault;
 mod oracle;
@@ -230,14 +230,13 @@ fn chains_schema() -> EventSchema {
     b.build().unwrap()
 }
 
-/// Garbage bound for the arena's in-place maintenance: 2048 chains that
+/// Garbage bound for the engine's in-place maintenance: 2048 chains that
 /// each hang off their own range edge of one `volume` node are installed
 /// one at a time, then 10 000 unsubscribe/subscribe pairs retire the oldest
-/// chain for a fresh one. The edges stay in the tree's lists, and no run
-/// here absorbs a real node — each chain is one tail, whose tests stay in
-/// its predicate — so the arena's prefix arrays stay within the compaction
-/// floor throughout (one slot, measured), and once the table is full the
-/// node count must not move: pruned slots are reused, not leaked.
+/// chain for a fresh one. The edges stay in the tree's lists, and each
+/// chain is one tail, whose tests stay in its predicate, so once the table
+/// is full the node count must not move: pruned slots are reused, not
+/// leaked.
 #[test]
 fn churn_leaves_bounded_garbage() {
     const CHAINS: u64 = 2048;
@@ -273,11 +272,6 @@ fn churn_leaves_bounded_garbage() {
     let assert_bounded = |engine: &LinkMatchEngine, when: &str| {
         let pst = engine.pst();
         let arena = engine.arena().summary();
-        assert!(
-            arena.edge_slots <= 64,
-            "{when}: {} prefix slots",
-            arena.edge_slots
-        );
         assert_eq!(arena.covered_nodes, pst.expanded_node_count(), "{when}");
         // The volume node, and per chain one node, its tail — standing
         // for the run [a1 a2 | a3] and a leaf (a lone chain is a tail at
@@ -302,10 +296,10 @@ fn churn_leaves_bounded_garbage() {
 }
 
 /// The cache keys on every attribute a walk can branch on, and a test
-/// absorbed into a run's prefix is one: a single chain subscription
-/// compiles to the run `[volume a1 a2 | a3]`, whose only arena node tests
+/// absorbed into a run is one: a single chain subscription is one tail,
+/// walked as the run `[volume a1 a2 | a3]`, whose only node standing tests
 /// `a3`. Two events that differ only in `a1` — one passing the chain, one
-/// failing it in the prefix — must not share an entry.
+/// failing it in the run — must not share an entry.
 #[test]
 fn prefix_attributes_key_the_cache() {
     let mut registry = SchemaRegistry::new();
