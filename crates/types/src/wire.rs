@@ -65,6 +65,23 @@ impl Count {
     pub fn vec<T>(self) -> Vec<T> {
         Vec::with_capacity(self.0)
     }
+
+    /// This count, if it is `schema`'s arity: one element per attribute.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Decode`] naming `what` otherwise.
+    pub fn of_arity(self, schema: &EventSchema, what: &str) -> Result<Count> {
+        if self.0 == schema.arity() {
+            return Ok(self);
+        }
+        Err(Error::Decode(format!(
+            "{} {what} for schema `{}` of arity {}",
+            self.0,
+            schema.name(),
+            schema.arity()
+        )))
+    }
 }
 
 /// Decode limits for attacker-controlled lengths and counts.
@@ -333,14 +350,17 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     ///
-    /// [`Error::Truncated`], [`Error::Decode`] on an unregistered schema id, plus any
-    /// schema-validation error from [`Event::from_values`].
+    /// [`Error::Truncated`], [`Error::Decode`] on an unregistered schema id
+    /// or a value count other than the schema's arity (before anything is
+    /// allocated for the values), plus any schema-validation error from
+    /// [`Event::from_values`].
     pub fn event(&mut self, registry: &SchemaRegistry) -> Result<Event> {
         let schema_id = crate::SchemaId::new(self.u32()?);
         let n = self.count16(limits::MIN_VALUE_BYTES, "event values")?;
         let schema = registry
             .get(schema_id)
             .ok_or_else(|| Error::Decode(format!("unknown schema id {schema_id}")))?;
+        let n = n.of_arity(schema, "event values")?;
         let mut values = n.vec();
         for _ in 0..n.get() {
             values.push(self.value()?);
@@ -372,10 +392,12 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     ///
-    /// [`Error::Truncated`], [`Error::Decode`], and validation errors from
-    /// [`Predicate::from_tests`].
+    /// [`Error::Truncated`], [`Error::Decode`] (a test count other than the
+    /// schema's arity among them, before anything is allocated for the
+    /// tests), and validation errors from [`Predicate::from_tests`].
     pub fn predicate(&mut self, schema: &EventSchema) -> Result<Predicate> {
         let n = self.count16(limits::MIN_TEST_BYTES, "predicate tests")?;
+        let n = n.of_arity(schema, "predicate tests")?;
         let mut tests = n.vec();
         for _ in 0..n.get() {
             tests.push(self.attr_test()?);
@@ -749,6 +771,28 @@ mod tests {
             err.to_string().contains("declared count"),
             "want a count-vs-payload rejection, got: {err}"
         );
+    }
+
+    #[test]
+    fn counts_other_than_the_arity_are_decode_errors() {
+        // Five `*` tests and five values fit their bytes, but the schema
+        // has four attributes: nothing is collected for them.
+        let schema = trades();
+        let mut buf = BytesMut::new();
+        buf.put_u16_le(5);
+        for _ in 0..5 {
+            buf.put_u8(TEST_ANY);
+        }
+        let err = Reader::new(&buf).predicate(&schema).unwrap_err();
+        assert!(matches!(err, Error::Decode(_)), "{err}");
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(0);
+        buf.put_u16_le(5);
+        for _ in 0..5 {
+            put_value(&mut buf, &Value::Bool(true));
+        }
+        let err = get_event(&buf, &registry()).unwrap_err();
+        assert!(matches!(err, Error::Decode(_)), "{err}");
     }
 
     #[test]
