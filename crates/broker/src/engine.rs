@@ -142,7 +142,7 @@ impl MatchingEngine {
         self.engines.iter().map(LinkMatchEngine::generation).sum()
     }
 
-    /// Link matching for one event through the flattened arena walk: the
+    /// Link matching for one event through the match walk: the
     /// links the event must be forwarded on, per its own schema's
     /// annotated tree. Reuses `scratch` across calls and memoizes the link
     /// set in `cache` keyed by the event's *tested* attribute values.
