@@ -78,7 +78,8 @@ fn main() {
          value subtrees (node count grows). Compiling to the parallel search\n\
          graph (the paper's DAG remark in §2.1) folds the replicas back\n\
          together and reclaims the space: PSG nodes barely grow with factoring.\n\
-         Steps are unchanged here because each event enters exactly one factored\n\
-         subtree — the sharing is across subtrees, not within one search."
+         Sharing does not cut steps — each event enters exactly one factored\n\
+         subtree — and the graph walk enters the `*`-only nodes the tree's\n\
+         trivial-test elimination skips, so PSG steps are the tree's without it."
     );
 }

@@ -50,6 +50,12 @@ const ALLOC_FACTOR: usize = 0;
 /// Plus this much whatever the input: the frame reader's first buffer.
 const ALLOC_SLACK: usize = 4096;
 
+/// The most a backed count mutation raises a count by: enough for a test
+/// or value vector sized by it to outgrow [`ALLOC_SLACK`], little enough
+/// that what it appends — to a connection's whole stream too — stays
+/// inside it.
+const BACKED_EXTRA: usize = 256;
+
 /// Damaged copies of each valid encoding, per case.
 const MUTANTS: usize = 8;
 
@@ -305,13 +311,16 @@ fn snapshot(rng: &mut Rng, registry: &SchemaRegistry, frames: &[Bytes]) -> Vec<u
 }
 
 /// `input` damaged one to three times: a bit flipped, the tail cut, a
-/// piece of another encoding spliced in, stray bytes appended, or a length
-/// or count field inflated.
+/// piece of another encoding spliced in, stray bytes appended, a length or
+/// count field inflated past the bytes present, or a `u16` count field
+/// raised by up to [`BACKED_EXTRA`] and as many or twice as many donor
+/// bytes appended to back it — a count only a check against the
+/// schema, not against the bytes, can refuse.
 fn mutate(rng: &mut Rng, input: &[u8], donors: &[Bytes]) -> Vec<u8> {
     let mut m = input.to_vec();
     for _ in 0..1 + rng.below(3) {
         let at = rng.below(m.len() + 1);
-        match rng.below(5) {
+        match rng.below(6) {
             0 if !m.is_empty() => {
                 let at = at.min(m.len() - 1);
                 m[at] ^= 1 << rng.below(8);
@@ -324,6 +333,16 @@ fn mutate(rng: &mut Rng, input: &[u8], donors: &[Bytes]) -> Vec<u8> {
                 m.splice(at..at, piece.iter().copied());
             }
             3 => m.extend((0..1 + rng.below(3)).map(|_| rng.u64() as u8)),
+            4 if m.len() >= 2 => {
+                let at = at.min(m.len() - 2);
+                let count = u16::from_le_bytes([m[at], m[at + 1]]);
+                let extra = 1 + rng.below(BACKED_EXTRA);
+                let raised = count.saturating_add(extra as u16);
+                m[at..at + 2].copy_from_slice(&raised.to_le_bytes());
+                let donor = rng.pick(donors);
+                let backing = extra * rng.pick(&[1, 2]);
+                m.extend(donor.iter().cycle().take(backing));
+            }
             _ => {
                 let field: &[u8] = match rng.below(6) {
                     0 => &u16::MAX.to_le_bytes(),
@@ -450,13 +469,12 @@ impl Read for Cut {
 /// the stream's own bytes, in order.
 fn check_reader(stream: Vec<u8>, cuts: Vec<usize>) -> Result<(), TestCaseError> {
     let polls = stream.len() + cuts.len() + 2;
-    let mut reader = decoded("FrameReader::new", &stream, || {
-        FrameReader::new(Box::new(Cut {
-            stream: stream.clone(),
-            pos: 0,
-            cuts,
-        }))
-    })?;
+    let source = Box::new(Cut {
+        stream: stream.clone(),
+        pos: 0,
+        cuts,
+    });
+    let mut reader = decoded("FrameReader::new", &stream, || FrameReader::new(source))?;
     let mut out = Vec::new();
     for _ in 0..polls {
         match decoded("FrameReader::poll", &stream, || reader.poll())? {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use linkcast::{
     CoreError, LinkMatchEngine, LinkSpace, MatchCache, Result, RouteScratch, RoutingFabric, TreeId,
 };
-use linkcast_matching::{MatchStats, PstOptions};
+use linkcast_matching::{MatchStats, MatcherError, PstOptions};
 use linkcast_types::{
     parse_predicate, BrokerId, Event, LinkId, Predicate, SchemaId, SchemaRegistry, Subscription,
     SubscriptionId,
@@ -23,10 +23,9 @@ use linkcast_types::{
 #[derive(Debug)]
 pub struct MatchingEngine {
     registry: Arc<SchemaRegistry>,
-    /// One annotated PST per information space, indexed by schema id.
+    /// One annotated PST per information space, indexed by schema id;
+    /// a subscription id is registered in at most one of them.
     engines: Vec<LinkMatchEngine>,
-    /// Which schema each subscription id belongs to (for removal).
-    subscription_schema: std::collections::HashMap<SubscriptionId, SchemaId>,
 }
 
 impl MatchingEngine {
@@ -51,11 +50,7 @@ impl MatchingEngine {
                 space,
             )?);
         }
-        Ok(MatchingEngine {
-            registry,
-            engines,
-            subscription_schema: std::collections::HashMap::new(),
-        })
+        Ok(MatchingEngine { registry, engines })
     }
 
     /// The schema registry (information spaces) this engine serves.
@@ -97,33 +92,28 @@ impl MatchingEngine {
     /// # Errors
     ///
     /// [`CoreError::Unknown`] for unknown schemas, plus matcher errors
-    /// (duplicates, arity mismatches).
+    /// (duplicates — in any information space — and arity mismatches).
     pub fn subscribe(&mut self, schema: SchemaId, subscription: Subscription) -> Result<()> {
+        let id = subscription.id();
+        if self.knows(id) {
+            return Err(MatcherError::DuplicateSubscription(id).into());
+        }
         let engine = self
             .engines
             .get_mut(schema.index())
             .ok_or_else(|| CoreError::Unknown(format!("information space {schema}")))?;
-        let id = subscription.id();
-        engine.subscribe(subscription)?;
-        self.subscription_schema.insert(id, schema);
-        Ok(())
+        engine.subscribe(subscription)
     }
 
     /// Removes a subscription, returning whether it was registered.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        let Some(schema) = self.subscription_schema.remove(&id) else {
-            return false;
-        };
-        match self.engines.get_mut(schema.index()) {
-            Some(engine) => engine.unsubscribe(id),
-            None => false,
-        }
+        self.engines.iter_mut().any(|engine| engine.unsubscribe(id))
     }
 
     /// Whether a subscription id is registered (used to stop control-plane
     /// flooding).
     pub fn knows(&self, id: SubscriptionId) -> bool {
-        self.subscription_schema.contains_key(&id)
+        self.subscription(id).is_some()
     }
 
     /// Total registered subscriptions across all information spaces.
@@ -198,25 +188,19 @@ impl MatchingEngine {
         rebuilt.map(u64::from).sum()
     }
 
-    /// Looks up a registered subscription.
+    /// Looks up a registered subscription: one lookup per information
+    /// space, in the space's own PST.
     pub fn subscription(&self, id: SubscriptionId) -> Option<&Subscription> {
-        let schema = self.subscription_schema.get(&id)?;
-        self.engines.get(schema.index())?.subscription(id)
+        self.engines.iter().find_map(|e| e.subscription(id))
     }
 
-    /// Every registered subscription with its information space — the
-    /// payload of the anti-entropy resync sent when a broker link
-    /// (re-)establishes.
+    /// Every registered subscription with its information space, in id
+    /// order — the payload of the anti-entropy resync sent when a broker
+    /// link (re-)establishes.
     pub fn all_subscriptions(&self) -> Vec<(SchemaId, Subscription)> {
-        let mut out: Vec<(SchemaId, Subscription)> = self
-            .subscription_schema
-            .iter()
-            .filter_map(|(id, schema)| {
-                self.engines
-                    .get(schema.index())?
-                    .subscription(*id)
-                    .map(|s| (*schema, s.clone()))
-            })
+        let spaces = self.engines.iter().map(LinkMatchEngine::pst);
+        let mut out: Vec<(SchemaId, Subscription)> = spaces
+            .flat_map(|pst| pst.subscriptions().map(|s| (pst.schema().id(), s.clone())))
             .collect();
         out.sort_by_key(|(_, s)| s.id());
         out
@@ -313,6 +297,12 @@ mod tests {
         assert_eq!(engine.subscription_count(), 1);
         assert!(engine.knows(SubscriptionId::new(1)));
         assert!(engine.subscription(SubscriptionId::new(1)).is_some());
+        // An id lives in one space: the per-space lookups find it there.
+        let p_quotes = engine.parse_subscription(quotes.id(), "bid > 1").unwrap();
+        let subscriber = SubscriberId::new(BrokerId::new(0), local);
+        let twin = Subscription::new(SubscriptionId::new(1), subscriber, p_quotes);
+        assert!(engine.subscribe(quotes.id(), twin).is_err());
+        assert_eq!(engine.all_subscriptions().len(), 1);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Event literals for the command line: `issue="IBM", price=119.50,
 //! volume=3000` parsed against an information-space schema.
 
-use linkcast_types::{Event, EventSchema, Value, ValueKind};
+use linkcast_types::{parse_literal, Event, EventSchema};
 
 /// Parses a comma-separated `name=literal` list into an [`Event`]. Every
 /// attribute of the schema must be assigned exactly once.
 ///
-/// Literal forms per kind: strings are double-quoted (`\"` and `\\`
-/// escapes), integers are plain, dollars take up to two decimals, booleans
-/// are `true`/`false`.
+/// Literals are the predicate grammar's ([`parse_literal`]): strings are
+/// double-quoted (`\"` and `\\` escapes), integers are plain, dollars
+/// take up to two decimals, booleans are `true`/`false`.
 ///
 /// # Errors
 ///
@@ -28,8 +28,8 @@ pub fn parse_event(schema: &EventSchema, input: &str) -> Result<Event, String> {
             .attribute_index(name)
             .and_then(|i| schema.attribute(i))
             .ok_or_else(|| format!("`{name}` is not an attribute of `{}`", schema.name()))?;
-        let value = parse_literal(attr.kind(), literal.trim())
-            .map_err(|e| format!("attribute `{name}`: {e}"))?;
+        let value = parse_literal(attr.kind(), literal)
+            .map_err(|e| format!("attribute `{name}`: {}", e.message()))?;
         builder = builder.set(name, value).map_err(|e| e.to_string())?;
     }
     builder.build().map_err(|e| e.to_string())
@@ -62,70 +62,10 @@ fn split_top_level(input: &str) -> Result<Vec<&str>, String> {
     Ok(parts)
 }
 
-fn parse_literal(kind: ValueKind, text: &str) -> Result<Value, String> {
-    match kind {
-        ValueKind::Str => {
-            let inner = text
-                .strip_prefix('"')
-                .and_then(|t| t.strip_suffix('"'))
-                .ok_or_else(|| format!("string literal `{text}` must be double-quoted"))?;
-            let mut out = String::with_capacity(inner.len());
-            let mut chars = inner.chars();
-            while let Some(c) = chars.next() {
-                if c == '\\' {
-                    match chars.next() {
-                        Some('"') => out.push('"'),
-                        Some('\\') => out.push('\\'),
-                        other => return Err(format!("bad escape `\\{other:?}`")),
-                    }
-                } else {
-                    out.push(c);
-                }
-            }
-            Ok(Value::str(out))
-        }
-        ValueKind::Int => text
-            .parse::<i64>()
-            .map(Value::Int)
-            .map_err(|_| format!("`{text}` is not an integer")),
-        ValueKind::Dollar => {
-            let (neg, digits) = match text.strip_prefix('-') {
-                Some(rest) => (true, rest),
-                None => (false, text),
-            };
-            let (whole, frac) = digits.split_once('.').unwrap_or((digits, ""));
-            if whole.is_empty() || whole.bytes().any(|b| !b.is_ascii_digit()) {
-                return Err(format!("`{text}` is not a dollar amount"));
-            }
-            let frac_cents = match frac.len() {
-                0 => 0,
-                1 => {
-                    frac.parse::<i64>()
-                        .map_err(|_| format!("`{text}` is not a dollar amount"))?
-                        * 10
-                }
-                2 => frac
-                    .parse::<i64>()
-                    .map_err(|_| format!("`{text}` is not a dollar amount"))?,
-                _ => return Err(format!("`{text}` has more than two decimal places")),
-            };
-            let whole: i64 = whole
-                .parse()
-                .map_err(|_| format!("`{text}` is out of range"))?;
-            let cents = whole * 100 + frac_cents;
-            Ok(Value::Dollar(if neg { -cents } else { cents }))
-        }
-        ValueKind::Bool => match text {
-            "true" => Ok(Value::Bool(true)),
-            "false" => Ok(Value::Bool(false)),
-            other => Err(format!("`{other}` is not `true` or `false`")),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use linkcast_types::{Value, ValueKind};
 
     fn schema() -> EventSchema {
         EventSchema::builder("trades")
@@ -167,18 +107,22 @@ mod tests {
         for (input, needle) in [
             ("justaword", "not `name=value`"),
             ("ticker=\"X\"", "not an attribute"),
-            ("issue=X, price=1, volume=1, urgent=true", "double-quoted"),
+            ("issue=X, price=1, volume=1, urgent=true", "string literal"),
             (
                 "issue=\"X\", price=1.005, volume=1, urgent=true",
                 "decimal places",
             ),
             (
                 "issue=\"X\", price=1, volume=ten, urgent=true",
-                "not an integer",
+                "expected integer literal",
             ),
             (
                 "issue=\"X\", price=1, volume=1, urgent=yes",
-                "`true` or `false`",
+                "expected boolean literal",
+            ),
+            (
+                "issue=\"X\", price=92233720368547759, volume=1, urgent=true",
+                "out of range",
             ),
             ("issue=\"X\", price=1, volume=1", "missing a value"),
             ("issue=\"unterminated", "unterminated"),

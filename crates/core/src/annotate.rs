@@ -78,6 +78,11 @@ impl Annotations {
         }
     }
 
+    /// Trits per annotation row: the link-space width.
+    pub(crate) fn width(&self) -> usize {
+        self.next.len()
+    }
+
     /// The annotation of a node, packed ([`TritVec::words`]), if computed.
     pub(crate) fn get(&self, id: NodeId) -> Option<&[u64]> {
         let live = self.live.get(id.index()).copied().unwrap_or(false);

@@ -7,10 +7,10 @@
 //! enters, and follows the node's sorted equality, range and `*` edges
 //! where the PST keeps them, binary-searched in place. Every mask comes
 //! from a reusable [`MatchScratch`] pool — no allocation per event, no
-//! per-child mask clone. The [`MatchArena`] beside the tree holds only what
-//! a walk needs of the tree as a whole: the factored roots, sorted for
-//! lookup by the event's borrowed values, the attributes a result can
-//! depend on, and the sizes the pool is drawn to.
+//! per-child mask clone. Nothing beside the two is kept for the walk: it
+//! finds the event's subtree in the PST's own sorted root table, by binary
+//! search against the event's borrowed values, and sizes the pool by the
+//! PST's depth and the annotations' width.
 //!
 //! Trivial-test skip pointers (§2.1.2) are followed as a search takes an
 //! edge: it enters the child's skip target, so `*`-only chains cost nothing
@@ -55,7 +55,7 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![deny(clippy::indexing_slicing, clippy::string_slice)]
 
-use linkcast_matching::{MatchStats, MutationReport, NodeId, NodeRef, Pst};
+use linkcast_matching::{MatchStats, NodeId, NodeRef, Pst};
 use linkcast_types::{AttrTest, Event, RangeLookup, TritVec, Value};
 
 use crate::annotate::Annotations;
@@ -63,150 +63,29 @@ use crate::annotate::Annotations;
 /// Sentinel for "no attribute" and "not looked up yet" in `u32` fields.
 const NONE: u32 = u32::MAX;
 
-/// What the §3.3 walk needs of one engine's PST as a whole; the nodes, the
-/// edges and the annotations it reads where they are.
-#[derive(Debug, Clone, Default)]
-pub struct MatchArena {
-    /// Trits per annotation/mask (the link-space width).
-    width: usize,
-    /// Whether edges skip `*`-only nodes (trivial-test elimination), which
-    /// goes for the `*` levels of a tail's chain as well.
-    skipping: bool,
-    /// Factored-subtree roots (PST ids), sorted by key for borrow-keyed
-    /// binary search against event values.
-    roots: Vec<(Box<[Value]>, NodeId)>,
-    /// Factored attribute indices (the root-key schema).
-    factored: Vec<usize>,
-    /// Attribute indices that can influence the walk's branching: the
-    /// factored attributes plus every `order` attribute whose level has at
-    /// least one equality or range edge (absorbed or not, a tail's chain
-    /// counted as spelled out) somewhere in the tree. Sorted.
-    /// Attributes outside this set cannot change the match result, which is
-    /// exactly why the match-result cache keys on these and only these. An
-    /// unsubscribe never shrinks the set (a superset only splits cache
-    /// entries that could have been shared); a rebuild recomputes it.
-    tested: Vec<usize>,
-    /// Upper bound on the walk's stack depth (root-to-leaf node count).
-    max_depth: usize,
-    /// Attributes of the schema: what a [`WalkEvidence`] is sized for.
-    arity: usize,
+/// One engine's annotated PST read as the walk reads it: what
+/// [`LinkMatchEngine::arena`](crate::LinkMatchEngine::arena) returns.
+#[derive(Debug, Clone, Copy)]
+pub struct ArenaView<'a> {
+    pub(crate) pst: &'a Pst,
+    pub(crate) annotations: &'a Annotations,
 }
 
-impl MatchArena {
-    /// The facts of `pst` as it stands, for masks of `width` trits.
-    pub(crate) fn new(pst: &Pst, width: usize) -> Self {
-        let mut arena = MatchArena {
-            width,
-            skipping: pst.options().eliminate_trivial_tests,
-            roots: pst.roots().map(|(key, root)| (key.into(), root)).collect(),
-            factored: pst.factored().to_vec(),
-            tested: pst.factored().to_vec(),
-            max_depth: pst.order().len() + 1,
-            arity: pst.schema().arity(),
-        };
-        arena.roots.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        arena.tested.sort_unstable();
-        arena.tested.dedup();
-        for id in pst.postorder() {
-            arena.mark_branching(pst, id);
-        }
-        arena
-    }
-
-    /// Follows one PST mutation: a path that made or pruned a factored
-    /// root files or drops it, and every node on a path may branch on an
-    /// attribute for the first time.
-    pub(crate) fn apply(&mut self, pst: &Pst, report: &MutationReport) {
-        for path in report.paths() {
-            match path.nodes.first() {
-                Some(root) if path.created == 0 => self.add_root(&path.key, *root),
-                None if path.removed.is_some() => self.remove_root(&path.key),
-                _ => {}
-            }
-            for id in path.nodes.iter() {
-                self.mark_branching(pst, *id);
-            }
-        }
-    }
-
-    /// Files the new subtree root `root` under `key`.
-    fn add_root(&mut self, key: &[Value], root: NodeId) {
-        if let Err(at) = self.roots.binary_search_by(|(k, _)| (**k).cmp(key)) {
-            self.roots.insert(at, (key.into(), root));
-        }
-    }
-
-    /// Drops the subtree root filed under `key`.
-    fn remove_root(&mut self, key: &[Value]) {
-        if let Ok(at) = self.roots.binary_search_by(|(k, _)| (**k).cmp(key)) {
-            self.roots.remove(at);
-        }
-    }
-
-    /// Records the attributes PST node `id` branches on, if any: its own
-    /// when it has an equality or range edge, and a tail's chain's where
-    /// they are not `*`. Future cache keys must include them.
-    fn mark_branching(&mut self, pst: &Pst, id: NodeId) {
-        let Some(node) = pst.try_node(id) else {
-            return;
-        };
-        if !node.eq_edges().is_empty() || !node.range_edges().is_empty() {
-            self.mark_tested(node.attribute());
-        }
-        for (attr, test) in node.residual() {
-            if !test.is_wildcard() {
-                self.mark_tested(Some(attr));
-            }
-        }
-    }
-
-    /// Records that the level testing `attr` branches on values.
-    fn mark_tested(&mut self, attr: Option<usize>) {
-        let Some(attr) = attr else {
-            return;
-        };
-        if let Err(at) = self.tested.binary_search(&attr) {
-            self.tested.insert(at, attr);
-        }
-    }
-
-    /// The attribute indices that can influence a match result (sorted).
-    pub fn tested_attributes(&self) -> &[usize] {
-        &self.tested
-    }
-
-    /// The PST root for `event`'s factor key, found by binary search
-    /// against the event's *borrowed* factored values — no per-event key
-    /// allocation.
-    fn root_for_event(&self, event: &Event) -> Option<NodeId> {
-        let values = event.values();
-        self.roots
-            .binary_search_by(|(key, _)| {
-                key.iter()
-                    .zip(&self.factored)
-                    .map(|(k, &attr)| match values.get(attr) {
-                        Some(v) => k.cmp(v),
-                        None => std::cmp::Ordering::Less,
-                    })
-                    .find(|o| !o.is_eq())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .ok()
-            .and_then(|i| self.roots.get(i).map(|(_, root)| *root))
-    }
-
+impl ArenaView<'_> {
     /// The node a search taking an edge to `id` enters: its trivial-test
     /// skip target when elimination is on, else `id` itself. (A tail whose
     /// chain opens with `*` tests is skipped into as it is walked.)
     #[inline]
-    fn resolve(&self, pst: &Pst, id: NodeId) -> NodeId {
-        let skip = self.skipping.then(|| pst.try_node(id)?.skip());
+    fn resolve(&self, id: NodeId) -> NodeId {
+        let skipping = self.pst.options().eliminate_trivial_tests;
+        let skip = skipping.then(|| self.pst.try_node(id)?.skip());
         skip.flatten().unwrap_or(id)
     }
 
-    /// The §3.3 refinement search as an explicit work-stack walk over
-    /// `pst` and its `annotations`.
-    /// `scratch.slot(0)` must hold the tree's initialization mask on entry
+    /// The §3.3 refinement search as an explicit work-stack walk over the
+    /// PST and its annotations, from the root of the subtree `event`'s
+    /// factor key selects ([`Pst::root_for_event`]); `false` if there is
+    /// none. `scratch.slot(0)` must hold the tree's initialization mask on entry
     /// (with at least one `Maybe`); on return it holds the fully refined
     /// mask. A node's children are searched depth-first — the equality
     /// child, the satisfied range edges in the order of their list, which a
@@ -222,21 +101,21 @@ impl MatchArena {
     /// along with the walk's steps.
     pub(crate) fn search(
         &self,
-        pst: &Pst,
-        annotations: &Annotations,
         event: &Event,
         scratch: &mut MatchScratch,
         evidence: &mut WalkEvidence,
         stats: &mut MatchStats,
     ) -> bool {
-        let Some(root) = self.root_for_event(event) else {
+        let (pst, annotations) = (self.pst, self.annotations);
+        let Some(root) = pst.root_for_event(event) else {
             return false;
         };
-        evidence.size_for(self.arity);
+        evidence.size_for(pst.schema().arity());
         let entered = stats.steps;
-        scratch.ensure(self.max_depth + 2, self.width);
+        // A root-to-leaf path enters at most `depth + 1` nodes.
+        scratch.ensure(pst.depth() + 3, annotations.width());
         scratch.frames.clear();
-        scratch.frames.push(Frame::enter(self.resolve(pst, root)));
+        scratch.frames.push(Frame::enter(self.resolve(root)));
         let values = event.values();
 
         'walk: while let Some(&Frame {
@@ -318,7 +197,7 @@ impl MatchArena {
                     });
                     evidence.record(attr, edges.len() as u64, child.is_some());
                     if let Some((_, child)) = child {
-                        scratch.descend(depth, self.resolve(pst, *child));
+                        scratch.descend(depth, self.resolve(*child));
                     }
                 }
                 FrameState::Ranges => {
@@ -343,7 +222,7 @@ impl MatchArena {
                         // The lookup decided every other candidate.
                         stats.comparisons += u64::from(matches!(test, AttrTest::Between(..)));
                         if value.is_some_and(|v| test.matches(v)) {
-                            child = Some(self.resolve(pst, *target));
+                            child = Some(self.resolve(*target));
                             break;
                         }
                     }
@@ -361,7 +240,7 @@ impl MatchArena {
                 FrameState::Star => {
                     set_top(scratch, node, FrameState::Done, cursor, end);
                     if let Some(star) = at.star() {
-                        scratch.descend(depth, self.resolve(pst, star));
+                        scratch.descend(depth, self.resolve(star));
                     }
                 }
                 FrameState::Done => {
@@ -403,7 +282,8 @@ impl MatchArena {
         let mut chain = chain.enumerate().peekable();
         let skip_trivial = |chain: &mut std::iter::Peekable<_>| {
             let trivial = |(_, (_, test)): &(usize, (usize, &AttrTest))| test.is_wildcard();
-            while self.skipping && chain.next_if(trivial).is_some() {}
+            let skipping = self.pst.options().eliminate_trivial_tests;
+            while skipping && chain.next_if(trivial).is_some() {}
         };
         if !opens_run {
             skip_trivial(&mut chain);
@@ -440,17 +320,7 @@ impl MatchArena {
         debug_assert!(false, "walked a chain past its last test that can fail");
         false
     }
-}
 
-/// One engine's annotated PST read as the walk reads it: what
-/// [`LinkMatchEngine::arena`](crate::LinkMatchEngine::arena) returns.
-#[derive(Debug, Clone, Copy)]
-pub struct ArenaView<'a> {
-    pub(crate) pst: &'a Pst,
-    pub(crate) annotations: &'a Annotations,
-}
-
-impl ArenaView<'_> {
     /// Nodes a search can enter and stop at: the PST nodes the run rule
     /// does not absorb, a tail one whatever its chain — at most the PST's
     /// node count.

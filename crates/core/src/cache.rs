@@ -9,9 +9,9 @@
 //! Two properties make this sound:
 //!
 //! - **Keys cover exactly the tested attributes.** The walk's branching
-//!   can only depend on the factored attributes plus attributes with at
-//!   least one equality/range edge somewhere in the tree
-//!   ([`MatchArena::tested_attributes`](crate::MatchArena::tested_attributes));
+//!   can only depend on the factored attributes plus attributes some live
+//!   subscription constrains
+//!   ([`LinkMatchEngine::tested_attributes`](crate::LinkMatchEngine::tested_attributes));
 //!   star-only attributes cannot change the result. Keying on *all*
 //!   attributes would be equally sound but would shatter the hit rate —
 //!   two events differing only in an untested attribute must share an
@@ -21,8 +21,8 @@
 //!   under a different generation flushes the whole cache before probing,
 //!   so a stale hit is impossible by construction — there is no window
 //!   where an entry computed under an old subscription set can answer a
-//!   query, and the tested-attribute set (which can itself change with the
-//!   tree's shape) is always consulted at the current generation.
+//!   query, and the tested-attribute set (which changes with the
+//!   subscription set) is always consulted at the current generation.
 //!
 //! Stored keys are the exact value sequences, not just their hashes: a
 //! 64-bit fingerprint collision must degrade to a miss, never misroute an

@@ -6,7 +6,7 @@ use linkcast_types::{Event, EventSchema, LinkId, Subscription, SubscriptionId, T
 use crate::annotate::Annotations;
 use crate::arena::{ArenaView, WalkEvidence};
 use crate::order::{self, OrderReport, FIRST_CHECK_WALKS};
-use crate::{LinkSpace, MatchArena, MatchScratch, Result, TreeId};
+use crate::{LinkSpace, MatchScratch, Result, TreeId};
 
 /// Reusable buffers for the engine's allocation-free match path: the
 /// arena walk's mask pool, plus what the walks have observed of each
@@ -121,10 +121,6 @@ pub struct LinkMatchEngine {
     pst: Pst,
     /// Annotation (and the tallies it is read off) per PST node.
     annotations: Annotations,
-    /// What the §3.3 walk over `pst` and `annotations` needs of the tree as
-    /// a whole: its sorted factored roots and the attributes a result can
-    /// depend on.
-    arena: MatchArena,
     /// Bumped on every subscription add/remove/re-annotation; a
     /// [`MatchCache`](crate::MatchCache) keyed under an old generation
     /// flushes itself on its next lookup.
@@ -132,6 +128,9 @@ pub struct LinkMatchEngine {
     /// Per attribute, the live subscriptions that constrain it (hold a
     /// test other than `*`).
     constrained: Vec<u64>,
+    /// `factored ∪ {a : constrained[a] > 0}`, sorted: re-derived whenever
+    /// a count crosses zero.
+    tested: Vec<usize>,
     /// Whether the attribute order is the engine's to choose: not when the
     /// operator pinned an [`OrderPolicy::Explicit`] one.
     adaptive: bool,
@@ -179,19 +178,19 @@ impl LinkMatchEngine {
             annotations: Annotations::new(space.width()),
             space,
             pst,
-            arena: MatchArena::default(),
             generation: 0,
             constrained: vec![0; arity],
+            tested: Vec::new(),
             adaptive,
             mutations: 0,
             trial: None,
             rejected: None,
         };
         engine.annotations.rebuild(&engine.pst, &engine.space);
-        engine.rebuild_arena();
         for subscription in engine.pst.subscriptions() {
             count_constraints(&mut engine.constrained, subscription, true);
         }
+        engine.derive_tested();
         Ok(engine)
     }
 
@@ -226,8 +225,9 @@ impl LinkMatchEngine {
         let client = subscription.subscriber().client;
         let id = subscription.id();
         let report = self.pst.insert_reported(subscription)?;
-        if let Some(subscription) = self.pst.subscription(id) {
-            count_constraints(&mut self.constrained, subscription, true);
+        let subscription = self.pst.subscription(id);
+        if subscription.is_some_and(|s| count_constraints(&mut self.constrained, s, true)) {
+            self.derive_tested();
         }
         for path in report.paths() {
             self.annotations
@@ -235,7 +235,6 @@ impl LinkMatchEngine {
         }
         self.generation += 1;
         self.mutations += 1;
-        self.arena.apply(&self.pst, &report);
         Ok(())
     }
 
@@ -246,7 +245,9 @@ impl LinkMatchEngine {
             return false;
         };
         let client = subscription.subscriber().client;
-        count_constraints(&mut self.constrained, subscription, false);
+        if count_constraints(&mut self.constrained, subscription, false) {
+            self.derive_tested();
+        }
         let Some(report) = self.pst.remove_reported(id) else {
             return false;
         };
@@ -256,7 +257,6 @@ impl LinkMatchEngine {
         }
         self.generation += 1;
         self.mutations += 1;
-        self.arena.apply(&self.pst, &report);
         true
     }
 
@@ -298,16 +298,8 @@ impl LinkMatchEngine {
         let Some(evidence) = scratch.orders.get_mut(space) else {
             return;
         };
-        let walk = &mut scratch.walk;
-        let walked = self.arena.search(
-            &self.pst,
-            &self.annotations,
-            event,
-            walk,
-            &mut evidence.walk,
-            stats,
-        );
-        if !walked {
+        let arena = self.arena();
+        if !arena.search(event, &mut scratch.walk, &mut evidence.walk, stats) {
             // No subscription exists under the event's factor key.
             return;
         }
@@ -350,12 +342,13 @@ impl LinkMatchEngine {
     }
 
     /// The attribute indices that can influence this engine's match results
-    /// (sorted) — the match-cache key schema. Always sufficient; minimal
-    /// except that a level an unsubscribe stopped from branching stays
-    /// listed until the engine next rebuilds (a new order or link space),
-    /// which costs hit rate, never correctness.
+    /// (sorted) — the match-cache key schema: the factored attributes and
+    /// every attribute some live subscription constrains. Every value edge
+    /// and every non-`*` tail test is such a constraint, and no other test
+    /// can tell two events apart, so the set is both sufficient and
+    /// minimal after any sequence of subscribes and unsubscribes.
     pub fn tested_attributes(&self) -> &[usize] {
-        self.arena.tested_attributes()
+        &self.tested
     }
 
     /// Reconsiders the attribute order in the light of what the arena
@@ -449,7 +442,7 @@ impl LinkMatchEngine {
         )
     }
 
-    /// Rebuilds tree, annotations and arena with the non-factored
+    /// Rebuilds tree and annotations with the non-factored
     /// attributes tested in `order`, from the live subscriptions in id
     /// order: a function of the subscription set and the order alone,
     /// whatever history led here. `false` (and no change) if the tree
@@ -467,16 +460,21 @@ impl LinkMatchEngine {
         true
     }
 
-    /// Re-reads the walk's per-tree facts from the current PST.
-    fn rebuild_arena(&mut self) {
-        self.arena = MatchArena::new(&self.pst, self.space.width());
+    /// Re-derives [`tested_attributes`](Self::tested_attributes) from the
+    /// constraint counts.
+    fn derive_tested(&mut self) {
+        let factored = self.pst.factored();
+        let counts = self.constrained.iter().enumerate();
+        let tested = counts.filter(|(attr, count)| **count > 0 || factored.contains(attr));
+        self.tested.clear();
+        self.tested.extend(tested.map(|(attr, _)| attr));
     }
 
     /// Swaps in a new link space (topology repair) and rebuilds every
-    /// derived structure: leaf vectors, annotations, and the walk's
-    /// per-tree facts. The engine's generation counter keeps counting up
-    /// from its current value, so match-cache entries minted under the old
-    /// space are invalidated rather than aliased.
+    /// derived structure: leaf vectors and annotations. The engine's
+    /// generation counter keeps counting up from its current value, so
+    /// match-cache entries minted under the old space are invalidated
+    /// rather than aliased.
     pub fn rebuild_space(&mut self, space: LinkSpace) {
         self.space = space;
         self.rebuild_annotations();
@@ -484,21 +482,24 @@ impl LinkMatchEngine {
 
     /// Recomputes leaf vectors, tallies and annotations from scratch (call
     /// after the link space changes; topology is otherwise static in this
-    /// reproduction) and re-reads the walk's per-tree facts.
+    /// reproduction).
     pub fn rebuild_annotations(&mut self) {
         self.annotations.rebuild(&self.pst, &self.space);
         self.generation += 1;
-        self.rebuild_arena();
     }
 }
 
 /// Counts `subscription` into (or out of) the per-attribute tallies of
-/// subscriptions that constrain the attribute.
-fn count_constraints(constrained: &mut [u64], subscription: &Subscription, add: bool) {
+/// subscriptions that constrain the attribute; `true` if a tally went from
+/// or to zero.
+fn count_constraints(constrained: &mut [u64], subscription: &Subscription, add: bool) -> bool {
     let tests = subscription.predicate().tests();
+    let mut crossed = false;
     for (count, test) in constrained.iter_mut().zip(tests) {
         if !test.is_wildcard() {
+            crossed |= *count == u64::from(!add);
             *count = if add { *count + 1 } else { *count - 1 };
         }
     }
+    crossed
 }

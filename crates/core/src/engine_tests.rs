@@ -1040,7 +1040,7 @@ struct TailsEntered {
 
 /// The arena's walk restated over the logical tree alone, by §11.1's run
 /// rule — `shape` is [`run_shape`] — and §2.1.2's trivial-test elimination:
-/// what `MatchArena::search` must charge for `event`, whichever chains the
+/// what `ArenaView::search` must charge for `event`, whichever chains the
 /// PST happens to keep as tails, and the mask it must return.
 struct PredictedWalk<'a> {
     engine: &'a LinkMatchEngine,
@@ -1515,11 +1515,12 @@ fn churn_against_scratch(
             fresh.arena().node_count() <= engine.arena().node_count(),
             "{context}"
         );
-        // The cache key: every attribute some node branches on, be the
-        // test on an edge the walk looks up or on one it passes through
-        // in a run. Stale entries may linger until a rebuild; none may be
-        // missing.
+        // The cache key: what the tree built from nothing keys on, after
+        // every step — so no attribute lingers once its last constraint is
+        // gone — and every attribute some node branches on, be the test on
+        // an edge the walk looks up or on one it passes through in a run.
         let tested = engine.tested_attributes();
+        assert_eq!(tested, fresh.tested_attributes(), "{context}");
         for node in after.keys() {
             if node
                 .edges(&engine)

@@ -82,7 +82,7 @@ mod router;
 mod spanning;
 mod topology;
 
-pub use arena::{ArenaSummary, ArenaView, MatchArena, MatchScratch, WalkEvidence};
+pub use arena::{ArenaSummary, ArenaView, MatchScratch, WalkEvidence};
 pub use baselines::{FloodingRouter, MatchFirstRouter};
 pub use cache::MatchCache;
 pub use engine::{LinkMatchEngine, RouteScratch};

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use linkcast_types::{AttrTest, Event, EventSchema, RangeLookup, SubscriptionId, Value};
 
-use crate::pst::{walk_chain, Pst};
+use crate::pst::{cmp_key_to_event, walk_chain, Pst};
 use crate::MatchStats;
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -80,24 +80,11 @@ pub struct Psg {
     schema: EventSchema,
     order: Vec<usize>,
     factored: Vec<usize>,
-    /// Factored-subtree roots, sorted by key so the per-event lookup can
-    /// binary-search against the event's *borrowed* factored values —
-    /// building an owned `Box<[Value]>` key per match was a measurable
-    /// allocation on the hot path.
+    /// Factored-subtree roots, sorted by key as the PST keeps them, so the
+    /// per-event lookup binary-searches against the event's *borrowed*
+    /// factored values.
     roots: Vec<(Box<[Value]>, u32)>,
     nodes: Vec<PsgNode>,
-}
-
-/// Lexicographically compares a stored factor key against the event values
-/// at the factored attribute indices, without materializing a key.
-fn cmp_key_to_event(key: &[Value], factored: &[usize], values: &[Value]) -> std::cmp::Ordering {
-    for (k, &attr) in key.iter().zip(factored) {
-        match k.cmp(&values[attr]) {
-            std::cmp::Ordering::Equal => {}
-            other => return other,
-        }
-    }
-    std::cmp::Ordering::Equal
 }
 
 impl Psg {
@@ -139,11 +126,10 @@ impl Psg {
             translated.insert(id.index(), psg_id);
         }
 
-        let mut roots: Vec<(Box<[Value]>, u32)> = pst
+        let roots = pst
             .roots()
-            .map(|(key, root)| (key.to_vec().into(), translated[&root.index()]))
+            .map(|(key, root)| (key.into(), translated[&root.index()]))
             .collect();
-        roots.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         Psg {
             schema: pst.schema().clone(),
             order: pst.order().to_vec(),

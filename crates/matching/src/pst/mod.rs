@@ -22,7 +22,8 @@
 //!
 //! 1. **Factoring** — the leading attributes of the test order can be
 //!    *factored out*: a separate subtree is kept per combination of their
-//!    values, turning the first tests into a hash lookup. Subscriptions
+//!    values, turning the first tests into one binary search of a sorted
+//!    root table against the event's values. Subscriptions
 //!    with `*` on a factored attribute are replicated into every value's
 //!    subtree (space for time), which is why factored attributes must
 //!    declare finite domains.
@@ -41,7 +42,7 @@ mod traverse;
 #[cfg(test)]
 mod tests;
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 use linkcast_types::{AttrTest, Event, EventSchema, Subscription, SubscriptionId, Value};
 
@@ -183,6 +184,15 @@ impl Node {
 /// factoring order.
 pub(crate) type FactorKey = Box<[Value]>;
 
+/// How a factor `key` orders against the values an event has at the
+/// `factored` attributes: keys compare value by value, in factoring order.
+#[inline]
+pub(crate) fn cmp_key_to_event(key: &[Value], factored: &[usize], values: &[Value]) -> Ordering {
+    let mut order = (key.iter().zip(factored))
+        .map(|(k, &attr)| values.get(attr).map_or(Ordering::Less, |v| k.cmp(v)));
+    order.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+}
+
 /// The parallel search tree matcher.
 ///
 /// See the crate-level documentation for the structure, and
@@ -198,7 +208,10 @@ pub struct Pst {
     order: Vec<usize>,
     /// Attribute indices handled by factor-key lookup, in key order.
     factored: Vec<usize>,
-    roots: HashMap<FactorKey, NodeId>,
+    /// The factored subtrees' roots, sorted by key: the one table both
+    /// walks find an event's subtree in, by binary search against its
+    /// borrowed values.
+    roots: Vec<(FactorKey, NodeId)>,
     nodes: Vec<Option<Node>>,
     free: Vec<u32>,
     subscriptions: Slab,
@@ -216,8 +229,6 @@ pub struct Pst {
 /// changes which nodes exist but not the logical tree.
 #[derive(Debug, Clone)]
 pub struct PathReport {
-    /// Key of the factored subtree the path is in.
-    pub key: Box<[Value]>,
     /// Insert: the path from the root to the node the subscription is
     /// parked on. Remove: the prefix that survived. Re-annotating exactly
     /// these nodes, bottom-up, restores annotation consistency. The edge
@@ -296,7 +307,7 @@ impl std::ops::Deref for PathNodes {
 }
 
 /// Side effects of an insert or remove, for callers (the link-matching
-/// annotator and arena) that maintain per-node state: one [`PathReport`]
+/// annotator) that maintain per-node state: one [`PathReport`]
 /// per factored subtree the subscription touches.
 #[derive(Debug, Clone, Default)]
 pub struct MutationReport {
@@ -409,7 +420,7 @@ impl Pst {
             options,
             order,
             factored,
-            roots: HashMap::new(),
+            roots: Vec::new(),
             nodes: Vec::new(),
             free: Vec::new(),
             subscriptions: Slab::default(),
@@ -472,8 +483,9 @@ impl Pst {
             .sum()
     }
 
-    /// Iterates over the factored subtree roots and their keys. With
-    /// `factoring = 0` there is at most one root, under the empty key.
+    /// Iterates over the factored subtree roots and their keys, in key
+    /// order. With `factoring = 0` there is at most one root, under the
+    /// empty key.
     pub fn roots(&self) -> impl Iterator<Item = (&[Value], NodeId)> {
         self.roots.iter().map(|(k, v)| (k.as_ref(), *v))
     }
@@ -556,7 +568,7 @@ impl Pst {
     /// visit nodes.
     pub fn postorder(&self) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.node_count());
-        let mut stack: Vec<(NodeId, bool)> = self.roots.values().map(|r| (*r, false)).collect();
+        let mut stack: Vec<(NodeId, bool)> = self.roots.iter().map(|(_, r)| (*r, false)).collect();
         while let Some((id, expanded)) = stack.pop() {
             if expanded {
                 out.push(id);
@@ -577,17 +589,20 @@ impl Pst {
         out
     }
 
-    /// The root of the subtree an event's factored values select, if any.
+    /// The root of the subtree an event's factored values select, if any:
+    /// a binary search against the event's *borrowed* values, which
+    /// allocates nothing.
+    #[inline]
     pub fn root_for_event(&self, event: &Event) -> Option<NodeId> {
-        if self.factored.is_empty() {
-            return self.roots.get(&[] as &[Value]).copied();
-        }
-        let key: FactorKey = self
-            .factored
-            .iter()
-            .map(|&attr| event.values()[attr].clone())
-            .collect();
-        self.roots.get(&key).copied()
+        let values = event.values();
+        let found =
+            (self.roots).binary_search_by(|(k, _)| cmp_key_to_event(k, &self.factored, values));
+        self.roots.get(found.ok()?).map(|(_, root)| *root)
+    }
+
+    /// Where `key`'s root is in `roots`, or where it would go.
+    fn root_slot(&self, key: &[Value]) -> Result<usize, usize> {
+        self.roots.binary_search_by(|(k, _)| (**k).cmp(key))
     }
 
     /// Iterates over all registered subscriptions, in slab order: that of
@@ -758,12 +773,17 @@ impl Pst {
     /// 6. every live arena slot is reachable from exactly one parent (the
     ///    structure is a forest of trees, not a DAG);
     /// 7. range edges are sorted by [`AttrTest::range_cmp`] and
-    ///    duplicate-free.
+    ///    duplicate-free;
+    /// 8. the factored roots are sorted by key, each key once.
     ///
     /// # Errors
     ///
     /// A human-readable description of the violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
+        // (8) one root per key, in key order.
+        if !self.roots.windows(2).all(|p| p[0].0 < p[1].0) {
+            return Err("factored roots out of key order or keyed twice".into());
+        }
         let mut seen = vec![0u32; self.nodes.len()];
         for (_, root) in self.roots() {
             seen[root.index()] += 1;

@@ -112,11 +112,11 @@ impl Pst {
         let mut nodes = PathNodes::default();
         let mut created = None;
         let mut burst = None;
-        let mut current = match self.roots.get(&key) {
-            Some(&r) => r,
-            None => {
+        let mut current = match self.root_slot(&key) {
+            Ok(at) => self.roots[at].1,
+            Err(at) => {
                 let r = self.alloc(0);
-                self.roots.insert(key.clone(), r);
+                self.roots.insert(at, (key, r));
                 created = Some(0);
                 r
             }
@@ -160,7 +160,6 @@ impl Pst {
         }
         self.node_mut(current).subs.insert(subscription.id(), slot);
         PathReport {
-            key,
             created: created.unwrap_or(nodes.len()),
             nodes,
             burst,
@@ -219,16 +218,16 @@ impl Pst {
         slot: u32,
     ) -> PathReport {
         let mut report = PathReport {
-            key,
             nodes: PathNodes::default(),
             created: 0,
             burst: None,
             freed: Vec::new(),
             removed: None,
         };
-        let Some(&root) = self.roots.get(&report.key) else {
+        let Ok(at) = self.root_slot(&key) else {
             return report;
         };
+        let root = self.roots[at].1;
         let mut nodes = PathNodes::default();
         nodes.push(root);
         let mut current = root;
@@ -258,7 +257,7 @@ impl Pst {
             nodes.pop();
             report.removed = match nodes.last() {
                 None => {
-                    self.roots.remove(&report.key);
+                    self.roots.remove(at);
                     Some(AttrTest::Any)
                 }
                 Some(&parent) => {

@@ -353,6 +353,32 @@ fn factoring_replicates_star_subscriptions() {
     assert_eq!(pst.roots().count(), 0);
 }
 
+/// Two builds of one factored subscription set are one tree: the same
+/// roots in key order, the same post-order, the same DOT text — the root
+/// table is one sorted list, which no per-instance hash seed reorders.
+#[test]
+fn factored_builds_of_one_set_are_identical() {
+    let schema = figure2_schema();
+    let build = || {
+        let mut pst = Pst::new(schema.clone(), PstOptions::default().with_factoring(2)).unwrap();
+        for id in 0..8u32 {
+            let v = |k: u32| Some(i64::from((id * k) % 5));
+            let a2 = (id % 3 != 0).then(|| v(3)).flatten();
+            pst.insert(int_sub(&schema, id, &[v(1), a2, v(2), None, v(4)]))
+                .unwrap();
+        }
+        pst.check_invariants().unwrap();
+        pst
+    };
+    let (first, second) = (build(), build());
+    let roots: Vec<_> = first.roots().collect();
+    assert!(roots.len() > 8, "{} subtrees", roots.len());
+    assert_eq!(roots, second.roots().collect::<Vec<_>>());
+    assert_eq!(first.postorder(), second.postorder());
+    assert_eq!(first.to_dot(), second.to_dot());
+    assert!(roots.windows(2).all(|pair| pair[0].0 < pair[1].0));
+}
+
 #[test]
 fn factoring_requires_domains() {
     let schema = EventSchema::builder("s")

@@ -61,7 +61,7 @@ pub mod wire;
 pub use error::{Error, Result};
 pub use event::{Event, EventBuilder};
 pub use id::{BrokerId, ClientId, EventId, LinkId, SchemaId, SubscriberId, SubscriptionId};
-pub use parser::{parse_predicate, ParsePredicateError};
+pub use parser::{parse_literal, parse_predicate, ParsePredicateError};
 pub use predicate::{AttrTest, Predicate, PredicateBuilder, RangeLookup};
 pub use schema::{AttributeDef, EventSchema, EventSchemaBuilder, SchemaRegistry};
 pub use subscription::Subscription;

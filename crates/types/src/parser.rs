@@ -96,15 +96,40 @@ impl std::error::Error for ParsePredicateError {}
 pub fn parse_predicate(schema: &EventSchema, input: &str) -> Result<Predicate> {
     let mut parser = Parser {
         schema,
-        lexer: Lexer {
-            input,
-            bytes: input.as_bytes(),
-            pos: 0,
-        },
+        lexer: Lexer::new(input),
         tests: vec![AttrTest::Any; schema.arity()],
     };
     parser.parse()?;
     Predicate::from_tests(schema, parser.tests)
+}
+
+/// Parses one literal of `kind`, the whole of `text` but for surrounding
+/// whitespace, in the predicate grammar's syntax: a double-quoted string
+/// (`\"` and `\\` escapes), an integer, a dollar amount with at most
+/// two decimals (in cents), `true` or `false`.
+///
+/// ```
+/// use linkcast_types::{parse_literal, Value, ValueKind};
+///
+/// assert_eq!(parse_literal(ValueKind::Dollar, "119.5").unwrap(), Value::Dollar(11950));
+/// assert!(parse_literal(ValueKind::Dollar, "92233720368547759").is_err());
+/// ```
+///
+/// # Errors
+///
+/// A [`ParsePredicateError`] for anything else, a value out of `i64`'s
+/// range included.
+pub fn parse_literal(kind: ValueKind, text: &str) -> Result<Value, ParsePredicateError> {
+    let mut lexer = Lexer::new(text);
+    let (pos, tok) = lexer.next()?;
+    let value = literal(kind, pos, tok)?;
+    match lexer.next()? {
+        (_, Token::Eof) => Ok(value),
+        (pos, other) => Err(ParsePredicateError::new(
+            pos,
+            format!("unexpected {} after the literal", other.describe()),
+        )),
+    }
 }
 
 /// Tokens borrow from the input; only a string literal with escapes owns
@@ -145,6 +170,14 @@ struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
+    fn new(input: &'a str) -> Self {
+        Lexer {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn skip_ws(&mut self) {
         while self
             .bytes
@@ -378,7 +411,7 @@ impl<'a> Parser<'a> {
                 if op == "=" && lit_tok == Token::Star {
                     AttrTest::Any
                 } else {
-                    let value = self.literal(kind, lit_pos, lit_tok)?;
+                    let value = literal(kind, lit_pos, lit_tok)?;
                     match op {
                         "=" => AttrTest::Eq(value),
                         "<" => AttrTest::Lt(value),
@@ -398,7 +431,7 @@ impl<'a> Parser<'a> {
             }
             Token::Ident("between") => {
                 let (p1, t1) = self.lexer.next().map_err(Error::ParsePredicate)?;
-                let lo = self.literal(kind, p1, t1)?;
+                let lo = literal(kind, p1, t1)?;
                 let (p2, t2) = self.lexer.next().map_err(Error::ParsePredicate)?;
                 match t2 {
                     Token::Ident("and") => {}
@@ -410,7 +443,7 @@ impl<'a> Parser<'a> {
                     }
                 }
                 let (p3, t3) = self.lexer.next().map_err(Error::ParsePredicate)?;
-                let hi = self.literal(kind, p3, t3)?;
+                let hi = literal(kind, p3, t3)?;
                 AttrTest::Between(lo, hi)
             }
             other => {
@@ -431,63 +464,49 @@ impl<'a> Parser<'a> {
         }
         Ok(())
     }
-
-    fn literal(&mut self, kind: ValueKind, pos: usize, tok: Token<'a>) -> Result<Value> {
-        match (kind, tok) {
-            (ValueKind::Str, Token::Str(s)) => Ok(Value::str(s)),
-            (ValueKind::Int, Token::Number(n)) => n.parse::<i64>().map(Value::Int).map_err(|_| {
-                Error::ParsePredicate(ParsePredicateError::new(
-                    pos,
-                    format!("`{n}` is not a valid integer"),
-                ))
-            }),
-            (ValueKind::Dollar, Token::Number(n)) => parse_dollar(n)
-                .map_err(|msg| Error::ParsePredicate(ParsePredicateError::new(pos, msg))),
-            (ValueKind::Bool, Token::Ident("true")) => Ok(Value::Bool(true)),
-            (ValueKind::Bool, Token::Ident("false")) => Ok(Value::Bool(false)),
-            (kind, other) => Err(Error::ParsePredicate(ParsePredicateError::new(
-                pos,
-                format!("expected a {kind} literal, found {}", other.describe()),
-            ))),
-        }
-    }
 }
 
-/// Parses `120`, `119.5`, or `119.50` into cents.
+/// The literal of `kind` that token `tok`, at `pos`, spells.
+fn literal(kind: ValueKind, pos: usize, tok: Token<'_>) -> Result<Value, ParsePredicateError> {
+    let value = match (kind, tok) {
+        (ValueKind::Str, Token::Str(s)) => Ok(Value::str(s)),
+        (ValueKind::Int, Token::Number(n)) => {
+            (n.parse().map(Value::Int)).map_err(|_| format!("`{n}` is not a valid integer"))
+        }
+        (ValueKind::Dollar, Token::Number(n)) => parse_dollar(n),
+        (ValueKind::Bool, Token::Ident("true")) => Ok(Value::Bool(true)),
+        (ValueKind::Bool, Token::Ident("false")) => Ok(Value::Bool(false)),
+        (kind, other) => Err(format!(
+            "expected {kind} literal, found {}",
+            other.describe()
+        )),
+    };
+    value.map_err(|msg| ParsePredicateError::new(pos, msg))
+}
+
+/// Parses `120`, `119.5`, or `119.50` into cents; an amount whose cents
+/// overflow `i64` is an error.
 fn parse_dollar(text: &str) -> Result<Value, String> {
-    let (neg, digits) = match text.strip_prefix('-') {
-        Some(rest) => (true, rest),
-        None => (false, text),
-    };
-    let (whole, frac) = match digits.split_once('.') {
-        None => (digits, ""),
-        Some((w, f)) => (w, f),
-    };
-    if whole.is_empty() || whole.bytes().any(|b| !b.is_ascii_digit()) {
+    let digits = text.strip_prefix('-').unwrap_or(text);
+    let (whole, frac) = digits.split_once('.').unwrap_or((digits, ""));
+    if frac.len() > 2 {
+        return Err(format!(
+            "`{text}` has more than two decimal places in a dollar amount"
+        ));
+    }
+    let is_digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
+    if whole.is_empty() || !is_digits(whole) || !is_digits(frac) {
         return Err(format!("`{text}` is not a valid dollar amount"));
     }
-    let cents_frac: i64 = match frac.len() {
-        0 => 0,
-        1 => {
-            let d = frac
-                .parse::<i64>()
-                .map_err(|_| format!("`{text}` is not a valid dollar amount"))?;
-            d * 10
-        }
-        2 => frac
-            .parse::<i64>()
-            .map_err(|_| format!("`{text}` is not a valid dollar amount"))?,
-        _ => {
-            return Err(format!(
-                "`{text}` has more than two decimal places in a dollar amount"
-            ))
-        }
-    };
-    let whole: i64 = whole
-        .parse()
-        .map_err(|_| format!("`{text}` is out of range for a dollar amount"))?;
-    let cents = whole * 100 + cents_frac;
-    Ok(Value::Dollar(if neg { -cents } else { cents }))
+    // The fraction right-padded to two digits: `.5` is 50 cents.
+    let frac = (frac.bytes().chain(*b"00").take(2)).fold(0, |c, b| c * 10 + i64::from(b - b'0'));
+    let cents = (whole.parse::<i64>().ok()).and_then(|w| w.checked_mul(100)?.checked_add(frac));
+    let cents = cents.ok_or_else(|| format!("`{text}` is out of range for a dollar amount"))?;
+    Ok(Value::Dollar(if digits.len() < text.len() {
+        -cents
+    } else {
+        cents
+    }))
 }
 
 #[cfg(test)]
@@ -546,6 +565,38 @@ mod tests {
     }
 
     #[test]
+    fn dollar_amounts_beyond_i64_cents_are_errors() {
+        // 92233720368547759 dollars is i64::MAX / 100 + 1: its cents
+        // overflow, which once wrapped to a negative amount.
+        for text in ["price > 92233720368547759", "price > -92233720368547759"] {
+            let err = parse_predicate(&trades(), text).unwrap_err();
+            assert!(err.to_string().contains("out of range"), "{text}: {err}");
+        }
+        let max = parse_literal(ValueKind::Dollar, "92233720368547758.07").unwrap();
+        assert_eq!(max, Value::Dollar(i64::MAX));
+        assert!(parse_literal(ValueKind::Dollar, "92233720368547758.08").is_err());
+    }
+
+    #[test]
+    fn literals_stand_alone() {
+        assert_eq!(
+            parse_literal(ValueKind::Str, r#" "A\"B" "#).unwrap(),
+            Value::str("A\"B")
+        );
+        for (kind, text, needle) in [
+            (ValueKind::Str, "X", "expected string literal"),
+            (ValueKind::Int, "1 2", "after the literal"),
+            (ValueKind::Bool, "", "end of input"),
+        ] {
+            let err = parse_literal(kind, text).unwrap_err().to_string();
+            assert!(
+                err.contains(needle),
+                "`{text}` → `{err}` (wanted `{needle}`)"
+            );
+        }
+    }
+
+    #[test]
     fn parses_between() {
         let p = parse_predicate(&trades(), "price between 100 and 120").unwrap();
         assert_eq!(
@@ -582,7 +633,7 @@ mod tests {
         assert!(matches!(err, Error::ParsePredicate(_)));
         let err = parse_predicate(&trades(), "urgent < true").unwrap_err();
         assert!(
-            err.to_string().contains("expected a boolean literal")
+            err.to_string().contains("expected boolean literal")
                 || matches!(err, Error::UnsupportedOperator { .. }),
             "{err}"
         );

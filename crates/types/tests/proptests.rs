@@ -3,8 +3,8 @@
 
 use bytes::BytesMut;
 use linkcast_types::{
-    wire, AttrTest, BrokerId, ClientId, Event, EventSchema, Predicate, SchemaRegistry,
-    SubscriberId, Subscription, SubscriptionId, Trit, TritVec, Value, ValueKind,
+    parse_literal, wire, AttrTest, BrokerId, ClientId, Event, EventSchema, Predicate,
+    SchemaRegistry, SubscriberId, Subscription, SubscriptionId, Trit, TritVec, Value, ValueKind,
 };
 use proptest::prelude::*;
 
@@ -206,10 +206,44 @@ proptest! {
         let _ = wire::Reader::new(&bytes).subscription(&schema);
     }
 
-    /// The predicate parser never panics on arbitrary strings.
+    /// The predicate and literal parsers never panic on arbitrary strings.
     #[test]
     fn parser_never_panics(input in "\\PC{0,64}") {
         let _ = linkcast_types::parse_predicate(&test_schema(), &input);
+        for kind in [ValueKind::Str, ValueKind::Int, ValueKind::Dollar, ValueKind::Bool] {
+            let _ = parse_literal(kind, &input);
+        }
+    }
+
+    /// A digit string typed as an integer or a dollar amount parses to
+    /// exactly the number it spells (a dollar amount's magnitude in cents
+    /// must fit `i64`), or is an error — never a wrapped value, never a
+    /// panic — and what parses renders to a literal that parses back.
+    #[test]
+    fn numeric_literals_are_exact_or_errors(
+        negative in any::<bool>(),
+        whole in "[0-9]{1,21}",
+        decimals in "[0-9]{0,2}",
+        dollar in any::<bool>(),
+    ) {
+        let sign = if negative { "-" } else { "" };
+        let point = if decimals.is_empty() { "" } else { "." };
+        let text = format!("{sign}{whole}{point}{decimals}");
+        let (kind, exact) = if dollar {
+            let frac = format!("{decimals:0<2}").parse::<i128>().unwrap();
+            let cents = whole.parse::<i128>().unwrap() * 100 + frac;
+            let fits = cents <= i128::from(i64::MAX);
+            (ValueKind::Dollar, fits.then(|| Value::Dollar((if negative { -cents } else { cents }) as i64)))
+        } else {
+            let n = whole.parse::<i128>().unwrap() * if negative { -1 } else { 1 };
+            let n = i64::try_from(n).ok().filter(|_| decimals.is_empty());
+            (ValueKind::Int, n.map(Value::Int))
+        };
+        let parsed = parse_literal(kind, &text).ok();
+        prop_assert_eq!(&parsed, &exact, "{}", text);
+        if let Some(value) = parsed {
+            prop_assert_eq!(parse_literal(kind, &value.to_literal()).unwrap(), value);
+        }
     }
 
     /// Predicates render to text that parses back to the same predicate

@@ -8,9 +8,10 @@
 //! per-chain constants), 2 048 of them installed into an empty engine with
 //! the predicates parsed beforehand, so what is counted is the index — tree
 //! node, subscription slot, annotation rows — and not the predicate it
-//! indexes. Every test installs them in two orders: by id,
+//! indexes. The install tests take them in two orders: by id,
 //! where each chain's `volume` edge is appended to the sorted list, and in
-//! the benchmark's three phases, where two thirds land in its middle.
+//! the benchmark's three phases, where two thirds land in its middle. One
+//! more test pins what finding an event's factored subtree costs: nothing.
 //!
 //! Alone in its test binary because of the `#[global_allocator]`; counts are
 //! per thread, so the tests need not take turns.
@@ -21,7 +22,8 @@ use linkcast::{LinkMatchEngine, LinkSpace, NetworkBuilder, RoutingFabric};
 use linkcast_alloc_count::{allocations_in, live_bytes_in, CountingAllocator};
 use linkcast_matching::{Pst, PstOptions};
 use linkcast_types::{
-    parse_predicate, EventSchema, SubscriberId, Subscription, SubscriptionId, ValueKind,
+    parse_predicate, BrokerId, ClientId, Event, EventSchema, SubscriberId, Subscription,
+    SubscriptionId, Value, ValueKind,
 };
 use linkcast_workload::decoy_chain;
 
@@ -177,4 +179,46 @@ fn reinstalling_a_chain_allocates_nothing_beside_the_tree() {
         });
         assert_eq!(in_engine, in_tree, "{name}: allocations beside the tree's");
     }
+}
+
+/// An event finds its factored subtree (§2.1.1) by binary search of the
+/// tree's one root table against the event's own values: on a tree
+/// factored on two attributes, the lookup allocates nothing.
+#[test]
+fn finding_a_factored_subtree_allocates_nothing() {
+    let domain = || (0..5).map(Value::Int);
+    let schema = EventSchema::builder("factored")
+        .attribute_with_domain("region", ValueKind::Int, domain())
+        .attribute_with_domain("tier", ValueKind::Int, domain())
+        .attribute("volume", ValueKind::Int)
+        .build()
+        .unwrap();
+    let filters = [
+        "region = 1 & volume > 10",
+        "tier = 3",
+        "region = 4 & tier = 0",
+    ];
+    let subscriptions = filters.iter().zip(0..).map(|(filter, id)| {
+        let subscriber = SubscriberId::new(BrokerId::new(0), ClientId::new(id));
+        let predicate = parse_predicate(&schema, filter).unwrap();
+        Subscription::new(SubscriptionId::new(id), subscriber, predicate)
+    });
+    let options = PstOptions::default().with_factoring(2);
+    let pst = Pst::build(schema.clone(), subscriptions, options).unwrap();
+    let events: Vec<Event> = (0..50)
+        .map(|i| Event::from_values(&schema, [i % 5, i / 10, i].map(Value::Int)).unwrap())
+        .collect();
+    let (allocations, found) = allocations_in(|| {
+        events
+            .iter()
+            .filter(|e| pst.root_for_event(e).is_some())
+            .count()
+    });
+    assert_eq!(
+        allocations,
+        0,
+        "allocations in {} root lookups",
+        events.len()
+    );
+    assert!(pst.roots().count() > 1 && found > 0 && found < events.len());
 }
