@@ -12,7 +12,6 @@ use linkcast::{
     RoutingFabric,
 };
 use linkcast_alloc_count::{allocations_in, live_bytes_in, CountingAllocator};
-use linkcast_bench::options_for;
 use linkcast_matching::{MatchStats, PstOptions};
 use linkcast_sim::topology39;
 use linkcast_types::{
@@ -45,7 +44,7 @@ fn bench_link_matching(c: &mut Criterion) {
         let build = || {
             let world = topology39::build().expect("figure 6 builds");
             let mut router =
-                ContentRouter::new(world.fabric.clone(), schema.clone(), options_for(&wconfig))
+                ContentRouter::new(world.fabric.clone(), schema.clone(), PstOptions::default())
                     .unwrap();
             let generator = SubscriptionGenerator::new(&wconfig, 11);
             let mut rng = StdRng::seed_from_u64(11);

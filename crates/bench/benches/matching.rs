@@ -2,8 +2,8 @@
 //! PST vs the naive and gating baselines, across subscription counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use linkcast_bench::{options_for, standalone_subscriptions, GatingMatcher, NaiveMatcher};
-use linkcast_matching::{Matcher, Pst};
+use linkcast_bench::{standalone_subscriptions, GatingMatcher, NaiveMatcher};
+use linkcast_matching::{Matcher, Pst, PstOptions};
 use linkcast_workload::{EventGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,7 +27,7 @@ fn bench_matching(c: &mut Criterion) {
         let pst = Pst::build(
             schema.clone(),
             subscriptions.iter().cloned(),
-            options_for(&wconfig),
+            PstOptions::default(),
         )
         .unwrap();
         group.throughput(Throughput::Elements(events.len() as u64));
@@ -88,7 +88,7 @@ fn bench_insertion(c: &mut Criterion) {
             Pst::build(
                 schema.clone(),
                 subscriptions.iter().cloned(),
-                options_for(&wconfig),
+                PstOptions::default(),
             )
             .unwrap()
         })

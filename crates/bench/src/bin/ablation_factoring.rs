@@ -2,7 +2,8 @@
 //! avoided, at the cost of increased space, by factoring out certain
 //! attributes ... A separate subtree is built for each possible value."
 //!
-//! Sweeps 0–3 factored attributes on the Chart 1 workload and reports the
+//! Sweeps 0–3 factored attributes on the Chart 1 workload, one schema per
+//! level (a schema declares what its trees factor), and reports the
 //! time/space trade-off: matching steps per event vs tree nodes.
 //!
 //! Run with: `cargo run --release -p linkcast-bench --bin ablation_factoring`
@@ -16,7 +17,7 @@ use rand::SeedableRng;
 fn main() {
     let wconfig = WorkloadConfig::chart1();
     let mut rng = StdRng::seed_from_u64(17);
-    let (schema, subs) = standalone_subscriptions(&wconfig, 8_000, 17, &mut rng);
+    let (_, subs) = standalone_subscriptions(&wconfig, 8_000, 17, &mut rng);
     let events_gen = EventGenerator::new(&wconfig, 17);
     let events: Vec<_> = (0..2_000)
         .map(|i| events_gen.generate(&mut rng, i % wconfig.regions))
@@ -25,12 +26,12 @@ fn main() {
     let mut rows = Vec::new();
     let mut reference: Option<Vec<Vec<linkcast_types::SubscriptionId>>> = None;
     for factoring in 0..=3 {
-        let pst = Pst::build(
-            schema.clone(),
-            subs.iter().cloned(),
-            PstOptions::default().with_factoring(factoring),
-        )
-        .unwrap();
+        let schema = WorkloadConfig {
+            factoring_levels: factoring,
+            ..wconfig.clone()
+        }
+        .schema();
+        let pst = Pst::build(schema, subs.iter().cloned(), PstOptions::default()).unwrap();
         let mut stats = MatchStats::new();
         let results: Vec<_> = events
             .iter()

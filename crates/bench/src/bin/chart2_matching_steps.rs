@@ -19,8 +19,8 @@
 use std::collections::HashMap;
 
 use linkcast::{ContentRouter, EventRouter};
-use linkcast_bench::{options_for, print_table};
-use linkcast_matching::MatchStats;
+use linkcast_bench::print_table;
+use linkcast_matching::{MatchStats, PstOptions};
 use linkcast_sim::topology39;
 use linkcast_workload::{EventGenerator, SubscriptionGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
@@ -31,7 +31,6 @@ const MAX_HOPS: usize = 6;
 fn main() {
     let wconfig = WorkloadConfig::chart2();
     let schema = wconfig.schema();
-    let options = options_for(&wconfig);
 
     let sub_counts = [2000usize, 4000, 6000, 8000, 10000];
     let mut rows = Vec::new();
@@ -39,7 +38,8 @@ fn main() {
         let world = topology39::build().expect("figure 6 builds");
         let network = world.fabric.network();
         let mut router =
-            ContentRouter::new(world.fabric.clone(), schema.clone(), options.clone()).unwrap();
+            ContentRouter::new(world.fabric.clone(), schema.clone(), PstOptions::default())
+                .unwrap();
         let generator = SubscriptionGenerator::new(&wconfig, 11);
         let mut rng = StdRng::seed_from_u64(11);
         topology39::subscribe_random(&mut router, &world, &generator, subs, &mut rng).unwrap();

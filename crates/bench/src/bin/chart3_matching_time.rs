@@ -11,10 +11,8 @@
 
 use std::time::Instant;
 
-use linkcast_bench::{
-    options_for, print_table, standalone_subscriptions, GatingMatcher, NaiveMatcher,
-};
-use linkcast_matching::{Matcher, Pst};
+use linkcast_bench::{print_table, standalone_subscriptions, GatingMatcher, NaiveMatcher};
+use linkcast_matching::{Matcher, Pst, PstOptions};
 use linkcast_workload::{EventGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,7 +30,7 @@ fn main() {
         let pst = Pst::build(
             schema.clone(),
             subscriptions.iter().cloned(),
-            options_for(&wconfig),
+            PstOptions::default(),
         )
         .unwrap();
         let mut naive = NaiveMatcher::new(schema.clone());

@@ -25,7 +25,6 @@ mod naive;
 pub use gating::GatingMatcher;
 pub use naive::NaiveMatcher;
 
-use linkcast_matching::PstOptions;
 use linkcast_types::{
     BrokerId, ClientId, EventSchema, Predicate, SubscriberId, Subscription, SubscriptionId,
 };
@@ -93,11 +92,6 @@ pub fn standalone_subscriptions(
     (schema, subs)
 }
 
-/// The PST options an experiment derives from its workload config.
-pub fn options_for(config: &WorkloadConfig) -> PstOptions {
-    PstOptions::default().with_factoring(config.factoring_levels)
-}
-
 /// A match-everything oracle used in sanity checks inside binaries.
 pub fn oracle_matches(
     subs: &[(ClientId, Predicate)],
@@ -128,14 +122,6 @@ mod tests {
         for s in &subs {
             assert_eq!(s.predicate().tests().len(), schema.arity());
         }
-    }
-
-    #[test]
-    fn options_follow_config() {
-        let config = WorkloadConfig::chart2();
-        let o = options_for(&config);
-        assert_eq!(o.factoring, 3);
-        assert!(o.eliminate_trivial_tests);
     }
 
     #[test]

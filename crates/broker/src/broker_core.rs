@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use linkcast::{LinkTarget, MatchCache, RouteScratch, RoutingFabric, TreeId};
-use linkcast_matching::{MatchStats, PstOptions};
+use linkcast_matching::MatchStats;
 use linkcast_types::{
     BrokerId, ClientId, Event, LinkId, SubscriberId, Subscription, SubscriptionId,
 };
@@ -262,8 +262,7 @@ impl<O: Out> BrokerCore<O> {
             },
         };
         let registry = Arc::clone(&config.registry);
-        let options = PstOptions::default();
-        let mut engine = MatchingEngine::new(config.broker, &config.fabric, registry, options)?;
+        let mut engine = MatchingEngine::new(config.broker, &config.fabric, registry)?;
         // Failures are skipped rather than fatal (a subscription that no
         // longer parses against the fabric is better dropped than blocking
         // boot); the anti-entropy resync heals any gap from peers.

@@ -29,7 +29,9 @@ pub struct MatchingEngine {
 }
 
 impl MatchingEngine {
-    /// Builds the engine for `broker` over all schemas in `registry`.
+    /// Builds the engine for `broker` over all schemas in `registry`:
+    /// each space's tree has the paper's options and factors what its
+    /// schema declares factored.
     ///
     /// # Errors
     ///
@@ -38,15 +40,15 @@ impl MatchingEngine {
         broker: BrokerId,
         fabric: &RoutingFabric,
         registry: Arc<SchemaRegistry>,
-        options: PstOptions,
     ) -> Result<Self> {
         let mut engines = Vec::with_capacity(registry.len());
         for schema in registry.iter() {
             let space = LinkSpace::build(fabric.network(), fabric.forest(), broker);
+            let options = PstOptions::default();
             engines.push(LinkMatchEngine::new(
                 broker,
                 schema.clone(),
-                options.clone(),
+                options,
                 space,
             )?);
         }
@@ -265,13 +267,8 @@ mod tests {
     fn multiple_information_spaces_are_independent() {
         let (fabric, local, _remote) = world();
         let registry = registry();
-        let mut engine = MatchingEngine::new(
-            BrokerId::new(0),
-            &fabric,
-            Arc::clone(&registry),
-            PstOptions::default(),
-        )
-        .unwrap();
+        let mut engine =
+            MatchingEngine::new(BrokerId::new(0), &fabric, Arc::clone(&registry)).unwrap();
 
         let trades = registry.get_by_name("trades").unwrap().clone();
         let quotes = registry.get_by_name("quotes").unwrap().clone();
@@ -310,13 +307,8 @@ mod tests {
         let (fabric, local, _) = world();
         let registry = registry();
         let trades = registry.get_by_name("trades").unwrap().clone();
-        let mut engine = MatchingEngine::new(
-            BrokerId::new(0),
-            &fabric,
-            Arc::clone(&registry),
-            PstOptions::default(),
-        )
-        .unwrap();
+        let mut engine =
+            MatchingEngine::new(BrokerId::new(0), &fabric, Arc::clone(&registry)).unwrap();
         let p = engine
             .parse_subscription(trades.id(), "volume > 0")
             .unwrap();
@@ -341,13 +333,7 @@ mod tests {
     fn errors_are_reported() {
         let (fabric, _, _) = world();
         let registry = registry();
-        let engine = MatchingEngine::new(
-            BrokerId::new(0),
-            &fabric,
-            Arc::clone(&registry),
-            PstOptions::default(),
-        )
-        .unwrap();
+        let engine = MatchingEngine::new(BrokerId::new(0), &fabric, Arc::clone(&registry)).unwrap();
         assert!(engine
             .parse_subscription(SchemaId::new(9), "volume > 0")
             .is_err());

@@ -13,11 +13,14 @@
 //! client bob   east
 //!
 //! schema trades  issue:string  price:dollar  volume:integer
-//! schema sensor  unit:integer(0..4)  reading:dollar  critical:boolean
+//! schema sensor  factor=1  unit:integer(0..4)  reading:dollar  critical:boolean
 //! ```
 //!
 //! Integer attributes may declare a finite domain with `(lo..hi)` (half-open
-//! range), which enables PST factoring and exact link-matching annotations.
+//! range), which makes link-matching annotations exact. `factor=<n>`
+//! declares the space's first `n` attributes factored: every broker's
+//! matching tree keeps one subtree per combination of their values (PST
+//! factoring), so each of them needs a domain.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -182,6 +185,13 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                 let mut builder = EventSchema::builder(name.to_string());
                 let mut any = false;
                 for field in words {
+                    if let Some(levels) = field.strip_prefix("factor=") {
+                        let levels = levels.parse().map_err(|_| {
+                            err(line_no, format!("`{field}` must be `factor=<count>`"))
+                        })?;
+                        builder = builder.factored(levels);
+                        continue;
+                    }
                     any = true;
                     let (attr, kind_spec) = field.split_once(':').ok_or_else(|| {
                         err(line_no, format!("attribute `{field}` must be `name:kind`"))
@@ -311,7 +321,7 @@ client alice west
 client bob   east
 
 schema trades issue:string price:dollar volume:integer
-schema sensor unit:integer(0..4) critical:boolean
+schema sensor factor=1 unit:integer(0..4) critical:boolean
 "#;
 
     #[test]
@@ -335,6 +345,8 @@ schema sensor unit:integer(0..4) critical:boolean
         assert_eq!(trades.arity(), 3);
         let sensor = config.schema("sensor").unwrap();
         assert_eq!(sensor.attribute(0).unwrap().domain().unwrap().len(), 4);
+        assert_eq!(trades.factored(), 0..0);
+        assert_eq!(sensor.factored(), 0..1);
     }
 
     #[test]
@@ -355,6 +367,18 @@ schema sensor unit:integer(0..4) critical:boolean
             ("schema s a:float", "unknown attribute kind"),
             ("schema s a:integer(3..1)", "empty domain"),
             ("schema s a:string(0..3)", "only supported on integer"),
+            (
+                "schema s factor=one a:integer(0..3)",
+                "must be `factor=<count>`",
+            ),
+            (
+                "schema s factor=1 a:integer b:integer(0..3)",
+                "no finite domain",
+            ),
+            (
+                "schema s factor=2 a:integer(0..3)",
+                "factors 2 attributes of 1",
+            ),
         ];
         for (text, needle) in cases {
             let e = parse(text).unwrap_err();

@@ -57,11 +57,16 @@ fn walk(engine: &LinkMatchEngine, event: &Event, tree: TreeId) -> (Vec<LinkId>, 
 
 /// Three integer attributes with domain 0..3.
 fn small_schema() -> EventSchema {
+    small_factored(0)
+}
+
+/// [`small_schema`] with its first `levels` attributes factored.
+fn small_factored(levels: usize) -> EventSchema {
     let mut b = EventSchema::builder("small");
     for name in ["x", "y", "z"] {
         b = b.attribute_with_domain(name, ValueKind::Int, (0..3).map(Value::Int));
     }
-    b.build().unwrap()
+    b.factored(levels).build().unwrap()
 }
 
 fn int_event(schema: &EventSchema, values: &[i64]) -> Event {
@@ -405,16 +410,25 @@ fn factoring_and_ordering_options_preserve_routing() {
     let mut rng = StdRng::seed_from_u64(77);
     let schema = small_schema();
     let (fabric, clients) = random_tree_network(&mut rng, 5);
+    let default = PstOptions::default;
     let configs = [
-        PstOptions::default().with_trivial_test_elimination(false),
-        PstOptions::default().with_factoring(1),
-        PstOptions::default().with_factoring(2),
-        PstOptions::default().with_order(OrderPolicy::Explicit(vec![2, 0, 1])),
+        (0, default().with_trivial_test_elimination(false)),
+        (1, default()),
+        (2, default()),
+        (
+            0,
+            default().with_order(OrderPolicy::Explicit(vec![2, 0, 1])),
+        ),
+        (
+            1,
+            default().with_order(OrderPolicy::Explicit(vec![0, 2, 1])),
+        ),
     ];
     let mut routers: Vec<ContentRouter> = configs
         .iter()
-        .map(|o| ContentRouter::new(fabric.clone(), schema.clone(), o.clone()).unwrap())
-        .collect();
+        .map(|(levels, o)| ContentRouter::new(fabric.clone(), small_factored(*levels), o.clone()))
+        .collect::<Result<_, _>>()
+        .unwrap();
     for &client in &clients {
         let tests: Vec<Option<i64>> = (0..3)
             .map(|_| {
@@ -717,17 +731,23 @@ fn arena_walk_agrees_with_brute_force() {
     let mut rng = StdRng::seed_from_u64(4242);
     let schema = small_schema();
     let configs = [
-        PstOptions::default().with_trivial_test_elimination(false),
-        PstOptions::default().with_factoring(1),
-        PstOptions::default().with_order(OrderPolicy::Explicit(vec![2, 0, 1])),
+        (
+            0,
+            PstOptions::default().with_trivial_test_elimination(false),
+        ),
+        (1, PstOptions::default()),
+        (
+            0,
+            PstOptions::default().with_order(OrderPolicy::Explicit(vec![2, 0, 1])),
+        ),
     ];
     let mut steps = Vec::new();
-    for (ci, options) in configs.iter().enumerate() {
+    for (ci, (levels, options)) in configs.iter().enumerate() {
         let (fabric, clients) = random_tree_network(&mut rng, 5);
         let broker = fabric.network().brokers().next().unwrap();
         let space = LinkSpace::build(fabric.network(), fabric.forest(), broker);
         let mut engine =
-            LinkMatchEngine::new(broker, schema.clone(), options.clone(), space).unwrap();
+            LinkMatchEngine::new(broker, small_factored(*levels), options.clone(), space).unwrap();
         let mut live = Vec::new();
         for &client in &clients {
             for _ in 0..rng.random_range(0..3) {
@@ -771,13 +791,8 @@ fn arena_tracks_subscription_churn() {
     let (fabric, clients) = random_tree_network(&mut rng, 4);
     let broker = fabric.network().brokers().next().unwrap();
     let space = LinkSpace::build(fabric.network(), fabric.forest(), broker);
-    let mut engine = LinkMatchEngine::new(
-        broker,
-        schema.clone(),
-        PstOptions::default().with_factoring(1),
-        space,
-    )
-    .unwrap();
+    let mut engine =
+        LinkMatchEngine::new(broker, small_factored(1), PstOptions::default(), space).unwrap();
     let tree = fabric.tree_for(broker).unwrap();
     let spanning = fabric.forest().tree(tree).unwrap();
     let mut scratch = crate::RouteScratch::new();
@@ -819,11 +834,12 @@ fn arena_tracks_subscription_churn() {
 /// `x`, `y` with small finite domains (so value branches can exhaust them
 /// and `x` can be factored), `z` open-ended (so one node can grow a long
 /// range-edge list).
-fn churn_schema() -> EventSchema {
+fn churn_schema(factored: usize) -> EventSchema {
     EventSchema::builder("churn")
         .attribute_with_domain("x", ValueKind::Int, (0..3).map(Value::Int))
         .attribute_with_domain("y", ValueKind::Int, (0..4).map(Value::Int))
         .attribute("z", ValueKind::Int)
+        .factored(factored)
         .build()
         .unwrap()
 }
@@ -832,14 +848,14 @@ fn churn_schema() -> EventSchema {
 /// domains: predicates that mostly test every attribute then share long
 /// prefixes and part ways mid-chain, so single-choice runs of three and
 /// more nodes form, get cut and grow back.
-fn deep_schema() -> EventSchema {
+fn deep_schema(factored: usize) -> EventSchema {
     let mut b = EventSchema::builder("deep")
         .attribute_with_domain("a", ValueKind::Int, (0..2).map(Value::Int))
         .attribute_with_domain("b", ValueKind::Int, (0..3).map(Value::Int));
     for name in ["c", "d", "e", "f"] {
         b = b.attribute(name, ValueKind::Int);
     }
-    b.build().unwrap()
+    b.factored(factored).build().unwrap()
 }
 
 /// A random test over `0..domain`; `stars` in eleven come out `*`. Every
@@ -1255,7 +1271,9 @@ impl std::ops::AddAssign for Adaptations {
 /// so all of the above holds across order rebuilds too, and right after
 /// one the engine *is* — annotated tree, arena summary, steps and
 /// comparisons on a probe set — what `with_subscriptions` builds from the
-/// live subscriptions in id order for that explicit order. The
+/// live subscriptions in id order for that explicit order, with the
+/// schema's factored prefix where it was (a factored config is among the
+/// ones that rebuild). The
 /// [`Traffic::Uniform`] configs have no reason to rebuild (the pinned one
 /// must not); the shifting and reverting ones make each family rebuild at
 /// least ten times, keep at least one trial and revert at least one.
@@ -1266,21 +1284,21 @@ impl std::ops::AddAssign for Adaptations {
 /// release step runs this test at the full count).
 #[test]
 fn incremental_engine_equals_scratch_after_every_step() {
-    let wide = (churn_schema(), vec![3, 4, 40], 3);
-    let deep = (deep_schema(), vec![2, 3, 3, 3, 3, 3], 1);
+    let wide = |factored| (churn_schema(factored), vec![3, 4, 40], 3);
+    let deep = |factored| (deep_schema(factored), vec![2, 3, 3, 3, 3, 3], 1);
     let tte = PstOptions::default;
     let no_tte = || tte().with_trivial_test_elimination(false);
     let pinned = OrderPolicy::Explicit(vec![2, 0, 1]);
     let configs = [
-        (&wide, no_tte(), Traffic::Uniform),
-        (&wide, tte().with_factoring(1), Traffic::Uniform),
-        (&wide, tte().with_order(pinned), Traffic::Uniform),
-        (&deep, no_tte(), Traffic::Uniform),
-        (&deep, tte(), Traffic::Uniform),
-        (&wide, no_tte(), Traffic::Shifting),
-        (&deep, tte().with_factoring(1), Traffic::Shifting),
-        (&wide, tte(), Traffic::Reverting),
-        (&deep, tte(), Traffic::Reverting),
+        (wide(0), no_tte(), Traffic::Uniform),
+        (wide(1), tte(), Traffic::Uniform),
+        (wide(0), tte().with_order(pinned), Traffic::Uniform),
+        (deep(0), no_tte(), Traffic::Uniform),
+        (deep(0), tte(), Traffic::Uniform),
+        (wide(0), no_tte(), Traffic::Shifting),
+        (deep(1), tte(), Traffic::Shifting),
+        (wide(0), tte(), Traffic::Reverting),
+        (deep(0), tte(), Traffic::Reverting),
     ];
     let (mut wide_seen, mut deep_seen) = (Adaptations::default(), Adaptations::default());
     for (ci, ((schema, domains, stars), options, traffic)) in configs.iter().enumerate() {
@@ -1341,6 +1359,10 @@ fn churn_against_scratch(
     let mut engine =
         LinkMatchEngine::new(broker, schema.clone(), options.clone(), space.clone()).unwrap();
     let factored = engine.pst().factored().to_vec();
+    assert!(
+        factored.iter().copied().eq(schema.factored()),
+        "config {ci}"
+    );
     let mut levels = engine.pst().order().to_vec();
     levels.sort_unstable();
     let last = domains.len() - 1;
@@ -1578,7 +1600,7 @@ fn churn_against_scratch(
                 let mut fresh_stats = MatchStats::new();
                 fresh.match_links_into(&event, tree, &mut scratch, &mut fresh_stats, &mut want);
                 assert_eq!(got, want, "{context}, event {values:?}: links");
-                if options.factoring == 0 {
+                if factored.is_empty() {
                     // Without replication the depth-first order fixes
                     // every range-edge list, so the walks coincide.
                     assert_eq!(stats, fresh_stats, "{context}, event {values:?}");
@@ -1595,7 +1617,7 @@ fn churn_against_scratch(
                 assert_eq!(stats, recompiled_stats, "{context}, event {values:?}");
             }
         }
-        if options.factoring == 0 {
+        if factored.is_empty() {
             assert_eq!(
                 engine.order_report(&seen_here),
                 fresh.order_report(&seen_fresh),

@@ -184,9 +184,10 @@ mod tests {
         let schema = EventSchema::builder("s")
             .attribute_with_domain("x", ValueKind::Int, (0..2).map(Value::Int))
             .attribute("y", ValueKind::Int)
+            .factored(1)
             .build()
             .unwrap();
-        let mut pst = Pst::new(schema.clone(), PstOptions::default().with_factoring(1)).unwrap();
+        let mut pst = Pst::new(schema.clone(), PstOptions::default()).unwrap();
         pst.insert(Subscription::new(
             SubscriptionId::new(0),
             SubscriberId::new(BrokerId::new(0), ClientId::new(0)),

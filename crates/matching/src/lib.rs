@@ -9,7 +9,8 @@
 //! one attribute and each subscription is a root-to-leaf path; matching
 //! follows all satisfied paths at once, sharing work across subscriptions
 //! with common prefixes. It supports the paper's optimizations: *factoring*
-//! (§2.1.1), *trivial test elimination* (§2.1.2), and configurable
+//! (§2.1.1) of the attributes the schema declares factored, *trivial test
+//! elimination* (§2.1.2), and configurable
 //! attribute ordering (fewest don't-cares near the root). [`Psg`] compiles
 //! a tree into the §2.1 search graph, and [`compact_subscriptions`] drops
 //! subscriptions another of the same subscriber covers. The chart

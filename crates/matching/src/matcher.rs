@@ -19,8 +19,9 @@ pub enum MatcherError {
         /// Arity of the offending predicate.
         actual: usize,
     },
-    /// A configuration problem (bad attribute order, factoring without a
-    /// domain, ...). The string describes the issue.
+    /// A configuration problem (an explicit attribute order that is not a
+    /// permutation, or moves the schema's factored prefix). The string
+    /// describes the issue.
     InvalidOptions(String),
 }
 

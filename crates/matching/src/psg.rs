@@ -59,9 +59,10 @@ struct PsgNode {
 /// let schema = EventSchema::builder("s")
 ///     .attribute_with_domain("x", ValueKind::Int, (0..3).map(Value::Int))
 ///     .attribute_with_domain("y", ValueKind::Int, (0..3).map(Value::Int))
+///     .factored(1)
 ///     .build()?;
 /// // `x = *` is replicated across all three x-subtrees by factoring...
-/// let mut pst = Pst::new(schema.clone(), PstOptions::default().with_factoring(1))?;
+/// let mut pst = Pst::new(schema.clone(), PstOptions::default())?;
 /// pst.insert(Subscription::new(
 ///     SubscriptionId::new(0),
 ///     SubscriberId::new(BrokerId::new(0), ClientId::new(0)),
@@ -279,11 +280,16 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn schema() -> EventSchema {
+        factored(0)
+    }
+
+    /// [`schema`] with its first `levels` attributes factored.
+    fn factored(levels: usize) -> EventSchema {
         let mut b = EventSchema::builder("psg");
         for name in ["a", "b", "c", "d"] {
             b = b.attribute_with_domain(name, ValueKind::Int, (0..4).map(Value::Int));
         }
-        b.build().unwrap()
+        b.factored(levels).build().unwrap()
     }
 
     fn sub(schema: &EventSchema, id: u32, tests: &[Option<i64>]) -> Subscription {
@@ -316,8 +322,8 @@ mod tests {
 
     #[test]
     fn factoring_replicas_are_shared() {
-        let schema = schema();
-        let mut pst = Pst::new(schema.clone(), PstOptions::default().with_factoring(1)).unwrap();
+        let schema = factored(1);
+        let mut pst = Pst::new(schema.clone(), PstOptions::default()).unwrap();
         // `a = *` replicates this subscription's suffix into 4 subtrees.
         pst.insert(sub(&schema, 0, &[None, Some(1), None, Some(2)]))
             .unwrap();
@@ -336,12 +342,10 @@ mod tests {
 
     #[test]
     fn shared_nodes_are_visited_once() {
-        let schema = schema();
+        let schema = factored(1);
         // The graph does not skip `*`-only chains, so neither may the tree
         // it is compared with: this test is about sharing, not skipping.
-        let options = PstOptions::default()
-            .with_factoring(1)
-            .with_trivial_test_elimination(false);
+        let options = PstOptions::default().with_trivial_test_elimination(false);
         let mut pst = Pst::new(schema.clone(), options).unwrap();
         pst.insert(sub(&schema, 0, &[None, Some(1), None, None]))
             .unwrap();
@@ -369,11 +373,7 @@ mod tests {
         let schema = schema();
         let mut rng = StdRng::seed_from_u64(31);
         for factoring in [0usize, 1, 2] {
-            let mut pst = Pst::new(
-                schema.clone(),
-                PstOptions::default().with_factoring(factoring),
-            )
-            .unwrap();
+            let mut pst = Pst::new(factored(factoring), PstOptions::default()).unwrap();
             for i in 0..300u32 {
                 let tests: Vec<Option<i64>> = (0..4)
                     .map(|_| {

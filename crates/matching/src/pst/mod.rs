@@ -20,13 +20,13 @@
 //!
 //! The module also implements the paper's §2.1 optimizations:
 //!
-//! 1. **Factoring** — the leading attributes of the test order can be
-//!    *factored out*: a separate subtree is kept per combination of their
-//!    values, turning the first tests into one binary search of a sorted
-//!    root table against the event's values. Subscriptions
-//!    with `*` on a factored attribute are replicated into every value's
-//!    subtree (space for time), which is why factored attributes must
-//!    declare finite domains.
+//! 1. **Factoring** — the attributes the schema declares factored
+//!    ([`EventSchema::factored`]) are tested first and *factored out*: a
+//!    separate subtree is kept per combination of their values, turning
+//!    the first tests into one binary search of a sorted root table
+//!    against the event's values. Subscriptions with `*` on a factored
+//!    attribute are replicated into every value's subtree (space for
+//!    time), which is why factored attributes must declare finite domains.
 //! 2. **Trivial test elimination**, on by default — chains of nodes whose
 //!    only child is a `*` branch are skipped over during matching.
 //! 3. **Attribute ordering** — the heuristic that "performance seems to be
@@ -351,16 +351,17 @@ impl MutationReport {
 }
 
 impl Pst {
-    /// Creates an empty tree for `schema` with the given options.
+    /// Creates an empty tree for `schema` with the given options. The
+    /// tree factors what the schema declares factored.
     ///
     /// # Errors
     ///
-    /// [`MatcherError::InvalidOptions`] if the options are inconsistent with
-    /// the schema (bad explicit order, factoring beyond arity, factoring an
-    /// attribute without a declared domain).
+    /// [`MatcherError::InvalidOptions`] if an explicit order is not a
+    /// permutation of the schema's attributes that begins with its
+    /// factored ones.
     pub fn new(schema: EventSchema, options: PstOptions) -> Result<Self, MatcherError> {
         let full_order = options.resolve_order(&schema, None)?;
-        Self::with_order(schema, options, full_order)
+        Ok(Self::with_order(schema, options, full_order))
     }
 
     /// Builds a tree from an initial subscription set. With
@@ -389,42 +390,27 @@ impl Pst {
                 .find(|o| o.is_ne())
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let mut pst = Self::with_order(schema, options, full_order)?;
+        let mut pst = Self::with_order(schema, options, full_order);
         for sub in subs {
             pst.insert(sub)?;
         }
         Ok(pst)
     }
 
-    fn with_order(
-        schema: EventSchema,
-        options: PstOptions,
-        full_order: Vec<usize>,
-    ) -> Result<Self, MatcherError> {
-        let factoring = options.factoring;
-        let factored: Vec<usize> = full_order[..factoring].to_vec();
-        let order: Vec<usize> = full_order[factoring..].to_vec();
-        for &attr in &factored {
-            if schema.attribute(attr).and_then(|a| a.domain()).is_none() {
-                return Err(MatcherError::InvalidOptions(format!(
-                    "attribute `{}` is factored but declares no finite domain",
-                    schema
-                        .attribute(attr)
-                        .map(|a| a.name().to_string())
-                        .unwrap_or_else(|| attr.to_string())
-                )));
-            }
-        }
-        Ok(Pst {
+    /// An empty tree testing `full_order`, which begins with the schema's
+    /// factored attributes.
+    fn with_order(schema: EventSchema, options: PstOptions, mut full_order: Vec<usize>) -> Self {
+        let order = full_order.split_off(schema.factored().len());
+        Pst {
             schema,
             options,
             order,
-            factored,
+            factored: full_order,
             roots: Vec::new(),
             nodes: Vec::new(),
             free: Vec::new(),
             subscriptions: Slab::default(),
-        })
+        }
     }
 
     /// The schema this tree serves.
@@ -444,7 +430,8 @@ impl Pst {
         &self.order
     }
 
-    /// Attribute indices handled by factor-key lookup.
+    /// Attribute indices handled by factor-key lookup: the schema's
+    /// factored attributes.
     pub fn factored(&self) -> &[usize] {
         &self.factored
     }

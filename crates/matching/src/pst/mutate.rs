@@ -71,11 +71,10 @@ impl Pst {
             let candidates: Vec<Value> = match test {
                 AttrTest::Eq(v) => vec![v.clone()],
                 test => {
-                    let domain = self
-                        .schema
-                        .attribute(attr)
-                        .and_then(|a| a.domain())
-                        .expect("factored attributes have domains (checked at construction)");
+                    let domain =
+                        self.schema.attribute(attr).and_then(|a| a.domain()).expect(
+                            "factored attributes have domains (checked by the schema builder)",
+                        );
                     domain.iter().filter(|v| test.matches(v)).cloned().collect()
                 }
             };

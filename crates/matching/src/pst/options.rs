@@ -4,12 +4,15 @@ use linkcast_types::{EventSchema, Subscription};
 
 use crate::MatcherError;
 
-/// How the PST orders attributes from root to leaf.
+/// How the PST orders attributes from root to leaf. The schema's
+/// factored attributes ([`EventSchema::factored`]) always come first, in
+/// declaration order; a policy orders the attributes that follow them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OrderPolicy {
     /// Test attributes in schema declaration order.
     Schema,
-    /// Test attributes in an explicit order (a permutation of `0..arity`).
+    /// Test attributes in an explicit order: a permutation of `0..arity`
+    /// that begins with the factored attributes.
     Explicit(Vec<usize>),
     /// The paper's heuristic: "performance seems to be better if the
     /// attributes near the root are chosen to have the fewest number of
@@ -23,8 +26,9 @@ pub enum OrderPolicy {
 }
 
 /// Configuration for a [`Pst`](crate::Pst). The default is the paper's:
-/// schema order, no factoring, trivial test elimination on. An ablation
-/// turns the last off:
+/// schema order and trivial test elimination on. What a tree factors is
+/// not an option: the schema declares it ([`EventSchema::factored`]). An
+/// ablation turns trivial test elimination off:
 ///
 /// ```
 /// # use linkcast_matching::PstOptions;
@@ -35,10 +39,6 @@ pub enum OrderPolicy {
 pub struct PstOptions {
     /// Attribute ordering policy.
     pub order: OrderPolicy,
-    /// Number of leading attributes (in the resolved order) to factor out
-    /// into the subtree-selection key (§2.1.1). Factored attributes must
-    /// declare finite domains. `0` disables factoring.
-    pub factoring: usize,
     /// Whether to skip over `*`-only chains during matching (§2.1.2).
     pub eliminate_trivial_tests: bool,
 }
@@ -47,7 +47,6 @@ impl Default for PstOptions {
     fn default() -> Self {
         Self {
             order: OrderPolicy::Schema,
-            factoring: 0,
             eliminate_trivial_tests: true,
         }
     }
@@ -58,13 +57,6 @@ impl PstOptions {
     #[must_use]
     pub fn with_order(mut self, order: OrderPolicy) -> Self {
         self.order = order;
-        self
-    }
-
-    /// Sets the number of factored attributes.
-    #[must_use]
-    pub fn with_factoring(mut self, levels: usize) -> Self {
-        self.factoring = levels;
         self
     }
 
@@ -81,19 +73,14 @@ impl PstOptions {
     /// # Errors
     ///
     /// [`MatcherError::InvalidOptions`] if an explicit order is not a
-    /// permutation of `0..arity` or factoring exceeds the arity.
+    /// permutation of `0..arity` that begins with the factored attributes.
     pub(crate) fn resolve_order(
         &self,
         schema: &EventSchema,
         subscriptions: Option<&[Subscription]>,
     ) -> Result<Vec<usize>, MatcherError> {
         let arity = schema.arity();
-        if self.factoring > arity {
-            return Err(MatcherError::InvalidOptions(format!(
-                "factoring {} exceeds schema arity {arity}",
-                self.factoring
-            )));
-        }
+        let factored = schema.factored();
         let order = match &self.order {
             OrderPolicy::Schema => (0..arity).collect(),
             OrderPolicy::Explicit(order) => {
@@ -112,6 +99,16 @@ impl PstOptions {
                     }
                     seen[a] = true;
                 }
+                if order
+                    .iter()
+                    .copied()
+                    .take(factored.len())
+                    .ne(factored.clone())
+                {
+                    return Err(MatcherError::InvalidOptions(format!(
+                        "explicit order does not begin with the factored {factored:?}"
+                    )));
+                }
                 order.clone()
             }
             OrderPolicy::FewestStarsFirst => {
@@ -126,7 +123,7 @@ impl PstOptions {
                     }
                 }
                 let mut order: Vec<usize> = (0..arity).collect();
-                order.sort_by_key(|&a| (stars[a], a));
+                order[factored.end..].sort_by_key(|&a| (stars[a], a));
                 order
             }
         };
@@ -142,10 +139,17 @@ mod tests {
     };
 
     fn schema() -> EventSchema {
+        factored_schema(0)
+    }
+
+    /// `a b c`, each over `0..3`, the first `levels` factored.
+    fn factored_schema(levels: usize) -> EventSchema {
+        let domain = || (0..3).map(Value::Int);
         EventSchema::builder("s")
-            .attribute("a", ValueKind::Int)
-            .attribute("b", ValueKind::Int)
-            .attribute("c", ValueKind::Int)
+            .attribute_with_domain("a", ValueKind::Int, domain())
+            .attribute_with_domain("b", ValueKind::Int, domain())
+            .attribute_with_domain("c", ValueKind::Int, domain())
+            .factored(levels)
             .build()
             .unwrap()
     }
@@ -160,26 +164,44 @@ mod tests {
 
     #[test]
     fn explicit_order_is_validated() {
-        let ok = PstOptions::default()
-            .with_order(OrderPolicy::Explicit(vec![2, 0, 1]))
-            .resolve_order(&schema(), None)
-            .unwrap();
-        assert_eq!(ok, vec![2, 0, 1]);
+        let explicit = |order: Vec<usize>, schema: &EventSchema| {
+            PstOptions::default()
+                .with_order(OrderPolicy::Explicit(order))
+                .resolve_order(schema, None)
+        };
+        assert_eq!(explicit(vec![2, 0, 1], &schema()).unwrap(), vec![2, 0, 1]);
+        assert_eq!(
+            explicit(vec![0, 2, 1], &factored_schema(1)).unwrap(),
+            vec![0, 2, 1]
+        );
 
-        for bad in [vec![0, 1], vec![0, 1, 1], vec![0, 1, 3]] {
-            let err = PstOptions::default()
-                .with_order(OrderPolicy::Explicit(bad))
-                .resolve_order(&schema(), None)
-                .unwrap_err();
+        let bad = [
+            (vec![0, 1], schema()),
+            (vec![0, 1, 1], schema()),
+            (vec![0, 1, 3], schema()),
+            // A permutation that moves the factored prefix.
+            (vec![1, 0, 2], factored_schema(1)),
+            (vec![0, 2, 1], factored_schema(2)),
+        ];
+        for (order, schema) in bad {
+            let err = explicit(order, &schema).unwrap_err();
             assert!(matches!(err, MatcherError::InvalidOptions(_)));
         }
     }
 
     #[test]
     fn fewest_stars_first_uses_subscription_stats() {
-        let schema = schema();
+        for (levels, expected) in [(0, vec![1, 2, 0]), (1, vec![0, 1, 2])] {
+            assert_eq!(fewest_stars_order(&factored_schema(levels)), expected);
+        }
+    }
+
+    /// FewestStarsFirst over a set in which `b` is never starred, `c`
+    /// sometimes and `a` always: it orders what follows the factored
+    /// prefix.
+    fn fewest_stars_order(schema: &EventSchema) -> Vec<usize> {
         let sub = |id: u32, tests: [Option<i64>; 3]| {
-            let mut b = Predicate::builder(&schema);
+            let mut b = Predicate::builder(schema);
             for (name, t) in ["a", "b", "c"].iter().zip(tests) {
                 if let Some(v) = t {
                     b = b.eq(name, Value::Int(v)).unwrap();
@@ -191,17 +213,15 @@ mod tests {
                 b.build(),
             )
         };
-        // `b` is never starred, `c` sometimes, `a` always.
         let subs = vec![
             sub(0, [None, Some(1), Some(2)]),
             sub(1, [None, Some(2), None]),
-            sub(2, [None, Some(3), Some(1)]),
+            sub(2, [None, Some(0), Some(1)]),
         ];
-        let order = PstOptions::default()
+        PstOptions::default()
             .with_order(OrderPolicy::FewestStarsFirst)
-            .resolve_order(&schema, Some(&subs))
-            .unwrap();
-        assert_eq!(order, vec![1, 2, 0]);
+            .resolve_order(schema, Some(&subs))
+            .unwrap()
     }
 
     #[test]
@@ -215,10 +235,24 @@ mod tests {
 
     #[test]
     fn factoring_beyond_arity_is_rejected() {
-        let err = PstOptions::default()
-            .with_factoring(4)
-            .resolve_order(&schema(), None)
+        // The schema declares the factored prefix, so a count past the
+        // arity never reaches the options: the builder refuses it.
+        let domain = || (0..3).map(Value::Int);
+        let err = EventSchema::builder("s")
+            .attribute_with_domain("a", ValueKind::Int, domain())
+            .attribute_with_domain("b", ValueKind::Int, domain())
+            .attribute_with_domain("c", ValueKind::Int, domain())
+            .factored(4)
+            .build()
             .unwrap_err();
-        assert!(matches!(err, MatcherError::InvalidOptions(_)));
+        assert!(matches!(err, linkcast_types::Error::InvalidSchema(_)));
+        // With every attribute factored, no policy has anything to order.
+        for policy in [OrderPolicy::Schema, OrderPolicy::FewestStarsFirst] {
+            let order = PstOptions::default()
+                .with_order(policy)
+                .resolve_order(&factored_schema(3), None)
+                .unwrap();
+            assert_eq!(order, vec![0, 1, 2]);
+        }
     }
 }

@@ -21,11 +21,16 @@ fn brute_force<'a>(
 
 /// Five integer attributes a1..a5, like paper Figure 2.
 fn figure2_schema() -> EventSchema {
+    figure2_factored(0)
+}
+
+/// [`figure2_schema`] with its first `levels` attributes factored.
+fn figure2_factored(levels: usize) -> EventSchema {
     let mut b = EventSchema::builder("fig2");
     for name in ["a1", "a2", "a3", "a4", "a5"] {
         b = b.attribute_with_domain(name, ValueKind::Int, (0..5).map(Value::Int));
     }
-    b.build().unwrap()
+    b.factored(levels).build().unwrap()
 }
 
 fn subscriber(id: u32) -> SubscriberId {
@@ -329,9 +334,8 @@ fn range_edges_stay_in_the_range_order() {
 
 #[test]
 fn factoring_replicates_star_subscriptions() {
-    let schema = figure2_schema();
-    let options = PstOptions::default().with_factoring(1);
-    let mut pst = Pst::new(schema.clone(), options).unwrap();
+    let schema = figure2_factored(1);
+    let mut pst = Pst::new(schema.clone(), PstOptions::default()).unwrap();
     // a1 = * → replicated into all five a1-value subtrees.
     pst.insert(int_sub(&schema, 0, &[None, Some(2), None, None, None]))
         .unwrap();
@@ -358,9 +362,9 @@ fn factoring_replicates_star_subscriptions() {
 /// table is one sorted list, which no per-instance hash seed reorders.
 #[test]
 fn factored_builds_of_one_set_are_identical() {
-    let schema = figure2_schema();
+    let schema = figure2_factored(2);
     let build = || {
-        let mut pst = Pst::new(schema.clone(), PstOptions::default().with_factoring(2)).unwrap();
+        let mut pst = Pst::new(schema.clone(), PstOptions::default()).unwrap();
         for id in 0..8u32 {
             let v = |k: u32| Some(i64::from((id * k) % 5));
             let a2 = (id % 3 != 0).then(|| v(3)).flatten();
@@ -381,19 +385,21 @@ fn factored_builds_of_one_set_are_identical() {
 
 #[test]
 fn factoring_requires_domains() {
-    let schema = EventSchema::builder("s")
+    // A factored attribute without a finite domain is refused where the
+    // factoring is declared, so no PST is ever built over one.
+    let err = EventSchema::builder("s")
         .attribute("free", ValueKind::Str) // no domain
         .attribute("b", ValueKind::Int)
+        .factored(1)
         .build()
-        .unwrap();
-    let err = Pst::new(schema, PstOptions::default().with_factoring(1)).unwrap_err();
-    assert!(matches!(err, MatcherError::InvalidOptions(_)));
+        .unwrap_err();
+    assert!(matches!(err, linkcast_types::Error::InvalidSchema(_)));
 }
 
 #[test]
 fn factoring_with_range_test_selects_matching_domain_values() {
-    let schema = figure2_schema();
-    let mut pst = Pst::new(schema.clone(), PstOptions::default().with_factoring(1)).unwrap();
+    let schema = figure2_factored(1);
+    let mut pst = Pst::new(schema.clone(), PstOptions::default()).unwrap();
     let tests = vec![
         AttrTest::Ge(Value::Int(3)),
         AttrTest::Any,
@@ -554,7 +560,6 @@ fn matches_agree_with_naive_on_random_workloads() {
     let mut rng = StdRng::seed_from_u64(99);
     for (factoring, skip) in [(0, false), (0, true), (2, false), (2, true)] {
         let options = PstOptions::default()
-            .with_factoring(factoring)
             .with_trivial_test_elimination(skip)
             .with_order(OrderPolicy::FewestStarsFirst);
         let mut subs = Vec::new();
@@ -570,7 +575,7 @@ fn matches_agree_with_naive_on_random_workloads() {
                 .collect();
             subs.push(int_sub(&schema, i, &tests));
         }
-        let mut pst = Pst::build(schema.clone(), subs.clone(), options).unwrap();
+        let mut pst = Pst::build(figure2_factored(factoring), subs.clone(), options).unwrap();
         // Interleave removals to exercise pruning.
         for i in (0..400u32).step_by(7) {
             assert!(pst.remove(SubscriptionId::new(i)));
@@ -866,8 +871,7 @@ fn summary_reports_structure() {
     assert_eq!(s.trivial_nodes, 3, "the *-chain between a1 and a5");
 
     // Factoring replicates a starred subscription across subtrees.
-    let options = PstOptions::default().with_factoring(1);
-    let mut factored = Pst::new(schema.clone(), options).unwrap();
+    let mut factored = Pst::new(figure2_factored(1), PstOptions::default()).unwrap();
     factored
         .insert(int_sub(&schema, 0, &[None, Some(2), None, None, None]))
         .unwrap();
@@ -962,11 +966,14 @@ fn bursts_at_every_depth_in_every_order_match_the_spelled_out_tree() {
         [2, 0, 1],
         [2, 1, 0],
     ];
-    let mut b = EventSchema::builder("matrix");
-    for name in ["a1", "a2", "a3", "a4", "a5"] {
-        b = b.attribute_with_domain(name, ValueKind::Int, (0..3).map(Value::Int));
-    }
-    let schema = b.build().unwrap();
+    let factored = |levels| {
+        let mut b = EventSchema::builder("matrix");
+        for name in ["a1", "a2", "a3", "a4", "a5"] {
+            b = b.attribute_with_domain(name, ValueKind::Int, (0..3).map(Value::Int));
+        }
+        b.factored(levels).build().unwrap()
+    };
+    let schema = factored(0);
     let int = Value::Int;
     let base = [
         AttrTest::Eq(int(1)),
@@ -1009,9 +1016,8 @@ fn bursts_at_every_depth_in_every_order_match_the_spelled_out_tree() {
             )
         };
         for (factoring, skipping) in [(0, false), (0, true), (1, false), (1, true), (2, true)] {
-            let options = PstOptions::default()
-                .with_factoring(factoring)
-                .with_trivial_test_elimination(skipping);
+            let schema = factored(factoring);
+            let options = PstOptions::default().with_trivial_test_elimination(skipping);
             for (inserts, removes) in ORDERS
                 .iter()
                 .flat_map(|i| ORDERS.iter().map(move |r| (i, r)))

@@ -16,11 +16,16 @@ const ATTRS: usize = 4;
 const VALUES: i64 = 3;
 
 fn schema() -> EventSchema {
+    factored(0)
+}
+
+/// [`schema`] with its first `levels` attributes factored.
+fn factored(levels: usize) -> EventSchema {
     let mut b = EventSchema::builder("prop");
     for i in 0..ATTRS {
         b = b.attribute_with_domain(format!("a{i}"), ValueKind::Int, (0..VALUES).map(Value::Int));
     }
-    b.build().unwrap()
+    b.factored(levels).build().unwrap()
 }
 
 #[derive(Debug, Clone)]
@@ -103,14 +108,13 @@ proptest! {
         tte in any::<bool>(),
         heuristic in any::<bool>(),
     ) {
-        let schema = schema();
+        let schema = factored(factoring);
         let order = if heuristic {
             OrderPolicy::FewestStarsFirst
         } else {
             OrderPolicy::Schema
         };
         let options = PstOptions::default()
-            .with_factoring(factoring)
             .with_trivial_test_elimination(tte)
             .with_order(order);
         let subs: Vec<Subscription> = shapes
@@ -144,10 +148,8 @@ proptest! {
         factoring in 0usize..3,
         tte in any::<bool>(),
     ) {
-        let schema = schema();
-        let options = PstOptions::default()
-            .with_factoring(factoring)
-            .with_trivial_test_elimination(tte);
+        let schema = factored(factoring);
+        let options = PstOptions::default().with_trivial_test_elimination(tte);
         let subs: Vec<Subscription> = shapes
             .iter()
             .enumerate()
@@ -192,10 +194,8 @@ proptest! {
         removal_order in proptest::collection::vec(any::<u16>(), 0..24),
         tte in any::<bool>(),
     ) {
-        let schema = schema();
-        let options = PstOptions::default()
-            .with_factoring(1)
-            .with_trivial_test_elimination(tte);
+        let schema = factored(1);
+        let options = PstOptions::default().with_trivial_test_elimination(tte);
         let mut pst = Pst::new(schema.clone(), options).unwrap();
         let mut live = BTreeMap::new();
         for (i, s) in shapes.iter().enumerate() {

@@ -119,7 +119,8 @@ fn with_id(workload: &EventSchema) -> Result<EventSchema, String> {
         b.attribute_def(def)
     });
     let id = builder.attribute("id", ValueKind::Int);
-    id.build().map_err(|e| e.to_string())
+    let factored = id.factored(workload.factored().len());
+    factored.build().map_err(|e| e.to_string())
 }
 
 /// One broker core per broker of a routing fabric, one client per client,
@@ -129,7 +130,8 @@ fn with_id(workload: &EventSchema) -> Result<EventSchema, String> {
 /// `id` no subscription tests: it names each published event, so every
 /// delivery is matched to its own publication. Subscriptions leave it `*`,
 /// and a level every subscription leaves `*` is skipped by the walk, so it
-/// costs no matching step.
+/// costs no matching step. The cores factor what the workload's schema
+/// declares factored, as every other tree over it does.
 ///
 /// # Example
 ///
@@ -497,7 +499,7 @@ mod tests {
     fn an_id_no_subscription_tests_moves_no_step_count() {
         use linkcast::{MatchCache, RouteScratch};
         use linkcast_broker::MatchingEngine;
-        use linkcast_matching::{MatchStats, PstOptions};
+        use linkcast_matching::MatchStats;
         use linkcast_types::{SchemaId, SubscriberId, Subscription, SubscriptionId};
         use linkcast_workload::SubscriptionGenerator;
 
@@ -513,8 +515,7 @@ mod tests {
             let mut registry = SchemaRegistry::new();
             registry.register(schema.clone()).unwrap();
             let registry = Arc::new(registry);
-            let options = PstOptions::default();
-            let mut e = MatchingEngine::new(publisher, &world.fabric, registry, options).unwrap();
+            let mut e = MatchingEngine::new(publisher, &world.fabric, registry).unwrap();
             for (n, (client, predicate)) in subs.iter().enumerate() {
                 let text = predicate.display_with(&workload);
                 let parsed = e.parse_subscription(SchemaId::new(0), &text).unwrap();

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::{Error, Result, SchemaId, Value, ValueKind};
@@ -100,6 +101,11 @@ impl fmt::Display for AttributeDef {
 /// The paper's running example is the single information space
 /// `[issue: string, price: dollar, volume: integer]`.
 ///
+/// A space may declare its leading attributes *factored* (§2.1.1): every
+/// search tree over it keeps one subtree per combination of their values
+/// and selects it by table lookup instead of testing them. Factored
+/// attributes must declare finite domains.
+///
 /// # Example
 ///
 /// ```
@@ -127,6 +133,7 @@ struct SchemaInner {
     name: Arc<str>,
     attributes: Vec<AttributeDef>,
     by_name: HashMap<Arc<str>, usize>,
+    factored: usize,
 }
 
 impl EventSchema {
@@ -136,6 +143,7 @@ impl EventSchema {
             id: SchemaId::new(0),
             name: name.into(),
             attributes: Vec::new(),
+            factored: 0,
             error: None,
         }
     }
@@ -166,6 +174,12 @@ impl EventSchema {
         self.inner.attributes.get(index)
     }
 
+    /// The factored attributes: a leading run of declaration order, each
+    /// with a finite domain. Empty unless the space declares some.
+    pub fn factored(&self) -> Range<usize> {
+        0..self.inner.factored
+    }
+
     /// Looks up an attribute position by name.
     pub fn attribute_index(&self, name: &str) -> Option<usize> {
         self.inner.by_name.get(name).copied()
@@ -181,6 +195,7 @@ impl EventSchema {
                 name: inner.name.clone(),
                 attributes: inner.attributes.clone(),
                 by_name: inner.by_name.clone(),
+                factored: inner.factored,
             }),
         }
     }
@@ -226,6 +241,7 @@ pub struct EventSchemaBuilder {
     id: SchemaId,
     name: Arc<str>,
     attributes: Vec<AttributeDef>,
+    factored: usize,
     error: Option<Error>,
 }
 
@@ -256,12 +272,21 @@ impl EventSchemaBuilder {
         self
     }
 
+    /// Declares the first `levels` attributes, in declaration order,
+    /// factored (§2.1.1). `0`, the default, factors nothing.
+    pub fn factored(mut self, levels: usize) -> Self {
+        self.factored = levels;
+        self
+    }
+
     /// Finalizes the schema.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidSchema`] if the schema has no attributes or duplicate
-    /// attribute names, or if any `attribute_with_domain` call failed.
+    /// attribute names, if it factors more attributes than it has or one
+    /// without a finite domain, or if any `attribute_with_domain` call
+    /// failed.
     pub fn build(self) -> Result<EventSchema> {
         if let Some(e) = self.error {
             return Err(e);
@@ -270,6 +295,20 @@ impl EventSchemaBuilder {
             return Err(Error::InvalidSchema(format!(
                 "schema `{}` has no attributes",
                 self.name
+            )));
+        }
+        let factored = self.attributes.get(..self.factored).ok_or_else(|| {
+            Error::InvalidSchema(format!(
+                "schema `{}` factors {} attributes of {}",
+                self.name,
+                self.factored,
+                self.attributes.len()
+            ))
+        })?;
+        if let Some(open) = factored.iter().find(|a| a.domain().is_none()) {
+            return Err(Error::InvalidSchema(format!(
+                "attribute `{}` is factored but declares no finite domain",
+                open.name()
             )));
         }
         let mut by_name = HashMap::with_capacity(self.attributes.len());
@@ -288,6 +327,7 @@ impl EventSchemaBuilder {
                 name: self.name,
                 attributes: self.attributes,
                 by_name,
+                factored: self.factored,
             }),
         })
     }
@@ -440,6 +480,31 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, Error::InvalidSchema(_)));
+    }
+
+    #[test]
+    fn factoring_is_declared_on_a_leading_run_of_finite_domains() {
+        let domain = || (0..3).map(Value::Int);
+        let space = |levels| {
+            EventSchema::builder("s")
+                .attribute_with_domain("a", ValueKind::Int, domain())
+                .attribute_with_domain("b", ValueKind::Int, domain())
+                .attribute("c", ValueKind::Int)
+                .factored(levels)
+                .build()
+        };
+        assert_eq!(trades().factored(), 0..0);
+        assert_eq!(space(0).unwrap().factored(), 0..0);
+        assert_eq!(space(2).unwrap().factored(), 0..2);
+        // `c` has no finite domain, and there is no fourth attribute.
+        for levels in [3, 4] {
+            let err = space(levels).unwrap_err();
+            assert!(matches!(err, Error::InvalidSchema(_)), "{levels}: {err}");
+        }
+        // A registered copy keeps the declaration.
+        let mut reg = SchemaRegistry::new();
+        let id = reg.register(space(1).unwrap()).unwrap();
+        assert_eq!(reg.get(id).unwrap().factored(), 0..1);
     }
 
     #[test]

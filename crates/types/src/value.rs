@@ -140,10 +140,14 @@ impl Value {
     }
 
     /// Renders the value in the predicate-language syntax, e.g. `"IBM"`,
-    /// `120.00`, `1000`, `true`.
+    /// `120.00`, `1000`, `true`. A string escapes `"` and `\` and carries
+    /// every other character raw, as the grammar reads it.
     pub fn to_literal(&self) -> Cow<'static, str> {
         match self {
-            Value::Str(s) => Cow::Owned(format!("{:?}", s.as_ref())),
+            Value::Str(s) => {
+                let escaped = s.replace('\\', "\\\\").replace('"', "\\\"");
+                Cow::Owned(format!("\"{escaped}\""))
+            }
             Value::Int(i) => Cow::Owned(i.to_string()),
             Value::Dollar(c) => {
                 let sign = if *c < 0 { "-" } else { "" };

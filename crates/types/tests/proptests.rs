@@ -104,7 +104,11 @@ fn value_strategy() -> impl Strategy<Value = Value> {
 
 fn kinded_value(kind: ValueKind) -> BoxedStrategy<Value> {
     match kind {
-        ValueKind::Str => "[a-zA-Z0-9]{0,8}".prop_map(Value::str).boxed(),
+        // Quotes, backslashes, control and non-ASCII characters: the ones a
+        // literal must escape, or must carry raw.
+        ValueKind::Str => "[a-zA-Z0-9\"\\\\\t\n\u{e9}\u{6f22}\u{1f600}]{0,8}"
+            .prop_map(Value::str)
+            .boxed(),
         ValueKind::Int => any::<i64>().prop_map(Value::Int).boxed(),
         ValueKind::Dollar => any::<i64>().prop_map(Value::Dollar).boxed(),
         ValueKind::Bool => any::<bool>().prop_map(Value::Bool).boxed(),

@@ -25,7 +25,9 @@ pub struct WorkloadConfig {
     pub attributes: usize,
     /// Number of distinct values per attribute (integer domain `0..v`).
     pub values_per_attribute: usize,
-    /// Number of leading attributes used for PST factoring.
+    /// Number of leading attributes the schema declares factored
+    /// ([`EventSchema::factored`]): every search tree over it, in a broker
+    /// core or a library router, factors them.
     pub factoring_levels: usize,
     /// Probability that the first attribute of a subscription is non-`*`.
     pub first_non_star_prob: f64,
@@ -84,7 +86,8 @@ impl WorkloadConfig {
 
     /// Builds the integer event schema `a0..aN`, each attribute with the
     /// enumerated domain `0..values_per_attribute` (finite domains are what
-    /// allow factoring and exact link-matching annotations).
+    /// allow factoring and exact link-matching annotations), the first
+    /// `factoring_levels` declared factored.
     ///
     /// # Panics
     ///
@@ -92,6 +95,10 @@ impl WorkloadConfig {
     /// [`WorkloadConfig::validate`]).
     pub fn schema(&self) -> EventSchema {
         self.validate().expect("invalid workload configuration");
+        self.build_schema().expect("workload schema is well-formed")
+    }
+
+    fn build_schema(&self) -> linkcast_types::Result<EventSchema> {
         let mut b = EventSchema::builder("workload");
         for i in 0..self.attributes {
             b = b.attribute_with_domain(
@@ -100,7 +107,7 @@ impl WorkloadConfig {
                 (0..self.values_per_attribute as i64).map(Value::Int),
             );
         }
-        b.build().expect("workload schema is well-formed")
+        b.factored(self.factoring_levels).build()
     }
 
     /// Checks the configuration for structural problems.
@@ -115,12 +122,6 @@ impl WorkloadConfig {
         if self.values_per_attribute == 0 {
             return Err("values_per_attribute must be positive".into());
         }
-        if self.factoring_levels > self.attributes {
-            return Err(format!(
-                "factoring_levels {} exceeds attributes {}",
-                self.factoring_levels, self.attributes
-            ));
-        }
         if !(0.0..=1.0).contains(&self.first_non_star_prob) {
             return Err("first_non_star_prob must be in [0, 1]".into());
         }
@@ -133,7 +134,8 @@ impl WorkloadConfig {
         if !self.zipf_exponent.is_finite() || self.zipf_exponent < 0.0 {
             return Err("zipf_exponent must be finite and >= 0".into());
         }
-        Ok(())
+        // The schema builder checks the factored prefix.
+        self.build_schema().map(drop).map_err(|e| e.to_string())
     }
 }
 
@@ -173,6 +175,8 @@ mod tests {
         for a in s.attributes() {
             assert_eq!(a.domain().unwrap().len(), 5);
         }
+        assert_eq!(s.factored(), 0..2);
+        assert_eq!(WorkloadConfig::chart2().schema().factored(), 0..3);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! subscriptions and events:
 //!
 //! - the event schema has a configurable number of attributes and values per
-//!   attribute, with the leading attributes used for PST factoring;
+//!   attribute, with the leading attributes declared factored;
 //! - subscriptions are random: the first attribute is non-`*` with
 //!   probability 0.98, decaying geometrically (×0.85 or ×0.82) toward the
 //!   last attribute; non-`*` values follow a **Zipf** distribution;

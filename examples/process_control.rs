@@ -33,15 +33,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let historian = builder.add_client(control_room)?;
     let fabric = RoutingFabric::new_all_roots(builder.build()?)?;
 
-    // Telemetry schema: unit, sensor kind, reading, and an alarm flag.
+    // Telemetry schema: unit, sensor kind, reading, and an alarm flag,
+    // factored by unit.
     let schema = EventSchema::builder("telemetry")
         .attribute_with_domain("unit", ValueKind::Int, (0..3).map(Value::Int))
         .attribute("sensor", ValueKind::Str)
         .attribute("reading", ValueKind::Dollar) // fixed-point measurement
         .attribute("critical", ValueKind::Bool)
+        .factored(1)
         .build()?;
-    let options = PstOptions::default().with_factoring(1); // factor by unit
-    let mut router = ContentRouter::new(fabric, schema.clone(), options)?;
+    let mut router = ContentRouter::new(fabric, schema.clone(), PstOptions::default())?;
 
     // Operators watch only their own unit (a subject-based system would
     // need one topic per unit...).

@@ -191,6 +191,7 @@ fn finding_a_factored_subtree_allocates_nothing() {
         .attribute_with_domain("region", ValueKind::Int, domain())
         .attribute_with_domain("tier", ValueKind::Int, domain())
         .attribute("volume", ValueKind::Int)
+        .factored(2)
         .build()
         .unwrap();
     let filters = [
@@ -203,8 +204,7 @@ fn finding_a_factored_subtree_allocates_nothing() {
         let predicate = parse_predicate(&schema, filter).unwrap();
         Subscription::new(SubscriptionId::new(id), subscriber, predicate)
     });
-    let options = PstOptions::default().with_factoring(2);
-    let pst = Pst::build(schema.clone(), subscriptions, options).unwrap();
+    let pst = Pst::build(schema.clone(), subscriptions, PstOptions::default()).unwrap();
     let events: Vec<Event> = (0..50)
         .map(|i| Event::from_values(&schema, [i % 5, i / 10, i].map(Value::Int)).unwrap())
         .collect();

@@ -45,13 +45,15 @@ const STEPS: usize = 1200;
 const DOMAIN: i64 = 3;
 const ATTRS: usize = 3;
 
-fn registry() -> Arc<SchemaRegistry> {
+/// One space, `x y z` over `0..DOMAIN`, its first `factored` attributes
+/// factored.
+fn registry(factored: usize) -> Arc<SchemaRegistry> {
     let mut b = EventSchema::builder("churn");
     for name in ["x", "y", "z"] {
         b = b.attribute_with_domain(name, ValueKind::Int, (0..DOMAIN).map(Value::Int));
     }
     let mut r = SchemaRegistry::new();
-    r.register(b.build().unwrap()).unwrap();
+    r.register(b.factored(factored).build().unwrap()).unwrap();
     Arc::new(r)
 }
 
@@ -106,12 +108,12 @@ fn random_predicate(schema: &EventSchema, rng: &mut Lcg) -> Predicate {
     }
 }
 
-fn run_churn(options: PstOptions, seed: u64) {
+fn run_churn(factored: usize, seed: u64) {
     let (fabric, brokers, clients) = star_fabric();
-    let registry = registry();
+    let registry = registry(factored);
     let schema = registry.get(SchemaId::new(0)).unwrap().clone();
     let home = brokers[1];
-    let mut engine = MatchingEngine::new(home, &fabric, Arc::clone(&registry), options).unwrap();
+    let mut engine = MatchingEngine::new(home, &fabric, Arc::clone(&registry)).unwrap();
     let trees: Vec<TreeId> = brokers
         .iter()
         .map(|&b| fabric.tree_for(b).unwrap())
@@ -209,15 +211,12 @@ fn run_churn(options: PstOptions, seed: u64) {
 
 #[test]
 fn churn_equivalence_default_options() {
-    run_churn(
-        PstOptions::default().with_trivial_test_elimination(false),
-        0x5eed_0001,
-    );
+    run_churn(0, 0x5eed_0001);
 }
 
 #[test]
 fn churn_equivalence_factored_with_trivial_elimination() {
-    run_churn(PstOptions::default().with_factoring(1), 0x5eed_0002);
+    run_churn(1, 0x5eed_0002);
 }
 
 /// `volume, a1, a2, a3`, all open-ended integers: room for one chain of
@@ -309,8 +308,7 @@ fn prefix_attributes_key_the_cache() {
 
     let (fabric, brokers, clients) = star_fabric();
     let home = brokers[1];
-    let mut engine =
-        MatchingEngine::new(home, &fabric, Arc::clone(&registry), PstOptions::default()).unwrap();
+    let mut engine = MatchingEngine::new(home, &fabric, Arc::clone(&registry)).unwrap();
     let subscriber = clients[0];
     let tests = (0..4).map(|_| AttrTest::Ge(Value::Int(0)));
     let chain = Subscription::new(
@@ -477,8 +475,7 @@ fn order_rebuild_flushes_the_match_cache() {
     let schema = registry.get(SchemaId::new(0)).unwrap().clone();
     let (fabric, brokers, clients) = star_fabric();
     let home = brokers[1];
-    let mut engine =
-        MatchingEngine::new(home, &fabric, Arc::clone(&registry), PstOptions::default()).unwrap();
+    let mut engine = MatchingEngine::new(home, &fabric, Arc::clone(&registry)).unwrap();
     for j in 0..=64 {
         let entry = order_table_entry(&schema, &fabric, &clients, j);
         engine.subscribe(SchemaId::new(0), entry).unwrap();

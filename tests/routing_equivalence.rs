@@ -18,11 +18,16 @@ const ATTRS: usize = 3;
 const VALUES: i64 = 3;
 
 fn schema() -> EventSchema {
+    factored(0)
+}
+
+/// [`schema`] with its first `levels` attributes factored.
+fn factored(levels: usize) -> EventSchema {
     let mut b = EventSchema::builder("prop");
     for i in 0..ATTRS {
         b = b.attribute_with_domain(format!("a{i}"), ValueKind::Int, (0..VALUES).map(Value::Int));
     }
-    b.build().unwrap()
+    b.factored(levels).build().unwrap()
 }
 
 /// A generated world: tree edges (parent pointers), extra chord edges,
@@ -182,10 +187,8 @@ proptest! {
 
         let untuned = PstOptions::default().with_trivial_test_elimination(false);
         let mut reference = ContentRouter::new(fabric.clone(), schema.clone(), untuned).unwrap();
-        let options = PstOptions::default()
-            .with_factoring(factoring)
-            .with_trivial_test_elimination(skip);
-        let mut tuned = ContentRouter::new(fabric.clone(), schema.clone(), options).unwrap();
+        let options = PstOptions::default().with_trivial_test_elimination(skip);
+        let mut tuned = ContentRouter::new(fabric.clone(), factored(factoring), options).unwrap();
 
         for (client_raw, tests) in &world.subs {
             let client = clients[client_raw % clients.len()];

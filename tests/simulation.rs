@@ -15,10 +15,6 @@ fn chart1_small() -> WorkloadConfig {
     WorkloadConfig::chart1()
 }
 
-fn pst_options(w: &WorkloadConfig) -> PstOptions {
-    PstOptions::default().with_factoring(w.factoring_levels)
-}
-
 /// `count` random subscriptions drawn from `seed`.
 fn random(
     world: &topology39::Figure6,
@@ -114,7 +110,7 @@ fn link_matching_steps_stay_close_to_centralized() {
     let wconfig = WorkloadConfig::chart2();
     let schema = wconfig.schema();
     let mut router =
-        ContentRouter::new(world.fabric.clone(), schema, pst_options(&wconfig)).unwrap();
+        ContentRouter::new(world.fabric.clone(), schema, PstOptions::default()).unwrap();
     let generator = SubscriptionGenerator::new(&wconfig, 11);
     let mut rng = StdRng::seed_from_u64(11);
     topology39::subscribe_random(&mut router, &world, &generator, 4000, &mut rng).unwrap();
@@ -179,7 +175,7 @@ fn locality_reduces_intercontinental_traffic() {
     let wconfig = chart1_small();
     let schema = wconfig.schema();
     let mut router =
-        ContentRouter::new(world.fabric.clone(), schema, pst_options(&wconfig)).unwrap();
+        ContentRouter::new(world.fabric.clone(), schema, PstOptions::default()).unwrap();
     let generator = SubscriptionGenerator::new(&wconfig, 5);
     let mut rng = StdRng::seed_from_u64(5);
     topology39::subscribe_random(&mut router, &world, &generator, 3000, &mut rng).unwrap();
@@ -297,7 +293,7 @@ fn simulator_deliveries_match_direct_routing() {
     let schema = wconfig.schema();
     let subscriptions = random(&world, &wconfig, 1500, 33);
     let mut router =
-        ContentRouter::new(world.fabric.clone(), schema.clone(), pst_options(&wconfig)).unwrap();
+        ContentRouter::new(world.fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
     for (client, predicate) in &subscriptions {
         router.subscribe(*client, predicate.clone()).unwrap();
     }
@@ -315,4 +311,28 @@ fn simulator_deliveries_match_direct_routing() {
     }
     assert_eq!(report.deliveries, deliveries);
     assert_eq!(report.broker_messages, broker_messages);
+}
+
+/// M17's spec on cores — Figure 6, Chart 1's table at 500 subscriptions,
+/// 500 events at 50/s from every broker — pinned by the match steps the
+/// cores walk. The schema is the only switch: under a schema that factors
+/// nothing the table costs M17's 39 039 steps, and under Chart 1's two
+/// declared levels it costs fewer.
+#[test]
+fn chart1_core_steps_follow_the_schemas_factoring() {
+    let world = topology39::build().unwrap();
+    let steps = |factoring_levels| {
+        let wconfig = WorkloadConfig {
+            factoring_levels,
+            ..WorkloadConfig::chart1()
+        };
+        let schema = wconfig.schema();
+        let mut sim = cores(&world, &schema, &random(&world, &wconfig, 500, 7));
+        let events = EventGenerator::new(&wconfig, 7);
+        let config = SimConfig::default().with_rate(50.0).with_events(500);
+        let schedule = publications(&world.all_publishers(), &events, &config);
+        sim.run(&schedule, &config).total_steps
+    };
+    assert_eq!(steps(0), 39_039);
+    assert_eq!(steps(2), 21_196);
 }
