@@ -2,23 +2,25 @@
 //! better if the attributes near the root are chosen to have the fewest
 //! number of subscriptions labeled with a `*`."
 //!
-//! Sweeps the ordering policy crossed with trivial test elimination (§2.1
-//! optimization 2) on a workload where half the attributes are almost
-//! always `*` and half are almost always constrained. The interesting,
-//! honest finding: the fewest-stars-first heuristic *partitions* the
-//! subscription set early (more sharing lost, more nodes), so **without**
-//! star-chain skipping it can lose to the opposite order; combined with
-//! trivial test elimination — as in the paper's implementation — it is the
-//! clear winner.
+//! Sweeps the attribute order on a workload where half the attributes are
+//! almost always `*` and half are almost always constrained, and reports
+//! each order's steps per event with trivial test elimination (§2.1
+//! optimization 2), which every walk applies, and without it: the same
+//! walk's steps plus the `*`-only nodes it skipped
+//! ([`MatchStats::skipped`]). The interesting, honest finding: the
+//! fewest-stars-first heuristic *partitions* the subscription set early
+//! (more sharing lost, more nodes), so **without** star-chain skipping it
+//! would lose to the opposite order; with trivial test elimination — as in
+//! the paper's implementation — it is the clear winner.
 //!
-//! The "observed" rows let a broker's engine choose: a `LinkMatchEngine`
+//! The "observed" row lets a broker's engine choose: a `LinkMatchEngine`
 //! holding the same subscriptions (32 clients behind one broker, the
 //! publisher behind another) is fed the events until its order adaptation
 //! (DESIGN.md §11.2) has left the order alone for four checks running, and
-//! the order it settled in is then measured like every other row. The lines
-//! under the table say how it got there — rebuilds, and rebuilds taken back
-//! because the walk did not get cheaper — and what the link-matching walk
-//! itself cost before and after.
+//! the order it settled in is then measured like every other row. The line
+//! under the table says how it got there — rebuilds, and rebuilds taken
+//! back because the walk did not get cheaper — and what the link-matching
+//! walk itself cost before and after.
 //!
 //! Run with: `cargo run --release -p linkcast-bench --bin ablation_ordering`
 
@@ -89,51 +91,18 @@ fn main() {
     fewest.sort_by_key(|&a| stars[a]);
     let most: Vec<usize> = fewest.iter().rev().copied().collect();
 
-    let (observed, observed_tte) = (
-        observe(&schema, &subs, &events, false),
-        observe(&schema, &subs, &events, true),
-    );
-    let configs: Vec<(&str, OrderPolicy, bool)> = vec![
-        ("schema order", OrderPolicy::Schema, false),
-        ("schema order + TTE", OrderPolicy::Schema, true),
-        (
-            "fewest-stars-first",
-            OrderPolicy::Explicit(fewest.clone()),
-            false,
-        ),
-        (
-            "fewest-stars-first + TTE (paper)",
-            OrderPolicy::Explicit(fewest),
-            true,
-        ),
-        (
-            "most-stars-first",
-            OrderPolicy::Explicit(most.clone()),
-            false,
-        ),
-        ("most-stars-first + TTE", OrderPolicy::Explicit(most), true),
-        (
-            "observed",
-            OrderPolicy::Explicit(observed.order.clone()),
-            false,
-        ),
-        (
-            "observed + TTE",
-            OrderPolicy::Explicit(observed_tte.order.clone()),
-            true,
-        ),
+    let observed = observe(&schema, &subs, &events);
+    let orders = [
+        ("schema order", OrderPolicy::Schema),
+        ("fewest-stars-first (paper)", OrderPolicy::Explicit(fewest)),
+        ("most-stars-first", OrderPolicy::Explicit(most)),
+        ("observed", OrderPolicy::Explicit(observed.order.clone())),
     ];
     let mut rows = Vec::new();
     let mut reference: Option<Vec<Vec<SubscriptionId>>> = None;
-    for (name, order, tte) in configs {
-        let pst = Pst::build(
-            schema.clone(),
-            subs.iter().cloned(),
-            PstOptions::default()
-                .with_order(order)
-                .with_trivial_test_elimination(tte),
-        )
-        .unwrap();
+    for (name, order) in orders {
+        let options = PstOptions::default().with_order(order);
+        let pst = Pst::build(schema.clone(), subs.iter().cloned(), options).unwrap();
         let mut stats = MatchStats::new();
         let results: Vec<_> = events
             .iter()
@@ -141,40 +110,41 @@ fn main() {
             .collect();
         match &reference {
             None => reference = Some(results),
-            Some(r) => assert_eq!(r, &results, "configurations must agree on matches"),
+            Some(r) => assert_eq!(r, &results, "orders must agree on matches"),
         }
+        let per_event = |steps: u64| format!("{:.1}", steps as f64 / stats.events as f64);
         rows.push((
             name.to_string(),
             vec![
-                format!("{:.1}", stats.steps as f64 / stats.events as f64),
+                per_event(stats.steps),
+                per_event(stats.steps + stats.skipped),
                 format!("{}", pst.expanded_node_count()),
                 format!("{}", pst.node_count()),
             ],
         ));
     }
     print_table(
-        "Ablation A1: attribute ordering x trivial test elimination (5,000 subscriptions)",
-        "configuration",
-        &["steps/event", "tree nodes", "kept as"],
+        "Ablation A1: attribute ordering, with and without trivial test elimination \
+         (5,000 subscriptions)",
+        "order",
+        &["steps/event", "without TTE", "tree nodes", "kept as"],
         &rows,
     );
-    for (name, seen) in [("observed", &observed), ("observed + TTE", &observed_tte)] {
-        println!(
-            "{name}: settled in {:?} after {} walked events, {} rebuilds of which {} \
-             taken back; link-matching walk {:.1} -> {:.1} steps/event; modelled cost \
-             {:.2} against {:.2} for {:?}, which would walk {:.1}",
-            seen.order,
-            seen.walked,
-            seen.rebuilds,
-            seen.reverts,
-            seen.steps_before,
-            seen.steps_after,
-            seen.cost,
-            seen.proposed_cost,
-            seen.proposed,
-            seen.steps_proposed
-        );
-    }
+    println!(
+        "observed: settled in {:?} after {} walked events, {} rebuilds of which {} \
+         taken back; link-matching walk {:.1} -> {:.1} steps/event; modelled cost \
+         {:.2} against {:.2} for {:?}, which would walk {:.1}",
+        observed.order,
+        observed.walked,
+        observed.rebuilds,
+        observed.reverts,
+        observed.steps_before,
+        observed.steps_after,
+        observed.cost,
+        observed.proposed_cost,
+        observed.proposed,
+        observed.steps_proposed
+    );
     println!(
         "\nPaper heuristic (fewest `*` near the root) + trivial test elimination is\n\
          the winning configuration. Note the interaction: early partitioning by\n\
@@ -205,7 +175,7 @@ struct Observed {
     steps_proposed: f64,
 }
 
-fn observe(schema: &EventSchema, subs: &[Subscription], events: &[Event], tte: bool) -> Observed {
+fn observe(schema: &EventSchema, subs: &[Subscription], events: &[Event]) -> Observed {
     let mut net = NetworkBuilder::new();
     let brokers = net.add_brokers(2);
     net.connect(brokers[0], brokers[1], 5.0).unwrap();
@@ -220,7 +190,7 @@ fn observe(schema: &EventSchema, subs: &[Subscription], events: &[Event], tte: b
     let mut engine = LinkMatchEngine::with_subscriptions(
         home,
         schema.clone(),
-        PstOptions::default().with_trivial_test_elimination(tte),
+        PstOptions::default(),
         LinkSpace::build(fabric.network(), fabric.forest(), home),
         local,
     )

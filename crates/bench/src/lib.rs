@@ -17,13 +17,16 @@
 //!
 //! Chart 3's two baseline matchers live here too, off the library's
 //! shipped path: [`NaiveMatcher`] (a linear scan) and [`GatingMatcher`]
-//! (Hanson et al.'s gating-test index).
+//! (Hanson et al.'s gating-test index), and so does A2's measure of the
+//! search graph, [`shared_node_count`].
 
 mod gating;
 mod naive;
+mod psg;
 
 pub use gating::GatingMatcher;
 pub use naive::NaiveMatcher;
+pub use psg::shared_node_count;
 
 use linkcast_types::{
     BrokerId, ClientId, EventSchema, Predicate, SubscriberId, Subscription, SubscriptionId,

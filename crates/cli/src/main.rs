@@ -15,6 +15,7 @@ mod config;
 mod events;
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,34 +25,40 @@ use linkcast_broker::{BrokerConfig, BrokerNode, Client};
 use linkcast_sim::{publications, topology39, SimConfig, Simulation};
 use linkcast_workload::{EventGenerator, SubscriptionGenerator, WorkloadConfig};
 
+/// What a command returns: an error is a message for the user, or the
+/// `io::Error` of writing its output.
+type Outcome = Result<(), Box<dyn std::error::Error>>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Every command writes through this one handle, so a reader that goes
+    // away (`linkcast stats … | head`) surfaces as an error here.
+    let mut out = io::stdout().lock();
     let result = match args.first().map(String::as_str) {
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("publish") => cmd_publish(&args[1..]),
-        Some("subscribe") => cmd_subscribe(&args[1..]),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            print_usage();
-            Ok(())
-        }
-        Some(other) => Err(format!(
-            "unknown subcommand `{other}` (try `linkcast help`)"
-        )),
+        Some("serve") => cmd_serve(&args[1..], &mut out),
+        Some("publish") => cmd_publish(&args[1..], &mut out),
+        Some("subscribe") => cmd_subscribe(&args[1..], &mut out),
+        Some("simulate") => cmd_simulate(&args[1..], &mut out),
+        Some("check") => cmd_check(&args[1..], &mut out),
+        Some("stats") => cmd_stats(&args[1..], &mut out),
+        Some("help") | Some("--help") | Some("-h") | None => print_usage(&mut out),
+        Some(other) => Err(format!("unknown subcommand `{other}` (try `linkcast help`)").into()),
     };
-    match result {
+    let closed = |e: &io::Error| e.kind() == io::ErrorKind::BrokenPipe;
+    match result.and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
+        // Whoever read the output stopped reading: nothing is left to say.
+        Err(e) if e.downcast_ref().is_some_and(closed) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn print_usage() {
-    println!(
+fn print_usage(out: &mut impl Write) -> Outcome {
+    writeln!(
+        out,
         "linkcast — content-based publish/subscribe with link matching\n\
          \n\
          USAGE:\n\
@@ -65,7 +72,8 @@ fn print_usage() {
          \n\
          The config file declares brokers, clients, and information spaces;\n\
          see the repository README for the format."
-    );
+    )?;
+    Ok(())
 }
 
 /// Parses `--key value` flags after positional arguments.
@@ -105,36 +113,38 @@ fn load_config(path: &str) -> Result<config::Config, String> {
     config::parse(&text).map_err(|e| e.to_string())
 }
 
-fn cmd_check(args: &[String]) -> Result<(), String> {
+fn cmd_check(args: &[String], out: &mut impl Write) -> Outcome {
     let (pos, flags) = parse_flags(args, 1, &["dot"])?;
     let cfg = load_config(pos[0])?;
     if flags.get("dot").is_some_and(|v| v == "topology") {
-        print!("{}", cfg.network.to_dot());
+        write!(out, "{}", cfg.network.to_dot())?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "{} brokers, {} clients, {} links, {} information space(s)",
         cfg.network.broker_count(),
         cfg.network.client_count(),
         cfg.links.len(),
         cfg.registry.len()
-    );
+    )?;
     for (name, id, addr) in &cfg.brokers {
-        println!(
+        writeln!(
+            out,
             "  broker {name} ({id}) on {addr}, {} links",
             cfg.network.link_count(*id)
-        );
+        )?;
     }
     for (name, id, home) in &cfg.clients {
-        println!("  client {name} ({id}) at {home}");
+        writeln!(out, "  client {name} ({id}) at {home}")?;
     }
     for schema in cfg.registry.iter() {
-        println!("  space {schema}");
+        writeln!(out, "  space {schema}")?;
     }
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String], out: &mut impl Write) -> Outcome {
     let (pos, _) = parse_flags(args, 1, &[])?;
     let cfg = load_config(pos[0])?;
     let fabric = RoutingFabric::new_all_roots(cfg.network.clone()).map_err(|e| e.to_string())?;
@@ -146,7 +156,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         broker_config.listen = *addr;
         let node = BrokerNode::start(broker_config)
             .map_err(|e| format!("broker `{name}` failed to start: {e}"))?;
-        println!("broker {name} listening on {}", node.addr());
+        writeln!(out, "broker {name} listening on {}", node.addr())?;
         nodes.push(node);
     }
     // Wire the declared links: the declaring side dials.
@@ -158,15 +168,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .find(|n| n.broker() == dialer_id)
             .expect("every broker started");
         node.connect_to_persistent(target_id, target_addr);
-        println!("link {dialer} -> {target} supervised");
+        writeln!(out, "link {dialer} -> {target} supervised")?;
     }
-    println!("serving; press Enter (or close stdin) to stop");
+    writeln!(out, "serving; press Enter (or close stdin) to stop")?;
     let mut line = String::new();
     let _ = std::io::stdin().read_line(&mut line);
     for node in nodes {
         node.shutdown();
     }
-    println!("stopped");
+    writeln!(out, "stopped")?;
     Ok(())
 }
 
@@ -196,7 +206,7 @@ fn resolve_space<'a>(
         .ok_or_else(|| format!("`{space}` is not an information space in the config"))
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
+fn cmd_stats(args: &[String], out: &mut impl Write) -> Outcome {
     let (pos, flags) = parse_flags(args, 1, &["client"])?;
     let cfg = load_config(pos[0])?;
     let mut client = connect_client(&cfg, &flags, 0)?;
@@ -204,7 +214,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let home = cfg
         .client_home(flags.get("client").expect("checked by connect_client"))
         .expect("clients have homes");
-    println!("broker {home}:");
+    writeln!(out, "broker {home}:")?;
     // The table comes straight from the counter registry: every counter in
     // `broker_counters!` appears here with no per-counter CLI edits.
     let lines = counters.counter_lines();
@@ -214,12 +224,12 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         .max()
         .unwrap_or(0);
     for (name, value) in lines {
-        println!("  {:<width$} {value}", format!("{name}:"));
+        writeln!(out, "  {:<width$} {value}", format!("{name}:"))?;
     }
     Ok(())
 }
 
-fn cmd_publish(args: &[String]) -> Result<(), String> {
+fn cmd_publish(args: &[String], out: &mut impl Write) -> Outcome {
     let (pos, flags) = parse_flags(args, 1, &["client", "space", "event"])?;
     let cfg = load_config(pos[0])?;
     let schema = resolve_space(&cfg, &flags)?;
@@ -227,11 +237,11 @@ fn cmd_publish(args: &[String]) -> Result<(), String> {
     let event = events::parse_event(schema, literal)?;
     let mut client = connect_client(&cfg, &flags, 0)?;
     client.publish(&event).map_err(|e| e.to_string())?;
-    println!("published {event}");
+    writeln!(out, "published {event}")?;
     Ok(())
 }
 
-fn cmd_subscribe(args: &[String]) -> Result<(), String> {
+fn cmd_subscribe(args: &[String], out: &mut impl Write) -> Outcome {
     let (pos, flags) = parse_flags(args, 1, &["client", "space", "filter", "count", "resume"])?;
     let cfg = load_config(pos[0])?;
     let schema = resolve_space(&cfg, &flags)?;
@@ -267,19 +277,19 @@ fn cmd_subscribe(args: &[String]) -> Result<(), String> {
     loop {
         match client.recv(Duration::from_millis(500)) {
             Ok((seq, event)) => {
-                println!("#{seq} {event}");
+                writeln!(out, "#{seq} {event}")?;
                 received += 1;
                 if count.is_some_and(|c| received >= c) {
                     return Ok(());
                 }
             }
             Err(linkcast_broker::ClientError::Timeout) => continue,
-            Err(e) => return Err(e.to_string()),
+            Err(e) => return Err(e.to_string().into()),
         }
     }
 }
 
-fn cmd_simulate(args: &[String]) -> Result<(), String> {
+fn cmd_simulate(args: &[String], out: &mut impl Write) -> Outcome {
     let (_, flags) = parse_flags(args, 0, &["subs", "rate", "events", "protocol", "seed"])?;
     let subs: usize = flags
         .get("subs")
@@ -321,31 +331,38 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             Simulation::link_matching(fabric, &schema, &subs)?
         }
         "flood" => Simulation::flooding(fabric, &schema)?,
-        other => return Err(format!("unknown protocol `{other}` (link|flood)")),
+        other => return Err(format!("unknown protocol `{other}` (link|flood)").into()),
     };
     let report = sim.run(&publications(&world.publishers, &events, &config), &config);
 
-    println!("protocol:            {}", report.protocol);
-    println!("published:           {}", report.published);
-    println!("client deliveries:   {}", report.deliveries);
-    println!("broker-link copies:  {}", report.broker_messages);
-    println!("matching steps:      {}", report.total_steps);
-    println!("mean latency:        {:.1} ms", report.mean_latency_ms());
-    println!(
+    writeln!(out, "protocol:            {}", report.protocol)?;
+    writeln!(out, "published:           {}", report.published)?;
+    writeln!(out, "client deliveries:   {}", report.deliveries)?;
+    writeln!(out, "broker-link copies:  {}", report.broker_messages)?;
+    writeln!(out, "matching steps:      {}", report.total_steps)?;
+    writeln!(
+        out,
+        "mean latency:        {:.1} ms",
+        report.mean_latency_ms()
+    )?;
+    writeln!(
+        out,
         "p99 latency:         {:.1} ms",
         report.latency_percentile_ms(0.99)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "max utilization:     {:.1}%",
         report.max_utilization() * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "overloaded brokers:  {}",
         if report.overloaded.is_empty() {
             "none".to_string()
         } else {
             format!("{:?}", report.overloaded)
         }
-    );
+    )?;
     Ok(())
 }

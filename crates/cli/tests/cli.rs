@@ -223,3 +223,27 @@ fn bad_flags_are_rejected() {
     assert!(output.status.success());
     assert!(String::from_utf8_lossy(&output.stdout).contains("USAGE"));
 }
+
+/// A reader that stops reading is no error: `linkcast check … | head`
+/// ends quietly once `head` has what it wants. Here the read end of the
+/// pipe is closed before the command writes anything.
+#[test]
+fn a_closed_output_pipe_ends_a_command_quietly() {
+    let dir = std::env::temp_dir().join(format!("linkcast-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = write_config(&dir);
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let child = bin()
+        .arg("check")
+        .arg(&config)
+        .args(["--dot", "topology"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let output = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{output:?}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

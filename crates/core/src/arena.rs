@@ -73,13 +73,12 @@ pub struct ArenaView<'a> {
 
 impl ArenaView<'_> {
     /// The node a search taking an edge to `id` enters: its trivial-test
-    /// skip target when elimination is on, else `id` itself. (A tail whose
-    /// chain opens with `*` tests is skipped into as it is walked.)
+    /// skip target if it has one, else `id` itself. (A tail whose chain
+    /// opens with `*` tests is skipped into as it is walked.)
     #[inline]
     fn resolve(&self, id: NodeId) -> NodeId {
-        let skipping = self.pst.options().eliminate_trivial_tests;
-        let skip = skipping.then(|| self.pst.try_node(id)?.skip());
-        skip.flatten().unwrap_or(id)
+        let skip = self.pst.try_node(id).and_then(|node| node.skip());
+        skip.unwrap_or(id)
     }
 
     /// The §3.3 refinement search as an explicit work-stack walk over the
@@ -266,7 +265,7 @@ impl ArenaView<'_> {
     /// is absorbed into the node below it. An absorbed test costs a
     /// comparison; a node's own test the equality lookup every node makes
     /// and what a range lookup over its one range edge charges; the node
-    /// behind it a step — under trivial-test elimination the one the `*`
+    /// behind it a step — trivial-test elimination makes it the one the `*`
     /// nodes it heads lead to. An edge that lands on the chain's top skips
     /// such `*` nodes too, unless the top `opens_run`: is entered through a
     /// parent it absorbed.
@@ -282,8 +281,7 @@ impl ArenaView<'_> {
         let mut chain = chain.enumerate().peekable();
         let skip_trivial = |chain: &mut std::iter::Peekable<_>| {
             let trivial = |(_, (_, test)): &(usize, (usize, &AttrTest))| test.is_wildcard();
-            let skipping = self.pst.options().eliminate_trivial_tests;
-            while skipping && chain.next_if(trivial).is_some() {}
+            while chain.next_if(trivial).is_some() {}
         };
         if !opens_run {
             skip_trivial(&mut chain);

@@ -412,7 +412,7 @@ fn factoring_and_ordering_options_preserve_routing() {
     let (fabric, clients) = random_tree_network(&mut rng, 5);
     let default = PstOptions::default;
     let configs = [
-        (0, default().with_trivial_test_elimination(false)),
+        (0, default()),
         (1, default()),
         (2, default()),
         (
@@ -673,11 +673,11 @@ fn with_subscriptions_builds_annotated_engine() {
             )
         })
         .collect();
-    // Built in bulk (FewestStarsFirst derives its order from this set).
+    // Built in bulk, in an order of its own.
     let engine = LinkMatchEngine::with_subscriptions(
         brokers[0],
         schema.clone(),
-        PstOptions::default().with_order(OrderPolicy::FewestStarsFirst),
+        PstOptions::default().with_order(OrderPolicy::Explicit(vec![1, 2, 0])),
         space,
         subs.clone(),
     )
@@ -731,10 +731,7 @@ fn arena_walk_agrees_with_brute_force() {
     let mut rng = StdRng::seed_from_u64(4242);
     let schema = small_schema();
     let configs = [
-        (
-            0,
-            PstOptions::default().with_trivial_test_elimination(false),
-        ),
+        (0, PstOptions::default()),
         (1, PstOptions::default()),
         (
             0,
@@ -1099,13 +1096,10 @@ impl PredictedWalk<'_> {
     }
 
     /// Where an edge into `node` lands: past every node whose only edge is
-    /// `*`, under trivial-test elimination.
+    /// `*` (trivial-test elimination).
     fn landing(&self, mut node: Logical) -> Logical {
-        while self.engine.pst().options().eliminate_trivial_tests {
-            match node.edges(self.engine).as_slice() {
-                [(AttrTest::Any, below)] => node = *below,
-                _ => break,
-            }
+        while let [(AttrTest::Any, below)] = node.edges(self.engine).as_slice() {
+            node = *below;
         }
         node
     }
@@ -1208,9 +1202,8 @@ enum Traffic {
     /// Predicates test the last attribute only, by narrow ranges, and an
     /// event satisfies one or two of those that are live: the model sees a
     /// selective attribute under levels nobody constrains and promotes it;
-    /// with trivial-test elimination off the `*` chain replicated under
-    /// every range edge costs the steps the shared one did and more, and
-    /// the engine must notice and go back.
+    /// where the walk in the new order costs no fewer steps, the engine
+    /// must notice and go back.
     Reverting,
 }
 
@@ -1286,19 +1279,18 @@ impl std::ops::AddAssign for Adaptations {
 fn incremental_engine_equals_scratch_after_every_step() {
     let wide = |factored| (churn_schema(factored), vec![3, 4, 40], 3);
     let deep = |factored| (deep_schema(factored), vec![2, 3, 3, 3, 3, 3], 1);
-    let tte = PstOptions::default;
-    let no_tte = || tte().with_trivial_test_elimination(false);
+    let default = PstOptions::default;
     let pinned = OrderPolicy::Explicit(vec![2, 0, 1]);
     let configs = [
-        (wide(0), no_tte(), Traffic::Uniform),
-        (wide(1), tte(), Traffic::Uniform),
-        (wide(0), tte().with_order(pinned), Traffic::Uniform),
-        (deep(0), no_tte(), Traffic::Uniform),
-        (deep(0), tte(), Traffic::Uniform),
-        (wide(0), no_tte(), Traffic::Shifting),
-        (deep(1), tte(), Traffic::Shifting),
-        (wide(0), tte(), Traffic::Reverting),
-        (deep(0), tte(), Traffic::Reverting),
+        (wide(0), default(), Traffic::Uniform),
+        (wide(1), default(), Traffic::Uniform),
+        (wide(0), default().with_order(pinned), Traffic::Uniform),
+        (deep(1), default(), Traffic::Uniform),
+        (deep(0), default(), Traffic::Uniform),
+        (wide(0), default(), Traffic::Shifting),
+        (deep(1), default(), Traffic::Shifting),
+        (wide(0), default(), Traffic::Reverting),
+        (deep(0), default(), Traffic::Reverting),
     ];
     let (mut wide_seen, mut deep_seen) = (Adaptations::default(), Adaptations::default());
     for (ci, ((schema, domains, stars), options, traffic)) in configs.iter().enumerate() {

@@ -6,7 +6,6 @@ use std::fmt::Write as _;
 use linkcast_types::{AttrTest, EventSchema, SubscriptionId};
 
 use crate::pst::Pst;
-use crate::Psg;
 
 impl Pst {
     /// Renders the tree in Graphviz `dot` syntax. Interior nodes show the
@@ -91,21 +90,9 @@ impl Pst {
     }
 }
 
-impl Psg {
-    /// Renders the compiled graph in Graphviz `dot` syntax (shared nodes
-    /// appear once, with in-degree > 1 where sharing happened).
-    pub fn to_dot(&self) -> String {
-        let mut out =
-            String::from("digraph psg {\n  rankdir=TB;\n  node [fontname=\"monospace\"];\n");
-        self.render_dot_nodes(&mut out);
-        out.push_str("}\n");
-        out
-    }
-}
-
 /// What a leaf or tail box shows: the non-`*` tests of the tail's chain,
 /// if any, then the parked subscriptions.
-pub(crate) fn leaf_label<'a>(
+fn leaf_label<'a>(
     schema: &EventSchema,
     chain: impl Iterator<Item = (usize, &'a AttrTest)>,
     subs: &[SubscriptionId],
@@ -122,7 +109,7 @@ pub(crate) fn leaf_label<'a>(
     }
 }
 
-pub(crate) fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
@@ -200,14 +187,5 @@ mod tests {
         let dot = pst.to_dot();
         assert!(dot.contains("invhouse"), "{dot}");
         assert!(dot.contains("[1]"), "{dot}");
-    }
-
-    #[test]
-    fn psg_dot_renders() {
-        let psg = crate::Psg::compile(&sample());
-        let dot = psg.to_dot();
-        assert!(dot.starts_with("digraph psg {"), "{dot}");
-        assert!(dot.contains("issue?"), "{dot}");
-        assert!(dot.ends_with("}\n"));
     }
 }

@@ -8,14 +8,14 @@
 //! trait: subscriptions are sorted into a tree in which each level tests
 //! one attribute and each subscription is a root-to-leaf path; matching
 //! follows all satisfied paths at once, sharing work across subscriptions
-//! with common prefixes. It supports the paper's optimizations: *factoring*
+//! with common prefixes. It carries the paper's optimizations: *factoring*
 //! (§2.1.1) of the attributes the schema declares factored, *trivial test
-//! elimination* (§2.1.2), and configurable
-//! attribute ordering (fewest don't-cares near the root). [`Psg`] compiles
-//! a tree into the §2.1 search graph, and [`compact_subscriptions`] drops
-//! subscriptions another of the same subscriber covers. The chart
-//! baselines (a linear scan and Hanson et al.'s gating-test matcher) live
-//! in the bench crate.
+//! elimination* (§2.1.2), which every walk applies, and a configurable
+//! attribute order. [`MatchStats::skipped`] counts what elimination saved,
+//! so one walk reports its cost with and without it, and
+//! [`compact_subscriptions`] drops subscriptions another of the same
+//! subscriber covers. The chart baselines (a linear scan and Hanson et
+//! al.'s gating-test matcher) live in the bench crate.
 //!
 //! # Example
 //!
@@ -51,13 +51,11 @@
 mod compact;
 mod dot;
 mod matcher;
-mod psg;
 mod pst;
 mod stats;
 
 pub use compact::compact_subscriptions;
 pub use matcher::{Matcher, MatcherError};
-pub use psg::Psg;
 pub use pst::{
     MutationReport, NodeId, NodeRef, OrderPolicy, PathReport, Pst, PstOptions, PstSummary,
 };

@@ -27,12 +27,13 @@
 //!    against the event's values. Subscriptions with `*` on a factored
 //!    attribute are replicated into every value's subtree (space for
 //!    time), which is why factored attributes must declare finite domains.
-//! 2. **Trivial test elimination**, on by default — chains of nodes whose
-//!    only child is a `*` branch are skipped over during matching.
+//! 2. **Trivial test elimination** — chains of nodes whose only child is a
+//!    `*` branch are skipped over during matching, always; the nodes skipped
+//!    are counted ([`MatchStats::skipped`]).
 //! 3. **Attribute ordering** — the heuristic that "performance seems to be
 //!    better if the attributes near the root are chosen to have the fewest
-//!    number of subscriptions labeled with a `*`" is available as
-//!    [`OrderPolicy::FewestStarsFirst`].
+//!    number of subscriptions labeled with a `*`" is an
+//!    [`OrderPolicy::Explicit`] order its caller computes.
 
 mod mutate;
 mod options;
@@ -50,7 +51,6 @@ use crate::{MatchStats, Matcher, MatcherError};
 
 pub use options::{OrderPolicy, PstOptions};
 use slab::{Parked, Slab};
-pub(crate) use traverse::walk_chain;
 
 /// Identifies a node within a [`Pst`]'s arena.
 ///
@@ -215,6 +215,9 @@ pub struct Pst {
     nodes: Vec<Option<Node>>,
     free: Vec<u32>,
     subscriptions: Slab,
+    /// Scratch for the factor keys of the subscription being inserted or
+    /// removed, kept so that enumerating them allocates nothing once warm.
+    factor_keys: Vec<Value>,
 }
 
 /// What one insert or remove did along one root-to-leaf path.
@@ -360,15 +363,13 @@ impl Pst {
     /// permutation of the schema's attributes that begins with its
     /// factored ones.
     pub fn new(schema: EventSchema, options: PstOptions) -> Result<Self, MatcherError> {
-        let full_order = options.resolve_order(&schema, None)?;
+        let full_order = options.resolve_order(&schema)?;
         Ok(Self::with_order(schema, options, full_order))
     }
 
-    /// Builds a tree from an initial subscription set. With
-    /// [`OrderPolicy::FewestStarsFirst`], the attribute order is derived
-    /// from this set's don't-care statistics. The set goes in sorted level
-    /// by level by [`AttrTest::range_cmp`], the order edge lists are kept
-    /// in, so every insert appends to the list it extends.
+    /// Builds a tree from an initial subscription set. The set goes in
+    /// sorted level by level by [`AttrTest::range_cmp`], the order edge
+    /// lists are kept in, so every insert appends to the list it extends.
     ///
     /// # Errors
     ///
@@ -379,7 +380,7 @@ impl Pst {
         options: PstOptions,
     ) -> Result<Self, MatcherError> {
         let mut subs: Vec<Subscription> = subscriptions.into_iter().collect();
-        let full_order = options.resolve_order(&schema, Some(&subs))?;
+        let full_order = options.resolve_order(&schema)?;
         subs.sort_by(|a, b| {
             let (a, b) = (a.predicate(), b.predicate());
             let mut levels = full_order.iter().map(|&i| match (a.test(i), b.test(i)) {
@@ -410,6 +411,7 @@ impl Pst {
             nodes: Vec::new(),
             free: Vec::new(),
             subscriptions: Slab::default(),
+            factor_keys: Vec::new(),
         }
     }
 

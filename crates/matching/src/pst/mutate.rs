@@ -2,7 +2,7 @@
 
 use linkcast_types::{AttrTest, Subscription, SubscriptionId, Value};
 
-use super::{FactorKey, MutationReport, NodeId, PathNodes, PathReport, Pst};
+use super::{MutationReport, NodeId, PathNodes, PathReport, Pst};
 use crate::MatcherError;
 
 impl Pst {
@@ -31,11 +31,13 @@ impl Pst {
         // Where the subscription will live once its paths are in.
         let slot = self.subscriptions.vacant();
         let mut report = MutationReport::default();
-        for key in self.factor_keys(&subscription) {
+        let mut keys = std::mem::take(&mut self.factor_keys);
+        for key in self.fill_factor_keys(&subscription, &mut keys) {
             let path = self.insert_path(key, &subscription, slot);
             self.recompute_skips(&path.nodes);
             report.push(path);
         }
+        self.factor_keys = keys;
         let filled = self.subscriptions.insert(subscription);
         debug_assert_eq!(filled, slot, "nothing else touches the slab meanwhile");
         Ok(report)
@@ -47,49 +49,55 @@ impl Pst {
     pub fn remove_reported(&mut self, id: SubscriptionId) -> Option<MutationReport> {
         let (slot, subscription) = self.subscriptions.remove(id)?;
         let mut report = MutationReport::default();
-        for key in self.factor_keys(&subscription) {
+        let mut keys = std::mem::take(&mut self.factor_keys);
+        for key in self.fill_factor_keys(&subscription, &mut keys) {
             let path = self.remove_path(key, &subscription, slot);
             self.recompute_skips(&path.nodes);
             report.push(path);
         }
+        self.factor_keys = keys;
         Some(report)
     }
 
-    /// The factor keys a subscription must be inserted under: the cartesian
-    /// product of, per factored attribute, the domain values its test
-    /// accepts (`*` replicates across the whole domain, per §2.1.1). An
-    /// unfactored tree has the one empty key, which costs no allocation.
-    fn factor_keys(&self, subscription: &Subscription) -> impl Iterator<Item = FactorKey> {
-        let unfactored = self.factored.is_empty();
-        let mut keys: Vec<Vec<Value>> = if unfactored {
-            Vec::new()
-        } else {
-            vec![Vec::with_capacity(self.factored.len())]
+    /// The factor keys a subscription must be inserted under, written into
+    /// `keys` and returned from it in key order: the cartesian product of,
+    /// per factored attribute, the domain values its test accepts (`*`
+    /// replicates across the whole domain, per §2.1.1). An unfactored tree
+    /// has the one empty key. `keys` is reused from insert to insert, so
+    /// enumerating them allocates only while it grows.
+    fn fill_factor_keys<'k>(
+        &self,
+        subscription: &Subscription,
+        keys: &'k mut Vec<Value>,
+    ) -> impl Iterator<Item = &'k [Value]> {
+        let width = self.factored.len();
+        keys.clear();
+        // The first `width` values are the key being built.
+        keys.resize(width, Value::Bool(false));
+        let count = self.push_factor_keys(subscription.predicate().tests(), 0, keys);
+        let keys: &'k [Value] = keys;
+        (1..=count).map(move |k| &keys[k * width..(k + 1) * width])
+    }
+
+    /// Appends to `keys` every key that completes the first `at` values of
+    /// the one being built in `keys[..width]`; how many it appended.
+    fn push_factor_keys(&self, tests: &[AttrTest], at: usize, keys: &mut Vec<Value>) -> usize {
+        let Some(&attr) = self.factored.get(at) else {
+            keys.extend_from_within(..at);
+            return 1;
         };
-        for &attr in &self.factored {
-            let test = &subscription.predicate().tests()[attr];
-            let candidates: Vec<Value> = match test {
-                AttrTest::Eq(v) => vec![v.clone()],
-                test => {
-                    let domain =
-                        self.schema.attribute(attr).and_then(|a| a.domain()).expect(
-                            "factored attributes have domains (checked by the schema builder)",
-                        );
-                    domain.iter().filter(|v| test.matches(v)).cloned().collect()
-                }
-            };
-            let mut next = Vec::with_capacity(keys.len() * candidates.len());
-            for key in &keys {
-                for value in &candidates {
-                    let mut k = key.clone();
-                    k.push(value.clone());
-                    next.push(k);
-                }
-            }
-            keys = next;
+        let test = &tests[attr];
+        let values = match test {
+            AttrTest::Eq(v) => std::slice::from_ref(v),
+            _ => (self.schema.attribute(attr).and_then(|a| a.domain()))
+                .expect("factored attributes have domains (checked by the schema builder)"),
+        };
+        let mut count = 0;
+        for value in values.iter().filter(|v| test.matches(v)) {
+            keys[at] = value.clone();
+            count += self.push_factor_keys(tests, at + 1, keys);
         }
-        let empty = unfactored.then(FactorKey::default);
-        empty.into_iter().chain(keys.into_iter().map(Into::into))
+        count
     }
 
     /// The label `subscription` puts on the edge leaving a node at `level`.
@@ -102,20 +110,15 @@ impl Pst {
     /// there. Reaching a tail (or leaf) whose chain spells the same tests
     /// parks it beside the subscriptions already there; reaching one that
     /// differs bursts it first.
-    fn insert_path(
-        &mut self,
-        key: FactorKey,
-        subscription: &Subscription,
-        slot: u32,
-    ) -> PathReport {
+    fn insert_path(&mut self, key: &[Value], subscription: &Subscription, slot: u32) -> PathReport {
         let mut nodes = PathNodes::default();
         let mut created = None;
         let mut burst = None;
-        let mut current = match self.root_slot(&key) {
+        let mut current = match self.root_slot(key) {
             Ok(at) => self.roots[at].1,
             Err(at) => {
                 let r = self.alloc(0);
-                self.roots.insert(at, (key, r));
+                self.roots.insert(at, (key.into(), r));
                 created = Some(0);
                 r
             }
@@ -210,12 +213,7 @@ impl Pst {
     /// Removes `subscription` from the leaf or tail its predicate leads to
     /// in subtree `key`, pruning nodes left with no children and no
     /// subscriptions. A chain an insert made real is left real.
-    fn remove_path(
-        &mut self,
-        key: FactorKey,
-        subscription: &Subscription,
-        slot: u32,
-    ) -> PathReport {
+    fn remove_path(&mut self, key: &[Value], subscription: &Subscription, slot: u32) -> PathReport {
         let mut report = PathReport {
             nodes: PathNodes::default(),
             created: 0,
@@ -223,7 +221,7 @@ impl Pst {
             freed: Vec::new(),
             removed: None,
         };
-        let Ok(at) = self.root_slot(&key) else {
+        let Ok(at) = self.root_slot(key) else {
             return report;
         };
         let root = self.roots[at].1;

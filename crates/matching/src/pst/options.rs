@@ -1,6 +1,6 @@
-//! PST configuration: attribute ordering and optimization toggles.
+//! PST configuration: attribute ordering.
 
-use linkcast_types::{EventSchema, Subscription};
+use linkcast_types::EventSchema;
 
 use crate::MatcherError;
 
@@ -12,42 +12,34 @@ pub enum OrderPolicy {
     /// Test attributes in schema declaration order.
     Schema,
     /// Test attributes in an explicit order: a permutation of `0..arity`
-    /// that begins with the factored attributes.
+    /// that begins with the factored attributes. The paper's heuristic —
+    /// "the attributes near the root are chosen to have the fewest number
+    /// of subscriptions labeled with a `*`" — is one such order, computed
+    /// by the caller from its subscriptions; a broker's engine computes
+    /// its own from what events do (`LinkMatchEngine::adapt_order`).
     Explicit(Vec<usize>),
-    /// The paper's heuristic: "performance seems to be better if the
-    /// attributes near the root are chosen to have the fewest number of
-    /// subscriptions labeled with a `*`".
-    ///
-    /// The ordering is computed from the initial subscription set passed to
-    /// [`Pst::build`](crate::Pst::build); ties break toward schema order.
-    /// When no initial set is available ([`Pst::new`](crate::Pst::new)),
-    /// falls back to schema order.
-    FewestStarsFirst,
 }
 
-/// Configuration for a [`Pst`](crate::Pst). The default is the paper's:
-/// schema order and trivial test elimination on. What a tree factors is
-/// not an option: the schema declares it ([`EventSchema::factored`]). An
-/// ablation turns trivial test elimination off:
+/// Configuration for a [`Pst`](crate::Pst). The default is the paper's
+/// schema order. What a tree factors is not an option, the schema declares
+/// it ([`EventSchema::factored`]), and neither is trivial test elimination
+/// (§2.1.2): every walk skips `*`-only chains. What remains is the order:
 ///
 /// ```
-/// # use linkcast_matching::PstOptions;
-/// let ablated = PstOptions::default().with_trivial_test_elimination(false);
-/// assert_ne!(ablated, PstOptions::default());
+/// # use linkcast_matching::{OrderPolicy, PstOptions};
+/// let reversed = PstOptions::default().with_order(OrderPolicy::Explicit(vec![2, 1, 0]));
+/// assert_ne!(reversed, PstOptions::default());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PstOptions {
     /// Attribute ordering policy.
     pub order: OrderPolicy,
-    /// Whether to skip over `*`-only chains during matching (§2.1.2).
-    pub eliminate_trivial_tests: bool,
 }
 
 impl Default for PstOptions {
     fn default() -> Self {
         Self {
             order: OrderPolicy::Schema,
-            eliminate_trivial_tests: true,
         }
     }
 }
@@ -60,25 +52,14 @@ impl PstOptions {
         self
     }
 
-    /// Enables or disables trivial test elimination.
-    #[must_use]
-    pub fn with_trivial_test_elimination(mut self, on: bool) -> Self {
-        self.eliminate_trivial_tests = on;
-        self
-    }
-
     /// Resolves the full attribute order (factored prefix included) for
-    /// `schema`, optionally using subscription statistics.
+    /// `schema`.
     ///
     /// # Errors
     ///
     /// [`MatcherError::InvalidOptions`] if an explicit order is not a
     /// permutation of `0..arity` that begins with the factored attributes.
-    pub(crate) fn resolve_order(
-        &self,
-        schema: &EventSchema,
-        subscriptions: Option<&[Subscription]>,
-    ) -> Result<Vec<usize>, MatcherError> {
+    pub(crate) fn resolve_order(&self, schema: &EventSchema) -> Result<Vec<usize>, MatcherError> {
         let arity = schema.arity();
         let factored = schema.factored();
         let order = match &self.order {
@@ -111,21 +92,6 @@ impl PstOptions {
                 }
                 order.clone()
             }
-            OrderPolicy::FewestStarsFirst => {
-                let mut stars = vec![0usize; arity];
-                if let Some(subs) = subscriptions {
-                    for sub in subs {
-                        for (i, t) in sub.predicate().tests().iter().enumerate() {
-                            if i < arity && t.is_wildcard() {
-                                stars[i] += 1;
-                            }
-                        }
-                    }
-                }
-                let mut order: Vec<usize> = (0..arity).collect();
-                order[factored.end..].sort_by_key(|&a| (stars[a], a));
-                order
-            }
         };
         Ok(order)
     }
@@ -134,9 +100,7 @@ impl PstOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linkcast_types::{
-        BrokerId, ClientId, Predicate, SubscriberId, SubscriptionId, Value, ValueKind,
-    };
+    use linkcast_types::{Value, ValueKind};
 
     fn schema() -> EventSchema {
         factored_schema(0)
@@ -156,9 +120,7 @@ mod tests {
 
     #[test]
     fn schema_order_is_identity() {
-        let order = PstOptions::default()
-            .resolve_order(&schema(), None)
-            .unwrap();
+        let order = PstOptions::default().resolve_order(&schema()).unwrap();
         assert_eq!(order, vec![0, 1, 2]);
     }
 
@@ -167,7 +129,7 @@ mod tests {
         let explicit = |order: Vec<usize>, schema: &EventSchema| {
             PstOptions::default()
                 .with_order(OrderPolicy::Explicit(order))
-                .resolve_order(schema, None)
+                .resolve_order(schema)
         };
         assert_eq!(explicit(vec![2, 0, 1], &schema()).unwrap(), vec![2, 0, 1]);
         assert_eq!(
@@ -190,50 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn fewest_stars_first_uses_subscription_stats() {
-        for (levels, expected) in [(0, vec![1, 2, 0]), (1, vec![0, 1, 2])] {
-            assert_eq!(fewest_stars_order(&factored_schema(levels)), expected);
-        }
-    }
-
-    /// FewestStarsFirst over a set in which `b` is never starred, `c`
-    /// sometimes and `a` always: it orders what follows the factored
-    /// prefix.
-    fn fewest_stars_order(schema: &EventSchema) -> Vec<usize> {
-        let sub = |id: u32, tests: [Option<i64>; 3]| {
-            let mut b = Predicate::builder(schema);
-            for (name, t) in ["a", "b", "c"].iter().zip(tests) {
-                if let Some(v) = t {
-                    b = b.eq(name, Value::Int(v)).unwrap();
-                }
-            }
-            Subscription::new(
-                SubscriptionId::new(id),
-                SubscriberId::new(BrokerId::new(0), ClientId::new(0)),
-                b.build(),
-            )
-        };
-        let subs = vec![
-            sub(0, [None, Some(1), Some(2)]),
-            sub(1, [None, Some(2), None]),
-            sub(2, [None, Some(0), Some(1)]),
-        ];
-        PstOptions::default()
-            .with_order(OrderPolicy::FewestStarsFirst)
-            .resolve_order(schema, Some(&subs))
-            .unwrap()
-    }
-
-    #[test]
-    fn fewest_stars_without_stats_falls_back_to_schema_order() {
-        let order = PstOptions::default()
-            .with_order(OrderPolicy::FewestStarsFirst)
-            .resolve_order(&schema(), None)
-            .unwrap();
-        assert_eq!(order, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn factoring_beyond_arity_is_rejected() {
         // The schema declares the factored prefix, so a count past the
         // arity never reaches the options: the builder refuses it.
@@ -246,13 +164,10 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, linkcast_types::Error::InvalidSchema(_)));
-        // With every attribute factored, no policy has anything to order.
-        for policy in [OrderPolicy::Schema, OrderPolicy::FewestStarsFirst] {
-            let order = PstOptions::default()
-                .with_order(policy)
-                .resolve_order(&factored_schema(3), None)
-                .unwrap();
-            assert_eq!(order, vec![0, 1, 2]);
-        }
+        // With every attribute factored, schema order has nothing to order.
+        let order = PstOptions::default()
+            .resolve_order(&factored_schema(3))
+            .unwrap();
+        assert_eq!(order, vec![0, 1, 2]);
     }
 }

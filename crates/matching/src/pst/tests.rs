@@ -436,28 +436,23 @@ fn trivial_test_elimination_reduces_steps_not_results() {
         int_sub(&schema, 0, &[None, None, None, None, Some(1)]),
         int_sub(&schema, 1, &[None, None, None, None, Some(2)]),
     ];
-    let plain = Pst::build(
-        schema.clone(),
-        subs.clone(),
-        PstOptions::default().with_trivial_test_elimination(false),
-    )
-    .unwrap();
-    let skipping = Pst::build(schema.clone(), subs, PstOptions::default()).unwrap();
+    let pst = Pst::build(schema.clone(), subs.clone(), PstOptions::default()).unwrap();
     let event = int_event(&schema, &[0, 0, 0, 0, 1]);
-    let mut s_plain = MatchStats::new();
-    let mut s_skip = MatchStats::new();
+    let mut stats = MatchStats::new();
     assert_eq!(
-        plain.matches_with_stats(&event, &mut s_plain),
-        skipping.matches_with_stats(&event, &mut s_skip)
+        pst.matches_with_stats(&event, &mut stats),
+        brute_force(&subs, &event)
     );
-    // Plain visits the 4-node *-chain plus root and two leaves; the
-    // skipping tree jumps straight from the root's *-chain to the a5 test.
-    assert!(
-        s_skip.steps < s_plain.steps,
-        "expected fewer steps, got {} vs {}",
-        s_skip.steps,
-        s_plain.steps
+    // The walk jumps from the root past the *-chain to the a5 test, then
+    // to the matching leaf; the root and the three nodes below it are
+    // skipped. Without elimination the same event cost 6 steps and 5
+    // comparisons, which is what the skipped nodes add back.
+    assert_eq!((stats.steps, stats.comparisons, stats.skipped), (2, 1, 4));
+    let without = (
+        stats.steps + stats.skipped,
+        stats.comparisons + stats.skipped,
     );
+    assert_eq!(without, (6, 5));
 }
 
 #[test]
@@ -529,10 +524,18 @@ fn fewest_stars_first_order_reduces_steps_on_skewed_workload() {
         subs.push(int_sub(&schema, i, &tests));
     }
     let schema_order = Pst::build(schema.clone(), subs.clone(), PstOptions::default()).unwrap();
+    let stars = |a: usize| {
+        let starred = subs
+            .iter()
+            .filter(|s| s.predicate().tests()[a].is_wildcard());
+        starred.count()
+    };
+    let mut fewest_stars: Vec<usize> = (0..schema.arity()).collect();
+    fewest_stars.sort_by_key(|&a| (stars(a), a));
     let heuristic = Pst::build(
         schema.clone(),
         subs,
-        PstOptions::default().with_order(OrderPolicy::FewestStarsFirst),
+        PstOptions::default().with_order(OrderPolicy::Explicit(fewest_stars)),
     )
     .unwrap();
     assert_eq!(heuristic.order()[0], 4, "a5 should be tested first");
@@ -558,10 +561,9 @@ fn fewest_stars_first_order_reduces_steps_on_skewed_workload() {
 fn matches_agree_with_naive_on_random_workloads() {
     let schema = figure2_schema();
     let mut rng = StdRng::seed_from_u64(99);
-    for (factoring, skip) in [(0, false), (0, true), (2, false), (2, true)] {
-        let options = PstOptions::default()
-            .with_trivial_test_elimination(skip)
-            .with_order(OrderPolicy::FewestStarsFirst);
+    let orders = [(0, vec![4, 2, 0, 3, 1]), (2, vec![0, 1, 4, 3, 2])];
+    for (factoring, order) in orders {
+        let options = PstOptions::default().with_order(OrderPolicy::Explicit(order));
         let mut subs = Vec::new();
         for i in 0..400u32 {
             let tests: Vec<Option<i64>> = (0..5)
@@ -587,7 +589,7 @@ fn matches_agree_with_naive_on_random_workloads() {
             assert_eq!(
                 pst.matches(&event),
                 brute_force(live.iter().copied(), &event),
-                "factoring={factoring} skip={skip}"
+                "factoring={factoring}"
             );
         }
     }
@@ -903,16 +905,12 @@ impl Spelled {
         self.children[at].1.insert(rest, id);
     }
 
-    /// `Pst::visit`, node for node.
-    fn visit(
-        &self,
-        values: &[&Value],
-        skipping: bool,
-        stats: &mut MatchStats,
-        out: &mut Vec<SubscriptionId>,
-    ) {
-        if let ([(AttrTest::Any, only)], true) = (self.children.as_slice(), skipping) {
-            return only.visit(&values[1..], skipping, stats, out);
+    /// `Pst::visit`, node for node: a node whose only edge is `*` is
+    /// skipped, and counted as such.
+    fn visit(&self, values: &[&Value], stats: &mut MatchStats, out: &mut Vec<SubscriptionId>) {
+        if let [(AttrTest::Any, only)] = self.children.as_slice() {
+            stats.skipped += 1;
+            return only.visit(&values[1..], stats, out);
         }
         stats.steps += 1;
         let Some((value, rest)) = values.split_first() else {
@@ -923,7 +921,7 @@ impl Spelled {
         stats.comparisons += 1 + range_lookup_cost(self.children.iter().map(|(l, _)| l), value);
         for (label, child) in &self.children {
             if label.matches(value) {
-                child.visit(rest, skipping, stats, out);
+                child.visit(rest, stats, out);
             }
         }
     }
@@ -950,12 +948,12 @@ fn range_lookup_cost<'a>(labels: impl Iterator<Item = &'a AttrTest>, value: &Val
 /// A tail is the chain it abbreviates. Two predicates that part ways at
 /// level `k` — for every `k`, with an equality, a range or `*` on either
 /// side of the fork — and a twin of the first go into the tree in every
-/// order and out again in every order, under factoring 0/1/2 with trivial
-/// test elimination off and on. `a3` declares the domain its one range
-/// test exhausts. After every step the matches are the naive matcher's for
-/// every event, and the steps, comparisons and leaf hits those of a search
-/// over the spelled-out tree; and whatever the order, two subscriptions
-/// that differ at level `k` leave exactly the levels down to `k` real.
+/// order and out again in every order, under factoring 0/1/2. `a3`
+/// declares the domain its one range test exhausts. After every step the
+/// matches are the naive matcher's for every event, and the steps,
+/// comparisons, skipped nodes and leaf hits those of a search over the
+/// spelled-out tree; and whatever the order, two subscriptions that differ
+/// at level `k` leave exactly the levels down to `k` real.
 #[test]
 fn bursts_at_every_depth_in_every_order_match_the_spelled_out_tree() {
     const ORDERS: [[usize; 3]; 6] = [
@@ -1015,15 +1013,14 @@ fn bursts_at_every_depth_in_every_order_match_the_spelled_out_tree() {
                 predicate,
             )
         };
-        for (factoring, skipping) in [(0, false), (0, true), (1, false), (1, true), (2, true)] {
+        for factoring in 0..3 {
             let schema = factored(factoring);
-            let options = PstOptions::default().with_trivial_test_elimination(skipping);
+            let options = PstOptions::default();
             for (inserts, removes) in ORDERS
                 .iter()
                 .flat_map(|i| ORDERS.iter().map(move |r| (i, r)))
             {
-                let context =
-                    format!("k={k} factoring={factoring} tte={skipping} {inserts:?} {removes:?}");
+                let context = format!("k={k} factoring={factoring} {inserts:?} {removes:?}");
                 let mut pst = Pst::new(schema.clone(), options.clone()).unwrap();
                 let mut live: Vec<usize> = Vec::new();
                 let steps = inserts.iter().map(|i| (true, *i));
@@ -1065,7 +1062,7 @@ fn bursts_at_every_depth_in_every_order_match_the_spelled_out_tree() {
                         expected.events = 1;
                         if !spelled.children.is_empty() || !spelled.subs.is_empty() {
                             let walked: Vec<&Value> = walked.iter().collect();
-                            spelled.visit(&walked, skipping, &mut expected, &mut Vec::new());
+                            spelled.visit(&walked, &mut expected, &mut Vec::new());
                         }
                         assert_eq!(stats, expected, "{context}: {event}");
                     }

@@ -17,9 +17,8 @@ impl Pst {
         let Some(root) = self.root_for_event(event) else {
             return Vec::new();
         };
-        let skipping = self.options.eliminate_trivial_tests;
         let mut out = Vec::new();
-        let mut stack = vec![self.effective(root, skipping)];
+        let mut stack = vec![self.effective(root, stats)];
         self.run_stack(&mut stack, event, stats, &mut out);
         out.sort_unstable();
         out.dedup();
@@ -51,10 +50,9 @@ impl Pst {
         stack: &mut Vec<NodeId>,
         out: &mut Vec<SubscriptionId>,
     ) {
-        let skipping = self.options.eliminate_trivial_tests;
         let node = self.node_inner(id);
         if node.is_terminal() {
-            if walk_chain(self.residual(node), event, skipping, stats) {
+            if walk_chain(self.residual(node), event, stats) {
                 out.extend_from_slice(node.subs.as_slice());
             }
             return;
@@ -64,30 +62,32 @@ impl Pst {
         let value = &event.values()[attr];
         stats.comparisons += 1;
         if let Ok(i) = node.eq_edges.binary_search_by(|(v, _)| v.cmp(value)) {
-            stack.push(self.effective(node.eq_edges[i].1, skipping));
+            stack.push(self.effective(node.eq_edges[i].1, stats));
         }
         let ranges = RangeLookup::new(&node.range_edges, |(test, _)| test, value);
         stats.comparisons += ranges.probes;
         for (test, child) in &node.range_edges[ranges.candidates] {
             stats.comparisons += u64::from(matches!(test, AttrTest::Between(..)));
             if test.matches(value) {
-                stack.push(self.effective(*child, skipping));
+                stack.push(self.effective(*child, stats));
             }
         }
         if let Some(star) = node.star {
-            stack.push(self.effective(star, skipping));
+            stack.push(self.effective(star, stats));
         }
     }
 
     /// Resolves trivial-test-elimination skips: the node actually worth
-    /// visiting when a search would enter `id`.
+    /// visiting when a search would enter `id`, charging `stats.skipped`
+    /// the `*`-only nodes jumped over on the way.
     #[inline]
-    fn effective(&self, id: NodeId, skipping: bool) -> NodeId {
-        if skipping {
-            self.node_inner(id).skip.unwrap_or(id)
-        } else {
-            id
-        }
+    fn effective(&self, id: NodeId, stats: &mut MatchStats) -> NodeId {
+        let node = self.node_inner(id);
+        let Some(target) = node.skip else {
+            return id;
+        };
+        stats.skipped += u64::from(self.node_inner(target).level - node.level);
+        target
     }
 }
 
@@ -95,19 +95,20 @@ impl Pst {
 /// its first node (which the search is entering) to its leaf, charging
 /// `stats` what a search over the real nodes would be charged: a step per
 /// node entered — a run of `*`-only nodes collapsing into the node it
-/// leads to when `skipping` — a comparison per equality lookup and what a
-/// [`RangeLookup`] over the one range edge charges, a leaf hit at the end.
-/// Returns whether the event passed every test, that is, whether the leaf
-/// was reached.
-pub(crate) fn walk_chain<'a>(
+/// leads to, each of them a node `skipped` — a comparison per equality
+/// lookup and what a [`RangeLookup`] over the one range edge charges, a
+/// leaf hit at the end. Returns whether the event passed every test, that
+/// is, whether the leaf was reached.
+fn walk_chain<'a>(
     chain: impl Iterator<Item = (usize, &'a AttrTest)>,
     event: &Event,
-    skipping: bool,
     stats: &mut MatchStats,
 ) -> bool {
     let mut chain = chain.peekable();
     loop {
-        while skipping && chain.next_if(|(_, test)| test.is_wildcard()).is_some() {}
+        while chain.next_if(|(_, test)| test.is_wildcard()).is_some() {
+            stats.skipped += 1;
+        }
         stats.steps += 1;
         let Some((attr, test)) = chain.next() else {
             stats.leaf_hits += 1;

@@ -18,6 +18,14 @@ pub struct MatchStats {
     pub leaf_hits: u64,
     /// Individual attribute-test evaluations.
     pub comparisons: u64,
+    /// Nodes the [`Pst`](crate::Pst)'s own walk did not enter because
+    /// trivial test elimination (§2.1.2) jumped over them: the `*`-only
+    /// nodes a skip pointer passes, and the `*` levels of a tail's chain.
+    /// Each would have cost one step and one comparison (the equality
+    /// lookup; it has no range edge), so `steps + skipped` and
+    /// `comparisons + skipped` are what the same walk costs without
+    /// elimination. The link-matching walk does not count it.
+    pub skipped: u64,
     /// Events matched (operations counted into this accumulator).
     pub events: u64,
     /// Match-result cache hits (event answered without a tree walk).
@@ -55,6 +63,7 @@ impl AddAssign for MatchStats {
         self.steps += rhs.steps;
         self.leaf_hits += rhs.leaf_hits;
         self.comparisons += rhs.comparisons;
+        self.skipped += rhs.skipped;
         self.events += rhs.events;
         self.cache_hits += rhs.cache_hits;
         self.cache_misses += rhs.cache_misses;
@@ -66,10 +75,11 @@ impl fmt::Display for MatchStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} steps, {} comparisons, {} leaf hits over {} events \
+            "{} steps, {} comparisons, {} skipped, {} leaf hits over {} events \
              ({} cache hits, {} cache misses, {} cache invalidations)",
             self.steps,
             self.comparisons,
+            self.skipped,
             self.leaf_hits,
             self.events,
             self.cache_hits,
@@ -90,6 +100,7 @@ mod tests {
             steps: 3,
             leaf_hits: 1,
             comparisons: 5,
+            skipped: 4,
             events: 1,
             cache_hits: 1,
             cache_misses: 2,
@@ -99,12 +110,14 @@ mod tests {
             steps: 5,
             leaf_hits: 0,
             comparisons: 2,
+            skipped: 1,
             events: 1,
             cache_hits: 2,
             cache_misses: 1,
             cache_invalidations: 1,
         };
         assert_eq!(a.steps, 8);
+        assert_eq!(a.skipped, 5);
         assert_eq!(a.events, 2);
         assert_eq!(a.cache_hits, 3);
         assert_eq!(a.cache_misses, 3);
@@ -125,6 +138,7 @@ mod tests {
             cache_hits: 5,
             cache_misses: 6,
             cache_invalidations: 7,
+            skipped: 8,
         };
         let text = s.to_string();
         for needle in [
@@ -135,6 +149,7 @@ mod tests {
             "5 cache hits",
             "6 cache misses",
             "7 cache invalidations",
+            "8 skipped",
         ] {
             assert!(text.contains(needle), "{text}");
         }

@@ -1,11 +1,10 @@
-//! Property-based tests: every PST configuration, and the search graph
-//! compiled from it, agrees with brute force — each predicate evaluated
-//! against the event — under arbitrary subscription sets, mutations, and
-//! events.
+//! Property-based tests: every PST configuration agrees with brute force —
+//! each predicate evaluated against the event — under arbitrary
+//! subscription sets, mutations, and events.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use linkcast_matching::{compact_subscriptions, Matcher, OrderPolicy, Psg, Pst, PstOptions};
+use linkcast_matching::{compact_subscriptions, Matcher, OrderPolicy, Pst, PstOptions};
 use linkcast_types::{
     AttrTest, BrokerId, ClientId, Event, EventSchema, Predicate, SubscriberId, Subscription,
     SubscriptionId, Value, ValueKind,
@@ -99,24 +98,22 @@ fn brute_force<'a>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every PST configuration and its search graph agree with brute force.
+    /// Every PST configuration agrees with brute force: schema order, and
+    /// the factored prefix followed by the other attributes reversed.
     #[test]
     fn all_matchers_agree(
         shapes in subscription_strategy(),
         events in events_strategy(),
         factoring in 0usize..3,
-        tte in any::<bool>(),
-        heuristic in any::<bool>(),
+        reversed in any::<bool>(),
     ) {
         let schema = factored(factoring);
-        let order = if heuristic {
-            OrderPolicy::FewestStarsFirst
+        let order = if reversed {
+            OrderPolicy::Explicit((0..factoring).chain((factoring..ATTRS).rev()).collect())
         } else {
             OrderPolicy::Schema
         };
-        let options = PstOptions::default()
-            .with_trivial_test_elimination(tte)
-            .with_order(order);
+        let options = PstOptions::default().with_order(order);
         let subs: Vec<Subscription> = shapes
             .iter()
             .enumerate()
@@ -124,32 +121,26 @@ proptest! {
             .collect();
         let pst = Pst::build(schema.clone(), subs.iter().cloned(), options).unwrap();
         pst.check_invariants().map_err(TestCaseError::fail)?;
-        let psg = Psg::compile(&pst);
-        prop_assert!(psg.node_count() <= pst.node_count());
         for values in &events {
             let event =
                 Event::from_values(&schema, values.iter().map(|v| Value::Int(*v))).unwrap();
-            let expected = brute_force(&subs, &event);
-            prop_assert_eq!(pst.matches(&event), expected.clone(), "pst");
-            prop_assert_eq!(psg.matches(&event), expected, "psg");
+            prop_assert_eq!(pst.matches(&event), brute_force(&subs, &event));
         }
     }
 
-    /// A random table published through the tree, the graph compiled from
-    /// it and the tree over the compacted table reaches the subscribers
-    /// brute force does. Three subscribers share the table, so predicates
-    /// cover one another and compaction has something to drop; the tree it
-    /// leaves parks on tails what the full one had to burst, and the other
-    /// way round.
+    /// A random table published through the tree and the tree over the
+    /// compacted table reaches the subscribers brute force does. Three
+    /// subscribers share the table, so predicates cover one another and
+    /// compaction has something to drop; the tree it leaves parks on tails
+    /// what the full one had to burst, and the other way round.
     #[test]
-    fn tree_graph_and_compacted_tree_reach_the_same_subscribers(
+    fn tree_and_compacted_tree_reach_the_same_subscribers(
         shapes in subscription_strategy(),
         events in events_strategy(),
         factoring in 0usize..3,
-        tte in any::<bool>(),
     ) {
         let schema = factored(factoring);
-        let options = PstOptions::default().with_trivial_test_elimination(tte);
+        let options = PstOptions::default();
         let subs: Vec<Subscription> = shapes
             .iter()
             .enumerate()
@@ -166,7 +157,6 @@ proptest! {
         pst.check_invariants().map_err(TestCaseError::fail)?;
         compacted.check_invariants().map_err(TestCaseError::fail)?;
         prop_assert!(compacted.node_count() <= pst.expanded_node_count());
-        let psg = Psg::compile(&pst);
         let reached = |m: &dyn Matcher, ids: Vec<SubscriptionId>| {
             let clients = ids.iter().map(|id| m.subscription(*id).unwrap().subscriber().client);
             clients.collect::<BTreeSet<_>>()
@@ -176,7 +166,6 @@ proptest! {
                 Event::from_values(&schema, values.iter().map(|v| Value::Int(*v))).unwrap();
             let expected = brute_force(&subs, &event);
             prop_assert_eq!(pst.matches(&event), expected.clone(), "pst");
-            prop_assert_eq!(psg.matches(&event), expected.clone(), "psg");
             prop_assert_eq!(
                 reached(&compacted, compacted.matches(&event)),
                 reached(&pst, expected),
@@ -192,11 +181,9 @@ proptest! {
         shapes in subscription_strategy(),
         events in events_strategy(),
         removal_order in proptest::collection::vec(any::<u16>(), 0..24),
-        tte in any::<bool>(),
     ) {
         let schema = factored(1);
-        let options = PstOptions::default().with_trivial_test_elimination(tte);
-        let mut pst = Pst::new(schema.clone(), options).unwrap();
+        let mut pst = Pst::new(schema.clone(), PstOptions::default()).unwrap();
         let mut live = BTreeMap::new();
         for (i, s) in shapes.iter().enumerate() {
             let sub = build_subscription(&schema, i as u32, s);

@@ -10,8 +10,11 @@
 //! node, subscription slot, annotation rows — and not the predicate it
 //! indexes. The install tests take them in two orders: by id,
 //! where each chain's `volume` edge is appended to the sorted list, and in
-//! the benchmark's three phases, where two thirds land in its middle. One
-//! more test pins what finding an event's factored subtree costs: nothing.
+//! the benchmark's three phases, where two thirds land in its middle. Two
+//! more tests pin what factoring (§2.1.1) costs: installing Chart 1's
+//! table, whose schema factors two attributes, allocates per subscription
+//! and not per factored replica; finding an event's factored subtree
+//! allocates nothing.
 //!
 //! Alone in its test binary because of the `#[global_allocator]`; counts are
 //! per thread, so the tests need not take turns.
@@ -21,11 +24,14 @@
 use linkcast::{LinkMatchEngine, LinkSpace, NetworkBuilder, RoutingFabric};
 use linkcast_alloc_count::{allocations_in, live_bytes_in, CountingAllocator};
 use linkcast_matching::{Pst, PstOptions};
+use linkcast_sim::topology39;
 use linkcast_types::{
     parse_predicate, BrokerId, ClientId, Event, EventSchema, SubscriberId, Subscription,
     SubscriptionId, Value, ValueKind,
 };
-use linkcast_workload::decoy_chain;
+use linkcast_workload::{decoy_chain, SubscriptionGenerator, WorkloadConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -179,6 +185,54 @@ fn reinstalling_a_chain_allocates_nothing_beside_the_tree() {
         });
         assert_eq!(in_engine, in_tree, "{name}: allocations beside the tree's");
     }
+}
+
+/// Chart 1's table — 8 000 subscriptions of seed 7 over Chart 1's schema,
+/// which factors its first two attributes — installed into an empty
+/// engine at P1's broker of Figure 6. A `*` on a factored attribute
+/// replicates the subscription into every value's subtree (1.85 subtrees
+/// a subscription here), and each subtree is found by its factor key. The
+/// keys are enumerated into one buffer the tree reuses and a key is boxed
+/// only where it founds a subtree, so an install allocates at most 3.5
+/// times (2.79 measured, in debug and release; 15.63 while every key and
+/// every per-attribute candidate list was a vector of its own).
+#[test]
+fn installing_a_factored_table_allocates_per_subscription_not_per_replica() {
+    const TABLE: usize = 8_000;
+    let world = topology39::build().unwrap();
+    let wconfig = WorkloadConfig::chart1();
+    let schema = wconfig.schema();
+    assert_eq!(schema.factored().len(), 2);
+    let generator = SubscriptionGenerator::new(&wconfig, 7);
+    let mut rng = StdRng::seed_from_u64(7);
+    let table = topology39::random_subscriptions(&world, &generator, TABLE, &mut rng);
+    let network = world.fabric.network();
+    let subscriptions: Vec<Subscription> = (table.into_iter().zip(0..))
+        .map(|((client, predicate), id)| {
+            let home = network.home_broker(client).unwrap();
+            let subscriber = SubscriberId::new(home, client);
+            Subscription::new(SubscriptionId::new(id), subscriber, predicate)
+        })
+        .collect();
+    let p1 = world.publishers[0].broker;
+    let space = LinkSpace::build(network, world.fabric.forest(), p1);
+    let mut engine = LinkMatchEngine::new(p1, schema, PstOptions::default(), space).unwrap();
+
+    let (allocations, ()) = allocations_in(|| {
+        for subscription in subscriptions {
+            engine.subscribe(subscription).unwrap();
+        }
+    });
+    let per_subscription = allocations as f64 / TABLE as f64;
+    println!(
+        "{per_subscription:.2} allocations per subscription, {} subtrees",
+        engine.pst().roots().count()
+    );
+    assert_eq!(engine.pst().roots().count(), 25);
+    assert!(
+        per_subscription <= 3.5,
+        "{per_subscription} allocations per subscription"
+    );
 }
 
 /// An event finds its factored subtree (§2.1.1) by binary search of the

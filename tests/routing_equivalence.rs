@@ -180,14 +180,13 @@ proptest! {
     fn pst_options_do_not_change_routing(
         world in world_strategy(),
         factoring in 0usize..3,
-        skip in proptest::bool::ANY,
     ) {
         let schema = schema();
         let (fabric, clients, n) = build_world(&world, false);
 
-        let untuned = PstOptions::default().with_trivial_test_elimination(false);
-        let mut reference = ContentRouter::new(fabric.clone(), schema.clone(), untuned).unwrap();
-        let options = PstOptions::default().with_trivial_test_elimination(skip);
+        let options = PstOptions::default();
+        let mut reference =
+            ContentRouter::new(fabric.clone(), schema.clone(), options.clone()).unwrap();
         let mut tuned = ContentRouter::new(fabric.clone(), factored(factoring), options).unwrap();
 
         for (client_raw, tests) in &world.subs {
