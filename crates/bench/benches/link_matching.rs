@@ -8,8 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use linkcast::{
-    ContentRouter, EventRouter, LinkMatchEngine, LinkSpace, NetworkBuilder, RouteScratch,
-    RoutingFabric,
+    ContentRouter, LinkMatchEngine, LinkSpace, NetworkBuilder, RouteScratch, RoutingFabric,
 };
 use linkcast_alloc_count::{allocations_in, live_bytes_in, CountingAllocator};
 use linkcast_matching::{MatchStats, PstOptions};
@@ -43,9 +42,7 @@ fn bench_link_matching(c: &mut Criterion) {
         let mut world = None;
         let build = || {
             let world = topology39::build().expect("figure 6 builds");
-            let mut router =
-                ContentRouter::new(world.fabric.clone(), schema.clone(), PstOptions::default())
-                    .unwrap();
+            let mut router = ContentRouter::new(world.fabric.clone(), schema.clone()).unwrap();
             let generator = SubscriptionGenerator::new(&wconfig, 11);
             let mut rng = StdRng::seed_from_u64(11);
             topology39::subscribe_random(&mut router, &world, &generator, subs, &mut rng).unwrap();

@@ -10,9 +10,8 @@
 //!
 //! Run with: `cargo run --release -p linkcast-bench --bin ablation_virtual_links`
 
-use linkcast::{ContentRouter, EventRouter, LinkSpace, NetworkBuilder, RoutingFabric};
+use linkcast::{ContentRouter, LinkSpace, NetworkBuilder, RoutingFabric};
 use linkcast_bench::print_table;
-use linkcast_matching::PstOptions;
 use linkcast_types::{AttrTest, ClientId, Event, EventSchema, Predicate, Value, ValueKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,8 +65,7 @@ fn tree_network() -> (Arc<RoutingFabric>, Vec<ClientId>) {
 
 fn exactness_check(fabric: &Arc<RoutingFabric>, clients: &[ClientId], rng: &mut StdRng) {
     let schema = schema();
-    let mut router =
-        ContentRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
+    let mut router = ContentRouter::new(fabric.clone(), schema.clone()).unwrap();
     let mut oracle = Vec::new();
     for &client in clients {
         let tests: Vec<AttrTest> = (0..3)

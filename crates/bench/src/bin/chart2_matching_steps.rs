@@ -18,9 +18,9 @@
 
 use std::collections::HashMap;
 
-use linkcast::{ContentRouter, EventRouter};
+use linkcast::ContentRouter;
 use linkcast_bench::print_table;
-use linkcast_matching::{MatchStats, PstOptions};
+use linkcast_matching::MatchStats;
 use linkcast_sim::topology39;
 use linkcast_workload::{EventGenerator, SubscriptionGenerator, WorkloadConfig};
 use rand::rngs::StdRng;
@@ -37,9 +37,7 @@ fn main() {
     for &subs in &sub_counts {
         let world = topology39::build().expect("figure 6 builds");
         let network = world.fabric.network();
-        let mut router =
-            ContentRouter::new(world.fabric.clone(), schema.clone(), PstOptions::default())
-                .unwrap();
+        let mut router = ContentRouter::new(world.fabric.clone(), schema.clone()).unwrap();
         let generator = SubscriptionGenerator::new(&wconfig, 11);
         let mut rng = StdRng::seed_from_u64(11);
         topology39::subscribe_random(&mut router, &world, &generator, subs, &mut rng).unwrap();

@@ -1,19 +1,19 @@
 //! Property test for the broker dataflow: over random subscription/event
 //! workloads on a three-broker chain, the TCP prototype must deliver
-//! exactly the flooding baseline's post-filter set — every matching
-//! subscriber sees every event exactly once (one Deliver frame per client
-//! link) — and must emit exactly as many broker-to-broker Forward frames
-//! as the in-process protocol oracle ([`ContentRouter`]) predicts (one
-//! frame per matched spanning-tree link).
+//! exactly what evaluating every subscription's predicate selects — every
+//! matching subscriber sees every event exactly once (one Deliver frame per
+//! client link) — and must emit exactly as many broker-to-broker Forward
+//! frames as the in-process protocol oracle ([`ContentRouter`]) predicts
+//! (one frame per matched spanning-tree link).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use linkcast::{ContentRouter, EventRouter, FloodingRouter, NetworkBuilder, RoutingFabric};
+use linkcast::{ContentRouter, NetworkBuilder, RoutingFabric};
 use linkcast_broker::{BrokerConfig, BrokerNode, Client};
-use linkcast_matching::PstOptions;
 use linkcast_types::{
-    parse_predicate, ClientId, Event, EventSchema, SchemaId, SchemaRegistry, Value, ValueKind,
+    parse_predicate, ClientId, Event, EventSchema, Predicate, SchemaId, SchemaRegistry, Value,
+    ValueKind,
 };
 use proptest::prelude::*;
 
@@ -79,19 +79,17 @@ fn run_workload(workload: &Workload) {
         .collect();
     let fabric = RoutingFabric::new_all_roots(net.build().unwrap()).unwrap();
 
-    // Oracles: the flooding baseline defines the correct delivered set
-    // (clients filter for themselves, so recipients are exact); the
-    // in-process protocol router predicts the Forward frame count.
-    let mut flood =
-        FloodingRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
-    let mut content =
-        ContentRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
+    // Oracles: each subscription's predicate, evaluated directly, defines
+    // the correct delivered set; the in-process protocol router predicts
+    // the Forward frame count.
+    let mut content = ContentRouter::new(fabric.clone(), schema.clone()).unwrap();
+    let mut predicates: Vec<(usize, Predicate)> = Vec::new();
     for (idx, expr) in &workload.subs {
         let predicate = parse_predicate(&schema, expr).unwrap();
-        flood
+        content
             .subscribe(subscriber_ids[*idx], predicate.clone())
             .unwrap();
-        content.subscribe(subscriber_ids[*idx], predicate).unwrap();
+        predicates.push((*idx, predicate));
     }
 
     let events: Vec<Event> = workload
@@ -115,12 +113,15 @@ fn run_workload(workload: &Workload) {
     // expected_seqs[i] = the events subscriber i must receive, in order.
     let mut expected_seqs: Vec<Vec<i64>> = vec![Vec::new(); SUBSCRIBERS];
     for (seq, event) in events.iter().enumerate() {
-        let delivery = flood.publish(a, event).unwrap();
         expected_forwards += content.publish(a, event).unwrap().broker_messages;
-        for recipient in &delivery.recipients {
-            let idx = subscriber_ids.iter().position(|c| c == recipient).unwrap();
-            expected_seqs[idx].push(seq as i64);
-            expected_delivered += 1;
+        for (idx, seqs) in expected_seqs.iter_mut().enumerate() {
+            if predicates
+                .iter()
+                .any(|(i, p)| *i == idx && p.matches(event))
+            {
+                seqs.push(seq as i64);
+                expected_delivered += 1;
+            }
         }
     }
 

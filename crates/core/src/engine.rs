@@ -309,8 +309,8 @@ impl LinkMatchEngine {
     }
 
     /// Runs the §2 centralized matching over the full tree (no trits),
-    /// returning matched subscription ids — used by the match-first
-    /// baseline and by the Chart 2 "centralized" series.
+    /// returning matched subscription ids — the Chart 2 "centralized"
+    /// series.
     pub fn match_subscriptions(
         &self,
         event: &Event,

@@ -9,8 +9,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::{
-    BrokerNetwork, ContentRouter, EventRouter, FloodingRouter, LinkMatchEngine, LinkSpace,
-    MatchFirstRouter, NetworkBuilder, RoutingFabric, SpanningTree, TreeId,
+    BrokerNetwork, ContentRouter, LinkMatchEngine, LinkSpace, NetworkBuilder, RoutingFabric,
+    SpanningTree, TreeId,
 };
 
 /// The brute-force oracle, as the root `tests/oracle` module has it: every
@@ -102,8 +102,7 @@ fn line_fabric() -> (std::sync::Arc<RoutingFabric>, Vec<BrokerId>, Vec<ClientId>
 fn engine_routes_by_subscription_location() {
     let (fabric, brokers, clients) = line_fabric();
     let schema = small_schema();
-    let mut router =
-        ContentRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
+    let mut router = ContentRouter::new(fabric.clone(), schema.clone()).unwrap();
     // c2 (at B2) wants x=1; c0 (at B0) wants x=2; c1 (at B1) wants anything.
     router
         .subscribe(clients[2], int_predicate(&schema, &[Some(1), None, None]))
@@ -121,7 +120,6 @@ fn engine_routes_by_subscription_location() {
     assert_eq!(d.recipients, vec![clients[1], clients[2]]);
     // B0→B1 and B1→B2: exactly two broker messages, one per link.
     assert_eq!(d.broker_messages, 2);
-    assert_eq!(d.client_messages, 2);
     assert_eq!(d.max_hops, 2);
 
     let d = router
@@ -221,8 +219,7 @@ fn exhaustive_value_branches_stay_yes() {
 fn unsubscribe_reannotates() {
     let (fabric, brokers, clients) = line_fabric();
     let schema = small_schema();
-    let mut router =
-        ContentRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
+    let mut router = ContentRouter::new(fabric.clone(), schema.clone()).unwrap();
     let id = router
         .subscribe(clients[2], int_predicate(&schema, &[Some(1), None, None]))
         .unwrap();
@@ -242,8 +239,7 @@ fn unsubscribe_reannotates() {
 fn publishers_at_any_broker() {
     let (fabric, brokers, clients) = line_fabric();
     let schema = small_schema();
-    let mut router =
-        ContentRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
+    let mut router = ContentRouter::new(fabric.clone(), schema.clone()).unwrap();
     router
         .subscribe(clients[0], int_predicate(&schema, &[Some(1), None, None]))
         .unwrap();
@@ -275,19 +271,15 @@ fn random_tree_network(
     (fabric, clients)
 }
 
-/// The golden invariant: link matching, flooding, match-first, and a naive
-/// global evaluation all deliver to exactly the same clients.
+/// The golden invariant: link matching delivers to exactly the clients a
+/// naive global evaluation picks, sending at most one copy per tree edge.
 #[test]
 fn protocols_agree_on_random_tree_networks() {
     let mut rng = StdRng::seed_from_u64(2024);
     let schema = small_schema();
     for round in 0..8 {
         let (fabric, clients) = random_tree_network(&mut rng, 3 + round % 6);
-        let options = PstOptions::default();
-        let mut link = ContentRouter::new(fabric.clone(), schema.clone(), options.clone()).unwrap();
-        let mut flood =
-            FloodingRouter::new(fabric.clone(), schema.clone(), options.clone()).unwrap();
-        let mut first = MatchFirstRouter::new(fabric.clone(), schema.clone(), options).unwrap();
+        let mut link = ContentRouter::new(fabric.clone(), schema.clone()).unwrap();
 
         let mut oracle: Vec<(ClientId, Predicate)> = Vec::new();
         for &client in &clients {
@@ -303,8 +295,6 @@ fn protocols_agree_on_random_tree_networks() {
                     .collect();
                 let p = int_predicate(&schema, &tests);
                 link.subscribe(client, p.clone()).unwrap();
-                flood.subscribe(client, p.clone()).unwrap();
-                first.subscribe(client, p.clone()).unwrap();
                 oracle.push((client, p));
             }
         }
@@ -315,8 +305,6 @@ fn protocols_agree_on_random_tree_networks() {
             let values: Vec<i64> = (0..3).map(|_| rng.random_range(0..3)).collect();
             let event = int_event(&schema, &values);
             let d_link = link.publish(publisher, &event).unwrap();
-            let d_flood = flood.publish(publisher, &event).unwrap();
-            let d_first = first.publish(publisher, &event).unwrap();
 
             let mut expected: Vec<ClientId> = oracle
                 .iter()
@@ -327,24 +315,11 @@ fn protocols_agree_on_random_tree_networks() {
             expected.dedup();
 
             assert_eq!(d_link.recipients, expected, "link matching (round {round})");
-            assert_eq!(d_flood.recipients, expected, "flooding (round {round})");
-            assert_eq!(d_first.recipients, expected, "match-first (round {round})");
 
             // At most one copy per link: never more broker messages than
             // broker links (tree edges).
             let edges = fabric.network().broker_count() as u64 - 1;
             assert!(d_link.broker_messages <= edges);
-            // Flooding always uses every tree edge.
-            assert_eq!(d_flood.broker_messages, edges);
-            // Link matching never uses more links than flooding.
-            assert!(d_link.broker_messages <= d_flood.broker_messages);
-            // Link matching and flooding carry no destination lists.
-            assert_eq!(d_link.payload_units, 0);
-            assert_eq!(d_flood.payload_units, 0);
-            // Match-first pays list overhead whenever remote delivery happens.
-            if d_first.broker_messages > 0 {
-                assert!(d_first.payload_units > 0);
-            }
         }
     }
 }
@@ -371,8 +346,7 @@ fn protocols_agree_on_cyclic_topologies() {
     let fabric = RoutingFabric::new_all_roots(b.build().unwrap()).unwrap();
     assert!(fabric.forest().len() > 1, "cycles yield multiple trees");
 
-    let mut router =
-        ContentRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
+    let mut router = ContentRouter::new(fabric.clone(), schema.clone()).unwrap();
     let mut oracle: Vec<(ClientId, Predicate)> = Vec::new();
     for &client in &clients {
         let tests: Vec<Option<i64>> = (0..3)
@@ -405,30 +379,34 @@ fn protocols_agree_on_cyclic_topologies() {
     }
 }
 
+/// Factoring, as the schema declares it, never changes who receives an
+/// event; nor does an explicit attribute order, with which each broker's
+/// engine is built directly.
 #[test]
 fn factoring_and_ordering_options_preserve_routing() {
     let mut rng = StdRng::seed_from_u64(77);
     let schema = small_schema();
     let (fabric, clients) = random_tree_network(&mut rng, 5);
-    let default = PstOptions::default;
-    let configs = [
-        (0, default()),
-        (1, default()),
-        (2, default()),
-        (
-            0,
-            default().with_order(OrderPolicy::Explicit(vec![2, 0, 1])),
-        ),
-        (
-            1,
-            default().with_order(OrderPolicy::Explicit(vec![0, 2, 1])),
-        ),
-    ];
-    let mut routers: Vec<ContentRouter> = configs
-        .iter()
-        .map(|(levels, o)| ContentRouter::new(fabric.clone(), small_factored(*levels), o.clone()))
+    let network = fabric.network();
+    let mut routers: Vec<ContentRouter> = (0..3)
+        .map(|levels| ContentRouter::new(fabric.clone(), small_factored(levels)))
         .collect::<Result<_, _>>()
         .unwrap();
+    let orders = [(0, vec![2, 0, 1]), (1, vec![0, 2, 1])];
+    let mut ordered: Vec<Vec<LinkMatchEngine>> = orders
+        .iter()
+        .map(|(levels, order)| {
+            let options = PstOptions::default().with_order(OrderPolicy::Explicit(order.clone()));
+            (network.brokers())
+                .map(|broker| {
+                    let space = LinkSpace::build(network, fabric.forest(), broker);
+                    LinkMatchEngine::new(broker, small_factored(*levels), options.clone(), space)
+                })
+                .collect::<Result<_, _>>()
+                .unwrap()
+        })
+        .collect();
+    let mut live = Vec::new();
     for &client in &clients {
         let tests: Vec<Option<i64>> = (0..3)
             .map(|_| {
@@ -443,15 +421,42 @@ fn factoring_and_ordering_options_preserve_routing() {
         for r in &mut routers {
             r.subscribe(client, p.clone()).unwrap();
         }
+        let home = network.home_broker(client).unwrap();
+        let sub = Subscription::new(
+            linkcast_types::SubscriptionId::new(live.len() as u32),
+            linkcast_types::SubscriberId::new(home, client),
+            p,
+        );
+        for engine in ordered.iter_mut().flatten() {
+            engine.subscribe(sub.clone()).unwrap();
+        }
+        live.push(sub);
     }
     for _ in 0..40 {
-        let publisher = BrokerId::new(rng.random_range(0..fabric.network().broker_count()) as u32);
+        let publisher = BrokerId::new(rng.random_range(0..network.broker_count()) as u32);
         let values: Vec<i64> = (0..3).map(|_| rng.random_range(0..3)).collect();
         let event = int_event(&schema, &values);
-        let reference = routers[0].publish(publisher, &event).unwrap();
-        for (i, r) in routers.iter().enumerate().skip(1) {
+        let mut expected: Vec<ClientId> = (live.iter())
+            .filter(|sub| sub.predicate().matches(&event))
+            .map(|sub| sub.subscriber().client)
+            .collect();
+        expected.sort_unstable();
+        expected.dedup();
+        for (levels, r) in routers.iter().enumerate() {
             let d = r.publish(publisher, &event).unwrap();
-            assert_eq!(d.recipients, reference.recipients, "config {i}");
+            assert_eq!(d.recipients, expected, "{levels} factored");
+        }
+        let tree = fabric.tree_for(publisher).unwrap();
+        let spanning = fabric.forest().tree(tree).unwrap();
+        for ((_, order), engines) in orders.iter().zip(&ordered) {
+            for (broker, engine) in network.brokers().zip(engines) {
+                let oracle = oracle_links(network, spanning, broker, &live, &event);
+                assert_eq!(
+                    walk(engine, &event, tree).0,
+                    oracle,
+                    "{order:?} at {broker}"
+                );
+            }
         }
     }
 }
@@ -464,7 +469,7 @@ fn single_broker_network_degenerates_to_local_matching() {
     let c0 = b.add_client(b0).unwrap();
     let c1 = b.add_client(b0).unwrap();
     let fabric = RoutingFabric::new_all_roots(b.build().unwrap()).unwrap();
-    let mut router = ContentRouter::new(fabric, schema.clone(), PstOptions::default()).unwrap();
+    let mut router = ContentRouter::new(fabric, schema.clone()).unwrap();
     router
         .subscribe(c0, int_predicate(&schema, &[Some(1), None, None]))
         .unwrap();
@@ -484,8 +489,7 @@ fn single_broker_network_degenerates_to_local_matching() {
 fn range_subscriptions_route_correctly() {
     let (fabric, brokers, clients) = line_fabric();
     let schema = small_schema();
-    let mut router =
-        ContentRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
+    let mut router = ContentRouter::new(fabric.clone(), schema.clone()).unwrap();
     let pred = Predicate::from_tests(
         &schema,
         [
@@ -524,8 +528,7 @@ fn publishing_from_a_broker_without_a_tree_fails_cleanly() {
     let client = b.add_client(brokers[1]).unwrap();
     // Trees only for B0: B1 hosts no publishers.
     let fabric = RoutingFabric::new(b.build().unwrap(), &[brokers[0]]).unwrap();
-    let mut router =
-        ContentRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
+    let mut router = ContentRouter::new(fabric.clone(), schema.clone()).unwrap();
     router
         .subscribe(client, int_predicate(&schema, &[None, None, None]))
         .unwrap();
@@ -539,8 +542,7 @@ fn publishing_from_a_broker_without_a_tree_fails_cleanly() {
 fn subscribing_an_unknown_client_fails_cleanly() {
     let (fabric, _, _) = line_fabric();
     let schema = small_schema();
-    let mut router =
-        ContentRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
+    let mut router = ContentRouter::new(fabric.clone(), schema.clone()).unwrap();
     let err = router
         .subscribe(
             ClientId::new(999),
@@ -548,79 +550,6 @@ fn subscribing_an_unknown_client_fails_cleanly() {
         )
         .unwrap_err();
     assert!(matches!(err, crate::CoreError::Unknown(_)));
-    // Baselines agree.
-    let mut flood =
-        FloodingRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
-    assert!(flood
-        .subscribe(
-            ClientId::new(999),
-            int_predicate(&schema, &[None, None, None])
-        )
-        .is_err());
-    let mut first =
-        MatchFirstRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
-    assert!(first
-        .subscribe(
-            ClientId::new(999),
-            int_predicate(&schema, &[None, None, None])
-        )
-        .is_err());
-}
-
-#[test]
-fn match_first_groups_destinations_per_child_link() {
-    // One subscriber on each of two branches below the publisher: the
-    // destination list must split into one message per child, each carrying
-    // one destination entry.
-    let schema = small_schema();
-    let mut b = NetworkBuilder::new();
-    let hub = b.add_broker();
-    let left = b.add_broker();
-    let right = b.add_broker();
-    b.connect(hub, left, 5.0).unwrap();
-    b.connect(hub, right, 5.0).unwrap();
-    let c_left = b.add_client(left).unwrap();
-    let c_right = b.add_client(right).unwrap();
-    let fabric = RoutingFabric::new_all_roots(b.build().unwrap()).unwrap();
-    let mut first =
-        MatchFirstRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
-    first
-        .subscribe(c_left, int_predicate(&schema, &[None, None, None]))
-        .unwrap();
-    first
-        .subscribe(c_right, int_predicate(&schema, &[None, None, None]))
-        .unwrap();
-    let d = first.publish(hub, &int_event(&schema, &[0, 0, 0])).unwrap();
-    assert_eq!(d.recipients, vec![c_left, c_right]);
-    assert_eq!(d.broker_messages, 2, "one copy per child link");
-    assert_eq!(d.payload_units, 2, "one destination entry per copy");
-}
-
-#[test]
-fn flooding_counts_prefilter_client_copies() {
-    let (fabric, brokers, clients) = line_fabric();
-    let schema = small_schema();
-    let mut flood =
-        FloodingRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
-    // One selective subscriber; flooding still pushes a copy to all 3
-    // clients and lets them filter.
-    flood
-        .subscribe(clients[2], int_predicate(&schema, &[Some(1), None, None]))
-        .unwrap();
-    let d = flood
-        .publish(brokers[0], &int_event(&schema, &[1, 0, 0]))
-        .unwrap();
-    assert_eq!(d.recipients, vec![clients[2]], "post-filter outcome");
-    assert_eq!(d.client_messages, 3, "pre-filter copies to every client");
-    assert_eq!(d.broker_messages, 2, "every tree edge");
-    let d = flood
-        .publish(brokers[0], &int_event(&schema, &[2, 0, 0]))
-        .unwrap();
-    assert!(d.recipients.is_empty());
-    assert_eq!(
-        d.client_messages, 3,
-        "flooding wastes the same copies regardless"
-    );
 }
 
 #[test]
@@ -636,8 +565,7 @@ fn transit_brokers_without_clients_forward_correctly() {
     let fabric = RoutingFabric::new_all_roots(b.build().unwrap()).unwrap();
     assert_eq!(fabric.network().clients_of(brokers[1]).len(), 0);
 
-    let mut router =
-        ContentRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
+    let mut router = ContentRouter::new(fabric.clone(), schema.clone()).unwrap();
     router
         .subscribe(c2, int_predicate(&schema, &[Some(1), None, None]))
         .unwrap();

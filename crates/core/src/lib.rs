@@ -22,9 +22,9 @@
 //! - [`SpanningForest`] / [`LinkSpace`] — distribution trees, initialization
 //!   masks, and virtual links (footnote 1).
 //! - [`LinkMatchEngine`] — one broker's annotated PST and the §3.3 search.
-//! - [`ContentRouter`] — the protocol end-to-end over a network.
-//! - [`FloodingRouter`] / [`MatchFirstRouter`] — the baselines the paper
-//!   argues against, for comparison experiments.
+//! - [`ContentRouter`] — the protocol end-to-end over a network. Flooding,
+//!   the baseline the paper measures, runs on real broker cores in
+//!   `linkcast_sim` (`Simulation::flooding`).
 //!
 //! Re-exported: [`linkcast_types`] as [`types`] and [`linkcast_matching`]
 //! as [`matching`] (schemas, predicates, trits, and the single-broker
@@ -33,8 +33,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use linkcast::{NetworkBuilder, RoutingFabric, ContentRouter, EventRouter};
-//! use linkcast::matching::PstOptions;
+//! use linkcast::{NetworkBuilder, RoutingFabric, ContentRouter};
 //! use linkcast::types::{EventSchema, ValueKind, Value, Event, parse_predicate};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,7 +51,7 @@
 //!     .attribute("price", ValueKind::Dollar)
 //!     .attribute("volume", ValueKind::Int)
 //!     .build()?;
-//! let mut router = ContentRouter::new(fabric, schema.clone(), PstOptions::default())?;
+//! let mut router = ContentRouter::new(fabric, schema.clone())?;
 //!
 //! router.subscribe(alice, parse_predicate(&schema, r#"issue = "IBM" & price < 120.00"#)?)?;
 //! router.subscribe(bob, parse_predicate(&schema, r#"volume > 5000"#)?)?;
@@ -73,7 +72,6 @@
 
 mod annotate;
 mod arena;
-mod baselines;
 mod cache;
 mod engine;
 mod error;
@@ -83,12 +81,11 @@ mod spanning;
 mod topology;
 
 pub use arena::{ArenaSummary, ArenaView, MatchScratch, WalkEvidence};
-pub use baselines::{FloodingRouter, MatchFirstRouter};
 pub use cache::MatchCache;
 pub use engine::{LinkMatchEngine, RouteScratch};
 pub use error::{CoreError, Result};
 pub use order::{LevelReport, OrderReport};
-pub use router::{ContentRouter, Delivery, EventRouter, HopRecord, RoutingFabric};
+pub use router::{ContentRouter, Delivery, HopRecord, RoutingFabric};
 pub use spanning::{LinkSpace, SpanningForest, SpanningTree, TreeId};
 pub use topology::{BrokerNetwork, LinkTarget, NetworkBuilder};
 

@@ -5,8 +5,7 @@ use std::sync::Arc;
 
 use linkcast_matching::{MatchStats, PstOptions};
 use linkcast_types::{
-    BrokerId, ClientId, Event, EventSchema, LinkId, Predicate, SubscriberId, Subscription,
-    SubscriptionId,
+    BrokerId, ClientId, Event, EventSchema, Predicate, SubscriberId, Subscription, SubscriptionId,
 };
 
 use crate::{
@@ -14,8 +13,8 @@ use crate::{
     SpanningForest, TreeId,
 };
 
-/// The static routing substrate shared by every protocol implementation:
-/// the broker network plus its spanning forest.
+/// The static routing substrate: the broker network plus its spanning
+/// forest.
 #[derive(Debug)]
 pub struct RoutingFabric {
     network: BrokerNetwork,
@@ -47,12 +46,12 @@ impl RoutingFabric {
     /// Rebuilds the fabric over the surviving graph: the same network and
     /// the same (sorted) root set, with the spanning forest recomputed as
     /// if the `excluded` edges were severed. Link numbering is untouched —
-    /// dead edges stay in the network and keep their [`LinkId`]s; they are
-    /// only barred from tree membership, so trit-vector positions remain
-    /// stable across repairs. Every broker recomputing from the same
-    /// exclusion set derives the same forest (and the same [`TreeId`]
-    /// assignment), which is what lets topology epochs stand in for full
-    /// tree comparison on the wire.
+    /// dead edges stay in the network and keep their
+    /// [`LinkId`](linkcast_types::LinkId)s; they are only barred from tree
+    /// membership, so trit-vector positions remain stable across repairs.
+    /// Every broker recomputing from the same exclusion set derives the
+    /// same forest (and the same [`TreeId`] assignment), which is what lets
+    /// topology epochs stand in for full tree comparison on the wire.
     ///
     /// # Errors
     ///
@@ -96,28 +95,25 @@ pub struct HopRecord {
     pub steps: u64,
 }
 
-/// The outcome of publishing one event through a routing protocol.
+/// The outcome of publishing one event through a [`ContentRouter`].
 #[derive(Debug, Clone, Default)]
 pub struct Delivery {
-    /// Clients that received the event, sorted and deduplicated.
+    /// Clients that received the event, sorted: one entry per
+    /// broker-to-client copy, so a client appears once however many of its
+    /// subscriptions match.
     pub recipients: Vec<ClientId>,
     /// Event copies sent over broker-to-broker links.
     pub broker_messages: u64,
-    /// Event copies delivered over broker-to-client links.
-    pub client_messages: u64,
     /// Matching steps summed over all brokers that processed the event.
     pub total_steps: u64,
     /// Per-broker processing record, in processing order.
     pub per_hop: Vec<HopRecord>,
     /// Greatest broker-hop distance the event traveled.
     pub max_hops: u32,
-    /// Destination-list entries carried in message headers (the match-first
-    /// baseline's overhead; zero for link matching and flooding).
-    pub payload_units: u64,
 }
 
 impl Delivery {
-    pub(crate) fn record_hop(&mut self, broker: BrokerId, hops: u32, steps: u64) {
+    fn record_hop(&mut self, broker: BrokerId, hops: u32, steps: u64) {
         self.total_steps += steps;
         self.max_hops = self.max_hops.max(hops);
         self.per_hop.push(HopRecord {
@@ -127,40 +123,10 @@ impl Delivery {
         });
     }
 
-    pub(crate) fn finish(mut self) -> Self {
+    fn finish(mut self) -> Self {
         self.recipients.sort_unstable();
-        self.recipients.dedup();
         self
     }
-}
-
-/// A content-based event-distribution protocol over a broker network.
-///
-/// Implemented by [`ContentRouter`] (link matching) and the two baselines
-/// ([`FloodingRouter`](crate::FloodingRouter),
-/// [`MatchFirstRouter`](crate::MatchFirstRouter)); the simulator and the
-/// tests are generic over this trait.
-pub trait EventRouter {
-    /// Registers a subscription for `client`, assigning an id.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Unknown`] for unknown clients, plus matcher errors.
-    fn subscribe(&mut self, client: ClientId, predicate: Predicate) -> Result<SubscriptionId>;
-
-    /// Removes a subscription; returns whether it existed.
-    fn unsubscribe(&mut self, id: SubscriptionId) -> bool;
-
-    /// Publishes an event from a publisher attached to `broker`, propagating
-    /// it hop-by-hop and returning the delivery record.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Unknown`] if `broker` has no spanning tree.
-    fn publish(&self, broker: BrokerId, event: &Event) -> Result<Delivery>;
-
-    /// Number of active subscriptions.
-    fn subscription_count(&self) -> usize;
 }
 
 /// The paper's protocol: link matching at every hop (§3).
@@ -182,18 +148,14 @@ impl ContentRouter {
     /// # Errors
     ///
     /// Any engine construction error.
-    pub fn new(
-        fabric: Arc<RoutingFabric>,
-        schema: EventSchema,
-        options: PstOptions,
-    ) -> Result<Self> {
+    pub fn new(fabric: Arc<RoutingFabric>, schema: EventSchema) -> Result<Self> {
         let mut engines = Vec::with_capacity(fabric.network().broker_count());
         for broker in fabric.network().brokers() {
             let space = LinkSpace::build(fabric.network(), fabric.forest(), broker);
             engines.push(LinkMatchEngine::new(
                 broker,
                 schema.clone(),
-                options.clone(),
+                PstOptions::default(),
                 space,
             )?);
         }
@@ -229,10 +191,14 @@ impl ContentRouter {
     ) -> Vec<SubscriptionId> {
         self.engines[broker.index()].match_subscriptions(event, stats)
     }
-}
 
-impl EventRouter for ContentRouter {
-    fn subscribe(&mut self, client: ClientId, predicate: Predicate) -> Result<SubscriptionId> {
+    /// Registers a subscription for `client` at every broker, assigning an
+    /// id.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Unknown`] for unknown clients, plus matcher errors.
+    pub fn subscribe(&mut self, client: ClientId, predicate: Predicate) -> Result<SubscriptionId> {
         let home = self
             .fabric
             .network()
@@ -248,7 +214,8 @@ impl EventRouter for ContentRouter {
         Ok(id)
     }
 
-    fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
+    /// Removes a subscription from every broker; returns whether it existed.
+    pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
         let mut removed = false;
         for engine in &mut self.engines {
             removed |= engine.unsubscribe(id);
@@ -256,7 +223,13 @@ impl EventRouter for ContentRouter {
         removed
     }
 
-    fn publish(&self, broker: BrokerId, event: &Event) -> Result<Delivery> {
+    /// Publishes an event from a publisher attached to `broker`, propagating
+    /// it hop-by-hop and returning the delivery record.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Unknown`] if `broker` has no spanning tree.
+    pub fn publish(&self, broker: BrokerId, event: &Event) -> Result<Delivery> {
         let tree = self.fabric.tree_for(broker)?;
         let network = self.fabric.network();
         let mut delivery = Delivery::default();
@@ -282,38 +255,19 @@ impl EventRouter for ContentRouter {
                         delivery.broker_messages += 1;
                         queue.push_back((next, hops + 1));
                     }
-                    LinkTarget::Client(client) => {
-                        delivery.client_messages += 1;
-                        delivery.recipients.push(client);
-                    }
+                    LinkTarget::Client(client) => delivery.recipients.push(client),
                 }
             }
         }
         Ok(delivery.finish())
     }
 
-    fn subscription_count(&self) -> usize {
+    /// Number of active subscriptions.
+    pub fn subscription_count(&self) -> usize {
         self.engines
             .first()
             .map_or(0, LinkMatchEngine::subscription_count)
     }
-}
-
-/// Helper shared by routers and tests: which links of `broker` lead to its
-/// children in `tree` (the flooding protocol forwards on all of them).
-pub(crate) fn child_links(
-    network: &BrokerNetwork,
-    tree: &crate::SpanningTree,
-    broker: BrokerId,
-) -> Vec<LinkId> {
-    tree.children(broker)
-        .iter()
-        .map(|child| {
-            network
-                .link_to_broker(broker, *child)
-                .expect("tree edges are network links")
-        })
-        .collect()
 }
 
 #[cfg(test)]

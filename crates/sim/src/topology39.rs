@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use linkcast::{EventRouter, NetworkBuilder, Result, RoutingFabric};
+use linkcast::{ContentRouter, NetworkBuilder, Result, RoutingFabric};
 use linkcast_types::{BrokerId, ClientId, Predicate};
 use linkcast_workload::SubscriptionGenerator;
 use rand::Rng;
@@ -174,8 +174,8 @@ pub fn random_subscriptions(
 /// # Errors
 ///
 /// Any subscription error from the router.
-pub fn subscribe_random<R: EventRouter>(
-    router: &mut R,
+pub fn subscribe_random(
+    router: &mut ContentRouter,
     world: &Figure6,
     generator: &SubscriptionGenerator,
     count: usize,

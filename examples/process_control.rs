@@ -5,9 +5,8 @@
 //!
 //! Run with: `cargo run --example process_control`
 
-use linkcast::matching::PstOptions;
 use linkcast::types::{parse_predicate, Event, EventSchema, Value, ValueKind};
-use linkcast::{ContentRouter, EventRouter, NetworkBuilder, RoutingFabric};
+use linkcast::{ContentRouter, NetworkBuilder, RoutingFabric};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .attribute("critical", ValueKind::Bool)
         .factored(1)
         .build()?;
-    let mut router = ContentRouter::new(fabric, schema.clone(), PstOptions::default())?;
+    let mut router = ContentRouter::new(fabric, schema.clone())?;
 
     // Operators watch only their own unit (a subject-based system would
     // need one topic per unit...).

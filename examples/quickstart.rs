@@ -3,9 +3,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use linkcast::matching::PstOptions;
 use linkcast::types::{parse_predicate, Event, EventSchema, Value, ValueKind};
-use linkcast::{ContentRouter, EventRouter, NetworkBuilder, RoutingFabric};
+use linkcast::{ContentRouter, NetworkBuilder, RoutingFabric};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Describe the broker topology: B0 - B1 - B2 (delays in ms).
@@ -25,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     // 3. One link-matching engine per broker, managed by the router.
-    let mut router = ContentRouter::new(fabric, schema.clone(), PstOptions::default())?;
+    let mut router = ContentRouter::new(fabric, schema.clone())?;
 
     // 4. Content-based subscriptions: predicates, not topics.
     router.subscribe(

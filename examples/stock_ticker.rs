@@ -3,9 +3,8 @@
 //!
 //! Run with: `cargo run --example stock_ticker`
 
-use linkcast::matching::PstOptions;
 use linkcast::types::{parse_predicate, ClientId, Event, EventSchema, Value, ValueKind};
-use linkcast::{ContentRouter, EventRouter, NetworkBuilder, RoutingFabric};
+use linkcast::{ContentRouter, NetworkBuilder, RoutingFabric};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .attribute("price", ValueKind::Dollar)
         .attribute("volume", ValueKind::Int)
         .build()?;
-    let mut router = ContentRouter::new(fabric.clone(), schema.clone(), PstOptions::default())?;
+    let mut router = ContentRouter::new(fabric.clone(), schema.clone())?;
 
     // Locality of interest: New York traders watch NYSE issues, London
     // traders watch LSE issues — with a couple of cross-region exceptions.
@@ -88,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let publisher = edge[region * 2 + rng.random_range(0..2)];
         let delivery = router.publish(publisher, &event)?;
         total_broker_msgs += delivery.broker_messages;
-        deliveries += delivery.client_messages;
+        deliveries += delivery.recipients.len() as u64;
         // Did this event cross the transatlantic link? It did iff some
         // recipient lives in the other region.
         let crossed = delivery.recipients.iter().any(|c| {

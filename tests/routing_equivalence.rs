@@ -1,14 +1,10 @@
-//! Property-based equivalence of the three routing protocols.
+//! Property-based equivalence of link matching and brute-force evaluation.
 //!
 //! The golden invariant of the paper: link matching delivers *exactly* the
-//! events a centralized matcher would, while flooding and match-first are
-//! the baselines it is compared against — all four must agree on the
-//! recipient set for every topology, subscription set, and event.
+//! events a centralized matcher would, sending at most one copy over any
+//! link — for every topology, subscription set, and event.
 
-use linkcast::{
-    ContentRouter, EventRouter, FloodingRouter, MatchFirstRouter, NetworkBuilder, RoutingFabric,
-};
-use linkcast_matching::PstOptions;
+use linkcast::{ContentRouter, NetworkBuilder, RoutingFabric};
 use linkcast_types::{
     AttrTest, BrokerId, ClientId, Event, EventSchema, Predicate, Value, ValueKind,
 };
@@ -120,18 +116,13 @@ proptest! {
         let schema = schema();
         let (fabric, clients, n) = build_world(&world, true);
 
-        let options = PstOptions::default();
-        let mut link = ContentRouter::new(fabric.clone(), schema.clone(), options.clone()).unwrap();
-        let mut flood = FloodingRouter::new(fabric.clone(), schema.clone(), options.clone()).unwrap();
-        let mut first = MatchFirstRouter::new(fabric.clone(), schema.clone(), options).unwrap();
+        let mut link = ContentRouter::new(fabric.clone(), schema.clone()).unwrap();
 
         let mut oracle: Vec<(ClientId, Predicate)> = Vec::new();
         for (client_raw, tests) in &world.subs {
             let client = clients[client_raw % clients.len()];
             let p = tests_to_predicate(&schema, tests);
             link.subscribe(client, p.clone()).unwrap();
-            flood.subscribe(client, p.clone()).unwrap();
-            first.subscribe(client, p.clone()).unwrap();
             oracle.push((client, p));
         }
 
@@ -148,11 +139,7 @@ proptest! {
             expected.dedup();
 
             let d_link = link.publish(publisher, &event).unwrap();
-            let d_flood = flood.publish(publisher, &event).unwrap();
-            let d_first = first.publish(publisher, &event).unwrap();
             prop_assert_eq!(&d_link.recipients, &expected, "link matching");
-            prop_assert_eq!(&d_flood.recipients, &expected, "flooding");
-            prop_assert_eq!(&d_first.recipients, &expected, "match-first");
 
             // Structural invariants. Count the spanning-tree edges of the
             // publisher's tree.
@@ -169,10 +156,6 @@ proptest! {
                 d_link.broker_messages,
                 tree_edges
             );
-            prop_assert_eq!(d_flood.broker_messages, tree_edges);
-            prop_assert!(d_link.broker_messages <= d_flood.broker_messages);
-            prop_assert_eq!(d_link.payload_units, 0);
-            prop_assert_eq!(d_link.client_messages as usize, expected.len());
         }
     }
 
@@ -184,10 +167,8 @@ proptest! {
         let schema = schema();
         let (fabric, clients, n) = build_world(&world, false);
 
-        let options = PstOptions::default();
-        let mut reference =
-            ContentRouter::new(fabric.clone(), schema.clone(), options.clone()).unwrap();
-        let mut tuned = ContentRouter::new(fabric.clone(), factored(factoring), options).unwrap();
+        let mut reference = ContentRouter::new(fabric.clone(), schema.clone()).unwrap();
+        let mut tuned = ContentRouter::new(fabric.clone(), factored(factoring)).unwrap();
 
         for (client_raw, tests) in &world.subs {
             let client = clients[client_raw % clients.len()];
@@ -209,8 +190,7 @@ proptest! {
     fn unsubscribing_everything_stops_all_traffic(world in world_strategy()) {
         let schema = schema();
         let (fabric, clients, n) = build_world(&world, true);
-        let mut link =
-            ContentRouter::new(fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
+        let mut link = ContentRouter::new(fabric.clone(), schema.clone()).unwrap();
         let mut ids = Vec::new();
         for (client_raw, tests) in &world.subs {
             let client = clients[client_raw % clients.len()];

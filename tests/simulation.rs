@@ -2,8 +2,8 @@
 //! workloads, checking the qualitative results behind Charts 1 and 2. The
 //! simulated brokers are real broker cores stepped in virtual time.
 
-use linkcast::{ContentRouter, EventRouter};
-use linkcast_matching::{MatchStats, PstOptions};
+use linkcast::ContentRouter;
+use linkcast_matching::MatchStats;
 use linkcast_sim::{publications, topology39, CostModel, SimConfig, SimReport, Simulation};
 use linkcast_types::{ClientId, EventSchema, Predicate};
 use linkcast_workload::{EventGenerator, SubscriptionGenerator, WorkloadConfig};
@@ -109,8 +109,7 @@ fn link_matching_steps_stay_close_to_centralized() {
     let world = topology39::build().unwrap();
     let wconfig = WorkloadConfig::chart2();
     let schema = wconfig.schema();
-    let mut router =
-        ContentRouter::new(world.fabric.clone(), schema, PstOptions::default()).unwrap();
+    let mut router = ContentRouter::new(world.fabric.clone(), schema).unwrap();
     let generator = SubscriptionGenerator::new(&wconfig, 11);
     let mut rng = StdRng::seed_from_u64(11);
     topology39::subscribe_random(&mut router, &world, &generator, 4000, &mut rng).unwrap();
@@ -174,8 +173,7 @@ fn locality_reduces_intercontinental_traffic() {
     let world = topology39::build().unwrap();
     let wconfig = chart1_small();
     let schema = wconfig.schema();
-    let mut router =
-        ContentRouter::new(world.fabric.clone(), schema, PstOptions::default()).unwrap();
+    let mut router = ContentRouter::new(world.fabric.clone(), schema).unwrap();
     let generator = SubscriptionGenerator::new(&wconfig, 5);
     let mut rng = StdRng::seed_from_u64(5);
     topology39::subscribe_random(&mut router, &world, &generator, 3000, &mut rng).unwrap();
@@ -292,8 +290,7 @@ fn simulator_deliveries_match_direct_routing() {
     let wconfig = chart1_small();
     let schema = wconfig.schema();
     let subscriptions = random(&world, &wconfig, 1500, 33);
-    let mut router =
-        ContentRouter::new(world.fabric.clone(), schema.clone(), PstOptions::default()).unwrap();
+    let mut router = ContentRouter::new(world.fabric.clone(), schema.clone()).unwrap();
     for (client, predicate) in &subscriptions {
         router.subscribe(*client, predicate.clone()).unwrap();
     }
@@ -306,7 +303,7 @@ fn simulator_deliveries_match_direct_routing() {
     let (mut deliveries, mut broker_messages) = (0, 0);
     for p in &schedule {
         let d = router.publish(p.broker, &p.event).unwrap();
-        deliveries += d.client_messages;
+        deliveries += d.recipients.len() as u64;
         broker_messages += d.broker_messages;
     }
     assert_eq!(report.deliveries, deliveries);
