@@ -417,12 +417,15 @@ fn bench_order_adaptation(c: &mut Criterion) {
 /// from a new engine every time (every vector grows from nothing); *warm*
 /// empties one engine and fills it again, so node slots, prefix windows and
 /// annotation buffers are there to be reused — the case `subscribe_scaling`
-/// measures, 64 subscriptions at a time. Both are timed around the
-/// subscribes alone and printed per subscribe, beside what one cold install
-/// allocates and keeps per subscription (heap requests and live bytes,
-/// capacity slack included, the predicates not: they are parsed before) and
-/// the nodes tree and arena keep: one each, where the spelled-out chains
-/// would take eight.
+/// measures, 64 subscriptions at a time. *Interleaved* is cold in the order
+/// the benchmark's brokers flood the table: the chains homed at each broker
+/// in turn (`(j % 96) % 3`), ascending within each, so most inserts land
+/// mid-list in the `volume` node's sorted edges where id order appends.
+/// All three are timed around the subscribes alone and printed per
+/// subscribe, beside what one cold install allocates and keeps per
+/// subscription (heap requests and live bytes, capacity slack included, the
+/// predicates not: they are parsed before) and the nodes tree and arena
+/// keep: one each, where the spelled-out chains would take eight.
 fn bench_install_from_empty(c: &mut Criterion) {
     let mut b = EventSchema::builder("bench")
         .attribute("issue", ValueKind::Str)
@@ -482,8 +485,9 @@ fn bench_install_from_empty(c: &mut Criterion) {
         };
 
         // Built by the first benchmark a name filter admits, if any.
-        let (mut table, mut engine) = (None, None);
+        let (mut table, mut engine, mut phased) = (None, None, None);
         let (mut cold, mut warm, mut colds, mut warms) = (Duration::ZERO, Duration::ZERO, 0, 0);
+        let (mut interleaved, mut interleaves) = (Duration::ZERO, 0);
         group.bench_function(BenchmarkId::new("cold", chains), |b| {
             let table = table.get_or_insert_with(build_table);
             b.iter(|| {
@@ -508,6 +512,22 @@ fn bench_install_from_empty(c: &mut Criterion) {
                 warms += 1;
             })
         });
+        group.bench_function(BenchmarkId::new("interleaved", chains), |b| {
+            let table = table.get_or_insert_with(build_table);
+            let phased = phased.get_or_insert_with(|| {
+                // The subscriber stays first; decoy `j` has id `j`, and a
+                // stable sort keeps each phase ascending.
+                let mut order = table.clone();
+                order[1..].sort_by_key(|sub| (sub.id().index() % decoy_clients.len()) % 3);
+                order
+            });
+            b.iter(|| {
+                let mut engine = new_engine();
+                interleaved += install(&mut engine, phased);
+                interleaves += 1;
+                engine
+            })
+        });
         let Some(table) = table else {
             continue;
         };
@@ -526,10 +546,11 @@ fn bench_install_from_empty(c: &mut Criterion) {
         });
         println!(
             "install_from_empty/ns_per_subscribe/{chains:<19} cold: {:.0}  warm: {:.0}  \
-             allocations: {:.2}  live bytes: {:.0}  \
+             interleaved: {:.0}  allocations: {:.2}  live bytes: {:.0}  \
              nodes per subscription: {:.3} PST, {:.3} arena ({} nodes for the {} of the spelled-out tree)",
             per_subscribe(cold, colds),
             per_subscribe(warm, warms),
+            per_subscribe(interleaved, interleaves),
             allocations as f64 / table.len() as f64,
             bytes as f64 / table.len() as f64,
             counted.pst().node_count() as f64 / table.len() as f64,

@@ -28,9 +28,7 @@ pub use gating::GatingMatcher;
 pub use naive::NaiveMatcher;
 pub use psg::shared_node_count;
 
-use linkcast_types::{
-    BrokerId, ClientId, EventSchema, Predicate, SubscriberId, Subscription, SubscriptionId,
-};
+use linkcast_types::{BrokerId, ClientId, EventSchema, SubscriberId, Subscription, SubscriptionId};
 use linkcast_workload::{SubscriptionGenerator, WorkloadConfig};
 use rand::Rng;
 
@@ -93,21 +91,6 @@ pub fn standalone_subscriptions(
         })
         .collect();
     (schema, subs)
-}
-
-/// A match-everything oracle used in sanity checks inside binaries.
-pub fn oracle_matches(
-    subs: &[(ClientId, Predicate)],
-    event: &linkcast_types::Event,
-) -> Vec<ClientId> {
-    let mut out: Vec<ClientId> = subs
-        .iter()
-        .filter(|(_, p)| p.matches(event))
-        .map(|(c, _)| *c)
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 #[cfg(test)]

@@ -351,6 +351,11 @@ impl BrokerNode {
     /// Opens an in-process connection (bypassing TCP). The returned pair is
     /// a sender for client frames and a receiver of broker frames — used by
     /// tests and the throughput benchmark.
+    ///
+    /// The peer is trusted: the outbox bound (DESIGN.md §10.2) does not
+    /// hold it. Its frames leave the outbox queue for an unbounded channel
+    /// as soon as a sender takes them, so a peer that stops reading is never
+    /// evicted and its channel grows without limit.
     pub fn open_local(&self) -> LocalConn {
         let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = unbounded::<Bytes>();
@@ -470,6 +475,10 @@ impl std::fmt::Debug for BrokerNode {
 }
 
 /// An in-process connection to a broker (see [`BrokerNode::open_local`]).
+///
+/// Unlike a transport connection it has no queue bound: the broker's
+/// frames wait in an unbounded channel until [`recv`](Self::recv) takes
+/// them, and a connection that stops reading is never evicted.
 pub struct LocalConn {
     conn: ConnId,
     cmd_tx: Sender<Command>,

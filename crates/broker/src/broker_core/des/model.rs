@@ -240,7 +240,7 @@ fn oracle_links(
     let mut yes = TritVec::no(space.width());
     for sub in live.values() {
         if sub.predicate().matches(event) {
-            yes.parallel_in_place(&space.leaf_vector(sub.subscriber().client));
+            yes.parallel_words_in_place(space.leaf_vector(sub.subscriber().client).words());
         }
     }
     let mut mask = space.init_mask(tree).clone();

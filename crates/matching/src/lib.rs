@@ -12,10 +12,9 @@
 //! (§2.1.1) of the attributes the schema declares factored, *trivial test
 //! elimination* (§2.1.2), which every walk applies, and a configurable
 //! attribute order. [`MatchStats::skipped`] counts what elimination saved,
-//! so one walk reports its cost with and without it, and
-//! [`compact_subscriptions`] drops subscriptions another of the same
-//! subscriber covers. The chart baselines (a linear scan and Hanson et
-//! al.'s gating-test matcher) live in the bench crate.
+//! so one walk reports its cost with and without it. The chart baselines
+//! (a linear scan and Hanson et al.'s gating-test matcher) live in the
+//! bench crate.
 //!
 //! # Example
 //!
@@ -48,13 +47,11 @@
 //! # }
 //! ```
 
-mod compact;
 mod dot;
 mod matcher;
 mod pst;
 mod stats;
 
-pub use compact::compact_subscriptions;
 pub use matcher::{Matcher, MatcherError};
 pub use pst::{
     MutationReport, NodeId, NodeRef, OrderPolicy, PathReport, Pst, PstOptions, PstSummary,

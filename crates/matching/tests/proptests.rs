@@ -2,9 +2,9 @@
 //! each predicate evaluated against the event — under arbitrary
 //! subscription sets, mutations, and events.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use linkcast_matching::{compact_subscriptions, Matcher, OrderPolicy, Pst, PstOptions};
+use linkcast_matching::{Matcher, OrderPolicy, Pst, PstOptions};
 use linkcast_types::{
     AttrTest, BrokerId, ClientId, Event, EventSchema, Predicate, SubscriberId, Subscription,
     SubscriptionId, Value, ValueKind,
@@ -125,52 +125,6 @@ proptest! {
             let event =
                 Event::from_values(&schema, values.iter().map(|v| Value::Int(*v))).unwrap();
             prop_assert_eq!(pst.matches(&event), brute_force(&subs, &event));
-        }
-    }
-
-    /// A random table published through the tree and the tree over the
-    /// compacted table reaches the subscribers brute force does. Three
-    /// subscribers share the table, so predicates cover one another and
-    /// compaction has something to drop; the tree it leaves parks on tails
-    /// what the full one had to burst, and the other way round.
-    #[test]
-    fn tree_and_compacted_tree_reach_the_same_subscribers(
-        shapes in subscription_strategy(),
-        events in events_strategy(),
-        factoring in 0usize..3,
-    ) {
-        let schema = factored(factoring);
-        let options = PstOptions::default();
-        let subs: Vec<Subscription> = shapes
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let sub = build_subscription(&schema, i as u32, s);
-                let shared = SubscriberId::new(BrokerId::new(0), ClientId::new(i as u32 % 3));
-                Subscription::new(sub.id(), shared, sub.into_predicate())
-            })
-            .collect();
-        let (kept, dropped) = compact_subscriptions(subs.clone());
-        prop_assert_eq!(kept.len() + dropped.len(), subs.len());
-        let pst = Pst::build(schema.clone(), subs.iter().cloned(), options.clone()).unwrap();
-        let compacted = Pst::build(schema.clone(), kept, options).unwrap();
-        pst.check_invariants().map_err(TestCaseError::fail)?;
-        compacted.check_invariants().map_err(TestCaseError::fail)?;
-        prop_assert!(compacted.node_count() <= pst.expanded_node_count());
-        let reached = |m: &dyn Matcher, ids: Vec<SubscriptionId>| {
-            let clients = ids.iter().map(|id| m.subscription(*id).unwrap().subscriber().client);
-            clients.collect::<BTreeSet<_>>()
-        };
-        for values in &events {
-            let event =
-                Event::from_values(&schema, values.iter().map(|v| Value::Int(*v))).unwrap();
-            let expected = brute_force(&subs, &event);
-            prop_assert_eq!(pst.matches(&event), expected.clone(), "pst");
-            prop_assert_eq!(
-                reached(&compacted, compacted.matches(&event)),
-                reached(&pst, expected),
-                "compacted"
-            );
         }
     }
 

@@ -137,6 +137,11 @@ const LO: u64 = 0x5555_5555_5555_5555;
 /// `10` repeated — a `Yes` in every lane / the high bit of every lane.
 const HI: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 
+/// The low bit of every `Maybe` lane of a packed word.
+const fn maybe_lanes(word: u64) -> u64 {
+    (word & LO) & !((word >> 1) & LO)
+}
+
 /// A fixed-length vector of [`Trit`]s, packed two bits per element.
 ///
 /// One `TritVec` per search-tree node annotates all outgoing links of a
@@ -291,22 +296,9 @@ impl TritVec {
     #[must_use]
     pub fn parallel(&self, other: &TritVec) -> TritVec {
         self.check_len(other);
-        let words = self
-            .words
-            .iter()
-            .zip(&other.words)
-            .map(|(&a, &b)| {
-                let or = a | b;
-                let y = or & HI;
-                // A lane with a Yes keeps only its high bit; otherwise any
-                // Maybe survives.
-                y | (or & LO & !(y >> 1))
-            })
-            .collect();
-        TritVec {
-            words,
-            len: self.len,
-        }
+        let mut out = self.clone();
+        out.parallel_words_in_place(&other.words);
+        out
     }
 
     /// Refinement step of the matching search (§3.3, step 2): every `Maybe`
@@ -319,20 +311,9 @@ impl TritVec {
     #[must_use]
     pub fn refine(&self, annotation: &TritVec) -> TritVec {
         self.check_len(annotation);
-        let words = self
-            .words
-            .iter()
-            .zip(&annotation.words)
-            .map(|(&a, &b)| {
-                let m = (a & LO) & !((a >> 1) & LO); // lanes that are Maybe
-                let sel = m | (m << 1);
-                (a & !sel) | (b & sel)
-            })
-            .collect();
-        TritVec {
-            words,
-            len: self.len,
-        }
+        let mut out = self.clone();
+        out.refine_in_place(&annotation.words);
+        out
     }
 
     /// Subsearch merge (§3.3, step 3): every `Maybe` in `self` whose
@@ -343,41 +324,18 @@ impl TritVec {
     /// Panics if the lengths differ.
     #[must_use]
     pub fn absorb_yes(&self, subresult: &TritVec) -> TritVec {
-        self.check_len(subresult);
-        let words = self
-            .words
-            .iter()
-            .zip(&subresult.words)
-            .map(|(&a, &b)| {
-                let m = (a & LO) & !((a >> 1) & LO); // Maybe lanes of a
-                let y = (b >> 1) & LO; // Yes lanes of b (low-bit form)
-                let sel = m & y;
-                let sel2 = sel | (sel << 1);
-                (a & !sel2) | (sel << 1)
-            })
-            .collect();
-        TritVec {
-            words,
-            len: self.len,
-        }
+        let mut out = self.clone();
+        out.absorb_yes_in_place(subresult);
+        out
     }
 
     /// Search-termination step (§3.3, end of step 3): every remaining
     /// `Maybe` becomes `No`.
     #[must_use]
     pub fn maybes_to_no(&self) -> TritVec {
-        let words = self
-            .words
-            .iter()
-            .map(|&a| {
-                let m = (a & LO) & !((a >> 1) & LO);
-                a & !(m | (m << 1))
-            })
-            .collect();
-        TritVec {
-            words,
-            len: self.len,
-        }
+        let mut out = self.clone();
+        out.maybes_to_no_in_place();
+        out
     }
 
     /// The packed backing words (two bits per trit, 32 trits per word, tail
@@ -403,7 +361,7 @@ impl TritVec {
             annotation.len()
         );
         for (a, &b) in self.words.iter_mut().zip(annotation) {
-            let m = (*a & LO) & !((*a >> 1) & LO);
+            let m = maybe_lanes(*a);
             let sel = m | (m << 1);
             *a = (*a & !sel) | (b & sel);
         }
@@ -417,7 +375,7 @@ impl TritVec {
     pub fn absorb_yes_in_place(&mut self, subresult: &TritVec) {
         self.check_len(subresult);
         for (a, &b) in self.words.iter_mut().zip(&subresult.words) {
-            let m = (*a & LO) & !((*a >> 1) & LO);
+            let m = maybe_lanes(*a);
             let y = (b >> 1) & LO;
             let sel = m & y;
             let sel2 = sel | (sel << 1);
@@ -428,7 +386,7 @@ impl TritVec {
     /// In-place [`maybes_to_no`](Self::maybes_to_no).
     pub fn maybes_to_no_in_place(&mut self) {
         for a in &mut self.words {
-            let m = (*a & LO) & !((*a >> 1) & LO);
+            let m = maybe_lanes(*a);
             *a &= !(m | (m << 1));
         }
     }
@@ -438,7 +396,7 @@ impl TritVec {
     /// above it, which is the leaf's with every `Yes` demoted.
     pub fn maybes_to_yes_in_place(&mut self) {
         for a in &mut self.words {
-            let m = (*a & LO) & !((*a >> 1) & LO);
+            let m = maybe_lanes(*a);
             *a = (*a & !m) | (m << 1);
         }
     }
@@ -475,16 +433,6 @@ impl TritVec {
         self.mask_tail();
     }
 
-    /// In-place [`parallel`](Self::parallel).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn parallel_in_place(&mut self, other: &TritVec) {
-        self.check_len(other);
-        self.parallel_words_in_place(&other.words);
-    }
-
     /// In-place [`parallel`](Self::parallel) with a raw word slice (same
     /// packing as [`words`](Self::words)).
     ///
@@ -513,7 +461,7 @@ impl TritVec {
 
     /// Whether any trit is `Maybe` — i.e. the mask is not yet fully refined.
     pub fn has_maybe(&self) -> bool {
-        self.words.iter().any(|&a| (a & LO) & !((a >> 1) & LO) != 0)
+        self.words.iter().any(|&a| maybe_lanes(a) != 0)
     }
 
     /// Whether every trit is `No`. `No` encodes as `00` and the tail lanes
@@ -539,7 +487,7 @@ impl TritVec {
     pub fn count_maybe(&self) -> usize {
         self.words
             .iter()
-            .map(|&a| ((a & LO) & !((a >> 1) & LO)).count_ones() as usize)
+            .map(|&a| maybe_lanes(a).count_ones() as usize)
             .sum()
     }
 
@@ -553,7 +501,7 @@ impl TritVec {
     /// Iterates over the indices whose trit is `Maybe` (word-at-a-time,
     /// like [`yes_indices`](Self::yes_indices)).
     pub fn maybe_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        lane_indices(self.words.iter().map(|&a| (a & LO) & !((a >> 1) & LO)))
+        lane_indices(self.words.iter().map(|&a| maybe_lanes(a)))
     }
 
     /// Iterates over all trits in order.
@@ -1021,22 +969,6 @@ mod tests {
                 let mut b = TritVec::filled(len, *b0);
                 a.set(33, ALL[(i + 1) % 3]);
                 b.set(33, ALL[(j + 2) % 3]);
-
-                let mut refi = a.clone();
-                refi.refine_in_place(b.words());
-                assert_eq!(refi, a.refine(&b));
-
-                let mut abs = a.clone();
-                abs.absorb_yes_in_place(&b);
-                assert_eq!(abs, a.absorb_yes(&b));
-
-                let mut mtn = a.clone();
-                mtn.maybes_to_no_in_place();
-                assert_eq!(mtn, a.maybes_to_no());
-
-                let mut par = a.clone();
-                par.parallel_in_place(&b);
-                assert_eq!(par, a.parallel(&b));
 
                 let mut demoted = a.clone();
                 demoted.yes_to_maybe_in_place();

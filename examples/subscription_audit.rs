@@ -1,13 +1,12 @@
 //! Subscription audit: use the covering relation (SIENA-style, from the
-//! paper's related work) to find and compact redundant subscriptions
-//! before installing them into a matcher — then look at what the broker's
-//! match-time arena makes of the survivors, and at the reasons it gives for
-//! the order it tests attributes in.
+//! paper's related work) to find which subscriptions another one subsumes
+//! — then look at what the broker's match-time arena makes of the table,
+//! and at the reasons it gives for the order it tests attributes in.
 //!
 //! Run with: `cargo run --example subscription_audit`
 
 use linkcast::matching::MatchStats;
-use linkcast::matching::{compact_subscriptions, Matcher, Pst, PstOptions};
+use linkcast::matching::PstOptions;
 use linkcast::types::{
     parse_predicate, BrokerId, ClientId, Event, EventSchema, SubscriberId, Subscription,
     SubscriptionId, Value, ValueKind,
@@ -60,21 +59,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Compact and compare matcher sizes.
-    let (kept, dropped) = compact_subscriptions(subscriptions.clone());
-    println!("\ncompaction dropped {dropped:?}");
-
-    let full = Pst::build(schema.clone(), subscriptions, PstOptions::default())?;
-    let compacted = Pst::build(schema.clone(), kept, PstOptions::default())?;
-    println!(
-        "matcher size: {} nodes -> {} nodes ({} subscriptions -> {})",
-        full.node_count(),
-        compacted.node_count(),
-        full.len(),
-        compacted.len()
-    );
-    assert!(compacted.len() < full.len());
-
     // A broker's engine flattens the annotated tree into an arena and folds
     // every single-choice run — nodes with one way on and nothing new to
     // say about any link — into one node with a prefix of tests. Here the
@@ -85,19 +69,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     net.add_client(edge)?; // the desk
     let network = net.build()?;
     let forest = SpanningForest::compute(&network, &[core])?;
-    for (name, pst) in [("full", &full), ("compacted", &compacted)] {
-        let engine = LinkMatchEngine::with_subscriptions(
-            core,
-            schema.clone(),
-            PstOptions::default(),
-            LinkSpace::build(&network, &forest, core),
-            pst.subscriptions().cloned(),
-        )?;
-        let arena = engine.arena().summary();
-        println!("match arena ({name}): {arena:?}");
-        assert_eq!(arena.covered_nodes, pst.expanded_node_count());
-        assert_eq!((arena.runs, arena.prefix_tests), (1, 1));
-    }
+    let mut engine = LinkMatchEngine::with_subscriptions(
+        core,
+        schema.clone(),
+        PstOptions::default(),
+        LinkSpace::build(&network, &forest, core),
+        subscriptions,
+    )?;
+    let arena = engine.arena().summary();
+    println!("\nmatch arena: {arena:?}");
+    assert_eq!(arena.covered_nodes, engine.pst().expanded_node_count());
+    assert_eq!((arena.runs, arena.prefix_tests), (1, 1));
 
     // The engine counts what its walks test, and between events asks
     // whether another attribute order would have cost less. A day of
@@ -105,13 +87,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // evidence asks for `volume` first — but six of the seven
     // subscriptions hang off one `issue` lookup already, and the modelled
     // gain stays under the factor of two a rebuild has to promise.
-    let mut engine = LinkMatchEngine::with_subscriptions(
-        core,
-        schema.clone(),
-        PstOptions::default(),
-        LinkSpace::build(&network, &forest, core),
-        full.subscriptions().cloned(),
-    )?;
     let tree = forest.tree_for_root(core).expect("rooted at core");
     let mut scratch = RouteScratch::new();
     let (mut stats, mut links) = (MatchStats::new(), Vec::new());
