@@ -8,7 +8,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use linkcast::{
-    ContentRouter, LinkMatchEngine, LinkSpace, NetworkBuilder, RouteScratch, RoutingFabric,
+    ContentRouter, LinkMatchEngine, LinkSpace, MatchCache, NetworkBuilder, RouteScratch,
+    RoutingFabric,
 };
 use linkcast_alloc_count::{allocations_in, live_bytes_in, CountingAllocator};
 use linkcast_matching::{MatchStats, PstOptions};
@@ -300,6 +301,9 @@ fn bench_chain_depth(c: &mut Criterion) {
 /// holds, and three steps reach the subscriber whatever the number of
 /// chains. The rebuild in
 /// between is timed once per size and printed, not sampled: it happens once.
+/// Beside the adapted walk, `cache_hit` answers the same 256 events from a
+/// [`MatchCache`] filled by that walk — one hit each, what the match cache
+/// saves against the walk it replaces.
 fn bench_order_adaptation(c: &mut Criterion) {
     let mut b = EventSchema::builder("bench")
         .attribute("issue", ValueKind::Str)
@@ -394,6 +398,36 @@ fn bench_order_adaptation(c: &mut Criterion) {
             let (engine, ..) =
                 adapted.get_or_insert_with(|| adapt(engine.take().unwrap_or_else(build)));
             b.iter(|| route(engine, &mut bench_scratch, &mut bench_links))
+        });
+        group.bench_function(BenchmarkId::new("cache_hit", chains), |b| {
+            let (engine, ..) =
+                adapted.get_or_insert_with(|| adapt(engine.take().unwrap_or_else(build)));
+            let (generation, tested) = (engine.generation(), engine.tested_attributes());
+            let mut cache = MatchCache::new(events.len());
+            for event in &events {
+                let mut stats = MatchStats::new();
+                engine.match_links_into(
+                    event,
+                    tree,
+                    &mut bench_scratch,
+                    &mut stats,
+                    &mut bench_links,
+                );
+                cache.insert(generation, 0, tree, event, tested, &bench_links);
+            }
+            b.iter(|| {
+                let mut stats = MatchStats::new();
+                for event in &events {
+                    let links =
+                        cache.lookup(generation, 0, tree, black_box(event), tested, &mut stats);
+                    assert_eq!(
+                        links.map(<[_]>::len),
+                        Some(1),
+                        "a hit, towards the subscriber"
+                    );
+                }
+                stats.cache_hits
+            })
         });
         let Some((engine, steps_before, nodes_before, rebuild)) = adapted else {
             continue;

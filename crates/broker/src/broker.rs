@@ -18,7 +18,7 @@ use crate::broker_core::{BrokerCore, Out, STATE_SNAPSHOT, WAL_LOG};
 use crate::control::{SubIdAllocator, TombstoneSet};
 use crate::counters::{BrokerStats, Derived, Gauges, MatchTally, StatsInner};
 use crate::link::{Link, Redial};
-use crate::outbox::{ConnId, Outbox, Sink};
+use crate::outbox::{ChanWriter, ConnId, Outbox};
 use crate::protocol::{self, BrokerToClient, ClientToBroker};
 use crate::storage::{self, Storage, WalOp};
 use crate::tcp::TcpTransport;
@@ -312,7 +312,7 @@ impl BrokerNode {
                         Err(_) => redial.refused(),
                         Ok(connection) => {
                             let conn = next_conn.fetch_add(1, Ordering::Relaxed);
-                            outbox.register(conn, Sink::Link(connection.writer));
+                            outbox.register(conn, connection.writer);
                             // The engine answers `DialedNeighbor` with the
                             // `Hello` handshake: it carries per-link
                             // spool/sequence state only the engine knows.
@@ -359,7 +359,7 @@ impl BrokerNode {
     pub fn open_local(&self) -> LocalConn {
         let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = unbounded::<Bytes>();
-        self.outbox.register(conn, Sink::Chan(tx));
+        self.outbox.register(conn, Arc::new(ChanWriter(tx)));
         LocalConn {
             conn,
             cmd_tx: self.cmd_tx.clone(),

@@ -185,6 +185,10 @@ pub(crate) struct BrokerCore<O: Out> {
     /// read this — never `config.fabric` — so a repair cuts the whole
     /// data plane over atomically (one thread steps the core).
     fabric: Arc<RoutingFabric>,
+    /// The spanning tree rooted at this broker, down which its own
+    /// clients' events travel. A tree is named by its root, so a repair
+    /// reshapes it but never renames it.
+    tree: TreeId,
     /// Flooded link-state statements folded into per-edge versions; the
     /// source of truth for `epoch` and the dead-edge exclusion set.
     link_state: LinkStateTable,
@@ -261,6 +265,7 @@ impl<O: Out> BrokerCore<O> {
                 ..Recovered::default()
             },
         };
+        let tree = config.fabric.tree_for(config.broker)?;
         let registry = Arc::clone(&config.registry);
         let mut engine = MatchingEngine::new(config.broker, &config.fabric, registry)?;
         // Failures are skipped rather than fatal (a subscription that no
@@ -289,6 +294,7 @@ impl<O: Out> BrokerCore<O> {
             match_cache: MatchCache::new(config.match_cache_cap),
             route_scratch: RouteScratch::new(),
             fabric: Arc::clone(&config.fabric),
+            tree,
             link_state: LinkStateTable::default(),
             epoch: 0,
             epoch_gauge: Arc::new(AtomicU64::new(0)),
@@ -421,16 +427,9 @@ impl<O: Out> BrokerCore<O> {
             self.client_error(conn, e.to_string());
             return;
         }
-        let tree = match self.fabric.tree_for(self.config.broker) {
-            Ok(t) => t,
-            Err(e) => {
-                self.client_error(conn, e.to_string());
-                return;
-            }
-        };
         self.stats.published.fetch_add(1, Ordering::Relaxed);
-        let links = self.route_inline(&event, tree);
-        self.dispatch(&event, tree, &body, links, None, now);
+        let links = self.route_inline(&event, self.tree);
+        self.dispatch(&event, self.tree, &body, links, None, now);
     }
 
     /// `frame` is `message` as it arrived, length prefix included. Every
@@ -779,13 +778,13 @@ impl<O: Out> BrokerCore<O> {
         now: Instant,
     ) -> Option<(BrokerId, Mark)> {
         // Epoch check FIRST, before the tree-bound check: a frame stitched
-        // under a different topology epoch refers to trees that no longer
-        // exist here (its tree index may not even be in range of the
-        // repaired forest). Dropping it is safe precisely because it is
-        // *not* acked and does *not* advance the receive window: the frame
-        // stays pending in the sender's spool, and the sender's own epoch
-        // flip re-homes every pending frame down its repaired trees (see
-        // `rehome_spools` and DESIGN.md §15).
+        // under a different topology epoch names a tree whose shape has
+        // changed here since (a tree id is its root's index and survives
+        // repair; the tree's edges do not). Dropping it is safe precisely
+        // because it is *not* acked and does *not* advance the receive
+        // window: the frame stays pending in the sender's spool, and the
+        // sender's own epoch flip re-homes every pending frame down its
+        // repaired trees (see `rehome_spools` and DESIGN.md §15).
         if epoch != self.epoch {
             self.stats.stale_epoch_drops.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -1042,19 +1041,14 @@ impl<O: Out> BrokerCore<O> {
         from: Option<ConnId>,
         now: Instant,
     ) {
-        // Speculative apply: only commit the table once the fabric
-        // rebuild has succeeded, so the table never disagrees with the
-        // fabric actually in force.
+        // Apply to a copy, kept only if the statement is news: a stale or
+        // duplicate one must not leave even a zero entry behind, since
+        // `resync_link_state` replays every entry.
         let mut table = self.link_state.clone();
         if !table.apply(a, b, ver, down) {
             return; // stale or duplicate — already known, flood stops here
         }
-        let Ok(fabric) = self.fabric.rebuild_excluding(&table.dead_edges()) else {
-            // Unreachable with a fabric whose roots all exist in the
-            // (immutable) network; bail without committing the statement.
-            debug_assert!(false, "spanning-forest recompute failed");
-            return;
-        };
+        let fabric = self.fabric.rebuild_excluding(&table.dead_edges());
         let old_fabric = Arc::clone(&self.fabric);
         // Rebuild the matching engines in place: each per-space engine
         // swaps its link space and bumps its generation, so the match
@@ -1110,10 +1104,7 @@ impl<O: Out> BrokerCore<O> {
     /// transition windows are at-least-once into routing; quiescent cuts
     /// (nothing pending except toward the dead link) stay exactly-once.
     fn rehome_spools(&mut self, now: Instant) {
-        let me = self.config.broker;
-        let Ok(tree) = self.fabric.tree_for(me) else {
-            return;
-        };
+        let (me, tree) = (self.config.broker, self.tree);
         let mut pending: Vec<Bytes> = Vec::new();
         for (&neighbor, link) in self.links.iter_mut() {
             let (frames, floor) = link.take_pending();

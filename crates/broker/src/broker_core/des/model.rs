@@ -650,8 +650,7 @@ fn run(seed: u64, ops: &[Op], model: Model, base: Instant) -> Result<Run, String
         let excluded: Vec<(BrokerId, BrokerId)> = (dead.iter())
             .map(|&(a, b)| (sim.brokers[a], sim.brokers[b]))
             .collect();
-        let fabric = (sim.fabric.rebuild_excluding(&excluded))
-            .map_err(|e| format!("oracle fabric rebuild failed: {e}"))?;
+        let fabric = sim.fabric.rebuild_excluding(&excluded);
         (fabric, "repaired-fabric oracle")
     } else {
         (Arc::clone(&sim.fabric), "LinkSpace oracle")
@@ -1047,5 +1046,36 @@ fn repair_rehomes_spooled_frames_across_the_new_tree() -> Result<(), String> {
         assert_eq!(s.epoch_flips(), 1, "broker {name} must flip exactly once");
         assert_eq!(s.protocol_errors(), 0, "broker {name} saw protocol errors");
     }
+    Ok(())
+}
+
+/// A broker cut off second keeps serving its own subscribers: brokers
+/// 0–2, 1–2 and 2–3, one client at broker 3. Cutting 0–2 and then 2–3
+/// leaves brokers 0 and 3 each alone, two one-broker trees of the same
+/// shape; broker 3 must still route down its own tree, the one rooted at
+/// it, and hand its client the event that client publishes.
+#[test]
+fn a_broker_cut_off_second_still_delivers_to_its_own_client() -> Result<(), String> {
+    const CLIENT: usize = 0;
+    const LONE: usize = 3;
+    let spec = Spec::new(5, 4, &[(0, 2), (1, 2), (2, 3)], &[LONE]);
+    let mut sim = Sim::new(spec, Instant::now(), |config| config.repair_after = 2);
+    let within = Duration::from_secs(15);
+    sim.run_until("star mesh", within, Sim::meshed)?;
+    sim.connect(CLIENT, 0);
+    sim.subscribe(CLIENT, "n >= 0")?;
+    for (edge, what) in [
+        (0, "the first cut repaired"),
+        (2, "the second cut repaired"),
+    ] {
+        let before = sim.epoch(LONE);
+        sim.kill(edge);
+        sim.run_until(what, within, |s| s.epoch(LONE) != before)?;
+    }
+    sim.publish(CLIENT, tick(&sim.registry, 1));
+    let what = "the delivery of its own publish to a client of a cut-off broker";
+    sim.run_until(what, within, |s| s.holds(CLIENT, 1))?;
+    sim.run_for(Duration::from_millis(300));
+    assert_eq!(sim.ticks_of(CLIENT), [1]);
     Ok(())
 }

@@ -36,27 +36,40 @@ pub(crate) type ConnId = u64;
 /// interleave.
 const DRAIN_BATCH: usize = 64;
 
-/// Where a connection's frames go.
-pub(crate) enum Sink {
-    /// A transport peer (client or neighbor broker) — the write half of a
-    /// [`crate::transport::Connection`].
-    Link(Arc<dyn LinkWriter>),
-    /// An in-process peer (used by tests and the throughput benchmark to
-    /// bypass the kernel).
-    Chan(Sender<Bytes>),
+/// The write half of an in-process peer (tests and the throughput
+/// benchmark bypass the kernel with it): each frame goes down an unbounded
+/// channel. There is no socket to shut down or to time out — dropping the
+/// connection drops the sender, and the receiver sees the hangup.
+pub(crate) struct ChanWriter(pub(crate) Sender<Bytes>);
+
+impl LinkWriter for ChanWriter {
+    fn write_batch(&self, batch: &[Bytes]) -> io::Result<()> {
+        batch.iter().try_for_each(|frame| {
+            (self.0.send(frame.clone())).map_err(|_| io::Error::other("in-process peer hung up"))
+        })
+    }
+
+    fn shutdown(&self) {}
+
+    fn set_write_timeout(&self, _: Option<Duration>) {}
 }
 
 mod conn {
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
 
     use bytes::Bytes;
 
-    use super::{ConnId, Sink};
+    use super::ConnId;
+    use crate::transport::LinkWriter;
 
     pub(crate) struct Conn {
         pub(super) id: ConnId,
-        pub(super) sink: Sink,
+        /// Where the connection's frames go: the write half of a
+        /// [`crate::transport::Connection`], or an in-process
+        /// [`super::ChanWriter`].
+        pub(super) writer: Arc<dyn LinkWriter>,
         /// Pending frames. Only the methods below lock it.
         #[expect(
             clippy::disallowed_types,
@@ -85,10 +98,10 @@ mod conn {
     }
 
     impl Conn {
-        pub(super) fn new(id: ConnId, sink: Sink) -> Conn {
+        pub(super) fn new(id: ConnId, writer: Arc<dyn LinkWriter>) -> Conn {
             Conn {
                 id,
-                sink,
+                writer,
                 queue: Default::default(),
                 draining: AtomicBool::new(false),
                 dead: AtomicBool::new(false),
@@ -145,12 +158,9 @@ mod conn {
         /// Closes the underlying link so both the peer and the local reader
         /// thread (which holds a handle on the same stream, so merely
         /// dropping our write half would never send a FIN) observe the
-        /// disconnect. A no-op for channel sinks — dropping the `Conn` drops
-        /// the sender and the receiver sees the hangup.
+        /// disconnect.
         pub(super) fn shutdown_sink(&self) {
-            if let Sink::Link(writer) = &self.sink {
-                writer.shutdown();
-            }
+            self.writer.shutdown();
         }
     }
 }
@@ -281,11 +291,9 @@ impl Outbox {
     }
 
     /// Registers a connection.
-    pub(crate) fn register(&self, id: ConnId, sink: Sink) {
-        if let Sink::Link(writer) = &sink {
-            writer.set_write_timeout(self.write_stall_timeout);
-        }
-        self.conns.insert(id, Arc::new(Conn::new(id, sink)));
+    pub(crate) fn register(&self, id: ConnId, writer: Arc<dyn LinkWriter>) {
+        writer.set_write_timeout(self.write_stall_timeout);
+        self.conns.insert(id, Arc::new(Conn::new(id, writer)));
     }
 
     /// Removes a connection immediately: queued frames are dropped and the
@@ -506,14 +514,7 @@ impl Outbox {
             if conn.dead.load(Ordering::Acquire) {
                 return;
             }
-            let result = match &conn.sink {
-                Sink::Link(writer) => writer.write_batch(&batch),
-                Sink::Chan(tx) => batch.into_iter().try_for_each(|frame| {
-                    tx.send(frame)
-                        .map_err(|_| io::Error::other("in-process peer hung up"))
-                }),
-            };
-            if result.is_err() {
+            if conn.writer.write_batch(&batch).is_err() {
                 conn.dead.store(true, Ordering::Release);
                 // Close the socket now rather than when the engine
                 // processes the death: the local reader thread shares the
@@ -551,7 +552,7 @@ mod tests {
         let (cmd_tx, _cmd_rx) = unbounded();
         let outbox = test_outbox(4, cmd_tx);
         let (tx, rx) = unbounded::<Bytes>();
-        outbox.register(1, Sink::Chan(tx));
+        outbox.register(1, Arc::new(ChanWriter(tx)));
         for i in 0..100u8 {
             outbox.send(1, Bytes::from(vec![i]));
         }
@@ -570,7 +571,7 @@ mod tests {
         let mut receivers = Vec::new();
         for id in 0..20u64 {
             let (tx, rx) = unbounded::<Bytes>();
-            outbox.register(id, Sink::Chan(tx));
+            outbox.register(id, Arc::new(ChanWriter(tx)));
             receivers.push(rx);
         }
         for round in 0..10u8 {
@@ -592,7 +593,7 @@ mod tests {
         let mut receivers = Vec::new();
         for id in 0..8u64 {
             let (tx, rx) = unbounded::<Bytes>();
-            outbox.register(id, Sink::Chan(tx));
+            outbox.register(id, Arc::new(ChanWriter(tx)));
             receivers.push(rx);
         }
         let frame = Bytes::from(vec![7u8; 512]);
@@ -618,7 +619,7 @@ mod tests {
         let mut receivers = Vec::new();
         for (broker, conn) in [(10u32, 1 as ConnId), (11, 2), (12, 3)] {
             let (tx, rx) = unbounded::<Bytes>();
-            outbox.register(conn, Sink::Chan(tx));
+            outbox.register(conn, Arc::new(ChanWriter(tx)));
             neighbors.insert(broker, conn);
             receivers.push((conn, rx));
         }
@@ -645,7 +646,7 @@ mod tests {
         let (cmd_tx, _cmd_rx) = unbounded();
         let outbox = test_outbox(1, cmd_tx);
         let (tx, rx) = unbounded::<Bytes>();
-        outbox.register(1, Sink::Chan(tx));
+        outbox.register(1, Arc::new(ChanWriter(tx)));
         // 3 * DRAIN_BATCH frames exercises the bounded-batch path.
         let total = 3 * DRAIN_BATCH;
         for _ in 0..total {
@@ -670,7 +671,7 @@ mod tests {
         let (cmd_tx, cmd_rx) = unbounded();
         let outbox = test_outbox(1, cmd_tx);
         let (tx, rx) = unbounded::<Bytes>();
-        outbox.register(7, Sink::Chan(tx));
+        outbox.register(7, Arc::new(ChanWriter(tx)));
         drop(rx); // peer hangs up
         outbox.send(7, Bytes::from_static(b"x"));
         assert!(matches!(
@@ -703,7 +704,7 @@ mod tests {
             .unwrap();
         let (cmd_tx, _cmd_rx) = unbounded();
         let outbox = test_outbox(1, cmd_tx);
-        outbox.register(1, Sink::Link(Arc::new(crate::tcp::TcpWriter(stream))));
+        outbox.register(1, Arc::new(crate::tcp::TcpWriter(stream)));
         outbox.unregister(1);
         // The remote peer sees the FIN...
         assert_eq!(peer.join().unwrap().unwrap(), 0, "peer must observe EOF");
@@ -717,7 +718,7 @@ mod tests {
         let (cmd_tx, _cmd_rx) = unbounded();
         let outbox = test_outbox(1, cmd_tx);
         let (tx, rx) = unbounded::<Bytes>();
-        outbox.register(1, Sink::Chan(tx));
+        outbox.register(1, Arc::new(ChanWriter(tx)));
         let total = 2 * DRAIN_BATCH;
         for i in 0..total {
             outbox.send(1, Bytes::from(vec![i as u8]));
@@ -746,7 +747,7 @@ mod tests {
         // the same shape as a TCP peer that stopped reading.
         let outbox = Outbox::new(1, 1024, None, cmd_tx).unwrap();
         let (tx, rx) = crossbeam::channel::bounded::<Bytes>(1);
-        outbox.register(1, Sink::Chan(tx));
+        outbox.register(1, Arc::new(ChanWriter(tx)));
         for _ in 0..16 {
             outbox.send(1, Bytes::from(vec![0u8; 256]));
         }
@@ -779,7 +780,7 @@ mod tests {
         // rest of the backlog in the queue, so the eviction has something
         // to discard.
         let (tx, rx) = crossbeam::channel::bounded::<Bytes>(1);
-        outbox.register(1, Sink::Chan(tx));
+        outbox.register(1, Arc::new(ChanWriter(tx)));
         // Far more than one drain batch: at most DRAIN_BATCH frames can be
         // in flight (popped into a pool thread's local batch); the rest
         // must still be in the queue when the eviction lands.
@@ -824,7 +825,7 @@ mod tests {
         let mut receivers = Vec::new();
         for id in 0..4u64 {
             let (tx, rx) = unbounded::<Bytes>();
-            outbox.register(id, Sink::Chan(tx));
+            outbox.register(id, Arc::new(ChanWriter(tx)));
             receivers.push(rx);
         }
         let total = 2 * DRAIN_BATCH;
@@ -862,7 +863,7 @@ mod tests {
         // slot, the second wedges the pool thread, so the flush can never
         // complete.
         let (tx, rx) = crossbeam::channel::bounded::<Bytes>(1);
-        outbox.register(1, Sink::Chan(tx));
+        outbox.register(1, Arc::new(ChanWriter(tx)));
         outbox.send(1, Bytes::from_static(b"fills"));
         outbox.send(1, Bytes::from_static(b"stuck"));
         let start = std::time::Instant::now();
@@ -885,7 +886,7 @@ mod tests {
         let (stream, _) = listener.accept().unwrap();
         let (cmd_tx, cmd_rx) = unbounded();
         let outbox = Outbox::new(1, u64::MAX, Some(Duration::from_millis(300)), cmd_tx).unwrap();
-        outbox.register(1, Sink::Link(Arc::new(crate::tcp::TcpWriter(stream))));
+        outbox.register(1, Arc::new(crate::tcp::TcpWriter(stream)));
         // `client` never reads: the kernel buffers fill and the blocking
         // write must fail at the stall timeout instead of parking the pool
         // thread forever.
@@ -928,7 +929,7 @@ mod tests {
         let outbox = test_outbox(2, cmd_tx);
         let (tid_tx, tid_rx) = unbounded();
         for id in 0..8 {
-            outbox.register(id, Sink::Link(Arc::new(Tids(tid_tx.clone()))));
+            outbox.register(id, Arc::new(Tids(tid_tx.clone())));
         }
         let flood = {
             let outbox = Arc::clone(&outbox);
@@ -987,7 +988,7 @@ mod tests {
         assert!(cmd_rx.recv_timeout(Duration::from_millis(50)).is_err());
 
         let (tx, rx) = unbounded::<Bytes>();
-        outbox.register(1, Sink::Chan(tx));
+        outbox.register(1, Arc::new(ChanWriter(tx)));
         outbox.unregister(1);
         outbox.send(1, Bytes::from_static(b"x"));
         assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());

@@ -41,7 +41,7 @@ use crossbeam::channel::Sender;
 use linkcast_types::wire::{limits, Count, Reader};
 
 use crate::broker::Command;
-use crate::outbox::{ConnId, Outbox, Sink};
+use crate::outbox::{ConnId, Outbox};
 use crate::protocol::{FRAME_PREFIX, MAX_FRAME};
 
 /// The read half of one connection. Reads must time out in short quanta
@@ -147,7 +147,7 @@ pub(crate) fn spawn_acceptor(
                 match accepted {
                     Ok(connection) => {
                         let conn = next_conn.fetch_add(1, Ordering::Relaxed);
-                        outbox.register(conn, Sink::Link(connection.writer));
+                        outbox.register(conn, connection.writer);
                         // The peer speaks first or not at all: no
                         // handshake deadline.
                         let (cmd_tx, shutdown) = (cmd_tx.clone(), Arc::clone(&shutdown));

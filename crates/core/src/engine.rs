@@ -89,7 +89,7 @@ struct Trial {
 /// b.connect(b0, b1, 10.0)?;
 /// let alice = b.add_client(b1)?;
 /// let network = b.build()?;
-/// let forest = SpanningForest::compute(&network, &[b0])?;
+/// let forest = SpanningForest::compute(&network);
 /// let tree = forest.tree_for_root(b0).unwrap();
 ///
 /// let schema = EventSchema::builder("s")

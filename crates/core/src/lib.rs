@@ -44,7 +44,7 @@
 //! b.connect(brokers[1], brokers[2], 25.0)?;
 //! let alice = b.add_client(brokers[2])?;
 //! let bob = b.add_client(brokers[1])?;
-//! let fabric = RoutingFabric::new(b.build()?, &[brokers[0]])?;
+//! let fabric = RoutingFabric::new_all_roots(b.build()?)?;
 //!
 //! let schema = EventSchema::builder("trades")
 //!     .attribute("issue", ValueKind::Str)

@@ -14,7 +14,7 @@ use crate::{
 };
 
 /// The static routing substrate: the broker network plus its spanning
-/// forest.
+/// forest, one tree per broker, named by its root.
 #[derive(Debug)]
 pub struct RoutingFabric {
     network: BrokerNetwork,
@@ -22,44 +22,31 @@ pub struct RoutingFabric {
 }
 
 impl RoutingFabric {
-    /// Builds the fabric with spanning trees rooted at the given
-    /// publisher-hosting brokers.
+    /// Builds the fabric: any broker may host publishers, so every broker
+    /// roots a tree.
     ///
     /// # Errors
     ///
-    /// Any topology error from [`SpanningForest::compute`].
-    pub fn new(network: BrokerNetwork, publisher_brokers: &[BrokerId]) -> Result<Arc<Self>> {
-        let forest = SpanningForest::compute(&network, publisher_brokers)?;
-        Ok(Arc::new(RoutingFabric { network, forest }))
-    }
-
-    /// Builds the fabric assuming any broker may host publishers.
-    ///
-    /// # Errors
-    ///
-    /// Any topology error from [`SpanningForest::compute_all`].
+    /// Never fails: every built network has at least one broker. The
+    /// `Result` is kept for the callers that propagate it.
     pub fn new_all_roots(network: BrokerNetwork) -> Result<Arc<Self>> {
-        let forest = SpanningForest::compute_all(&network)?;
+        let forest = SpanningForest::compute(&network);
         Ok(Arc::new(RoutingFabric { network, forest }))
     }
 
-    /// Rebuilds the fabric over the surviving graph: the same network and
-    /// the same (sorted) root set, with the spanning forest recomputed as
-    /// if the `excluded` edges were severed. Link numbering is untouched —
-    /// dead edges stay in the network and keep their
-    /// [`LinkId`](linkcast_types::LinkId)s; they are only barred from tree
-    /// membership, so trit-vector positions remain stable across repairs.
-    /// Every broker recomputing from the same exclusion set derives the
-    /// same forest (and the same [`TreeId`] assignment), which is what lets
-    /// topology epochs stand in for full tree comparison on the wire.
-    ///
-    /// # Errors
-    ///
-    /// Any topology error from [`SpanningForest::compute_excluding`].
-    pub fn rebuild_excluding(&self, excluded: &[(BrokerId, BrokerId)]) -> Result<Arc<Self>> {
+    /// Rebuilds the fabric over the surviving graph: the same network, with
+    /// the spanning forest recomputed as if the `excluded` edges were
+    /// severed. Link numbering is untouched — dead edges stay in the
+    /// network and keep their [`LinkId`](linkcast_types::LinkId)s; they are
+    /// only barred from tree membership, so trit-vector positions remain
+    /// stable across repairs, and so does every [`TreeId`] (a tree is named
+    /// by its root). Every broker recomputing from the same exclusion set
+    /// derives the same forest, which is what lets topology epochs stand in
+    /// for full tree comparison on the wire.
+    pub fn rebuild_excluding(&self, excluded: &[(BrokerId, BrokerId)]) -> Arc<Self> {
         let network = self.network.clone();
-        let forest = SpanningForest::compute_excluding(&network, &self.forest.roots(), excluded)?;
-        Ok(Arc::new(RoutingFabric { network, forest }))
+        let forest = SpanningForest::compute_excluding(&network, excluded);
+        Arc::new(RoutingFabric { network, forest })
     }
 
     /// The broker network.
@@ -76,7 +63,7 @@ impl RoutingFabric {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Unknown`] if no tree was computed for `broker`.
+    /// [`CoreError::Unknown`] if `broker` is not in the network.
     pub fn tree_for(&self, broker: BrokerId) -> Result<TreeId> {
         self.forest
             .tree_for_root(broker)
@@ -228,7 +215,7 @@ impl ContentRouter {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Unknown`] if `broker` has no spanning tree.
+    /// [`CoreError::Unknown`] if `broker` is not in the network.
     pub fn publish(&self, broker: BrokerId, event: &Event) -> Result<Delivery> {
         let tree = self.fabric.tree_for(broker)?;
         let network = self.fabric.network();
@@ -288,22 +275,22 @@ mod tests {
         }
         let net = b.build().unwrap();
         let fabric = RoutingFabric::new_all_roots(net).unwrap();
-        let repaired = fabric.rebuild_excluding(&[(ids[0], ids[1])]).unwrap();
+        let repaired = fabric.rebuild_excluding(&[(ids[0], ids[1])]);
         // The network (and its link numbering) is untouched; only the
-        // forest changes, recomputed for the same root set.
+        // forest changes, one tree per broker as before.
         assert_eq!(
             repaired.network().link_count(ids[0]),
             fabric.network().link_count(ids[0])
         );
         let roots: Vec<BrokerId> = fabric.network().brokers().collect();
-        assert_eq!(repaired.forest().roots(), roots);
+        assert_eq!(repaired.forest().len(), roots.len());
         let tree = repaired
             .forest()
             .tree(repaired.tree_for(ids[0]).unwrap())
             .unwrap();
         assert_eq!(tree.parent(ids[1]), Some(ids[2]));
         // Rebuilding with no exclusions reproduces the original forest.
-        let same = fabric.rebuild_excluding(&[]).unwrap();
+        let same = fabric.rebuild_excluding(&[]);
         for &root in &roots {
             let a = fabric
                 .forest()

@@ -5,14 +5,15 @@ use std::collections::HashMap;
 
 use linkcast_types::{BrokerId, ClientId, LinkId, Trit, TritVec};
 
-use crate::{BrokerNetwork, CoreError, Result};
+use crate::BrokerNetwork;
 
-/// Identifies a spanning tree within a [`SpanningForest`].
+/// Identifies a spanning tree within a [`SpanningForest`]: the index of the
+/// broker the tree is rooted at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TreeId(pub(crate) u32);
 
 impl TreeId {
-    /// Raw index of the tree in its forest.
+    /// Raw index of the tree in its forest (its root broker's index).
     pub const fn index(self) -> usize {
         self.0 as usize
     }
@@ -34,8 +35,9 @@ impl std::fmt::Display for TreeId {
 }
 
 /// One spanning tree over the broker graph: the shortest-path tree rooted at
-/// a publisher-hosting broker ("we assume that events always follow the
-/// shortest path", §3.2).
+/// one broker, down which events its publishers emit travel ("we assume
+/// that events always follow the shortest path", §3.2). Its
+/// [`SpanningForest`] names it by that root.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanningTree {
     root: BrokerId,
@@ -93,7 +95,7 @@ impl SpanningTree {
         }
     }
 
-    /// The tree's root (the publisher-hosting broker it serves).
+    /// The tree's root (the broker whose publishers it serves).
     pub fn root(&self) -> BrokerId {
         self.root
     }
@@ -165,85 +167,38 @@ impl SpanningTree {
     }
 }
 
-/// The set of spanning trees in use: one per publisher-hosting broker,
-/// deduplicated ("there will be a relatively small set of different spanning
-/// trees", §3.2).
+/// The spanning trees in use: one shortest-path tree per broker, in broker
+/// order, so a [`TreeId`] is its root broker's index ("there will be a
+/// relatively small set of different spanning trees", §3.2 — the sharing
+/// lives in [`LinkSpace`]'s virtual-link classes, not here). A tree's id
+/// therefore never changes across topology repairs; only its shape does.
 #[derive(Debug, Clone)]
 pub struct SpanningForest {
     trees: Vec<SpanningTree>,
-    by_root: HashMap<BrokerId, TreeId>,
 }
 
 impl SpanningForest {
-    /// Computes trees rooted at each of `roots` (brokers that host
-    /// publishers), sharing structurally identical trees.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Topology`] if `roots` is empty or contains an unknown
-    /// broker.
-    pub fn compute(network: &BrokerNetwork, roots: &[BrokerId]) -> Result<Self> {
-        Self::compute_excluding(network, roots, &[])
+    /// Computes the tree rooted at every broker of `network` (any broker
+    /// may host a publisher).
+    pub fn compute(network: &BrokerNetwork) -> Self {
+        Self::compute_excluding(network, &[])
     }
 
     /// [`compute`](Self::compute) over the surviving graph: edges in
     /// `excluded` are treated as severed, so every tree spans only the
     /// component its root sits in. Brokers disconnected from a root are
-    /// absent from that root's tree (no error — topology repair keeps
-    /// routing the reachable component); an excluded edge that appears
-    /// nowhere in the network is ignored.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Topology`] if `roots` is empty or contains an unknown
-    /// broker.
-    pub fn compute_excluding(
-        network: &BrokerNetwork,
-        roots: &[BrokerId],
-        excluded: &[(BrokerId, BrokerId)],
-    ) -> Result<Self> {
-        if roots.is_empty() {
-            return Err(CoreError::Topology(
-                "at least one publisher-hosting broker is required".into(),
-            ));
-        }
-        let mut forest = SpanningForest {
-            trees: Vec::new(),
-            by_root: HashMap::new(),
-        };
-        for &root in roots {
-            if root.index() >= network.broker_count() {
-                return Err(CoreError::Topology(format!("unknown root broker {root}")));
-            }
-            if forest.by_root.contains_key(&root) {
-                continue;
-            }
-            let tree = SpanningTree::shortest_path_tree(network, root, excluded);
-            // Dedup: trees with identical parent structure are the same
-            // distribution tree regardless of root label.
-            let id = match forest.trees.iter().position(|t| t.parent == tree.parent) {
-                Some(i) => TreeId(i as u32),
-                None => {
-                    forest.trees.push(tree);
-                    TreeId((forest.trees.len() - 1) as u32)
-                }
-            };
-            forest.by_root.insert(root, id);
-        }
-        Ok(forest)
+    /// absent from that root's tree (topology repair keeps routing the
+    /// reachable component), but every broker still roots its own tree; an
+    /// excluded edge that appears nowhere in the network is ignored.
+    pub fn compute_excluding(network: &BrokerNetwork, excluded: &[(BrokerId, BrokerId)]) -> Self {
+        let trees = network
+            .brokers()
+            .map(|root| SpanningTree::shortest_path_tree(network, root, excluded))
+            .collect();
+        SpanningForest { trees }
     }
 
-    /// Computes trees for every broker (any broker may host a publisher).
-    ///
-    /// # Errors
-    ///
-    /// See [`SpanningForest::compute`].
-    pub fn compute_all(network: &BrokerNetwork) -> Result<Self> {
-        let roots: Vec<BrokerId> = network.brokers().collect();
-        Self::compute(network, &roots)
-    }
-
-    /// Number of distinct trees.
+    /// Number of trees: the network's broker count.
     pub fn len(&self) -> usize {
         self.trees.len()
     }
@@ -251,16 +206,6 @@ impl SpanningForest {
     /// Whether the forest is empty (never true for a built forest).
     pub fn is_empty(&self) -> bool {
         self.trees.is_empty()
-    }
-
-    /// The roots this forest was computed for, in ascending id order — the
-    /// exact argument to hand [`SpanningForest::compute_excluding`] so a
-    /// repaired forest assigns [`TreeId`]s deterministically across brokers
-    /// (every broker recomputes from the same sorted root list).
-    pub fn roots(&self) -> Vec<BrokerId> {
-        let mut roots: Vec<BrokerId> = self.by_root.keys().copied().collect();
-        roots.sort_unstable();
-        roots
     }
 
     /// Whether `a` and `b` are parent/child in *any* tree of the forest.
@@ -272,9 +217,10 @@ impl SpanningForest {
             .any(|t| t.parent(a) == Some(b) || t.parent(b) == Some(a))
     }
 
-    /// The tree used by publishers attached to `root`, if computed.
+    /// The tree rooted at `root`, used by publishers attached to it;
+    /// `None` for a broker outside the network.
     pub fn tree_for_root(&self, root: BrokerId) -> Option<TreeId> {
-        self.by_root.get(&root).copied()
+        (root.index() < self.trees.len()).then_some(TreeId(root.raw()))
     }
 
     /// Looks up a tree by id.
@@ -499,7 +445,7 @@ mod tests {
     #[test]
     fn tree_structure_on_star() {
         let (net, ids, _) = star();
-        let forest = SpanningForest::compute(&net, &[ids[0]]).unwrap();
+        let forest = SpanningForest::compute(&net);
         let tree = forest.tree(TreeId(0)).unwrap();
         assert_eq!(tree.root(), ids[0]);
         assert_eq!(tree.parent(ids[0]), None);
@@ -522,31 +468,9 @@ mod tests {
     }
 
     #[test]
-    fn forest_dedups_identical_trees() {
-        // On a tree-shaped network every root yields the same undirected
-        // tree, but parent orientation differs per root, so trees are
-        // distinct; on a single-broker network they collapse.
-        let mut b = NetworkBuilder::new();
-        let b0 = b.add_broker();
-        b.add_client(b0).unwrap();
-        let net = b.build().unwrap();
-        let forest = SpanningForest::compute(&net, &[b0, b0]).unwrap();
-        assert_eq!(forest.len(), 1);
-        assert_eq!(forest.tree_for_root(b0), Some(TreeId(0)));
-        assert!(!forest.is_empty());
-    }
-
-    #[test]
-    fn forest_rejects_bad_roots() {
-        let (net, _, _) = star();
-        assert!(SpanningForest::compute(&net, &[]).is_err());
-        assert!(SpanningForest::compute(&net, &[BrokerId::new(9)]).is_err());
-    }
-
-    #[test]
     fn link_space_on_tree_network_has_one_class() {
         let (net, ids, clients) = star();
-        let forest = SpanningForest::compute_all(&net).unwrap();
+        let forest = SpanningForest::compute(&net);
         let space = LinkSpace::build(&net, &forest, ids[1]);
         assert_eq!(space.class_count(), 1);
         assert_eq!(space.link_count(), 4); // B0, B2, B3, local client
@@ -569,7 +493,7 @@ mod tests {
     #[test]
     fn init_mask_excludes_upstream_links() {
         let (net, ids, _) = star();
-        let forest = SpanningForest::compute(&net, &[ids[0]]).unwrap();
+        let forest = SpanningForest::compute(&net);
         let tree = forest.tree_for_root(ids[0]).unwrap();
         let space = LinkSpace::build(&net, &forest, ids[1]);
         let mask = space.init_mask(tree);
@@ -583,7 +507,7 @@ mod tests {
     #[test]
     fn leaf_broker_mask_covers_only_local_clients() {
         let (net, ids, _) = star();
-        let forest = SpanningForest::compute(&net, &[ids[0]]).unwrap();
+        let forest = SpanningForest::compute(&net);
         let tree = forest.tree_for_root(ids[0]).unwrap();
         let space = LinkSpace::build(&net, &forest, ids[2]);
         let mask = space.init_mask(tree);
@@ -607,7 +531,7 @@ mod tests {
             b.add_client(id).unwrap();
         }
         let net = b.build().unwrap();
-        let forest = SpanningForest::compute_all(&net).unwrap();
+        let forest = SpanningForest::compute(&net);
         assert!(forest.len() >= 2);
         let space = LinkSpace::build(&net, &forest, ids[1]);
         assert!(
@@ -621,7 +545,7 @@ mod tests {
     #[test]
     fn links_to_send_maps_positions_to_physical_links() {
         let (net, ids, clients) = star();
-        let forest = SpanningForest::compute_all(&net).unwrap();
+        let forest = SpanningForest::compute(&net);
         let space = LinkSpace::build(&net, &forest, ids[1]);
         let leaf = space.leaf_vector(clients[3]);
         let links = space.links_to_send(&leaf);
@@ -650,8 +574,7 @@ mod tests {
     #[test]
     fn excluding_a_cycle_edge_reroutes_the_long_way() {
         let (net, ids) = square();
-        let roots: Vec<BrokerId> = net.brokers().collect();
-        let forest = SpanningForest::compute_excluding(&net, &roots, &[(ids[0], ids[1])]).unwrap();
+        let forest = SpanningForest::compute_excluding(&net, &[(ids[0], ids[1])]);
         let tree = forest.tree(forest.tree_for_root(ids[0]).unwrap()).unwrap();
         // With 0-1 severed, B1 is reached the long way round: 0-3-2-1.
         assert_eq!(tree.parent(ids[1]), Some(ids[2]));
@@ -661,7 +584,7 @@ mod tests {
             assert!(tree.contains(b), "square stays connected without one edge");
         }
         // The reversed endpoint order must sever the same edge.
-        let flipped = SpanningForest::compute_excluding(&net, &roots, &[(ids[1], ids[0])]).unwrap();
+        let flipped = SpanningForest::compute_excluding(&net, &[(ids[1], ids[0])]);
         let t2 = flipped
             .tree(flipped.tree_for_root(ids[0]).unwrap())
             .unwrap();
@@ -671,9 +594,8 @@ mod tests {
     #[test]
     fn excluding_a_bridge_cuts_brokers_out_of_the_tree() {
         let (net, ids, _) = star();
-        let roots: Vec<BrokerId> = net.brokers().collect();
         // 0-1 is a bridge of the star: B0 ends up alone.
-        let forest = SpanningForest::compute_excluding(&net, &roots, &[(ids[0], ids[1])]).unwrap();
+        let forest = SpanningForest::compute_excluding(&net, &[(ids[0], ids[1])]);
         let t1 = forest.tree(forest.tree_for_root(ids[1]).unwrap()).unwrap();
         assert!(!t1.contains(ids[0]));
         assert!(t1.contains(ids[2]));
@@ -695,17 +617,47 @@ mod tests {
     }
 
     #[test]
+    fn brokers_cut_off_together_each_keep_their_own_tree() {
+        // Hub B0 with spokes B1-B3: severing two spokes leaves B1 and B2
+        // each alone, two one-broker trees of the same (empty) shape.
+        let mut b = NetworkBuilder::new();
+        let ids = b.add_brokers(4);
+        for &spoke in &ids[1..] {
+            b.connect(ids[0], spoke, 10.0).unwrap();
+        }
+        let clients: Vec<ClientId> = ids.iter().map(|&i| b.add_client(i).unwrap()).collect();
+        let net = b.build().unwrap();
+        let forest = SpanningForest::compute_excluding(&net, &[(ids[0], ids[2]), (ids[0], ids[1])]);
+        assert_eq!(forest.len(), ids.len());
+        for &cut in &ids[1..3] {
+            let tree = forest.tree_for_root(cut).unwrap();
+            assert_eq!(forest.tree(tree).unwrap().root(), cut);
+            assert!(forest.tree(tree).unwrap().contains(cut));
+            // The broker still routes its own publishers' events to its
+            // own subscribers.
+            let space = LinkSpace::build(&net, &forest, cut);
+            let local = net.link_to_client(cut, clients[cut.index()]).unwrap();
+            let position = space.position(space.class(tree), local);
+            assert_eq!(space.init_mask(tree).get(position), Trit::Maybe);
+        }
+    }
+
+    #[test]
     fn roots_are_sorted_and_tree_adjacency_tracks_the_forest() {
         let (net, ids, _) = star();
-        let forest = SpanningForest::compute(&net, &[ids[2], ids[0]]).unwrap();
-        assert_eq!(forest.roots(), vec![ids[0], ids[2]]);
+        let forest = SpanningForest::compute(&net);
+        // One tree per broker, in broker order: a tree id is its root.
+        let roots: Vec<BrokerId> = forest.iter().map(|(_, t)| t.root()).collect();
+        assert_eq!(roots, ids);
+        for (id, tree) in forest.iter() {
+            assert_eq!(id.index(), tree.root().index());
+        }
         assert!(forest.tree_adjacent(ids[0], ids[1]));
         assert!(forest.tree_adjacent(ids[1], ids[0]));
         assert!(!forest.tree_adjacent(ids[0], ids[2]), "not an edge");
         let (net2, ids2) = square();
-        let roots: Vec<BrokerId> = net2.brokers().collect();
-        let full = SpanningForest::compute(&net2, &roots).unwrap();
-        let cut = SpanningForest::compute_excluding(&net2, &roots, &[(ids2[0], ids2[1])]).unwrap();
+        let full = SpanningForest::compute(&net2);
+        let cut = SpanningForest::compute_excluding(&net2, &[(ids2[0], ids2[1])]);
         // The severed edge is tree-adjacent in the full forest but cannot
         // be in the repaired one; some surviving edge takes over.
         assert!(full.tree_adjacent(ids2[0], ids2[1]));
@@ -714,7 +666,7 @@ mod tests {
     }
 
     /// Satellite: incremental recompute after k link removals must agree
-    /// with a from-scratch `compute_all` over the surviving graph — tree
+    /// with a from-scratch `compute` over the surviving graph — tree
     /// for tree, parent for parent — and never orphan a reachable broker.
     mod repair_equivalence {
         use std::collections::HashSet;
@@ -824,18 +776,16 @@ mod tests {
                 prop_assume!(!removed.is_empty());
 
                 let full = build(n, &edges);
-                let roots: Vec<BrokerId> = full.brokers().collect();
                 let excluded: Vec<(BrokerId, BrokerId)> = removed
                     .iter()
                     .map(|&(a, b)| (BrokerId::new(a as u32), BrokerId::new(b as u32)))
                     .collect();
-                let incremental =
-                    SpanningForest::compute_excluding(&full, &roots, &excluded).unwrap();
+                let incremental = SpanningForest::compute_excluding(&full, &excluded);
                 let scratch_net = build(n, &surviving);
-                let scratch = SpanningForest::compute_all(&scratch_net).unwrap();
+                let scratch = SpanningForest::compute(&scratch_net);
 
                 prop_assert_eq!(incremental.len(), scratch.len());
-                for &root in &roots {
+                for root in full.brokers() {
                     let a = incremental
                         .tree(incremental.tree_for_root(root).unwrap())
                         .unwrap();

@@ -14,7 +14,7 @@ use linkcast_workload::{ArrivalProcess, BurstyProcess, EventGenerator, PoissonPr
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{ArrivalKind, BrokerLoad, SimConfig, SimReport};
+use crate::{ArrivalKind, BrokerLoad, SimConfig, SimReport, OVERLOAD_BACKLOG};
 
 /// How long a drained run must deliver nothing: longer than any path's
 /// hop delays, so no event is still on its way.
@@ -306,7 +306,7 @@ impl Simulation {
             })
             .collect();
         let overloaded = (loads.iter())
-            .filter(|l| l.max_queue > config.overload_backlog)
+            .filter(|l| l.max_queue > OVERLOAD_BACKLOG)
             .map(|l| l.broker)
             .collect();
         let mut link_loads: Vec<((BrokerId, BrokerId), u64)> = (self.sim.forwards().into_iter())

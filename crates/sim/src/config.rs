@@ -17,6 +17,12 @@ pub enum ArrivalKind {
     },
 }
 
+/// Unfinished services at one core beyond which the broker counts as
+/// overloaded — the queue "growing at a rate higher than the broker
+/// processor can handle" shows up as depth proportional to the run length,
+/// while stable queues stay shallow.
+pub const OVERLOAD_BACKLOG: usize = 30;
+
 /// Parameters of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
@@ -27,11 +33,6 @@ pub struct SimConfig {
     pub events: usize,
     /// What a core step costs (§4.1).
     pub costs: CostModel,
-    /// Unfinished services at one core beyond which the broker counts as
-    /// overloaded — the queue "growing at a rate higher than the broker
-    /// processor can handle" shows up as depth proportional to the run
-    /// length, while stable queues stay shallow.
-    pub overload_backlog: usize,
     /// RNG seed for arrival times and event values.
     pub seed: u64,
     /// Arrival process shape.
@@ -48,7 +49,6 @@ impl Default for SimConfig {
                 step_us: 3.0,
                 send_us: 20.0,
             },
-            overload_backlog: 30,
             seed: 1,
             arrivals: ArrivalKind::Poisson,
         }

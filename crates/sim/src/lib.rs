@@ -26,7 +26,7 @@ mod saturation;
 pub mod topology39;
 
 pub use cluster::{publications, Publication, Publisher, Simulation};
-pub use config::{ArrivalKind, SimConfig};
+pub use config::{ArrivalKind, SimConfig, OVERLOAD_BACKLOG};
 pub use linkcast_broker::sim::CostModel;
 pub use metrics::{BrokerLoad, SimReport};
 pub use saturation::find_saturation_rate;

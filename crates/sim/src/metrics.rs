@@ -38,7 +38,7 @@ pub struct SimReport {
     /// Per-broker loads, indexed by broker.
     pub loads: Vec<BrokerLoad>,
     /// Brokers whose input queue grew past
-    /// [`SimConfig::overload_backlog`](crate::SimConfig) — "overloaded" in
+    /// [`OVERLOAD_BACKLOG`](crate::OVERLOAD_BACKLOG) — "overloaded" in
     /// the paper's sense.
     pub overloaded: Vec<BrokerId>,
     /// Frames carried per directed broker link, as `((from, to), count)`,

@@ -6,7 +6,7 @@ use crate::{publications, Publisher, SimConfig, Simulation};
 
 /// Finds the saturation publish rate by bisection: the highest aggregate
 /// rate (events/second, within `rel_tolerance`) at which no broker's
-/// input queue grows past [`SimConfig::overload_backlog`].
+/// input queue grows past [`OVERLOAD_BACKLOG`](crate::OVERLOAD_BACKLOG).
 ///
 /// Every probe runs on `sim`'s cluster, its subscriptions installed once,
 /// and drains before the next. The cores adapt their attribute order as

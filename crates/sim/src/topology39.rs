@@ -32,7 +32,8 @@ pub const CLIENTS_PER_BROKER: usize = 10;
 /// The built Figure 6 world.
 #[derive(Debug)]
 pub struct Figure6 {
-    /// Topology plus spanning trees for the publisher brokers.
+    /// Topology plus its spanning forest: one tree per broker, named by
+    /// its root.
     pub fabric: Arc<RoutingFabric>,
     /// All 39 brokers; `brokers[tree * 13 + i]` with `i = 0` the tree root,
     /// `1..4` the second level, `4..13` the leaves.
@@ -123,7 +124,7 @@ pub fn build() -> Result<Figure6> {
         }
     }
 
-    // Tracked publishers (their brokers root the spanning trees).
+    // Tracked publishers (their brokers' trees carry their events).
     let publishers = vec![
         Publisher {
             broker: leaf(0, 0),
@@ -138,7 +139,7 @@ pub fn build() -> Result<Figure6> {
             region: 2,
         },
     ];
-    // Trees for every broker: besides P1-P3, "an unspecified number of
+    // A tree for every broker: besides P1-P3, "an unspecified number of
     // publishing clients ... simply load the brokers by publishing
     // messages that take up CPU time at the brokers" — background
     // publishers may sit anywhere.
@@ -189,6 +190,8 @@ pub fn subscribe_random(
 
 #[cfg(test)]
 mod tests {
+    use linkcast::LinkSpace;
+
     use super::*;
 
     #[test]
@@ -238,9 +241,15 @@ mod tests {
         for p in &world.publishers {
             assert!(world.fabric.tree_for(p.broker).is_ok());
         }
-        // The lateral links make the graph cyclic, so the publishers'
-        // shortest-path trees differ.
-        assert!(world.fabric.forest().len() >= 2);
+        assert_eq!(world.fabric.forest().len(), world.brokers.len());
+        // The lateral links and the root mesh make the graph cyclic, so
+        // some broker's trees route a destination over different links:
+        // its links split into virtual-link classes.
+        let (network, forest) = (world.fabric.network(), world.fabric.forest());
+        assert!(world
+            .brokers
+            .iter()
+            .any(|&b| LinkSpace::build(network, forest, b).class_count() > 1));
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     net.connect(edge, core, 5.0)?;
     net.add_client(edge)?; // the desk
     let network = net.build()?;
-    let forest = SpanningForest::compute(&network, &[core])?;
+    let forest = SpanningForest::compute(&network);
     let mut engine = LinkMatchEngine::with_subscriptions(
         core,
         schema.clone(),

@@ -112,7 +112,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn all_protocols_deliver_identically(world in world_strategy()) {
+    fn link_matching_delivers_what_the_oracle_predicts(world in world_strategy()) {
         let schema = schema();
         let (fabric, clients, n) = build_world(&world, true);
 
